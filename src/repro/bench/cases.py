@@ -1,6 +1,6 @@
 """The registered micro-benchmark cases behind ``repro bench``.
 
-Five core areas mirror the substrate layers the repo's perf story rests
+Six core areas mirror the substrate layers the repo's perf story rests
 on (ROADMAP item 4):
 
 * ``events``   — DES kernel throughput (`repro.simnet.events`),
@@ -9,7 +9,9 @@ on (ROADMAP item 4):
 * ``training`` — fused-gradient allreduce step (`repro.distributed`),
 * ``serving``  — end-to-end online-serving latency tail (`repro.serving`),
 * ``tensor``   — the lazy tensor engine: fusion ratios, buffer
-  allocations per step and per-kernel device charges (`repro.ml.engine`).
+  allocations per step and per-kernel device charges (`repro.ml.engine`),
+* ``scheduler`` — matchmaking cost of draining a job backlog: scoring
+  evaluations per placement (`repro.core.scheduler`).
 
 Every case reports **deterministic** metrics (simulated time, operation
 counters, rates over simulated seconds) plus digests that pin functional
@@ -700,6 +702,66 @@ def serving_hedged_tail(quick: bool, seed: int) -> CaseRun:
             "defended_serve": lambda: _defended_workload(
                 quick, seed, defend=True, hedge=True)},
         wall_ops={"defended_serve": max(1, defended.metrics.completed)},
+    )
+
+
+# ---------------------------------------------------------------------------
+# scheduler — matchmaking cost of draining a backlog
+# ---------------------------------------------------------------------------
+
+
+def _backlog_drain(n_jobs: int, seed: int):
+    """A burst of mixed jobs on DEEP with six node crashes, drained to
+    empty — the shape of the e2e ``sched_backlog`` workload."""
+    from repro.core import deep_system, synthetic_workload_mix
+    from repro.core.scheduler import MsaScheduler
+    from repro.resilience.faults import FaultInjector, FaultPlan
+
+    system = deep_system()
+    targets = {key: mod.n_nodes
+               for key, mod in system.compute_modules().items()}
+    plan = FaultPlan.random(seed, targets, horizon_s=36000.0, n_crashes=6,
+                            repair_s=1200.0)
+    sched = MsaScheduler(system, fault_injector=FaultInjector(plan))
+    sched.submit_all(synthetic_workload_mix(n_jobs, seed,
+                                            mean_interarrival_s=1.0))
+    return sched, sched.run()
+
+
+@bench_case(
+    "scheduler_backlog_drain", area="scheduler",
+    budgets={"evals_per_placement": Budget("lower", 0.25)},
+    description="batch scheduler: phase_runtime evaluations per placement "
+                "while a burst backlog drains through crashes and requeues "
+                "(O(modules), not O(backlog))",
+)
+def scheduler_backlog_drain(quick: bool, seed: int) -> CaseRun:
+    from unittest import mock
+
+    import repro.core.scheduler as scheduler_mod
+
+    n_jobs = 100 if quick else 300
+    # The scheduler's own reference to the runtime model: what it calls,
+    # not what repro.core.jobs exports.
+    with mock.patch.object(scheduler_mod, "phase_runtime",
+                           wraps=scheduler_mod.phase_runtime) as counted:
+        sched, report = _backlog_drain(n_jobs, seed)
+    evals = counted.call_count
+    placements = len(report.allocations)
+    metrics = {
+        "phase_runtime_evals": float(evals),
+        "evals_per_placement": _round6(evals / placements),
+        "allocations": float(placements),
+        "requeues": float(report.resilience.total_retries),
+        "events": float(sched.sim.events_processed),
+        "sim_makespan_s": _round6(report.makespan),
+        "sim_energy_kwh": _round6(report.energy_kwh),
+    }
+    return CaseRun(
+        metrics=metrics,
+        digests={"summary": stable_digest(report.summary())},
+        wall_candidates={"drain": lambda: _backlog_drain(n_jobs, seed)},
+        wall_ops={"drain": placements},
     )
 
 

@@ -29,7 +29,8 @@ import numpy as np
 SCHEMA_ID = "repro-bench/1"
 
 #: Areas the acceptance gate requires; the registry may add more.
-CORE_AREAS = ("events", "mpi", "training", "serving", "tensor")
+CORE_AREAS = ("events", "mpi", "training", "serving", "tensor",
+              "scheduler")
 
 
 class BenchSchemaError(ValueError):

@@ -67,6 +67,8 @@ EXPERIMENTS = [
      "src/repro/ml/engine/"),
     ("E19", "chaos drill (partitions, gray failures, hedging, brownout)",
      "src/repro/resilience/chaosdrill.py"),
+    ("E20", "scheduler matchmaking cost (placement tables, scored once)",
+     "src/repro/core/scheduler.py"),
     ("ABL", "design-choice ablations",
      "benchmarks/bench_ablations.py"),
 ]

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
+from operator import itemgetter
+from typing import Mapping, Optional
 
 from repro import telemetry
 from repro.simnet.events import Event, Simulator
@@ -82,6 +83,8 @@ class ScheduleReport:
     job_status: dict[str, JobStatus] = field(default_factory=dict)
     #: Fault/recovery accounting; None when injection is disabled.
     resilience: Optional[ResilienceReport] = None
+    #: Submission time per job (turnaround = completion - arrival).
+    arrival_times: dict[str, float] = field(default_factory=dict)
 
     @property
     def failed_jobs(self) -> list[str]:
@@ -106,7 +109,9 @@ class ScheduleReport:
     def mean_turnaround(self) -> float:
         if not self.completion_times:
             return 0.0
-        return sum(self.completion_times.values()) / len(self.completion_times)
+        return sum(done - self.arrival_times.get(name, 0.0)
+                   for name, done in self.completion_times.items()
+                   ) / len(self.completion_times)
 
     def summary(self) -> str:
         rows = [
@@ -140,6 +145,62 @@ class ScheduleReport:
             reg.gauge("scheduler_module_utilisation", module=key).set(util)
         if self.resilience is not None:
             self.resilience.publish_metrics(reg)
+
+
+def _degrade_factor(degraded: Mapping[str, list[float]], key: str) -> float:
+    factors = degraded.get(key)
+    return max(factors) if factors else 1.0
+
+
+class PlacementTable:
+    """Every candidate placement of one phase, scored once — the one
+    matchmaking scoring path.
+
+    A row is ``(score, module_key, module, n_alloc)``: estimated runtime
+    plus, when the previous phase ran elsewhere, the (possibly degraded)
+    federation transfer of the phase's input.  That is a pure function of
+    the phase, the module's static inventory (``n_nodes`` never changes —
+    only ``free_nodes`` does), the storage bandwidth, ``prev_module`` and
+    the active link-degrade factors, so callers re-check only feasibility.
+    ``n_nodes`` pins the allocation size (standalone placements); by
+    default a phase takes what it asked for, clamped to the module.
+
+    Two orders, because the seed's loops broke score ties two ways:
+    ``by_key`` is sorted by ``(score, key)`` (single-module choice),
+    ``by_order`` by score alone, stably — ties stay in ``compute_modules()``
+    order (first strict minimum: the backfill-blocked module and the
+    co-allocation pick).
+    """
+
+    __slots__ = ("by_key", "by_order", "best_score", "blocked")
+
+    def __init__(self, system: MSASystem, phase: JobPhase, io_GBps: float,
+                 modules: Optional[Mapping[str, ComputeModule]] = None,
+                 n_nodes: Optional[int] = None,
+                 prev_module: Optional[str] = None,
+                 degraded: Optional[Mapping[str, list[float]]] = None) -> None:
+        if modules is None:
+            modules = system.compute_modules()
+        rows = []
+        for key, module in modules.items():
+            n = min(phase.nodes, module.n_nodes) if n_nodes is None else n_nodes
+            if n < 1 or module.n_nodes < n:
+                continue
+            t = phase_runtime(phase, module, n, io_GBps=io_GBps)
+            if prev_module is not None and prev_module != key:
+                xfer = system.inter_module_transfer_time(
+                    prev_module, key, phase.io_bytes)
+                if degraded:
+                    xfer *= max(_degrade_factor(degraded, prev_module),
+                                _degrade_factor(degraded, key))
+                t += xfer
+            rows.append((t, key, module, n))
+        self.by_key = tuple(sorted(rows, key=itemgetter(0, 1)))
+        self.by_order = tuple(sorted(rows, key=itemgetter(0)))
+        #: Best score on any module, free or not (the patience reference).
+        self.best_score = self.by_key[0][0] if rows else float("inf")
+        #: Module a waiting queue head is holding out for.
+        self.blocked = frozenset(row[1] for row in self.by_order[:1])
 
 
 @dataclass
@@ -206,7 +267,13 @@ class MsaScheduler:
         self._busy_node_seconds: dict[str, float] = {}
         self._user_usage: dict[str, float] = {}
         self._submitted = 0
+        self._arrivals: dict[str, float] = {}
         self._io_GBps = self._storage_bandwidth()
+        #: Compute modules, snapshotted per ``system.revision``.
+        self._modules: dict[str, ComputeModule] = {}
+        self._modules_revision = -1
+        #: Placement tables of each queued job's current phase, by job name.
+        self._tables: dict[str, tuple[PlacementTable, ...]] = {}
         self._status: dict[str, JobStatus] = {}
         self._running: list[_RunningRecord] = []
         #: Recently crashed nodes per module — placement steers around them.
@@ -240,6 +307,7 @@ class MsaScheduler:
     # -- submission ---------------------------------------------------------
     def submit(self, job: Job) -> None:
         self._submitted += 1
+        self._arrivals[job.name] = job.arrival_time
         self._status[job.name] = JobStatus.PENDING
         evt = self.sim.timeout(job.arrival_time, value=job, name=f"arrive-{job.name}")
         evt.add_callback(self._on_arrival)
@@ -266,6 +334,7 @@ class MsaScheduler:
             self.system.module(module_key).release(list(nodes))
         state.prev_module = record.placements[-1][0]
         state.next_phase += 1
+        self._tables.pop(state.job.name, None)   # scores were this phase's
         if state.finished:
             self._completions[state.job.name] = self.sim.now
             self._status[state.job.name] = JobStatus.COMPLETED
@@ -310,12 +379,8 @@ class MsaScheduler:
                     return record
         return None
 
-    def _degrade_factor(self, module_key: str) -> float:
-        factors = self._degraded.get(module_key)
-        return max(factors) if factors else 1.0
-
     def _on_node_crash(self, spec: FaultSpec) -> None:
-        module = self.system.compute_modules().get(spec.module)
+        module = self._compute_modules().get(spec.module)
         if module is None or not (0 <= spec.node < module.n_nodes):
             return  # fault targets nothing this system has
         if spec.node in module.down_nodes:
@@ -434,6 +499,7 @@ class MsaScheduler:
         else:
             self._status[state.job.name] = JobStatus.FAILED
             self._failures_final[state.job.name] = now
+            self._tables.pop(state.job.name, None)
             if self.resilience is not None:
                 self.resilience.jobs_failed_permanently.append(state.job.name)
 
@@ -471,6 +537,7 @@ class MsaScheduler:
 
     def _on_link_degrade(self, spec: FaultSpec) -> None:
         self._degraded.setdefault(spec.module, []).append(spec.magnitude)
+        self._tables.clear()   # transfer terms changed
         recover = self.sim.timeout(spec.duration, value=spec,
                                    name=f"link-recover-{spec.module}")
         recover.add_callback(self._on_link_recover)
@@ -482,74 +549,57 @@ class MsaScheduler:
             factors.remove(spec.magnitude)
         if not factors:
             self._degraded.pop(spec.module, None)
+        self._tables.clear()
 
     # -- placement -----------------------------------------------------------------
-    def _candidates(self, phase: JobPhase) -> list[tuple[str, ComputeModule, int]]:
-        out = []
-        for key, module in self.system.compute_modules().items():
-            if module.n_nodes == 0:
-                continue
-            n_alloc = min(phase.nodes, module.n_nodes)
-            out.append((key, module, n_alloc))
-        return out
+    def _compute_modules(self) -> dict[str, ComputeModule]:
+        """The system's compute modules; re-read only after ``add_module``
+        (which also changes the federation, so the tables go too)."""
+        if self._modules_revision != self.system.revision:
+            self._modules_revision = self.system.revision
+            self._modules = self.system.compute_modules()
+            self._tables.clear()
+        return self._modules
 
-    def _score(self, state: _JobState, key: str, module: ComputeModule, n: int) -> float:
-        phase = state.current
-        t = phase_runtime(phase, module, n, io_GBps=self._io_GBps)
-        if state.prev_module is not None and state.prev_module != key:
-            xfer = self.system.inter_module_transfer_time(
-                state.prev_module, key, phase.io_bytes
-            )
-            if self._degraded:
-                xfer *= max(self._degrade_factor(state.prev_module),
-                            self._degrade_factor(key))
-            t += xfer
-        return t
+    def _placement_tables(self, state: _JobState) -> tuple[PlacementTable, ...]:
+        """Scores of the state's current phase, one table per co-allocated
+        component (which are scored without a staging transfer).  Built on
+        first use; dropped when the phase advances, a link degrades or
+        recovers, or the system gains a module."""
+        tables = self._tables.get(state.job.name)
+        if tables is None:
+            phase = state.current
+            if isinstance(phase, CoAllocatedPhase):
+                tables = tuple(
+                    PlacementTable(self.system, component, self._io_GBps,
+                                   modules=self._modules)
+                    for component in phase.components)
+            else:
+                tables = (PlacementTable(
+                    self.system, phase, self._io_GBps, modules=self._modules,
+                    prev_module=state.prev_module, degraded=self._degraded),)
+            self._tables[state.job.name] = tables
+        return tables
 
     #: A queued phase refuses a feasible-now module whose estimated runtime
     #: exceeds this multiple of the best module's — it waits instead.
     PATIENCE_FACTOR = 3.0
 
-    def _choose(self, state: _JobState) -> Optional[tuple[str, ComputeModule, int, float]]:
-        """Best feasible placement now, or None to keep waiting."""
-        phase = state.current
-        candidates = self._candidates(phase)
-        feasible = [
-            (key, module, n)
-            for key, module, n in candidates
-            if module.free_nodes >= n
-        ]
-        if not feasible:
-            return None
+    def _choose(self, table: PlacementTable
+                ) -> Optional[tuple[float, str, ComputeModule, int]]:
+        """Best feasible ``(runtime, key, module, n)`` row now, or None to
+        keep waiting."""
+        feasible = (row for row in table.by_key
+                    if row[2].free_nodes >= row[3])
         if self.placement is PlacementPolicy.FIRST_FIT:
-            key, module, n = sorted(feasible, key=lambda c: c[0])[0]
-            return key, module, n, self._score(state, key, module, n)
-        scored = [
-            (self._score(state, key, module, n), key, module, n)
-            for key, module, n in feasible
-        ]
-        scored.sort(key=lambda s: (s[0], s[1]))
-        t, key, module, n = scored[0]
+            return min(feasible, key=itemgetter(1), default=None)
+        row = next(feasible, None)
         # Matchmaking with patience: starting now on a badly-matching module
         # (e.g. DL training on a CPU-only cluster) can be orders of magnitude
         # worse than queueing for the matching one.
-        best_anywhere = min(
-            self._score(state, k, m, na) for k, m, na in candidates
-        )
-        if t > self.PATIENCE_FACTOR * best_anywhere:
+        if row is not None and row[0] > self.PATIENCE_FACTOR * table.best_score:
             return None
-        return key, module, n, t
-
-    def _blocked_modules(self, state: _JobState) -> set[str]:
-        """Modules the queue head is waiting on (backfill must not raid them)."""
-        phase = state.current
-        best_key = None
-        best_t = float("inf")
-        for key, module, n in self._candidates(phase):
-            t = self._score(state, key, module, n)
-            if t < best_t:
-                best_t, best_key = t, key
-        return {best_key} if best_key is not None else set()
+        return row
 
     # -- co-allocation (multi-module phases) --------------------------------
     def _choose_coalloc(
@@ -559,23 +609,17 @@ class MsaScheduler:
         phase: CoAllocatedPhase = state.current
         taken: dict[str, int] = {}
         plan = []
-        for component in phase.components:
-            best = None
-            best_anywhere = float("inf")
-            for key, module, n in self._candidates(component):
-                t = phase_runtime(component, module, n,
-                                  io_GBps=self._io_GBps)
-                best_anywhere = min(best_anywhere, t)
-                if module.free_nodes - taken.get(key, 0) < n:
-                    continue
-                if best is None or t < best[0]:
-                    best = (t, key, module, n)
+        for component, table in zip(phase.components,
+                                    self._placement_tables(state)):
+            row = next((row for row in table.by_order
+                        if row[2].free_nodes - taken.get(row[1], 0) >= row[3]),
+                       None)
             # All-or-nothing, with the same patience rule as single-module
             # phases: a component refuses a badly-matching module and the
             # whole co-allocation waits.
-            if best is None or best[0] > self.PATIENCE_FACTOR * best_anywhere:
+            if row is None or row[0] > self.PATIENCE_FACTOR * table.best_score:
                 return None
-            t, key, module, n = best
+            t, key, module, n = row
             taken[key] = taken.get(key, 0) + n
             plan.append((key, module, n, t, component))
         return plan
@@ -595,7 +639,8 @@ class MsaScheduler:
             coupling = self.system.inter_module_transfer_time(
                 a, b, phase.coupling_bytes)
         if phase.coupling_bytes > 0 and len(modules_used) > 1 and self._degraded:
-            coupling *= max(self._degrade_factor(m) for m in modules_used)
+            coupling *= max(_degrade_factor(self._degraded, m)
+                            for m in modules_used)
         runtime = max(t for _, _, _, t, _ in plan) + coupling
         placements = []
         alloc_indices: list[int] = []
@@ -648,9 +693,11 @@ class MsaScheduler:
             # keeps any one domain from monopolising the modules.
             self._ready.sort(
                 key=lambda s: self._user_usage.get(s.job.user, 0.0))
+        modules = self._compute_modules().values()
         blocked: set[str] = set()
         i = 0
-        while i < len(self._ready):
+        # With every node busy nothing further down the queue can start.
+        while i < len(self._ready) and any(m.free_nodes for m in modules):
             state = self._ready[i]
             if isinstance(state.current, CoAllocatedPhase):
                 if self._start_coalloc(state):
@@ -660,10 +707,10 @@ class MsaScheduler:
                     break
                 i += 1
                 continue
-            choice = self._choose(state)
-            usable = choice is not None and choice[0] not in blocked
-            if usable:
-                key, module, n, runtime = choice
+            (table,) = self._placement_tables(state)
+            choice = self._choose(table)
+            if choice is not None and choice[1] not in blocked:
+                runtime, key, module, n = choice
                 nodes = tuple(module.allocate(n, avoid=self._avoid_nodes(key)))
                 start = self.sim.now
                 end = start + runtime
@@ -713,7 +760,7 @@ class MsaScheduler:
             # must not take nodes from the module the head is waiting for.
             if self.queue_policy is SchedulerPolicy.FCFS:
                 break
-            blocked |= self._blocked_modules(state)
+            blocked |= table.blocked
             i += 1
 
     # -- execution ------------------------------------------------------------------
@@ -729,7 +776,7 @@ class MsaScheduler:
             default=0.0,
         )
         utilisation: dict[str, float] = {}
-        for key, module in self.system.compute_modules().items():
+        for key, module in self._compute_modules().items():
             busy = self._busy_node_seconds.get(key, 0.0)
             total = module.n_nodes * makespan
             utilisation[key] = busy / total if total > 0 else 0.0
@@ -746,6 +793,7 @@ class MsaScheduler:
             module_utilisation=utilisation,
             job_status=dict(self._status),
             resilience=self.resilience,
+            arrival_times=dict(self._arrivals),
         )
         if telemetry.get_registry().enabled:
             report.publish_metrics(telemetry.get_registry())
@@ -772,16 +820,12 @@ def rank_placements(
     """
     if n_nodes < 1:
         raise ValueError("need at least one node per placement")
-    scored = [
-        (phase_runtime(phase, module, n_nodes, io_GBps=io_GBps), key, module)
-        for key, module in system.compute_modules().items()
-        if module.n_nodes >= n_nodes
-    ]
+    table = PlacementTable(system, phase, io_GBps, n_nodes=n_nodes)
     # Runtime first; among equally fast modules prefer the more scalable one
     # (the paper's pattern: inference scales out on the big booster, not on
     # the handful of DAM nodes that happen to carry the same GPU).
-    scored.sort(key=lambda s: (s[0], -s[2].n_nodes, s[1]))
-    return scored
+    return sorted(((t, key, module) for t, key, module, _ in table.by_key),
+                  key=lambda s: (s[0], -s[2].n_nodes, s[1]))
 
 
 def place_standalone(

@@ -32,6 +32,7 @@ class MSASystem:
     federation_kind: LinkKind = LinkKind.FEDERATION
     _modules: dict[str, AnyModule] = field(default_factory=dict)
     _federation: Optional[Topology] = field(default=None, repr=False)
+    _revision: int = field(default=0, repr=False, compare=False)
 
     # -- composition ------------------------------------------------------------
     def add_module(self, key: str, module: AnyModule) -> "MSASystem":
@@ -39,7 +40,14 @@ class MSASystem:
             raise ValueError(f"module key {key!r} already present")
         self._modules[key] = module
         self._federation = None
+        self._revision += 1
         return self
+
+    @property
+    def revision(self) -> int:
+        """Bumped by every :meth:`add_module`; holders of a module snapshot
+        (the scheduler) compare it instead of re-reading the inventory."""
+        return self._revision
 
     def module(self, key: str) -> AnyModule:
         try:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.simnet.link import Link, LinkKind
 
@@ -126,6 +127,7 @@ class CommCostModel:
         return cls(alpha=link.latency_s, beta=1.0 / link.bandwidth_Bps, gamma=gamma)
 
     @classmethod
+    @lru_cache(maxsize=128)   # frozen value type; gamma is an open float
     def of_kind(cls, kind: LinkKind, gamma: float = 5.0e-12) -> "CommCostModel":
         return cls.from_link(Link.of_kind(kind), gamma=gamma)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,7 +53,9 @@ class Link:
     bandwidth_Bps: float
 
     @classmethod
+    @lru_cache(maxsize=None)
     def of_kind(cls, kind: LinkKind) -> "Link":
+        # Frozen value type: one shared instance per kind.
         latency, bandwidth = LINK_CHARACTERISTICS[kind]
         return cls(kind=kind, latency_s=latency, bandwidth_Bps=bandwidth)
 

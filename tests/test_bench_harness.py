@@ -129,6 +129,20 @@ class TestCompare:
         assert report.ok
         assert any("digest:loss_trajectory" in n for n in report.notes)
 
+    def test_scheduler_rescoring_regression_flagged(self, quick_run):
+        # The scheduler case exists so matchmaking can never silently go
+        # back to re-scoring the whole backlog per event (~400 evaluations
+        # per placement at this size instead of <= one per module).
+        baseline = _docs(quick_run)
+        current = copy.deepcopy(baseline)
+        case = current["scheduler"]["cases"]["scheduler_backlog_drain"]
+        assert case["metrics"]["evals_per_placement"] <= 3.0
+        case["metrics"]["evals_per_placement"] *= 1.3
+        report = compare_docs(current, baseline)
+        assert not report.ok
+        assert [(d.area, d.metric) for d in report.regressions] == [
+            ("scheduler", "evals_per_placement")]
+
     def test_compare_timing_flags_wall_regression(self):
         base = {"mpi": {"cases": {"c": {"k": {"best_s": 1.0}}}}}
         fast = {"mpi": {"cases": {"c": {"k": {"best_s": 1.2}}}}}

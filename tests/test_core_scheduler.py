@@ -138,6 +138,21 @@ class TestReport:
         text = report.summary()
         assert "makespan" in text and "util" in text
 
+    def test_mean_turnaround_subtracts_arrival(self, small_system, cpu_job):
+        # Staggered arrivals on an idle system: every job starts on arrival,
+        # so turnaround is its runtime — not its absolute completion time.
+        jobs = [cpu_job(f"j{i}", arrival=10_000.0 * i, nodes=2)
+                for i in range(3)]
+        report = schedule_workload(small_system, jobs)
+        runtimes = [a.duration for a in report.allocations]
+        assert report.arrival_times == {f"j{i}": 10_000.0 * i
+                                        for i in range(3)}
+        assert report.mean_wait == 0.0
+        assert report.mean_turnaround == pytest.approx(
+            sum(runtimes) / len(runtimes))
+        assert report.mean_turnaround < min(
+            t for name, t in report.completion_times.items() if name != "j0")
+
     def test_deterministic_schedule(self, make_small_system):
         jobs = synthetic_workload_mix(n_jobs=10, seed=9)
         r1 = schedule_workload(make_small_system(), jobs)

@@ -9,10 +9,24 @@ the still-exported primitives (``Simulator.step``, ``checksum_payload``,
 fails here rather than drifting a digest silently.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.core import (
+    CoAllocatedPhase,
+    Job,
+    JobPhase,
+    PlacementPolicy,
+    SchedulerPolicy,
+    WorkloadClass,
+    deep_system,
+    schedule_workload,
+    small_msa_system,
+    synthetic_workload_mix,
+)
 from repro.distributed.horovod import (
     DistributedOptimizer,
     _flatten_grads,
@@ -26,7 +40,12 @@ from repro.ml.losses import cross_entropy
 from repro.mpi.comm import Communicator
 from repro.mpi.runtime import run_spmd
 from repro.mpi.transport import Transport
-from repro.resilience.faults import FaultPlan
+from repro.resilience.faults import (
+    FaultInjector,
+    FaultKind,
+    FaultPlan,
+    FaultSpec,
+)
 from repro.resilience.integrity import (
     TRUSTED_CRC,
     CorruptionInjector,
@@ -396,3 +415,152 @@ class TestLazyEngineReplayPins:
         np.tanh(reused, out=reused)
         np.exp(reused, out=reused)
         assert np.array_equal(_bits(fresh), _bits(reused))
+
+
+# ---------------------------------------------------------------------------
+# Scheduler placement tables: reference replay of the per-call scoring loops
+# ---------------------------------------------------------------------------
+
+def _schedule_digest(report) -> str:
+    """Allocations tuple + summary text + energy, to the bit."""
+    h = hashlib.blake2b(digest_size=8)
+    h.update(repr(tuple(report.allocations)).encode())
+    h.update(report.summary().encode())
+    h.update(repr((report.makespan, report.energy_busy_joules,
+                   report.energy_idle_joules)).encode())
+    return h.hexdigest()
+
+
+def _community_mix(n_jobs: int, seed: int, interarrival_s: float):
+    """The Fig. 2 mix with three submitting communities (fair-share keys
+    on ``Job.user``) and a queue deep enough that backfill matters."""
+    jobs = synthetic_workload_mix(n_jobs, seed=seed,
+                                  mean_interarrival_s=interarrival_s)
+    for i, job in enumerate(jobs):
+        job.user = ("remote-sensing", "health", "climate")[i % 3]
+    return jobs
+
+
+def _policy_scenario(queue_policy, placement):
+    return schedule_workload(deep_system(), _community_mix(60, 11, 30.0),
+                             queue_policy=queue_policy, placement=placement)
+
+
+def _coalloc_scenario():
+    """In-situ solver∥analytics co-allocations of three sizes queued behind
+    a DAM hog, a job that stages cm -> co-allocation, and background mix."""
+    def insitu(name, solver_nodes, analytics_nodes, arrival):
+        return Job(name=name, arrival_time=arrival, phases=[CoAllocatedPhase(
+            name="solve+analyse",
+            components=(
+                JobPhase(name="solver",
+                         workload=WorkloadClass.SIMULATION_HIGHSCALE,
+                         work_flops=1e17, nodes=solver_nodes, uses_gpu=True,
+                         parallel_fraction=0.99),
+                JobPhase(name="analytics",
+                         workload=WorkloadClass.DATA_ANALYTICS,
+                         work_flops=1e14, nodes=analytics_nodes,
+                         memory_GB_per_node=400.0),
+            ),
+            coupling_bytes=50e9,
+        )])
+
+    hog = Job(name="hog", phases=[JobPhase(
+        name="spark", workload=WorkloadClass.DATA_ANALYTICS,
+        work_flops=5e15, nodes=2, memory_GB_per_node=400.0)])
+    staged = Job(name="staged", arrival_time=5.0, phases=[
+        JobPhase(name="prep", workload=WorkloadClass.SIMULATION_LOWSCALE,
+                 work_flops=1e13, nodes=1, io_bytes=1e11),
+        insitu("x", 4, 1, 0.0).phases[0],
+        JobPhase(name="post", workload=WorkloadClass.ML_INFERENCE,
+                 work_flops=1e15, nodes=4, uses_gpu=True, io_bytes=2e11),
+    ])
+    jobs = [hog, insitu("insitu-a", 6, 2, 1.0), insitu("insitu-b", 3, 1, 2.0),
+            insitu("insitu-c", 8, 2, 3.0), staged]
+    jobs += synthetic_workload_mix(8, seed=5, mean_interarrival_s=20.0)
+    return schedule_workload(small_msa_system(), jobs)
+
+
+def _fault_scenario():
+    """Crashes + stragglers + link degradations over a backlog of
+    multi-phase jobs (the degrade factors reach the transfer terms)."""
+    system = deep_system()
+    targets = {key: mod.n_nodes
+               for key, mod in system.compute_modules().items()}
+    plan = FaultPlan.random(7, targets, horizon_s=30000.0, n_crashes=5,
+                            n_stragglers=4, n_degrades=6, repair_s=4000.0,
+                            slowdown=6.0)
+    return schedule_workload(system, _community_mix(60, 13, 20.0),
+                             fault_injector=FaultInjector(plan))
+
+
+def _degrade_flip_scenario(magnitude: float):
+    """prep on the CM, then a training phase whose 4 TB input crosses the
+    federation: a degraded ESB link makes the DAM the better target."""
+    system = small_msa_system(cm_nodes=4, esb_nodes=8, dam_nodes=4)
+    job = Job(name="w", phases=[
+        JobPhase(name="prep", workload=WorkloadClass.SIMULATION_LOWSCALE,
+                 work_flops=2e13, nodes=1, memory_GB_per_node=32.0),
+        JobPhase(name="train", workload=WorkloadClass.ML_TRAINING,
+                 work_flops=4e16, nodes=8, uses_gpu=True,
+                 parallel_fraction=0.99, io_bytes=4e12),
+    ])
+    plan = FaultPlan(seed=0, specs=(FaultSpec(
+        kind=FaultKind.LINK_DEGRADE, time=1.0, module="esb",
+        duration=1e5, magnitude=magnitude),))
+    return schedule_workload(system, [job],
+                             fault_injector=FaultInjector(plan))
+
+
+#: Captured from the commit before the placement-table refactor (PR 11's
+#: tree): every placement, time and energy figure must stay bit-identical.
+_SCHEDULER_PINS = {
+    "fcfs/matchmaking": "1acd2270cfb27b2c",
+    "fcfs/first-fit": "dd3e146fd8577fab",
+    "fcfs-backfill/matchmaking": "e39adc9f9afcf882",
+    "fcfs-backfill/first-fit": "05d08c9d1ea7f288",
+    "fair-share/matchmaking": "e7050dd3af87d405",
+    "fair-share/first-fit": "c090954c5815bbdd",
+    "coalloc": "1f8e798353631bc4",
+    "faults": "04aaf73637ddac47",
+    "degrade-flip": "32b5df0a3d3630b8",
+}
+
+
+def _scheduler_pin_digests() -> dict:
+    out = {}
+    for queue_policy in SchedulerPolicy:
+        for placement in PlacementPolicy:
+            out[f"{queue_policy.value}/{placement.value}"] = \
+                _schedule_digest(_policy_scenario(queue_policy, placement))
+    out["coalloc"] = _schedule_digest(_coalloc_scenario())
+    out["faults"] = _schedule_digest(_fault_scenario())
+    out["degrade-flip"] = _schedule_digest(_degrade_flip_scenario(12.0))
+    return out
+
+
+class TestSchedulerPlacementTablePins:
+    @pytest.fixture(scope="class")
+    def digests(self):
+        return _scheduler_pin_digests()
+
+    @pytest.mark.parametrize("name", sorted(_SCHEDULER_PINS))
+    def test_schedule_bit_identical_to_reference(self, digests, name):
+        assert digests[name] == _SCHEDULER_PINS[name]
+
+    def test_scenarios_exercise_what_they_claim(self):
+        coalloc = _coalloc_scenario()
+        assert sum("/" in a.phase_name for a in coalloc.allocations) >= 8
+        faults = _fault_scenario()
+        kinds = {spec.kind for _, spec in faults.resilience.faults_injected}
+        assert {FaultKind.NODE_CRASH, FaultKind.STRAGGLER,
+                FaultKind.LINK_DEGRADE} <= kinds
+        assert faults.resilience.total_retries > 0
+
+    def test_link_degrade_flips_the_chosen_module(self):
+        def train_module(report):
+            return next(a.module_key for a in report.allocations
+                        if a.phase_name == "train")
+
+        assert train_module(_degrade_flip_scenario(1.0)) == "esb"
+        assert train_module(_degrade_flip_scenario(12.0)) == "dam"
