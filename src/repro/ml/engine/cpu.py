@@ -1,14 +1,29 @@
 """Fused-kernel execution on NumPy and the ``cpu`` device.
 
-:func:`execute_kernel` is the one executor both backends share: it walks
-a kernel's nodes in topo order, replaying the exact eager ufunc sequence,
-and eliminates intermediate allocations by retargeting a dying temp as
-the ``out=`` buffer of the next elementwise op.  Reuse is only attempted
-on buffers this kernel allocated itself (never on views of leaves), only
-at a temp's last use, and only on exact shape/dtype matches — the cases
-where ``ufunc(..., out=buf)`` is defined to produce bit-identical values.
+:meth:`Device.realize` is the one executor every backend shares, and it
+is *lookup-or-compile, then replay*.  The structural key of the pending
+subgraph (:func:`~repro.ml.engine.graph.pending`) finds a compiled **plan**
+on the device; on a miss :func:`~repro.ml.engine.fuser.schedule` runs
+once and its kernels are flattened into one: per kernel a tuple of
+``(execute, argument registers, out= register, destination register)``
+steps with the kernel's cost, counters and span attributes worked out
+ahead.  Replaying a plan walks no graph and builds no :class:`Kernel`, so
+a training loop — the same structure every step — schedules during its
+first step and only replays afterwards.
 
-:class:`CpuDevice` wraps the executor with a deterministic nominal cost
+A plan replays the exact eager ufunc sequence of each kernel in topo
+order and eliminates intermediate allocations by retargeting a dying
+temp as the ``out=`` buffer of the next elementwise op.  Reuse is only
+attempted on buffers the kernel allocated itself (never on views of
+leaves), only at a temp's last use, and only on exact shape/dtype
+matches — the cases where ``ufunc(..., out=buf)`` is defined to produce
+bit-identical values.  All of it is decided from shapes at compile time:
+a plan holds indices and numbers, never an array or a graph node.
+Buffers are *not* pooled across replays — a kernel output escapes into a
+``Tensor`` (and on into backward closures and user code), so the engine
+never owns one long enough to hand it out again.
+
+:class:`CpuDevice` prices kernels with a deterministic nominal cost
 model (so CPU runs produce telemetry spans on a simulated clock too) —
 the simulated-GPU device in :mod:`repro.ml.engine.simgpu` swaps in the
 V100/A100 roofline from :mod:`repro.distributed.perfmodel` instead.
@@ -16,82 +31,47 @@ V100/A100 roofline from :mod:`repro.distributed.perfmodel` instead.
 
 from __future__ import annotations
 
-from typing import Optional
+import threading
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from repro import telemetry
 from repro.ml.engine.fuser import Kernel, schedule
-from repro.ml.engine.graph import LazyExpr
+from repro.ml.engine.graph import LazyExpr, pending
 from repro.ml.engine.ops import ELEMENTWISE_KINDS, OPS
 from repro.ml.engine.stats import STATS
 
+#: Plans one device keeps (oldest dropped first).  A training loop needs
+#: one per distinct realize of its step — a few dozen.
+PLAN_CACHE_SIZE = 512
 
-def execute_kernel(kernel: Kernel) -> np.ndarray:
-    """Run one fused kernel; caches and returns the output ndarray."""
-    in_group = {id(n): n for n in kernel.nodes}
-    # Remaining intra-kernel uses of each interior temp (for out= reuse).
-    remaining: dict[int, int] = {}
-    for node in kernel.nodes:
-        for src in node.inputs:
-            if id(src) in in_group:
-                remaining[id(src)] = remaining.get(id(src), 0) + 1
 
-    vals: dict[int, np.ndarray] = {}     # interior temps
-    owned: dict[int, bool] = {}          # temp buffers this kernel allocated
-    stats = STATS if STATS.enabled else None
-    out: Optional[np.ndarray] = None
+class PlannedKernel(NamedTuple):
+    """One fused kernel of a plan — registers and numbers, nothing live."""
 
-    for node in kernel.nodes:
-        spec = OPS[node.op]
-        args = []
-        for src in node.inputs:
-            sid = id(src)
-            args.append(vals[sid] if sid in vals else src.result)
-
-        out_buf = None
-        if node.kind in ELEMENTWISE_KINDS:
-            for src in node.inputs:
-                sid = id(src)
-                if (sid in vals and owned.get(sid)
-                        and remaining[sid] == 1
-                        and vals[sid].shape == node.shape
-                        and vals[sid].dtype == node.dtype):
-                    out_buf = vals[sid]
-                    break
-
-        value = spec.execute(args, node.kwargs, out_buf)
-        if not isinstance(value, np.ndarray):
-            # Ufuncs/reductions over 0-d operands hand back numpy
-            # scalars; keep every interior value an ndarray so it can be
-            # cached as a result or retargeted as an out= buffer.
-            value = np.asarray(value)
-        if stats is not None and spec.allocates and out_buf is None:
-            stats.kernel_allocs += 1
-            stats.kernel_alloc_bytes += value.nbytes
-
-        for src in node.inputs:
-            sid = id(src)
-            if sid in remaining:
-                remaining[sid] -= 1
-
-        vals[id(node)] = value
-        # Reductions/matmuls allocate their own output; movement yields
-        # views of inputs we may not own.
-        owned[id(node)] = spec.allocates and node.kind in ELEMENTWISE_KINDS
-        out = value
-
-    kernel.output.result = out
-    return out
+    #: Per op: ``(execute, argument registers, out= register, destination)``.
+    steps: tuple[tuple[Callable, tuple[int, ...], Optional[int], int], ...]
+    outs: tuple[int, ...]       #: cached on their nodes: the kernel output
+    interior: tuple[int, ...]   #: executed through and dropped
+    name: str                   #: of the telemetry span
+    n_ops: int
+    flops: float
+    bytes_moved: int
+    cost_ps: int
+    allocs: int
+    alloc_bytes: int
 
 
 class Device:
     """A place fused kernels run.
 
-    Concrete devices define :meth:`kernel_time_s`; :meth:`realize`
-    schedules the pending subgraph, executes each kernel through the
-    shared NumPy executor, advances the device's deterministic clock and
-    emits one telemetry span per fused kernel.
+    Concrete devices define :meth:`kernel_time_s`; :meth:`realize` finds
+    or compiles the plan of the pending subgraph, replays it on NumPy,
+    advances the device's deterministic clock and emits one telemetry
+    span per fused kernel.  Plans carry this device's kernel costs, so
+    they live on the instance: another device — or the fresh instance a
+    ``register_device`` overwrite creates — starts with none.
     """
 
     name = "abstract"
@@ -103,6 +83,8 @@ class Device:
         self._time_ps = 0
         self.kernels_run = 0
         self.fused_ops_run = 0
+        self._plans: dict[tuple, tuple[PlannedKernel, ...]] = {}
+        self._plans_lock = threading.Lock()     # rank threads share a device
 
     # -- clock ---------------------------------------------------------------
     @property
@@ -128,31 +110,94 @@ class Device:
         return total
 
     # -- execution ---------------------------------------------------------------
+    def _compile(self, root: LazyExpr, topo: list[LazyExpr],
+                 external: list[LazyExpr],
+                 key: tuple) -> tuple[PlannedKernel, ...]:
+        """Schedule ``root`` and flatten its kernels into a cached plan
+        over the registers ``topo + external``."""
+        reg = {id(node): i for i, node in enumerate(topo + external)}
+        plan = []
+        for kernel in schedule(root):
+            inside = {id(node) for node in kernel.nodes}
+            steps = []
+            allocs = alloc_bytes = 0
+            for node in kernel.nodes:
+                spec = OPS[node.op]
+                # Every non-final node of a kernel is elementwise, feeds
+                # this one consumer and sits in a buffer the kernel
+                # allocated: an in-kernel input is a dying, owned temp.
+                reuse = None
+                if node.kind in ELEMENTWISE_KINDS:
+                    for src in node.inputs:
+                        if (id(src) in inside and src.shape == node.shape
+                                and src.dtype == node.dtype):
+                            reuse = reg[id(src)]
+                            break
+                if spec.allocates and reuse is None:
+                    allocs += 1
+                    alloc_bytes += node.nbytes
+                steps.append((spec.execute,
+                              tuple(reg[id(src)] for src in node.inputs),
+                              reuse, reg[id(node)]))
+            flops, nbytes = kernel.flops, kernel.bytes_moved
+            cost = self.kernel_time_s(flops, nbytes, kernel.n_ops)
+            plan.append(PlannedKernel(
+                tuple(steps),
+                (reg[id(kernel.output)],),
+                tuple(reg[id(node)] for node in kernel.nodes[:-1]),
+                f"kernel:{kernel.name}", kernel.n_ops, flops, nbytes,
+                int(round(cost * 1e12)), allocs, alloc_bytes))
+        plan = tuple(plan)
+        with self._plans_lock:
+            if len(self._plans) >= PLAN_CACHE_SIZE:
+                del self._plans[next(iter(self._plans))]
+            self._plans[key] = plan
+        return plan
+
     def realize(self, root: LazyExpr) -> np.ndarray:
         stats = STATS if STATS.enabled else None
+        topo, external, key = pending(root)
+        plan = self._plans.get(key)
         if stats is not None:
             stats.realizes += 1
-            if root.fused_away:
-                stats.recomputes += 1
-        kernels = schedule(root)
+            stats.recomputes += root.fused_away
+            stats.plan_hits += plan is not None
+            stats.plan_compiles += plan is None
+        if plan is None:
+            plan = self._compile(root, topo, external, key)
+        regs = [None] * len(topo)
+        regs.extend([src.result for src in external])
         tracer = telemetry.get_tracer()
-        for kernel in kernels:
-            start = self.sim_time_s
-            execute_kernel(kernel)
-            cost = self.kernel_time_s(kernel.flops, kernel.bytes_moved,
-                                      kernel.n_ops)
-            self._time_ps += int(round(cost * 1e12))
+        for kernel in plan:
+            for execute, args, reuse, dst in kernel.steps:
+                value = execute([regs[i] for i in args], topo[dst].kwargs,
+                                None if reuse is None else regs[reuse])
+                if not isinstance(value, np.ndarray):
+                    # Ufuncs/reductions over 0-d operands hand back numpy
+                    # scalars; keep every value an ndarray so it can be
+                    # cached as a result or retargeted as an out= buffer.
+                    value = np.asarray(value)
+                regs[dst] = value
+            for i in kernel.outs:
+                topo[i].result = regs[i]
+            for i in kernel.interior:   # executed through, not kept
+                topo[i].fused_away = True
+                regs[i] = None
+            start_ps = self._time_ps
+            self._time_ps += kernel.cost_ps
             self.kernels_run += 1
             self.fused_ops_run += kernel.n_ops
             if stats is not None:
                 stats.kernels += 1
                 stats.fused_ops += kernel.n_ops
+                stats.kernel_allocs += kernel.allocs
+                stats.kernel_alloc_bytes += kernel.alloc_bytes
             if tracer.enabled:
-                tracer.record(
-                    f"kernel:{kernel.name}", "compute", start,
-                    self.sim_time_s - start, track="engine", lane=self.name,
-                    ops=kernel.n_ops, flops=kernel.flops,
-                    bytes=kernel.bytes_moved)
+                start = start_ps / 1e12
+                tracer.record(kernel.name, "compute", start,
+                              self.sim_time_s - start, track="engine",
+                              lane=self.name, ops=kernel.n_ops,
+                              flops=kernel.flops, bytes=kernel.bytes_moved)
         return root.result
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ml.engine.graph import LazyExpr
+from repro.ml.engine.graph import LazyExpr, pending
 from repro.ml.engine.ops import (ELEMENTWISE_KINDS, OPS, REDUCE)
 
 
@@ -71,33 +71,13 @@ class Kernel:
             + self.output.nbytes
 
 
-def _pending_subgraph(root: LazyExpr) -> list[LazyExpr]:
-    """Unrealized nodes reachable from ``root``, parents before children."""
-    topo: list[LazyExpr] = []
-    visited: set[int] = set()
-    stack: list[tuple[LazyExpr, bool]] = [(root, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for src in node.inputs:
-            if src.result is None and id(src) not in visited:
-                stack.append((src, False))
-    return topo
-
-
 def schedule(root: LazyExpr) -> list[Kernel]:
     """Plan the fused kernels that materialize ``root``.
 
     Returns kernels in execution order; running them in order realizes
     every kernel output (and therefore ``root``).
     """
-    topo = _pending_subgraph(root)
+    topo = pending(root)[0]
     index = {id(n): i for i, n in enumerate(topo)}
 
     # Consumers of each pending node *within* the subgraph.
@@ -128,8 +108,4 @@ def schedule(root: LazyExpr) -> list[Kernel]:
     for node in topo:                        # topo order within each group
         groups.setdefault(group_of[id(node)], []).append(node)
 
-    kernels = [Kernel(nodes=groups[gid]) for gid in sorted(groups)]
-    for kernel in kernels:
-        for node in kernel.nodes[:-1]:
-            node.fused_away = True
-    return kernels
+    return [Kernel(nodes=groups[gid]) for gid in sorted(groups)]

@@ -12,6 +12,10 @@ come from.  If autograd later demands an interior value (a backward
 closure reading an activation), the node re-schedules itself from its
 nearest materialized ancestors — a bounded recompute, counted in
 :data:`~repro.ml.engine.stats` as ``recomputes``.
+
+:func:`pending` is the walk every realize starts with: one pass over the
+pending subgraph yields its topo order, its realized inputs and a
+*structural key* under which the device caches the compiled plan.
 """
 
 from __future__ import annotations
@@ -21,7 +25,14 @@ from typing import Any, Optional
 
 import numpy as np
 
+import repro.ml.engine.device as _device   # cycle: bound by name, used at call time
 from repro.ml.engine.ops import LEAF, OPS
+
+#: ``(sig, (shape, dtype) per input) -> (kind, shape, dtype)``: an op's
+#: inference is a pure function of these, and a training loop asks the
+#: same few hundred questions every step.
+_INFERRED: dict[tuple, tuple[str, tuple[int, ...], np.dtype]] = {}
+_INFERRED_MAX = 4096
 
 
 class LazyExpr:
@@ -33,13 +44,14 @@ class LazyExpr:
     """
 
     __slots__ = ("op", "kind", "inputs", "kwargs", "shape", "dtype",
-                 "result", "fused_away")
+                 "result", "fused_away", "sig")
 
     def __init__(self, op: str, kind: str,
                  inputs: tuple["LazyExpr", ...],
                  kwargs: dict[str, Any],
                  shape: tuple[int, ...], dtype: np.dtype,
-                 result: Optional[np.ndarray] = None) -> None:
+                 result: Optional[np.ndarray] = None,
+                 sig: tuple = ("leaf", ())) -> None:
         self.op = op
         self.kind = kind
         self.inputs = inputs
@@ -47,6 +59,9 @@ class LazyExpr:
         self.shape = shape
         self.dtype = dtype
         self.result = result
+        #: ``(op, kwargs by type and value)`` — this node's part of a
+        #: plan key (see :func:`pending`).
+        self.sig = sig
         #: Set once a kernel executed *through* this node without caching
         #: it; a later realize() of this node is a recompute.
         self.fused_away = False
@@ -59,11 +74,26 @@ class LazyExpr:
     @classmethod
     def make(cls, op: str, inputs: tuple["LazyExpr", ...],
              **kwargs: Any) -> "LazyExpr":
-        spec = OPS[op]
-        shape, dtype = spec.infer(tuple(i.shape for i in inputs),
-                                  tuple(i.dtype for i in inputs), kwargs)
-        return cls(op, spec.kind, inputs, kwargs, tuple(shape),
-                   np.dtype(dtype), result=None)
+        # Type beside value: NumPy tells ``2.0`` from ``np.float64(2.0)``
+        # (the latter upcasts a float32 base) though they compare equal.
+        sig = (op, tuple([(k, v.__class__, v) for k, v in kwargs.items()]))
+        key = (sig, *[(i.shape, i.dtype) for i in inputs])
+        try:
+            inferred = _INFERRED.get(key)
+        except TypeError:               # unhashable kwarg (an array bound):
+            sig = (op, object())        # a sig equal to no other, so this
+            key = inferred = None       # node's graphs never share a plan
+        if inferred is None:
+            spec = OPS[op]
+            shape, dtype = spec.infer(tuple(i.shape for i in inputs),
+                                      tuple(i.dtype for i in inputs), kwargs)
+            inferred = spec.kind, tuple(shape), np.dtype(dtype)
+            if key is not None:
+                if len(_INFERRED) >= _INFERRED_MAX:
+                    _INFERRED.clear()
+                _INFERRED[key] = inferred
+        kind, shape, dtype = inferred
+        return cls(op, kind, inputs, kwargs, shape, dtype, None, sig)
 
     # -- introspection -------------------------------------------------------
     @property
@@ -87,6 +117,46 @@ class LazyExpr:
     def realize(self) -> np.ndarray:
         """Materialize this node (scheduling + running fused kernels)."""
         if self.result is None:
-            from repro.ml.engine.device import get_device
-            get_device().realize(self)
+            _device.get_device().realize(self)
         return self.result
+
+
+def pending(root: LazyExpr) -> tuple[list[LazyExpr], list[LazyExpr], tuple]:
+    """Walk the pending subgraph of ``root`` once.
+
+    Returns ``(topo, external, key)``: the unrealized nodes reachable from
+    ``root`` (parents before children, ``root`` last), the realized nodes
+    they read (leaves and earlier kernel outputs, first use first), and
+    the subgraph's structural key.  The key holds, per pending node, its
+    ``sig`` and where each input comes from (``i`` = ``topo[i]``, ``~s``
+    = ``external[s]``), and per external its shape and dtype — everything
+    fusion, buffer reuse and kernel cost depend on, and no array: ``x*x``
+    and ``x*y``, a realized and a pending ancestor, one batch size and
+    another all key differently; two steps of one training loop do not.
+    """
+    topo: list[LazyExpr] = []
+    visited: set[int] = set()
+    stack: list[tuple[LazyExpr, bool]] = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for src in node.inputs:
+            if src.result is None and id(src) not in visited:
+                stack.append((src, False))
+    where = {id(node): i for i, node in enumerate(topo)}
+    external: list[LazyExpr] = []
+    key = []
+    for node in topo:
+        for src in node.inputs:
+            if id(src) not in where:
+                where[id(src)] = ~len(external)
+                external.append(src)
+        key.append((node.sig, *[where[id(src)] for src in node.inputs]))
+    return topo, external, (tuple(key),
+                            tuple([(e.shape, e.dtype) for e in external]))

@@ -5,8 +5,9 @@ One process-wide :class:`EngineStats` instance collects, when enabled,
 * eager-path op/allocation counts (``Tensor`` increments these so the
   bench can price the op-by-op dispatch the lazy engine removes),
 * lazy-path kernel counts, fused-op totals, kernel buffer allocations and
-  bytes, and recompute events (interior values autograd demanded after
-  their chain was fused away).
+  bytes, recompute events (interior values demanded after their chain
+  was fused away), and how many realizes replayed a cached plan
+  (``plan_hits``) versus scheduled and compiled one (``plan_compiles``).
 
 Disabled (the default) every site pays a single attribute check, the
 same contract the telemetry layer uses.  All counters are integers, so
@@ -24,7 +25,8 @@ class EngineStats:
 
     __slots__ = ("enabled", "eager_ops", "eager_alloc_bytes",
                  "kernels", "fused_ops", "kernel_allocs",
-                 "kernel_alloc_bytes", "realizes", "recomputes")
+                 "kernel_alloc_bytes", "realizes", "recomputes",
+                 "plan_hits", "plan_compiles")
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
@@ -39,6 +41,8 @@ class EngineStats:
         self.kernel_alloc_bytes = 0
         self.realizes = 0
         self.recomputes = 0
+        self.plan_hits = 0
+        self.plan_compiles = 0
 
     def snapshot(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__

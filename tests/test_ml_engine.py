@@ -15,7 +15,7 @@ from repro import telemetry
 from repro.ml import engine
 from repro.ml.engine import (LazyExpr, collect, engine_mode, get_device,
                              schedule, set_engine, use_device)
-from repro.ml.engine.cpu import CpuDevice, execute_kernel
+from repro.ml.engine.cpu import CpuDevice
 from repro.ml.engine.ops import OPS
 from repro.ml.tensor import Tensor
 
