@@ -361,6 +361,7 @@ def fused_allreduce_step(quick: bool, seed: int) -> CaseRun:
         "alloc_reduction": Budget("higher", 0.0),
         "weights_bitwise_equal": Budget("higher", 0.0),
         "modeled_step_speedup": Budget("higher", 0.0),
+        "modeled_step_device_us": Budget("lower", 0.0),
     },
     description="training step under ENGINE=lazy: allocation and modeled "
                 "sim-gpu step-time gain over eager dispatch, outputs "
@@ -370,7 +371,7 @@ def engine_lazy_train_step(quick: bool, seed: int) -> CaseRun:
     steps = 6 if quick else 24
     _, e_weights, eager = _engine_train("eager", steps, seed)
     _, l_weights, lazy = _engine_train("lazy", steps, seed)
-    fused_s, unfused_s, kernels = _simgpu_step_cost(32, seed)
+    fused_s, unfused_s, _, step_s = _simgpu_step_cost(32, seed)
     metrics = {
         "steps": float(steps),
         "eager_allocs_per_step": _round6(eager["eager_ops"] / steps),
@@ -380,6 +381,7 @@ def engine_lazy_train_step(quick: bool, seed: int) -> CaseRun:
         "step_compute_fused_us": _round6(fused_s * 1e6),
         "step_compute_unfused_us": _round6(unfused_s * 1e6),
         "modeled_step_speedup": _round6(unfused_s / fused_s),
+        "modeled_step_device_us": _round6(step_s * 1e6),
         "weights_bitwise_equal": float(
             np.array_equal(e_weights.view(np.uint64),
                            l_weights.view(np.uint64))),
@@ -482,7 +484,10 @@ def _engine_train(mode: str, steps: int, seed: int):
                 loss.backward()
                 opt.step()
                 losses.append(float(loss.item()))
+                if step == 0:
+                    warmup_compiles = stats.plan_compiles
             snap = stats.snapshot()
+    snap["plan_compiles_after_warmup"] = snap["plan_compiles"] - warmup_compiles
     state = model.state_dict()
     weights = np.concatenate([state[k].ravel() for k in sorted(state)])
     return losses, weights, snap
@@ -490,9 +495,12 @@ def _engine_train(mode: str, steps: int, seed: int):
 
 def _simgpu_step_cost(batch: int, seed: int):
     """Per-kernel sim-gpu charge of one forward+loss graph: fused vs the
-    one-kernel-per-op counterfactual (all from shapes — deterministic)."""
+    one-kernel-per-op counterfactual (all from shapes — deterministic),
+    and the sim-gpu clock over the whole step — forward, loss, backward,
+    ``item()`` — which also pays for any kernel backward launches (a
+    recompute of an activation forward did not keep)."""
     from repro.ml import engine as eng
-    from repro.ml.engine import get_device, schedule
+    from repro.ml.engine import schedule
     from repro.ml.losses import cross_entropy
     from repro.ml.models import MLP
     from repro.ml.tensor import Tensor
@@ -500,15 +508,18 @@ def _simgpu_step_cost(batch: int, seed: int):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((batch, 24))
     y = rng.integers(0, 4, size=batch)
-    dev = get_device("sim-gpu")
-    with eng.engine("lazy"):
+    with eng.engine("lazy"), eng.use_device("sim-gpu") as dev:
         model = MLP([24, 48, 4], seed=seed)
         loss = cross_entropy(model(Tensor(X)), y)
         kernels = schedule(loss._payload())
-    fused = sum(dev.kernel_time_s(k.flops, k.bytes_moved, k.n_ops)
-                for k in kernels)
-    unfused = sum(dev.unfused_time_s(k) for k in kernels)
-    return fused, unfused, kernels
+        fused = sum(dev.kernel_time_s(k.flops, k.bytes_moved, k.n_ops)
+                    for k in kernels)
+        unfused = sum(dev.unfused_time_s(k) for k in kernels)
+        dev.reset_clock()
+        loss.backward()
+        loss.item()
+        step = dev.sim_time_s
+    return fused, unfused, kernels, step
 
 
 @bench_case(
@@ -517,9 +528,11 @@ def _simgpu_step_cost(batch: int, seed: int):
         "lazy_allocs_per_step": Budget("lower", 0.0),
         "alloc_reduction": Budget("higher", 0.0),
         "weights_bitwise_equal": Budget("higher", 0.0),
+        "recomputes_per_step": Budget("lower", 0.0),
+        "plan_compiles_after_warmup": Budget("lower", 0.0),
     },
     description="MLP train steps: ENGINE=lazy vs eager allocations, "
-                "bitwise-identical weights",
+                "bitwise-identical weights, no recompute, no re-planning",
 )
 def mlp_train_step_engine(quick: bool, seed: int) -> CaseRun:
     steps = 6 if quick else 24
@@ -533,6 +546,8 @@ def mlp_train_step_engine(quick: bool, seed: int) -> CaseRun:
             eager["eager_alloc_bytes"] / lazy["kernel_alloc_bytes"]),
         "kernels_per_step": _round6(lazy["kernels"] / steps),
         "recomputes_per_step": _round6(lazy["recomputes"] / steps),
+        "plan_compiles_after_warmup": float(
+            lazy["plan_compiles_after_warmup"]),
         "weights_bitwise_equal": float(
             np.array_equal(e_weights.view(np.uint64),
                            l_weights.view(np.uint64))),
@@ -556,13 +571,14 @@ def mlp_train_step_engine(quick: bool, seed: int) -> CaseRun:
     budgets={
         "kernels": Budget("lower", 0.0),
         "modeled_fusion_speedup": Budget("higher", 0.0),
+        "modeled_step_device_us": Budget("lower", 0.0),
     },
     description="sim-gpu device: per-fused-kernel A100 roofline charge "
                 "vs the kernel-per-op counterfactual",
 )
 def simgpu_kernel_charge(quick: bool, seed: int) -> CaseRun:
     batch = 16 if quick else 64
-    fused_s, unfused_s, kernels = _simgpu_step_cost(batch, seed)
+    fused_s, unfused_s, kernels, step_s = _simgpu_step_cost(batch, seed)
     total_ops = sum(k.n_ops for k in kernels)
     metrics = {
         "kernels": float(len(kernels)),
@@ -570,6 +586,7 @@ def simgpu_kernel_charge(quick: bool, seed: int) -> CaseRun:
         "fused_time_us": _round6(fused_s * 1e6),
         "unfused_time_us": _round6(unfused_s * 1e6),
         "modeled_fusion_speedup": _round6(unfused_s / fused_s),
+        "modeled_step_device_us": _round6(step_s * 1e6),
     }
     return CaseRun(
         metrics=metrics,

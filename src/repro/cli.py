@@ -69,6 +69,8 @@ EXPERIMENTS = [
      "src/repro/resilience/chaosdrill.py"),
     ("E20", "scheduler matchmaking cost (placement tables, scored once)",
      "src/repro/core/scheduler.py"),
+    ("E21", "lazy-engine plan capture (schedule once, replay; no recompute)",
+     "src/repro/ml/engine/cpu.py"),
     ("ABL", "design-choice ablations",
      "benchmarks/bench_ablations.py"),
 ]

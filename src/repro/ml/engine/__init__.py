@@ -5,11 +5,14 @@ A tinygrad-style execution layer under :class:`repro.ml.tensor.Tensor`:
 * :mod:`~repro.ml.engine.ops` — the primitive-op set (unary/binary
   elementwise, reduce, matmul, movement),
 * :mod:`~repro.ml.engine.graph` — :class:`LazyExpr`, the recorded graph,
+  and the walk that keys a pending subgraph by its structure,
 * :mod:`~repro.ml.engine.fuser` — elementwise→elementwise and
-  elementwise→reduce chain fusion into single kernels,
+  elementwise→reduce chain fusion into single kernels, values saved for
+  backward kept as extra kernel outputs (no recompute),
 * :mod:`~repro.ml.engine.device` / :mod:`~repro.ml.engine.cpu` /
   :mod:`~repro.ml.engine.simgpu` — pluggable backends (``cpu``,
-  ``sim-gpu``, ``sim-gpu:v100``),
+  ``sim-gpu``, ``sim-gpu:v100``); a device compiles each distinct
+  subgraph structure into a plan once and replays it afterwards,
 * :mod:`~repro.ml.engine.stats` — alloc/kernel counters for the bench.
 
 The mode switch

@@ -52,7 +52,7 @@ class PlannedKernel(NamedTuple):
 
     #: Per op: ``(execute, argument registers, out= register, destination)``.
     steps: tuple[tuple[Callable, tuple[int, ...], Optional[int], int], ...]
-    outs: tuple[int, ...]       #: cached on their nodes: the kernel output
+    outs: tuple[int, ...]       #: cached on their nodes: saved interiors, output
     interior: tuple[int, ...]   #: executed through and dropped
     name: str                   #: of the telemetry span
     n_ops: int
@@ -125,11 +125,13 @@ class Device:
                 spec = OPS[node.op]
                 # Every non-final node of a kernel is elementwise, feeds
                 # this one consumer and sits in a buffer the kernel
-                # allocated: an in-kernel input is a dying, owned temp.
+                # allocated: unless it is saved for backward, an
+                # in-kernel input is a dying, owned temp.
                 reuse = None
                 if node.kind in ELEMENTWISE_KINDS:
                     for src in node.inputs:
-                        if (id(src) in inside and src.shape == node.shape
+                        if (id(src) in inside and not src.saved
+                                and src.shape == node.shape
                                 and src.dtype == node.dtype):
                             reuse = reg[id(src)]
                             break
@@ -143,8 +145,9 @@ class Device:
             cost = self.kernel_time_s(flops, nbytes, kernel.n_ops)
             plan.append(PlannedKernel(
                 tuple(steps),
-                (reg[id(kernel.output)],),
-                tuple(reg[id(node)] for node in kernel.nodes[:-1]),
+                tuple(reg[id(node)] for node in kernel.outputs),
+                tuple(reg[id(node)] for node in kernel.nodes[:-1]
+                      if not node.saved),
                 f"kernel:{kernel.name}", kernel.n_ops, flops, nbytes,
                 int(round(cost * 1e12)), allocs, alloc_bytes))
         plan = tuple(plan)

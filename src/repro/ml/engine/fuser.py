@@ -9,7 +9,9 @@ FLOPs, dominate small-batch step time):
   elementwise or a reduce — i.e. ``elementwise→…→elementwise`` chains and
   ``elementwise→reduce`` epilogues become one kernel;
 * **matmul** and **movement** nodes are always kernel roots of their own
-  (matmul keeps BLAS untouched; movement is a view).
+  (matmul keeps BLAS untouched; movement is a view);
+* a fused interior a backward closure will read (``saved``) stays in its
+  kernel and becomes one more of the kernel's outputs.
 
 Fusion changes *where* buffers are allocated, never *what* is computed:
 each kernel replays the eager ufunc sequence in the same order, so fused
@@ -26,7 +28,7 @@ from repro.ml.engine.ops import (ELEMENTWISE_KINDS, OPS, REDUCE)
 
 @dataclass
 class Kernel:
-    """One schedulable unit: a topo-ordered group with a single output."""
+    """One schedulable unit: a topo-ordered group ending in its output."""
 
     nodes: list[LazyExpr]            #: topo order; last entry is the output
     output: LazyExpr = field(init=False)
@@ -65,10 +67,16 @@ class Kernel:
         return out
 
     @property
+    def outputs(self) -> list[LazyExpr]:
+        """Nodes whose value outlives the kernel: the interiors a backward
+        closure will read (``saved``), then the output."""
+        return [n for n in self.nodes[:-1] if n.saved] + [self.output]
+
+    @property
     def bytes_moved(self) -> int:
-        """Memory traffic the kernel causes: external reads + its write."""
+        """Memory traffic the kernel causes: external reads + its writes."""
         return sum(src.nbytes for src in self.external_inputs()) \
-            + self.output.nbytes
+            + sum(out.nbytes for out in self.outputs)
 
 
 def schedule(root: LazyExpr) -> list[Kernel]:

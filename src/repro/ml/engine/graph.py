@@ -8,10 +8,13 @@ into fused kernels and the current device runs them.
 
 Realization caches results only at kernel *outputs*: interior nodes of a
 fused chain stay unmaterialized, which is where the allocation savings
-come from.  If autograd later demands an interior value (a backward
-closure reading an activation), the node re-schedules itself from its
-nearest materialized ancestors — a bounded recompute, counted in
-:data:`~repro.ml.engine.stats` as ``recomputes``.
+come from.  The interiors autograd will need are known when they are
+recorded — ``Tensor`` marks exactly what each backward closure reads as
+``saved`` — and a saved interior is an additional output of its kernel,
+so ``backward()`` finds it materialized.  Demanding any *other* interior
+afterwards re-schedules it from its nearest materialized ancestors,
+counted in :data:`~repro.ml.engine.stats` as ``recomputes`` (0 in a
+training step).
 
 :func:`pending` is the walk every realize starts with: one pass over the
 pending subgraph yields its topo order, its realized inputs and a
@@ -44,7 +47,7 @@ class LazyExpr:
     """
 
     __slots__ = ("op", "kind", "inputs", "kwargs", "shape", "dtype",
-                 "result", "fused_away", "sig")
+                 "result", "fused_away", "saved", "sig")
 
     def __init__(self, op: str, kind: str,
                  inputs: tuple["LazyExpr", ...],
@@ -65,6 +68,9 @@ class LazyExpr:
         #: Set once a kernel executed *through* this node without caching
         #: it; a later realize() of this node is a recompute.
         self.fused_away = False
+        #: Set by ``Tensor`` when a backward closure will read this value:
+        #: a kernel that fuses through the node keeps it as an extra output.
+        self.saved = False
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -128,11 +134,12 @@ def pending(root: LazyExpr) -> tuple[list[LazyExpr], list[LazyExpr], tuple]:
     ``root`` (parents before children, ``root`` last), the realized nodes
     they read (leaves and earlier kernel outputs, first use first), and
     the subgraph's structural key.  The key holds, per pending node, its
-    ``sig`` and where each input comes from (``i`` = ``topo[i]``, ``~s``
-    = ``external[s]``), and per external its shape and dtype — everything
-    fusion, buffer reuse and kernel cost depend on, and no array: ``x*x``
-    and ``x*y``, a realized and a pending ancestor, one batch size and
-    another all key differently; two steps of one training loop do not.
+    ``sig``, its ``saved`` flag and where each input comes from (``i`` =
+    ``topo[i]``, ``~s`` = ``external[s]``), and per external its shape and
+    dtype — everything fusion, buffer reuse and kernel cost depend on, and
+    no array: ``x*x`` and ``x*y``, a realized and a pending ancestor, a
+    kept and a dropped interior, one batch size and another all key
+    differently; two steps of one training loop do not.
     """
     topo: list[LazyExpr] = []
     visited: set[int] = set()
@@ -157,6 +164,7 @@ def pending(root: LazyExpr) -> tuple[list[LazyExpr], list[LazyExpr], tuple]:
             if id(src) not in where:
                 where[id(src)] = ~len(external)
                 external.append(src)
-        key.append((node.sig, *[where[id(src)] for src in node.inputs]))
+        key.append((node.sig, node.saved,
+                    *[where[id(src)] for src in node.inputs]))
     return topo, external, (tuple(key),
                             tuple([(e.shape, e.dtype) for e in external]))

@@ -76,7 +76,7 @@ def conv2d(
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in prev),
                  _prev=prev)
 
-    def backward() -> None:
+    def backward(out) -> None:
         g = out.grad.transpose(0, 2, 3, 1)            # (N, oh, ow, out_c)
         if weight.requires_grad:
             gw = np.tensordot(g, cols, axes=([0, 1, 2], [0, 1, 2]))
@@ -117,7 +117,7 @@ def pad1d(x: Tensor, pad: int) -> Tensor:
     widths = [(0, 0)] * (x.ndim - 1) + [(pad, pad)]
     out = Tensor(np.pad(x.data, widths), requires_grad=x.requires_grad, _prev=(x,))
 
-    def backward() -> None:
+    def backward(out) -> None:
         if x.requires_grad:
             sl = tuple([slice(None)] * (x.ndim - 1) + [slice(pad, -pad)])
             x._accumulate(out.grad[sl])
@@ -144,7 +144,7 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
     flat = patches.reshape(n, c, out_h, out_w, kernel * kernel)
     arg = flat.argmax(axis=4)
 
-    def backward() -> None:
+    def backward(out) -> None:
         if not x.requires_grad:
             return
         grad = np.zeros_like(xd)
@@ -173,7 +173,7 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
     out = Tensor(patches.mean(axis=(4, 5)), requires_grad=x.requires_grad, _prev=(x,))
     scale = 1.0 / (kernel * kernel)
 
-    def backward() -> None:
+    def backward(out) -> None:
         if not x.requires_grad:
             return
         grad = np.zeros_like(xd)

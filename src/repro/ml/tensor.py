@@ -13,8 +13,11 @@ Execution modes (``ENGINE=eager|lazy``, see :mod:`repro.ml.engine`):
   original op-by-op path;
 * **lazy** — primitive ops record graph nodes; demanding bytes
   (``.data``, ``.item()``, ``backward()``, a boundary op such as conv2d)
-  schedules the pending subgraph through the fuser and runs fused
-  kernels on the current device (``cpu`` or ``sim-gpu``).
+  finds the pending subgraph's compiled plan (or schedules it through
+  the fuser, once) and replays its fused kernels on the current device
+  (``cpu`` or ``sim-gpu``).  Each op marks what its backward closure
+  will read (:data:`_BACKWARD_READS`), the fuser keeps those values as
+  kernel outputs, and ``backward()`` therefore recomputes nothing.
 
 Both modes are bit-identical by construction: fused kernels replay the
 same ufunc sequence in the same order, only eliding intermediate buffer
@@ -56,6 +59,10 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _no_backward(out: "Tensor") -> None:
+    """Backward of a tensor no op produced."""
+
+
 def _eager(arr: np.ndarray) -> np.ndarray:
     """Count one eager op + its output allocation when stats are on."""
     st = _STATS
@@ -63,6 +70,20 @@ def _eager(arr: np.ndarray) -> np.ndarray:
         st.eager_ops += 1
         st.eager_alloc_bytes += arr.nbytes
     return arr
+
+
+#: The values (shapes are free) each primitive's backward closure reads,
+#: per grad-requiring operand: operand positions, ``-1`` = the op's output.
+#: ``add``/``neg``/``sum`` and the movement ops read none.
+_BACKWARD_READS: dict[str, tuple[tuple[int, ...], ...]] = {
+    "mul": ((1,), (0,)),            # d/da reads b, d/db reads a
+    "div": ((1,), (0, 1)),
+    "matmul": ((1,), (0,)),
+    "pow": ((0,),), "log": ((0,),), "relu": ((0,),), "abs": ((0,),),
+    "clip": ((0,),),
+    "exp": ((-1,),), "tanh": ((-1,),), "sigmoid": ((-1,),),
+    "max": ((0, -1),),
+}
 
 
 class Tensor:
@@ -94,7 +115,11 @@ class Tensor:
             self._lazy = None
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self._backward: Callable[[], None] = lambda: None
+        # Called as ``t._backward(t)``: a backward function takes its own
+        # output as the argument instead of closing over it, so storing it
+        # here makes no reference cycle and a step's graph — activations
+        # included — dies with the loss rather than waiting for the GC.
+        self._backward: Callable[["Tensor"], None] = _no_backward
         self._prev = _prev
         self.name = name
 
@@ -132,12 +157,22 @@ class Tensor:
 
     def _fwd(self, op: str, *others: "Tensor", **kwargs) -> object:
         """Forward payload for a primitive op: LazyExpr (lazy) or None
-        (eager — caller computes the ndarray inline)."""
-        if _engine_state.lazy:
-            return LazyExpr.make(
-                op, (self._payload(),) + tuple(t._payload() for t in others),
-                **kwargs)
-        return None
+        (eager — caller computes the ndarray inline).  Under lazy, what
+        the op's backward closure will read is marked ``saved`` so fusion
+        keeps it materialized."""
+        if not _engine_state.lazy:
+            return None
+        operands = (self, *others)
+        nodes = tuple([t._payload() for t in operands])
+        node = LazyExpr.make(op, nodes, **kwargs)
+        reads = _BACKWARD_READS.get(op)
+        if reads is not None:
+            nodes += (node,)
+            for t, values in zip(operands, reads):
+                if t.requires_grad:
+                    for i in values:
+                        nodes[i].saved = True
+        return node
 
     # -- introspection --------------------------------------------------------
     @property
@@ -212,7 +247,7 @@ class Tensor:
                     stack.append((parent, False))
         self.grad = np.asarray(grad, dtype=self.data.dtype).reshape(self.shape)
         for node in reversed(topo):
-            node._backward()
+            node._backward(node)
 
     @staticmethod
     def _needs_grad(*tensors: "Tensor") -> bool:
@@ -243,7 +278,7 @@ class Tensor:
         out = Tensor(data, requires_grad=rg,
                      _prev=(self, other) if rg else ())
         if rg:
-            def backward() -> None:
+            def backward(out) -> None:
                 if self.requires_grad:
                     self._accumulate(unbroadcast(out.grad, self.shape))
                 if other.requires_grad:
@@ -261,7 +296,7 @@ class Tensor:
         out = Tensor(data, requires_grad=rg,
                      _prev=(self, other) if rg else ())
         if rg:
-            def backward() -> None:
+            def backward(out) -> None:
                 if self.requires_grad:
                     self._accumulate(unbroadcast(out.grad * other.data,
                                                  self.shape))
@@ -282,7 +317,7 @@ class Tensor:
             data = _eager(-self.data)
         out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
         if rg:
-            def backward() -> None:
+            def backward(out) -> None:
                 self._accumulate(-out.grad)
 
             out._backward = backward
@@ -297,7 +332,7 @@ class Tensor:
         out = Tensor(data, requires_grad=rg,
                      _prev=(self, other) if rg else ())
         if rg:
-            def backward() -> None:
+            def backward(out) -> None:
                 if self.requires_grad:
                     self._accumulate(unbroadcast(out.grad / other.data,
                                                  self.shape))
@@ -318,7 +353,7 @@ class Tensor:
             data = _eager(self.data ** exponent)
         out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
         if rg:
-            def backward() -> None:
+            def backward(out) -> None:
                 self._accumulate(out.grad * exponent
                                  * self.data ** (exponent - 1))
 
@@ -361,7 +396,7 @@ class Tensor:
         out = Tensor(data, requires_grad=rg,
                      _prev=(self, other) if rg else ())
         if rg:
-            def backward() -> None:
+            def backward(out) -> None:
                 g = out.grad
                 a, b = self.data, other.data
                 if self.requires_grad:
@@ -385,7 +420,7 @@ class Tensor:
             data = _eager(eager_fn(self.data))
         out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
         if rg:
-            def backward() -> None:
+            def backward(out) -> None:
                 self._accumulate(backward_fn(self, out))
 
             out._backward = backward
@@ -433,7 +468,7 @@ class Tensor:
             data = _eager(self.data.sum(axis=axis, keepdims=keepdims))
         out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
         if rg:
-            def backward() -> None:
+            def backward(out) -> None:
                 g = out.grad
                 if axis is not None and not keepdims:
                     axes = axis if isinstance(axis, tuple) else (axis,)
@@ -460,7 +495,7 @@ class Tensor:
             data = _eager(self.data.max(axis=axis, keepdims=keepdims))
         out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
         if rg:
-            def backward() -> None:
+            def backward(out) -> None:
                 g = out.grad
                 ref = out.data
                 if axis is not None and not keepdims:
@@ -494,7 +529,7 @@ class Tensor:
             data = self.data.reshape(shape)
         out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
         if rg:
-            def backward() -> None:
+            def backward(out) -> None:
                 self._accumulate(out.grad.reshape(self.shape))
 
             out._backward = backward
@@ -512,7 +547,7 @@ class Tensor:
         out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
         inverse = np.argsort(axes)
         if rg:
-            def backward() -> None:
+            def backward(out) -> None:
                 self._accumulate(out.grad.transpose(inverse))
 
             out._backward = backward
@@ -529,7 +564,7 @@ class Tensor:
         data = self.data[idx]
         out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
         if rg:
-            def backward() -> None:
+            def backward(out) -> None:
                 g = np.zeros_like(self.data)
                 np.add.at(g, idx, out.grad)
                 self._accumulate(g)
@@ -550,7 +585,7 @@ class Tensor:
         offsets = np.cumsum([0] + sizes)
 
         if rg:
-            def backward() -> None:
+            def backward(out) -> None:
                 for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
                     if t.requires_grad:
                         sl = [slice(None)] * out.ndim
@@ -571,7 +606,7 @@ class Tensor:
         )
 
         if rg:
-            def backward() -> None:
+            def backward(out) -> None:
                 for i, t in enumerate(tensors):
                     if t.requires_grad:
                         t._accumulate(np.take(out.grad, i, axis=axis))
@@ -590,7 +625,7 @@ class Tensor:
             data = _eager(np.pad(self.data, widths))
         out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
         if rg:
-            def backward() -> None:
+            def backward(out) -> None:
                 sl = tuple([slice(None)] * (self.ndim - 2)
                            + [slice(pad, -pad), slice(pad, -pad)])
                 self._accumulate(out.grad[sl])

@@ -121,15 +121,28 @@ class TestFuser:
             assert float(y.data) == float(
                 (((np.ones((4, 4)) @ np.ones((4, 4))) + 1.0) * 2.0).sum())
 
-    def test_fused_interior_recomputes_for_backward(self):
+    def test_fused_interior_is_saved_for_backward(self):
         with engine.engine("lazy"):
             x = Tensor(np.full((8,), 0.3), requires_grad=True)
             y = (x * 2.0).tanh().sum()
             with collect() as stats:
                 y.backward()
-                assert stats.recomputes >= 1
+            # tanh's backward reads its output: the mul+tanh+sum kernel
+            # kept it as a second output instead of recomputing it.
+            assert stats.recomputes == 0
+            assert stats.kernels == 1 and stats.realizes == 1
             ref = 2.0 * (1.0 - np.tanh(np.full((8,), 0.3) * 2.0) ** 2)
             np.testing.assert_array_equal(x.grad, ref)
+
+    def test_unsaved_interior_still_recomputes_on_demand(self):
+        with engine.engine("lazy"):
+            x = Tensor(np.full((8,), 0.3))
+            h = x * 2.0                        # nothing marks it
+            y = h.tanh().sum()
+            with collect() as stats:
+                y.realize()
+                np.testing.assert_array_equal(h.data, np.full((8,), 0.6))
+            assert stats.recomputes == 1
 
     def test_kernel_accounting(self):
         with engine.engine("lazy"):

@@ -1,10 +1,12 @@
-"""Plan capture of the lazy engine.
+"""Plan capture and saved-for-backward outputs of the lazy engine.
 
 ``Device.realize`` looks a pending subgraph up by its structural key,
-compiles a plan on a miss and replays it either way.  These tests pin
+compiles a plan on a miss and replays it either way; ``Tensor`` marks
+what backward closures read so fused kernels keep it.  These tests pin
 the key (what must and must not share a plan), the cache (bounded, no
 array references, shared by rank threads, per device), and the outcome
-(second step compiles nothing, lazy == eager to the bit with gradients).
+(second step compiles nothing, nothing is recomputed, lazy == eager to
+the bit with gradients).
 """
 
 import gc
@@ -133,12 +135,13 @@ class TestReplay:
             assert first[name] == second[name], name
 
     @pytest.mark.parametrize("build", [_mlp, _gru, _resnet])
-    def test_eager_and_lazy_agree_to_the_bit(self, build):
+    def test_eager_and_lazy_agree_to_the_bit_without_recompute(self, build):
         set_engine("eager")
         e_losses, e_grads, e_weights = _train(build)
         set_engine("lazy")
         with collect() as stats:
             l_losses, l_grads, l_weights = _train(build)
+        assert stats.recomputes == 0
         # Five steps, one structure: what compiled, compiled in step one.
         assert stats.plan_compiles <= stats.realizes // 5
         assert stats.plan_hits == stats.realizes - stats.plan_compiles
@@ -216,6 +219,22 @@ class TestKey:
         assert _key(pending) != _key(realized)
         np.testing.assert_array_equal(pending.numpy(), realized.numpy())
 
+    def test_saved_interior_differs_from_unsaved(self):
+        def graph(requires_grad):
+            x = Tensor(np.full(8, 0.3), requires_grad=requires_grad)
+            return (x * 2.0).tanh().relu().sum()
+        plain, grad = graph(False), graph(True)
+        assert _key(plain) != _key(grad)
+        with collect() as stats:
+            plain.realize()
+            unsaved_allocs = stats.kernel_allocs
+            grad.realize()
+        # Same single kernel; the saved tanh input/output cost buffers
+        # the unsaved chain reused.
+        assert stats.kernels == 2
+        assert stats.kernel_allocs - unsaved_allocs > unsaved_allocs
+        assert float(plain.data) == float(grad.data)
+
     def test_kwargs_key_by_type_where_numpy_tells_them_apart(self):
         x32 = np.linspace(0.1, 2.0, 8, dtype=np.float32)
         weak, strong = Tensor(x32) ** 2.0, Tensor(x32) ** np.float64(2.0)
@@ -291,6 +310,23 @@ class TestForwardOnlyMatchesParent:
             assert names == kernels
             assert stats.kernel_allocs == allocs
             assert stats.kernel_alloc_bytes == alloc_bytes
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("mode", ["eager", "lazy"])
+    def test_saved_activations_die_with_the_loss_not_with_the_gc(self, mode):
+        set_engine(mode)
+        gc.disable()
+        try:
+            x = Tensor(np.full((8, 8), 0.3), requires_grad=True)
+            act = (x * 2.0).tanh()
+            loss = (act.relu() @ x).sum()
+            loss.backward()
+            kept = weakref.ref(act.data)        # what tanh's backward read
+            del act, loss
+            assert kept() is None               # no reference cycle held it
+        finally:
+            gc.enable()
 
 
 class TestCache:
