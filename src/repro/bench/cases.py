@@ -530,6 +530,7 @@ def _simgpu_step_cost(batch: int, seed: int):
         "weights_bitwise_equal": Budget("higher", 0.0),
         "recomputes_per_step": Budget("lower", 0.0),
         "plan_compiles_after_warmup": Budget("lower", 0.0),
+        "grad_copies_per_step": Budget("lower", 0.0),
     },
     description="MLP train steps: ENGINE=lazy vs eager allocations, "
                 "bitwise-identical weights, no recompute, no re-planning",
@@ -548,6 +549,7 @@ def mlp_train_step_engine(quick: bool, seed: int) -> CaseRun:
         "recomputes_per_step": _round6(lazy["recomputes"] / steps),
         "plan_compiles_after_warmup": float(
             lazy["plan_compiles_after_warmup"]),
+        "grad_copies_per_step": _round6(lazy["grad_copies"] / steps),
         "weights_bitwise_equal": float(
             np.array_equal(e_weights.view(np.uint64),
                            l_weights.view(np.uint64))),

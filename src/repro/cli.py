@@ -71,6 +71,8 @@ EXPERIMENTS = [
      "src/repro/core/scheduler.py"),
     ("E21", "lazy-engine plan capture (schedule once, replay; no recompute)",
      "src/repro/ml/engine/cpu.py"),
+    ("E22", "zero-copy backward (gradient ownership, in-place slice scatter)",
+     "src/repro/ml/tensor.py"),
     ("ABL", "design-choice ablations",
      "benchmarks/bench_ablations.py"),
 ]

@@ -7,7 +7,9 @@ One process-wide :class:`EngineStats` instance collects, when enabled,
 * lazy-path kernel counts, fused-op totals, kernel buffer allocations and
   bytes, recompute events (interior values demanded after their chain
   was fused away), and how many realizes replayed a cached plan
-  (``plan_hits``) versus scheduled and compiled one (``plan_compiles``).
+  (``plan_hits``) versus scheduled and compiled one (``plan_compiles``),
+* on either path, ``grad_copies``: how often backward had to make a
+  private array out of a gradient it could neither take over nor borrow.
 
 Disabled (the default) every site pays a single attribute check, the
 same contract the telemetry layer uses.  All counters are integers, so
@@ -26,7 +28,7 @@ class EngineStats:
     __slots__ = ("enabled", "eager_ops", "eager_alloc_bytes",
                  "kernels", "fused_ops", "kernel_allocs",
                  "kernel_alloc_bytes", "realizes", "recomputes",
-                 "plan_hits", "plan_compiles")
+                 "plan_hits", "plan_compiles", "grad_copies")
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
@@ -43,6 +45,7 @@ class EngineStats:
         self.recomputes = 0
         self.plan_hits = 0
         self.plan_compiles = 0
+        self.grad_copies = 0
 
     def snapshot(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__

@@ -80,12 +80,13 @@ def conv2d(
         g = out.grad.transpose(0, 2, 3, 1)            # (N, oh, ow, out_c)
         if weight.requires_grad:
             gw = np.tensordot(g, cols, axes=([0, 1, 2], [0, 1, 2]))
-            weight._accumulate(gw.reshape(wd.shape))
+            weight._accumulate(gw.reshape(wd.shape), fresh=True)
         if x.requires_grad:
             gcols = g @ wmat                          # (N, oh, ow, C*kh*kw)
-            x._accumulate(_col2im(gcols, xd.shape, kh, kw, stride))
+            x._accumulate(_col2im(gcols, xd.shape, kh, kw, stride),
+                          fresh=True)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(out.grad.sum(axis=(0, 2, 3)))
+            bias._accumulate(out.grad.sum(axis=(0, 2, 3)), fresh=True)
 
     out._backward = backward
     return out
@@ -140,20 +141,30 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
     out_data = patches.max(axis=(4, 5))
     out = Tensor(out_data, requires_grad=x.requires_grad, _prev=(x,))
 
-    # Remember argmax positions for the backward scatter.
-    flat = patches.reshape(n, c, out_h, out_w, kernel * kernel)
-    arg = flat.argmax(axis=4)
+    if x.requires_grad:
+        # The backward scatter index, computed once: where each window's
+        # maximum sits, as an element offset into a gradient laid out in
+        # memory like the input (what ``np.zeros_like(xd)`` allocates).
+        flat = patches.reshape(n, c, out_h, out_w, kernel * kernel)
+        ii, jj = np.divmod(flat.argmax(axis=4), kernel)
+        grad_strides = np.empty_like(xd).strides
+        e0, e1, e2, e3 = (s // xd.itemsize for s in grad_strides)
+        target = (np.arange(n).reshape(n, 1, 1, 1) * e0
+                  + np.arange(c).reshape(c, 1, 1) * e1
+                  + (np.arange(out_h).reshape(out_h, 1) * stride + ii) * e2
+                  + (np.arange(out_w) * stride + jj) * e3)
 
     def backward(out) -> None:
         if not x.requires_grad:
             return
-        grad = np.zeros_like(xd)
-        ii, jj = np.unravel_index(arg, (kernel, kernel))
-        ni, ci, oi, oj = np.indices((n, c, out_h, out_w))
-        hi = oi * stride + ii
-        wi = oj * stride + jj
-        np.add.at(grad, (ni, ci, hi, wi), out.grad)
-        x._accumulate(grad)
+        flat_grad = np.zeros(xd.size, dtype=xd.dtype)
+        if stride >= kernel:
+            # Windows cannot collide, so a fancy ``+=`` adds each once.
+            flat_grad[target] += out.grad
+        else:
+            np.add.at(flat_grad, target, out.grad)
+        x._accumulate(np.lib.stride_tricks.as_strided(
+            flat_grad, shape=xd.shape, strides=grad_strides), fresh=True)
 
     out._backward = backward
     return out
@@ -181,7 +192,7 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
         for i in range(kernel):
             for j in range(kernel):
                 grad[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += g
-        x._accumulate(grad)
+        x._accumulate(grad, fresh=True)
 
     out._backward = backward
     return out

@@ -63,6 +63,28 @@ def _no_backward(out: "Tensor") -> None:
     """Backward of a tensor no op produced."""
 
 
+#: What a tensor may do with the array in its ``.grad`` (DESIGN §13).
+_BORROWED = 0      # a consumer's finished gradient or a view of it: read-only
+_OWNED = 1         # a private array: ``+=`` allowed
+_ZERO_GROWN = 2    # private, grown from ``np.zeros`` by ``+=``: holds no -0.0
+
+
+def _count_grad_copy() -> None:
+    """A tensor had to make a private array out of a gradient it could
+    neither take over nor borrow (``grad_copies_per_step`` in the bench)."""
+    if _STATS.enabled:
+        _STATS.grad_copies += 1
+
+
+def _is_basic_index(idx) -> bool:
+    """Ints, slices, ``None`` and ``Ellipsis`` only: the index selects a
+    view, so no element is addressed twice."""
+    return all(
+        i is None or i is Ellipsis or isinstance(i, slice)
+        or (isinstance(i, (int, np.integer)) and not isinstance(i, bool))
+        for i in (idx if isinstance(idx, tuple) else (idx,)))
+
+
 def _eager(arr: np.ndarray) -> np.ndarray:
     """Count one eager op + its output allocation when stats are on."""
     st = _STATS
@@ -89,8 +111,8 @@ _BACKWARD_READS: dict[str, tuple[tuple[int, ...], ...]] = {
 class Tensor:
     """A differentiable array (realized or lazily recorded)."""
 
-    __slots__ = ("_data", "_lazy", "grad", "requires_grad", "_backward",
-                 "_prev", "name")
+    __slots__ = ("_data", "_lazy", "grad", "_grad_state", "requires_grad",
+                 "_backward", "_prev", "name")
     __array_priority__ = 100  # numpy defers binary ops to us
 
     def __init__(
@@ -114,6 +136,7 @@ class Tensor:
             self._data = arr
             self._lazy = None
         self.grad: Optional[np.ndarray] = None
+        self._grad_state = _BORROWED
         self.requires_grad = requires_grad
         # Called as ``t._backward(t)``: a backward function takes its own
         # output as the argument instead of closing over it, so storing it
@@ -218,36 +241,99 @@ class Tensor:
         self.grad = None
 
     # -- autograd engine -------------------------------------------------------
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(grad, copy=True)
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """Add one contribution to ``.grad`` without copying it twice.
+
+        ``fresh`` means the caller computed ``grad`` as a temporary that
+        nothing else references: it becomes this tensor's own array.
+        Otherwise it is a consumer's finished ``out.grad`` or a view of
+        it, which an interior node borrows read-only and a leaf copies —
+        optimizers, ``clip_grad_norm`` and the Horovod/DeepSpeed buffers
+        write through a leaf's ``.grad``, so that one aliases nothing.
+        """
+        g = self.grad
+        if g is None:
+            if fresh:
+                # A 0-d ufunc result is a NumPy scalar, not an array.
+                self.grad = grad if grad.ndim else np.asarray(grad)
+                self._grad_state = _OWNED
+            elif self._prev:
+                self.grad = grad
+                self._grad_state = _BORROWED
+            else:
+                _count_grad_copy()
+                self.grad = np.array(grad, copy=True)
+                self._grad_state = _OWNED
+        elif self._grad_state or not self._prev:
+            g += grad
         else:
-            self.grad += grad
+            # Copy-then-``+=`` in one pass, laid out as the copy would be.
+            _count_grad_copy()
+            self.grad = np.add(g, grad, out=np.empty_like(g))
+            self._grad_state = _OWNED
+
+    def _scatter_buffer(self) -> np.ndarray:
+        """``.grad`` as a private array a basic-index ``+=`` may add into.
+
+        The sum must carry the bits of accumulating a zeros array with
+        the slice scattered into it (what an advanced index still does):
+        adding a zeros-based array turns every ``-0.0`` already in
+        ``.grad`` into ``+0.0``, so an array that did not grow from zeros
+        gets ``+ 0.0`` once.  Only an interior node's state is trusted
+        (its ``.grad`` lives inside one backward pass; a leaf's can be
+        replaced from outside between passes).
+        """
+        g = self.grad
+        if g is None:
+            g = np.zeros_like(self.data)
+        elif self._grad_state == _ZERO_GROWN and self._prev:
+            return g
+        elif self._grad_state or not self._prev:
+            g += 0.0
+        else:
+            _count_grad_copy()
+            g = np.add(g, 0.0, out=np.empty_like(g))
+        self.grad = g
+        self._grad_state = _ZERO_GROWN
+        return g
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Reverse-mode accumulation from this tensor."""
+        """Reverse-mode accumulation from this tensor.
+
+        Gradients land in the leaves; an interior node's ``.grad`` is
+        dropped as soon as it has been propagated, so a second call over
+        the same graph starts clean.  This tensor keeps its own.
+        """
         if grad is None:
             if self.size != 1:
                 raise ValueError("backward() without grad requires a scalar output")
             grad = np.ones_like(self.data)
+        # Iterative post-order walk; ``None`` on the stack says the entry
+        # under it has had its inputs pushed and is finished.
         topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        visited: set[Tensor] = set()
+        stack: list[Optional[Tensor]] = [self]
+        pop, push = stack.pop, stack.append
         while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
+            node = pop()
+            if node is None:
+                topo.append(pop())
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
-            stack.append((node, True))
+            visited.add(node)
+            push(node)
+            push(None)
             for parent in node._prev:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
+                # A node no op produced has nothing to propagate.
+                if parent._prev and parent not in visited:
+                    push(parent)
         self.grad = np.asarray(grad, dtype=self.data.dtype).reshape(self.shape)
+        self._grad_state = _BORROWED       # possibly the caller's array
         for node in reversed(topo):
             node._backward(node)
+            if node is not self:
+                node.grad = None
 
     @staticmethod
     def _needs_grad(*tensors: "Tensor") -> bool:
@@ -279,10 +365,14 @@ class Tensor:
                      _prev=(self, other) if rg else ())
         if rg:
             def backward(out) -> None:
+                # Same shape: pass out.grad on; broadcast: a fresh sum.
+                g = out.grad
                 if self.requires_grad:
-                    self._accumulate(unbroadcast(out.grad, self.shape))
+                    ga = unbroadcast(g, self.shape)
+                    self._accumulate(ga, fresh=ga is not g)
                 if other.requires_grad:
-                    other._accumulate(unbroadcast(out.grad, other.shape))
+                    gb = unbroadcast(g, other.shape)
+                    other._accumulate(gb, fresh=gb is not g)
 
             out._backward = backward
         return out
@@ -299,10 +389,10 @@ class Tensor:
             def backward(out) -> None:
                 if self.requires_grad:
                     self._accumulate(unbroadcast(out.grad * other.data,
-                                                 self.shape))
+                                                 self.shape), fresh=True)
                 if other.requires_grad:
                     other._accumulate(unbroadcast(out.grad * self.data,
-                                                  other.shape))
+                                                  other.shape), fresh=True)
 
             out._backward = backward
         return out
@@ -318,7 +408,7 @@ class Tensor:
         out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
         if rg:
             def backward(out) -> None:
-                self._accumulate(-out.grad)
+                self._accumulate(-out.grad, fresh=True)
 
             out._backward = backward
         return out
@@ -335,11 +425,11 @@ class Tensor:
             def backward(out) -> None:
                 if self.requires_grad:
                     self._accumulate(unbroadcast(out.grad / other.data,
-                                                 self.shape))
+                                                 self.shape), fresh=True)
                 if other.requires_grad:
                     other._accumulate(unbroadcast(
                         -out.grad * self.data / (other.data ** 2),
-                        other.shape))
+                        other.shape), fresh=True)
 
             out._backward = backward
         return out
@@ -355,7 +445,7 @@ class Tensor:
         if rg:
             def backward(out) -> None:
                 self._accumulate(out.grad * exponent
-                                 * self.data ** (exponent - 1))
+                                 * self.data ** (exponent - 1), fresh=True)
 
             out._backward = backward
         return out
@@ -401,10 +491,10 @@ class Tensor:
                 a, b = self.data, other.data
                 if self.requires_grad:
                     ga = g @ np.swapaxes(b, -1, -2)
-                    self._accumulate(unbroadcast(ga, a.shape))
+                    self._accumulate(unbroadcast(ga, a.shape), fresh=True)
                 if other.requires_grad:
                     gb = np.swapaxes(a, -1, -2) @ g
-                    other._accumulate(unbroadcast(gb, b.shape))
+                    other._accumulate(unbroadcast(gb, b.shape), fresh=True)
 
             out._backward = backward
         return out
@@ -421,7 +511,7 @@ class Tensor:
         out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
         if rg:
             def backward(out) -> None:
-                self._accumulate(backward_fn(self, out))
+                self._accumulate(backward_fn(self, out), fresh=True)
 
             out._backward = backward
         return out
@@ -476,7 +566,11 @@ class Tensor:
                     shape = [1 if i in axes else s
                              for i, s in enumerate(self.shape)]
                     g = g.reshape(shape)
-                self._accumulate(np.broadcast_to(g, self.shape).copy())
+                # A copy, not the zero-stride view: NumPy lays an
+                # elementwise result out after its operands, and a
+                # different layout reaches BLAS with different strides.
+                self._accumulate(np.broadcast_to(g, self.shape).copy(),
+                                 fresh=True)
 
             out._backward = backward
         return out
@@ -509,7 +603,7 @@ class Tensor:
                 # Split gradient evenly among ties (rare but keeps sums exact).
                 counts = mask.sum(axis=axis, keepdims=True) \
                     if axis is not None else mask.sum()
-                self._accumulate(mask * g / counts)
+                self._accumulate(mask * g / counts, fresh=True)
 
             out._backward = backward
         return out
@@ -564,10 +658,20 @@ class Tensor:
         data = self.data[idx]
         out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
         if rg:
+            basic = _is_basic_index(idx)
+            dtype = data.dtype
+
             def backward(out) -> None:
-                g = np.zeros_like(self.data)
-                np.add.at(g, idx, out.grad)
-                self._accumulate(g)
+                if basic:
+                    # ``+=``, never assignment: 0.0 + -0.0 is +0.0, as
+                    # np.add.at on zeros made it; rounded through the
+                    # parent's dtype, as np.add.at's zeros were.
+                    self._scatter_buffer()[idx] += out.grad.astype(
+                        dtype, copy=False)
+                else:
+                    g = np.zeros_like(self.data)
+                    np.add.at(g, idx, out.grad)
+                    self._accumulate(g, fresh=True)
 
             out._backward = backward
         return out
@@ -606,10 +710,12 @@ class Tensor:
         )
 
         if rg:
+            lead = (slice(None),) * (axis % out.ndim)
+
             def backward(out) -> None:
                 for i, t in enumerate(tensors):
                     if t.requires_grad:
-                        t._accumulate(np.take(out.grad, i, axis=axis))
+                        t._accumulate(out.grad[lead + (i,)])
 
             out._backward = backward
         return out
