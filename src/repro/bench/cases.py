@@ -70,9 +70,12 @@ def _round6(value: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _des_workload(n_procs: int, n_hops: int, seed: int):
+def _des_workload(n_procs: int, n_hops: int, seed: int,
+                  n_arrivals: int = 0, series: bool = True):
     """A self-driving event soup: processes hopping through timeouts and
-    contending on a shared resource — the scheduler/serving usage shape."""
+    contending on a shared resource — the scheduler/serving usage shape.
+    ``n_arrivals`` adds a presorted stream (the serving trace shape), as one
+    ``timeout_series`` or one timeout each, sampling the heap size."""
     from repro.simnet.events import Resource, Simulator
 
     sim = Simulator()
@@ -80,6 +83,11 @@ def _des_workload(n_procs: int, n_hops: int, seed: int):
     rng = np.random.default_rng(seed)
     delays = rng.uniform(0.1, 2.0, size=(n_procs, n_hops))
     trace: list[float] = []
+    peak = [0]
+
+    def on_arrival(evt) -> None:
+        peak[0] = max(peak[0], sim.pending)
+        trace.extend((sim.now, float(evt.value)))
 
     def worker(idx: int):
         for hop in range(n_hops):
@@ -92,8 +100,14 @@ def _des_workload(n_procs: int, n_hops: int, seed: int):
 
     for i in range(n_procs):
         sim.process(worker(i), name=f"w{i}")
+    arrivals = np.sort(rng.uniform(0.0, n_hops, size=n_arrivals)).tolist()
+    if series:
+        sim.timeout_series(arrivals, range(n_arrivals), on_arrival)
+    else:
+        for i, delay in enumerate(arrivals):
+            sim.timeout(delay, i).add_callback(on_arrival)
     sim.run()
-    return sim, trace
+    return sim, trace, peak[0]
 
 
 @bench_case(
@@ -106,7 +120,7 @@ def _des_workload(n_procs: int, n_hops: int, seed: int):
 )
 def des_event_throughput(quick: bool, seed: int) -> CaseRun:
     n_procs, n_hops = (48, 24) if quick else (256, 64)
-    sim, trace = _des_workload(n_procs, n_hops, seed)
+    sim, trace, _ = _des_workload(n_procs, n_hops, seed)
     metrics = {
         "events_processed": float(sim.events_processed),
         "final_sim_time_s": _round6(sim.now),
@@ -118,6 +132,30 @@ def des_event_throughput(quick: bool, seed: int) -> CaseRun:
         wall_candidates={
             "event_loop": lambda: _des_workload(n_procs, n_hops, seed)},
         wall_ops={"event_loop": sim.events_processed},
+    )
+
+
+@bench_case(
+    "des_timeout_series", area="events",
+    budgets={"events_processed": Budget("lower", 0.0),
+             "peak_pending_events": Budget("lower", 0.0)},
+    description="DES kernel: presorted timeout series over the event soup",
+)
+def des_timeout_series(quick: bool, seed: int) -> CaseRun:
+    size = (48, 24, seed, 2_000) if quick else (256, 64, seed, 20_000)
+    sim, trace, peak = _des_workload(*size)
+    ref_sim, ref_trace, _ = _des_workload(*size, series=False)
+    if (trace, sim.now, sim.events_processed) != (
+            ref_trace, ref_sim.now, ref_sim.events_processed):
+        raise AssertionError("timeout_series diverged from per-event timeouts")
+    return CaseRun(
+        metrics={"events_processed": float(sim.events_processed),
+                 "peak_pending_events": float(peak)},
+        digests={"firing_trace": stable_digest(trace, sim.now)},
+        wall_candidates={
+            "series": lambda: _des_workload(*size),
+            "per_event": lambda: _des_workload(*size, series=False)},
+        wall_ops=dict.fromkeys(("series", "per_event"), sim.events_processed),
     )
 
 

@@ -73,6 +73,8 @@ EXPERIMENTS = [
      "src/repro/ml/engine/cpu.py"),
     ("E22", "zero-copy backward (gradient ownership, in-place slice scatter)",
      "src/repro/ml/tensor.py"),
+    ("E23", "event kernel: only live events in the heap (timeout series)",
+     "src/repro/simnet/events.py"),
     ("ABL", "design-choice ablations",
      "benchmarks/bench_ablations.py"),
 ]

@@ -71,7 +71,7 @@ class AdmissionPolicy:
         return TokenBucket(self.rate_limit_per_s, self.burst)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdmissionDecision:
     """Why a request was turned away (or not)."""
 
@@ -86,6 +86,9 @@ class AdmissionDecision:
 
 class AdmissionController:
     """Stateful admission gate the engine consults per arrival."""
+
+    #: The one (frozen) decision every admitted arrival shares.
+    _ADMITTED = AdmissionDecision(True)
 
     def __init__(self, policy: AdmissionPolicy) -> None:
         self.policy = policy
@@ -122,4 +125,4 @@ class AdmissionController:
         if brownout_level >= 3 and not cacheable:
             self.n_shed += 1
             return AdmissionDecision(False, "shed", "brownout-uncached")
-        return AdmissionDecision(True)
+        return self._ADMITTED

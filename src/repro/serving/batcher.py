@@ -51,6 +51,8 @@ class MicroBatcher:
     def __init__(self, policy: BatchPolicy) -> None:
         self.policy = policy
         self._queues: dict[str, deque[tuple[float, Request]]] = {}
+        #: Requests queued over all models (read on every arrival).
+        self.depth = 0
         self._wait_stretch = 1.0
 
     def set_wait_stretch(self, factor: float) -> None:
@@ -77,6 +79,7 @@ class MicroBatcher:
         the very next batch rather than waiting out a fresh timer.
         """
         q = self._queues.setdefault(req.model, deque())
+        self.depth += 1
         if front:
             q.appendleft((req.arrival_s, req))
         else:
@@ -88,10 +91,6 @@ class MicroBatcher:
             self.enqueue(req, req.arrival_s, front=True)
 
     # -- inspection ---------------------------------------------------------
-    @property
-    def depth(self) -> int:
-        return sum(len(q) for q in self._queues.values())
-
     def depth_of(self, model: str) -> int:
         return len(self._queues.get(model, ()))
 
@@ -135,4 +134,5 @@ class MicroBatcher:
         if not q:
             raise ValueError(f"no queued requests for model {model!r}")
         n = min(len(q), self.policy.max_batch_requests)
+        self.depth -= n
         return [q.popleft()[1] for _ in range(n)]

@@ -315,10 +315,9 @@ class ServingEngine:
         if self._ran:
             raise RuntimeError("a ServingEngine instance runs exactly once")
         self._ran = True
-        for req in self.requests:
-            evt = self.sim.timeout(req.arrival_s, value=req,
-                                   name=f"arrive-{req.req_id}")
-            evt.add_callback(self._on_arrival)
+        self.sim.timeout_series([r.arrival_s for r in self.requests],
+                                self.requests, self._on_arrival,
+                                name="arrive")
         self._ensure_capacity()
         if self.pool.n_up == 0:
             raise RuntimeError("no module can host even one replica")
@@ -381,20 +380,22 @@ class ServingEngine:
             decision = self.admission.decide(now, self.batcher.depth)
         if not decision.admitted:
             self.metrics.record_rejection(decision.reason)
-            detail = {"detail": decision.detail} if decision.detail else {}
-            self.tracer.instant(decision.reason, "serving", now,
-                                track="serving", lane="admission",
-                                req=req.req_id, **detail)
+            if self.tracer.enabled:
+                detail = {"detail": decision.detail} if decision.detail else {}
+                self.tracer.instant(decision.reason, "serving", now,
+                                    track="serving", lane="admission",
+                                    req=req.req_id, **detail)
             return
         self.metrics.record_admission()
         if self.budget is not None:
             self.budget.note_request()
-        self.tracer.instant("admit", "serving", now, track="serving",
-                            lane="admission", req=req.req_id)
+        if self.tracer.enabled:
+            self.tracer.emit(("admit", "serving", now, 0.0, "serving",
+                              "admission", (("req", req.req_id),)))
         outcome = self.cache.lookup(req.key, req.req_id)
         if outcome == "hit":
             done = self.sim.timeout(self.config.cache_lookup_s, value=req,
-                                    name=f"cache-hit-{req.req_id}")
+                                    name="cache-hit")
             done.add_callback(self._on_cache_hit)
         elif outcome == "coalesce":
             self._waiting[req.req_id] = req
@@ -404,10 +405,11 @@ class ServingEngine:
 
     def _on_cache_hit(self, evt) -> None:
         req: Request = evt.value
-        self.tracer.record("cache-hit", "serving",
-                           self.sim.now - self.config.cache_lookup_s,
-                           self.config.cache_lookup_s, track="serving",
-                           lane="cache", req=req.req_id)
+        if self.tracer.enabled:
+            self.tracer.emit(("cache-hit", "serving",
+                              self.sim.now - self.config.cache_lookup_s,
+                              self.config.cache_lookup_s, "serving", "cache",
+                              (("req", req.req_id),)))
         self._complete(req)
 
     def _complete(self, req: Request) -> None:
@@ -461,7 +463,7 @@ class ServingEngine:
         batch = InflightBatch(requests=requests, start=now, group=group)
         replica.inflight = batch
         done = self.sim.timeout(service + delivery, value=replica,
-                                name=f"batch-done-r{replica.rid}")
+                                name="batch-done")
         done.add_callback(self._on_batch_done)
         batch.done_evt = done
         if (self.detector is not None
@@ -470,7 +472,7 @@ class ServingEngine:
                 self._service_window)
             if deadline is not None:
                 timer = self.sim.timeout(deadline, value=(replica, batch),
-                                         name=f"hedge-r{replica.rid}")
+                                         name="hedge")
                 timer.add_callback(self._on_hedge_timer)
 
     def _gray_factor(self, replica: Replica, now: float) -> float:
@@ -492,6 +494,8 @@ class ServingEngine:
         can land inside a later window, each window only pushes forward
         past its own end, so the loop is bounded by the window count.
         """
+        if not self._partitions:
+            return 0.0
         labels = self._replica_labels(replica)
         hold = 0.0
         for _ in range(len(self._partitions) + 1):
@@ -558,11 +562,12 @@ class ServingEngine:
                                 track="serving", lane="hedge",
                                 winner=replica.rid, backup_won=backup_won,
                                 wasted_s=wasted)
-        self.tracer.record("batch", "serving", batch.start, now - batch.start,
-                           track="serving",
-                           lane=f"replica{replica.rid:03d}",
-                           module=replica.module_key,
-                           n_requests=len(batch.requests))
+        if self.tracer.enabled:
+            self.tracer.emit(("batch", "serving", batch.start,
+                              now - batch.start, "serving",
+                              f"replica{replica.rid:03d}",
+                              (("module", replica.module_key),
+                               ("n_requests", len(batch.requests)))))
         self.metrics.record_batch(len(batch.requests), replica.module_key,
                                   (now - batch.start) * len(replica.nodes))
         self.batch_log.append(

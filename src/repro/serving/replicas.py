@@ -77,6 +77,8 @@ class ReplicaPool:
         self.nodes_per_replica = nodes_per_replica
         self._phase = perf.as_phase(reference_batch_samples)
         self.replicas: dict[int, Replica] = {}
+        #: ``replicas`` fastest module first; place/retire/crash re-sort it.
+        self._dispatch_order: list[Replica] = []
         self.suspect: dict[str, set[int]] = {}
         self._next_id = 0
         #: Node-seconds each module spent hosting replicas (billing view).
@@ -91,9 +93,11 @@ class ReplicaPool:
 
     def idle_replicas(self) -> list[Replica]:
         """Idle replicas, fastest module first (dispatch preference)."""
-        idle = [r for r in self.replicas.values() if r.idle]
-        idle.sort(key=lambda r: (r.sample_time_s, r.rid))
-        return idle
+        return [r for r in self._dispatch_order if r.idle]
+
+    def _resort(self) -> None:
+        self._dispatch_order = sorted(
+            self.replicas.values(), key=lambda r: (r.sample_time_s, r.rid))
 
     def find(self, module_key: str, node: int) -> Optional[Replica]:
         for r in self.replicas.values():
@@ -133,6 +137,7 @@ class ReplicaPool:
         )
         self._next_id += 1
         self.replicas[replica.rid] = replica
+        self._resort()
         self.placements.append((now, replica.rid, key))
         return replica
 
@@ -152,6 +157,7 @@ class ReplicaPool:
         self._account_lifetime(replica, now)
         self.system.module(replica.module_key).release(list(replica.nodes))
         del self.replicas[replica.rid]
+        self._resort()
 
     def crash(self, replica: Replica, node: int, now: float) -> list[Request]:
         """A node under ``replica`` died; tear it down and drain its work.
@@ -172,15 +178,13 @@ class ReplicaPool:
             drained = replica.inflight.requests
             replica.inflight = None
         del self.replicas[replica.rid]
+        self._resort()
         return drained
 
     def retirement_candidate(self) -> Optional[Replica]:
         """Which idle replica to scale down: the slowest-placed, newest."""
-        idle = [r for r in self.replicas.values() if r.idle]
-        if not idle:
-            return None
-        idle.sort(key=lambda r: (-r.sample_time_s, -r.rid))
-        return idle[0]
+        return next((r for r in reversed(self._dispatch_order) if r.idle),
+                    None)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ through the analytic cost models.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional, Sequence
 
 
 class SimulationError(RuntimeError):
@@ -221,12 +222,53 @@ class Simulator:
         return Event(self, name=name)
 
     def timeout(self, delay: float, value: Any = None, name: str = "timeout") -> Event:
-        evt = Event(self, name=name)
-        self.schedule(evt, delay=delay, value=value)
+        # schedule() inlined — same check, same key, one frame not four.
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule event {delay} in the past")
+        evt = Event(self, name, value)
+        queue = self._queue
+        heapq.heappush(queue._heap, (self.now + delay, queue._seq, evt))
+        queue._seq += 1
         return evt
 
+    def timeout_series(self, delays: Sequence[float], values: Sequence[Any],
+                       callback: Callable[[Event], None],
+                       name: str = "timeout") -> None:
+        """``timeout(d, v, name).add_callback(callback)`` for each pair of
+        presorted ``delays`` and ``values``, one heap entry at a time.
+
+        Sequence numbers are reserved now, so member *i* gets the key
+        ``(now + delays[i], seq)`` that loop would give it and fires in the
+        same order against every other event; but only the next unfired
+        member is in the heap — it pushes its successor as it fires, before
+        ``callback`` runs.  Do not mutate the sequences afterwards.
+        """
+        if len(values) != len(delays):
+            raise SimulationError("timeout_series: one value per delay")
+        last = 0.0
+        for delay in delays:
+            if not delay >= last:      # NaN fails this too
+                raise SimulationError("timeout_series delays must be >= 0 "
+                                      f"and sorted: {delay} after {last}")
+            last = delay
+        queue = self._queue
+        heap, base = queue._heap, self.now
+        members = zip(delays, values, itertools.count(queue._seq))
+        queue._seq += len(delays)
+
+        def push_next(_fired: Optional[Event] = None) -> None:
+            member = next(members, None)
+            if member is not None:
+                delay, value, seq = member
+                evt = Event(self, name, value)
+                evt._callbacks = [push_next]
+                evt.add_callback(callback)
+                heapq.heappush(heap, (base + delay, seq, evt))
+
+        push_next()
+
     def schedule(self, event: Event, delay: float = 0.0, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule event {delay} in the past")
         event._value = value
         self._queue.push(self.now + delay, event)
@@ -302,6 +344,8 @@ class Simulator:
         :meth:`step`; the (time, seq) ordering and per-event semantics are
         identical.
         """
+        if until is not None and until < self.now:
+            raise SimulationError(f"run(until={until}) is before {self.now}")
         heap = self._queue._heap
         heappop = heapq.heappop
         processed = 0
@@ -337,3 +381,8 @@ class Simulator:
     @property
     def events_processed(self) -> int:
         return self._processed
+
+    @property
+    def pending(self) -> int:
+        """Heap entries right now (cancelled-but-unpopped ones included)."""
+        return len(self._queue)

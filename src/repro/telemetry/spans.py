@@ -110,6 +110,14 @@ class Tracer:
         self._raw.append((name, category, t_s, 0.0, track, lane,
                           tuple(attrs.items())))
 
+    def emit(self, raw: tuple) -> None:
+        """Append one raw record ``(name, category, start_s, duration_s,
+        track, lane, ((key, value), ...))`` — what :meth:`record` and
+        :meth:`instant` build from their keyword arguments.  For sites
+        that fire per request behind their own ``if tracer.enabled:``
+        check, where the keyword call is most of the cost of tracing."""
+        self._raw.append(raw)
+
     @contextmanager
     def span(self, name: str, category: str, clock: Callable[[], float],
              track: str = "main", lane: str = "0", **attrs: Any):

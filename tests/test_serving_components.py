@@ -7,6 +7,7 @@ the engine tests compose them.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.scheduler import place_standalone, rank_placements
 from repro.distributed.perfmodel import InferencePerfModel
@@ -25,6 +26,7 @@ from repro.serving import (
     TraceConfig,
     generate_trace,
 )
+from repro.serving.replicas import InflightBatch
 
 
 def _req(req_id, arrival=0.0, key=0, model="default", budget=0.5):
@@ -224,6 +226,28 @@ class TestMicroBatcher:
         with pytest.raises(ValueError):
             b.take("default")
 
+    @settings(max_examples=100, deadline=None)
+    @given(ops=st.lists(st.tuples(
+        st.sampled_from(["enqueue", "requeue_front", "take"]),
+        st.sampled_from(["a", "b", "c"]),
+        st.integers(min_value=1, max_value=5)), max_size=40))
+    def test_depth_counter_equals_the_sum_over_queues(self, ops):
+        b = MicroBatcher(BatchPolicy(max_batch_requests=3))
+        models = ("a", "b", "c")
+        next_id = 0
+        for op, model, n in ops:
+            reqs = [_req(next_id + i, model=model) for i in range(n)]
+            next_id += n
+            if op == "enqueue":
+                for r in reqs:
+                    b.enqueue(r, now=0.0)
+            elif op == "requeue_front":
+                b.requeue_front(reqs)
+            elif b.depth_of(model):
+                queued = b.depth_of(model)
+                assert len(b.take(model)) == min(3, queued)
+            assert b.depth == sum(b.depth_of(m) for m in models)
+
 
 # -- placement ----------------------------------------------------------------
 class TestPlacement:
@@ -266,6 +290,38 @@ class TestPlacement:
         # One node is down, the other returned to the pool.
         assert esb.free_nodes == free_before + 1
         assert replica.nodes[0] in pool.suspect["esb"]
+
+
+    def test_dispatch_order_tracks_place_retire_crash(self, small_system):
+        """``idle_replicas`` filters an order kept across calls; it must
+        equal the sort-on-every-call definition it replaced (and
+        ``retirement_candidate`` its mirror image) whatever the pool did."""
+        pool = ReplicaPool(small_system, InferencePerfModel())
+
+        def check():
+            idle = [r for r in pool.replicas.values() if r.idle]
+            assert pool.idle_replicas() == sorted(
+                idle, key=lambda r: (r.sample_time_s, r.rid))
+            want = min(idle, key=lambda r: (-r.sample_time_s, -r.rid),
+                       default=None)
+            assert pool.retirement_candidate() is want
+
+        check()                               # empty pool
+        placed = [pool.place(now=0.0) for _ in range(12)]   # esb, dam, cm
+        assert len({r.module_key for r in placed}) == 3
+        check()
+        for r in placed[::3]:
+            r.inflight = InflightBatch(requests=[], start=0.0)
+        check()
+        pool.retire(placed[1], now=1.0)
+        check()
+        victim = placed[0]                    # busy, on the booster
+        small_system.module(victim.module_key).mark_down(victim.nodes[0])
+        pool.crash(victim, victim.nodes[0], now=2.0)
+        check()
+        placed[3].inflight = None
+        pool.place(now=3.0)
+        check()
 
 
 # -- autoscaler ---------------------------------------------------------------

@@ -86,6 +86,28 @@ class TestDeterminism:
             engine.run()
 
 
+class TestLiveEventsOnly:
+    def test_pending_events_stay_far_below_the_trace_length(self,
+                                                            small_system):
+        # Arrivals stream through Simulator.timeout_series: the heap
+        # holds the next arrival plus in-flight work, never the trace.
+        eng = ServingEngine(_config(rate=300.0, duration=20.0, samples=1,
+                                    cache=128), system=small_system)
+        n = len(eng.requests)
+        assert n >= 5000
+        peaks = []
+        on_arrival = eng._on_arrival
+
+        def sampling(evt):
+            peaks.append(eng.sim.pending)
+            on_arrival(evt)
+
+        eng._on_arrival = sampling
+        report = eng.run()
+        assert len(peaks) == n == report.metrics.offered
+        assert max(peaks) <= n // 10
+
+
 class TestAccounting:
     def test_conservation_no_faults(self, small_system):
         rep = simulate_serving(_config(seed=5), system=small_system)

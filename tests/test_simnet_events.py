@@ -54,6 +54,34 @@ def test_negative_delay_rejected():
         sim.timeout(-1.0)
 
 
+@pytest.mark.parametrize("schedule", [
+    lambda sim, delay: sim.timeout(delay),
+    lambda sim, delay: sim.schedule(sim.event(), delay=delay),
+], ids=["timeout", "schedule"])
+def test_nan_delay_rejected(schedule):
+    # NaN passes ``delay < 0``; an unordered heap key then fires delays
+    # 3, NaN, 1, 2 as 1, 2, NaN, 3.
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        schedule(sim, float("nan"))
+    assert sim.pending == 0
+
+
+def test_run_until_before_now_raises_instead_of_rewinding():
+    sim = Simulator()
+    fired = []
+    for delay in (5.0, 10.0):
+        sim.timeout(delay).add_callback(lambda e: fired.append(sim.now))
+    sim.run(until=6.0)
+    with pytest.raises(SimulationError):
+        sim.run(until=3.0)                # used to set now = 3.0
+    assert sim.now == 6.0
+    assert sim.run(until=6.0) == 6.0      # "until now" stays legal
+    sim.timeout(1.0).add_callback(lambda e: fired.append(sim.now))
+    sim.run()
+    assert fired == [5.0, 7.0, 10.0]
+
+
 def test_run_until_stops_early():
     sim = Simulator()
     fired = []

@@ -48,6 +48,18 @@ class TestTracer:
         assert s.is_instant and s.start_s == 3.0
         assert s.attr_dict() == {"node": 2}
 
+    def test_emit_is_record_and_instant_without_the_keyword_call(self):
+        via_kwargs, raw = Tracer(), Tracer()
+        via_kwargs.record("batch", "serving", 1.0, 0.5, track="serving",
+                          lane="replica003", module="esb", n_requests=4)
+        via_kwargs.instant("admit", "serving", 1.0, track="serving",
+                           lane="admission", req=7)
+        raw.emit(("batch", "serving", 1.0, 0.5, "serving", "replica003",
+                  (("module", "esb"), ("n_requests", 4))))
+        raw.emit(("admit", "serving", 1.0, 0.0, "serving", "admission",
+                  (("req", 7),)))
+        assert raw.spans == via_kwargs.spans
+
     def test_span_context_manager_reads_clock(self):
         tr = Tracer()
         clock = iter([1.0, 4.0])
