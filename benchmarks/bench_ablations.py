@@ -20,7 +20,7 @@ from conftest import emit_table
 GiB = 1024 ** 3
 
 
-def test_ablation_scheduler_patience(benchmark):
+def test_ablation_scheduler_patience():
     from repro.core import MsaScheduler, synthetic_workload_mix
     from repro.core import (MSASystem, ClusterModule, BoosterModule,
                             DataAnalyticsModule, StorageModule,
@@ -40,25 +40,22 @@ def test_ablation_scheduler_patience(benchmark):
             n_jobs=14, seed=3, mean_interarrival_s=60.0))
         return sched.run()
 
-    report3 = benchmark.pedantic(run, args=(3.0,), rounds=1, iterations=1)
     rows = []
     results = {}
     for pf in (1.0, 3.0, 10.0, 1e6):
-        report = report3 if pf == 3.0 else run(pf)
-        results[pf] = report
+        report = results[pf] = run(pf)
         rows.append([f"{pf:g}", f"{report.makespan / 3600:.1f}",
                      f"{report.mean_turnaround / 3600:.1f}",
                      f"{report.energy_kwh:.0f}"])
     emit_table("Ablation — scheduler patience tolerance",
                ["tolerance", "makespan h", "turnaround h", "energy kWh"],
                rows)
-    benchmark.extra_info["patience"] = rows
 
     # Unlimited tolerance (greedy) must not beat the default on makespan.
     assert results[3.0].makespan <= results[1e6].makespan * 1.05
 
 
-def test_ablation_gradient_compression(benchmark):
+def test_ablation_gradient_compression():
     from repro.distributed import (DistributedOptimizer, Fp16Compression,
                                    broadcast_parameters)
     from repro.ml import (SGD, ArrayDataset, DistributedDataLoader, Tensor,
@@ -90,7 +87,7 @@ def test_ablation_gradient_compression(benchmark):
     def run(compression):
         return run_spmd(train, 4, args=(compression,))
 
-    fp32 = benchmark.pedantic(run, args=(None,), rounds=1, iterations=1)
+    fp32 = run(None)
     fp16 = run(Fp16Compression())
     rows = [
         ["fp32 wire", f"{fp32[0][0]:.3f}", f"{sum(b for _, b in fp32):,}"],
@@ -98,13 +95,12 @@ def test_ablation_gradient_compression(benchmark):
     ]
     emit_table("Ablation — gradient compression (4 workers)",
                ["configuration", "accuracy", "bytes sent"], rows)
-    benchmark.extra_info["compression"] = rows
 
     assert abs(fp32[0][0] - fp16[0][0]) < 0.05      # accuracy intact
     assert sum(b for _, b in fp16) < 0.5 * sum(b for _, b in fp32)
 
 
-def test_ablation_zero_stage_memory(benchmark):
+def test_ablation_zero_stage_memory():
     from repro.distributed import ZeroStage1Optimizer, ZeroStage2Optimizer
     from repro.distributed.horovod import broadcast_parameters
     from repro.ml import Tensor, cross_entropy
@@ -132,8 +128,7 @@ def test_ablation_zero_stage_memory(benchmark):
                          opt.unsharded_state_bytes)
         return out
 
-    results = benchmark.pedantic(lambda: run_spmd(measure, 4), rounds=1,
-                                 iterations=1)
+    results = run_spmd(measure, 4)
     r0 = results[0]
     full_state = r0["stage1"][2]
     rows = [
@@ -143,13 +138,12 @@ def test_ablation_zero_stage_memory(benchmark):
     ]
     emit_table("Ablation — per-rank memory at 4 workers (bytes)",
                ["configuration", "optimiser state", "gradient"], rows)
-    benchmark.extra_info["zero"] = rows
 
     assert r0["stage1"][0] <= full_state // 4 + 64        # state sharded
     assert r0["stage2"][1] <= (full_state // 2) // 4 + 64  # grads sharded too
 
 
-def test_ablation_gce_in_training_loop(benchmark):
+def test_ablation_gce_in_training_loop():
     from repro.distributed import DistributedTrainingPerfModel
     from repro.mpi import GlobalCollectiveEngine
 
@@ -160,17 +154,16 @@ def test_ablation_gce_in_training_loop(benchmark):
         return (base.scaling_curve([64, 128, 256]),
                 gce_model.scaling_curve([64, 128, 256]))
 
-    ring, offload = benchmark(curves)
+    ring, offload = curves()
     rows = [[pt.n_gpus, f"{pt.speedup:.1f}", f"{pt2.speedup:.1f}"]
             for pt, pt2 in zip(ring, offload)]
     emit_table("Ablation — Fig. 3 speedup: software ring vs GCE offload",
                ["GPUs", "ring speedup", "GCE speedup"], rows)
-    benchmark.extra_info["gce_training"] = rows
     for pt, pt2 in zip(ring, offload):
         assert pt2.speedup >= pt.speedup * 0.99
 
 
-def test_ablation_checkpoint_path(benchmark):
+def test_ablation_checkpoint_path():
     from repro.storage import NetworkAttachedMemory, ParallelFileSystem
     from repro.storage.checkpoint import CheckpointManager
 
@@ -188,15 +181,14 @@ def test_ablation_checkpoint_path(benchmark):
                          f"{comparison['pfs'] / comparison['nam']:.1f}x"])
         return rows
 
-    rows = benchmark(sweep)
+    rows = sweep()
     emit_table("Ablation — checkpoint write path, 32 concurrent writers "
                "(ref [12])", ["state GB", "NAM s", "PFS s", "NAM advantage"],
                rows)
-    benchmark.extra_info["checkpoint"] = rows
     assert all(float(r[1]) < float(r[2]) for r in rows)
 
 
-def test_ablation_fair_share_policy(benchmark):
+def test_ablation_fair_share_policy():
     """Queue policy: FCFS-backfill vs fair-share when one community floods
     the queue — the multi-community centre's fairness knob."""
     from repro.core import (MSASystem, BoosterModule, ClusterModule, Job,
@@ -228,8 +220,7 @@ def test_ablation_fair_share_policy(benchmark):
     def run(policy):
         return schedule_workload(system(), jobs(), queue_policy=policy)
 
-    fair = benchmark.pedantic(run, args=(SchedulerPolicy.FAIR_SHARE,),
-                              rounds=1, iterations=1)
+    fair = run(SchedulerPolicy.FAIR_SHARE)
     fcfs = run(SchedulerPolicy.FCFS_BACKFILL)
     rows = [
         ["FCFS+backfill", f"{fcfs.wait_times['health-0']:.0f}",
@@ -239,17 +230,4 @@ def test_ablation_fair_share_policy(benchmark):
     ]
     emit_table("Ablation — queue policy: late community's wait (s)",
                ["policy", "health-0 wait s", "makespan s"], rows)
-    benchmark.extra_info["fairshare"] = rows
     assert fair.wait_times["health-0"] < fcfs.wait_times["health-0"]
-
-
-def main(argv=None):
-    """Standalone smoke run — common flags live in benchmarks/_common.py."""
-    from _common import standalone_main
-    return standalone_main(__file__, argv)
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -24,7 +24,7 @@ from repro.workflows.jupyter import jsc_module_environment
 from conftest import emit_table
 
 
-def test_container_interoperability_roundtrip(benchmark):
+def test_container_interoperability_roundtrip():
     """TensorFlow image: DockerHub -> cloud Docker AND JUWELS Singularity."""
     def flow():
         docker_image = ContainerImage(
@@ -38,18 +38,17 @@ def test_container_interoperability_roundtrip(benchmark):
         hpc_token = juwels_singularity(driver_cuda="11.2").run(sing)
         return docker_image, sing, cloud_token, hpc_token
 
-    docker_image, sing, cloud_token, hpc_token = benchmark(flow)
+    docker_image, sing, cloud_token, hpc_token = flow()
     rows = [
         ["cloud (Docker)", cloud_token.split(":")[0], docker_image.digest()],
         ["JUWELS (Singularity)", hpc_token.split(":")[0], sing.digest()],
     ]
     emit_table("E11 — one DL stack, two runtimes",
                ["side", "runtime", "content digest"], rows)
-    benchmark.extra_info["interop"] = rows
     assert docker_image.digest() == sing.digest()   # same software stack
 
 
-def test_jupyter_kernel_migration(benchmark):
+def test_jupyter_kernel_migration():
     """Sec. III-B: 'Jupyter notebooks can also be easily migrated into
     Clouds' — via the kernel-spec -> container path."""
     def flow():
@@ -64,16 +63,15 @@ def test_jupyter_kernel_migration(benchmark):
         ok, reason = cloud_docker(driver_cuda="11.0").can_run(image)
         return resolved, image, ok, reason
 
-    resolved, image, ok, reason = benchmark(flow)
+    resolved, image, ok, reason = flow()
     rows = [[m, v] for m, v in sorted(resolved.items())]
     emit_table("E11 — kernel resolved against the JUWELS module stack",
                ["module", "version"], rows)
-    benchmark.extra_info["kernel"] = rows
     assert ok, reason
     assert image.needs_gpu
 
 
-def test_cloud_cost_table(benchmark):
+def test_cloud_cost_table():
     """'AWS EC2 24 USD per hour rate for V100 ... we need to use still the
     cost-free HPC computational time grants to be feasible'."""
     model = CloudCostModel(instance=AWS_P3_16XLARGE)
@@ -91,15 +89,14 @@ def test_cloud_cost_table(benchmark):
             ])
         return rows
 
-    rows = benchmark(sweep)
+    rows = sweep()
     emit_table("E11 — campaign pricing: p3.16xlarge vs HPC grant",
                ["campaign", "GPU-hours", "cloud", "grant"], rows)
-    benchmark.extra_info["costs"] = rows
     assert float(rows[-1][2].replace("$", "").replace(",", "")) > 10_000
     assert all(r[3] == "$0" for r in rows)
 
 
-def test_free_tier_infeasibility(benchmark):
+def test_free_tier_infeasibility():
     """'the missing possibility to interconnect GPUs for large-scale
     distributed training' on free tiers."""
     model = CloudCostModel(instance=FREE_TIER_COLAB)
@@ -113,18 +110,5 @@ def test_free_tier_infeasibility(benchmark):
             raised = True
         return feasible, raised
 
-    feasible, raised = benchmark(attempt)
+    feasible, raised = attempt()
     assert not feasible and raised
-    benchmark.extra_info["free_tier_blocked"] = True
-
-
-def main(argv=None):
-    """Standalone smoke run — common flags live in benchmarks/_common.py."""
-    from _common import standalone_main
-    return standalone_main(__file__, argv)
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

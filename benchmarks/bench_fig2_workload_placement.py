@@ -47,8 +47,8 @@ def _row(name, report):
             f"{report.energy_busy_joules / 3.6e6:.0f}"]
 
 
-def test_fig2_msa_vs_homogeneous(benchmark):
-    msa_report = benchmark(lambda: schedule_workload(build_msa(), jobs()))
+def test_fig2_msa_vs_homogeneous():
+    msa_report = schedule_workload(build_msa(), jobs())
     cluster = schedule_workload(
         homogeneous_system("cluster-only", DEEP_CM_NODE, N_NODES), jobs())
     booster = schedule_workload(
@@ -61,7 +61,6 @@ def test_fig2_msa_vs_homogeneous(benchmark):
         "E2/Fig. 2 — mixed workload, equal node counts",
         ["system", "makespan h", "turnaround h", "energy kWh", "busy kWh"],
         rows)
-    benchmark.extra_info["fig2"] = rows
 
     # The paper's shape: MSA wins both time-to-solution and energy.
     assert msa_report.makespan < cluster.makespan
@@ -71,9 +70,9 @@ def test_fig2_msa_vs_homogeneous(benchmark):
     assert msa_report.mean_turnaround < booster.mean_turnaround
 
 
-def test_fig2_per_class_placement(benchmark):
+def test_fig2_per_class_placement():
     """Each Fig. 2 workload class lands on its matching module."""
-    report = benchmark(lambda: schedule_workload(build_msa(), jobs()))
+    report = schedule_workload(build_msa(), jobs())
     by_class: dict = {}
     job_list = jobs()
     phase_class = {
@@ -89,7 +88,6 @@ def test_fig2_per_class_placement(benchmark):
                      f"{modules.count(top)}/{len(modules)}"])
     emit_table("E2 — dominant module per workload class",
                ["workload class", "module", "share"], rows)
-    benchmark.extra_info["placement"] = rows
 
     placement = {cls: max(set(mods), key=mods.count)
                  for cls, mods in by_class.items()}
@@ -99,11 +97,11 @@ def test_fig2_per_class_placement(benchmark):
     assert placement["simulation-highscale"] == "esb"
 
 
-def test_fig2_matchmaking_vs_first_fit(benchmark):
+def test_fig2_matchmaking_vs_first_fit():
     """Ablation: the matchmaking policy itself is load-bearing."""
     from repro.core import PlacementPolicy
 
-    match = benchmark(lambda: schedule_workload(build_msa(), jobs()))
+    match = schedule_workload(build_msa(), jobs())
     naive = schedule_workload(build_msa(), jobs(),
                               placement=PlacementPolicy.FIRST_FIT)
     rows = [
@@ -114,17 +112,4 @@ def test_fig2_matchmaking_vs_first_fit(benchmark):
     ]
     emit_table("E2 ablation — placement policy on the same MSA",
                ["policy", "makespan h", "energy kWh"], rows)
-    benchmark.extra_info["ablation"] = rows
     assert match.makespan < naive.makespan
-
-
-def main(argv=None):
-    """Standalone smoke run — common flags live in benchmarks/_common.py."""
-    from _common import standalone_main
-    return standalone_main(__file__, argv)
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

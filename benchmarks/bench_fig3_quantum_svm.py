@@ -36,7 +36,7 @@ def rs_binary():
     return train_test_split(X, y, test_fraction=0.3, seed=0)
 
 
-def test_fig3_qsvm_vs_classical(benchmark, rs_binary):
+def test_fig3_qsvm_vs_classical(rs_binary):
     Xtr, Xte, ytr, yte = rs_binary
     classical = SVC(kernel="rbf", gamma=4.0).fit(Xtr, ytr)
     classical_acc = classical.score(Xte, yte)
@@ -46,8 +46,7 @@ def test_fig3_qsvm_vs_classical(benchmark, rs_binary):
         return QSvmEnsemble(annealer, n_members=4, kernel="rbf", gamma=4.0,
                             num_reads=10, n_solutions=3).fit(Xtr, ytr)
 
-    ens_2000 = benchmark.pedantic(train_ensemble, args=(DWAVE_2000Q,),
-                                  rounds=1, iterations=1)
+    ens_2000 = train_ensemble(DWAVE_2000Q)
     ens_adv = train_ensemble(DWAVE_ADVANTAGE)
 
     rows = [
@@ -59,7 +58,6 @@ def test_fig3_qsvm_vs_classical(benchmark, rs_binary):
     ]
     emit_table("E6/Sec. III-C — QSVM ensembles vs classical SVM",
                ["method", "samples/machine", "test acc"], rows)
-    benchmark.extra_info["qsvm"] = rows
 
     # Shape: QSVM approaches the classical accuracy (within 10 points) but
     # must sub-sample; the Advantage fits larger members than the 2000Q.
@@ -67,7 +65,7 @@ def test_fig3_qsvm_vs_classical(benchmark, rs_binary):
     assert len(ens_adv.members_[0].y_) > len(ens_2000.members_[0].y_)
 
 
-def test_fig3_device_capacity_table(benchmark):
+def test_fig3_device_capacity_table():
     def capacities():
         out = []
         for device in (DWAVE_2000Q, DWAVE_ADVANTAGE):
@@ -76,19 +74,18 @@ def test_fig3_device_capacity_table(benchmark):
             out.append((device, qsvm.max_training_samples()))
         return out
 
-    caps = benchmark(capacities)
+    caps = capacities()
     rows = [[d.name, d.n_qubits, d.n_couplers, d.max_clique, cap]
             for d, cap in caps]
     emit_table("E6 — annealer budgets (paper: 2000 qubits -> 5000/35000)",
                ["device", "qubits", "couplers", "max clique",
                 "samples/anneal"], rows)
-    benchmark.extra_info["capacity"] = rows
 
     assert caps[0][0].n_qubits == 2048 and caps[1][0].n_qubits == 5000
     assert caps[1][1] > 2 * caps[0][1]
 
 
-def test_fig3_oversized_problem_rejected(benchmark, rs_binary):
+def test_fig3_oversized_problem_rejected(rs_binary):
     """The sub-sampling requirement enforced, not merely documented."""
     Xtr, _, ytr, _ = rs_binary
     annealer = SimulatedQuantumAnnealer.for_device(DWAVE_2000Q, sweeps=10)
@@ -101,18 +98,5 @@ def test_fig3_oversized_problem_rejected(benchmark, rs_binary):
         except EmbeddingError:
             return True
 
-    rejected = benchmark(attempt)
+    rejected = attempt()
     assert rejected
-    benchmark.extra_info["rejected_at"] = len(ytr)
-
-
-def main(argv=None):
-    """Standalone smoke run — common flags live in benchmarks/_common.py."""
-    from _common import standalone_main
-    return standalone_main(__file__, argv)
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -28,11 +28,11 @@ from conftest import bench_quick, emit_table
 GPU_COUNTS = [1, 2, 4, 8, 16, 32, 64, 96, 128]
 
 
-def test_fig3_scaling_curve_naive_vs_tuned(benchmark):
+def test_fig3_scaling_curve_naive_vs_tuned():
     model = DistributedTrainingPerfModel()
     tuned = model.with_recipe(model.recipe.tuned())
 
-    curve = benchmark(model.scaling_curve, GPU_COUNTS)
+    curve = model.scaling_curve(GPU_COUNTS)
     tuned_curve = tuned.scaling_curve(GPU_COUNTS)
 
     rows = []
@@ -49,7 +49,6 @@ def test_fig3_scaling_curve_naive_vs_tuned(benchmark):
         "E3/Fig. 3 — ResNet-50/BigEarthNet scaling on A100 booster",
         ["GPUs", "epoch s", "speedup", "eff", "tuned speedup", "tuned eff"],
         rows)
-    benchmark.extra_info["scaling"] = rows
 
     by_gpus = {pt.n_gpus: pt for pt in curve}
     # Paper shape: significant speedup at 96 GPUs (the initial study) ...
@@ -62,7 +61,7 @@ def test_fig3_scaling_curve_naive_vs_tuned(benchmark):
     assert tuned_128.efficiency > 0.9
 
 
-def test_fig3_v100_vs_a100_generation(benchmark):
+def test_fig3_v100_vs_a100_generation():
     """The JURECA/JUWELS (V100) to booster (A100) hardware progression."""
     from repro.core.hardware import NVIDIA_A100, NVIDIA_V100
 
@@ -70,11 +69,10 @@ def test_fig3_v100_vs_a100_generation(benchmark):
         return (DistributedTrainingPerfModel(gpu=NVIDIA_V100).epoch_time(96),
                 DistributedTrainingPerfModel(gpu=NVIDIA_A100).epoch_time(96))
 
-    v100_t, a100_t = benchmark(build)
+    v100_t, a100_t = build()
     rows = [["V100 x96", f"{v100_t:.1f}"], ["A100 x96", f"{a100_t:.1f}"]]
     emit_table("E3 — epoch time by GPU generation (96 GPUs)",
                ["configuration", "epoch s"], rows)
-    benchmark.extra_info["generations"] = rows
     assert a100_t < v100_t
 
 
@@ -105,7 +103,7 @@ class TestFunctionalDistributedTraining:
                 opt.step()
         return model
 
-    def test_fig3_accuracy_invariance_functional(self, benchmark, data):
+    def test_fig3_accuracy_invariance_functional(self, data):
         """'distributed DL training can significantly reduce the training
         time without affecting prediction accuracy' — real training runs."""
         Xtr, ytr, Xte, yte = data
@@ -120,26 +118,11 @@ class TestFunctionalDistributedTraining:
 
             return run_spmd(fn, ws, timeout=600)[0]
 
-        acc4 = benchmark.pedantic(accuracy_for, args=(4,), rounds=1,
-                                  iterations=1)
-        accs = {1: accuracy_for(1), 2: accuracy_for(2), 4: acc4}
+        accs = {ws: accuracy_for(ws) for ws in (1, 2, 4)}
         rows = [[ws, f"{acc:.3f}"] for ws, acc in sorted(accs.items())]
         emit_table("E3 — functional accuracy vs worker count",
                    ["workers", "test accuracy"], rows)
-        benchmark.extra_info["accuracies"] = rows
 
         chance = 1.0 / self.N_CLASSES
         assert min(accs.values()) > chance + (0.1 if bench_quick() else 0.3)
         assert max(accs.values()) - min(accs.values()) < 0.15
-
-
-def main(argv=None):
-    """Standalone smoke run — common flags live in benchmarks/_common.py."""
-    from _common import standalone_main
-    return standalone_main(__file__, argv)
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -43,26 +43,23 @@ def _train_ae(spectra_arr, bottleneck, epochs=60):
     return ae
 
 
-def test_fig3_autoencoder_compression_sweep(benchmark, spectra):
+def test_fig3_autoencoder_compression_sweep(spectra):
     X, _ = spectra
-    ae4 = benchmark.pedantic(_train_ae, args=(X, 4), rounds=1, iterations=1)
-
     rows = []
     for bottleneck in (2, 4, 6):
-        ae = ae4 if bottleneck == 4 else _train_ae(X, bottleneck)
+        ae = _train_ae(X, bottleneck)
         rows.append([f"12 -> {bottleneck}",
                      f"{ae.compression_ratio:.1f}x",
                      f"{ae.reconstruction_error(X):.5f}"])
     emit_table("E5/Fig. 3 R — AE compression of RS spectra (ref [7])",
                ["bottleneck", "ratio", "reconstruction MSE"], rows)
-    benchmark.extra_info["compression"] = rows
 
     errors = [float(r[2]) for r in rows]
     assert errors[0] >= errors[1] >= errors[2]   # more capacity, less error
     assert errors[2] < 0.01
 
 
-def test_fig3_dam_memory_tier_sensitivity(benchmark):
+def test_fig3_dam_memory_tier_sensitivity():
     """The DAM's raison d'être: big cached working sets stay in DRAM."""
     def cache_working_set(store):
         ctx = MiniSparkContext(n_partitions=4, memory=store)
@@ -70,9 +67,7 @@ def test_fig3_dam_memory_tier_sensitivity(benchmark):
         rdd.collect()
         return ctx.cached_fast_fraction()
 
-    dam_frac = benchmark.pedantic(
-        cache_working_set, args=(TieredStore.dam_node(),), rounds=1,
-        iterations=1)
+    dam_frac = cache_working_set(TieredStore.dam_node())
     tiny = TieredStore(hbm_GB=0, ddr_GB=2e-3, nvm_GB=4.0)
     small_frac = cache_working_set(tiny)
 
@@ -92,7 +87,6 @@ def test_fig3_dam_memory_tier_sensitivity(benchmark):
         "E5 — working-set residency: DAM node vs cluster node",
         ["size GB", "DAM fast frac", "cluster fast frac",
          "DAM read s", "cluster read s"], rows)
-    benchmark.extra_info["tiers"] = rows
 
     assert dam_frac == pytest.approx(1.0)
     assert small_frac < 1.0
@@ -102,16 +96,15 @@ def test_fig3_dam_memory_tier_sensitivity(benchmark):
     assert float(rows[1][4]) > float(rows[1][3])
 
 
-def test_fig3_mllib_classifiers_on_rdd(benchmark, spectra):
+def test_fig3_mllib_classifiers_on_rdd(spectra):
     """The footnote's MLlib stack: logistic regression + random forest."""
     X, labels = spectra
     y = (labels >= 3).astype(int)
     ctx = MiniSparkContext(n_partitions=4)
     rows_rdd = ctx.parallelize(list(zip(X, y)))
 
-    lr_model = benchmark.pedantic(
-        lambda: RddLogisticRegression(n_features=12, n_iterations=30).fit(rows_rdd),
-        rounds=1, iterations=1)
+    lr_model = RddLogisticRegression(n_features=12,
+                                     n_iterations=30).fit(rows_rdd)
     forest = RandomForest(n_trees=10, max_depth=5, seed=0).fit(X, y, ctx=ctx)
 
     rows = [
@@ -120,18 +113,5 @@ def test_fig3_mllib_classifiers_on_rdd(benchmark, spectra):
     ]
     emit_table("E5 — MLlib-style classifiers on the RDD engine",
                ["model", "train accuracy"], rows)
-    benchmark.extra_info["mllib"] = rows
     assert lr_model.score(X, y) > 0.85
     assert forest.score(X, y) > 0.85
-
-
-def main(argv=None):
-    """Standalone smoke run — common flags live in benchmarks/_common.py."""
-    from _common import standalone_main
-    return standalone_main(__file__, argv)
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -58,14 +58,11 @@ def _fit(model, Xtr, ytr, lr=5e-3, epochs=10, reg_params=None):
     return model
 
 
-def test_fig4_imputation_model_comparison(benchmark, windows):
+def test_fig4_imputation_model_comparison(windows):
     Xtr, Xte, ytr, yte = windows
 
     gru = GruForecaster(Xtr.shape[2], hidden=16, seed=0)
-    gru = benchmark.pedantic(
-        _fit, args=(gru, Xtr, ytr),
-        kwargs={"reg_params": gru.regularised_parameters()},
-        rounds=1, iterations=1)
+    gru = _fit(gru, Xtr, ytr, reg_params=gru.regularised_parameters())
     cnn = _fit(Cnn1dForecaster(Xtr.shape[2], channels=16, seed=0), Xtr, ytr)
 
     rows = [
@@ -78,7 +75,6 @@ def test_fig4_imputation_model_comparison(benchmark, windows):
     ]
     emit_table("E8/Fig. 4 A — SpO2 missing-value prediction (MAE, "
                "standardised units)", ["method", "MAE"], rows)
-    benchmark.extra_info["imputation"] = rows
 
     gru_mae, cnn_mae, locf, meanb = (float(r[1]) for r in rows)
     # Paper shape: both DL models 'promising' — they beat the baselines.
@@ -86,7 +82,7 @@ def test_fig4_imputation_model_comparison(benchmark, windows):
     assert cnn_mae < meanb
 
 
-def test_fig4_paper_hyperparameters(benchmark, windows):
+def test_fig4_paper_hyperparameters(windows):
     """The verbatim Sec. IV-B configuration: GRU(32)x2, dropout 0.2, MAE,
     ADAM lr=1e-4 — loss decreases monotonically-ish from the start."""
     Xtr, Xte, ytr, yte = windows
@@ -103,15 +99,14 @@ def test_fig4_paper_hyperparameters(benchmark, windows):
             losses.append(loss.item())
         return losses
 
-    losses = benchmark.pedantic(steps, args=(10,), rounds=1, iterations=1)
-    benchmark.extra_info["loss_curve"] = losses
+    losses = steps(10)
     emit_table("E8 — paper hyperparameters sanity (first/last loss)",
                ["step", "MAE loss"],
                [[1, f"{losses[0]:.4f}"], [10, f"{losses[-1]:.4f}"]])
     assert losses[-1] < losses[0]
 
 
-def test_fig4_berlin_definition_monitoring(benchmark, cohort):
+def test_fig4_berlin_definition_monitoring(cohort):
     """P/F-ratio surveillance across the cohort: ARDS patients cross the
     300 mmHg Berlin threshold after onset, healthy ones do not."""
     def classify():
@@ -123,7 +118,7 @@ def test_fig4_berlin_definition_monitoring(benchmark, cohort):
                         berlin_severity(float(pf.min()))))
         return out
 
-    results = benchmark(classify)
+    results = classify()
     tp = sum(1 for _, ards, flag, _ in results if ards and flag)
     fn = sum(1 for _, ards, flag, _ in results if ards and not flag)
     fp = sum(1 for _, ards, flag, _ in results if not ards and flag)
@@ -132,21 +127,8 @@ def test_fig4_berlin_definition_monitoring(benchmark, cohort):
             ["false positives", fp], ["true negatives", tn]]
     emit_table("E8 — Berlin-definition P/F<300 screening vs ground truth",
                ["outcome", "patients"], rows)
-    benchmark.extra_info["screening"] = rows
     sensitivity = tp / max(tp + fn, 1)
     assert sensitivity > 0.9
 
     severities = {sev for _, ards, _, sev in results if ards}
     assert severities & {"moderate", "severe"}
-
-
-def main(argv=None):
-    """Standalone smoke run — common flags live in benchmarks/_common.py."""
-    from _common import standalone_main
-    return standalone_main(__file__, argv)
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -55,9 +55,9 @@ def trained(covidx):
     return _train(Xtr, ytr)
 
 
-def test_fig4_covidnet_detection(benchmark, covidx, trained):
+def test_fig4_covidnet_detection(covidx, trained):
     gen, (Xtr, Xte, ytr, yte) = covidx
-    pred = benchmark(trained.predict, Xte)
+    pred = trained.predict(Xte)
     scores = precision_recall_f1(pred, yte, 3)
     rows = [[name,
              f"{scores['precision'][i]:.2f}",
@@ -67,28 +67,26 @@ def test_fig4_covidnet_detection(benchmark, covidx, trained):
     rows.append(["overall accuracy", "", "", f"{accuracy(pred, yte):.3f}"])
     emit_table("E7/Fig. 4 B — COVID-Net on synthetic COVIDx",
                ["class", "precision", "recall", "F1"], rows)
-    benchmark.extra_info["detection"] = rows
     quick = bench_quick()
     assert accuracy(pred, yte) > (0.6 if quick else 0.8)
     assert scores["recall"][2] > (0.5 if quick else 0.7)  # COVID sensitivity
 
 
-def test_fig4_external_generalisation(benchmark, covidx, trained):
+def test_fig4_external_generalisation(covidx, trained):
     """'validate that Covid-Net is able to generalize well to unseen
     datasets' (the pharma-collaboration set via B2DROP)."""
     gen, (Xtr, Xte, ytr, yte) = covidx
     Xe, ye = gen.generate_external_validation(90)
-    acc_ext = benchmark(lambda: accuracy(trained.predict(Xe), ye))
+    acc_ext = accuracy(trained.predict(Xe), ye)
     acc_int = accuracy(trained.predict(Xte), yte)
     rows = [["held-out (same hospital)", f"{acc_int:.3f}"],
             ["external (unseen hospital)", f"{acc_ext:.3f}"]]
     emit_table("E7 — generalisation to the unseen dataset",
                ["evaluation set", "accuracy"], rows)
-    benchmark.extra_info["generalisation"] = rows
     assert acc_ext > (0.45 if bench_quick() else 0.55)
 
 
-def test_fig4_a100_vs_v100_training_time(benchmark, trained):
+def test_fig4_a100_vs_v100_training_time(trained):
     """Tensor-core generation speedup for training and inference."""
     flops_train_step = 3.0 * 2.0 * trained.n_parameters() * 32 * 32 * 32
     flops_infer = 2.0 * trained.n_parameters() * 32 * 32
@@ -101,18 +99,17 @@ def test_fig4_a100_vs_v100_training_time(benchmark, trained):
                              flops_infer / sustained)
         return out
 
-    modelled = benchmark(times)
+    modelled = times()
     rows = [[name, f"{t_train * 1e6:.1f}", f"{t_inf * 1e6:.2f}"]
             for name, (t_train, t_inf) in modelled.items()]
     speedup = modelled["NVIDIA V100"][0] / modelled["NVIDIA A100"][0]
     rows.append(["A100/V100 speedup", f"{speedup:.1f}x", f"{speedup:.1f}x"])
     emit_table("E7 — GPU-generation time model (batch-32 step / one image)",
                ["GPU", "train step µs", "inference µs"], rows)
-    benchmark.extra_info["generation_speedup"] = speedup
     assert speedup == pytest.approx(2.5, rel=0.05)
 
 
-def test_fig4_dataset_growth_retraining(benchmark, covidx):
+def test_fig4_dataset_growth_retraining(covidx):
     """Sec. IV-A: COVIDx 'was extended numerous times ... we used again' —
     retraining on a grown dataset keeps accuracy (no regression)."""
     gen, (Xtr, Xte, ytr, yte) = covidx
@@ -122,24 +119,10 @@ def test_fig4_dataset_growth_retraining(benchmark, covidx):
     X_grown = np.concatenate([Xtr, Xn])
     y_grown = np.concatenate([ytr, yn])
 
-    model = benchmark.pedantic(_train, args=(X_grown, y_grown),
-                               rounds=1, iterations=1)
+    model = _train(X_grown, y_grown)
     acc = accuracy(model.predict(Xte), yte)
-    benchmark.extra_info["grown_dataset_accuracy"] = acc
     emit_table("E7 — retraining after dataset extension",
                ["training set", "test accuracy"],
                [[f"{len(ytr)} images", ""],
                 [f"{len(y_grown)} images (extended)", f"{acc:.3f}"]])
     assert acc > (0.55 if bench_quick() else 0.75)
-
-
-def main(argv=None):
-    """Standalone smoke run — common flags live in benchmarks/_common.py."""
-    from _common import standalone_main
-    return standalone_main(__file__, argv)
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

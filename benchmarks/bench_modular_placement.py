@@ -39,7 +39,7 @@ FABRICS = {"booster": LinkKind.INFINIBAND_HDR,
            "cluster": LinkKind.INFINIBAND_EDR}
 
 
-def test_cross_module_allreduce_penalty(benchmark):
+def test_cross_module_allreduce_penalty():
     def fn(comm):
         for _ in range(4):
             comm.allreduce(np.ones(250_000))   # 2 MB gradients
@@ -51,7 +51,7 @@ def test_cross_module_allreduce_penalty(benchmark):
             fn, ["booster"] * 4 + ["cluster"] * 4, FABRICS))
         return intra, spanning
 
-    intra, spanning = benchmark(measure)
+    intra, spanning = measure()
     rows = [
         ["8 ranks inside the booster", f"{intra * 1e6:.0f}"],
         ["4 booster + 4 cluster ranks", f"{spanning * 1e6:.0f}"],
@@ -59,7 +59,6 @@ def test_cross_module_allreduce_penalty(benchmark):
     ]
     emit_table("E12 — 4x 2MB allreduce: within vs across modules (µs, "
                "simulated)", ["placement", "time"], rows)
-    benchmark.extra_info["penalty"] = rows
     assert spanning > intra * 1.2
 
 
@@ -82,7 +81,7 @@ def _components():
     )
 
 
-def test_coallocation_vs_serialised_phases(benchmark):
+def test_coallocation_vs_serialised_phases():
     solver, analytics = _components()
 
     def run(job):
@@ -95,8 +94,7 @@ def test_coallocation_vs_serialised_phases(benchmark):
         coupling_bytes=50e9)])
     serial = Job(name="staged", phases=[solver, analytics])
 
-    co_report = benchmark.pedantic(run, args=(coupled,), rounds=1,
-                                   iterations=1)
+    co_report = run(coupled)
     serial_report = run(serial)
     rows = [
         ["co-allocated (ESB ∥ DAM)", f"{co_report.makespan / 3600:.2f}"],
@@ -106,20 +104,7 @@ def test_coallocation_vs_serialised_phases(benchmark):
     ]
     emit_table("E12 — in-situ solver+analytics: co-allocation vs staging "
                "(hours)", ["mode", "makespan"], rows)
-    benchmark.extra_info["coalloc"] = rows
 
     assert co_report.makespan < serial_report.makespan
     modules = {a.module_key for a in co_report.allocations}
     assert modules == {"esb", "dam"}
-
-
-def main(argv=None):
-    """Standalone smoke run — common flags live in benchmarks/_common.py."""
-    from _common import standalone_main
-    return standalone_main(__file__, argv)
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

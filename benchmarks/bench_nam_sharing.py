@@ -15,7 +15,7 @@ from conftest import emit_table
 GiB = 1024 ** 3
 
 
-def test_nam_sharing_vs_duplicates(benchmark):
+def test_nam_sharing_vs_duplicates():
     def sweep():
         rows = []
         for members in (2, 5, 10, 20):
@@ -32,12 +32,11 @@ def test_nam_sharing_vs_duplicates(benchmark):
             ])
         return rows
 
-    rows = benchmark(sweep)
+    rows = sweep()
     emit_table(
         "E10 — 50 GiB dataset, N group members: duplicates vs NAM",
         ["members", "duplicates min", "NAM min", "speedup",
          "traffic reduction"], rows)
-    benchmark.extra_info["sharing"] = rows
 
     speedups = [float(r[3][:-1]) for r in rows]
     assert all(s > 1.5 for s in speedups)
@@ -46,7 +45,7 @@ def test_nam_sharing_vs_duplicates(benchmark):
     assert reductions == [2.0, 5.0, 10.0, 20.0]  # exactly N copies saved
 
 
-def test_nam_capacity_discipline(benchmark):
+def test_nam_capacity_discipline():
     """The NAM is a finite shared resource; eviction reclaims it."""
     def exercise():
         nam = NetworkAttachedMemory(capacity_GB=100.0)
@@ -60,10 +59,10 @@ def test_nam_capacity_discipline(benchmark):
         nam.stage("bigearthnet-b", 60 * GiB)
         return overflow_caught
 
-    assert benchmark(exercise)
+    assert exercise()
 
 
-def test_sssm_striping_sweep(benchmark):
+def test_sssm_striping_sweep():
     """The SSSM side of staging: stripe width vs read time (Lustre-style)."""
     def sweep():
         pfs = ParallelFileSystem("JUST", n_targets=32, target_GBps=5.0)
@@ -75,22 +74,9 @@ def test_sssm_striping_sweep(benchmark):
                          f"{pfs.aggregate_read_GBps(handle):.0f}"])
         return rows
 
-    rows = benchmark(sweep)
+    rows = sweep()
     emit_table("E10 — SSSM striping: 120 GiB staged dataset",
                ["stripe count", "read s", "layout GB/s"], rows)
-    benchmark.extra_info["striping"] = rows
     times = [float(r[1]) for r in rows]
     assert times == sorted(times, reverse=True)
     assert times[0] / times[-1] > 8
-
-
-def main(argv=None):
-    """Standalone smoke run — common flags live in benchmarks/_common.py."""
-    from _common import standalone_main
-    return standalone_main(__file__, argv)
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -16,7 +16,7 @@ from repro.core.streaming import (
 from conftest import emit_table
 
 
-def test_latency_vs_load(benchmark):
+def test_latency_vs_load():
     def sweep():
         rows = []
         for rate in (2.0, 6.0, 10.0, 14.0):
@@ -34,12 +34,11 @@ def test_latency_vs_load(benchmark):
             ])
         return rows
 
-    rows = benchmark(sweep)
+    rows = sweep()
     emit_table("E13/Fig. 3 A — scene stream on 8 ESB nodes "
                "(0.5 s/scene inference)",
                ["scenes/s", "ρ", "p50 s", "p99 s", "util", "max queue"],
                rows)
-    benchmark.extra_info["latency"] = rows
 
     p99s = [float(r[3]) for r in rows]
     assert p99s == sorted(p99s)                 # latency grows with load
@@ -47,7 +46,7 @@ def test_latency_vs_load(benchmark):
     assert p99s[-1] > p99s[0] * 2               # saturation hurts
 
 
-def test_capacity_planning_for_deadline(benchmark):
+def test_capacity_planning_for_deadline():
     deadline = 2.0     # seconds from scene arrival to classification
 
     def plan():
@@ -60,23 +59,10 @@ def test_capacity_planning_for_deadline(benchmark):
                          f"{report.utilisation:.2f}"])
         return rows
 
-    rows = benchmark(plan)
+    rows = plan()
     emit_table(f"E13 — minimal ESB nodes for p99 ≤ {deadline:.0f} s",
                ["scenes/s", "nodes", "p99 s", "util"], rows)
-    benchmark.extra_info["capacity"] = rows
 
     nodes = [int(r[1]) for r in rows]
     assert nodes == sorted(nodes)               # capacity grows with rate
     assert all(float(r[2]) <= deadline for r in rows)
-
-
-def main(argv=None):
-    """Standalone smoke run — common flags live in benchmarks/_common.py."""
-    from _common import standalone_main
-    return standalone_main(__file__, argv)
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -9,24 +9,16 @@ Three views of the serving subsystem on the small MSA testbed:
 * **autoscaling vs fixed** — the headline claim: at a rate where one
   pinned replica blows the deadline by orders of magnitude, the
   autoscaler meets it with the same hardware pool.
-
-Runs standalone too (CI smoke): ``python benchmarks/bench_serving_slo.py
---quick`` prints the same tables from a reduced sweep, no pytest needed.
 """
 
-import pathlib
-import sys
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-
-from repro.serving import (     # noqa: E402  (path bootstrap above)
+from repro.serving import (
     AutoscalerConfig,
     ServingConfig,
     TraceConfig,
     simulate_serving,
 )
 
-from conftest import emit_table  # noqa: E402
+from conftest import emit_table
 
 #: Heavy requests (32-patch scenes) put the ESB capacity knee near 95 req/s
 #: per replica — low enough to sweep past with small traces.
@@ -98,13 +90,12 @@ POINT_HEADER = ["req/s", "min replicas", "p99 ms", "goodput/s"]
 VS_HEADER = ["pool", "p99 ms", "goodput/s", "misses", "peak", "meets SLO"]
 
 
-def test_capacity_surface(benchmark):
-    rows = benchmark(sweep_capacity_surface, (60.0, 120.0, 240.0), (1, 2, 4))
+def test_capacity_surface():
+    rows = sweep_capacity_surface((60.0, 120.0, 240.0), (1, 2, 4))
     emit_table(f"E14 — serving capacity surface "
                f"(p99 SLO {SLO_DEADLINE_S * 1e3:.0f} ms, "
                f"{SAMPLES_PER_REQUEST}-patch scenes)",
                SURFACE_HEADER, rows)
-    benchmark.extra_info["surface"] = rows
 
     by_cell = {(r[0], r[1]): r for r in rows}
     # More replicas never hurt the tail at a given rate...
@@ -116,22 +107,20 @@ def test_capacity_surface(benchmark):
     assert by_cell[("240", 4)][5] == "yes"
 
 
-def test_capacity_point(benchmark):
-    rows = benchmark(capacity_points, (60.0, 120.0, 240.0))
+def test_capacity_point():
+    rows = capacity_points((60.0, 120.0, 240.0))
     emit_table(f"E14 — minimal replicas for p99 ≤ "
                f"{SLO_DEADLINE_S * 1e3:.0f} ms", POINT_HEADER, rows)
-    benchmark.extra_info["capacity"] = rows
 
     needed = [int(r[1]) for r in rows]
     assert needed == sorted(needed)             # capacity grows with rate
     assert needed[-1] > needed[0]               # the sweep spans the knee
 
 
-def test_autoscale_beats_fixed(benchmark):
-    fixed, auto, rows = benchmark(autoscale_vs_fixed, 150.0)
+def test_autoscale_beats_fixed():
+    fixed, auto, rows = autoscale_vs_fixed(150.0)
     emit_table("E14 — autoscaled pool vs pinned single replica at 150 req/s",
                VS_HEADER, rows)
-    benchmark.extra_info["autoscale_vs_fixed"] = rows
 
     # The acceptance claim: same hardware, same trace — the fixed pool
     # misses the deadline, the autoscaled pool meets it.
@@ -139,33 +128,3 @@ def test_autoscale_beats_fixed(benchmark):
     assert auto.meets_slo()
     assert auto.goodput_per_s > fixed.goodput_per_s * 2
     assert auto.peak_replicas > 1
-
-
-def main(argv=None):
-    from _common import export_bench_env, parse_bench_args
-    ns = parse_bench_args(argv)
-    export_bench_env(ns.quick, ns.seed)
-    quick = ns.quick
-    if quick:
-        rates, replicas, duration = (60.0, 240.0), (1, 4), 10.0
-    else:
-        rates, replicas, duration = (60.0, 120.0, 240.0), (1, 2, 4), 30.0
-    emit_table(f"E14 — serving capacity surface "
-               f"(p99 SLO {SLO_DEADLINE_S * 1e3:.0f} ms)", SURFACE_HEADER,
-               sweep_capacity_surface(rates, replicas, duration_s=duration))
-    emit_table(f"E14 — minimal replicas for p99 ≤ "
-               f"{SLO_DEADLINE_S * 1e3:.0f} ms", POINT_HEADER,
-               capacity_points(rates, duration_s=duration))
-    fixed, auto, rows = autoscale_vs_fixed(150.0,
-                                           duration_s=10.0 if quick else 40.0)
-    emit_table("E14 — autoscaled pool vs pinned single replica at 150 req/s",
-               VS_HEADER, rows)
-    if fixed.meets_slo() or not auto.meets_slo():
-        print("FAIL: autoscaling did not beat the fixed pool", file=sys.stderr)
-        return 1
-    print("ok: autoscaled pool meets the SLO the fixed pool misses")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

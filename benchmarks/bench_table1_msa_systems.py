@@ -11,8 +11,8 @@ from repro.core import deep_system, juwels_system
 from conftest import emit_table
 
 
-def test_table1_deep_dam_specs(benchmark):
-    deep = benchmark(deep_system)
+def test_table1_deep_dam_specs():
+    deep = deep_system()
     dam = deep.module("dam")
     spec = dam.node_spec
     rows = [
@@ -29,7 +29,6 @@ def test_table1_deep_dam_specs(benchmark):
     ]
     emit_table("E1/Table I — DEEP DAM: paper vs built",
                ["item", "paper", "built"], rows)
-    benchmark.extra_info["table1"] = rows
 
     assert dam.n_nodes == 16
     assert dam.total_gpus == 16
@@ -38,8 +37,8 @@ def test_table1_deep_dam_specs(benchmark):
     assert dam.total_nvm_GB == pytest.approx(32 * 1024)
 
 
-def test_table1_juwels_totals(benchmark):
-    ju = benchmark(juwels_system)
+def test_table1_juwels_totals():
+    ju = juwels_system()
     cluster_cores = (ju.module("cluster").total_cpu_cores
                      + ju.module("cluster_gpu").total_cpu_cores)
     booster_cores = (ju.module("booster").total_cpu_cores
@@ -58,7 +57,6 @@ def test_table1_juwels_totals(benchmark):
     ]
     emit_table("E1 — JUWELS (Sec. II-B): paper vs built",
                ["quantity", "paper", "built"], rows)
-    benchmark.extra_info["juwels"] = rows
 
     assert abs(cluster_cores - 122_768) / 122_768 < 0.011
     assert abs(booster_cores - 45_024) / 45_024 < 0.01
@@ -66,14 +64,13 @@ def test_table1_juwels_totals(benchmark):
     assert booster_gpus == 3744
 
 
-def test_federation_construction(benchmark):
+def test_federation_construction():
     """Fig. 1's federated network over all module fabrics."""
     def build():
         deep = deep_system()
         return deep.federation
 
-    topo = benchmark(build)
-    benchmark.extra_info["terminals"] = len(topo.terminals)
+    topo = build()
     assert ("federation", 0) in topo.graph.nodes
     # Inter-module transfers cross the federation and cost more.
     deep = deep_system()
@@ -81,15 +78,3 @@ def test_federation_construction(benchmark):
         ("node", 0), ("node", 1), 1e9)
     inter = deep.inter_module_transfer_time("cm", "dam", 1e9)
     assert inter > intra
-
-
-def main(argv=None):
-    """Standalone smoke run — common flags live in benchmarks/_common.py."""
-    from _common import standalone_main
-    return standalone_main(__file__, argv)
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -1,33 +1,45 @@
-"""Shared helpers for the per-experiment benchmark harness.
+"""Shared helpers for the per-experiment benchmark modules.
 
-Every bench regenerates one of the paper's tables/figures (see DESIGN.md's
-experiment index).  Conventions:
+Every ``bench_*.py`` regenerates one of the paper's tables/figures (see
+DESIGN.md's experiment index) as a plain pytest module: it builds the
+rows, echoes them through :func:`emit_table` (visible with ``-s``) and
+asserts the paper's shape on them.  Everything is simulated-clock or
+functional; wall-clock numbers come only from ``benchmarks/e2e``.
 
-* the timed kernel goes through the ``benchmark`` fixture,
-* the regenerated rows/series are attached to ``benchmark.extra_info`` (so
-  ``--benchmark-json`` exports them) **and** echoed through
-  :func:`emit_table` (visible with ``-s``; always appended to
-  ``benchmarks/results.txt``),
-* workload knobs honour the common ``--quick``/``--seed`` contract via
-  :func:`_common.bench_quick` / :func:`_common.bench_seed` — see
-  ``benchmarks/_common.py``, which also provides each module's
-  standalone ``main()``.
+Workload knobs come from two environment variables, read inside test
+bodies through :func:`bench_quick` / :func:`bench_seed`; both default to
+the full-fidelity configuration.
 """
 
 from __future__ import annotations
 
-import pytest
+import os
 
-from _common import (  # noqa: F401 — shared namespace for bench modules
-    RESULTS_PATH,
-    bench_quick,
-    bench_seed,
-    emit_table,
-)
+QUICK_ENV = "REPRO_BENCH_QUICK"
+SEED_ENV = "REPRO_BENCH_SEED"
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _fresh_results_file():
-    """One results.txt per bench session."""
-    RESULTS_PATH.write_text("")
-    yield
+def emit_table(title: str, header: list[str], rows: list[list]) -> str:
+    """Format and print one experiment table."""
+    widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) + 2
+              for i, h in enumerate(header)]
+    lines = [title, "-" * len(title)]
+    lines.append("".join(str(h).rjust(w) for h, w in zip(header, widths)))
+    for row in rows:
+        lines.append("".join(str(c).rjust(w) for c, w in zip(row, widths)))
+    text = "\n".join(lines)
+    print("\n" + text)
+    return text
+
+
+def bench_quick() -> bool:
+    """True when ``REPRO_BENCH_QUICK=1`` asks for reduced workloads."""
+    return os.environ.get(QUICK_ENV, "0") == "1"
+
+
+def bench_seed(default: int = 0) -> int:
+    """The workload seed from ``REPRO_BENCH_SEED``, or ``default``."""
+    try:
+        return int(os.environ.get(SEED_ENV, ""))
+    except ValueError:
+        return default

@@ -15,8 +15,6 @@ Reproduces the RS workflow end to end:
 Run:  python examples/remote_sensing_land_cover.py
 """
 
-import time
-
 import numpy as np
 
 from repro.datasets import BigEarthNetConfig, SyntheticBigEarthNet
@@ -41,19 +39,18 @@ def parallel_svm_section() -> None:
     machine, t_serial = serial_train(Xtr, ytr,
                                      template=SVC(kernel="rbf", gamma=2.0))
     print(f"serial SMO      : acc={machine.score(Xte, yte):.3f} "
-          f"train={t_serial * 1e3:7.1f} ms")
+          f"modeled train={t_serial * 1e3:7.1f} ms")
 
     for p in (2, 4, 8):
         def fn(comm):
             shard = np.arange(comm.rank, len(ytr), comm.size)
             return cascade_train(comm, Xtr[shard], ytr[shard],
-                                 template=SVC(kernel="rbf", gamma=2.0))
+                                 template=SVC(kernel="rbf", gamma=2.0)), \
+                comm.sim_time
 
-        t0 = time.perf_counter()
-        result = run_spmd(fn, p)[0]
-        wall = time.perf_counter() - t0
+        result, critical_path = run_spmd(fn, p)[0]
         print(f"cascade p={p:<2}    : acc={result.score(Xte, yte):.3f} "
-              f"wall={wall * 1e3:7.1f} ms  "
+              f"modeled train={critical_path * 1e3:7.1f} ms  "
               f"(sv exchanged: {result.total_sv_exchanged})")
 
 

@@ -1,9 +1,10 @@
 """Perf-regression harness: ``repro bench`` → deterministic ``BENCH_*.json``.
 
 The quantitative backbone for every speed claim the repo makes (ROADMAP
-item 4).  See :mod:`repro.bench.schema` for the artifact contract,
-:mod:`repro.bench.timing` for the measurement discipline and
-:mod:`repro.bench.cases` for what is measured.
+item 4).  See :mod:`repro.bench.schema` for the artifact contract and
+:mod:`repro.bench.cases` for what is measured.  Everything here runs on
+the simulated clock; wall-clock numbers come only from
+``benchmarks/e2e/run.py``.
 """
 
 from repro.bench.registry import (
@@ -24,17 +25,6 @@ from repro.bench.schema import (
     loads_validated,
     validate_artifact,
 )
-from repro.bench.timing import (
-    FULL_POLICY,
-    QUICK_POLICY,
-    FakeClock,
-    TimingError,
-    TimingPolicy,
-    TimingResult,
-    measure_interleaved,
-    reject_outliers,
-    summarize,
-)
 
 __all__ = [
     "BenchCase",
@@ -51,13 +41,4 @@ __all__ = [
     "env_fingerprint",
     "loads_validated",
     "validate_artifact",
-    "FULL_POLICY",
-    "QUICK_POLICY",
-    "FakeClock",
-    "TimingError",
-    "TimingPolicy",
-    "TimingResult",
-    "measure_interleaved",
-    "reject_outliers",
-    "summarize",
 ]

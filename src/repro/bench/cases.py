@@ -15,10 +15,8 @@ on (ROADMAP item 4):
 
 Every case reports **deterministic** metrics (simulated time, operation
 counters, rates over simulated seconds) plus digests that pin functional
-outputs bit-for-bit, and separately hands the runner wall-clock
-candidates for the interleaved min-of-K timer.  Keeping the two apart is
-what makes ``BENCH_<area>.json`` byte-identical across same-seed runs
-while still letting CI watch real speed through the timing companion.
+outputs bit-for-bit, so ``BENCH_<area>.json`` is byte-identical across
+same-seed runs.  Real speed is watched by ``benchmarks/e2e`` only.
 """
 
 from __future__ import annotations
@@ -127,12 +125,7 @@ def des_event_throughput(quick: bool, seed: int) -> CaseRun:
         "sim_rate_events_per_s": _round6(sim.events_processed / sim.now),
     }
     digests = {"completion_trace": stable_digest(trace, sim.now)}
-    return CaseRun(
-        metrics=metrics, digests=digests,
-        wall_candidates={
-            "event_loop": lambda: _des_workload(n_procs, n_hops, seed)},
-        wall_ops={"event_loop": sim.events_processed},
-    )
+    return CaseRun(metrics=metrics, digests=digests)
 
 
 @bench_case(
@@ -151,12 +144,7 @@ def des_timeout_series(quick: bool, seed: int) -> CaseRun:
     return CaseRun(
         metrics={"events_processed": float(sim.events_processed),
                  "peak_pending_events": float(peak)},
-        digests={"firing_trace": stable_digest(trace, sim.now)},
-        wall_candidates={
-            "series": lambda: _des_workload(*size),
-            "per_event": lambda: _des_workload(*size, series=False)},
-        wall_ops=dict.fromkeys(("series", "per_event"), sim.events_processed),
-    )
+        digests={"firing_trace": stable_digest(trace, sim.now)})
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +209,8 @@ def p2p_message_rate(quick: bool, seed: int) -> CaseRun:
         "sim_time_s": _round6(sim_t),
         "sim_msgs_per_s": _round6(msgs / sim_t),
     }
-    return CaseRun(
-        metrics=metrics,
-        digests={"final_payload": stable_digest(final)},
-        wall_candidates={
-            "pingpong": lambda: _pingpong(rounds, words, seed)},
-        wall_ops={"pingpong": 2 * rounds},
-    )
+    return CaseRun(metrics=metrics,
+                   digests={"final_payload": stable_digest(final)})
 
 
 @bench_case(
@@ -243,11 +226,9 @@ def envelope_overhead(quick: bool, seed: int) -> CaseRun:
     from repro.resilience.integrity import IntegrityConfig, IntegrityContext
 
     rounds, words = (120, 1024) if quick else (1200, 1024)
-
-    def ctx():
-        return IntegrityContext(config=IntegrityConfig())
-
-    final, states = _pingpong(rounds, words, seed, integrity=ctx())
+    final, states = _pingpong(
+        rounds, words, seed,
+        integrity=IntegrityContext(config=IntegrityConfig()))
     msgs = sum(s.messages_sent for s in states)
     checksums = sum(s.envelope_checksums for s in states)
     fastpath = sum(s.envelope_fastpath for s in states)
@@ -259,16 +240,8 @@ def envelope_overhead(quick: bool, seed: int) -> CaseRun:
         "checksums_per_message": _round6(checksums / msgs),
         "sim_time_s": _round6(sim_t),
     }
-    return CaseRun(
-        metrics=metrics,
-        digests={"final_payload": stable_digest(final)},
-        wall_candidates={
-            "verify_on": lambda: _pingpong(rounds, words, seed,
-                                           integrity=ctx()),
-            "verify_off": lambda: _pingpong(rounds, words, seed),
-        },
-        wall_ops={"verify_on": 2 * rounds, "verify_off": 2 * rounds},
-    )
+    return CaseRun(metrics=metrics,
+                   digests={"final_payload": stable_digest(final)})
 
 
 def _allreduce_workload(iters: int, size: int, world: int, seed: int):
@@ -303,14 +276,8 @@ def ring_allreduce_rate(quick: bool, seed: int) -> CaseRun:
         "bytes_sent_total": float(sum(r[2] for r in results)),
         "sim_allreduces_per_s": _round6(iters / sim_t),
     }
-    return CaseRun(
-        metrics=metrics,
-        digests={"reduced": stable_digest(accs[0])},
-        wall_candidates={
-            "allreduce": lambda: _allreduce_workload(iters, size, world,
-                                                     seed)},
-        wall_ops={"allreduce": iters},
-    )
+    return CaseRun(metrics=metrics,
+                   digests={"reduced": stable_digest(accs[0])})
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +285,7 @@ def ring_allreduce_rate(quick: bool, seed: int) -> CaseRun:
 # ---------------------------------------------------------------------------
 
 
-def _training_workload(steps: int, world: int, seed: int):
+def _training_workload(steps: int, world: int, seed: int, integrity=None):
     from repro.distributed.horovod import (DistributedOptimizer,
                                            broadcast_parameters)
     from repro.ml.losses import cross_entropy
@@ -354,9 +321,10 @@ def _training_workload(steps: int, world: int, seed: int):
             "calls": opt.allreduce_calls,
             "fusion_allocs": opt.fusion_allocs,
             "fusion_reuses": opt.fusion_reuses,
+            "checksums": comm.state.envelope_checksums,
         }
 
-    return run_spmd(fn, world)
+    return run_spmd(fn, world, integrity=integrity)
 
 
 @bench_case(
@@ -365,13 +333,21 @@ def _training_workload(steps: int, world: int, seed: int):
         "fusion_allocs_per_step": Budget("lower", 0.0),
         "sim_time_s": Budget("lower", 0.15),
         "bytes_per_step": Budget("lower", 0.05),
+        # The integrity overhead budget (E16), as counted work: checksums
+        # computed per step on a second run with verification on.
+        "envelope_checksums_per_step": Budget("lower", 0.0),
     },
     description="data-parallel MLP steps through the fused-buffer "
                 "gradient allreduce",
 )
 def fused_allreduce_step(quick: bool, seed: int) -> CaseRun:
+    from repro.resilience.integrity import IntegrityConfig, IntegrityContext
+
     steps, world = (12, 4) if quick else (48, 4)
     results = _training_workload(steps, world, seed)
+    verified = _training_workload(
+        steps, world, seed,
+        integrity=IntegrityContext(config=IntegrityConfig()))
     r0 = results[0]
     metrics = {
         "steps": float(steps),
@@ -380,17 +356,14 @@ def fused_allreduce_step(quick: bool, seed: int) -> CaseRun:
         "allreduce_calls": float(r0["calls"]),
         "fusion_allocs_per_step": _round6(r0["fusion_allocs"] / steps),
         "fusion_reuses_per_step": _round6(r0["fusion_reuses"] / steps),
+        "envelope_checksums_per_step": _round6(
+            sum(r["checksums"] for r in verified) / steps),
     }
     digests = {
         "loss_trajectory": stable_digest(r0["losses"]),
         "final_weights": stable_digest(*(r["weights"] for r in results)),
     }
-    return CaseRun(
-        metrics=metrics, digests=digests,
-        wall_candidates={
-            "train_steps": lambda: _training_workload(steps, world, seed)},
-        wall_ops={"train_steps": steps},
-    )
+    return CaseRun(metrics=metrics, digests=digests)
 
 
 @bench_case(
@@ -424,13 +397,8 @@ def engine_lazy_train_step(quick: bool, seed: int) -> CaseRun:
             np.array_equal(e_weights.view(np.uint64),
                            l_weights.view(np.uint64))),
     }
-    return CaseRun(
-        metrics=metrics,
-        digests={"final_weights": stable_digest(l_weights)},
-        wall_candidates={
-            "lazy_steps": lambda: _engine_train("lazy", steps, seed)},
-        wall_ops={"lazy_steps": steps},
-    )
+    return CaseRun(metrics=metrics,
+                   digests={"final_weights": stable_digest(l_weights)})
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +455,8 @@ def fused_elementwise_chain(quick: bool, seed: int) -> CaseRun:
             np.array_equal(eager_out.view(np.uint64),
                            lazy_out.view(np.uint64))),
     }
-    return CaseRun(
-        metrics=metrics,
-        digests={"chain_output": stable_digest(lazy_out)},
-        wall_candidates={
-            "eager": lambda: _engine_chain("eager", n, seed),
-            "lazy": lambda: _engine_chain("lazy", n, seed),
-        },
-        wall_ops={"eager": eager["eager_ops"], "lazy": lazy["fused_ops"]},
-    )
+    return CaseRun(metrics=metrics,
+                   digests={"chain_output": stable_digest(lazy_out)})
 
 
 def _engine_train(mode: str, steps: int, seed: int):
@@ -596,14 +557,7 @@ def mlp_train_step_engine(quick: bool, seed: int) -> CaseRun:
         "loss_trajectory": stable_digest(l_losses),
         "final_weights": stable_digest(l_weights),
     }
-    return CaseRun(
-        metrics=metrics, digests=digests,
-        wall_candidates={
-            "eager": lambda: _engine_train("eager", steps, seed),
-            "lazy": lambda: _engine_train("lazy", steps, seed),
-        },
-        wall_ops={"eager": steps, "lazy": steps},
-    )
+    return CaseRun(metrics=metrics, digests=digests)
 
 
 @bench_case(
@@ -628,14 +582,8 @@ def simgpu_kernel_charge(quick: bool, seed: int) -> CaseRun:
         "modeled_fusion_speedup": _round6(unfused_s / fused_s),
         "modeled_step_device_us": _round6(step_s * 1e6),
     }
-    return CaseRun(
-        metrics=metrics,
-        digests={"kernel_plan": stable_digest(
-            [k.name for k in kernels])},
-        wall_candidates={
-            "plan_and_price": lambda: _simgpu_step_cost(batch, seed)},
-        wall_ops={"plan_and_price": total_ops},
-    )
+    return CaseRun(metrics=metrics, digests={
+        "kernel_plan": stable_digest([k.name for k in kernels])})
 
 
 # ---------------------------------------------------------------------------
@@ -662,26 +610,29 @@ def _serving_workload(quick: bool, seed: int):
     budgets={
         "p99_s": Budget("lower", 0.25),
         "completed": Budget("higher", 0.05),
+        # The tracing overhead budget (E15), as counted work: records the
+        # enabled tracer holds per completed request.
+        "trace_records_per_request": Budget("lower", 0.0),
     },
     description="online serving: simulated latency tail under a Poisson "
                 "arrival trace",
 )
 def serving_latency_tail(quick: bool, seed: int) -> CaseRun:
-    report = _serving_workload(quick, seed)
+    from repro import telemetry
+
+    with telemetry.capture() as (tracer, _):
+        report = _serving_workload(quick, seed)
     summary = report.metrics.latency_summary()
     metrics = {
         "admitted": float(report.metrics.admitted),
         "completed": float(report.metrics.completed),
         "p50_s": _round6(summary.p50_s),
         "p99_s": _round6(summary.p99_s),
+        "trace_records_per_request": _round6(
+            len(tracer) / report.metrics.completed),
     }
-    return CaseRun(
-        metrics=metrics,
-        digests={"report": stable_digest(report.to_text())},
-        wall_candidates={
-            "serve": lambda: _serving_workload(quick, seed)},
-        wall_ops={"serve": max(1, report.metrics.completed)},
-    )
+    return CaseRun(metrics=metrics,
+                   digests={"report": stable_digest(report.to_text())})
 
 
 def _defended_workload(quick: bool, seed: int, defend: bool, hedge: bool):
@@ -753,13 +704,7 @@ def serving_hedged_tail(quick: bool, seed: int) -> CaseRun:
         "undefended_report": stable_digest(undefended.to_text()),
         "defended_report": stable_digest(defended.to_text()),
     }
-    return CaseRun(
-        metrics=metrics, digests=digests,
-        wall_candidates={
-            "defended_serve": lambda: _defended_workload(
-                quick, seed, defend=True, hedge=True)},
-        wall_ops={"defended_serve": max(1, defended.metrics.completed)},
-    )
+    return CaseRun(metrics=metrics, digests=digests)
 
 
 # ---------------------------------------------------------------------------
@@ -814,12 +759,8 @@ def scheduler_backlog_drain(quick: bool, seed: int) -> CaseRun:
         "sim_makespan_s": _round6(report.makespan),
         "sim_energy_kwh": _round6(report.energy_kwh),
     }
-    return CaseRun(
-        metrics=metrics,
-        digests={"summary": stable_digest(report.summary())},
-        wall_candidates={"drain": lambda: _backlog_drain(n_jobs, seed)},
-        wall_ops={"drain": placements},
-    )
+    return CaseRun(metrics=metrics,
+                   digests={"summary": stable_digest(report.summary())})
 
 
 def ensure_cases_loaded() -> None:

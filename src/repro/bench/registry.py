@@ -1,10 +1,9 @@
 """Registry of benchmark cases, grouped by artifact area.
 
 A :class:`BenchCase` bundles one measurable scenario: a builder that runs
-the deterministic workload and reports metrics/digests, plus (optionally)
-wall-clock candidates for the timing engine.  Cases register themselves
-with :func:`bench_case` at import time; the runner materializes one
-``BENCH_<area>.json`` per area from every case registered under it.
+the deterministic workload and reports metrics/digests.  Cases register
+themselves with :func:`bench_case` at import time; the runner materializes
+one ``BENCH_<area>.json`` per area from every case registered under it.
 """
 
 from __future__ import annotations
@@ -38,18 +37,11 @@ class CaseRun:
     """What one executed case hands the runner.
 
     ``metrics`` — deterministic numbers (simulated rates, counters);
-    ``digests`` — hex strings pinning functional outputs bit-for-bit;
-    ``wall_candidates`` — zero-arg callables for the interleaved timer,
-    kept out of the deterministic artifact entirely.
+    ``digests`` — hex strings pinning functional outputs bit-for-bit.
     """
 
     metrics: dict[str, float]
     digests: dict[str, str] = field(default_factory=dict)
-    wall_candidates: dict[str, Callable[[], object]] = field(
-        default_factory=dict)
-    #: Number of logical operations one wall candidate call covers, per
-    #: candidate — lets the timing artifact report per-op cost.
-    wall_ops: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,9 @@ The runner is the machinery behind ``repro bench``:
 
 * run every registered case (optionally filtered by area) at a given
   (quick, seed) point,
-* fold case results into one deterministic artifact per area plus one
-  wall-clock timing companion (interleaved min-of-K over the cases' wall
-  candidates),
-* write both families to an output directory, artifacts canonically
-  serialized so same-seed runs are byte-identical,
+* fold case results into one deterministic artifact per area,
+* write them to an output directory, canonically serialized so same-seed
+  runs are byte-identical,
 * ``--compare``: load a committed baseline directory and fail on any
   budgeted metric regressing beyond its tolerance.
 
@@ -19,12 +17,11 @@ violation, 2 = schema/usage error.
 from __future__ import annotations
 
 import pathlib
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
 from repro.bench import cases as _cases  # noqa: F401 — registers the registry
-from repro.bench.registry import BenchCase, cases_for
+from repro.bench.registry import cases_for
 from repro.bench.schema import (
     SCHEMA_ID,
     BenchSchemaError,
@@ -33,61 +30,31 @@ from repro.bench.schema import (
     loads_validated,
     validate_artifact,
 )
-from repro.bench.timing import (
-    FULL_POLICY,
-    QUICK_POLICY,
-    TimingPolicy,
-    measure_interleaved,
-)
-
-TIMING_SCHEMA_ID = "repro-bench-timing/1"
 
 #: The committed baseline directory (repo-root relative fallback to cwd).
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 DEFAULT_BASELINE_DIR = _REPO_ROOT / "benchmarks" / "baselines"
 
 
-@dataclass
-class AreaArtifacts:
-    """One area's pair of artifacts."""
-
-    area: str
-    doc: dict                       #: deterministic BENCH_<area>.json body
-    timing_doc: Optional[dict]      #: wall TIMING_<area>.json body (or None)
-
-
 def run_bench(
     areas: Optional[Iterable[str]] = None,
     quick: bool = True,
     seed: int = 0,
-    wall: bool = True,
-    policy: Optional[TimingPolicy] = None,
-    clock: Callable[[], float] = time.perf_counter,
     progress: Optional[Callable[[str], None]] = None,
-) -> dict[str, AreaArtifacts]:
-    """Run the registry; returns artifacts keyed by area."""
+) -> dict[str, dict]:
+    """Run the registry; returns ``BENCH_<area>.json`` bodies keyed by area."""
     selected = cases_for(list(areas) if areas is not None else None)
-    if policy is None:
-        policy = QUICK_POLICY if quick else FULL_POLICY
     env = env_fingerprint()
     mode = "quick" if quick else "full"
-    by_area: dict[str, AreaArtifacts] = {}
+    by_area: dict[str, dict] = {}
     for case in selected:
         if progress is not None:
             progress(f"[{case.area}] {case.name} ...")
         run = case.run(quick, seed)
-        arts = by_area.get(case.area)
-        if arts is None:
-            arts = AreaArtifacts(
-                area=case.area,
-                doc={"schema": SCHEMA_ID, "area": case.area, "mode": mode,
-                     "seed": seed, "env": env, "cases": {}},
-                timing_doc={"schema": TIMING_SCHEMA_ID, "area": case.area,
-                            "mode": mode, "seed": seed, "cases": {}}
-                if wall else None,
-            )
-            by_area[case.area] = arts
-        arts.doc["cases"][case.name] = {
+        doc = by_area.setdefault(case.area, {
+            "schema": SCHEMA_ID, "area": case.area, "mode": mode,
+            "seed": seed, "env": env, "cases": {}})
+        doc["cases"][case.name] = {
             "description": case.description,
             "metrics": dict(run.metrics),
             "digests": dict(run.digests),
@@ -95,40 +62,21 @@ def run_bench(
                             "tolerance": b.tolerance}
                         for m, b in case.budgets.items()},
         }
-        if wall and run.wall_candidates:
-            timed = measure_interleaved(run.wall_candidates, policy=policy,
-                                        clock=clock)
-            arts.timing_doc["cases"][case.name] = {
-                name: {
-                    "best_s": r.best_s,
-                    "median_s": r.median_s,
-                    "mean_s": r.mean_s,
-                    "per_op_s": r.scaled(run.wall_ops.get(name, 1)),
-                    "rounds": len(r.samples),
-                    "outliers_dropped": r.outliers_dropped,
-                }
-                for name, r in timed.items()
-            }
-    for arts in by_area.values():
-        validate_artifact(arts.doc)
+    for doc in by_area.values():
+        validate_artifact(doc)
     return by_area
 
 
-def write_artifacts(artifacts: Mapping[str, AreaArtifacts],
+def write_artifacts(artifacts: Mapping[str, dict],
                     out_dir: str | pathlib.Path) -> list[pathlib.Path]:
-    """Write BENCH/TIMING files; returns the paths written."""
+    """Write one ``BENCH_<area>.json`` per area; returns the paths written."""
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[pathlib.Path] = []
     for area in sorted(artifacts):
-        arts = artifacts[area]
         path = out / f"BENCH_{area}.json"
-        path.write_text(dumps_canonical(arts.doc))
+        path.write_text(dumps_canonical(artifacts[area]))
         written.append(path)
-        if arts.timing_doc is not None:
-            tpath = out / f"TIMING_{area}.json"
-            tpath.write_text(dumps_canonical(arts.timing_doc))
-            written.append(tpath)
     return written
 
 
@@ -277,36 +225,4 @@ def compare_docs(current: Mapping[str, dict],
                         f"{area}/{cname}/digest:{dname}: functional output "
                         "changed vs baseline (expected only when the code "
                         "change intends it)")
-    return report
-
-
-def compare_timing(current: Mapping[str, dict],
-                   baseline: Mapping[str, dict],
-                   tolerance: float = 0.5) -> CompareReport:
-    """Diff wall-clock timing artifacts (best_s per candidate).
-
-    Wall time is noisy, so the default tolerance is wide; this path is
-    for local use and trend dashboards, not the deterministic CI gate.
-    """
-    report = CompareReport()
-    for area in sorted(baseline):
-        if area not in current:
-            report.notes.append(f"{area}: no current timing artifact")
-            continue
-        for cname, base_case in sorted(baseline[area]["cases"].items()):
-            cur_case = current[area]["cases"].get(cname, {})
-            for cand, base_r in sorted(base_case.items()):
-                if cand not in cur_case:
-                    report.notes.append(
-                        f"{area}/{cname}/{cand}: candidate missing")
-                    continue
-                delta = Delta(
-                    area=area, case=cname, metric=f"{cand}.best_s",
-                    baseline=float(base_r["best_s"]),
-                    current=float(cur_case[cand]["best_s"]),
-                    direction="lower", tolerance=tolerance)
-                if delta.regressed:
-                    report.regressions.append(delta)
-                elif delta.improved:
-                    report.improvements.append(delta)
     return report

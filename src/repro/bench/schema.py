@@ -1,17 +1,13 @@
 """The ``BENCH_<area>.json`` artifact schema and its validator.
 
-Two artifact families per area, split by determinism:
-
-* ``BENCH_<area>.json`` — the **deterministic** perf artifact that is
-  committed per PR and byte-compared across runs.  Everything in it is a
-  pure function of (code, seed, quick flag, environment): simulated-time
-  rates and percentiles, operation counters the optimizations move
-  (checksums per message, buffer allocations per step, events processed),
-  and digests pinning the functional outputs bit-for-bit.  Wall-clock
-  numbers are banned here by construction.
-* ``TIMING_<area>.json`` — the wall-clock companion (interleaved
-  min-of-K results).  Inherently noisy, never byte-compared, never
-  committed; CI uploads it as a trend artifact.
+``BENCH_<area>.json`` is the **deterministic** perf artifact that is
+committed per PR and byte-compared across runs.  Everything in it is a
+pure function of (code, seed, quick flag, environment): simulated-time
+rates and percentiles, operation counters the optimizations move
+(checksums per message, buffer allocations per step, events processed),
+and digests pinning the functional outputs bit-for-bit.  Wall-clock
+numbers are banned here by construction — nothing under ``src/`` reads
+the host clock; they live in the ``benchmarks/e2e`` ledger.
 
 The validator is hand-rolled (no jsonschema dependency) and is the same
 code path for artifacts we emit and artifacts we load for ``--compare``,

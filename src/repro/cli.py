@@ -16,9 +16,8 @@ Commands mirror the operator tasks the examples walk through:
   ``drill chaos`` throws partitions, gray failures and a crash at the
   serving plane and exits non-zero if any admitted request is lost,
 * ``bench`` — run the perf-regression harness: deterministic
-  ``BENCH_<area>.json`` artifacts plus wall-clock timing companions, with
-  ``--compare`` failing on budgeted-metric regressions vs the committed
-  baseline,
+  ``BENCH_<area>.json`` artifacts, with ``--compare`` failing on
+  budgeted-metric regressions vs the committed baseline,
 * ``experiments`` — list every experiment and the bench that regenerates it.
 """
 
@@ -58,9 +57,9 @@ EXPERIMENTS = [
     ("E14", "online serving (SLO capacity, autoscaling, failover)",
      "benchmarks/bench_serving_slo.py"),
     ("E15", "unified telemetry traces (chrome://tracing / Perfetto)",
-     "benchmarks/bench_telemetry_overhead.py"),
+     "src/repro/telemetry/"),
     ("E16", "SDC drill (silent-corruption detection, rollback, overhead)",
-     "benchmarks/bench_integrity_overhead.py"),
+     "src/repro/resilience/drill.py"),
     ("E17", "perf-regression harness (repro bench -> BENCH_*.json)",
      "src/repro/bench/"),
     ("E18", "lazy tensor engine (fused op graphs, cpu/sim-gpu backends)",
@@ -266,7 +265,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         artifacts = run_bench(
             areas=areas, quick=args.quick, seed=args.seed,
-            wall=not args.no_wall,
             progress=lambda msg: print(msg, file=sys.stderr))
     except (ValueError, BenchSchemaError) as exc:
         print(f"bench error: {exc}", file=sys.stderr)
@@ -276,11 +274,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for path in written:
         print(f"wrote {path}")
     if args.update_baseline:
-        baseline_paths = write_artifacts(
-            {a: type(arts)(area=arts.area, doc=arts.doc, timing_doc=None)
-             for a, arts in artifacts.items()},
-            DEFAULT_BASELINE_DIR)
-        for path in baseline_paths:
+        for path in write_artifacts(artifacts, DEFAULT_BASELINE_DIR):
             print(f"updated baseline {path}")
     if args.compare is not None:
         baseline_dir = args.compare or str(DEFAULT_BASELINE_DIR)
@@ -289,8 +283,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         except BenchSchemaError as exc:
             print(f"bench error: {exc}", file=sys.stderr)
             return 2
-        current = {a: arts.doc for a, arts in artifacts.items()}
-        report = compare_docs(current, baseline)
+        report = compare_docs(artifacts, baseline)
         print(f"\ncompare vs {baseline_dir}:")
         print(report.to_text())
         if not report.ok:
@@ -398,15 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run the perf-regression harness")
     p.add_argument("--quick", action="store_true",
-                   help="small workloads + fewer timing rounds (CI smoke)")
+                   help="small workloads (CI smoke)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--areas", default="",
                    help="comma-separated areas (default: all registered)")
     p.add_argument("--out", default="",
                    help="output directory (default bench/)")
-    p.add_argument("--no-wall", action="store_true",
-                   help="skip wall-clock timing (deterministic artifacts "
-                        "only; fastest, fully reproducible)")
     p.add_argument("--compare", nargs="?", const="", default=None,
                    metavar="BASELINE_DIR",
                    help="diff against a baseline directory (default "

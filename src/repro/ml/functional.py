@@ -73,22 +73,22 @@ def conv2d(
         out_data = out_data + bias.data.reshape(1, -1, 1, 1)
 
     prev = (x, weight) + ((bias,) if bias is not None else ())
-    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in prev),
-                 _prev=prev)
+    rg = any(t.requires_grad for t in prev)
+    out = Tensor(out_data, requires_grad=rg, _prev=prev if rg else ())
+    if rg:
+        def backward(out) -> None:
+            g = out.grad.transpose(0, 2, 3, 1)        # (N, oh, ow, out_c)
+            if weight.requires_grad:
+                gw = np.tensordot(g, cols, axes=([0, 1, 2], [0, 1, 2]))
+                weight._accumulate(gw.reshape(wd.shape), fresh=True)
+            if x.requires_grad:
+                gcols = g @ wmat                      # (N, oh, ow, C*kh*kw)
+                x._accumulate(_col2im(gcols, xd.shape, kh, kw, stride),
+                              fresh=True)
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(out.grad.sum(axis=(0, 2, 3)), fresh=True)
 
-    def backward(out) -> None:
-        g = out.grad.transpose(0, 2, 3, 1)            # (N, oh, ow, out_c)
-        if weight.requires_grad:
-            gw = np.tensordot(g, cols, axes=([0, 1, 2], [0, 1, 2]))
-            weight._accumulate(gw.reshape(wd.shape), fresh=True)
-        if x.requires_grad:
-            gcols = g @ wmat                          # (N, oh, ow, C*kh*kw)
-            x._accumulate(_col2im(gcols, xd.shape, kh, kw, stride),
-                          fresh=True)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(out.grad.sum(axis=(0, 2, 3)), fresh=True)
-
-    out._backward = backward
+        out._backward = backward
     return out
 
 
@@ -116,14 +116,15 @@ def pad1d(x: Tensor, pad: int) -> Tensor:
     if pad == 0:
         return x
     widths = [(0, 0)] * (x.ndim - 1) + [(pad, pad)]
-    out = Tensor(np.pad(x.data, widths), requires_grad=x.requires_grad, _prev=(x,))
-
-    def backward(out) -> None:
-        if x.requires_grad:
+    rg = x.requires_grad
+    out = Tensor(np.pad(x.data, widths), requires_grad=rg,
+                 _prev=(x,) if rg else ())
+    if rg:
+        def backward(out) -> None:
             sl = tuple([slice(None)] * (x.ndim - 1) + [slice(pad, -pad)])
             x._accumulate(out.grad[sl])
 
-    out._backward = backward
+        out._backward = backward
     return out
 
 

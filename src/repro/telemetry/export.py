@@ -9,10 +9,6 @@ on the single simulated timebase — so a faulted elastic-training run shows
 scheduler placements, ring-allreduce steps, checkpoint writes and the
 fault that caused them interleaved in one viewer.
 
-:mod:`repro.distributed.timeline` (the original Horovod-style recorder)
-delegates its per-event serialisation to :func:`chrome_complete_event`
-below, so there is exactly one implementation of the event format.
-
 All output is byte-deterministic for a given span list: processes/threads
 are numbered in sorted order and events sort on the spans' deterministic
 ``(start, track, lane, seq)`` key.

@@ -19,7 +19,6 @@ import pytest
 
 from repro.bench.runner import (
     compare_docs,
-    compare_timing,
     load_artifact_dir,
     run_bench,
     write_artifacts,
@@ -40,7 +39,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 @pytest.fixture(scope="module")
 def quick_run():
     """One deterministic quick run over every registered area."""
-    return run_bench(quick=True, seed=0, wall=False)
+    return run_bench(quick=True, seed=0)
 
 
 class TestDeterminism:
@@ -48,15 +47,15 @@ class TestDeterminism:
         assert set(CORE_AREAS) <= set(quick_run)
 
     def test_same_seed_runs_are_byte_identical(self, quick_run, tmp_path):
-        rerun = run_bench(quick=True, seed=0, wall=False)
-        for area, arts in quick_run.items():
-            assert dumps_canonical(arts.doc) == \
-                dumps_canonical(rerun[area].doc), f"area {area} drifted"
+        rerun = run_bench(quick=True, seed=0)
+        for area, doc in quick_run.items():
+            assert dumps_canonical(doc) == \
+                dumps_canonical(rerun[area]), f"area {area} drifted"
 
     def test_different_seed_changes_workload_digests(self, quick_run):
-        other = run_bench(areas=["events"], quick=True, seed=1, wall=False)
-        a = quick_run["events"].doc["cases"]["des_event_throughput"]
-        b = other["events"].doc["cases"]["des_event_throughput"]
+        other = run_bench(areas=["events"], quick=True, seed=1)
+        a = quick_run["events"]["cases"]["des_event_throughput"]
+        b = other["events"]["cases"]["des_event_throughput"]
         assert a["digests"] != b["digests"]
 
     def test_written_artifacts_roundtrip_validated(self, quick_run,
@@ -64,19 +63,17 @@ class TestDeterminism:
         paths = write_artifacts(quick_run, tmp_path)
         assert {p.name for p in paths} == \
             {f"BENCH_{a}.json" for a in quick_run}
+        # Nothing but the deterministic artifacts lands in the directory.
+        assert set(tmp_path.iterdir()) == set(paths)
         docs = load_artifact_dir(tmp_path)
         assert set(docs) == set(quick_run)
         for area, doc in docs.items():
-            assert doc == json.loads(dumps_canonical(quick_run[area].doc))
-
-
-def _docs(quick_run):
-    return {area: arts.doc for area, arts in quick_run.items()}
+            assert doc == json.loads(dumps_canonical(quick_run[area]))
 
 
 class TestCompare:
     def test_identical_runs_pass(self, quick_run):
-        report = compare_docs(_docs(quick_run), _docs(quick_run))
+        report = compare_docs(quick_run, quick_run)
         assert report.ok
         assert not report.improvements
 
@@ -84,7 +81,7 @@ class TestCompare:
         # Doctor the *baseline* so every lower-is-better budgeted metric
         # looks like the current run regressed 2x against it (and every
         # higher-is-better one like it halved).
-        current = _docs(quick_run)
+        current = quick_run
         baseline = copy.deepcopy(current)
         doctored = 0
         for doc in baseline.values():
@@ -105,7 +102,7 @@ class TestCompare:
         assert "REGRESSIONS" in report.to_text()
 
     def test_regression_within_tolerance_passes(self, quick_run):
-        current = _docs(quick_run)
+        current = quick_run
         baseline = copy.deepcopy(current)
         case = baseline["mpi"]["cases"]["p2p_message_rate"]
         tol = case["budgets"]["sim_time_s"]["tolerance"]
@@ -113,7 +110,7 @@ class TestCompare:
         assert compare_docs(current, baseline).ok
 
     def test_missing_area_is_a_regression(self, quick_run):
-        current = _docs(quick_run)
+        current = quick_run
         baseline = dict(current)
         current = {a: d for a, d in current.items() if a != "events"}
         report = compare_docs(current, baseline)
@@ -121,7 +118,7 @@ class TestCompare:
         assert any(d.area == "events" for d in report.regressions)
 
     def test_digest_drift_is_a_note_not_a_failure(self, quick_run):
-        current = _docs(quick_run)
+        current = quick_run
         baseline = copy.deepcopy(current)
         case = baseline["training"]["cases"]["fused_allreduce_step"]
         case["digests"]["loss_trajectory"] = "0" * 16
@@ -133,7 +130,7 @@ class TestCompare:
         # The scheduler case exists so matchmaking can never silently go
         # back to re-scoring the whole backlog per event (~400 evaluations
         # per placement at this size instead of <= one per module).
-        baseline = _docs(quick_run)
+        baseline = quick_run
         current = copy.deepcopy(baseline)
         case = current["scheduler"]["cases"]["scheduler_backlog_drain"]
         assert case["metrics"]["evals_per_placement"] <= 3.0
@@ -142,13 +139,6 @@ class TestCompare:
         assert not report.ok
         assert [(d.area, d.metric) for d in report.regressions] == [
             ("scheduler", "evals_per_placement")]
-
-    def test_compare_timing_flags_wall_regression(self):
-        base = {"mpi": {"cases": {"c": {"k": {"best_s": 1.0}}}}}
-        fast = {"mpi": {"cases": {"c": {"k": {"best_s": 1.2}}}}}
-        slow = {"mpi": {"cases": {"c": {"k": {"best_s": 2.0}}}}}
-        assert compare_timing(fast, base, tolerance=0.5).ok
-        assert not compare_timing(slow, base, tolerance=0.5).ok
 
 
 class TestSchema:
@@ -210,7 +200,7 @@ class TestCommittedBaseline:
 
     def test_current_code_matches_committed_baseline(self, quick_run):
         docs = load_artifact_dir(REPO_ROOT / "benchmarks" / "baselines")
-        report = compare_docs(_docs(quick_run), docs)
+        report = compare_docs(quick_run, docs)
         assert report.ok, report.to_text()
 
 
@@ -219,7 +209,7 @@ class TestCli:
         """End-to-end: emit, compare-clean (0), compare-doctored (1)."""
         out = tmp_path / "out"
         env_cmd = [sys.executable, "-m", "repro.cli", "bench", "--quick",
-                   "--areas", "events", "--no-wall"]
+                   "--areas", "events"]
         run = subprocess.run(
             env_cmd + ["--out", str(out)], cwd=REPO_ROOT, text=True,
             capture_output=True,

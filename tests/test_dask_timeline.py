@@ -1,4 +1,4 @@
-"""The Dask-like delayed engine and the Horovod-style timeline."""
+"""The Dask-like delayed engine and the Horovod-timeline view of a trace."""
 
 import time
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.analytics import Delayed, compute, delayed
-from repro.distributed import Timeline, merge_timelines
 from repro.mpi import run_spmd
 from repro.mpi.runtime import spmd_sim_times
 
@@ -125,83 +124,10 @@ def _spy_list(calls):
 # ---------------------------------------------------------------------------
 
 class TestTimeline:
-    def test_records_comm_and_compute(self):
-        def fn(comm):
-            tl = Timeline(comm)
-            tl.mark_compute("forward", 0.010)
-            tl.record("allreduce", "comm", comm.allreduce,
-                      np.ones(10_000), nbytes=80_000)
-            tl.mark_compute("optimizer", 0.002)
-            return (len(tl.events), tl.total("compute"),
-                    tl.total("comm") > 0, tl.comm_fraction())
-
-        out = run_spmd(fn, 4)
-        for n_events, compute_total, has_comm, frac in out:
-            assert n_events == 3
-            assert compute_total == pytest.approx(0.012)
-            assert has_comm
-            assert 0.0 < frac < 1.0
-
-    def test_events_carry_simulated_times(self):
-        def fn(comm):
-            tl = Timeline(comm)
-            tl.mark_compute("a", 0.5)
-            tl.mark_compute("b", 0.25)
-            return [(e.name, e.start_s, e.duration_s) for e in tl.events]
-
-        events = run_spmd(fn, 1)[0]
-        assert events[0] == ("a", 0.0, 0.5)
-        assert events[1] == ("b", 0.5, 0.25)
-
-    def test_chrome_trace_structure(self):
-        def fn(comm):
-            tl = Timeline(comm)
-            tl.mark_compute("step", 0.001)
-            return tl.to_chrome_trace()
-
-        trace = run_spmd(fn, 2)[1]
-        event = trace["traceEvents"][0]
-        assert event["ph"] == "X"
-        assert event["tid"] == 1
-        assert event["dur"] == pytest.approx(1000.0)   # µs
-
-    def test_json_serialisable(self):
-        import json
-
-        def fn(comm):
-            tl = Timeline(comm)
-            tl.mark_compute("x", 0.001)
-            return tl.to_json()
-
-        payload = run_spmd(fn, 1)[0]
-        assert json.loads(payload)["displayTimeUnit"] == "ms"
-
-    def test_merge_orders_by_time(self):
-        def fn(comm):
-            tl = Timeline(comm)
-            tl.mark_compute("w", 0.001 * (comm.rank + 1))
-            tl.record("sync", "comm", comm.barrier)
-            return tl
-
-        timelines = run_spmd(fn, 3)
-        merged = merge_timelines(timelines)
-        stamps = [e["ts"] for e in merged["traceEvents"]]
-        assert stamps == sorted(stamps)
-        assert len(merged["traceEvents"]) == 6
-
-    def test_by_name(self):
-        def fn(comm):
-            tl = Timeline(comm)
-            tl.mark_compute("fwd", 0.001)
-            tl.mark_compute("fwd", 0.001)
-            tl.mark_compute("bwd", 0.002)
-            return len(tl.by_name("fwd"))
-
-        assert run_spmd(fn, 1) == [2]
-
     def test_training_loop_timeline_shows_comm_growth(self):
         """The instrument the paper's [20]-style tuning relies on: comm
         fraction visibly grows with the worker count."""
+        from repro import telemetry
         from repro.distributed import DistributedOptimizer, broadcast_parameters
         from repro.ml import SGD, Tensor, cross_entropy
         from repro.ml.models import MLP
@@ -214,15 +140,19 @@ class TestTimeline:
             model = MLP([2, 16, 2], seed=0)
             broadcast_parameters(model, comm)
             opt = DistributedOptimizer(SGD(model.parameters(), lr=0.1), comm)
-            tl = Timeline(comm)
             for _ in range(3):
-                tl.mark_compute("fwd+bwd", 0.005)
+                comm.compute(0.005)         # fwd+bwd
                 loss = cross_entropy(model(Tensor(X)), y)
                 opt.zero_grad()
                 loss.backward()
-                tl.record("allreduce", "comm", opt.step)
-            return tl.comm_fraction()
+                opt.step()
 
-        frac2 = run_spmd(fn, 2)[0]
-        frac8 = run_spmd(fn, 8)[0]
-        assert frac8 > frac2
+        def comm_fraction(world: int) -> float:
+            with telemetry.capture() as (tracer, _):
+                run_spmd(fn, world)
+            lane = [s for s in tracer.spans
+                    if (s.track, s.lane) == ("mpi", "rank000")]
+            comm = sum(s.duration_s for s in lane if s.category == "comm")
+            return comm / sum(s.duration_s for s in lane)
+
+        assert comm_fraction(8) > comm_fraction(2) > 0.0

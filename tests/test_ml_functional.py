@@ -40,6 +40,19 @@ class TestConv2d:
             F.conv2d(Tensor(np.ones((1, 2, 4, 4))),
                      Tensor(np.ones((1, 3, 3, 3))))
 
+    def test_constant_conv_beside_a_trainable_operand(self):
+        """A conv none of whose inputs needs a gradient is a graph leaf:
+        backward through a sibling operand must not visit it."""
+        x = Tensor(rng.normal(size=(1, 2, 4, 4)))
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)))
+        p = Tensor(rng.normal(size=(1, 3, 2, 2)), requires_grad=True)
+        conv = F.conv2d(x, w)
+        assert conv._prev == () and not conv.requires_grad
+        (conv + p).sum().backward()
+        np.testing.assert_array_equal(p.grad, np.ones(p.shape))
+        padded = F.pad1d(Tensor(np.ones((1, 2, 4))), 1)
+        assert padded._prev == ()
+
 
 class TestConv1d:
     def test_output_shape(self):

@@ -1,0 +1,55 @@
+"""``benchmarks/e2e`` is the only code that reads the host clock.
+
+Everything under ``src/repro`` and every paper-figure ``bench_*.py`` runs
+on the simulated clock, so no report field, bench artifact or assertion
+can differ between two runs of the same seed, however busy the host is.
+An AST scan rather than a grep: it sees ``from time import perf_counter``
+and aliased imports, and does not trip over the words in a docstring.
+"""
+
+import ast
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+HOST_CLOCKS = {"perf_counter", "time", "monotonic", "process_time"}
+SCANNED = sorted([*(REPO_ROOT / "src" / "repro").rglob("*.py"),
+                  *(REPO_ROOT / "benchmarks").glob("bench_*.py")])
+
+
+def host_clock_reads(source: str) -> list[int]:
+    """Line numbers of every reference to a host clock in ``source``."""
+    tree = ast.parse(source)
+    time_modules = {"time"}
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            time_modules.update(a.asname for a in node.names
+                                if a.name == "time" and a.asname)
+        elif isinstance(node, ast.ImportFrom) and node.module == "time":
+            hits += [node.lineno for a in node.names if a.name in HOST_CLOCKS]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in HOST_CLOCKS
+                and isinstance(node.value, ast.Name)
+                and node.value.id in time_modules):
+            hits.append(node.lineno)
+    return sorted(hits)
+
+
+def test_scanner_sees_every_spelling():
+    assert host_clock_reads("import time\nt = time.perf_counter()\n") == [2]
+    assert host_clock_reads("import time as t\nx = t.monotonic\n") == [2]
+    assert host_clock_reads("from time import process_time as p\n") == [1]
+    assert host_clock_reads(
+        '"""mentions time.time()"""\nimport time\ntime.sleep(0)\n') == []
+
+
+def test_scan_covers_both_trees():
+    names = {p.name for p in SCANNED}
+    assert {"cascade.py", "runner.py", "bench_fig3_parallel_svm.py"} <= names
+    assert not any("e2e" in p.parts for p in SCANNED)
+
+
+def test_no_host_clock_outside_e2e():
+    offenders = {str(path.relative_to(REPO_ROOT)): hits for path in SCANNED
+                 if (hits := host_clock_reads(path.read_text()))}
+    assert not offenders, f"host clock read at {offenders}"

@@ -219,6 +219,8 @@ class TestCascade:
         result = run_spmd(fn, 4)[0]
         assert len(result.local_times) == 4
         assert all(t > 0 for t in result.local_times)
+        # Modeled work on the sim clock, not host time: a rerun agrees exactly.
+        assert run_spmd(fn, 4)[0].local_times == result.local_times
 
 
 class TestEnsemble:
