@@ -23,10 +23,13 @@ import numpy as np
 from repro import telemetry
 from repro.mpi.comm import Communicator, ReduceOp
 from repro.ml.layers import Parameter
+from repro.ml.optim import adam_update
 
 
 class ZeroStage1Optimizer:
     """Adam with optimiser state sharded across data-parallel ranks."""
+
+    _span = "zero1-step"        #: telemetry name of one step
 
     def __init__(
         self,
@@ -100,39 +103,27 @@ class ZeroStage1Optimizer:
     def step(self) -> None:
         """Average gradients, update the local shard, allgather weights."""
         with telemetry.get_tracer().span(
-                "zero1-step", "train", lambda: self.comm.sim_time,
+                self._span, "train", lambda: self.comm.sim_time,
                 track="train", lane=self.comm._lane()):
-            self._do_step()
+            self._step_count += 1
+            g = self._grad_shard(self._fused_grad())
+            theta = self._fused_param()[self._lo:self._hi]
+            theta = theta - adam_update(self, theta, g, self._m, self._v)
+            self._write_back(self._gather(theta) if self.comm.size > 1
+                             else theta)
 
-    def _do_step(self) -> None:
-        self._step_count += 1
-        grad = self._fused_grad()
+    def _grad_shard(self, grad: np.ndarray) -> np.ndarray:
+        """This rank's ``[_lo, _hi)`` slice of the rank-averaged gradient."""
         if self.comm.size > 1:
             grad = self.comm.allreduce(grad, op=ReduceOp.SUM) / self.comm.size
+        return grad[self._lo:self._hi]
 
-        lo, hi = self._lo, self._hi
-        g = grad[lo:hi]
-        theta = self._fused_param()[lo:hi]
-        if self.weight_decay:
-            g = g + self.weight_decay * theta
-
-        t = self._step_count
-        self._m *= self.beta1
-        self._m += (1 - self.beta1) * g
-        self._v *= self.beta2
-        self._v += (1 - self.beta2) * g ** 2
-        m_hat = self._m / (1 - self.beta1 ** t)
-        v_hat = self._v / (1 - self.beta2 ** t)
-        theta = theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-        if self.comm.size > 1:
-            shards = self.comm.allgather(theta)
-            fused = np.concatenate(shards)
-        else:
-            fused = theta
+    def _gather(self, theta: np.ndarray) -> np.ndarray:
+        """Every rank's updated shard, reassembled."""
+        fused = np.concatenate(self.comm.allgather(theta))
         if fused.shape[0] != self.total_elements:
             raise RuntimeError("shard reassembly size mismatch")
-        self._write_back(fused)
+        return fused
 
     @property
     def step_count(self) -> int:
@@ -150,21 +141,15 @@ class ZeroStage2Optimizer(ZeroStage1Optimizer):
     step is the same 2·n·(p-1)/p bytes a ring allreduce moves.
     """
 
+    _span = "zero2-step"
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         # Stage 2 shards along the ring reduce-scatter's chunk boundaries,
         # which differ from stage 1's contiguous split: chunk (rank+1)%p.
         self.peak_grad_shard_bytes = 0
 
-    def step(self) -> None:
-        with telemetry.get_tracer().span(
-                "zero2-step", "train", lambda: self.comm.sim_time,
-                track="train", lane=self.comm._lane()):
-            self._do_step()
-
-    def _do_step(self) -> None:
-        self._step_count += 1
-        grad = self._fused_grad()
+    def _grad_shard(self, grad: np.ndarray) -> np.ndarray:
         if self.comm.size > 1:
             shard, (lo, hi) = self.comm.reduce_scatter(grad)
             shard = shard / self.comm.size
@@ -177,32 +162,17 @@ class ZeroStage2Optimizer(ZeroStage1Optimizer):
             self._m = np.zeros(hi - lo)
             self._v = np.zeros(hi - lo)
         self._lo, self._hi = lo, hi
+        return shard
 
-        theta = self._fused_param()[lo:hi]
-        g = shard
-        if self.weight_decay:
-            g = g + self.weight_decay * theta
-        t = self._step_count
-        self._m *= self.beta1
-        self._m += (1 - self.beta1) * g
-        self._v *= self.beta2
-        self._v += (1 - self.beta2) * g ** 2
-        m_hat = self._m / (1 - self.beta1 ** t)
-        v_hat = self._v / (1 - self.beta2 ** t)
-        theta = theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-        if self.comm.size > 1:
-            pieces = self.comm.allgather((lo, theta))
-            fused = np.empty(self.total_elements)
-            covered = 0
-            for plo, chunk in pieces:
-                fused[plo:plo + chunk.shape[0]] = chunk
-                covered += chunk.shape[0]
-            if covered != self.total_elements:
-                raise RuntimeError("stage-2 shard reassembly mismatch")
-        else:
-            fused = theta
-        self._write_back(fused)
+    def _gather(self, theta: np.ndarray) -> np.ndarray:
+        fused = np.empty(self.total_elements)
+        covered = 0
+        for plo, chunk in self.comm.allgather((self._lo, theta)):
+            fused[plo:plo + chunk.shape[0]] = chunk
+            covered += chunk.shape[0]
+        if covered != self.total_elements:
+            raise RuntimeError("stage-2 shard reassembly mismatch")
+        return fused
 
     @property
     def grad_memory_saving_factor(self) -> float:

@@ -4,8 +4,8 @@ Everything :class:`~repro.ml.tensor.Tensor` can defer lowers to a tiny,
 tinygrad-style op set:
 
 * **unary** elementwise — ``neg exp log tanh sigmoid relu abs clip pow``,
-* **binary** elementwise — ``add mul div`` (``sub`` stays ``add(neg)``,
-  exactly as the eager path composes it),
+* **binary** elementwise — ``add mul div`` (``sub`` is ``add(neg)``, composed
+  by the Tensor layer),
 * **reduce** — ``sum max`` over an axis set,
 * **matmul** — batched 2-D contraction (1-D operands are lifted by the
   Tensor layer before they reach the engine),
@@ -13,10 +13,11 @@ tinygrad-style op set:
 
 Each op carries a shape/dtype inference rule (so lazy tensors answer
 ``.shape``/``.dtype`` without computing), a FLOP estimate (what the
-simulated-GPU device charges), and an executor that reproduces the eager
-NumPy call *bit for bit* — fusion may eliminate intermediate buffers via
-``out=`` reuse, but never reorders or reassociates float math.  That is
-the property the reference-replay pins in
+simulated-GPU device charges), and an executor — the op's only forward
+definition: eager calls it per op (``out_buf=None``), a fused kernel
+replays it with ``out=`` reuse that may eliminate intermediate buffers
+but never reorders or reassociates float math, so the two engines agree
+*bit for bit*.  That is the property the reference-replay pins in
 ``tests/test_perf_regression_pins.py`` enforce.
 """
 
@@ -139,7 +140,7 @@ def _pad2d_infer(shapes, dtypes, kw):
     return s[:-2] + (s[-2] + 2 * p, s[-1] + 2 * p), dtypes[0]
 
 
-# -- executors (bit-identical to the eager NumPy expressions) ---------------
+# -- executors: the only forward definition of each op, run by both engines --
 
 
 def _exec_neg(args, kw, out):
@@ -159,16 +160,15 @@ def _exec_tanh(args, kw, out):
 
 
 def _exec_sigmoid(args, kw, out):
-    # Eager computes 1.0 / (1.0 + np.exp(-x)); replay the exact ufunc
-    # sequence, folding all temporaries into one buffer.
-    t = np.negative(args[0], out=out)
+    # 1 / (1 + exp(-x)) with every temporary folded into one buffer; a
+    # 0-d negative is a NumPy scalar, which no ``out=`` accepts.
+    t = np.asarray(np.negative(args[0], out=out))
     np.exp(t, out=t)
     np.add(t, 1.0, out=t)
     return np.true_divide(1.0, t, out=t)
 
 
 def _exec_relu(args, kw, out):
-    # Eager computes x * (x > 0).
     return np.multiply(args[0], args[0] > 0, out=out)
 
 
@@ -180,8 +180,20 @@ def _exec_clip(args, kw, out):
     return np.clip(args[0], kw["lo"], kw["hi"], out=out)
 
 
+#: Python-scalar exponents ``ndarray.__pow__`` itself hands to a dedicated
+#: ufunc, at half the cost of the generic ``np.power`` loop.  Keyed by type
+#: too — an ``np.float64`` exponent promotes a float32 base, which only
+#: ``np.power`` does.
+_POW_UFUNC = {(int, 2): np.square, (float, 2.0): np.square,
+              (float, 0.5): np.sqrt}
+
+
 def _exec_pow(args, kw, out):
-    return np.power(args[0], kw["exponent"], out=out)
+    exponent = kw["exponent"]
+    ufunc = _POW_UFUNC.get((exponent.__class__, exponent))
+    if ufunc is not None:
+        return ufunc(args[0], out=out)
+    return np.power(args[0], exponent, out=out)
 
 
 def _exec_add(args, kw, out):
@@ -197,11 +209,11 @@ def _exec_div(args, kw, out):
 
 
 def _exec_sum(args, kw, out):
-    return np.sum(args[0], axis=kw["axis"], keepdims=kw["keepdims"])
+    return args[0].sum(axis=kw["axis"], keepdims=kw["keepdims"])
 
 
 def _exec_max(args, kw, out):
-    return np.max(args[0], axis=kw["axis"], keepdims=kw["keepdims"])
+    return args[0].max(axis=kw["axis"], keepdims=kw["keepdims"])
 
 
 def _exec_matmul(args, kw, out):

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ml.tensor import Tensor
+from repro.ml.tensor import Tensor, _node
 
 
 # ---------------------------------------------------------------------------
@@ -72,24 +72,20 @@ def conv2d(
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, -1, 1, 1)
 
-    prev = (x, weight) + ((bias,) if bias is not None else ())
-    rg = any(t.requires_grad for t in prev)
-    out = Tensor(out_data, requires_grad=rg, _prev=prev if rg else ())
-    if rg:
-        def backward(out) -> None:
-            g = out.grad.transpose(0, 2, 3, 1)        # (N, oh, ow, out_c)
-            if weight.requires_grad:
-                gw = np.tensordot(g, cols, axes=([0, 1, 2], [0, 1, 2]))
-                weight._accumulate(gw.reshape(wd.shape), fresh=True)
-            if x.requires_grad:
-                gcols = g @ wmat                      # (N, oh, ow, C*kh*kw)
-                x._accumulate(_col2im(gcols, xd.shape, kh, kw, stride),
-                              fresh=True)
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(out.grad.sum(axis=(0, 2, 3)), fresh=True)
+    def backward(out) -> None:
+        g = out.grad.transpose(0, 2, 3, 1)            # (N, oh, ow, out_c)
+        if weight.requires_grad:
+            gw = np.tensordot(g, cols, axes=([0, 1, 2], [0, 1, 2]))
+            weight._accumulate(gw.reshape(wd.shape), fresh=True)
+        if x.requires_grad:
+            gcols = g @ wmat                          # (N, oh, ow, C*kh*kw)
+            x._accumulate(_col2im(gcols, xd.shape, kh, kw, stride),
+                          fresh=True)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(out.grad.sum(axis=(0, 2, 3)), fresh=True)
 
-        out._backward = backward
-    return out
+    return _node(out_data, (x, weight) if bias is None else (x, weight, bias),
+                 backward)
 
 
 def conv1d(
@@ -116,16 +112,12 @@ def pad1d(x: Tensor, pad: int) -> Tensor:
     if pad == 0:
         return x
     widths = [(0, 0)] * (x.ndim - 1) + [(pad, pad)]
-    rg = x.requires_grad
-    out = Tensor(np.pad(x.data, widths), requires_grad=rg,
-                 _prev=(x,) if rg else ())
-    if rg:
-        def backward(out) -> None:
-            sl = tuple([slice(None)] * (x.ndim - 1) + [slice(pad, -pad)])
-            x._accumulate(out.grad[sl])
 
-        out._backward = backward
-    return out
+    def backward(out) -> None:
+        sl = tuple([slice(None)] * (x.ndim - 1) + [slice(pad, -pad)])
+        x._accumulate(out.grad[sl])
+
+    return _node(np.pad(x.data, widths), (x,), backward)
 
 
 def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tensor:
@@ -139,9 +131,6 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
     shape = (n, c, out_h, out_w, kernel, kernel)
     strides = (s0, s1, s2 * stride, s3 * stride, s2, s3)
     patches = np.lib.stride_tricks.as_strided(xd, shape=shape, strides=strides)
-    out_data = patches.max(axis=(4, 5))
-    out = Tensor(out_data, requires_grad=x.requires_grad, _prev=(x,))
-
     if x.requires_grad:
         # The backward scatter index, computed once: where each window's
         # maximum sits, as an element offset into a gradient laid out in
@@ -156,8 +145,6 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
                   + (np.arange(out_w) * stride + jj) * e3)
 
     def backward(out) -> None:
-        if not x.requires_grad:
-            return
         flat_grad = np.zeros(xd.size, dtype=xd.dtype)
         if stride >= kernel:
             # Windows cannot collide, so a fancy ``+=`` adds each once.
@@ -167,8 +154,7 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
         x._accumulate(np.lib.stride_tricks.as_strided(
             flat_grad, shape=xd.shape, strides=grad_strides), fresh=True)
 
-    out._backward = backward
-    return out
+    return _node(patches.max(axis=(4, 5)), (x,), backward)
 
 
 def avg_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tensor:
@@ -182,12 +168,9 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
     shape = (n, c, out_h, out_w, kernel, kernel)
     strides = (s0, s1, s2 * stride, s3 * stride, s2, s3)
     patches = np.lib.stride_tricks.as_strided(xd, shape=shape, strides=strides)
-    out = Tensor(patches.mean(axis=(4, 5)), requires_grad=x.requires_grad, _prev=(x,))
     scale = 1.0 / (kernel * kernel)
 
     def backward(out) -> None:
-        if not x.requires_grad:
-            return
         grad = np.zeros_like(xd)
         g = out.grad * scale
         for i in range(kernel):
@@ -195,8 +178,7 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
                 grad[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += g
         x._accumulate(grad, fresh=True)
 
-    out._backward = backward
-    return out
+    return _node(patches.mean(axis=(4, 5)), (x,), backward)
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:

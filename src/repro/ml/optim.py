@@ -15,7 +15,8 @@ from repro.ml.layers import Parameter
 
 
 class Optimizer:
-    """Base: holds parameters, applies steps, supports lr scheduling."""
+    """Base: holds parameters, counts steps, supports lr scheduling; a
+    subclass defines ``step()``."""
 
     def __init__(self, params: Sequence[Parameter], lr: float) -> None:
         self.params = list(params)
@@ -29,16 +30,6 @@ class Optimizer:
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
-
-    def step(self) -> None:
-        self._step_count += 1
-        for p in self.params:
-            if p.grad is None:
-                continue
-            self._update(p)
-
-    def _update(self, p: Parameter) -> None:
-        raise NotImplementedError
 
     @property
     def step_count(self) -> int:
@@ -90,26 +81,30 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         self._step_count += 1
-        t = self._step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
         for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            m, v = self._m[i], self._v[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad ** 2
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if p.grad is not None:
+                p.data -= adam_update(self, p.data, p.grad,
+                                      self._m[i], self._v[i])
 
-    def _update(self, p: Parameter) -> None:  # pragma: no cover - step() overrides
-        raise NotImplementedError
+
+def adam_update(opt, theta: np.ndarray, grad: np.ndarray,
+                m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The Adam update of one parameter — or of one flat shard of all of
+    them (:mod:`repro.distributed.deepspeed`): advance its moments ``m``
+    and ``v`` in place by ``grad`` and return what to subtract from
+    ``theta``.  ``opt`` carries ``lr``, ``beta1``, ``beta2``, ``eps``,
+    ``weight_decay`` and a ``step_count`` that already counts this step.
+    """
+    if opt.weight_decay:
+        grad = grad + opt.weight_decay * theta
+    t = opt.step_count
+    m *= opt.beta1
+    m += (1.0 - opt.beta1) * grad
+    v *= opt.beta2
+    v += (1.0 - opt.beta2) * grad ** 2
+    m_hat = m / (1.0 - opt.beta1 ** t)
+    v_hat = v / (1.0 - opt.beta2 ** t)
+    return opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
 
 
 def clip_grad_norm(params: Sequence[Parameter], max_norm: float) -> float:

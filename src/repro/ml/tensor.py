@@ -9,22 +9,23 @@ back over broadcast dimensions (:func:`unbroadcast`).
 
 Execution modes (``ENGINE=eager|lazy``, see :mod:`repro.ml.engine`):
 
-* **eager** (default) — every op calls NumPy immediately, exactly the
-  original op-by-op path;
+* **eager** (default) — every op runs its executor immediately;
 * **lazy** — primitive ops record graph nodes; demanding bytes
   (``.data``, ``.item()``, ``backward()``, a boundary op such as conv2d)
   finds the pending subgraph's compiled plan (or schedules it through
   the fuser, once) and replays its fused kernels on the current device
-  (``cpu`` or ``sim-gpu``).  Each op marks what its backward closure
-  will read (:data:`_BACKWARD_READS`), the fuser keeps those values as
-  kernel outputs, and ``backward()`` therefore recomputes nothing.
+  (``cpu`` or ``sim-gpu``).  Each op states what its backward closure
+  reads (the ``reads`` of :func:`_apply`), the fuser keeps those values
+  as kernel outputs, and ``backward()`` therefore recomputes nothing.
 
-Both modes are bit-identical by construction: fused kernels replay the
-same ufunc sequence in the same order, only eliding intermediate buffer
-allocations.  Dtypes are preserved — float32 stays float32 end-to-end;
-integer inputs promote to float64 (gradients need a float domain); a
-python scalar operand adopts the tensor's dtype (weak promotion), so
-``x * 0.5`` never silently upcasts a float32 model.
+Both modes are bit-identical by construction: every primitive goes
+through :func:`_apply`, whose two branches run the same
+:data:`~repro.ml.engine.ops.OPS` executor — now, or from a fused kernel
+that replays the same ufunc sequence in the same order and only elides
+intermediate buffer allocations.  Dtypes are preserved — float32 stays
+float32 end-to-end; integer inputs promote to float64 (gradients need a
+float domain); a python scalar operand adopts the tensor's dtype (weak
+promotion), so ``x * 0.5`` never silently upcasts a float32 model.
 
 Everything is vectorised NumPy — per the optimisation guides, no Python
 loops inside kernels; convolutions (in :mod:`repro.ml.functional`) lower
@@ -39,6 +40,7 @@ import numpy as np
 
 from repro.ml.engine import state as _engine_state
 from repro.ml.engine.graph import LazyExpr
+from repro.ml.engine.ops import OPS
 from repro.ml.engine.stats import STATS as _STATS
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list]
@@ -85,27 +87,55 @@ def _is_basic_index(idx) -> bool:
         for i in (idx if isinstance(idx, tuple) else (idx,)))
 
 
-def _eager(arr: np.ndarray) -> np.ndarray:
-    """Count one eager op + its output allocation when stats are on."""
-    st = _STATS
-    if st.enabled:
-        st.eager_ops += 1
-        st.eager_alloc_bytes += arr.nbytes
-    return arr
+def _node(data, parents: tuple["Tensor", ...], backward) -> "Tensor":
+    """The result of a differentiable op over ``parents``: it joins the
+    autograd graph (keeps ``parents`` and ``backward``) only if a parent
+    requires grad, so an inference pass holds no input alive."""
+    for p in parents:
+        if p.requires_grad:
+            out = Tensor(data, True, parents)
+            out._backward = backward
+            return out
+    return Tensor(data)
 
 
-#: The values (shapes are free) each primitive's backward closure reads,
-#: per grad-requiring operand: operand positions, ``-1`` = the op's output.
-#: ``add``/``neg``/``sum`` and the movement ops read none.
-_BACKWARD_READS: dict[str, tuple[tuple[int, ...], ...]] = {
-    "mul": ((1,), (0,)),            # d/da reads b, d/db reads a
-    "div": ((1,), (0, 1)),
-    "matmul": ((1,), (0,)),
-    "pow": ((0,),), "log": ((0,),), "relu": ((0,),), "abs": ((0,),),
-    "clip": ((0,),),
-    "exp": ((-1,),), "tanh": ((-1,),), "sigmoid": ((-1,),),
-    "max": ((0, -1),),
-}
+def _apply(op: str, parents: tuple["Tensor", ...], backward,
+           reads: tuple[tuple[int, ...], ...] = (), **kwargs) -> "Tensor":
+    """The one path of every primitive: run or record ``OPS[op]`` over
+    ``parents``, then build the node as :func:`_node` does.
+
+    ``reads`` states, per parent, which values (shapes are free)
+    ``backward`` reads for that parent's gradient — operand positions,
+    ``-1`` the op's output.  Lazy marks them ``saved`` so fusion keeps
+    them materialized; eager runs the same executor a fused kernel
+    replays, counting the op and its output buffer when stats are on.
+    """
+    if _engine_state.lazy:
+        nodes = tuple([p._payload() for p in parents])
+        data = LazyExpr.make(op, nodes, **kwargs)
+        if reads:
+            nodes += (data,)
+            for p, values in zip(parents, reads):
+                if p.requires_grad:
+                    for i in values:
+                        nodes[i].saved = True
+    else:
+        spec = OPS[op]
+        args = []
+        for p in parents:           # ``p.data``, minus the property call
+            d = p._data
+            args.append(d if d is not None else p.data)
+        data = spec.execute(args, kwargs, None)
+        if spec.allocates and _STATS.enabled:
+            _STATS.eager_ops += 1
+            _STATS.eager_alloc_bytes += data.nbytes
+    # :func:`_node`, spelled out: the hot path stays two frames per op.
+    for p in parents:
+        if p.requires_grad:
+            out = Tensor(data, True, parents)
+            out._backward = backward
+            return out
+    return Tensor(data)
 
 
 class Tensor:
@@ -177,25 +207,6 @@ class Tensor:
         """Force materialization (no-op in eager mode)."""
         _ = self.data
         return self
-
-    def _fwd(self, op: str, *others: "Tensor", **kwargs) -> object:
-        """Forward payload for a primitive op: LazyExpr (lazy) or None
-        (eager — caller computes the ndarray inline).  Under lazy, what
-        the op's backward closure will read is marked ``saved`` so fusion
-        keeps it materialized."""
-        if not _engine_state.lazy:
-            return None
-        operands = (self, *others)
-        nodes = tuple([t._payload() for t in operands])
-        node = LazyExpr.make(op, nodes, **kwargs)
-        reads = _BACKWARD_READS.get(op)
-        if reads is not None:
-            nodes += (node,)
-            for t, values in zip(operands, reads):
-                if t.requires_grad:
-                    for i in values:
-                        nodes[i].saved = True
-        return node
 
     # -- introspection --------------------------------------------------------
     @property
@@ -336,10 +347,6 @@ class Tensor:
                 node.grad = None
 
     @staticmethod
-    def _needs_grad(*tensors: "Tensor") -> bool:
-        return any(t.requires_grad for t in tensors)
-
-    @staticmethod
     def as_tensor(x: ArrayLike) -> "Tensor":
         return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -357,98 +364,64 @@ class Tensor:
     # -- arithmetic -------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
-        rg = self.requires_grad or other.requires_grad
-        data = self._fwd("add", other)
-        if data is None:
-            data = _eager(self.data + other.data)
-        out = Tensor(data, requires_grad=rg,
-                     _prev=(self, other) if rg else ())
-        if rg:
-            def backward(out) -> None:
-                # Same shape: pass out.grad on; broadcast: a fresh sum.
-                g = out.grad
-                if self.requires_grad:
-                    ga = unbroadcast(g, self.shape)
-                    self._accumulate(ga, fresh=ga is not g)
-                if other.requires_grad:
-                    gb = unbroadcast(g, other.shape)
-                    other._accumulate(gb, fresh=gb is not g)
 
-            out._backward = backward
-        return out
+        def backward(out) -> None:
+            # Same shape: pass out.grad on; broadcast: a fresh sum.
+            g = out.grad
+            if self.requires_grad:
+                ga = unbroadcast(g, self.shape)
+                self._accumulate(ga, fresh=ga is not g)
+            if other.requires_grad:
+                gb = unbroadcast(g, other.shape)
+                other._accumulate(gb, fresh=gb is not g)
+
+        return _apply("add", (self, other), backward)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
-        rg = self.requires_grad or other.requires_grad
-        data = self._fwd("mul", other)
-        if data is None:
-            data = _eager(self.data * other.data)
-        out = Tensor(data, requires_grad=rg,
-                     _prev=(self, other) if rg else ())
-        if rg:
-            def backward(out) -> None:
-                if self.requires_grad:
-                    self._accumulate(unbroadcast(out.grad * other.data,
-                                                 self.shape), fresh=True)
-                if other.requires_grad:
-                    other._accumulate(unbroadcast(out.grad * self.data,
-                                                  other.shape), fresh=True)
 
-            out._backward = backward
-        return out
+        def backward(out) -> None:
+            if self.requires_grad:
+                self._accumulate(unbroadcast(out.grad * other.data,
+                                             self.shape), fresh=True)
+            if other.requires_grad:
+                other._accumulate(unbroadcast(out.grad * self.data,
+                                              other.shape), fresh=True)
+
+        return _apply("mul", (self, other), backward, ((1,), (0,)))
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-self._coerce(other))
 
     def __neg__(self) -> "Tensor":
-        rg = self.requires_grad
-        data = self._fwd("neg")
-        if data is None:
-            data = _eager(-self.data)
-        out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
-        if rg:
-            def backward(out) -> None:
-                self._accumulate(-out.grad, fresh=True)
+        def backward(out) -> None:
+            self._accumulate(-out.grad, fresh=True)
 
-            out._backward = backward
-        return out
+        return _apply("neg", (self,), backward)
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
-        rg = self.requires_grad or other.requires_grad
-        data = self._fwd("div", other)
-        if data is None:
-            data = _eager(self.data / other.data)
-        out = Tensor(data, requires_grad=rg,
-                     _prev=(self, other) if rg else ())
-        if rg:
-            def backward(out) -> None:
-                if self.requires_grad:
-                    self._accumulate(unbroadcast(out.grad / other.data,
-                                                 self.shape), fresh=True)
-                if other.requires_grad:
-                    other._accumulate(unbroadcast(
-                        -out.grad * self.data / (other.data ** 2),
-                        other.shape), fresh=True)
 
-            out._backward = backward
-        return out
+        def backward(out) -> None:
+            if self.requires_grad:
+                self._accumulate(unbroadcast(out.grad / other.data,
+                                             self.shape), fresh=True)
+            if other.requires_grad:
+                other._accumulate(unbroadcast(
+                    -out.grad * self.data / (other.data ** 2),
+                    other.shape), fresh=True)
+
+        return _apply("div", (self, other), backward, ((1,), (0, 1)))
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        rg = self.requires_grad
-        data = self._fwd("pow", exponent=exponent)
-        if data is None:
-            data = _eager(self.data ** exponent)
-        out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
-        if rg:
-            def backward(out) -> None:
-                self._accumulate(out.grad * exponent
-                                 * self.data ** (exponent - 1), fresh=True)
 
-            out._backward = backward
-        return out
+        def backward(out) -> None:
+            self._accumulate(out.grad * exponent
+                             * self.data ** (exponent - 1), fresh=True)
+
+        return _apply("pow", (self,), backward, ((0,),), exponent=exponent)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -479,101 +452,75 @@ class Tensor:
 
     def _matmul2d(self, other: "Tensor") -> "Tensor":
         """Batched matmul, both operands of ndim >= 2."""
-        rg = self.requires_grad or other.requires_grad
-        data = self._fwd("matmul", other)
-        if data is None:
-            data = _eager(self.data @ other.data)
-        out = Tensor(data, requires_grad=rg,
-                     _prev=(self, other) if rg else ())
-        if rg:
-            def backward(out) -> None:
-                g = out.grad
-                a, b = self.data, other.data
-                if self.requires_grad:
-                    ga = g @ np.swapaxes(b, -1, -2)
-                    self._accumulate(unbroadcast(ga, a.shape), fresh=True)
-                if other.requires_grad:
-                    gb = np.swapaxes(a, -1, -2) @ g
-                    other._accumulate(unbroadcast(gb, b.shape), fresh=True)
+        def backward(out) -> None:
+            g = out.grad
+            a, b = self.data, other.data
+            if self.requires_grad:
+                ga = g @ np.swapaxes(b, -1, -2)
+                self._accumulate(unbroadcast(ga, a.shape), fresh=True)
+            if other.requires_grad:
+                gb = np.swapaxes(a, -1, -2) @ g
+                other._accumulate(unbroadcast(gb, b.shape), fresh=True)
 
-            out._backward = backward
-        return out
+        return _apply("matmul", (self, other), backward, ((1,), (0,)))
 
     # -- elementwise nonlinearities ------------------------------------------------
-    def _unary(self, op: str, eager_fn, backward_fn, **kwargs) -> "Tensor":
-        """Shared scaffold: forward via engine or ``eager_fn(ndarray)``,
-        backward via ``backward_fn(self, out)`` (deferred — nothing reads
-        ``.data`` until gradients actually flow)."""
-        rg = self.requires_grad
-        data = self._fwd(op, **kwargs)
-        if data is None:
-            data = _eager(eager_fn(self.data))
-        out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
-        if rg:
-            def backward(out) -> None:
-                self._accumulate(backward_fn(self, out), fresh=True)
+    def _unary(self, op: str, read: int, grad_fn, **kwargs) -> "Tensor":
+        """An elementwise op whose gradient ``grad_fn(self, out)`` reads
+        one value: ``0`` this tensor, ``-1`` the op's output."""
+        def backward(out) -> None:
+            self._accumulate(grad_fn(self, out), fresh=True)
 
-            out._backward = backward
-        return out
+        return _apply(op, (self,), backward, ((read,),), **kwargs)
 
     def exp(self) -> "Tensor":
-        return self._unary("exp", np.exp,
-                           lambda t, out: out.grad * out.data)
+        return self._unary("exp", -1, lambda t, out: out.grad * out.data)
 
     def log(self) -> "Tensor":
-        return self._unary("log", np.log,
-                           lambda t, out: out.grad / t.data)
+        return self._unary("log", 0, lambda t, out: out.grad / t.data)
 
     def sqrt(self) -> "Tensor":
         return self ** 0.5
 
     def tanh(self) -> "Tensor":
-        return self._unary("tanh", np.tanh,
+        return self._unary("tanh", -1,
                            lambda t, out: out.grad * (1.0 - out.data ** 2))
 
     def sigmoid(self) -> "Tensor":
         return self._unary(
-            "sigmoid", lambda d: 1.0 / (1.0 + np.exp(-d)),
+            "sigmoid", -1,
             lambda t, out: out.grad * out.data * (1.0 - out.data))
 
     def relu(self) -> "Tensor":
-        return self._unary("relu", lambda d: d * (d > 0),
-                           lambda t, out: out.grad * (t.data > 0))
+        return self._unary("relu", 0, lambda t, out: out.grad * (t.data > 0))
 
     def abs(self) -> "Tensor":
-        return self._unary("abs", np.abs,
+        return self._unary("abs", 0,
                            lambda t, out: out.grad * np.sign(t.data))
 
     def clip(self, lo: float, hi: float) -> "Tensor":
         return self._unary(
-            "clip", lambda d: np.clip(d, lo, hi),
+            "clip", 0,
             lambda t, out: out.grad * ((t.data >= lo) & (t.data <= hi)),
             lo=lo, hi=hi)
 
     # -- reductions -------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        rg = self.requires_grad
-        data = self._fwd("sum", axis=axis, keepdims=keepdims)
-        if data is None:
-            data = _eager(self.data.sum(axis=axis, keepdims=keepdims))
-        out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
-        if rg:
-            def backward(out) -> None:
-                g = out.grad
-                if axis is not None and not keepdims:
-                    axes = axis if isinstance(axis, tuple) else (axis,)
-                    axes = tuple(a % self.ndim for a in axes)
-                    shape = [1 if i in axes else s
-                             for i, s in enumerate(self.shape)]
-                    g = g.reshape(shape)
-                # A copy, not the zero-stride view: NumPy lays an
-                # elementwise result out after its operands, and a
-                # different layout reaches BLAS with different strides.
-                self._accumulate(np.broadcast_to(g, self.shape).copy(),
-                                 fresh=True)
+        def backward(out) -> None:
+            g = out.grad
+            if axis is not None and not keepdims:
+                axes = axis if isinstance(axis, tuple) else (axis,)
+                axes = tuple(a % self.ndim for a in axes)
+                shape = [1 if i in axes else s
+                         for i, s in enumerate(self.shape)]
+                g = g.reshape(shape)
+            # A copy, not the zero-stride view: NumPy lays an
+            # elementwise result out after its operands, and a
+            # different layout reaches BLAS with different strides.
+            self._accumulate(np.broadcast_to(g, self.shape).copy(),
+                             fresh=True)
 
-            out._backward = backward
-        return out
+        return _apply("sum", (self,), backward, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.size if axis is None else (
@@ -583,30 +530,24 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        rg = self.requires_grad
-        data = self._fwd("max", axis=axis, keepdims=keepdims)
-        if data is None:
-            data = _eager(self.data.max(axis=axis, keepdims=keepdims))
-        out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
-        if rg:
-            def backward(out) -> None:
-                g = out.grad
-                ref = out.data
-                if axis is not None and not keepdims:
-                    axes = axis if isinstance(axis, tuple) else (axis,)
-                    axes = tuple(a % self.ndim for a in axes)
-                    shape = [1 if i in axes else s
-                             for i, s in enumerate(self.shape)]
-                    g = g.reshape(shape)
-                    ref = ref.reshape(shape)
-                mask = (self.data == ref)
-                # Split gradient evenly among ties (rare but keeps sums exact).
-                counts = mask.sum(axis=axis, keepdims=True) \
-                    if axis is not None else mask.sum()
-                self._accumulate(mask * g / counts, fresh=True)
+        def backward(out) -> None:
+            g = out.grad
+            ref = out.data
+            if axis is not None and not keepdims:
+                axes = axis if isinstance(axis, tuple) else (axis,)
+                axes = tuple(a % self.ndim for a in axes)
+                shape = [1 if i in axes else s
+                         for i, s in enumerate(self.shape)]
+                g = g.reshape(shape)
+                ref = ref.reshape(shape)
+            mask = (self.data == ref)
+            # Split gradient evenly among ties (rare but keeps sums exact).
+            counts = mask.sum(axis=axis, keepdims=True) \
+                if axis is not None else mask.sum()
+            self._accumulate(mask * g / counts, fresh=True)
 
-            out._backward = backward
-        return out
+        return _apply("max", (self,), backward, ((0, -1),),
+                      axis=axis, keepdims=keepdims)
 
     def var(self, axis=None, keepdims: bool = False) -> "Tensor":
         mu = self.mean(axis=axis, keepdims=True)
@@ -617,35 +558,23 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        rg = self.requires_grad
-        data = self._fwd("reshape", shape=shape)
-        if data is None:
-            data = self.data.reshape(shape)
-        out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
-        if rg:
-            def backward(out) -> None:
-                self._accumulate(out.grad.reshape(self.shape))
 
-            out._backward = backward
-        return out
+        def backward(out) -> None:
+            self._accumulate(out.grad.reshape(self.shape))
+
+        return _apply("reshape", (self,), backward, shape=shape)
 
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         axes = axes or tuple(reversed(range(self.ndim)))
         axes = tuple(a % self.ndim for a in axes)
-        rg = self.requires_grad
-        data = self._fwd("transpose", axes=axes)
-        if data is None:
-            data = self.data.transpose(axes)
-        out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
         inverse = np.argsort(axes)
-        if rg:
-            def backward(out) -> None:
-                self._accumulate(out.grad.transpose(inverse))
 
-            out._backward = backward
-        return out
+        def backward(out) -> None:
+            self._accumulate(out.grad.transpose(inverse))
+
+        return _apply("transpose", (self,), backward, axes=axes)
 
     @property
     def T(self) -> "Tensor":
@@ -654,91 +583,62 @@ class Tensor:
     def __getitem__(self, idx) -> "Tensor":
         # Boundary op: arbitrary indexing shapes are data-dependent, so
         # this realizes its input rather than recording a lazy node.
-        rg = self.requires_grad
         data = self.data[idx]
-        out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
-        if rg:
-            basic = _is_basic_index(idx)
-            dtype = data.dtype
+        dtype = data.dtype
 
-            def backward(out) -> None:
-                if basic:
-                    # ``+=``, never assignment: 0.0 + -0.0 is +0.0, as
-                    # np.add.at on zeros made it; rounded through the
-                    # parent's dtype, as np.add.at's zeros were.
-                    self._scatter_buffer()[idx] += out.grad.astype(
-                        dtype, copy=False)
-                else:
-                    g = np.zeros_like(self.data)
-                    np.add.at(g, idx, out.grad)
-                    self._accumulate(g, fresh=True)
+        def backward(out) -> None:
+            if _is_basic_index(idx):
+                # ``+=``, never assignment: 0.0 + -0.0 is +0.0, as
+                # np.add.at on zeros made it; rounded through the
+                # parent's dtype, as np.add.at's zeros were.
+                self._scatter_buffer()[idx] += out.grad.astype(
+                    dtype, copy=False)
+            else:
+                g = np.zeros_like(self.data)
+                np.add.at(g, idx, out.grad)
+                self._accumulate(g, fresh=True)
 
-            out._backward = backward
-        return out
+        return _node(data, (self,), backward)
 
     @staticmethod
     def concatenate(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [Tensor.as_tensor(t) for t in tensors]
-        rg = any(t.requires_grad for t in tensors)
-        out = Tensor(
-            np.concatenate([t.data for t in tensors], axis=axis),
-            requires_grad=rg,
-            _prev=tuple(tensors) if rg else (),
-        )
-        sizes = [t.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
+        tensors = tuple([Tensor.as_tensor(t) for t in tensors])
+        offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
-        if rg:
-            def backward(out) -> None:
-                for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                    if t.requires_grad:
-                        sl = [slice(None)] * out.ndim
-                        sl[axis] = slice(int(start), int(stop))
-                        t._accumulate(out.grad[tuple(sl)])
+        def backward(out) -> None:
+            for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+                if t.requires_grad:
+                    sl = [slice(None)] * out.ndim
+                    sl[axis] = slice(int(start), int(stop))
+                    t._accumulate(out.grad[tuple(sl)])
 
-            out._backward = backward
-        return out
+        return _node(np.concatenate([t.data for t in tensors], axis=axis),
+                     tensors, backward)
 
     @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [Tensor.as_tensor(t) for t in tensors]
-        rg = any(t.requires_grad for t in tensors)
-        out = Tensor(
-            np.stack([t.data for t in tensors], axis=axis),
-            requires_grad=rg,
-            _prev=tuple(tensors) if rg else (),
-        )
+        tensors = tuple([Tensor.as_tensor(t) for t in tensors])
 
-        if rg:
+        def backward(out) -> None:
             lead = (slice(None),) * (axis % out.ndim)
+            for i, t in enumerate(tensors):
+                if t.requires_grad:
+                    t._accumulate(out.grad[lead + (i,)])
 
-            def backward(out) -> None:
-                for i, t in enumerate(tensors):
-                    if t.requires_grad:
-                        t._accumulate(out.grad[lead + (i,)])
-
-            out._backward = backward
-        return out
+        return _node(np.stack([t.data for t in tensors], axis=axis),
+                     tensors, backward)
 
     def pad2d(self, pad: int) -> "Tensor":
         """Zero-pad the last two axes symmetrically (NCHW images)."""
         if pad == 0:
             return self
-        rg = self.requires_grad
-        data = self._fwd("pad2d", pad=pad)
-        if data is None:
-            widths = [(0, 0)] * (self.ndim - 2) + [(pad, pad), (pad, pad)]
-            data = _eager(np.pad(self.data, widths))
-        out = Tensor(data, requires_grad=rg, _prev=(self,) if rg else ())
-        if rg:
-            def backward(out) -> None:
-                sl = tuple([slice(None)] * (self.ndim - 2)
-                           + [slice(pad, -pad), slice(pad, -pad)])
-                self._accumulate(out.grad[sl])
 
-            out._backward = backward
-        return out
+        def backward(out) -> None:
+            sl = tuple([slice(None)] * (self.ndim - 2)
+                       + [slice(pad, -pad), slice(pad, -pad)])
+            self._accumulate(out.grad[sl])
 
+        return _apply("pad2d", (self,), backward, pad=pad)
 
 def tensor(data: ArrayLike, requires_grad: bool = False) -> Tensor:
     """Factory mirroring ``torch.tensor``."""

@@ -158,6 +158,9 @@ def ring_allreduce_inplace(comm: Communicator, array: np.ndarray, tag: int) -> N
     fully reduced chunk ``(rank+1) % p``.  Phase 2 (allgather): p-1 steps
     circulating reduced chunks.  This is Horovod's core algorithm.
     """
+    if not array.flags.c_contiguous:
+        # reshape(-1) would copy, and the ring would reduce the copy.
+        raise ValueError("ring_allreduce_inplace needs a C-contiguous array")
     p = comm.size
     if p == 1:
         return

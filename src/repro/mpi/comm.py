@@ -404,8 +404,10 @@ class Communicator:
         with self._traced("allreduce", obj):
             if isinstance(obj, np.ndarray) and obj.size >= self.size \
                     and op == ReduceOp.SUM:
+                # C-ordered, whatever the input's layout: the ring reduces
+                # the flat view of this copy.
                 out = obj.astype(np.result_type(obj.dtype, np.float64),
-                                 copy=True) \
+                                 order="C", copy=True) \
                     if obj.dtype.kind in "fc" else obj.copy()
                 collectives.ring_allreduce_inplace(self, out,
                                                    self._next_coll_tag())
@@ -473,7 +475,7 @@ class Communicator:
     def Allgather(self, sendbuf: np.ndarray, recvbuf: np.ndarray) -> None:
         parts = self.allgather(self._as_array(sendbuf).copy())
         stacked = np.concatenate([np.asarray(p).ravel() for p in parts])
-        recvbuf.ravel()[...] = stacked
+        recvbuf[...] = stacked.reshape(recvbuf.shape)
 
     # -- communicator management -----------------------------------------------
     def Split(self, color: int, key: int = 0) -> Optional["Communicator"]:

@@ -50,6 +50,7 @@ from typing import Any, NamedTuple, Optional
 import numpy as np
 
 from repro.resilience.faults import FaultKind, FaultPlan
+from repro.resilience.retry import _stable_uniform
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +106,6 @@ def linear_checksum(arr: np.ndarray) -> float:
     would cost more than the reduction it protects.
     """
     return float(np.sum(np.asarray(arr, dtype=np.float64)))
-
-
-def _stable_uniform(seed: int, key: str, n: int) -> float:
-    """Uniform [0, 1) from a stable hash — independent of call order."""
-    digest = hashlib.blake2b(
-        f"{seed}:{key}:{n}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big") / 2.0 ** 64
 
 
 def _stable_index(seed: int, key: str, n: int, size: int) -> int:

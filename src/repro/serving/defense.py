@@ -32,19 +32,12 @@ byte-identical.
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.stats import percentile
 from repro.resilience.detect import DetectorConfig
-
-
-def _stable_uniform(seed: int, key: str, attempt: int) -> float:
-    """Uniform [0, 1) from a stable hash — independent of call order."""
-    digest = hashlib.blake2b(
-        f"{seed}:{key}:{attempt}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big") / 2.0 ** 64
+from repro.resilience.retry import _stable_uniform
 
 
 # -- circuit breaker ----------------------------------------------------------

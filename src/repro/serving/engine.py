@@ -20,6 +20,7 @@ produce byte-identical reports — asserted by the test suite.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,7 +38,7 @@ from repro.resilience.faults import (
     partition_cut,
 )
 from repro.resilience.report import FailoverEvent
-from repro.resilience.retry import RetryBudget, RetryPolicy
+from repro.resilience.retry import RetryBudget, RetryPolicy, _stable_uniform
 from repro.serving.admission import AdmissionController, AdmissionPolicy
 from repro.serving.batcher import BatchPolicy, MicroBatcher
 from repro.serving.cache import ResultCache
@@ -46,7 +47,6 @@ from repro.serving.defense import (
     BrownoutController,
     CircuitBreaker,
     DefenseConfig,
-    _stable_uniform,
 )
 from repro.serving.metrics import ServingMetrics
 from repro.serving.replicas import (
@@ -262,12 +262,7 @@ class ServingEngine:
         self.metrics = ServingMetrics(duration_s=config.trace.duration_s,
                                       registry=registry)
         self.retry = retry_policy if retry_policy is not None else \
-            RetryPolicy(max_retries=SERVING_RETRY.max_retries,
-                        base_delay_s=SERVING_RETRY.base_delay_s,
-                        backoff_factor=SERVING_RETRY.backoff_factor,
-                        jitter=SERVING_RETRY.jitter,
-                        max_delay_s=SERVING_RETRY.max_delay_s,
-                        seed=config.trace.seed)
+            dataclasses.replace(SERVING_RETRY, seed=config.trace.seed)
         self.failover_events: list[FailoverEvent] = []
         self.batch_log: list[tuple[int, tuple[int, ...]]] = []
         self.peak_replicas = 0

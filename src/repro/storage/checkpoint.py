@@ -16,14 +16,12 @@ lineage instead of overwriting, each carrying a checksum of the whole payload
 plus per-shard (per-tensor) digests, and a checkpoint may be **replicated**
 to both targets.  Restore paths verify integrity and degrade gracefully:
 
-* :meth:`CheckpointManager.restore_with_fallback` walks a
-  :class:`~repro.resilience.policy.CheckpointPolicy`'s restore order for
-  the *newest* version, so a corrupt or missing NAM copy falls back to the
-  PFS replica,
-* :meth:`CheckpointManager.restore_latest_verified` additionally walks the
-  lineage version-by-version (NAM→PFS within each version), so bit-rot on
-  every copy of the newest checkpoint costs a bounded step rollback
-  instead of the job,
+* :meth:`CheckpointManager.restore_latest_verified` walks a
+  :class:`~repro.resilience.policy.CheckpointPolicy`'s restore order
+  within the newest version, so a corrupt or missing NAM copy falls back
+  to the PFS replica, and then the lineage version by version, so bit-rot
+  on every copy of the newest checkpoint costs a bounded step rollback
+  instead of the job (``max_rollback=0``: the newest version or nothing),
 * :meth:`CheckpointManager.scrub` verifies everything at rest, so rot on a
   version that is never restored is still *detected* — the accounting the
   SDC drill reconciles against.
@@ -394,29 +392,6 @@ class CheckpointManager:
             if record is not None:
                 return self._restore_one(record)
         raise CheckpointError(f"no checkpoint named {name!r}")
-
-    def restore_with_fallback(self, name: str, policy: Any
-                              ) -> tuple[dict[str, np.ndarray], int, float, str]:
-        """Walk ``policy.restore_order()`` until a copy restores cleanly.
-
-        Returns ``(state, step, read time, target restored from)``.  Only
-        the newest version per target is considered — the original
-        replica-fallback behaviour; use :meth:`restore_latest_verified`
-        for the full lineage walk.
-        """
-        errors: list[str] = []
-        for target in policy.restore_order():
-            record = self._newest(name, target)
-            if record is None:
-                errors.append(f"{target}: no copy")
-                continue
-            try:
-                state, step, t = self._restore_one(record)
-                return state, step, t, target
-            except CheckpointError as exc:
-                errors.append(f"{target}: {exc}")
-        raise CheckpointError(
-            f"no restorable copy of {name!r} ({'; '.join(errors)})")
 
     def restore_latest_verified(self, name: str, policy: Any,
                                 max_rollback: Optional[int] = None

@@ -187,6 +187,26 @@ class TestExecutorBufferReuse:
             assert float(total.data) == 17.0
 
 
+class TestPowExecutor:
+    @pytest.mark.parametrize("mode", engine.MODES)
+    @pytest.mark.parametrize("exponent",
+                             [2, 2.0, 0.5, 3, -1.5, np.float64(2.0)])
+    def test_bits_and_dtype_of_the_numpy_operator(self, mode, exponent):
+        """``x ** e`` hands 2 and 0.5 to square/sqrt and lets an
+        ``np.float64`` exponent promote float32; the one ``pow`` executor
+        does the same on both engines, alone and as an ``out=`` step
+        inside a fused kernel."""
+        x = np.linspace(0.0, 2.0, 9, dtype=np.float32)
+        x[0] = -0.0
+        with np.errstate(divide="ignore"), engine.engine(mode):
+            alone = (Tensor(x) ** exponent).data
+            fused = ((Tensor(x) * 1.0) ** exponent * 1.0).data
+            ref = x ** exponent
+        for got in (alone, fused):
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+
+
 class TestDevices:
     def test_registry_lists_builtins(self):
         names = engine.device_names()

@@ -8,10 +8,14 @@ and ``ENGINE=lazy``.  Analytic and numeric gradients must agree to 1e-6
 modes' *analytic* gradients must agree to the bit.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.ml import engine
+from repro.ml.engine.graph import pending
+from repro.ml.engine.ops import OPS
 from repro.ml.tensor import Tensor
 
 ATOL = 1e-6
@@ -76,6 +80,8 @@ PRIMITIVES = {
     "log": (lambda a: a.log().sum(), lambda: rng.uniform(0.5, 2.0, (3, 4))),
     "tanh": (lambda a: a.tanh().sum(), lambda: rng.normal(size=(5,))),
     "sigmoid": (lambda a: a.sigmoid().sum(), lambda: rng.normal(size=(5,))),
+    # 0-d: ufuncs hand back NumPy scalars, which no ``out=`` accepts
+    "sigmoid_0d": (lambda a: a.sigmoid().sum(), lambda: np.array(0.3)),
     "relu": (lambda a: a.relu().sum(),
              lambda: away_from(rng.normal(size=(8,)), [0.0])),
     "abs": (lambda a: a.abs().sum(),
@@ -87,6 +93,7 @@ PRIMITIVES = {
     "add": (lambda a: (a + a * 2.0).sum(), lambda: rng.normal(size=(3, 4))),
     "mul": (lambda a: (a * a).sum(), lambda: rng.normal(size=(3, 4))),
     "div": (lambda a: (1.0 / a).sum(), lambda: rng.uniform(0.5, 2.0, (4,))),
+    "div_numerator": (lambda a: (a / 2.0).sum(), lambda: rng.normal(size=(4,))),
     # reduce
     "sum": (lambda a: (a.sum(axis=0) ** 2).sum(),
             lambda: rng.normal(size=(3, 4))),
@@ -106,11 +113,67 @@ PRIMITIVES = {
 }
 
 
+def op_of(name: str) -> str:
+    """The ``OPS`` key a sweep entry exercises (``sum_keepdims`` -> ``sum``)."""
+    return name.split("_")[0]
+
+
 class TestPrimitiveOps:
     @pytest.mark.parametrize("name", sorted(PRIMITIVES))
     def test_primitive_gradcheck_both_engines(self, name):
         build, make = PRIMITIVES[name]
         gradcheck_both(build, make())
+
+    def test_sweep_covers_the_op_table(self):
+        assert {op_of(name) for name in PRIMITIVES} == set(OPS)
+
+    @pytest.mark.parametrize("name", sorted(PRIMITIVES))
+    def test_eager_runs_each_invocation_through_the_op_table(
+            self, name, monkeypatch):
+        """One forward definition: eager calls ``OPS[op].execute`` exactly
+        once per primitive invocation (= per node lazy records)."""
+        build, make = PRIMITIVES[name]
+        x = make()
+        with engine.engine("lazy"):
+            recorded = Counter(
+                node.op for node in pending(build(Tensor(x))._lazy)[0])
+        assert recorded[op_of(name)] >= 1
+        executed = Counter()
+        for op, spec in OPS.items():
+            def spy(args, kw, out, op=op, execute=spec.execute):
+                executed[op] += 1
+                return execute(args, kw, out)
+            monkeypatch.setitem(OPS, op, spec._replace(execute=spy))
+        with engine.engine("eager"):
+            build(Tensor(x))
+        assert executed == recorded
+
+    @pytest.mark.parametrize("name", sorted(PRIMITIVES))
+    def test_lazy_backward_reads_exactly_what_each_op_declares(
+            self, name, monkeypatch):
+        """``op(x * c) ... .sum()`` makes the op's operand and output
+        fused interiors: backward must find every value it reads kept
+        (``recomputes == 0``), and the values marked ``saved`` are the
+        ones it reads — no ``reads`` entry missing, none spare."""
+        build, make = PRIMITIVES[name]
+        x = Tensor(make(), requires_grad=True)
+        with engine.engine("lazy"), engine.collect() as stats:
+            loss = build(x * 1.5)
+            topo, leaves, _ = pending(loss._lazy)
+            saved = {id(node) for node in topo + leaves if node.saved}
+            loss.realize()
+            read = set()
+            data = Tensor.data
+
+            def spy(t):
+                read.add(id(t._lazy))
+                return data.fget(t)
+
+            monkeypatch.setattr(Tensor, "data", property(spy, data.fset))
+            loss.backward()
+            monkeypatch.undo()
+        assert stats.recomputes == 0
+        assert read - {id(loss._lazy)} == saved
 
 
 class TestBinaryBroadcast:

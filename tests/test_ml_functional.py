@@ -97,6 +97,17 @@ class TestPooling:
         check_grad(lambda a: (F.avg_pool2d(a, 2) ** 2).sum(),
                    rng.normal(size=(1, 2, 4, 4)), atol=1e-4)
 
+    @pytest.mark.parametrize("pool", [F.max_pool2d, F.avg_pool2d])
+    def test_constant_pool_beside_a_trainable_operand(self, pool):
+        """Like conv2d above: a pool of inputs that need no gradient
+        joins no graph (holds no input alive), and a trainable sibling
+        still backpropagates past it."""
+        pooled = pool(Tensor(rng.normal(size=(1, 2, 4, 4))), 2)
+        assert pooled._prev == () and not pooled.requires_grad
+        p = Tensor(rng.normal(size=(1, 2, 2, 2)), requires_grad=True)
+        (pooled + p).sum().backward()
+        np.testing.assert_array_equal(p.grad, np.ones(p.shape))
+
     def test_global_avg_pool(self):
         x = Tensor(np.ones((2, 3, 4, 4)))
         out = F.global_avg_pool2d(x)

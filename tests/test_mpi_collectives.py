@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.mpi import ReduceOp, run_spmd
-from repro.mpi.collectives import rabenseifner_allreduce
+from repro.mpi.collectives import rabenseifner_allreduce, ring_allreduce_inplace
 
 SIZES = [1, 2, 3, 4, 5, 7, 8]
 
@@ -121,6 +121,52 @@ def test_allreduce_array_matches_numpy(ws):
 
     for out in run_spmd(fn, ws):
         np.testing.assert_allclose(out, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("ws", [2, 3, 4])
+@pytest.mark.parametrize("view", [
+    lambda x: x.T,                  # F-contiguous
+    lambda x: x[:, ::2],            # strided
+    lambda x: x.T[::2],             # both
+], ids=["transposed", "strided", "transposed-strided"])
+def test_allreduce_of_a_non_contiguous_array_reduces_it(ws, view):
+    """The ring must reduce the values of the view it was given, not a
+    temporary ``reshape(-1)`` made of a non-C-ordered working copy."""
+    data = np.random.default_rng(11).normal(size=(ws, 4, 6))
+    expected = view(data.sum(axis=0))
+
+    def fn(comm):
+        x = view(data[comm.rank])
+        assert not x.flags.c_contiguous and x.size >= comm.size
+        return comm.allreduce(x), comm.allreduce(np.ascontiguousarray(x))
+
+    for out, contiguous in run_spmd(fn, ws):
+        assert out.shape == expected.shape
+        np.testing.assert_allclose(out, expected, rtol=1e-12)
+        assert out.tobytes() == contiguous.tobytes()
+
+
+def test_ring_allreduce_inplace_rejects_a_non_contiguous_buffer():
+    def fn(comm):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            ring_allreduce_inplace(comm, np.ones((3, 4)).T, tag=0)
+        return True
+
+    assert all(run_spmd(fn, 2))
+
+
+@pytest.mark.parametrize("ws", [2, 3, 4])
+def test_allgather_into_a_non_contiguous_recvbuf(ws):
+    def fn(comm):
+        backing = np.full((3, 2 * comm.size), -1.0)
+        recv = backing.T[::2]                   # (ws, 3), non-contiguous
+        comm.Allgather(np.full(3, float(comm.rank)), recv)
+        return backing
+
+    for backing in run_spmd(fn, ws):
+        np.testing.assert_array_equal(
+            backing.T[::2], np.repeat(np.arange(float(ws)), 3).reshape(ws, 3))
+        np.testing.assert_array_equal(backing.T[1::2], -1.0)
 
 
 @pytest.mark.parametrize("ws", [2, 4, 8])

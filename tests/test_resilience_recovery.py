@@ -155,19 +155,19 @@ class TestCheckpointFallback:
         mgr.corrupt("m", target="nam")
         policy = CheckpointPolicy(every_steps=4, fallback=False)
         with pytest.raises(CheckpointError):
-            mgr.restore_with_fallback("m", policy)
+            mgr.restore_latest_verified("m", policy, max_rollback=0)
         # The same corruption *with* fallback restores cleanly from PFS.
-        state, step, _, target = mgr.restore_with_fallback(
-            "m", CheckpointPolicy(every_steps=4))
-        assert (step, target) == (4, "pfs")
-        np.testing.assert_array_equal(state["w"], np.ones(8))
+        restored = mgr.restore_latest_verified(
+            "m", CheckpointPolicy(every_steps=4), max_rollback=0)
+        assert (restored.step, restored.target) == (4, "pfs")
+        np.testing.assert_array_equal(restored.state["w"], np.ones(8))
 
     def test_prefer_pfs_policy_reverses_restore_order(self):
         mgr = _manager()
         mgr.save("m", step=1, state={"w": np.zeros(4)}, replicate=True)
-        _, _, _, target = mgr.restore_with_fallback(
-            "m", CheckpointPolicy(prefer="pfs"))
-        assert target == "pfs"
+        restored = mgr.restore_latest_verified(
+            "m", CheckpointPolicy(prefer="pfs"), max_rollback=0)
+        assert restored.target == "pfs"
 
 
 class TestShrink:
