@@ -148,7 +148,11 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.resilience.faults import FaultInjector, FaultPlan
+    from repro.resilience.faults import (
+        FaultInjector,
+        FaultPlan,
+        FaultPlanError,
+    )
     from repro.serving import (
         AdmissionPolicy,
         ArrivalPattern,
@@ -179,13 +183,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
         defense=DefenseConfig(enabled=args.defend),
     )
     injector = None
-    if args.faults:
-        targets = {key: module.n_nodes
-                   for key, module in system.compute_modules().items()}
-        plan = FaultPlan.parse(args.faults, targets=targets,
-                               horizon_s=args.duration)
-        injector = FaultInjector(plan)
-    report = simulate_serving(config, system=system, fault_injector=injector)
+    try:
+        if args.faults:
+            targets = {key: module.n_nodes
+                       for key, module in system.compute_modules().items()}
+            plan = FaultPlan.parse(args.faults, targets=targets,
+                                   horizon_s=args.duration)
+            injector = FaultInjector(plan)
+        report = simulate_serving(config, system=system,
+                                  fault_injector=injector)
+    except FaultPlanError as exc:
+        print(f"error: --faults: {exc}", file=sys.stderr)
+        return 2
     print(report.to_text())
     return 0 if report.meets_slo() else 1
 

@@ -283,18 +283,17 @@ class MsaScheduler:
         #: Active link-degradation factors per module key.
         self._degraded: dict[str, list[float]] = {}
         self.injector = fault_injector
+        self.retry_policy = retry_policy or RetryPolicy()
+        #: Fault/recovery ledger; reaches the report only with an injector.
+        self.resilience = ResilienceReport()
         if fault_injector is not None:
-            self.retry_policy = retry_policy or RetryPolicy()
-            self.resilience: Optional[ResilienceReport] = ResilienceReport()
             # The injector appends to this exact list as faults fire.
             self.resilience.faults_injected = fault_injector.injected
             fault_injector.on(FaultKind.NODE_CRASH, self._on_node_crash)
             fault_injector.on(FaultKind.STRAGGLER, self._on_straggler)
             fault_injector.on(FaultKind.LINK_DEGRADE, self._on_link_degrade)
+            fault_injector.require_handlers("the batch scheduler")
             fault_injector.arm(self.sim)
-        else:
-            self.retry_policy = retry_policy or RetryPolicy()
-            self.resilience = None
 
     def _storage_bandwidth(self) -> float:
         storages = [
@@ -358,19 +357,6 @@ class MsaScheduler:
                 module=module_key, n_nodes=len(nodes),
                 phase_index=alloc.phase_index, killed=killed)
 
-    def _note_started(self, state: _JobState) -> None:
-        """Status + recovery bookkeeping when a phase actually starts."""
-        self._status[state.job.name] = JobStatus.RUNNING
-        if state.failed_at is not None:
-            if self.resilience is not None:
-                self.resilience.recoveries.append(RecoveryEvent(
-                    job_name=state.job.name,
-                    attempt=state.attempts,
-                    failed_at=state.failed_at,
-                    restarted_at=self.sim.now,
-                ))
-            state.failed_at = None
-
     # -- fault handling -----------------------------------------------------
     def _find_running(self, module_key: str, node: int) -> Optional[_RunningRecord]:
         for record in self._running:
@@ -398,8 +384,7 @@ class MsaScheduler:
     def _on_repair(self, evt) -> None:
         key, node = evt.value
         self.system.module(key).mark_up(node)
-        if self.resilience is not None:
-            self.resilience.repairs.append((self.sim.now, key, node))
+        self.resilience.repairs.append((self.sim.now, key, node))
         self._dispatch()
 
     def quarantine(self, module_key: str, node: int) -> None:
@@ -471,24 +456,22 @@ class MsaScheduler:
             self.energy.credit_phase(key, module.node_spec, phase, n, remaining)
         state.attempts += 1
         state.failed_at = now
-        if self.resilience is not None:
-            self.resilience.failures.append(FailureEvent(
-                job_name=state.job.name,
-                phase_index=state.next_phase,
-                time=now,
-                module_key=spec.module,
-                node=spec.node,
-                lost_node_seconds=lost_node_seconds,
-                attempt=state.attempts,
-            ))
+        self.resilience.failures.append(FailureEvent(
+            job_name=state.job.name,
+            phase_index=state.next_phase,
+            time=now,
+            module_key=spec.module,
+            node=spec.node,
+            lost_node_seconds=lost_node_seconds,
+            attempt=state.attempts,
+        ))
         if self.retry_policy.should_retry(state.attempts):
             self._status[state.job.name] = JobStatus.REQUEUED
             delay = self.retry_policy.delay(state.attempts, key=state.job.name)
-            if self.resilience is not None:
-                self.resilience.requeues.append(RequeueEvent(
-                    job_name=state.job.name, attempt=state.attempts,
-                    backoff_s=delay, time=now,
-                ))
+            self.resilience.requeues.append(RequeueEvent(
+                job_name=state.job.name, attempt=state.attempts,
+                backoff_s=delay, time=now,
+            ))
             self.tracer.instant("requeue", "scheduler", now,
                                 track="scheduler", lane="queue",
                                 job=state.job.name, attempt=state.attempts,
@@ -500,8 +483,7 @@ class MsaScheduler:
             self._status[state.job.name] = JobStatus.FAILED
             self._failures_final[state.job.name] = now
             self._tables.pop(state.job.name, None)
-            if self.resilience is not None:
-                self.resilience.jobs_failed_permanently.append(state.job.name)
+            self.resilience.jobs_failed_permanently.append(state.job.name)
 
     def _on_requeue(self, evt) -> None:
         self._ready.append(evt.value)
@@ -604,11 +586,12 @@ class MsaScheduler:
     # -- co-allocation (multi-module phases) --------------------------------
     def _choose_coalloc(
         self, state: _JobState
-    ) -> Optional[list[tuple[str, ComputeModule, int, float, JobPhase]]]:
-        """Greedy per-component placement; all-or-nothing."""
+    ) -> Optional[tuple[list, float]]:
+        """Greedy per-component placement; all-or-nothing.  Returns the
+        ``_start`` rows and the slowest component's runtime."""
         phase: CoAllocatedPhase = state.current
         taken: dict[str, int] = {}
-        plan = []
+        rows, slowest = [], 0.0
         for component, table in zip(phase.components,
                                     self._placement_tables(state)):
             row = next((row for row in table.by_order
@@ -621,70 +604,82 @@ class MsaScheduler:
                 return None
             t, key, module, n = row
             taken[key] = taken.get(key, 0) + n
-            plan.append((key, module, n, t, component))
-        return plan
+            slowest = max(slowest, t)
+            rows.append((key, module, n, component,
+                         f"{phase.name}/{component.name}"))
+        return rows, slowest
 
     def _start_coalloc(self, state: _JobState) -> bool:
-        plan = self._choose_coalloc(state)
-        if plan is None:
+        chosen = self._choose_coalloc(state)
+        if chosen is None:
             return False
+        rows, slowest = chosen
         phase: CoAllocatedPhase = state.current
-        start = self.sim.now
         # The co-allocation completes when the slowest component does, plus
         # the coupling traffic crossing the federation.
         coupling = 0.0
-        modules_used = {key for key, *_ in plan}
+        modules_used = sorted({key for key, *_ in rows})
         if phase.coupling_bytes > 0 and len(modules_used) > 1:
-            a, b = sorted(modules_used)[:2]
+            a, b = modules_used[:2]
             coupling = self.system.inter_module_transfer_time(
                 a, b, phase.coupling_bytes)
-        if phase.coupling_bytes > 0 and len(modules_used) > 1 and self._degraded:
-            coupling *= max(_degrade_factor(self._degraded, m)
-                            for m in modules_used)
-        runtime = max(t for _, _, _, t, _ in plan) + coupling
-        placements = []
-        alloc_indices: list[int] = []
-        charged: list[tuple[str, ComputeModule, JobPhase, int]] = []
+            if self._degraded:
+                coupling *= max(_degrade_factor(self._degraded, m)
+                                for m in modules_used)
+        self.tracer.instant("place", "scheduler", self.sim.now,
+                            track="scheduler", lane="queue",
+                            job=state.job.name,
+                            modules=",".join(modules_used))
+        self._start(state, rows, slowest + coupling)
+        return True
+
+    def _start(self, state: _JobState, rows, runtime: float) -> None:
+        """Start the state's current phase now, to run ``runtime`` seconds.
+
+        ``rows`` holds one ``(key, module, n, phase, allocation name)`` per
+        component — a plain phase is the one-row case.  Every row takes its
+        nodes and is charged (busy/user node-seconds, energy) up front; the
+        one completion event releases them all.
+        """
+        start = self.sim.now
+        end = start + runtime
+        job = state.job
         if state.first_start is None:
             state.first_start = start
-            self._waits[state.job.name] = start - state.job.arrival_time
-        self._note_started(state)
-        self.tracer.instant("place", "scheduler", start, track="scheduler",
-                            lane="queue", job=state.job.name,
-                            modules=",".join(sorted({k for k, *_ in plan})))
-        for key, module, n, _, component in plan:
+            self._waits[job.name] = start - job.arrival_time
+        self._status[job.name] = JobStatus.RUNNING
+        if state.failed_at is not None:
+            self.resilience.recoveries.append(RecoveryEvent(
+                job_name=job.name, attempt=state.attempts,
+                failed_at=state.failed_at, restarted_at=start))
+            state.failed_at = None
+        record = _RunningRecord(
+            state=state, placements=[], start=start, end=end, done_evt=None,
+            alloc_indices=[], charged=[])
+        for key, module, n, phase, name in rows:
             nodes = tuple(module.allocate(n, avoid=self._avoid_nodes(key)))
-            placements.append((key, nodes))
             alloc = Allocation(
-                job_name=state.job.name,
+                job_name=job.name,
                 phase_index=state.next_phase,
-                phase_name=f"{phase.name}/{component.name}",
+                phase_name=name,
                 module_key=key,
                 nodes=nodes,
                 start=start,
-                end=start + runtime,
+                end=end,
             )
-            alloc_indices.append(len(self._allocations))
+            record.placements.append((key, nodes))
+            record.alloc_indices.append(len(self._allocations))
             self._allocations.append(alloc)
             self._busy_node_seconds[key] = (
                 self._busy_node_seconds.get(key, 0.0) + alloc.node_seconds)
-            self._user_usage[state.job.user] = (
-                self._user_usage.get(state.job.user, 0.0)
-                + alloc.node_seconds)
-            self.energy.charge_phase(key, module.node_spec, component, n,
-                                     runtime)
-            charged.append((key, module, component, n))
-        record = _RunningRecord(
-            state=state, placements=placements, start=start,
-            end=start + runtime, done_evt=None, alloc_indices=alloc_indices,
-            charged=charged,
-        )
-        done = self.sim.timeout(runtime, value=record,
-                                name=f"done-{state.job.name}")
-        done.add_callback(self._on_phase_done)
-        record.done_evt = done
+            self._user_usage[job.user] = (
+                self._user_usage.get(job.user, 0.0) + alloc.node_seconds)
+            self.energy.charge_phase(key, module.node_spec, phase, n, runtime)
+            record.charged.append((key, module, phase, n))
+        record.done_evt = self.sim.timeout(runtime, value=record,
+                                           name=f"done-{job.name}")
+        record.done_evt.add_callback(self._on_phase_done)
         self._running.append(record)
-        return True
 
     def _dispatch(self) -> None:
         if self.queue_policy is SchedulerPolicy.FAIR_SHARE:
@@ -711,49 +706,13 @@ class MsaScheduler:
             choice = self._choose(table)
             if choice is not None and choice[1] not in blocked:
                 runtime, key, module, n = choice
-                nodes = tuple(module.allocate(n, avoid=self._avoid_nodes(key)))
-                start = self.sim.now
-                end = start + runtime
-                if state.first_start is None:
-                    state.first_start = start
-                    self._waits[state.job.name] = start - state.job.arrival_time
-                self._note_started(state)
-                self.tracer.instant("place", "scheduler", start,
+                self.tracer.instant("place", "scheduler", self.sim.now,
                                     track="scheduler", lane="queue",
                                     job=state.job.name, modules=key,
                                     n_nodes=n)
-                alloc = Allocation(
-                    job_name=state.job.name,
-                    phase_index=state.next_phase,
-                    phase_name=state.current.name,
-                    module_key=key,
-                    nodes=nodes,
-                    start=start,
-                    end=end,
-                )
-                alloc_index = len(self._allocations)
-                self._allocations.append(alloc)
-                self._busy_node_seconds[key] = (
-                    self._busy_node_seconds.get(key, 0.0) + alloc.node_seconds
-                )
-                self._user_usage[state.job.user] = (
-                    self._user_usage.get(state.job.user, 0.0)
-                    + alloc.node_seconds
-                )
-                self.energy.charge_phase(
-                    key, module.node_spec, state.current, n, runtime
-                )
-                record = _RunningRecord(
-                    state=state, placements=[(key, nodes)], start=start,
-                    end=end, done_evt=None, alloc_indices=[alloc_index],
-                    charged=[(key, module, state.current, n)],
-                )
-                done = self.sim.timeout(
-                    runtime, value=record, name=f"done-{state.job.name}"
-                )
-                done.add_callback(self._on_phase_done)
-                record.done_evt = done
-                self._running.append(record)
+                phase = state.current
+                self._start(state, ((key, module, n, phase, phase.name),),
+                            runtime)
                 self._ready.pop(i)
                 continue  # same index now holds the next job
             # Head job cannot start: strict FCFS stops; backfill walks on but
@@ -792,7 +751,8 @@ class MsaScheduler:
             energy_idle_joules=self.energy.idle_joules,
             module_utilisation=utilisation,
             job_status=dict(self._status),
-            resilience=self.resilience,
+            resilience=(self.resilience if self.injector is not None
+                        else None),
             arrival_times=dict(self._arrivals),
         )
         if telemetry.get_registry().enabled:

@@ -51,8 +51,7 @@ class _EngineState:
 
 
 def _mode_from_env() -> str:
-    raw = os.environ.get("ENGINE") or os.environ.get("REPRO_ENGINE") or "eager"
-    raw = raw.strip().lower()
+    raw = (os.environ.get("ENGINE") or "eager").strip().lower()
     if raw not in MODES:
         raise ValueError(
             f"ENGINE must be one of {MODES}, got {raw!r}")

@@ -578,6 +578,22 @@ class FaultInjector:
     def on(self, kind: FaultKind, handler: Callable[[FaultSpec], None]) -> None:
         self._handlers.setdefault(kind, []).append(handler)
 
+    def require_handlers(self, plane: str) -> None:
+        """Reject a plan whose clock-driven faults ``plane`` would ignore.
+
+        A consumer calls this after registering its handlers and before
+        :meth:`arm`: a fault that fires (and is counted) without anything
+        reacting to it is a silently wrong drill, so it is a config error.
+        """
+        unhandled = sorted({spec.kind.value for spec in self.plan
+                            if spec.kind not in DATA_FAULTS
+                            and spec.kind not in self._handlers})
+        if unhandled:
+            raise FaultPlanError(
+                f"{plane} does not handle {', '.join(unhandled)} faults "
+                f"(it handles: "
+                f"{', '.join(sorted(k.value for k in self._handlers))})")
+
     def arm(self, sim: Simulator) -> int:
         """Schedule every clock-driven fault on ``sim``; returns the count."""
         if self._armed:

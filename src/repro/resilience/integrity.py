@@ -57,6 +57,31 @@ from repro.resilience.retry import _stable_uniform
 # checksums
 # ---------------------------------------------------------------------------
 
+def wordsum(buf, base: int = 0) -> int:
+    """IP-style 64-bit word-sum checksum of a byte buffer, seeded by ``base``.
+
+    NumPy sums the buffer as 64-bit words at memory bandwidth — several
+    times faster than CRC32, which matters when every collective hop and
+    every checkpoint byte (on write and again on each verified
+    restore/scrub) is checksummed.  Any single flipped word changes the
+    sum, which covers the bit-flip fault model; the bytes past the last
+    whole word fold in via CRC32.
+    """
+    view = memoryview(buf)
+    nbytes = view.nbytes
+    nwords = nbytes // 8
+    total = base
+    if nwords:
+        words = np.frombuffer(view, dtype=np.uint64, count=nwords)
+        total += int(words.sum(dtype=np.uint64))   # wraps mod 2**64
+    if nbytes % 8:
+        # Offset in bytes whatever the view's item size: slicing the view
+        # itself would count items and skip the tail of a float32 buffer.
+        total += zlib.crc32(
+            np.frombuffer(view, dtype=np.uint8, offset=nwords * 8))
+    return total & 0xFFFFFFFFFFFFFFFF
+
+
 #: dtype/shape header CRCs, cached — the same few shapes recur on every hop.
 _HEADER_CRC: dict[tuple[str, tuple[int, ...]], int] = {}
 
@@ -64,14 +89,9 @@ _HEADER_CRC: dict[tuple[str, tuple[int, ...]], int] = {}
 def checksum_payload(obj: Any) -> int:
     """Checksum of a payload's canonical bytes (dtype/shape-aware).
 
-    Arrays get an IP-style 64-bit word-sum checksum (the same family as
-    the TCP/IP header checksum): computed by NumPy at memory bandwidth —
-    an order of magnitude faster than CRC32, which would otherwise
-    dominate the cost of checksumming every collective hop — and it
-    still detects any single flipped word, which covers the bit-flip
-    fault model by construction.  The dtype/shape header and any
-    non-word tail are folded in via CRC32; non-array payloads use CRC32
-    of their pickled form.
+    Arrays get the :func:`wordsum` of their buffer seeded with the CRC32
+    of a dtype/shape header; non-array payloads use CRC32 of their
+    pickled form.
     """
     if isinstance(obj, np.ndarray):
         hkey = (obj.dtype.str, obj.shape)
@@ -79,16 +99,8 @@ def checksum_payload(obj: Any) -> int:
         if base is None:
             base = _HEADER_CRC[hkey] = zlib.crc32(
                 f"{hkey[0]}:{hkey[1]}".encode())
-        buf = obj.data if obj.flags.c_contiguous else memoryview(obj.tobytes())
-        nwords = obj.nbytes // 8
-        total = 0
-        if nwords:
-            words = np.frombuffer(buf, dtype=np.uint64, count=nwords)
-            total = int(words.sum(dtype=np.uint64))   # wraps mod 2**64
-        tail = bytes(buf[nwords * 8:])
-        if tail:
-            total += zlib.crc32(tail)
-        return (base + total) & 0xFFFFFFFFFFFFFFFF
+        return wordsum(
+            obj.data if obj.flags.c_contiguous else obj.tobytes(), base)
     if isinstance(obj, (bytes, bytearray, memoryview)):
         return zlib.crc32(bytes(obj))
     try:

@@ -62,12 +62,8 @@ from repro.simnet.link import PartitionWindow
 
 #: Backoff used when failing drained requests over to surviving replicas.
 #: Much shorter than the batch scheduler's default (serving budgets are
-#: sub-second), generous retry head-room so a drill can never exhaust it.
-#: .. deprecated:: quasi-unbounded retrying amplifies overload; with
-#:    defenses enabled the engine instead pairs a short schedule with a
-#:    :class:`~repro.resilience.retry.RetryBudget` and deadline-aware
-#:    ``delay_within`` clamping.  Kept as the legacy default so
-#:    pre-defense runs replay byte-identically.
+#: sub-second), generous retry head-room so a drill can never exhaust it;
+#: every failover clamps it to the drained requests' earliest deadline.
 SERVING_RETRY = RetryPolicy(max_retries=64, base_delay_s=0.02,
                             backoff_factor=2.0, jitter=0.25,
                             max_delay_s=5.0)
@@ -138,7 +134,8 @@ class ServingReport:
     module_replica_seconds: dict[str, float]
     #: Batches actually computed: (replica id, request ids in batch order).
     batch_log: list[tuple[int, tuple[int, ...]]]
-    #: Defense-layer outcome (all zero / empty unless defenses ran).
+    #: Defense-layer outcome (all zero / empty unless defenses ran; the
+    #: retry budget is also charged by an undefended failover).
     defense_enabled: bool = False
     partition_windows: int = 0
     gray_episodes: int = 0
@@ -276,14 +273,15 @@ class ServingEngine:
         self._window: list[float] = []
         self._jitter_rng = np.random.default_rng(config.trace.seed + 0x5EED)
         self._ran = False
-        # -- defense state (inert unless config.defense.enabled) ----------
+        # -- defense parts: always built; ``defended`` gates the sites where
+        # -- behaviour differs (breakers stay empty when it is off) ---------
         d = config.defense
-        self.detector = PhiAccrualDetector(d.detector) if d.enabled else None
+        self.defended = d.enabled
+        self.detector = PhiAccrualDetector(d.detector)
         self.breakers: dict[int, CircuitBreaker] = {}
         self.budget = RetryBudget(ratio=d.retry_budget_ratio,
-                                  burst=d.retry_budget_burst) \
-            if d.enabled else None
-        self.brownout = BrownoutController(d.brownout) if d.enabled else None
+                                  burst=d.retry_budget_burst)
+        self.brownout = BrownoutController(d.brownout)
         #: Recent batch service times feeding the hedge deadline estimate.
         self._service_window: list[float] = []
         #: (module, node) -> (end_s, slowdown factor, probe-answer prob).
@@ -303,6 +301,7 @@ class ServingEngine:
             fault_injector.on(FaultKind.NODE_CRASH, self._on_crash)
             fault_injector.on(FaultKind.NETWORK_PARTITION, self._on_partition)
             fault_injector.on(FaultKind.GRAY_FAILURE, self._on_gray)
+            fault_injector.require_handlers("the serving engine")
             fault_injector.arm(self.sim)
 
     # -- run ------------------------------------------------------------------
@@ -320,7 +319,7 @@ class ServingEngine:
             self.sim.timeout(self.config.autoscaler.interval_s,
                              name="autoscale-tick"
                              ).add_callback(self._on_tick)
-        if self.detector is not None:
+        if self.defended:
             self.sim.timeout(self.config.defense.heartbeat_interval_s,
                              name="heartbeat-tick"
                              ).add_callback(self._on_heartbeat_tick)
@@ -342,30 +341,25 @@ class ServingEngine:
             final_replicas=final,
             module_replica_seconds=dict(self.pool.module_lifetime_s),
             batch_log=list(self.batch_log),
-            defense_enabled=self.config.defense.enabled,
+            defense_enabled=self.defended,
             partition_windows=len(self._partitions),
             gray_episodes=self.gray_episodes,
             held_responses=self.held_responses,
-            suspicion_events=(len(self.detector.suspicion_log)
-                              if self.detector is not None else 0),
+            suspicion_events=len(self.detector.suspicion_log),
             breaker_transitions=self._retired_breaker_transitions + sum(
                 len(b.transitions) for b in self.breakers.values()),
             brownout_path=tuple(
-                to for _, _, to in self.brownout.transitions)
-            if self.brownout is not None else (),
-            retry_budget_spent=(self.budget.spent
-                                if self.budget is not None else 0.0),
-            retry_budget_refused=(self.budget.refused
-                                  if self.budget is not None else 0),
-            retry_budget_overdraft=(self.budget.forced_overdraft
-                                    if self.budget is not None else 0.0),
+                to for _, _, to in self.brownout.transitions),
+            retry_budget_spent=self.budget.spent,
+            retry_budget_refused=self.budget.refused,
+            retry_budget_overdraft=self.budget.forced_overdraft,
         )
 
     # -- arrival path ---------------------------------------------------------
     def _on_arrival(self, evt) -> None:
         req: Request = evt.value
         now = self.sim.now
-        if self.brownout is not None:
+        if self.defended:
             decision = self.admission.decide(
                 now, self.batcher.depth,
                 brownout_level=int(self.brownout.level),
@@ -382,7 +376,7 @@ class ServingEngine:
                                     req=req.req_id, **detail)
             return
         self.metrics.record_admission()
-        if self.budget is not None:
+        if self.defended:
             self.budget.note_request()
         if self.tracer.enabled:
             self.tracer.emit(("admit", "serving", now, 0.0, "serving",
@@ -421,7 +415,7 @@ class ServingEngine:
         now = self.sim.now
         while True:
             idle = self.pool.idle_replicas()
-            if self.detector is not None:
+            if self.breakers:
                 idle = [r for r in idle if self._dispatchable(r, now)]
             if not idle:
                 break
@@ -461,7 +455,7 @@ class ServingEngine:
                                 name="batch-done")
         done.add_callback(self._on_batch_done)
         batch.done_evt = done
-        if (self.detector is not None
+        if (self.defended
                 and self.config.defense.hedging_enabled and group is None):
             deadline = self.config.defense.hedge.deadline(
                 self._service_window)
@@ -515,7 +509,7 @@ class ServingEngine:
                    if r.rid != replica.rid and self._dispatchable(r, now)]
         if not backups:
             return
-        if self.budget is not None and not self.budget.try_spend():
+        if not self.budget.try_spend():
             return  # budget dry: the hedge is optional work — skip it
         group = HedgeGroup(requests=batch.requests,
                            primary_rid=replica.rid,
@@ -550,9 +544,7 @@ class ServingEngine:
             backup_won = replica.rid != group.primary_rid
             wasted = self._cancel_hedge_losers(group, replica.rid, now)
             self.metrics.record_hedge_resolved(backup_won, wasted)
-            winner_breaker = self.breakers.get(replica.rid)
-            if winner_breaker is not None:
-                winner_breaker.record_success(now)
+            self.breakers[replica.rid].record_success(now)
             self.tracer.instant("hedge-won", "serving", now,
                                 track="serving", lane="hedge",
                                 winner=replica.rid, backup_won=backup_won,
@@ -567,11 +559,10 @@ class ServingEngine:
                                   (now - batch.start) * len(replica.nodes))
         self.batch_log.append(
             (replica.rid, tuple(r.req_id for r in batch.requests)))
-        if self.detector is not None:
-            self._service_window.append(now - batch.start)
-            excess = len(self._service_window) - self.config.defense.hedge.window
-            if excess > 0:
-                del self._service_window[:excess]
+        self._service_window.append(now - batch.start)
+        excess = len(self._service_window) - self.config.defense.hedge.window
+        if excess > 0:
+            del self._service_window[:excess]
         for req in batch.requests:
             self._complete(req)
             for waiter_id in self.cache.complete(req.key, now):
@@ -597,9 +588,7 @@ class ServingEngine:
                 # feeding it to the breaker is what actually quarantines
                 # a gray replica (probes alone flap: gray still answers
                 # them with probability q).
-                breaker = self.breakers.get(rid)
-                if breaker is not None:
-                    breaker.record_failure(now)
+                self.breakers[rid].record_failure(now)
             group.sides.pop(rid, None)
         return wasted
 
@@ -643,19 +632,16 @@ class ServingEngine:
                               for r in drained)
             for r in drained:
                 self._retries[r.req_id] = attempt
-            if self.budget is not None:
-                # Failover of admitted requests is mandatory work: the
-                # budget is charged unconditionally, and an overdraft is
-                # one of the signals the brownout controller escalates on.
-                self.budget.spend_forced(float(len(drained)))
-                earliest = min(r.deadline_s for r in drained)
-                backoff = self.retry.delay_within(
-                    min(attempt, self.retry.max_retries), now, earliest,
-                    key=f"replica-{replica.rid}")
-            else:
-                backoff = self.retry.delay(min(attempt,
-                                               self.retry.max_retries),
-                                           key=f"replica-{replica.rid}")
+            # Failover of admitted requests is mandatory work: the budget
+            # is charged unconditionally, and an overdraft is one of the
+            # signals the brownout controller escalates on.
+            self.budget.spend_forced(float(len(drained)))
+            # A request with less budget left than the backoff retries at
+            # its deadline instead of sleeping past it.
+            backoff = self.retry.delay_within(
+                min(attempt, self.retry.max_retries), now,
+                min(r.deadline_s for r in drained),
+                key=f"replica-{replica.rid}")
             requeue = self.sim.timeout(backoff, value=drained,
                                        name=f"failover-r{replica.rid}")
             requeue.add_callback(self._on_failover_requeue)
@@ -745,12 +731,12 @@ class ServingEngine:
         for replica in list(self.pool.replicas.values()):
             if not replica.up:
                 continue
-            breaker = self.breakers.get(replica.rid)
+            # Defended runs register a breaker with every placed replica.
+            breaker = self.breakers[replica.rid]
             if self._probe_answered(replica, now):
                 self.detector.heartbeat(replica.rid, now)
-                if breaker is not None:
-                    breaker.record_success(now)
-            elif breaker is not None:
+                breaker.record_success(now)
+            else:
                 breaker.record_failure(now)
             self.detector.suspect(replica.rid, now)
         self._export_breaker_transitions(now)
@@ -786,7 +772,7 @@ class ServingEngine:
 
     # -- replica registration -------------------------------------------------
     def _register_replica(self, replica: Replica) -> None:
-        if self.detector is None:
+        if not self.defended:
             return
         now = self.sim.now
         self.detector.register(replica.rid, now)
@@ -796,8 +782,6 @@ class ServingEngine:
         self._breaker_seen[replica.rid] = 0
 
     def _unregister_replica(self, rid: int) -> None:
-        if self.detector is None:
-            return
         self.detector.forget(rid)
         breaker = self.breakers.get(rid)
         if breaker is not None:
@@ -808,7 +792,7 @@ class ServingEngine:
 
     def _placement_avoid(self) -> Optional[dict[str, set[int]]]:
         """Nodes the health layer wants new replicas kept away from."""
-        if self.detector is None:
+        if not self.defended:
             return None
         now = self.sim.now
         avoid: dict[str, set[int]] = {}

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import Job, JobPhase, WorkloadClass, small_msa_system
-from repro.resilience import FaultPlan
+from repro.resilience import DATA_FAULTS, FaultPlan
 from repro.simnet import CommCostModel, LinkKind
 
 
@@ -71,3 +71,16 @@ def make_fault_plan():
         targets = targets or {"cm": 8, "esb": 8, "dam": 2}
         return FaultPlan.random(seed=seed, targets=targets, **kwargs)
     return make
+
+
+@pytest.fixture
+def data_fault_plan():
+    """One spec of every ``DATA_FAULTS`` kind: faults the trainer, the
+    transports and the checkpoint store consume — no simulator clock fires
+    them, so every event-loop plane must accept them untouched."""
+    plan = FaultPlan.rank_kills(0, {3: [1]}).merged(
+        FaultPlan.silent_corruption(0, message_p=0.01, gradient={2: [0]},
+                                    checkpoint_rot=[(2, "nam")])
+    ).merged(FaultPlan.parse("seed=0,drop=0.05"))
+    assert {spec.kind for spec in plan} == DATA_FAULTS
+    return plan

@@ -1,6 +1,6 @@
 """The Dask-like delayed engine and the Horovod-timeline view of a trace."""
 
-import time
+import threading
 
 import numpy as np
 import pytest
@@ -86,19 +86,18 @@ class TestDelayed:
         assert serial == pytest.approx(parallel)
 
     def test_parallel_runs_independent_branches_concurrently(self):
-        started = []
+        # All four branches must be inside ``meet`` at once to get past the
+        # barrier; the timeout only bounds how long a serial run takes to
+        # fail (BrokenBarrierError), it is never waited out on success.
+        barrier = threading.Barrier(4)
 
-        def slow(tag):
-            started.append(tag)
-            time.sleep(0.05)
+        def meet(tag):
+            barrier.wait(timeout=10.0)
             return tag
 
-        branches = [delayed(slow)(i) for i in range(4)]
+        branches = [delayed(meet)(i) for i in range(4)]
         gather = delayed(lambda *xs: sum(xs))(*branches)
-        t0 = time.perf_counter()
         assert gather.compute(n_workers=4) == 6
-        elapsed = time.perf_counter() - t0
-        assert elapsed < 0.05 * 4          # overlap happened
 
     def test_parallel_error_propagates(self):
         bad = delayed(lambda: 1 / 0)()

@@ -69,6 +69,31 @@ class TestInjector:
                [(10.0, FaultKind.NODE_CRASH), (20.0, FaultKind.STRAGGLER)]
         assert seen[0][0] == 10.0 and seen[0][1].node == 2
 
+    def test_require_handlers_names_what_nobody_listens_to(self):
+        inj = FaultInjector(self._plan())
+        inj.on(FaultKind.NODE_CRASH, lambda spec: None)
+        with pytest.raises(FaultPlanError, match="straggler"):
+            inj.require_handlers("this test")
+        inj.on(FaultKind.STRAGGLER, lambda spec: None)
+        inj.require_handlers("this test")      # RANK_KILL is a data fault
+
+    @pytest.mark.parametrize("clause", ["partition:1", "gray:1"])
+    def test_scheduler_rejects_serving_plane_faults(self, make_small_system,
+                                                    gpu_job, clause):
+        plan = FaultPlan.parse(f"seed=1,chaos={clause}",
+                               targets={"cm": 8, "esb": 8, "dam": 2})
+        with pytest.raises(FaultPlanError, match="batch scheduler"):
+            schedule_workload(make_small_system(), [gpu_job()],
+                              fault_injector=FaultInjector(plan))
+
+    def test_scheduler_accepts_data_faults(self, make_small_system, gpu_job,
+                                           data_fault_plan):
+        report = schedule_workload(
+            make_small_system(), [gpu_job()],
+            fault_injector=FaultInjector(data_fault_plan))
+        assert report.job_status["train"] is JobStatus.COMPLETED
+        assert report.resilience.faults_injected == []
+
     def test_double_arm_rejected(self):
         injector = FaultInjector(self._plan())
         injector.arm(Simulator())

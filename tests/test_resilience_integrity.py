@@ -23,6 +23,7 @@ from repro.resilience.integrity import (
     publish_undetected,
     verified_grad_allreduce,
 )
+from repro.storage.checkpoint import payload_checksum, shard_digests
 
 
 class TestChecksums:
@@ -39,6 +40,67 @@ class TestChecksums:
     def test_single_bitflip_changes_checksum(self):
         a = np.linspace(-1.0, 1.0, 32)
         assert checksum_payload(flip_high_bits(a, 7)) != checksum_payload(a)
+
+    #: name -> (envelope CRC, checkpoint shard digest under that name), as
+    #: computed before the two word-sum copies became one function.
+    PINNED = {
+        "f64": (13790343746759020258, 13790343745265034494),
+        "f32_whole_words": (18179101659732727532, 18179101656910647374),
+        "u8_odd_tail": (506097526267791132, 506097527788964781),
+        "i16_below_one_word": (1856920954, 2165094090),
+        "f64_transposed": (4688247212878311243, 4688247212867285372),
+        "f32_strided_odd_tail": (952189691295675798, 952189689722005811),
+        "f32_fortran_odd_tail": (185290974836779522, 185290975419642423),
+        "empty": (1727026400, 1211821489),
+    }
+
+    @staticmethod
+    def _arrays():
+        base = (np.arange(130, dtype=np.float64) - 40.0) / 7.0
+        return {
+            "f64": base[:64].copy(),
+            "f32_whole_words": base[:64].astype(np.float32),
+            "u8_odd_tail": np.arange(13, dtype=np.uint8),
+            "i16_below_one_word": np.arange(3, dtype=np.int16),
+            "f64_transposed": base[:35].reshape(5, 7).T,
+            "f32_strided_odd_tail": base.astype(np.float32)[::2],
+            "f32_fortran_odd_tail": np.asfortranarray(
+                base[:9].astype(np.float32).reshape(3, 3)),
+            "empty": np.zeros(0),
+        }
+
+    def test_both_entry_points_keep_their_values(self):
+        """Envelope CRCs and stored checkpoint digests share one word-sum;
+        contiguous, non-contiguous and odd-tail buffers all keep the
+        values they had when each caller carried its own copy."""
+        got = {name: (checksum_payload(arr),
+                      shard_digests({name: arr})[0][1])
+               for name, arr in self._arrays().items()}
+        assert got == self.PINNED
+        assert payload_checksum(bytes(range(21))) == 1590916429253491868
+
+    @pytest.mark.parametrize("name", ["f32_strided_odd_tail",
+                                      "f32_fortran_odd_tail"])
+    def test_memory_layout_does_not_change_the_checksum(self, name):
+        """The checksum is of the canonical (C-order) bytes: a contiguous
+        copy of an odd-tail array must agree with its strided original —
+        the tail past the last whole word is covered either way."""
+        arr = self._arrays()[name]
+        packed = np.ascontiguousarray(arr)
+        assert not arr.flags.c_contiguous and packed.nbytes % 8
+        assert (checksum_payload(packed),
+                shard_digests({name: packed})[0][1]) == self.PINNED[name]
+
+    def test_flip_in_the_tail_past_the_last_word_is_seen(self):
+        a = np.arange(5, dtype=np.float32)       # 20 bytes: 2 words + 4
+        b = a.copy()
+        b[4] = 99.0
+        assert checksum_payload(a) != checksum_payload(b)
+        assert shard_digests({"w": a}) != shard_digests({"w": b})
+
+    def test_zero_dim_state_entries_have_a_digest(self):
+        (_, digest), = shard_digests({"step": np.float64(3.5)})
+        assert digest == shard_digests({"step": np.array(3.5)})[0][1]
 
     def test_linear_checksum_tracks_corruption(self):
         a = np.linspace(-1.0, 1.0, 1024)

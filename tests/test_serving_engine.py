@@ -16,12 +16,14 @@ from repro.resilience.faults import (
     FaultInjector,
     FaultKind,
     FaultPlan,
+    FaultPlanError,
     FaultSpec,
 )
 from repro.serving import (
     AdmissionPolicy,
     ArrivalPattern,
     AutoscalerConfig,
+    DefenseConfig,
     ServingConfig,
     ServingEngine,
     TraceConfig,
@@ -33,7 +35,7 @@ HEAVY = 32           # samples/request that puts 1 ESB replica near ~95 req/s
 
 def _config(rate=120.0, duration=20.0, seed=0, samples=HEAVY, replicas=1,
             autoscale=True, max_replicas=8, cache=0, pattern="poisson",
-            admission=None):
+            admission=None, defend=False):
     return ServingConfig(
         trace=TraceConfig(pattern=ArrivalPattern(pattern), rate_per_s=rate,
                           duration_s=duration, samples_per_request=samples,
@@ -43,6 +45,7 @@ def _config(rate=120.0, duration=20.0, seed=0, samples=HEAVY, replicas=1,
                                     max_replicas=max_replicas),
         initial_replicas=replicas,
         cache_capacity=cache,
+        defense=DefenseConfig(enabled=defend),
     )
 
 
@@ -211,6 +214,104 @@ class TestFailover:
                                       _crash_plan(5.0)))
         assert faulty.metrics.completed == clean.metrics.completed
         assert faulty.p99 >= clean.p99
+
+
+def _overloaded_crash_run(make_small_system, rate, defend=False, seed=0):
+    """Two pinned ESB replicas, crashes on their nodes at t=2 and t=3.
+
+    Returns ``(report, engine, deadlines)`` where ``deadlines[t]`` lists
+    the absolute deadlines of the requests the crash at ``t`` drained.
+    """
+    cfg = _config(rate=rate, duration=6.0, replicas=2, autoscale=False,
+                  seed=seed, defend=defend)
+    eng = ServingEngine(cfg, system=make_small_system(),
+                        fault_injector=FaultInjector(
+                            _crash_plan(2.0, 3.0, repair=2.0)))
+    deadlines = {}
+    crash = eng.pool.crash
+
+    def spy(replica, node, now):
+        drained = crash(replica, node, now)
+        deadlines[now] = [r.deadline_s for r in drained]
+        return drained
+
+    eng.pool.crash = spy
+    return eng.run(), eng, deadlines
+
+
+class TestFailoverBackoff:
+    """One backoff for both arms: the policy's delay, clamped so a drained
+    request never sleeps past its own deadline."""
+
+    @pytest.mark.parametrize("rate", [400.0, 800.0])
+    def test_overloaded_undefended_backoff_is_deadline_clamped(
+            self, make_small_system, rate):
+        rep, eng, deadlines = _overloaded_crash_run(make_small_system, rate)
+        assert rep.metrics.requests_failed_over > 0
+        assert rep.metrics.completed == rep.metrics.admitted
+        clamped = 0
+        for event in rep.failover_events:
+            assert event.requests_drained == len(deadlines[event.time])
+            if not event.requests_drained:
+                continue
+            slack = min(deadlines[event.time]) - event.time
+            assert event.backoff_s <= max(0.0, slack)
+            clamped += event.backoff_s < eng.retry.delay(
+                1, key=f"replica-{event.replica_id}")
+        assert clamped      # the regime the test is named for was reached
+
+    def test_overloaded_run_is_byte_identical(self, make_small_system):
+        a, _, _ = _overloaded_crash_run(make_small_system, 400.0)
+        b, _, _ = _overloaded_crash_run(make_small_system, 400.0)
+        assert a.to_text() == b.to_text()
+        assert a.failover_events == b.failover_events
+        assert a.batch_log == b.batch_log
+
+    def test_both_arms_back_off_alike_when_the_clamp_does_not_bind(
+            self, make_small_system):
+        plain, eng, deadlines = _overloaded_crash_run(make_small_system, 150.0)
+        defended, _, _ = _overloaded_crash_run(make_small_system, 150.0,
+                                               defend=True)
+        assert [e.backoff_s for e in plain.failover_events] == \
+            [e.backoff_s for e in defended.failover_events]
+        for event in plain.failover_events:
+            assert event.requests_drained > 0
+            delay = eng.retry.delay(1, key=f"replica-{event.replica_id}")
+            assert delay < min(deadlines[event.time]) - event.time
+            assert event.backoff_s == delay
+
+
+class TestFaultKindsHandled:
+    """A plan naming a clock-driven fault the engine has no handler for is
+    a config error at construction, not a silently empty drill."""
+
+    @pytest.mark.parametrize("kind, extra", [
+        (FaultKind.STRAGGLER, {"magnitude": 2.0}),
+        (FaultKind.LINK_DEGRADE, {"magnitude": 2.0}),
+    ])
+    def test_unhandled_kind_rejected(self, small_system, kind, extra):
+        plan = FaultPlan(seed=0, specs=(FaultSpec(
+            kind=kind, time=1.0, module="esb", node=0, **extra),))
+        with pytest.raises(FaultPlanError, match=kind.value):
+            ServingEngine(_config(duration=2.0), system=small_system,
+                          fault_injector=FaultInjector(plan))
+
+    def test_data_faults_are_not_the_engines_business(self, small_system,
+                                                      data_fault_plan):
+        rep = simulate_serving(_config(rate=30.0, duration=2.0),
+                               system=small_system,
+                               fault_injector=FaultInjector(data_fault_plan))
+        assert rep.metrics.completed == rep.metrics.admitted
+
+    def test_cli_prints_the_error_and_exits_non_zero(self, capsys):
+        from repro.cli import main
+
+        rc = main(["serve", "--duration", "2", "--faults",
+                   "seed=1,straggler=esb:3,degrade=esb:2"])
+        captured = capsys.readouterr()
+        assert rc != 0
+        assert "straggler" in captured.err and "link-degrade" in captured.err
+        assert "serving report" not in captured.out
 
 
 class TestCache:
