@@ -74,6 +74,8 @@ EXPERIMENTS = [
      "src/repro/ml/tensor.py"),
     ("E23", "event kernel: only live events in the heap (timeout series)",
      "src/repro/simnet/events.py"),
+    ("E24", "message path: one reader per inbox (single-consumer transport)",
+     "src/repro/mpi/transport.py"),
     ("ABL", "design-choice ablations",
      "benchmarks/bench_ablations.py"),
 ]

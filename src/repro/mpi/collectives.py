@@ -19,6 +19,7 @@ high-level methods, which handle algorithm selection.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -151,6 +152,35 @@ def ring_allgather(comm: Communicator, obj: Any, tag: int) -> list:
     return out
 
 
+@lru_cache(maxsize=256)
+def ring_chunks(n: int, p: int) -> tuple[tuple[int, int], ...]:
+    """Near-equal split of ``n`` elements over ``p`` ranks as (lo, hi) pairs.
+
+    The bounds are those of NumPy's ``linspace(0, n, p + 1)`` cast to
+    int64 — the same float64 products, truncated (``i * n // p`` differs,
+    e.g. at n=30, p=22) — worked out without NumPy so that a rank reaches
+    its first send without a call that hands the interpreter lock to its
+    peer.
+    """
+    step = n / p
+    bounds = [int(i * step) for i in range(p)] + [n]
+    return tuple(zip(bounds, bounds[1:]))
+
+
+def _reduce_scatter_ring(comm: Communicator, flat: np.ndarray,
+                         chunks: tuple[tuple[int, int], ...], tag: int) -> None:
+    """p-1 ring steps after which rank r holds reduced chunk ``(r+1) % p``."""
+    p, rank = comm.size, comm.rank
+    right = (rank + 1) % p
+    left = (rank - 1) % p
+    for step in range(p - 1):
+        s0, s1 = chunks[(rank - step) % p]
+        comm._send_raw(right, flat[s0:s1].copy(), tag + step)
+        incoming = comm._recv_raw(left, tag + step).payload
+        r0, r1 = chunks[(rank - step - 1) % p]
+        flat[r0:r1] += incoming
+
+
 def ring_allreduce_inplace(comm: Communicator, array: np.ndarray, tag: int) -> None:
     """Bandwidth-optimal ring allreduce (SUM) on a NumPy array, in place.
 
@@ -168,31 +198,19 @@ def ring_allreduce_inplace(comm: Communicator, array: np.ndarray, tag: int) -> N
     n = flat.shape[0]
     if n < p:
         raise ValueError(f"array of {n} elements too small for {p}-rank ring")
-    # Chunk boundaries (near-equal split).
-    bounds = np.linspace(0, n, p + 1).astype(np.int64)
-    chunks = [(int(bounds[i]), int(bounds[i + 1])) for i in range(p)]
-    right = (comm.rank + 1) % p
-    left = (comm.rank - 1) % p
-
-    # Reduce-scatter ring.
-    for step in range(p - 1):
-        send_idx = (comm.rank - step) % p
-        recv_idx = (comm.rank - step - 1) % p
-        s0, s1 = chunks[send_idx]
-        comm._send_raw(right, flat[s0:s1].copy(), tag + step)
-        incoming = comm._recv_raw(source=left, tag=tag + step).payload
-        r0, r1 = chunks[recv_idx]
-        flat[r0:r1] += incoming
+    chunks = ring_chunks(n, p)
+    _reduce_scatter_ring(comm, flat, chunks, tag)
 
     # Allgather ring.
+    rank = comm.rank
+    right = (rank + 1) % p
+    left = (rank - 1) % p
     base = tag + p
     for step in range(p - 1):
-        send_idx = (comm.rank - step + 1) % p
-        recv_idx = (comm.rank - step) % p
-        s0, s1 = chunks[send_idx]
+        s0, s1 = chunks[(rank - step + 1) % p]
         comm._send_raw(right, flat[s0:s1].copy(), base + step)
-        incoming = comm._recv_raw(source=left, tag=base + step).payload
-        r0, r1 = chunks[recv_idx]
+        incoming = comm._recv_raw(left, base + step).payload
+        r0, r1 = chunks[(rank - step) % p]
         flat[r0:r1] = incoming
 
 
@@ -207,24 +225,13 @@ def ring_reduce_scatter(
     p = comm.size
     flat = np.asarray(array, dtype=np.float64).reshape(-1).copy()
     n = flat.shape[0]
-    bounds = np.linspace(0, n, p + 1).astype(np.int64)
-    chunks = [(int(bounds[i]), int(bounds[i + 1])) for i in range(p)]
     if p == 1:
         return flat, (0, n)
     if n < p:
         raise ValueError(f"array of {n} elements too small for {p}-rank ring")
-    right = (comm.rank + 1) % p
-    left = (comm.rank - 1) % p
-    for step in range(p - 1):
-        send_idx = (comm.rank - step) % p
-        recv_idx = (comm.rank - step - 1) % p
-        s0, s1 = chunks[send_idx]
-        comm._send_raw(right, flat[s0:s1].copy(), tag + step)
-        incoming = comm._recv_raw(source=left, tag=tag + step).payload
-        r0, r1 = chunks[recv_idx]
-        flat[r0:r1] += incoming
-    own = (comm.rank + 1) % p
-    lo, hi = chunks[own]
+    chunks = ring_chunks(n, p)
+    _reduce_scatter_ring(comm, flat, chunks, tag)
+    lo, hi = chunks[(comm.rank + 1) % p]
     return flat[lo:hi].copy(), (lo, hi)
 
 

@@ -1,4 +1,4 @@
-"""The communicator: mpi4py-flavoured API over the mailbox transport.
+"""The communicator: mpi4py-flavoured API over the inbox transport.
 
 Lowercase methods (``send``, ``recv``, ``bcast``, ``scatter``, ``gather``,
 ``allgather``, ``reduce``, ``allreduce``, ``alltoall``, ``barrier``)
@@ -16,8 +16,7 @@ simulated timeline alongside its real numerical results.
 
 from __future__ import annotations
 
-import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -28,10 +27,12 @@ from repro.simnet.link import LinkKind
 from repro.mpi.transport import (
     ANY_SOURCE,
     ANY_TAG,
+    INTERNAL_TAG_BASE as _INTERNAL_TAG_BASE,
     Message,
     RankState,
     Transport,
     payload_nbytes,
+    wire_size,
 )
 
 
@@ -65,9 +66,8 @@ class ReduceOp:
 #: Default fabric if none is specified: the booster's InfiniBand HDR.
 _DEFAULT_COST_MODEL = CommCostModel.of_kind(LinkKind.INFINIBAND_HDR)
 
-#: Tag space partitioning: user tags must stay below this; internal
-#: collective traffic uses tags above it.
-_INTERNAL_TAG_BASE = 1 << 20
+#: What ``_traced`` hands out while the tracer is disabled.
+_UNTRACED = nullcontext()
 
 
 class Request:
@@ -97,10 +97,7 @@ class RecvRequest:
         """Non-destructively check for a match; completes if present."""
         if self._done:
             return True, self._value
-        match = self._comm.transport.probe(
-            self._comm._world(self._comm.rank), source=self._source,
-            tag=self._tag, context=self._comm.context)
-        if match is None:
+        if not self._comm.probe(self._source, self._tag):
             return False, None
         return True, self.wait()
 
@@ -150,6 +147,9 @@ class Communicator:
         self._ptp_between = getattr(self.cost_model, "ptp_between", None)
         self._ptp = self.cost_model.ptp
         self._alpha = self.cost_model.alpha
+        self._world_rank = self.group[rank]
+        #: ``_traced``'s counters, resolved by label once per registry.
+        self._counters: tuple[Any, dict[tuple[str, str], Any]] = (None, {})
         if integrity is not None:
             from repro.resilience.integrity import TRUSTED_CRC, Envelope
 
@@ -183,9 +183,8 @@ class Communicator:
     def _lane(self) -> str:
         """This rank's trace lane, keyed by *world* rank so sub-communicator
         traffic lands on the same timeline row as the rank's other work."""
-        return f"rank{self._world(self.rank):03d}"
+        return f"rank{self._world_rank:03d}"
 
-    @contextmanager
     def _traced(self, op: str, obj: Any = None):
         """Span + byte/call counters around one communication operation.
 
@@ -195,9 +194,20 @@ class Communicator:
         so bytes are never double counted.
         """
         tracer = telemetry.get_tracer()
-        if not tracer.enabled:
-            yield
-            return
+        return self._span(tracer, op, obj) if tracer.enabled else _UNTRACED
+
+    def _counter(self, name: str, op: str):
+        """``registry.counter(name, op=op)``, looked up once per registry."""
+        registry = telemetry.get_registry()
+        if self._counters[0] is not registry:
+            self._counters = (registry, {})
+        found = self._counters[1]
+        if (name, op) not in found:
+            found[name, op] = registry.counter(name, op=op)
+        return found[name, op]
+
+    @contextmanager
+    def _span(self, tracer, op: str, obj: Any):
         nbytes = payload_nbytes(obj) if obj is not None else 0
         start = self.state.sim_time
         try:
@@ -206,10 +216,9 @@ class Communicator:
             tracer.record(op, "comm", start, self.state.sim_time - start,
                           track="mpi", lane=self._lane(), nbytes=nbytes,
                           comm_size=self.size)
-            registry = telemetry.get_registry()
-            registry.counter("collective_calls_total", op=op).inc()
+            self._counter("collective_calls_total", op).inc()
             if nbytes:
-                registry.counter("collective_bytes", op=op).inc(nbytes)
+                self._counter("collective_bytes", op).inc(nbytes)
 
     # -- internal point-to-point --------------------------------------------
     def _world(self, grp_rank: int) -> int:
@@ -217,14 +226,15 @@ class Communicator:
 
     def _send_raw(self, dest: int, obj: Any, tag: int) -> None:
         state = self.state
-        group = self.group
-        nbytes = payload_nbytes(obj)
+        src = self._world_rank
+        dst = self.group[dest]
+        nbytes, pickled = wire_size(obj)
         if self.integrity is not None:
             # Integrity layer: possibly corrupt in transit (fault plan) and,
             # when verification is on, wrap in a checksummed envelope.  The
             # byte accounting stays that of the logical payload — the CRC
             # header is noise next to any tensor.
-            obj = self.integrity.outbound(obj, group[self.rank], group[dest])
+            obj = self.integrity.outbound(obj, src, dst, pickled)
             if type(obj) is self._envelope_cls:
                 if obj.crc == self._trusted_crc:
                     state.envelope_fastpath += 1
@@ -232,7 +242,7 @@ class Communicator:
                     state.envelope_checksums += 1
         if self._ptp_between is not None:
             # Modular placement: cost depends on the endpoints' modules.
-            cost = self._ptp_between(group[self.rank], group[dest], nbytes)
+            cost = self._ptp_between(src, dst, nbytes)
         else:
             cost = self._ptp(nbytes)
         send_time = state.sim_time
@@ -243,20 +253,12 @@ class Communicator:
         alpha = self._alpha
         state.advance(alpha)
         state.comm_time += alpha
-        msg = Message(
-            source=self.rank,
-            tag=tag,
-            context=self.context,
-            payload=obj,
-            send_time=send_time + cost,  # arrival time for the receiver
-            nbytes=nbytes,
-        )
-        self.transport.put(group[dest], msg)
+        # Stamped with the arrival time for the receiver.
+        self.transport.put(dst, Message(
+            self.rank, tag, self.context, obj, send_time + cost, nbytes))
 
     def _recv_raw(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message:
-        msg = self.transport.get(
-            self._world(self.rank), source=source, tag=tag, context=self.context
-        )
+        msg = self.transport.get(self._world_rank, source, tag, self.context)
         state = self.state
         before = state.sim_time
         state.observe(msg.send_time)
@@ -307,12 +309,8 @@ class Communicator:
         return self.recv(source=source, tag=recvtag)
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        return (
-            self.transport.probe(
-                self._world(self.rank), source=source, tag=tag, context=self.context
-            )
-            is not None
-        )
+        return self.transport.probe(
+            self._world_rank, source, tag, self.context) is not None
 
     @staticmethod
     def _check_user_tag(tag: int) -> None:
@@ -330,14 +328,10 @@ class Communicator:
 
     # -- collectives (object flavour) ------------------------------------------
     def barrier(self) -> None:
-        from repro.mpi import collectives
-
         with self._traced("barrier"):
             collectives.dissemination_barrier(self, self._next_coll_tag())
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
-        from repro.mpi import collectives
-
         with self._traced("bcast", obj):
             return collectives.binomial_bcast(self, obj, root,
                                               self._next_coll_tag())
@@ -368,8 +362,6 @@ class Communicator:
             return None
 
     def allgather(self, obj: Any) -> list:
-        from repro.mpi import collectives
-
         with self._traced("allgather", obj):
             return collectives.ring_allgather(self, obj,
                                               self._next_coll_tag())
@@ -392,15 +384,11 @@ class Communicator:
             return out
 
     def reduce(self, obj: Any, op: str = ReduceOp.SUM, root: int = 0) -> Any:
-        from repro.mpi import collectives
-
         with self._traced("reduce", obj):
             return collectives.binomial_reduce(self, obj, op, root,
                                                self._next_coll_tag())
 
     def allreduce(self, obj: Any, op: str = ReduceOp.SUM) -> Any:
-        from repro.mpi import collectives
-
         with self._traced("allreduce", obj):
             if isinstance(obj, np.ndarray) and obj.size >= self.size \
                     and op == ReduceOp.SUM:
@@ -419,8 +407,6 @@ class Communicator:
     def reduce_scatter(self, array: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
         """SUM-reduce a buffer and scatter chunks: each rank gets its fully
         reduced slice plus the (lo, hi) bounds into the flattened buffer."""
-        from repro.mpi import collectives
-
         with self._traced("reduce_scatter", array):
             return collectives.ring_reduce_scatter(
                 self, array, self._next_coll_tag())
@@ -541,3 +527,8 @@ class Communicator:
         )
         clone._coll_seq = self._coll_seq
         return clone
+
+
+# Down here because collectives imports Communicator and ReduceOp from this
+# module; the methods above look the name up when they run.
+from repro.mpi import collectives  # noqa: E402

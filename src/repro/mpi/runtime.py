@@ -110,34 +110,8 @@ def spmd_sim_times(
     cost_model: Optional[CommCostModel] = None,
 ) -> tuple[list[Any], list[float]]:
     """Like :func:`run_spmd` but also return each rank's final simulated time."""
-    transport = Transport(world_size)
-    results: list[Any] = [None] * world_size
-    errors: list[Optional[SpmdFailure]] = [None] * world_size
-    times: list[float] = [0.0] * world_size
+    def timed(comm: Communicator, *call_args: Any) -> tuple[Any, float]:
+        return fn(comm, *call_args), comm.sim_time
 
-    def worker(rank: int) -> None:
-        comm = Communicator(transport, rank, cost_model=cost_model)
-        try:
-            results[rank] = fn(comm, *args)
-            times[rank] = comm.sim_time
-        except TransportAborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001
-            errors[rank] = SpmdFailure(rank, exc, traceback.format_exc())
-            transport.abort()
-
-    if world_size == 1:
-        worker(0)
-    else:
-        threads = [
-            threading.Thread(target=worker, args=(r,), daemon=True)
-            for r in range(world_size)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    for err in errors:
-        if err is not None:
-            raise err
-    return results, times
+    pairs = run_spmd(timed, world_size, args=args, cost_model=cost_model)
+    return [r for r, _ in pairs], [t for _, t in pairs]

@@ -1,9 +1,11 @@
 """Thread-safe message transport and per-rank state.
 
-The transport is a set of per-rank mailboxes guarded by a condition
-variable.  Messages are addressed by (destination, source, tag, context) —
-``context`` isolates communicators produced by ``Split`` from each other,
-mirroring MPI context ids.
+The transport is one inbox per rank that only its owner reads: any thread
+``put``s into a rank's queue, but ``get``/``probe`` for a rank run on that
+rank's own thread alone, so the list of messages taken off the queue and
+not yet matched needs no lock.  Messages are addressed by (destination,
+source, tag, context) — ``context`` isolates communicators produced by
+``Split`` from each other, mirroring MPI context ids.
 
 Message payloads carry the sender's simulated timestamp so receivers can
 advance their logical clocks (see :mod:`repro.mpi.comm`).
@@ -12,6 +14,7 @@ advance their logical clocks (see :mod:`repro.mpi.comm`).
 from __future__ import annotations
 
 import pickle
+import queue
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -23,24 +26,34 @@ from repro.simnet.link import PartitionWindow
 ANY_SOURCE = -1
 ANY_TAG = -1
 
-#: Seconds between abort-flag checks while a recv is blocked.
-_POLL_INTERVAL = 0.05
+#: Tag space partitioning: user tags stay below this, collective-internal
+#: traffic uses tags above it.  ``ANY_TAG`` matches user tags only — MPI
+#: keeps point-to-point and collective traffic in separate contexts.
+INTERNAL_TAG_BASE = 1 << 20
 
 
 class TransportAborted(RuntimeError):
     """Raised in blocked receivers when another rank has failed."""
 
 
-def payload_nbytes(obj: Any) -> int:
-    """Wire size estimate used by the simulated clock and traffic stats."""
+def wire_size(obj: Any) -> tuple[int, Optional[bytes]]:
+    """Wire size estimate used by the simulated clock and traffic stats,
+    with the pickling an object payload was measured on (``None`` for
+    buffers, which go as they are) so the envelope CRC can reuse it."""
     if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
+        return int(obj.nbytes), None
     if isinstance(obj, (bytes, bytearray, memoryview)):
-        return len(obj)
+        return len(obj), None
     try:
-        return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+        pickled = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:
-        return 64  # unpicklable sentinel — charge a small envelope
+        return 64, None  # unpicklable sentinel — charge a small envelope
+    return len(pickled), pickled
+
+
+def payload_nbytes(obj: Any) -> int:
+    """The size half of :func:`wire_size`."""
+    return wire_size(obj)[0]
 
 
 @dataclass
@@ -51,6 +64,13 @@ class Message:
     payload: Any
     send_time: float
     nbytes: int
+
+
+def _matches(msg: Message, source: int, tag: int, context: int) -> bool:
+    return (msg.context == context
+            and (source == ANY_SOURCE or msg.source == source)
+            and (msg.tag == tag
+                 or (tag == ANY_TAG and msg.tag < INTERNAL_TAG_BASE)))
 
 
 @dataclass(frozen=True)
@@ -104,15 +124,17 @@ class RankState:
 
 
 class Transport:
-    """Mailbox fabric for one SPMD world."""
+    """Inbox fabric for one SPMD world."""
 
     def __init__(self, world_size: int) -> None:
         if world_size < 1:
             raise ValueError("world_size must be >= 1")
         self.world_size = world_size
-        self._mailboxes: list[list[Message]] = [[] for _ in range(world_size)]
-        self._conditions = [threading.Condition() for _ in range(world_size)]
-        self._aborted = threading.Event()
+        self._inboxes = [queue.SimpleQueue() for _ in range(world_size)]
+        #: Per rank, in arrival order: messages its owner took off the
+        #: inbox while looking for another one.  Owner-private.
+        self._parked: list[list[Message]] = [[] for _ in range(world_size)]
+        self.aborted = False
         self.states = [RankState(rank=r) for r in range(world_size)]
         self._context_lock = threading.Lock()
         self._next_context = 1  # 0 is COMM_WORLD
@@ -150,14 +172,11 @@ class Transport:
 
     # -- failure propagation ----------------------------------------------
     def abort(self) -> None:
-        self._aborted.set()
-        for cond in self._conditions:
-            with cond:
-                cond.notify_all()
-
-    @property
-    def aborted(self) -> bool:
-        return self._aborted.is_set()
+        """Fail the world: a receiver blocked on an empty inbox wakes on
+        the sentinel posted here, and no later ``get`` blocks."""
+        self.aborted = True
+        for inbox in self._inboxes:
+            inbox.put(None)
 
     def allocate_context(self) -> int:
         with self._context_lock:
@@ -171,47 +190,45 @@ class Transport:
             raise ValueError(f"destination rank {dest} out of range")
         if self._partitions:
             self._apply_partitions(dest, msg)
-        cond = self._conditions[dest]
-        with cond:
-            self._mailboxes[dest].append(msg)
-            cond.notify_all()
+        self._inboxes[dest].put(msg)
 
     def get(
-        self,
-        dest: int,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        context: int = 0,
+        self, dest: int, source: int = ANY_SOURCE, tag: int = ANY_TAG, context: int = 0
     ) -> Message:
-        """Blocking matched receive for rank ``dest``."""
-        cond = self._conditions[dest]
-        with cond:
+        """Blocking matched receive for rank ``dest`` (its own thread only)."""
+        parked = self._parked[dest]
+        for i, msg in enumerate(parked):
+            if _matches(msg, source, tag, context):
+                del parked[i]
+                return msg
+        take = self._inboxes[dest].get
+        try:
             while True:
-                box = self._mailboxes[dest]
-                for i, msg in enumerate(box):
-                    if msg.context != context:
-                        continue
-                    if source != ANY_SOURCE and msg.source != source:
-                        continue
-                    if tag != ANY_TAG and msg.tag != tag:
-                        continue
-                    return box.pop(i)
-                if self._aborted.is_set():
-                    raise TransportAborted("SPMD world aborted while receiving")
-                cond.wait(timeout=_POLL_INTERVAL)
+                # Once the world is aborted, only drain what is queued.
+                msg = take(not self.aborted)
+                if msg is None:
+                    continue  # the abort sentinel, here to wake us
+                if _matches(msg, source, tag, context):
+                    return msg
+                parked.append(msg)
+        except queue.Empty:
+            raise TransportAborted(
+                "SPMD world aborted while receiving") from None
 
     def probe(
         self, dest: int, source: int = ANY_SOURCE, tag: int = ANY_TAG, context: int = 0
     ) -> Optional[Message]:
         """Non-destructive check for a matching message (returns it or None)."""
-        cond = self._conditions[dest]
-        with cond:
-            for msg in self._mailboxes[dest]:
-                if msg.context != context:
-                    continue
-                if source != ANY_SOURCE and msg.source != source:
-                    continue
-                if tag != ANY_TAG and msg.tag != tag:
-                    continue
+        parked = self._parked[dest]
+        take = self._inboxes[dest].get_nowait
+        try:
+            while True:
+                msg = take()
+                if msg is not None:
+                    parked.append(msg)
+        except queue.Empty:
+            pass
+        for msg in parked:
+            if _matches(msg, source, tag, context):
                 return msg
         return None

@@ -236,7 +236,9 @@ class CorruptionInjector:
         self.plan = plan
         self.message_p = plan.message_bitflip_probability
         self._lock = threading.Lock()
-        self._msg_seq: dict[tuple[int, int], int] = {}
+        #: Per (src, dst) lane: [stream key, messages drawn].  Written by
+        #: the lane's sender thread alone, so drawn without the lock.
+        self._lanes: dict[tuple[int, int], list] = {}
         self._consumed_grads: set[tuple[int, int]] = set()
         #: Local injection log: (kind, stream key) in injection order.
         self.injected: list[tuple[str, str]] = []
@@ -268,10 +270,11 @@ class CorruptionInjector:
                        and obj.dtype.kind in "fiu") or isinstance(obj, float)
         if not corruptible:
             return obj, False
-        key = f"msg:{src}>{dst}"
-        with self._lock:
-            n = self._msg_seq.get((src, dst), 0)
-            self._msg_seq[(src, dst)] = n + 1
+        lane = self._lanes.get((src, dst))
+        if lane is None:
+            lane = self._lanes[src, dst] = [f"msg:{src}>{dst}", 0]
+        key, n = lane
+        lane[1] = n + 1
         if _stable_uniform(self.plan.seed, key, n) >= self.message_p:
             return obj, False
         if isinstance(obj, float):
@@ -325,8 +328,13 @@ class IntegrityContext:
     def verify(self) -> bool:
         return self.config.verify
 
-    def outbound(self, obj: Any, src: int, dst: int) -> Any:
-        """The wire form of ``obj``: possibly corrupted, possibly enveloped."""
+    def outbound(self, obj: Any, src: int, dst: int,
+                 pickled: Optional[bytes] = None) -> Any:
+        """The wire form of ``obj``: possibly corrupted, possibly enveloped.
+
+        ``pickled`` is the sender's pickling of an object payload when it
+        has one already; the CRC of those bytes is the payload's checksum.
+        """
         injector = self.injector
         if injector is None or injector.message_p <= 0.0:
             # Trusted fast path: nothing can tamper with this message in
@@ -343,7 +351,8 @@ class IntegrityContext:
         wire, corrupted = injector.maybe_corrupt_message(obj, src, dst)
         if not self.verify:
             return wire          # unprotected: corruption flows silently
-        return Envelope(payload=wire, crc=checksum_payload(obj),
+        crc = checksum_payload(obj if pickled is None else pickled)
+        return Envelope(payload=wire, crc=crc,
                         clean=obj if corrupted else None)
 
     def inbound(self, envelope: Envelope) -> tuple[Any, float]:

@@ -6,10 +6,15 @@ artifacts, spans from ≥4 subsystems on one simulated timebase, valid
 nesting per rank lane, and a zero invariant gauge.
 """
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from repro import telemetry
+from repro.mpi import run_spmd
+from repro.telemetry import MetricsRegistry
 from repro.telemetry.scenarios import (
     SCENARIOS,
     trace_serving_scenario,
@@ -76,6 +81,75 @@ class TestTrainScenario:
 
     def test_no_invariant_violations(self, train_artifacts):
         assert train_artifacts.ok
+
+
+class TestCollectiveTelemetry:
+    """The collective path's telemetry as counted work (DESIGN §15)."""
+
+    def test_counters_resolved_by_label_once_per_communicator(self):
+        class CountingRegistry(MetricsRegistry):
+            def __init__(self):
+                super().__init__()
+                self.resolved = []
+
+            def counter(self, name, **labels):
+                self.resolved.append((name, labels["op"]))
+                return super().counter(name, **labels)
+
+        def fn(comm):
+            for _ in range(6):
+                comm.allreduce(np.ones(8))
+                comm.bcast({"k": 1} if comm.rank == 0 else None)
+                comm.barrier()
+
+        registry = CountingRegistry()
+        with telemetry.capture(registry=registry) as (tracer, _):
+            run_spmd(fn, 2, timeout=30)
+        # One look-up per (communicator, family, op) — and none at all for
+        # a family the op never moves: barrier sends no bytes, a non-root
+        # bcast passes None.
+        assert sorted(registry.resolved) == sorted(
+            [("collective_calls_total", op)
+             for op in ("allreduce", "barrier", "bcast")] * 2
+            + [("collective_bytes", "allreduce")] * 2
+            + [("collective_bytes", "bcast")])
+        assert registry.value("collective_calls_total", op="barrier") == 12
+        assert registry.value("collective_bytes", op="allreduce") == 12 * 64
+        assert 'collective_bytes{op="barrier"}' not in registry.to_prometheus()
+        assert len(tracer.by_track("mpi")) == 36
+
+    def test_new_capture_gets_its_own_counters(self):
+        def fn(comm):
+            first = MetricsRegistry()
+            with telemetry.capture(registry=first):
+                comm.send("x", dest=0, tag=1)
+            second = MetricsRegistry()
+            with telemetry.capture(registry=second):
+                comm.recv(source=0, tag=1)
+                comm.send("y", dest=0, tag=1)
+            return (first.value("collective_calls_total", op="send"),
+                    second.value("collective_calls_total", op="send"),
+                    second.value("collective_calls_total", op="recv"))
+
+        assert run_spmd(fn, 1) == [(1, 1, 1)]
+
+    def test_train_trace_mpi_spans_and_collective_metrics_pinned(
+            self, train_artifacts):
+        """Byte-for-byte what the per-call look-ups produced before."""
+        mpi = [s for s in train_artifacts.spans if s.track == "mpi"]
+        assert len(mpi) == 87
+        assert hashlib.sha256(repr(mpi).encode()).hexdigest()[:16] \
+            == "99a434b9017975b4"
+        assert [line for line in train_artifacts.prometheus.splitlines()
+                if line.startswith("collective_")] == [
+            'collective_bytes{op="allgather"} 274',
+            'collective_bytes{op="allreduce"} 11852',
+            'collective_bytes{op="bcast"} 1878',
+            'collective_bytes{op="grad-allreduce"} 9408',
+            'collective_calls_total{op="allgather"} 11',
+            'collective_calls_total{op="allreduce"} 60',
+            'collective_calls_total{op="bcast"} 16',
+        ]
 
 
 class TestServeScenario:
