@@ -11,10 +11,12 @@ from repro.bench.registry import (
     BenchCase,
     Budget,
     CaseRun,
+    ExpectationFailed,
     all_cases,
     areas,
     bench_case,
     cases_for,
+    expect,
 )
 from repro.bench.schema import (
     CORE_AREAS,
@@ -30,10 +32,12 @@ __all__ = [
     "BenchCase",
     "Budget",
     "CaseRun",
+    "ExpectationFailed",
     "all_cases",
     "areas",
     "bench_case",
     "cases_for",
+    "expect",
     "CORE_AREAS",
     "SCHEMA_ID",
     "BenchSchemaError",

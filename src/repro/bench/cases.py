@@ -1,7 +1,7 @@
 """The registered micro-benchmark cases behind ``repro bench``.
 
-Six core areas mirror the substrate layers the repo's perf story rests
-on (ROADMAP item 4):
+Six areas mirror the substrate layers the repo's perf story rests on
+(ROADMAP item 4); the seventh, ``paper``, is :mod:`repro.bench.paper`:
 
 * ``events``   — DES kernel throughput (`repro.simnet.events`),
 * ``mpi``      — point-to-point / collective message cost and the
@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.bench.registry import Budget, CaseRun, bench_case
+from repro.bench.registry import Budget, CaseRun, bench_case, expect
 
 # ---------------------------------------------------------------------------
 # digests
@@ -138,9 +138,9 @@ def des_timeout_series(quick: bool, seed: int) -> CaseRun:
     size = (48, 24, seed, 2_000) if quick else (256, 64, seed, 20_000)
     sim, trace, peak = _des_workload(*size)
     ref_sim, ref_trace, _ = _des_workload(*size, series=False)
-    if (trace, sim.now, sim.events_processed) != (
-            ref_trace, ref_sim.now, ref_sim.events_processed):
-        raise AssertionError("timeout_series diverged from per-event timeouts")
+    expect((trace, sim.now, sim.events_processed)
+           == (ref_trace, ref_sim.now, ref_sim.events_processed),
+           "timeout_series fires exactly as per-event timeouts do")
     return CaseRun(
         metrics={"events_processed": float(sim.events_processed),
                  "peak_pending_events": float(peak)},
@@ -196,7 +196,7 @@ def _pingpong(rounds: int, payload_words: int, seed: int, integrity=None):
         "sim_time_s": Budget("lower", 0.15),
         "sim_msgs_per_s": Budget("higher", 0.15),
     },
-    description="2-rank ping-pong over the mailbox transport",
+    description="2-rank ping-pong over the single-consumer inbox transport",
 )
 def p2p_message_rate(quick: bool, seed: int) -> CaseRun:
     rounds, words = (120, 256) if quick else (1500, 256)
@@ -761,7 +761,3 @@ def scheduler_backlog_drain(quick: bool, seed: int) -> CaseRun:
     }
     return CaseRun(metrics=metrics,
                    digests={"summary": stable_digest(report.summary())})
-
-
-def ensure_cases_loaded() -> None:
-    """Importing this module registers everything; hook for the runner."""

@@ -4,6 +4,7 @@ A :class:`BenchCase` bundles one measurable scenario: a builder that runs
 the deterministic workload and reports metrics/digests.  Cases register
 themselves with :func:`bench_case` at import time; the runner materializes
 one ``BENCH_<area>.json`` per area from every case registered under it.
+A case states what must hold of its own numbers with :func:`expect`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,18 @@ class Budget:
             raise ValueError("direction must be 'higher' or 'lower'")
         if self.tolerance < 0:
             raise ValueError("tolerance must be >= 0")
+
+
+class ExpectationFailed(Exception):
+    """A case's own numbers contradict what it states about them."""
+
+
+def expect(condition: bool, message: str) -> None:
+    """State an expectation of the running case; ``message`` says what
+    should hold.  A false one fails the whole ``repro bench`` run (exit 1,
+    naming the case, nothing written)."""
+    if not condition:
+        raise ExpectationFailed(message)
 
 
 @dataclass

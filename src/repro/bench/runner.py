@@ -7,11 +7,13 @@ The runner is the machinery behind ``repro bench``:
 * fold case results into one deterministic artifact per area,
 * write them to an output directory, canonically serialized so same-seed
   runs are byte-identical,
+* stop at the first case whose :func:`~repro.bench.registry.expect` does
+  not hold, naming the case,
 * ``--compare``: load a committed baseline directory and fail on any
   budgeted metric regressing beyond its tolerance.
 
-Exit-code contract (used by CI): 0 = ok, 1 = regression or budget
-violation, 2 = schema/usage error.
+Exit-code contract (used by CI): 0 = ok, 1 = regression, budget
+violation or failed expectation, 2 = schema/usage error.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
-from repro.bench import cases as _cases  # noqa: F401 — registers the registry
-from repro.bench.registry import cases_for
+# Importing the case modules is what registers their cases.
+from repro.bench import cases as _cases, paper as _paper  # noqa: F401
+from repro.bench.registry import ExpectationFailed, cases_for
 from repro.bench.schema import (
     SCHEMA_ID,
     BenchSchemaError,
@@ -50,7 +53,11 @@ def run_bench(
     for case in selected:
         if progress is not None:
             progress(f"[{case.area}] {case.name} ...")
-        run = case.run(quick, seed)
+        try:
+            run = case.run(quick, seed)
+        except ExpectationFailed as exc:
+            raise ExpectationFailed(
+                f"{case.area}/{case.name}: expected {exc}") from None
         doc = by_area.setdefault(case.area, {
             "schema": SCHEMA_ID, "area": case.area, "mode": mode,
             "seed": seed, "env": env, "cases": {}})

@@ -26,7 +26,7 @@ SCHEMA_ID = "repro-bench/1"
 
 #: Areas the acceptance gate requires; the registry may add more.
 CORE_AREAS = ("events", "mpi", "training", "serving", "tensor",
-              "scheduler")
+              "scheduler", "paper")
 
 
 class BenchSchemaError(ValueError):

@@ -18,7 +18,7 @@ Commands mirror the operator tasks the examples walk through:
 * ``bench`` — run the perf-regression harness: deterministic
   ``BENCH_<area>.json`` artifacts, with ``--compare`` failing on
   budgeted-metric regressions vs the committed baseline,
-* ``experiments`` — list every experiment and the bench that regenerates it.
+* ``experiments`` — list every experiment and what regenerates it.
 """
 
 from __future__ import annotations
@@ -27,35 +27,9 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+#: Experiments beyond the paper's own figures: (id, title, where it lives).
+#: E1–E14 and ABL are the ``paper`` bench cases (see :func:`experiments`).
 EXPERIMENTS = [
-    ("E1", "Table I + Fig. 1 (MSA systems)",
-     "benchmarks/bench_table1_msa_systems.py"),
-    ("E2", "Fig. 2 (workload placement MSA vs homogeneous)",
-     "benchmarks/bench_fig2_workload_placement.py"),
-    ("E3", "Fig. 3 (distributed ResNet scaling, 96/128 GPUs)",
-     "benchmarks/bench_fig3_resnet_scaling.py"),
-    ("E4", "Fig. 3 M (parallel cascade SVM)",
-     "benchmarks/bench_fig3_parallel_svm.py"),
-    ("E5", "Fig. 3 R (Spark analytics + AE on the DAM)",
-     "benchmarks/bench_fig3_spark_dam.py"),
-    ("E6", "Sec. III-C (quantum SVM ensembles)",
-     "benchmarks/bench_fig3_quantum_svm.py"),
-    ("E7", "Sec. IV-A / Fig. 4 B (COVID-Net CXR)",
-     "benchmarks/bench_fig4_covidnet.py"),
-    ("E8", "Sec. IV-B / Fig. 4 A (ARDS GRU time series)",
-     "benchmarks/bench_fig4_ards_gru.py"),
-    ("E9", "Fig. 1 GCE (FPGA collective engine)",
-     "benchmarks/bench_gce_collectives.py"),
-    ("E10", "Sec. II-A NAM (dataset sharing)",
-     "benchmarks/bench_nam_sharing.py"),
-    ("E11", "Sec. III-B (cloud interop + economics)",
-     "benchmarks/bench_cloud_interop.py"),
-    ("E12", "Fig. 1 federation (cross-module jobs, co-allocation)",
-     "benchmarks/bench_modular_placement.py"),
-    ("E13", "Fig. 3 A ((near) real-time disaster processing)",
-     "benchmarks/bench_realtime_stream.py"),
-    ("E14", "online serving (SLO capacity, autoscaling, failover)",
-     "benchmarks/bench_serving_slo.py"),
     ("E15", "unified telemetry traces (chrome://tracing / Perfetto)",
      "src/repro/telemetry/"),
     ("E16", "SDC drill (silent-corruption detection, rollback, overhead)",
@@ -76,9 +50,23 @@ EXPERIMENTS = [
      "src/repro/simnet/events.py"),
     ("E24", "message path: one reader per inbox (single-consumer transport)",
      "src/repro/mpi/transport.py"),
-    ("ABL", "design-choice ablations",
-     "benchmarks/bench_ablations.py"),
 ]
+
+
+def experiments() -> list[tuple[str, str, str]]:
+    """Every experiment as (id, title, what regenerates it).
+
+    The paper's rows come from the ``paper`` bench area — id from the case
+    name, title from its description — so the listing cannot drift from
+    the registry; the ablations case closes the list.
+    """
+    from repro.bench import cases_for, paper  # noqa: F401 — registers the area
+
+    *figures, ablations = [
+        (case.name.partition("_")[0], case.description,
+         f"repro bench --areas paper ({case.name})")
+        for case in cases_for(["paper"])]
+    return [*figures, *EXPERIMENTS, ablations]
 
 
 def _build_system(name: str):
@@ -263,6 +251,7 @@ def cmd_drill(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from repro.bench.registry import ExpectationFailed
     from repro.bench.runner import (
         DEFAULT_BASELINE_DIR,
         compare_docs,
@@ -277,6 +266,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         artifacts = run_bench(
             areas=areas, quick=args.quick, seed=args.seed,
             progress=lambda msg: print(msg, file=sys.stderr))
+    except ExpectationFailed as exc:
+        print(f"bench expectation failed: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, BenchSchemaError) as exc:
         print(f"bench error: {exc}", file=sys.stderr)
         return 2
@@ -284,11 +276,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     written = write_artifacts(artifacts, out_dir)
     for path in written:
         print(f"wrote {path}")
+    # Quick and full are different workloads, each with its own baseline.
+    committed = (DEFAULT_BASELINE_DIR if args.quick
+                 else DEFAULT_BASELINE_DIR / "full")
     if args.update_baseline:
-        for path in write_artifacts(artifacts, DEFAULT_BASELINE_DIR):
+        for path in write_artifacts(artifacts, committed):
             print(f"updated baseline {path}")
     if args.compare is not None:
-        baseline_dir = args.compare or str(DEFAULT_BASELINE_DIR)
+        baseline_dir = args.compare or str(committed)
         try:
             baseline = load_artifact_dir(baseline_dir)
         except BenchSchemaError as exc:
@@ -303,8 +298,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
-    width = max(len(e[1]) for e in EXPERIMENTS)
-    for exp_id, title, bench in EXPERIMENTS:
+    rows = experiments()
+    width = max(len(title) for _, title, _ in rows)
+    for exp_id, title, bench in rows:
         print(f"{exp_id:<5} {title:<{width}}  {bench}")
     return 0
 
@@ -411,11 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare", nargs="?", const="", default=None,
                    metavar="BASELINE_DIR",
                    help="diff against a baseline directory (default "
-                        "benchmarks/baselines) and exit non-zero on any "
-                        "budgeted-metric regression")
+                        "benchmarks/baselines, or its full/ without "
+                        "--quick) and exit non-zero on any budgeted-metric "
+                        "regression")
     p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite benchmarks/baselines with this run's "
-                        "deterministic artifacts")
+                   help="rewrite this mode's committed baseline with this "
+                        "run's deterministic artifacts")
     p.set_defaults(fn=cmd_bench)
 
     sub.add_parser("experiments", help="list experiments and benches"

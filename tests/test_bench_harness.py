@@ -6,10 +6,14 @@ The two properties the harness exists to provide:
   ``BENCH_<area>.json`` artifacts, so CI can diff them textually,
 * **regression gating** — ``--compare`` fails on a budgeted metric that
   regressed beyond tolerance (asserted here by doctoring a baseline to
-  make the current run look 2x slower) and passes on identical runs.
+  make the current run look 2x slower) and passes on identical runs,
+* **shape gating** — a ``paper`` case whose numbers contradict the paper's
+  claim fails the run by name and writes nothing (asserted by breaking
+  the tuned training recipe under E3).
 """
 
 import copy
+import dataclasses
 import json
 import subprocess
 import sys
@@ -17,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.registry import cases_for
 from repro.bench.runner import (
     compare_docs,
     load_artifact_dir,
@@ -32,6 +37,7 @@ from repro.bench.schema import (
     loads_validated,
     validate_artifact,
 )
+from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,10 +53,12 @@ class TestDeterminism:
         assert set(CORE_AREAS) <= set(quick_run)
 
     def test_same_seed_runs_are_byte_identical(self, quick_run, tmp_path):
-        rerun = run_bench(quick=True, seed=0)
-        for area, doc in quick_run.items():
+        # The paper area is compared across processes in TestPaperArea.
+        rerun = run_bench(areas=[a for a in quick_run if a != "paper"],
+                          quick=True, seed=0)
+        for area, doc in rerun.items():
             assert dumps_canonical(doc) == \
-                dumps_canonical(rerun[area]), f"area {area} drifted"
+                dumps_canonical(quick_run[area]), f"area {area} drifted"
 
     def test_different_seed_changes_workload_digests(self, quick_run):
         other = run_bench(areas=["events"], quick=True, seed=1)
@@ -198,10 +206,67 @@ class TestCommittedBaseline:
         docs = load_artifact_dir(REPO_ROOT / "benchmarks" / "baselines")
         assert set(CORE_AREAS) <= set(docs)
 
+    def test_full_mode_paper_baseline_validates(self):
+        docs = load_artifact_dir(REPO_ROOT / "benchmarks" / "baselines"
+                                 / "full")
+        assert docs["paper"]["mode"] == "full"
+        assert set(docs["paper"]["cases"]) == \
+            {case.name for case in cases_for(["paper"])}
+
     def test_current_code_matches_committed_baseline(self, quick_run):
         docs = load_artifact_dir(REPO_ROOT / "benchmarks" / "baselines")
         report = compare_docs(quick_run, docs)
         assert report.ok, report.to_text()
+
+
+PAPER_IDS = [f"E{i}" for i in range(1, 15)] + ["ABL"]
+
+
+class TestPaperArea:
+    """E1–E14 + ABL are bench cases: gated, listed from the registry,
+    reproducible across processes."""
+
+    def test_broken_shape_fails_the_run_by_name(self, monkeypatch, tmp_path,
+                                                capsys):
+        from repro.distributed.perfmodel import TrainingRecipe
+
+        tuned = TrainingRecipe.tuned
+        monkeypatch.setattr(
+            TrainingRecipe, "tuned",
+            lambda self: dataclasses.replace(tuned(self), comm_overlap=0.0))
+        code = main(["bench", "--quick", "--areas", "paper",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "paper/E3_resnet_scaling" in err
+        assert "tuned-128 efficiency above 0.9" in err
+        assert not (tmp_path / "out" / "BENCH_paper.json").exists()
+
+    def test_experiments_lists_each_paper_case_once(self, capsys):
+        assert main(["experiments"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        ids = [row[0] for row in rows]
+        assert ids == PAPER_IDS[:-1] + [f"E{i}" for i in range(15, 25)] \
+            + ["ABL"]
+        registered = {case.name for case in cases_for(["paper"])}
+        listed = {row[0]: row[-1].strip("()") for row in rows
+                  if row[0] in PAPER_IDS}
+        assert sorted(listed.values()) == sorted(registered)
+        for exp_id, case_name in listed.items():
+            assert case_name.startswith(exp_id + "_")
+
+    def test_separate_processes_write_identical_bytes(self, quick_run,
+                                                      tmp_path):
+        """This process's run and a fresh interpreter's agree to the byte
+        (what ``cmp`` on two ``BENCH_paper.json`` files checks)."""
+        run = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "bench", "--quick",
+             "--areas", "paper", "--out", str(tmp_path)],
+            cwd=REPO_ROOT, text=True, capture_output=True,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / "BENCH_paper.json").read_text() == \
+            dumps_canonical(quick_run["paper"])
 
 
 class TestCli:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, experiments, main
 from repro.ml import CosineDecaySchedule, SGD, clip_grad_norm
 from repro.ml.layers import Parameter
 
@@ -54,7 +54,7 @@ class TestCli:
     def test_experiments_lists_all(self, capsys):
         assert main(["experiments"]) == 0
         out = capsys.readouterr().out
-        for exp_id, _, bench in EXPERIMENTS:
+        for exp_id, _, bench in experiments():
             assert exp_id in out
             assert bench in out
 
