@@ -31,15 +31,15 @@ from typing import Optional, Sequence
 #: E1–E14 and ABL are the ``paper`` bench cases (see :func:`experiments`).
 EXPERIMENTS = [
     ("E15", "unified telemetry traces (chrome://tracing / Perfetto)",
-     "src/repro/telemetry/"),
+     "repro trace train|serve"),
     ("E16", "SDC drill (silent-corruption detection, rollback, overhead)",
-     "src/repro/resilience/drill.py"),
+     "repro drill sdc"),
     ("E17", "perf-regression harness (repro bench -> BENCH_*.json)",
      "src/repro/bench/"),
     ("E18", "lazy tensor engine (fused op graphs, cpu/sim-gpu backends)",
      "src/repro/ml/engine/"),
     ("E19", "chaos drill (partitions, gray failures, hedging, brownout)",
-     "src/repro/resilience/chaosdrill.py"),
+     "repro drill chaos"),
     ("E20", "scheduler matchmaking cost (placement tables, scored once)",
      "src/repro/core/scheduler.py"),
     ("E21", "lazy-engine plan capture (schedule once, replay; no recompute)",
@@ -189,65 +189,34 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0 if report.meets_slo() else 1
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
+def cmd_scenario(args: argparse.Namespace) -> int:
+    """``repro trace <scenario>`` and ``repro drill <kind>``: one runner."""
     import os
 
-    from repro.telemetry.scenarios import SCENARIOS
+    from repro.scenarios import ScenarioUsageError, run_scenario
 
-    artifacts = SCENARIOS[args.scenario](seed=args.seed, quick=args.quick)
+    name = args.kind if args.command == "drill" else args.scenario
+    arm = {flag: False for flag in ("verify", "defend")
+           if getattr(args, f"no_{flag}", False)}
+    try:
+        run = run_scenario(name, seed=args.seed, quick=args.quick, **arm)
+    except ScenarioUsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out_dir = args.out or os.path.join(
-        "traces", f"{args.scenario}-seed{args.seed}")
+        f"{args.command}s", f"{name}-seed{args.seed}")
     os.makedirs(out_dir, exist_ok=True)
-    for filename, body in (("trace.json", artifacts.trace_json),
-                           ("metrics.prom", artifacts.prometheus),
-                           ("summary.txt", artifacts.summary)):
+    for filename, body in run.files.items():
         with open(os.path.join(out_dir, filename), "w") as fh:
-            fh.write(body)
-            if not body.endswith("\n"):
-                fh.write("\n")
-    print(artifacts.summary)
-    print(f"\nartifacts written to {out_dir}/ "
-          "(trace.json, metrics.prom, summary.txt)")
-    if not artifacts.ok:
-        print("INVARIANT VIOLATIONS:", file=sys.stderr)
-        for name, labels, value in artifacts.invariant_violations:
-            print(f"  {name}{dict(labels)} = {value}", file=sys.stderr)
+            fh.write(body if body.endswith("\n") else body + "\n")
+    # A drill prints its report, a trace its summary (followed, as it always
+    # was, by one more blank line).
+    print(run.files.get("report.txt") or run.files["summary.txt"] + "\n")
+    print(f"artifacts written to {out_dir}/ ({', '.join(run.files)})")
+    if not run.ok:
+        print(f"FAILED CHECKS: {', '.join(run.failed)}", file=sys.stderr)
         return 1
     return 0
-
-
-def cmd_drill(args: argparse.Namespace) -> int:
-    import os
-
-    if args.kind == "chaos":
-        from repro.resilience.chaosdrill import run_chaos_drill
-
-        report, prometheus = run_chaos_drill(seed=args.seed,
-                                             quick=args.quick,
-                                             defend=not args.no_defend)
-    else:
-        from repro.resilience.drill import run_sdc_drill
-
-        report, prometheus = run_sdc_drill(seed=args.seed, quick=args.quick,
-                                           verify=not args.no_verify)
-    out_dir = args.out or os.path.join("drills",
-                                       f"{args.kind}-seed{args.seed}")
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.txt"), "w") as fh:
-        fh.write(report.to_text())
-    with open(os.path.join(out_dir, "metrics.prom"), "w") as fh:
-        fh.write(prometheus)
-        if not prometheus.endswith("\n"):
-            fh.write("\n")
-    print(report.to_text())
-    print(f"artifacts written to {out_dir}/ (report.txt, metrics.prom)")
-    if args.kind == "sdc" and report.verify and report.undetected > 0:
-        print(f"UNDETECTED CORRUPTION: {report.undetected:g}",
-              file=sys.stderr)
-    if args.kind == "chaos" and report.lost_requests > 0:
-        print(f"LOST ADMITTED REQUESTS: {report.lost_requests}",
-              file=sys.stderr)
-    return 0 if report.ok else 1
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -376,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="smaller workload (CI smoke)")
     p.add_argument("--out", default="",
                    help="output directory (default traces/<scenario>-seed<N>)")
-    p.set_defaults(fn=cmd_trace)
+    p.set_defaults(fn=cmd_scenario)
 
     p = sub.add_parser("drill", help="run a resilience drill")
     p.add_argument("kind", choices=("sdc", "chaos"),
@@ -394,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "still hold (it is structural, not a defense)")
     p.add_argument("--out", default="",
                    help="output directory (default drills/<kind>-seed<N>)")
-    p.set_defaults(fn=cmd_drill)
+    p.set_defaults(fn=cmd_scenario)
 
     p = sub.add_parser("bench", help="run the perf-regression harness")
     p.add_argument("--quick", action="store_true",

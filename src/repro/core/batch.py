@@ -26,6 +26,7 @@ from typing import Any
 
 from repro.core.jobs import GB, Job, JobPhase, WorkloadClass
 from repro.core.scheduler import ScheduleReport
+from repro.telemetry.export import chrome_complete_event, chrome_meta_event
 
 
 class BatchScriptError(ValueError):
@@ -118,22 +119,12 @@ def schedule_to_chrome_trace(report: ScheduleReport) -> dict[str, Any]:
     module; one 'X' span per phase allocation)."""
     modules = sorted({a.module_key for a in report.allocations})
     lane = {key: i for i, key in enumerate(modules)}
-    events = []
-    for alloc in report.allocations:
-        events.append({
-            "name": f"{alloc.job_name}/{alloc.phase_name}",
-            "cat": "phase",
-            "ph": "X",
-            "pid": 0,
-            "tid": lane[alloc.module_key],
-            "ts": alloc.start * 1e6,
-            "dur": alloc.duration * 1e6,
-            "args": {"nodes": len(alloc.nodes),
-                     "module": alloc.module_key},
-        })
+    events = [chrome_complete_event(
+        f"{alloc.job_name}/{alloc.phase_name}", "phase", 0,
+        lane[alloc.module_key], alloc.start, alloc.duration,
+        {"nodes": len(alloc.nodes), "module": alloc.module_key})
+        for alloc in report.allocations]
     events.sort(key=lambda e: (e["ts"], e["tid"]))
-    meta = [{
-        "name": "thread_name", "ph": "M", "pid": 0, "tid": lane[key],
-        "args": {"name": key},
-    } for key in modules]
+    meta = [chrome_meta_event("thread_name", 0, lane[key], key)
+            for key in modules]
     return {"traceEvents": meta + events, "displayTimeUnit": "ms"}

@@ -14,10 +14,6 @@ layer for the simulation:
 * :mod:`repro.resilience.detect` — the phi-accrual failure detector and
   structured :class:`ComponentHealth` reports shared by the serving,
   scheduling and storage planes,
-* :mod:`repro.resilience.drill` — the end-to-end SDC drill behind
-  ``repro drill sdc`` (:func:`run_sdc_drill`),
-* :mod:`repro.resilience.chaosdrill` — the partition / gray-failure drill
-  behind ``repro drill chaos`` (:func:`run_chaos_drill`),
 * :mod:`repro.resilience.retry` — exponential backoff with deterministic
   jitter (:class:`RetryPolicy`),
 * :mod:`repro.resilience.policy` — checkpoint cadence/placement
@@ -25,11 +21,13 @@ layer for the simulation:
 * :mod:`repro.resilience.report` — fault vs recovery accounting
   (:class:`ResilienceReport`: MTTR, retries, lost work).
 
+The end-to-end drills that exercise the layer (``repro drill sdc|chaos``)
+are scenarios of :mod:`repro.scenarios`.
+
 With an empty plan the layer is zero-cost: no events are scheduled and
 every existing workload produces byte-identical results.
 """
 
-from repro.resilience.chaosdrill import ChaosDrillReport, run_chaos_drill
 from repro.resilience.detect import (
     ComponentHealth,
     DetectorConfig,
@@ -64,8 +62,6 @@ from repro.resilience.report import (
 from repro.resilience.retry import NO_RETRY, RetryBudget, RetryPolicy
 
 __all__ = [
-    "ChaosDrillReport",
-    "run_chaos_drill",
     "ComponentHealth",
     "DetectorConfig",
     "PhiAccrualDetector",

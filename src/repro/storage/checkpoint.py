@@ -179,13 +179,6 @@ class CheckpointManager:
         self._versions: dict[tuple[str, str], list[CheckpointRecord]] = {}
         self._next_version: dict[str, int] = {}
 
-    def _backend(self, target: str):
-        if target == "nam":
-            return self.nam
-        if target == "pfs":
-            return self.pfs
-        raise ValueError(f"unknown target {target!r}")
-
     # -- lineage accessors -------------------------------------------------
     def _lineage(self, name: str, target: str) -> list[CheckpointRecord]:
         return self._versions.get((name, target), [])

@@ -66,8 +66,9 @@ def chrome_instant_event(
     }
 
 
-def _metadata_event(name: str, pid: int, tid: Optional[int],
-                    value: Any) -> dict[str, Any]:
+def chrome_meta_event(name: str, pid: int, tid: Optional[int],
+                      value: Any) -> dict[str, Any]:
+    """One Chrome 'M' event: a name (str) or a sort index for a pid/tid."""
     evt: dict[str, Any] = {"name": name, "ph": "M", "pid": pid,
                            "args": {"name": value} if isinstance(value, str)
                            else {"sort_index": value}}
@@ -96,11 +97,11 @@ def to_chrome_trace(spans: Iterable[Span]) -> dict[str, Any]:
     pids, tids = assign_ids(spans)
     events: list[dict[str, Any]] = []
     for track, pid in sorted(pids.items()):
-        events.append(_metadata_event("process_name", pid, None, track))
-        events.append(_metadata_event("process_sort_index", pid, None, pid))
+        events.append(chrome_meta_event("process_name", pid, None, track))
+        events.append(chrome_meta_event("process_sort_index", pid, None, pid))
         for (t, lane), tid in sorted(tids.items()):
             if t == track:
-                events.append(_metadata_event("thread_name", pid, tid, lane))
+                events.append(chrome_meta_event("thread_name", pid, tid, lane))
     for s in spans:
         pid, tid = pids[s.track], tids[(s.track, s.lane)]
         if s.is_instant:

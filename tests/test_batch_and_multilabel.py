@@ -89,6 +89,26 @@ class TestGanttExport:
         for span in spans:
             assert span["dur"] > 0
 
+    def test_events_equal_the_hand_built_dicts(self):
+        """Literal captured before the export moved onto the telemetry
+        event helpers (PR 23): same dicts, key for key."""
+        report = schedule_workload(deep_system(), [parse_job_script(SCRIPT)])
+        assert schedule_to_chrome_trace(report) == {
+            "traceEvents": [
+                {"name": "thread_name", "ph": "M", "pid": 0, "tid": 0,
+                 "args": {"name": "cm"}},
+                {"name": "thread_name", "ph": "M", "pid": 0, "tid": 1,
+                 "args": {"name": "dam"}},
+                {"name": "rs-pipeline/preprocess", "cat": "phase",
+                 "ph": "X", "pid": 0, "tid": 0, "ts": 60000000.0,
+                 "dur": 8557889796.32762,
+                 "args": {"nodes": 4, "module": "cm"}},
+                {"name": "rs-pipeline/train", "cat": "phase", "ph": "X",
+                 "pid": 0, "tid": 1, "ts": 8617889796.32762,
+                 "dur": 10300690202.267359,
+                 "args": {"nodes": 16, "module": "dam"}}],
+            "displayTimeUnit": "ms"}
+
     def test_trace_json_serialisable(self):
         import json
 

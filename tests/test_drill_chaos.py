@@ -5,120 +5,125 @@ import dataclasses
 import pytest
 
 from repro.cli import main
-from repro.resilience.chaosdrill import (
-    ChaosDrillReport,
-    chaos_drill_plan,
-    run_chaos_drill,
-)
+from repro.scenarios import Facts, chaos_fault_plan, evaluate, run_scenario
+from repro.storage.pfs import ParallelFileSystem
 
 
 @pytest.fixture(scope="module")
 def defended_drill():
-    return run_chaos_drill(seed=0, quick=True, defend=True)
+    return run_scenario("chaos", seed=0, quick=True, defend=True)
 
 
 @pytest.fixture(scope="module")
 def control_drill():
-    return run_chaos_drill(seed=0, quick=True, defend=False)
+    return run_scenario("chaos", seed=0, quick=True, defend=False)
+
+
+def _passed(checks, name):
+    return dict(checks)[name]
 
 
 class TestAcceptance:
     def test_zero_admitted_request_loss(self, defended_drill):
-        report, _ = defended_drill
-        assert report.lost_requests == 0
-        assert report.admitted == report.completed
+        metrics = defended_drill.result.metrics
+        assert defended_drill.facts.lost_requests == 0
+        assert metrics.admitted == metrics.completed
 
     def test_every_chaos_class_fired(self, defended_drill):
-        report, _ = defended_drill
-        assert report.partition_windows > 0
-        assert report.gray_episodes > 0
-        assert report.crashes > 0
-        assert report.chaos_delivered
+        facts = defended_drill.facts
+        assert facts.partition_windows > 0
+        assert facts.gray_episodes > 0
+        assert facts.crashes > 0
+        assert _passed(defended_drill.checks, "chaos-delivered")
 
     def test_defenses_visibly_engaged(self, defended_drill):
-        report, _ = defended_drill
-        assert report.breaker_transitions > 0
-        assert report.hedges_issued > 0
-        assert report.hedges_backup_won >= 0
+        assert defended_drill.facts.breaker_transitions > 0
+        assert defended_drill.facts.hedges_issued > 0
+        assert defended_drill.result.metrics.hedges_backup_won >= 0
 
     def test_storage_sidecar_went_gray_then_recovered(self, defended_drill):
-        report, _ = defended_drill
         # OST loss is a *gray* state: ok but degraded.
-        assert report.storage_degraded_ok
-        assert "OSTs failed" in report.storage_degraded_detail
-        assert report.storage_recovered
+        assert defended_drill.facts.storage_went_gray
+        assert "OSTs failed" in defended_drill.files["report.txt"]
+        assert defended_drill.facts.storage_recovered
 
     def test_verdict_pass(self, defended_drill):
-        report, _ = defended_drill
-        assert report.ok
-        assert report.to_text().rstrip().endswith("verdict: PASS")
+        assert defended_drill.ok
+        assert defended_drill.files["report.txt"].rstrip().endswith(
+            "verdict: PASS")
 
 
 class TestControlArm:
     def test_zero_loss_is_structural_not_a_defense(self, control_drill):
         """Defenses off: the same faults fire, nothing may be lost."""
-        report, _ = control_drill
-        assert report.chaos_delivered
-        assert report.lost_requests == 0
+        assert _passed(control_drill.checks, "chaos-delivered")
+        assert control_drill.facts.lost_requests == 0
 
     def test_defense_counters_read_zero(self, control_drill):
-        report, _ = control_drill
-        assert report.suspicion_events == 0
-        assert report.breaker_transitions == 0
-        assert report.hedges_issued == 0
-        assert report.brownout_path == ()
-        assert report.ok
+        facts = control_drill.facts
+        assert facts.suspicion_events == 0
+        assert facts.breaker_transitions == 0
+        assert facts.hedges_issued == 0
+        assert facts.brownout_path == ()
+        assert control_drill.ok
 
     def test_leaked_defense_activity_fails_control(self, control_drill):
-        report, _ = control_drill
-        assert not dataclasses.replace(report, hedges_issued=1).ok
+        leaked = dataclasses.replace(control_drill.facts, hedges_issued=1)
+        assert not _passed(evaluate("chaos", leaked, defend=False),
+                           "defenses-silent")
 
 
 class TestDeterminism:
     def test_same_args_byte_identical(self, defended_drill):
-        report, prometheus = defended_drill
-        report2, prometheus2 = run_chaos_drill(seed=0, quick=True,
-                                               defend=True)
-        assert report.to_text() == report2.to_text()
-        assert prometheus == prometheus2
+        again = run_scenario("chaos", seed=0, quick=True, defend=True)
+        assert again.files["report.txt"] == defended_drill.files["report.txt"]
+        assert again.files["metrics.prom"] == \
+            defended_drill.files["metrics.prom"]
 
     def test_plan_is_pure_function_of_seed(self):
-        assert chaos_drill_plan(5, 12.0) == chaos_drill_plan(5, 12.0)
-        assert chaos_drill_plan(5, 12.0) != chaos_drill_plan(6, 12.0)
+        assert chaos_fault_plan(5, 12.0) == chaos_fault_plan(5, 12.0)
+        assert chaos_fault_plan(5, 12.0) != chaos_fault_plan(6, 12.0)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_other_seeds_pass(self, seed):
-        report, _ = run_chaos_drill(seed=seed, quick=True, defend=True)
-        assert report.ok, report.to_text()
+        run = run_scenario("chaos", seed=seed, quick=True, defend=True)
+        assert run.ok, run.files["report.txt"]
 
 
 class TestVerdictGates:
-    """Each gate in ChaosDrillReport.ok is real, not decorative."""
+    """Each check of the chaos verdict is real, not decorative."""
 
-    def _passing(self, defended_drill, **overrides):
-        report, _ = defended_drill
-        return dataclasses.replace(report, **overrides)
+    def _failed(self, defended_drill, **overrides):
+        facts = dataclasses.replace(defended_drill.facts, **overrides)
+        return [name for name, ok in evaluate("chaos", facts) if not ok]
 
     def test_lost_request_fails(self, defended_drill):
-        assert not self._passing(defended_drill, completed=0).ok
+        assert self._failed(defended_drill) == []
+        assert self._failed(defended_drill, lost_requests=683) == \
+            ["zero-loss"]
 
     def test_missing_chaos_fails(self, defended_drill):
-        assert not self._passing(defended_drill, partition_windows=0).ok
-        assert not self._passing(defended_drill, gray_episodes=0).ok
-        assert not self._passing(defended_drill, crashes=0).ok
+        for field in ("partition_windows", "gray_episodes", "crashes"):
+            assert self._failed(defended_drill, **{field: 0}) == \
+                ["chaos-delivered"]
 
     def test_silent_defenses_fail(self, defended_drill):
-        assert not self._passing(defended_drill, breaker_transitions=0).ok
-        assert not self._passing(defended_drill, hedges_issued=0).ok
+        for field in ("breaker_transitions", "hedges_issued"):
+            assert self._failed(defended_drill, **{field: 0}) == \
+                ["defenses-engaged"]
 
     def test_storage_regression_fails(self, defended_drill):
-        assert not self._passing(defended_drill,
-                                 storage_degraded_ok=False).ok
-        assert not self._passing(defended_drill, storage_recovered=False).ok
+        for field in ("storage_went_gray", "storage_recovered"):
+            assert self._failed(defended_drill, **{field: False}) == \
+                ["storage-gray-then-recovered"]
 
-    def test_failing_report_renders_fail(self, defended_drill):
-        broken = self._passing(defended_drill, completed=0)
-        assert broken.to_text().rstrip().endswith("verdict: FAIL")
+    def test_failing_report_renders_fail(self, monkeypatch):
+        # A sidecar that never comes back: the run itself must say FAIL.
+        monkeypatch.setattr(ParallelFileSystem, "recover_target",
+                            lambda self, target: None)
+        broken = run_scenario("chaos", seed=0, quick=True)
+        assert broken.failed == ("storage-gray-then-recovered",)
+        assert broken.files["report.txt"].rstrip().endswith("verdict: FAIL")
 
 
 class TestCli:
@@ -149,7 +154,8 @@ class TestCli:
 
 
 def test_report_is_frozen(defended_drill):
-    report, _ = defended_drill
-    assert isinstance(report, ChaosDrillReport)
+    assert isinstance(defended_drill.facts, Facts)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        report.completed = 0
+        defended_drill.facts.lost_requests = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        defended_drill.checks = ()

@@ -14,44 +14,42 @@ import pytest
 
 from repro import telemetry
 from repro.mpi import run_spmd
+from repro.scenarios import SCENARIOS, run_scenario
 from repro.telemetry import MetricsRegistry
-from repro.telemetry.scenarios import (
-    SCENARIOS,
-    trace_serving_scenario,
-    trace_training_scenario,
-)
 from repro.telemetry.spans import validate_nesting
 
 
 @pytest.fixture(scope="module")
 def train_artifacts():
-    return trace_training_scenario(seed=0, quick=True)
+    return run_scenario("train", seed=0, quick=True)
 
 
 @pytest.fixture(scope="module")
 def serve_artifacts():
-    return trace_serving_scenario(seed=0, quick=True)
+    return run_scenario("serve", seed=0, quick=True)
 
 
 class TestTrainScenario:
     def test_cross_layer_coverage(self, train_artifacts):
         # The acceptance bar: one trace, one timebase, ≥4 subsystems.
-        assert set(train_artifacts.tracks) >= {"scheduler", "mpi", "train",
-                                               "storage", "faults"}
-        assert train_artifacts.n_spans > 50
+        assert {s.track for s in train_artifacts.spans} >= {
+            "scheduler", "mpi", "train", "storage", "faults"}
+        assert len(train_artifacts.spans) > 50
 
     def test_byte_identical_rerun(self, train_artifacts):
-        again = trace_training_scenario(seed=0, quick=True)
-        assert again.trace_json == train_artifacts.trace_json
-        assert again.prometheus == train_artifacts.prometheus
-        assert again.summary == train_artifacts.summary
+        again = run_scenario("train", seed=0, quick=True)
+        assert again.files["trace.json"] == train_artifacts.files["trace.json"]
+        assert again.files["metrics.prom"] == \
+            train_artifacts.files["metrics.prom"]
+        assert again.files["summary.txt"] == \
+            train_artifacts.files["summary.txt"]
 
     def test_seed_changes_trace(self, train_artifacts):
-        other = trace_training_scenario(seed=1, quick=True)
-        assert other.trace_json != train_artifacts.trace_json
+        other = run_scenario("train", seed=1, quick=True)
+        assert other.files["trace.json"] != train_artifacts.files["trace.json"]
 
     def test_trace_is_valid_chrome_json(self, train_artifacts):
-        trace = json.loads(train_artifacts.trace_json)
+        trace = json.loads(train_artifacts.files["trace.json"])
         events = trace["traceEvents"]
         assert {e["ph"] for e in events} == {"M", "X", "i"}
         for e in events:
@@ -73,7 +71,7 @@ class TestTrainScenario:
                 "place"} <= names
 
     def test_metrics_cover_subsystems(self, train_artifacts):
-        prom = train_artifacts.prometheus
+        prom = train_artifacts.files["metrics.prom"]
         for needle in ("collective_calls_total", "train_steps_total",
                        "checkpoint_writes_total", "faults_injected_total",
                        "scheduler_jobs_completed", "resilience_recoveries"):
@@ -81,6 +79,9 @@ class TestTrainScenario:
 
     def test_no_invariant_violations(self, train_artifacts):
         assert train_artifacts.ok
+        assert [name for name, _ in train_artifacts.checks] == [
+            "all-detected", "no-invariant-gauge"]
+        assert train_artifacts.facts.injected > 0
 
 
 class TestCollectiveTelemetry:
@@ -140,7 +141,8 @@ class TestCollectiveTelemetry:
         assert len(mpi) == 87
         assert hashlib.sha256(repr(mpi).encode()).hexdigest()[:16] \
             == "99a434b9017975b4"
-        assert [line for line in train_artifacts.prometheus.splitlines()
+        assert [line for line
+                in train_artifacts.files["metrics.prom"].splitlines()
                 if line.startswith("collective_")] == [
             'collective_bytes{op="allgather"} 274',
             'collective_bytes{op="allreduce"} 11852',
@@ -154,16 +156,19 @@ class TestCollectiveTelemetry:
 
 class TestServeScenario:
     def test_byte_identical_rerun(self, serve_artifacts):
-        again = trace_serving_scenario(seed=0, quick=True)
-        assert again.trace_json == serve_artifacts.trace_json
-        assert again.prometheus == serve_artifacts.prometheus
+        again = run_scenario("serve", seed=0, quick=True)
+        assert again.files["trace.json"] == serve_artifacts.files["trace.json"]
+        assert again.files["metrics.prom"] == \
+            serve_artifacts.files["metrics.prom"]
 
     def test_serving_and_fault_tracks(self, serve_artifacts):
-        assert {"serving", "faults"} <= set(serve_artifacts.tracks)
+        assert {"serving", "faults"} <= {s.track
+                                         for s in serve_artifacts.spans}
 
     def test_conservation_gauge_zero(self, serve_artifacts):
         assert serve_artifacts.ok
-        assert "serving_invariant_violations 0" in serve_artifacts.prometheus
+        assert "serving_invariant_violations 0" in \
+            serve_artifacts.files["metrics.prom"]
 
     def test_failover_visible(self, serve_artifacts):
         names = {s.name for s in serve_artifacts.spans}
@@ -184,4 +189,5 @@ class TestTraceCLI:
         assert "repro trace serve" in capsys.readouterr().out
 
     def test_scenarios_registry_matches_cli_choices(self):
-        assert set(SCENARIOS) == {"train", "serve"}
+        assert {name for name, scenario in SCENARIOS.items()
+                if scenario.command == "trace"} == {"train", "serve"}
