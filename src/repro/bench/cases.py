@@ -712,27 +712,10 @@ def serving_hedged_tail(quick: bool, seed: int) -> CaseRun:
 # ---------------------------------------------------------------------------
 
 
-def _backlog_drain(n_jobs: int, seed: int):
-    """A burst of mixed jobs on DEEP with six node crashes, drained to
-    empty — the shape of the e2e ``sched_backlog`` workload."""
-    from repro.core import deep_system, synthetic_workload_mix
-    from repro.core.scheduler import MsaScheduler
-    from repro.resilience.faults import FaultInjector, FaultPlan
-
-    system = deep_system()
-    targets = {key: mod.n_nodes
-               for key, mod in system.compute_modules().items()}
-    plan = FaultPlan.random(seed, targets, horizon_s=36000.0, n_crashes=6,
-                            repair_s=1200.0)
-    sched = MsaScheduler(system, fault_injector=FaultInjector(plan))
-    sched.submit_all(synthetic_workload_mix(n_jobs, seed,
-                                            mean_interarrival_s=1.0))
-    return sched, sched.run()
-
-
 @bench_case(
     "scheduler_backlog_drain", area="scheduler",
-    budgets={"evals_per_placement": Budget("lower", 0.25)},
+    budgets={"evals_per_placement": Budget("lower", 0.25),
+             "states_scored_per_placement": Budget("lower", 0.0)},
     description="batch scheduler: phase_runtime evaluations per placement "
                 "while a burst backlog drains through crashes and requeues "
                 "(O(modules), not O(backlog))",
@@ -741,18 +724,29 @@ def scheduler_backlog_drain(quick: bool, seed: int) -> CaseRun:
     from unittest import mock
 
     import repro.core.scheduler as scheduler_mod
+    from repro.core import deep_system, synthetic_workload_mix
+    from repro.resilience.faults import FaultInjector, FaultPlan
 
-    n_jobs = 100 if quick else 300
+    system = deep_system()
+    targets = {key: mod.n_nodes
+               for key, mod in system.compute_modules().items()}
+    injector = FaultInjector(FaultPlan.random(
+        seed, targets, horizon_s=36000.0, n_crashes=6, repair_s=1200.0))
+    sched = scheduler_mod.MsaScheduler(system, fault_injector=injector)
+    sched.submit_all(synthetic_workload_mix(100 if quick else 300, seed,
+                                            mean_interarrival_s=1.0))
     # The scheduler's own reference to the runtime model: what it calls,
     # not what repro.core.jobs exports.
     with mock.patch.object(scheduler_mod, "phase_runtime",
                            wraps=scheduler_mod.phase_runtime) as counted:
-        sched, report = _backlog_drain(n_jobs, seed)
+        report = sched.run()
     evals = counted.call_count
     placements = len(report.allocations)
     metrics = {
         "phase_runtime_evals": float(evals),
         "evals_per_placement": _round6(evals / placements),
+        "states_scored_per_placement": _round6(
+            sched.states_scored / placements),
         "allocations": float(placements),
         "requeues": float(report.resilience.total_retries),
         "events": float(sched.sim.events_processed),

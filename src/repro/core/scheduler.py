@@ -208,7 +208,6 @@ class _JobState:
     job: Job
     next_phase: int = 0
     prev_module: Optional[str] = None
-    first_start: Optional[float] = None
     #: How many times this job has been killed by a fault.
     attempts: int = 0
     #: Set while a failure awaits its restart (recovery/MTTR accounting).
@@ -217,10 +216,6 @@ class _JobState:
     @property
     def current(self) -> JobPhase:
         return self.job.phases[self.next_phase]
-
-    @property
-    def finished(self) -> bool:
-        return self.next_phase >= len(self.job.phases)
 
 
 @dataclass(eq=False)
@@ -266,7 +261,6 @@ class MsaScheduler:
         self._waits: dict[str, float] = {}
         self._busy_node_seconds: dict[str, float] = {}
         self._user_usage: dict[str, float] = {}
-        self._submitted = 0
         self._arrivals: dict[str, float] = {}
         self._io_GBps = self._storage_bandwidth()
         #: Compute modules, snapshotted per ``system.revision``.
@@ -274,6 +268,10 @@ class MsaScheduler:
         self._modules_revision = -1
         #: Placement tables of each queued job's current phase, by job name.
         self._tables: dict[str, tuple[PlacementTable, ...]] = {}
+        #: ``(states settled, blocked)`` where the last backfill walk stopped.
+        self._settled: Optional[tuple[int, set[str]]] = None
+        #: States ``_choose`` scored — dispatch's counted work.
+        self.states_scored = 0
         self._status: dict[str, JobStatus] = {}
         self._running: list[_RunningRecord] = []
         #: Recently crashed nodes per module — placement steers around them.
@@ -305,7 +303,8 @@ class MsaScheduler:
 
     # -- submission ---------------------------------------------------------
     def submit(self, job: Job) -> None:
-        self._submitted += 1
+        if job.name in self._status:   # every table and ledger is by name
+            raise ValueError(f"duplicate job name {job.name!r}")
         self._arrivals[job.name] = job.arrival_time
         self._status[job.name] = JobStatus.PENDING
         evt = self.sim.timeout(job.arrival_time, value=job, name=f"arrive-{job.name}")
@@ -321,7 +320,7 @@ class MsaScheduler:
                             track="scheduler", lane="queue",
                             job=evt.value.name)
         self._ready.append(_JobState(job=evt.value))
-        self._dispatch()
+        self._dispatch(appended=True)
 
     def _on_phase_done(self, evt) -> None:
         record: _RunningRecord = evt.value
@@ -334,7 +333,7 @@ class MsaScheduler:
         state.prev_module = record.placements[-1][0]
         state.next_phase += 1
         self._tables.pop(state.job.name, None)   # scores were this phase's
-        if state.finished:
+        if state.next_phase == len(state.job.phases):
             self._completions[state.job.name] = self.sim.now
             self._status[state.job.name] = JobStatus.COMPLETED
         else:
@@ -487,7 +486,7 @@ class MsaScheduler:
 
     def _on_requeue(self, evt) -> None:
         self._ready.append(evt.value)
-        self._dispatch()
+        self._dispatch(appended=True)
 
     def _on_straggler(self, spec: FaultSpec) -> None:
         record = self._find_running(spec.module, spec.node)
@@ -512,14 +511,12 @@ class MsaScheduler:
         for key, module, phase, n in record.charged:
             self.energy.charge_phase(key, module.node_spec, phase, n, extra)
         record.end = new_end
-        done = self.sim.timeout(delay, value=record,
-                                name=f"done-{record.state.job.name}")
-        done.add_callback(self._on_phase_done)
-        record.done_evt = done
+        self._arm_done(record, delay)
 
     def _on_link_degrade(self, spec: FaultSpec) -> None:
         self._degraded.setdefault(spec.module, []).append(spec.magnitude)
         self._tables.clear()   # transfer terms changed
+        self._settled = None   # ... and with them what the last walk decided
         recover = self.sim.timeout(spec.duration, value=spec,
                                    name=f"link-recover-{spec.module}")
         recover.add_callback(self._on_link_recover)
@@ -532,6 +529,7 @@ class MsaScheduler:
         if not factors:
             self._degraded.pop(spec.module, None)
         self._tables.clear()
+        self._settled = None
 
     # -- placement -----------------------------------------------------------------
     def _compute_modules(self) -> dict[str, ComputeModule]:
@@ -541,6 +539,7 @@ class MsaScheduler:
             self._modules_revision = self.system.revision
             self._modules = self.system.compute_modules()
             self._tables.clear()
+            self._settled = None
         return self._modules
 
     def _placement_tables(self, state: _JobState) -> tuple[PlacementTable, ...]:
@@ -571,24 +570,24 @@ class MsaScheduler:
                 ) -> Optional[tuple[float, str, ComputeModule, int]]:
         """Best feasible ``(runtime, key, module, n)`` row now, or None to
         keep waiting."""
-        feasible = (row for row in table.by_key
-                    if row[2].free_nodes >= row[3])
-        if self.placement is PlacementPolicy.FIRST_FIT:
-            return min(feasible, key=itemgetter(1), default=None)
-        row = next(feasible, None)
-        # Matchmaking with patience: starting now on a badly-matching module
-        # (e.g. DL training on a CPU-only cluster) can be orders of magnitude
-        # worse than queueing for the matching one.
-        if row is not None and row[0] > self.PATIENCE_FACTOR * table.best_score:
-            return None
-        return row
+        self.states_scored += 1
+        best = None
+        for row in table.by_key:
+            if row[2].free_nodes >= row[3]:
+                if self.placement is PlacementPolicy.MATCHMAKING:
+                    # With patience: starting now on a badly-matching module
+                    # (e.g. DL training on a CPU-only cluster) can be orders of
+                    # magnitude worse than queueing for the matching one.
+                    wait = row[0] > self.PATIENCE_FACTOR * table.best_score
+                    return None if wait else row
+                if best is None or row[1] < best[1]:   # first fit: least key
+                    best = row
+        return best
 
     # -- co-allocation (multi-module phases) --------------------------------
-    def _choose_coalloc(
-        self, state: _JobState
-    ) -> Optional[tuple[list, float]]:
-        """Greedy per-component placement; all-or-nothing.  Returns the
-        ``_start`` rows and the slowest component's runtime."""
+    def _start_coalloc(self, state: _JobState) -> bool:
+        """Greedy per-component placement, all-or-nothing: the phase starts
+        now if every component finds a module, else nothing is taken."""
         phase: CoAllocatedPhase = state.current
         taken: dict[str, int] = {}
         rows, slowest = [], 0.0
@@ -597,24 +596,15 @@ class MsaScheduler:
             row = next((row for row in table.by_order
                         if row[2].free_nodes - taken.get(row[1], 0) >= row[3]),
                        None)
-            # All-or-nothing, with the same patience rule as single-module
-            # phases: a component refuses a badly-matching module and the
-            # whole co-allocation waits.
+            # The patience rule of single-module phases: a component refuses
+            # a badly-matching module and the whole co-allocation waits.
             if row is None or row[0] > self.PATIENCE_FACTOR * table.best_score:
-                return None
+                return False
             t, key, module, n = row
             taken[key] = taken.get(key, 0) + n
             slowest = max(slowest, t)
             rows.append((key, module, n, component,
                          f"{phase.name}/{component.name}"))
-        return rows, slowest
-
-    def _start_coalloc(self, state: _JobState) -> bool:
-        chosen = self._choose_coalloc(state)
-        if chosen is None:
-            return False
-        rows, slowest = chosen
-        phase: CoAllocatedPhase = state.current
         # The co-allocation completes when the slowest component does, plus
         # the coupling traffic crossing the federation.
         coupling = 0.0
@@ -644,8 +634,7 @@ class MsaScheduler:
         start = self.sim.now
         end = start + runtime
         job = state.job
-        if state.first_start is None:
-            state.first_start = start
+        if job.name not in self._waits:
             self._waits[job.name] = start - job.arrival_time
         self._status[job.name] = JobStatus.RUNNING
         if state.failed_at is not None:
@@ -676,59 +665,76 @@ class MsaScheduler:
                 self._user_usage.get(job.user, 0.0) + alloc.node_seconds)
             self.energy.charge_phase(key, module.node_spec, phase, n, runtime)
             record.charged.append((key, module, phase, n))
-        record.done_evt = self.sim.timeout(runtime, value=record,
-                                           name=f"done-{job.name}")
-        record.done_evt.add_callback(self._on_phase_done)
+        self._arm_done(record, runtime)
         self._running.append(record)
 
-    def _dispatch(self) -> None:
-        if self.queue_policy is SchedulerPolicy.FAIR_SHARE:
+    def _arm_done(self, record: _RunningRecord, delay: float) -> None:
+        """Schedule the record's one completion event ``delay`` from now."""
+        record.done_evt = self.sim.timeout(
+            delay, value=record, name=f"done-{record.state.job.name}")
+        record.done_evt.add_callback(self._on_phase_done)
+
+    def _dispatch(self, appended: bool = False) -> None:
+        """Start every queued phase that can start now.  A backfill walk
+        leaves ``(states settled, blocked)`` behind; after a pure append
+        (``appended``) free counts only fell, on modules no settled state
+        could use, so the next walk resumes there (DESIGN §11)."""
+        ready, policy = self._ready, self.queue_policy
+        if policy is SchedulerPolicy.FAIR_SHARE:
             # Least-consuming community first (stable: arrival order is
             # preserved within a community) — how a multi-community centre
             # keeps any one domain from monopolising the modules.
-            self._ready.sort(
-                key=lambda s: self._user_usage.get(s.job.user, 0.0))
+            ready.sort(key=lambda s: self._user_usage.get(s.job.user, 0.0))
         modules = self._compute_modules().values()
-        blocked: set[str] = set()
-        i = 0
+        i, blocked = (appended and self._settled) or (0, set())
+        fcfs = policy is SchedulerPolicy.FCFS
+        resumable = policy is SchedulerPolicy.FCFS_BACKFILL
         # With every node busy nothing further down the queue can start.
-        while i < len(self._ready) and any(m.free_nodes for m in modules):
-            state = self._ready[i]
-            if isinstance(state.current, CoAllocatedPhase):
-                if self._start_coalloc(state):
-                    self._ready.pop(i)
-                    continue
-                if self.queue_policy is SchedulerPolicy.FCFS:
-                    break
+        free = any(m.free_nodes for m in modules)
+        while free and i < len(ready):
+            state = ready[i]
+            phase = state.current
+            started = False
+            if isinstance(phase, CoAllocatedPhase):
+                # Co-allocations neither consult nor extend ``blocked``; greedy
+                # per component, one can start *because* a count fell: no memo.
+                started = self._start_coalloc(state)
+                resumable = False
+            elif len(blocked) < len(modules):
+                # Scored only while some module is unblocked: with every one
+                # held for a job further up the choice is None or a blocked
+                # module, and ``table.blocked`` is already in the set.
+                (table,) = self._placement_tables(state)
+                choice = self._choose(table)
+                started = choice is not None and choice[1] not in blocked
+                if started:
+                    runtime, key, module, n = choice
+                    self.tracer.instant("place", "scheduler", self.sim.now,
+                                        track="scheduler", lane="queue",
+                                        job=state.job.name, modules=key,
+                                        n_nodes=n)
+                    self._start(state, ((key, module, n, phase, phase.name),),
+                                runtime)
+                else:
+                    # Backfill walks on but must not take nodes from the
+                    # module this job is waiting for.
+                    blocked |= table.blocked
+            if started:
+                ready.pop(i)   # same index now holds the next job
+                free = any(m.free_nodes for m in modules)
+            elif fcfs:
+                break   # strict FCFS stops at a head that cannot start
+            else:
                 i += 1
-                continue
-            (table,) = self._placement_tables(state)
-            choice = self._choose(table)
-            if choice is not None and choice[1] not in blocked:
-                runtime, key, module, n = choice
-                self.tracer.instant("place", "scheduler", self.sim.now,
-                                    track="scheduler", lane="queue",
-                                    job=state.job.name, modules=key,
-                                    n_nodes=n)
-                phase = state.current
-                self._start(state, ((key, module, n, phase, phase.name),),
-                            runtime)
-                self._ready.pop(i)
-                continue  # same index now holds the next job
-            # Head job cannot start: strict FCFS stops; backfill walks on but
-            # must not take nodes from the module the head is waiting for.
-            if self.queue_policy is SchedulerPolicy.FCFS:
-                break
-            blocked |= table.blocked
-            i += 1
+        self._settled = (i, blocked) if resumable else None
 
     # -- execution ------------------------------------------------------------------
     def run(self) -> ScheduleReport:
         """Run the event loop to completion and produce the report."""
         self.sim.run()
-        terminal = len(self._completions) + len(self._failures_final)
-        if terminal != self._submitted:
-            missing = self._submitted - terminal
+        missing = (len(self._status) - len(self._completions)
+                   - len(self._failures_final))
+        if missing:
             raise RuntimeError(f"{missing} jobs never completed — scheduler stuck")
         makespan = max(
             [*self._completions.values(), *self._failures_final.values()],
