@@ -35,7 +35,8 @@ from repro.core import (
     synthetic_workload_mix,
 )
 from repro.mpi import GlobalCollectiveEngine
-from repro.resilience import FaultInjector, FaultPlan, RetryPolicy
+from repro.resilience import (FaultInjector, FaultPlan, FaultPlanError,
+                              RetryPolicy)
 from repro.simnet import CommCostModel, LinkKind
 from repro.storage import DatasetSharingStudy, ParallelFileSystem
 from repro.workflows.cloud import AWS_P3_16XLARGE, CampaignSpec, CloudCostModel
@@ -174,4 +175,7 @@ if __name__ == "__main__":
     gce_section()
     cloud_section()
     if cli.faults:
-        resilience_section(cli.faults)
+        try:
+            resilience_section(cli.faults)
+        except FaultPlanError as exc:
+            parser.error(f"--faults: {exc}")     # exits 2

@@ -223,13 +223,12 @@ class _RunningRecord:
     """A phase in flight: everything needed to kill or stretch it."""
 
     state: _JobState
-    placements: list[tuple[str, tuple[int, ...]]]
     start: float
     end: float
     done_evt: Event
-    alloc_indices: list[int]
-    #: Per-placement energy accounting: (key, module, phase, n_nodes).
-    charged: list[tuple[str, ComputeModule, JobPhase, int]]
+    #: One ``(allocation index, module, phase)`` per placement; the key
+    #: and nodes are the allocation's.
+    parts: list[tuple[int, ComputeModule, JobPhase]]
 
 
 class MsaScheduler:
@@ -328,9 +327,9 @@ class MsaScheduler:
             self._running.remove(record)
         state = record.state
         self._trace_phase(record, killed=False)
-        for module_key, nodes in record.placements:
-            self.system.module(module_key).release(list(nodes))
-        state.prev_module = record.placements[-1][0]
+        for idx, module, _ in record.parts:
+            module.release(list(self._allocations[idx].nodes))
+        state.prev_module = self._allocations[record.parts[-1][0]].module_key
         state.next_phase += 1
         self._tables.pop(state.job.name, None)   # scores were this phase's
         if state.next_phase == len(state.job.phases):
@@ -347,20 +346,20 @@ class MsaScheduler:
             return
         state = record.state
         now = self.sim.now
-        for idx, (module_key, nodes) in zip(record.alloc_indices,
-                                            record.placements):
+        for idx, _, _ in record.parts:
             alloc = self._allocations[idx]
             self.tracer.record(
                 f"{alloc.phase_name}", "scheduler", record.start,
                 now - record.start, track="scheduler", lane=state.job.name,
-                module=module_key, n_nodes=len(nodes),
+                module=alloc.module_key, n_nodes=len(alloc.nodes),
                 phase_index=alloc.phase_index, killed=killed)
 
     # -- fault handling -----------------------------------------------------
     def _find_running(self, module_key: str, node: int) -> Optional[_RunningRecord]:
         for record in self._running:
-            for key, nodes in record.placements:
-                if key == module_key and node in nodes:
+            for idx, _, _ in record.parts:
+                alloc = self._allocations[idx]
+                if alloc.module_key == module_key and node in alloc.nodes:
                     return record
         return None
 
@@ -438,21 +437,14 @@ class MsaScheduler:
         self._running.remove(record)
         state = record.state
         self._trace_phase(record, killed=True)
-        for key, nodes in record.placements:
-            survivors = [n for n in nodes
-                         if not (key == spec.module and n == spec.node)]
-            self.system.module(key).release(survivors)
-        remaining = record.end - now
         lost_node_seconds = 0.0
-        for idx in record.alloc_indices:
+        for idx, module, _ in record.parts:
             alloc = self._allocations[idx]
-            unrun = len(alloc.nodes) * (alloc.end - now)
+            module.release([n for n in alloc.nodes
+                            if not (alloc.module_key == spec.module
+                                    and n == spec.node)])
             lost_node_seconds += len(alloc.nodes) * (now - alloc.start)
-            self._busy_node_seconds[alloc.module_key] -= unrun
-            self._user_usage[state.job.user] -= unrun
-            self._allocations[idx] = replace(alloc, end=now)
-        for key, module, phase, n in record.charged:
-            self.energy.credit_phase(key, module.node_spec, phase, n, remaining)
+        self._retime(record, now)
         state.attempts += 1
         state.failed_at = now
         self.resilience.failures.append(FailureEvent(
@@ -501,22 +493,31 @@ class MsaScheduler:
         # The completion event fires at now + delay; pin the allocation end
         # to that exact float so release and next-start never disagree by
         # an ULP.
-        new_end = now + delay
-        extra = new_end - record.end
-        for idx in record.alloc_indices:
-            alloc = self._allocations[idx]
-            self._busy_node_seconds[alloc.module_key] += len(alloc.nodes) * extra
-            self._user_usage[record.state.job.user] += len(alloc.nodes) * extra
-            self._allocations[idx] = replace(alloc, end=new_end)
-        for key, module, phase, n in record.charged:
-            self.energy.charge_phase(key, module.node_spec, phase, n, extra)
-        record.end = new_end
+        self._retime(record, now + delay)
         self._arm_done(record, delay)
+
+    def _retime(self, record: _RunningRecord, end: float) -> None:
+        """Move a running phase's end to ``end``: busy and user
+        node-seconds, allocation ends and energy follow the signed delta
+        (a crash cuts the tail, a straggler stretches it)."""
+        delta = end - record.end
+        for idx, module, phase in record.parts:
+            alloc = self._allocations[idx]
+            n = len(alloc.nodes)
+            self._busy_node_seconds[alloc.module_key] += n * delta
+            self._user_usage[record.state.job.user] += n * delta
+            self._allocations[idx] = replace(alloc, end=end)
+            if delta < 0:
+                self.energy.credit_phase(alloc.module_key, module.node_spec,
+                                         phase, n, -delta)
+            else:
+                self.energy.charge_phase(alloc.module_key, module.node_spec,
+                                         phase, n, delta)
+        record.end = end
 
     def _on_link_degrade(self, spec: FaultSpec) -> None:
         self._degraded.setdefault(spec.module, []).append(spec.magnitude)
-        self._tables.clear()   # transfer terms changed
-        self._settled = None   # ... and with them what the last walk decided
+        self._forget_scores()   # transfer terms changed
         recover = self.sim.timeout(spec.duration, value=spec,
                                    name=f"link-recover-{spec.module}")
         recover.add_callback(self._on_link_recover)
@@ -528,8 +529,7 @@ class MsaScheduler:
             factors.remove(spec.magnitude)
         if not factors:
             self._degraded.pop(spec.module, None)
-        self._tables.clear()
-        self._settled = None
+        self._forget_scores()
 
     # -- placement -----------------------------------------------------------------
     def _compute_modules(self) -> dict[str, ComputeModule]:
@@ -538,9 +538,13 @@ class MsaScheduler:
         if self._modules_revision != self.system.revision:
             self._modules_revision = self.system.revision
             self._modules = self.system.compute_modules()
-            self._tables.clear()
-            self._settled = None
+            self._forget_scores()
         return self._modules
+
+    def _forget_scores(self) -> None:
+        """Drop every placement table and the settled walk read from them."""
+        self._tables.clear()
+        self._settled = None
 
     def _placement_tables(self, state: _JobState) -> tuple[PlacementTable, ...]:
         """Scores of the state's current phase, one table per co-allocated
@@ -642,9 +646,8 @@ class MsaScheduler:
                 job_name=job.name, attempt=state.attempts,
                 failed_at=state.failed_at, restarted_at=start))
             state.failed_at = None
-        record = _RunningRecord(
-            state=state, placements=[], start=start, end=end, done_evt=None,
-            alloc_indices=[], charged=[])
+        record = _RunningRecord(state=state, start=start, end=end,
+                                done_evt=None, parts=[])
         for key, module, n, phase, name in rows:
             nodes = tuple(module.allocate(n, avoid=self._avoid_nodes(key)))
             alloc = Allocation(
@@ -656,15 +659,13 @@ class MsaScheduler:
                 start=start,
                 end=end,
             )
-            record.placements.append((key, nodes))
-            record.alloc_indices.append(len(self._allocations))
+            record.parts.append((len(self._allocations), module, phase))
             self._allocations.append(alloc)
             self._busy_node_seconds[key] = (
                 self._busy_node_seconds.get(key, 0.0) + alloc.node_seconds)
             self._user_usage[job.user] = (
                 self._user_usage.get(job.user, 0.0) + alloc.node_seconds)
             self.energy.charge_phase(key, module.node_spec, phase, n, runtime)
-            record.charged.append((key, module, phase, n))
         self._arm_done(record, runtime)
         self._running.append(record)
 

@@ -75,10 +75,6 @@ class StreamingReport:
     def p99(self) -> float:
         return self.percentile(99)
 
-    @property
-    def mean_latency(self) -> float:
-        return float(self.latencies_s.mean())
-
     def latency_summary(self) -> LatencySummary:
         """The shared p50/p95/p99 summary (same math as the serving path)."""
         if self.n_completed == 0:

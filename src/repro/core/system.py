@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from repro.simnet.link import Link, LinkKind
+from repro.simnet.link import LinkKind
 from repro.simnet.topology import Topology, federated
 from repro.core.module import (
     ComputeModule,
-    ModuleKind,
     NamModule,
     QuantumModule,
     StorageModule,
@@ -66,9 +65,6 @@ class MSASystem:
             k: m for k, m in self._modules.items() if isinstance(m, ComputeModule)
         }
 
-    def modules_of_kind(self, kind: ModuleKind) -> list[AnyModule]:
-        return [m for m in self._modules.values() if m.kind == kind]
-
     # -- aggregates (the paper quotes these for JUWELS) ----------------------------
     @property
     def total_cpu_cores(self) -> int:
@@ -110,9 +106,6 @@ class MSASystem:
         src = (src_module, ("node", 0))
         dst = (dst_module, ("node", 0))
         return topo.transfer_time(src, dst, nbytes)
-
-    def federation_link(self) -> Link:
-        return Link.of_kind(self.federation_kind)
 
     # -- reporting ------------------------------------------------------------------
     def inventory(self) -> list[dict]:

@@ -232,15 +232,6 @@ class InferencePerfModel:
         return batch_samples / self.batch_time(batch_samples, node_spec,
                                                n_nodes)
 
-    def as_kernel_cost_model(self, gpu: GpuSpec = NVIDIA_A100) -> "KernelCostModel":
-        """Per-kernel roofline consistent with this node-level model.
-
-        The lazy tensor engine's ``sim-gpu`` device charges device time
-        per *fused kernel* through this — see
-        :meth:`KernelCostModel.from_inference_model`.
-        """
-        return KernelCostModel.from_inference_model(self, gpu=gpu)
-
     def as_phase(self, batch_samples: int, name: str = "serve-replica"):
         """The equivalent :class:`~repro.core.jobs.JobPhase` for matchmaking.
 

@@ -281,7 +281,3 @@ OPS: dict[str, OpSpec] = {
                         _flops_zero, allocates=False),
     "pad2d": OpSpec(MOVEMENT, _pad2d_infer, _exec_pad2d, _flops_in),
 }
-
-
-def op_kind(op: str) -> str:
-    return OPS[op].kind

@@ -85,9 +85,6 @@ class ModularCostModel:
         return self.alpha + nbytes * self.beta
 
     # -- the modular part ------------------------------------------------------
-    def module_of(self, world_rank: int) -> str:
-        return self.rank_module[world_rank]
-
     def ptp_between(self, src: int, dst: int, nbytes: float) -> float:
         """Cost of one message between two world ranks."""
         m_src = self.rank_module[src]

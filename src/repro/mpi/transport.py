@@ -16,12 +16,10 @@ from __future__ import annotations
 import pickle
 import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
-
-from repro.simnet.link import PartitionWindow
 
 ANY_SOURCE = -1
 ANY_TAG = -1
@@ -73,26 +71,6 @@ def _matches(msg: Message, source: int, tag: int, context: int) -> bool:
                  or (tag == ANY_TAG and msg.tag < INTERNAL_TAG_BASE)))
 
 
-@dataclass(frozen=True)
-class PartitionSchedule:
-    """A NETWORK_PARTITION window applied to the SPMD fabric.
-
-    ``far_ranks`` is one side of the bipartition; a message whose source
-    and destination sit on opposite sides while the window is active (on
-    the *sender's* simulated clock) stalls until the cut heals, then
-    lands after a retransmission burst — TCP-over-a-partition semantics:
-    delayed, never silently lost, so collectives finish late instead of
-    deadlocking and the zero-loss invariant survives the fault.
-    """
-
-    window: PartitionWindow
-    far_ranks: frozenset
-    retransmit_s: float = 1e-3
-
-    def crosses(self, source: int, dest: int) -> bool:
-        return (source in self.far_ranks) != (dest in self.far_ranks)
-
-
 @dataclass
 class RankState:
     """Per-rank simulation state shared by all communicators of that rank."""
@@ -138,37 +116,6 @@ class Transport:
         self.states = [RankState(rank=r) for r in range(world_size)]
         self._context_lock = threading.Lock()
         self._next_context = 1  # 0 is COMM_WORLD
-        self._partitions: list[PartitionSchedule] = []
-        #: Messages that hit an active cut and were stalled to heal time.
-        self.partition_stalled = 0
-
-    # -- partitions ----------------------------------------------------------
-    def install_partition(self, schedule: PartitionSchedule) -> None:
-        """Arm a partition window on this fabric (several may overlap)."""
-        bad = [r for r in schedule.far_ranks
-               if not (0 <= r < self.world_size)]
-        if bad:
-            raise ValueError(f"far ranks {bad} out of range")
-        self._partitions.append(schedule)
-
-    def _apply_partitions(self, dest: int, msg: Message) -> None:
-        """Stall ``msg`` past every active cut it crosses (sender clock).
-
-        A stalled message may land inside a later window, so iterate to a
-        fixed point — bounded by the number of installed schedules since
-        each can only push the send time forward past its own end.
-        """
-        for _ in range(len(self._partitions) + 1):
-            stall = max((p.window.delay_until_heal(msg.send_time)
-                         + p.retransmit_s
-                         for p in self._partitions
-                         if p.crosses(msg.source, dest)
-                         and p.window.active(msg.send_time)),
-                        default=0.0)
-            if stall <= 0.0:
-                return
-            msg.send_time += stall
-            self.partition_stalled += 1
 
     # -- failure propagation ----------------------------------------------
     def abort(self) -> None:
@@ -188,8 +135,6 @@ class Transport:
     def put(self, dest: int, msg: Message) -> None:
         if not (0 <= dest < self.world_size):
             raise ValueError(f"destination rank {dest} out of range")
-        if self._partitions:
-            self._apply_partitions(dest, msg)
         self._inboxes[dest].put(msg)
 
     def get(

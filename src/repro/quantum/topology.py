@@ -101,9 +101,6 @@ class DeviceTopology:
         denom = 4 if self.family == "chimera" else 12
         return max(1, -(-n_variables // denom))
 
-    def physical_qubits_for_clique(self, n_variables: int) -> int:
-        return n_variables * self.chain_length_for_clique(n_variables)
-
 
 #: D-Wave 2000Q: Chimera C16, 2048 qubits, ~6016 couplers, K_64-ish cliques.
 DWAVE_2000Q = DeviceTopology(

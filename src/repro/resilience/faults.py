@@ -16,19 +16,17 @@ Fault classes:
 * ``LINK_DEGRADE``   — an inter-module link runs at a fraction of its
   bandwidth for a window,
 * ``STRAGGLER``      — a node slows down, stretching whatever runs on it,
-* ``MESSAGE_DROP``   — transient message loss on a fabric (handled by
-  :class:`~repro.simnet.link.UnreliableLink`),
 * ``RANK_KILL``      — a training rank is lost at a given global step
   (consumed by the elastic trainer, not by the scheduler clock).
 
 Ambiguous-failure classes (the gray zone production serving actually
-lives in — consumed by the failure detector, circuit breakers and the
-partition-aware transports, see :mod:`repro.resilience.detect`):
+lives in — consumed by the serving engine's failure detector, circuit
+breakers and response hold, see :mod:`repro.resilience.detect`):
 
 * ``NETWORK_PARTITION`` — a seeded bipartition of nodes for a window:
-  traffic crossing the cut is dropped/timed out until the partition
-  heals (``probability`` is the fraction of nodes on the far side;
-  the cut itself comes from :func:`partition_cut`),
+  responses crossing the cut are held until the partition heals
+  (``probability`` is the fraction of nodes on the far side; the cut
+  itself comes from :func:`partition_cut`),
 * ``GRAY_FAILURE``      — a replica whose service time inflates by
   ``magnitude`` while it *still answers health probes* with
   probability ``probability`` — alive enough to fool a binary checker,
@@ -50,21 +48,19 @@ never by the scheduler clock — they damage *data*, not availability):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from repro.simnet.events import Event, Simulator
-from repro.simnet.link import Link, UnreliableLink
 
 
 class FaultKind(str, Enum):
     NODE_CRASH = "node-crash"
     LINK_DEGRADE = "link-degrade"
     STRAGGLER = "straggler"
-    MESSAGE_DROP = "message-drop"
     RANK_KILL = "rank-kill"
     BITFLIP_MESSAGE = "bitflip-message"
     BITFLIP_GRADIENT = "bitflip-gradient"
@@ -78,7 +74,6 @@ class FaultKind(str, Enum):
 #: manager instead of firing on the simulator.
 DATA_FAULTS = frozenset({
     FaultKind.RANK_KILL,
-    FaultKind.MESSAGE_DROP,
     FaultKind.BITFLIP_MESSAGE,
     FaultKind.BITFLIP_GRADIENT,
     FaultKind.CHECKPOINT_ROT,
@@ -91,8 +86,8 @@ class FaultSpec:
 
     ``time`` is simulated seconds for scheduler-clock faults and the global
     *training step* for ``RANK_KILL`` faults.  ``magnitude`` is the slowdown
-    factor for stragglers, link degradation and gray failures, and the drop
-    probability for message drops.  ``probability`` is the probe-answer
+    factor for stragglers, link degradation and gray failures, and the
+    per-message bitflip probability.  ``probability`` is the probe-answer
     probability of a gray-failed node and the far-side node fraction of a
     network partition (unused, 1.0, elsewhere).
     """
@@ -113,9 +108,6 @@ class FaultSpec:
         if self.kind in (FaultKind.STRAGGLER, FaultKind.LINK_DEGRADE) \
                 and self.magnitude < 1.0:
             raise ValueError("slowdown magnitude must be >= 1")
-        if self.kind is FaultKind.MESSAGE_DROP \
-                and not (0.0 <= self.magnitude < 1.0):
-            raise ValueError("drop probability must be in [0, 1)")
         if self.kind is FaultKind.BITFLIP_MESSAGE \
                 and not (0.0 < self.magnitude <= 1.0):
             raise ValueError("bitflip probability must be in (0, 1]")
@@ -165,41 +157,6 @@ def partition_cut(seed: int, spec: FaultSpec, labels) -> frozenset:
         elif len(far) == len(labels):
             far.discard(scored[-1][2])
     return frozenset(far)
-
-
-def _chaos_specs(
-    rng: np.random.Generator,
-    keys: list[str],
-    targets: dict[str, int],
-    n_partitions: int,
-    n_gray: int,
-    horizon_s: float,
-    window_s: float,
-) -> list[FaultSpec]:
-    """Seeded NETWORK_PARTITION / GRAY_FAILURE specs (shared by
-    :meth:`FaultPlan.chaos` and :meth:`FaultPlan.parse` so the two
-    construction paths replay identically for the same seed)."""
-    specs: list[FaultSpec] = []
-    for _ in range(n_partitions):
-        specs.append(FaultSpec(
-            kind=FaultKind.NETWORK_PARTITION,
-            time=float(rng.uniform(0.0, horizon_s * 0.5)),
-            duration=window_s,
-            probability=float(rng.uniform(0.25, 0.5)),
-        ))
-    for _ in range(n_gray):
-        key = keys[int(rng.integers(len(keys)))] if keys else ""
-        n_nodes = targets.get(key, 1)
-        specs.append(FaultSpec(
-            kind=FaultKind.GRAY_FAILURE,
-            time=float(rng.uniform(0.0, horizon_s * 0.5)),
-            module=key,
-            node=int(rng.integers(max(n_nodes, 1))),
-            duration=window_s,
-            magnitude=float(rng.uniform(2.0, 6.0)),
-            probability=float(rng.uniform(0.3, 0.8)),
-        ))
-    return specs
 
 
 @dataclass(frozen=True)
@@ -255,27 +212,6 @@ class FaultPlan:
         return flips[0].magnitude if flips else 0.0
 
     @property
-    def has_chaos(self) -> bool:
-        """True when the plan carries any ambiguous (gray-zone) fault."""
-        return any(s.kind in (FaultKind.NETWORK_PARTITION,
-                              FaultKind.GRAY_FAILURE)
-                   for s in self.specs)
-
-    def chaos_clause(self) -> str:
-        """The canonical ``chaos=…`` clause describing this plan's
-        ambiguous faults (empty string when it has none); feeding it back
-        through :meth:`parse` with the same seed/targets/horizon/repair
-        reproduces the same specs (round-trip property, tested)."""
-        parts = []
-        n_partition = len(self.of_kind(FaultKind.NETWORK_PARTITION))
-        n_gray = len(self.of_kind(FaultKind.GRAY_FAILURE))
-        if n_partition:
-            parts.append(f"partition:{n_partition}")
-        if n_gray:
-            parts.append(f"gray:{n_gray}")
-        return "chaos=" + ",".join(parts) if parts else ""
-
-    @property
     def has_corruption(self) -> bool:
         """True when the plan carries any silent-data-corruption fault."""
         return any(s.kind in (FaultKind.BITFLIP_MESSAGE,
@@ -300,7 +236,6 @@ class FaultPlan:
         n_degrades: int = 0,
         repair_s: float = 600.0,
         slowdown: float = 3.0,
-        drop_probability: float = 0.0,
     ) -> "FaultPlan":
         """A seeded random plan over ``targets`` (module key -> node count).
 
@@ -340,11 +275,6 @@ class FaultPlan:
                 module=key,
                 duration=repair_s,
                 magnitude=max(1.0, float(rng.uniform(1.5, slowdown + 1.0))),
-            ))
-        if drop_probability > 0.0:
-            specs.append(FaultSpec(
-                kind=FaultKind.MESSAGE_DROP, time=0.0,
-                duration=horizon_s, magnitude=drop_probability,
             ))
         specs.sort(key=lambda s: (s.time, s.kind.value, s.module, s.node))
         return cls(seed=seed, specs=tuple(specs))
@@ -389,31 +319,6 @@ class FaultPlan:
                                    time=float(step), module=target))
         return cls(seed=seed, specs=tuple(specs))
 
-    @classmethod
-    def chaos(
-        cls,
-        seed: int,
-        targets: Optional[dict[str, int]] = None,
-        horizon_s: float = 3600.0,
-        n_partitions: int = 1,
-        n_gray: int = 1,
-        window_s: float = 600.0,
-    ) -> "FaultPlan":
-        """A seeded partition + gray-failure campaign.
-
-        ``n_partitions`` network bipartition windows and ``n_gray``
-        gray-failure episodes, each ``window_s`` long, with start times
-        in the first half of ``horizon_s`` so every window can heal
-        before the horizon.  Identical to
-        ``parse(f"seed={seed},chaos=partition:{n},gray:{m}", …)``.
-        """
-        targets = dict(targets or {})
-        rng = np.random.default_rng(seed)
-        specs = _chaos_specs(rng, sorted(targets), targets,
-                             n_partitions, n_gray, horizon_s, window_s)
-        specs.sort(key=lambda s: (s.time, s.kind.value, s.module, s.node))
-        return cls(seed=seed, specs=tuple(specs))
-
     def merged(self, other: "FaultPlan") -> "FaultPlan":
         """This plan plus ``other``'s specs (this plan's seed wins)."""
         specs = list(self.specs) + list(other.specs)
@@ -435,7 +340,6 @@ class FaultPlan:
         * ``crash=cm:2``        — 2 node crashes on module ``cm``,
         * ``straggler=esb:1``   — 1 straggler on module ``esb``,
         * ``degrade=cm:1``      — 1 link-degradation window on ``cm``,
-        * ``drop=0.05``         — 5% message drop probability,
         * ``bitflip=0.01``      — 1% per-message silent-corruption probability,
         * ``horizon=3600``      — fault window in simulated seconds,
         * ``repair=600``        — node repair / fault window length (s),
@@ -450,7 +354,6 @@ class FaultPlan:
         seed = 0
         horizon = horizon_s
         repair = 600.0
-        drop = 0.0
         bitflip = 0.0
         counts: dict[FaultKind, list[tuple[str, int]]] = {
             FaultKind.NODE_CRASH: [], FaultKind.STRAGGLER: [],
@@ -497,8 +400,6 @@ class FaultPlan:
                     horizon = float(value)
                 elif key == "repair":
                     repair = float(value)
-                elif key == "drop":
-                    drop = float(value)
                 elif key == "bitflip":
                     bitflip = float(value)
                 elif key == "chaos":
@@ -520,7 +421,6 @@ class FaultPlan:
                 if targets and module not in targets:
                     raise FaultPlanError(
                         f"unknown module {module!r}; known: {sorted(targets)}")
-        n_by_kind = {k: sum(c for _, c in v) for k, v in counts.items()}
         # Build with the module restriction each clause names: generate one
         # sub-plan per clause so module choices are honoured exactly.
         rng = np.random.default_rng(seed)
@@ -545,12 +445,25 @@ class FaultPlan:
                         specs.append(FaultSpec(
                             kind=kind, time=t, module=module, duration=repair,
                             magnitude=max(1.0, float(rng.uniform(1.5, 4.0)))))
-        specs.extend(_chaos_specs(rng, sorted(targets), targets,
-                                  chaos_counts["partition"],
-                                  chaos_counts["gray"], horizon, repair))
-        if drop > 0.0:
-            specs.append(FaultSpec(kind=FaultKind.MESSAGE_DROP, time=0.0,
-                                   duration=horizon, magnitude=drop))
+        # Chaos windows start in the first half of the horizon, so every
+        # one can heal before it ends.
+        for _ in range(chaos_counts["partition"]):
+            specs.append(FaultSpec(
+                kind=FaultKind.NETWORK_PARTITION,
+                time=float(rng.uniform(0.0, horizon * 0.5)),
+                duration=repair,
+                probability=float(rng.uniform(0.25, 0.5))))
+        keys = sorted(targets)
+        for _ in range(chaos_counts["gray"]):
+            key = keys[int(rng.integers(len(keys)))] if keys else ""
+            specs.append(FaultSpec(
+                kind=FaultKind.GRAY_FAILURE,
+                time=float(rng.uniform(0.0, horizon * 0.5)),
+                module=key,
+                node=int(rng.integers(max(targets.get(key, 1), 1))),
+                duration=repair,
+                magnitude=float(rng.uniform(2.0, 6.0)),
+                probability=float(rng.uniform(0.3, 0.8))))
         if bitflip > 0.0:
             specs.append(FaultSpec(kind=FaultKind.BITFLIP_MESSAGE, time=0.0,
                                    duration=horizon, magnitude=bitflip))
@@ -563,10 +476,10 @@ class FaultInjector:
 
     Consumers register handlers per fault kind *before* arming; when a
     spec's time arrives the handler runs inside the simulation event loop,
-    exactly like a job arrival or phase completion.  ``RANK_KILL`` and
-    ``MESSAGE_DROP`` specs are not clock events (training steps / per-message
-    loss) and are skipped at arm time — the elastic trainer and
-    :meth:`unreliable` consume them instead.
+    exactly like a job arrival or phase completion.  :data:`DATA_FAULTS`
+    are not clock events (training steps, per-message draws) and are
+    skipped at arm time — the elastic trainer, the integrity layer and the
+    checkpoint manager consume them instead.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -622,12 +535,3 @@ class FaultInjector:
             "faults_injected_total", kind=spec.kind.value).inc()
         for handler in self._handlers.get(spec.kind, ()):
             handler(spec)
-
-    # -- simnet-level faults -----------------------------------------------
-    def unreliable(self, link: Link) -> Link | UnreliableLink:
-        """Wrap ``link`` with the plan's MESSAGE_DROP fault, if any."""
-        drops = self.plan.of_kind(FaultKind.MESSAGE_DROP)
-        if not drops:
-            return link
-        return UnreliableLink(link, drop_probability=drops[0].magnitude,
-                              seed=self.plan.seed)

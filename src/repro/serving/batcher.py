@@ -94,12 +94,6 @@ class MicroBatcher:
     def depth_of(self, model: str) -> int:
         return len(self._queues.get(model, ()))
 
-    def oldest_wait(self, model: str, now: float) -> float:
-        q = self._queues.get(model)
-        if not q:
-            return 0.0
-        return now - q[0][0]
-
     def ready_model(self, now: float) -> Optional[str]:
         """The model whose queue should dispatch now, or ``None``.
 

@@ -21,7 +21,6 @@ same trace, same hits, byte-identical metrics.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
 
 
 class ResultCache:
@@ -107,7 +106,3 @@ class ResultCache:
         if not self.enabled:
             return []
         return self._inflight.pop(key, [])
-
-    def inflight_waiters(self, key: int) -> Optional[list[int]]:
-        """Waiter ids if ``key`` is being computed, else ``None``."""
-        return self._inflight.get(key)

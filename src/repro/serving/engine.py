@@ -479,9 +479,9 @@ class ServingEngine:
     def _response_hold(self, replica: Replica, done_t: float) -> float:
         """Extra delay before a response computed at ``done_t`` lands.
 
-        Iterates to a fixed point like the MPI transport: a held response
-        can land inside a later window, each window only pushes forward
-        past its own end, so the loop is bounded by the window count.
+        Iterates to a fixed point: a held response can land inside a later
+        window, each window only pushes forward past its own end, so the
+        loop is bounded by the window count.
         """
         if not self._partitions:
             return 0.0

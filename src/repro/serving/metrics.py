@@ -189,10 +189,6 @@ class ServingMetrics:
         return self._family_total("serving_hedge_wasted_seconds")
 
     @property
-    def duplicate_responses(self) -> int:
-        return int(self._family_total("serving_duplicate_responses_total"))
-
-    @property
     def breaker_transitions(self) -> int:
         return int(self._family_total("serving_breaker_transitions_total"))
 
@@ -215,10 +211,6 @@ class ServingMetrics:
     def goodput_per_s(self) -> float:
         """On-time completions per offered second."""
         return self.on_time / self.duration_s
-
-    @property
-    def admission_rate(self) -> float:
-        return self.admitted / self.offered if self.offered else 1.0
 
     @property
     def deadline_miss_rate(self) -> float:

@@ -45,10 +45,6 @@ class Request:
     #: tier the brownout controller sheds first under overload.
     tier: str = "gold"
 
-    @property
-    def latency_budget_s(self) -> float:
-        return self.deadline_s - self.arrival_s
-
 
 @dataclass(frozen=True)
 class TraceConfig:

@@ -24,14 +24,7 @@ from repro.simnet.events import (
     SimulationError,
     Simulator,
 )
-from repro.simnet.link import (
-    DuplexLink,
-    Link,
-    LinkKind,
-    PartitionedLink,
-    PartitionWindow,
-    UnreliableLink,
-)
+from repro.simnet.link import Link, LinkKind, PartitionWindow
 from repro.simnet.topology import (
     Topology,
     fat_tree,
@@ -61,9 +54,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Link",
-    "DuplexLink",
-    "UnreliableLink",
-    "PartitionedLink",
     "PartitionWindow",
     "LinkKind",
     "Topology",

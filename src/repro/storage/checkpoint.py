@@ -160,7 +160,7 @@ class CheckpointManager:
 
     >>> mgr = CheckpointManager(nam=NetworkAttachedMemory(capacity_GB=64))
     >>> t_write = mgr.save("resnet", step=100, state=model.state_dict())
-    >>> state, t_read = mgr.restore("resnet")
+    >>> restored = mgr.restore_latest_verified("resnet", CheckpointPolicy())
     """
 
     def __init__(self, nam: Optional[NetworkAttachedMemory] = None,
@@ -343,27 +343,6 @@ class CheckpointManager:
         registry.histogram("checkpoint_restore_seconds",
                            target=record.target).observe(t)
         return state, record.step, t
-
-    def restore(self, name: str, target: Optional[str] = None
-                ) -> tuple[dict[str, np.ndarray], int, float]:
-        """Returns (state, step, modelled read time) of the newest version.
-
-        Without ``target`` the preferred copy is read if present, else the
-        other one.  Integrity is always verified; a truncated or
-        bit-flipped payload raises :class:`CheckpointError`.
-        """
-        if target is not None:
-            record = self._newest(name, target)
-            if record is None:
-                raise CheckpointError(
-                    f"no checkpoint named {name!r} on {target}")
-            return self._restore_one(record)
-        order = (self.prefer,) + tuple(t for t in _TARGETS if t != self.prefer)
-        for t in order:
-            record = self._newest(name, t)
-            if record is not None:
-                return self._restore_one(record)
-        raise CheckpointError(f"no checkpoint named {name!r}")
 
     def restore_latest_verified(self, name: str, policy: Any,
                                 max_rollback: Optional[int] = None

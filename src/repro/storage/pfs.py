@@ -158,10 +158,6 @@ class ParallelFileSystem:
         self._failed_targets.discard(index)
         self._publish_health()
 
-    @property
-    def failed_targets(self) -> set[int]:
-        return set(self._failed_targets)
-
     def health(self) -> ComponentHealth:
         """Structured health: an OST loss is a *gray* state, not an outage.
 

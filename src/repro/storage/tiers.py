@@ -143,10 +143,6 @@ class TieredStore:
                                  tier=s.tier.value).inc(s.size_bytes)
         return max(s.read_time() for s in slices) if slices else 0.0
 
-    def read_time_serial(self, name: str) -> float:
-        """Pessimistic serial read (one channel)."""
-        return sum(s.read_time() for s in self.placement(name))
-
     def resident_fraction_fast(self, name: str) -> float:
         """Fraction of the dataset in DRAM-class tiers (HBM+DDR)."""
         slices = self.placement(name)

@@ -76,11 +76,10 @@ def make_fault_plan():
 @pytest.fixture
 def data_fault_plan():
     """One spec of every ``DATA_FAULTS`` kind: faults the trainer, the
-    transports and the checkpoint store consume — no simulator clock fires
-    them, so every event-loop plane must accept them untouched."""
+    integrity layer and the checkpoint store consume — no simulator clock
+    fires them, so every event-loop plane must accept them untouched."""
     plan = FaultPlan.rank_kills(0, {3: [1]}).merged(
         FaultPlan.silent_corruption(0, message_p=0.01, gradient={2: [0]},
-                                    checkpoint_rot=[(2, "nam")])
-    ).merged(FaultPlan.parse("seed=0,drop=0.05"))
+                                    checkpoint_rot=[(2, "nam")]))
     assert {spec.kind for spec in plan} == DATA_FAULTS
     return plan

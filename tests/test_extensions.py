@@ -19,6 +19,7 @@ from repro.ml import Adam, ArrayDataset, DistributedDataLoader, Tensor, cross_en
 from repro.ml.metrics import mae_score
 from repro.ml.models import GruD, GruDCell, MLP, make_grud_inputs
 from repro.mpi import run_spmd
+from repro.resilience import CheckpointPolicy
 from repro.storage import NetworkAttachedMemory, ParallelFileSystem
 from repro.storage.checkpoint import CheckpointError, CheckpointManager, state_nbytes
 
@@ -134,26 +135,29 @@ class TestCheckpointing:
         mgr = CheckpointManager(nam=NetworkAttachedMemory(capacity_GB=1))
         state = self._state()
         t_write = mgr.save("model", step=42, state=state)
-        restored, step, t_read = mgr.restore("model")
-        assert step == 42
-        assert t_write > 0 and t_read > 0
-        np.testing.assert_array_equal(restored["w"], state["w"])
+        r = mgr.restore_latest_verified("model", CheckpointPolicy(),
+                                        max_rollback=0)
+        assert r.step == 42
+        assert t_write > 0 and r.read_time_s > 0
+        np.testing.assert_array_equal(r.state["w"], state["w"])
 
     def test_save_restore_roundtrip_pfs(self):
         mgr = CheckpointManager(pfs=ParallelFileSystem("fs", n_targets=4),
                                 prefer="pfs")
         state = self._state()
         mgr.save("model", step=7, state=state)
-        restored, step, _ = mgr.restore("model")
-        assert step == 7
-        np.testing.assert_array_equal(restored["b"], state["b"])
+        r = mgr.restore_latest_verified(
+            "model", CheckpointPolicy(prefer="pfs"), max_rollback=0)
+        assert r.step == 7
+        np.testing.assert_array_equal(r.state["b"], state["b"])
 
     def test_overwrite_semantics(self):
         mgr = CheckpointManager(nam=NetworkAttachedMemory(capacity_GB=1))
         mgr.save("m", step=1, state=self._state())
         mgr.save("m", step=2, state=self._state())
-        _, step, _ = mgr.restore("m")
-        assert step == 2
+        r = mgr.restore_latest_verified("m", CheckpointPolicy(),
+                                        max_rollback=0)
+        assert r.step == 2
 
     def test_nam_write_faster_than_pfs(self):
         """The ref [12] claim: NAM accelerates checkpointing."""
@@ -166,7 +170,8 @@ class TestCheckpointing:
     def test_missing_checkpoint(self):
         mgr = CheckpointManager(nam=NetworkAttachedMemory(capacity_GB=1))
         with pytest.raises(CheckpointError):
-            mgr.restore("ghost")
+            mgr.restore_latest_verified("ghost", CheckpointPolicy(),
+                                        max_rollback=0)
         with pytest.raises(CheckpointError):
             mgr.drop("ghost")
 
@@ -214,8 +219,8 @@ class TestCheckpointing:
         mgr.save("mlp", step=3, state=half.state_dict())
 
         resumed = MLP([2, 4, 2], seed=99)
-        state, step, _ = mgr.restore("mlp")
-        resumed.load_state_dict(state)
+        resumed.load_state_dict(mgr.restore_latest_verified(
+            "mlp", CheckpointPolicy(), max_rollback=0).state)
         # NOTE: Adam moments are part of real checkpoints; restarting the
         # optimiser resets them, so allow a small tolerance.
         run_epochs(resumed, Adam(resumed.parameters(), lr=0.01), 3)

@@ -15,7 +15,6 @@ from repro.mpi.collectives import ring_chunks
 from repro.mpi.transport import (
     INTERNAL_TAG_BASE,
     Message,
-    PartitionSchedule,
     Transport,
     TransportAborted,
 )
@@ -26,11 +25,10 @@ from repro.resilience.integrity import (
     corruption_totals,
 )
 from repro.resilience.retry import _stable_uniform
-from repro.simnet.link import PartitionWindow
 
 
-def _msg(source, tag, payload, context=0, send_time=0.0):
-    return Message(source, tag, context, payload, send_time, 1)
+def _msg(source, tag, payload, context=0):
+    return Message(source, tag, context, payload, 0.0, 1)
 
 
 def _fill(transport, dest, *specs):
@@ -100,15 +98,6 @@ class TestMatching:
         assert t.probe(0, 1, 5) is None
         assert t.get(0, 1, 4) is first
         assert t.probe(0, 1, 4) is None
-
-    def test_partition_stall_applied_in_put(self):
-        t = Transport(2)
-        t.install_partition(PartitionSchedule(
-            window=PartitionWindow(1.0, 4.0), far_ranks=frozenset({1}),
-            retransmit_s=1e-3))
-        t.put(1, _msg(0, 0, b"x", send_time=2.0))
-        assert t.probe(1, 0).send_time == pytest.approx(4.0 + 1e-3)
-        assert t.partition_stalled == 1
 
     def test_many_senders_one_reader_loses_and_reorders_nothing(self):
         """More sender threads than cores, a short switch interval: every

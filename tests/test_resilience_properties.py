@@ -197,9 +197,10 @@ class TestFaultPlanProperties:
                make_fault_plan(seed=1, n_crashes=3).specs
 
     def test_parse_grammar(self):
-        plan = FaultPlan.parse("seed=7,crash=cm:2,straggler=esb:1,drop=0.05",
-                               targets={"cm": 8, "esb": 8})
+        plan = FaultPlan.parse(
+            "seed=7,crash=cm:2,straggler=esb:1,bitflip=0.05",
+            targets={"cm": 8, "esb": 8})
         assert plan.seed == 7
         assert len(plan.of_kind(FaultKind.NODE_CRASH)) == 2
         assert len(plan.of_kind(FaultKind.STRAGGLER)) == 1
-        assert len(plan.of_kind(FaultKind.MESSAGE_DROP)) == 1
+        assert plan.message_bitflip_probability == 0.05

@@ -1,22 +1,20 @@
-"""Partition plumbing on both planes: the shared window arithmetic, the
-simnet link wrapper, and the MPI transport's stall-to-heal delivery.
+"""Partition plumbing: the window arithmetic and the serving engine's
+stall-to-heal response hold, the one consumer of NETWORK_PARTITION.
 
-The contract under test is TCP-over-a-partition semantics: traffic that
-hits an active cut is *delayed to heal time plus a retransmission
-burst*, never silently dropped — the structural half of the chaos
-drill's zero-loss invariant.
+The contract under test is TCP-over-a-partition semantics: a response
+computed on the far side of an active cut is *delayed to heal time plus a
+retransmission burst*, never silently dropped — the structural half of the
+chaos drill's zero-loss invariant.
 """
 
 import pytest
 
-from repro.mpi.transport import Message, PartitionSchedule, Transport
-from repro.simnet import Link, LinkKind
-from repro.simnet.link import PartitionedLink, PartitionWindow
-
-
-def _link():
-    return Link(kind=LinkKind.INFINIBAND_HDR, latency_s=1e-6,
-                bandwidth_Bps=1e9)
+from repro.core import small_msa_system
+from repro.resilience import FaultInjector, FaultKind, FaultPlan, FaultSpec
+from repro.serving import ServingConfig, TraceConfig
+from repro.serving.engine import _PARTITION_RETRANSMIT_S, ServingEngine
+from repro.serving.replicas import Replica
+from repro.simnet.link import PartitionWindow
 
 
 class TestPartitionWindow:
@@ -43,109 +41,78 @@ class TestPartitionWindow:
         assert window.delay_until_heal(3.0) == 0.0
 
 
-class TestPartitionedLink:
-    def test_transparent_outside_the_window(self):
-        base = _link()
-        cut = PartitionedLink(base, PartitionWindow(2.0, 5.0))
-        nbytes = 1 << 20
-        assert cut.transfer_time_at(1.0, nbytes) == base.transfer_time(nbytes)
-        assert cut.transfer_time_at(6.0, nbytes) == base.transfer_time(nbytes)
-        assert cut.stalled == 0
+class TestServingResponseHold:
+    """Two overlapping NETWORK_PARTITION windows, [1, 4) and [3, 6).
 
-    def test_stalls_to_heal_plus_retransmit_inside(self):
-        base = _link()
-        cut = PartitionedLink(base, PartitionWindow(2.0, 5.0),
-                              retransmit_s=1e-3)
-        nbytes = 1 << 20
-        cost = cut.transfer_time_at(3.0, nbytes)
-        assert cost == pytest.approx(2.0 + 1e-3
-                                     + base.transfer_time(nbytes))
-        assert cut.stalled == 1
+    At seed 0 with far-side fraction 0.9 the cuts are: ``esb:0`` (where
+    the first replica lands) far in both, ``esb:4`` far in the first only,
+    ``dam:0`` far in the second only.
+    """
 
-    def test_delivery_is_delayed_never_lost(self):
-        """Cost is always finite and >= the healthy cost: the partition
-        slows traffic down, it cannot make it disappear."""
-        base = _link()
-        cut = PartitionedLink(base, PartitionWindow(2.0, 5.0))
-        healthy = base.transfer_time(4096)
-        for now in (0.0, 2.0, 3.5, 4.999, 5.0, 100.0):
-            assert cut.transfer_time_at(now, 4096) >= healthy
+    PLAN = FaultPlan(seed=0, specs=(
+        FaultSpec(kind=FaultKind.NETWORK_PARTITION, time=1.0, duration=3.0,
+                  probability=0.9),
+        FaultSpec(kind=FaultKind.NETWORK_PARTITION, time=3.0, duration=3.0,
+                  probability=0.9),
+    ))
+    R = _PARTITION_RETRANSMIT_S
 
-    def test_position_independent_path_stays_healthy(self):
-        base = _link()
-        cut = PartitionedLink(base, PartitionWindow(0.0, 1e9))
-        # transfer_time (no position) must not charge the stall.
-        assert cut.transfer_time(4096) == base.transfer_time(4096)
+    def _engine(self):
+        return ServingEngine(
+            ServingConfig(trace=TraceConfig(rate_per_s=50.0, duration_s=8.0)),
+            system=small_msa_system(),
+            fault_injector=FaultInjector(self.PLAN))
 
+    def _opened(self):
+        engine = self._engine()
+        engine.sim.run(until=3.0)            # both windows are open now
+        (w1, far1), (w2, far2) = engine._partitions
+        assert (w1, w2) == (PartitionWindow(1.0, 4.0),
+                            PartitionWindow(3.0, 6.0))
+        assert "esb:0" in far1 & far2
+        assert "esb:4" in far1 - far2 and "dam:0" in far2 - far1
+        return engine
 
-class TestPartitionSchedule:
-    def test_crosses_is_xor_membership(self):
-        schedule = PartitionSchedule(window=PartitionWindow(0.0, 1.0),
-                                     far_ranks=frozenset({2, 3}))
-        assert schedule.crosses(0, 2)
-        assert schedule.crosses(3, 1)
-        assert not schedule.crosses(0, 1)   # both near
-        assert not schedule.crosses(2, 3)   # both far
-
-
-class TestTransportPartitions:
-    def _msg(self, source, send_time):
-        return Message(source=source, tag=0, context=0, payload=b"x",
-                       send_time=send_time, nbytes=1)
-
-    def test_far_ranks_validated(self):
-        transport = Transport(world_size=4)
-        with pytest.raises(ValueError):
-            transport.install_partition(PartitionSchedule(
-                window=PartitionWindow(0.0, 1.0),
-                far_ranks=frozenset({3, 4})))
-
-    def test_crossing_message_stalls_to_heal(self):
-        transport = Transport(world_size=2)
-        transport.install_partition(PartitionSchedule(
-            window=PartitionWindow(1.0, 4.0), far_ranks=frozenset({1}),
-            retransmit_s=1e-3))
-        transport.put(1, self._msg(source=0, send_time=2.0))
-        delivered = transport.get(1, source=0)
-        assert delivered.send_time == pytest.approx(4.0 + 1e-3)
-        assert transport.partition_stalled == 1
-
-    def test_same_side_message_unaffected(self):
-        transport = Transport(world_size=4)
-        transport.install_partition(PartitionSchedule(
-            window=PartitionWindow(1.0, 4.0), far_ranks=frozenset({2, 3})))
-        transport.put(1, self._msg(source=0, send_time=2.0))
-        assert transport.get(1, source=0).send_time == 2.0
-        assert transport.partition_stalled == 0
-
-    def test_outside_window_unaffected(self):
-        transport = Transport(world_size=2)
-        transport.install_partition(PartitionSchedule(
-            window=PartitionWindow(1.0, 4.0), far_ranks=frozenset({1})))
-        transport.put(1, self._msg(source=0, send_time=5.0))
-        assert transport.get(1, source=0).send_time == 5.0
+    @staticmethod
+    def _replica(engine, label):
+        key, _, node = label.partition(":")
+        return Replica(rid=-1, module_key=key, nodes=(int(node),),
+                       node_spec=engine.system.module(key).node_spec,
+                       sample_time_s=0.0, started_at=0.0)
 
     def test_overlapping_windows_iterate_to_fixed_point(self):
-        """A message stalled past one cut may land inside the next; it
-        must be pushed past every window it encounters."""
-        transport = Transport(world_size=2)
-        transport.install_partition(PartitionSchedule(
-            window=PartitionWindow(1.0, 4.0), far_ranks=frozenset({1}),
-            retransmit_s=0.5))
-        transport.install_partition(PartitionSchedule(
-            window=PartitionWindow(4.0, 6.0), far_ranks=frozenset({1}),
-            retransmit_s=0.5))
-        transport.put(1, self._msg(source=0, send_time=2.0))
-        delivered = transport.get(1, source=0)
-        # 2.0 -> 4.5 (first heal + burst, inside window two) -> 6.5.
-        assert delivered.send_time == pytest.approx(6.5)
-        assert transport.partition_stalled == 2
+        """A response held past one cut may land inside the next; it must
+        be pushed past every window it encounters."""
+        engine = self._opened()
+        hold = engine._response_hold(self._replica(engine, "esb:0"), 2.0)
+        # 2.0 -> 4.001 (first heal + burst, inside window two) -> 6.001.
+        assert 2.0 + hold == pytest.approx(6.0 + self.R)
+        assert hold > (4.0 - 2.0) + self.R
+        # Cut by the first window only: one stall, then it lands.
+        assert engine._response_hold(
+            self._replica(engine, "esb:4"), 2.0) == (4.0 - 2.0) + self.R
+        # Cut by the second window only, which opens at 3.0.
+        dam = self._replica(engine, "dam:0")
+        assert engine._response_hold(dam, 2.0) == 0.0
+        assert 3.5 + engine._response_hold(dam, 3.5) == \
+            pytest.approx(6.0 + self.R)
 
-    def test_no_message_is_ever_dropped(self):
-        transport = Transport(world_size=2)
-        transport.install_partition(PartitionSchedule(
-            window=PartitionWindow(0.0, 10.0), far_ranks=frozenset({1})))
-        for i in range(20):
-            transport.put(1, self._msg(source=0, send_time=float(i)))
-        received = [transport.get(1, source=0) for _ in range(20)]
-        assert len(received) == 20
+    def test_no_response_is_ever_dropped(self):
+        """Every hold is finite and lands where no window cuts the
+        replica; a full run completes every admitted request."""
+        engine = self._opened()
+        labels = [f"{key}:{n}"
+                  for key, module in engine.system.compute_modules().items()
+                  for n in range(module.n_nodes)]
+        for label in labels:
+            replica = self._replica(engine, label)
+            for i in range(20):
+                done = 0.4 * i
+                landed = done + engine._response_hold(replica, done)
+                assert done <= landed < float("inf")
+                assert not any(w.active(landed) and label in far
+                               for w, far in engine._partitions)
+        report = self._engine().run()
+        assert report.partition_windows == 2
+        assert report.held_responses > 0
+        assert report.metrics.completed == report.metrics.admitted > 0

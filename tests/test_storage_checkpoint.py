@@ -18,6 +18,9 @@ from repro.storage.checkpoint import (
 )
 
 
+NAM_ONLY = CheckpointPolicy(prefer="nam", fallback=False)
+
+
 def _state(seed=0, n=512):
     rng = np.random.default_rng(seed)
     return {"w": rng.normal(size=n), "b": rng.normal(size=8)}
@@ -34,16 +37,19 @@ class TestRoundTrip:
     def test_roundtrip_per_target(self, mgr, target):
         state = _state()
         t_write = mgr.save("m", step=9, state=state, target=target)
-        restored, step, t_read = mgr.restore("m", target=target)
-        assert step == 9
-        assert t_write > 0 and t_read > 0
+        r = mgr.restore_latest_verified(
+            "m", CheckpointPolicy(prefer=target, fallback=False),
+            max_rollback=0)
+        assert r.step == 9
+        assert t_write > 0 and r.read_time_s > 0
         for key in state:
-            np.testing.assert_array_equal(restored[key], state[key])
+            np.testing.assert_array_equal(r.state[key], state[key])
 
     def test_restore_falls_back_to_other_target_when_preferred_missing(self, mgr):
         mgr.save("m", step=3, state=_state(), target="pfs")
-        _, step, _ = mgr.restore("m")          # prefer="nam", only pfs copy
-        assert step == 3
+        r = mgr.restore_latest_verified(     # prefer="nam", only pfs copy
+            "m", CheckpointPolicy(prefer="nam"), max_rollback=0)
+        assert r.step == 3
 
     def test_replicate_writes_both_targets(self, mgr):
         t = mgr.save("m", step=5, state=_state(), replicate=True)
@@ -70,13 +76,13 @@ class TestIntegrity:
         mgr.save("m", step=1, state=_state())
         mgr.corrupt("m", target="nam", truncate=True)
         with pytest.raises(CheckpointError, match="truncated"):
-            mgr.restore("m", target="nam")
+            mgr.restore_latest_verified("m", NAM_ONLY, max_rollback=0)
 
     def test_bit_flip_raises_checksum_mismatch(self, mgr):
         mgr.save("m", step=1, state=_state())
         mgr.corrupt("m", target="nam")
         with pytest.raises(CheckpointError, match="checksum"):
-            mgr.restore("m", target="nam")
+            mgr.restore_latest_verified("m", NAM_ONLY, max_rollback=0)
 
     def test_corrupting_missing_copy_raises(self, mgr):
         with pytest.raises(CheckpointError):
@@ -86,9 +92,11 @@ class TestIntegrity:
         state = _state()
         mgr.save("m", step=2, state=state, replicate=True)
         mgr.corrupt("m", target="nam", truncate=True)
-        restored, step, _ = mgr.restore("m", target="pfs")
-        assert step == 2
-        np.testing.assert_array_equal(restored["w"], state["w"])
+        r = mgr.restore_latest_verified(
+            "m", CheckpointPolicy(prefer="pfs", fallback=False),
+            max_rollback=0)
+        assert r.step == 2
+        np.testing.assert_array_equal(r.state["w"], state["w"])
 
 
 class TestDrop:
@@ -97,7 +105,8 @@ class TestDrop:
         mgr.drop("m")
         assert not mgr.exists("m")
         with pytest.raises(CheckpointError):
-            mgr.restore("m")
+            mgr.restore_latest_verified("m", CheckpointPolicy(),
+                                        max_rollback=0)
 
     def test_drop_single_target(self, mgr):
         mgr.save("m", step=1, state=_state(), replicate=True)

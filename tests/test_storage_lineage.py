@@ -41,9 +41,10 @@ class TestLineage:
         mgr = make_manager()
         for step in (10, 20, 30):
             mgr.save("m", step=step, state=state_at(step))
-        state, step, _ = mgr.restore("m")
-        assert step == 30
-        np.testing.assert_array_equal(state["w"], np.full(16, 30.0))
+        r = mgr.restore_latest_verified("m", CheckpointPolicy(),
+                                        max_rollback=0)
+        assert r.step == 30
+        np.testing.assert_array_equal(r.state["w"], np.full(16, 30.0))
 
     def test_replicated_save_shares_version_across_targets(self):
         mgr = make_manager()
