@@ -24,26 +24,19 @@ The package rebuilds the paper's full stack as a laptop-runnable simulation:
                     and the QUBO SVM with ensembles ([10], [11])
 ``repro.analytics`` mini-Spark RDD engine + MLlib-like algorithms (DAM)
 ``repro.datasets``  synthetic BigEarthNet / COVIDx / MIMIC-III stand-ins
-``repro.workflows`` container/Jupyter/CBRAIN interoperability and cloud
+``repro.workflows`` container/Jupyter interoperability and cloud
                     cost models
 ==================  =========================================================
 
+Every top-level definition is reached from a ``repro`` command, a
+``repro bench`` case, a scenario, the wall-clock benchmark or a tested
+example (``tests/test_reachability.py``); a paper unit returns only as a
+``paper`` bench case whose ``expect`` states the claim it reproduces.
 See ``DESIGN.md`` for the substitution table and per-experiment index, and
 ``EXPERIMENTS.md`` for paper-vs-measured results.
 """
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "simnet",
-    "core",
-    "mpi",
-    "storage",
-    "ml",
-    "distributed",
-    "svm",
-    "quantum",
-    "analytics",
-    "datasets",
-    "workflows",
-]
+__all__ = ["simnet", "core", "mpi", "storage", "ml", "distributed", "svm",
+           "quantum", "analytics", "datasets", "workflows"]

@@ -8,15 +8,13 @@ the needed slice of that stack:
   partitioned collections with map/filter/reduceByKey/join and
   memory-accounted caching against a :class:`~repro.storage.tiers.TieredStore`,
 * :mod:`repro.analytics.mllib` — MLlib-like algorithms on RDDs: logistic
-  regression (treeAggregate-style gradient aggregation), k-means, and the
+  regression (treeAggregate-style gradient aggregation) and the
   random-forest classifier the paper's footnote highlights.
 """
 
 from repro.analytics.rdd import MiniSparkContext, RDD
-from repro.analytics.dask_like import Delayed, delayed, compute
 from repro.analytics.mllib import (
     RddLogisticRegression,
-    RddKMeans,
     RandomForest,
     DecisionTree,
 )
@@ -24,11 +22,7 @@ from repro.analytics.mllib import (
 __all__ = [
     "MiniSparkContext",
     "RDD",
-    "Delayed",
-    "delayed",
-    "compute",
     "RddLogisticRegression",
-    "RddKMeans",
     "RandomForest",
     "DecisionTree",
 ]

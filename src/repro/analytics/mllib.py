@@ -7,7 +7,6 @@ the random forest).  Provided here:
 * :class:`RddLogisticRegression` — binary logistic regression whose
   gradient is computed with ``treeAggregate`` over partitions (MLlib's
   exact execution pattern),
-* :class:`RddKMeans` — Lloyd's algorithm with partition-local statistics,
 * :class:`DecisionTree` / :class:`RandomForest` — CART trees with Gini
   impurity; the forest trains its trees partition-parallel on bootstrap
   samples.
@@ -84,68 +83,6 @@ class RddLogisticRegression:
 
     def score(self, X: np.ndarray, y: np.ndarray) -> float:
         return float((self.predict(X) == np.asarray(y)).mean())
-
-
-# ---------------------------------------------------------------------------
-# k-means
-# ---------------------------------------------------------------------------
-
-class RddKMeans:
-    """Lloyd's algorithm with per-partition sufficient statistics."""
-
-    def __init__(self, k: int, n_iterations: int = 20, seed: int = 0) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = k
-        self.n_iterations = n_iterations
-        self.seed = seed
-        self.centroids: Optional[np.ndarray] = None
-        self.inertia_: float = float("inf")
-
-    def fit(self, rows: RDD) -> "RddKMeans":
-        sample = rows.take(max(self.k * 10, 50))
-        if len(sample) < self.k:
-            raise ValueError("fewer points than clusters")
-        rng = np.random.default_rng(self.seed)
-        pick = rng.choice(len(sample), size=self.k, replace=False)
-        centroids = np.asarray([sample[i] for i in pick], dtype=np.float64)
-
-        for _ in range(self.n_iterations):
-            def seq_op(acc, x):
-                sums, counts, inertia = acc
-                x = np.asarray(x, dtype=np.float64)
-                d = ((centroids - x) ** 2).sum(axis=1)
-                j = int(d.argmin())
-                sums[j] = sums[j] + x
-                counts[j] += 1
-                return (sums, counts, inertia + float(d[j]))
-
-            def comb_op(a, b):
-                return ([sa + sb for sa, sb in zip(a[0], b[0])],
-                        [ca + cb for ca, cb in zip(a[1], b[1])],
-                        a[2] + b[2])
-
-            zero = ([np.zeros(centroids.shape[1]) for _ in range(self.k)],
-                    [0] * self.k, 0.0)
-            sums, counts, inertia = rows.tree_aggregate(zero, seq_op, comb_op)
-            new = centroids.copy()
-            for j in range(self.k):
-                if counts[j] > 0:
-                    new[j] = sums[j] / counts[j]
-            self.inertia_ = inertia
-            if np.allclose(new, centroids, atol=1e-9):
-                centroids = new
-                break
-            centroids = new
-        self.centroids = centroids
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.centroids is None:
-            raise RuntimeError("fit before predicting")
-        X = np.asarray(X, dtype=np.float64)
-        d = ((X[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
-        return d.argmin(axis=1)
 
 
 # ---------------------------------------------------------------------------

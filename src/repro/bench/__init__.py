@@ -19,7 +19,6 @@ from repro.bench.registry import (
     expect,
 )
 from repro.bench.schema import (
-    CORE_AREAS,
     SCHEMA_ID,
     BenchSchemaError,
     dumps_canonical,
@@ -38,7 +37,6 @@ __all__ = [
     "bench_case",
     "cases_for",
     "expect",
-    "CORE_AREAS",
     "SCHEMA_ID",
     "BenchSchemaError",
     "dumps_canonical",

@@ -24,10 +24,6 @@ import numpy as np
 
 SCHEMA_ID = "repro-bench/1"
 
-#: Areas the acceptance gate requires; the registry may add more.
-CORE_AREAS = ("events", "mpi", "training", "serving", "tensor",
-              "scheduler", "paper")
-
 
 class BenchSchemaError(ValueError):
     """An artifact (emitted or loaded) violates the bench schema."""

@@ -76,7 +76,6 @@ from repro.core.scheduler import (
 from repro.core.energy import PowerModel, EnergyAccountant
 from repro.core.stats import (
     LatencySummary,
-    latency_histogram,
     percentile,
     summarize_latencies,
 )
@@ -96,6 +95,6 @@ __all__ = [
     "MsaScheduler", "SchedulerPolicy", "PlacementPolicy", "ScheduleReport",
     "Allocation", "place_standalone", "rank_placements", "schedule_workload",
     "PowerModel", "EnergyAccountant",
-    "LatencySummary", "latency_histogram", "percentile",
+    "LatencySummary", "percentile",
     "summarize_latencies",
 ]

@@ -25,8 +25,6 @@ import shlex
 from typing import Any
 
 from repro.core.jobs import GB, Job, JobPhase, WorkloadClass
-from repro.core.scheduler import ScheduleReport
-from repro.telemetry.export import chrome_complete_event, chrome_meta_event
 
 
 class BatchScriptError(ValueError):
@@ -112,19 +110,3 @@ def parse_job_script(script: str) -> Job:
     if not phases:
         raise BatchScriptError("script defines no #PHASE blocks")
     return Job(name=name, phases=phases, arrival_time=arrival)
-
-
-def schedule_to_chrome_trace(report: ScheduleReport) -> dict[str, Any]:
-    """Gantt view of a schedule as Chrome trace events (one lane per
-    module; one 'X' span per phase allocation)."""
-    modules = sorted({a.module_key for a in report.allocations})
-    lane = {key: i for i, key in enumerate(modules)}
-    events = [chrome_complete_event(
-        f"{alloc.job_name}/{alloc.phase_name}", "phase", 0,
-        lane[alloc.module_key], alloc.start, alloc.duration,
-        {"nodes": len(alloc.nodes), "module": alloc.module_key})
-        for alloc in report.allocations]
-    events.sort(key=lambda e: (e["ts"], e["tid"]))
-    meta = [chrome_meta_event("thread_name", 0, lane[key], key)
-            for key in modules]
-    return {"traceEvents": meta + events, "displayTimeUnit": "ms"}

@@ -18,14 +18,13 @@ their *ratios* (e.g. A100 tensor vs V100 tensor ≈ 2.5×), not absolutes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 
 GIGA = 1.0e9
 TERA = 1.0e12
 GB = 1024 ** 3
-TB = 1024 ** 4
 
 
 @dataclass(frozen=True)

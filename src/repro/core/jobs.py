@@ -20,7 +20,7 @@ is the model the scheduler's matchmaking minimises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 

@@ -13,7 +13,7 @@ nothing here touches the simulation clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -77,32 +77,3 @@ def summarize_latencies(values: Sequence[float] | np.ndarray) -> LatencySummary:
         p99_s=float(np.percentile(arr, 99)),
         max_s=float(arr.max()),
     )
-
-
-def latency_histogram(
-    values: Sequence[float] | np.ndarray,
-    n_bins: int = 20,
-    lo: Optional[float] = None,
-    hi: Optional[float] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log-spaced latency histogram ``(bin_edges, counts)``.
-
-    Latency distributions are heavy-tailed; log-spaced bins keep both the
-    body and the tail visible.  ``lo``/``hi`` default to the sample extrema
-    (with a floor of 1 µs so zero-latency cache hits do not break the log
-    scale).
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot histogram an empty latency sample")
-    if n_bins < 1:
-        raise ValueError("need at least one bin")
-    floor = 1e-6
-    lo = max(float(arr.min()) if lo is None else lo, floor)
-    hi = max(float(arr.max()) if hi is None else hi, lo * (1 + 1e-9))
-    edges = np.logspace(np.log10(lo), np.log10(hi), n_bins + 1)
-    # logspace round-trips through log10; pin the extremes exactly so the
-    # min/max samples always land inside the outer bins.
-    edges[0], edges[-1] = lo, hi
-    counts, _ = np.histogram(np.maximum(arr, floor), bins=edges)
-    return edges, counts

@@ -14,8 +14,7 @@ ESB nodes keep p99 under the deadline at this scene rate?").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from repro.simnet.link import LinkKind
 from repro.simnet.topology import Topology, federated

@@ -19,7 +19,7 @@ missing-value prediction task.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -231,24 +231,3 @@ def make_imputation_windows(
         "window": window,
     }
     return X, y, stats
-
-
-def make_masked_imputation_windows(
-    records: list[PatientRecord],
-    window: int = 8,
-    target_channel: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """Like :func:`make_imputation_windows` but also returns the
-    observation masks — the inputs GRU-D-style models consume
-    (:mod:`repro.ml.models.gru_d`)."""
-    X, y, stats = make_imputation_windows(
-        records, window=window, target_channel=target_channel,
-        normalise=True)
-    masks = []
-    for rec in records:
-        for t in range(window, rec.n_hours):
-            masks.append(rec.mask[t - window:t].astype(np.float64))
-    M = np.asarray(masks)
-    if M.shape != X.shape:
-        raise RuntimeError("mask/window shape mismatch")
-    return X, M, y, stats

@@ -6,7 +6,7 @@ the learning process", via Horovod or "more recently, DeepSpeed".
 
 * :mod:`repro.distributed.horovod` — Horovod-style API over
   :mod:`repro.mpi`: ``DistributedOptimizer`` (fused-buffer ring-allreduce
-  gradient averaging), ``broadcast_parameters``, metric all-reduction,
+  gradient averaging), ``broadcast_parameters``, elastic training,
 * :mod:`repro.distributed.deepspeed` — a ZeRO-stage-1-style optimizer with
   sharded optimiser state,
 * :mod:`repro.distributed.compression` — gradient compression (fp16),
@@ -16,10 +16,8 @@ the learning process", via Horovod or "more recently, DeepSpeed".
 """
 
 from repro.distributed.horovod import (
-    Horovod,
     DistributedOptimizer,
     broadcast_parameters,
-    allreduce_average,
     global_batch_indices,
     ElasticRecovery,
     ElasticRunResult,
@@ -27,8 +25,6 @@ from repro.distributed.horovod import (
 )
 from repro.distributed.deepspeed import ZeroStage1Optimizer, ZeroStage2Optimizer
 from repro.distributed.compression import NoCompression, Fp16Compression
-from repro.distributed.inference import (distributed_predict, distributed_evaluate,
-    inference_scaleout_time, predict_in_batches, shard_bounds)
 from repro.distributed.perfmodel import (
     DistributedTrainingPerfModel,
     InferencePerfModel,
@@ -37,10 +33,8 @@ from repro.distributed.perfmodel import (
 )
 
 __all__ = [
-    "Horovod",
     "DistributedOptimizer",
     "broadcast_parameters",
-    "allreduce_average",
     "global_batch_indices",
     "ElasticRecovery",
     "ElasticRunResult",
@@ -48,11 +42,6 @@ __all__ = [
     "ZeroStage1Optimizer",
     "ZeroStage2Optimizer",
     "NoCompression",
-    "distributed_predict",
-    "distributed_evaluate",
-    "inference_scaleout_time",
-    "predict_in_batches",
-    "shard_bounds",
     "Fp16Compression",
     "DistributedTrainingPerfModel",
     "InferencePerfModel",

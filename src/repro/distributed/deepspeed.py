@@ -16,7 +16,7 @@ Observable properties reproduced (and asserted in tests):
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -6,8 +6,7 @@ Implements the API surface the paper's case studies use:
 * :class:`DistributedOptimizer` — wraps a local optimiser; before each
   ``step`` it averages gradients across ranks with a **fused-buffer ring
   allreduce** (Horovod's tensor fusion + ring algorithm), optionally
-  compressed to fp16 on the wire,
-* :func:`allreduce_average` — metric averaging.
+  compressed to fp16 on the wire.
 
 Data-parallel semantics reproduced exactly: every rank holds a model
 replica, consumes a disjoint shard (see
@@ -31,33 +30,12 @@ from repro.ml.optim import Optimizer
 from repro.distributed.compression import NoCompression
 
 
-class Horovod:
-    """Thin context mirroring ``hvd.init()/rank()/size()``."""
-
-    def __init__(self, comm: Communicator) -> None:
-        self.comm = comm
-
-    def rank(self) -> int:
-        return self.comm.rank
-
-    def size(self) -> int:
-        return self.comm.size
-
-    def local_rank(self) -> int:
-        return self.comm.rank  # single simulated host per rank
-
-
 def broadcast_parameters(model: Module, comm: Communicator, root: int = 0) -> None:
     """Synchronise all replicas with the root's weights and buffers."""
     state = model.state_dict() if comm.rank == root else None
     state = comm.bcast(state, root=root)
     if comm.rank != root:
         model.load_state_dict(state)
-
-
-def allreduce_average(comm: Communicator, value: float) -> float:
-    """Average a scalar metric across ranks (e.g. validation loss)."""
-    return comm.allreduce(float(value), op=ReduceOp.SUM) / comm.size
 
 
 def _flatten_grads(params: Sequence[Parameter]) -> np.ndarray:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.core.hardware import GpuSpec, NodeSpec, NVIDIA_A100, NVIDIA_V100
+from repro.core.hardware import GpuSpec, NodeSpec, NVIDIA_A100
 from repro.simnet.costs import CollectiveCosts, CommCostModel
 from repro.simnet.link import LinkKind
 from repro.ml.models.resnet import ResNetShape, resnet50_config

@@ -7,7 +7,7 @@ pipeline with Horovod-style distributed sharding (:mod:`repro.ml.data`),
 and the case-study model zoo (:mod:`repro.ml.models`).
 """
 
-from repro.ml.tensor import Tensor, tensor, zeros, ones
+from repro.ml.tensor import Tensor
 from repro.ml.layers import (
     Parameter,
     Module,
@@ -16,22 +16,14 @@ from repro.ml.layers import (
     Conv1D,
     BatchNorm,
     Dropout,
-    ReLU,
-    Tanh,
-    Sigmoid,
-    MaxPool2D,
     GlobalAvgPool2D,
-    Flatten,
-    Sequential,
     he_init,
     xavier_init,
 )
 from repro.ml.rnn import GRU, GRUCell
-from repro.ml.optim import (SGD, Adam, LinearWarmupSchedule,
-    CosineDecaySchedule, Optimizer, clip_grad_norm)
+from repro.ml.optim import SGD, Adam, Optimizer
 from repro.ml.losses import (
     cross_entropy,
-    binary_cross_entropy_with_logits,
     mse,
     mae,
     l2_regularisation,
@@ -48,14 +40,12 @@ from repro.ml import metrics
 from repro.ml import models
 
 __all__ = [
-    "Tensor", "tensor", "zeros", "ones",
+    "Tensor",
     "Parameter", "Module", "Dense", "Conv2D", "Conv1D", "BatchNorm",
-    "Dropout", "ReLU", "Tanh", "Sigmoid", "MaxPool2D", "GlobalAvgPool2D",
-    "Flatten", "Sequential", "he_init", "xavier_init",
+    "Dropout", "GlobalAvgPool2D", "he_init", "xavier_init",
     "GRU", "GRUCell",
-    "SGD", "Adam", "LinearWarmupSchedule", "CosineDecaySchedule",
-    "Optimizer", "clip_grad_norm",
-    "cross_entropy", "binary_cross_entropy_with_logits", "mse", "mae",
+    "SGD", "Adam", "Optimizer",
+    "cross_entropy", "mse", "mae",
     "l2_regularisation",
     "ArrayDataset", "DataLoader", "DistributedSampler",
     "DistributedDataLoader", "train_test_split",

@@ -10,7 +10,7 @@ batches, as real data-parallel training requires for collective lockstep).
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Sequence
+from typing import Iterator
 
 import numpy as np
 

@@ -31,9 +31,8 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 
-from repro.ml.engine.device import (current_device_name, device_names,
-                                    get_device, register_device, set_device,
-                                    use_device)
+from repro.ml.engine.device import (device_names, get_device,
+                                    register_device, set_device, use_device)
 from repro.ml.engine.graph import LazyExpr
 from repro.ml.engine.fuser import Kernel, schedule
 from repro.ml.engine.stats import STATS, EngineStats, collect
@@ -92,7 +91,6 @@ __all__ = [
     "MODES",
     "STATS",
     "collect",
-    "current_device_name",
     "device_names",
     "engine",
     "engine_mode",

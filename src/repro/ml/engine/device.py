@@ -75,10 +75,6 @@ def set_device(name: str) -> str:
     return old
 
 
-def current_device_name() -> str:
-    return _current
-
-
 @contextmanager
 def use_device(name: str):
     """Scoped device switch: realize everything inside on ``name``."""

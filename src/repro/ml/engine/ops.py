@@ -24,7 +24,7 @@ but never reorders or reassociates float math, so the two engines agree
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,6 @@ LEAF = "leaf"
 
 #: Kinds the fuser may place in the interior of a fused kernel.
 ELEMENTWISE_KINDS = (UNARY, BINARY)
-#: Kinds that may terminate (be the root of) a fused kernel.
-FUSABLE_ROOT_KINDS = (UNARY, BINARY, REDUCE)
 
 
 class OpSpec(NamedTuple):

@@ -17,7 +17,6 @@ can report the modeled fusion speedup.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.ml.engine.cpu import Device
 

@@ -157,30 +157,6 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
     return _node(patches.max(axis=(4, 5)), (x,), backward)
 
 
-def avg_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tensor:
-    """Average pooling over NCHW spatial dims."""
-    stride = stride or kernel
-    n, c, h, w = x.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
-    xd = x.data
-    s0, s1, s2, s3 = xd.strides
-    shape = (n, c, out_h, out_w, kernel, kernel)
-    strides = (s0, s1, s2 * stride, s3 * stride, s2, s3)
-    patches = np.lib.stride_tricks.as_strided(xd, shape=shape, strides=strides)
-    scale = 1.0 / (kernel * kernel)
-
-    def backward(out) -> None:
-        grad = np.zeros_like(xd)
-        g = out.grad * scale
-        for i in range(kernel):
-            for j in range(kernel):
-                grad[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += g
-        x._accumulate(grad, fresh=True)
-
-    return _node(patches.mean(axis=(4, 5)), (x,), backward)
-
-
 def global_avg_pool2d(x: Tensor) -> Tensor:
     """(N, C, H, W) -> (N, C)."""
     return x.mean(axis=(2, 3))

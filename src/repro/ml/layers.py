@@ -1,13 +1,13 @@
 """Neural-network layers (Keras/pyTorch-style modules).
 
 Provides the layer set the paper's case studies need: Dense, Conv2D/Conv1D,
-BatchNorm, Dropout, pooling, activations, Flatten and Sequential.  Recurrent
-layers (the ARDS GRU) live in :mod:`repro.ml.rnn`.
+BatchNorm, Dropout and global average pooling.  Recurrent layers (the ARDS
+GRU) live in :mod:`repro.ml.rnn`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -256,59 +256,6 @@ class Dropout(Module):
         return F.dropout(x, self.p, self.rng, training=self.training)
 
 
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class MaxPool2D(Module):
-    def __init__(self, kernel: int = 2, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel = kernel
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, self.kernel, self.stride)
-
-
 class GlobalAvgPool2D(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.global_avg_pool2d(x)
-
-
-class Flatten(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], -1)
-
-
-class Sequential(Module):
-    """Chain of modules."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self.layers = list(modules)
-
-    def append(self, module: Module) -> "Sequential":
-        self.layers.append(module)
-        return self
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def __getitem__(self, i: int) -> Module:
-        return self.layers[i]
-
-    def __len__(self) -> int:
-        return len(self.layers)

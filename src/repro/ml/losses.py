@@ -36,20 +36,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return -(targets * logp).sum() * (1.0 / n)
 
 
-def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean element-wise BCE for multi-label targets in {0,1}.
-
-    Uses the numerically stable form
-    ``max(x,0) - x·y + log(1 + exp(-|x|))``.
-    """
-    y = _target_tensor(logits, targets)
-    x = logits
-    relu_x = x.relu()
-    abs_x = x.abs()
-    loss = relu_x - x * y + (1.0 + (-abs_x).exp()).log()
-    return loss.mean()
-
-
 def mse(pred: Tensor, target: np.ndarray, mask: Optional[np.ndarray] = None) -> Tensor:
     """Mean squared error, optionally masked to observed entries."""
     t = _target_tensor(pred, target)

@@ -44,26 +44,6 @@ def precision_recall_f1(
     return {"precision": precision, "recall": recall, "f1": f1}
 
 
-def multilabel_micro_f1(pred: np.ndarray, true: np.ndarray,
-                        threshold: float = 0.5) -> float:
-    """Micro-averaged F1 over binary label matrices (or probabilities)."""
-    p = (np.asarray(pred) >= threshold).astype(np.int64)
-    t = np.asarray(true).astype(np.int64)
-    tp = int(((p == 1) & (t == 1)).sum())
-    fp = int(((p == 1) & (t == 0)).sum())
-    fn = int(((p == 0) & (t == 1)).sum())
-    denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom > 0 else 0.0
-
-
-def subset_accuracy(pred: np.ndarray, true: np.ndarray,
-                    threshold: float = 0.5) -> float:
-    """Exact-match accuracy for multi-label predictions."""
-    p = (np.asarray(pred) >= threshold).astype(np.int64)
-    t = np.asarray(true).astype(np.int64)
-    return float((p == t).all(axis=1).mean())
-
-
 def mae_score(pred: np.ndarray, true: np.ndarray,
               mask: np.ndarray | None = None) -> float:
     err = np.abs(np.asarray(pred) - np.asarray(true))
@@ -73,24 +53,3 @@ def mae_score(pred: np.ndarray, true: np.ndarray,
             raise ValueError("mask selects no entries")
         err = err[m]
     return float(err.mean())
-
-
-def rmse_score(pred: np.ndarray, true: np.ndarray,
-               mask: np.ndarray | None = None) -> float:
-    sq = (np.asarray(pred) - np.asarray(true)) ** 2
-    if mask is not None:
-        m = np.asarray(mask, dtype=bool)
-        if not m.any():
-            raise ValueError("mask selects no entries")
-        sq = sq[m]
-    return float(np.sqrt(sq.mean()))
-
-
-def r2_score(pred: np.ndarray, true: np.ndarray) -> float:
-    true = np.asarray(true, dtype=np.float64)
-    pred = np.asarray(pred, dtype=np.float64)
-    ss_res = float(((true - pred) ** 2).sum())
-    ss_tot = float(((true - true.mean()) ** 2).sum())
-    if ss_tot == 0.0:
-        return 0.0 if ss_res > 0 else 1.0
-    return 1.0 - ss_res / ss_tot

@@ -24,9 +24,6 @@ from repro.ml.layers import (
 )
 from repro.ml.tensor import Tensor
 
-#: COVID-Net's output classes, in the COVIDx convention.
-COVIDNET_CLASSES = ("normal", "pneumonia", "covid19")
-
 
 class PepxBlock(Module):
     """Projection → expansion → depthwise-ish 3×3 → projection → extension.

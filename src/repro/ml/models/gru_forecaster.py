@@ -10,11 +10,9 @@ paper reports as equally promising for missing-value prediction.
 
 from __future__ import annotations
 
-from typing import Optional
 
 import numpy as np
 
-from repro.ml import functional as F
 from repro.ml.layers import Conv1D, Dense, Dropout, Module
 from repro.ml.rnn import GRU
 from repro.ml.tensor import Tensor

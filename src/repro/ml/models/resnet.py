@@ -9,7 +9,6 @@ provide:
 * :func:`resnet_small` — the laptop-scale variant the functional
   experiments train end-to-end (same architecture family, fewer/narrower
   stages);
-* :func:`resnet20` — the classic CIFAR-style 3-stage ResNet;
 * :func:`resnet50_config` — the full ResNet-50 shape (used by the
   performance model to count parameters and FLOPs at paper scale; training
   it numerically on a laptop is intentionally out of scope).
@@ -22,15 +21,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.ml import functional as F
 from repro.ml.layers import (
     BatchNorm,
     Conv2D,
     Dense,
     GlobalAvgPool2D,
     Module,
-    ReLU,
-    Sequential,
 )
 from repro.ml.tensor import Tensor
 
@@ -59,44 +55,6 @@ class ResidualBlock(Module):
     def forward(self, x: Tensor) -> Tensor:
         out = self.bn1(self.conv1(x)).relu()
         out = self.bn2(self.conv2(out))
-        skip = x if self.proj is None else self.proj_bn(self.proj(x))
-        return (out + skip).relu()
-
-
-class BottleneckBlock(Module):
-    """1×1 reduce → 3×3 → 1×1 expand with skip — ResNet-50's block type.
-
-    ``expansion`` output channels per bottleneck width (4 in He et al.).
-    """
-
-    expansion = 4
-
-    def __init__(self, in_channels: int, width: int, stride: int = 1,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        rng = rng or np.random.default_rng(0)
-        out_channels = width * self.expansion
-        self.conv1 = Conv2D(in_channels, width, 1, rng=rng, bias=False)
-        self.bn1 = BatchNorm(width)
-        self.conv2 = Conv2D(width, width, 3, stride=stride, padding=1,
-                            rng=rng, bias=False)
-        self.bn2 = BatchNorm(width)
-        self.conv3 = Conv2D(width, out_channels, 1, rng=rng, bias=False)
-        self.bn3 = BatchNorm(out_channels)
-        if stride != 1 or in_channels != out_channels:
-            self.proj: Optional[Conv2D] = Conv2D(
-                in_channels, out_channels, 1, stride=stride, rng=rng,
-                bias=False)
-            self.proj_bn: Optional[BatchNorm] = BatchNorm(out_channels)
-        else:
-            self.proj = None
-            self.proj_bn = None
-        self.out_channels = out_channels
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = self.bn1(self.conv1(x)).relu()
-        out = self.bn2(self.conv2(out)).relu()
-        out = self.bn3(self.conv3(out))
         skip = x if self.proj is None else self.proj_bn(self.proj(x))
         return (out + skip).relu()
 
@@ -154,71 +112,6 @@ def resnet_small(in_channels: int = 12, n_classes: int = 10,
     """The laptop-scale land-cover classifier used in functional runs."""
     return ResNet(in_channels, n_classes, blocks_per_stage=(1, 1),
                   base_width=8, seed=seed)
-
-
-def resnet20(in_channels: int = 3, n_classes: int = 10, seed: int = 0) -> ResNet:
-    """Classic 3-stage ResNet-20 (He et al.'s CIFAR configuration)."""
-    return ResNet(in_channels, n_classes, blocks_per_stage=(3, 3, 3),
-                  base_width=16, seed=seed)
-
-
-class BottleneckResNet(Module):
-    """ResNet-50-family network built from bottleneck blocks.
-
-    ``blocks_per_stage=(3, 4, 6, 3)`` with ``base_width=64`` is the exact
-    ResNet-50 layout; the default laptop configuration keeps that *shape*
-    (4 bottleneck stages, expansion 4) at a trainable width.
-    """
-
-    def __init__(self, in_channels: int, n_classes: int,
-                 blocks_per_stage: Sequence[int] = (1, 1, 1, 1),
-                 base_width: int = 4, seed: int = 0) -> None:
-        super().__init__()
-        if not blocks_per_stage:
-            raise ValueError("need at least one stage")
-        rng = np.random.default_rng(seed)
-        stem_out = base_width * 4
-        self.stem = Conv2D(in_channels, stem_out, 3, stride=1, padding=1,
-                           rng=rng, bias=False)
-        self.stem_bn = BatchNorm(stem_out)
-        stages: list[Module] = []
-        channels = stem_out
-        for stage_idx, n_blocks in enumerate(blocks_per_stage):
-            width = base_width * (2 ** stage_idx)
-            for block_idx in range(n_blocks):
-                stride = 2 if (stage_idx > 0 and block_idx == 0) else 1
-                block = BottleneckBlock(channels, width, stride=stride,
-                                        rng=rng)
-                stages.append(block)
-                channels = block.out_channels
-        self.stages = stages
-        self.pool = GlobalAvgPool2D()
-        self.head = Dense(channels, n_classes, rng=rng)
-        self.n_classes = n_classes
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = self.stem_bn(self.stem(x)).relu()
-        for block in self.stages:
-            out = block(out)
-        return self.head(self.pool(out))
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        was_training = self.training
-        self.eval()
-        logits = self.forward(Tensor(x))
-        if was_training:
-            self.train()
-        return logits.data.argmax(axis=1)
-
-    def predict_proba_multilabel(self, x: np.ndarray) -> np.ndarray:
-        """Per-class sigmoid probabilities (the BigEarthNet task is
-        multi-label: each patch carries several CORINE classes)."""
-        was_training = self.training
-        self.eval()
-        logits = self.forward(Tensor(x)).data
-        if was_training:
-            self.train()
-        return 1.0 / (1.0 + np.exp(-logits))
 
 
 @dataclass(frozen=True)

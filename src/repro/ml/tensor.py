@@ -259,8 +259,8 @@ class Tensor:
         nothing else references: it becomes this tensor's own array.
         Otherwise it is a consumer's finished ``out.grad`` or a view of
         it, which an interior node borrows read-only and a leaf copies —
-        optimizers, ``clip_grad_norm`` and the Horovod/DeepSpeed buffers
-        write through a leaf's ``.grad``, so that one aliases nothing.
+        optimizers and the Horovod/DeepSpeed buffers write through a
+        leaf's ``.grad``, so that one aliases nothing.
         """
         g = self.grad
         if g is None:
@@ -639,15 +639,3 @@ class Tensor:
             self._accumulate(out.grad[sl])
 
         return _apply("pad2d", (self,), backward, pad=pad)
-
-def tensor(data: ArrayLike, requires_grad: bool = False) -> Tensor:
-    """Factory mirroring ``torch.tensor``."""
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad: bool = False, dtype=np.float64) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False, dtype=np.float64) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.simnet.costs import CommCostModel
-from repro.simnet.link import Link, LinkKind
+from repro.simnet.link import LinkKind
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ JUNIQ) as MSA accelerators for ML optimisation problems, specifically a
 quantum SVM limited to binary classification and sub-sampled data.
 
 * :mod:`repro.quantum.qubo` — QUBO/Ising problem containers,
-* :mod:`repro.quantum.topology` — Chimera and Pegasus hardware graphs and
-  their complete-graph embedding capacity (the sub-sampling constraint),
+* :mod:`repro.quantum.topology` — the 2000Q / Advantage hardware budgets
+  and their complete-graph embedding capacity (the sub-sampling constraint),
 * :mod:`repro.quantum.annealer` — a simulated annealer honouring a
   device's qubit/coupler budget,
 * :mod:`repro.quantum.qsvm` — the QUBO formulation of SVM training
@@ -16,8 +16,6 @@ quantum SVM limited to binary classification and sub-sampled data.
 
 from repro.quantum.qubo import Qubo, IsingModel
 from repro.quantum.topology import (
-    chimera_graph,
-    pegasus_like_graph,
     DeviceTopology,
     DWAVE_2000Q,
     DWAVE_ADVANTAGE,
@@ -28,8 +26,6 @@ from repro.quantum.qsvm import QuantumSVM, QSvmEnsemble
 __all__ = [
     "Qubo",
     "IsingModel",
-    "chimera_graph",
-    "pegasus_like_graph",
     "DeviceTopology",
     "DWAVE_2000Q",
     "DWAVE_ADVANTAGE",

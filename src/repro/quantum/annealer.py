@@ -10,17 +10,13 @@ paper describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.quantum.qubo import Qubo
-from repro.quantum.topology import (
-    DWAVE_2000Q,
-    DWAVE_ADVANTAGE,
-    DeviceTopology,
-)
+from repro.quantum.topology import DeviceTopology
 
 
 class EmbeddingError(RuntimeError):

@@ -18,7 +18,6 @@ et al. do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -9,7 +9,6 @@ formulations are naturally QUBO.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

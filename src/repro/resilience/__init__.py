@@ -59,7 +59,7 @@ from repro.resilience.report import (
     RequeueEvent,
     ResilienceReport,
 )
-from repro.resilience.retry import NO_RETRY, RetryBudget, RetryPolicy
+from repro.resilience.retry import RetryBudget, RetryPolicy
 
 __all__ = [
     "ComponentHealth",
@@ -87,5 +87,4 @@ __all__ = [
     "ResilienceReport",
     "RetryBudget",
     "RetryPolicy",
-    "NO_RETRY",
 ]

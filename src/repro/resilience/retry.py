@@ -98,10 +98,6 @@ class RetryPolicy:
         return max(0.0, min(self.delay(attempt, key), deadline_s - now))
 
 
-#: Retrying disabled: first failure is terminal.
-NO_RETRY = RetryPolicy(max_retries=0)
-
-
 class RetryBudget:
     """A global cap keeping retries from amplifying an outage.
 

@@ -5,8 +5,8 @@ This package provides the timed foundations everything else builds on:
 * :mod:`repro.simnet.events` — a deterministic discrete-event simulation
   (DES) engine with generator-based processes and resources,
 * :mod:`repro.simnet.link` — latency/bandwidth link models,
-* :mod:`repro.simnet.topology` — interconnect topologies (fat-tree, torus,
-  dragonfly and the MSA *network federation* joining module fabrics),
+* :mod:`repro.simnet.topology` — interconnect topologies (fat-tree and
+  the MSA *network federation* joining module fabrics),
 * :mod:`repro.simnet.costs` — analytic α-β(-γ) communication cost models for
   point-to-point transfers and MPI collective algorithms.
 
@@ -28,9 +28,6 @@ from repro.simnet.link import Link, LinkKind, PartitionWindow
 from repro.simnet.topology import (
     Topology,
     fat_tree,
-    torus_3d,
-    dragonfly,
-    fully_connected,
     federated,
 )
 from repro.simnet.costs import (
@@ -58,9 +55,6 @@ __all__ = [
     "LinkKind",
     "Topology",
     "fat_tree",
-    "torus_3d",
-    "dragonfly",
-    "fully_connected",
     "federated",
     "CommCostModel",
     "CollectiveCosts",

@@ -118,21 +118,15 @@ class Process:
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self.done = Event(sim, name=f"{self.name}.done")
-        self._alive = True
         # Kick off at current time.
         start = Event(sim, name=f"{self.name}.start")
         start.add_callback(self._resume)
         sim.schedule(start, delay=0.0)
 
-    @property
-    def alive(self) -> bool:
-        return self._alive
-
     def _resume(self, evt: Event) -> None:
         try:
             target = self.gen.send(evt.value if evt.triggered else None)
         except StopIteration as stop:
-            self._alive = False
             self.done.succeed(stop.value)
             return
         if isinstance(target, (int, float)):
@@ -257,6 +251,7 @@ class Simulator:
         queue._seq += len(delays)
 
         def push_next(_fired: Optional[Event] = None) -> None:
+            nonlocal push_next
             member = next(members, None)
             if member is not None:
                 delay, value, seq = member
@@ -264,6 +259,8 @@ class Simulator:
                 evt._callbacks = [push_next]
                 evt.add_callback(callback)
                 heapq.heappush(heap, (base + delay, seq, evt))
+            else:       # drained: let go of the cell holding itself
+                push_next = None
 
         push_next()
 

@@ -10,7 +10,7 @@ edges carry :class:`~repro.simnet.link.Link` attributes, wrapped in a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Optional
+from typing import Hashable
 
 import networkx as nx
 
@@ -106,20 +106,6 @@ class Topology:
 # topology factories
 # ---------------------------------------------------------------------------
 
-def fully_connected(n_nodes: int, kind: LinkKind, name: str = "full") -> Topology:
-    """All-to-all direct links — the model for NVLink GPU meshes in a node."""
-    if n_nodes < 1:
-        raise ValueError("need at least one node")
-    g = nx.Graph()
-    topo = Topology(g, name=name)
-    link = Link.of_kind(kind)
-    for i in range(n_nodes):
-        topo.add_terminal(("node", i))
-    for i in range(n_nodes):
-        for j in range(i + 1, n_nodes):
-            topo.connect(("node", i), ("node", j), link)
-    return topo
-
 
 def fat_tree(
     n_nodes: int,
@@ -151,58 +137,6 @@ def fat_tree(
     for i in range(n_nodes):
         topo.add_terminal(("node", i))
         topo.connect(("node", i), ("leaf", i // radix), link)
-    return topo
-
-
-def torus_3d(dims: tuple[int, int, int], kind: LinkKind, name: str = "torus3d") -> Topology:
-    """3-D torus — used for comparison studies of regular-communication codes."""
-    dx, dy, dz = dims
-    if min(dims) < 1:
-        raise ValueError("all torus dimensions must be >= 1")
-    g = nx.Graph()
-    topo = Topology(g, name=name)
-    link = Link.of_kind(kind)
-    for x in range(dx):
-        for y in range(dy):
-            for z in range(dz):
-                topo.add_terminal(("node", x, y, z))
-    for x in range(dx):
-        for y in range(dy):
-            for z in range(dz):
-                here = ("node", x, y, z)
-                for nbr in (
-                    ("node", (x + 1) % dx, y, z),
-                    ("node", x, (y + 1) % dy, z),
-                    ("node", x, y, (z + 1) % dz),
-                ):
-                    if nbr != here and not g.has_edge(here, nbr):
-                        topo.connect(here, nbr, link)
-    return topo
-
-
-def dragonfly(
-    n_groups: int,
-    nodes_per_group: int,
-    kind: LinkKind,
-    name: str = "dragonfly",
-) -> Topology:
-    """Dragonfly: dense groups, all-to-all global links between groups."""
-    if n_groups < 1 or nodes_per_group < 1:
-        raise ValueError("groups and nodes per group must be >= 1")
-    g = nx.Graph()
-    topo = Topology(g, name=name)
-    local = Link.of_kind(kind)
-    global_link = Link(kind=kind, latency_s=local.latency_s * 2,
-                       bandwidth_Bps=local.bandwidth_Bps)
-    for grp in range(n_groups):
-        topo.add_switch(("router", grp))
-        for i in range(nodes_per_group):
-            node = ("node", grp, i)
-            topo.add_terminal(node)
-            topo.connect(node, ("router", grp), local)
-    for a in range(n_groups):
-        for b in range(a + 1, n_groups):
-            topo.connect(("router", a), ("router", b), global_link)
     return topo
 
 

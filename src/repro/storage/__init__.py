@@ -11,7 +11,7 @@
 from repro.storage.pfs import ParallelFileSystem, FileHandle, StripeLayout
 from repro.storage.nam import NetworkAttachedMemory, DatasetSharingStudy
 from repro.storage.tiers import MemoryTier, TieredStore, TierPlacement
-from repro.storage.checkpoint import CheckpointManager, CheckpointError, state_nbytes
+from repro.storage.checkpoint import CheckpointManager, CheckpointError
 
 __all__ = [
     "ParallelFileSystem",
@@ -24,5 +24,4 @@ __all__ = [
     "TierPlacement",
     "CheckpointManager",
     "CheckpointError",
-    "state_nbytes",
 ]

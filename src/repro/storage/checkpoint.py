@@ -44,18 +44,11 @@ from repro.resilience.integrity import wordsum
 from repro.storage.nam import NetworkAttachedMemory
 from repro.storage.pfs import ParallelFileSystem
 
-GiB = 1024 ** 3
-
 _TARGETS = ("nam", "pfs")
 
 
 class CheckpointError(RuntimeError):
     """Raised for missing, truncated or corrupt checkpoints."""
-
-
-def state_nbytes(state: dict[str, np.ndarray]) -> int:
-    """Payload size of a state dict."""
-    return int(sum(np.asarray(v).nbytes for v in state.values()))
 
 
 def payload_checksum(payload: bytes) -> int:

@@ -13,7 +13,7 @@ individually (baseline) or (b) stage it once into the NAM and read shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.simnet.link import Link, LinkKind

@@ -13,13 +13,12 @@ is what the experiments need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro import telemetry
 from repro.resilience.detect import ComponentHealth
 
-GiB = 1024 ** 3
 MiB = 1024 ** 2
 
 
@@ -64,8 +63,8 @@ class ParallelFileSystem:
     """A pool of OSTs serving striped files.
 
     >>> pfs = ParallelFileSystem("lustre", n_targets=8, target_GBps=5.0)
-    >>> f = pfs.create("/data/bigearthnet.tar", 100 * GiB, stripe_count=8)
-    >>> pfs.read_time(f) < pfs.read_time(pfs.create("/narrow", 100 * GiB, stripe_count=1))
+    >>> f = pfs.create("/data/bigearthnet.tar", 100 * 2**30, stripe_count=8)
+    >>> pfs.read_time(f) < pfs.read_time(pfs.create("/narrow", 100 * 2**30, stripe_count=1))
     True
     """
 

@@ -10,9 +10,8 @@ decisions and the E5 bench sweeps dataset size across tier boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 GiB = 1024 ** 3
 

@@ -5,19 +5,15 @@ open-source package that we developed with MPI for CPUs and used to speed
 up the classification of RS images".  This package rebuilds that stack:
 
 * :mod:`repro.svm.kernels` — linear / RBF / polynomial kernels,
-* :mod:`repro.svm.smo` — a from-scratch SMO solver (binary SVC) plus a
-  one-vs-rest multi-class wrapper,
+* :mod:`repro.svm.smo` — a from-scratch SMO solver (binary SVC),
 * :mod:`repro.svm.cascade` — the cascade SVM (Graf et al.) parallelised
   over :mod:`repro.mpi`: ranks train on partitions, support vectors merge
-  up a binary tree — the strong-scaling pattern of the CM experiments (E4),
-* :mod:`repro.svm.ensemble` — bagged SVM ensembles over sub-samples (the
-  construction the quantum-annealer SVM of Sec. III-C relies on).
+  up a binary tree — the strong-scaling pattern of the CM experiments (E4).
 """
 
 from repro.svm.kernels import linear_kernel, rbf_kernel, poly_kernel, make_kernel
-from repro.svm.smo import SVC, MulticlassSVC
+from repro.svm.smo import SVC
 from repro.svm.cascade import CascadeSVM, cascade_train
-from repro.svm.ensemble import SvmEnsemble
 
 __all__ = [
     "linear_kernel",
@@ -25,8 +21,6 @@ __all__ = [
     "poly_kernel",
     "make_kernel",
     "SVC",
-    "MulticlassSVC",
     "CascadeSVM",
     "cascade_train",
-    "SvmEnsemble",
 ]

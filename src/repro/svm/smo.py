@@ -143,34 +143,3 @@ class SVC:
         return SVC(C=self.C, kernel=self.kernel_name, tol=self.tol,
                    max_passes=self.max_passes, max_iter=self.max_iter,
                    seed=self.seed, **self.kernel_params)
-
-
-class MulticlassSVC:
-    """One-vs-rest wrapper for multi-class problems (RS land cover)."""
-
-    def __init__(self, **svc_kwargs) -> None:
-        self.svc_kwargs = svc_kwargs
-        self.classes_: Optional[np.ndarray] = None
-        self.machines_: list[SVC] = []
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "MulticlassSVC":
-        y = np.asarray(y)
-        self.classes_ = np.unique(y)
-        if len(self.classes_) < 2:
-            raise ValueError("need at least two classes")
-        self.machines_ = []
-        for cls in self.classes_:
-            binary = np.where(y == cls, 1.0, -1.0)
-            machine = SVC(**self.svc_kwargs)
-            machine.fit(X, binary)
-            self.machines_.append(machine)
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.classes_ is None:
-            raise RuntimeError("fit before predicting")
-        scores = np.stack([m.decision_function(X) for m in self.machines_], axis=1)
-        return self.classes_[scores.argmax(axis=1)]
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        return float((self.predict(X) == np.asarray(y)).mean())

@@ -36,7 +36,7 @@ from repro.telemetry.export import (
     to_chrome_trace,
 )
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.telemetry.spans import Span, Tracer, validate_nesting
+from repro.telemetry.spans import Span, Tracer
 
 # -- process-wide defaults ---------------------------------------------------
 
@@ -119,5 +119,4 @@ __all__ = [
     "set_registry",
     "set_tracer",
     "to_chrome_trace",
-    "validate_nesting",
 ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Iterable, Optional
+from typing import Any
 
 from repro.core.stats import percentile
 

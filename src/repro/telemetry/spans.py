@@ -23,12 +23,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, NamedTuple
-
-#: Well-known span categories (the Chrome trace ``cat`` field).  Free-form
-#: strings are allowed; these are the ones the built-in instrumentation uses.
-CATEGORIES = ("scheduler", "comm", "compute", "train", "fault", "storage",
-              "serving", "io")
+from typing import Any, Callable, NamedTuple
 
 
 class Span(NamedTuple):
@@ -161,31 +156,3 @@ class Tracer:
     def clear(self) -> None:
         with self._lock:
             self._raw.clear()
-
-
-def validate_nesting(spans: Iterable[Span], tol: float = 1e-9
-                     ) -> list[tuple[Span, Span]]:
-    """Check spans nest properly within each ``(track, lane)``.
-
-    Two spans on the same lane must either be disjoint or one must contain
-    the other — a partial overlap means an instrumentation bug (an "end"
-    recorded against the wrong clock).  Returns the offending
-    ``(outer, inner)`` pairs; an empty list means the trace is well-formed.
-    Instants are exempt (they sit *at* boundaries by construction).
-    """
-    violations: list[tuple[Span, Span]] = []
-    lanes: dict[tuple[str, str], list[Span]] = {}
-    for s in spans:
-        if not s.is_instant:
-            lanes.setdefault((s.track, s.lane), []).append(s)
-    for lane_spans in lanes.values():
-        # Parents before children: earlier start first, longer span first.
-        lane_spans.sort(key=lambda s: (s.start_s, -s.end_s, s.seq))
-        stack: list[Span] = []
-        for s in lane_spans:
-            while stack and s.start_s >= stack[-1].end_s - tol:
-                stack.pop()
-            if stack and s.end_s > stack[-1].end_s + tol:
-                violations.append((stack[-1], s))
-            stack.append(s)
-    return violations

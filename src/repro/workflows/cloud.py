@@ -15,7 +15,6 @@ GPUs, making speed-up studies infeasible there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.hardware import GpuSpec, NVIDIA_V100
 

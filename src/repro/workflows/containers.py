@@ -3,14 +3,14 @@
 Sec. III-B: "Singularity on JUWELS can work with Docker files available on
 the DockerHub" — the conversion path that makes the same DL software stack
 runnable on the MSA and in commercial clouds.  The model captures images
-(layers, env, GPU hooks), registries, format conversion, and runtime
+(layers, env, GPU hooks), format conversion, and runtime
 policy (HPC runtimes refuse privileged containers; GPU access requires the
 image's CUDA stack to be compatible with the node's driver).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 
@@ -66,33 +66,6 @@ def singularity_from_docker(image: ContainerImage) -> ContainerImage:
     if image.format != "docker":
         raise ContainerError("source image must be docker format")
     return replace(image, format="singularity", privileged=False)
-
-
-class ContainerRegistry:
-    """A DockerHub-like registry."""
-
-    def __init__(self, name: str = "dockerhub") -> None:
-        self.name = name
-        self._images: dict[str, ContainerImage] = {}
-        self.pull_count: dict[str, int] = {}
-
-    def push(self, image: ContainerImage) -> None:
-        self._images[image.ref] = image
-
-    def pull(self, ref: str) -> ContainerImage:
-        try:
-            image = self._images[ref]
-        except KeyError:
-            raise ContainerError(f"{ref!r} not found in {self.name}") from None
-        self.pull_count[ref] = self.pull_count.get(ref, 0) + 1
-        return image
-
-    def tags(self, name: str) -> list[str]:
-        return sorted(
-            ref.split(":", 1)[1]
-            for ref in self._images
-            if ref.split(":", 1)[0] == name
-        )
 
 
 @dataclass

@@ -4,9 +4,8 @@ The paper (Secs. III-B, IV-A): "Using the MSA-based systems ... seamlessly
 with Jupyter requires the definition of an own Kernel using the module
 environment of the MSA HPC systems" — how medical experts use JUWELS
 without seeing job scripts.  The model: module environments (the
-``module load`` tree), kernel specs resolved against them, sessions that
-bind a kernel to an MSA module, and kernel→cloud migration (a kernel spec
-exports to a container).
+``module load`` tree), kernel specs resolved against them, and
+kernel→cloud migration (a kernel spec exports to a container).
 """
 
 from __future__ import annotations
@@ -80,35 +79,6 @@ class JupyterKernelSpec:
             needs_gpu=needs_gpu,
             cuda_version="11.0" if needs_gpu else None,
         )
-
-
-@dataclass
-class JupyterSession:
-    """A running notebook session bound to an MSA module."""
-
-    kernel: JupyterKernelSpec
-    environment: ModuleEnvironment
-    target_module: str                  # e.g. "dam", "booster"
-    resolved: dict[str, str] = field(default_factory=dict)
-    started: bool = False
-
-    def start(self) -> "JupyterSession":
-        self.resolved = self.kernel.resolve(self.environment)
-        self.started = True
-        return self
-
-    def execute(self, cell_source: str) -> str:
-        """Abstracting-away check: users never write scheduler directives."""
-        if not self.started:
-            raise KernelError("session not started")
-        forbidden = ("#SBATCH", "srun ", "sbatch ", "module load")
-        for marker in forbidden:
-            if marker in cell_source:
-                raise KernelError(
-                    f"notebook cells must not contain {marker!r} — the "
-                    "kernel abstracts the HPC system away"
-                )
-        return f"executed-on:{self.environment.system}:{self.target_module}"
 
 
 def jsc_module_environment() -> ModuleEnvironment:

@@ -9,7 +9,6 @@ from repro.analytics import (
     DecisionTree,
     MiniSparkContext,
     RandomForest,
-    RddKMeans,
     RddLogisticRegression,
 )
 from repro.storage.tiers import TieredStore
@@ -209,30 +208,6 @@ class TestLogisticRegression:
     def test_empty_rdd_rejected(self, ctx):
         with pytest.raises(ValueError):
             RddLogisticRegression(2).fit(ctx.parallelize([]))
-
-
-class TestKMeans:
-    def test_recovers_centroids(self, ctx):
-        r = np.random.default_rng(1)
-        centers = np.array([[-5.0, 0.0], [5.0, 0.0]])
-        X = np.concatenate([r.normal(c, 0.5, size=(80, 2)) for c in centers])
-        model = RddKMeans(k=2, seed=0).fit(ctx.parallelize(list(X)))
-        found = model.centroids[np.argsort(model.centroids[:, 0])]
-        np.testing.assert_allclose(found, centers, atol=0.5)
-
-    def test_labels_partition_data(self, ctx):
-        X, _ = _blobs()
-        model = RddKMeans(k=2, seed=1).fit(ctx.parallelize(list(X)))
-        labels = model.predict(X)
-        assert set(labels.tolist()) == {0, 1}
-
-    def test_fewer_points_than_clusters(self, ctx):
-        with pytest.raises(ValueError):
-            RddKMeans(k=10).fit(ctx.parallelize([np.zeros(2)]))
-
-    def test_predict_before_fit(self):
-        with pytest.raises(RuntimeError):
-            RddKMeans(k=2).predict(np.zeros((2, 2)))
 
 
 class TestTreesAndForest:

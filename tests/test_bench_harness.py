@@ -29,7 +29,6 @@ from repro.bench.runner import (
     write_artifacts,
 )
 from repro.bench.schema import (
-    CORE_AREAS,
     SCHEMA_ID,
     BenchSchemaError,
     dumps_canonical,
@@ -40,6 +39,9 @@ from repro.bench.schema import (
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+#: Areas the acceptance gate requires; the registry may add more.
+CORE_AREAS = ("events", "mpi", "training", "serving", "tensor",
+              "scheduler", "paper")
 
 
 @pytest.fixture(scope="module")

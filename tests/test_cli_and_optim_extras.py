@@ -1,11 +1,8 @@
-"""The CLI front end, cosine LR decay and gradient clipping."""
+"""The CLI front end."""
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, experiments, main
-from repro.ml import CosineDecaySchedule, SGD, clip_grad_norm
-from repro.ml.layers import Parameter
 
 
 class TestCli:
@@ -65,85 +62,3 @@ class TestCli:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
-
-
-class TestClipGradNorm:
-    def test_large_gradients_scaled_to_max(self):
-        p = Parameter(np.zeros(4))
-        p.grad = np.full(4, 10.0)
-        norm = clip_grad_norm([p], max_norm=1.0)
-        assert norm == pytest.approx(20.0)
-        assert np.linalg.norm(p.grad) == pytest.approx(1.0)
-
-    def test_small_gradients_untouched(self):
-        p = Parameter(np.zeros(3))
-        p.grad = np.array([0.1, 0.0, 0.0])
-        clip_grad_norm([p], max_norm=1.0)
-        np.testing.assert_array_equal(p.grad, [0.1, 0.0, 0.0])
-
-    def test_global_norm_across_params(self):
-        a = Parameter(np.zeros(1))
-        b = Parameter(np.zeros(1))
-        a.grad = np.array([3.0])
-        b.grad = np.array([4.0])
-        norm = clip_grad_norm([a, b], max_norm=2.5)
-        assert norm == pytest.approx(5.0)
-        total = np.sqrt(a.grad[0] ** 2 + b.grad[0] ** 2)
-        assert total == pytest.approx(2.5)
-
-    def test_none_grads_skipped(self):
-        a = Parameter(np.zeros(1))
-        b = Parameter(np.zeros(1))
-        b.grad = np.array([1.0])
-        assert clip_grad_norm([a, b], max_norm=10.0) == pytest.approx(1.0)
-
-    def test_invalid_max_norm(self):
-        with pytest.raises(ValueError):
-            clip_grad_norm([], max_norm=0.0)
-
-
-class TestCosineDecay:
-    def _opt(self):
-        return SGD([Parameter(np.zeros(1))], lr=1.0)
-
-    def test_warmup_then_decay_to_final(self):
-        opt = self._opt()
-        sched = CosineDecaySchedule(opt, peak_lr=1.0, total_steps=100,
-                                    warmup_steps=10, final_lr=0.1)
-        lrs = [sched.step() for _ in range(100)]
-        assert lrs[7] < lrs[8]                       # still warming up
-        assert max(lrs) == pytest.approx(1.0, abs=1e-6)
-        assert lrs[-1] == pytest.approx(0.1, abs=1e-6)
-
-    def test_monotone_decay_after_peak(self):
-        opt = self._opt()
-        sched = CosineDecaySchedule(opt, peak_lr=1.0, total_steps=50,
-                                    warmup_steps=5)
-        lrs = [sched.step() for _ in range(50)]
-        post_peak = lrs[5:]
-        assert all(a >= b - 1e-12 for a, b in zip(post_peak, post_peak[1:]))
-
-    def test_half_way_is_half_amplitude(self):
-        opt = self._opt()
-        sched = CosineDecaySchedule(opt, peak_lr=2.0, total_steps=100,
-                                    warmup_steps=0, final_lr=0.0)
-        for _ in range(50):
-            sched.step()
-        assert opt.lr == pytest.approx(1.0, rel=0.05)
-
-    def test_lr_floor_after_total_steps(self):
-        opt = self._opt()
-        sched = CosineDecaySchedule(opt, peak_lr=1.0, total_steps=10,
-                                    final_lr=0.25)
-        for _ in range(30):
-            sched.step()
-        assert opt.lr == pytest.approx(0.25)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CosineDecaySchedule(self._opt(), peak_lr=0.0, total_steps=10)
-        with pytest.raises(ValueError):
-            CosineDecaySchedule(self._opt(), peak_lr=1.0, total_steps=0)
-        with pytest.raises(ValueError):
-            CosineDecaySchedule(self._opt(), peak_lr=1.0, total_steps=5,
-                                warmup_steps=9)

@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.stats import (
     LatencySummary,
-    latency_histogram,
     percentile,
     summarize_latencies,
 )
@@ -69,24 +68,6 @@ class TestLatencySummary:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             summarize_latencies([])
-
-
-class TestLatencyHistogram:
-    def test_counts_cover_all_samples(self, seeded_rng):
-        values = list(seeded_rng.lognormal(-3, 1, size=500))
-        edges, counts = latency_histogram(values, n_bins=12)
-        assert len(counts) == 12 and len(edges) == 13
-        assert counts.sum() == len(values)
-
-    def test_edges_are_strictly_increasing(self, seeded_rng):
-        values = list(seeded_rng.exponential(0.01, size=100))
-        edges, _ = latency_histogram(values)
-        assert (np.diff(edges) > 0).all()
-
-    def test_zero_latencies_hit_the_floor(self):
-        edges, counts = latency_histogram([0.0, 0.0, 0.1], n_bins=4)
-        assert edges[0] >= 1e-6
-        assert counts.sum() == 3
 
 
 class TestStreamingDelegates:

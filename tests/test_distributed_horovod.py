@@ -7,9 +7,7 @@ import pytest
 from repro.distributed import (
     DistributedOptimizer,
     Fp16Compression,
-    Horovod,
     NoCompression,
-    allreduce_average,
     broadcast_parameters,
 )
 from repro.ml import (
@@ -45,15 +43,6 @@ def _train(comm, epochs=2, compression=None, lr=0.05, seed_by_rank=True):
             loss.backward()
             opt.step()
     return model, opt
-
-
-class TestContext:
-    def test_horovod_rank_size(self):
-        def fn(comm):
-            hvd = Horovod(comm)
-            return (hvd.rank(), hvd.size(), hvd.local_rank())
-
-        assert run_spmd(fn, 3) == [(0, 3, 0), (1, 3, 1), (2, 3, 2)]
 
 
 class TestBroadcastParameters:
@@ -184,13 +173,6 @@ class TestAccounting:
             return opt.allreduce_calls
 
         assert run_spmd(fn, 1) == [0]
-
-    def test_metric_averaging(self):
-        def fn(comm):
-            return allreduce_average(comm, float(comm.rank))
-
-        out = run_spmd(fn, 4)
-        assert out == [1.5] * 4
 
     def test_lr_passthrough(self):
         def fn(comm):

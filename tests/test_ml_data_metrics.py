@@ -15,11 +15,7 @@ from repro.ml.metrics import (
     accuracy,
     confusion_matrix,
     mae_score,
-    multilabel_micro_f1,
     precision_recall_f1,
-    r2_score,
-    rmse_score,
-    subset_accuracy,
 )
 
 
@@ -171,22 +167,10 @@ class TestMetrics:
         assert out["precision"][1] == 0.0
         assert out["recall"][0] == 0.0
 
-    def test_multilabel_micro_f1(self):
-        pred = np.array([[1, 0], [1, 1]])
-        true = np.array([[1, 0], [0, 1]])
-        # tp=2, fp=1, fn=0 -> f1 = 4/5
-        assert multilabel_micro_f1(pred, true) == pytest.approx(0.8)
-
-    def test_subset_accuracy(self):
-        pred = np.array([[1, 0], [1, 1]])
-        true = np.array([[1, 0], [0, 1]])
-        assert subset_accuracy(pred, true) == pytest.approx(0.5)
-
     def test_regression_scores(self):
         pred = np.array([1.0, 2.0, 3.0])
         true = np.array([1.0, 2.0, 5.0])
         assert mae_score(pred, true) == pytest.approx(2 / 3)
-        assert rmse_score(pred, true) == pytest.approx(np.sqrt(4 / 3))
 
     def test_masked_regression_scores(self):
         pred = np.array([1.0, 100.0])
@@ -195,9 +179,3 @@ class TestMetrics:
         assert mae_score(pred, true, mask) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             mae_score(pred, true, np.array([False, False]))
-
-    def test_r2(self):
-        true = np.array([1.0, 2.0, 3.0, 4.0])
-        assert r2_score(true, true) == pytest.approx(1.0)
-        assert r2_score(np.full(4, true.mean()), true) == pytest.approx(0.0)
-        assert r2_score(-true, true) < 0.0

@@ -217,10 +217,10 @@ class TestDevices:
             get_device("tpu")
 
     def test_use_device_restores_previous(self):
-        before = engine.current_device_name()
-        with use_device("sim-gpu"):
-            assert engine.current_device_name() == "sim-gpu"
-        assert engine.current_device_name() == before
+        before = get_device()
+        with use_device("sim-gpu") as dev:
+            assert get_device() is dev is get_device("sim-gpu")
+        assert get_device() is before
 
     def test_register_custom_backend(self):
         class Half(CpuDevice):

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.distributed.inference import predict_in_batches
 from repro.ml import engine
 from repro.ml.engine import (collect, get_device, register_device,
                              set_engine, use_device)
@@ -165,19 +164,15 @@ class TestReplay:
             compiles.append(stats.plan_compiles)
         assert compiles[0] > 0 and compiles[1:] == [0, 0, 0]
 
-    def test_predict_in_batches_hits_the_plan_from_batch_two(self):
+    def test_explicit_batches_hit_the_plan_from_batch_two(self):
         model = MLP([6, 8, 3], seed=1).eval()
         X = np.random.default_rng(0).normal(size=(32, 6))
         seen = []
-
-        def predict(xb):
-            out = model(Tensor(xb)).numpy()
-            seen.append(engine.STATS.plan_compiles)
-            return out
-
-        batches = [list(range(i, i + 8)) for i in range(0, 32, 8)]
+        lazy = np.empty((len(X), 3))
         with collect():
-            lazy = predict_in_batches(predict, X, batches)
+            for idx in np.arange(len(X)).reshape(4, 8):
+                lazy[idx] = model(Tensor(X[idx])).numpy()
+                seen.append(engine.STATS.plan_compiles)
         assert seen[0] > 0 and seen == [seen[0]] * 4
         set_engine("eager")
         assert np.array_equal(_bits(lazy), _bits(model(Tensor(X)).numpy()))

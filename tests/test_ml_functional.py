@@ -88,16 +88,7 @@ class TestPooling:
         x = rng.normal(size=(2, 2, 6, 6))
         check_grad(lambda a: (F.max_pool2d(a, 2) ** 2).sum(), x, atol=1e-4)
 
-    def test_avg_pool_values(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = F.avg_pool2d(Tensor(x), 2).data
-        np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avg_pool_gradients(self):
-        check_grad(lambda a: (F.avg_pool2d(a, 2) ** 2).sum(),
-                   rng.normal(size=(1, 2, 4, 4)), atol=1e-4)
-
-    @pytest.mark.parametrize("pool", [F.max_pool2d, F.avg_pool2d])
+    @pytest.mark.parametrize("pool", [F.max_pool2d])
     def test_constant_pool_beside_a_trainable_operand(self, pool):
         """Like conv2d above: a pool of inputs that need no gradient
         joins no graph (holds no input alive), and a trainable sibling

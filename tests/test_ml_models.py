@@ -12,7 +12,6 @@ from repro.ml.models import (
     MLP,
     ResNet,
     SpectralAutoencoder,
-    resnet20,
     resnet50_config,
     resnet_small,
 )
@@ -42,8 +41,8 @@ class TestResNet:
             assert p.grad is not None, name
 
     def test_resnet20_depth(self):
-        net = resnet20()
-        # 3 stages x 3 blocks + stem + head.
+        # He et al.'s CIFAR ResNet-20: 3 stages x 3 blocks + stem + head.
+        net = ResNet(3, 10, blocks_per_stage=(3, 3, 3), base_width=16)
         assert len(net.stages) == 9
 
     def test_predict_eval_mode_restores_training(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.ml import Tensor, ones, tensor, zeros
+from repro.ml import Tensor
 from repro.ml.tensor import unbroadcast
 
 
@@ -234,11 +234,6 @@ class TestEngine:
         assert len(t) == 1
         assert "shape" in repr(t)
         assert Tensor(5.0).item() == 5.0
-
-    def test_factories(self):
-        assert zeros((2, 2)).data.sum() == 0
-        assert ones((2, 2)).data.sum() == 4
-        assert tensor([1.0]).shape == (1,)
 
 
 class TestDtypePropagation:

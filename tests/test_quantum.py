@@ -14,11 +14,8 @@ from repro.quantum import (
     QuantumSVM,
     Qubo,
     SimulatedQuantumAnnealer,
-    chimera_graph,
-    pegasus_like_graph,
 )
 from repro.quantum.annealer import EmbeddingError
-from repro.quantum.topology import graph_for
 
 rng = np.random.default_rng(0)
 
@@ -104,24 +101,6 @@ class TestIsing:
 
 
 class TestTopology:
-    def test_chimera_c16_is_2048_qubits(self):
-        g = chimera_graph(16, 16, 4)
-        assert g.number_of_nodes() == 2048
-        # 2000Q-class coupler count: intra-cell 16/cell + inter-cell links.
-        assert 5800 <= g.number_of_edges() <= 6200
-
-    def test_chimera_cell_is_complete_bipartite(self):
-        g = chimera_graph(1, 1, 4)
-        assert g.number_of_nodes() == 8
-        assert g.number_of_edges() == 16
-
-    def test_pegasus_denser_than_chimera(self):
-        c = chimera_graph(4, 4, 4)
-        p = pegasus_like_graph(4)
-        deg_c = 2 * c.number_of_edges() / c.number_of_nodes()
-        deg_p = 2 * p.number_of_edges() / p.number_of_nodes()
-        assert deg_p > deg_c * 1.3
-
     def test_device_budgets_match_paper(self):
         assert DWAVE_2000Q.n_qubits == 2048
         assert DWAVE_ADVANTAGE.n_qubits == 5000
@@ -139,18 +118,6 @@ class TestTopology:
     def test_chain_length_grows_with_problem(self):
         assert DWAVE_2000Q.chain_length_for_clique(64) > \
             DWAVE_2000Q.chain_length_for_clique(8)
-
-    def test_graph_for_families(self):
-        assert graph_for(DWAVE_2000Q).number_of_nodes() == 2048
-        assert graph_for(DWAVE_ADVANTAGE).number_of_nodes() == 2048  # proxy
-        from repro.quantum.topology import DeviceTopology
-
-        with pytest.raises(ValueError):
-            graph_for(DeviceTopology("x", "hexagon", 1, 1, 1))
-
-    def test_invalid_chimera_dims(self):
-        with pytest.raises(ValueError):
-            chimera_graph(0)
 
 
 class TestAnnealer:

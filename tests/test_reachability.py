@@ -1,0 +1,516 @@
+"""Every top-level definition in ``src/repro`` has a root.
+
+A definition earns its place by being reachable from something this
+repository runs for a reason:
+
+* ``repro.cli`` and every command it wires up;
+* every registered ``repro bench`` case of every area (the ``paper``
+  area's cases are E1–E14 and the ablations);
+* ``repro.scenarios.SCENARIOS``;
+* the wall-clock benchmark, ``benchmarks/e2e/*.py``, including the
+  module / class / attribute names its ``layers.WRAPS`` table patches;
+* the examples that a tier-1 test runs (:data:`EXAMPLE_ROOTS`).
+
+Package ``__init__`` re-exports are not roots: a name that is only
+re-exported is not used.  The closure is an AST walk, in the style of
+``test_no_host_clock.py``.  ``import`` / ``from … import`` bindings and
+``module.attr`` resolve to ``(module, name)`` exactly, through re-exports
+(``np.zeros`` is NumPy's and matches nothing here); any other attribute
+and any identifier-shaped string matches every definition of that name.
+So a name match may keep a dead definition alive, but a live one is
+never reported dead.
+
+The same scan fails on a module-level import its module never uses
+(``# noqa: F401`` marks an import kept for its side effect).
+"""
+
+from __future__ import annotations
+
+import ast
+import functools
+import re
+from dataclasses import dataclass, field
+from pathlib import Path
+from types import FunctionType
+from typing import Iterable, Optional
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+SRC = REPO_ROOT / "src"
+E2E = REPO_ROOT / "benchmarks" / "e2e"
+EXAMPLE_ROOTS = ("msa_operations.py", "quickstart.py")
+
+#: ``"module.name"`` → why it stays although no root reaches it.
+ALLOWLIST = {
+    "repro.mpi.collectives.rabenseifner_allreduce":
+        "the only executed twin of the closed form E9's expect selects at "
+        "64 MiB; ROADMAP item 5(a)'s differential compares the two",
+    "repro.distributed.horovod._flatten_grads":
+        "the bit-identity reference for the pooled fusion buffer that "
+        "test_perf_regression_pins.py, kept unedited, imports from here",
+    "repro.distributed.horovod._unflatten_into_grads":
+        "the scatter half of that reference, imported by the same pins",
+}
+
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
+_LOOSE = "<module>"
+
+#: A reference target: ``("module", dotted)`` or ``("def", module, name)``.
+Target = tuple
+
+
+@dataclass
+class Source:
+    """One parsed file: its top-level definitions, import bindings and the
+    statements that run when it is imported."""
+
+    name: str
+    tree: ast.Module
+    lines: list[str]
+    is_package: bool = False
+    defs: dict[str, list[ast.AST]] = field(default_factory=dict)
+    bindings: dict[str, Target] = field(default_factory=dict)
+    imports: list[tuple[str, int]] = field(default_factory=list)
+    loose: list[ast.AST] = field(default_factory=list)
+    exported: set[str] = field(default_factory=set)
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _targets(node: ast.AST) -> list[str]:
+    """Names a top-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        out = []
+        for t in node.targets:
+            elts = t.elts if isinstance(t, ast.Tuple) else [t]
+            out += [e.id for e in elts if isinstance(e, ast.Name)]
+        return out
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _import_targets(node: ast.AST, package: str,
+                    modules: Iterable[str]) -> list[tuple[str, Target]]:
+    """``(bound name, target)`` for every name an import statement binds."""
+    out = []
+    if isinstance(node, ast.Import):
+        for a in node.names:
+            if a.asname:
+                out.append((a.asname, ("module", a.name)))
+            else:
+                head = a.name.partition(".")[0]
+                out.append((head, ("module", head)))
+    elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        base = node.module or ""
+        if node.level:
+            parts = package.split(".")
+            parts = parts[:len(parts) - node.level + 1]
+            base = ".".join(parts + ([base] if base else []))
+        for a in node.names:
+            sub = f"{base}.{a.name}"
+            target = (("module", sub) if sub in modules
+                      else ("def", base, a.name))
+            out.append((a.asname or a.name, target))
+    return out
+
+
+class Program:
+    """Every source file of ``src/repro`` plus the root files."""
+
+    def __init__(self, files: dict[str, tuple[str, bool]]) -> None:
+        # files: dotted module name → (source text, is package __init__)
+        self.sources: dict[str, Source] = {}
+        for name, (text, is_package) in files.items():
+            self.sources[name] = Source(name, ast.parse(text),
+                                        text.splitlines(), is_package)
+        for src in self.sources.values():
+            self._index(src)
+        self.by_name: dict[str, list[tuple[str, str]]] = {}
+        for src in self.sources.values():
+            for name in src.defs:
+                self.by_name.setdefault(name, []).append((src.name, name))
+
+    def _index(self, src: Source) -> None:
+        package = src.name if src.is_package else src.name.rpartition(".")[0]
+        body = list(src.tree.body)
+        while body:
+            node = body.pop(0)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                src.defs.setdefault(node.name, []).append(node)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                noqa = "noqa" in src.lines[node.lineno - 1]
+                for bound, target in _import_targets(node, package,
+                                                     self.sources):
+                    src.bindings[bound] = target
+                    if not noqa:
+                        src.imports.append((bound, node.lineno))
+            elif isinstance(node, ast.If):
+                src.loose.append(node.test)
+                body[:0] = [*node.body, *node.orelse]
+            elif isinstance(node, ast.Try):
+                body[:0] = [*node.body, *node.orelse, *node.finalbody,
+                            *(s for h in node.handlers for s in h.body)]
+            elif (names := _targets(node)) and "__all__" in names:
+                src.exported.update(
+                    e.value for e in ast.walk(node)
+                    if isinstance(e, ast.Constant) and isinstance(e.value, str))
+            elif names and not all(_is_dunder(n) for n in names):
+                for n in names:
+                    if not _is_dunder(n):
+                        src.defs.setdefault(n, []).append(node)
+            else:
+                src.loose.append(node)
+
+    # -- resolution ---------------------------------------------------------
+    def resolve(self, module: str, name: str) -> Optional[Target]:
+        """What ``name`` in ``module``'s namespace refers to, followed
+        through re-exports; a target outside the program (``numpy.zeros``)
+        is returned as is, an unbound name is None."""
+        src = self.sources.get(module)
+        if src is None:
+            return ("def", module, name)
+        if name in src.defs:
+            return ("def", module, name)
+        target = src.bindings.get(name)
+        if target is None:
+            sub = f"{module}.{name}"
+            return ("module", sub) if sub in self.sources else None
+        if target[0] == "module":
+            return target
+        return self.resolve(target[1], target[2])
+
+    def is_foreign(self, target: Target) -> bool:
+        return target[1] not in self.sources
+
+    def references(self, module: str, node: ast.AST
+                   ) -> tuple[set[Target], set[str]]:
+        """Exact targets and by-name matches that ``node`` refers to."""
+        src = self.sources[module]
+        package = src.name if src.is_package else module.rpartition(".")[0]
+        local: dict[str, Target] = {}
+        exact: set[Target] = set()
+        names: set[str] = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, (ast.Import, ast.ImportFrom)):
+                for bound, target in _import_targets(sub, package,
+                                                     self.sources):
+                    local[bound] = target
+                    exact.add(target)
+
+        def lookup(name: str) -> Optional[Target]:
+            target = local.get(name)
+            if target is None:
+                return self.resolve(module, name)
+            if target[0] == "def":
+                return self.resolve(target[1], target[2])
+            return target
+
+        def chain(attr: ast.Attribute) -> None:
+            attrs = []
+            base: ast.AST = attr
+            while isinstance(base, ast.Attribute):
+                attrs.append(base.attr)
+                base = base.value
+            attrs.reverse()
+            if not isinstance(base, ast.Name):
+                names.update(attrs)
+                visit(base)
+                return
+            target = lookup(base.id)
+            while target is not None and target[0] == "module" and attrs:
+                if self.is_foreign(target):
+                    return                  # numpy.zeros: exact, not ours
+                next_ = self.resolve(target[1], attrs[0])
+                if next_ is None:
+                    break
+                exact.add(target)
+                target = next_
+                attrs.pop(0)
+            if target is not None:
+                exact.add(target)
+            names.update(attrs)
+
+        def visit(tree: ast.AST) -> None:
+            stack = [tree]
+            while stack:
+                cur = stack.pop()
+                if isinstance(cur, ast.Attribute):
+                    chain(cur)
+                    continue
+                if isinstance(cur, ast.Name) and not isinstance(cur.ctx,
+                                                                ast.Store):
+                    if (target := lookup(cur.id)) is not None:
+                        exact.add(target)
+                elif (isinstance(cur, ast.Constant)
+                      and isinstance(cur.value, str)
+                      and _IDENT.fullmatch(cur.value)):
+                    if cur.value in self.sources:
+                        exact.add(("module", cur.value))
+                    names.update(cur.value.split("."))
+                stack.extend(ast.iter_child_nodes(cur))
+
+        visit(node)
+        return exact, names
+
+    # -- closure ------------------------------------------------------------
+    def closure(self, roots: Iterable[Target]) -> set[tuple[str, str]]:
+        """Every ``(module, name)`` reached; ``name`` is ``<module>`` for a
+        module's import-time statements."""
+        reached: set[tuple[str, str]] = set()
+        matched: set[str] = set()
+        work: list[tuple[str, str]] = []
+
+        def reach(target: Optional[Target]) -> None:
+            if target is None or self.is_foreign(target) and (
+                    target[0] == "def"):
+                return
+            if target[0] == "def":
+                reach(("module", target[1]))
+                target = self.resolve(target[1], target[2])
+                if target is not None and target[0] == "def":
+                    reach(("module", target[1]))
+                    work.append((target[1], target[2]))
+                else:
+                    reach(target)
+                return
+            parts = target[1].split(".")
+            for i in range(1, len(parts) + 1):
+                mod = ".".join(parts[:i])
+                if mod in self.sources:
+                    work.append((mod, _LOOSE))
+
+        def match(name: str) -> None:
+            if name not in matched:
+                matched.add(name)
+                for key in self.by_name.get(name, ()):
+                    reach(("def", *key))
+
+        for target in roots:
+            reach(target)
+        while work:
+            key = work.pop()
+            if key in reached:
+                continue
+            reached.add(key)
+            module, name = key
+            src = self.sources[module]
+            nodes = src.loose if name == _LOOSE else src.defs[name]
+            for node in nodes:
+                exact, names = self.references(module, node)
+                for target in exact:
+                    reach(target)
+                for n in names:
+                    match(n)
+        return reached
+
+    def unreached(self, reached: set[tuple[str, str]],
+                  package: str = "repro") -> list[str]:
+        return sorted(f"{src.name}.{name}"
+                      for src in self.sources.values()
+                      if src.name.split(".")[0] == package
+                      for name in src.defs if (src.name, name) not in reached)
+
+    def unused_imports(self, package: str = "repro") -> list[str]:
+        """Module-level imports in ``package`` that their module never
+        reads (an ``__init__`` reads what its ``__all__`` lists, a string
+        annotation the names it spells)."""
+        out = []
+        for src in self.sources.values():
+            if src.name.split(".")[0] != package:
+                continue
+            used = set(src.exported)
+            for n in ast.walk(src.tree):
+                if isinstance(n, ast.Name):
+                    used.add(n.id)
+                elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+                      and _IDENT.fullmatch(n.value)):
+                    used.update(n.value.split("."))
+            out += [f"{src.name}:{line} {bound}" for bound, line in src.imports
+                    if bound not in used]
+        return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# the repository's program and roots
+# ---------------------------------------------------------------------------
+
+def _module_name(path: Path, root: Path) -> tuple[str, bool]:
+    parts = list(path.relative_to(root).with_suffix("").parts)
+    is_package = parts[-1] == "__init__"
+    if is_package:
+        parts.pop()
+    return ".".join(parts), is_package
+
+
+def wraps_targets(layers_source: str) -> list[Target]:
+    """The ``(module, class or None, attrs, group)`` rows of ``WRAPS``."""
+    for node in ast.parse(layers_source).body:
+        if isinstance(node, ast.AnnAssign) and getattr(
+                node.target, "id", None) == "WRAPS":
+            rows = ast.literal_eval(node.value)
+            break
+    else:
+        raise AssertionError("layers.py has no WRAPS table")
+    targets: list[Target] = []
+    for module, cls, attrs, _group in rows:
+        if cls:
+            targets.append(("def", module, cls))
+        else:
+            targets += [("def", module, attr) for attr in attrs]
+    return targets
+
+
+def registered_cases() -> list[Target]:
+    """Every registered ``repro bench`` case function.  A case registered
+    through a wrapper (``paper_case``) is the top-level function the
+    wrapper closes over."""
+    from repro.bench import runner  # noqa: F401 — registers every area
+    from repro.bench.registry import all_cases
+
+    targets = []
+    for case in all_cases():
+        fns = [case.run] + [cell.cell_contents
+                            for cell in case.run.__closure__ or ()]
+        targets += [("def", fn.__module__, fn.__name__) for fn in fns
+                    if isinstance(fn, FunctionType)
+                    and fn.__qualname__ == fn.__name__]
+    return targets
+
+
+def stale_entries(allowlist: dict[str, str], dead: Iterable[str]) -> list[str]:
+    """Allowlisted names that are reached after all, or no longer exist."""
+    return sorted(set(allowlist) - set(dead))
+
+
+@functools.cache
+def repository() -> tuple[Program, tuple[Target, ...], tuple[str, ...]]:
+    """The program, its roots and what they do not reach."""
+    files = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        name, is_package = _module_name(path, SRC)
+        files[name] = (path.read_text(), is_package)
+    root_files = {f"benchmarks.e2e.{p.stem}": p for p in E2E.glob("*.py")}
+    root_files.update({f"examples.{Path(f).stem}": REPO_ROOT / "examples" / f
+                       for f in EXAMPLE_ROOTS})
+    files.update({name: (path.read_text(), False)
+                  for name, path in root_files.items()})
+    program = Program(files)
+    roots: list[Target] = [("module", "repro.cli"),
+                           ("def", "repro.scenarios", "SCENARIOS")]
+    for name in root_files:
+        roots.append(("module", name))
+        roots += [("def", name, d) for d in program.sources[name].defs]
+    roots += registered_cases()
+    # The rows the e2e benchmark patches by name.
+    roots += wraps_targets((E2E / "layers.py").read_text())
+    return program, tuple(roots), tuple(program.unreached(
+        program.closure(roots)))
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+def test_every_definition_has_a_root():
+    dead = [d for d in repository()[2] if d not in ALLOWLIST]
+    assert not dead, (
+        f"{len(dead)} top-level definitions in src/repro are reached by no "
+        f"root (delete them, or allowlist with a reason):\n  "
+        + "\n  ".join(dead))
+
+
+def test_allowlist_is_not_stale():
+    stale = stale_entries(ALLOWLIST, repository()[2])
+    assert not stale, f"allowlisted but reached or gone: {stale}"
+    assert all(reason.strip() for reason in ALLOWLIST.values())
+
+
+def test_no_unused_module_level_import():
+    unused = repository()[0].unused_imports()
+    assert not unused, "imports never read:\n  " + "\n  ".join(unused)
+
+
+def test_every_registered_case_is_one_root():
+    from repro.bench.registry import all_cases, areas
+
+    assert {"events", "mpi", "training", "serving", "tensor", "scheduler",
+            "paper"} <= set(areas())
+    assert len(registered_cases()) == len(all_cases())
+
+
+# -- the scanner's own spellings ------------------------------------------
+
+def _toy(**modules: str) -> Program:
+    return Program({name.replace("__", "."): (text, name.endswith("pkg"))
+                    for name, text in modules.items()})
+
+
+def test_scanner_flags_an_injected_unreached_def():
+    program = _toy(
+        pkg="from pkg.a import used, dead\n__all__ = ['used', 'dead']\n",
+        pkg__a="def used():\n    return 1\n\ndef dead():\n    return 2\n",
+        root="from pkg import used\nused()\n")
+    reached = program.closure([("module", "root")])
+    # The package re-export of ``dead`` is not a use.
+    assert program.unreached(reached, "pkg") == ["pkg.a.dead"]
+
+
+def test_scanner_resolves_imports_and_module_attributes_exactly():
+    program = _toy(
+        pkg="",
+        pkg__a="X = 1\n_Y = 2\ndef f():\n    return _Y\n\ndef g():\n    pass\n",
+        pkg__b="def g():\n    pass\n\ndef zeros():\n    pass\n",
+        root=("import numpy as np\nimport pkg.a as a\nfrom pkg import b\n"
+              "a.f()\nb.g\nnp.zeros(3)\n"))
+    reached = program.closure([("module", "root")])
+    # ``b.g`` and ``np.zeros`` are exact: namesakes stay unreached.
+    assert program.unreached(reached, "pkg") == [
+        "pkg.a.X", "pkg.a.g", "pkg.b.zeros"]
+
+
+def test_scanner_matches_other_attributes_and_strings_by_name():
+    program = _toy(
+        pkg="",
+        pkg__a=("class C:\n    def method(self):\n        pass\n"
+                "def method():\n    pass\n"
+                "def by_string():\n    pass\n"
+                "def dead():\n    pass\n"),
+        root=("from pkg.a import C\nC().method()\n"
+              "getattr(C, 'by_string')\n"
+              "'two words dead'\n"))
+    reached = program.closure([("module", "root")])
+    assert program.unreached(reached, "pkg") == ["pkg.a.dead"]
+
+
+def test_scanner_keeps_a_def_reached_only_through_a_wraps_string():
+    layers = ('WRAPS: list = [\n'
+              '    ("pkg.a", "Patched", ("run",), None),\n'
+              '    ("pkg.a", None, ("helper",), "pkg.group"),\n]\n')
+    program = _toy(
+        pkg="",
+        pkg__a=("class Patched:\n    def run(self):\n        pass\n"
+                "def helper():\n    pass\n"
+                "def dead():\n    pass\n"))
+    reached = program.closure(wraps_targets(layers))
+    assert program.unreached(reached, "pkg") == ["pkg.a.dead"]
+
+
+def test_scanner_catches_a_stale_allowlist_entry():
+    program = _toy(pkg="", pkg__a="def live():\n    pass\n",
+                   root="from pkg.a import live\nlive()\n")
+    dead = program.unreached(program.closure([("module", "root")]), "pkg")
+    allowlist = {"pkg.a.live": "reached, so stale", "pkg.a.gone": "missing"}
+    assert stale_entries(allowlist, dead) == ["pkg.a.gone", "pkg.a.live"]
+
+
+def test_scanner_flags_an_unused_module_level_import():
+    program = _toy(
+        pkg="from pkg.a import f, g\n__all__ = ['f']\n",
+        pkg__a=("import os\nimport sys  # noqa: F401\n"
+                "from typing import Optional\n"
+                "def f(x: Optional[int]):\n    return x\n"
+                "def g():\n    pass\n"))
+    assert program.unused_imports("pkg") == ["pkg.a:1 os", "pkg:1 g"]

@@ -20,7 +20,6 @@ import pytest
 
 from repro.core import JobStatus, schedule_workload, synthetic_workload_mix
 from repro.resilience import (
-    NO_RETRY,
     FaultInjector,
     FaultKind,
     FaultPlan,
@@ -131,7 +130,7 @@ def test_no_retry_policy_fails_permanently(make_small_system, gpu_job):
                             n_crashes=8, repair_s=1e7)
     report = schedule_workload(make_small_system(), [gpu_job(nodes=8)],
                                fault_injector=FaultInjector(plan),
-                               retry_policy=NO_RETRY)
+                               retry_policy=RetryPolicy(max_retries=0))
     if report.failed_jobs:  # a crash landed on the running phase
         assert report.job_status["train"] is JobStatus.FAILED
         assert report.resilience.retries_per_job().get("train", 0) == 0

@@ -7,7 +7,7 @@ to raise ``OverflowError`` (the float exponential blows past 1e308 before
 
 import pytest
 
-from repro.resilience.retry import NO_RETRY, RetryBudget, RetryPolicy
+from repro.resilience.retry import RetryBudget, RetryPolicy
 
 
 class TestShouldRetry:
@@ -24,8 +24,9 @@ class TestShouldRetry:
             RetryPolicy().should_retry(-1)
 
     def test_no_retry_policy(self):
-        assert not NO_RETRY.should_retry(1)
-        assert NO_RETRY.delays() == []
+        no_retry = RetryPolicy(max_retries=0)
+        assert not no_retry.should_retry(1)
+        assert no_retry.delays() == []
 
 
 class TestDelayBoundaries:

@@ -131,6 +131,30 @@ class TestAccounting:
         assert m.offered == m.admitted + m.rate_limited + m.shed
         assert m.completed == m.admitted
 
+    @pytest.mark.parametrize("faults", [(), (3.0,)], ids=["clean", "crash"])
+    def test_batch_log_partitions_the_completed_requests(
+            self, make_small_system, faults):
+        """Each completed request was computed in exactly one batch, a
+        failed-over one included: a replay of ``batch_log`` serves every
+        request once."""
+        cfg = ServingConfig(
+            trace=TraceConfig(pattern=ArrivalPattern.BURSTY, rate_per_s=80.0,
+                              duration_s=10.0, samples_per_request=4,
+                              seed=12, key_universe=1 << 20),
+            autoscaler=AutoscalerConfig(enabled=True, min_replicas=1,
+                                        max_replicas=4),
+            initial_replicas=1, cache_capacity=0)
+        injector = FaultInjector(_crash_plan(*faults, repair=2.0))
+        rep = simulate_serving(cfg, system=make_small_system(),
+                               fault_injector=injector)
+        m = rep.metrics
+        assert len(rep.failover_events) == len(faults)
+        ids = [i for _, batch in rep.batch_log for i in batch]
+        assert sum(len(batch) for _, batch in rep.batch_log) == m.completed
+        assert len(ids) == len(set(ids))
+        assert m.completed == m.offered
+        assert set(ids) == set(range(m.offered))
+
     def test_goodput_excludes_late_completions(self, small_system):
         # One pinned replica at 2x its capacity: everything completes,
         # but most of it far past the deadline.

@@ -117,7 +117,7 @@ def test_process_generator_sequences_timeouts():
     sim.run()
     assert trace == [("start", 0.0), ("mid", 2.0), ("end", 5.0)]
     assert p.done.value == "done"
-    assert not p.alive
+    assert p.done.triggered
 
 
 def test_process_yielding_garbage_raises():

@@ -9,7 +9,9 @@ times (all times are multiples of 1/4, so float addition is exact and
 ties are real ties).
 """
 
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,3 +151,27 @@ def test_user_callback_goes_through_the_public_add_callback(monkeypatch):
     sim.timeout_series([0.0, 1.0, 1.0], "abc", on_member, name="arrive")
     sim.run()
     assert registered == [on_member] * 3
+
+
+def test_drained_series_needs_no_cyclic_gc():
+    """Once its last member has fired, the series holds nothing alive: the
+    simulator and the callback (a serving engine's bound method, in
+    practice) die by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulator()
+        seen = []
+
+        def on_member(evt):
+            seen.append(evt.value)
+
+        sim.timeout_series([0.0, 1.0, 1.0], "abc", on_member)
+        callback, simulator = weakref.ref(on_member), weakref.ref(sim)
+        del on_member
+        sim.run()
+        assert seen == ["a", "b", "c"] and sim.pending == 0
+        del sim
+        assert callback() is None and simulator() is None
+    finally:
+        gc.enable()

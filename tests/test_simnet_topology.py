@@ -6,9 +6,6 @@ from repro.simnet import (
     Link,
     LinkKind,
     fat_tree,
-    torus_3d,
-    dragonfly,
-    fully_connected,
     federated,
 )
 
@@ -72,44 +69,6 @@ class TestFatTree:
             fat_tree(0, LinkKind.INFINIBAND_EDR)
         with pytest.raises(ValueError):
             fat_tree(4, LinkKind.INFINIBAND_EDR, radix=1)
-
-
-class TestTorus:
-    def test_node_count(self):
-        topo = torus_3d((3, 3, 3), LinkKind.EXTOLL)
-        assert len(topo.terminals) == 27
-
-    def test_wraparound_is_one_hop(self):
-        topo = torus_3d((4, 1, 1), LinkKind.EXTOLL)
-        assert topo.hop_count(("node", 0, 0, 0), ("node", 3, 0, 0)) == 1
-
-    def test_max_distance_is_half_ring(self):
-        topo = torus_3d((6, 1, 1), LinkKind.EXTOLL)
-        assert topo.hop_count(("node", 0, 0, 0), ("node", 3, 0, 0)) == 3
-
-    def test_invalid_dims(self):
-        with pytest.raises(ValueError):
-            torus_3d((0, 2, 2), LinkKind.EXTOLL)
-
-
-class TestDragonfly:
-    def test_structure(self):
-        topo = dragonfly(4, 8, LinkKind.INFINIBAND_HDR)
-        assert len(topo.terminals) == 32
-        assert len(topo.switches) == 4
-
-    def test_inter_group_three_hops(self):
-        topo = dragonfly(3, 4, LinkKind.INFINIBAND_HDR)
-        assert topo.hop_count(("node", 0, 0), ("node", 2, 1)) == 3
-
-
-class TestFullyConnected:
-    def test_all_pairs_one_hop(self):
-        topo = fully_connected(6, LinkKind.NVLINK)
-        for i in range(6):
-            for j in range(6):
-                if i != j:
-                    assert topo.hop_count(("node", i), ("node", j)) == 1
 
 
 class TestFederation:

@@ -14,7 +14,6 @@ from repro.storage import NetworkAttachedMemory, ParallelFileSystem
 from repro.storage.checkpoint import (
     CheckpointError,
     CheckpointManager,
-    state_nbytes,
 )
 
 
@@ -137,11 +136,6 @@ class TestPolicy:
     def test_invalid_cadence_rejected(self):
         with pytest.raises(ValueError):
             CheckpointPolicy(every_steps=0)
-
-
-def test_state_nbytes_counts_payload():
-    state = {"w": np.zeros(100, dtype=np.float64)}
-    assert state_nbytes(state) == 800
 
 
 def test_path_comparison_nam_faster(mgr):

@@ -1,4 +1,4 @@
-"""SVM stack: kernels, SMO, one-vs-rest, the MPI cascade (E4), ensembles."""
+"""SVM stack: kernels, SMO and the MPI cascade (E4)."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.mpi import run_spmd
 from repro.svm import (
     CascadeSVM,
-    MulticlassSVC,
     SVC,
-    SvmEnsemble,
     cascade_train,
     linear_kernel,
     make_kernel,
@@ -135,24 +133,6 @@ class TestSVC:
                                       b.decision_function(X))
 
 
-class TestMulticlass:
-    def test_three_classes(self):
-        r = np.random.default_rng(2)
-        centers = np.array([[-3, 0], [3, 0], [0, 3]])
-        X = np.concatenate([r.normal(c, 0.6, size=(40, 2)) for c in centers])
-        y = np.repeat([0, 1, 2], 40)
-        clf = MulticlassSVC(kernel="rbf", gamma=0.5).fit(X, y)
-        assert clf.score(X, y) > 0.95
-
-    def test_needs_two_classes(self):
-        with pytest.raises(ValueError):
-            MulticlassSVC().fit(np.ones((3, 2)), np.array([1, 1, 1]))
-
-    def test_predict_before_fit(self):
-        with pytest.raises(RuntimeError):
-            MulticlassSVC().predict(np.ones((2, 2)))
-
-
 class TestCascade:
     def test_accuracy_matches_serial(self):
         X, y = blobs(n_per_class=150, seed=4)
@@ -221,26 +201,3 @@ class TestCascade:
         assert all(t > 0 for t in result.local_times)
         # Modeled work on the sim clock, not host time: a rerun agrees exactly.
         assert run_spmd(fn, 4)[0].local_times == result.local_times
-
-
-class TestEnsemble:
-    def test_accuracy_on_blobs(self):
-        X, y = blobs(n_per_class=100, seed=7)
-        ens = SvmEnsemble(n_members=5, subsample_size=30, kernel="rbf",
-                          gamma=0.5).fit(X, y)
-        assert ens.score(X, y) > 0.9
-
-    def test_members_trained_on_subsamples(self):
-        X, y = blobs(n_per_class=100, seed=8)
-        ens = SvmEnsemble(n_members=3, subsample_size=20).fit(X, y)
-        assert len(ens.members_) == 3
-        for member in ens.members_:
-            assert member.n_support_ <= 20
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SvmEnsemble(n_members=0)
-        with pytest.raises(ValueError):
-            SvmEnsemble(subsample_size=2)
-        with pytest.raises(RuntimeError):
-            SvmEnsemble().predict(np.ones((2, 2)))

@@ -15,7 +15,7 @@ from repro.telemetry.export import (
     to_chrome_trace,
 )
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.spans import Span, Tracer, validate_nesting
+from repro.telemetry.spans import Span, Tracer
 
 
 # -- Tracer ------------------------------------------------------------------
@@ -112,6 +112,33 @@ class TestTracer:
         for i in range(4):
             lane = [s for s in tr.spans if s.lane == f"rank{i:03d}"]
             assert sorted(s.seq for s in lane) == list(range(100))
+
+
+def validate_nesting(spans, tol=1e-9):
+    """Check spans nest properly within each ``(track, lane)``.
+
+    Two spans on the same lane must either be disjoint or one must contain
+    the other — a partial overlap means an instrumentation bug (an "end"
+    recorded against the wrong clock).  Returns the offending
+    ``(outer, inner)`` pairs; an empty list means the trace is well-formed.
+    Instants are exempt (they sit *at* boundaries by construction).
+    """
+    violations = []
+    lanes = {}
+    for s in spans:
+        if not s.is_instant:
+            lanes.setdefault((s.track, s.lane), []).append(s)
+    for lane_spans in lanes.values():
+        # Parents before children: earlier start first, longer span first.
+        lane_spans.sort(key=lambda s: (s.start_s, -s.end_s, s.seq))
+        stack = []
+        for s in lane_spans:
+            while stack and s.start_s >= stack[-1].end_s - tol:
+                stack.pop()
+            if stack and s.end_s > stack[-1].end_s + tol:
+                violations.append((stack[-1], s))
+            stack.append(s)
+    return violations
 
 
 class TestValidateNesting:

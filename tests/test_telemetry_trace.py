@@ -16,7 +16,7 @@ from repro import telemetry
 from repro.mpi import run_spmd
 from repro.scenarios import SCENARIOS, run_scenario
 from repro.telemetry import MetricsRegistry
-from repro.telemetry.spans import validate_nesting
+from tests.test_telemetry_core import validate_nesting
 
 
 @pytest.fixture(scope="module")

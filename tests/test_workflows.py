@@ -1,22 +1,15 @@
-"""Interoperability workflows: containers, Jupyter kernels, CBRAIN, cloud."""
+"""Interoperability workflows: containers, Jupyter kernels, cloud."""
 
 import pytest
 
 from repro.workflows import (
     AWS_P3_16XLARGE,
-    Bourreau,
-    CbrainPortal,
     CloudCostModel,
     ContainerImage,
-    ContainerRegistry,
-    DataLadDataset,
     JupyterKernelSpec,
-    JupyterSession,
     ModuleEnvironment,
-    NeuroTool,
     singularity_from_docker,
 )
-from repro.workflows.cbrain import CbrainError
 from repro.workflows.cloud import CampaignSpec, FREE_TIER_COLAB
 from repro.workflows.containers import (
     ContainerError,
@@ -59,22 +52,6 @@ class TestContainers:
             ContainerImage("x", "1", "docker", layers=())
         with pytest.raises(ContainerError):
             ContainerImage("x", "1", "docker", layers=("a",), needs_gpu=True)
-
-    def test_registry_push_pull(self):
-        reg = ContainerRegistry()
-        reg.push(tf_image())
-        image = reg.pull("tensorflow/tensorflow:2.5.0-gpu")
-        assert image.needs_gpu
-        assert reg.pull_count["tensorflow/tensorflow:2.5.0-gpu"] == 1
-
-    def test_registry_missing_image(self):
-        with pytest.raises(ContainerError):
-            ContainerRegistry().pull("ghost:latest")
-
-    def test_registry_tags(self):
-        reg = ContainerRegistry()
-        reg.push(tf_image())
-        assert reg.tags("tensorflow/tensorflow") == ["2.5.0-gpu"]
 
     def test_juwels_runs_converted_gpu_image(self):
         runtime = juwels_singularity(driver_cuda="11.2")
@@ -129,20 +106,6 @@ class TestJupyter:
         with pytest.raises(KernelError):
             kernel.resolve(jsc_module_environment())
 
-    def test_session_abstracts_hpc_away(self):
-        session = JupyterSession(self._kernel(), jsc_module_environment(),
-                                 target_module="booster").start()
-        out = session.execute("model.fit(x, y)")
-        assert "JUWELS" in out
-        with pytest.raises(KernelError):
-            session.execute("#SBATCH --nodes=4")
-
-    def test_session_requires_start(self):
-        session = JupyterSession(self._kernel(), jsc_module_environment(),
-                                 target_module="dam")
-        with pytest.raises(KernelError):
-            session.execute("1+1")
-
     def test_kernel_to_container_migration(self):
         image = self._kernel().to_container()
         assert image.format == "docker"
@@ -150,63 +113,6 @@ class TestJupyter:
         assert any("pip:pandas" in layer for layer in image.layers)
         # The migrated kernel runs on a cloud docker runtime.
         assert cloud_docker().can_run(image)[0]
-
-
-class TestCbrain:
-    def _portal(self):
-        portal = CbrainPortal()
-        bigbrain = DataLadDataset("bigbrain", "2020.1", size_TB=2.5)
-        tool_image = ContainerImage(
-            "bigbrain-segment", "1.0", format="docker",
-            layers=("ubuntu:20.04", "pip:nibabel"),
-        )
-        portal.register_tool(NeuroTool("segment", tool_image,
-                                       requires_dataset=bigbrain))
-        juwels = Bourreau("bourreau-juwels", "JUWELS", juwels_singularity())
-        canada = Bourreau("bourreau-cc", "ComputeCanada", cloud_docker())
-        juwels.install_dataset(bigbrain)
-        portal.register_bourreau(juwels)
-        portal.register_bourreau(canada)
-        return portal, juwels, canada, bigbrain
-
-    def test_sites_listed(self):
-        portal, *_ = self._portal()
-        assert portal.sites == ["ComputeCanada", "JUWELS"]
-
-    def test_runnable_sites_respect_datasets(self):
-        portal, *_ = self._portal()
-        # ComputeCanada lacks the DataLad dataset.
-        assert portal.runnable_sites("segment") == ["JUWELS"]
-
-    def test_launch_routes_transparently(self):
-        portal, juwels, *_ = self._portal()
-        token = portal.launch("segment")
-        assert "juwels-singularity" in token
-        assert juwels.executions == ["segment@JUWELS"]
-
-    def test_launch_on_unprepared_site_fails(self):
-        portal, *_ = self._portal()
-        with pytest.raises(CbrainError):
-            portal.launch("segment", site="ComputeCanada")
-
-    def test_unknown_tool(self):
-        portal, *_ = self._portal()
-        with pytest.raises(CbrainError):
-            portal.launch("ghost-tool")
-
-    def test_dataset_install_enables_site(self):
-        portal, _, canada, bigbrain = self._portal()
-        canada.install_dataset(bigbrain)
-        assert portal.runnable_sites("segment") == ["ComputeCanada", "JUWELS"]
-
-    def test_bourreau_requires_dataset(self):
-        _, juwels, *_ = self._portal()
-        other = DataLadDataset("hcp", "1.0", size_TB=80.0)
-        tool = NeuroTool("x", ContainerImage("x", "1", "docker",
-                                             layers=("l",)),
-                         requires_dataset=other)
-        with pytest.raises(CbrainError):
-            juwels.execute(tool)
 
 
 class TestCloudCosts:
