@@ -151,7 +151,7 @@ class ServingReport:
     @property
     def duplicate_work_ratio(self) -> float:
         """Wasted hedge seconds as a fraction of total replica busy time."""
-        busy = sum(self.metrics.module_busy_s.values())
+        busy = sum(v for _, v in sorted(self.metrics.module_busy_s.items()))
         return self.metrics.hedge_wasted_s / busy if busy > 0 else 0.0
 
     @property

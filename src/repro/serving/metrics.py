@@ -7,14 +7,15 @@ implementation the Fig. 3 A streaming model uses — so a "p99" from the
 serving engine and one from the streaming bench are always the same
 computation.
 
-``ServingMetrics`` is the engine's mutable ledger; since the telemetry
-refactor it is a *view over a shared*
-:class:`~repro.telemetry.MetricsRegistry`: every count lives in a labeled
-family (``serving_requests_total{outcome=...}``,
-``serving_latency_seconds``, ``serving_module_busy_seconds{module=...}``)
-so the serving report, the Prometheus dump and the unified trace summary
-all draw from one registry.  Every counter obeys one conservation law the
-tests assert:
+``ServingMetrics`` is the engine's mutable ledger.  The per-request counts
+are plain ints, the latencies one list and the per-module busy seconds one
+dict; :meth:`ServingMetrics.publish` adds their change since the last
+publish to the labeled families of a
+:class:`~repro.telemetry.MetricsRegistry`
+(``serving_requests_total{outcome=...}``, ``serving_latency_seconds``,
+``serving_module_busy_seconds{module=...}``), so the serving report, the
+Prometheus dump and the unified trace summary all show the same numbers
+(DESIGN §17).  Every counter obeys one conservation law the tests assert:
 
     offered = admitted + rate_limited + shed
     admitted = completed            (after drain — failover loses nothing)
@@ -34,72 +35,103 @@ from repro.core.stats import LatencySummary, percentile, summarize_latencies
 from repro.serving.request import Request
 from repro.telemetry import MetricsRegistry
 
+#: Each hot count and the ``(family, labels)`` it is published to.
+_PUBLISHED = {
+    "offered": ("serving_requests_total", {"outcome": "offered"}),
+    "admitted": ("serving_requests_total", {"outcome": "admitted"}),
+    "rate_limited": ("serving_requests_total", {"outcome": "rate_limited"}),
+    "shed": ("serving_requests_total", {"outcome": "shed"}),
+    "completed": ("serving_requests_total", {"outcome": "completed"}),
+    "deadline_misses": ("serving_deadline_misses_total", {}),
+    "batches": ("serving_batches_total", {}),
+    "batched_requests": ("serving_batched_requests_total", {}),
+    "failovers": ("serving_failovers_total", {}),
+    "requests_failed_over": ("serving_requests_failed_over_total", {}),
+}
+
 
 class ServingMetrics:
-    """The engine's running ledger of one serving run, registry-backed.
+    """The engine's running ledger of one serving run.
 
+    The hot counts belong to this run alone and reach the registry at
+    :meth:`publish`; the rare defense counts (hedges, breaker and brownout
+    transitions) go straight to the registry, created on first use.
     Constructing one without an explicit registry creates a private
-    enabled registry, so independent engine runs never share counters —
-    the property behind byte-identical same-seed reports.  Passing the
-    capture registry (as ``repro trace serve`` does) folds the serving
-    numbers into the run-wide metrics dump.
+    enabled registry.  Passing the capture registry (as ``repro trace
+    serve`` does) folds the serving numbers into the run-wide metrics
+    dump; engines sharing one registry publish their sum.
     """
 
     def __init__(self, duration_s: float,
                  registry: Optional[MetricsRegistry] = None) -> None:
         self.duration_s = duration_s
         self.registry = registry if registry is not None else MetricsRegistry()
+        self.offered = self.admitted = self.rate_limited = self.shed = 0
+        self.completed = self.deadline_misses = 0
+        self.batches = self.batched_requests = 0
+        self.failovers = self.requests_failed_over = 0
+        self.latencies_s: list[float] = []
+        self.module_busy_s: dict[str, float] = {}
         reg = self.registry
-        self._offered = reg.counter("serving_requests_total",
-                                    outcome="offered")
-        self._admitted = reg.counter("serving_requests_total",
-                                     outcome="admitted")
-        self._rate_limited = reg.counter("serving_requests_total",
-                                         outcome="rate_limited")
-        self._shed = reg.counter("serving_requests_total", outcome="shed")
-        self._completed = reg.counter("serving_requests_total",
-                                      outcome="completed")
-        self._deadline_misses = reg.counter("serving_deadline_misses_total")
+        self._counters = {attr: reg.counter(name, **labels)
+                          for attr, (name, labels) in _PUBLISHED.items()}
         self._latency = reg.histogram("serving_latency_seconds")
-        self._batches = reg.counter("serving_batches_total")
-        self._batched_requests = reg.counter("serving_batched_requests_total")
-        self._failovers = reg.counter("serving_failovers_total")
-        self._failed_over = reg.counter("serving_requests_failed_over_total")
         self._violations = reg.gauge("serving_invariant_violations")
+        #: What the last :meth:`publish` saw, so the next adds only news.
+        self._published = dict.fromkeys(_PUBLISHED, 0)
+        self._published_busy: dict[str, float] = {}
+        self._published_latencies = 0
 
     # -- recording -----------------------------------------------------------
     def record_rejection(self, reason: str) -> None:
-        self._offered.inc()
+        self.offered += 1
         if reason == "rate-limited":
-            self._rate_limited.inc()
+            self.rate_limited += 1
         elif reason == "shed":
-            self._shed.inc()
+            self.shed += 1
         else:
             raise ValueError(f"unknown rejection reason {reason!r}")
 
     def record_admission(self) -> None:
-        self._offered.inc()
-        self._admitted.inc()
+        self.offered += 1
+        self.admitted += 1
 
     def record_completion(self, req: Request, now: float) -> float:
         """Complete one admitted request; returns its latency."""
         latency = now - req.arrival_s
-        self._completed.inc()
-        self._latency.observe(latency)
+        self.completed += 1
+        self.latencies_s.append(latency)
         if now > req.deadline_s + 1e-12:
-            self._deadline_misses.inc()
+            self.deadline_misses += 1
         return latency
 
     def record_batch(self, n_requests: int, module_key: str,
                      busy_s: float) -> None:
-        self._batches.inc()
-        self._batched_requests.inc(n_requests)
-        self.registry.counter("serving_module_busy_seconds",
-                              module=module_key).inc(busy_s)
+        self.batches += 1
+        self.batched_requests += n_requests
+        busy = self.module_busy_s
+        busy[module_key] = busy.get(module_key, 0.0) + busy_s
 
     def record_failover(self, n_drained: int) -> None:
-        self._failovers.inc()
-        self._failed_over.inc(n_drained)
+        self.failovers += 1
+        self.requests_failed_over += n_drained
+
+    def publish(self) -> None:
+        """Add each count's change since the last publish to its registry
+        family, and the new latencies in one bulk step, in completion
+        order.  Publishing again without new records adds nothing."""
+        for attr, counter in self._counters.items():
+            value = getattr(self, attr)
+            counter.inc(value - self._published[attr])
+            self._published[attr] = value
+        for module, busy in self.module_busy_s.items():
+            last = self._published_busy.get(module, 0.0)
+            self.registry.counter("serving_module_busy_seconds",
+                                  module=module).inc(busy - last)
+            self._published_busy[module] = busy
+        self._latency.observe_many(
+            self.latencies_s[self._published_latencies:])
+        self._published_latencies = len(self.latencies_s)
 
     # -- defense accounting --------------------------------------------------
     # These families are created lazily at first record, so a run without
@@ -130,51 +162,7 @@ class ServingMetrics:
     def _family_total(self, name: str) -> float:
         return sum(inst.value for _, inst in self.registry.members(name))
 
-    # -- ledger counts (registry views) --------------------------------------
-    @property
-    def offered(self) -> int:
-        return int(self._offered.value)
-
-    @property
-    def admitted(self) -> int:
-        return int(self._admitted.value)
-
-    @property
-    def rate_limited(self) -> int:
-        return int(self._rate_limited.value)
-
-    @property
-    def shed(self) -> int:
-        return int(self._shed.value)
-
-    @property
-    def completed(self) -> int:
-        return int(self._completed.value)
-
-    @property
-    def deadline_misses(self) -> int:
-        return int(self._deadline_misses.value)
-
-    @property
-    def latencies_s(self) -> list[float]:
-        return self._latency.values
-
-    @property
-    def batches(self) -> int:
-        return int(self._batches.value)
-
-    @property
-    def batched_requests(self) -> int:
-        return int(self._batched_requests.value)
-
-    @property
-    def failovers(self) -> int:
-        return int(self._failovers.value)
-
-    @property
-    def requests_failed_over(self) -> int:
-        return int(self._failed_over.value)
-
+    # -- rare counts (registry views) ----------------------------------------
     @property
     def hedges_issued(self) -> int:
         return int(self._family_total("serving_hedges_total"))
@@ -195,12 +183,6 @@ class ServingMetrics:
     @property
     def brownout_transitions(self) -> int:
         return int(self._family_total("serving_brownout_transitions_total"))
-
-    @property
-    def module_busy_s(self) -> dict[str, float]:
-        return {dict(key)["module"]: counter.value
-                for key, counter in
-                self.registry.members("serving_module_busy_seconds")}
 
     # -- headline numbers ----------------------------------------------------
     @property
@@ -258,7 +240,9 @@ class ServingMetrics:
         return arrival_leak + completion_leak
 
     def check_conservation(self) -> None:
-        """Publish the invariant gauge and raise on a leak."""
+        """Publish the run's counts and the invariant gauge; raise on a
+        leak."""
+        self.publish()
         self._violations.set(self.invariant_violations)
         if self.offered != self.admitted + self.rate_limited + self.shed:
             raise AssertionError(

@@ -16,8 +16,11 @@ re-requested by many downstream consumers).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,9 +33,8 @@ class ArrivalPattern(str, Enum):
     BURSTY = "bursty"          # on/off Markov-modulated spikes
 
 
-@dataclass(frozen=True)
-class Request:
-    """One inference request as the frontend sees it."""
+class Request(NamedTuple):
+    """One inference request as the frontend sees it (DESIGN §17)."""
 
     req_id: int
     arrival_s: float
@@ -97,13 +99,25 @@ def _zipf_keys(rng: np.random.Generator, n: int, universe: int) -> np.ndarray:
 
 def _poisson_times(rng: np.random.Generator, rate: float,
                    duration: float) -> list[float]:
-    times: list[float] = []
-    t = 0.0
+    """Running sums of exponential gaps, up to the first one >= duration.
+
+    Bit for bit the loop ``t += rng.exponential(1/rate)`` that stops at
+    that first sum, and it leaves ``rng`` where that loop does: a vector
+    draw is the scalar draws in sequence and ``cumsum`` adds left to
+    right.  Overdraw, rewind, then spend exactly the loop's k + 1 draws.
+    """
+    scale = 1.0 / rate
+    state = rng.bit_generator.state
+    n = int(rate * duration + 4.0 * math.sqrt(rate * duration)) + 1
     while True:
-        t += float(rng.exponential(1.0 / rate))
-        if t >= duration:
-            return times
-        times.append(t)
+        times = np.cumsum(rng.exponential(scale, size=n))
+        rng.bit_generator.state = state
+        if times[-1] >= duration:
+            break
+        n *= 2
+    k = int(np.searchsorted(times, duration))
+    rng.exponential(scale, size=k + 1)
+    return times[:k].tolist()
 
 
 def _diurnal_times(rng: np.random.Generator, cfg: TraceConfig) -> list[float]:
@@ -165,16 +179,10 @@ def generate_trace(cfg: TraceConfig) -> tuple[Request, ...]:
     # the default bronze_fraction of 0.
     if cfg.bronze_fraction > 0.0:
         bronze = rng.uniform(size=len(times)) < cfg.bronze_fraction
+        tiers = ["bronze" if b else "gold" for b in bronze.tolist()]
     else:
-        bronze = np.zeros(len(times), dtype=bool)
-    return tuple(
-        Request(
-            req_id=i,
-            arrival_s=t,
-            deadline_s=t + cfg.slo_deadline_s,
-            key=int(k),
-            n_samples=cfg.samples_per_request,
-            tier="bronze" if bronze[i] else "gold",
-        )
-        for i, (t, k) in enumerate(zip(times, keys))
-    )
+        tiers = repeat("gold")
+    slo, samples = cfg.slo_deadline_s, cfg.samples_per_request
+    return tuple(Request(i, t, t + slo, k, samples, "default", tier)
+                 for i, (t, k, tier) in enumerate(zip(times, keys.tolist(),
+                                                      tiers)))

@@ -105,6 +105,11 @@ class Histogram:
         with self._lock:
             self._values.append(float(value))
 
+    def observe_many(self, values: list[float]) -> None:
+        """``observe`` each of ``values`` in order, under one lock."""
+        with self._lock:
+            self._values.extend(map(float, values))
+
     @property
     def count(self) -> int:
         return len(self._values)
@@ -137,6 +142,9 @@ class _NullInstrument:
         pass
 
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_many(self, values: list[float]) -> None:
         pass
 
     value = 0.0

@@ -26,9 +26,11 @@ from repro.serving import (
     DefenseConfig,
     ServingConfig,
     ServingEngine,
+    ServingMetrics,
     TraceConfig,
     simulate_serving,
 )
+from repro.telemetry import MetricsRegistry
 
 HEAVY = 32           # samples/request that puts 1 ESB replica near ~95 req/s
 
@@ -154,6 +156,48 @@ class TestAccounting:
         assert len(ids) == len(set(ids))
         assert m.completed == m.offered
         assert set(ids) == set(range(m.offered))
+
+    def test_engines_sharing_a_registry_report_their_own_counts(
+            self, make_small_system):
+        """Each report counts its own run; the shared registry holds the
+        sum, and a later run does not rewrite an earlier report."""
+        cfg = _config(rate=60.0, duration=4.0, seed=3)
+        alone = simulate_serving(cfg, system=make_small_system())
+        registry = MetricsRegistry()
+        first = simulate_serving(cfg, system=make_small_system(),
+                                 registry=registry)
+        text = first.to_text()
+        second = simulate_serving(cfg, system=make_small_system(),
+                                  registry=registry)
+        assert first.to_text() == text == second.to_text() == alone.to_text()
+        n = alone.metrics.offered
+        assert n > 0 and first.metrics.offered == n
+        assert registry.value("serving_requests_total",
+                              outcome="offered") == 2 * n
+        latency = registry.histogram("serving_latency_seconds")
+        assert latency.values == alone.metrics.latencies_s * 2
+
+    def test_publishing_twice_adds_nothing(self, small_system):
+        eng = ServingEngine(_config(rate=60.0, duration=4.0),
+                            system=small_system)
+        rep = eng.run()
+        before = eng.metrics.registry.to_prometheus()
+        rep.metrics.publish()
+        assert eng.metrics.registry.to_prometheus() == before
+
+    def test_disabled_registry_still_counts_and_checks(self,
+                                                       make_small_system):
+        cfg = _config(rate=60.0, duration=4.0, seed=3)
+        plain = simulate_serving(cfg, system=make_small_system())
+        dark = simulate_serving(cfg, system=make_small_system(),
+                                registry=MetricsRegistry(enabled=False))
+        assert dark.metrics.offered == plain.metrics.offered > 0
+        assert dark.to_text() == plain.to_text()
+        leaky = ServingMetrics(duration_s=1.0,
+                               registry=MetricsRegistry(enabled=False))
+        leaky.record_admission()
+        with pytest.raises(AssertionError, match="completion leak"):
+            leaky.check_conservation()
 
     def test_goodput_excludes_late_completions(self, small_system):
         # One pinned replica at 2x its capacity: everything completes,
