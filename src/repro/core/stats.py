@@ -12,6 +12,8 @@ nothing here touches the simulation clock.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,6 +32,29 @@ def percentile(values: Sequence[float] | np.ndarray, q: float) -> float:
     if not (0.0 <= q <= 100.0):
         raise ValueError("percentile rank must be in [0, 100]")
     return float(np.percentile(arr, q))
+
+
+def sorted_percentile(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of a non-empty ascending sample, bit for bit:
+    NumPy's ``linear`` index ``(n-1)*(q/100)`` and two-sided lerp in plain
+    floats, the same IEEE operations without the copy and partition."""
+    v = (len(ordered) - 1) * (q / 100.0)
+    lo = int(v)
+    if lo >= len(ordered) - 1:
+        return ordered[-1]
+    a, b = ordered[lo], ordered[lo + 1]
+    g, d = v - lo, b - a
+    return a + d * g if g < 0.5 else b - d * (1.0 - g)
+
+
+def slide_sorted(window: deque, ordered: list, value: float,
+                 size: int) -> None:
+    """Append ``value`` to the FIFO ``window``, dropping its oldest entry
+    once it holds ``size``; ``ordered`` stays its ascending copy."""
+    if len(window) == size:
+        del ordered[bisect_left(ordered, window.popleft())]
+    window.append(value)
+    insort(ordered, value)
 
 
 @dataclass(frozen=True)

@@ -11,25 +11,13 @@ scenarios replay deterministically.
 
 from repro.serving.admission import (
     AdmissionController,
-    AdmissionDecision,
     AdmissionPolicy,
     TokenBucket,
 )
 from repro.serving.batcher import BatchPolicy, MicroBatcher
 from repro.serving.cache import ResultCache
-from repro.serving.defense import (
-    BreakerPolicy,
-    BreakerState,
-    BrownoutController,
-    BrownoutLevel,
-    BrownoutPolicy,
-    CircuitBreaker,
-    DefenseConfig,
-    HedgePolicy,
-)
+from repro.serving.defense import DefenseConfig
 from repro.serving.engine import (
-    SERVING_RETRY,
-    HedgeGroup,
     ServingConfig,
     ServingEngine,
     ServingReport,
@@ -39,9 +27,7 @@ from repro.serving.metrics import ServingMetrics
 from repro.serving.replicas import (
     Autoscaler,
     AutoscalerConfig,
-    Replica,
     ReplicaPool,
-    ScaleEvent,
 )
 from repro.serving.request import (
     ArrivalPattern,
@@ -52,28 +38,16 @@ from repro.serving.request import (
 
 __all__ = [
     "AdmissionController",
-    "AdmissionDecision",
     "AdmissionPolicy",
     "ArrivalPattern",
     "Autoscaler",
     "AutoscalerConfig",
     "BatchPolicy",
-    "BreakerPolicy",
-    "BreakerState",
-    "BrownoutController",
-    "BrownoutLevel",
-    "BrownoutPolicy",
-    "CircuitBreaker",
     "DefenseConfig",
-    "HedgeGroup",
-    "HedgePolicy",
     "MicroBatcher",
-    "Replica",
     "ReplicaPool",
     "Request",
     "ResultCache",
-    "SERVING_RETRY",
-    "ScaleEvent",
     "ServingConfig",
     "ServingEngine",
     "ServingMetrics",

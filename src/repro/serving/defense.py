@@ -35,7 +35,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.stats import percentile
+from repro.core.stats import sorted_percentile
 from repro.resilience.detect import DetectorConfig
 from repro.resilience.retry import _stable_uniform
 
@@ -45,6 +45,11 @@ class BreakerState(str, enum.Enum):
     CLOSED = "closed"          # healthy: dispatch freely
     OPEN = "open"              # tripped: no dispatch until cooldown
     HALF_OPEN = "half-open"    # probing: seeded trickle of trial batches
+
+
+#: Hoisted members: the dispatch gate reads a global, not a class attribute.
+_CLOSED, _OPEN, _HALF_OPEN = (BreakerState.CLOSED, BreakerState.OPEN,
+                              BreakerState.HALF_OPEN)
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,7 @@ class CircuitBreaker:
         self.policy = policy
         self.key = key
         self.seed = seed
-        self._state = BreakerState.CLOSED
+        self._state = _CLOSED
         self._consecutive_failures = 0
         self._consecutive_successes = 0
         self._opened_at = 0.0
@@ -98,9 +103,9 @@ class CircuitBreaker:
             self._state = state
 
     def state(self, now: float) -> BreakerState:
-        if (self._state is BreakerState.OPEN
+        if (self._state is _OPEN
                 and now >= self._opened_at + self.policy.open_s):
-            self._move(now, BreakerState.HALF_OPEN)
+            self._move(now, _HALF_OPEN)
             self._consecutive_successes = 0
         return self._state
 
@@ -109,29 +114,28 @@ class CircuitBreaker:
         self._consecutive_failures += 1
         self._consecutive_successes = 0
         state = self.state(now)
-        if state is BreakerState.HALF_OPEN or (
-                state is BreakerState.CLOSED
+        if state is _HALF_OPEN or (
+                state is _CLOSED
                 and self._consecutive_failures
                 >= self.policy.failure_threshold):
-            self._move(now, BreakerState.OPEN)
+            self._move(now, _OPEN)
             self._opened_at = now
 
     def record_success(self, now: float) -> None:
         """One answered probe / completed dispatch from this replica."""
         self._consecutive_failures = 0
-        if self.state(now) is BreakerState.HALF_OPEN:
+        if self.state(now) is _HALF_OPEN:
             self._consecutive_successes += 1
             if self._consecutive_successes >= self.policy.success_to_close:
-                self._move(now, BreakerState.CLOSED)
-        elif self._state is BreakerState.CLOSED:
+                self._move(now, _CLOSED)
+        elif self._state is _CLOSED:
             self._consecutive_successes += 1
 
     def allows_dispatch(self, now: float) -> bool:
         """May the dispatcher start a batch on this replica right now?"""
-        state = self.state(now)
-        if state is BreakerState.CLOSED:
-            return True
-        if state is BreakerState.OPEN:
+        if self._state is _CLOSED:
+            return True   # state() only ever decays OPEN
+        if self.state(now) is _OPEN:
             return False
         # Half-open: admit a seeded trickle of probe batches.
         self._probe_draws += 1
@@ -173,11 +177,12 @@ class HedgePolicy:
         if self.window < self.min_samples:
             raise ValueError("window must be >= min_samples")
 
-    def deadline(self, service_window: list[float]) -> Optional[float]:
-        """Seconds after dispatch at which to hedge, or ``None`` (no data)."""
-        if len(service_window) < self.min_samples:
+    def deadline(self, ordered_window: list[float]) -> Optional[float]:
+        """Seconds after dispatch at which to hedge, or ``None`` (no data);
+        ``ordered_window`` is the recent service times, ascending."""
+        if len(ordered_window) < self.min_samples:
             return None
-        tail = percentile(service_window, self.percentile)
+        tail = sorted_percentile(ordered_window, self.percentile)
         return max(tail * self.multiplier, self.min_deadline_s)
 
 

@@ -21,6 +21,7 @@ produce byte-identical reports — asserted by the test suite.
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,6 +29,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.presets import small_msa_system
+from repro.core.stats import slide_sorted
 from repro.core.system import MSASystem
 from repro.distributed.perfmodel import InferencePerfModel
 from repro.resilience.detect import PhiAccrualDetector
@@ -45,6 +47,7 @@ from repro.serving.cache import ResultCache
 from repro.serving.defense import (
     BreakerState,
     BrownoutController,
+    BrownoutLevel,
     CircuitBreaker,
     DefenseConfig,
 )
@@ -282,8 +285,10 @@ class ServingEngine:
         self.budget = RetryBudget(ratio=d.retry_budget_ratio,
                                   burst=d.retry_budget_burst)
         self.brownout = BrownoutController(d.brownout)
-        #: Recent batch service times feeding the hedge deadline estimate.
-        self._service_window: list[float] = []
+        self._hedging = d.enabled and d.hedging_enabled
+        #: Recent batch service times for the hedge deadline, FIFO + sorted.
+        self._service_window: deque[float] = deque()
+        self._service_sorted: list[float] = []
         #: (module, node) -> (end_s, slowdown factor, probe-answer prob).
         self._gray: dict[tuple[str, int], tuple[float, float, float]] = {}
         #: Active/scheduled partition cuts over node labels "module:node".
@@ -360,11 +365,11 @@ class ServingEngine:
         req: Request = evt.value
         now = self.sim.now
         if self.defended:
+            level = self.brownout.level  # only CACHE_ONLY reads cacheable
             decision = self.admission.decide(
-                now, self.batcher.depth,
-                brownout_level=int(self.brownout.level),
-                tier=req.tier,
-                cacheable=self.cache.contains(req.key))
+                now, self.batcher.depth, brownout_level=int(level),
+                tier=req.tier, cacheable=level is BrownoutLevel.CACHE_ONLY
+                and self.cache.contains(req.key))
         else:
             decision = self.admission.decide(now, self.batcher.depth)
         if not decision.admitted:
@@ -455,10 +460,9 @@ class ServingEngine:
                                 name="batch-done")
         done.add_callback(self._on_batch_done)
         batch.done_evt = done
-        if (self.defended
-                and self.config.defense.hedging_enabled and group is None):
+        if self._hedging and group is None:
             deadline = self.config.defense.hedge.deadline(
-                self._service_window)
+                self._service_sorted)
             if deadline is not None:
                 timer = self.sim.timeout(deadline, value=(replica, batch),
                                          name="hedge")
@@ -473,9 +477,6 @@ class ServingEngine:
                 factor = max(factor, state[1])
         return factor
 
-    def _replica_labels(self, replica: Replica) -> list[str]:
-        return [f"{replica.module_key}:{n}" for n in replica.nodes]
-
     def _response_hold(self, replica: Replica, done_t: float) -> float:
         """Extra delay before a response computed at ``done_t`` lands.
 
@@ -485,7 +486,7 @@ class ServingEngine:
         """
         if not self._partitions:
             return 0.0
-        labels = self._replica_labels(replica)
+        labels = replica.labels
         hold = 0.0
         for _ in range(len(self._partitions) + 1):
             stall = max((w.delay_until_heal(done_t + hold)
@@ -559,10 +560,9 @@ class ServingEngine:
                                   (now - batch.start) * len(replica.nodes))
         self.batch_log.append(
             (replica.rid, tuple(r.req_id for r in batch.requests)))
-        self._service_window.append(now - batch.start)
-        excess = len(self._service_window) - self.config.defense.hedge.window
-        if excess > 0:
-            del self._service_window[:excess]
+        if self._hedging:
+            slide_sorted(self._service_window, self._service_sorted,
+                         now - batch.start, self.config.defense.hedge.window)
         for req in batch.requests:
             self._complete(req)
             for waiter_id in self.cache.complete(req.key, now):
@@ -713,7 +713,7 @@ class ServingEngine:
         """
         for window, far in self._partitions:
             if window.active(now) and any(
-                    lbl in far for lbl in self._replica_labels(replica)):
+                    lbl in far for lbl in replica.labels):
                 return False
         for node in replica.nodes:
             state = self._gray.get((replica.module_key, node))

@@ -29,6 +29,7 @@ late are throughput, not goodput.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Optional
 
 from repro.core.stats import LatencySummary, percentile, summarize_latencies
@@ -37,25 +38,26 @@ from repro.telemetry import MetricsRegistry
 
 #: Each hot count and the ``(family, labels)`` it is published to.
 _PUBLISHED = {
-    "offered": ("serving_requests_total", {"outcome": "offered"}),
-    "admitted": ("serving_requests_total", {"outcome": "admitted"}),
-    "rate_limited": ("serving_requests_total", {"outcome": "rate_limited"}),
-    "shed": ("serving_requests_total", {"outcome": "shed"}),
-    "completed": ("serving_requests_total", {"outcome": "completed"}),
-    "deadline_misses": ("serving_deadline_misses_total", {}),
-    "batches": ("serving_batches_total", {}),
-    "batched_requests": ("serving_batched_requests_total", {}),
-    "failovers": ("serving_failovers_total", {}),
-    "requests_failed_over": ("serving_requests_failed_over_total", {}),
+    "offered": ("serving_requests_total", (("outcome", "offered"),)),
+    "admitted": ("serving_requests_total", (("outcome", "admitted"),)),
+    "rate_limited": ("serving_requests_total",
+                     (("outcome", "rate_limited"),)),
+    "shed": ("serving_requests_total", (("outcome", "shed"),)),
+    "completed": ("serving_requests_total", (("outcome", "completed"),)),
+    "deadline_misses": ("serving_deadline_misses_total", ()),
+    "batches": ("serving_batches_total", ()),
+    "batched_requests": ("serving_batched_requests_total", ()),
+    "failovers": ("serving_failovers_total", ()),
+    "requests_failed_over": ("serving_requests_failed_over_total", ()),
 }
 
 
 class ServingMetrics:
     """The engine's running ledger of one serving run.
 
-    The hot counts belong to this run alone and reach the registry at
+    Every count belongs to this run alone and reaches the registry at
     :meth:`publish`; the rare defense counts (hedges, breaker and brownout
-    transitions) go straight to the registry, created on first use.
+    transitions) get a family only once something was recorded.
     Constructing one without an explicit registry creates a private
     enabled registry.  Passing the capture registry (as ``repro trace
     serve`` does) folds the serving numbers into the run-wide metrics
@@ -72,14 +74,16 @@ class ServingMetrics:
         self.failovers = self.requests_failed_over = 0
         self.latencies_s: list[float] = []
         self.module_busy_s: dict[str, float] = {}
-        reg = self.registry
-        self._counters = {attr: reg.counter(name, **labels)
-                          for attr, (name, labels) in _PUBLISHED.items()}
-        self._latency = reg.histogram("serving_latency_seconds")
-        self._violations = reg.gauge("serving_invariant_violations")
+        self.hedges_issued = self.duplicate_responses = 0
+        self.hedges_primary_won = self.hedges_backup_won = 0
+        self.hedge_wasted_s = 0.0
+        #: Breaker transitions by target state, brownout ones by level.
+        self.breaker_transitions_to: dict[str, int] = defaultdict(int)
+        self.brownout_transitions_to: dict[int, int] = defaultdict(int)
+        self._latency = self.registry.histogram("serving_latency_seconds")
+        self._violations = self.registry.gauge("serving_invariant_violations")
         #: What the last :meth:`publish` saw, so the next adds only news.
-        self._published = dict.fromkeys(_PUBLISHED, 0)
-        self._published_busy: dict[str, float] = {}
+        self._published: dict[tuple, float] = {}
         self._published_latencies = 0
 
     # -- recording -----------------------------------------------------------
@@ -120,69 +124,63 @@ class ServingMetrics:
         """Add each count's change since the last publish to its registry
         family, and the new latencies in one bulk step, in completion
         order.  Publishing again without new records adds nothing."""
-        for attr, counter in self._counters.items():
-            value = getattr(self, attr)
-            counter.inc(value - self._published[attr])
-            self._published[attr] = value
-        for module, busy in self.module_busy_s.items():
-            last = self._published_busy.get(module, 0.0)
-            self.registry.counter("serving_module_busy_seconds",
-                                  module=module).inc(busy - last)
-            self._published_busy[module] = busy
+        for name, labels, value in self._rows():
+            last = self._published.get((name, labels), 0)
+            self.registry.counter(name, **dict(labels)).inc(value - last)
+            self._published[name, labels] = value
         self._latency.observe_many(
             self.latencies_s[self._published_latencies:])
         self._published_latencies = len(self.latencies_s)
 
+    def _rows(self) -> list[tuple[str, tuple, float]]:
+        """``(family, labels, value)`` of every count.  Hot counts always
+        have a row; busy seconds and the rare defense counts only once
+        recorded, so an undefended dump has no defense family."""
+        rows = [(name, labels, getattr(self, attr))
+                for attr, (name, labels) in _PUBLISHED.items()]
+        rows += [row for row in (
+            ("serving_hedges_total", (), self.hedges_issued),
+            ("serving_hedge_wins_total", (("side", "primary"),),
+             self.hedges_primary_won),
+            ("serving_hedge_wins_total", (("side", "backup"),),
+             self.hedges_backup_won),
+            ("serving_duplicate_responses_total", (),
+             self.duplicate_responses)) if row[2]]
+        if self.hedges_primary_won or self.hedges_backup_won:
+            rows.append(("serving_hedge_wasted_seconds", (),
+                         self.hedge_wasted_s))
+        for name, key, tally in (
+                ("serving_module_busy_seconds", "module", self.module_busy_s),
+                ("serving_breaker_transitions_total", "to",
+                 self.breaker_transitions_to),
+                ("serving_brownout_transitions_total", "to",
+                 self.brownout_transitions_to)):
+            rows += [(name, ((key, str(k)),), v) for k, v in tally.items()]
+        return rows
+
     # -- defense accounting --------------------------------------------------
-    # These families are created lazily at first record, so a run without
-    # defenses enabled produces exactly the registry dump it always did.
     def record_hedge_issued(self) -> None:
-        self.registry.counter("serving_hedges_total").inc()
+        self.hedges_issued += 1
 
     def record_hedge_resolved(self, backup_won: bool,
                               wasted_s: float) -> None:
         """One hedged batch resolved: a side won, the duplicate was
         cancelled after ``wasted_s`` seconds of thrown-away compute."""
-        side = "backup" if backup_won else "primary"
-        self.registry.counter("serving_hedge_wins_total", side=side).inc()
-        self.registry.counter("serving_hedge_wasted_seconds").inc(wasted_s)
+        if backup_won:
+            self.hedges_backup_won += 1
+        else:
+            self.hedges_primary_won += 1
+        self.hedge_wasted_s += wasted_s
 
     def record_duplicate_response(self) -> None:
         """A response arrived for an already-completed hedged batch."""
-        self.registry.counter("serving_duplicate_responses_total").inc()
+        self.duplicate_responses += 1
 
     def record_breaker_transition(self, to_state: str) -> None:
-        self.registry.counter("serving_breaker_transitions_total",
-                              to=to_state).inc()
+        self.breaker_transitions_to[to_state] += 1
 
     def record_brownout_transition(self, to_level: int) -> None:
-        self.registry.counter("serving_brownout_transitions_total",
-                              to=str(to_level)).inc()
-
-    def _family_total(self, name: str) -> float:
-        return sum(inst.value for _, inst in self.registry.members(name))
-
-    # -- rare counts (registry views) ----------------------------------------
-    @property
-    def hedges_issued(self) -> int:
-        return int(self._family_total("serving_hedges_total"))
-
-    @property
-    def hedges_backup_won(self) -> int:
-        return int(self.registry.value("serving_hedge_wins_total",
-                                       side="backup"))
-
-    @property
-    def hedge_wasted_s(self) -> float:
-        return self._family_total("serving_hedge_wasted_seconds")
-
-    @property
-    def breaker_transitions(self) -> int:
-        return int(self._family_total("serving_breaker_transitions_total"))
-
-    @property
-    def brownout_transitions(self) -> int:
-        return int(self._family_total("serving_brownout_transitions_total"))
+        self.brownout_transitions_to[to_level] += 1
 
     # -- headline numbers ----------------------------------------------------
     @property
@@ -204,14 +202,6 @@ class ServingMetrics:
 
     def percentile(self, q: float) -> float:
         return percentile(self.latencies_s, q)
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(50)
-
-    @property
-    def p95(self) -> float:
-        return self.percentile(95)
 
     @property
     def p99(self) -> float:

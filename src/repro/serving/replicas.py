@@ -18,6 +18,7 @@ whole control loop replays deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from repro.core.hardware import NodeSpec
@@ -58,6 +59,11 @@ class Replica:
     @property
     def idle(self) -> bool:
         return self.up and self.inflight is None
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """The ``"module:node"`` fabric labels partition cuts are over."""
+        return tuple(f"{self.module_key}:{n}" for n in self.nodes)
 
 
 class ReplicaPool:
