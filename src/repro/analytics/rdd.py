@@ -68,13 +68,6 @@ class RDD:
         self._cache_requested = True
         return self
 
-    def unpersist(self) -> "RDD":
-        if self._cached is not None:
-            self.ctx._release_cache(self.name)
-            self._cached = None
-        self._cache_requested = False
-        return self
-
     @property
     def n_partitions(self) -> int:
         return self.ctx.n_partitions
@@ -85,31 +78,6 @@ class RDD:
             return [[fn(x) for x in part] for part in self._partitions()]
         return RDD(self.ctx, compute, name=f"{self.name}.map", parents=(self,))
 
-    def filter(self, pred: Callable[[Any], bool]) -> "RDD":
-        def compute():
-            return [[x for x in part if pred(x)] for part in self._partitions()]
-        return RDD(self.ctx, compute, name=f"{self.name}.filter", parents=(self,))
-
-    def flat_map(self, fn: Callable[[Any], Iterable[Any]]) -> "RDD":
-        def compute():
-            return [[y for x in part for y in fn(x)] for part in self._partitions()]
-        return RDD(self.ctx, compute, name=f"{self.name}.flatMap", parents=(self,))
-
-    def map_partitions(self, fn: Callable[[list], Iterable[Any]]) -> "RDD":
-        def compute():
-            return [list(fn(part)) for part in self._partitions()]
-        return RDD(self.ctx, compute, name=f"{self.name}.mapPartitions",
-                   parents=(self,))
-
-    def union(self, other: "RDD") -> "RDD":
-        if other.ctx is not self.ctx:
-            raise ValueError("RDDs belong to different contexts")
-        def compute():
-            a, b = self._partitions(), other._partitions()
-            return [pa + pb for pa, pb in zip(a, b)]
-        return RDD(self.ctx, compute, name=f"{self.name}.union",
-                   parents=(self, other))
-
     # -- shuffles --------------------------------------------------------------
     def _shuffle_by_key(self, parts: list[list]) -> list[list]:
         n = self.ctx.n_partitions
@@ -119,42 +87,7 @@ class RDD:
                 if not (isinstance(kv, tuple) and len(kv) == 2):
                     raise TypeError("key-based operations need (key, value) pairs")
                 out[_default_partitioner(kv[0], n)].append(kv)
-        self.ctx.shuffles += 1
-        self.ctx.shuffled_records += sum(len(p) for p in out)
         return out
-
-    def reduce_by_key(self, fn: Callable[[Any, Any], Any]) -> "RDD":
-        def compute():
-            # Map-side combine first (Spark's combiner), then shuffle.
-            combined = []
-            for part in self._partitions():
-                acc: dict = {}
-                for k, v in part:
-                    acc[k] = fn(acc[k], v) if k in acc else v
-                combined.append(list(acc.items()))
-            shuffled = self._shuffle_by_key(combined)
-            out = []
-            for part in shuffled:
-                acc = {}
-                for k, v in part:
-                    acc[k] = fn(acc[k], v) if k in acc else v
-                out.append(sorted(acc.items(), key=lambda kv: repr(kv[0])))
-            return out
-        return RDD(self.ctx, compute, name=f"{self.name}.reduceByKey",
-                   parents=(self,))
-
-    def group_by_key(self) -> "RDD":
-        def compute():
-            shuffled = self._shuffle_by_key(self._partitions())
-            out = []
-            for part in shuffled:
-                acc: dict = {}
-                for k, v in part:
-                    acc.setdefault(k, []).append(v)
-                out.append(sorted(acc.items(), key=lambda kv: repr(kv[0])))
-            return out
-        return RDD(self.ctx, compute, name=f"{self.name}.groupByKey",
-                   parents=(self,))
 
     def join(self, other: "RDD") -> "RDD":
         """Inner join on keys: (k, (v_self, v_other))."""
@@ -227,7 +160,7 @@ class RDD:
 
 
 class MiniSparkContext:
-    """Driver: creates RDDs, tracks shuffles and cache-memory placement."""
+    """Driver: creates RDDs and tracks cache-memory placement."""
 
     def __init__(self, n_partitions: int = 4,
                  memory: Optional[TieredStore] = None) -> None:
@@ -235,8 +168,6 @@ class MiniSparkContext:
             raise ValueError("need at least one partition")
         self.n_partitions = n_partitions
         self.memory = memory or TieredStore.dam_node()
-        self.shuffles = 0
-        self.shuffled_records = 0
         self.cache_hits = 0
         self._cached_names: set[str] = set()
         self._cache_seq = 0
@@ -247,22 +178,12 @@ class MiniSparkContext:
         parts = [items[i::n] for i in range(n)]
         return RDD(self, lambda: [list(p) for p in parts], name=name)
 
-    def range(self, n: int) -> RDD:
-        return self.parallelize(range(n), name=f"range({n})")
-
     # -- cache accounting against the tier hierarchy -----------------------------
     def _account_cache(self, name: str, parts: list[list]) -> None:
         self._cache_seq += 1
         unique = f"{name}#{self._cache_seq}"
         self.memory.put(unique, _sizeof(parts))
         self._cached_names.add(unique)
-
-    def _release_cache(self, name: str) -> None:
-        for unique in sorted(self._cached_names):
-            if unique.startswith(f"{name}#"):
-                self.memory.drop(unique)
-                self._cached_names.discard(unique)
-                return
 
     def cached_fast_fraction(self) -> float:
         """Fraction of cached bytes resident in DRAM-class tiers."""

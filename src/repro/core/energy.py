@@ -93,21 +93,3 @@ class EnergyAccountant:
     @property
     def idle_joules(self) -> float:
         return sum(self._idle_joules.values())
-
-    @property
-    def total_joules(self) -> float:
-        return self.busy_joules + self.idle_joules
-
-    @property
-    def total_kwh(self) -> float:
-        return self.total_joules / 3.6e6
-
-    def per_module(self) -> dict[str, dict[str, float]]:
-        keys = set(self._busy_joules) | set(self._idle_joules)
-        return {
-            k: {
-                "busy_joules": self._busy_joules.get(k, 0.0),
-                "idle_joules": self._idle_joules.get(k, 0.0),
-            }
-            for k in sorted(keys)
-        }

@@ -18,7 +18,7 @@ their *ratios* (e.g. A100 tensor vs V100 tensor ≈ 2.5×), not absolutes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -46,10 +46,6 @@ class CpuSpec:
     def scalar_ops_per_s(self) -> float:
         """Aggregate scalar throughput — what data-management codes see."""
         return self.cores * self.clock_ghz * GIGA * self.scalar_ipc
-
-    @property
-    def single_thread_ops_per_s(self) -> float:
-        return self.clock_ghz * GIGA * self.scalar_ipc
 
 
 @dataclass(frozen=True)
@@ -107,10 +103,6 @@ class StorageSpec:
     read_GBps: float = 3.0
     write_GBps: float = 2.0
 
-    @property
-    def capacity_TB(self) -> float:
-        return self.devices * self.capacity_TB_each
-
 
 @dataclass(frozen=True)
 class NodeSpec:
@@ -148,18 +140,6 @@ class NodeSpec:
     @property
     def peak_flops(self) -> float:
         return self.cpu_peak_flops + self.gpu_peak_flops
-
-    @property
-    def peak_watts(self) -> float:
-        return (
-            self.idle_watts
-            + self.cpu.tdp_watts * self.cpu_sockets
-            + sum(g.tdp_watts for g in self.gpus)
-            + sum(f.tdp_watts for f in self.fpgas)
-        )
-
-    def with_name(self, name: str) -> "NodeSpec":
-        return replace(self, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -136,10 +136,6 @@ class Job:
         if self.arrival_time < 0:
             raise ValueError("arrival_time must be non-negative")
 
-    @property
-    def total_work_flops(self) -> float:
-        return sum(p.work_flops for p in self.phases)
-
 
 # ---------------------------------------------------------------------------
 # runtime model

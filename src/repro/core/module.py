@@ -111,10 +111,6 @@ class ComputeModule:
         return len(self._free)
 
     @property
-    def busy_nodes(self) -> int:
-        return self.n_nodes - len(self._free) - len(self._down)
-
-    @property
     def down_nodes(self) -> set[int]:
         """Nodes currently failed/under repair (not allocatable)."""
         return set(self._down)
@@ -162,20 +158,6 @@ class ComputeModule:
             raise AllocationError(f"{self.name}: node {node} is not down")
         self._down.discard(node)
         self._free.add(node)
-
-    # -- capability matchmaking ------------------------------------------------------
-    def capability(self) -> dict[str, float]:
-        """Feature vector the scheduler scores phases against."""
-        spec = self.node_spec
-        return {
-            "single_thread": spec.cpu.clock_ghz,
-            "cpu_flops": spec.cpu_peak_flops,
-            "gpu_flops": spec.gpu_peak_flops,
-            "tensor_flops": spec.gpu_tensor_flops,
-            "memory_GB": spec.memory.total_GB,
-            "nvm_GB": spec.memory.nvm_GB,
-            "scalability": float(self.n_nodes),
-        }
 
 
 def ClusterModule(name: str, node_spec: NodeSpec, n_nodes: int,
@@ -225,17 +207,6 @@ class StorageModule:
     @property
     def aggregate_GBps(self) -> float:
         return self.n_targets * self.target_GBps
-
-    def filesystem(self, stripe_count: int = 4, stripe_MB: float = 1.0):
-        from repro.storage.pfs import ParallelFileSystem
-
-        return ParallelFileSystem(
-            name=f"{self.name}-lustre",
-            n_targets=self.n_targets,
-            target_GBps=self.target_GBps,
-            default_stripe_count=stripe_count,
-            default_stripe_MB=stripe_MB,
-        )
 
 
 @dataclass

@@ -275,8 +275,6 @@ class MsaScheduler:
         self._running: list[_RunningRecord] = []
         #: Recently crashed nodes per module — placement steers around them.
         self._suspect: dict[str, set[int]] = {}
-        #: Live health feeds (callables returning {module: nodes} suspicion).
-        self._health_monitors: list = []
         #: Active link-degradation factors per module key.
         self._degraded: dict[str, list[float]] = {}
         self.injector = fault_injector
@@ -403,30 +401,12 @@ class MsaScheduler:
         telemetry.get_registry().counter(
             "scheduler_quarantined_nodes_total", module=module_key).inc()
 
-    def attach_health_monitor(self, monitor) -> None:
-        """Feed live health suspicion into placement decisions.
-
-        ``monitor`` is a callable returning ``{module_key: set_of_nodes}``
-        currently suspected by a health detector — phi-accrual suspicion,
-        gray nodes, partitioned nodes.  It is consulted at every
-        allocation, so unlike crash suspects the avoided set shrinks again
-        the moment a component recovers.
-        """
-        if not callable(monitor):
-            raise TypeError("health monitor must be callable")
-        self._health_monitors.append(monitor)
-
     def _avoid_nodes(self, module_key: str) -> Optional[set]:
-        """Nodes placement should steer around: crash suspects plus any
-        live suspicion reported by attached health monitors."""
-        avoid = set(self._suspect.get(module_key, ()))
-        for monitor in self._health_monitors:
-            avoid.update(monitor().get(module_key, ()))
-        return avoid or None
+        """Nodes placement should steer around: crashed or quarantined."""
+        return set(self._suspect.get(module_key, ())) or None
 
     def suspect_nodes(self, module_key: str) -> frozenset:
-        """Currently suspect nodes of a module (crashed, quarantined, or
-        health-monitor suspected)."""
+        """Currently suspect nodes of a module (crashed or quarantined)."""
         return frozenset(self._avoid_nodes(module_key) or ())
 
     def _fail_running(self, record: _RunningRecord, spec: FaultSpec) -> None:

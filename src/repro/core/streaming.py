@@ -67,10 +67,6 @@ class StreamingReport:
         return self.percentile(50)
 
     @property
-    def p95(self) -> float:
-        return self.percentile(95)
-
-    @property
     def p99(self) -> float:
         return self.percentile(99)
 

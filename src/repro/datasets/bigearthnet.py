@@ -8,8 +8,7 @@ experiments rely on:
   red-edge/NIR bump, water absorbs NIR/SWIR, urban is spectrally flat and
   bright, ...),
 * spatial texture (smooth fields, speckled forest, blocky urban),
-* both single-label (dominant class) and multi-label (class mixtures, as
-  in the real archive) annotation modes,
+* single-label (dominant class) annotation,
 * controllable difficulty via noise and mixing.
 
 A :class:`~repro.ml.models.resnet.ResNet` reaches high accuracy on it only
@@ -77,8 +76,6 @@ class BigEarthNetConfig:
     patch_size: int = 16            # real patches are 120x120; tests shrink
     n_classes: int = 10
     noise_sigma: float = 0.02
-    multi_label: bool = False
-    max_labels: int = 3             # classes mixed per multi-label patch
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -122,8 +119,6 @@ class SyntheticBigEarthNet:
     def generate(self) -> tuple[np.ndarray, np.ndarray]:
         """Returns (X, y): X (N, 12, H, W) float, y (N,) int labels."""
         cfg = self.config
-        if cfg.multi_label:
-            raise ValueError("use generate_multilabel() when multi_label=True")
         rng = np.random.default_rng(cfg.seed)
         y = rng.integers(0, cfg.n_classes, size=cfg.n_samples)
         X = np.empty((cfg.n_samples, self.n_bands, cfg.patch_size, cfg.patch_size))
@@ -131,32 +126,6 @@ class SyntheticBigEarthNet:
             X[i] = self._class_patch(rng, int(y[i]))
         X += rng.normal(0.0, cfg.noise_sigma, size=X.shape)
         return X, y.astype(np.int64)
-
-    def generate_multilabel(self) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (X, Y): Y (N, n_classes) binary label matrix.
-
-        Patches mix 1..max_labels classes in spatial halves/quadrants, as
-        real BigEarthNet patches span multiple CORINE polygons.
-        """
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-        hw = cfg.patch_size
-        X = np.empty((cfg.n_samples, self.n_bands, hw, hw))
-        Y = np.zeros((cfg.n_samples, cfg.n_classes), dtype=np.int64)
-        for i in range(cfg.n_samples):
-            k = int(rng.integers(1, cfg.max_labels + 1))
-            chosen = rng.choice(cfg.n_classes, size=k, replace=False)
-            Y[i, chosen] = 1
-            # Split the patch into k vertical strips, one class each.
-            bounds = np.linspace(0, hw, k + 1).astype(int)
-            patch = np.zeros((self.n_bands, hw, hw))
-            for strip, cls in enumerate(chosen):
-                sub = self._class_patch(rng, int(cls))
-                patch[:, :, bounds[strip]:bounds[strip + 1]] = \
-                    sub[:, :, bounds[strip]:bounds[strip + 1]]
-            X[i] = patch
-        X += rng.normal(0.0, cfg.noise_sigma, size=X.shape)
-        return X, Y
 
     def pixels(self, n_pixels: int, seed: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
         """Per-pixel spectra (n_pixels, bands) + class ids — autoencoder food."""

@@ -72,12 +72,6 @@ class ZeroStage1Optimizer:
     def unsharded_state_bytes(self) -> int:
         return int(2 * self.total_elements * 8)
 
-    @property
-    def memory_saving_factor(self) -> float:
-        if self.local_state_bytes == 0:
-            return float(self.comm.size)
-        return self.unsharded_state_bytes / (self.local_state_bytes or 1)
-
     # -- the training step ------------------------------------------------------
     def zero_grad(self) -> None:
         for p in self.params:
@@ -173,9 +167,3 @@ class ZeroStage2Optimizer(ZeroStage1Optimizer):
         if covered != self.total_elements:
             raise RuntimeError("stage-2 shard reassembly mismatch")
         return fused
-
-    @property
-    def grad_memory_saving_factor(self) -> float:
-        """Full fused gradient bytes / this rank's shard bytes."""
-        full = self.total_elements * 8
-        return full / max(self.peak_grad_shard_bytes, 1)

@@ -86,7 +86,6 @@ class DistributedOptimizer:
         self.injector = injector
         self.integrity_config = integrity_config
         self.current_step = 0
-        self._tag_seq = 0
         #: Traffic accounting for the scaling experiments.
         self.bytes_communicated = 0
         self.allreduce_calls = 0
@@ -242,11 +241,6 @@ class ElasticRecovery:
     reason: str = "rank-kill"        #: "rank-kill" | "gradient-corruption"
     rollback_versions: int = 0       #: lineage versions skipped on restore
 
-    @property
-    def steps_lost(self) -> int:
-        """Steps of work recomputed because of this failure."""
-        return self.failed_step - self.restored_step
-
 
 @dataclass
 class ElasticRunResult:
@@ -259,10 +253,6 @@ class ElasticRunResult:
     checkpoint_steps: list[int] = field(default_factory=list)
     #: End-of-run at-rest verification summary ({"checked", "corrupt"}).
     scrub: dict = field(default_factory=dict)
-
-    @property
-    def steps_lost(self) -> int:
-        return sum(r.steps_lost for r in self.recoveries)
 
 
 def run_elastic_training(

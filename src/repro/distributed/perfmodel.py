@@ -226,12 +226,6 @@ class InferencePerfModel:
         compute = batch_samples * self.sample_time(node_spec) / n_nodes
         return self.host_overhead_s + compute
 
-    def throughput(self, batch_samples: int, node_spec: NodeSpec,
-                   n_nodes: int = 1) -> float:
-        """Samples/s one replica sustains at the given micro-batch size."""
-        return batch_samples / self.batch_time(batch_samples, node_spec,
-                                               n_nodes)
-
     def as_phase(self, batch_samples: int, name: str = "serve-replica"):
         """The equivalent :class:`~repro.core.jobs.JobPhase` for matchmaking.
 

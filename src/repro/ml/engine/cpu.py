@@ -81,8 +81,6 @@ class Device:
         # perturb the total, so device time is deterministic even under
         # SPMD rank threads.
         self._time_ps = 0
-        self.kernels_run = 0
-        self.fused_ops_run = 0
         self._plans: dict[tuple, tuple[PlannedKernel, ...]] = {}
         self._plans_lock = threading.Lock()     # rank threads share a device
 
@@ -93,8 +91,6 @@ class Device:
 
     def reset_clock(self) -> None:
         self._time_ps = 0
-        self.kernels_run = 0
-        self.fused_ops_run = 0
 
     # -- cost ------------------------------------------------------------------
     def kernel_time_s(self, flops: float, bytes_moved: int, n_ops: int) -> float:
@@ -188,8 +184,6 @@ class Device:
                 regs[i] = None
             start_ps = self._time_ps
             self._time_ps += kernel.cost_ps
-            self.kernels_run += 1
-            self.fused_ops_run += kernel.n_ops
             if stats is not None:
                 stats.kernels += 1
                 stats.fused_ops += kernel.n_ops

@@ -479,9 +479,6 @@ class Tensor:
     def log(self) -> "Tensor":
         return self._unary("log", 0, lambda t, out: out.grad / t.data)
 
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
-
     def tanh(self) -> "Tensor":
         return self._unary("tanh", -1,
                            lambda t, out: out.grad * (1.0 - out.data ** 2))
@@ -549,11 +546,6 @@ class Tensor:
         return _apply("max", (self,), backward, ((0, -1),),
                       axis=axis, keepdims=keepdims)
 
-    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
-        mu = self.mean(axis=axis, keepdims=True)
-        sq = (self - mu) ** 2
-        return sq.mean(axis=axis, keepdims=keepdims)
-
     # -- shape manipulation -----------------------------------------------------------
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -599,21 +591,6 @@ class Tensor:
                 self._accumulate(g, fresh=True)
 
         return _node(data, (self,), backward)
-
-    @staticmethod
-    def concatenate(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = tuple([Tensor.as_tensor(t) for t in tensors])
-        offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
-
-        def backward(out) -> None:
-            for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    sl = [slice(None)] * out.ndim
-                    sl[axis] = slice(int(start), int(stop))
-                    t._accumulate(out.grad[tuple(sl)])
-
-        return _node(np.concatenate([t.data for t in tensors], axis=axis),
-                     tensors, backward)
 
     @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":

@@ -1,9 +1,8 @@
 """Simulated MPI for the MSA reproduction.
 
-An in-process SPMD MPI implementation with the mpi4py API flavour: lowercase
-methods (``send``/``recv``/``bcast``/``allreduce``) communicate generic
-Python objects, uppercase methods (``Send``/``Recv``/``Bcast``/``Allreduce``)
-communicate NumPy buffers in place.
+An in-process SPMD MPI implementation with the mpi4py API flavour: the
+lowercase methods (``send``/``recv``/``bcast``/``allreduce``) communicate
+Python objects and NumPy arrays.
 
 Two things distinguish it from a toy:
 
@@ -24,7 +23,7 @@ The FPGA Global Collective Engine of the ESB module (Fig. 1) is modelled in
 """
 
 from repro.mpi.runtime import run_spmd, SpmdFailure
-from repro.mpi.comm import Communicator, Request, ReduceOp, ANY_SOURCE, ANY_TAG
+from repro.mpi.comm import Communicator, ReduceOp, ANY_SOURCE, ANY_TAG
 from repro.mpi.transport import Transport, RankState
 from repro.mpi.gce import GlobalCollectiveEngine, gce_allreduce
 from repro.mpi.modular import ModularCostModel, run_modular_spmd
@@ -33,7 +32,6 @@ __all__ = [
     "run_spmd",
     "SpmdFailure",
     "Communicator",
-    "Request",
     "ReduceOp",
     "ANY_SOURCE",
     "ANY_TAG",

@@ -1,11 +1,9 @@
 """The communicator: mpi4py-flavoured API over the inbox transport.
 
-Lowercase methods (``send``, ``recv``, ``bcast``, ``scatter``, ``gather``,
-``allgather``, ``reduce``, ``allreduce``, ``alltoall``, ``barrier``)
-communicate arbitrary Python objects.  Uppercase methods (``Send``,
-``Recv``, ``Bcast``, ``Reduce``, ``Allreduce``, ``Allgather``) operate on
-NumPy buffers, filling receive buffers in place — the fast path that
-distributed training uses, mirroring mpi4py's convention.
+The lowercase methods (``send``, ``recv``, ``bcast``, ``gather``,
+``allgather``, ``reduce``, ``allreduce``, ``reduce_scatter``, ``barrier``)
+communicate arbitrary Python objects; a SUM ``allreduce`` of an array
+with at least one element per rank runs the ring on a C-ordered copy.
 
 Simulated time: all traffic is charged to each rank's logical clock using
 the communicator's :class:`~repro.simnet.costs.CommCostModel` (a fabric
@@ -70,45 +68,6 @@ _DEFAULT_COST_MODEL = CommCostModel.of_kind(LinkKind.INFINIBAND_HDR)
 _UNTRACED = nullcontext()
 
 
-class Request:
-    """Completed-immediately request handle (sends are buffered)."""
-
-    def __init__(self, value: Any = None) -> None:
-        self._value = value
-
-    def wait(self) -> Any:
-        return self._value
-
-    def test(self) -> tuple[bool, Any]:
-        return True, self._value
-
-
-class RecvRequest:
-    """A genuinely non-blocking receive: matched on wait()/test()."""
-
-    def __init__(self, comm: "Communicator", source: int, tag: int) -> None:
-        self._comm = comm
-        self._source = source
-        self._tag = tag
-        self._done = False
-        self._value: Any = None
-
-    def test(self) -> tuple[bool, Any]:
-        """Non-destructively check for a match; completes if present."""
-        if self._done:
-            return True, self._value
-        if not self._comm.probe(self._source, self._tag):
-            return False, None
-        return True, self.wait()
-
-    def wait(self) -> Any:
-        if not self._done:
-            self._value = self._comm._recv_raw(
-                source=self._source, tag=self._tag).payload
-            self._done = True
-        return self._value
-
-
 class Communicator:
     """A process group over a :class:`Transport`.
 
@@ -136,7 +95,7 @@ class Communicator:
         #: Optional :class:`~repro.resilience.integrity.IntegrityContext`
         #: shared world-wide; wraps every message in a checksummed envelope
         #: and/or injects the fault plan's silent message corruption.
-        #: Inherited by communicators derived via Split/shrink/Dup.
+        #: Inherited by communicators derived via Split/shrink.
         self.integrity = integrity
         self.state: RankState = transport.states[self.group[rank]]
         self._coll_seq = 0  # per-communicator collective sequence for tag isolation
@@ -156,13 +115,6 @@ class Communicator:
             self._envelope_cls = Envelope
             self._trusted_crc = TRUSTED_CRC
 
-    # -- mpi4py-style accessors ---------------------------------------------
-    def Get_rank(self) -> int:
-        return self.rank
-
-    def Get_size(self) -> int:
-        return self.size
-
     @property
     def sim_time(self) -> float:
         """This rank's simulated clock (seconds)."""
@@ -177,7 +129,6 @@ class Communicator:
             tracer.record("compute", "compute", self.state.sim_time, seconds,
                           track="mpi", lane=self._lane())
         self.state.advance(seconds)
-        self.state.compute_time += seconds
 
     # -- telemetry ------------------------------------------------------------
     def _lane(self) -> str:
@@ -250,9 +201,7 @@ class Communicator:
         state.messages_sent += 1
         # Sender-side overhead: the message latency term; transmission
         # overlaps with subsequent computation (eager/buffered send).
-        alpha = self._alpha
-        state.advance(alpha)
-        state.comm_time += alpha
+        state.advance(self._alpha)
         # Stamped with the arrival time for the receiver.
         self.transport.put(dst, Message(
             self.rank, tag, self.context, obj, send_time + cost, nbytes))
@@ -260,11 +209,7 @@ class Communicator:
     def _recv_raw(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message:
         msg = self.transport.get(self._world_rank, source, tag, self.context)
         state = self.state
-        before = state.sim_time
         state.observe(msg.send_time)
-        state.comm_time += state.sim_time - before
-        state.bytes_received += msg.nbytes
-        state.messages_received += 1
         if self.integrity is not None and type(msg.payload) is self._envelope_cls:
             trusted = msg.payload.crc == self._trusted_crc
             payload, penalty = self.integrity.inbound(msg.payload)
@@ -277,7 +222,6 @@ class Communicator:
                 # Detected corruption: charge the retransmission to the
                 # receiver's simulated clock.
                 state.advance(penalty)
-                state.comm_time += penalty
         return msg
 
     # -- lowercase object API -------------------------------------------------
@@ -286,31 +230,11 @@ class Communicator:
         with self._traced("send", obj):
             self._send_raw(dest, obj, tag)
 
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        self.send(obj, dest, tag)
-        return Request()
-
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         if tag != ANY_TAG:
             self._check_user_tag(tag)
         with self._traced("recv"):
             return self._recv_raw(source=source, tag=tag).payload
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> "RecvRequest":
-        """Non-blocking receive; complete it with ``wait()`` or ``test()``."""
-        if tag != ANY_TAG:
-            self._check_user_tag(tag)
-        return RecvRequest(self, source, tag)
-
-    def sendrecv(
-        self, sendobj: Any, dest: int, source: int, sendtag: int = 0, recvtag: int = ANY_TAG
-    ) -> Any:
-        self.send(sendobj, dest, sendtag)
-        return self.recv(source=source, tag=recvtag)
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        return self.transport.probe(
-            self._world_rank, source, tag, self.context) is not None
 
     @staticmethod
     def _check_user_tag(tag: int) -> None:
@@ -336,18 +260,6 @@ class Communicator:
             return collectives.binomial_bcast(self, obj, root,
                                               self._next_coll_tag())
 
-    def scatter(self, objs: Optional[Sequence[Any]], root: int = 0) -> Any:
-        tag = self._next_coll_tag()
-        with self._traced("scatter", objs):
-            if self.rank == root:
-                if objs is None or len(objs) != self.size:
-                    raise ValueError("root must pass one object per rank")
-                for dst in range(self.size):
-                    if dst != root:
-                        self._send_raw(dst, objs[dst], tag)
-                return objs[root]
-            return self._recv_raw(source=root, tag=tag).payload
-
     def gather(self, obj: Any, root: int = 0) -> Optional[list]:
         tag = self._next_coll_tag()
         with self._traced("gather", obj):
@@ -365,23 +277,6 @@ class Communicator:
         with self._traced("allgather", obj):
             return collectives.ring_allgather(self, obj,
                                               self._next_coll_tag())
-
-    def alltoall(self, objs: Sequence[Any]) -> list:
-        if len(objs) != self.size:
-            raise ValueError("alltoall needs one object per rank")
-        tag = self._next_coll_tag()
-        with self._traced("alltoall", objs):
-            out: list[Any] = [None] * self.size
-            out[self.rank] = objs[self.rank]
-            # Rotating pairwise schedule: step k sends to rank+k, receives
-            # from rank-k — deadlock-free because sends are buffered.
-            for step in range(1, self.size):
-                send_to = (self.rank + step) % self.size
-                recv_from = (self.rank - step) % self.size
-                self._send_raw(send_to, objs[send_to], tag)
-                msg = self._recv_raw(source=recv_from, tag=tag)
-                out[recv_from] = msg.payload
-            return out
 
     def reduce(self, obj: Any, op: str = ReduceOp.SUM, root: int = 0) -> Any:
         with self._traced("reduce", obj):
@@ -410,58 +305,6 @@ class Communicator:
         with self._traced("reduce_scatter", array):
             return collectives.ring_reduce_scatter(
                 self, array, self._next_coll_tag())
-
-    def scan(self, obj: Any, op: str = ReduceOp.SUM) -> Any:
-        """Inclusive prefix reduction."""
-        tag = self._next_coll_tag()
-        with self._traced("scan", obj):
-            fn = ReduceOp.func(op)
-            acc = obj
-            if self.rank > 0:
-                prev = self._recv_raw(source=self.rank - 1, tag=tag).payload
-                acc = fn(prev, obj)
-            if self.rank < self.size - 1:
-                self._send_raw(self.rank + 1, acc, tag)
-            return acc
-
-    # -- uppercase buffer API ----------------------------------------------------
-    @staticmethod
-    def _as_array(buf: np.ndarray) -> np.ndarray:
-        if not isinstance(buf, np.ndarray):
-            raise TypeError("uppercase methods require numpy arrays")
-        return buf
-
-    def Send(self, buf: np.ndarray, dest: int, tag: int = 0) -> None:
-        self.send(self._as_array(buf).copy(), dest, tag)
-
-    def Recv(self, buf: np.ndarray, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> None:
-        data = self.recv(source=source, tag=tag)
-        arr = self._as_array(buf)
-        arr[...] = np.asarray(data).reshape(arr.shape)
-
-    def Bcast(self, buf: np.ndarray, root: int = 0) -> None:
-        arr = self._as_array(buf)
-        out = self.bcast(arr if self.rank == root else None, root=root)
-        if self.rank != root:
-            arr[...] = np.asarray(out).reshape(arr.shape)
-
-    def Reduce(self, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray],
-               op: str = ReduceOp.SUM, root: int = 0) -> None:
-        result = self.reduce(self._as_array(sendbuf).copy(), op=op, root=root)
-        if self.rank == root:
-            if recvbuf is None:
-                raise ValueError("root must pass recvbuf")
-            recvbuf[...] = np.asarray(result).reshape(recvbuf.shape)
-
-    def Allreduce(self, sendbuf: np.ndarray, recvbuf: np.ndarray,
-                  op: str = ReduceOp.SUM) -> None:
-        result = self.allreduce(self._as_array(sendbuf).copy(), op=op)
-        recvbuf[...] = np.asarray(result).reshape(recvbuf.shape)
-
-    def Allgather(self, sendbuf: np.ndarray, recvbuf: np.ndarray) -> None:
-        parts = self.allgather(self._as_array(sendbuf).copy())
-        stacked = np.concatenate([np.asarray(p).ravel() for p in parts])
-        recvbuf[...] = stacked.reshape(recvbuf.shape)
 
     # -- communicator management -----------------------------------------------
     def Split(self, color: int, key: int = 0) -> Optional["Communicator"]:
@@ -507,16 +350,6 @@ class Communicator:
         if len(dead) >= self.size:
             raise ValueError("cannot shrink away every rank")
         return self.Split(-1 if self.rank in dead else 0, key=self.rank)
-
-    def Dup(self) -> "Communicator":
-        ctx = self.bcast(
-            self.transport.allocate_context() if self.rank == 0 else None, root=0
-        )
-        return Communicator(
-            self.transport, self.rank, group=list(self.group),
-            context=ctx * 4096 + 4095, cost_model=self.cost_model,
-            integrity=self.integrity,
-        )
 
     def with_cost_model(self, cost_model: CommCostModel) -> "Communicator":
         """Same group/context, different fabric model (e.g. GCE offload)."""

@@ -99,9 +99,6 @@ class ModularCostModel:
                 self.module_models[m_dst].beta)
         return a + nbytes * b
 
-    def spans_modules(self) -> bool:
-        return len(set(self.rank_module)) > 1
-
 
 def run_modular_spmd(
     fn: Callable,

@@ -78,11 +78,7 @@ class RankState:
     rank: int
     sim_time: float = 0.0
     bytes_sent: int = 0
-    bytes_received: int = 0
     messages_sent: int = 0
-    messages_received: int = 0
-    compute_time: float = 0.0
-    comm_time: float = 0.0
     #: Integrity-envelope accounting (only moves when an
     #: :class:`~repro.resilience.integrity.IntegrityContext` is installed):
     #: full payload-checksum computations vs trusted fast-path envelopes
@@ -159,21 +155,3 @@ class Transport:
         except queue.Empty:
             raise TransportAborted(
                 "SPMD world aborted while receiving") from None
-
-    def probe(
-        self, dest: int, source: int = ANY_SOURCE, tag: int = ANY_TAG, context: int = 0
-    ) -> Optional[Message]:
-        """Non-destructive check for a matching message (returns it or None)."""
-        parked = self._parked[dest]
-        take = self._inboxes[dest].get_nowait
-        try:
-            while True:
-                msg = take()
-                if msg is not None:
-                    parked.append(msg)
-        except queue.Empty:
-            pass
-        for msg in parked:
-            if _matches(msg, source, tag, context):
-                return msg
-        return None

@@ -5,7 +5,7 @@ the Advantage system with 5000 qubits and 35000 couplers via D-Wave Leap /
 JUNIQ) as MSA accelerators for ML optimisation problems, specifically a
 quantum SVM limited to binary classification and sub-sampled data.
 
-* :mod:`repro.quantum.qubo` — QUBO/Ising problem containers,
+* :mod:`repro.quantum.qubo` — the QUBO problem container,
 * :mod:`repro.quantum.topology` — the 2000Q / Advantage hardware budgets
   and their complete-graph embedding capacity (the sub-sampling constraint),
 * :mod:`repro.quantum.annealer` — a simulated annealer honouring a
@@ -14,7 +14,7 @@ quantum SVM limited to binary classification and sub-sampled data.
   (Willsch et al.), with the ensemble construction of ref [11].
 """
 
-from repro.quantum.qubo import Qubo, IsingModel
+from repro.quantum.qubo import Qubo
 from repro.quantum.topology import (
     DeviceTopology,
     DWAVE_2000Q,
@@ -25,7 +25,6 @@ from repro.quantum.qsvm import QuantumSVM, QSvmEnsemble
 
 __all__ = [
     "Qubo",
-    "IsingModel",
     "DeviceTopology",
     "DWAVE_2000Q",
     "DWAVE_ADVANTAGE",

@@ -33,14 +33,6 @@ class AnnealResult:
     chain_length: int
     physical_qubits: int
 
-    @property
-    def best(self) -> np.ndarray:
-        return self.samples[0]
-
-    @property
-    def best_energy(self) -> float:
-        return float(self.energies[0])
-
     def lowest(self, k: int) -> np.ndarray:
         """The k lowest-energy distinct samples."""
         seen: set[bytes] = set()

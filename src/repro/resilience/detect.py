@@ -78,7 +78,6 @@ class _Endpoint:
     registered_at: float
     last_beat: Optional[float] = None
     intervals: deque = field(default_factory=deque)
-    beats: int = 0
 
 
 class PhiAccrualDetector:
@@ -120,7 +119,6 @@ class PhiAccrualDetector:
             while len(ep.intervals) > self.config.window:
                 ep.intervals.popleft()
         ep.last_beat = now
-        ep.beats += 1
         self._suspected.discard(key)
 
     # -- reading --------------------------------------------------------------
@@ -170,12 +168,6 @@ class PhiAccrualDetector:
     def suspicion_levels(self, now: float) -> dict:
         """``{key: phi}`` for every monitored endpoint (sorted keys)."""
         return {key: self.phi(key, now) for key in self.monitored()}
-
-    def suspects(self, now: float,
-                 threshold: Optional[float] = None) -> list:
-        """Monitored endpoints whose phi exceeds ``threshold``, sorted."""
-        return [key for key in self.monitored()
-                if self.suspect(key, now, threshold)]
 
     def publish(self, registry, now: float, component: str = "detector"
                 ) -> None:

@@ -18,9 +18,8 @@ class CheckpointPolicy:
     """When and where training snapshots are taken.
 
     * ``every_steps`` — checkpoint cadence in optimiser steps,
-    * ``prefer`` — primary target (``"nam"`` fast path or ``"pfs"``),
-    * ``fallback`` — on a missing/corrupt primary, fall back to the other
-      target instead of failing the restore,
+    * ``prefer`` — primary target (``"nam"`` fast path or ``"pfs"``); a
+      restore falls back to the other target on a missing/corrupt primary,
     * ``replicate`` — write every snapshot to *both* targets so the
       fallback copy exists (NAM is volatile memory; the PFS replica is what
       survives a NAM loss).
@@ -28,7 +27,6 @@ class CheckpointPolicy:
 
     every_steps: int = 10
     prefer: str = "nam"
-    fallback: bool = True
     replicate: bool = False
 
     def __post_init__(self) -> None:
@@ -36,8 +34,6 @@ class CheckpointPolicy:
             raise ValueError("every_steps must be >= 1")
         if self.prefer not in ("nam", "pfs"):
             raise ValueError("prefer must be 'nam' or 'pfs'")
-        if self.replicate and not self.fallback:
-            raise ValueError("replicate without fallback is wasted I/O")
 
     @property
     def secondary(self) -> str:
@@ -51,6 +47,4 @@ class CheckpointPolicy:
 
     def restore_order(self) -> tuple[str, ...]:
         """Targets to try on restore, in order."""
-        if self.fallback:
-            return (self.prefer, self.secondary)
-        return (self.prefer,)
+        return (self.prefer, self.secondary)

@@ -101,18 +101,6 @@ class ResilienceReport:
             return None
         return sum(r.time_to_recover for r in self.recoveries) / len(self.recoveries)
 
-    def retries_per_job(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for rq in self.requeues:
-            out[rq.job_name] = out.get(rq.job_name, 0) + 1
-        return out
-
-    def backoff_schedule(self, job_name: str) -> list[float]:
-        """Backoff delays a job actually received, in attempt order."""
-        return [rq.backoff_s for rq in
-                sorted((r for r in self.requeues if r.job_name == job_name),
-                       key=lambda r: r.attempt)]
-
     def publish_metrics(self, registry=None) -> None:
         """Publish the report's headline numbers into a metrics registry."""
         from repro import telemetry

@@ -78,10 +78,6 @@ class RetryPolicy:
         u = _stable_uniform(self.seed, key, attempt)
         return min(raw * (1.0 + self.jitter * u), self.max_delay_s)
 
-    def delays(self, key: str = "") -> list[float]:
-        """The full backoff schedule for one job."""
-        return [self.delay(a, key) for a in range(1, self.max_retries + 1)]
-
     def delay_within(self, attempt: int, now: float, deadline_s: float,
                      key: str = "") -> float:
         """Deadline-aware jittered backoff: the :meth:`delay` for
@@ -126,34 +122,26 @@ class RetryBudget:
             raise ValueError("floor must be non-negative")
         self.ratio = ratio
         self.burst = burst
-        self._tokens = floor
+        self.tokens = floor
         self.spent = 0.0
         self.refused = 0
         self.forced_overdraft = 0.0
 
     @property
-    def tokens(self) -> float:
-        return self._tokens
-
-    @property
-    def exhausted(self) -> bool:
-        return self._tokens < 1.0
-
-    @property
     def in_overdraft(self) -> bool:
         """True while forced retries have outrun the earned budget."""
-        return self._tokens < 0.0
+        return self.tokens < 0.0
 
     def note_request(self, n: float = 1.0) -> None:
         """Earn budget: ``n`` admitted requests worth of retry tokens."""
         if n < 0:
             raise ValueError("cannot earn negative budget")
-        self._tokens = min(self.burst, self._tokens + n * self.ratio)
+        self.tokens = min(self.burst, self.tokens + n * self.ratio)
 
     def try_spend(self, n: float = 1.0) -> bool:
         """Spend ``n`` tokens if the pool covers them (optional work)."""
-        if self._tokens >= n:
-            self._tokens -= n
+        if self.tokens >= n:
+            self.tokens -= n
             self.spent += n
             return True
         self.refused += 1
@@ -161,8 +149,8 @@ class RetryBudget:
 
     def spend_forced(self, n: float = 1.0) -> None:
         """Spend unconditionally (mandatory failover); may go negative."""
-        self._tokens -= n
+        self.tokens -= n
         self.spent += n
-        if self._tokens < 0:
+        if self.tokens < 0:
             self.forced_overdraft = max(self.forced_overdraft,
-                                        -self._tokens)
+                                        -self.tokens)

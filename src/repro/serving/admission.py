@@ -33,8 +33,6 @@ class TokenBucket:
     """
 
     def __init__(self, rate_per_s: float, burst: float) -> None:
-        if rate_per_s > 0 and burst < 1:
-            raise ValueError("burst capacity must hold at least one token")
         self.rate_per_s = rate_per_s
         self.burst = burst
         self._tokens = burst
@@ -67,8 +65,9 @@ class AdmissionPolicy:
     burst: float = 50.0
     max_queue_depth: int = 0
 
-    def bucket(self) -> TokenBucket:
-        return TokenBucket(self.rate_limit_per_s, self.burst)
+    def __post_init__(self) -> None:
+        if self.rate_limit_per_s > 0 and self.burst < 1:
+            raise ValueError("burst capacity must hold at least one token")
 
 
 @dataclass(frozen=True)
@@ -92,9 +91,7 @@ class AdmissionController:
 
     def __init__(self, policy: AdmissionPolicy) -> None:
         self.policy = policy
-        self._bucket = policy.bucket()
-        self.n_rate_limited = 0
-        self.n_shed = 0
+        self._bucket = TokenBucket(policy.rate_limit_per_s, policy.burst)
 
     def decide(
         self,
@@ -114,15 +111,11 @@ class AdmissionController:
         pre-defense gate exactly.
         """
         if not self._bucket.try_take(now):
-            self.n_rate_limited += 1
             return AdmissionDecision(False, "rate-limited")
         if 0 < self.policy.max_queue_depth <= queue_depth:
-            self.n_shed += 1
             return AdmissionDecision(False, "shed", "queue-depth")
         if brownout_level >= 2 and tier == "bronze":
-            self.n_shed += 1
             return AdmissionDecision(False, "shed", "brownout-bronze")
         if brownout_level >= 3 and not cacheable:
-            self.n_shed += 1
             return AdmissionDecision(False, "shed", "brownout-uncached")
         return self._ADMITTED

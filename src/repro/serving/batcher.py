@@ -91,9 +91,6 @@ class MicroBatcher:
             self.enqueue(req, req.arrival_s, front=True)
 
     # -- inspection ---------------------------------------------------------
-    def depth_of(self, model: str) -> int:
-        return len(self._queues.get(model, ()))
-
     def ready_model(self, now: float) -> Optional[str]:
         """The model whose queue should dispatch now, or ``None``.
 

@@ -34,7 +34,6 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.coalesced = 0
-        self.evictions = 0
 
     @property
     def enabled(self) -> bool:
@@ -94,7 +93,6 @@ class ResultCache:
         self._store.move_to_end(key)
         while len(self._store) > self.capacity:
             self._store.popitem(last=False)
-            self.evictions += 1
         return waiters
 
     def abandon(self, key: int) -> list[int]:

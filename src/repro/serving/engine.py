@@ -25,8 +25,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from repro import telemetry
 from repro.core.presets import small_msa_system
 from repro.core.stats import slide_sorted
@@ -107,8 +105,6 @@ class ServingConfig:
     nodes_per_replica: int = 1
     cache_capacity: int = 0            # 0 disables the result cache
     cache_lookup_s: float = 2.0e-4
-    #: Lognormal sigma multiplying batch service times (0 = analytic model).
-    service_jitter: float = 0.0
     #: Partition/gray-failure defenses (disabled by default — enabling
     #: changes dispatch, admission and failover behaviour).
     defense: DefenseConfig = field(default_factory=DefenseConfig)
@@ -116,8 +112,8 @@ class ServingConfig:
     def __post_init__(self) -> None:
         if self.initial_replicas < 1:
             raise ValueError("need at least one initial replica")
-        if self.cache_lookup_s < 0 or self.service_jitter < 0:
-            raise ValueError("cache_lookup_s/service_jitter must be >= 0")
+        if self.cache_lookup_s < 0:
+            raise ValueError("cache_lookup_s must be >= 0")
 
 
 @dataclass
@@ -274,7 +270,6 @@ class ServingEngine:
         #: req_id -> failover retry count (drives the backoff schedule).
         self._retries: dict[int, int] = {}
         self._window: list[float] = []
-        self._jitter_rng = np.random.default_rng(config.trace.seed + 0x5EED)
         self._ran = False
         # -- defense parts: always built; ``defended`` gates the sites where
         # -- behaviour differs (breakers stay empty when it is off) ---------
@@ -438,9 +433,6 @@ class ServingEngine:
         now = self.sim.now
         samples = sum(r.n_samples for r in requests)
         service = self.pool.batch_time(replica, samples)
-        if self.config.service_jitter > 0:
-            service *= float(self._jitter_rng.lognormal(
-                0.0, self.config.service_jitter))
         # Gray failure: the replica computes, just inflated by the episode
         # factor while the fault window is active.
         service *= self._gray_factor(replica, now)
@@ -532,7 +524,6 @@ class ServingEngine:
         batch = replica.inflight
         assert batch is not None, "batch completion for an idle replica"
         replica.inflight = None
-        replica.busy_s += now - batch.start
         group: Optional[HedgeGroup] = batch.group
         if group is not None:
             if group.completed:
@@ -582,7 +573,6 @@ class ServingEngine:
                 if ob.done_evt is not None:
                     ob.done_evt.cancel()
                 other.inflight = None
-                other.busy_s += now - ob.start
                 wasted += now - max(ob.start, group.issued_at)
                 # Losing a hedge race is evidence against the replica —
                 # feeding it to the breaker is what actually quarantines

@@ -54,7 +54,6 @@ class Replica:
     started_at: float
     up: bool = True
     inflight: Optional[InflightBatch] = None
-    busy_s: float = 0.0
 
     @property
     def idle(self) -> bool:

@@ -37,7 +37,6 @@ from repro.simnet.costs import (
     allreduce_ring_time,
     allreduce_recursive_doubling_time,
     allreduce_rabenseifner_time,
-    broadcast_binomial_time,
     allgather_ring_time,
     reduce_scatter_time,
     best_allreduce_time,
@@ -62,7 +61,6 @@ __all__ = [
     "allreduce_ring_time",
     "allreduce_recursive_doubling_time",
     "allreduce_rabenseifner_time",
-    "broadcast_binomial_time",
     "allgather_ring_time",
     "reduce_scatter_time",
     "best_allreduce_time",

@@ -71,14 +71,6 @@ def allreduce_rabenseifner_time(
     return 2 * steps * alpha + 2 * nbytes * beta * frac + nbytes * gamma * frac
 
 
-def broadcast_binomial_time(p: int, nbytes: float, alpha: float, beta: float) -> float:
-    """Binomial-tree broadcast."""
-    _check(p, nbytes)
-    if p == 1:
-        return 0.0
-    return math.ceil(math.log2(p)) * (alpha + nbytes * beta)
-
-
 def allgather_ring_time(p: int, nbytes_per_rank: float, alpha: float, beta: float) -> float:
     """Ring allgather: p-1 steps, each moving one rank's block."""
     _check(p, nbytes_per_rank)
@@ -134,14 +126,6 @@ class CommCostModel:
     def ptp(self, nbytes: float) -> float:
         return ptp_time(self.alpha, self.beta, nbytes)
 
-    def scaled(self, alpha_factor: float = 1.0, beta_factor: float = 1.0) -> "CommCostModel":
-        """Derive a model with scaled constants (used by the GCE offload)."""
-        return CommCostModel(
-            alpha=self.alpha * alpha_factor,
-            beta=self.beta * beta_factor,
-            gamma=self.gamma,
-        )
-
 
 @dataclass(frozen=True)
 class CollectiveCosts:
@@ -161,9 +145,6 @@ class CollectiveCosts:
         if algorithm == "rabenseifner":
             return allreduce_rabenseifner_time(p, nbytes, m.alpha, m.beta, m.gamma)
         raise ValueError(f"unknown allreduce algorithm {algorithm!r}")
-
-    def broadcast(self, p: int, nbytes: float) -> float:
-        return broadcast_binomial_time(p, nbytes, self.model.alpha, self.model.beta)
 
     def allgather(self, p: int, nbytes_per_rank: float) -> float:
         return allgather_ring_time(p, nbytes_per_rank, self.model.alpha, self.model.beta)

@@ -52,10 +52,6 @@ class Event:
     def triggered(self) -> bool:
         return self._triggered
 
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
     def cancel(self) -> None:
         """Prevent a pending event from firing.
 
@@ -212,9 +208,6 @@ class Simulator:
         self._processed = 0
 
     # -- event primitives -------------------------------------------------
-    def event(self, name: str = "") -> Event:
-        return Event(self, name=name)
-
     def timeout(self, delay: float, value: Any = None, name: str = "timeout") -> Event:
         # schedule() inlined — same check, same key, one frame not four.
         if not delay >= 0:
@@ -298,23 +291,6 @@ class Simulator:
 
         for i, evt in enumerate(events):
             evt.add_callback(make_cb(i))
-        return done
-
-    def any_of(self, events: Iterable[Event], name: str = "any_of") -> Event:
-        """Event that triggers when the first input event triggers."""
-        done = Event(self, name=name)
-        state = {"fired": False}
-
-        def cb(evt: Event) -> None:
-            if not state["fired"]:
-                state["fired"] = True
-                done.succeed(evt.value)
-
-        events = list(events)
-        if not events:
-            raise SimulationError("any_of needs at least one event")
-        for evt in events:
-            evt.add_callback(cb)
         return done
 
     # -- execution ---------------------------------------------------------

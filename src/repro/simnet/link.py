@@ -63,12 +63,6 @@ class Link:
             raise ValueError("nbytes must be non-negative")
         return self.latency_s + nbytes / self.bandwidth_Bps
 
-    def effective_bandwidth(self, nbytes: float) -> float:
-        """Achieved bytes/s for a transfer of ``nbytes`` (latency-degraded)."""
-        if nbytes <= 0:
-            return 0.0
-        return nbytes / self.transfer_time(nbytes)
-
     def degraded(self, factor: float) -> "Link":
         """This link running degraded: bandwidth divided by ``factor``.
 

@@ -41,14 +41,6 @@ class Topology:
         self._path_cache.clear()
 
     # -- queries -----------------------------------------------------------
-    @property
-    def terminals(self) -> list:
-        return [n for n, d in self.graph.nodes(data=True) if d.get("terminal", True)]
-
-    @property
-    def switches(self) -> list:
-        return [n for n, d in self.graph.nodes(data=True) if not d.get("terminal", True)]
-
     def path(self, src: Hashable, dst: Hashable) -> list:
         """Latency-weighted shortest path (cached)."""
         key = (src, dst)
@@ -57,9 +49,6 @@ class Topology:
                 self.graph, src, dst, weight=lambda u, v, d: d["link"].latency_s
             )
         return self._path_cache[key]
-
-    def hop_count(self, src: Hashable, dst: Hashable) -> int:
-        return len(self.path(src, dst)) - 1
 
     def path_latency(self, src: Hashable, dst: Hashable) -> float:
         """Sum of per-hop latencies along the route."""
@@ -87,19 +76,6 @@ class Topology:
             raise ValueError("concurrent_flows must be >= 1")
         bottleneck = self.path_bandwidth(src, dst) / concurrent_flows
         return self.path_latency(src, dst) + nbytes / bottleneck
-
-    def bisection_links(self) -> int:
-        """Number of edges crossing a (roughly) even terminal bipartition.
-
-        A cheap proxy for bisection bandwidth used in topology sanity tests.
-        """
-        terminals = sorted(self.terminals, key=str)
-        half = set(terminals[: len(terminals) // 2])
-        return sum(
-            1
-            for u, v in self.graph.edges
-            if (u in half) != (v in half)
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -180,13 +180,6 @@ class CheckpointManager:
         lineage = self._lineage(name, target)
         return lineage[-1] if lineage else None
 
-    def versions(self, name: str, target: Optional[str] = None
-                 ) -> tuple[CheckpointRecord, ...]:
-        """All lineage records of ``name`` (ascending version order)."""
-        targets = (target,) if target is not None else _TARGETS
-        records = [r for t in targets for r in self._lineage(name, t)]
-        return tuple(sorted(records, key=lambda r: (r.version, r.target)))
-
     # -- write -----------------------------------------------------------
     def _write_one(self, record: CheckpointRecord) -> float:
         if record.target == "nam":
@@ -404,28 +397,6 @@ class CheckpointManager:
         if target is not None:
             return bool(self._lineage(name, target))
         return any(self._lineage(name, t) for t in _TARGETS)
-
-    def latest_step(self, name: str) -> int:
-        """Newest step recorded under ``name`` across targets."""
-        steps = [r.step for t in _TARGETS for r in self._lineage(name, t)]
-        if not steps:
-            raise CheckpointError(f"no checkpoint named {name!r}")
-        return max(steps)
-
-    def drop(self, name: str, target: Optional[str] = None) -> None:
-        """Remove every version of ``name`` (all targets unless one given)."""
-        targets = (target,) if target is not None else _TARGETS
-        dropped = False
-        for t in targets:
-            lineage = self._versions.pop((name, t), None)
-            if not lineage:
-                continue
-            dropped = True
-            for record in lineage:
-                self._evict(record)
-        if not dropped:
-            where = f" on {target}" if target is not None else ""
-            raise CheckpointError(f"no checkpoint named {name!r}{where}")
 
     # -- fault-injection hook ------------------------------------------------
     def corrupt(self, name: str, target: Optional[str] = None,

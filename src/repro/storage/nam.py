@@ -25,7 +25,6 @@ GiB = 1024 ** 3
 class _Resident:
     name: str
     size_bytes: int
-    readers: int = 0
 
 
 class NetworkAttachedMemory:
@@ -79,7 +78,6 @@ class NetworkAttachedMemory:
             res = self._resident[name]
         except KeyError:
             raise FileNotFoundError(name) from None
-        res.readers += concurrent_readers
         effective = self.read_Bps / max(concurrent_readers, 1)
         return self.fabric_link.latency_s + res.size_bytes / effective
 

@@ -116,13 +116,6 @@ class TieredStore:
                                  tier=s.tier.value).inc(s.size_bytes)
         return slices
 
-    def drop(self, name: str) -> None:
-        slices = self._placements.pop(name, None)
-        if slices is None:
-            raise FileNotFoundError(name)
-        for s in slices:
-            self._used[s.tier] -= s.size_bytes
-
     def placement(self, name: str) -> list[TierPlacement]:
         try:
             return list(self._placements[name])

@@ -133,12 +133,6 @@ class SVC:
     def score(self, X: np.ndarray, y: np.ndarray) -> float:
         return float((self.predict(X) == np.asarray(y)).mean())
 
-    @property
-    def n_support_(self) -> int:
-        if self.support_vectors_ is None:
-            raise RuntimeError("fit before querying support vectors")
-        return int(self.support_vectors_.shape[0])
-
     def clone_unfitted(self) -> "SVC":
         return SVC(C=self.C, kernel=self.kernel_name, tol=self.tol,
                    max_passes=self.max_passes, max_iter=self.max_iter,

@@ -84,9 +84,6 @@ class Gauge:
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float:
         return self._value
@@ -133,9 +130,6 @@ class _NullInstrument:
     """Shared no-op counter/gauge/histogram for a disabled registry."""
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
         pass
 
     def set(self, value: float) -> None:

@@ -144,15 +144,6 @@ class Tracer:
                               track, lane, n, attrs))
         return sorted(spans, key=Span.sort_key)
 
-    def tracks(self) -> list[str]:
-        return sorted({s.track for s in self.spans})
-
-    def by_track(self, track: str) -> list[Span]:
-        return [s for s in self.spans if s.track == track]
-
-    def by_category(self, category: str) -> list[Span]:
-        return [s for s in self.spans if s.category == category]
-
     def clear(self) -> None:
         with self._lock:
             self._raw.clear()

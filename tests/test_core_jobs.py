@@ -52,10 +52,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             Job(name="j", phases=[])
 
-    def test_job_total_work(self):
-        job = Job(name="j", phases=[_phase(), _phase(work_flops=2e15)])
-        assert job.total_work_flops == 3e15
-
 
 class TestThroughputMatching:
     def test_gpu_phase_prefers_gpu_module(self):

@@ -230,22 +230,3 @@ class TestFairShare:
         assert gpu_job().user == "default"
 
 
-class TestHealthMonitors:
-    """External health feeds steering placement away from suspects."""
-
-    def test_monitor_nodes_avoided(self, small_system):
-        scheduler = MsaScheduler(small_system)
-        scheduler.attach_health_monitor(lambda: {"esb": {0, 1}})
-        assert scheduler.suspect_nodes("esb") == frozenset({0, 1})
-        assert scheduler.suspect_nodes("cm") == frozenset()
-
-    def test_monitor_must_be_callable(self, small_system):
-        scheduler = MsaScheduler(small_system)
-        with pytest.raises(TypeError):
-            scheduler.attach_health_monitor({"esb": {0}})
-
-    def test_monitors_union_with_quarantine(self, small_system):
-        scheduler = MsaScheduler(small_system)
-        scheduler.quarantine("esb", 3)
-        scheduler.attach_health_monitor(lambda: {"esb": {5}})
-        assert scheduler.suspect_nodes("esb") == frozenset({3, 5})

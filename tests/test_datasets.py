@@ -55,20 +55,6 @@ class TestBigEarthNet:
         nir = SENTINEL2_BANDS.index("B08")
         assert forest[:, nir].mean() > 4 * water[:, nir].mean()
 
-    def test_multilabel_mode(self):
-        cfg = BigEarthNetConfig(n_samples=40, patch_size=12, n_classes=6,
-                                multi_label=True, max_labels=3, seed=1)
-        X, Y = SyntheticBigEarthNet(cfg).generate_multilabel()
-        assert Y.shape == (40, 6)
-        per_sample = Y.sum(axis=1)
-        assert per_sample.min() >= 1
-        assert per_sample.max() <= 3
-
-    def test_single_label_mode_rejects_multilabel_call(self):
-        cfg = BigEarthNetConfig(multi_label=True)
-        with pytest.raises(ValueError):
-            SyntheticBigEarthNet(cfg).generate()
-
     def test_pixels_for_autoencoder(self):
         ds = SyntheticBigEarthNet(BigEarthNetConfig(n_classes=4, seed=0))
         spectra, labels = ds.pixels(100)

@@ -98,7 +98,7 @@ class TestZeroStage1:
         def fn(comm):
             model = MLP([2, 32, 2], seed=0)
             opt = ZeroStage1Optimizer(model.parameters(), comm, lr=0.01)
-            return opt.memory_saving_factor
+            return opt.unsharded_state_bytes / opt.local_state_bytes
 
         out = run_spmd(fn, 4)
         assert out[0] == pytest.approx(4.0, rel=0.2)

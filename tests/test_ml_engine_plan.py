@@ -282,8 +282,10 @@ class TestForwardOnlyMatchesParent:
     def _norm(self):
         x = Tensor(self.xs.astype(np.float32))
         mu = x.mean(axis=0, keepdims=True)
-        return ((x - mu) / (x.var(axis=0, keepdims=True) + 1e-5).sqrt()
-                ).abs().clip(0.0, 2.0).transpose()
+        centred = x - mu
+        var = ((x - x.mean(axis=0, keepdims=True)) ** 2).mean(axis=0,
+                                                             keepdims=True)
+        return (centred / (var + 1e-5) ** 0.5).abs().clip(0.0, 2.0).transpose()
 
     @pytest.mark.parametrize("graph, kernels, allocs, alloc_bytes", [
         ("_diamond", ["matmul", "add", "sigmoid+mul+tanh+relu+add+sum"],

@@ -79,9 +79,6 @@ class TestElementwiseGrads:
         x[np.abs(np.abs(x) - 1.0) < 0.05] = 0.0
         check_grad(lambda a: (a.clip(-1, 1) ** 2).sum(), x)
 
-    def test_sqrt(self):
-        check_grad(lambda a: a.sqrt().sum(), rng.uniform(0.5, 2.0, size=(4,)))
-
     def test_rsub_rdiv_radd_rmul(self):
         check_grad(lambda a: ((2.0 - a) + (1.0 / a) + (3.0 * a) + (1.0 + a)).sum(),
                    rng.uniform(0.5, 1.5, size=(4,)))
@@ -147,9 +144,6 @@ class TestReductionGrads:
         x = rng.normal(size=(4, 5))
         check_grad(lambda a: a.max(axis=1).sum(), x)
 
-    def test_var(self):
-        check_grad(lambda a: a.var(axis=0).sum(), rng.normal(size=(5, 3)))
-
 
 class TestShapeGrads:
     def test_reshape(self):
@@ -167,10 +161,6 @@ class TestShapeGrads:
 
     def test_getitem_sequence_axis(self):
         check_grad(lambda a: (a[:, 2, :] ** 2).sum(), rng.normal(size=(2, 4, 3)))
-
-    def test_concatenate(self):
-        check_grad(lambda a, b: (Tensor.concatenate([a, b], axis=1) ** 2).sum(),
-                   rng.normal(size=(2, 3)), rng.normal(size=(2, 2)))
 
     def test_stack(self):
         check_grad(lambda a, b: (Tensor.stack([a, b], axis=0) ** 2).sum(),

@@ -53,8 +53,8 @@ class TestModularCostModel:
         spanning = ModularCostModel.build(["booster", "cluster"], FABRICS)
         single = ModularCostModel.build(["booster", "booster"], FABRICS)
         assert spanning.alpha > single.alpha
-        assert spanning.spans_modules()
-        assert not single.spans_modules()
+        assert len(set(spanning.rank_module)) == 2
+        assert len(set(single.rank_module)) == 1
 
     def test_unknown_module_rejected(self):
         with pytest.raises(ValueError):

@@ -49,42 +49,12 @@ def test_gather(ws):
 
 
 @pytest.mark.parametrize("ws", SIZES)
-def test_scatter(ws):
-    def fn(comm):
-        objs = [f"item{i}" for i in range(comm.size)] if comm.rank == 0 else None
-        return comm.scatter(objs, root=0)
-
-    assert run_spmd(fn, ws) == [f"item{i}" for i in range(ws)]
-
-
-def test_scatter_wrong_length_raises():
-    from repro.mpi import SpmdFailure
-
-    def fn(comm):
-        comm.scatter([1] if comm.rank == 0 else None, root=0)
-
-    with pytest.raises(SpmdFailure):
-        run_spmd(fn, 3)
-
-
-@pytest.mark.parametrize("ws", SIZES)
 def test_allgather(ws):
     def fn(comm):
         return comm.allgather(comm.rank * 10)
 
     expected = [r * 10 for r in range(ws)]
     assert run_spmd(fn, ws) == [expected] * ws
-
-
-@pytest.mark.parametrize("ws", SIZES)
-def test_alltoall(ws):
-    def fn(comm):
-        objs = [(comm.rank, j) for j in range(comm.size)]
-        return comm.alltoall(objs)
-
-    out = run_spmd(fn, ws)
-    for r, row in enumerate(out):
-        assert row == [(j, r) for j in range(ws)]
 
 
 @pytest.mark.parametrize("ws", SIZES)
@@ -155,20 +125,6 @@ def test_ring_allreduce_inplace_rejects_a_non_contiguous_buffer():
     assert all(run_spmd(fn, 2))
 
 
-@pytest.mark.parametrize("ws", [2, 3, 4])
-def test_allgather_into_a_non_contiguous_recvbuf(ws):
-    def fn(comm):
-        backing = np.full((3, 2 * comm.size), -1.0)
-        recv = backing.T[::2]                   # (ws, 3), non-contiguous
-        comm.Allgather(np.full(3, float(comm.rank)), recv)
-        return backing
-
-    for backing in run_spmd(fn, ws):
-        np.testing.assert_array_equal(
-            backing.T[::2], np.repeat(np.arange(float(ws)), 3).reshape(ws, 3))
-        np.testing.assert_array_equal(backing.T[1::2], -1.0)
-
-
 @pytest.mark.parametrize("ws", [2, 4, 8])
 def test_allreduce_max_on_arrays(ws):
     def fn(comm):
@@ -180,34 +136,20 @@ def test_allreduce_max_on_arrays(ws):
 
 
 @pytest.mark.parametrize("ws", SIZES)
-def test_scan_prefix_sums(ws):
+def test_allreduce_sums_one_buffer_per_rank(ws):
     def fn(comm):
-        return comm.scan(comm.rank + 1)
-
-    assert run_spmd(fn, ws) == [sum(range(1, r + 2)) for r in range(ws)]
-
-
-@pytest.mark.parametrize("ws", SIZES)
-def test_uppercase_allreduce(ws):
-    def fn(comm):
-        send = np.full(16, comm.rank + 1.0)
-        recv = np.empty(16)
-        comm.Allreduce(send, recv)
-        return recv
+        return comm.allreduce(np.full(16, comm.rank + 1.0))
 
     for out in run_spmd(fn, ws):
         np.testing.assert_array_equal(out, np.full(16, ws * (ws + 1) / 2))
 
 
 @pytest.mark.parametrize("ws", [2, 4])
-def test_uppercase_bcast_reduce_allgather(ws):
+def test_bcast_reduce_allgather_of_buffers(ws):
     def fn(comm):
-        buf = np.arange(8.0) if comm.rank == 0 else np.empty(8)
-        comm.Bcast(buf, root=0)
-        recv = np.empty(8) if comm.rank == 0 else None
-        comm.Reduce(buf, recv, root=0)
-        gathered = np.empty(8 * comm.size)
-        comm.Allgather(np.full(8, float(comm.rank)), gathered)
+        buf = comm.bcast(np.arange(8.0) if comm.rank == 0 else None, root=0)
+        recv = comm.reduce(buf, root=0)
+        gathered = np.concatenate(comm.allgather(np.full(8, float(comm.rank))))
         return (buf, recv, gathered)
 
     out = run_spmd(fn, ws)
@@ -284,14 +226,3 @@ def test_reduce_nonzero_root(ws, root):
     assert all(out[r] is None for r in range(ws) if r != root)
 
 
-@pytest.mark.parametrize("ws", [3, 4, 6])
-def test_alltoall_large_payloads(ws):
-    def fn(comm):
-        blocks = [np.full(500, comm.rank * 10 + j, dtype=float)
-                  for j in range(comm.size)]
-        received = comm.alltoall(blocks)
-        return [float(r[0]) for r in received]
-
-    out = run_spmd(fn, ws)
-    for r, row in enumerate(out):
-        assert row == [j * 10 + r for j in range(ws)]

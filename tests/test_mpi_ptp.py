@@ -13,7 +13,7 @@ def test_world_size_one_runs_inline():
 
 
 def test_rank_and_size():
-    out = run_spmd(lambda comm: (comm.Get_rank(), comm.Get_size()), 4)
+    out = run_spmd(lambda comm: (comm.rank, comm.size), 4)
     assert out == [(0, 4), (1, 4), (2, 4), (3, 4)]
 
 
@@ -31,37 +31,12 @@ def test_send_recv_object():
 def test_send_recv_numpy_buffer():
     def fn(comm):
         if comm.rank == 0:
-            comm.Send(np.arange(10, dtype=np.float64), dest=1)
+            comm.send(np.arange(10, dtype=np.float64), dest=1)
             return None
-        buf = np.empty(10)
-        comm.Recv(buf, source=0)
-        return buf
+        return comm.recv(source=0)
 
     out = run_spmd(fn, 2)
     assert np.array_equal(out[1], np.arange(10))
-
-
-def test_isend_returns_completed_request():
-    def fn(comm):
-        if comm.rank == 0:
-            req = comm.isend("x", dest=1)
-            req.wait()
-            assert req.test() == (True, None)
-        else:
-            return comm.recv(source=0)
-
-    out = run_spmd(fn, 2)
-    assert out[1] == "x"
-
-
-def test_sendrecv_ring_rotation():
-    def fn(comm):
-        right = (comm.rank + 1) % comm.size
-        left = (comm.rank - 1) % comm.size
-        return comm.sendrecv(comm.rank, dest=right, source=left)
-
-    out = run_spmd(fn, 5)
-    assert out == [4, 0, 1, 2, 3]
 
 
 def test_any_source_any_tag():
@@ -88,18 +63,6 @@ def test_tag_matching_out_of_order():
 
     out = run_spmd(fn, 2)
     assert out[1] == ("first", "second")
-
-
-def test_probe():
-    def fn(comm):
-        if comm.rank == 0:
-            comm.send(1, dest=1, tag=5)
-            return None
-        while not comm.probe(source=0, tag=5):
-            pass
-        return comm.recv(source=0, tag=5)
-
-    assert run_spmd(fn, 2)[1] == 1
 
 
 def test_exception_propagates_and_unblocks():
@@ -134,15 +97,13 @@ def test_rank_args():
 def test_traffic_counters():
     def fn(comm):
         if comm.rank == 0:
-            comm.Send(np.zeros(100), dest=1)
+            comm.send(np.zeros(100), dest=1)
         elif comm.rank == 1:
-            buf = np.empty(100)
-            comm.Recv(buf, source=0)
-        return (comm.state.bytes_sent, comm.state.bytes_received)
+            comm.recv(source=0)
+        return (comm.state.bytes_sent, comm.state.messages_sent)
 
     out = run_spmd(fn, 2)
-    assert out[0][0] == 800
-    assert out[1][1] == 800
+    assert out == [(800, 1), (0, 0)]
 
 
 class TestSplitDup:
@@ -177,21 +138,6 @@ class TestSplitDup:
         out = run_spmd(fn, 3)
         assert out[0] is True
         assert out[1] == 2
-
-    def test_dup_isolates_traffic(self):
-        def fn(comm):
-            dup = comm.Dup()
-            if comm.rank == 0:
-                comm.send("world", dest=1, tag=3)
-                dup.send("dup", dest=1, tag=3)
-                return None
-            # Same (source, tag) on two communicators stays separated.
-            from_dup = dup.recv(source=0, tag=3)
-            from_world = comm.recv(source=0, tag=3)
-            return (from_world, from_dup)
-
-        out = run_spmd(fn, 2)
-        assert out[1] == ("world", "dup")
 
 
 class TestPayloadSize:

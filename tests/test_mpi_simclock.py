@@ -29,10 +29,9 @@ def test_message_charges_link_cost(hdr_fabric):
 
     def fn(comm):
         if comm.rank == 0:
-            comm.Send(np.zeros(125_000), dest=1)   # 1 MB
+            comm.send(np.zeros(125_000), dest=1)   # 1 MB
         else:
-            buf = np.empty(125_000)
-            comm.Recv(buf, source=0)
+            comm.recv(source=0)
         return comm.sim_time
 
     _, times = spmd_sim_times(fn, 2, cost_model=model)
@@ -86,16 +85,17 @@ def test_slower_fabric_slower_clock(hdr_fabric):
     assert max(t_slow) > max(t_fast)
 
 
-def test_comm_and_compute_time_accounted_separately():
+def test_compute_and_comm_both_advance_sim_time():
     def fn(comm):
         comm.compute(0.25)
+        after_compute = comm.sim_time
         comm.allreduce(np.ones(10_000))
-        return (comm.state.compute_time, comm.state.comm_time)
+        return (after_compute, comm.sim_time)
 
     out = run_spmd(fn, 4)
-    for compute, comm_t in out:
-        assert compute == pytest.approx(0.25)
-        assert comm_t > 0
+    for after_compute, after_comm in out:
+        assert after_compute == pytest.approx(0.25)
+        assert after_comm > after_compute
 
 
 def test_sim_clock_deterministic():

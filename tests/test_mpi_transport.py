@@ -54,8 +54,8 @@ class TestMatching:
         _fill(t, 0, (2, 9, "first"), (1, 9, "second"))
         assert t.get(0, ANY_SOURCE, 9).payload == "first"
         # A parked message arrived before anything still in the queue.
-        _fill(t, 0, (2, 1, "parked"))
-        assert t.probe(0, 2, 1).payload == "parked"
+        _fill(t, 0, (2, 1, "parked"), (2, 5, "key"))
+        assert t.get(0, 2, 5).payload == "key"      # parks "parked"
         _fill(t, 0, (1, 1, "queued"))
         assert t.get(0, ANY_SOURCE, 1).payload == "parked"
         assert t.get(0, ANY_SOURCE, ANY_TAG).payload == "second"
@@ -71,7 +71,6 @@ class TestMatching:
         t = Transport(2)
         t.put(0, _msg(1, 3, "child", context=4096))
         t.put(0, _msg(1, 3, "parent"))
-        assert t.probe(0, 1, 3, context=7) is None
         assert t.get(0, 1, 3).payload == "parent"
         assert t.get(0, 1, 3, context=4096).payload == "child"
 
@@ -87,17 +86,6 @@ class TestMatching:
                 return child.recv(source=0, tag=3), comm.recv(source=0, tag=3)
 
         assert run_spmd(fn, 4, timeout=10)[2] == ("child", "parent")
-
-    def test_probe_is_non_destructive_and_repeatable(self):
-        t = Transport(2)
-        assert t.probe(0) is None
-        _fill(t, 0, (1, 4, "m"))
-        first = t.probe(0, 1, 4)
-        assert first is not None and t.probe(0, 1, 4) is first
-        assert t.probe(0, ANY_SOURCE, ANY_TAG) is first
-        assert t.probe(0, 1, 5) is None
-        assert t.get(0, 1, 4) is first
-        assert t.probe(0, 1, 4) is None
 
     def test_many_senders_one_reader_loses_and_reorders_nothing(self):
         """More sender threads than cores, a short switch interval: every
@@ -130,7 +118,7 @@ class TestMatching:
                 assert not th.is_alive()
         finally:
             sys.setswitchinterval(old)
-        assert t.probe(0) is None
+        assert not t._parked[0] and t._inboxes[0].empty()
         odd = list(range(1, per_sender, 2))
         assert got[1] == odd + list(range(0, per_sender, 2))
         for s in range(2, senders + 1):
@@ -145,22 +133,20 @@ class TestWildcardsMatchUserTagsOnly:
     def test_transport_any_tag_skips_internal_tags(self):
         t = Transport(2)
         _fill(t, 0, (1, INTERNAL_TAG_BASE + 4096, "bcast"), (1, 7, "p2p"))
-        assert t.probe(0, 1, ANY_TAG).payload == "p2p"
         assert t.get(0, 1, ANY_TAG).payload == "p2p"
-        assert t.probe(0, 1, ANY_TAG) is None
         assert t.get(0, 1, INTERNAL_TAG_BASE + 4096).payload == "bcast"
 
     @pytest.mark.parametrize("world_size", [2, 4])
     @pytest.mark.parametrize("recv_first", [True, False])
-    @pytest.mark.parametrize("api", ["recv", "irecv"])
+    @pytest.mark.parametrize("api", ["recv", "recv_any_source"])
     def test_wildcard_recv_does_not_steal_a_bcast(self, world_size,
                                                   recv_first, api):
-        """Hung at the seed of this PR: rank 1's wildcard receive took
-        the bcast's message and the bcast then waited for ever."""
+        """Hung once: rank 1's wildcard receive took the bcast's message
+        and the bcast then waited for ever."""
         def wildcard(comm):
             if api == "recv":
                 return comm.recv(source=0)
-            return comm.irecv(source=0).wait()
+            return comm.recv()
 
         def fn(comm):
             if comm.rank == 0:
@@ -178,18 +164,6 @@ class TestWildcardsMatchUserTagsOnly:
         out = run_spmd(fn, world_size, timeout=5)
         assert [h for h, _ in out] == [{"h": 1}] * world_size
         assert out[1][1] == "p2p"
-
-    def test_wildcard_probe_ignores_collective_traffic(self):
-        def fn(comm):
-            if comm.rank == 0:
-                comm.bcast("h")
-                comm.send("go", dest=1, tag=2)
-                return None
-            comm.recv(source=0, tag=2)       # the bcast message is here too
-            seen = comm.probe(source=0)
-            return seen, comm.bcast(None)
-
-        assert run_spmd(fn, 2, timeout=5)[1] == (False, "h")
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +269,8 @@ def _ring_reference(flats):
 
 
 def _ring_ops(comm, x):
-    recv = np.empty(x.shape, dtype=np.result_type(x.dtype, np.float64)
-                    if x.dtype.kind == "f" else x.dtype)
-    comm.Allreduce(x, recv)
-    return comm.allreduce(x), comm.reduce_scatter(x), recv
+    first = comm.allreduce(x)
+    return comm.allreduce(x), comm.reduce_scatter(x), first
 
 
 @pytest.mark.parametrize("world_size", [2, 3, 4, 5])

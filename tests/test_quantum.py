@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from repro.quantum import (
     DWAVE_2000Q,
     DWAVE_ADVANTAGE,
-    IsingModel,
     QSvmEnsemble,
     QuantumSVM,
     Qubo,
@@ -71,34 +70,6 @@ class TestQubo:
             assert deltas[k] == pytest.approx(
                 qubo.energy(flipped) - qubo.energy(x), abs=1e-9)
 
-    @given(Q=qmatrix, x=assignment)
-    @settings(max_examples=100, deadline=None)
-    def test_property_qubo_ising_roundtrip(self, Q, x):
-        qubo = Qubo(Q)
-        x = x.astype(float)
-        s = 2.0 * x - 1.0
-        ising = qubo.to_ising()
-        assert ising.energy(s) == pytest.approx(qubo.energy(x), abs=1e-9)
-        back = ising.to_qubo()
-        assert back.energy(x) == pytest.approx(qubo.energy(x), abs=1e-9)
-
-
-class TestIsing:
-    def test_energy_manual(self):
-        ising = IsingModel(h=np.array([1.0, -1.0]),
-                           J=np.array([[0.0, 2.0], [0.0, 0.0]]))
-        assert ising.energy(np.array([1.0, 1.0])) == pytest.approx(2.0)
-        assert ising.energy(np.array([-1.0, 1.0])) == pytest.approx(-4.0)
-
-    def test_spin_validation(self):
-        ising = IsingModel(h=np.zeros(2), J=np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            ising.energy(np.array([0.0, 1.0]))
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            IsingModel(h=np.zeros(2), J=np.zeros((3, 3)))
-
 
 class TestTopology:
     def test_device_budgets_match_paper(self):
@@ -130,9 +101,10 @@ class TestAnnealer:
         Q[0, 0] = Q[1, 1] = Q[2, 2] = -1.0
         Q[0, 1] = 2.0
         result = self._annealer().sample(Qubo(Q), num_reads=20, seed=1)
-        assert result.best_energy == pytest.approx(-2.0)
-        assert result.best[2] == 1.0
-        assert result.best[0] + result.best[1] == 1.0
+        best = result.samples[0]
+        assert result.energies[0] == pytest.approx(-2.0)
+        assert best[2] == 1.0
+        assert best[0] + best[1] == 1.0
 
     def test_samples_sorted_by_energy(self):
         Q = rng.normal(size=(6, 6))

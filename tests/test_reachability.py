@@ -1,4 +1,4 @@
-"""Every top-level definition in ``src/repro`` has a root.
+"""Every definition and member in ``src/repro`` has a root.
 
 A definition earns its place by being reachable from something this
 repository runs for a reason:
@@ -19,6 +19,17 @@ re-exported is not used.  The closure is an AST walk, in the style of
 and any identifier-shaped string matches every definition of that name.
 So a name match may keep a dead definition alive, but a live one is
 never reported dead.
+
+Members are definitions too.  A reached class runs only its bases,
+decorators and class-level statements; each method or property is its
+own definition, reached when it is dunder, named by a ``WRAPS`` row, or
+matched by name (an attribute, a keyword or an identifier string) from
+reached code.  The closure is a fixpoint over both.
+
+Write-only state fails as well: an attribute that reached code stores
+(``=``, ``+=``) but that no reached code loads, as an attribute or an
+identifier string.  A class that reads itself whole (``asdict(self)``,
+``vars(self)``, a loop over ``self.__slots__``) reads every field.
 
 The same scan fails on a module-level import its module never uses
 (``# noqa: F401`` marks an import kept for its side effect).
@@ -49,6 +60,14 @@ ALLOWLIST = {
         "test_perf_regression_pins.py, kept unedited, imports from here",
     "repro.distributed.horovod._unflatten_into_grads":
         "the scatter half of that reference, imported by the same pins",
+    "repro.simnet.events.Simulator.all_of":
+        "builds the scenario of the run-vs-step pin in "
+        "test_perf_regression_pins.py, kept unedited",
+    "repro.simnet.events.EventQueue.peek_time":
+        "the same pin's reference loop steps the queue by it",
+    "repro.mpi.runtime.SpmdFailure.original":
+        "error handling: the failed rank's exception, for a caller of "
+        "run_spmd to handle by type",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
@@ -76,6 +95,44 @@ class Source:
 
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
+
+
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+#: Calls that read every field of the object they are given.
+_READ_ALL = {"asdict", "astuple", "fields", "vars"}
+
+
+def _is_slots(node: ast.AST) -> bool:
+    return "__slots__" in _targets(node)
+
+
+def _shell(node: ast.AST) -> ast.AST:
+    """What a reached class itself runs: bases, decorators and the class
+    body without its methods (each method is its own definition)."""
+    if not isinstance(node, ast.ClassDef):
+        return node
+    return ast.Module(body=[*node.bases, *node.keywords,
+                            *node.decorator_list,
+                            *(s for s in node.body if not isinstance(s, _FUNCS)
+                              and not _is_slots(s))],
+                      type_ignores=[])
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if getattr(d, "id", getattr(d, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _fields(node: ast.ClassDef) -> list[str]:
+    """The dataclass fields a class body declares."""
+    if not _is_dataclass(node):
+        return []
+    return [s.target.id for s in node.body
+            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+            and "ClassVar" not in ast.unparse(s.annotation)]
 
 
 def _targets(node: ast.AST) -> list[str]:
@@ -127,10 +184,15 @@ class Program:
                                         text.splitlines(), is_package)
         for src in self.sources.values():
             self._index(src)
+        # Top-level definitions by name, and ``Class.member`` keys by the
+        # member's own name.
         self.by_name: dict[str, list[tuple[str, str]]] = {}
+        self.members: dict[str, list[tuple[str, str]]] = {}
         for src in self.sources.values():
             for name in src.defs:
-                self.by_name.setdefault(name, []).append((src.name, name))
+                cls, _, member = name.rpartition(".")
+                index = self.members if cls else self.by_name
+                index.setdefault(member, []).append((src.name, name))
 
     def _index(self, src: Source) -> None:
         package = src.name if src.is_package else src.name.rpartition(".")[0]
@@ -140,6 +202,11 @@ class Program:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 src.defs.setdefault(node.name, []).append(node)
+                if isinstance(node, ast.ClassDef):
+                    for sub in node.body:
+                        if isinstance(sub, _FUNCS):
+                            src.defs.setdefault(f"{node.name}.{sub.name}",
+                                                []).append(sub)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 noqa = "noqa" in src.lines[node.lineno - 1]
                 for bound, target in _import_targets(node, package,
@@ -188,6 +255,7 @@ class Program:
     def references(self, module: str, node: ast.AST
                    ) -> tuple[set[Target], set[str]]:
         """Exact targets and by-name matches that ``node`` refers to."""
+        node = _shell(node)
         src = self.sources[module]
         package = src.name if src.is_package else module.rpartition(".")[0]
         local: dict[str, Target] = {}
@@ -250,6 +318,8 @@ class Program:
                     if cur.value in self.sources:
                         exact.add(("module", cur.value))
                     names.update(cur.value.split("."))
+                elif isinstance(cur, ast.keyword) and cur.arg:
+                    names.add(cur.arg)
                 stack.extend(ast.iter_child_nodes(cur))
 
         visit(node)
@@ -287,6 +357,9 @@ class Program:
                 matched.add(name)
                 for key in self.by_name.get(name, ()):
                     reach(("def", *key))
+                for module, member in self.members.get(name, ()):
+                    if (module, member.partition(".")[0]) in reached:
+                        work.append((module, member))
 
         for target in roots:
             reach(target)
@@ -298,6 +371,18 @@ class Program:
             module, name = key
             src = self.sources[module]
             nodes = src.loose if name == _LOOSE else src.defs[name]
+            if "." in name:
+                work.append((module, name.partition(".")[0]))
+            elif name != _LOOSE and isinstance(nodes[0], ast.ClassDef):
+                # A member is reached by being dunder, by a bare name in
+                # the class body (``__call__ = run``) or by a name match.
+                shell = {n.id for n in ast.walk(_shell(nodes[0]))
+                         if isinstance(n, ast.Name)}
+                for sub in nodes[0].body:
+                    if isinstance(sub, _FUNCS) and (
+                            _is_dunder(sub.name) or sub.name in matched
+                            or sub.name in shell):
+                        work.append((module, f"{name}.{sub.name}"))
             for node in nodes:
                 exact, names = self.references(module, node)
                 for target in exact:
@@ -308,10 +393,71 @@ class Program:
 
     def unreached(self, reached: set[tuple[str, str]],
                   package: str = "repro") -> list[str]:
+        """Unreached definitions; a member is named only if its class is
+        reached (an unreached class goes whole)."""
         return sorted(f"{src.name}.{name}"
                       for src in self.sources.values()
                       if src.name.split(".")[0] == package
-                      for name in src.defs if (src.name, name) not in reached)
+                      for name in src.defs if (src.name, name) not in reached
+                      and ("." not in name or (src.name, name.partition(
+                          ".")[0]) in reached))
+
+    def write_only(self, reached: set[tuple[str, str]],
+                   package: str = "repro") -> list[str]:
+        """``module.Owner.attr`` for every attribute or dataclass field that
+        reached code stores (``=``, ``+=``) but that no reached code loads,
+        as an attribute or an identifier string.  A class whose reached
+        code reads ``asdict(self)`` / ``vars(self)`` / ``self.__slots__``
+        (or whose base does) reads every field it has."""
+        loads: set[str] = set()
+        stored: set[str] = set()
+        read_all: set[str] = set()
+        bases: dict[str, set[str]] = {}
+        # attr -> the classes that declare it as a field or store it on
+        # ``self``; failing those, the definitions that store it.
+        owners: dict[str, set[tuple[str, str]]] = {}
+        sites: dict[str, set[tuple[str, str]]] = {}
+        for module, name in reached:
+            src = self.sources[module]
+            nodes = src.loose if name == _LOOSE else src.defs[name]
+            owner = name.partition(".")[0]
+            for node in nodes:
+                if isinstance(node, ast.ClassDef):
+                    bases[name] = {ast.unparse(b).rpartition(".")[2]
+                                   for b in node.bases} - {name}
+                    for f in _fields(node):
+                        owners.setdefault(f, set()).add((module, name))
+                for sub in ast.walk(_shell(node)):
+                    if isinstance(sub, ast.Attribute):
+                        if isinstance(sub.ctx, ast.Store):
+                            stored.add(sub.attr)
+                            if getattr(sub.value, "id", None) == "self":
+                                owners.setdefault(sub.attr, set()).add(
+                                    (module, owner))
+                            else:
+                                sites.setdefault(sub.attr, set()).add(
+                                    (module, name))
+                        else:
+                            loads.add(sub.attr)
+                            if sub.attr in ("__slots__", "__dict__"):
+                                read_all.add(owner)
+                    elif (isinstance(sub, ast.Constant)
+                          and isinstance(sub.value, str)
+                          and _IDENT.fullmatch(sub.value)):
+                        loads.update(sub.value.split("."))
+                    elif (isinstance(sub, ast.Call) and getattr(
+                            sub.func, "id", getattr(sub.func, "attr", None))
+                          in _READ_ALL and sub.args
+                          and getattr(sub.args[0], "id", None) == "self"):
+                        read_all.add(owner)
+
+        def reads_all(cls: str) -> bool:
+            return cls in read_all or any(map(reads_all, bases.get(cls, ())))
+
+        return sorted(f"{module}.{owner}.{attr}" for attr in stored - loads
+                      for module, owner in owners.get(attr) or sites[attr]
+                      if module.split(".")[0] == package
+                      and not reads_all(owner))
 
     def unused_imports(self, package: str = "repro") -> list[str]:
         """Module-level imports in ``package`` that their module never
@@ -358,6 +504,7 @@ def wraps_targets(layers_source: str) -> list[Target]:
     for module, cls, attrs, _group in rows:
         if cls:
             targets.append(("def", module, cls))
+            targets += [("def", module, f"{cls}.{attr}") for attr in attrs]
         else:
             targets += [("def", module, attr) for attr in attrs]
     return targets
@@ -386,8 +533,9 @@ def stale_entries(allowlist: dict[str, str], dead: Iterable[str]) -> list[str]:
 
 
 @functools.cache
-def repository() -> tuple[Program, tuple[Target, ...], tuple[str, ...]]:
-    """The program, its roots and what they do not reach."""
+def repository() -> tuple[Program, tuple[str, ...], tuple[str, ...]]:
+    """The program, what its roots do not reach, and the state that what
+    they reach only writes."""
     files = {}
     for path in sorted((SRC / "repro").rglob("*.py")):
         name, is_package = _module_name(path, SRC)
@@ -406,8 +554,9 @@ def repository() -> tuple[Program, tuple[Target, ...], tuple[str, ...]]:
     roots += registered_cases()
     # The rows the e2e benchmark patches by name.
     roots += wraps_targets((E2E / "layers.py").read_text())
-    return program, tuple(roots), tuple(program.unreached(
-        program.closure(roots)))
+    reached = program.closure(roots)
+    return (program, tuple(program.unreached(reached)),
+            tuple(program.write_only(reached)))
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +564,22 @@ def repository() -> tuple[Program, tuple[Target, ...], tuple[str, ...]]:
 # ---------------------------------------------------------------------------
 
 def test_every_definition_has_a_root():
-    dead = [d for d in repository()[2] if d not in ALLOWLIST]
+    dead = [d for d in repository()[1] if d not in ALLOWLIST]
     assert not dead, (
-        f"{len(dead)} top-level definitions in src/repro are reached by no "
-        f"root (delete them, or allowlist with a reason):\n  "
+        f"{len(dead)} definitions and members in src/repro are reached by "
+        f"no root (delete them, or allowlist with a reason):\n  "
         + "\n  ".join(dead))
 
 
+def test_no_write_only_state():
+    dead = [d for d in repository()[2] if d not in ALLOWLIST]
+    assert not dead, (
+        f"{len(dead)} attributes in src/repro are stored but never read "
+        f"(delete them, or allowlist with a reason):\n  " + "\n  ".join(dead))
+
+
 def test_allowlist_is_not_stale():
-    stale = stale_entries(ALLOWLIST, repository()[2])
+    stale = stale_entries(ALLOWLIST, repository()[1] + repository()[2])
     assert not stale, f"allowlisted but reached or gone: {stale}"
     assert all(reason.strip() for reason in ALLOWLIST.values())
 
@@ -514,3 +670,61 @@ def test_scanner_flags_an_unused_module_level_import():
                 "def f(x: Optional[int]):\n    return x\n"
                 "def g():\n    pass\n"))
     assert program.unused_imports("pkg") == ["pkg.a:1 os", "pkg:1 g"]
+
+
+def test_scanner_flags_an_unreached_method():
+    program = _toy(
+        pkg="",
+        pkg__a=("class C:\n    def used(self):\n        pass\n"
+                "    def dead(self):\n        pass\n"),
+        root="from pkg.a import C\nC().used()\n")
+    reached = program.closure([("module", "root")])
+    assert program.unreached(reached, "pkg") == ["pkg.a.C.dead"]
+
+
+def test_scanner_keeps_methods_reached_by_attribute_string_dunder_or_wraps():
+    layers = 'WRAPS: list = [("pkg.a", "C", ("patched",), None)]\n'
+    program = _toy(
+        pkg="",
+        pkg__a=("class C:\n"
+                "    def __len__(self):\n        return self.helper()\n"
+                "    def helper(self):\n        return 0\n"
+                "    def by_attr(self):\n        pass\n"
+                "    def by_string(self):\n        pass\n"
+                "    def patched(self):\n        pass\n"
+                "    def dead(self):\n        pass\n"),
+        root=("from pkg.a import C\nc = C()\nc.by_attr()\n"
+              "getattr(c, 'by_string')\n"))
+    reached = program.closure([("module", "root"), *wraps_targets(layers)])
+    assert program.unreached(reached, "pkg") == ["pkg.a.C.dead"]
+
+
+def test_scanner_flags_a_write_only_attribute():
+    program = _toy(
+        pkg="",
+        pkg__a=("class C:\n    def __init__(self):\n"
+                "        self.kept = 0\n        self.lost = 0\n"
+                "    def tick(self):\n        self.lost += 1\n"
+                "        return self.kept\n"),
+        root="from pkg.a import C\nC().tick()\n")
+    reached = program.closure([("module", "root")])
+    assert program.write_only(reached, "pkg") == ["pkg.a.C.lost"]
+
+
+def test_scanner_keeps_fields_read_through_asdict_or_slots():
+    program = _toy(
+        pkg="",
+        pkg__a=("from dataclasses import asdict, dataclass\n"
+                "@dataclass\nclass D:\n    n: int = 0\n"
+                "    def bump(self):\n        self.n += 1\n"
+                "    def dump(self):\n        return asdict(self)\n"
+                "class S:\n    __slots__ = ('a',)\n"
+                "    def __init__(self):\n        self.a = 1\n"
+                "    def dump(self):\n"
+                "        return [getattr(self, k) for k in self.__slots__]\n"
+                "class P:\n    __slots__ = ('b',)\n"
+                "    def __init__(self):\n        self.b = 1\n"),
+        root=("from pkg.a import D, S, P\nd = D()\nd.bump()\nd.dump()\n"
+              "S().dump()\nP()\n"))
+    reached = program.closure([("module", "root")])
+    assert program.write_only(reached, "pkg") == ["pkg.a.P.b"]

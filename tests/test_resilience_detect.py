@@ -166,7 +166,8 @@ class TestInventory:
         for key in ("b", "a", "c"):
             det.register(key, 0.0)
         det.heartbeat("c", 99.0)
-        assert det.suspects(100.0) == ["a", "b"]
+        assert sorted(k for k in det.monitored()
+                      if det.suspect(k, 100.0)) == ["a", "b"]
 
     def test_publish_exports_phi_gauges(self):
         det = PhiAccrualDetector(DetectorConfig(expected_interval_s=1.0))

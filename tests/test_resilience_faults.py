@@ -29,7 +29,7 @@ class TestEventCancellation:
         evt.cancel()
         sim.run()
         assert fired == []
-        assert evt.cancelled
+        assert evt._cancelled
 
     def test_cancelled_event_not_counted_as_processed(self):
         sim = Simulator()

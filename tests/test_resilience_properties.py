@@ -25,9 +25,25 @@ from repro.resilience import (
     FaultPlan,
     RetryPolicy,
 )
+from tests.test_resilience_retry_edges import delays
 
 RETRY = RetryPolicy(max_retries=3, base_delay_s=20.0, backoff_factor=2.0,
                     jitter=0.25, seed=0)
+
+
+def retries_per_job(res) -> dict[str, int]:
+    """Requeues per job name in a :class:`ResilienceReport`."""
+    out: dict[str, int] = {}
+    for rq in res.requeues:
+        out[rq.job_name] = out.get(rq.job_name, 0) + 1
+    return out
+
+
+def backoff_schedule(res, job_name: str) -> list[float]:
+    """Backoff delays a job actually received, in attempt order."""
+    return [rq.backoff_s for rq in
+            sorted((r for r in res.requeues if r.job_name == job_name),
+                   key=lambda r: r.attempt)]
 
 
 def _run_faulted(seed, make_small_system, make_fault_plan,
@@ -78,15 +94,15 @@ def _assert_invariants(system, jobs, report, retry_policy=RETRY):
     # Retried jobs eventually terminal with bounded attempts.
     res = report.resilience
     assert res is not None
-    for job_name, retries in res.retries_per_job().items():
+    for job_name, retries in retries_per_job(res).items():
         assert retries <= retry_policy.max_retries
         assert report.job_status[job_name].terminal
 
     # Backoff monotone non-decreasing per job.
-    for job_name in res.retries_per_job():
-        delays = res.backoff_schedule(job_name)
-        assert all(b >= a for a, b in zip(delays, delays[1:])), delays
-        assert all(d >= 0 for d in delays)
+    for job_name in retries_per_job(res):
+        schedule = backoff_schedule(res, job_name)
+        assert all(b >= a for a, b in zip(schedule, schedule[1:])), schedule
+        assert all(d >= 0 for d in schedule)
 
     # Conservation: every node back in the free pool, sane accounting.
     for module in system.compute_modules().values():
@@ -133,7 +149,7 @@ def test_no_retry_policy_fails_permanently(make_small_system, gpu_job):
                                retry_policy=RetryPolicy(max_retries=0))
     if report.failed_jobs:  # a crash landed on the running phase
         assert report.job_status["train"] is JobStatus.FAILED
-        assert report.resilience.retries_per_job().get("train", 0) == 0
+        assert retries_per_job(report.resilience).get("train", 0) == 0
 
 
 def test_zero_cost_when_off(make_small_system):
@@ -165,15 +181,15 @@ class TestRetryPolicyProperties:
             jitter=jitter,
             seed=seed,
         )
-        delays = policy.delays(key="job")
-        assert len(delays) == policy.max_retries
-        assert all(b >= a for a, b in zip(delays, delays[1:]))
-        assert all(0 < d <= policy.max_delay_s for d in delays)
+        schedule = delays(policy, key="job")
+        assert len(schedule) == policy.max_retries
+        assert all(b >= a for a, b in zip(schedule, schedule[1:]))
+        assert all(0 < d <= policy.max_delay_s for d in schedule)
 
     def test_jitter_depends_on_key_not_call_order(self):
         policy = RetryPolicy(max_retries=4, jitter=0.5, backoff_factor=2.0)
-        assert policy.delays("a") == policy.delays("a")
-        assert policy.delays("a") != policy.delays("b")
+        assert delays(policy, "a") == delays(policy, "a")
+        assert delays(policy, "a") != delays(policy, "b")
 
     def test_factor_below_one_plus_jitter_rejected(self):
         with pytest.raises(ValueError):

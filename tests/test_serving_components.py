@@ -105,6 +105,11 @@ class TestAdmission:
         assert bucket.try_take(0.1)                # one token refilled
         assert not bucket.try_take(0.1)
 
+    def test_policy_burst_below_one_token_fails_at_construction(self):
+        with pytest.raises(ValueError, match="one token"):
+            AdmissionPolicy(rate_limit_per_s=10, burst=0.5)
+        AdmissionPolicy(rate_limit_per_s=0, burst=0.5)   # gate disabled
+
     def test_token_bucket_disabled(self):
         bucket = TokenBucket(rate_per_s=0.0, burst=1.0)
         assert all(bucket.try_take(0.0) for _ in range(100))
@@ -120,7 +125,7 @@ class TestAdmission:
         assert ctrl.decide(0.0, queue_depth=3).admitted
         decision = ctrl.decide(0.0, queue_depth=4)
         assert not decision.admitted and decision.reason == "shed"
-        assert ctrl.n_shed == 1
+        assert decision.detail == "queue-depth"
 
     def test_rate_limit_reason(self):
         ctrl = AdmissionController(AdmissionPolicy(rate_limit_per_s=1.0,
@@ -128,7 +133,7 @@ class TestAdmission:
         assert ctrl.decide(0.0, 0).admitted
         decision = ctrl.decide(0.0, 0)
         assert not decision.admitted and decision.reason == "rate-limited"
-        assert ctrl.n_rate_limited == 1
+        assert decision.detail == ""
 
     def test_defaults_admit_everything(self):
         ctrl = AdmissionController(AdmissionPolicy())
@@ -170,7 +175,7 @@ class TestResultCache:
         cache.complete(3, now=0.0)                    # evicts key 2
         assert cache.lookup(2, req_id=12) == "miss"
         assert cache.lookup(1, req_id=13) == "hit"
-        assert cache.evictions == 1
+        assert len(cache) == cache.capacity
 
     def test_zero_capacity_never_stores(self):
         cache = ResultCache(capacity=0)
@@ -234,6 +239,10 @@ class TestMicroBatcher:
     def test_depth_counter_equals_the_sum_over_queues(self, ops):
         b = MicroBatcher(BatchPolicy(max_batch_requests=3))
         models = ("a", "b", "c")
+
+        def depth_of(model):
+            return len(b._queues.get(model, ()))
+
         next_id = 0
         for op, model, n in ops:
             reqs = [_req(next_id + i, model=model) for i in range(n)]
@@ -243,10 +252,10 @@ class TestMicroBatcher:
                     b.enqueue(r, now=0.0)
             elif op == "requeue_front":
                 b.requeue_front(reqs)
-            elif b.depth_of(model):
-                queued = b.depth_of(model)
+            elif depth_of(model):
+                queued = depth_of(model)
                 assert len(b.take(model)) == min(3, queued)
-            assert b.depth == sum(b.depth_of(m) for m in models)
+            assert b.depth == sum(depth_of(m) for m in models)
 
 
 # -- placement ----------------------------------------------------------------

@@ -15,7 +15,6 @@ from repro.simnet import (
     allreduce_rabenseifner_time,
     allgather_ring_time,
     best_allreduce_time,
-    broadcast_binomial_time,
     ptp_time,
     reduce_scatter_time,
 )
@@ -31,7 +30,6 @@ def test_single_rank_collectives_are_free():
     assert allreduce_ring_time(1, 1e6, ALPHA, BETA) == 0.0
     assert allreduce_recursive_doubling_time(1, 1e6, ALPHA, BETA) == 0.0
     assert allreduce_rabenseifner_time(1, 1e6, ALPHA, BETA) == 0.0
-    assert broadcast_binomial_time(1, 1e6, ALPHA, BETA) == 0.0
     assert allgather_ring_time(1, 1e6, ALPHA, BETA) == 0.0
     assert reduce_scatter_time(1, 1e6, ALPHA, BETA) == 0.0
 
@@ -126,17 +124,10 @@ class TestCommCostModel:
         model = CommCostModel.of_kind(LinkKind.INFINIBAND_HDR)
         assert model.alpha > 0 and model.beta > 0
 
-    def test_scaled(self):
-        model = CommCostModel.of_kind(LinkKind.INFINIBAND_HDR)
-        fast = model.scaled(alpha_factor=0.5, beta_factor=0.5)
-        assert fast.alpha == model.alpha * 0.5
-        assert fast.beta == model.beta * 0.5
-
     def test_collective_costs_facade(self):
         costs = CollectiveCosts(CommCostModel.of_kind(LinkKind.INFINIBAND_HDR))
         assert costs.allreduce(8, 1e6) > 0
         assert costs.allreduce(8, 1e6, algorithm="ring") > 0
-        assert costs.broadcast(8, 1e6) > 0
         assert costs.allgather(8, 1e6) > 0
         assert costs.reduce_scatter(8, 1e6) > 0
         assert costs.ptp(1e6) > 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simnet import Simulator, SimulationError
-from repro.simnet.events import Resource
+from repro.simnet.events import Event, Resource
 
 
 def test_timeout_advances_clock():
@@ -34,14 +34,14 @@ def test_same_time_events_fire_in_schedule_order():
 
 def test_event_value_before_trigger_raises():
     sim = Simulator()
-    evt = sim.event("pending")
+    evt = Event(sim, "pending")
     with pytest.raises(SimulationError):
         _ = evt.value
 
 
 def test_event_double_trigger_raises():
     sim = Simulator()
-    evt = sim.event()
+    evt = Event(sim)
     evt.succeed(1)
     evt.succeed(2)
     with pytest.raises(SimulationError):
@@ -56,7 +56,7 @@ def test_negative_delay_rejected():
 
 @pytest.mark.parametrize("schedule", [
     lambda sim, delay: sim.timeout(delay),
-    lambda sim, delay: sim.schedule(sim.event(), delay=delay),
+    lambda sim, delay: sim.schedule(Event(sim), delay=delay),
 ], ids=["timeout", "schedule"])
 def test_nan_delay_rejected(schedule):
     # NaN passes ``delay < 0``; an unordered heap key then fires delays
@@ -145,21 +145,6 @@ def test_all_of_empty_triggers_immediately():
     done = sim.all_of([])
     sim.run()
     assert done.triggered and done.value == []
-
-
-def test_any_of_takes_first():
-    sim = Simulator()
-    done = sim.any_of([sim.timeout(5.0, value="slow"),
-                       sim.timeout(1.0, value="fast")])
-    sim.run()
-    assert done.value == "fast"
-    assert done.time == 1.0
-
-
-def test_any_of_empty_raises():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.any_of([])
 
 
 class TestResource:

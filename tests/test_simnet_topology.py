@@ -10,6 +10,12 @@ from repro.simnet import (
 )
 
 
+def _count(topo, terminal: bool) -> int:
+    """Terminal (or switch) nodes of a topology graph."""
+    return sum(d.get("terminal", True) == terminal
+               for _, d in topo.graph.nodes(data=True))
+
+
 class TestLink:
     def test_transfer_time_is_alpha_beta(self):
         link = Link.of_kind(LinkKind.INFINIBAND_HDR)
@@ -23,10 +29,6 @@ class TestLink:
     def test_negative_bytes_rejected(self):
         with pytest.raises(ValueError):
             Link.of_kind(LinkKind.NVLINK).transfer_time(-1)
-
-    def test_effective_bandwidth_below_peak(self):
-        link = Link.of_kind(LinkKind.INFINIBAND_EDR)
-        assert link.effective_bandwidth(1000) < link.bandwidth_Bps
 
     def test_hdr_is_faster_than_edr(self):
         edr = Link.of_kind(LinkKind.INFINIBAND_EDR)
@@ -42,17 +44,17 @@ class TestLink:
 class TestFatTree:
     def test_node_count(self):
         topo = fat_tree(40, LinkKind.INFINIBAND_EDR, radix=16)
-        assert len(topo.terminals) == 40
+        assert _count(topo, terminal=True) == 40
         # 3 leaves + 1 spine
-        assert len(topo.switches) == 4
+        assert _count(topo, terminal=False) == 4
 
     def test_same_leaf_two_hops(self):
         topo = fat_tree(32, LinkKind.INFINIBAND_EDR, radix=16)
-        assert topo.hop_count(("node", 0), ("node", 1)) == 2
+        assert len(topo.path(("node", 0), ("node", 1))) - 1 == 2
 
     def test_cross_leaf_four_hops(self):
         topo = fat_tree(32, LinkKind.INFINIBAND_EDR, radix=16)
-        assert topo.hop_count(("node", 0), ("node", 20)) == 4
+        assert len(topo.path(("node", 0), ("node", 20))) - 1 == 4
 
     def test_uplink_not_bottleneck(self):
         # The fat uplink should leave the access link as the bottleneck.
@@ -80,7 +82,7 @@ class TestFederation:
 
     def test_terminals_preserved(self):
         topo = self._msa()
-        assert len(topo.terminals) == 24
+        assert _count(topo, terminal=True) == 24
 
     def test_intra_module_path_avoids_federation(self):
         topo = self._msa()
@@ -101,9 +103,6 @@ class TestFederation:
     def test_empty_federation_rejected(self):
         with pytest.raises(ValueError):
             federated({})
-
-    def test_bisection_links_positive(self):
-        assert self._msa().bisection_links() > 0
 
 
 class TestCongestion:

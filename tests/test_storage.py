@@ -176,14 +176,6 @@ class TestTieredStore:
         assert dam.resident_fraction_fast("ds") > \
             cluster.resident_fraction_fast("ds")
 
-    def test_drop_frees_capacity(self):
-        store = TieredStore(hbm_GB=0, ddr_GB=10, nvm_GB=0, pfs_GB=0)
-        store.put("a", 10 * GiB)
-        with pytest.raises(MemoryError):
-            store.put("b", GiB)
-        store.drop("a")
-        store.put("b", GiB)
-
     def test_duplicate_put_rejected(self):
         store = TieredStore.dam_node()
         store.put("x", GiB)

@@ -17,7 +17,7 @@ from repro.storage.checkpoint import (
 )
 
 
-NAM_ONLY = CheckpointPolicy(prefer="nam", fallback=False)
+NAM_FIRST = CheckpointPolicy(prefer="nam")
 
 
 def _state(seed=0, n=512):
@@ -37,7 +37,7 @@ class TestRoundTrip:
         state = _state()
         t_write = mgr.save("m", step=9, state=state, target=target)
         r = mgr.restore_latest_verified(
-            "m", CheckpointPolicy(prefer=target, fallback=False),
+            "m", CheckpointPolicy(prefer=target),
             max_rollback=0)
         assert r.step == 9
         assert t_write > 0 and r.read_time_s > 0
@@ -62,26 +62,19 @@ class TestRoundTrip:
         with pytest.raises(CheckpointError):
             solo.save("m", step=1, state=_state(), replicate=True)
 
-    def test_latest_step_across_targets(self, mgr):
-        mgr.save("m", step=4, state=_state(), target="pfs")
-        mgr.save("m", step=8, state=_state(), target="nam")
-        assert mgr.latest_step("m") == 8
-        with pytest.raises(CheckpointError):
-            mgr.latest_step("ghost")
-
 
 class TestIntegrity:
     def test_truncated_payload_raises(self, mgr):
         mgr.save("m", step=1, state=_state())
         mgr.corrupt("m", target="nam", truncate=True)
         with pytest.raises(CheckpointError, match="truncated"):
-            mgr.restore_latest_verified("m", NAM_ONLY, max_rollback=0)
+            mgr.restore_latest_verified("m", NAM_FIRST, max_rollback=0)
 
     def test_bit_flip_raises_checksum_mismatch(self, mgr):
         mgr.save("m", step=1, state=_state())
         mgr.corrupt("m", target="nam")
         with pytest.raises(CheckpointError, match="checksum"):
-            mgr.restore_latest_verified("m", NAM_ONLY, max_rollback=0)
+            mgr.restore_latest_verified("m", NAM_FIRST, max_rollback=0)
 
     def test_corrupting_missing_copy_raises(self, mgr):
         with pytest.raises(CheckpointError):
@@ -92,46 +85,21 @@ class TestIntegrity:
         mgr.save("m", step=2, state=state, replicate=True)
         mgr.corrupt("m", target="nam", truncate=True)
         r = mgr.restore_latest_verified(
-            "m", CheckpointPolicy(prefer="pfs", fallback=False),
+            "m", CheckpointPolicy(prefer="pfs"),
             max_rollback=0)
         assert r.step == 2
         np.testing.assert_array_equal(r.state["w"], state["w"])
-
-
-class TestDrop:
-    def test_drop_removes_all_copies(self, mgr):
-        mgr.save("m", step=1, state=_state(), replicate=True)
-        mgr.drop("m")
-        assert not mgr.exists("m")
-        with pytest.raises(CheckpointError):
-            mgr.restore_latest_verified("m", CheckpointPolicy(),
-                                        max_rollback=0)
-
-    def test_drop_single_target(self, mgr):
-        mgr.save("m", step=1, state=_state(), replicate=True)
-        mgr.drop("m", target="nam")
-        assert not mgr.exists("m", target="nam")
-        assert mgr.exists("m", target="pfs")
-
-    def test_drop_missing_raises(self, mgr):
-        with pytest.raises(CheckpointError):
-            mgr.drop("ghost")
 
 
 class TestPolicy:
     def test_restore_order_follows_preference(self):
         assert CheckpointPolicy(prefer="nam").restore_order() == ("nam", "pfs")
         assert CheckpointPolicy(prefer="pfs").restore_order() == ("pfs", "nam")
-        assert CheckpointPolicy(fallback=False).restore_order() == ("nam",)
 
     def test_cadence(self):
         policy = CheckpointPolicy(every_steps=4)
         assert [s for s in range(1, 13) if policy.should_checkpoint(s)] == \
                [4, 8, 12]
-
-    def test_replication_requires_fallback(self):
-        with pytest.raises(ValueError):
-            CheckpointPolicy(fallback=False, replicate=True)
 
     def test_invalid_cadence_rejected(self):
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ class TestLineage:
         mgr = make_manager(keep_last=3)
         for step in (1, 2, 3):
             mgr.save("m", step=step, state=state_at(step))
-        records = mgr.versions("m", "nam")
+        records = mgr._lineage("m", "nam")
         assert [r.version for r in records] == [0, 1, 2]
         assert [r.step for r in records] == [1, 2, 3]
 
@@ -49,8 +49,8 @@ class TestLineage:
     def test_replicated_save_shares_version_across_targets(self):
         mgr = make_manager()
         mgr.save("m", step=5, state=state_at(5), replicate=True)
-        nam, = mgr.versions("m", "nam")
-        pfs, = mgr.versions("m", "pfs")
+        nam, = mgr._lineage("m", "nam")
+        pfs, = mgr._lineage("m", "pfs")
         assert nam.version == pfs.version == 0
         assert nam.shards == pfs.shards == shard_digests(state_at(5))
 
@@ -64,14 +64,14 @@ class TestRetentionGC:
             deleted = [v for _, inst in
                        registry.members("checkpoint_gc_deleted_total")
                        for v in [inst.value]]
-        assert [r.step for r in mgr.versions("m", "nam")] == [4, 5]
+        assert [r.step for r in mgr._lineage("m", "nam")] == [4, 5]
         assert sum(deleted) == 3
 
     def test_anchors_survive_past_window(self):
         mgr = make_manager(keep_last=2, anchor_every=4)
         for step in range(1, 10):
             mgr.save("m", step=step, state=state_at(step))
-        kept = [r.step for r in mgr.versions("m", "nam")]
+        kept = [r.step for r in mgr._lineage("m", "nam")]
         assert kept == [4, 8, 9]   # anchors 4 & 8 plus last-2 window {8, 9}
 
     def test_gc_never_deletes_newest_verified(self):
@@ -88,10 +88,9 @@ class TestRetentionGC:
             # the only copy that still verifies.
             mgr.retention = CheckpointRetention(keep_last=1)
             mgr.gc("m", "nam")
-        kept = [r.step for r in mgr.versions("m", "nam")]
+        kept = [r.step for r in mgr._lineage("m", "nam")]
         assert 1 in kept, "newest verified version must survive GC"
-        restore = mgr.restore_latest_verified(
-            "m", CheckpointPolicy(fallback=False))
+        restore = mgr.restore_latest_verified("m", CheckpointPolicy())
         assert restore.step == 1
 
     def test_gc_on_intact_lineage_ignores_verified_bonus(self):
@@ -101,7 +100,7 @@ class TestRetentionGC:
         with telemetry.capture():
             for step in (1, 2, 3):
                 mgr.save("m", step=step, state=state_at(step))
-        assert [r.step for r in mgr.versions("m", "nam")] == [3]
+        assert [r.step for r in mgr._lineage("m", "nam")] == [3]
 
 
 class TestVerifiedRestore:
@@ -111,8 +110,7 @@ class TestVerifiedRestore:
             for step in (1, 2, 3):
                 mgr.save("m", step=step, state=state_at(step))
             mgr.corrupt("m", "nam")    # newest NAM copy rots
-            restore = mgr.restore_latest_verified(
-                "m", CheckpointPolicy(fallback=False))
+            restore = mgr.restore_latest_verified("m", CheckpointPolicy())
         assert restore.step == 2 and restore.rollback_versions == 1
         assert restore.target == "nam"
 
@@ -136,7 +134,7 @@ class TestVerifiedRestore:
                 mgr.corrupt("m", "nam", version=version)
             with pytest.raises(CheckpointError):
                 mgr.restore_latest_verified(
-                    "m", CheckpointPolicy(fallback=False), max_rollback=1)
+                    "m", CheckpointPolicy(), max_rollback=1)
 
     def test_detection_counted_once_per_copy(self):
         mgr = make_manager()
@@ -144,8 +142,7 @@ class TestVerifiedRestore:
             mgr.save("m", step=1, state=state_at(1))
             mgr.save("m", step=2, state=state_at(2))
             mgr.corrupt("m", "nam")
-            mgr.restore_latest_verified(
-                "m", CheckpointPolicy(fallback=False))
+            mgr.restore_latest_verified("m", CheckpointPolicy())
             mgr.scrub("m")             # re-checks the same quarantined copy
             injected = sum(i.value for _, i in registry.members(
                 "integrity_corruptions_injected"))

@@ -88,9 +88,8 @@ class TestTracer:
         tr = Tracer()
         tr.record("a", "comm", 0.0, 1.0, track="mpi")
         tr.record("b", "compute", 0.0, 1.0, track="train")
-        assert tr.tracks() == ["mpi", "train"]
-        assert [s.name for s in tr.by_track("mpi")] == ["a"]
-        assert [s.name for s in tr.by_category("compute")] == ["b"]
+        assert [(s.name, s.track) for s in tr.spans] == [
+            ("a", "mpi"), ("b", "train")]
         tr.clear()
         assert len(tr) == 0
 
