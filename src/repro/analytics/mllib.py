@@ -21,6 +21,10 @@ import numpy as np
 
 from repro.analytics.rdd import MiniSparkContext, RDD
 
+#: Gradient-descent step and L2 penalty of :class:`RddLogisticRegression`.
+LOGREG_LR, LOGREG_L2 = 0.5, 1e-4
+#: Smallest node a :class:`DecisionTree` still splits.
+MIN_SAMPLES_SPLIT = 4
 
 # ---------------------------------------------------------------------------
 # logistic regression (treeAggregate gradients)
@@ -29,14 +33,11 @@ from repro.analytics.rdd import MiniSparkContext, RDD
 class RddLogisticRegression:
     """Binary logistic regression over (x, y) row RDDs, y ∈ {0, 1}."""
 
-    def __init__(self, n_features: int, lr: float = 0.5,
-                 n_iterations: int = 50, l2: float = 1e-4) -> None:
+    def __init__(self, n_features: int, n_iterations: int = 50) -> None:
         if n_features < 1 or n_iterations < 1:
             raise ValueError("n_features and n_iterations must be >= 1")
         self.n_features = n_features
-        self.lr = lr
         self.n_iterations = n_iterations
-        self.l2 = l2
         self.weights = np.zeros(n_features)
         self.bias = 0.0
         self.loss_history: list[float] = []
@@ -68,10 +69,10 @@ class RddLogisticRegression:
 
             zero = (np.zeros(self.n_features), 0.0, 0.0, 0)
             gw, gb, loss, n = rows.tree_aggregate(zero, seq_op, comb_op)
-            gw = gw / n + self.l2 * self.weights
+            gw = gw / n + LOGREG_L2 * self.weights
             gb /= n
-            self.weights = self.weights - self.lr * gw
-            self.bias = self.bias - self.lr * gb
+            self.weights = self.weights - LOGREG_LR * gw
+            self.bias = self.bias - LOGREG_LR * gb
             self.loss_history.append(loss / n)
         return self
 
@@ -102,12 +103,11 @@ class _TreeNode:
 class DecisionTree:
     """CART classifier with Gini impurity and depth/size limits."""
 
-    def __init__(self, max_depth: int = 6, min_samples_split: int = 4,
+    def __init__(self, max_depth: int = 6,
                  max_features: Optional[int] = None, seed: int = 0) -> None:
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
         self.max_features = max_features
         self.seed = seed
         self.root: Optional[_TreeNode] = None
@@ -154,7 +154,7 @@ class DecisionTree:
               rng: np.random.Generator) -> _TreeNode:
         counts = np.bincount(y, minlength=self.n_classes_)
         majority = int(counts.argmax())
-        if (depth >= self.max_depth or len(y) < self.min_samples_split
+        if (depth >= self.max_depth or len(y) < MIN_SAMPLES_SPLIT
                 or counts.max() == len(y)):
             return _TreeNode(prediction=majority, is_leaf=True)
         split = self._best_split(X, y, rng)
@@ -198,12 +198,11 @@ class RandomForest:
     """Bagged CART trees; training parallelises over RDD partitions."""
 
     def __init__(self, n_trees: int = 10, max_depth: int = 6,
-                 max_features: Optional[int] = None, seed: int = 0) -> None:
+                 seed: int = 0) -> None:
         if n_trees < 1:
             raise ValueError("need at least one tree")
         self.n_trees = n_trees
         self.max_depth = max_depth
-        self.max_features = max_features
         self.seed = seed
         self.trees_: list[DecisionTree] = []
 
@@ -212,7 +211,7 @@ class RandomForest:
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         n, d = X.shape
-        max_features = self.max_features or max(1, int(np.sqrt(d)))
+        max_features = max(1, int(np.sqrt(d)))
 
         def train_one(tree_idx: int) -> DecisionTree:
             rng = np.random.default_rng(self.seed + tree_idx)

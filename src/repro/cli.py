@@ -24,8 +24,9 @@ Commands mirror the operator tasks the examples walk through:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 #: Experiments beyond the paper's own figures: (id, title, where it lives).
 #: E1–E14 and ABL are the ``paper`` bench cases (see :func:`experiments`).
@@ -67,6 +68,26 @@ def experiments() -> list[tuple[str, str, str]]:
          f"repro bench --areas paper ({case.name})")
         for case in cases_for(["paper"])]
     return [*figures, *EXPERIMENTS, ablations]
+
+
+def _bounded(kind: type, low: float, strict: bool) -> Callable[[str], float]:
+    """An argparse ``type=``: a finite ``kind`` above ``low`` (or at it,
+    unless ``strict``), so bad input is a usage error, not a traceback."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value)
+                and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}")
+        return value
+    parse.__name__ = kind.__name__       # argparse's "invalid int value"
+    return parse
+
+
+_POSITIVE_INT = _bounded(int, 0, strict=True)
+_POSITIVE_FLOAT = _bounded(float, 0, strict=True)
+_COUNT = _bounded(int, 0, strict=False)
+_NON_NEGATIVE_FLOAT = _bounded(float, 0, strict=False)
 
 
 def _build_system(name: str):
@@ -123,10 +144,14 @@ def cmd_scaling(args: argparse.Namespace) -> int:
 
 def cmd_submit(args: argparse.Namespace) -> int:
     from repro.core import schedule_workload
-    from repro.core.batch import parse_job_script
+    from repro.core.batch import BatchScriptError, parse_job_script
 
-    with open(args.script) as fh:
-        job = parse_job_script(fh.read())
+    try:
+        with open(args.script) as fh:
+            job = parse_job_script(fh.read())
+    except (BatchScriptError, OSError) as exc:
+        print(f"error: {args.script}: {exc}", file=sys.stderr)
+        return 2
     system = _build_system(args.system)
     report = schedule_workload(system, [job])
     print(f"job {job.name!r}: completed at "
@@ -154,24 +179,28 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
 
     system = _build_system(args.system)
-    config = ServingConfig(
-        trace=TraceConfig(
-            pattern=ArrivalPattern(args.scenario),
-            rate_per_s=args.rate,
-            duration_s=args.duration,
-            slo_deadline_s=args.slo,
-            samples_per_request=args.samples,
-            seed=args.seed,
-        ),
-        admission=AdmissionPolicy(rate_limit_per_s=args.rate_limit,
-                                  max_queue_depth=args.max_queue),
-        autoscaler=AutoscalerConfig(enabled=not args.no_autoscale,
-                                    min_replicas=args.replicas,
-                                    max_replicas=args.max_replicas),
-        initial_replicas=args.replicas,
-        cache_capacity=args.cache,
-        defense=DefenseConfig(enabled=args.defend),
-    )
+    try:
+        config = ServingConfig(
+            trace=TraceConfig(
+                pattern=ArrivalPattern(args.scenario),
+                rate_per_s=args.rate,
+                duration_s=args.duration,
+                slo_deadline_s=args.slo,
+                samples_per_request=args.samples,
+                seed=args.seed,
+            ),
+            admission=AdmissionPolicy(rate_limit_per_s=args.rate_limit,
+                                      max_queue_depth=args.max_queue),
+            autoscaler=AutoscalerConfig(enabled=not args.no_autoscale,
+                                        min_replicas=args.replicas,
+                                        max_replicas=args.max_replicas),
+            initial_replicas=args.replicas,
+            cache_capacity=args.cache,
+            defense=DefenseConfig(enabled=args.defend),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     injector = None
     try:
         if args.faults:
@@ -286,14 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="run a synthetic workload mix")
     p.add_argument("--system", default="deep", choices=("deep", "juwels"))
-    p.add_argument("--jobs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--interarrival", type=float, default=300.0)
+    p.add_argument("--jobs", type=_POSITIVE_INT, default=10)
+    p.add_argument("--seed", type=_COUNT, default=0)
+    p.add_argument("--interarrival", type=_NON_NEGATIVE_FLOAT, default=300.0)
     p.add_argument("--placements", action="store_true")
     p.set_defaults(fn=cmd_schedule)
 
     p = sub.add_parser("scaling", help="print the Fig. 3 scaling series")
-    p.add_argument("--gpus", type=int, nargs="+",
+    p.add_argument("--gpus", type=_POSITIVE_INT, nargs="+",
                    default=[1, 2, 4, 8, 16, 32, 64, 96, 128])
     p.add_argument("--tuned", action="store_true",
                    help="use the [20]-style tuned recipe")
@@ -308,25 +337,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", default="deep", choices=("deep", "juwels"))
     p.add_argument("--scenario", default="poisson",
                    choices=("poisson", "diurnal", "bursty"))
-    p.add_argument("--rate", type=float, default=100.0,
+    p.add_argument("--rate", type=_POSITIVE_FLOAT, default=100.0,
                    help="mean arrival rate (req/s)")
-    p.add_argument("--duration", type=float, default=60.0,
+    p.add_argument("--duration", type=_POSITIVE_FLOAT, default=60.0,
                    help="trace length (simulated s)")
-    p.add_argument("--slo", type=float, default=0.5,
+    p.add_argument("--slo", type=_POSITIVE_FLOAT, default=0.5,
                    help="per-request deadline (s); exit status reports p99")
-    p.add_argument("--samples", type=int, default=8,
+    p.add_argument("--samples", type=_POSITIVE_INT, default=8,
                    help="samples (patches) per request")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replicas", type=int, default=1,
+    p.add_argument("--seed", type=_COUNT, default=0)
+    p.add_argument("--replicas", type=_POSITIVE_INT, default=1,
                    help="initial (and minimum) replica count")
-    p.add_argument("--max-replicas", type=int, default=8)
+    p.add_argument("--max-replicas", type=_POSITIVE_INT, default=8)
     p.add_argument("--no-autoscale", action="store_true",
                    help="pin the pool at --replicas")
-    p.add_argument("--rate-limit", type=float, default=0.0,
+    p.add_argument("--rate-limit", type=_NON_NEGATIVE_FLOAT, default=0.0,
                    help="admission token-bucket rate (0 = off)")
-    p.add_argument("--max-queue", type=int, default=0,
+    p.add_argument("--max-queue", type=_COUNT, default=0,
                    help="shed arrivals beyond this queue depth (0 = off)")
-    p.add_argument("--cache", type=int, default=0,
+    p.add_argument("--cache", type=_COUNT, default=0,
                    help="result-cache capacity in entries (0 = off)")
     p.add_argument("--defend", action="store_true",
                    help="arm the partition/gray-failure defenses (phi "
@@ -340,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", choices=("train", "serve"),
                    help="train: faulted scheduler + elastic training; "
                         "serve: online serving with a crash + autoscaling")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_COUNT, default=0)
     p.add_argument("--quick", action="store_true",
                    help="smaller workload (CI smoke)")
     p.add_argument("--out", default="",
@@ -352,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sdc: end-to-end silent-data-corruption drill; "
                         "chaos: partitions + gray failures against the "
                         "serving plane (exits non-zero on any lost request)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_COUNT, default=0)
     p.add_argument("--quick", action="store_true",
                    help="smaller run (CI smoke)")
     p.add_argument("--no-verify", action="store_true",
@@ -368,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run the perf-regression harness")
     p.add_argument("--quick", action="store_true",
                    help="small workloads (CI smoke)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_COUNT, default=0)
     p.add_argument("--areas", default="",
                    help="comma-separated areas (default: all registered)")
     p.add_argument("--out", default="",

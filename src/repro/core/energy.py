@@ -22,10 +22,9 @@ class PowerModel:
     """Power draw of one node under a given phase."""
 
     node: NodeSpec
-
-    @property
-    def idle_watts(self) -> float:
-        return self.node.idle_watts
+    #: Draw of an allocated node with nothing running, and the board power
+    #: of one FPGA (the catalogue's FPGAs all draw the same), watts.
+    idle_watts, fpga_tdp_watts = 100.0, 120.0
 
     def load_watts(self, phase: Optional[JobPhase]) -> float:
         """Draw while running ``phase`` (idle if None).
@@ -37,7 +36,7 @@ class PowerModel:
             return self.idle_watts
         watts = self.idle_watts + self.node.cpu.tdp_watts * self.node.cpu_sockets
         gpu_tdp = sum(g.tdp_watts for g in self.node.gpus)
-        fpga_tdp = sum(f.tdp_watts for f in self.node.fpgas)
+        fpga_tdp = self.fpga_tdp_watts * len(self.node.fpgas)
         watts += gpu_tdp if phase.uses_gpu else 0.10 * gpu_tdp
         watts += 0.10 * fpga_tdp  # FPGAs idle unless a GCE/offload phase runs
         return watts

@@ -78,7 +78,6 @@ class FpgaSpec:
     logic_elements_m: float
     memory_GB: float
     pcie_gen: int = 3
-    tdp_watts: float = 120.0
 
 
 @dataclass(frozen=True)
@@ -100,8 +99,6 @@ class StorageSpec:
 
     devices: int
     capacity_TB_each: float
-    read_GBps: float = 3.0
-    write_GBps: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -115,7 +112,6 @@ class NodeSpec:
     fpgas: tuple[FpgaSpec, ...] = ()
     memory: MemorySpec = MemorySpec(ddr_GB=96.0)
     storage: Optional[StorageSpec] = None
-    idle_watts: float = 100.0
 
     @property
     def cpu_cores(self) -> int:

@@ -320,6 +320,8 @@ def synthetic_workload_mix(
     """
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
+    if not mean_interarrival_s >= 0:
+        raise ValueError("mean_interarrival_s must be >= 0")
     rng = np.random.default_rng(seed)
     makers = [_lowscale_job, _highscale_job, _analytics_job, _ml_pipeline_job]
     weights = np.array([0.30, 0.25, 0.20, 0.25])

@@ -100,7 +100,6 @@ def homogeneous_system(
     name: str,
     node_spec: NodeSpec,
     n_nodes: int,
-    fabric: LinkKind = LinkKind.INFINIBAND_EDR,
     as_booster: bool = False,
 ) -> MSASystem:
     """A traditional single-module system — the baseline the MSA is compared
@@ -108,9 +107,10 @@ def homogeneous_system(
     sys = MSASystem(name)
     if as_booster:
         sys.add_module("all", BoosterModule(f"{name}-nodes", node_spec, n_nodes,
-                                            fabric=fabric, gce_enabled=False))
+                                            fabric=LinkKind.INFINIBAND_EDR,
+                                            gce_enabled=False))
     else:
         sys.add_module("all", ClusterModule(f"{name}-nodes", node_spec, n_nodes,
-                                            fabric=fabric))
+                                            fabric=LinkKind.INFINIBAND_EDR))
     sys.add_module("sssm", StorageModule(f"{name}-storage", capacity_PB=2.0))
     return sys

@@ -34,6 +34,9 @@ from repro.resilience.report import (
 )
 from repro.resilience.retry import RetryPolicy
 
+#: Storage bandwidth (GB/s) a placement assumes with no storage to measure.
+FALLBACK_IO_GBPS = 40.0
+
 
 class SchedulerPolicy(str, Enum):
     FCFS = "fcfs"
@@ -295,7 +298,7 @@ class MsaScheduler:
             m for m in self.system.modules.values() if isinstance(m, StorageModule)
         ]
         if not storages:
-            return 40.0
+            return FALLBACK_IO_GBPS
         return sum(s.aggregate_GBps for s in storages)
 
     # -- submission ---------------------------------------------------------
@@ -755,7 +758,6 @@ def rank_placements(
     system: MSASystem,
     phase: JobPhase,
     n_nodes: int = 1,
-    io_GBps: float = 40.0,
 ) -> list[tuple[float, str, ComputeModule]]:
     """Matchmaking scores for a standalone phase, best module first.
 
@@ -767,7 +769,7 @@ def rank_placements(
     """
     if n_nodes < 1:
         raise ValueError("need at least one node per placement")
-    table = PlacementTable(system, phase, io_GBps, n_nodes=n_nodes)
+    table = PlacementTable(system, phase, FALLBACK_IO_GBPS, n_nodes=n_nodes)
     # Runtime first; among equally fast modules prefer the more scalable one
     # (the paper's pattern: inference scales out on the big booster, not on
     # the handful of DAM nodes that happen to carry the same GPU).
@@ -780,7 +782,6 @@ def place_standalone(
     phase: JobPhase,
     n_nodes: int = 1,
     suspect: Optional[dict[str, set[int]]] = None,
-    io_GBps: float = 40.0,
 ) -> Optional[tuple[str, tuple[int, ...]]]:
     """Allocate ``n_nodes`` on the best-scoring module with capacity.
 
@@ -790,8 +791,7 @@ def place_standalone(
     same semantics as the batch scheduler).  The caller owns the release.
     """
     suspect = suspect or {}
-    for _, key, module in rank_placements(system, phase, n_nodes,
-                                          io_GBps=io_GBps):
+    for _, key, module in rank_placements(system, phase, n_nodes):
         if module.free_nodes >= n_nodes:
             nodes = tuple(module.allocate(n_nodes, avoid=suspect.get(key)))
             return key, nodes

@@ -68,15 +68,9 @@ class LatencySummary:
     p99_s: float
     max_s: float
 
-    def meets_deadline(self, deadline_s: float, quantile: float = 99.0) -> bool:
-        """Does the given latency quantile sit under the deadline?"""
-        if quantile == 50.0:
-            return self.p50_s <= deadline_s
-        if quantile == 95.0:
-            return self.p95_s <= deadline_s
-        if quantile == 99.0:
-            return self.p99_s <= deadline_s
-        raise ValueError("summary only carries p50/p95/p99")
+    def meets_deadline(self, deadline_s: float) -> bool:
+        """Does the p99 latency sit under the deadline?"""
+        return self.p99_s <= deadline_s
 
     def to_text(self, indent: str = "") -> str:
         return "\n".join([

@@ -22,6 +22,12 @@ from repro.core.stats import LatencySummary, percentile, summarize_latencies
 from repro.simnet.events import Resource, Simulator
 
 
+#: Lognormal sigma on the per-scene service time.
+SERVICE_JITTER = 0.1
+#: Largest pool :func:`capacity_for_deadline` tries.
+MAX_SERVERS = 256
+
+
 @dataclass(frozen=True)
 class StreamingConfig:
     """One real-time scenario."""
@@ -30,7 +36,6 @@ class StreamingConfig:
     service_time_s: float              # per-scene inference time on 1 node
     n_servers: int                     # inference nodes allocated
     duration_s: float = 3600.0         # simulated horizon
-    service_jitter: float = 0.1        # lognormal sigma on service time
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -76,8 +81,8 @@ class StreamingReport:
             raise ValueError("no completed scenes")
         return summarize_latencies(self.latencies_s)
 
-    def meets_deadline(self, deadline_s: float, quantile: float = 99.0) -> bool:
-        return self.percentile(quantile) <= deadline_s
+    def meets_deadline(self, deadline_s: float) -> bool:
+        return self.p99 <= deadline_s
 
 
 def simulate_stream(config: StreamingConfig) -> StreamingReport:
@@ -97,7 +102,7 @@ def simulate_stream(config: StreamingConfig) -> StreamingReport:
         yield grant
         queue_depth[0] -= 1
         service = config.service_time_s * float(
-            rng.lognormal(0.0, config.service_jitter))
+            rng.lognormal(0.0, SERVICE_JITTER))
         busy_time[0] += service
         yield sim.timeout(service)
         servers.release()
@@ -127,25 +132,20 @@ def capacity_for_deadline(
     arrival_rate_per_s: float,
     service_time_s: float,
     deadline_s: float,
-    quantile: float = 99.0,
-    max_servers: int = 256,
     duration_s: float = 2000.0,
-    seed: int = 0,
 ) -> tuple[int, StreamingReport]:
-    """Smallest server count whose latency quantile meets the deadline."""
+    """Smallest server count whose p99 latency meets the deadline."""
     if deadline_s <= service_time_s:
         raise ValueError("deadline must exceed a single service time")
     n = max(1, int(np.ceil(arrival_rate_per_s * service_time_s)))
-    while n <= max_servers:
+    while n <= MAX_SERVERS:
         report = simulate_stream(StreamingConfig(
             arrival_rate_per_s=arrival_rate_per_s,
             service_time_s=service_time_s,
             n_servers=n,
             duration_s=duration_s,
-            seed=seed,
         ))
-        if report.n_completed > 0 and report.meets_deadline(deadline_s,
-                                                            quantile):
+        if report.n_completed > 0 and report.meets_deadline(deadline_s):
             return n, report
         n += max(1, n // 4)
-    raise RuntimeError(f"no capacity ≤ {max_servers} meets the deadline")
+    raise RuntimeError(f"no capacity ≤ {MAX_SERVERS} meets the deadline")

@@ -127,9 +127,9 @@ class SyntheticBigEarthNet:
         X += rng.normal(0.0, cfg.noise_sigma, size=X.shape)
         return X, y.astype(np.int64)
 
-    def pixels(self, n_pixels: int, seed: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+    def pixels(self, n_pixels: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-pixel spectra (n_pixels, bands) + class ids — autoencoder food."""
-        rng = np.random.default_rng(self.config.seed if seed is None else seed)
+        rng = np.random.default_rng(self.config.seed)
         y = rng.integers(0, self.config.n_classes, size=n_pixels)
         spectra = self.signatures[y]
         spectra = spectra * rng.uniform(0.85, 1.15, size=(n_pixels, 1))

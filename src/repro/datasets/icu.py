@@ -38,25 +38,24 @@ _SETPOINTS = {
 }
 
 
+#: Share of patients who develop ARDS (enriched vs the 1-2 % ICU incidence).
+ARDS_FRACTION = 0.35
+#: MCAR per-sample missingness.
+MISSING_RATE = 0.12
+#: Per-hour chance a sensor drops out, and the longest dropout in hours.
+DROPOUT_BURST_RATE, DROPOUT_BURST_HOURS = 0.01, 4
+
+
 @dataclass(frozen=True)
 class IcuConfig:
     n_patients: int = 40
     min_hours: int = 24
     max_hours: int = 96
-    ards_fraction: float = 0.35        # enriched vs the 1-2% ICU incidence
-    missing_rate: float = 0.12         # MCAR per-sample missingness
-    dropout_burst_rate: float = 0.01   # per-hour chance a sensor drops out
-    dropout_burst_hours: int = 4
-    noise_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_patients < 1:
             raise ValueError("need at least one patient")
-        if not (0 <= self.ards_fraction <= 1):
-            raise ValueError("ards_fraction in [0, 1]")
-        if not (0 <= self.missing_rate < 1):
-            raise ValueError("missing_rate in [0, 1)")
         if self.min_hours < 8 or self.max_hours < self.min_hours:
             raise ValueError("need min_hours >= 8 and max_hours >= min_hours")
 
@@ -106,7 +105,7 @@ class IcuCohort:
         cfg = self.config
         hours = int(rng.integers(cfg.min_hours, cfg.max_hours + 1))
         nch = len(VITAL_CHANNELS)
-        has_ards = rng.random() < cfg.ards_fraction
+        has_ards = rng.random() < ARDS_FRACTION
         onset = int(rng.integers(6, max(7, hours - 8))) if has_ards else None
 
         truth = np.zeros((hours, nch))
@@ -116,7 +115,7 @@ class IcuCohort:
         ])
         # OU parameters: mean reversion + diffusion per channel.
         theta = np.array([0.25, 0.35, 0.3, 0.2, 0.5, 0.3])
-        sigma = np.array([3.0, 0.6, 1.2, 3.0, 0.005, 3.0]) * cfg.noise_scale
+        sigma = np.array([3.0, 0.6, 1.2, 3.0, 0.005, 3.0])
 
         # ARDS trajectory: PaO2 declines, FiO2 is escalated by staff.
         pao2_target = np.full(hours, base[VITAL_CHANNELS.index("pao2")])
@@ -157,13 +156,13 @@ class IcuCohort:
         # Observation process: measurement noise + missingness.
         meas_noise = sigma * 0.5
         vitals = truth + rng.normal(size=truth.shape) * meas_noise
-        mask = rng.random(truth.shape) >= cfg.missing_rate
+        mask = rng.random(truth.shape) >= MISSING_RATE
         # Bursty sensor dropouts.
         for c in range(nch):
             t = 0
             while t < hours:
-                if rng.random() < cfg.dropout_burst_rate:
-                    span = int(rng.integers(1, cfg.dropout_burst_hours + 1))
+                if rng.random() < DROPOUT_BURST_RATE:
+                    span = int(rng.integers(1, DROPOUT_BURST_HOURS + 1))
                     mask[t:t + span, c] = False
                     t += span
                 else:
@@ -186,7 +185,6 @@ def make_imputation_windows(
     records: list[PatientRecord],
     window: int = 8,
     target_channel: int = 0,
-    normalise: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Build (X, y) for next-value prediction of one vital channel.
 
@@ -215,12 +213,9 @@ def make_imputation_windows(
     xs, ys = [], []
     for rec in records:
         filled = np.where(rec.mask, rec.vitals, np.nan)
-        if normalise:
-            filled = (filled - mean) / std
-        filled = np.nan_to_num(filled, nan=0.0)
+        filled = np.nan_to_num((filled - mean) / std, nan=0.0)
         target = rec.truth[:, target_channel]
-        target_n = (target - mean[target_channel]) / std[target_channel] \
-            if normalise else target
+        target_n = (target - mean[target_channel]) / std[target_channel]
         for t in range(window, rec.n_hours):
             xs.append(filled[t - window:t])
             ys.append(target_n[t])

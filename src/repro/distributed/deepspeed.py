@@ -36,9 +36,6 @@ class ZeroStage1Optimizer:
         params: Sequence[Parameter],
         comm: Communicator,
         lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ) -> None:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
@@ -47,9 +44,6 @@ class ZeroStage1Optimizer:
             raise ValueError("need at least one parameter")
         self.comm = comm
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._step_count = 0
 
         # Shard boundaries over the fused parameter vector.
@@ -102,7 +96,7 @@ class ZeroStage1Optimizer:
             self._step_count += 1
             g = self._grad_shard(self._fused_grad())
             theta = self._fused_param()[self._lo:self._hi]
-            theta = theta - adam_update(self, theta, g, self._m, self._v)
+            theta = theta - adam_update(self, g, self._m, self._v)
             self._write_back(self._gather(theta) if self.comm.size > 1
                              else theta)
 

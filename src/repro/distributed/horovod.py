@@ -30,11 +30,11 @@ from repro.ml.optim import Optimizer
 from repro.distributed.compression import NoCompression
 
 
-def broadcast_parameters(model: Module, comm: Communicator, root: int = 0) -> None:
-    """Synchronise all replicas with the root's weights and buffers."""
-    state = model.state_dict() if comm.rank == root else None
-    state = comm.bcast(state, root=root)
-    if comm.rank != root:
+def broadcast_parameters(model: Module, comm: Communicator) -> None:
+    """Synchronise all replicas with rank 0's weights and buffers."""
+    state = model.state_dict() if comm.rank == 0 else None
+    state = comm.bcast(state, root=0)
+    if comm.rank != 0:
         model.load_state_dict(state)
 
 
@@ -379,7 +379,7 @@ def run_elastic_training(
                 if key in consumed_rots:
                     continue
                 consumed_rots.add(key)
-                target = spec.module or checkpoint_manager.prefer
+                target = spec.module or "nam"
                 if not checkpoint_manager.exists(name, target=target):
                     continue
                 checkpoint_manager.corrupt(name, target=target)

@@ -175,7 +175,17 @@ class DistributedTrainingPerfModel:
 # online inference (the serving subsystem's service-time source)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+#: Sustained fraction of tensor-core peak at online batch sizes; the
+#: sim-gpu kernel model prices a generic fused kernel at the same figure.
+INFERENCE_GPU_EFFICIENCY = 0.06
+#: Sustained fraction of CPU vector peak for the fallback path.
+INFERENCE_CPU_EFFICIENCY = 0.30
+#: Per-batch fixed cost: kernel launch, batch assembly, host<->device.
+INFERENCE_HOST_OVERHEAD_S = 3.0e-3
+#: The network the serving plane runs.
+INFERENCE_MODEL = resnet50_config()
+
+
 class InferencePerfModel:
     """Batch service time of online inference on a concrete node spec.
 
@@ -189,32 +199,16 @@ class InferencePerfModel:
     peak.  The serving batcher and autoscaler consume this model directly.
     """
 
-    model_shape: ResNetShape = field(default_factory=resnet50_config)
-    #: Sustained fraction of tensor-core peak at online batch sizes.
-    gpu_efficiency: float = 0.06
-    #: Sustained fraction of CPU vector peak for the fallback path.
-    cpu_efficiency: float = 0.30
-    #: Per-batch fixed cost: kernel launch, batch assembly, host<->device.
-    host_overhead_s: float = 3.0e-3
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.gpu_efficiency <= 1.0):
-            raise ValueError("gpu_efficiency must be in (0, 1]")
-        if not (0.0 < self.cpu_efficiency <= 1.0):
-            raise ValueError("cpu_efficiency must be in (0, 1]")
-        if self.host_overhead_s < 0:
-            raise ValueError("host_overhead_s must be non-negative")
-
     def sustained_flops(self, node_spec: NodeSpec) -> float:
         """Sustained inference FLOP/s one node of ``node_spec`` delivers."""
         if node_spec.gpu_count > 0:
             peak = node_spec.gpu_tensor_flops or node_spec.gpu_peak_flops
-            return peak * self.gpu_efficiency
-        return node_spec.cpu_peak_flops * self.cpu_efficiency
+            return peak * INFERENCE_GPU_EFFICIENCY
+        return node_spec.cpu_peak_flops * INFERENCE_CPU_EFFICIENCY
 
     def sample_time(self, node_spec: NodeSpec) -> float:
         """Marginal per-sample forward time on one node (no overhead)."""
-        return self.model_shape.flops_per_sample / self.sustained_flops(node_spec)
+        return INFERENCE_MODEL.flops_per_sample / self.sustained_flops(node_spec)
 
     def batch_time(self, batch_samples: int, node_spec: NodeSpec,
                    n_nodes: int = 1) -> float:
@@ -224,9 +218,9 @@ class InferencePerfModel:
         if n_nodes < 1:
             raise ValueError("need at least one node")
         compute = batch_samples * self.sample_time(node_spec) / n_nodes
-        return self.host_overhead_s + compute
+        return INFERENCE_HOST_OVERHEAD_S + compute
 
-    def as_phase(self, batch_samples: int, name: str = "serve-replica"):
+    def as_phase(self, batch_samples: int):
         """The equivalent :class:`~repro.core.jobs.JobPhase` for matchmaking.
 
         Lets the serving replica pool reuse the batch scheduler's
@@ -236,21 +230,27 @@ class InferencePerfModel:
         from repro.core.jobs import JobPhase, WorkloadClass
 
         return JobPhase(
-            name=name,
+            name="serve-replica",
             workload=WorkloadClass.ML_INFERENCE,
-            work_flops=self.model_shape.flops_per_sample * batch_samples,
+            work_flops=INFERENCE_MODEL.flops_per_sample * batch_samples,
             nodes=1,
             parallel_fraction=0.99,
             uses_gpu=True,
             uses_tensor_cores=True,
             memory_GB_per_node=8.0,
-            efficiency=self.gpu_efficiency,
+            efficiency=INFERENCE_GPU_EFFICIENCY,
         )
 
 
 # ---------------------------------------------------------------------------
 # per-kernel device cost (the lazy tensor engine's sim-gpu clock source)
 # ---------------------------------------------------------------------------
+
+#: Achievable fraction of peak HBM bandwidth (STREAM-like).
+KERNEL_HBM_EFFICIENCY = 0.80
+#: Fixed per-launch cost: driver dispatch + kernel setup.
+KERNEL_LAUNCH_OVERHEAD_S = 5.0e-6
+
 
 @dataclass(frozen=True)
 class KernelCostModel:
@@ -265,46 +265,18 @@ class KernelCostModel:
     V100/A100 are launch- and bandwidth-bound, not FLOP-bound.
     """
 
-    gpu: GpuSpec = NVIDIA_A100
-    #: Sustained fraction of tensor-core peak a generic fused kernel hits.
-    efficiency: float = 0.06
-    #: Achievable fraction of peak HBM bandwidth (STREAM-like).
-    hbm_efficiency: float = 0.80
-    #: Fixed per-launch cost: driver dispatch + kernel setup.
-    launch_overhead_s: float = 5.0e-6
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.efficiency <= 1.0):
-            raise ValueError("efficiency must be in (0, 1]")
-        if not (0.0 < self.hbm_efficiency <= 1.0):
-            raise ValueError("hbm_efficiency must be in (0, 1]")
-        if self.launch_overhead_s < 0:
-            raise ValueError("launch_overhead_s must be non-negative")
-
-    @classmethod
-    def from_inference_model(cls, model: InferencePerfModel,
-                             gpu: GpuSpec = NVIDIA_A100,
-                             launch_overhead_s: float = 5.0e-6,
-                             hbm_efficiency: float = 0.80) -> "KernelCostModel":
-        """Derive per-kernel constants from the node-level serving model
-        so both layers price the same silicon consistently."""
-        return cls(
-            gpu=gpu,
-            efficiency=model.gpu_efficiency,
-            hbm_efficiency=hbm_efficiency,
-            launch_overhead_s=launch_overhead_s,
-        )
+    gpu: GpuSpec
 
     @property
     def sustained_flops(self) -> float:
-        return self.gpu.tensor_flops * self.efficiency
+        return self.gpu.tensor_flops * INFERENCE_GPU_EFFICIENCY
 
     @property
     def sustained_bandwidth(self) -> float:
-        return self.gpu.memory_bw_GBps * 1e9 * self.hbm_efficiency
+        return self.gpu.memory_bw_GBps * 1e9 * KERNEL_HBM_EFFICIENCY
 
     def kernel_time(self, flops: float, bytes_moved: float) -> float:
         """Launch + max(compute, memory) seconds for one fused kernel."""
         compute = flops / self.sustained_flops
         memory = bytes_moved / self.sustained_bandwidth
-        return self.launch_overhead_s + max(compute, memory)
+        return KERNEL_LAUNCH_OVERHEAD_S + max(compute, memory)

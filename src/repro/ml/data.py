@@ -38,13 +38,11 @@ class DataLoader:
     """Mini-batch iterator with deterministic shuffling."""
 
     def __init__(self, dataset: ArrayDataset, batch_size: int,
-                 shuffle: bool = True, seed: int = 0,
-                 drop_last: bool = False) -> None:
+                 seed: int = 0, drop_last: bool = False) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.dataset = dataset
         self.batch_size = batch_size
-        self.shuffle = shuffle
         self.seed = seed
         self.drop_last = drop_last
         self._epoch = 0
@@ -53,11 +51,8 @@ class DataLoader:
         self._epoch = epoch
 
     def _indices(self) -> np.ndarray:
-        n = len(self.dataset)
-        if self.shuffle:
-            rng = np.random.default_rng(self.seed + self._epoch)
-            return rng.permutation(n)
-        return np.arange(n)
+        rng = np.random.default_rng(self.seed + self._epoch)
+        return rng.permutation(len(self.dataset))
 
     def __len__(self) -> int:
         n = len(self.dataset)
@@ -77,7 +72,7 @@ class DistributedSampler:
     """Shard a dataset across data-parallel ranks, Horovod-style."""
 
     def __init__(self, n_samples: int, rank: int, world_size: int,
-                 shuffle: bool = True, seed: int = 0) -> None:
+                 seed: int = 0) -> None:
         if not (0 <= rank < world_size):
             raise ValueError("rank must be in [0, world_size)")
         if n_samples < 1:
@@ -85,7 +80,6 @@ class DistributedSampler:
         self.n_samples = n_samples
         self.rank = rank
         self.world_size = world_size
-        self.shuffle = shuffle
         self.seed = seed
         self._epoch = 0
         #: Every rank sees the same number of samples (tail padded by wrap).
@@ -95,11 +89,8 @@ class DistributedSampler:
         self._epoch = epoch
 
     def indices(self) -> np.ndarray:
-        if self.shuffle:
-            rng = np.random.default_rng(self.seed + self._epoch)
-            order = rng.permutation(self.n_samples)
-        else:
-            order = np.arange(self.n_samples)
+        rng = np.random.default_rng(self.seed + self._epoch)
+        order = rng.permutation(self.n_samples)
         total = self.samples_per_rank * self.world_size
         if total > self.n_samples:
             # Cyclic wrap-padding; covers world sizes beyond the dataset too.
@@ -111,13 +102,11 @@ class DistributedDataLoader:
     """Mini-batches over a rank's shard; all ranks agree on batch count."""
 
     def __init__(self, dataset: ArrayDataset, batch_size: int,
-                 rank: int, world_size: int,
-                 shuffle: bool = True, seed: int = 0) -> None:
+                 rank: int, world_size: int, seed: int = 0) -> None:
         self.dataset = dataset
         self.batch_size = batch_size
-        self.sampler = DistributedSampler(
-            len(dataset), rank, world_size, shuffle=shuffle, seed=seed
-        )
+        self.sampler = DistributedSampler(len(dataset), rank, world_size,
+                                          seed=seed)
 
     def set_epoch(self, epoch: int) -> None:
         self.sampler.set_epoch(epoch)

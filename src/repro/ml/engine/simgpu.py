@@ -3,7 +3,7 @@
 Executes fused kernels through the same NumPy executor as the CPU device
 (bit-identical results — the point of the engine), but charges simulated
 time per **fused kernel** on the V100/A100 roofline derived from
-:class:`repro.distributed.perfmodel.InferencePerfModel`: a fixed launch
+:class:`repro.distributed.perfmodel.KernelCostModel`: a fixed launch
 overhead plus ``max(flops/sustained_flops, bytes/sustained_bandwidth)``.
 
 Because launch overhead is charged once per kernel rather than once per
@@ -26,18 +26,14 @@ _GPU_NAMES = ("A100", "V100")
 class SimGpuDevice(Device):
     """NumPy-backed device billed on a GPU kernel cost model."""
 
-    def __init__(self, gpu: str = "A100", cost_model=None) -> None:
+    def __init__(self, gpu: str = "A100") -> None:
         super().__init__()
-        if cost_model is None:
-            from repro.core.hardware import NVIDIA_A100, NVIDIA_V100
-            from repro.distributed.perfmodel import (InferencePerfModel,
-                                                     KernelCostModel)
-            if gpu not in _GPU_NAMES:
-                raise ValueError(f"unknown GPU {gpu!r} (have {_GPU_NAMES})")
-            spec = NVIDIA_A100 if gpu == "A100" else NVIDIA_V100
-            cost_model = KernelCostModel.from_inference_model(
-                InferencePerfModel(), gpu=spec)
-        self.cost_model = cost_model
+        from repro.core.hardware import NVIDIA_A100, NVIDIA_V100
+        from repro.distributed.perfmodel import KernelCostModel
+        if gpu not in _GPU_NAMES:
+            raise ValueError(f"unknown GPU {gpu!r} (have {_GPU_NAMES})")
+        self.cost_model = KernelCostModel(
+            NVIDIA_A100 if gpu == "A100" else NVIDIA_V100)
         self.name = f"sim-gpu:{gpu.lower()}"
 
     def kernel_time_s(self, flops: float, bytes_moved: int,

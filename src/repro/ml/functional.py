@@ -92,7 +92,6 @@ def conv1d(
     x: Tensor,
     weight: Tensor,
     bias: Optional[Tensor] = None,
-    stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
     """1-D convolution on (N, C, L) — used by the ARDS 1-D CNN baseline."""
@@ -102,7 +101,7 @@ def conv1d(
     x4 = x.reshape(n, c, 1, l)
     out_c, in_c, k = weight.shape
     w4 = weight.reshape(out_c, in_c, 1, k)
-    out = conv2d(x4, w4, bias=bias, stride=stride, padding=0)
+    out = conv2d(x4, w4, bias=bias)
     n2, oc, _, ol = out.shape
     return out.reshape(n2, oc, ol)
 

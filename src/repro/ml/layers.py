@@ -18,10 +18,10 @@ from repro.ml.tensor import Tensor
 class Parameter(Tensor):
     """A trainable tensor."""
 
-    def __init__(self, data, name: str = "") -> None:
+    def __init__(self, data) -> None:
         # Tensor.__init__ preserves float dtypes (float32 weights stay
         # float32) and promotes integer initialisers to float64.
-        super().__init__(data, requires_grad=True, name=name)
+        super().__init__(data, requires_grad=True)
 
 
 class Module:
@@ -135,19 +135,16 @@ class Dense(Module):
     """Fully connected layer: y = x W + b."""
 
     def __init__(self, in_features: int, out_features: int,
-                 rng: Optional[np.random.Generator] = None, bias: bool = True) -> None:
+                 rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(he_init(rng, (in_features, out_features), in_features))
-        self.bias = Parameter(np.zeros(out_features)) if bias else None
+        self.bias = Parameter(np.zeros(out_features))
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x @ self.weight + self.bias
 
 
 class Conv2D(Module):
@@ -174,20 +171,22 @@ class Conv1D(Module):
     """1-D convolution over (N, C, L) sequences."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 stride: int = 1, padding: int = 0,
-                 rng: Optional[np.random.Generator] = None, bias: bool = True) -> None:
+                 padding: int = 0,
+                 rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
         fan_in = in_channels * kernel
-        self.stride = stride
         self.padding = padding
         self.weight = Parameter(
             he_init(rng, (out_channels, in_channels, kernel), fan_in))
-        self.bias = Parameter(np.zeros(out_channels)) if bias else None
+        self.bias = Parameter(np.zeros(out_channels))
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.conv1d(x, self.weight, self.bias,
-                        stride=self.stride, padding=self.padding)
+        return F.conv1d(x, self.weight, self.bias, padding=self.padding)
+
+
+#: Running-statistics decay and variance guard of :class:`BatchNorm`.
+BN_MOMENTUM, BN_EPS = 0.9, 1e-5
 
 
 class BatchNorm(Module):
@@ -197,12 +196,9 @@ class BatchNorm(Module):
     statistics for eval mode.
     """
 
-    def __init__(self, num_features: int, momentum: float = 0.9,
-                 eps: float = 1e-5) -> None:
+    def __init__(self, num_features: int) -> None:
         super().__init__()
         self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Parameter(np.ones(num_features))
         self.beta = Parameter(np.zeros(num_features))
         self._buffers["running_mean"] = np.zeros(num_features)
@@ -228,17 +224,17 @@ class BatchNorm(Module):
         if self.training:
             mu = x.mean(axis=axes, keepdims=True)
             var = ((x - mu) ** 2).mean(axis=axes, keepdims=True)
-            m = self.momentum
+            m = BN_MOMENTUM
             rm, rv = self._buffers["running_mean"], self._buffers["running_var"]
             rm *= m
             rm += (1 - m) * mu.data.reshape(-1)
             rv *= m
             rv += (1 - m) * var.data.reshape(-1)
-            x_hat = (x - mu) / ((var + self.eps) ** 0.5)
+            x_hat = (x - mu) / ((var + BN_EPS) ** 0.5)
         else:
             mu = Tensor(self.running_mean.reshape(shape))
             var = Tensor(self.running_var.reshape(shape))
-            x_hat = (x - mu) / ((var + self.eps) ** 0.5)
+            x_hat = (x - mu) / ((var + BN_EPS) ** 0.5)
         return x_hat * self.gamma.reshape(shape) + self.beta.reshape(shape)
 
 

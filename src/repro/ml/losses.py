@@ -4,7 +4,7 @@
 * binary cross-entropy with logits (multi-label: BigEarthNet-style),
 * MAE — the ARDS GRU's loss (paper Sec. IV-B),
 * MSE — autoencoder reconstruction,
-* optional masking so imputation losses only score observed entries.
+* optional masking so the MSE only scores observed entries.
 """
 
 from __future__ import annotations
@@ -47,15 +47,9 @@ def mse(pred: Tensor, target: np.ndarray, mask: Optional[np.ndarray] = None) -> 
     return (sq * _target_tensor(pred, mask)).sum() * (1.0 / denom)
 
 
-def mae(pred: Tensor, target: np.ndarray, mask: Optional[np.ndarray] = None) -> Tensor:
+def mae(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean absolute error — the ARDS GRU's training loss."""
-    t = _target_tensor(pred, target)
-    err = (pred - t).abs()
-    if mask is None:
-        return err.mean()
-    m = np.asarray(mask, dtype=np.float64)
-    denom = max(m.sum(), 1.0)
-    return (err * _target_tensor(pred, mask)).sum() * (1.0 / denom)
+    return (pred - _target_tensor(pred, target)).abs().mean()
 
 
 def l2_regularisation(params, coeff: float) -> Tensor:

@@ -44,12 +44,5 @@ def precision_recall_f1(
     return {"precision": precision, "recall": recall, "f1": f1}
 
 
-def mae_score(pred: np.ndarray, true: np.ndarray,
-              mask: np.ndarray | None = None) -> float:
-    err = np.abs(np.asarray(pred) - np.asarray(true))
-    if mask is not None:
-        m = np.asarray(mask, dtype=bool)
-        if not m.any():
-            raise ValueError("mask selects no entries")
-        err = err[m]
-    return float(err.mean())
+def mae_score(pred: np.ndarray, true: np.ndarray) -> float:
+    return float(np.abs(np.asarray(pred) - np.asarray(true)).mean())

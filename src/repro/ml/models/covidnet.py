@@ -55,8 +55,8 @@ class PepxBlock(Module):
 class CovidNet(Module):
     """A COVID-Net-style classifier over (N, 1, H, W) radiographs."""
 
-    def __init__(self, n_classes: int = 3, base_width: int = 16,
-                 n_blocks: int = 3, seed: int = 0) -> None:
+    def __init__(self, base_width: int = 16, n_blocks: int = 3,
+                 seed: int = 0) -> None:
         super().__init__()
         if n_blocks < 1:
             raise ValueError("need at least one PEPX block")
@@ -73,8 +73,7 @@ class CovidNet(Module):
         self.blocks = blocks
         self.pool = GlobalAvgPool2D()
         self.fc1 = Dense(channels, 32, rng=rng)
-        self.fc2 = Dense(32, n_classes, rng=rng)
-        self.n_classes = n_classes
+        self.fc2 = Dense(32, 3, rng=rng)   # normal, pneumonia, COVID-19
 
     def forward(self, x: Tensor) -> Tensor:
         out = self.stem_bn(self.stem(x)).relu()

@@ -10,12 +10,14 @@ paper reports as equally promising for missing-value prediction.
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from repro.ml.layers import Conv1D, Dense, Dropout, Module
 from repro.ml.rnn import GRU
 from repro.ml.tensor import Tensor
+
+#: The paper's dropout after each GRU layer, and the 1-D CNN's kernel width.
+DROPOUT, CNN_KERNEL = 0.2, 5
 
 
 class GruForecaster(Module):
@@ -26,13 +28,13 @@ class GruForecaster(Module):
     """
 
     def __init__(self, n_features: int, hidden: int = 32,
-                 dropout: float = 0.2, seed: int = 0) -> None:
+                 seed: int = 0) -> None:
         super().__init__()
         rng = np.random.default_rng(seed)
         self.gru1 = GRU(n_features, hidden, return_sequences=True, rng=rng)
-        self.drop1 = Dropout(dropout, seed=seed + 1)
+        self.drop1 = Dropout(DROPOUT, seed=seed + 1)
         self.gru2 = GRU(hidden, hidden, return_sequences=False, rng=rng)
-        self.drop2 = Dropout(dropout, seed=seed + 2)
+        self.drop2 = Dropout(DROPOUT, seed=seed + 2)
         self.out = Dense(hidden, 1, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -60,13 +62,13 @@ class Cnn1dForecaster(Module):
     """1-D CNN alternative the paper highlights as promising."""
 
     def __init__(self, n_features: int, channels: int = 32,
-                 kernel: int = 5, seed: int = 0) -> None:
+                 seed: int = 0) -> None:
         super().__init__()
         rng = np.random.default_rng(seed)
-        self.conv1 = Conv1D(n_features, channels, kernel,
-                            padding=kernel // 2, rng=rng)
-        self.conv2 = Conv1D(channels, channels, kernel,
-                            padding=kernel // 2, rng=rng)
+        self.conv1 = Conv1D(n_features, channels, CNN_KERNEL,
+                            padding=CNN_KERNEL // 2, rng=rng)
+        self.conv2 = Conv1D(channels, channels, CNN_KERNEL,
+                            padding=CNN_KERNEL // 2, rng=rng)
         self.out = Dense(channels, 1, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -77,13 +79,7 @@ class Cnn1dForecaster(Module):
         h = h.mean(axis=2)          # global average over time
         return self.out(h)
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        was_training = self.training
-        self.eval()
-        pred = self.forward(Tensor(x)).data
-        if was_training:
-            self.train()
-        return pred
+    predict = GruForecaster.predict
 
 
 def locf_baseline(windows: np.ndarray, target_channel: int = 0) -> np.ndarray:

@@ -123,8 +123,7 @@ class ResNetShape:
     flops_per_sample: float     # forward pass, multiply-accumulate counted as 2
 
 
-def resnet50_config(in_channels: int = 12, n_classes: int = 43,
-                    image_hw: int = 120) -> ResNetShape:
+def resnet50_config() -> ResNetShape:
     """Parameter/FLOP counts of ResNet-50 on BigEarthNet-sized patches.
 
     Follows the standard bottleneck accounting (He et al. Table 1): ~25.6 M
@@ -133,6 +132,7 @@ def resnet50_config(in_channels: int = 12, n_classes: int = 43,
     distributed-training performance model (E3) uses these counts; training
     the full net numerically is out of scope for a CPU laptop.
     """
+    in_channels, n_classes, image_hw = 12, 43, 120
     base_params = 25.6e6
     # Stem + head adjustments for channel/class count differences.
     stem_delta = (in_channels - 3) * 64 * 7 * 7

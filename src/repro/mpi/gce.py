@@ -26,23 +26,26 @@ from repro.simnet.costs import CommCostModel
 from repro.mpi.comm import Communicator, ReduceOp
 
 
+#: Per-collective fixed offload latency (doorbell + descriptor fetch).
+OFFLOAD_ALPHA = 1.5e-6
+#: In-network per-hop pipeline latency.
+HOP_ALPHA = 0.4e-6
+#: Streaming efficiency vs raw link bandwidth (pipelined, near line rate).
+STREAM_EFFICIENCY = 0.95
+#: Switch radix of the reduction tree.
+RADIX = 16
+
+
 @dataclass(frozen=True)
 class GlobalCollectiveEngine:
     """Hardware-offload collective model for the ESB fabric.
 
-    Parameters are relative to the host fabric's software path: the FPGA
-    pipeline removes the per-step software α and streams at line rate.
+    The module constants are relative to the host fabric's software path:
+    the FPGA pipeline removes the per-step software α and streams at line
+    rate.
     """
 
     fabric: CommCostModel
-    #: Per-collective fixed offload latency (doorbell + descriptor fetch).
-    offload_alpha: float = 1.5e-6
-    #: In-network per-hop pipeline latency.
-    hop_alpha: float = 0.4e-6
-    #: Streaming efficiency vs raw link bandwidth (pipelined, near line rate).
-    stream_efficiency: float = 0.95
-    #: Switch radix of the reduction tree.
-    radix: int = 16
 
     def allreduce_time(self, p: int, nbytes: float) -> float:
         """Simulated time of a GCE-offloaded allreduce."""
@@ -50,12 +53,12 @@ class GlobalCollectiveEngine:
             raise ValueError("need at least one rank")
         if p == 1:
             return 0.0
-        depth = max(1, math.ceil(math.log(p, self.radix)))
-        stream = nbytes * self.fabric.beta / self.stream_efficiency
+        depth = max(1, math.ceil(math.log(p, RADIX)))
+        stream = nbytes * self.fabric.beta / STREAM_EFFICIENCY
         # Up-tree reduce + down-tree broadcast are pipelined full-duplex
         # (results stream down while data still streams up), so the payload
         # is serialised once; tree propagation costs a hop each way.
-        return self.offload_alpha + 2 * depth * self.hop_alpha + stream
+        return OFFLOAD_ALPHA + 2 * depth * HOP_ALPHA + stream
 
     def software_allreduce_time(self, p: int, nbytes: float, algorithm: str = "ring") -> float:
         """Reference software time on the same fabric (for speedup reporting)."""
@@ -74,9 +77,8 @@ def gce_allreduce(
     comm: Communicator,
     array: np.ndarray,
     gce: GlobalCollectiveEngine,
-    op: str = ReduceOp.SUM,
 ) -> np.ndarray:
-    """Functionally exact allreduce with GCE-offload *timing*.
+    """Functionally exact SUM allreduce with GCE-offload *timing*.
 
     The numerical result equals the software allreduce (hardware reduction
     units implement the same arithmetic).  The simulated clock of every rank
@@ -84,8 +86,6 @@ def gce_allreduce(
     we run the reduction through a tree without per-message charging, then
     synchronise clocks explicitly, as the in-network engine does.
     """
-    if op != ReduceOp.SUM:
-        raise ValueError("the GCE model offloads SUM reductions")
     # Functional phase — use the object tree reduce + bcast for the values,
     # on a zero-cost clone so software ptp costs are not charged.
     free_model = CommCostModel(alpha=0.0, beta=0.0, gamma=0.0)

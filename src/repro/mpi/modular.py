@@ -38,7 +38,8 @@ class ModularCostModel:
     rank_module: tuple[str, ...]
     module_models: dict[str, CommCostModel]
     federation: CommCostModel
-    gamma: float = 5.0e-12
+    #: Per-byte reduction compute cost (the :class:`CommCostModel` ``gamma``).
+    gamma = 5.0e-12
 
     def __post_init__(self) -> None:
         for module in self.rank_module:
@@ -50,7 +51,6 @@ class ModularCostModel:
         cls,
         rank_module: Sequence[str],
         module_fabrics: Optional[dict[str, LinkKind]] = None,
-        federation_kind: LinkKind = LinkKind.FEDERATION,
     ) -> "ModularCostModel":
         fabrics = module_fabrics or {}
         models = {
@@ -61,7 +61,7 @@ class ModularCostModel:
         return cls(
             rank_module=tuple(rank_module),
             module_models=models,
-            federation=CommCostModel.of_kind(federation_kind),
+            federation=CommCostModel.of_kind(LinkKind.FEDERATION),
         )
 
     # -- CommCostModel-compatible surface ----------------------------------
@@ -104,10 +104,9 @@ def run_modular_spmd(
     fn: Callable,
     rank_module: Sequence[str],
     module_fabrics: Optional[dict[str, LinkKind]] = None,
-    args: Sequence = (),
 ):
     """``run_spmd`` with ranks placed on named MSA modules."""
     from repro.mpi.runtime import run_spmd
 
     model = ModularCostModel.build(rank_module, module_fabrics)
-    return run_spmd(fn, len(rank_module), args=args, cost_model=model)
+    return run_spmd(fn, len(rank_module), cost_model=model)

@@ -34,7 +34,6 @@ def run_spmd(
     world_size: int,
     args: Sequence[Any] = (),
     cost_model: Optional[CommCostModel] = None,
-    rank_args: Optional[Sequence[Sequence[Any]]] = None,
     timeout: Optional[float] = 300.0,
     integrity: Optional[Any] = None,
 ) -> list[Any]:
@@ -46,8 +45,6 @@ def run_spmd(
         The per-rank entry point; receives a :class:`Communicator` first.
     args:
         Extra positional arguments passed identically to every rank.
-    rank_args:
-        Optional per-rank argument tuples (overrides ``args``).
     cost_model:
         Fabric cost model charged to the simulated clocks.
     timeout:
@@ -59,8 +56,6 @@ def run_spmd(
     """
     if world_size < 1:
         raise ValueError("world_size must be >= 1")
-    if rank_args is not None and len(rank_args) != world_size:
-        raise ValueError("rank_args must have one entry per rank")
 
     transport = Transport(world_size)
     results: list[Any] = [None] * world_size
@@ -69,9 +64,8 @@ def run_spmd(
     def worker(rank: int) -> None:
         comm = Communicator(transport, rank, cost_model=cost_model,
                             integrity=integrity)
-        call_args = rank_args[rank] if rank_args is not None else args
         try:
-            results[rank] = fn(comm, *call_args)
+            results[rank] = fn(comm, *args)
         except TransportAborted:
             pass  # secondary failure caused by another rank's abort
         except BaseException as exc:  # noqa: BLE001 — must not deadlock the world
@@ -104,14 +98,13 @@ def run_spmd(
 
 
 def spmd_sim_times(
-    fn: Callable[..., Any],
+    fn: Callable[[Communicator], Any],
     world_size: int,
-    args: Sequence[Any] = (),
     cost_model: Optional[CommCostModel] = None,
 ) -> tuple[list[Any], list[float]]:
     """Like :func:`run_spmd` but also return each rank's final simulated time."""
-    def timed(comm: Communicator, *call_args: Any) -> tuple[Any, float]:
-        return fn(comm, *call_args), comm.sim_time
+    def timed(comm: Communicator) -> tuple[Any, float]:
+        return fn(comm), comm.sim_time
 
-    pairs = run_spmd(timed, world_size, args=args, cost_model=cost_model)
+    pairs = run_spmd(timed, world_size, cost_model=cost_model)
     return [r for r, _ in pairs], [t for _, t in pairs]

@@ -56,10 +56,7 @@ class SimulatedQuantumAnnealer:
 
     def __init__(self, n_qubits: int = 5000, n_couplers: int = 35000,
                  topology_family: str = "pegasus", seed: int = 0,
-                 sweeps: int = 400,
-                 chain_break_prob_per_qubit: float = 0.0) -> None:
-        if not (0.0 <= chain_break_prob_per_qubit < 1.0):
-            raise ValueError("chain_break_prob_per_qubit must be in [0, 1)")
+                 sweeps: int = 400) -> None:
         max_clique = 64 if topology_family == "chimera" else 180
         self.device = DeviceTopology(
             name=f"sim-{topology_family}", family=topology_family,
@@ -67,17 +64,12 @@ class SimulatedQuantumAnnealer:
         )
         self.seed = seed
         self.sweeps = sweeps
-        #: Per-physical-qubit chain-break probability per read.  Real
-        #: annealers report broken chains (majority-vote repaired);
-        #: longer embedding chains break more often, degrading samples —
-        #: one more reason sub-problems must stay small.
-        self.chain_break_prob_per_qubit = chain_break_prob_per_qubit
 
     @classmethod
-    def for_device(cls, device: DeviceTopology, seed: int = 0,
+    def for_device(cls, device: DeviceTopology,
                    sweeps: int = 400) -> "SimulatedQuantumAnnealer":
         inst = cls(n_qubits=device.n_qubits, n_couplers=device.n_couplers,
-                   topology_family=device.family, seed=seed, sweeps=sweeps)
+                   topology_family=device.family, sweeps=sweeps)
         inst.device = device
         return inst
 
@@ -147,15 +139,6 @@ class SimulatedQuantumAnnealer:
                         sign = 1.0 - 2.0 * x_old   # +1 if turning on
                         deltas += (1.0 - 2.0 * x) * sym_col * sign
                         deltas[bit] = -d
-            # Chain-break noise: a logical variable whose embedding chain
-            # breaks resolves by (possibly wrong) majority vote — flip it
-            # with probability ½.
-            if self.chain_break_prob_per_qubit > 0.0 and chain > 1:
-                p_break = 1.0 - (1.0 - self.chain_break_prob_per_qubit) \
-                    ** (chain - 1)
-                broken = rng.random(n) < p_break
-                flip = broken & (rng.random(n) < 0.5)
-                x = np.where(flip, 1.0 - x, x)
             samples[read] = x
             energies[read] = qubo.energy(x)
 

@@ -141,20 +141,19 @@ class QSvmEnsemble:
     """QSVMs over class-balanced sub-samples, decision-averaged (ref [11])."""
 
     def __init__(self, annealer: SimulatedQuantumAnnealer,
-                 n_members: int = 5, seed: int = 0, **qsvm_kwargs) -> None:
+                 n_members: int = 5, **qsvm_kwargs) -> None:
         if n_members < 1:
             raise ValueError("need at least one member")
         self.annealer = annealer
         self.n_members = n_members
-        self.seed = seed
         self.qsvm_kwargs = qsvm_kwargs
         self.members_: list[QuantumSVM] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "QSvmEnsemble":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        rng = np.random.default_rng(self.seed)
-        probe = QuantumSVM(self.annealer, seed=self.seed, **self.qsvm_kwargs)
+        rng = np.random.default_rng(0)
+        probe = QuantumSVM(self.annealer, seed=0, **self.qsvm_kwargs)
         cap = probe.max_training_samples()
         size = min(cap, X.shape[0])
         self.members_ = []
@@ -167,7 +166,7 @@ class QSvmEnsemble:
             if len(np.unique(y[idx])) < 2:
                 continue
             member = QuantumSVM(
-                self.annealer, seed=self.seed + len(self.members_),
+                self.annealer, seed=len(self.members_),
                 **self.qsvm_kwargs,
             )
             member.fit(X[idx], y[idx])

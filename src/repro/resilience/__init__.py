@@ -30,7 +30,6 @@ every existing workload produces byte-identical results.
 
 from repro.resilience.detect import (
     ComponentHealth,
-    DetectorConfig,
     PhiAccrualDetector,
 )
 from repro.resilience.faults import (
@@ -63,7 +62,6 @@ from repro.resilience.retry import RetryBudget, RetryPolicy
 
 __all__ = [
     "ComponentHealth",
-    "DetectorConfig",
     "PhiAccrualDetector",
     "DATA_FAULTS",
     "partition_cut",

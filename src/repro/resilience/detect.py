@@ -42,33 +42,17 @@ LN10 = math.log(10.0)
 PHI_CEILING = 1e3
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Tuning knobs for one :class:`PhiAccrualDetector`.
-
-    ``expected_interval_s`` seeds the gap model until a window of real
-    intervals exists (the simulation-start edge case: a node that never
-    heartbeats must still grow suspicious against *some* expectation).
-    ``min_interval_s`` floors the modelled mean so a burst of rapid
-    heartbeats cannot make the detector hair-triggered (the flapping
-    edge case).  ``threshold`` is the default phi above which
-    :meth:`PhiAccrualDetector.suspect` fires.
-    """
-
-    expected_interval_s: float = 0.05
-    window: int = 16
-    min_interval_s: float = 1e-3
-    threshold: float = 6.0
-
-    def __post_init__(self) -> None:
-        if self.expected_interval_s <= 0:
-            raise ValueError("expected_interval_s must be positive")
-        if self.window < 1:
-            raise ValueError("window must hold at least one interval")
-        if self.min_interval_s <= 0:
-            raise ValueError("min_interval_s must be positive")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+#: Modelled heartbeat gap until a window of real intervals exists (the
+#: simulation-start edge case: a node that never heartbeats must still
+#: grow suspicious against *some* expectation).
+EXPECTED_INTERVAL_S = 0.05
+#: Heartbeat intervals kept per endpoint.
+WINDOW = 16
+#: Floor on the modelled mean, so a burst of rapid heartbeats cannot make
+#: the detector hair-triggered (the flapping edge case).
+MIN_INTERVAL_S = 1e-3
+#: Phi above which :meth:`PhiAccrualDetector.suspect` fires.
+THRESHOLD = 6.0
 
 
 @dataclass
@@ -83,16 +67,15 @@ class _Endpoint:
 class PhiAccrualDetector:
     """Per-endpoint suspicion levels from heartbeat instants.
 
-    >>> det = PhiAccrualDetector(DetectorConfig(expected_interval_s=1.0))
+    >>> det = PhiAccrualDetector()
     >>> det.register("r0", now=0.0)
-    >>> for t in (1.0, 2.0, 3.0):
+    >>> for t in (0.05, 0.10, 0.15):
     ...     det.heartbeat("r0", t)
-    >>> det.phi("r0", 3.5) < det.phi("r0", 9.0)
+    >>> det.phi("r0", 0.2) < det.phi("r0", 0.5)
     True
     """
 
-    def __init__(self, config: Optional[DetectorConfig] = None) -> None:
-        self.config = config if config is not None else DetectorConfig()
+    def __init__(self) -> None:
         self._endpoints: dict[Hashable, _Endpoint] = {}
         #: (time, key, phi) rows for every suspect transition (telemetry).
         self.suspicion_log: list[tuple[float, Hashable, float]] = []
@@ -116,7 +99,7 @@ class PhiAccrualDetector:
             if gap < 0:
                 raise ValueError("heartbeat clock ran backwards")
             ep.intervals.append(gap)
-            while len(ep.intervals) > self.config.window:
+            while len(ep.intervals) > WINDOW:
                 ep.intervals.popleft()
         ep.last_beat = now
         self._suspected.discard(key)
@@ -133,8 +116,8 @@ class PhiAccrualDetector:
         else:
             # Bootstrap: no observed gap yet (start of simulation, or a
             # single beat so far) — fall back on the declared expectation.
-            mean = self.config.expected_interval_s
-        return max(mean, self.config.min_interval_s)
+            mean = EXPECTED_INTERVAL_S
+        return max(mean, MIN_INTERVAL_S)
 
     def phi(self, key: Hashable, now: float) -> float:
         """Suspicion level of ``key`` at ``now`` (0 = just heard from it).
@@ -152,12 +135,10 @@ class PhiAccrualDetector:
             return 0.0
         return min(silence / (self.mean_interval(key) * LN10), PHI_CEILING)
 
-    def suspect(self, key: Hashable, now: float,
-                threshold: Optional[float] = None) -> bool:
-        """Is ``key``'s suspicion above ``threshold`` (default: config's)?"""
+    def suspect(self, key: Hashable, now: float) -> bool:
+        """Is ``key``'s suspicion above :data:`THRESHOLD`?"""
         level = self.phi(key, now)
-        limit = threshold if threshold is not None else self.config.threshold
-        is_suspect = level > limit
+        is_suspect = level > THRESHOLD
         if is_suspect and key not in self._suspected:
             self._suspected.add(key)
             self.suspicion_log.append((now, key, level))
@@ -169,11 +150,10 @@ class PhiAccrualDetector:
         """``{key: phi}`` for every monitored endpoint (sorted keys)."""
         return {key: self.phi(key, now) for key in self.monitored()}
 
-    def publish(self, registry, now: float, component: str = "detector"
-                ) -> None:
+    def publish(self, registry, now: float) -> None:
         """Export per-endpoint phi as labeled gauges on ``registry``."""
         for key, level in self.suspicion_levels(now).items():
-            registry.gauge("health_suspicion_phi", component=component,
+            registry.gauge("health_suspicion_phi", component="detector",
                            endpoint=str(key)).set(level)
 
 

@@ -48,6 +48,7 @@ never by the scheduler clock — they damage *data*, not availability):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional
@@ -126,6 +127,14 @@ class FaultSpec:
 
 class FaultPlanError(ValueError):
     """Raised for malformed fault-plan descriptions."""
+
+
+def _count(clause: str, text: str) -> int:
+    """The ``:count`` of a plan clause (1 when omitted), never negative."""
+    count = int(text) if text.strip() else 1
+    if count < 0:
+        raise FaultPlanError(f"negative count in clause {clause!r}")
+    return count
 
 
 def partition_cut(seed: int, spec: FaultSpec, labels) -> frozenset:
@@ -364,14 +373,14 @@ class FaultPlan:
                       "degrade": FaultKind.LINK_DEGRADE}
         chaos_counts = {"partition": 0, "gray": 0}
 
-        def add_chaos(term: str) -> None:
+        def add_chaos(term: str, clause: str) -> None:
             name, _, count = term.partition(":")
             name = name.strip().lower()
             if name not in chaos_counts:
                 raise FaultPlanError(
                     f"unknown chaos fault {name!r} "
                     f"(choose from {sorted(chaos_counts)})")
-            chaos_counts[name] += int(count) if count.strip() else 1
+            chaos_counts[name] += _count(clause, count)
 
         in_chaos = False
         for clause in filter(None, (c.strip() for c in text.split(","))):
@@ -381,7 +390,7 @@ class FaultPlan:
                 # ``chaos=partition:1,gray:2`` splits into two tokens.
                 if in_chaos and ":" in clause:
                     try:
-                        add_chaos(clause)
+                        add_chaos(clause, clause)
                     except ValueError as exc:
                         if isinstance(exc, FaultPlanError):
                             raise
@@ -393,22 +402,27 @@ class FaultPlan:
             key = key.strip().lower()
             value = value.strip()
             in_chaos = False
+            in_range = True
             try:
                 if key == "seed":
                     seed = int(value)
+                    in_range = seed >= 0
                 elif key == "horizon":
                     horizon = float(value)
+                    in_range = math.isfinite(horizon) and horizon > 0
                 elif key == "repair":
                     repair = float(value)
+                    in_range = math.isfinite(repair) and repair >= 0
                 elif key == "bitflip":
                     bitflip = float(value)
+                    in_range = 0.0 <= bitflip <= 1.0
                 elif key == "chaos":
-                    add_chaos(value)
+                    add_chaos(value, clause)
                     in_chaos = True
                 elif key in kind_names:
                     module, _, count = value.partition(":")
                     counts[kind_names[key]].append(
-                        (module, int(count) if count else 1))
+                        (module, _count(clause, count)))
                 else:
                     raise FaultPlanError(f"unknown fault clause {key!r}")
             except ValueError as exc:
@@ -416,6 +430,8 @@ class FaultPlan:
                     raise
                 raise FaultPlanError(
                     f"malformed value in clause {clause!r}") from exc
+            if not in_range:
+                raise FaultPlanError(f"value out of range in clause {clause!r}")
         for entries in counts.values():
             for module, _ in entries:
                 if targets and module not in targets:

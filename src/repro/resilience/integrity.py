@@ -158,25 +158,21 @@ def _corrupt_scalar(value: float, seed: int, key: str, n: int) -> float:
 
 @dataclass(frozen=True)
 class IntegrityConfig:
-    """Knobs of the verification layer (injection is the fault plan's job).
+    """The verification switch (injection is the fault plan's job).
 
-    * ``verify`` — checksum envelopes on messages and the ABFT invariant
-      on gradient allreduces; off = corruption flows silently,
-    * ``tolerance`` — relative tolerance of the ABFT sum comparison
-      (absorbs the reduction-order float jitter a ring introduces),
-    * ``retransmit_penalty_s`` — simulated-clock cost charged when a
-      corrupted message is detected and retransmitted.
+    ``verify`` — checksum envelopes on messages and the ABFT invariant on
+    gradient allreduces; off = corruption flows silently.
     """
 
     verify: bool = True
-    tolerance: float = 1e-9
-    retransmit_penalty_s: float = 1e-4
 
-    def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.retransmit_penalty_s < 0:
-            raise ValueError("retransmit penalty must be non-negative")
+
+#: Relative tolerance of the ABFT sum comparison (absorbs the
+#: reduction-order float jitter a ring introduces).
+ABFT_TOLERANCE = 1e-9
+#: Simulated-clock cost charged when a corrupted message is detected and
+#: retransmitted.
+RETRANSMIT_PENALTY_S = 1e-4
 
 
 #: Sentinel CRC marking a trusted-transport envelope.  The in-process
@@ -375,7 +371,7 @@ class IntegrityContext:
             raise RuntimeError(
                 "corrupted message with no retransmit copy — envelope "
                 "damaged outside the injector's fault model")
-        return envelope.clean, self.config.retransmit_penalty_s
+        return envelope.clean, RETRANSMIT_PENALTY_S
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +422,7 @@ def verified_grad_allreduce(
     actual = float(np.sum(out))
     scale = max(1.0, float(totals[1]))
     if math.isfinite(actual) \
-            and abs(actual - float(totals[0])) <= config.tolerance * scale:
+            and abs(actual - float(totals[0])) <= ABFT_TOLERANCE * scale:
         return out
     # Invariant violated: audit per-rank contributions to find offenders.
     sent = float(np.sum(wire))
@@ -435,7 +431,7 @@ def verified_grad_allreduce(
         comm._world(i) for i, (clean, actual_i) in enumerate(audit)
         if not (math.isfinite(actual_i)
                 and abs(actual_i - clean)
-                <= config.tolerance * max(1.0, abs(clean))))
+                <= ABFT_TOLERANCE * max(1.0, abs(clean))))
     if not offenders:       # float-jitter false alarm — accept the result
         return out
     if comm.rank == 0:

@@ -4,7 +4,7 @@ The NAM's original mission (paper ref [12]) is accelerating
 checkpoint/restart: snapshots stream into fabric-attached memory at
 memory-class bandwidth with the parallel filesystem as the durable
 fallback.  :class:`CheckpointPolicy` makes both knobs — how often to
-snapshot and where — an explicit object that the elastic trainer and the
+snapshot and whether to replicate — an explicit object that the elastic trainer and the
 checkpoint manager share, instead of constants buried in a loop.
 """
 
@@ -18,26 +18,20 @@ class CheckpointPolicy:
     """When and where training snapshots are taken.
 
     * ``every_steps`` — checkpoint cadence in optimiser steps,
-    * ``prefer`` — primary target (``"nam"`` fast path or ``"pfs"``); a
-      restore falls back to the other target on a missing/corrupt primary,
     * ``replicate`` — write every snapshot to *both* targets so the
       fallback copy exists (NAM is volatile memory; the PFS replica is what
       survives a NAM loss).
+
+    Snapshots go to the NAM fast path; a restore falls back to the PFS on
+    a missing/corrupt NAM copy.
     """
 
     every_steps: int = 10
-    prefer: str = "nam"
     replicate: bool = False
 
     def __post_init__(self) -> None:
         if self.every_steps < 1:
             raise ValueError("every_steps must be >= 1")
-        if self.prefer not in ("nam", "pfs"):
-            raise ValueError("prefer must be 'nam' or 'pfs'")
-
-    @property
-    def secondary(self) -> str:
-        return "pfs" if self.prefer == "nam" else "nam"
 
     def should_checkpoint(self, completed_steps: int) -> bool:
         """True when a snapshot is due after ``completed_steps`` steps."""
@@ -46,5 +40,5 @@ class CheckpointPolicy:
         return completed_steps % self.every_steps == 0
 
     def restore_order(self) -> tuple[str, ...]:
-        """Targets to try on restore, in order."""
-        return (self.prefer, self.secondary)
+        """Targets to try on restore, in order: the NAM, then the PFS."""
+        return ("nam", "pfs")

@@ -94,6 +94,14 @@ class RetryPolicy:
         return max(0.0, min(self.delay(attempt, key), deadline_s - now))
 
 
+#: Retry tokens earned per admitted request (the Google-SRE retry budget).
+BUDGET_RATIO = 0.2
+#: Most tokens the budget holds.
+BUDGET_BURST = 50.0
+#: Tokens the budget starts with.
+BUDGET_FLOOR = 5.0
+
+
 class RetryBudget:
     """A global cap keeping retries from amplifying an outage.
 
@@ -101,8 +109,8 @@ class RetryBudget:
     retries, offered load doubles, the survivors drown — the retry storm
     finishes what the outage started.  The budget (the Google SRE
     pattern) makes retries a *fraction* of real traffic instead: each
-    admitted request earns ``ratio`` retry tokens (bounded by
-    ``burst``); a retry spends one.  ``try_spend`` refuses once the pool
+    admitted request earns :data:`BUDGET_RATIO` retry tokens (bounded by
+    :data:`BUDGET_BURST`); a retry spends one.  ``try_spend`` refuses once the pool
     is dry — callers convert the refused retry into a shed or skip the
     optional work (a hedge).  ``spend_forced`` is for retries that are
     mandatory for correctness (failover of already-admitted requests can
@@ -112,17 +120,8 @@ class RetryBudget:
     Deterministic: plain arithmetic, no clock, no randomness.
     """
 
-    def __init__(self, ratio: float = 0.1, burst: float = 20.0,
-                 floor: float = 5.0) -> None:
-        if ratio < 0:
-            raise ValueError("retry ratio must be non-negative")
-        if burst < 1:
-            raise ValueError("burst must hold at least one token")
-        if floor < 0:
-            raise ValueError("floor must be non-negative")
-        self.ratio = ratio
-        self.burst = burst
-        self.tokens = floor
+    def __init__(self) -> None:
+        self.tokens = BUDGET_FLOOR
         self.spent = 0.0
         self.refused = 0
         self.forced_overdraft = 0.0
@@ -132,17 +131,15 @@ class RetryBudget:
         """True while forced retries have outrun the earned budget."""
         return self.tokens < 0.0
 
-    def note_request(self, n: float = 1.0) -> None:
-        """Earn budget: ``n`` admitted requests worth of retry tokens."""
-        if n < 0:
-            raise ValueError("cannot earn negative budget")
-        self.tokens = min(self.burst, self.tokens + n * self.ratio)
+    def note_request(self) -> None:
+        """Earn budget: one admitted request's worth of retry tokens."""
+        self.tokens = min(BUDGET_BURST, self.tokens + BUDGET_RATIO)
 
-    def try_spend(self, n: float = 1.0) -> bool:
-        """Spend ``n`` tokens if the pool covers them (optional work)."""
-        if self.tokens >= n:
-            self.tokens -= n
-            self.spent += n
+    def try_spend(self) -> bool:
+        """Spend one token if the pool covers it (optional work)."""
+        if self.tokens >= 1.0:
+            self.tokens -= 1.0
+            self.spent += 1.0
             return True
         self.refused += 1
         return False

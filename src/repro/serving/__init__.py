@@ -14,7 +14,7 @@ from repro.serving.admission import (
     AdmissionPolicy,
     TokenBucket,
 )
-from repro.serving.batcher import BatchPolicy, MicroBatcher
+from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import ResultCache
 from repro.serving.defense import DefenseConfig
 from repro.serving.engine import (
@@ -42,7 +42,6 @@ __all__ = [
     "ArrivalPattern",
     "Autoscaler",
     "AutoscalerConfig",
-    "BatchPolicy",
     "DefenseConfig",
     "MicroBatcher",
     "ReplicaPool",

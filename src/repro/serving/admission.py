@@ -53,6 +53,10 @@ class TokenBucket:
         return False
 
 
+#: Tokens the rate limiter's bucket holds (the burst it lets through).
+RATE_LIMIT_BURST = 50.0
+
+
 @dataclass(frozen=True)
 class AdmissionPolicy:
     """The gate configuration in front of the request queue.
@@ -62,12 +66,7 @@ class AdmissionPolicy:
     """
 
     rate_limit_per_s: float = 0.0
-    burst: float = 50.0
     max_queue_depth: int = 0
-
-    def __post_init__(self) -> None:
-        if self.rate_limit_per_s > 0 and self.burst < 1:
-            raise ValueError("burst capacity must hold at least one token")
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class AdmissionController:
 
     def __init__(self, policy: AdmissionPolicy) -> None:
         self.policy = policy
-        self._bucket = TokenBucket(policy.rate_limit_per_s, policy.burst)
+        self._bucket = TokenBucket(policy.rate_limit_per_s, RATE_LIMIT_BURST)
 
     def decide(
         self,

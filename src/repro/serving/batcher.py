@@ -4,11 +4,11 @@ GPU inference throughput is overwhelmingly batch-driven — one V100 forward
 pass over 16 samples costs barely more than over one (the fixed host
 overhead in :class:`~repro.distributed.perfmodel.InferencePerfModel`
 dominates small batches).  The batcher therefore holds arriving requests
-briefly to fill batches, governed by the two classic knobs:
+briefly to fill batches, governed by the two classic triggers:
 
-* ``max_batch_requests`` — dispatch immediately once a queue holds a full
-  batch,
-* ``max_wait_s`` — never hold the queue head longer than this, however
+* :data:`MAX_BATCH_REQUESTS` — dispatch immediately once a queue holds a
+  full batch,
+* :data:`MAX_WAIT_S` — never hold the queue head longer than this, however
   empty the batch (the latency cost of batching is bounded).
 
 Queues are strictly per model: batches never mix models (different models
@@ -21,7 +21,6 @@ timer fire?".
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.serving.request import Request
@@ -31,32 +30,23 @@ from repro.serving.request import Request
 _EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class BatchPolicy:
-    """The two micro-batching knobs."""
-
-    max_batch_requests: int = 8
-    max_wait_s: float = 0.010
-
-    def __post_init__(self) -> None:
-        if self.max_batch_requests < 1:
-            raise ValueError("max_batch_requests must be >= 1")
-        if self.max_wait_s < 0:
-            raise ValueError("max_wait_s must be non-negative")
+#: Requests in a full batch (the size trigger).
+MAX_BATCH_REQUESTS = 8
+#: Longest a queue head waits before its batch ships (the timeout trigger).
+MAX_WAIT_S = 0.010
 
 
 class MicroBatcher:
-    """Per-model FIFO queues under one :class:`BatchPolicy`."""
+    """Per-model FIFO queues under the size and timeout triggers."""
 
-    def __init__(self, policy: BatchPolicy) -> None:
-        self.policy = policy
+    def __init__(self) -> None:
         self._queues: dict[str, deque[tuple[float, Request]]] = {}
         #: Requests queued over all models (read on every arrival).
         self.depth = 0
         self._wait_stretch = 1.0
 
     def set_wait_stretch(self, factor: float) -> None:
-        """Scale ``max_wait_s`` by ``factor`` (brownout throughput mode).
+        """Scale :data:`MAX_WAIT_S` by ``factor`` (brownout throughput mode).
 
         Stretching the window trades queueing latency for bigger batches —
         the mildest rung of the degradation ladder.  ``factor=1`` restores
@@ -68,14 +58,14 @@ class MicroBatcher:
 
     @property
     def effective_wait_s(self) -> float:
-        return self.policy.max_wait_s * self._wait_stretch
+        return MAX_WAIT_S * self._wait_stretch
 
     # -- enqueue ------------------------------------------------------------
     def enqueue(self, req: Request, now: float, front: bool = False) -> None:
         """Add a request; ``front=True`` re-queues drained failover work.
 
         Re-queued requests keep their *original* arrival as the enqueue
-        time, so their wait already exceeds ``max_wait_s`` and they ship in
+        time, so their wait already exceeds :data:`MAX_WAIT_S` and they ship in
         the very next batch rather than waiting out a fresh timer.
         """
         q = self._queues.setdefault(req.model, deque())
@@ -95,7 +85,7 @@ class MicroBatcher:
         """The model whose queue should dispatch now, or ``None``.
 
         A queue is ready when it holds a full batch or its head has waited
-        out ``max_wait_s``.  Among ready queues the deepest wins (drain the
+        out :data:`MAX_WAIT_S`.  Among ready queues the deepest wins (drain the
         biggest backlog first); ties break on head age, then model name —
         all deterministic.
         """
@@ -104,7 +94,7 @@ class MicroBatcher:
             if not q:
                 continue
             wait = now - q[0][0]
-            if len(q) >= self.policy.max_batch_requests \
+            if len(q) >= MAX_BATCH_REQUESTS \
                     or wait >= self.effective_wait_s - _EPS:
                 cand = (-len(q), -wait, model)
                 if best is None or cand < best:
@@ -112,7 +102,7 @@ class MicroBatcher:
         return best[2] if best is not None else None
 
     def next_deadline(self) -> Optional[float]:
-        """Earliest time a queue head hits ``max_wait_s`` (timer target)."""
+        """Earliest time a queue head hits :data:`MAX_WAIT_S` (timer target)."""
         heads = [q[0][0] for q in self._queues.values() if q]
         if not heads:
             return None
@@ -124,6 +114,6 @@ class MicroBatcher:
         q = self._queues.get(model)
         if not q:
             raise ValueError(f"no queued requests for model {model!r}")
-        n = min(len(q), self.policy.max_batch_requests)
+        n = min(len(q), MAX_BATCH_REQUESTS)
         self.depth -= n
         return [q.popleft()[1] for _ in range(n)]

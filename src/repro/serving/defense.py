@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.stats import sorted_percentile
-from repro.resilience.detect import DetectorConfig
 from repro.resilience.retry import _stable_uniform
 
 
@@ -52,28 +51,14 @@ _CLOSED, _OPEN, _HALF_OPEN = (BreakerState.CLOSED, BreakerState.OPEN,
                               BreakerState.HALF_OPEN)
 
 
-@dataclass(frozen=True)
-class BreakerPolicy:
-    """Trip/reset tuning for one :class:`CircuitBreaker`."""
-
-    #: Consecutive probe misses (or dispatch failures) that trip the breaker.
-    failure_threshold: int = 3
-    #: Seconds the breaker stays open before going half-open.
-    open_s: float = 0.5
-    #: Probability a half-open breaker admits a given dispatch as a probe.
-    probe_probability: float = 0.5
-    #: Consecutive successes in half-open needed to close again.
-    success_to_close: int = 2
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if self.open_s <= 0:
-            raise ValueError("open_s must be positive")
-        if not (0.0 < self.probe_probability <= 1.0):
-            raise ValueError("probe_probability must be in (0, 1]")
-        if self.success_to_close < 1:
-            raise ValueError("success_to_close must be >= 1")
+#: Consecutive probe misses (or dispatch failures) that trip a breaker.
+BREAKER_FAILURE_THRESHOLD = 3
+#: Seconds a breaker stays open before going half-open.
+BREAKER_OPEN_S = 0.5
+#: Probability a half-open breaker admits a given dispatch as a probe.
+BREAKER_PROBE_PROBABILITY = 0.5
+#: Consecutive successes in half-open needed to close again.
+BREAKER_SUCCESS_TO_CLOSE = 2
 
 
 class CircuitBreaker:
@@ -85,8 +70,7 @@ class CircuitBreaker:
     so no timer events are needed.
     """
 
-    def __init__(self, policy: BreakerPolicy, key: str, seed: int = 0) -> None:
-        self.policy = policy
+    def __init__(self, key: str, seed: int) -> None:
         self.key = key
         self.seed = seed
         self._state = _CLOSED
@@ -104,7 +88,7 @@ class CircuitBreaker:
 
     def state(self, now: float) -> BreakerState:
         if (self._state is _OPEN
-                and now >= self._opened_at + self.policy.open_s):
+                and now >= self._opened_at + BREAKER_OPEN_S):
             self._move(now, _HALF_OPEN)
             self._consecutive_successes = 0
         return self._state
@@ -117,7 +101,7 @@ class CircuitBreaker:
         if state is _HALF_OPEN or (
                 state is _CLOSED
                 and self._consecutive_failures
-                >= self.policy.failure_threshold):
+                >= BREAKER_FAILURE_THRESHOLD):
             self._move(now, _OPEN)
             self._opened_at = now
 
@@ -126,7 +110,7 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         if self.state(now) is _HALF_OPEN:
             self._consecutive_successes += 1
-            if self._consecutive_successes >= self.policy.success_to_close:
+            if self._consecutive_successes >= BREAKER_SUCCESS_TO_CLOSE:
                 self._move(now, _CLOSED)
         elif self._state is _CLOSED:
             self._consecutive_successes += 1
@@ -140,11 +124,10 @@ class CircuitBreaker:
         # Half-open: admit a seeded trickle of probe batches.
         self._probe_draws += 1
         return (_stable_uniform(self.seed, self.key, self._probe_draws)
-                < self.policy.probe_probability)
+                < BREAKER_PROBE_PROBABILITY)
 
 
 # -- hedged requests ----------------------------------------------------------
-@dataclass(frozen=True)
 class HedgePolicy:
     """When to dispatch a backup copy of an in-flight batch."""
 
@@ -155,35 +138,23 @@ class HedgePolicy:
     #: service time itself and scheduling every hedge after its batch
     #: already finished.  The median stays anchored on healthy behaviour
     #: as long as most batches are healthy.
-    percentile: float = 50.0
+    PERCENTILE = 50.0
     #: Headroom multiplier on that percentile.
-    multiplier: float = 3.0
+    MULTIPLIER = 3.0
     #: Never hedge before this much service time has elapsed.
-    min_deadline_s: float = 2e-3
+    MIN_DEADLINE_S = 2e-3
     #: Observed service times needed before hedging activates at all.
-    min_samples: int = 8
+    MIN_SAMPLES = 8
     #: Recent service times retained for the percentile estimate.
-    window: int = 64
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.percentile <= 100.0):
-            raise ValueError("percentile must be in (0, 100]")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if self.min_deadline_s <= 0:
-            raise ValueError("min_deadline_s must be positive")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
-        if self.window < self.min_samples:
-            raise ValueError("window must be >= min_samples")
+    WINDOW = 64
 
     def deadline(self, ordered_window: list[float]) -> Optional[float]:
         """Seconds after dispatch at which to hedge, or ``None`` (no data);
         ``ordered_window`` is the recent service times, ascending."""
-        if len(ordered_window) < self.min_samples:
+        if len(ordered_window) < self.MIN_SAMPLES:
             return None
-        tail = sorted_percentile(ordered_window, self.percentile)
-        return max(tail * self.multiplier, self.min_deadline_s)
+        tail = sorted_percentile(ordered_window, self.PERCENTILE)
+        return max(tail * self.MULTIPLIER, self.MIN_DEADLINE_S)
 
 
 # -- brownout degradation -----------------------------------------------------
@@ -196,30 +167,16 @@ class BrownoutLevel(enum.IntEnum):
     CACHE_ONLY = 3          # admit only requests servable from the cache
 
 
-@dataclass(frozen=True)
-class BrownoutPolicy:
-    """When to climb / descend the degradation ladder."""
-
-    #: Queue depth per up replica considered overloaded.
-    queue_high_per_replica: float = 8.0
-    #: Consecutive hot ticks before escalating one level.
-    escalate_ticks: int = 3
-    #: Consecutive calm ticks before recovering one level.
-    recover_ticks: int = 6
-    #: ``max_wait_s`` multiplier while at STRETCH_BATCH or deeper.
-    stretch_factor: float = 4.0
-    #: Fraction of breakers open that counts as overload on its own.
-    breaker_open_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.queue_high_per_replica <= 0:
-            raise ValueError("queue_high_per_replica must be positive")
-        if self.escalate_ticks < 1 or self.recover_ticks < 1:
-            raise ValueError("escalate/recover tick counts must be >= 1")
-        if self.stretch_factor < 1.0:
-            raise ValueError("stretch_factor must be >= 1")
-        if not (0.0 < self.breaker_open_fraction <= 1.0):
-            raise ValueError("breaker_open_fraction must be in (0, 1]")
+#: Queue depth per up replica considered overloaded.
+BROWNOUT_QUEUE_HIGH_PER_REPLICA = 8.0
+#: Consecutive hot ticks before escalating one level.
+BROWNOUT_ESCALATE_TICKS = 3
+#: Consecutive calm ticks before recovering one level.
+BROWNOUT_RECOVER_TICKS = 6
+#: ``max_wait_s`` multiplier while at STRETCH_BATCH or deeper.
+BROWNOUT_STRETCH_FACTOR = 4.0
+#: Fraction of breakers open that counts as overload on its own.
+BROWNOUT_BREAKER_OPEN_FRACTION = 0.5
 
 
 @dataclass
@@ -231,7 +188,6 @@ class BrownoutController:
     level per call and returns the transition (or ``None``).
     """
 
-    policy: BrownoutPolicy = field(default_factory=BrownoutPolicy)
     level: BrownoutLevel = BrownoutLevel.NORMAL
     _hot_ticks: int = 0
     _calm_ticks: int = 0
@@ -248,11 +204,10 @@ class BrownoutController:
         breakers_total: int = 0,
     ) -> Optional[tuple[BrownoutLevel, BrownoutLevel]]:
         """Observe one tick of overload signals; maybe move one rung."""
-        p = self.policy
-        deep = queue_depth > p.queue_high_per_replica * max(n_up, 1)
+        deep = queue_depth > BROWNOUT_QUEUE_HIGH_PER_REPLICA * max(n_up, 1)
         tripped = (breakers_total > 0
                    and breakers_open
-                   >= p.breaker_open_fraction * breakers_total)
+                   >= BROWNOUT_BREAKER_OPEN_FRACTION * breakers_total)
         hot = deep or budget_overdraft or tripped
         if hot:
             self._hot_ticks += 1
@@ -261,11 +216,11 @@ class BrownoutController:
             self._calm_ticks += 1
             self._hot_ticks = 0
         old = self.level
-        if hot and self._hot_ticks >= p.escalate_ticks \
+        if hot and self._hot_ticks >= BROWNOUT_ESCALATE_TICKS \
                 and self.level < BrownoutLevel.CACHE_ONLY:
             self.level = BrownoutLevel(self.level + 1)
             self._hot_ticks = 0
-        elif not hot and self._calm_ticks >= p.recover_ticks \
+        elif not hot and self._calm_ticks >= BROWNOUT_RECOVER_TICKS \
                 and self.level > BrownoutLevel.NORMAL:
             self.level = BrownoutLevel(self.level - 1)
             self._calm_ticks = 0
@@ -277,39 +232,23 @@ class BrownoutController:
     @property
     def wait_stretch(self) -> float:
         """Batch-window multiplier implied by the current level."""
-        return (self.policy.stretch_factor
+        return (BROWNOUT_STRETCH_FACTOR
                 if self.level >= BrownoutLevel.STRETCH_BATCH else 1.0)
 
 
-# -- the bundle the engine consumes ------------------------------------------
+# -- the switches the engine consumes ----------------------------------------
 @dataclass(frozen=True)
 class DefenseConfig:
-    """Every defense knob in one place; disabled by default.
+    """The defense switches; disabled by default.
 
     ``enabled=False`` keeps the serving engine byte-identical to its
     pre-defense behaviour — existing reports, digests and baselines do
     not move.  The chaos drill, the serving CLI's ``--defend`` flag and
-    the hedging bench case opt in.
+    the hedging bench case opt in.  The tuning numbers are the module
+    constants above and :class:`HedgePolicy`'s.
     """
 
     enabled: bool = False
-    #: Simulated seconds between health-probe rounds.
-    heartbeat_interval_s: float = 0.05
-    detector: DetectorConfig = field(default_factory=DetectorConfig)
-    breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
-    hedge: HedgePolicy = field(default_factory=HedgePolicy)
-    brownout: BrownoutPolicy = field(default_factory=BrownoutPolicy)
     #: Hedging on/off independently of the rest (the bench control leg
     #: runs breakers+brownout but no hedging to isolate the tail effect).
     hedging_enabled: bool = True
-    #: Retry tokens earned per admitted request (Google-SRE retry budget).
-    retry_budget_ratio: float = 0.2
-    retry_budget_burst: float = 50.0
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_interval_s <= 0:
-            raise ValueError("heartbeat_interval_s must be positive")
-        if self.retry_budget_ratio < 0:
-            raise ValueError("retry_budget_ratio must be non-negative")
-        if self.retry_budget_burst < 1:
-            raise ValueError("retry_budget_burst must hold >= 1 token")

@@ -40,7 +40,7 @@ from repro.resilience.faults import (
 from repro.resilience.report import FailoverEvent
 from repro.resilience.retry import RetryBudget, RetryPolicy, _stable_uniform
 from repro.serving.admission import AdmissionController, AdmissionPolicy
-from repro.serving.batcher import BatchPolicy, MicroBatcher
+from repro.serving.batcher import MAX_BATCH_REQUESTS, MicroBatcher
 from repro.serving.cache import ResultCache
 from repro.serving.defense import (
     BreakerState,
@@ -48,6 +48,7 @@ from repro.serving.defense import (
     BrownoutLevel,
     CircuitBreaker,
     DefenseConfig,
+    HedgePolicy,
 )
 from repro.serving.metrics import ServingMetrics
 from repro.serving.replicas import (
@@ -71,6 +72,13 @@ SERVING_RETRY = RetryPolicy(max_retries=64, base_delay_s=0.02,
 
 #: Post-heal retransmission cost for a response held across a partition.
 _PARTITION_RETRANSMIT_S = 1e-3
+
+#: Simulated seconds a result-cache hit takes to answer.
+CACHE_LOOKUP_S = 2.0e-4
+#: Simulated seconds between autoscaler decisions.
+AUTOSCALE_INTERVAL_S = 1.0
+#: Simulated seconds between health-probe rounds of the defended engine.
+HEARTBEAT_INTERVAL_S = 0.05
 
 
 @dataclass
@@ -98,13 +106,10 @@ class ServingConfig:
     """Everything one serving run needs (besides the system + faults)."""
 
     trace: TraceConfig = field(default_factory=TraceConfig)
-    batch: BatchPolicy = field(default_factory=BatchPolicy)
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     autoscaler: AutoscalerConfig = field(default_factory=AutoscalerConfig)
     initial_replicas: int = 2
-    nodes_per_replica: int = 1
     cache_capacity: int = 0            # 0 disables the result cache
-    cache_lookup_s: float = 2.0e-4
     #: Partition/gray-failure defenses (disabled by default — enabling
     #: changes dispatch, admission and failover behaviour).
     defense: DefenseConfig = field(default_factory=DefenseConfig)
@@ -112,8 +117,6 @@ class ServingConfig:
     def __post_init__(self) -> None:
         if self.initial_replicas < 1:
             raise ValueError("need at least one initial replica")
-        if self.cache_lookup_s < 0:
-            raise ValueError("cache_lookup_s must be >= 0")
 
 
 @dataclass
@@ -235,30 +238,25 @@ class ServingEngine:
         self,
         config: ServingConfig,
         system: Optional[MSASystem] = None,
-        perf: Optional[InferencePerfModel] = None,
         fault_injector: Optional[FaultInjector] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         registry: Optional[telemetry.MetricsRegistry] = None,
     ) -> None:
         self.config = config
         self.tracer = telemetry.get_tracer()
         self.system = system if system is not None else small_msa_system()
-        self.perf = perf if perf is not None else InferencePerfModel()
+        self.perf = InferencePerfModel()
         self.sim = Simulator()
         self.requests = generate_trace(config.trace)
-        self.batcher = MicroBatcher(config.batch)
+        self.batcher = MicroBatcher()
         self.admission = AdmissionController(config.admission)
         self.cache = ResultCache(config.cache_capacity)
-        ref_batch = (config.batch.max_batch_requests
-                     * config.trace.samples_per_request)
+        ref_batch = MAX_BATCH_REQUESTS * config.trace.samples_per_request
         self.pool = ReplicaPool(self.system, self.perf,
-                                nodes_per_replica=config.nodes_per_replica,
                                 reference_batch_samples=ref_batch)
         self.autoscaler = Autoscaler(config.autoscaler)
         self.metrics = ServingMetrics(duration_s=config.trace.duration_s,
                                       registry=registry)
-        self.retry = retry_policy if retry_policy is not None else \
-            dataclasses.replace(SERVING_RETRY, seed=config.trace.seed)
+        self.retry = dataclasses.replace(SERVING_RETRY, seed=config.trace.seed)
         self.failover_events: list[FailoverEvent] = []
         self.batch_log: list[tuple[int, tuple[int, ...]]] = []
         self.peak_replicas = 0
@@ -275,11 +273,11 @@ class ServingEngine:
         # -- behaviour differs (breakers stay empty when it is off) ---------
         d = config.defense
         self.defended = d.enabled
-        self.detector = PhiAccrualDetector(d.detector)
+        self.detector = PhiAccrualDetector()
         self.breakers: dict[int, CircuitBreaker] = {}
-        self.budget = RetryBudget(ratio=d.retry_budget_ratio,
-                                  burst=d.retry_budget_burst)
-        self.brownout = BrownoutController(d.brownout)
+        self.budget = RetryBudget()
+        self.brownout = BrownoutController()
+        self.hedge = HedgePolicy()
         self._hedging = d.enabled and d.hedging_enabled
         #: Recent batch service times for the hedge deadline, FIFO + sorted.
         self._service_window: deque[float] = deque()
@@ -316,12 +314,10 @@ class ServingEngine:
         if self.pool.n_up == 0:
             raise RuntimeError("no module can host even one replica")
         if self.config.autoscaler.enabled:
-            self.sim.timeout(self.config.autoscaler.interval_s,
-                             name="autoscale-tick"
+            self.sim.timeout(AUTOSCALE_INTERVAL_S, name="autoscale-tick"
                              ).add_callback(self._on_tick)
         if self.defended:
-            self.sim.timeout(self.config.defense.heartbeat_interval_s,
-                             name="heartbeat-tick"
+            self.sim.timeout(HEARTBEAT_INTERVAL_S, name="heartbeat-tick"
                              ).add_callback(self._on_heartbeat_tick)
         self.sim.run()
         self.metrics.check_conservation()
@@ -383,7 +379,7 @@ class ServingEngine:
                               "admission", (("req", req.req_id),)))
         outcome = self.cache.lookup(req.key, req.req_id)
         if outcome == "hit":
-            done = self.sim.timeout(self.config.cache_lookup_s, value=req,
+            done = self.sim.timeout(CACHE_LOOKUP_S, value=req,
                                     name="cache-hit")
             done.add_callback(self._on_cache_hit)
         elif outcome == "coalesce":
@@ -396,8 +392,8 @@ class ServingEngine:
         req: Request = evt.value
         if self.tracer.enabled:
             self.tracer.emit(("cache-hit", "serving",
-                              self.sim.now - self.config.cache_lookup_s,
-                              self.config.cache_lookup_s, "serving", "cache",
+                              self.sim.now - CACHE_LOOKUP_S,
+                              CACHE_LOOKUP_S, "serving", "cache",
                               (("req", req.req_id),)))
         self._complete(req)
 
@@ -453,8 +449,7 @@ class ServingEngine:
         done.add_callback(self._on_batch_done)
         batch.done_evt = done
         if self._hedging and group is None:
-            deadline = self.config.defense.hedge.deadline(
-                self._service_sorted)
+            deadline = self.hedge.deadline(self._service_sorted)
             if deadline is not None:
                 timer = self.sim.timeout(deadline, value=(replica, batch),
                                          name="hedge")
@@ -553,7 +548,7 @@ class ServingEngine:
             (replica.rid, tuple(r.req_id for r in batch.requests)))
         if self._hedging:
             slide_sorted(self._service_window, self._service_sorted,
-                         now - batch.start, self.config.defense.hedge.window)
+                         now - batch.start, HedgePolicy.WINDOW)
         for req in batch.requests:
             self._complete(req)
             for waiter_id in self.cache.complete(req.key, now):
@@ -715,7 +710,6 @@ class ServingEngine:
         return True
 
     def _on_heartbeat_tick(self, evt) -> None:
-        d = self.config.defense
         now = self.sim.now
         self._hb_tick += 1
         for replica in list(self.pool.replicas.values()):
@@ -746,7 +740,7 @@ class ServingEngine:
         drained = (self.metrics.completed == self.metrics.admitted)
         past_horizon = now >= self.config.trace.duration_s
         if not (past_horizon and drained):
-            self.sim.timeout(d.heartbeat_interval_s, name="heartbeat-tick"
+            self.sim.timeout(HEARTBEAT_INTERVAL_S, name="heartbeat-tick"
                              ).add_callback(self._on_heartbeat_tick)
 
     def _export_breaker_transitions(self, now: float) -> None:
@@ -767,8 +761,7 @@ class ServingEngine:
         now = self.sim.now
         self.detector.register(replica.rid, now)
         self.breakers[replica.rid] = CircuitBreaker(
-            self.config.defense.breaker, key=f"replica-{replica.rid}",
-            seed=self._fault_seed)
+            key=f"replica-{replica.rid}", seed=self._fault_seed)
         self._breaker_seen[replica.rid] = 0
 
     def _unregister_replica(self, rid: int) -> None:
@@ -843,20 +836,18 @@ class ServingEngine:
         drained = (self.metrics.completed == self.metrics.admitted)
         past_horizon = now >= self.config.trace.duration_s
         if not (past_horizon and drained):
-            self.sim.timeout(cfg.interval_s, name="autoscale-tick"
+            self.sim.timeout(AUTOSCALE_INTERVAL_S, name="autoscale-tick"
                              ).add_callback(self._on_tick)
+
 
 
 def simulate_serving(
     config: ServingConfig,
     system: Optional[MSASystem] = None,
-    perf: Optional[InferencePerfModel] = None,
     fault_injector: Optional[FaultInjector] = None,
-    retry_policy: Optional[RetryPolicy] = None,
     registry: Optional[telemetry.MetricsRegistry] = None,
 ) -> ServingReport:
     """Convenience wrapper: build an engine, run it, return the report."""
-    return ServingEngine(config, system=system, perf=perf,
+    return ServingEngine(config, system=system,
                          fault_injector=fault_injector,
-                         retry_policy=retry_policy,
                          registry=registry).run()

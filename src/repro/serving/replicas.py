@@ -65,6 +65,10 @@ class Replica:
         return tuple(f"{self.module_key}:{n}" for n in self.nodes)
 
 
+#: Nodes under one serving replica.
+NODES_PER_REPLICA = 1
+
+
 class ReplicaPool:
     """Placement, retirement and crash handling for serving replicas."""
 
@@ -72,14 +76,10 @@ class ReplicaPool:
         self,
         system: MSASystem,
         perf: InferencePerfModel,
-        nodes_per_replica: int = 1,
         reference_batch_samples: int = 8,
     ) -> None:
-        if nodes_per_replica < 1:
-            raise ValueError("nodes_per_replica must be >= 1")
         self.system = system
         self.perf = perf
-        self.nodes_per_replica = nodes_per_replica
         self._phase = perf.as_phase(reference_batch_samples)
         self.replicas: dict[int, Replica] = {}
         #: ``replicas`` fastest module first; place/retire/crash re-sort it.
@@ -126,8 +126,7 @@ class ReplicaPool:
             for key, nodes in avoid.items():
                 suspect.setdefault(key, set()).update(nodes)
         placed = place_standalone(self.system, self._phase,
-                                  self.nodes_per_replica,
-                                  suspect=suspect)
+                                  NODES_PER_REPLICA, suspect=suspect)
         if placed is None:
             return None
         key, nodes = placed
@@ -148,7 +147,7 @@ class ReplicaPool:
 
     def batch_time(self, replica: Replica, batch_samples: int) -> float:
         return self.perf.batch_time(batch_samples, replica.node_spec,
-                                    self.nodes_per_replica)
+                                    NODES_PER_REPLICA)
 
     def _account_lifetime(self, replica: Replica, now: float) -> None:
         span = (now - replica.started_at) * len(replica.nodes)
@@ -194,28 +193,25 @@ class ReplicaPool:
 
 @dataclass(frozen=True)
 class AutoscalerConfig:
-    """Scaling bounds and thresholds."""
+    """Scaling bounds; the thresholds are the module constants below."""
 
     enabled: bool = True
     min_replicas: int = 1
     max_replicas: int = 8
-    interval_s: float = 1.0
-    #: Scale up when queue depth exceeds this many requests per up replica…
-    queue_high_per_replica: float = 4.0
-    #: …or when the recent-window p99 exceeds this fraction of the SLO.
-    p99_high_fraction: float = 0.9
-    #: Scale down only when the queue is empty and window p95 is this low.
-    p95_low_fraction: float = 0.25
-    #: Replicas added per decision (bounded ramp, avoids thrash).
-    max_step_up: int = 2
 
     def __post_init__(self) -> None:
         if self.min_replicas < 1 or self.max_replicas < self.min_replicas:
             raise ValueError("need 1 <= min_replicas <= max_replicas")
-        if self.interval_s <= 0:
-            raise ValueError("interval must be positive")
-        if self.max_step_up < 1:
-            raise ValueError("max_step_up must be >= 1")
+
+
+#: Scale up when queue depth exceeds this many requests per up replica…
+QUEUE_HIGH_PER_REPLICA = 4.0
+#: …or when the recent-window p99 exceeds this fraction of the SLO.
+P99_HIGH_FRACTION = 0.9
+#: Scale down only when the queue is empty and window p95 is this low.
+P95_LOW_FRACTION = 0.25
+#: Replicas added per decision (bounded ramp, avoids thrash).
+MAX_STEP_UP = 2
 
 
 @dataclass(frozen=True)
@@ -247,18 +243,18 @@ class Autoscaler:
         cfg = self.config
         if n_up < cfg.min_replicas:
             return cfg.min_replicas - n_up, "below-min"
-        deep_queue = queue_depth > cfg.queue_high_per_replica * max(n_up, 1)
+        deep_queue = queue_depth > QUEUE_HIGH_PER_REPLICA * max(n_up, 1)
         tail_high = False
         if window_latencies:
             tail_high = (percentile(window_latencies, 99)
-                         > cfg.p99_high_fraction * slo_deadline_s)
+                         > P99_HIGH_FRACTION * slo_deadline_s)
         if (deep_queue or tail_high) and n_up < cfg.max_replicas:
-            want = min(cfg.max_step_up, cfg.max_replicas - n_up)
+            want = min(MAX_STEP_UP, cfg.max_replicas - n_up)
             return want, "queue-depth" if deep_queue else "p99"
         if (queue_depth == 0 and n_up > cfg.min_replicas
                 and window_latencies
                 and percentile(window_latencies, 95)
-                < cfg.p95_low_fraction * slo_deadline_s):
+                < P95_LOW_FRACTION * slo_deadline_s):
             return -1, "idle"
         return 0, ""
 

@@ -59,12 +59,6 @@ class TraceConfig:
     seed: int = 0
     #: Distinct cache keys in circulation; popularity is Zipf(s≈1.1).
     key_universe: int = 512
-    #: DIURNAL: peak/trough rate swing as a fraction of the mean (0..1).
-    diurnal_swing: float = 0.6
-    #: DIURNAL: one full day compressed into this many simulated seconds.
-    diurnal_period_s: float = 60.0
-    #: BURSTY: rate multiplier while a burst is on.
-    burst_factor: float = 5.0
     #: BURSTY: mean burst / gap lengths (exponential).
     burst_len_s: float = 5.0
     gap_len_s: float = 15.0
@@ -80,14 +74,18 @@ class TraceConfig:
             raise ValueError("samples_per_request must be >= 1")
         if self.key_universe < 1:
             raise ValueError("key_universe must be >= 1")
-        if not (0.0 <= self.diurnal_swing < 1.0):
-            raise ValueError("diurnal_swing must be in [0, 1)")
-        if self.burst_factor < 1.0:
-            raise ValueError("burst_factor must be >= 1")
         if self.burst_len_s <= 0 or self.gap_len_s <= 0:
             raise ValueError("burst/gap lengths must be positive")
         if not (0.0 <= self.bronze_fraction <= 1.0):
             raise ValueError("bronze_fraction must be in [0, 1]")
+
+
+#: DIURNAL: peak/trough rate swing as a fraction of the mean.
+DIURNAL_SWING = 0.6
+#: DIURNAL: one full day compressed into this many simulated seconds.
+DIURNAL_PERIOD_S = 60.0
+#: BURSTY: rate multiplier while a burst is on.
+BURST_FACTOR = 5.0
 
 
 def _zipf_keys(rng: np.random.Generator, n: int, universe: int) -> np.ndarray:
@@ -122,7 +120,7 @@ def _poisson_times(rng: np.random.Generator, rate: float,
 
 def _diurnal_times(rng: np.random.Generator, cfg: TraceConfig) -> list[float]:
     """Non-homogeneous Poisson via thinning against the peak rate."""
-    peak = cfg.rate_per_s * (1.0 + cfg.diurnal_swing)
+    peak = cfg.rate_per_s * (1.0 + DIURNAL_SWING)
     times: list[float] = []
     t = 0.0
     while True:
@@ -130,28 +128,28 @@ def _diurnal_times(rng: np.random.Generator, cfg: TraceConfig) -> list[float]:
         if t >= cfg.duration_s:
             return times
         rate_t = cfg.rate_per_s * (
-            1.0 + cfg.diurnal_swing
-            * np.sin(2.0 * np.pi * t / cfg.diurnal_period_s))
+            1.0 + DIURNAL_SWING
+            * np.sin(2.0 * np.pi * t / DIURNAL_PERIOD_S))
         if float(rng.uniform()) < rate_t / peak:
             times.append(t)
 
 
 def _bursty_times(rng: np.random.Generator, cfg: TraceConfig) -> list[float]:
-    """On/off modulated Poisson: quiet base rate, ``burst_factor``× bursts.
+    """On/off modulated Poisson: quiet base rate, :data:`BURST_FACTOR`× bursts.
 
     The mean rate over a full on/off cycle is held at ``rate_per_s`` so
     bursty and Poisson scenarios offer the same total load — only its
     distribution in time differs.
     """
     cycle = cfg.burst_len_s + cfg.gap_len_s
-    mean_factor = (cfg.burst_len_s * cfg.burst_factor + cfg.gap_len_s) / cycle
+    mean_factor = (cfg.burst_len_s * BURST_FACTOR + cfg.gap_len_s) / cycle
     base = cfg.rate_per_s / mean_factor
     times: list[float] = []
     t = 0.0
     burst_on = False
     phase_end = float(rng.exponential(cfg.gap_len_s))
     while t < cfg.duration_s:
-        rate = base * (cfg.burst_factor if burst_on else 1.0)
+        rate = base * (BURST_FACTOR if burst_on else 1.0)
         t += float(rng.exponential(1.0 / rate))
         while t >= phase_end:
             burst_on = not burst_on

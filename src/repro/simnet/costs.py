@@ -115,13 +115,13 @@ class CommCostModel:
     gamma: float = 5.0e-12   # local reduction, s/byte (~200 GB/s memory系)
 
     @classmethod
-    def from_link(cls, link: Link, gamma: float = 5.0e-12) -> "CommCostModel":
-        return cls(alpha=link.latency_s, beta=1.0 / link.bandwidth_Bps, gamma=gamma)
+    def from_link(cls, link: Link) -> "CommCostModel":
+        return cls(alpha=link.latency_s, beta=1.0 / link.bandwidth_Bps)
 
     @classmethod
-    @lru_cache(maxsize=128)   # frozen value type; gamma is an open float
-    def of_kind(cls, kind: LinkKind, gamma: float = 5.0e-12) -> "CommCostModel":
-        return cls.from_link(Link.of_kind(kind), gamma=gamma)
+    @lru_cache(maxsize=128)   # frozen value type, one per link kind
+    def of_kind(cls, kind: LinkKind) -> "CommCostModel":
+        return cls.from_link(Link.of_kind(kind))
 
     def ptp(self, nbytes: float) -> float:
         return ptp_time(self.alpha, self.beta, nbytes)

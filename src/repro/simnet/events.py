@@ -83,9 +83,9 @@ class Event:
         else:
             self._callbacks.append(fn)
 
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Schedule this event to trigger ``delay`` from now."""
-        self.sim.schedule(self, delay=delay, value=value)
+    def succeed(self, value: Any = None) -> "Event":
+        """Schedule this event to trigger now."""
+        self.sim.schedule(self, value=value)
         return self
 
     def _fire(self, now: float) -> None:

@@ -62,20 +62,13 @@ class Topology:
             return float("inf")
         return min(self.graph.edges[u, v]["link"].bandwidth_Bps for u, v in zip(p, p[1:]))
 
-    def transfer_time(self, src: Hashable, dst: Hashable, nbytes: float,
-                      concurrent_flows: int = 1) -> float:
-        """Store-and-forward pipeline approximation: Σα + n/min(β).
-
-        ``concurrent_flows`` models congestion: flows sharing the route's
-        bottleneck link divide its bandwidth (fair sharing) — how the
-        federation behaves when many jobs stage data simultaneously.
-        """
+    def transfer_time(self, src: Hashable, dst: Hashable,
+                      nbytes: float) -> float:
+        """Store-and-forward pipeline approximation: Σα + n/min(β)."""
         if src == dst:
             return 0.0
-        if concurrent_flows < 1:
-            raise ValueError("concurrent_flows must be >= 1")
-        bottleneck = self.path_bandwidth(src, dst) / concurrent_flows
-        return self.path_latency(src, dst) + nbytes / bottleneck
+        return (self.path_latency(src, dst)
+                + nbytes / self.path_bandwidth(src, dst))
 
 
 # ---------------------------------------------------------------------------

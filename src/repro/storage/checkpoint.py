@@ -42,13 +42,13 @@ import numpy as np
 
 from repro.resilience.integrity import wordsum
 from repro.storage.nam import NetworkAttachedMemory
-from repro.storage.pfs import ParallelFileSystem
+from repro.storage.pfs import DEFAULT_STRIPE_COUNT, ParallelFileSystem
 
 _TARGETS = ("nam", "pfs")
 
 
 class CheckpointError(RuntimeError):
-    """Raised for missing, truncated or corrupt checkpoints."""
+    """Raised for missing or corrupt checkpoints."""
 
 
 def payload_checksum(payload: bytes) -> int:
@@ -118,11 +118,7 @@ class CheckpointRecord:
         return f"/ckpt/{self.name}@{self.version}"
 
     def verify(self) -> None:
-        """Integrity check: truncation changes the length, rot the checksum."""
-        if len(self.payload) != self.nbytes:
-            raise CheckpointError(
-                f"checkpoint {self.name!r} v{self.version} on {self.target} "
-                f"truncated: {len(self.payload)} of {self.nbytes} bytes")
+        """Integrity check: rot changes the checksum."""
         if payload_checksum(self.payload) != self.checksum:
             raise CheckpointError(
                 f"checkpoint {self.name!r} v{self.version} on {self.target} "
@@ -158,15 +154,11 @@ class CheckpointManager:
 
     def __init__(self, nam: Optional[NetworkAttachedMemory] = None,
                  pfs: Optional[ParallelFileSystem] = None,
-                 prefer: str = "nam",
                  retention: Optional[CheckpointRetention] = None) -> None:
         if nam is None and pfs is None:
             raise ValueError("need at least one storage target")
-        if prefer not in _TARGETS:
-            raise ValueError("prefer must be 'nam' or 'pfs'")
         self.nam = nam
         self.pfs = pfs
-        self.prefer = prefer
         self.retention = retention or CheckpointRetention()
         #: Lineage per (name, target): records in ascending version order.
         self._versions: dict[tuple[str, str], list[CheckpointRecord]] = {}
@@ -209,24 +201,22 @@ class CheckpointManager:
         return t
 
     def save(self, name: str, step: int, state: dict[str, np.ndarray],
-             target: Optional[str] = None, replicate: bool = False) -> float:
-        """Persist a new lineage version; returns the modelled write time.
+             replicate: bool = False) -> float:
+        """Persist a new lineage version on the NAM; returns the modelled
+        write time.
 
         With ``replicate=True`` the payload is written to *both* attached
         targets (the belt-and-braces mode fault-tolerant runs use) and the
         slower write time is returned — replicas are written concurrently.
         Retention GC runs on every written target afterwards.
         """
-        target = target or self.prefer
-        if target not in _TARGETS:
-            raise ValueError(f"unknown target {target!r}")
         if replicate and (self.nam is None or self.pfs is None):
             raise CheckpointError("replication needs both NAM and PFS")
         payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         version = self._next_version.get(name, 0)
         self._next_version[name] = version + 1
         digests = shard_digests(state)
-        targets = _TARGETS if replicate else (target,)
+        targets = _TARGETS if replicate else ("nam",)
         t = max(self._write_one(CheckpointRecord(
             name=name, step=step, nbytes=len(payload), target=tgt,
             payload=payload, checksum=payload_checksum(payload),
@@ -399,22 +389,13 @@ class CheckpointManager:
         return any(self._lineage(name, t) for t in _TARGETS)
 
     # -- fault-injection hook ------------------------------------------------
-    def corrupt(self, name: str, target: Optional[str] = None,
-                truncate: bool = False, version: Optional[int] = None) -> None:
-        """Damage a stored copy (the CHECKPOINT_ROT injection hook).
-
-        ``truncate=True`` chops the payload in half (a partial write);
-        otherwise a byte is flipped in place (bit-rot).  The newest
-        version is hit unless ``version`` picks an older one.  Each
-        injection on a still-intact copy increments
-        ``integrity_corruptions_injected`` so drills can reconcile.
+    def corrupt(self, name: str, target: str) -> None:
+        """Flip a byte of the newest copy on ``target`` in place (bit-rot,
+        the CHECKPOINT_ROT injection hook).  Each injection on a still-
+        intact copy increments ``integrity_corruptions_injected`` so drills
+        can reconcile.
         """
-        target = target or self.prefer
-        if version is None:
-            record = self._newest(name, target)
-        else:
-            record = next((r for r in self._lineage(name, target)
-                           if r.version == version), None)
+        record = self._newest(name, target)
         if record is None:
             raise CheckpointError(f"no checkpoint named {name!r} on {target}")
         try:
@@ -422,12 +403,9 @@ class CheckpointManager:
             intact = True
         except CheckpointError:
             intact = False   # don't double-count rot on an already-bad copy
-        if truncate:
-            record.payload = record.payload[: len(record.payload) // 2]
-        else:
-            buf = bytearray(record.payload)
-            buf[len(buf) // 2] ^= 0xFF
-            record.payload = bytes(buf)
+        buf = bytearray(record.payload)
+        buf[len(buf) // 2] ^= 0xFF
+        record.payload = bytes(buf)
         if intact:
             from repro import telemetry
 
@@ -443,7 +421,7 @@ class CheckpointManager:
             out["nam"] = nbytes / self.nam.write_Bps
         if self.pfs is not None:
             # PFS path: striped write, bandwidth shared among writers.
-            per_target = nbytes / max(self.pfs.default_stripe_count, 1)
+            per_target = nbytes / DEFAULT_STRIPE_COUNT
             effective = self.pfs.target_Bps / max(concurrent_writers, 1)
             out["pfs"] = per_target / effective * 1.25
         return out

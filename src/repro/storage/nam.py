@@ -14,7 +14,6 @@ individually (baseline) or (b) stage it once into the NAM and read shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.simnet.link import Link, LinkKind
 
@@ -35,12 +34,11 @@ class NetworkAttachedMemory:
         capacity_GB: float = 1024.0,
         read_GBps: float = 10.0,
         write_GBps: float = 8.0,
-        fabric: LinkKind = LinkKind.EXTOLL,
     ) -> None:
         self.capacity_bytes = int(capacity_GB * GiB)
         self.read_Bps = read_GBps * 1e9
         self.write_Bps = write_GBps * 1e9
-        self.fabric_link = Link.of_kind(fabric)
+        self.fabric_link = Link.of_kind(LinkKind.EXTOLL)
         self._resident: dict[str, _Resident] = {}
 
     @property
@@ -82,22 +80,24 @@ class NetworkAttachedMemory:
         return self.fabric_link.latency_s + res.size_bytes / effective
 
 
+#: The external (archive → centre) link a download crosses: 2 Gb/s.
+ARCHIVE_DOWNLOAD_BPS = 0.25e9
+
+
 @dataclass(frozen=True)
 class DatasetSharingStudy:
     """E10: NAM sharing vs per-member duplicate downloads.
 
-    ``download_Bps`` is the external (archive → centre) bandwidth each
-    duplicate download is bound by; NAM readers stream at fabric speed.
+    Each duplicate download is bound by :data:`ARCHIVE_DOWNLOAD_BPS`; NAM
+    readers stream at fabric speed.
     """
 
     dataset_bytes: int
     n_members: int
-    download_Bps: float = 0.25e9          # 2 Gb/s external archive link
-    nam: Optional[NetworkAttachedMemory] = None
 
     def baseline_duplicate_downloads(self) -> dict[str, float]:
         """Every member downloads their own copy (paper's 'before' case)."""
-        per_member = self.dataset_bytes / self.download_Bps
+        per_member = self.dataset_bytes / ARCHIVE_DOWNLOAD_BPS
         return {
             "total_time_s": per_member * self.n_members,   # archive serialises
             "wall_time_s": per_member * self.n_members,
@@ -107,10 +107,10 @@ class DatasetSharingStudy:
 
     def nam_shared(self) -> dict[str, float]:
         """Stage once into the NAM, all members read shared."""
-        nam = self.nam or NetworkAttachedMemory(
+        nam = NetworkAttachedMemory(
             capacity_GB=self.dataset_bytes / GiB * 1.5 + 1.0
         )
-        download = self.dataset_bytes / self.download_Bps
+        download = self.dataset_bytes / ARCHIVE_DOWNLOAD_BPS
         staging = nam.stage("shared-dataset", self.dataset_bytes)
         read = nam.read_time("shared-dataset", concurrent_readers=self.n_members)
         return {

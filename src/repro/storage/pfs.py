@@ -59,6 +59,14 @@ class FileHandle:
     layout: StripeLayout
 
 
+#: Capacity of one OST.
+CAPACITY_TB_PER_TARGET = 100.0
+#: OSTs a file is striped over unless it asks for a count.
+DEFAULT_STRIPE_COUNT = 4
+#: Stripe unit of every file.
+STRIPE_BYTES = MiB
+
+
 class ParallelFileSystem:
     """A pool of OSTs serving striped files.
 
@@ -73,18 +81,13 @@ class ParallelFileSystem:
         name: str,
         n_targets: int = 16,
         target_GBps: float = 5.0,
-        capacity_TB_per_target: float = 100.0,
-        default_stripe_count: int = 4,
-        default_stripe_MB: float = 1.0,
     ) -> None:
         if n_targets < 1:
             raise ValueError("need at least one OST")
         self.name = name
         self.n_targets = n_targets
         self.target_Bps = target_GBps * 1e9
-        self.capacity_bytes = int(n_targets * capacity_TB_per_target * 1e12)
-        self.default_stripe_count = default_stripe_count
-        self.default_stripe_bytes = int(default_stripe_MB * MiB)
+        self.capacity_bytes = int(n_targets * CAPACITY_TB_PER_TARGET * 1e12)
         self._files: dict[str, FileHandle] = {}
         self._next_first_target = 0
         self._target_bytes: list[int] = [0] * n_targets
@@ -107,16 +110,15 @@ class ParallelFileSystem:
         path: str,
         size_bytes: int,
         stripe_count: Optional[int] = None,
-        stripe_bytes: Optional[int] = None,
     ) -> FileHandle:
         if path in self._files:
             raise FileExistsError(path)
         if size_bytes < 0:
             raise ValueError("size must be non-negative")
-        count = min(stripe_count or self.default_stripe_count, self.n_targets)
+        count = min(stripe_count or DEFAULT_STRIPE_COUNT, self.n_targets)
         layout = StripeLayout(
             stripe_count=count,
-            stripe_bytes=stripe_bytes or self.default_stripe_bytes,
+            stripe_bytes=STRIPE_BYTES,
             first_target=self._next_first_target,
         )
         if self.used_bytes + size_bytes > self.capacity_bytes:
@@ -192,25 +194,17 @@ class ParallelFileSystem:
         return report.ok and not report.degraded
 
     # -- timing ----------------------------------------------------------------
-    def read_time(
-        self,
-        handle: FileHandle,
-        offset: int = 0,
-        length: Optional[int] = None,
-        concurrent_clients: int = 1,
-    ) -> float:
-        """Time for one client to read a byte range.
+    def read_time(self, handle: FileHandle) -> float:
+        """Time for one client to read the whole file.
 
-        The request is served by the stripes' OSTs in parallel; each OST's
-        bandwidth is shared among ``concurrent_clients``.
+        The request is served by the stripes' OSTs in parallel.
         """
-        length = handle.size_bytes - offset if length is None else length
+        length = handle.size_bytes
         if length <= 0:
             return 0.0
-        targets = handle.layout.targets_for(offset, length, self.n_targets)
+        targets = handle.layout.targets_for(0, length, self.n_targets)
         per_target = length / max(len(targets), 1)
-        effective = self.target_Bps / max(concurrent_clients, 1)
-        base = per_target / effective
+        base = per_target / self.target_Bps
         if any(t in self._failed_targets for t in targets):
             # Degraded read: the slice on the failed OST is reconstructed
             # from redundancy at a fraction of normal bandwidth and
@@ -218,16 +212,9 @@ class ParallelFileSystem:
             return base * self.degraded_factor
         return base
 
-    def write_time(
-        self,
-        handle: FileHandle,
-        length: Optional[int] = None,
-        concurrent_clients: int = 1,
-    ) -> float:
+    def write_time(self, handle: FileHandle) -> float:
         """Writes stream ~20% slower than reads on these targets."""
-        return self.read_time(
-            handle, 0, length, concurrent_clients=concurrent_clients
-        ) * 1.25
+        return self.read_time(handle) * 1.25
 
     def aggregate_read_GBps(self, handle: FileHandle) -> float:
         """Peak aggregate bandwidth the file's layout can sustain."""

@@ -65,13 +65,12 @@ class TieredStore:
         hbm_GB: float = 32.0,
         ddr_GB: float = 384.0,
         nvm_GB: float = 2048.0,
-        pfs_GB: float = float("inf"),
     ) -> None:
         self._capacity = {
             MemoryTier.HBM: int(hbm_GB * GiB),
             MemoryTier.DDR: int(ddr_GB * GiB),
             MemoryTier.NVM: int(nvm_GB * GiB),
-            MemoryTier.PFS: pfs_GB if pfs_GB == float("inf") else int(pfs_GB * GiB),
+            MemoryTier.PFS: float("inf"),
         }
         self._used = {tier: 0 for tier in _TIER_ORDER}
         self._placements: dict[str, list[TierPlacement]] = {}

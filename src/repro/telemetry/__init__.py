@@ -79,8 +79,7 @@ def set_registry(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
 
 
 @contextmanager
-def capture(tracer: Optional[Tracer] = None,
-            registry: Optional[MetricsRegistry] = None):
+def capture():
     """Run a scenario with fresh, enabled telemetry defaults.
 
     >>> with telemetry.capture() as (tracer, registry):
@@ -91,8 +90,8 @@ def capture(tracer: Optional[Tracer] = None,
     into each other — the property that makes same-seed captures
     byte-identical.
     """
-    tracer = tracer if tracer is not None else Tracer(enabled=True)
-    registry = registry if registry is not None else MetricsRegistry(enabled=True)
+    tracer = Tracer(enabled=True)
+    registry = MetricsRegistry(enabled=True)
     old_tracer = set_tracer(tracer)
     old_registry = set_registry(registry)
     try:

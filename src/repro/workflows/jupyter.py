@@ -53,7 +53,6 @@ class JupyterKernelSpec:
     name: str
     modules: tuple[tuple[str, Optional[str]], ...]   # (module, version|None)
     python_packages: tuple[str, ...] = ()
-    display_name: str = ""
 
     def resolve(self, env: ModuleEnvironment) -> dict[str, str]:
         """Resolve every requirement; the version-matching pain the paper
@@ -63,9 +62,9 @@ class JupyterKernelSpec:
             for name, constraint in self.modules
         }
 
-    def to_container(self, base_layer: str = "ubuntu:20.04") -> ContainerImage:
+    def to_container(self) -> ContainerImage:
         """Export as a Docker image — the kernel→cloud migration path."""
-        layers = [base_layer]
+        layers = ["ubuntu:20.04"]
         layers += [f"module:{name}" + (f"=={v}" if v else "")
                    for name, v in self.modules]
         layers += [f"pip:{pkg}" for pkg in self.python_packages]

@@ -62,3 +62,39 @@ class TestCli:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+def _exit_code(argv):
+    """What the process would exit with: argparse usage errors raise
+    SystemExit, command errors return a status."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+#: Bad input per command, each once a traceback with exit 1.
+BAD_INPUT = {
+    "schedule-no-jobs": ["schedule", "--jobs", "0"],
+    "schedule-negative-interarrival": ["schedule", "--interarrival", "-1"],
+    "scaling-no-gpus": ["scaling", "--gpus", "0"],
+    "serve-zero-rate": ["serve", "--rate", "0"],
+    "serve-zero-duration": ["serve", "--duration", "0"],
+    "serve-no-replicas": ["serve", "--replicas", "0"],
+    "trace-negative-seed": ["trace", "train", "--seed", "-1"],
+    "submit-unknown-phase-option": ["submit", "{dir}/unknown.sh"],
+    "submit-no-phases": ["submit", "{dir}/empty.sh"],
+    "submit-missing-file": ["submit", "{dir}/missing.sh"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_is_an_error_line_and_exit_2(case, tmp_path, capsys):
+    (tmp_path / "unknown.sh").write_text(
+        "#SBATCH --job-name=x\n"
+        "#PHASE name=a workload=ml-training work=1e15 colour=blue\n")
+    (tmp_path / "empty.sh").write_text("#SBATCH --job-name=x\n")
+    argv = [a.format(dir=tmp_path) for a in BAD_INPUT[case]]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err

@@ -31,7 +31,7 @@ class TestPowerModel:
     def test_unused_gpu_leaks_10pct(self):
         pm = PowerModel(JUWELS_BOOSTER_NODE)
         gpu_tdp = sum(g.tdp_watts for g in JUWELS_BOOSTER_NODE.gpus)
-        cpu_load = (JUWELS_BOOSTER_NODE.idle_watts
+        cpu_load = (PowerModel.idle_watts
                     + JUWELS_BOOSTER_NODE.cpu.tdp_watts * 2)
         assert pm.load_watts(_phase(uses_gpu=False)) == pytest.approx(
             cpu_load + 0.10 * gpu_tdp)
@@ -58,7 +58,7 @@ class TestAccountant:
         acc.charge_idle("cm", DEEP_CM_NODE, node_seconds=1000)
         assert acc.busy_joules > 0
         assert acc.idle_joules == pytest.approx(
-            DEEP_CM_NODE.idle_watts * 1000)
+            PowerModel.idle_watts * 1000)
 
     def test_busy_energy_proportional_to_nodes(self):
         acc = EnergyAccountant()

@@ -50,16 +50,13 @@ class TestLatencySummary:
         assert s.max_s == 0.4
 
     def test_meets_deadline_quantiles(self):
+        # The deadline is judged at p99: a 3 % tail breaks it even though
+        # the median and p95 sit far inside.
         values = [0.1] * 97 + [10.0] * 3
         s = summarize_latencies(values)
-        assert s.meets_deadline(0.2, quantile=50)
-        assert s.meets_deadline(0.2, quantile=95)
-        assert not s.meets_deadline(0.2, quantile=99)
-
-    def test_meets_deadline_rejects_unknown_quantile(self):
-        s = summarize_latencies([0.1])
-        with pytest.raises(ValueError):
-            s.meets_deadline(0.2, quantile=90)
+        assert s.p50_s <= 0.2 and s.p95_s <= 0.2
+        assert not s.meets_deadline(0.2)
+        assert s.meets_deadline(10.0)
 
     def test_to_text_mentions_tails(self):
         text = summarize_latencies([0.1, 0.2]).to_text()

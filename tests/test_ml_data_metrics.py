@@ -39,14 +39,13 @@ class TestDataset:
 class TestDataLoader:
     def test_batches_cover_dataset(self):
         ds = ArrayDataset(np.arange(10))
-        loader = DataLoader(ds, batch_size=3, shuffle=False)
+        loader = DataLoader(ds, batch_size=3)
         seen = np.concatenate([b[0] for b in loader])
         np.testing.assert_array_equal(np.sort(seen), np.arange(10))
         assert len(loader) == 4
 
     def test_drop_last(self):
-        loader = DataLoader(ArrayDataset(np.arange(10)), 3, shuffle=False,
-                            drop_last=True)
+        loader = DataLoader(ArrayDataset(np.arange(10)), 3, drop_last=True)
         assert len(loader) == 3
 
     def test_shuffle_deterministic_per_epoch(self):
@@ -171,11 +170,3 @@ class TestMetrics:
         pred = np.array([1.0, 2.0, 3.0])
         true = np.array([1.0, 2.0, 5.0])
         assert mae_score(pred, true) == pytest.approx(2 / 3)
-
-    def test_masked_regression_scores(self):
-        pred = np.array([1.0, 100.0])
-        true = np.array([0.0, 0.0])
-        mask = np.array([True, False])
-        assert mae_score(pred, true, mask) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            mae_score(pred, true, np.array([False, False]))

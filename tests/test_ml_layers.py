@@ -37,16 +37,12 @@ class TestDense:
         out = layer(Tensor(rng.normal(size=(5, 4))))
         assert out.shape == (5, 3)
 
-    def test_no_bias(self):
-        layer = Dense(4, 3, bias=False)
-        assert layer.bias is None
-        assert len(layer.parameters()) == 1
-
     def test_linear_in_input(self):
-        layer = Dense(3, 2, bias=False)
+        layer = Dense(3, 2)
+        layer.bias.data[...] = rng.normal(size=2)
         x = rng.normal(size=(2, 3))
-        a = layer(Tensor(x)).data
-        b = layer(Tensor(2 * x)).data
+        a = layer(Tensor(x)).data - layer.bias.data
+        b = layer(Tensor(2 * x)).data - layer.bias.data
         np.testing.assert_allclose(b, 2 * a)
 
 
@@ -120,14 +116,15 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-7)
 
     def test_running_stats_converge(self):
-        bn = BatchNorm(2, momentum=0.5)
-        for _ in range(20):
+        bn = BatchNorm(2)                 # running-stat momentum 0.9
+        for _ in range(80):
             bn(Tensor(rng.normal(3.0, 1.0, size=(128, 2))))
         assert bn.running_mean == pytest.approx([3.0, 3.0], abs=0.3)
 
     def test_eval_uses_running_stats(self):
-        bn = BatchNorm(2, momentum=0.0)
-        bn(Tensor(rng.normal(10.0, 2.0, size=(256, 2))))
+        bn = BatchNorm(2)
+        for _ in range(80):               # let the 0.9-momentum stats settle
+            bn(Tensor(rng.normal(10.0, 2.0, size=(256, 2))))
         bn.eval()
         x = Tensor(np.full((4, 2), 10.0))
         out = bn(x).data

@@ -94,7 +94,6 @@ class TestLosses:
         pred = Tensor(np.array([[1.0], [100.0]]))
         target = np.array([[0.0], [0.0]])
         mask = np.array([[1.0], [0.0]])
-        assert mae(pred, target, mask).item() == pytest.approx(1.0)
         assert mse(pred, target, mask).item() == pytest.approx(1.0)
 
     def test_l2_regularisation(self):
@@ -118,27 +117,9 @@ class TestOptimisers:
     def test_sgd_converges(self):
         assert self._quadratic(lambda ps: SGD(ps, lr=0.1)) == pytest.approx(3.0, abs=1e-4)
 
-    def test_sgd_momentum_converges(self):
-        assert self._quadratic(
-            lambda ps: SGD(ps, lr=0.05, momentum=0.9)) == pytest.approx(3.0, abs=1e-3)
-
-    def test_sgd_nesterov(self):
-        assert self._quadratic(
-            lambda ps: SGD(ps, lr=0.05, momentum=0.9, nesterov=True)
-        ) == pytest.approx(3.0, abs=1e-3)
-
     def test_adam_converges(self):
         assert self._quadratic(
             lambda ps: Adam(ps, lr=0.1), steps=400) == pytest.approx(3.0, abs=1e-3)
-
-    def test_weight_decay_shrinks_solution(self):
-        no_wd = self._quadratic(lambda ps: SGD(ps, lr=0.1))
-        wd = self._quadratic(lambda ps: SGD(ps, lr=0.1, weight_decay=0.5))
-        assert abs(wd) < abs(no_wd)
-
-    def test_nesterov_without_momentum_rejected(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.1, nesterov=True)
 
     def test_bad_lr_rejected(self):
         with pytest.raises(ValueError):

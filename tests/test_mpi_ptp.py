@@ -89,10 +89,6 @@ def test_invalid_world_size():
         run_spmd(lambda comm: None, 0)
 
 
-def test_rank_args():
-    out = run_spmd(lambda comm, x: x * 2, 3, rank_args=[(1,), (2,), (3,)])
-    assert out == [2, 4, 6]
-
 
 def test_traffic_counters():
     def fn(comm):

@@ -54,12 +54,14 @@ def test_receiver_never_ahead_of_sender_plus_cost():
 
 
 def test_bigger_payload_takes_longer():
-    def fn(comm, n):
-        comm.allreduce(np.ones(n))
-        return comm.sim_time
+    def fn(n):
+        def allreduce(comm):
+            comm.allreduce(np.ones(n))
+            return comm.sim_time
+        return allreduce
 
-    _, t_small = spmd_sim_times(fn, 4, args=(1_000,))
-    _, t_big = spmd_sim_times(fn, 4, args=(1_000_000,))
+    _, t_small = spmd_sim_times(fn(1_000), 4)
+    _, t_big = spmd_sim_times(fn(1_000_000), 4)
     assert max(t_big) > max(t_small)
 
 

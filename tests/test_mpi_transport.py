@@ -287,8 +287,8 @@ def test_ring_results_and_injection_log_equal_reference(world_size, dtype,
     injector = CorruptionInjector(
         FaultPlan.silent_corruption(seed, message_p=message_p))
     with telemetry.capture() as (_, registry):
-        out = run_spmd(_ring_ops, world_size,
-                       rank_args=[(x,) for x in inputs], timeout=30,
+        out = run_spmd(lambda comm: _ring_ops(comm, inputs[comm.rank]),
+                       world_size, timeout=30,
                        integrity=IntegrityContext(injector))
     injected, detected = corruption_totals(registry)
 

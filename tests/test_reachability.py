@@ -33,6 +33,19 @@ identifier string.  A class that reads itself whole (``asdict(self)``,
 
 The same scan fails on a module-level import its module never uses
 (``# noqa: F401`` marks an import kept for its side effect).
+
+Every settable value has a root too.  A settable value is a field with a
+default in a ``frozen=True`` dataclass, or a defaulted parameter of a
+reached function or method; an option no root sets is a constant in
+disguise.  It counts as set when reached code calls its owner by name (a
+dataclass field's or ``__init__`` parameter's owner is the class; ``cls``
+and ``super().__init__`` resolve to the class they sit in) and passes it
+by keyword or by position, or names a field in a ``dataclasses.replace``
+call; ``field(default_factory=C)`` calls ``C`` with nothing.  A call with
+a ``*`` or ``**`` splat sets every value of its owner, and a function or
+class that reached code names other than as a callee, an attribute base,
+an annotation or an ``isinstance`` argument (passed as a value) has every
+value set.  As with the member match, a live knob is never reported dead.
 """
 
 from __future__ import annotations
@@ -68,6 +81,29 @@ ALLOWLIST = {
     "repro.mpi.runtime.SpmdFailure.original":
         "error handling: the failed rank's exception, for a caller of "
         "run_spmd to handle by type",
+    # Settable values no root sets.
+    "repro.resilience.faults.FaultPlan.random.n_stragglers":
+        "an unedited pin passes it: test_perf_regression_pins.py's "
+        "degraded-fabric schedule draws stragglers from FaultPlan.random",
+    "repro.resilience.faults.FaultPlan.random.n_degrades":
+        "an unedited pin passes it: the same schedule's link degrades",
+    "repro.resilience.faults.FaultPlan.random.slowdown":
+        "an unedited pin passes it: the same schedule's straggler factor",
+    "repro.core.presets.small_msa_system.cm_nodes":
+        "an unedited pin passes it: test_scheduler_dispatch_oracle.py, "
+        "test_scheduler_placement_table.py and test_perf_regression_pins.py "
+        "size their systems by it",
+    "repro.core.presets.small_msa_system.esb_nodes":
+        "an unedited pin passes it: the same three pinned files",
+    "repro.core.presets.small_msa_system.dam_nodes":
+        "an unedited pin passes it: the same three pinned files",
+    "repro.simnet.events.Simulator.resource.name":
+        "an unedited pin passes it: the run-vs-step pin in "
+        "test_perf_regression_pins.py names its resource",
+    "repro.ml.functional.max_pool2d.stride":
+        "TestMaxPoolBackward in test_ml_autograd_grads.py pins the "
+        "overlapping-window (stride < kernel) backward scatter bit for bit "
+        "against the pre-change reference",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
@@ -124,6 +160,12 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
         if getattr(d, "id", getattr(d, "attr", None)) == "dataclass":
             return True
     return False
+
+
+def _is_frozen(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Call) and any(
+        k.arg == "frozen" and getattr(k.value, "value", False)
+        for k in d.keywords) for d in node.decorator_list)
 
 
 def _fields(node: ast.ClassDef) -> list[str]:
@@ -459,6 +501,116 @@ class Program:
                       if module.split(".")[0] == package
                       and not reads_all(owner))
 
+    def unset(self, reached: set[tuple[str, str]],
+              package: str = "repro") -> list[str]:
+        """Every settable value that no reached code sets: a defaulted
+        field of a ``frozen=True`` dataclass (``module.Class.field``) or a
+        defaulted parameter of a reached function or method
+        (``module.func.param``; an ``__init__`` parameter is
+        ``module.Class.param``).  A call sets what it passes to every owner
+        of its callee's name, a splat sets all of them, and a name used as
+        a value (not called, not an attribute base, not an annotation or an
+        ``isinstance`` argument) sets every value of what it names."""
+        # label -> (the names that call it, parameters after self,
+        # defaulted, whether ``replace`` reaches them)
+        owners: dict[str, tuple[set[str], list[str], list[str], bool]] = {}
+        bases: dict[str, set[str]] = {}
+        for module, name in reached:
+            if name == _LOOSE or module.split(".")[0] != package:
+                continue
+            node = self.sources[module].defs[name][0]
+            cls, _, member = name.rpartition(".")
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(name, set()).update(
+                    ast.unparse(b).rpartition(".")[2] for b in node.bases)
+                if _is_frozen(node):
+                    body = [s for s in node.body if isinstance(s, ast.AnnAssign)
+                            and s.target.id in _fields(node)]
+                    owners[f"{module}.{name}"] = (
+                        {name}, [s.target.id for s in body],
+                        [s.target.id for s in body if s.value is not None],
+                        True)
+            elif isinstance(node, _FUNCS) and (
+                    not _is_dunder(member) or member == "__init__"):
+                args = node.args
+                params = [a.arg for a in (*args.posonlyargs, *args.args)]
+                defaulted = params[len(params) - len(args.defaults):] + [
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None]
+                if cls and not any(getattr(d, "id", None) == "staticmethod"
+                                   for d in node.decorator_list):
+                    params = params[1:]
+                init = member == "__init__"
+                owners[f"{module}.{cls if init else name}"] = (
+                    {cls} if init else {member},
+                    params + [a.arg for a in args.kwonlyargs],
+                    defaulted, False)
+        keywords: dict[str, set[str]] = {}
+        positional: dict[str, int] = {}
+        as_value: set[str] = set()
+        replaced: set[str] = set()
+
+        def ancestors(cls: str) -> set[str]:
+            return {cls}.union(*map(ancestors, bases.get(cls, ())))
+
+        for module, name in reached:
+            src = self.sources[module]
+            nodes = src.loose if name == _LOOSE else src.defs[name]
+            cls = name.partition(".")[0] if "." in name else ""
+            for node in nodes:
+                skip: set[int] = set()
+                for sub in ast.walk(_shell(node)):
+                    if isinstance(sub, ast.Call):
+                        skip.add(id(sub.func))
+                        f = sub.func
+                        target = getattr(f, "id", getattr(f, "attr", None))
+                        if target == "cls" and cls:
+                            target = cls
+                        elif target == "__init__" and cls:
+                            target = ",".join(bases.get(cls, ()))
+                        if target in ("isinstance", "issubclass"):
+                            skip.update(map(id, sub.args))
+                        elif target == "field":
+                            # ``default_factory=C`` calls C with nothing.
+                            skip.update(id(k.value) for k in sub.keywords)
+                        elif target == "replace":
+                            replaced.update(k.arg for k in sub.keywords)
+                        elif target is not None:
+                            splat = any(isinstance(a, ast.Starred)
+                                        for a in sub.args) or any(
+                                k.arg is None for k in sub.keywords)
+                            for t in set().union(*map(ancestors,
+                                                      target.split(","))):
+                                if splat:
+                                    as_value.add(t)
+                                keywords.setdefault(t, set()).update(
+                                    k.arg for k in sub.keywords)
+                                positional[t] = max(positional.get(t, 0),
+                                                    len(sub.args))
+                    elif isinstance(sub, ast.Attribute):
+                        skip.add(id(sub.value))
+                        if id(sub) not in skip:
+                            as_value.add(sub.attr)
+                    elif isinstance(sub, ast.Name):
+                        if id(sub) not in skip and isinstance(sub.ctx,
+                                                              ast.Load):
+                            as_value.add(sub.id)
+                    elif isinstance(sub, (ast.arg, ast.AnnAssign)):
+                        if sub.annotation is not None:
+                            skip.update(map(id, ast.walk(sub.annotation)))
+                    elif isinstance(sub, _FUNCS) and sub.returns is not None:
+                        skip.update(map(id, ast.walk(sub.returns)))
+        out = []
+        for label, (names, params, defaulted, fields) in owners.items():
+            if names & as_value:
+                continue
+            given = set(replaced) if fields else set()
+            for n in names:
+                given |= keywords.get(n, set())
+                given.update(params[:positional.get(n, 0)])
+            out += [f"{label}.{p}" for p in defaulted if p not in given]
+        return sorted(out)
+
     def unused_imports(self, package: str = "repro") -> list[str]:
         """Module-level imports in ``package`` that their module never
         reads (an ``__init__`` reads what its ``__all__`` lists, a string
@@ -533,9 +685,11 @@ def stale_entries(allowlist: dict[str, str], dead: Iterable[str]) -> list[str]:
 
 
 @functools.cache
-def repository() -> tuple[Program, tuple[str, ...], tuple[str, ...]]:
-    """The program, what its roots do not reach, and the state that what
-    they reach only writes."""
+def repository() -> tuple[Program, tuple[str, ...], tuple[str, ...],
+                          tuple[str, ...]]:
+    """The program, what its roots do not reach, the state that what they
+    reach only writes, and the settable values that nothing they reach
+    sets."""
     files = {}
     for path in sorted((SRC / "repro").rglob("*.py")):
         name, is_package = _module_name(path, SRC)
@@ -556,7 +710,7 @@ def repository() -> tuple[Program, tuple[str, ...], tuple[str, ...]]:
     roots += wraps_targets((E2E / "layers.py").read_text())
     reached = program.closure(roots)
     return (program, tuple(program.unreached(reached)),
-            tuple(program.write_only(reached)))
+            tuple(program.write_only(reached)), tuple(program.unset(reached)))
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +732,17 @@ def test_no_write_only_state():
         f"(delete them, or allowlist with a reason):\n  " + "\n  ".join(dead))
 
 
+def test_every_settable_value_is_set_by_a_root():
+    unset = [v for v in repository()[3] if v not in ALLOWLIST]
+    assert not unset, (
+        f"{len(unset)} settable values in src/repro are set by no root (make "
+        f"each a constant or delete it with its branch, or allowlist it with "
+        f"a reason):\n  " + "\n  ".join(unset))
+
+
 def test_allowlist_is_not_stale():
-    stale = stale_entries(ALLOWLIST, repository()[1] + repository()[2])
+    stale = stale_entries(ALLOWLIST, repository()[1] + repository()[2]
+                          + repository()[3])
     assert not stale, f"allowlisted but reached or gone: {stale}"
     assert all(reason.strip() for reason in ALLOWLIST.values())
 
@@ -728,3 +891,60 @@ def test_scanner_keeps_fields_read_through_asdict_or_slots():
               "S().dump()\nP()\n"))
     reached = program.closure([("module", "root")])
     assert program.write_only(reached, "pkg") == ["pkg.a.P.b"]
+
+
+def test_scanner_flags_a_never_set_field_and_parameter():
+    program = _toy(
+        pkg="",
+        pkg__a=("from dataclasses import dataclass\n"
+                "@dataclass(frozen=True)\nclass Cfg:\n"
+                "    rate: float\n    burst: float = 5.0\n"
+                "    jitter: float = 0.1\n"
+                "@dataclass\nclass Loose:\n    free: int = 0\n"
+                "def run(cfg, steps=3, seed=0):\n    return Loose()\n"),
+        root=("from pkg.a import Cfg, run\n"
+              "run(Cfg(1.0, burst=2.0), seed=1)\n"))
+    reached = program.closure([("module", "root")])
+    # Only frozen fields and defaulted parameters are settable values.
+    assert program.unset(reached, "pkg") == [
+        "pkg.a.Cfg.jitter", "pkg.a.run.steps"]
+
+
+def test_scanner_counts_keyword_position_replace_and_splat_as_set():
+    program = _toy(
+        pkg="",
+        pkg__a=("import dataclasses\nfrom dataclasses import dataclass\n"
+                "@dataclass(frozen=True)\nclass Cfg:\n"
+                "    a: int = 0\n    b: int = 0\n    c: int = 0\n"
+                "class Pool:\n"
+                "    def __init__(self, n=1, m=2):\n        self.n = n\n"
+                "    def go(self, x=0, y=0):\n        return x\n"
+                "    @classmethod\n    def make(cls, k=0):\n"
+                "        return cls(m=k)\n"
+                "def step(lr=0.1, momentum=0.0):\n    return lr\n"),
+        root=("import dataclasses\nfrom pkg.a import Cfg, Pool, step\n"
+              "dataclasses.replace(Cfg(1), c=3)\n"
+              "Pool(5).go(y=1)\nPool.make(k=1)\nstep(**{})\n"))
+    reached = program.closure([("module", "root")])
+    # Cfg.a by position, Cfg.c through replace, Pool.n by position,
+    # Pool.m from ``cls(m=...)``, go's y by keyword, step's two by splat.
+    assert program.unset(reached, "pkg") == [
+        "pkg.a.Cfg.b", "pkg.a.Pool.go.x"]
+
+
+def test_scanner_counts_a_function_passed_as_a_value_as_set():
+    program = _toy(
+        pkg="",
+        pkg__a=("from dataclasses import dataclass, field\n"
+                "def cb(evt, delay=0.0):\n    return evt\n"
+                "def direct(x=1):\n    return x\n"
+                "@dataclass(frozen=True)\nclass Inner:\n    t: int = 3\n"
+                "@dataclass(frozen=True)\nclass Outer:\n"
+                "    inner: Inner = field(default_factory=Inner)\n"),
+        root=("from pkg.a import cb, direct, Outer, Inner\n"
+              "print([cb])\ndirect()\n"
+              "isinstance(Outer(inner=Inner(t=1)), Inner)\nOuter()\n"))
+    reached = program.closure([("module", "root")])
+    # ``cb`` escapes as a value; ``isinstance`` and ``default_factory``
+    # do not make Inner's ``t`` set, the call ``Inner(t=1)`` does.
+    assert program.unset(reached, "pkg") == ["pkg.a.direct.x"]

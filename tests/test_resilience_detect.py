@@ -4,9 +4,11 @@ transitions, and a seeded property sweep.
 Edge cases this file pins:
 
 * **simulation start** — an endpoint that registers but never heartbeats
-  must still grow suspicious against the *declared* expected interval
-  (no observed gaps exist yet to model),
-* **flapping** — a burst of heartbeats faster than ``min_interval_s``
+  must still grow suspicious against the declared
+  :data:`~repro.resilience.detect.EXPECTED_INTERVAL_S` (no observed gaps
+  exist yet to model),
+* **flapping** — a burst of heartbeats faster than
+  :data:`~repro.resilience.detect.MIN_INTERVAL_S`
   must not make the detector hair-triggered: the modelled mean is
   floored, so sub-millisecond bursts cannot turn a normal gap into a
   phi-8 alarm,
@@ -21,45 +23,36 @@ import pytest
 
 from repro import telemetry
 from repro.resilience.detect import (
+    EXPECTED_INTERVAL_S,
     LN10,
+    MIN_INTERVAL_S,
     PHI_CEILING,
+    THRESHOLD,
+    WINDOW,
     ComponentHealth,
-    DetectorConfig,
     PhiAccrualDetector,
 )
-
-
-class TestConfigValidation:
-    @pytest.mark.parametrize("kwargs", [
-        {"expected_interval_s": 0.0},
-        {"expected_interval_s": -1.0},
-        {"window": 0},
-        {"min_interval_s": 0.0},
-        {"threshold": 0.0},
-    ])
-    def test_bad_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            DetectorConfig(**kwargs)
 
 
 class TestBootstrap:
     """Heartbeat gaps at simulation start: no history yet."""
 
     def test_registered_but_silent_grows_suspicious(self):
-        det = PhiAccrualDetector(DetectorConfig(expected_interval_s=1.0))
+        det = PhiAccrualDetector()
         det.register("r0", now=0.0)
         assert det.phi("r0", 0.0) == 0.0
         # With no observed gaps the declared expectation is the model:
         # phi = silence / (expected * ln 10).
-        assert det.phi("r0", 2.0) == pytest.approx(2.0 / LN10)
+        assert det.phi("r0", 0.2) == pytest.approx(
+            0.2 / (EXPECTED_INTERVAL_S * LN10))
         assert det.suspect("r0", 100.0)
 
     def test_single_beat_still_uses_expected_interval(self):
-        det = PhiAccrualDetector(DetectorConfig(expected_interval_s=0.5))
+        det = PhiAccrualDetector()
         det.register("r0", now=0.0)
         det.heartbeat("r0", 0.1)
         # One beat -> zero intervals observed; the bootstrap mean holds.
-        assert det.mean_interval("r0") == 0.5
+        assert det.mean_interval("r0") == EXPECTED_INTERVAL_S
 
     def test_register_is_idempotent(self):
         det = PhiAccrualDetector()
@@ -77,7 +70,7 @@ class TestBootstrap:
 
 class TestPhiShape:
     def test_phi_zero_at_beat_and_linear_in_silence(self):
-        det = PhiAccrualDetector(DetectorConfig(expected_interval_s=1.0))
+        det = PhiAccrualDetector()
         det.register("r0", now=0.0)
         for t in (1.0, 2.0, 3.0):
             det.heartbeat("r0", t)
@@ -88,8 +81,7 @@ class TestPhiShape:
         assert two == pytest.approx(2.0 * one)
 
     def test_phi_capped_at_ceiling(self):
-        det = PhiAccrualDetector(DetectorConfig(expected_interval_s=1e-3,
-                                                min_interval_s=1e-3))
+        det = PhiAccrualDetector()
         det.register("r0", now=0.0)
         assert det.phi("r0", 1e9) == PHI_CEILING
 
@@ -100,12 +92,11 @@ class TestPhiShape:
             det.heartbeat("r0", 4.0)
 
     def test_window_bounds_history(self):
-        cfg = DetectorConfig(window=4, expected_interval_s=1.0)
-        det = PhiAccrualDetector(cfg)
+        det = PhiAccrualDetector()
         det.register("r0", now=0.0)
         # Long gaps first, then short ones that push them out.
         t = 0.0
-        for gap in (10.0, 10.0, 10.0, 10.0, 1.0, 1.0, 1.0, 1.0):
+        for gap in [10.0] * WINDOW + [1.0] * WINDOW:
             t += gap
             det.heartbeat("r0", t)
         assert det.mean_interval("r0") == pytest.approx(1.0)
@@ -113,9 +104,7 @@ class TestPhiShape:
 
 class TestFlapping:
     def test_rapid_beats_cannot_hair_trigger(self):
-        cfg = DetectorConfig(expected_interval_s=0.05, min_interval_s=1e-3,
-                             threshold=6.0)
-        det = PhiAccrualDetector(cfg)
+        det = PhiAccrualDetector()
         det.register("r0", now=0.0)
         # A flapping endpoint beats 100x faster than expected…
         t = 0.0
@@ -124,11 +113,11 @@ class TestFlapping:
             det.heartbeat("r0", t)
         # …but the floored mean keeps one expected-interval of silence
         # far below the suspicion threshold.
-        assert det.mean_interval("r0") == cfg.min_interval_s
+        assert det.mean_interval("r0") == MIN_INTERVAL_S
         assert not det.suspect("r0", t + 0.005)
 
     def test_suspicion_clears_on_next_beat(self):
-        det = PhiAccrualDetector(DetectorConfig(expected_interval_s=0.1))
+        det = PhiAccrualDetector()
         det.register("r0", now=0.0)
         det.heartbeat("r0", 0.1)
         det.heartbeat("r0", 0.2)
@@ -142,7 +131,7 @@ class TestFlapping:
         assert len(det.suspicion_log) == 2
 
     def test_continued_silence_logs_once(self):
-        det = PhiAccrualDetector(DetectorConfig(expected_interval_s=0.1))
+        det = PhiAccrualDetector()
         det.register("r0", now=0.0)
         det.heartbeat("r0", 0.1)
         det.heartbeat("r0", 0.2)
@@ -162,21 +151,21 @@ class TestInventory:
             det.phi("a", 1.0)
 
     def test_suspects_sorted_and_thresholded(self):
-        det = PhiAccrualDetector(DetectorConfig(expected_interval_s=1.0))
+        det = PhiAccrualDetector()
         for key in ("b", "a", "c"):
             det.register(key, 0.0)
-        det.heartbeat("c", 99.0)
+        det.heartbeat("c", 99.99)
         assert sorted(k for k in det.monitored()
                       if det.suspect(k, 100.0)) == ["a", "b"]
 
     def test_publish_exports_phi_gauges(self):
-        det = PhiAccrualDetector(DetectorConfig(expected_interval_s=1.0))
+        det = PhiAccrualDetector()
         det.register("r0", 0.0)
         with telemetry.capture() as (_, registry):
-            det.publish(registry, now=5.0, component="pool")
-            phi = registry.value("health_suspicion_phi", component="pool",
-                                 endpoint="r0")
-        assert phi == pytest.approx(5.0 / LN10)
+            det.publish(registry, now=0.5)
+            phi = registry.value("health_suspicion_phi",
+                                 component="detector", endpoint="r0")
+        assert phi == pytest.approx(0.5 / (EXPECTED_INTERVAL_S * LN10))
 
 
 class TestComponentHealth:
@@ -196,17 +185,11 @@ class TestComponentHealth:
 def _detector_properties(seed: int) -> None:
     """Invariants that must hold for every heartbeat schedule."""
     rng = np.random.default_rng(seed)
-    cfg = DetectorConfig(
-        expected_interval_s=float(rng.uniform(0.01, 1.0)),
-        window=int(rng.integers(1, 32)),
-        min_interval_s=float(rng.uniform(1e-4, 1e-2)),
-        threshold=float(rng.uniform(1.0, 10.0)),
-    )
-    det = PhiAccrualDetector(cfg)
+    det = PhiAccrualDetector()
     det.register("ep", now=0.0)
     t = 0.0
     for _ in range(int(rng.integers(2, 40))):
-        t += float(rng.exponential(cfg.expected_interval_s))
+        t += float(rng.exponential(EXPECTED_INTERVAL_S))
         det.heartbeat("ep", t)
         # Phi is exactly zero at the beat and non-negative always.
         assert det.phi("ep", t) == 0.0
@@ -218,11 +201,11 @@ def _detector_properties(seed: int) -> None:
     # The mean never models below the floor, so phi is bounded above by
     # silence / (floor * ln 10).
     for s, p in zip(silences, phis):
-        assert p <= s / (cfg.min_interval_s * math.log(10.0)) + 1e-9
+        assert p <= s / (MIN_INTERVAL_S * math.log(10.0)) + 1e-9
     # suspect() agrees with phi-vs-threshold at every probe point.
     for s in silences:
         assert det.suspect("ep", t + s) == (det.phi("ep", t + s)
-                                            > cfg.threshold)
+                                            > THRESHOLD)
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -2,9 +2,12 @@
 events, event cancellation, degraded links, and the scheduler's
 crash/repair bookkeeping."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import JobStatus, schedule_workload
 from repro.core.module import ClusterModule
 from repro.core.hardware import DEEP_CM_NODE
@@ -239,6 +242,18 @@ class TestChaosGrammar:
         gray = plan.of_kind(FaultKind.GRAY_FAILURE)
         assert len(gray) == 1
         assert gray[0].duration == 10.0
+
+    @pytest.mark.parametrize("clause", [
+        "crash=esb:-1", "chaos=gray:-1", "horizon=-10", "horizon=nan",
+        "repair=-1", "bitflip=2"])
+    def test_out_of_range_clause_is_a_plan_error(self, clause, capsys):
+        text = f"seed=1,{clause}"
+        with pytest.raises(FaultPlanError, match=re.escape(repr(clause))):
+            FaultPlan.parse(text, targets=self.TARGETS)
+        # The serving front end turns it into a usage error, not a crash.
+        assert main(["serve", "--duration", "1", "--faults", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --faults: ") and clause in err
 
     def test_unknown_chaos_fault_rejected(self):
         with pytest.raises(FaultPlanError):

@@ -16,6 +16,7 @@ from repro.resilience.integrity import (
     GradientCorruptionError,
     IntegrityConfig,
     IntegrityContext,
+    RETRANSMIT_PENALTY_S,
     checksum_payload,
     corruption_totals,
     flip_high_bits,
@@ -129,14 +130,6 @@ class TestFlipHighBits:
         assert np.all(a == 1.0)
 
 
-class TestIntegrityConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IntegrityConfig(tolerance=0.0)
-        with pytest.raises(ValueError):
-            IntegrityConfig(retransmit_penalty_s=-1.0)
-
-
 class TestCorruptionInjector:
     def test_inactive_without_corruption_faults(self):
         assert not CorruptionInjector(FaultPlan(seed=0)).active
@@ -204,7 +197,7 @@ class TestEnvelopes:
             payload, penalty = ctx.inbound(wire)
             injected, detected = corruption_totals(registry)
         assert np.array_equal(payload, np.arange(8.0))
-        assert penalty == IntegrityConfig().retransmit_penalty_s
+        assert penalty == RETRANSMIT_PENALTY_S
         assert injected == detected == 1.0
         assert publish_undetected(registry) == 0.0
 

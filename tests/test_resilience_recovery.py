@@ -135,9 +135,8 @@ class TestCheckpointFallback:
     def test_corrupt_nam_falls_back_to_pfs_replica(self):
         class BitRottingNam(CheckpointManager):
             """NAM copies decay right after each write."""
-            def save(self, name, step, state, target=None, replicate=False):
-                t = super().save(name, step, state, target=target,
-                                 replicate=replicate)
+            def save(self, name, step, state, replicate=False):
+                t = super().save(name, step, state, replicate=replicate)
                 self.corrupt(name, target="nam")
                 return t
 
@@ -159,13 +158,6 @@ class TestCheckpointFallback:
             "m", CheckpointPolicy(every_steps=4), max_rollback=0)
         assert (restored.step, restored.target) == (4, "pfs")
         np.testing.assert_array_equal(restored.state["w"], np.ones(8))
-
-    def test_prefer_pfs_policy_reverses_restore_order(self):
-        mgr = _manager()
-        mgr.save("m", step=1, state={"w": np.zeros(4)}, replicate=True)
-        restored = mgr.restore_latest_verified(
-            "m", CheckpointPolicy(prefer="pfs"), max_rollback=0)
-        assert restored.target == "pfs"
 
 
 class TestShrink:

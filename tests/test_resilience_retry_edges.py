@@ -7,7 +7,13 @@ to raise ``OverflowError`` (the float exponential blows past 1e308 before
 
 import pytest
 
-from repro.resilience.retry import RetryBudget, RetryPolicy
+from repro.resilience.retry import (
+    BUDGET_BURST,
+    BUDGET_FLOOR,
+    BUDGET_RATIO,
+    RetryBudget,
+    RetryPolicy,
+)
 
 
 def delays(policy: RetryPolicy, key: str = "") -> list[float]:
@@ -111,58 +117,51 @@ class TestValidation:
 
 
 class TestRetryBudget:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryBudget(ratio=-0.1)
-        with pytest.raises(ValueError):
-            RetryBudget(burst=0.5)
-        with pytest.raises(ValueError):
-            RetryBudget(floor=-1.0)
+    """Driven through the module constants: five starting tokens, 0.2
+    earned per admitted request, at most 50 held."""
 
     def test_starts_at_floor(self):
-        budget = RetryBudget(ratio=0.1, burst=20.0, floor=5.0)
-        assert budget.tokens == 5.0
+        budget = RetryBudget()
+        assert budget.tokens == BUDGET_FLOOR == 5.0
         assert budget.tokens >= 1.0
 
     def test_requests_earn_ratio_capped_at_burst(self):
-        budget = RetryBudget(ratio=0.5, burst=10.0, floor=0.0)
-        budget.note_request(4)
-        assert budget.tokens == pytest.approx(2.0)
-        budget.note_request(1000)
-        assert budget.tokens == 10.0      # burst cap, not 502
-        with pytest.raises(ValueError):
-            budget.note_request(-1)
+        budget = RetryBudget()
+        for _ in range(10):
+            budget.note_request()
+        assert budget.tokens == pytest.approx(BUDGET_FLOOR + 10 * BUDGET_RATIO)
+        for _ in range(1000):
+            budget.note_request()
+        assert budget.tokens == BUDGET_BURST   # burst cap, not 205
 
     def test_try_spend_refuses_when_dry(self):
-        budget = RetryBudget(ratio=0.1, burst=20.0, floor=2.0)
-        assert budget.try_spend()
-        assert budget.try_spend()
+        budget = RetryBudget()
+        for _ in range(int(BUDGET_FLOOR)):
+            assert budget.try_spend()
         assert budget.tokens < 1.0
         assert not budget.try_spend()     # pool dry: optional work refused
         assert budget.refused == 1
-        assert budget.spent == 2.0
+        assert budget.spent == BUDGET_FLOOR
         assert budget.tokens == 0.0       # a refusal costs nothing
 
     def test_spend_forced_overdrafts(self):
-        budget = RetryBudget(ratio=0.1, burst=20.0, floor=1.0)
-        budget.spend_forced(3.0)          # mandatory failover: never refused
+        budget = RetryBudget()
+        budget.spend_forced(BUDGET_FLOOR + 2.0)   # mandatory: never refused
         assert budget.tokens == -2.0
         assert budget.in_overdraft
         assert budget.forced_overdraft == 2.0
         # The high-water mark sticks even after the budget recovers.
-        budget.note_request(1000)
+        for _ in range(1000):
+            budget.note_request()
         assert not budget.in_overdraft
         assert budget.forced_overdraft == 2.0
 
     def test_earning_restores_refused_spending(self):
-        budget = RetryBudget(ratio=1.0, burst=5.0, floor=0.0)
+        budget = RetryBudget()
+        for _ in range(int(BUDGET_FLOOR)):
+            budget.try_spend()
         assert not budget.try_spend()
-        budget.note_request(2)
+        for _ in range(10):               # 10 x 0.2 = two tokens
+            budget.note_request()
         assert budget.try_spend()
-        assert budget.refused == 1 and budget.spent == 1.0
-
-    def test_zero_ratio_never_earns(self):
-        budget = RetryBudget(ratio=0.0, burst=5.0, floor=0.0)
-        budget.note_request(10_000)
-        assert budget.tokens == 0.0
-        assert not budget.try_spend()
+        assert budget.refused == 1 and budget.spent == BUDGET_FLOOR + 1.0

@@ -17,7 +17,6 @@ from repro.serving import (
     ArrivalPattern,
     Autoscaler,
     AutoscalerConfig,
-    BatchPolicy,
     MicroBatcher,
     ReplicaPool,
     Request,
@@ -26,6 +25,9 @@ from repro.serving import (
     TraceConfig,
     generate_trace,
 )
+from repro.serving import replicas
+from repro.serving.admission import RATE_LIMIT_BURST
+from repro.serving.batcher import MAX_BATCH_REQUESTS, MAX_WAIT_S
 from repro.serving.replicas import InflightBatch
 
 
@@ -90,10 +92,6 @@ class TestTraces:
             TraceConfig(rate_per_s=0)
         with pytest.raises(ValueError):
             TraceConfig(slo_deadline_s=0)
-        with pytest.raises(ValueError):
-            TraceConfig(diurnal_swing=1.0)
-        with pytest.raises(ValueError):
-            TraceConfig(burst_factor=0.5)
 
 
 # -- admission ----------------------------------------------------------------
@@ -104,11 +102,6 @@ class TestAdmission:
         assert admitted == 5                       # the burst only
         assert bucket.try_take(0.1)                # one token refilled
         assert not bucket.try_take(0.1)
-
-    def test_policy_burst_below_one_token_fails_at_construction(self):
-        with pytest.raises(ValueError, match="one token"):
-            AdmissionPolicy(rate_limit_per_s=10, burst=0.5)
-        AdmissionPolicy(rate_limit_per_s=0, burst=0.5)   # gate disabled
 
     def test_token_bucket_disabled(self):
         bucket = TokenBucket(rate_per_s=0.0, burst=1.0)
@@ -128,9 +121,10 @@ class TestAdmission:
         assert decision.detail == "queue-depth"
 
     def test_rate_limit_reason(self):
-        ctrl = AdmissionController(AdmissionPolicy(rate_limit_per_s=1.0,
-                                                   burst=1.0))
-        assert ctrl.decide(0.0, 0).admitted
+        ctrl = AdmissionController(AdmissionPolicy(rate_limit_per_s=1.0))
+        # The bucket starts full: the burst goes through, then the rate.
+        assert all(ctrl.decide(0.0, 0).admitted
+                   for _ in range(int(RATE_LIMIT_BURST)))
         decision = ctrl.decide(0.0, 0)
         assert not decision.admitted and decision.reason == "rate-limited"
         assert decision.detail == ""
@@ -187,47 +181,52 @@ class TestResultCache:
 
 # -- micro-batcher ------------------------------------------------------------
 class TestMicroBatcher:
+    """The size trigger is 8 requests, the timeout trigger 10 ms."""
+
     def test_full_batch_dispatches_immediately(self):
-        b = MicroBatcher(BatchPolicy(max_batch_requests=3, max_wait_s=1.0))
-        for i in range(2):
+        assert MAX_BATCH_REQUESTS == 8
+        b = MicroBatcher()
+        for i in range(7):
             b.enqueue(_req(i), now=0.0)
         assert b.ready_model(0.0) is None             # not full, not old
-        b.enqueue(_req(2), now=0.0)
+        b.enqueue(_req(7), now=0.0)
         assert b.ready_model(0.0) == "default"
-        assert [r.req_id for r in b.take("default")] == [0, 1, 2]
+        assert [r.req_id for r in b.take("default")] == list(range(8))
 
     def test_timeout_dispatches_partial_batch(self):
-        b = MicroBatcher(BatchPolicy(max_batch_requests=8, max_wait_s=0.01))
+        assert MAX_WAIT_S == 0.010
+        b = MicroBatcher()
         b.enqueue(_req(0), now=0.0)
         assert b.ready_model(0.005) is None
         assert b.next_deadline() == pytest.approx(0.01)
         assert b.ready_model(0.01) == "default"
 
     def test_models_never_mix(self):
-        b = MicroBatcher(BatchPolicy(max_batch_requests=4, max_wait_s=0.0))
+        b = MicroBatcher()
         b.enqueue(_req(0, model="a"), now=0.0)
         b.enqueue(_req(1, model="b"), now=0.0)
-        batch = b.take(b.ready_model(0.0))
+        batch = b.take(b.ready_model(MAX_WAIT_S))
         assert len({r.model for r in batch}) == 1
 
     def test_deepest_queue_wins(self):
-        b = MicroBatcher(BatchPolicy(max_batch_requests=8, max_wait_s=0.0))
+        b = MicroBatcher()
         b.enqueue(_req(0, model="a"), now=0.0)
         for i in range(1, 4):
             b.enqueue(_req(i, model="b"), now=0.0)
-        assert b.ready_model(0.0) == "b"
+        assert b.ready_model(MAX_WAIT_S) == "b"
 
     def test_requeue_front_preserves_order_and_ships_first(self):
-        b = MicroBatcher(BatchPolicy(max_batch_requests=2, max_wait_s=10.0))
-        b.enqueue(_req(5, arrival=1.0), now=1.0)
+        b = MicroBatcher()
+        for i in range(5, 5 + MAX_BATCH_REQUESTS - 1):
+            b.enqueue(_req(i, arrival=1.0), now=1.0)
         b.requeue_front([_req(1, arrival=0.1), _req(2, arrival=0.2)])
         # Drained work keeps its original arrival, so it is instantly ready.
         assert b.ready_model(1.0) == "default"
-        assert [r.req_id for r in b.take("default")] == [1, 2]
+        assert [r.req_id for r in b.take("default")] == [1, 2, *range(5, 11)]
         assert b.depth == 1
 
     def test_take_empty_raises(self):
-        b = MicroBatcher(BatchPolicy())
+        b = MicroBatcher()
         with pytest.raises(ValueError):
             b.take("default")
 
@@ -237,7 +236,7 @@ class TestMicroBatcher:
         st.sampled_from(["a", "b", "c"]),
         st.integers(min_value=1, max_value=5)), max_size=40))
     def test_depth_counter_equals_the_sum_over_queues(self, ops):
-        b = MicroBatcher(BatchPolicy(max_batch_requests=3))
+        b = MicroBatcher()
         models = ("a", "b", "c")
 
         def depth_of(model):
@@ -254,7 +253,7 @@ class TestMicroBatcher:
                 b.requeue_front(reqs)
             elif depth_of(model):
                 queued = depth_of(model)
-                assert len(b.take(model)) == min(3, queued)
+                assert len(b.take(model)) == min(MAX_BATCH_REQUESTS, queued)
             assert b.depth == sum(depth_of(m) for m in models)
 
 
@@ -287,9 +286,10 @@ class TestPlacement:
         key, nodes = placed
         assert key == "esb" and not (set(nodes) & suspect["esb"])
 
-    def test_pool_crash_releases_surviving_nodes(self, small_system):
-        pool = ReplicaPool(small_system, InferencePerfModel(),
-                           nodes_per_replica=2)
+    def test_pool_crash_releases_surviving_nodes(self, small_system,
+                                                 monkeypatch):
+        monkeypatch.setattr(replicas, "NODES_PER_REPLICA", 2)
+        pool = ReplicaPool(small_system, InferencePerfModel())
         replica = pool.place(now=0.0)
         esb = small_system.module("esb")
         free_before = esb.free_nodes
@@ -335,7 +335,7 @@ class TestPlacement:
 
 # -- autoscaler ---------------------------------------------------------------
 class TestAutoscaler:
-    CFG = AutoscalerConfig(min_replicas=1, max_replicas=4, max_step_up=2)
+    CFG = AutoscalerConfig(min_replicas=1, max_replicas=4)
 
     def test_tops_up_below_minimum(self):
         delta, reason = Autoscaler(self.CFG).decide(0.0, 0, 0, [], 0.5)

@@ -17,33 +17,30 @@ from repro.serving import (
     simulate_serving,
 )
 from repro.serving.defense import (
-    BreakerPolicy,
+    BREAKER_FAILURE_THRESHOLD,
+    BREAKER_OPEN_S,
+    BREAKER_PROBE_PROBABILITY,
+    BREAKER_SUCCESS_TO_CLOSE,
+    BROWNOUT_BREAKER_OPEN_FRACTION,
+    BROWNOUT_ESCALATE_TICKS,
+    BROWNOUT_RECOVER_TICKS,
+    BROWNOUT_STRETCH_FACTOR,
     BreakerState,
     BrownoutController,
     BrownoutLevel,
-    BrownoutPolicy,
     CircuitBreaker,
     DefenseConfig,
     HedgePolicy,
 )
 
 
-class TestBreakerPolicyValidation:
-    @pytest.mark.parametrize("kwargs", [
-        {"failure_threshold": 0},
-        {"open_s": 0.0},
-        {"probe_probability": 0.0},
-        {"probe_probability": 1.5},
-        {"success_to_close": 0},
-    ])
-    def test_bad_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            BreakerPolicy(**kwargs)
-
-
 class TestCircuitBreaker:
+    """Driven through the module constants: three missed probes trip a
+    breaker, it stays open 0.5 s, and two half-open successes close it."""
+
     def test_trips_after_consecutive_failures(self):
-        br = CircuitBreaker(BreakerPolicy(failure_threshold=3), "esb:0")
+        assert BREAKER_FAILURE_THRESHOLD == 3
+        br = CircuitBreaker("esb:0", seed=0)
         br.record_failure(0.0)
         br.record_failure(0.1)
         assert br.state(0.1) is BreakerState.CLOSED
@@ -52,7 +49,7 @@ class TestCircuitBreaker:
         assert not br.allows_dispatch(0.2)
 
     def test_success_resets_failure_streak(self):
-        br = CircuitBreaker(BreakerPolicy(failure_threshold=3), "esb:0")
+        br = CircuitBreaker("esb:0", seed=0)
         br.record_failure(0.0)
         br.record_failure(0.1)
         br.record_success(0.2)
@@ -61,20 +58,16 @@ class TestCircuitBreaker:
         assert br.state(0.4) is BreakerState.CLOSED
 
     def test_lazy_half_open_after_cooldown(self):
-        policy = BreakerPolicy(failure_threshold=1, open_s=0.5)
-        br = CircuitBreaker(policy, "esb:0")
-        br.record_failure(1.0)
-        assert br.state(1.4) is BreakerState.OPEN
+        br = _tripped(at=1.0)
+        assert br.state(1.0 + BREAKER_OPEN_S - 0.1) is BreakerState.OPEN
         # No timer event: the decay happens inside state().
-        assert br.state(1.5) is BreakerState.HALF_OPEN
+        assert br.state(1.0 + BREAKER_OPEN_S) is BreakerState.HALF_OPEN
 
     def test_half_open_probe_admission_is_seeded(self):
-        policy = BreakerPolicy(failure_threshold=1, open_s=0.1,
-                               probe_probability=0.5)
+        assert 0.0 < BREAKER_PROBE_PROBABILITY < 1.0
 
         def draws(seed):
-            br = CircuitBreaker(policy, "esb:0", seed=seed)
-            br.record_failure(0.0)
+            br = _tripped(at=0.0, seed=seed)
             return [br.allows_dispatch(1.0) for _ in range(32)]
 
         assert draws(7) == draws(7)          # deterministic per seed
@@ -82,59 +75,57 @@ class TestCircuitBreaker:
         assert draws(7) != draws(8)          # seed actually matters
 
     def test_closes_after_successes_in_half_open(self):
-        policy = BreakerPolicy(failure_threshold=1, open_s=0.1,
-                               success_to_close=2)
-        br = CircuitBreaker(policy, "esb:0")
-        br.record_failure(0.0)
-        br.record_success(0.2)
-        assert br.state(0.2) is BreakerState.HALF_OPEN
-        br.record_success(0.3)
-        assert br.state(0.3) is BreakerState.CLOSED
+        assert BREAKER_SUCCESS_TO_CLOSE == 2
+        br = _tripped(at=0.0)
+        br.record_success(BREAKER_OPEN_S + 0.1)
+        assert br.state(BREAKER_OPEN_S + 0.1) is BreakerState.HALF_OPEN
+        br.record_success(BREAKER_OPEN_S + 0.2)
+        assert br.state(BREAKER_OPEN_S + 0.2) is BreakerState.CLOSED
         assert [(f, t) for _, f, t in br.transitions] == [
             ("closed", "open"), ("open", "half-open"),
             ("half-open", "closed")]
 
     def test_half_open_failure_reopens(self):
-        policy = BreakerPolicy(failure_threshold=3, open_s=0.1)
-        br = CircuitBreaker(policy, "esb:0")
-        for _ in range(3):
-            br.record_failure(0.0)
-        assert br.state(0.2) is BreakerState.HALF_OPEN
+        br = _tripped(at=0.0)
+        now = BREAKER_OPEN_S + 0.1
+        assert br.state(now) is BreakerState.HALF_OPEN
         # A single miss in half-open trips immediately — no new streak of
-        # failure_threshold required.
-        br.record_failure(0.2)
-        assert br.state(0.2) is BreakerState.OPEN
+        # BREAKER_FAILURE_THRESHOLD required.
+        br.record_failure(now)
+        assert br.state(now) is BreakerState.OPEN
+
+
+def _tripped(at: float, seed: int = 0) -> CircuitBreaker:
+    """A breaker opened by a streak of missed probes at time ``at``."""
+    br = CircuitBreaker("esb:0", seed=seed)
+    for _ in range(BREAKER_FAILURE_THRESHOLD):
+        br.record_failure(at)
+    assert br.state(at) is BreakerState.OPEN
+    return br
 
 
 class TestHedgePolicy:
     def test_no_deadline_below_min_samples(self):
-        policy = HedgePolicy(min_samples=8)
-        assert policy.deadline([0.01] * 7) is None
+        policy = HedgePolicy()
+        assert policy.deadline([0.01] * (HedgePolicy.MIN_SAMPLES - 1)) is None
 
     def test_deadline_is_median_times_multiplier(self):
-        policy = HedgePolicy(percentile=50.0, multiplier=3.0, min_samples=8)
+        policy = HedgePolicy()
+        assert (HedgePolicy.PERCENTILE, HedgePolicy.MULTIPLIER) == (50.0, 3.0)
         window = [0.010] * 9 + [1.0]     # one gray outlier
         # The median ignores the outlier entirely.
         assert policy.deadline(window) == pytest.approx(0.030, rel=1e-6)
 
     def test_min_deadline_floor(self):
-        policy = HedgePolicy(min_deadline_s=2e-3, min_samples=1)
-        assert policy.deadline([1e-5] * 4) == 2e-3
-
-    @pytest.mark.parametrize("kwargs", [
-        {"percentile": 0.0},
-        {"percentile": 101.0},
-        {"multiplier": 0.5},
-        {"min_deadline_s": 0.0},
-        {"min_samples": 0},
-        {"min_samples": 16, "window": 8},
-    ])
-    def test_bad_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            HedgePolicy(**kwargs)
+        policy = HedgePolicy()
+        assert policy.deadline([1e-5] * HedgePolicy.MIN_SAMPLES) \
+            == HedgePolicy.MIN_DEADLINE_S
 
 
 class TestBrownoutController:
+    """Driven through the module constants: three hot ticks escalate one
+    rung, six calm ticks recover one."""
+
     def _hot_kwargs(self):
         return dict(queue_depth=100, n_up=1, budget_overdraft=False)
 
@@ -142,7 +133,8 @@ class TestBrownoutController:
         return dict(queue_depth=0, n_up=1, budget_overdraft=False)
 
     def test_escalates_one_rung_after_hot_ticks(self):
-        ctl = BrownoutController(BrownoutPolicy(escalate_ticks=3))
+        assert BROWNOUT_ESCALATE_TICKS == 3
+        ctl = BrownoutController()
         assert ctl.tick(0.0, **self._hot_kwargs()) is None
         assert ctl.tick(1.0, **self._hot_kwargs()) is None
         moved = ctl.tick(2.0, **self._hot_kwargs())
@@ -151,29 +143,34 @@ class TestBrownoutController:
         assert ctl.level is BrownoutLevel.STRETCH_BATCH
 
     def test_ladder_caps_at_cache_only(self):
-        ctl = BrownoutController(BrownoutPolicy(escalate_ticks=1))
-        for t in range(10):
+        ctl = BrownoutController()
+        for t in range(5 * BROWNOUT_ESCALATE_TICKS):
             ctl.tick(float(t), **self._hot_kwargs())
         assert ctl.level is BrownoutLevel.CACHE_ONLY
 
     def test_recovery_retraces_one_rung_at_a_time(self):
-        ctl = BrownoutController(
-            BrownoutPolicy(escalate_ticks=1, recover_ticks=2))
-        ctl.tick(0.0, **self._hot_kwargs())
-        ctl.tick(1.0, **self._hot_kwargs())
+        assert BROWNOUT_RECOVER_TICKS == 6
+        ctl = BrownoutController()
+        t = 0.0
+        for _ in range(2 * BROWNOUT_ESCALATE_TICKS):
+            ctl.tick(t, **self._hot_kwargs())
+            t += 1.0
         assert ctl.level is BrownoutLevel.SHED_BRONZE
-        assert ctl.tick(2.0, **self._calm_kwargs()) is None
-        moved = ctl.tick(3.0, **self._calm_kwargs())
+        for _ in range(BROWNOUT_RECOVER_TICKS - 1):
+            assert ctl.tick(t, **self._calm_kwargs()) is None
+            t += 1.0
+        moved = ctl.tick(t, **self._calm_kwargs())
         assert moved == (BrownoutLevel.SHED_BRONZE,
                          BrownoutLevel.STRETCH_BATCH)
-        ctl.tick(4.0, **self._calm_kwargs())
-        ctl.tick(5.0, **self._calm_kwargs())
+        for _ in range(BROWNOUT_RECOVER_TICKS):
+            t += 1.0
+            ctl.tick(t, **self._calm_kwargs())
         assert ctl.level is BrownoutLevel.NORMAL
         assert [(f, t) for _, f, t in ctl.transitions] == [
             (0, 1), (1, 2), (2, 1), (1, 0)]
 
     def test_hot_and_calm_counters_reset_each_other(self):
-        ctl = BrownoutController(BrownoutPolicy(escalate_ticks=3))
+        ctl = BrownoutController()
         ctl.tick(0.0, **self._hot_kwargs())
         ctl.tick(1.0, **self._hot_kwargs())
         ctl.tick(2.0, **self._calm_kwargs())     # streak broken
@@ -182,35 +179,30 @@ class TestBrownoutController:
         assert ctl.level is BrownoutLevel.NORMAL
 
     def test_tripped_breaker_fraction_counts_as_hot(self):
-        ctl = BrownoutController(
-            BrownoutPolicy(escalate_ticks=1, breaker_open_fraction=0.5))
-        moved = ctl.tick(0.0, queue_depth=0, n_up=3, budget_overdraft=False,
-                         breakers_open=2, breakers_total=3)
-        assert moved == (BrownoutLevel.NORMAL, BrownoutLevel.STRETCH_BATCH)
+        assert BROWNOUT_BREAKER_OPEN_FRACTION == 0.5
+        ctl = BrownoutController()
+        moves = [ctl.tick(float(t), queue_depth=0, n_up=3,
+                          budget_overdraft=False, breakers_open=2,
+                          breakers_total=3)
+                 for t in range(BROWNOUT_ESCALATE_TICKS)]
+        assert moves[-1] == (BrownoutLevel.NORMAL,
+                             BrownoutLevel.STRETCH_BATCH)
 
     def test_budget_overdraft_counts_as_hot(self):
-        ctl = BrownoutController(BrownoutPolicy(escalate_ticks=1))
-        moved = ctl.tick(0.0, queue_depth=0, n_up=3, budget_overdraft=True)
-        assert moved is not None
+        ctl = BrownoutController()
+        moves = [ctl.tick(float(t), queue_depth=0, n_up=3,
+                          budget_overdraft=True)
+                 for t in range(BROWNOUT_ESCALATE_TICKS)]
+        assert moves[-1] is not None
 
     def test_wait_stretch_tracks_level(self):
-        ctl = BrownoutController(BrownoutPolicy(stretch_factor=4.0))
+        assert BROWNOUT_STRETCH_FACTOR == 4.0
+        ctl = BrownoutController()
         assert ctl.wait_stretch == 1.0
         ctl.level = BrownoutLevel.STRETCH_BATCH
         assert ctl.wait_stretch == 4.0
         ctl.level = BrownoutLevel.CACHE_ONLY
         assert ctl.wait_stretch == 4.0
-
-
-class TestDefenseConfigValidation:
-    @pytest.mark.parametrize("kwargs", [
-        {"heartbeat_interval_s": 0.0},
-        {"retry_budget_ratio": -0.1},
-        {"retry_budget_burst": 0.5},
-    ])
-    def test_bad_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            DefenseConfig(**kwargs)
 
 
 # -- the defended engine end to end -------------------------------------------

@@ -125,7 +125,6 @@ class TestAccounting:
     def test_rejections_are_counted_not_lost(self, small_system):
         cfg = _config(rate=200.0, duration=15.0,
                       admission=AdmissionPolicy(rate_limit_per_s=80.0,
-                                                burst=20.0,
                                                 max_queue_depth=64))
         rep = simulate_serving(cfg, system=small_system)
         m = rep.metrics

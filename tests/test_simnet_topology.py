@@ -105,24 +105,3 @@ class TestFederation:
             federated({})
 
 
-class TestCongestion:
-    def test_concurrent_flows_share_bottleneck(self):
-        topo = fat_tree(16, LinkKind.INFINIBAND_EDR)
-        alone = topo.transfer_time(("node", 0), ("node", 9), 1e9)
-        shared = topo.transfer_time(("node", 0), ("node", 9), 1e9,
-                                    concurrent_flows=4)
-        assert shared > alone * 3
-        assert shared < alone * 5
-
-    def test_latency_unaffected_by_congestion(self):
-        topo = fat_tree(8, LinkKind.INFINIBAND_EDR)
-        lat = topo.path_latency(("node", 0), ("node", 7))
-        t = topo.transfer_time(("node", 0), ("node", 7), 0.0,
-                               concurrent_flows=100)
-        assert t == pytest.approx(lat)
-
-    def test_invalid_flow_count(self):
-        topo = fat_tree(4, LinkKind.INFINIBAND_EDR)
-        with pytest.raises(ValueError):
-            topo.transfer_time(("node", 0), ("node", 1), 1.0,
-                               concurrent_flows=0)

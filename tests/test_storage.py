@@ -50,9 +50,9 @@ class TestParallelFileSystem:
             pfs.create("/x", 1024)
 
     def test_capacity_enforced(self):
-        pfs = ParallelFileSystem("fs", n_targets=2, capacity_TB_per_target=0.001)
+        pfs = ParallelFileSystem("fs", n_targets=2)    # 2 x 100 TB
         with pytest.raises(OSError):
-            pfs.create("/huge", 10 ** 13)
+            pfs.create("/huge", 3 * 10 ** 14)
 
     def test_wide_stripe_reads_faster(self):
         pfs = ParallelFileSystem("fs", n_targets=16, target_GBps=5.0)
@@ -64,13 +64,6 @@ class TestParallelFileSystem:
         pfs = ParallelFileSystem("fs", n_targets=4)
         f = pfs.create("/x", 1 * GiB, stripe_count=100)
         assert f.layout.stripe_count == 4
-
-    def test_contention_slows_reads(self):
-        pfs = ParallelFileSystem("fs", n_targets=8)
-        f = pfs.create("/shared", 10 * GiB, stripe_count=8)
-        alone = pfs.read_time(f)
-        contended = pfs.read_time(f, concurrent_clients=10)
-        assert contended == pytest.approx(alone * 10)
 
     def test_writes_slower_than_reads(self):
         pfs = ParallelFileSystem("fs", n_targets=4)
@@ -211,7 +204,7 @@ class TestTieredStore:
                           min_size=1, max_size=10))
     @settings(max_examples=30, deadline=None)
     def test_property_capacity_never_exceeded(self, sizes):
-        store = TieredStore(hbm_GB=32, ddr_GB=384, nvm_GB=2048, pfs_GB=10000)
+        store = TieredStore(hbm_GB=32, ddr_GB=384, nvm_GB=2048)
         for i, gb in enumerate(sizes):
             store.put(f"d{i}", gb * GiB)
         for tier in (MemoryTier.HBM, MemoryTier.DDR, MemoryTier.NVM):

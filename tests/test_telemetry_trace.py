@@ -104,7 +104,8 @@ class TestCollectiveTelemetry:
                 comm.barrier()
 
         registry = CountingRegistry()
-        with telemetry.capture(registry=registry) as (tracer, _):
+        with telemetry.capture() as (tracer, _):
+            telemetry.set_registry(registry)    # capture restores on exit
             run_spmd(fn, 2, timeout=30)
         # One look-up per (communicator, family, op) — and none at all for
         # a family the op never moves: barrier sends no bytes, a non-root
@@ -121,11 +122,9 @@ class TestCollectiveTelemetry:
 
     def test_new_capture_gets_its_own_counters(self):
         def fn(comm):
-            first = MetricsRegistry()
-            with telemetry.capture(registry=first):
+            with telemetry.capture() as (_, first):
                 comm.send("x", dest=0, tag=1)
-            second = MetricsRegistry()
-            with telemetry.capture(registry=second):
+            with telemetry.capture() as (_, second):
                 comm.recv(source=0, tag=1)
                 comm.send("y", dest=0, tag=1)
             return (first.value("collective_calls_total", op="send"),
