@@ -48,7 +48,7 @@ _TARGETS = ("nam", "pfs")
 
 
 class CheckpointError(RuntimeError):
-    """Raised for missing or corrupt checkpoints."""
+    """Raised for missing, truncated or corrupt checkpoints."""
 
 
 def payload_checksum(payload: bytes) -> int:
@@ -118,7 +118,11 @@ class CheckpointRecord:
         return f"/ckpt/{self.name}@{self.version}"
 
     def verify(self) -> None:
-        """Integrity check: rot changes the checksum."""
+        """Integrity check: truncation changes the length, rot the checksum."""
+        if len(self.payload) != self.nbytes:
+            raise CheckpointError(
+                f"checkpoint {self.name!r} v{self.version} on {self.target} "
+                f"truncated: {len(self.payload)} of {self.nbytes} bytes")
         if payload_checksum(self.payload) != self.checksum:
             raise CheckpointError(
                 f"checkpoint {self.name!r} v{self.version} on {self.target} "

@@ -1,9 +1,9 @@
 """Checkpoint round-trips, integrity verification and replication.
 
 Complements ``test_extensions.py``'s basic save/restore coverage with the
-resilience-facing surface: checksum verification (bit-rot raises
-:class:`CheckpointError`), per-target records, replication to both paths,
-and the NAM-then-PFS restore order.
+resilience-facing surface: CRC32 verification (bit-rot and truncation both
+raise :class:`CheckpointError`), per-target records, replication to both
+paths, and the NAM-then-PFS restore order.
 """
 
 import numpy as np
@@ -58,6 +58,13 @@ class TestRoundTrip:
 
 
 class TestIntegrity:
+    def test_truncated_payload_raises(self, mgr):
+        mgr.save("m", step=1, state=_state())
+        record = mgr._newest("m", "nam")      # a partial write
+        record.payload = record.payload[: len(record.payload) // 2]
+        with pytest.raises(CheckpointError, match="truncated"):
+            mgr.restore_latest_verified("m", NAM_FIRST, max_rollback=0)
+
     def test_bit_flip_raises_checksum_mismatch(self, mgr):
         mgr.save("m", step=1, state=_state())
         mgr.corrupt("m", target="nam")
