@@ -119,9 +119,9 @@ def pad1d(x: Tensor, pad: int) -> Tensor:
     return _node(np.pad(x.data, widths), (x,), backward)
 
 
-def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tensor:
-    """Max pooling over NCHW spatial dims."""
-    stride = stride or kernel
+def max_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
+    """Max pooling over NCHW spatial dims, non-overlapping windows."""
+    stride = kernel
     n, c, h, w = x.shape
     out_h = (h - kernel) // stride + 1
     out_w = (w - kernel) // stride + 1
@@ -145,11 +145,8 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
 
     def backward(out) -> None:
         flat_grad = np.zeros(xd.size, dtype=xd.dtype)
-        if stride >= kernel:
-            # Windows cannot collide, so a fancy ``+=`` adds each once.
-            flat_grad[target] += out.grad
-        else:
-            np.add.at(flat_grad, target, out.grad)
+        # Windows cannot collide, so a fancy ``+=`` adds each once.
+        flat_grad[target] += out.grad
         x._accumulate(np.lib.stride_tricks.as_strided(
             flat_grad, shape=xd.shape, strides=grad_strides), fresh=True)
 

@@ -100,10 +100,6 @@ ALLOWLIST = {
     "repro.simnet.events.Simulator.resource.name":
         "an unedited pin passes it: the run-vs-step pin in "
         "test_perf_regression_pins.py names its resource",
-    "repro.ml.functional.max_pool2d.stride":
-        "TestMaxPoolBackward in test_ml_autograd_grads.py pins the "
-        "overlapping-window (stride < kernel) backward scatter bit for bit "
-        "against the pre-change reference",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
@@ -550,8 +546,14 @@ class Program:
         as_value: set[str] = set()
         replaced: set[str] = set()
 
-        def ancestors(cls: str) -> set[str]:
-            return {cls}.union(*map(ancestors, bases.get(cls, ())))
+        def ancestors(names: set[str]) -> set[str]:
+            """The classes a call to one of ``names`` also constructs."""
+            out, todo = set(), list(names)
+            while todo:
+                if (cls := todo.pop()) not in out:
+                    out.add(cls)
+                    todo += bases.get(cls, ())
+            return out
 
         for module, name in reached:
             src = self.sources[module]
@@ -564,10 +566,6 @@ class Program:
                         skip.add(id(sub.func))
                         f = sub.func
                         target = getattr(f, "id", getattr(f, "attr", None))
-                        if target == "cls" and cls:
-                            target = cls
-                        elif target == "__init__" and cls:
-                            target = ",".join(bases.get(cls, ()))
                         if target in ("isinstance", "issubclass"):
                             skip.update(map(id, sub.args))
                         elif target == "field":
@@ -576,11 +574,16 @@ class Program:
                         elif target == "replace":
                             replaced.update(k.arg for k in sub.keywords)
                         elif target is not None:
+                            # ``cls(...)`` builds the class it sits in,
+                            # ``super().__init__(...)`` that class's bases.
+                            callees = ({cls} if target == "cls" and cls else
+                                       bases.get(cls, set())
+                                       if target == "__init__" and cls
+                                       else {target})
                             splat = any(isinstance(a, ast.Starred)
                                         for a in sub.args) or any(
                                 k.arg is None for k in sub.keywords)
-                            for t in set().union(*map(ancestors,
-                                                      target.split(","))):
+                            for t in ancestors(callees):
                                 if splat:
                                     as_value.add(t)
                                 keywords.setdefault(t, set()).update(
