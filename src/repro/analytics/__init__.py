@@ -5,7 +5,7 @@ that require a high amount of memory to work fast".  This package rebuilds
 the needed slice of that stack:
 
 * :mod:`repro.analytics.rdd` — a mini RDD engine: lazy, lineage-tracked,
-  partitioned collections with map/filter/reduceByKey/join and
+  partitioned collections with map, tree-aggregation and
   memory-accounted caching against a :class:`~repro.storage.tiers.TieredStore`,
 * :mod:`repro.analytics.mllib` — MLlib-like algorithms on RDDs: logistic
   regression (treeAggregate-style gradient aggregation) and the

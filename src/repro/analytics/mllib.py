@@ -115,10 +115,7 @@ class DecisionTree:
 
     @staticmethod
     def _gini(counts: np.ndarray) -> float:
-        total = counts.sum()
-        if total == 0:
-            return 0.0
-        p = counts / total
+        p = counts / counts.sum()
         return float(1.0 - (p ** 2).sum())
 
     def _best_split(self, X: np.ndarray, y: np.ndarray,
@@ -189,9 +186,6 @@ class DecisionTree:
                 node = node.left if x[node.feature] <= node.threshold else node.right
             out[i] = node.prediction
         return out
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        return float((self.predict(X) == np.asarray(y)).mean())
 
 
 class RandomForest:

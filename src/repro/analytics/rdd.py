@@ -1,15 +1,13 @@
 """A mini Spark: lazy, partitioned, lineage-tracked RDDs.
 
-Semantics follow Spark's: transformations (``map``, ``filter``,
-``flatMap``, ``mapPartitions``, ``reduceByKey``, ``join``, ``union``) are
-lazy and build a lineage DAG; actions (``collect``, ``count``, ``reduce``,
-``take``, ``sum``) trigger evaluation.  ``cache()`` materialises partitions
+Semantics follow Spark's: the transformation (``map``) is lazy and
+builds a lineage DAG; actions (``collect``, ``count``,
+``tree_aggregate``) trigger evaluation.  ``cache()`` materialises partitions
 and charges their size to a :class:`~repro.storage.tiers.TieredStore`, so
 the DAM-vs-cluster memory experiments (E5) can measure how much of a
 working set stays in DRAM-class tiers.
 
-Execution is deterministic, partition-at-a-time; hash partitioning drives
-the shuffle for key-based operations.
+Execution is deterministic, partition-at-a-time.
 """
 
 from __future__ import annotations
@@ -18,10 +16,6 @@ import sys
 from typing import Any, Callable, Iterable, Optional
 
 from repro.storage.tiers import TieredStore
-
-
-def _default_partitioner(key: Any, n: int) -> int:
-    return hash(key) % n
 
 
 def _sizeof(partitions: list[list]) -> int:
@@ -68,47 +62,11 @@ class RDD:
         self._cache_requested = True
         return self
 
-    @property
-    def n_partitions(self) -> int:
-        return self.ctx.n_partitions
-
     # -- transformations (lazy) --------------------------------------------
     def map(self, fn: Callable[[Any], Any]) -> "RDD":
         def compute():
             return [[fn(x) for x in part] for part in self._partitions()]
         return RDD(self.ctx, compute, name=f"{self.name}.map", parents=(self,))
-
-    # -- shuffles --------------------------------------------------------------
-    def _shuffle_by_key(self, parts: list[list]) -> list[list]:
-        n = self.ctx.n_partitions
-        out: list[list] = [[] for _ in range(n)]
-        for part in parts:
-            for kv in part:
-                if not (isinstance(kv, tuple) and len(kv) == 2):
-                    raise TypeError("key-based operations need (key, value) pairs")
-                out[_default_partitioner(kv[0], n)].append(kv)
-        return out
-
-    def join(self, other: "RDD") -> "RDD":
-        """Inner join on keys: (k, (v_self, v_other))."""
-        if other.ctx is not self.ctx:
-            raise ValueError("RDDs belong to different contexts")
-        def compute():
-            left = self._shuffle_by_key(self._partitions())
-            right = other._shuffle_by_key(other._partitions())
-            out = []
-            for lp, rp in zip(left, right):
-                lmap: dict = {}
-                for k, v in lp:
-                    lmap.setdefault(k, []).append(v)
-                part = []
-                for k, v in rp:
-                    for lv in lmap.get(k, ()):
-                        part.append((k, (lv, v)))
-                out.append(sorted(part, key=lambda kv: repr(kv[0])))
-            return out
-        return RDD(self.ctx, compute, name=f"{self.name}.join",
-                   parents=(self, other))
 
     # -- actions ---------------------------------------------------------------------
     def collect(self) -> list:
@@ -116,29 +74,6 @@ class RDD:
 
     def count(self) -> int:
         return sum(len(part) for part in self._partitions())
-
-    def take(self, k: int) -> list:
-        out: list = []
-        for part in self._partitions():
-            for x in part:
-                out.append(x)
-                if len(out) == k:
-                    return out
-        return out
-
-    def reduce(self, fn: Callable[[Any, Any], Any]) -> Any:
-        acc = None
-        first = True
-        for part in self._partitions():
-            for x in part:
-                acc = x if first else fn(acc, x)
-                first = False
-        if first:
-            raise ValueError("reduce of empty RDD")
-        return acc
-
-    def sum(self) -> Any:
-        return self.reduce(lambda a, b: a + b)
 
     def tree_aggregate(self, zero: Any, seq_op: Callable[[Any, Any], Any],
                        comb_op: Callable[[Any, Any], Any]) -> Any:

@@ -49,8 +49,6 @@ def stable_digest(*parts: Any) -> str:
             h.update(b"seq:")
             h.update(":".join(repr(float(x)) if isinstance(x, float)
                               else repr(x) for x in part).encode())
-        elif isinstance(part, bytes):
-            h.update(part)
         else:
             h.update(repr(part).encode())
         h.update(b"|")

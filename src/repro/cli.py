@@ -144,12 +144,12 @@ def cmd_scaling(args: argparse.Namespace) -> int:
 
 def cmd_submit(args: argparse.Namespace) -> int:
     from repro.core import schedule_workload
-    from repro.core.batch import BatchScriptError, parse_job_script
+    from repro.core.batch import parse_job_script
 
     try:
         with open(args.script) as fh:
             job = parse_job_script(fh.read())
-    except (BatchScriptError, OSError) as exc:
+    except (ValueError, OSError) as exc:    # a BatchScriptError, a bad number
         print(f"error: {args.script}: {exc}", file=sys.stderr)
         return 2
     system = _build_system(args.system)

@@ -8,12 +8,12 @@ finished schedule so operators can inspect placements visually.
 
 Script grammar (one phase per ``#PHASE`` block)::
 
+    #!/bin/sh
     #SBATCH --job-name=train-resnet
-    #SBATCH --begin=120            # arrival time, seconds
-    #PHASE name=preprocess workload=simulation-lowscale nodes=4 \
-           work=1e15 memory=64
-    #PHASE name=train workload=ml-training nodes=16 work=2e18 gpu \
-           tensor-cores parallel=0.998
+    # arrival time, seconds
+    #SBATCH --begin=120
+    #PHASE name=preprocess workload=simulation-lowscale nodes=4 work=1e15 memory=64
+    #PHASE name=train workload=ml-training nodes=16 work=2e18 gpu tensor-cores parallel=0.998
 
 Unknown directives raise — silent typos in job scripts are how real
 clusters eat allocations.

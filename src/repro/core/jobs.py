@@ -110,14 +110,6 @@ class CoAllocatedPhase:
         if self.coupling_bytes < 0:
             raise ValueError("coupling_bytes must be non-negative")
 
-    @property
-    def workload(self) -> WorkloadClass:
-        return self.components[0].workload
-
-    @property
-    def work_flops(self) -> float:
-        return sum(c.work_flops for c in self.components)
-
 
 @dataclass
 class Job:

@@ -170,21 +170,9 @@ def ClusterModule(name: str, node_spec: NodeSpec, n_nodes: int,
 class BoosterModule(ComputeModule):
     """Extreme Scale Booster with the FPGA Global Collective Engine."""
 
-    gce_enabled: bool = True
-
     def __init__(self, name: str, node_spec: NodeSpec, n_nodes: int,
-                 fabric: LinkKind = LinkKind.INFINIBAND_HDR,
-                 gce_enabled: bool = True) -> None:
+                 fabric: LinkKind = LinkKind.INFINIBAND_HDR) -> None:
         super().__init__(name, ModuleKind.BOOSTER, node_spec, n_nodes, fabric_kind=fabric)
-        self.gce_enabled = gce_enabled
-
-    def gce(self):
-        """The booster fabric's Global Collective Engine model."""
-        from repro.mpi.gce import GlobalCollectiveEngine
-
-        if not self.gce_enabled:
-            raise AllocationError(f"{self.name}: GCE disabled")
-        return GlobalCollectiveEngine(self.cost_model)
 
 
 def DataAnalyticsModule(name: str, node_spec: NodeSpec, n_nodes: int,
@@ -219,15 +207,6 @@ class NamModule:
     write_GBps: float = 8.0
     kind: ModuleKind = ModuleKind.NAM
 
-    def device(self):
-        from repro.storage.nam import NetworkAttachedMemory
-
-        return NetworkAttachedMemory(
-            capacity_GB=self.capacity_GB,
-            read_GBps=self.read_GBps,
-            write_GBps=self.write_GBps,
-        )
-
 
 @dataclass
 class QuantumModule:
@@ -242,13 +221,3 @@ class QuantumModule:
     n_couplers: int = 35000
     topology_family: str = "pegasus"
     kind: ModuleKind = ModuleKind.QUANTUM
-
-    def annealer(self, seed: int = 0):
-        from repro.quantum.annealer import SimulatedQuantumAnnealer
-
-        return SimulatedQuantumAnnealer(
-            n_qubits=self.n_qubits,
-            n_couplers=self.n_couplers,
-            topology_family=self.topology_family,
-            seed=seed,
-        )

@@ -42,7 +42,7 @@ def deep_system() -> MSASystem:
     sys.add_module("cm", ClusterModule("DEEP-CM", DEEP_CM_NODE, n_nodes=50,
                                        fabric=LinkKind.INFINIBAND_EDR))
     sys.add_module("esb", BoosterModule("DEEP-ESB", DEEP_ESB_NODE, n_nodes=75,
-                                        fabric=LinkKind.EXTOLL, gce_enabled=True))
+                                        fabric=LinkKind.EXTOLL))
     sys.add_module("dam", DataAnalyticsModule("DEEP-DAM", DEEP_DAM_NODE, n_nodes=16,
                                               fabric=LinkKind.EXTOLL))
     sys.add_module("sssm", StorageModule("DEEP-SSSM", capacity_PB=2.0, n_targets=16))
@@ -65,7 +65,7 @@ def juwels_system() -> MSASystem:
     # 940 booster nodes; 936 carry 4x A100 (= 3744 GPUs), 4 are service nodes.
     sys.add_module("booster", BoosterModule(
         "JUWELS-Booster", JUWELS_BOOSTER_NODE, n_nodes=936,
-        fabric=LinkKind.INFINIBAND_HDR, gce_enabled=True))
+        fabric=LinkKind.INFINIBAND_HDR))
     sys.add_module("booster_svc", ClusterModule(
         "JUWELS-Booster-Service", JUWELS_CLUSTER_NODE, n_nodes=4,
         fabric=LinkKind.INFINIBAND_HDR))
@@ -107,8 +107,7 @@ def homogeneous_system(
     sys = MSASystem(name)
     if as_booster:
         sys.add_module("all", BoosterModule(f"{name}-nodes", node_spec, n_nodes,
-                                            fabric=LinkKind.INFINIBAND_EDR,
-                                            gce_enabled=False))
+                                            fabric=LinkKind.INFINIBAND_EDR))
     else:
         sys.add_module("all", ClusterModule(f"{name}-nodes", node_spec, n_nodes,
                                             fabric=LinkKind.INFINIBAND_EDR))

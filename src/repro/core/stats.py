@@ -72,16 +72,6 @@ class LatencySummary:
         """Does the p99 latency sit under the deadline?"""
         return self.p99_s <= deadline_s
 
-    def to_text(self, indent: str = "") -> str:
-        return "\n".join([
-            f"{indent}completed : {self.count}",
-            f"{indent}mean      : {self.mean_s * 1e3:.3f} ms",
-            f"{indent}p50       : {self.p50_s * 1e3:.3f} ms",
-            f"{indent}p95       : {self.p95_s * 1e3:.3f} ms",
-            f"{indent}p99       : {self.p99_s * 1e3:.3f} ms",
-            f"{indent}max       : {self.max_s * 1e3:.3f} ms",
-        ])
-
 
 def summarize_latencies(values: Sequence[float] | np.ndarray) -> LatencySummary:
     """Collapse a latency sample into its :class:`LatencySummary`."""

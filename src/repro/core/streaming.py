@@ -39,11 +39,11 @@ class StreamingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.arrival_rate_per_s <= 0 or self.service_time_s <= 0:
+        if not (self.arrival_rate_per_s > 0 and self.service_time_s > 0):
             raise ValueError("rates and service times must be positive")
         if self.n_servers < 1:
             raise ValueError("need at least one server")
-        if self.duration_s <= 0:
+        if not (self.duration_s > 0):             # NaN fails too
             raise ValueError("duration must be positive")
 
     @property

@@ -83,7 +83,7 @@ class BigEarthNetConfig:
             raise ValueError(f"n_classes must be in [1, {len(LAND_COVER_CLASSES)}]")
         if self.n_samples < 1 or self.patch_size < 4:
             raise ValueError("n_samples >= 1 and patch_size >= 4 required")
-        if self.noise_sigma < 0:
+        if not (self.noise_sigma >= 0):          # NaN fails too
             raise ValueError("noise_sigma must be non-negative")
 
 

@@ -35,7 +35,7 @@ class CxrConfig:
     def __post_init__(self) -> None:
         if self.n_samples < 1 or self.image_size < 16:
             raise ValueError("n_samples >= 1 and image_size >= 16 required")
-        if self.noise_sigma < 0:
+        if not (self.noise_sigma >= 0):          # NaN fails too
             raise ValueError("noise_sigma must be non-negative")
 
 

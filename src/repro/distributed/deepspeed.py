@@ -97,8 +97,7 @@ class ZeroStage1Optimizer:
             g = self._grad_shard(self._fused_grad())
             theta = self._fused_param()[self._lo:self._hi]
             theta = theta - adam_update(self, g, self._m, self._v)
-            self._write_back(self._gather(theta) if self.comm.size > 1
-                             else theta)
+            self._write_back(self._gather(theta))
 
     def _grad_shard(self, grad: np.ndarray) -> np.ndarray:
         """This rank's ``[_lo, _hi)`` slice of the rank-averaged gradient."""
@@ -138,11 +137,8 @@ class ZeroStage2Optimizer(ZeroStage1Optimizer):
         self.peak_grad_shard_bytes = 0
 
     def _grad_shard(self, grad: np.ndarray) -> np.ndarray:
-        if self.comm.size > 1:
-            shard, (lo, hi) = self.comm.reduce_scatter(grad)
-            shard = shard / self.comm.size
-        else:
-            shard, (lo, hi) = grad, (0, self.total_elements)
+        shard, (lo, hi) = self.comm.reduce_scatter(grad)
+        shard = shard / self.comm.size
         self.peak_grad_shard_bytes = max(self.peak_grad_shard_bytes,
                                          int(shard.nbytes))
         # Moments are lazily (re)sized to the reduce-scatter's shard.

@@ -203,11 +203,6 @@ class DistributedOptimizer:
         self.synchronize()
         self.optimizer.step()
 
-    @property
-    def step_count(self) -> int:
-        return self.optimizer.step_count
-
-
 # ---------------------------------------------------------------------------
 # Elastic training: ring rebuild on rank loss + checkpoint-restart.
 # ---------------------------------------------------------------------------
@@ -328,8 +323,7 @@ def run_elastic_training(
         raise ValueError("batch_size must be >= world_size so every rank "
                          "holds a shard")
     if checkpoint_manager is not None and checkpoint_policy is None:
-        from repro.resilience.policy import CheckpointPolicy
-        checkpoint_policy = CheckpointPolicy()
+        raise ValueError("a checkpoint_manager needs a checkpoint_policy")
     compute_loss = loss_fn or cross_entropy
     n_samples = len(X)
 

@@ -114,11 +114,6 @@ class LazyExpr:
     def realized(self) -> bool:
         return self.result is not None
 
-    def __repr__(self) -> str:
-        state = "realized" if self.realized else (
-            "fused" if self.fused_away else "pending")
-        return f"LazyExpr({self.op}, shape={self.shape}, {state})"
-
     # -- realization ---------------------------------------------------------
     def realize(self) -> np.ndarray:
         """Materialize this node (scheduling + running fused kernels)."""

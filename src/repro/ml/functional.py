@@ -168,10 +168,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return log_softmax(x, axis=axis).exp()
-
-
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
     """Inverted dropout: scales by 1/(1-p) at train time, identity at eval."""
     if not (0.0 <= p < 1.0):

@@ -92,11 +92,3 @@ class CovidNet(Module):
         if was_training:
             self.train()
         return logits.data.argmax(axis=1)
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        was_training = self.training
-        self.eval()
-        probs = F.softmax(self.forward(Tensor(x)), axis=-1).data
-        if was_training:
-            self.train()
-        return probs

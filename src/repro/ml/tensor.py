@@ -228,16 +228,6 @@ class Tensor:
         d = self._data
         return d.dtype if d is not None else self._lazy.dtype
 
-    def __len__(self) -> int:
-        shape = self.shape
-        if not shape:
-            raise TypeError("len() of unsized object")
-        return shape[0]
-
-    def __repr__(self) -> str:
-        grad_flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{grad_flag})"
-
     def numpy(self) -> np.ndarray:
         return self.data
 

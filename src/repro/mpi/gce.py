@@ -60,17 +60,12 @@ class GlobalCollectiveEngine:
         # is serialised once; tree propagation costs a hop each way.
         return OFFLOAD_ALPHA + 2 * depth * HOP_ALPHA + stream
 
-    def software_allreduce_time(self, p: int, nbytes: float, algorithm: str = "ring") -> float:
-        """Reference software time on the same fabric (for speedup reporting)."""
+    def software_allreduce_time(self, p: int, nbytes: float) -> float:
+        """Reference software ring time on the same fabric (for speedup
+        reporting)."""
         from repro.simnet.costs import CollectiveCosts
 
-        return CollectiveCosts(self.fabric).allreduce(p, nbytes, algorithm=algorithm)
-
-    def speedup(self, p: int, nbytes: float, algorithm: str = "ring") -> float:
-        hw = self.allreduce_time(p, nbytes)
-        if hw == 0.0:
-            return 1.0
-        return self.software_allreduce_time(p, nbytes, algorithm) / hw
+        return CollectiveCosts(self.fabric).allreduce(p, nbytes, algorithm="ring")
 
 
 def gce_allreduce(

@@ -55,14 +55,13 @@ class SimulatedQuantumAnnealer:
     """
 
     def __init__(self, n_qubits: int = 5000, n_couplers: int = 35000,
-                 topology_family: str = "pegasus", seed: int = 0,
+                 topology_family: str = "pegasus",
                  sweeps: int = 400) -> None:
         max_clique = 64 if topology_family == "chimera" else 180
         self.device = DeviceTopology(
             name=f"sim-{topology_family}", family=topology_family,
             n_qubits=n_qubits, n_couplers=n_couplers, max_clique=max_clique,
         )
-        self.seed = seed
         self.sweeps = sweeps
 
     @classmethod
@@ -108,7 +107,7 @@ class SimulatedQuantumAnnealer:
         if num_reads < 1:
             raise ValueError("num_reads must be >= 1")
         chain = self._check_embeddable(qubo)
-        rng = np.random.default_rng(self.seed if seed is None else seed)
+        rng = np.random.default_rng(0 if seed is None else seed)
         n = qubo.n_variables
 
         # Temperature schedule spanning the coefficient scale.

@@ -183,13 +183,6 @@ class FaultPlan:
     def __iter__(self):
         return iter(self.specs)
 
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    @property
-    def enabled(self) -> bool:
-        return len(self.specs) > 0
-
     def of_kind(self, kind: FaultKind) -> tuple[FaultSpec, ...]:
         return tuple(s for s in self.specs if s.kind is kind)
 

@@ -37,8 +37,6 @@ from repro.simnet.costs import (
     allreduce_ring_time,
     allreduce_recursive_doubling_time,
     allreduce_rabenseifner_time,
-    allgather_ring_time,
-    reduce_scatter_time,
     best_allreduce_time,
 )
 
@@ -61,7 +59,5 @@ __all__ = [
     "allreduce_ring_time",
     "allreduce_recursive_doubling_time",
     "allreduce_rabenseifner_time",
-    "allgather_ring_time",
-    "reduce_scatter_time",
     "best_allreduce_time",
 ]

@@ -42,8 +42,6 @@ def allreduce_ring_time(
 ) -> float:
     """Bandwidth-optimal ring allreduce (reduce-scatter + allgather rings)."""
     _check(p, nbytes)
-    if p == 1:
-        return 0.0
     frac = (p - 1) / p
     return 2 * (p - 1) * alpha + 2 * nbytes * beta * frac + nbytes * gamma * frac
 
@@ -53,8 +51,6 @@ def allreduce_recursive_doubling_time(
 ) -> float:
     """Latency-optimal recursive doubling (assumes power-of-two ranks)."""
     _check(p, nbytes)
-    if p == 1:
-        return 0.0
     steps = math.ceil(math.log2(p))
     return steps * (alpha + nbytes * beta + nbytes * gamma)
 
@@ -64,30 +60,17 @@ def allreduce_rabenseifner_time(
 ) -> float:
     """Rabenseifner's algorithm: recursive-halving reduce-scatter + allgather."""
     _check(p, nbytes)
-    if p == 1:
-        return 0.0
     steps = math.ceil(math.log2(p))
     frac = (p - 1) / p
     return 2 * steps * alpha + 2 * nbytes * beta * frac + nbytes * gamma * frac
 
 
-def allgather_ring_time(p: int, nbytes_per_rank: float, alpha: float, beta: float) -> float:
-    """Ring allgather: p-1 steps, each moving one rank's block."""
-    _check(p, nbytes_per_rank)
-    if p == 1:
-        return 0.0
-    return (p - 1) * (alpha + nbytes_per_rank * beta)
-
-
-def reduce_scatter_time(
-    p: int, nbytes: float, alpha: float, beta: float, gamma: float = 0.0
-) -> float:
-    """Ring reduce-scatter over a buffer of ``nbytes`` total."""
-    _check(p, nbytes)
-    if p == 1:
-        return 0.0
-    frac = (p - 1) / p
-    return (p - 1) * alpha + nbytes * beta * frac + nbytes * gamma * frac
+#: Each allreduce closed form by algorithm name.
+ALLREDUCE_TIMES = {
+    "ring": allreduce_ring_time,
+    "recursive-doubling": allreduce_recursive_doubling_time,
+    "rabenseifner": allreduce_rabenseifner_time,
+}
 
 
 def best_allreduce_time(
@@ -97,11 +80,8 @@ def best_allreduce_time(
 
     Returns (time, algorithm-name).
     """
-    candidates = {
-        "ring": allreduce_ring_time(p, nbytes, alpha, beta, gamma),
-        "recursive-doubling": allreduce_recursive_doubling_time(p, nbytes, alpha, beta, gamma),
-        "rabenseifner": allreduce_rabenseifner_time(p, nbytes, alpha, beta, gamma),
-    }
+    candidates = {name: fn(p, nbytes, alpha, beta, gamma)
+                  for name, fn in ALLREDUCE_TIMES.items()}
     name = min(candidates, key=candidates.get)
     return candidates[name], name
 
@@ -138,19 +118,6 @@ class CollectiveCosts:
         if algorithm == "auto":
             t, _ = best_allreduce_time(p, nbytes, m.alpha, m.beta, m.gamma)
             return t
-        if algorithm == "ring":
-            return allreduce_ring_time(p, nbytes, m.alpha, m.beta, m.gamma)
-        if algorithm == "recursive-doubling":
-            return allreduce_recursive_doubling_time(p, nbytes, m.alpha, m.beta, m.gamma)
-        if algorithm == "rabenseifner":
-            return allreduce_rabenseifner_time(p, nbytes, m.alpha, m.beta, m.gamma)
-        raise ValueError(f"unknown allreduce algorithm {algorithm!r}")
-
-    def allgather(self, p: int, nbytes_per_rank: float) -> float:
-        return allgather_ring_time(p, nbytes_per_rank, self.model.alpha, self.model.beta)
-
-    def reduce_scatter(self, p: int, nbytes: float) -> float:
-        return reduce_scatter_time(p, nbytes, self.model.alpha, self.model.beta, self.model.gamma)
-
-    def ptp(self, nbytes: float) -> float:
-        return self.model.ptp(nbytes)
+        if algorithm not in ALLREDUCE_TIMES:
+            raise ValueError(f"unknown allreduce algorithm {algorithm!r}")
+        return ALLREDUCE_TIMES[algorithm](p, nbytes, m.alpha, m.beta, m.gamma)

@@ -89,8 +89,6 @@ class Event:
         return self
 
     def _fire(self, now: float) -> None:
-        if self._cancelled:
-            return
         if self._triggered:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self._triggered = True

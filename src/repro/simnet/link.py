@@ -63,21 +63,6 @@ class Link:
             raise ValueError("nbytes must be non-negative")
         return self.latency_s + nbytes / self.bandwidth_Bps
 
-    def degraded(self, factor: float) -> "Link":
-        """This link running degraded: bandwidth divided by ``factor``.
-
-        Fault injection uses this for partial link failures (a flapping
-        cable, a congested federation bridge) where traffic still flows but
-        slower; ``factor=1`` is the healthy link.
-        """
-        if factor < 1.0:
-            raise ValueError("degradation factor must be >= 1")
-        return Link(
-            kind=self.kind,
-            latency_s=self.latency_s,
-            bandwidth_Bps=self.bandwidth_Bps / factor,
-        )
-
 
 @dataclass(frozen=True)
 class PartitionWindow:

@@ -181,14 +181,10 @@ class CheckpointManager:
         if record.target == "nam":
             if self.nam is None:
                 raise CheckpointError("no NAM attached")
-            if self.nam.contains(record.key):
-                self.nam.evict(record.key)   # overwrite semantics
             t = self.nam.stage(record.key, record.nbytes)
         else:
             if self.pfs is None:
                 raise CheckpointError("no PFS attached")
-            if record.path in self.pfs.files:
-                self.pfs.unlink(record.path)
             handle = self.pfs.create(record.path, record.nbytes)
             t = self.pfs.write_time(handle)
         self._versions.setdefault((record.name, record.target),
@@ -231,36 +227,32 @@ class CheckpointManager:
         return t
 
     # -- retention GC ------------------------------------------------------
-    def gc(self, name: str, target: Optional[str] = None) -> int:
-        """Apply the retention policy to ``name``'s lineage; returns the
-        number of versions deleted.
+    def gc(self, name: str, target: str) -> int:
+        """Apply the retention policy to ``name``'s lineage on ``target``;
+        returns the number of versions deleted.
 
         Survivors: the newest ``keep_last`` versions, every anchor step,
         and — unconditionally — the newest version that still verifies
         (so a burst of rot can never leave GC holding only bad copies).
         """
-        deleted = 0
-        for tgt in ((target,) if target is not None else _TARGETS):
-            lineage = self._lineage(name, tgt)
-            if not lineage:
+        lineage = self._lineage(name, target)
+        keep: set[int] = {r.version
+                          for r in lineage[-self.retention.keep_last:]}
+        keep.update(r.version for r in lineage
+                    if self.retention.is_anchor(r.step))
+        for record in reversed(lineage):
+            try:
+                record.verify()
+            except CheckpointError:
+                self._mark_corrupt(record)
                 continue
-            keep: set[int] = {r.version
-                              for r in lineage[-self.retention.keep_last:]}
-            keep.update(r.version for r in lineage
-                        if self.retention.is_anchor(r.step))
-            for record in reversed(lineage):
-                try:
-                    record.verify()
-                except CheckpointError:
-                    self._mark_corrupt(record)
-                    continue
-                keep.add(record.version)    # newest verified: never deleted
-                break
-            doomed = [r for r in lineage if r.version not in keep]
-            for record in doomed:
-                self._evict(record)
-                lineage.remove(record)
-                deleted += 1
+            keep.add(record.version)    # newest verified: never deleted
+            break
+        doomed = [r for r in lineage if r.version not in keep]
+        for record in doomed:
+            self._evict(record)
+            lineage.remove(record)
+        deleted = len(doomed)
         if deleted:
             from repro import telemetry
 
@@ -269,12 +261,10 @@ class CheckpointManager:
         return deleted
 
     def _evict(self, record: CheckpointRecord) -> None:
-        if record.target == "nam" and self.nam is not None:
-            if self.nam.contains(record.key):
-                self.nam.evict(record.key)
-        elif record.target == "pfs" and self.pfs is not None:
-            if record.path in self.pfs.files:
-                self.pfs.unlink(record.path)
+        if record.target == "nam":
+            self.nam.evict(record.key)
+        else:
+            self.pfs.unlink(record.path)
 
     # -- read --------------------------------------------------------------
     def _mark_corrupt(self, record: CheckpointRecord) -> None:
@@ -364,8 +354,8 @@ class CheckpointManager:
             f"no restorable version of {name!r} ({'; '.join(errors)})")
 
     # -- at-rest verification ---------------------------------------------
-    def scrub(self, name: Optional[str] = None) -> dict[str, int]:
-        """Verify every stored record (of ``name``, or all) at rest.
+    def scrub(self, name: str) -> dict[str, int]:
+        """Verify every stored record of ``name`` at rest.
 
         Corrupt copies are quarantined and counted as detected — this is
         how rot on a never-restored version still reconciles to
@@ -373,10 +363,8 @@ class CheckpointManager:
         "corrupt": …}`` where ``corrupt`` counts *newly* caught records.
         """
         checked = corrupt = 0
-        for (n, _t), lineage in sorted(self._versions.items()):
-            if name is not None and n != name:
-                continue
-            for record in lineage:
+        for target in _TARGETS:
+            for record in self._lineage(name, target):
                 checked += 1
                 already = record.quarantined
                 try:
@@ -387,10 +375,8 @@ class CheckpointManager:
                         corrupt += 1
         return {"checked": checked, "corrupt": corrupt}
 
-    def exists(self, name: str, target: Optional[str] = None) -> bool:
-        if target is not None:
-            return bool(self._lineage(name, target))
-        return any(self._lineage(name, t) for t in _TARGETS)
+    def exists(self, name: str, target: str) -> bool:
+        return bool(self._lineage(name, target))
 
     # -- fault-injection hook ------------------------------------------------
     def corrupt(self, name: str, target: str) -> None:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from repro.simnet.link import Link, LinkKind
 
 GiB = 1024 ** 3
+#: NAM read bandwidth (GB/s).
+READ_GBPS = 10.0
 
 
 @dataclass
@@ -32,11 +34,10 @@ class NetworkAttachedMemory:
     def __init__(
         self,
         capacity_GB: float = 1024.0,
-        read_GBps: float = 10.0,
         write_GBps: float = 8.0,
     ) -> None:
         self.capacity_bytes = int(capacity_GB * GiB)
-        self.read_Bps = read_GBps * 1e9
+        self.read_Bps = READ_GBPS * 1e9
         self.write_Bps = write_GBps * 1e9
         self.fabric_link = Link.of_kind(LinkKind.EXTOLL)
         self._resident: dict[str, _Resident] = {}
@@ -66,9 +67,6 @@ class NetworkAttachedMemory:
         if name not in self._resident:
             raise FileNotFoundError(name)
         del self._resident[name]
-
-    def contains(self, name: str) -> bool:
-        return name in self._resident
 
     def read_time(self, name: str, concurrent_readers: int = 1) -> float:
         """One client's read of the whole dataset, sharing NAM bandwidth."""

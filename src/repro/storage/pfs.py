@@ -37,9 +37,7 @@ class StripeLayout:
             raise ValueError("stripe_bytes must be >= 1")
 
     def targets_for(self, offset: int, length: int, n_targets: int) -> list[int]:
-        """OST indices touched by a byte range."""
-        if length <= 0:
-            return []
+        """OST indices touched by a byte range (none for an empty one)."""
         first_stripe = offset // self.stripe_bytes
         last_stripe = (offset + length - 1) // self.stripe_bytes
         n_stripes = last_stripe - first_stripe + 1
@@ -100,10 +98,6 @@ class ParallelFileSystem:
     @property
     def used_bytes(self) -> int:
         return sum(self._target_bytes)
-
-    @property
-    def files(self) -> dict[str, FileHandle]:
-        return dict(self._files)
 
     def create(
         self,
@@ -200,8 +194,6 @@ class ParallelFileSystem:
         The request is served by the stripes' OSTs in parallel.
         """
         length = handle.size_bytes
-        if length <= 0:
-            return 0.0
         targets = handle.layout.targets_for(0, length, self.n_targets)
         per_target = length / max(len(targets), 1)
         base = per_target / self.target_Bps

@@ -48,10 +48,6 @@ class TierPlacement:
         read_GBps, _, latency = TIER_CHARACTERISTICS[self.tier]
         return latency + self.size_bytes / (read_GBps * 1e9)
 
-    def write_time(self) -> float:
-        _, write_GBps, latency = TIER_CHARACTERISTICS[self.tier]
-        return latency + self.size_bytes / (write_GBps * 1e9)
-
 
 class TieredStore:
     """Capacity-aware placement across HBM/DDR/NVM/PFS.
@@ -109,10 +105,9 @@ class TieredStore:
         from repro import telemetry
 
         registry = telemetry.get_registry()
-        if registry.enabled:
-            for s in slices:
-                registry.counter("tier_bytes_total", direction="write",
-                                 tier=s.tier.value).inc(s.size_bytes)
+        for s in slices:
+            registry.counter("tier_bytes_total", direction="write",
+                             tier=s.tier.value).inc(s.size_bytes)
         return slices
 
     def placement(self, name: str) -> list[TierPlacement]:
@@ -128,10 +123,9 @@ class TieredStore:
         from repro import telemetry
 
         registry = telemetry.get_registry()
-        if registry.enabled:
-            for s in slices:
-                registry.counter("tier_bytes_total", direction="read",
-                                 tier=s.tier.value).inc(s.size_bytes)
+        for s in slices:
+            registry.counter("tier_bytes_total", direction="read",
+                             tier=s.tier.value).inc(s.size_bytes)
         return max(s.read_time() for s in slices) if slices else 0.0
 
     def resident_fraction_fast(self, name: str) -> float:

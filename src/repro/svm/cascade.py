@@ -33,12 +33,6 @@ class CascadeSVM:
     total_sv_exchanged: int
     local_times: list[float]    #: modeled training seconds, per rank
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.machine.predict(X)
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        return self.machine.decision_function(X)
-
     def score(self, X: np.ndarray, y: np.ndarray) -> float:
         return self.machine.score(X, y)
 

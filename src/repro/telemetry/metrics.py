@@ -80,10 +80,6 @@ class Gauge:
         with self._lock:
             self._value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
     @property
     def value(self) -> float:
         return self._value
@@ -204,9 +200,6 @@ class MetricsRegistry:
     def names(self) -> list[str]:
         with self._lock:
             return sorted(self._families)
-
-    def kind(self, name: str) -> str:
-        return self._kinds[name]
 
     def members(self, name: str) -> list[tuple[LabelKey, Any]]:
         with self._lock:

@@ -84,6 +84,7 @@ BAD_INPUT = {
     "trace-negative-seed": ["trace", "train", "--seed", "-1"],
     "submit-unknown-phase-option": ["submit", "{dir}/unknown.sh"],
     "submit-no-phases": ["submit", "{dir}/empty.sh"],
+    "submit-bad-number": ["submit", "{dir}/badnum.sh"],
     "submit-missing-file": ["submit", "{dir}/missing.sh"],
 }
 
@@ -94,6 +95,8 @@ def test_bad_input_is_an_error_line_and_exit_2(case, tmp_path, capsys):
         "#SBATCH --job-name=x\n"
         "#PHASE name=a workload=ml-training work=1e15 colour=blue\n")
     (tmp_path / "empty.sh").write_text("#SBATCH --job-name=x\n")
+    (tmp_path / "badnum.sh").write_text(
+        "#SBATCH --begin=soon\n#PHASE workload=ml-training work=1e15\n")
     argv = [a.format(dir=tmp_path) for a in BAD_INPUT[case]]
     assert _exit_code(argv) == 2
     err = capsys.readouterr().err

@@ -83,16 +83,6 @@ class TestServiceModules:
         sssm = StorageModule("s", capacity_PB=2.0, n_targets=16, target_GBps=5.0)
         assert sssm.aggregate_GBps == 80.0
 
-    def test_nam_device_factory(self):
-        nam = NamModule("nam", capacity_GB=512.0).device()
-        assert nam.capacity_bytes == 512 * 1024 ** 3
-
-    def test_quantum_module_annealer_factory(self):
-        qm = QuantumModule("qm", n_qubits=2048, n_couplers=6016,
-                           topology_family="chimera")
-        annealer = qm.annealer()
-        assert annealer.device.n_qubits == 2048
-
 
 class TestPresets:
     def test_deep_has_all_module_kinds(self):

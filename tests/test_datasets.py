@@ -17,6 +17,7 @@ from repro.datasets import (
     berlin_severity,
     make_imputation_windows,
 )
+from repro.core.streaming import StreamingConfig
 from repro.datasets.icu import ARDS_FRACTION
 
 
@@ -243,3 +244,24 @@ class TestImputationWindows:
             make_imputation_windows(records, target_channel=99)
         with pytest.raises(ValueError):
             make_imputation_windows([])
+
+
+#: Range checks written ``x < 0`` let NaN through (every comparison with
+#: NaN is false); each config names the bound it must hold instead.
+NAN_CONFIGS = {
+    "cxr-noise": lambda: CxrConfig(noise_sigma=float("nan")),
+    "bigearthnet-noise": lambda: BigEarthNetConfig(noise_sigma=float("nan")),
+    "streaming-rate": lambda: StreamingConfig(
+        arrival_rate_per_s=float("nan"), service_time_s=1.0, n_servers=1),
+    "streaming-service": lambda: StreamingConfig(
+        arrival_rate_per_s=1.0, service_time_s=float("nan"), n_servers=1),
+    "streaming-duration": lambda: StreamingConfig(
+        arrival_rate_per_s=1.0, service_time_s=1.0, n_servers=1,
+        duration_s=float("nan")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_CONFIGS))
+def test_nan_is_rejected_at_construction(case):
+    with pytest.raises(ValueError):
+        NAN_CONFIGS[case]()

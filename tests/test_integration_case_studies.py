@@ -244,7 +244,7 @@ class TestSparkAutoencoderPipeline:
         before = ae.reconstruction_error(spectra)
         for _ in range(30):
             # treeAggregate-style: partitions contribute batch gradients.
-            batch = np.asarray(rows.take(256))
+            batch = np.asarray(rows.collect()[:256])
             loss = mse(ae(Tensor(batch)), batch)
             ae.zero_grad()
             loss.backward()

@@ -87,11 +87,6 @@ class TestCovidNet:
         out = net(Tensor(rng.normal(size=(2, 1, 16, 16))))
         assert out.shape == (2, 3)
 
-    def test_predict_proba_sums_to_one(self):
-        net = CovidNet(base_width=8, n_blocks=2)
-        probs = net.predict_proba(rng.normal(size=(3, 1, 16, 16)))
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-9)
-
     def test_parameter_efficiency_of_pepx(self):
         # PEPX keeps the model light relative to a plain convnet stack.
         net = CovidNet(base_width=16, n_blocks=3)

@@ -100,6 +100,315 @@ ALLOWLIST = {
     "repro.simnet.events.Simulator.resource.name":
         "an unedited pin passes it: the run-vs-step pin in "
         "test_perf_regression_pins.py names its resource",
+    # Functions with lines no root executes (test_line_roots.py).  Failure
+    # and fault paths: safety code a healthy run never enters.
+    "repro.bench.paper._raises":
+        "an expectation's failure answer (the call did not raise)",
+    "repro.bench.runner.compare_docs":
+        "the regression gate's failure paths: a regression, a missing or "
+        "removed case or metric, a drifted digest",
+    "repro.bench.runner.CompareReport.to_text":
+        "renders the gate's regressions, improvements and notes",
+    "repro.bench.runner.Delta.describe":
+        "one line of the gate's regression report",
+    "repro.cli.cmd_bench":
+        "the gate's exit 1, and the full-mode baseline directory CI names "
+        "explicitly",
+    "repro.cli.cmd_scenario":
+        "a drill's FAILED CHECKS exit 1",
+    "repro.core.scheduler.MsaScheduler._on_node_crash":
+        "a crash on a node the system lacks or that is already down",
+    "repro.core.scheduler.MsaScheduler._fail_running":
+        "a job out of requeue attempts fails for good",
+    "repro.core.scheduler.MsaScheduler._on_straggler":
+        "a straggler on an idle node, or one past its phase's end",
+    "repro.core.scheduler._degrade_factor":
+        "a degraded link (--faults degrade=) under a transfer between "
+        "modules; the pinned example's degrade meets no multi-module job",
+    "repro.core.scheduler.PlacementTable.__init__":
+        "the same degraded-link factor on a phase's inter-module transfer",
+    "repro.core.scheduler.MsaScheduler._start_coalloc":
+        "the degraded-link factor on coupling traffic, and a component "
+        "refusing a badly matching module (the co-allocation waits)",
+    "repro.core.scheduler.MsaScheduler._dispatch":
+        "strict FCFS stops at a head that cannot start",
+    "repro.distributed.horovod.run_elastic_training._rank_main."
+    "_apply_checkpoint_rot":
+        "a rot spec delivered twice, or one that lands before the first "
+        "checkpoint",
+    "repro.distributed.horovod.run_elastic_training._rank_main._recover":
+        "recovery before any checkpoint exists",
+    "repro.mpi.runtime.SpmdFailure.__init__":
+        "a failed rank's exception, re-raised to the caller",
+    "repro.mpi.transport.Transport.abort":
+        "a failed rank wakes every blocked receiver",
+    "repro.mpi.transport.Transport.get":
+        "the abort sentinel wakes a blocked receiver",
+    "repro.resilience.retry.RetryPolicy.delay":
+        "the backoff cap",
+    "repro.resilience.retry.RetryBudget.try_spend":
+        "a retry refused by an exhausted budget",
+    "repro.resilience.retry.RetryBudget.spend_forced":
+        "a forced retry overdrawing the budget",
+    "repro.resilience.faults.partition_cut":
+        "a cut drawn empty or whole is forced to split the replicas",
+    "repro.resilience.integrity.verified_grad_allreduce":
+        "a checksum alarm whose audit finds no offender (float jitter)",
+    "repro.resilience.integrity.CorruptionInjector.maybe_corrupt_message":
+        "a plan without message bit flips",
+    "repro.resilience.integrity.CorruptionInjector.corrupt_contribution":
+        "a gradient corruption consumed once, not twice",
+    "repro.serving.engine.ServingEngine._on_crash":
+        "a crash on a node with no replica or already down, and the crash "
+        "of one side of a hedged pair",
+    "repro.serving.engine.ServingEngine._on_batch_done":
+        "a hedged twin's duplicate response is discarded",
+    "repro.serving.metrics.ServingMetrics.record_duplicate_response":
+        "counts that discarded duplicate",
+    "repro.serving.engine.ServingEngine._on_hedge_timer":
+        "a hedge skipped while the retry budget is dry",
+    "repro.serving.engine.ServingEngine._ensure_capacity":
+        "nowhere to place a replica until a repair",
+    "repro.serving.engine.ServingEngine._placement_avoid":
+        "re-placement avoiding suspected and partition-far nodes",
+    "repro.serving.engine.ServingEngine._response_hold":
+        "the bound on chained partition holds",
+    "repro.serving.engine.ServingEngine._on_heartbeat_tick":
+        "a probe tick skips a replica that is down",
+    "repro.serving.replicas.ReplicaPool.place":
+        "placement with nodes to avoid, and no room left",
+    "repro.serving.cache.ResultCache.abandon":
+        "a failed request releases its waiters without caching a result",
+    "repro.storage.checkpoint.CheckpointManager._restore_one":
+        "the PFS fallback restore, and a shard-digest mismatch",
+    "repro.storage.checkpoint.CheckpointManager._mark_corrupt":
+        "a quarantined copy failing again counts once",
+    "repro.storage.pfs.ParallelFileSystem.open":
+        "opens the PFS replica of that fallback restore",
+    "repro.storage.pfs.ParallelFileSystem.read_time":
+        "a read over a failed OST",
+    "repro.workflows.containers.ContainerRuntime.can_run":
+        "a runtime's refusals: format, privilege, GPU, driver",
+    "repro.ml.engine.cpu.Device._compile":
+        "the bound on the plan cache",
+    "repro.ml.engine.graph.LazyExpr.make":
+        "the bound on the shape-inference memo",
+    "repro.telemetry.metrics._NullInstrument.set":
+        "the disabled registry's no-op gauge",
+    "repro.telemetry.metrics._NullInstrument.observe_many":
+        "the disabled registry's no-op histogram",
+    # Guards for degenerate input the API accepts (empty, a single rank,
+    # nothing to pad, a mode to restore): safety code as well.
+    "repro.analytics.mllib.DecisionTree._grow":
+        "a leaf where no threshold separates a node (duplicate rows)",
+    "repro.analytics.rdd.RDD._partitions":
+        "a cached RDD evaluated a second time",
+    "repro.analytics.rdd.RDD.tree_aggregate":
+        "the odd-count carry of the pairwise combine",
+    "repro.analytics.rdd.MiniSparkContext.cached_fast_fraction":
+        "nothing cached yet",
+    "repro.core.energy.PowerModel.load_watts":
+        "a node with no phase draws idle power",
+    "repro.core.scheduler.ScheduleReport.mean_wait":
+        "an empty schedule",
+    "repro.core.scheduler.ScheduleReport.mean_turnaround":
+        "an empty schedule",
+    "repro.core.scheduler.place_standalone":
+        "no module has room",
+    "repro.core.system.MSASystem.inter_module_transfer_time":
+        "a transfer within one module is free",
+    "repro.simnet.topology.Topology.transfer_time":
+        "a transfer from a node to itself is free",
+    "repro.core.stats.sorted_percentile":
+        "the top rank of a sample",
+    "repro.datasets.icu.berlin_severity":
+        "the Berlin definition's mild and no-ARDS bands",
+    "repro.distributed.horovod.DistributedOptimizer._fuse_grads":
+        "a parameter without a gradient contributes zeros",
+    "repro.distributed.horovod.DistributedOptimizer.synchronize":
+        "a fused buffer with fewer elements than ranks",
+    "repro.distributed.perfmodel.InferencePerfModel.sustained_flops":
+        "a replica on a CPU-only node",
+    "repro.ml.data.DataLoader.__len__":
+        "a partial last batch",
+    "repro.ml.data.DistributedSampler.indices":
+        "wrap-padding when ranks outnumber samples",
+    "repro.ml.functional.pad1d":
+        "a zero pad",
+    "repro.ml.layers.Module.named_parameters":
+        "parameters held in a list",
+    "repro.ml.losses._target_tensor":
+        "integer targets against an integer prediction",
+    "repro.ml.losses.l2_regularisation":
+        "no parameters",
+    "repro.ml.models.gru_forecaster.GruForecaster.predict":
+        "predict called in training mode restores it",
+    "repro.ml.tensor.Tensor.__init__":
+        "a Tensor or integer data wrapped in a Tensor",
+    "repro.ml.tensor.Tensor._coerce":
+        "a non-scalar operand",
+    "repro.ml.tensor.Tensor._scatter_buffer":
+        "a gradient the accumulator may not alias",
+    "repro.ml.tensor.Tensor.__matmul__":
+        "1-D operands",
+    "repro.ml.tensor.Tensor.__getitem__":
+        "fancy-index gradient scatter",
+    "repro.ml.tensor.Tensor.pad2d":
+        "a zero pad",
+    "repro.mpi.collectives.recursive_doubling_allreduce":
+        "a single rank",
+    "repro.mpi.collectives.ring_allgather":
+        "a single rank",
+    "repro.mpi.collectives.ring_allreduce_inplace":
+        "a single rank",
+    "repro.mpi.collectives.ring_reduce_scatter":
+        "a single rank",
+    "repro.mpi.gce.GlobalCollectiveEngine.allreduce_time":
+        "a single rank",
+    "repro.mpi.comm.Communicator.compute":
+        "a compute span when tracing is on",
+    "repro.mpi.transport.wire_size":
+        "a payload that is not an array",
+    "repro.mpi.transport._matches":
+        "a wildcard tag",
+    "repro.quantum.annealer.SimulatedQuantumAnnealer._check_embeddable":
+        "a sparse problem embeds without chains",
+    "repro.quantum.qsvm.QuantumSVM.fit":
+        "an annealer read without support vectors",
+    "repro.quantum.qsvm.QSvmEnsemble.fit":
+        "a member whose subset holds one class",
+    "repro.resilience.detect.PhiAccrualDetector.mean_interval":
+        "no heartbeat interval observed yet",
+    "repro.resilience.report.ResilienceReport.mttr_s":
+        "no recoveries",
+    "repro.scenarios._sdc.run":
+        "a run without losses to compare",
+    "repro.serving.replicas.Autoscaler.decide":
+        "a pool below its minimum",
+    "repro.serving.request._poisson_times":
+        "a draw short of the horizon is redrawn larger",
+    "repro.simnet.events.Event.add_callback":
+        "a callback added after the event fired runs at once",
+    "repro.simnet.events.Simulator.run":
+        "a run stopped at a horizon (until)",
+    "repro.storage.tiers.TieredStore.put":
+        "a tier with less than a byte free",
+    "repro.storage.tiers.TieredStore.resident_fraction_fast":
+        "an empty dataset",
+    "repro.svm.cascade._sv_set":
+        "a machine without support vectors",
+    "repro.svm.cascade.cascade_train":
+        "a merge that holds one class",
+    "repro.svm.smo.SVC.fit":
+        "a pair with a non-negative second derivative",
+    "repro.svm.smo.SVC.decision_function":
+        "an unfitted or support-vector-free machine",
+    "repro.telemetry.set_registry":
+        "restoring the disabled default",
+    "repro.telemetry.metrics.MetricsRegistry.gauges_over":
+        "a gauge over its threshold",
+    "repro.telemetry.metrics.MetricsRegistry.to_text":
+        "a histogram with no observations",
+    "repro.workflows.containers.ContainerImage.digest":
+        "an image with environment variables",
+    # References a tier-1 test compares against.
+    "repro.analytics.mllib.RandomForest.fit":
+        "its serial branch is the reference of "
+        "test_rdd_and_serial_forest_agree",
+    "repro.resilience.faults.FaultPlan.random":
+        "the straggler and degrade draws of the pinned degraded-fabric "
+        "schedule (test_perf_regression_pins.py, unedited)",
+    "repro.resilience.faults.FaultPlan.none":
+        "the fault-free arm tier-1 tests compare faulted runs against",
+    "repro.simnet.events.Simulator.step":
+        "the run-vs-step pin's reference loop "
+        "(test_perf_regression_pins.py, unedited)",
+    "repro.simnet.events.EventQueue.pop":
+        "the step loop's pop",
+    "repro.simnet.events.Simulator.resource":
+        "builds that pin's resource",
+    "repro.mpi.modular.ModularCostModel.beta":
+        "the CommCostModel surface a Communicator binds; a modular model "
+        "prices each message through ptp_between instead",
+    "repro.mpi.modular.ModularCostModel.ptp":
+        "the same surface: Communicator hoists cost_model.ptp",
+    # Library calls no root makes that tier-1 tests use; deleting one
+    # deletes its tests (ROADMAP item 8).
+    "repro.ml.tensor.Tensor.max":
+        "max's backward: the per-primitive gradcheck "
+        "(test_ml_engine_gradcheck.py)",
+    "repro.ml.tensor.Tensor.clip":
+        "a primitive of that gradcheck",
+    "repro.ml.tensor.Tensor.transpose":
+        "transpose(axes) and its backward: that gradcheck",
+    "repro.ml.tensor.Tensor.T":
+        "test_ml_tensor.py's test_T",
+    "repro.ml.tensor.Tensor.__rtruediv__":
+        "test_ml_tensor.py's test_rsub_rdiv_radd_rmul and the div gradcheck",
+    "repro.ml.tensor.Tensor.realize":
+        "the lazy-engine tests force a graph with it",
+    "repro.ml.tensor.Tensor.realized":
+        "the lazy-engine tests assert laziness with it",
+    "repro.ml.engine.graph.LazyExpr.realized":
+        "the same tests, on a graph node",
+    "repro.ml.engine.ops.resolve_reshape":
+        "reshape with -1 on the lazy engine (test_ml_engine_gradcheck.py)",
+    "repro.ml.engine.ops._transpose_infer":
+        "transpose on the lazy engine (the same gradcheck)",
+    "repro.ml.engine.ops._exec_clip":
+        "clip on either engine (the same gradcheck)",
+    "repro.ml.engine.ops._exec_pow":
+        "a general exponent (the pow gradcheck)",
+    "repro.ml.engine.device.device_names":
+        "test_ml_engine.py's device registry tests",
+    "repro.ml.layers.Module.zero_grad":
+        "the training loops of the model tests",
+    "repro.ml.losses.mse":
+        "the masked loss (test_ml_rnn_losses_optim.py)",
+    "repro.distributed.horovod.DistributedOptimizer.lr":
+        "test_distributed_horovod.py's test_lr_passthrough",
+    "repro.mpi.collectives.dissemination_barrier":
+        "Communicator.barrier (test_mpi_collectives.py's barrier tests)",
+    "repro.mpi.comm.Communicator.barrier":
+        "the same tests and test_telemetry_trace.py",
+    "repro.quantum.qubo.Qubo.energies":
+        "test_quantum.py's test_batch_energies",
+    "repro.quantum.qsvm.QuantumSVM.predict":
+        "test_quantum.py's QSVM tests",
+    "repro.quantum.qsvm.QuantumSVM.score":
+        "the same tests",
+    "repro.resilience.detect.PhiAccrualDetector.monitored":
+        "test_resilience_detect.py's inventory tests",
+    "repro.resilience.detect.PhiAccrualDetector.suspicion_levels":
+        "the same tests",
+    "repro.resilience.detect.PhiAccrualDetector.publish":
+        "the same tests",
+    "repro.resilience.integrity.CorruptionInjector.active":
+        "test_resilience_integrity.py's injector tests",
+    "repro.serving.cache.ResultCache.__len__":
+        "test_serving_components.py's cache tests",
+    "repro.simnet.link.Link.transfer_time":
+        "test_simnet_topology.py's link tests",
+    "repro.simnet.events.Resource.available":
+        "test_simnet_events.py's resource tests",
+    "repro.simnet.events.Process._resume":
+        "a process yielding a bare delay (test_simnet_events.py)",
+    "repro.telemetry.metrics.Histogram.values":
+        "test_serving_engine.py's shared-registry test",
+    "repro.telemetry.metrics.MetricsRegistry.value":
+        "the counter reads of the telemetry tests",
+    "repro.telemetry.spans.Tracer.clear":
+        "test_telemetry_core.py's tracer tests",
+    "repro.svm.kernels.make_kernel":
+        "the linear and polynomial kernels (test_svm.py)",
+    "repro.svm.kernels.linear_kernel":
+        "the same tests",
+    "repro.svm.kernels.poly_kernel":
+        "the same tests",
+    "repro.core.streaming.StreamingReport.latency_summary":
+        "test_core_stats.py's test_report_latency_summary",
+    "repro.core.stats.LatencySummary.meets_deadline":
+        "test_core_stats.py and test_streaming.py's deadline tests",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
@@ -743,9 +1052,30 @@ def test_every_settable_value_is_set_by_a_root():
         f"a reason):\n  " + "\n  ".join(unset))
 
 
+def defined_names() -> set[str]:
+    """The qualified name of every function and class in ``src/repro``,
+    nested ones included (``module.Class.method``, ``module.f.inner``)."""
+    names: set[str] = set()
+
+    def walk(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (*_FUNCS, ast.ClassDef)):
+                names.add(f"{prefix}.{child.name}")
+                walk(child, f"{prefix}.{child.name}")
+            else:
+                walk(child, prefix)
+
+    for path in (SRC / "repro").rglob("*.py"):
+        walk(ast.parse(path.read_text()), _module_name(path, SRC)[0])
+    return names
+
+
 def test_allowlist_is_not_stale():
+    """An entry these rules need is one they report.  Any other entry must
+    name a function or class, for test_line_roots.py's line rule, whose
+    slow test fails on an entry that covers no unexecuted line."""
     stale = stale_entries(ALLOWLIST, repository()[1] + repository()[2]
-                          + repository()[3])
+                          + repository()[3] + tuple(defined_names()))
     assert not stale, f"allowlisted but reached or gone: {stale}"
     assert all(reason.strip() for reason in ALLOWLIST.values())
 

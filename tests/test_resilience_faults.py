@@ -104,16 +104,6 @@ class TestInjector:
             injector.arm(Simulator())
 
 
-class TestLinks:
-    def test_degraded_link_slower(self):
-        link = Link.of_kind(LinkKind.INFINIBAND_EDR)
-        slow = link.degraded(4.0)
-        assert slow.bandwidth_Bps == link.bandwidth_Bps / 4.0
-        assert slow.transfer_time(1 << 20) > link.transfer_time(1 << 20)
-        with pytest.raises(ValueError):
-            link.degraded(0.5)
-
-
 class TestCrashRepairBookkeeping:
     def test_mark_down_blocks_allocation_until_repair(self):
         module = ClusterModule("CM", DEEP_CM_NODE, 4)

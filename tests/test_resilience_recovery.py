@@ -128,7 +128,13 @@ class TestRankKillRecovery:
         with pytest.raises(SpmdFailure):
             _train(world_size=2,
                    fault_plan=FaultPlan.rank_kills(seed=5, kills={3: [0, 1]}),
-                   checkpoint_manager=_manager())
+                   checkpoint_manager=_manager(),
+                   checkpoint_policy=CheckpointPolicy())
+
+    def test_a_manager_without_a_policy_is_refused(self):
+        # Nothing that runs training leaves the policy to a default.
+        with pytest.raises(ValueError, match="checkpoint_policy"):
+            _train(checkpoint_manager=_manager())
 
 
 class TestCheckpointFallback:

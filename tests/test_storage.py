@@ -88,7 +88,7 @@ class TestNam:
         nam = NetworkAttachedMemory(capacity_GB=10)
         t_stage = nam.stage("ds", 5 * GiB)
         assert t_stage > 0
-        assert nam.contains("ds")
+        assert nam.used_bytes == 5 * GiB
         assert nam.read_time("ds") > 0
 
     def test_capacity_enforced(self):

@@ -98,3 +98,18 @@ class TestPolicy:
 def test_path_comparison_nam_faster(mgr):
     comparison = mgr.path_comparison(1 << 30, concurrent_writers=16)
     assert comparison["nam"] < comparison["pfs"]
+
+
+@pytest.mark.parametrize("replicate", [False, True])
+def test_a_second_lineage_writing_the_same_key_is_refused(replicate):
+    """Lineage keys are versioned per manager, so only a second manager
+    writing the same name into the same store can collide.  That write is
+    refused (the store's ``FileExistsError``); it never overwrites the
+    first manager's copy."""
+    nam = NetworkAttachedMemory(capacity_GB=1)
+    pfs = ParallelFileSystem("fs", n_targets=4)
+    CheckpointManager(nam=nam, pfs=pfs).save("m", 0, _state(),
+                                             replicate=replicate)
+    with pytest.raises(FileExistsError):
+        CheckpointManager(nam=nam, pfs=pfs).save("m", 1, _state(1),
+                                                 replicate=replicate)

@@ -169,7 +169,7 @@ class TestScrub:
         mgr = make_manager()
         with telemetry.capture():
             mgr.save("m", step=1, state=state_at(1), replicate=True)
-        assert mgr.scrub() == {"checked": 2, "corrupt": 0}
+        assert mgr.scrub("m") == {"checked": 2, "corrupt": 0}
 
     def test_double_injection_not_double_counted(self):
         mgr = make_manager()
