@@ -58,6 +58,8 @@ class Topology:
     def path_bandwidth(self, src: Hashable, dst: Hashable) -> float:
         """Bottleneck bandwidth along the route."""
         p = self.path(src, dst)
+        if len(p) < 2:
+            return float("inf")
         return min(self.graph.edges[u, v]["link"].bandwidth_Bps for u, v in zip(p, p[1:]))
 
     def transfer_time(self, src: Hashable, dst: Hashable,

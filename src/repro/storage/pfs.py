@@ -37,7 +37,9 @@ class StripeLayout:
             raise ValueError("stripe_bytes must be >= 1")
 
     def targets_for(self, offset: int, length: int, n_targets: int) -> list[int]:
-        """OST indices touched by a byte range (none for an empty one)."""
+        """OST indices touched by a byte range."""
+        if length <= 0:
+            return []
         first_stripe = offset // self.stripe_bytes
         last_stripe = (offset + length - 1) // self.stripe_bytes
         n_stripes = last_stripe - first_stripe + 1

@@ -9,22 +9,22 @@ starts), and fails on any line of ``src/repro`` that no root executes.
 
 The roots (:func:`run_roots`):
 
-* every ``repro`` subcommand at a small size, once per ``choices`` value
-  and once per ``store_true`` flag of ``build_parser()``
+* every ``repro`` subcommand at a small size, once per ``choices`` value,
+  ``store_true`` flag and ``0 = off`` switch of ``build_parser()``
   (:func:`cli_roots`), plus the two ``--faults`` plans ``serve --help``
-  documents;
-* the invocations CI runs beyond those: the exit-2 usage steps
-  (:data:`CI_ROOTS`) and ``bench --quick --compare``;
+  documents (``bench --quick --compare`` is CI's gate);
+* the exit-2 usage steps CI runs and the ``--faults`` clauses the README
+  documents ``serve`` rejecting (:data:`CI_ROOTS`);
 * both pinned examples, with the argv ``test_examples.py`` pins;
 * the seven ``benchmarks/e2e`` workloads, two passes each at the
   ``--quick`` scale (the second one detailed, under telemetry capture,
   as the traced run makes it).
 
 A line is executable when the interpreter that traces it says so: the
-line numbers of every function code object's ``co_lines()`` (module and
-class bodies run at import and are left out), so the executable set and
-the ``line`` events always come from the same compiler.  A function's
-first line counts as executed when it is called.  Three kinds of line
+line numbers of every function code object's ``co_lines()`` and its first
+line (module and class bodies run at import and are left out), so the
+executable set and the ``line`` events always come from the same
+compiler.  A function's first line counts as executed when it is called.  Three kinds of line
 are exempt:
 
 * raise-only lines: a ``raise`` statement, and every line of an ``if``
@@ -34,9 +34,11 @@ are exempt:
 * ``except`` clauses and their bodies: the recovery path of a failure
   no root injects;
 * functions (and classes) named in ``test_reachability.ALLOWLIST``,
-  the single allowlist: safety code a healthy run never enters, or a
-  reference a test compares against.  An entry is stale only when no rule
-  needs it: not the static rules, and not this one.
+  the single allowlist: safety code a healthy run never enters (failure
+  paths, guards for degenerate input), a reference a test compares
+  against, or a library call only tier-1 tests make (named with its
+  test).  An entry is stale only when no rule needs it: not the static
+  rules, and not this one.
 """
 
 from __future__ import annotations

@@ -63,7 +63,9 @@ SRC = REPO_ROOT / "src"
 E2E = REPO_ROOT / "benchmarks" / "e2e"
 EXAMPLE_ROOTS = ("msa_operations.py", "quickstart.py")
 
-#: ``"module.name"`` → why it stays although no root reaches it.
+#: ``"module.name"`` → why it stays although no root reaches it, or (for
+#: a function or class) executes its every line: the one allowlist of
+#: these rules and of ``test_line_roots.py``.
 ALLOWLIST = {
     "repro.mpi.collectives.rabenseifner_allreduce":
         "the only executed twin of the closed form E9's expect selects at "
@@ -219,6 +221,10 @@ ALLOWLIST = {
         "a transfer within one module is free",
     "repro.simnet.topology.Topology.transfer_time":
         "a transfer from a node to itself is free",
+    "repro.simnet.topology.Topology.path_bandwidth":
+        "a route from a node to itself has no bottleneck",
+    "repro.storage.pfs.StripeLayout.targets_for":
+        "an empty byte range touches no OST",
     "repro.core.stats.sorted_percentile":
         "the top rank of a sample",
     "repro.datasets.icu.berlin_severity":
