@@ -81,7 +81,7 @@ def storage_section() -> None:
     print("\n" + "=" * 72)
     print("SSSM: striped parallel filesystem (Lustre/GPFS class)")
     print("=" * 72)
-    pfs = ParallelFileSystem("JUST", n_targets=32, target_GBps=5.0)
+    pfs = ParallelFileSystem("JUST", n_targets=32)
     for stripes in (1, 4, 16, 32):
         f = pfs.create(f"/bigearthnet-{stripes}", 120 * GiB,
                        stripe_count=stripes)
@@ -145,7 +145,6 @@ def resilience_section(faults: str) -> None:
         system, jobs,
         fault_injector=FaultInjector(plan),
         retry_policy=RetryPolicy(max_retries=3, base_delay_s=30.0,
-                                 backoff_factor=2.0, jitter=0.25,
                                  seed=plan.seed))
     print(report.summary())
     res = report.resilience

@@ -21,10 +21,13 @@ import numpy as np
 
 from repro.analytics.rdd import MiniSparkContext, RDD
 
-#: Gradient-descent step and L2 penalty of :class:`RddLogisticRegression`.
-LOGREG_LR, LOGREG_L2 = 0.5, 1e-4
-#: Smallest node a :class:`DecisionTree` still splits.
-MIN_SAMPLES_SPLIT = 4
+#: Gradient-descent step, L2 penalty and step count of
+#: :class:`RddLogisticRegression`.
+LOGREG_LR, LOGREG_L2, LOGREG_ITERATIONS = 0.5, 1e-4, 30
+#: Smallest node a :class:`DecisionTree` still splits, and its depth limit.
+MIN_SAMPLES_SPLIT, MAX_DEPTH = 4, 5
+#: Trees in a :class:`RandomForest`.
+N_TREES = 10
 
 # ---------------------------------------------------------------------------
 # logistic regression (treeAggregate gradients)
@@ -33,11 +36,10 @@ MIN_SAMPLES_SPLIT = 4
 class RddLogisticRegression:
     """Binary logistic regression over (x, y) row RDDs, y ∈ {0, 1}."""
 
-    def __init__(self, n_features: int, n_iterations: int = 50) -> None:
-        if n_features < 1 or n_iterations < 1:
-            raise ValueError("n_features and n_iterations must be >= 1")
+    def __init__(self, n_features: int) -> None:
+        if n_features < 1:
+            raise ValueError("n_features must be >= 1")
         self.n_features = n_features
-        self.n_iterations = n_iterations
         self.weights = np.zeros(n_features)
         self.bias = 0.0
         self.loss_history: list[float] = []
@@ -50,7 +52,7 @@ class RddLogisticRegression:
         n_total = rows.count()
         if n_total == 0:
             raise ValueError("empty training RDD")
-        for _ in range(self.n_iterations):
+        for _ in range(LOGREG_ITERATIONS):
             w, b = self.weights, self.bias
 
             def seq_op(acc, row):
@@ -101,14 +103,10 @@ class _TreeNode:
 
 
 class DecisionTree:
-    """CART classifier with Gini impurity and depth/size limits."""
+    """CART classifier with Gini impurity and depth/size limits; each split
+    considers a random ⌊√d⌋ of the d features, as a forest's trees do."""
 
-    def __init__(self, max_depth: int = 6,
-                 max_features: Optional[int] = None, seed: int = 0) -> None:
-        if max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        self.max_depth = max_depth
-        self.max_features = max_features
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self.root: Optional[_TreeNode] = None
         self.n_classes_: int = 0
@@ -122,8 +120,9 @@ class DecisionTree:
                     rng: np.random.Generator) -> Optional[tuple[int, float, float]]:
         n, d = X.shape
         features = np.arange(d)
-        if self.max_features is not None and self.max_features < d:
-            features = rng.choice(d, size=self.max_features, replace=False)
+        k = max(1, int(np.sqrt(d)))
+        if k < d:
+            features = rng.choice(d, size=k, replace=False)
         parent_counts = np.bincount(y, minlength=self.n_classes_)
         parent_gini = self._gini(parent_counts)
         best = None
@@ -151,7 +150,7 @@ class DecisionTree:
               rng: np.random.Generator) -> _TreeNode:
         counts = np.bincount(y, minlength=self.n_classes_)
         majority = int(counts.argmax())
-        if (depth >= self.max_depth or len(y) < MIN_SAMPLES_SPLIT
+        if (depth >= MAX_DEPTH or len(y) < MIN_SAMPLES_SPLIT
                 or counts.max() == len(y)):
             return _TreeNode(prediction=majority, is_leaf=True)
         split = self._best_split(X, y, rng)
@@ -191,12 +190,7 @@ class DecisionTree:
 class RandomForest:
     """Bagged CART trees; training parallelises over RDD partitions."""
 
-    def __init__(self, n_trees: int = 10, max_depth: int = 6,
-                 seed: int = 0) -> None:
-        if n_trees < 1:
-            raise ValueError("need at least one tree")
-        self.n_trees = n_trees
-        self.max_depth = max_depth
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self.trees_: list[DecisionTree] = []
 
@@ -204,25 +198,22 @@ class RandomForest:
             ctx: Optional[MiniSparkContext] = None) -> "RandomForest":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        n, d = X.shape
-        max_features = max(1, int(np.sqrt(d)))
+        n = X.shape[0]
 
         def train_one(tree_idx: int) -> DecisionTree:
             rng = np.random.default_rng(self.seed + tree_idx)
             boot = rng.integers(0, n, size=n)
-            tree = DecisionTree(max_depth=self.max_depth,
-                                max_features=max_features,
-                                seed=self.seed + tree_idx)
+            tree = DecisionTree(seed=self.seed + tree_idx)
             tree.fit(X[boot], y[boot])
             return tree
 
         if ctx is not None:
             # Distribute tree indices over the RDD engine's partitions —
             # MLlib's embarrassingly-parallel forest pattern.
-            rdd = ctx.parallelize(range(self.n_trees), name="forest-trees")
+            rdd = ctx.parallelize(range(N_TREES), name="forest-trees")
             self.trees_ = rdd.map(train_one).collect()
         else:
-            self.trees_ = [train_one(i) for i in range(self.n_trees)]
+            self.trees_ = [train_one(i) for i in range(N_TREES)]
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -97,11 +97,10 @@ class RDD:
 class MiniSparkContext:
     """Driver: creates RDDs and tracks cache-memory placement."""
 
-    def __init__(self, n_partitions: int = 4,
-                 memory: Optional[TieredStore] = None) -> None:
-        if n_partitions < 1:
-            raise ValueError("need at least one partition")
-        self.n_partitions = n_partitions
+    #: Partitions of every RDD.
+    N_PARTITIONS = 4
+
+    def __init__(self, memory: Optional[TieredStore] = None) -> None:
         self.memory = memory or TieredStore.dam_node()
         self.cache_hits = 0
         self._cached_names: set[str] = set()
@@ -109,7 +108,7 @@ class MiniSparkContext:
 
     def parallelize(self, data: Iterable[Any], name: str = "data") -> RDD:
         items = list(data)
-        n = self.n_partitions
+        n = self.N_PARTITIONS
         parts = [items[i::n] for i in range(n)]
         return RDD(self, lambda: [list(p) for p in parts], name=name)
 

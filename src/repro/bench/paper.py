@@ -17,6 +17,7 @@ accuracy floors and changes nothing else.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import partial
 from typing import Any, Callable
 
@@ -44,6 +45,7 @@ from repro.distributed import (DistributedOptimizer,
                                DistributedTrainingPerfModel, Fp16Compression,
                                ZeroStage1Optimizer, ZeroStage2Optimizer,
                                broadcast_parameters)
+from repro.distributed.perfmodel import TRAINING_GPU_EFFICIENCY
 from repro.ml import (SGD, Adam, ArrayDataset, DistributedDataLoader, Tensor,
                       cross_entropy, l2_regularisation, mae, mse,
                       train_test_split)
@@ -280,8 +282,8 @@ def e3_resnet_scaling(quick, values, digests):
     gpu_counts = (1, 2, 4, 8, 16, 32, 64, 96, 128)
     model = DistributedTrainingPerfModel()
     naive = {pt.n_gpus: pt for pt in model.scaling_curve(gpu_counts)}
-    tuned = {pt.n_gpus: pt for pt in model.with_recipe(
-        model.recipe.tuned()).scaling_curve(gpu_counts)}
+    tuned = {pt.n_gpus: pt for pt in replace(
+        model, recipe=model.recipe.tuned()).scaling_curve(gpu_counts)}
     for n in gpu_counts:
         _row(values, f"{n}gpu", naive_epoch_s=naive[n].epoch_time_s,
              naive_speedup=naive[n].speedup,
@@ -331,7 +333,7 @@ def e4_cascade_svm(quick, values, digests):
         n_classes=4, seed=3, noise_sigma=0.05)).pixels(1600)
     Xtr, Xte, ytr, yte = train_test_split(
         spectra, np.where(labels < 2, -1.0, 1.0), test_fraction=0.2, seed=0)
-    svc = dict(kernel="rbf", gamma=2.0, C=1.0)
+    svc = dict(gamma=2.0)
 
     def fn(comm):
         shard = np.arange(comm.rank, len(ytr), comm.size)
@@ -364,8 +366,7 @@ def e5_spark_dam(quick, values, digests):
     # Autoencoder compression of RS spectra (ref [7]), full-batch Adam.
     errors = []
     for bottleneck in (2, 4, 6):
-        ae = SpectralAutoencoder(n_bands=12, bottleneck=bottleneck,
-                                 hidden=16, seed=0)
+        ae = SpectralAutoencoder(n_bands=12, bottleneck=bottleneck, seed=0)
         _fit(ae, Adam(ae.parameters(), lr=5e-3), mse, [(X, X)] * 60)
         errors.append(ae.reconstruction_error(X))
         _row(values, f"bottleneck{bottleneck}",
@@ -375,7 +376,7 @@ def e5_spark_dam(quick, values, digests):
     expect(errors[2] < 0.01, "12 -> 6 compression stays below 0.01 MSE")
     # The DAM's reason to exist: big cached working sets stay in DRAM.
     def cached_fast_fraction(store):
-        ctx = MiniSparkContext(n_partitions=4, memory=store)
+        ctx = MiniSparkContext(memory=store)
         ctx.parallelize(list(range(200_000))).cache().collect()
         return ctx.cached_fast_fraction()
 
@@ -400,10 +401,10 @@ def e5_spark_dam(quick, values, digests):
            "at 400 GB the cluster node reads slower than the DAM node")
     # The footnote's MLlib stack on the RDD engine.
     y = (labels >= 3).astype(int)
-    ctx = MiniSparkContext(n_partitions=4)
-    logreg = RddLogisticRegression(n_features=12, n_iterations=30).fit(
+    ctx = MiniSparkContext()
+    logreg = RddLogisticRegression(n_features=12).fit(
         ctx.parallelize(list(zip(X, y))))
-    forest = RandomForest(n_trees=10, max_depth=5, seed=0).fit(X, y, ctx=ctx)
+    forest = RandomForest(seed=0).fit(X, y, ctx=ctx)
     for name, fitted in (("logreg", logreg), ("forest", forest)):
         values[f"{name}_train_accuracy"] = score = fitted.score(X, y)
         expect(score > 0.85, f"RDD {name} above 0.85 train accuracy")
@@ -420,21 +421,20 @@ def e6_quantum_svm(quick, values, digests):
     Xtr, Xte, ytr, yte = train_test_split(
         spectra[keep], np.where(labels[keep] == 6, -1.0, 1.0),
         test_fraction=0.3, seed=0)
-    classical_acc = SVC(kernel="rbf", gamma=4.0).fit(Xtr, ytr).score(Xte, yte)
+    classical_acc = SVC(gamma=4.0).fit(Xtr, ytr).score(Xte, yte)
     _row(values, "classical", accuracy=classical_acc, samples=len(ytr))
     for name, device in (("2000q", DWAVE_2000Q),
                          ("advantage", DWAVE_ADVANTAGE)):
         ensemble = QSvmEnsemble(
             SimulatedQuantumAnnealer.for_device(device, sweeps=80),
-            n_members=4, kernel="rbf", gamma=4.0, num_reads=10,
-            n_solutions=3).fit(Xtr, ytr)
+            gamma=4.0, n_solutions=3).fit(Xtr, ytr)
         _row(values, f"qsvm_{name}", accuracy=ensemble.score(Xte, yte),
              samples=len(ensemble.members_[0].y_))
         _row(values, name, qubits=device.n_qubits,
              couplers=device.n_couplers, max_clique=device.max_clique,
              samples_per_anneal=QuantumSVM(
-                 SimulatedQuantumAnnealer.for_device(device),
-                 n_bits=2).max_training_samples())
+                 SimulatedQuantumAnnealer.for_device(device)
+             ).max_training_samples())
     expect(values["accuracy_qsvm_2000q"] > classical_acc - 0.10,
            "the 2000Q ensemble comes within 10 points of the classical SVM")
     expect(values["samples_qsvm_advantage"] > values["samples_qsvm_2000q"],
@@ -446,7 +446,7 @@ def e6_quantum_svm(quick, values, digests):
            "the Advantage anneals more than twice the samples of the 2000Q")
     # The sub-sampling requirement is enforced, not merely documented.
     qsvm = QuantumSVM(SimulatedQuantumAnnealer.for_device(
-        DWAVE_2000Q, sweeps=10), kernel="rbf", gamma=4.0)
+        DWAVE_2000Q, sweeps=10), gamma=4.0)
     rejected = _raises(EmbeddingError, qsvm.fit, Xtr, ytr)
     expect(rejected, "the 2000Q embedding check rejects the full set")
     values["oversized_problem_rejected"] = rejected
@@ -457,13 +457,13 @@ def e6_quantum_svm(quick, values, digests):
                    "extended_dataset_accuracy"),
             higher=("a100_over_v100_speedup",))
 def e7_covidnet(quick, values, digests):
-    gen = SyntheticCovidx(CxrConfig(n_samples=240, image_size=32,
-                                    noise_sigma=0.02, seed=0))
+    gen = SyntheticCovidx(CxrConfig(n_samples=240, noise_sigma=0.02,
+                                    seed=0))
     Xtr, Xte, ytr, yte = train_test_split(*gen.generate(),
                                           test_fraction=0.25, seed=0)
 
     def train(X, y):
-        net = CovidNet(base_width=8, n_blocks=2, seed=0)
+        net = CovidNet(seed=0)
         _fit(net, Adam(net.parameters(), lr=3e-3), cross_entropy,
              _minibatches(X, y, 32, epochs=14 if quick else 25))
         return net
@@ -483,7 +483,7 @@ def e7_covidnet(quick, values, digests):
     flops_train_step = 3.0 * 2.0 * model.n_parameters() * 32 * 32 * 32
     flops_infer = 2.0 * model.n_parameters() * 32 * 32
     for name, gpu in (("v100", NVIDIA_V100), ("a100", NVIDIA_A100)):
-        sustained = gpu.tensor_flops * 0.08
+        sustained = gpu.tensor_flops * TRAINING_GPU_EFFICIENCY
         _row(values, name, train_step_us=flops_train_step / sustained * 1e6,
              inference_us=flops_infer / sustained * 1e6)
     speedup = values["train_step_us_v100"] / values["train_step_us_a100"]
@@ -491,8 +491,8 @@ def e7_covidnet(quick, values, digests):
     expect(math.isclose(speedup, 2.5, rel_tol=0.05),
            "A100 is 2.5x (±5%) faster than V100 per train step")
     # COVIDx 'was extended numerous times': retrain on the grown dataset.
-    Xn, yn = SyntheticCovidx(CxrConfig(n_samples=120, image_size=32,
-                                       noise_sigma=0.02, seed=99)).generate()
+    Xn, yn = SyntheticCovidx(CxrConfig(n_samples=120, noise_sigma=0.02,
+                                       seed=99)).generate()
     grown = train(np.concatenate([Xtr, Xn]), np.concatenate([ytr, yn]))
     values.update(train_images=len(ytr),
                   extended_train_images=len(ytr) + len(yn),
@@ -516,7 +516,7 @@ def e8_ards_gru(quick, values, digests):
     # Missing-value prediction: the paper's GRU (scaled down), the 1-D CNN.
     gru = GruForecaster(Xtr.shape[2], hidden=16, seed=0)
     reg = gru.regularised_parameters()
-    cnn = Cnn1dForecaster(Xtr.shape[2], channels=16, seed=0)
+    cnn = Cnn1dForecaster(Xtr.shape[2], seed=0)
     for net, loss_fn in ((gru, lambda out, yb: mae(out, yb)
                           + l2_regularisation(reg, 1e-5)), (cnn, mae)):
         _fit(net, Adam(net.parameters(), lr=5e-3), loss_fn,
@@ -525,8 +525,8 @@ def e8_ards_gru(quick, values, digests):
     values.update(
         gru_mae=mae_score(gru.predict(Xte), yte),
         cnn_mae=mae_score(cnn.predict(Xte), yte),
-        locf_mae=mae_score(locf_baseline(Xte, target), yte),
-        window_mean_mae=mae_score(mean_baseline(Xte, target), yte))
+        locf_mae=mae_score(locf_baseline(Xte), yte),
+        window_mean_mae=mae_score(mean_baseline(Xte), yte))
     expect(values["gru_mae"] < min(values["locf_mae"],
                                    values["window_mean_mae"]),
            "the GRU beats both clinical baselines")
@@ -597,8 +597,7 @@ def e9_gce_collectives(quick, values, digests):
     expect(t_hw < t_sw, "GCE offload beats the ring on the simulated clock")
     _row(values, "8r_2mb", software_us=t_sw * 1e6, gce_us=t_hw * 1e6)
     # The software backdrop the GCE beats: MPI-style auto-selection.
-    chosen = {n: best_allreduce_time(64, n, fabric.alpha, fabric.beta,
-                                     fabric.gamma)[1]
+    chosen = {n: best_allreduce_time(64, n, fabric.alpha, fabric.beta)[1]
               for n in (256, 64 << 10, 64 << 20)}
     expect(chosen[256] == "recursive-doubling",
            "small messages pick the latency-optimal algorithm")
@@ -634,7 +633,7 @@ def e10_nam_sharing(quick, values, digests):
     nam.evict("bigearthnet-a")
     nam.stage("bigearthnet-b", 60 * GiB)
     # The SSSM side of staging: Lustre-style stripe width vs read time.
-    pfs = ParallelFileSystem("JUST", n_targets=32, target_GBps=5.0)
+    pfs = ParallelFileSystem("JUST", n_targets=32)
     times = []
     for stripes in (1, 4, 16, 32):
         handle = pfs.create(f"/covid-x-{stripes}", 120 * GiB,
@@ -656,10 +655,10 @@ def e11_cloud_interop(quick, values, digests):
         name="tensorflow/tensorflow", tag="2.5.0-gpu", format="docker",
         layers=("ubuntu:20.04", "pip:tensorflow==2.5.0",
                 "pip:horovod==0.24.2"),
-        needs_gpu=True, cuda_version="11.0")
-    cloud_token = cloud_docker(driver_cuda="11.0").run(docker_image)
+        needs_gpu=True)
+    cloud_token = cloud_docker().run(docker_image)
     sing = singularity_from_docker(docker_image)
-    hpc_token = juwels_singularity(driver_cuda="11.2").run(sing)
+    hpc_token = juwels_singularity().run(sing)
     expect(docker_image.digest() == sing.digest(),
            "Docker -> Singularity conversion preserves the content digest")
     digests["image_content"] = docker_image.digest()
@@ -673,7 +672,7 @@ def e11_cloud_interop(quick, values, digests):
         python_packages=("dask", "scikit-learn"))
     resolved = kernel.resolve(jsc_module_environment())
     image = kernel.to_container()
-    ok, reason = cloud_docker(driver_cuda="11.0").can_run(image)
+    ok, reason = cloud_docker().can_run(image)
     expect(ok and image.needs_gpu,
            f"the kernel's GPU container runs on the cloud side ({reason})")
     digests["resolved_kernel"] = stable_digest(sorted(resolved.items()))
@@ -769,7 +768,7 @@ def e13_realtime_stream(quick, values, digests):
     for rate in (4, 8, 16):
         n, report = capacity_for_deadline(
             arrival_rate_per_s=float(rate), service_time_s=0.5,
-            deadline_s=2.0, duration_s=800.0)
+            deadline_s=2.0)
         nodes.append(n)
         expect(report.p99 <= 2.0, "the provisioned pool meets the deadline")
         _row(values, f"{rate}scenes", nodes_for_2s_p99=n,
@@ -892,7 +891,7 @@ def abl_design_choices(quick, values, digests):
         out = {}
         for name, cls in (("stage1", ZeroStage1Optimizer),
                           ("stage2", ZeroStage2Optimizer)):
-            opt = cls(model.parameters(), comm, lr=0.01)
+            opt = cls(model.parameters(), comm)
             _fit(model, opt, cross_entropy, [(Xz, Yz)])
             out[name] = (opt.local_state_bytes,
                          getattr(opt, "peak_grad_shard_bytes",
@@ -912,7 +911,7 @@ def abl_design_choices(quick, values, digests):
            "ZeRO stage 2 shards the gradients four ways too")
     # GCE inside training: the Fig. 3 curve on the in-network engine.
     base = DistributedTrainingPerfModel()
-    offload = base.with_gce(GlobalCollectiveEngine(base.fabric))
+    offload = replace(base, gce=GlobalCollectiveEngine(base.fabric))
     for ring, gce in zip(base.scaling_curve([64, 128, 256]),
                          offload.scaling_curve([64, 128, 256])):
         _row(values, f"{ring.n_gpus}gpu", ring_speedup=ring.speedup,
@@ -921,10 +920,10 @@ def abl_design_choices(quick, values, digests):
                "GCE offload inside training never loses to the ring")
     # Checkpoint path: NAM vs striped PFS, 32 writers (ref [12]).
     mgr = CheckpointManager(
-        nam=NetworkAttachedMemory(capacity_GB=256, write_GBps=8.0),
-        pfs=ParallelFileSystem("fs", n_targets=8, target_GBps=5.0))
+        nam=NetworkAttachedMemory(capacity_GB=256),
+        pfs=ParallelFileSystem("fs", n_targets=8))
     for size_gb in (1, 10, 50, 100):
-        times = mgr.path_comparison(size_gb * GiB, concurrent_writers=32)
+        times = mgr.path_comparison(size_gb * GiB)
         _row(values, f"{size_gb}gb", nam_checkpoint_s=times["nam"],
              pfs_checkpoint_s=times["pfs"],
              nam_advantage=times["pfs"] / times["nam"])

@@ -130,11 +130,13 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_scaling(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from repro.distributed import DistributedTrainingPerfModel
 
     model = DistributedTrainingPerfModel()
     if args.tuned:
-        model = model.with_recipe(model.recipe.tuned())
+        model = replace(model, recipe=model.recipe.tuned())
     print(f"{'GPUs':>6} {'epoch s':>9} {'speedup':>9} {'efficiency':>11}")
     for pt in model.scaling_curve(args.gpus):
         print(f"{pt.n_gpus:>6} {pt.epoch_time_s:>9.1f} {pt.speedup:>9.1f} "

@@ -77,7 +77,7 @@ class FpgaSpec:
     name: str
     logic_elements_m: float
     memory_GB: float
-    pcie_gen: int = 3
+    pcie_gen: int
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,6 @@ class ComputeModule:
     node_spec: NodeSpec
     n_nodes: int
     fabric_kind: LinkKind = LinkKind.INFINIBAND_EDR
-    fabric_radix: int = 16
     _free: set = field(default_factory=set, repr=False)
     _down: set = field(default_factory=set, repr=False)
     _topology: Optional[Topology] = field(default=None, repr=False)
@@ -97,7 +96,7 @@ class ComputeModule:
         if self._topology is None:
             self._topology = fat_tree(
                 max(self.n_nodes, 1), self.fabric_kind,
-                radix=self.fabric_radix, name=f"{self.name}-fabric",
+                name=f"{self.name}-fabric",
             )
         return self._topology
 
@@ -175,11 +174,11 @@ class BoosterModule(ComputeModule):
         super().__init__(name, ModuleKind.BOOSTER, node_spec, n_nodes, fabric_kind=fabric)
 
 
-def DataAnalyticsModule(name: str, node_spec: NodeSpec, n_nodes: int,
-                        fabric: LinkKind = LinkKind.EXTOLL) -> ComputeModule:
-    """The large-memory Data Analytics Module (DAM)."""
+def DataAnalyticsModule(name: str, node_spec: NodeSpec,
+                        n_nodes: int) -> ComputeModule:
+    """The large-memory Data Analytics Module (DAM), on EXTOLL."""
     return ComputeModule(name, ModuleKind.DATA_ANALYTICS, node_spec, n_nodes,
-                         fabric_kind=fabric)
+                         fabric_kind=LinkKind.EXTOLL)
 
 
 @dataclass

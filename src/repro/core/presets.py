@@ -43,8 +43,8 @@ def deep_system() -> MSASystem:
                                        fabric=LinkKind.INFINIBAND_EDR))
     sys.add_module("esb", BoosterModule("DEEP-ESB", DEEP_ESB_NODE, n_nodes=75,
                                         fabric=LinkKind.EXTOLL))
-    sys.add_module("dam", DataAnalyticsModule("DEEP-DAM", DEEP_DAM_NODE, n_nodes=16,
-                                              fabric=LinkKind.EXTOLL))
+    sys.add_module("dam", DataAnalyticsModule("DEEP-DAM", DEEP_DAM_NODE,
+                                              n_nodes=16))
     sys.add_module("sssm", StorageModule("DEEP-SSSM", capacity_PB=2.0, n_targets=16))
     sys.add_module("nam", NamModule("DEEP-NAM", capacity_GB=2048.0))
     sys.add_module("qm", QuantumModule("JUNIQ-Advantage", n_qubits=5000,
@@ -90,8 +90,7 @@ def small_msa_system(
                                        fabric=LinkKind.INFINIBAND_EDR))
     sys.add_module("esb", BoosterModule("ESB", DEEP_ESB_NODE, esb_nodes,
                                         fabric=LinkKind.EXTOLL))
-    sys.add_module("dam", DataAnalyticsModule("DAM", DEEP_DAM_NODE, dam_nodes,
-                                              fabric=LinkKind.EXTOLL))
+    sys.add_module("dam", DataAnalyticsModule("DAM", DEEP_DAM_NODE, dam_nodes))
     sys.add_module("sssm", StorageModule("SSSM", capacity_PB=1.0))
     return sys
 

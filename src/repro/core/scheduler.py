@@ -780,7 +780,7 @@ def rank_placements(
 def place_standalone(
     system: MSASystem,
     phase: JobPhase,
-    n_nodes: int = 1,
+    n_nodes: int,
     suspect: Optional[dict[str, set[int]]] = None,
 ) -> Optional[tuple[str, tuple[int, ...]]]:
     """Allocate ``n_nodes`` on the best-scoring module with capacity.

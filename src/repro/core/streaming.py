@@ -26,6 +26,8 @@ from repro.simnet.events import Resource, Simulator
 SERVICE_JITTER = 0.1
 #: Largest pool :func:`capacity_for_deadline` tries.
 MAX_SERVERS = 256
+#: Simulated seconds of the stream each capacity candidate is tried on.
+PLANNING_DURATION_S = 800.0
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,6 @@ def capacity_for_deadline(
     arrival_rate_per_s: float,
     service_time_s: float,
     deadline_s: float,
-    duration_s: float = 2000.0,
 ) -> tuple[int, StreamingReport]:
     """Smallest server count whose p99 latency meets the deadline."""
     if deadline_s <= service_time_s:
@@ -143,7 +144,7 @@ def capacity_for_deadline(
             arrival_rate_per_s=arrival_rate_per_s,
             service_time_s=service_time_s,
             n_servers=n,
-            duration_s=duration_s,
+            duration_s=PLANNING_DURATION_S,
         ))
         if report.n_completed > 0 and report.meets_deadline(deadline_s):
             return n, report

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from repro.simnet.link import LinkKind
 from repro.simnet.topology import Topology, federated
 from repro.core.module import (
     ComputeModule,
@@ -28,7 +27,6 @@ class MSASystem:
     """
 
     name: str
-    federation_kind: LinkKind = LinkKind.FEDERATION
     _modules: dict[str, AnyModule] = field(default_factory=dict)
     _federation: Optional[Topology] = field(default=None, repr=False)
     _revision: int = field(default=0, repr=False, compare=False)
@@ -91,9 +89,7 @@ class MSASystem:
             if not fabrics:
                 raise ValueError(f"{self.name} has no compute modules")
             self._federation = federated(
-                fabrics, federation_kind=self.federation_kind,
-                name=f"{self.name}-federation",
-            )
+                fabrics, name=f"{self.name}-federation")
         return self._federation
 
     def inter_module_transfer_time(

@@ -23,18 +23,19 @@ from typing import Optional
 import numpy as np
 
 CXR_CLASSES = ("normal", "pneumonia", "covid19")
+#: Side of a radiograph in pixels (real COVIDx is 480+).
+IMAGE_SIZE = 32
 
 
 @dataclass(frozen=True)
 class CxrConfig:
     n_samples: int = 300
-    image_size: int = 32          # real COVIDx is 480+; tests shrink
     noise_sigma: float = 0.05
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1 or self.image_size < 16:
-            raise ValueError("n_samples >= 1 and image_size >= 16 required")
+        if self.n_samples < 1:
+            raise ValueError("n_samples >= 1 required")
         if not (self.noise_sigma >= 0):          # NaN fails too
             raise ValueError("noise_sigma must be non-negative")
 
@@ -94,7 +95,7 @@ class SyntheticCovidx:
         """Returns (X, y): X (N, 1, H, W) in [0, ~1.3], y class ids."""
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
-        hw = cfg.image_size
+        hw = IMAGE_SIZE
         y = rng.integers(0, len(CXR_CLASSES), size=cfg.n_samples)
         X = np.empty((cfg.n_samples, 1, hw, hw))
         for i in range(cfg.n_samples):
@@ -115,7 +116,6 @@ class SyntheticCovidx:
         validation set of Sec. IV-A."""
         cfg = CxrConfig(
             n_samples=n_samples,
-            image_size=self.config.image_size,
             noise_sigma=self.config.noise_sigma * 1.5,
             seed=self.config.seed + 104729,     # an unrelated stream
         )

@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from repro import telemetry
-from repro.mpi.comm import Communicator, ReduceOp
+from repro.distributed.horovod import _flatten_grads
+from repro.mpi.comm import Communicator
 from repro.ml.layers import Parameter
 from repro.ml.optim import adam_update
 
@@ -30,20 +31,15 @@ class ZeroStage1Optimizer:
     """Adam with optimiser state sharded across data-parallel ranks."""
 
     _span = "zero1-step"        #: telemetry name of one step
+    #: Adam's learning rate (:func:`~repro.ml.optim.adam_update` reads it).
+    lr = 0.01
 
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        comm: Communicator,
-        lr: float = 1e-3,
-    ) -> None:
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
+    def __init__(self, params: Sequence[Parameter],
+                 comm: Communicator) -> None:
         self.params = list(params)
         if not self.params:
             raise ValueError("need at least one parameter")
         self.comm = comm
-        self.lr = lr
         self._step_count = 0
 
         # Shard boundaries over the fused parameter vector.
@@ -71,13 +67,6 @@ class ZeroStage1Optimizer:
         for p in self.params:
             p.zero_grad()
 
-    def _fused_grad(self) -> np.ndarray:
-        chunks = []
-        for p in self.params:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            chunks.append(np.asarray(g, dtype=np.float64).ravel())
-        return np.concatenate(chunks)
-
     def _fused_param(self) -> np.ndarray:
         return np.concatenate([p.data.ravel() for p in self.params])
 
@@ -92,9 +81,9 @@ class ZeroStage1Optimizer:
         """Average gradients, update the local shard, allgather weights."""
         with telemetry.get_tracer().span(
                 self._span, "train", lambda: self.comm.sim_time,
-                track="train", lane=self.comm._lane()):
+                lane=self.comm._lane()):
             self._step_count += 1
-            g = self._grad_shard(self._fused_grad())
+            g = self._grad_shard(_flatten_grads(self.params))
             theta = self._fused_param()[self._lo:self._hi]
             theta = theta - adam_update(self, g, self._m, self._v)
             self._write_back(self._gather(theta))
@@ -102,7 +91,7 @@ class ZeroStage1Optimizer:
     def _grad_shard(self, grad: np.ndarray) -> np.ndarray:
         """This rank's ``[_lo, _hi)`` slice of the rank-averaged gradient."""
         if self.comm.size > 1:
-            grad = self.comm.allreduce(grad, op=ReduceOp.SUM) / self.comm.size
+            grad = self.comm.allreduce(grad) / self.comm.size
         return grad[self._lo:self._hi]
 
     def _gather(self, theta: np.ndarray) -> np.ndarray:

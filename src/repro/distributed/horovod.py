@@ -23,7 +23,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from repro import telemetry
-from repro.mpi.comm import Communicator, ReduceOp
+from repro.mpi.comm import Communicator
 from repro.mpi import collectives
 from repro.ml.layers import Module, Parameter
 from repro.ml.optim import Optimizer
@@ -33,7 +33,7 @@ from repro.distributed.compression import NoCompression
 def broadcast_parameters(model: Module, comm: Communicator) -> None:
     """Synchronise all replicas with rank 0's weights and buffers."""
     state = model.state_dict() if comm.rank == 0 else None
-    state = comm.bcast(state, root=0)
+    state = comm.bcast(state)
     if comm.rank != 0:
         model.load_state_dict(state)
 
@@ -144,14 +144,6 @@ class DistributedOptimizer:
     def params(self) -> list[Parameter]:
         return self.optimizer.params
 
-    @property
-    def lr(self) -> float:
-        return self.optimizer.lr
-
-    @lr.setter
-    def lr(self, value: float) -> None:
-        self.optimizer.lr = value
-
     def zero_grad(self) -> None:
         self.optimizer.zero_grad()
 
@@ -182,7 +174,7 @@ class DistributedOptimizer:
                 reduced = self.compression.decompress(wire)
             else:
                 reduced = self.compression.decompress(
-                    self.comm.allreduce(wire, op=ReduceOp.SUM)
+                    self.comm.allreduce(wire)
                 )
         if self.average:
             # In place: ``reduced`` is either the pooled fusion buffer or
@@ -250,6 +242,10 @@ class ElasticRunResult:
     scrub: dict = field(default_factory=dict)
 
 
+#: SGD learning rate of :func:`run_elastic_training`.
+ELASTIC_LR = 0.05
+
+
 def run_elastic_training(
     model_factory: Callable[[], Module],
     X: np.ndarray,
@@ -257,14 +253,11 @@ def run_elastic_training(
     n_steps: int,
     batch_size: int,
     world_size: int,
-    lr: float = 0.05,
     seed: int = 0,
     fault_plan: Any = None,
     checkpoint_manager: Any = None,
     checkpoint_policy: Any = None,
     name: str = "elastic",
-    cost_model=None,
-    loss_fn: Optional[Callable] = None,
     integrity_config: Any = None,
     max_rollback: Optional[int] = None,
     on_quarantine: Optional[Callable[[tuple[int, ...]], None]] = None,
@@ -289,9 +282,10 @@ def run_elastic_training(
     ranks mid-way reproduces the unfailed run's loss curve to floating-
     point tolerance.
 
-    Returns the surviving ranks' (identical) result.  The local optimiser
-    is plain SGD without momentum, so model weights are the complete
-    training state and checkpoint-restart is exact.
+    Returns the surviving ranks' (identical) result.  The loss is
+    cross-entropy and the local optimiser plain SGD at :data:`ELASTIC_LR`
+    without momentum, so model weights are the complete training state and
+    checkpoint-restart is exact.
 
     Silent corruption: when the fault plan carries corruption specs (or
     ``integrity_config`` is given), an
@@ -324,7 +318,6 @@ def run_elastic_training(
                          "holds a shard")
     if checkpoint_manager is not None and checkpoint_policy is None:
         raise ValueError("a checkpoint_manager needs a checkpoint_policy")
-    compute_loss = loss_fn or cross_entropy
     n_samples = len(X)
 
     injector = None
@@ -345,7 +338,7 @@ def run_elastic_training(
         broadcast_parameters(model, comm)
         active = comm
         opt = DistributedOptimizer(
-            SGD(model.parameters(), lr=lr), active, average=False,
+            SGD(model.parameters(), lr=ELASTIC_LR), active, average=False,
             injector=injector, integrity_config=integrity_config)
         losses: list[float] = []
         recoveries: list[ElasticRecovery] = []
@@ -416,7 +409,7 @@ def run_elastic_training(
                                restored.target, restored.rollback_versions)
                 else:
                     payload = None
-                state, ck_step, target, depth = active.bcast(payload, root=0)
+                state, ck_step, target, depth = active.bcast(payload)
                 model.load_state_dict(state)
                 del losses[ck_step:]
             else:
@@ -441,7 +434,7 @@ def run_elastic_training(
             ))
             step = ck_step
             opt = DistributedOptimizer(
-                SGD(model.parameters(), lr=lr), active, average=False,
+                SGD(model.parameters(), lr=ELASTIC_LR), active, average=False,
                 injector=injector, integrity_config=integrity_config)
             return True
 
@@ -464,13 +457,12 @@ def run_elastic_training(
             _apply_checkpoint_rot()
             try:
                 with tracer.span("step", "train", lambda: active.sim_time,
-                                 track="train", lane=active._lane(),
-                                 step=step):
+                                 lane=active._lane(), step=step):
                     idx = global_batch_indices(n_samples, batch_size, step,
                                                seed)
                     shard = idx[active.rank::active.size]
                     logits = model(Tensor(X[shard]))
-                    local = compute_loss(logits, Y[shard])
+                    local = cross_entropy(logits, Y[shard])
                     # Scale so the allreduce SUM equals the global-batch
                     # mean.
                     scaled = local * (len(shard) / batch_size)
@@ -479,7 +471,7 @@ def run_elastic_training(
                     opt.current_step = step
                     opt.step()
                     losses.append(float(
-                        active.allreduce(scaled.item(), op=ReduceOp.SUM)))
+                        active.allreduce(scaled.item())))
             except GradientCorruptionError as exc:
                 # Every rank of the ring raises with the same offender set
                 # (the ABFT audit is collective), so recovery is agreed.
@@ -510,8 +502,7 @@ def run_elastic_training(
             "scrub": scrub,
         }
 
-    results = run_spmd(_rank_main, world_size, cost_model=cost_model,
-                       integrity=integrity_ctx)
+    results = run_spmd(_rank_main, world_size, integrity=integrity_ctx)
     survivor = next(r for r in results if r is not None)
     return ElasticRunResult(
         losses=survivor["losses"],

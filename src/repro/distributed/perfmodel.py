@@ -25,38 +25,36 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.core.hardware import GpuSpec, NodeSpec, NVIDIA_A100
-from repro.simnet.costs import CollectiveCosts, CommCostModel
+from repro.simnet.costs import (ALLREDUCE_TIMES, CommCostModel,
+                                best_allreduce_time)
 from repro.simnet.link import LinkKind
 from repro.ml.models.resnet import ResNetShape, resnet50_config
+
+
+#: Local mini-batch of one GPU.
+BATCH_PER_GPU = 128
+#: Sustained fraction of tensor-core peak a real ResNet-50 training step
+#: achieves (mixed-precision ResNet-50 reaches ~5–10% of A100 tensor peak).
+TRAINING_GPU_EFFICIENCY = 0.08
+#: Backward pass costs ~2x forward.
+BACKWARD_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
 class TrainingRecipe:
     """Tunables of a distributed training run."""
 
-    batch_per_gpu: int = 128
-    #: Sustained fraction of tensor-core peak a real ResNet-50 step achieves
-    #: (mixed-precision ResNet-50 reaches ~5–10% of A100 tensor peak).
-    compute_efficiency: float = 0.08
     #: Bytes per gradient element on the wire (4 = fp32, 2 = fp16 compressed).
     grad_wire_bytes: int = 4
     #: Fraction of allreduce hidden behind backprop (Horovod overlaps
     #: per-layer reductions with remaining backward compute).
     comm_overlap: float = 0.0
-    #: Backward pass costs ~2x forward.
-    backward_factor: float = 2.0
     allreduce_algorithm: str = "ring"
 
     def tuned(self) -> "TrainingRecipe":
         """The [20]-style tuned recipe: fp16 wire + aggressive overlap."""
-        return TrainingRecipe(
-            batch_per_gpu=self.batch_per_gpu,
-            compute_efficiency=self.compute_efficiency,
-            grad_wire_bytes=2,
-            comm_overlap=0.8,
-            backward_factor=self.backward_factor,
-            allreduce_algorithm="auto",
-        )
+        return TrainingRecipe(grad_wire_bytes=2, comm_overlap=0.8,
+                              allreduce_algorithm="auto")
 
 
 @dataclass(frozen=True)
@@ -91,10 +89,10 @@ class DistributedTrainingPerfModel:
         """Forward+backward time for one local mini-batch on one GPU."""
         flops = (
             self.model_shape.flops_per_sample
-            * self.recipe.batch_per_gpu
-            * (1.0 + self.recipe.backward_factor)
+            * BATCH_PER_GPU
+            * (1.0 + BACKWARD_FACTOR)
         )
-        sustained = self.gpu.tensor_flops * self.recipe.compute_efficiency
+        sustained = self.gpu.tensor_flops * TRAINING_GPU_EFFICIENCY
         return flops / sustained
 
     def grad_bytes(self) -> float:
@@ -105,23 +103,24 @@ class DistributedTrainingPerfModel:
             return 0.0
         if self.gce is not None:
             return self.gce.allreduce_time(n_gpus, self.grad_bytes())
-        costs = CollectiveCosts(self.fabric)
-        return costs.allreduce(
-            n_gpus, self.grad_bytes(), algorithm=self.recipe.allreduce_algorithm
-        )
+        f, algorithm = self.fabric, self.recipe.allreduce_algorithm
+        if algorithm == "auto":
+            return best_allreduce_time(n_gpus, self.grad_bytes(), f.alpha,
+                                       f.beta)[0]
+        return ALLREDUCE_TIMES[algorithm](n_gpus, self.grad_bytes(), f.alpha,
+                                          f.beta)
 
     def step_time(self, n_gpus: int) -> float:
         compute = self.compute_time_per_step()
         comm = self.allreduce_time(n_gpus)
         exposed = comm * (1.0 - self.recipe.comm_overlap)
         hidden = comm * self.recipe.comm_overlap
-        backward = compute * self.recipe.backward_factor / (
-            1.0 + self.recipe.backward_factor)
+        backward = compute * BACKWARD_FACTOR / (1.0 + BACKWARD_FACTOR)
         # Hidden communication can only hide under the backward pass.
         return compute + exposed + max(0.0, hidden - backward)
 
     def steps_per_epoch(self, n_gpus: int) -> int:
-        global_batch = self.recipe.batch_per_gpu * n_gpus
+        global_batch = BATCH_PER_GPU * n_gpus
         return max(1, math.ceil(self.dataset_size / global_batch))
 
     def epoch_time(self, n_gpus: int) -> float:
@@ -148,27 +147,6 @@ class DistributedTrainingPerfModel:
                 comm_fraction=min(1.0, comm / step) if step > 0 else 0.0,
             ))
         return points
-
-    def with_recipe(self, recipe: TrainingRecipe) -> "DistributedTrainingPerfModel":
-        return DistributedTrainingPerfModel(
-            model_shape=self.model_shape,
-            gpu=self.gpu,
-            fabric=self.fabric,
-            dataset_size=self.dataset_size,
-            recipe=recipe,
-            gce=self.gce,
-        )
-
-    def with_gce(self, gce) -> "DistributedTrainingPerfModel":
-        """Clone with gradient allreduces offloaded to the GCE."""
-        return DistributedTrainingPerfModel(
-            model_shape=self.model_shape,
-            gpu=self.gpu,
-            fabric=self.fabric,
-            dataset_size=self.dataset_size,
-            recipe=self.recipe,
-            gce=gce,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +189,7 @@ class InferencePerfModel:
         return INFERENCE_MODEL.flops_per_sample / self.sustained_flops(node_spec)
 
     def batch_time(self, batch_samples: int, node_spec: NodeSpec,
-                   n_nodes: int = 1) -> float:
+                   n_nodes: int) -> float:
         """Service time of one micro-batch of ``batch_samples`` samples."""
         if batch_samples < 1:
             raise ValueError("a batch needs at least one sample")

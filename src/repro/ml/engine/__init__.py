@@ -21,8 +21,9 @@ The mode switch
 ``ENGINE=eager`` (default) keeps the original op-by-op NumPy path;
 ``ENGINE=lazy`` records ops into a lazy graph and executes fused kernels
 on the current device when bytes are demanded.  The environment variable
-is read once at import; :func:`set_engine` / the :func:`engine_mode`
-context manager switch at runtime.  Both paths are bit-identical by
+is read once at import; :func:`set_engine` and the :func:`engine`
+context manager switch it at runtime, and :func:`engine_mode` returns
+the current mode.  Both paths are bit-identical by
 construction — pinned in ``tests/test_perf_regression_pins.py``.
 """
 
@@ -31,8 +32,8 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 
-from repro.ml.engine.device import (device_names, get_device,
-                                    register_device, set_device, use_device)
+from repro.ml.engine.device import (get_device, register_device, set_device,
+                                    use_device)
 from repro.ml.engine.graph import LazyExpr
 from repro.ml.engine.fuser import Kernel, schedule
 from repro.ml.engine.stats import STATS, EngineStats, collect
@@ -91,7 +92,6 @@ __all__ = [
     "MODES",
     "STATS",
     "collect",
-    "device_names",
     "engine",
     "engine_mode",
     "get_device",

@@ -206,16 +206,11 @@ class CpuDevice(Device):
     """
 
     name = "cpu"
-
-    def __init__(self, flops_per_s: float = 5.0e10,
-                 bytes_per_s: float = 2.0e10,
-                 dispatch_s: float = 1.0e-7) -> None:
-        super().__init__()
-        self.flops_per_s = flops_per_s
-        self.bytes_per_s = bytes_per_s
-        self.dispatch_s = dispatch_s
+    FLOPS_PER_S = 5.0e10
+    BYTES_PER_S = 2.0e10
+    DISPATCH_S = 1.0e-7
 
     def kernel_time_s(self, flops: float, bytes_moved: int, n_ops: int) -> float:
-        return (self.dispatch_s
-                + flops / self.flops_per_s
-                + bytes_moved / self.bytes_per_s)
+        return (self.DISPATCH_S
+                + flops / self.FLOPS_PER_S
+                + bytes_moved / self.BYTES_PER_S)

@@ -46,10 +46,6 @@ register_device("sim-gpu", lambda: _make_simgpu("A100"))
 register_device("sim-gpu:v100", lambda: _make_simgpu("V100"))
 
 
-def device_names() -> list[str]:
-    return sorted(_FACTORIES)
-
-
 def get_device(name: Optional[str] = None) -> Device:
     """The device instance for ``name`` (the current device when None)."""
     name = name or _current
@@ -60,7 +56,7 @@ def get_device(name: Optional[str] = None) -> Device:
             if inst is None:
                 if name not in _FACTORIES:
                     raise ValueError(
-                        f"unknown device {name!r} (have {device_names()})")
+                        f"unknown device {name!r} (have {sorted(_FACTORIES)})")
                 inst = _FACTORIES[name]()
                 _INSTANCES[name] = inst
     return inst

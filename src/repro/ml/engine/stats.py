@@ -30,8 +30,8 @@ class EngineStats:
                  "kernel_alloc_bytes", "realizes", "recomputes",
                  "plan_hits", "plan_compiles", "grad_copies")
 
-    def __init__(self, enabled: bool = False) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
+        self.enabled = False
         self.reset()
 
     def reset(self) -> None:
@@ -58,7 +58,7 @@ class EngineStats:
 
 
 #: The process-wide instance every engine site increments.
-STATS = EngineStats(enabled=False)
+STATS = EngineStats()
 
 
 @contextmanager

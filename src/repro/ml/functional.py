@@ -88,15 +88,12 @@ def conv2d(
                  backward)
 
 
-def conv1d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor] = None,
-    padding: int = 0,
-) -> Tensor:
-    """1-D convolution on (N, C, L) — used by the ARDS 1-D CNN baseline."""
-    if padding > 0:
-        x = pad1d(x, padding)
+def conv1d(x: Tensor, weight: Tensor,
+           bias: Optional[Tensor] = None) -> Tensor:
+    """1-D convolution on (N, C, L), zero-padded by half the kernel width
+    on each side ("same" for an odd kernel) — used by the ARDS 1-D CNN
+    baseline."""
+    x = pad1d(x, weight.shape[2] // 2)
     n, c, l = x.shape
     x4 = x.reshape(n, c, 1, l)
     out_c, in_c, k = weight.shape
@@ -119,9 +116,14 @@ def pad1d(x: Tensor, pad: int) -> Tensor:
     return _node(np.pad(x.data, widths), (x,), backward)
 
 
-def max_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
-    """Max pooling over NCHW spatial dims, non-overlapping windows."""
-    stride = kernel
+#: Window (and stride) of :func:`max_pool2d`.
+POOL = 2
+
+
+def max_pool2d(x: Tensor) -> Tensor:
+    """Max pooling over NCHW spatial dims, non-overlapping POOL × POOL
+    windows."""
+    kernel = stride = POOL
     n, c, h, w = x.shape
     out_h = (h - kernel) // stride + 1
     out_w = (w - kernel) // stride + 1
@@ -162,10 +164,11 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
 # softmax family
 # ---------------------------------------------------------------------------
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax built from autograd primitives."""
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+def log_softmax(x: Tensor) -> Tensor:
+    """Numerically stable log-softmax over the last axis, built from
+    autograd primitives."""
+    shifted = x - x.max().detach()
+    return shifted - shifted.exp().sum(axis=-1, keepdims=True).log()
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:

@@ -148,11 +148,12 @@ class Dense(Module):
 
 
 class Conv2D(Module):
-    """2-D convolution over NCHW images."""
+    """2-D convolution over NCHW images, without a bias (a batch norm
+    follows every one)."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  stride: int = 1, padding: int = 0,
-                 rng: Optional[np.random.Generator] = None, bias: bool = True) -> None:
+                 rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
         fan_in = in_channels * kernel * kernel
@@ -160,29 +161,26 @@ class Conv2D(Module):
         self.padding = padding
         self.weight = Parameter(
             he_init(rng, (out_channels, in_channels, kernel, kernel), fan_in))
-        self.bias = Parameter(np.zeros(out_channels)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.conv2d(x, self.weight, self.bias,
-                        stride=self.stride, padding=self.padding)
+        return F.conv2d(x, self.weight, stride=self.stride,
+                        padding=self.padding)
 
 
 class Conv1D(Module):
-    """1-D convolution over (N, C, L) sequences."""
+    """1-D convolution over (N, C, L) sequences, "same" padded."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 padding: int = 0,
                  rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
         fan_in = in_channels * kernel
-        self.padding = padding
         self.weight = Parameter(
             he_init(rng, (out_channels, in_channels, kernel), fan_in))
         self.bias = Parameter(np.zeros(out_channels))
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.conv1d(x, self.weight, self.bias, padding=self.padding)
+        return F.conv1d(x, self.weight, self.bias)
 
 
 #: Running-statistics decay and variance guard of :class:`BatchNorm`.

@@ -3,13 +3,10 @@
 * cross-entropy with logits (multi-class: land-cover, COVID-Net),
 * binary cross-entropy with logits (multi-label: BigEarthNet-style),
 * MAE — the ARDS GRU's loss (paper Sec. IV-B),
-* MSE — autoencoder reconstruction,
-* optional masking so the MSE only scores observed entries.
+* MSE — autoencoder reconstruction.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -32,19 +29,13 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     n, n_classes = logits.shape
     targets = Tensor(one_hot(np.asarray(labels), n_classes,
                              dtype=logits.dtype))
-    logp = log_softmax(logits, axis=-1)
+    logp = log_softmax(logits)
     return -(targets * logp).sum() * (1.0 / n)
 
 
-def mse(pred: Tensor, target: np.ndarray, mask: Optional[np.ndarray] = None) -> Tensor:
-    """Mean squared error, optionally masked to observed entries."""
-    t = _target_tensor(pred, target)
-    sq = (pred - t) ** 2
-    if mask is None:
-        return sq.mean()
-    m = np.asarray(mask, dtype=np.float64)
-    denom = max(m.sum(), 1.0)
-    return (sq * _target_tensor(pred, mask)).sum() * (1.0 / denom)
+def mse(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Mean squared error."""
+    return ((pred - _target_tensor(pred, target)) ** 2).mean()
 
 
 def mae(pred: Tensor, target: np.ndarray) -> Tensor:

@@ -18,12 +18,15 @@ from repro.ml.tensor import Tensor
 class SpectralAutoencoder(Module):
     """Dense encoder/decoder over spectral vectors (N, bands)."""
 
-    def __init__(self, n_bands: int, bottleneck: int, hidden: int = 32,
-                 seed: int = 0) -> None:
+    #: Width of the one hidden layer on each side of the bottleneck.
+    HIDDEN = 16
+
+    def __init__(self, n_bands: int, bottleneck: int, seed: int = 0) -> None:
         super().__init__()
         if bottleneck >= n_bands:
             raise ValueError("bottleneck must compress (be < n_bands)")
         rng = np.random.default_rng(seed)
+        hidden = self.HIDDEN
         self.enc1 = Dense(n_bands, hidden, rng=rng)
         self.enc2 = Dense(hidden, bottleneck, rng=rng)
         self.dec1 = Dense(bottleneck, hidden, rng=rng)

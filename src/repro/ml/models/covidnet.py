@@ -37,11 +37,11 @@ class PepxBlock(Module):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         mid = max(in_channels // 2, 4)
-        self.proj1 = Conv2D(in_channels, mid, 1, rng=rng, bias=False)
-        self.expand = Conv2D(mid, mid * 2, 1, rng=rng, bias=False)
-        self.conv = Conv2D(mid * 2, mid * 2, 3, padding=1, rng=rng, bias=False)
-        self.proj2 = Conv2D(mid * 2, mid, 1, rng=rng, bias=False)
-        self.extend = Conv2D(mid, out_channels, 1, rng=rng, bias=False)
+        self.proj1 = Conv2D(in_channels, mid, 1, rng=rng)
+        self.expand = Conv2D(mid, mid * 2, 1, rng=rng)
+        self.conv = Conv2D(mid * 2, mid * 2, 3, padding=1, rng=rng)
+        self.proj2 = Conv2D(mid * 2, mid, 1, rng=rng)
+        self.extend = Conv2D(mid, out_channels, 1, rng=rng)
         self.bn = BatchNorm(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -55,18 +55,18 @@ class PepxBlock(Module):
 class CovidNet(Module):
     """A COVID-Net-style classifier over (N, 1, H, W) radiographs."""
 
-    def __init__(self, base_width: int = 16, n_blocks: int = 3,
-                 seed: int = 0) -> None:
+    #: Stem channels, and the PEPX blocks after it.
+    BASE_WIDTH, N_BLOCKS = 8, 2
+
+    def __init__(self, seed: int = 0) -> None:
         super().__init__()
-        if n_blocks < 1:
-            raise ValueError("need at least one PEPX block")
         rng = np.random.default_rng(seed)
-        self.stem = Conv2D(1, base_width, 5, stride=2, padding=2,
-                           rng=rng, bias=False)
+        base_width = self.BASE_WIDTH
+        self.stem = Conv2D(1, base_width, 5, stride=2, padding=2, rng=rng)
         self.stem_bn = BatchNorm(base_width)
         blocks: list[Module] = []
         channels = base_width
-        for i in range(n_blocks):
+        for i in range(self.N_BLOCKS):
             out_channels = base_width * (2 ** min(i, 2))
             blocks.append(PepxBlock(channels, out_channels, rng=rng))
             channels = out_channels
@@ -80,7 +80,7 @@ class CovidNet(Module):
         for i, block in enumerate(self.blocks):
             out = block(out)
             if i < len(self.blocks) - 1:
-                out = F.max_pool2d(out, 2)
+                out = F.max_pool2d(out)
         out = self.pool(out)
         out = self.fc1(out).relu()
         return self.fc2(out)

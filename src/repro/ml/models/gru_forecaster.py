@@ -16,8 +16,11 @@ from repro.ml.layers import Conv1D, Dense, Dropout, Module
 from repro.ml.rnn import GRU
 from repro.ml.tensor import Tensor
 
-#: The paper's dropout after each GRU layer, and the 1-D CNN's kernel width.
-DROPOUT, CNN_KERNEL = 0.2, 5
+#: The paper's dropout after each GRU layer, and the 1-D CNN's kernel
+#: width and channels.
+DROPOUT, CNN_KERNEL, CNN_CHANNELS = 0.2, 5, 16
+#: The channel the baselines predict: SpO2 of the ICU vitals.
+BASELINE_CHANNEL = 1
 
 
 class GruForecaster(Module):
@@ -61,15 +64,12 @@ class GruForecaster(Module):
 class Cnn1dForecaster(Module):
     """1-D CNN alternative the paper highlights as promising."""
 
-    def __init__(self, n_features: int, channels: int = 32,
-                 seed: int = 0) -> None:
+    def __init__(self, n_features: int, seed: int = 0) -> None:
         super().__init__()
         rng = np.random.default_rng(seed)
-        self.conv1 = Conv1D(n_features, channels, CNN_KERNEL,
-                            padding=CNN_KERNEL // 2, rng=rng)
-        self.conv2 = Conv1D(channels, channels, CNN_KERNEL,
-                            padding=CNN_KERNEL // 2, rng=rng)
-        self.out = Dense(channels, 1, rng=rng)
+        self.conv1 = Conv1D(n_features, CNN_CHANNELS, CNN_KERNEL, rng=rng)
+        self.conv2 = Conv1D(CNN_CHANNELS, CNN_CHANNELS, CNN_KERNEL, rng=rng)
+        self.out = Dense(CNN_CHANNELS, 1, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
         # (N, T, D) -> (N, D, T) for convolution over time.
@@ -82,14 +82,15 @@ class Cnn1dForecaster(Module):
     predict = GruForecaster.predict
 
 
-def locf_baseline(windows: np.ndarray, target_channel: int = 0) -> np.ndarray:
-    """Last-observation-carried-forward: predict the window's last value.
+def locf_baseline(windows: np.ndarray) -> np.ndarray:
+    """Last-observation-carried-forward: predict the window's last value
+    of :data:`BASELINE_CHANNEL`.
 
     The clinical-practice baseline the DL imputers must beat.
     """
-    return windows[:, -1, target_channel:target_channel + 1]
+    return windows[:, -1, BASELINE_CHANNEL:BASELINE_CHANNEL + 1]
 
 
-def mean_baseline(windows: np.ndarray, target_channel: int = 0) -> np.ndarray:
-    """Predict the window mean of the target channel."""
-    return windows[:, :, target_channel].mean(axis=1, keepdims=True)
+def mean_baseline(windows: np.ndarray) -> np.ndarray:
+    """Predict the window mean of :data:`BASELINE_CHANNEL`."""
+    return windows[:, :, BASELINE_CHANNEL].mean(axis=1, keepdims=True)

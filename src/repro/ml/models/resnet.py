@@ -4,11 +4,10 @@ The paper trains a RESNET-50-class CNN "tuned for our multi-class land
 cover image classification problem" on BigEarthNet (Sec. III-A).  We
 provide:
 
-* :class:`ResNet` — a configurable residual CNN over multispectral NCHW
-  patches, with the stage layout given by ``blocks_per_stage``;
-* :func:`resnet_small` — the laptop-scale variant the functional
-  experiments train end-to-end (same architecture family, fewer/narrower
-  stages);
+* :class:`ResNet` — the laptop-scale residual CNN over multispectral
+  NCHW patches that the functional experiments train end-to-end (same
+  architecture family, fewer/narrower stages: ``BLOCKS_PER_STAGE``);
+* :func:`resnet_small` — its constructor with the land-cover defaults;
 * :func:`resnet50_config` — the full ResNet-50 shape (used by the
   performance model to count parameters and FLOPs at paper scale; training
   it numerically on a laptop is intentionally out of scope).
@@ -17,7 +16,7 @@ provide:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,14 +38,14 @@ class ResidualBlock(Module):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.conv1 = Conv2D(in_channels, out_channels, 3, stride=stride,
-                            padding=1, rng=rng, bias=False)
+                            padding=1, rng=rng)
         self.bn1 = BatchNorm(out_channels)
         self.conv2 = Conv2D(out_channels, out_channels, 3, stride=1,
-                            padding=1, rng=rng, bias=False)
+                            padding=1, rng=rng)
         self.bn2 = BatchNorm(out_channels)
         if stride != 1 or in_channels != out_channels:
             self.proj: Optional[Conv2D] = Conv2D(
-                in_channels, out_channels, 1, stride=stride, rng=rng, bias=False)
+                in_channels, out_channels, 1, stride=stride, rng=rng)
             self.proj_bn: Optional[BatchNorm] = BatchNorm(out_channels)
         else:
             self.proj = None
@@ -62,24 +61,20 @@ class ResidualBlock(Module):
 class ResNet(Module):
     """A residual CNN: stem → residual stages → GAP → classifier head."""
 
-    def __init__(
-        self,
-        in_channels: int,
-        n_classes: int,
-        blocks_per_stage: Sequence[int] = (2, 2, 2),
-        base_width: int = 16,
-        seed: int = 0,
-    ) -> None:
+    #: Residual blocks per stage, and the stem's channels.
+    BLOCKS_PER_STAGE, BASE_WIDTH = (1, 1), 8
+
+    def __init__(self, in_channels: int, n_classes: int,
+                 seed: int = 0) -> None:
         super().__init__()
-        if not blocks_per_stage:
-            raise ValueError("need at least one stage")
+        base_width = self.BASE_WIDTH
         rng = np.random.default_rng(seed)
         self.stem = Conv2D(in_channels, base_width, 3, stride=1, padding=1,
-                           rng=rng, bias=False)
+                           rng=rng)
         self.stem_bn = BatchNorm(base_width)
         stages: list[Module] = []
         channels = base_width
-        for stage_idx, n_blocks in enumerate(blocks_per_stage):
+        for stage_idx, n_blocks in enumerate(self.BLOCKS_PER_STAGE):
             out_channels = base_width * (2 ** stage_idx)
             for block_idx in range(n_blocks):
                 stride = 2 if (stage_idx > 0 and block_idx == 0) else 1
@@ -110,8 +105,7 @@ class ResNet(Module):
 def resnet_small(in_channels: int = 12, n_classes: int = 10,
                  seed: int = 0) -> ResNet:
     """The laptop-scale land-cover classifier used in functional runs."""
-    return ResNet(in_channels, n_classes, blocks_per_stage=(1, 1),
-                  base_width=8, seed=seed)
+    return ResNet(in_channels, n_classes, seed=seed)
 
 
 @dataclass(frozen=True)

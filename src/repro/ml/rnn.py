@@ -67,14 +67,14 @@ class GRU(Module):
         self.hidden_size = hidden_size
         self.return_sequences = return_sequences
 
-    def forward(self, x: Tensor, h0: Optional[Tensor] = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         n, t, _ = x.shape
-        h = h0 if h0 is not None else Tensor(np.zeros((n, self.hidden_size)))
+        h = Tensor(np.zeros((n, self.hidden_size)))
         outputs: list[Tensor] = []
         for step in range(t):
             h = self.cell(x[:, step, :], h)
             if self.return_sequences:
                 outputs.append(h)
         if self.return_sequences:
-            return Tensor.stack(outputs, axis=1)
+            return Tensor.stack(outputs)
         return h

@@ -142,7 +142,7 @@ class Tensor:
     """A differentiable array (realized or lazily recorded)."""
 
     __slots__ = ("_data", "_lazy", "grad", "_grad_state", "requires_grad",
-                 "_backward", "_prev", "name")
+                 "_backward", "_prev")
     __array_priority__ = 100  # numpy defers binary ops to us
 
     def __init__(
@@ -150,7 +150,6 @@ class Tensor:
         data: ArrayLike,
         requires_grad: bool = False,
         _prev: tuple["Tensor", ...] = (),
-        name: str = "",
     ) -> None:
         if isinstance(data, Tensor):
             data = data._lazy if data._data is None else data._data
@@ -174,7 +173,6 @@ class Tensor:
         # included — dies with the loss rather than waiting for the GC.
         self._backward: Callable[["Tensor"], None] = _no_backward
         self._prev = _prev
-        self.name = name
 
     # -- lazy plumbing ---------------------------------------------------------
     @property
@@ -298,17 +296,16 @@ class Tensor:
         self._grad_state = _ZERO_GROWN
         return g
 
-    def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Reverse-mode accumulation from this tensor.
+    def backward(self) -> None:
+        """Reverse-mode accumulation from this scalar tensor (a loss).
 
         Gradients land in the leaves; an interior node's ``.grad`` is
         dropped as soon as it has been propagated, so a second call over
         the same graph starts clean.  This tensor keeps its own.
         """
-        if grad is None:
-            if self.size != 1:
-                raise ValueError("backward() without grad requires a scalar output")
-            grad = np.ones_like(self.data)
+        if self.size != 1:
+            raise ValueError("backward() requires a scalar output")
+        grad = np.ones_like(self.data)
         # Iterative post-order walk; ``None`` on the stack says the entry
         # under it has had its inputs pushed and is finished.
         topo: list[Tensor] = []
@@ -330,7 +327,7 @@ class Tensor:
                 if parent._prev and parent not in visited:
                     push(parent)
         self.grad = np.asarray(grad, dtype=self.data.dtype).reshape(self.shape)
-        self._grad_state = _BORROWED       # possibly the caller's array
+        self._grad_state = _BORROWED
         for node in reversed(topo):
             node._backward(node)
             if node is not self:
@@ -418,9 +415,6 @@ class Tensor:
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return self._coerce(other) - self
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return self._coerce(other) / self
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other = Tensor.as_tensor(other)
@@ -516,25 +510,16 @@ class Tensor:
         )
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
 
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def max(self) -> "Tensor":
+        """The maximum over the last axis, which is kept (size 1)."""
         def backward(out) -> None:
-            g = out.grad
-            ref = out.data
-            if axis is not None and not keepdims:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                axes = tuple(a % self.ndim for a in axes)
-                shape = [1 if i in axes else s
-                         for i, s in enumerate(self.shape)]
-                g = g.reshape(shape)
-                ref = ref.reshape(shape)
-            mask = (self.data == ref)
+            mask = (self.data == out.data)
             # Split gradient evenly among ties (rare but keeps sums exact).
-            counts = mask.sum(axis=axis, keepdims=True) \
-                if axis is not None else mask.sum()
-            self._accumulate(mask * g / counts, fresh=True)
+            counts = mask.sum(axis=-1, keepdims=True)
+            self._accumulate(mask * out.grad / counts, fresh=True)
 
         return _apply("max", (self,), backward, ((0, -1),),
-                      axis=axis, keepdims=keepdims)
+                      axis=-1, keepdims=True)
 
     # -- shape manipulation -----------------------------------------------------------
     def reshape(self, *shape) -> "Tensor":
@@ -558,10 +543,6 @@ class Tensor:
 
         return _apply("transpose", (self,), backward, axes=axes)
 
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
     def __getitem__(self, idx) -> "Tensor":
         # Boundary op: arbitrary indexing shapes are data-dependent, so
         # this realizes its input rather than recording a lazy node.
@@ -583,16 +564,16 @@ class Tensor:
         return _node(data, (self,), backward)
 
     @staticmethod
-    def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
+    def stack(tensors: Sequence["Tensor"]) -> "Tensor":
+        """Stack along a new axis 1 (a sequence's time steps)."""
         tensors = tuple([Tensor.as_tensor(t) for t in tensors])
 
         def backward(out) -> None:
-            lead = (slice(None),) * (axis % out.ndim)
             for i, t in enumerate(tensors):
                 if t.requires_grad:
-                    t._accumulate(out.grad[lead + (i,)])
+                    t._accumulate(out.grad[:, i])
 
-        return _node(np.stack([t.data for t in tensors], axis=axis),
+        return _node(np.stack([t.data for t in tensors], axis=1),
                      tensors, backward)
 
     def pad2d(self, pad: int) -> "Tensor":

@@ -23,7 +23,7 @@ The FPGA Global Collective Engine of the ESB module (Fig. 1) is modelled in
 """
 
 from repro.mpi.runtime import run_spmd, SpmdFailure
-from repro.mpi.comm import Communicator, ReduceOp, ANY_SOURCE, ANY_TAG
+from repro.mpi.comm import Communicator, ANY_SOURCE, ANY_TAG
 from repro.mpi.transport import Transport, RankState
 from repro.mpi.gce import GlobalCollectiveEngine, gce_allreduce
 from repro.mpi.modular import ModularCostModel, run_modular_spmd
@@ -32,7 +32,6 @@ __all__ = [
     "run_spmd",
     "SpmdFailure",
     "Communicator",
-    "ReduceOp",
     "ANY_SOURCE",
     "ANY_TAG",
     "Transport",

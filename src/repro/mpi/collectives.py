@@ -7,7 +7,7 @@ paper's systems:
   gradient tensors (reduce-scatter ring followed by allgather ring),
 * **recursive doubling** — latency-optimal allreduce for small payloads and
   arbitrary reducible Python objects,
-* **binomial tree** broadcast / reduce,
+* **binomial tree** broadcast / reduce, rooted at rank 0,
 * **ring allgather**,
 * **dissemination barrier**.
 
@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.mpi.comm import Communicator, ReduceOp
+from repro.mpi.comm import Communicator
 
 
 def dissemination_barrier(comm: Communicator, tag: int) -> None:
@@ -41,57 +41,54 @@ def dissemination_barrier(comm: Communicator, tag: int) -> None:
         comm._recv_raw(source=src, tag=tag + k)
 
 
-def binomial_bcast(comm: Communicator, obj: Any, root: int, tag: int) -> Any:
-    """Binomial-tree broadcast rooted at ``root``."""
+def binomial_bcast(comm: Communicator, obj: Any, tag: int) -> Any:
+    """Binomial-tree broadcast from rank 0."""
     p = comm.size
     if p == 1:
         return obj
-    # Work in a rotated rank space where the root is virtual rank 0.  A
-    # non-root receives from its parent at its lowest set bit, then forwards
-    # to children at all smaller bits; the root forwards at every bit.
-    vrank = (comm.rank - root) % p
-    if vrank == 0:
+    # A non-root receives from its parent at its lowest set bit, then
+    # forwards to children at all smaller bits; the root forwards at every
+    # bit.
+    rank = comm.rank
+    if rank == 0:
         value = obj
         mask = 1
         while mask < p:
             mask <<= 1
     else:
         mask = 1
-        while not (vrank & mask):
+        while not (rank & mask):
             mask <<= 1
-        parent = ((vrank - mask) + root) % p
-        value = comm._recv_raw(source=parent, tag=tag).payload
+        value = comm._recv_raw(source=rank - mask, tag=tag).payload
     m = mask >> 1
     while m > 0:
-        child = vrank + m
+        child = rank + m
         if child < p:
-            comm._send_raw((child + root) % p, value, tag)
+            comm._send_raw(child, value, tag)
         m >>= 1
     return value
 
 
-def binomial_reduce(comm: Communicator, obj: Any, op: str, root: int, tag: int) -> Any:
-    """Binomial-tree reduction to ``root`` (returns result at root, None elsewhere)."""
+def binomial_reduce(comm: Communicator, obj: Any, tag: int) -> Any:
+    """Binomial-tree sum to rank 0 (returns the sum at rank 0, None
+    elsewhere)."""
     p = comm.size
-    fn = ReduceOp.func(op)
-    vrank = (comm.rank - root) % p
+    rank = comm.rank
     acc = obj
     mask = 1
     while mask < p:
-        if vrank & mask:
-            parent = ((vrank & ~mask) + root) % p
-            comm._send_raw(parent, acc, tag)
+        if rank & mask:
+            comm._send_raw(rank & ~mask, acc, tag)
             break
-        partner = vrank | mask
+        partner = rank | mask
         if partner < p:
-            incoming = comm._recv_raw(source=(partner + root) % p, tag=tag).payload
-            acc = fn(acc, incoming)
+            acc = acc + comm._recv_raw(source=partner, tag=tag).payload
         mask <<= 1
-    return acc if comm.rank == root else None
+    return acc if rank == 0 else None
 
 
-def recursive_doubling_allreduce(comm: Communicator, obj: Any, op: str, tag: int) -> Any:
-    """Latency-optimal allreduce for any reducible object.
+def recursive_doubling_allreduce(comm: Communicator, obj: Any, tag: int) -> Any:
+    """Latency-optimal sum allreduce for any object that adds.
 
     Handles non-power-of-two sizes with the standard fold-in/fold-out trick:
     excess ranks first send their contribution to a partner, sit out the
@@ -100,7 +97,6 @@ def recursive_doubling_allreduce(comm: Communicator, obj: Any, op: str, tag: int
     p = comm.size
     if p == 1:
         return obj
-    fn = ReduceOp.func(op)
     pof2 = 1 << (p.bit_length() - 1)
     rem = p - pof2
     acc = obj
@@ -110,8 +106,7 @@ def recursive_doubling_allreduce(comm: Communicator, obj: Any, op: str, tag: int
             comm._send_raw(comm.rank - 1, acc, tag)
             new_rank = -1
         else:
-            incoming = comm._recv_raw(source=comm.rank + 1, tag=tag).payload
-            acc = fn(acc, incoming)
+            acc = acc + comm._recv_raw(source=comm.rank + 1, tag=tag).payload
             new_rank = comm.rank // 2
     else:
         new_rank = comm.rank - rem
@@ -122,8 +117,8 @@ def recursive_doubling_allreduce(comm: Communicator, obj: Any, op: str, tag: int
             partner_v = new_rank ^ mask
             partner = partner_v * 2 if partner_v < rem else partner_v + rem
             comm._send_raw(partner, acc, tag + 1 + mask)
-            incoming = comm._recv_raw(source=partner, tag=tag + 1 + mask).payload
-            acc = fn(acc, incoming)
+            acc = acc + comm._recv_raw(source=partner,
+                                       tag=tag + 1 + mask).payload
             mask <<= 1
     # Fold-out: retired odd ranks get the result back.
     if comm.rank < 2 * rem:

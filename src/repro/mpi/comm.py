@@ -2,8 +2,10 @@
 
 The lowercase methods (``send``, ``recv``, ``bcast``, ``gather``,
 ``allgather``, ``reduce``, ``allreduce``, ``reduce_scatter``, ``barrier``)
-communicate arbitrary Python objects; a SUM ``allreduce`` of an array
-with at least one element per rank runs the ring on a C-ordered copy.
+communicate arbitrary Python objects.  Every reduction is a SUM and every
+rooted collective is rooted at rank 0, the one configuration the paper's
+Horovod runs use; an ``allreduce`` of an array with at least one element
+per rank runs the ring on a C-ordered copy.
 
 Simulated time: all traffic is charged to each rank's logical clock using
 the communicator's :class:`~repro.simnet.costs.CommCostModel` (a fabric
@@ -15,7 +17,7 @@ simulated timeline alongside its real numerical results.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -32,33 +34,6 @@ from repro.mpi.transport import (
     payload_nbytes,
     wire_size,
 )
-
-
-class ReduceOp:
-    """Reduction operators for reduce/allreduce (mpi4py's MPI.SUM etc.)."""
-
-    SUM = "sum"
-    PROD = "prod"
-    MAX = "max"
-    MIN = "min"
-    LAND = "land"
-    LOR = "lor"
-
-    _FUNCS: dict[str, Callable[[Any, Any], Any]] = {
-        "sum": lambda a, b: a + b,
-        "prod": lambda a, b: a * b,
-        "max": lambda a, b: np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b),
-        "min": lambda a, b: np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b),
-        "land": lambda a, b: bool(a) and bool(b),
-        "lor": lambda a, b: bool(a) or bool(b),
-    }
-
-    @classmethod
-    def func(cls, op: str) -> Callable[[Any, Any], Any]:
-        try:
-            return cls._FUNCS[op]
-        except KeyError:
-            raise ValueError(f"unknown reduce op {op!r}") from None
 
 
 #: Default fabric if none is specified: the booster's InfiniBand HDR.
@@ -255,22 +230,24 @@ class Communicator:
         with self._traced("barrier"):
             collectives.dissemination_barrier(self, self._next_coll_tag())
 
-    def bcast(self, obj: Any, root: int = 0) -> Any:
+    def bcast(self, obj: Any) -> Any:
+        """Rank 0's ``obj`` on every rank."""
         with self._traced("bcast", obj):
-            return collectives.binomial_bcast(self, obj, root,
+            return collectives.binomial_bcast(self, obj,
                                               self._next_coll_tag())
 
-    def gather(self, obj: Any, root: int = 0) -> Optional[list]:
+    def gather(self, obj: Any) -> Optional[list]:
+        """Every rank's ``obj``, in rank order, at rank 0 (None elsewhere)."""
         tag = self._next_coll_tag()
         with self._traced("gather", obj):
-            if self.rank == root:
+            if self.rank == 0:
                 out: list[Any] = [None] * self.size
-                out[root] = obj
+                out[0] = obj
                 for _ in range(self.size - 1):
                     msg = self._recv_raw(source=ANY_SOURCE, tag=tag)
                     out[msg.source] = msg.payload
                 return out
-            self._send_raw(root, obj, tag)
+            self._send_raw(0, obj, tag)
             return None
 
     def allgather(self, obj: Any) -> list:
@@ -278,15 +255,16 @@ class Communicator:
             return collectives.ring_allgather(self, obj,
                                               self._next_coll_tag())
 
-    def reduce(self, obj: Any, op: str = ReduceOp.SUM, root: int = 0) -> Any:
+    def reduce(self, obj: Any) -> Any:
+        """The sum of every rank's ``obj`` at rank 0 (None elsewhere)."""
         with self._traced("reduce", obj):
-            return collectives.binomial_reduce(self, obj, op, root,
+            return collectives.binomial_reduce(self, obj,
                                                self._next_coll_tag())
 
-    def allreduce(self, obj: Any, op: str = ReduceOp.SUM) -> Any:
+    def allreduce(self, obj: Any) -> Any:
+        """The sum of every rank's ``obj`` on every rank."""
         with self._traced("allreduce", obj):
-            if isinstance(obj, np.ndarray) and obj.size >= self.size \
-                    and op == ReduceOp.SUM:
+            if isinstance(obj, np.ndarray) and obj.size >= self.size:
                 # C-ordered, whatever the input's layout: the ring reduces
                 # the flat view of this copy.
                 out = obj.astype(np.result_type(obj.dtype, np.float64),
@@ -296,7 +274,7 @@ class Communicator:
                                                    self._next_coll_tag())
                 return out
             return collectives.recursive_doubling_allreduce(
-                self, obj, op, self._next_coll_tag()
+                self, obj, self._next_coll_tag()
             )
 
     def reduce_scatter(self, array: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
@@ -318,8 +296,7 @@ class Communicator:
         # per color, done identically on all ranks via sorted colors).
         colors = sorted({c for c, _, _ in entries if c >= 0})
         base_ctx = self.bcast(
-            self.transport.allocate_context() if self.rank == 0 else None, root=0
-        )
+            self.transport.allocate_context() if self.rank == 0 else None)
         if color < 0:
             return None
         members = sorted(
@@ -362,6 +339,6 @@ class Communicator:
         return clone
 
 
-# Down here because collectives imports Communicator and ReduceOp from this
-# module; the methods above look the name up when they run.
+# Down here because collectives imports Communicator from this module; the
+# methods above look the name up when they run.
 from repro.mpi import collectives  # noqa: E402

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.simnet.costs import CommCostModel
-from repro.mpi.comm import Communicator, ReduceOp
+from repro.mpi.comm import Communicator
 
 
 #: Per-collective fixed offload latency (doorbell + descriptor fetch).
@@ -63,9 +63,10 @@ class GlobalCollectiveEngine:
     def software_allreduce_time(self, p: int, nbytes: float) -> float:
         """Reference software ring time on the same fabric (for speedup
         reporting)."""
-        from repro.simnet.costs import CollectiveCosts
+        from repro.simnet.costs import allreduce_ring_time
 
-        return CollectiveCosts(self.fabric).allreduce(p, nbytes, algorithm="ring")
+        return allreduce_ring_time(p, nbytes, self.fabric.alpha,
+                                   self.fabric.beta)
 
 
 def gce_allreduce(
@@ -83,10 +84,10 @@ def gce_allreduce(
     """
     # Functional phase — use the object tree reduce + bcast for the values,
     # on a zero-cost clone so software ptp costs are not charged.
-    free_model = CommCostModel(alpha=0.0, beta=0.0, gamma=0.0)
+    free_model = CommCostModel(alpha=0.0, beta=0.0)
     quiet = comm.with_cost_model(free_model)
-    total = quiet.reduce(array.copy(), op=ReduceOp.SUM, root=0)
-    result = quiet.bcast(total, root=0)
+    total = quiet.reduce(array.copy())
+    result = quiet.bcast(total)
     comm._coll_seq = quiet._coll_seq  # keep the collective sequence aligned
 
     # Timing phase: all ranks enter, the engine completes at

@@ -30,7 +30,7 @@ class ModularCostModel:
     """Pairwise α-β costs over a rank→module placement.
 
     Presents the :class:`CommCostModel` interface (``alpha``/``beta``/
-    ``gamma``/``ptp``) for homogeneous use, *plus* ``ptp_between`` which the
+    ``ptp``) for homogeneous use, *plus* ``ptp_between`` which the
     communicator prefers when present.  ``alpha``/``beta`` reflect the
     worst (inter-module) path so analytic collective bounds stay safe.
     """
@@ -38,8 +38,6 @@ class ModularCostModel:
     rank_module: tuple[str, ...]
     module_models: dict[str, CommCostModel]
     federation: CommCostModel
-    #: Per-byte reduction compute cost (the :class:`CommCostModel` ``gamma``).
-    gamma = 5.0e-12
 
     def __post_init__(self) -> None:
         for module in self.rank_module:

@@ -19,6 +19,10 @@ from repro.quantum.qubo import Qubo
 from repro.quantum.topology import DeviceTopology
 
 
+#: Independent anneals per submission.
+NUM_READS = 10
+
+
 class EmbeddingError(RuntimeError):
     """Problem does not fit the device topology."""
 
@@ -27,8 +31,8 @@ class EmbeddingError(RuntimeError):
 class AnnealResult:
     """Samples returned by one anneal submission, best-first."""
 
-    samples: np.ndarray          # (num_reads, n) binary, sorted by energy
-    energies: np.ndarray         # (num_reads,)
+    samples: np.ndarray          # (NUM_READS, n) binary, sorted by energy
+    energies: np.ndarray         # (NUM_READS,)
     n_variables: int
     chain_length: int
     physical_qubits: int
@@ -51,7 +55,7 @@ class SimulatedQuantumAnnealer:
     """A QA device simulator.
 
     >>> annealer = SimulatedQuantumAnnealer.for_device(DWAVE_2000Q)
-    >>> result = annealer.sample(qubo, num_reads=50)
+    >>> result = annealer.sample(qubo)
     """
 
     def __init__(self, n_qubits: int = 5000, n_couplers: int = 35000,
@@ -101,11 +105,9 @@ class SimulatedQuantumAnnealer:
         return chain
 
     # -- sampling --------------------------------------------------------------------
-    def sample(self, qubo: Qubo, num_reads: int = 100,
-               seed: Optional[int] = None) -> AnnealResult:
-        """Anneal ``num_reads`` independent runs, return sorted samples."""
-        if num_reads < 1:
-            raise ValueError("num_reads must be >= 1")
+    def sample(self, qubo: Qubo, seed: Optional[int] = None) -> AnnealResult:
+        """Anneal :data:`NUM_READS` independent runs, return sorted
+        samples."""
         chain = self._check_embeddable(qubo)
         rng = np.random.default_rng(0 if seed is None else seed)
         n = qubo.n_variables
@@ -115,9 +117,9 @@ class SimulatedQuantumAnnealer:
         t_hot, t_cold = 2.0 * scale * n ** 0.5, 1e-3 * scale
         temps = np.geomspace(t_hot, t_cold, self.sweeps)
 
-        samples = np.empty((num_reads, n))
-        energies = np.empty(num_reads)
-        for read in range(num_reads):
+        samples = np.empty((NUM_READS, n))
+        energies = np.empty(NUM_READS)
+        for read in range(NUM_READS):
             x = rng.integers(0, 2, size=n).astype(np.float64)
             for T in temps:
                 deltas = qubo.energy_deltas(x)

@@ -1,7 +1,7 @@
 """Quantum SVM on the annealer (Willsch et al.; the paper's refs [10][11]).
 
 SVM training is cast as a QUBO: each dual coefficient α_i is encoded with
-``n_bits`` binary variables base ``base`` (α_i = Σ_k base^k a_{iK+k});
+``N_BITS`` binary variables base ``BASE`` (α_i = Σ_k BASE^k a_{iK+k});
 minimising
 
 .. math::
@@ -18,39 +18,35 @@ et al. do.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from repro.quantum.annealer import EmbeddingError, SimulatedQuantumAnnealer
 from repro.quantum.qubo import Qubo
-from repro.svm.kernels import Kernel, make_kernel
+from repro.svm.kernels import Kernel, rbf_kernel
 
 
 class QuantumSVM:
-    """Binary SVM trained by quantum annealing (labels in {-1, +1})."""
+    """Binary SVM trained by quantum annealing (labels in {-1, +1}), with
+    an RBF kernel of width ``gamma``."""
+
+    #: Binary variables per dual coefficient, and their base.
+    N_BITS = 2
+    BASE = 2
+    #: Weight of the penalty that softly enforces Σ α_i y_i = 0.
+    XI = 1.0
 
     def __init__(
         self,
         annealer: SimulatedQuantumAnnealer,
-        kernel: str = "rbf",
-        n_bits: int = 2,
-        base: int = 2,
-        xi: float = 1.0,
-        num_reads: int = 30,
+        gamma: float = 1.0,
         n_solutions: int = 5,
         seed: int = 0,
-        **kernel_params,
     ) -> None:
-        if n_bits < 1 or base < 2:
-            raise ValueError("n_bits >= 1 and base >= 2 required")
         self.annealer = annealer
-        self.kernel_name = kernel
-        self.kernel: Kernel = make_kernel(kernel, **kernel_params)
-        self.n_bits = n_bits
-        self.base = base
-        self.xi = xi
-        self.num_reads = num_reads
+        self.kernel: Kernel = partial(rbf_kernel, gamma=gamma)
         self.n_solutions = n_solutions
         self.seed = seed
         # Fitted state.
@@ -62,16 +58,16 @@ class QuantumSVM:
     # -- capacity ---------------------------------------------------------------
     def max_training_samples(self) -> int:
         """Largest training set one anneal can hold on this device."""
-        return self.annealer.device.max_clique // self.n_bits
+        return self.annealer.device.max_clique // self.N_BITS
 
     def build_qubo(self, X: np.ndarray, y: np.ndarray) -> Qubo:
         n = X.shape[0]
         K = self.kernel(X, X)
-        weights = np.array([float(self.base) ** k for k in range(self.n_bits)])
-        nv = n * self.n_bits
+        weights = np.array([float(self.BASE) ** k for k in range(self.N_BITS)])
+        nv = n * self.N_BITS
         # Pair coefficient matrix over encoded bits.
         yy = np.outer(y, y)
-        core = yy * (K + 2.0 * self.xi)                        # (n, n)
+        core = yy * (K + 2.0 * self.XI)                        # (n, n)
         W = np.kron(core, np.outer(weights, weights))          # (nv, nv)
         lin = np.kron(np.ones(n), weights)
         # E = ½ Σ_{uv} W_uv a_u a_v − Σ_u lin_u a_u with binary a (a²=a):
@@ -84,8 +80,8 @@ class QuantumSVM:
         return Qubo(Q=Q)
 
     def _decode(self, bits: np.ndarray, n: int) -> np.ndarray:
-        weights = np.array([float(self.base) ** k for k in range(self.n_bits)])
-        return bits.reshape(n, self.n_bits) @ weights
+        weights = np.array([float(self.BASE) ** k for k in range(self.N_BITS)])
+        return bits.reshape(n, self.N_BITS) @ weights
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "QuantumSVM":
         X = np.asarray(X, dtype=np.float64)
@@ -95,18 +91,17 @@ class QuantumSVM:
         n = X.shape[0]
         if n > self.max_training_samples():
             raise EmbeddingError(
-                f"{n} samples × {self.n_bits} bits exceed device clique "
+                f"{n} samples × {self.N_BITS} bits exceed device clique "
                 f"capacity {self.annealer.device.max_clique} — sub-sample"
             )
         qubo = self.build_qubo(X, y)
-        result = self.annealer.sample(qubo, num_reads=self.num_reads,
-                                      seed=self.seed)
+        result = self.annealer.sample(qubo, seed=self.seed)
         solutions = result.lowest(self.n_solutions)
         alphas = np.stack([self._decode(sol, n) for sol in solutions])
 
         K = self.kernel(X, X)
         biases = []
-        c_max = float(sum(self.base ** k for k in range(self.n_bits)))
+        c_max = float(sum(self.BASE ** k for k in range(self.N_BITS)))
         for a in alphas:
             margin = (a > 0) & (a < c_max)
             idx = np.where(margin)[0] if margin.any() else np.where(a > 0)[0]
@@ -140,12 +135,12 @@ class QuantumSVM:
 class QSvmEnsemble:
     """QSVMs over class-balanced sub-samples, decision-averaged (ref [11])."""
 
+    #: Members of the ensemble.
+    N_MEMBERS = 4
+
     def __init__(self, annealer: SimulatedQuantumAnnealer,
-                 n_members: int = 5, **qsvm_kwargs) -> None:
-        if n_members < 1:
-            raise ValueError("need at least one member")
+                 **qsvm_kwargs) -> None:
         self.annealer = annealer
-        self.n_members = n_members
         self.qsvm_kwargs = qsvm_kwargs
         self.members_: list[QuantumSVM] = []
 
@@ -158,9 +153,9 @@ class QSvmEnsemble:
         size = min(cap, X.shape[0])
         self.members_ = []
         attempts = 0
-        while len(self.members_) < self.n_members:
+        while len(self.members_) < self.N_MEMBERS:
             attempts += 1
-            if attempts > 20 * self.n_members:
+            if attempts > 20 * self.N_MEMBERS:
                 raise RuntimeError("could not draw class-balanced sub-samples")
             idx = rng.choice(X.shape[0], size=size, replace=False)
             if len(np.unique(y[idx])) < 2:

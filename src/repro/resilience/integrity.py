@@ -239,10 +239,6 @@ class CorruptionInjector:
         #: Local injection log: (kind, stream key) in injection order.
         self.injected: list[tuple[str, str]] = []
 
-    @property
-    def active(self) -> bool:
-        return self.plan.has_corruption
-
     def _count(self, kind: FaultKind, key: str) -> None:
         from repro import telemetry
 

@@ -7,9 +7,9 @@ Jitter here is *deterministic*: a stable hash of (seed, job key, attempt)
 drives it, so simulations replay identically and delays stay reproducible
 across processes and Python hash randomisation.
 
-Monotonicity guarantee: ``backoff_factor >= 1 + jitter`` is enforced, which
-makes the delay sequence per job non-decreasing in the attempt number even
-at the jitter extremes — the property suite sweeps this.
+Monotonicity guarantee: ``BACKOFF_FACTOR >= 1 + JITTER``, which makes the
+delay sequence per job non-decreasing in the attempt number even at the
+jitter extremes — the property suite sweeps this.
 """
 
 from __future__ import annotations
@@ -31,14 +31,17 @@ class RetryPolicy:
     """Exponential backoff with bounded deterministic jitter.
 
     ``delay(attempt)`` for attempt 1, 2, ... is
-    ``base_delay_s * backoff_factor**(attempt-1) * (1 + jitter * u)`` with
-    ``u`` uniform in [0, 1) derived from ``(seed, key, attempt)``.
+    ``base_delay_s * BACKOFF_FACTOR**(attempt-1) * (1 + JITTER * u)`` with
+    ``u`` uniform in [0, 1) derived from ``(seed, key, attempt)``.  The
+    factor covers the jitter (``BACKOFF_FACTOR >= 1 + JITTER``), so delays
+    never decrease.
     """
+
+    BACKOFF_FACTOR = 2.0
+    JITTER = 0.25
 
     max_retries: int = 3
     base_delay_s: float = 30.0
-    backoff_factor: float = 2.0
-    jitter: float = 0.25
     seed: int = 0
     max_delay_s: float = 24 * 3600.0
 
@@ -47,12 +50,6 @@ class RetryPolicy:
             raise ValueError("max_retries must be non-negative")
         if self.base_delay_s <= 0:
             raise ValueError("base_delay_s must be positive")
-        if not (0.0 <= self.jitter < 1.0):
-            raise ValueError("jitter must be in [0, 1)")
-        if self.backoff_factor < 1.0 + self.jitter:
-            raise ValueError(
-                "backoff_factor must be >= 1 + jitter "
-                "(guarantees non-decreasing delays)")
         if self.max_delay_s <= 0:
             raise ValueError("max_delay_s must be positive")
 
@@ -71,15 +68,15 @@ class RetryPolicy:
         # the un-jittered delay already reaches the cap, return the cap
         # directly (jitter only pushes it further over).
         log_raw = (math.log(self.base_delay_s)
-                   + (attempt - 1) * math.log(self.backoff_factor))
+                   + (attempt - 1) * math.log(self.BACKOFF_FACTOR))
         if log_raw >= math.log(self.max_delay_s):
             return self.max_delay_s
-        raw = self.base_delay_s * self.backoff_factor ** (attempt - 1)
+        raw = self.base_delay_s * self.BACKOFF_FACTOR ** (attempt - 1)
         u = _stable_uniform(self.seed, key, attempt)
-        return min(raw * (1.0 + self.jitter * u), self.max_delay_s)
+        return min(raw * (1.0 + self.JITTER * u), self.max_delay_s)
 
     def delay_within(self, attempt: int, now: float, deadline_s: float,
-                     key: str = "") -> float:
+                     key: str) -> float:
         """Deadline-aware jittered backoff: the :meth:`delay` for
         ``attempt``, clamped so the retry fires no later than
         ``deadline_s`` (absolute, same clock as ``now``).

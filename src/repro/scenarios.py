@@ -75,14 +75,13 @@ from repro.serving import (
     TraceConfig,
     simulate_serving,
 )
-from repro.storage.checkpoint import CheckpointManager, CheckpointRetention
+from repro.storage.checkpoint import (KEEP_LAST, CheckpointManager,
+                                      CheckpointRetention)
 from repro.storage.nam import NetworkAttachedMemory
 from repro.storage.pfs import ParallelFileSystem
 from repro.telemetry.export import chrome_trace_json, run_summary
 
 WORLD_SIZE = 4
-#: Checkpoint retention window == the SDC drill's rollback bound.
-KEEP_LAST = 3
 #: Ceiling on wasted duplicate (hedge) work, as a fraction of busy time.
 DUPLICATE_WORK_BUDGET = 0.15
 
@@ -169,8 +168,7 @@ def _elastic_training(seed: int, data_seed, n_steps: int, batch_size: int,
         checkpoint_manager=CheckpointManager(
             nam=NetworkAttachedMemory(capacity_GB=1),
             pfs=ParallelFileSystem("pfs", n_targets=4),
-            retention=CheckpointRetention(keep_last=KEEP_LAST,
-                                          anchor_every=anchor_every)),
+            retention=CheckpointRetention(anchor_every=anchor_every)),
         checkpoint_policy=CheckpointPolicy(every_steps=4, replicate=True),
         name=name,
         **integrity,
@@ -522,8 +520,7 @@ def run_scenario(name: str, seed: int = 0, quick: bool = False,
         publish_undetected(registry)
     facts = replace(
         facts, injected=injected, undetected=injected - detected,
-        invariant_gauges=tuple(
-            registry.gauges_over(0.0, name_contains="invariant")))
+        invariant_gauges=tuple(registry.broken_invariants()))
     checks = evaluate(name, facts, **arm)
     spans = tuple(tracer.spans)
     files = {}

@@ -39,9 +39,6 @@ class ResultCache:
     def enabled(self) -> bool:
         return self.capacity > 0
 
-    def __len__(self) -> int:
-        return len(self._store)
-
     @property
     def hit_rate(self) -> float:
         """Fraction of lookups served without new replica work."""

@@ -67,7 +67,6 @@ from repro.simnet.link import PartitionWindow
 #: sub-second), generous retry head-room so a drill can never exhaust it;
 #: every failover clamps it to the drained requests' earliest deadline.
 SERVING_RETRY = RetryPolicy(max_retries=64, base_delay_s=0.02,
-                            backoff_factor=2.0, jitter=0.25,
                             max_delay_s=5.0)
 
 #: Post-heal retransmission cost for a response held across a partition.
@@ -164,9 +163,8 @@ class ServingReport:
     def goodput_per_s(self) -> float:
         return self.metrics.goodput_per_s
 
-    def meets_slo(self, quantile: float = 99.0) -> bool:
-        return self.metrics.meets_slo(self.config.trace.slo_deadline_s,
-                                      quantile)
+    def meets_slo(self) -> bool:
+        return self.metrics.meets_slo(self.config.trace.slo_deadline_s)
 
     def to_text(self) -> str:
         """The canonical metrics report — byte-identical across same-seed runs."""

@@ -210,10 +210,9 @@ class ServingMetrics:
     def latency_summary(self) -> LatencySummary:
         return summarize_latencies(self.latencies_s)
 
-    def meets_slo(self, deadline_budget_s: float,
-                  quantile: float = 99.0) -> bool:
-        """Does the latency quantile sit within the per-request budget?"""
-        return self.percentile(quantile) <= deadline_budget_s
+    def meets_slo(self, deadline_budget_s: float) -> bool:
+        """Does the p99 latency sit within the per-request budget?"""
+        return self.percentile(99.0) <= deadline_budget_s
 
     # -- conservation --------------------------------------------------------
     @property

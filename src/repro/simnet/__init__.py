@@ -32,7 +32,6 @@ from repro.simnet.topology import (
 )
 from repro.simnet.costs import (
     CommCostModel,
-    CollectiveCosts,
     ptp_time,
     allreduce_ring_time,
     allreduce_recursive_doubling_time,
@@ -54,7 +53,6 @@ __all__ = [
     "fat_tree",
     "federated",
     "CommCostModel",
-    "CollectiveCosts",
     "ptp_time",
     "allreduce_ring_time",
     "allreduce_recursive_doubling_time",

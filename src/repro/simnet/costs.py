@@ -10,7 +10,8 @@ literature (and inside MPI libraries' algorithm selectors):
 * binomial-tree broadcast: ``ceil(log2(p)) (α + nβ)``
 
 ``α`` = per-message latency (s), ``β`` = inverse bandwidth (s/byte),
-``γ`` = per-byte local reduction cost (s/byte).  These models drive the
+``γ`` = per-byte local reduction cost (s/byte), one figure for every
+fabric (:data:`GAMMA`).  These models drive the
 simulated clock that regenerates the paper's Fig. 3 scaling curves at
 96–128 GPUs.
 """
@@ -22,6 +23,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.simnet.link import Link, LinkKind
+
+#: Local reduction cost, s/byte (~200 GB/s memory bandwidth).
+GAMMA = 5.0e-12
 
 
 def _check(p: int, nbytes: float) -> None:
@@ -37,32 +41,29 @@ def ptp_time(alpha: float, beta: float, nbytes: float) -> float:
     return alpha + nbytes * beta
 
 
-def allreduce_ring_time(
-    p: int, nbytes: float, alpha: float, beta: float, gamma: float = 0.0
-) -> float:
+def allreduce_ring_time(p: int, nbytes: float, alpha: float,
+                        beta: float) -> float:
     """Bandwidth-optimal ring allreduce (reduce-scatter + allgather rings)."""
     _check(p, nbytes)
     frac = (p - 1) / p
-    return 2 * (p - 1) * alpha + 2 * nbytes * beta * frac + nbytes * gamma * frac
+    return 2 * (p - 1) * alpha + 2 * nbytes * beta * frac + nbytes * GAMMA * frac
 
 
-def allreduce_recursive_doubling_time(
-    p: int, nbytes: float, alpha: float, beta: float, gamma: float = 0.0
-) -> float:
+def allreduce_recursive_doubling_time(p: int, nbytes: float, alpha: float,
+                                      beta: float) -> float:
     """Latency-optimal recursive doubling (assumes power-of-two ranks)."""
     _check(p, nbytes)
     steps = math.ceil(math.log2(p))
-    return steps * (alpha + nbytes * beta + nbytes * gamma)
+    return steps * (alpha + nbytes * beta + nbytes * GAMMA)
 
 
-def allreduce_rabenseifner_time(
-    p: int, nbytes: float, alpha: float, beta: float, gamma: float = 0.0
-) -> float:
+def allreduce_rabenseifner_time(p: int, nbytes: float, alpha: float,
+                                beta: float) -> float:
     """Rabenseifner's algorithm: recursive-halving reduce-scatter + allgather."""
     _check(p, nbytes)
     steps = math.ceil(math.log2(p))
     frac = (p - 1) / p
-    return 2 * steps * alpha + 2 * nbytes * beta * frac + nbytes * gamma * frac
+    return 2 * steps * alpha + 2 * nbytes * beta * frac + nbytes * GAMMA * frac
 
 
 #: Each allreduce closed form by algorithm name.
@@ -73,14 +74,13 @@ ALLREDUCE_TIMES = {
 }
 
 
-def best_allreduce_time(
-    p: int, nbytes: float, alpha: float, beta: float, gamma: float = 0.0
-) -> tuple[float, str]:
+def best_allreduce_time(p: int, nbytes: float, alpha: float,
+                        beta: float) -> tuple[float, str]:
     """Pick the cheapest allreduce algorithm — what real MPIs/Horovod do.
 
     Returns (time, algorithm-name).
     """
-    candidates = {name: fn(p, nbytes, alpha, beta, gamma)
+    candidates = {name: fn(p, nbytes, alpha, beta)
                   for name, fn in ALLREDUCE_TIMES.items()}
     name = min(candidates, key=candidates.get)
     return candidates[name], name
@@ -88,11 +88,10 @@ def best_allreduce_time(
 
 @dataclass(frozen=True)
 class CommCostModel:
-    """α-β-γ parameters for a fabric, derivable from a :class:`Link`."""
+    """α-β parameters for a fabric, derivable from a :class:`Link`."""
 
     alpha: float             # per-message latency, seconds
     beta: float              # seconds per byte
-    gamma: float = 5.0e-12   # local reduction, s/byte (~200 GB/s memory系)
 
     @classmethod
     def from_link(cls, link: Link) -> "CommCostModel":
@@ -105,19 +104,3 @@ class CommCostModel:
 
     def ptp(self, nbytes: float) -> float:
         return ptp_time(self.alpha, self.beta, nbytes)
-
-
-@dataclass(frozen=True)
-class CollectiveCosts:
-    """Collective-time oracle bound to one cost model."""
-
-    model: CommCostModel
-
-    def allreduce(self, p: int, nbytes: float, algorithm: str = "auto") -> float:
-        m = self.model
-        if algorithm == "auto":
-            t, _ = best_allreduce_time(p, nbytes, m.alpha, m.beta, m.gamma)
-            return t
-        if algorithm not in ALLREDUCE_TIMES:
-            raise ValueError(f"unknown allreduce algorithm {algorithm!r}")
-        return ALLREDUCE_TIMES[algorithm](p, nbytes, m.alpha, m.beta, m.gamma)

@@ -18,6 +18,9 @@ import itertools
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional, Sequence
 
+#: Events one :meth:`Simulator.run` fires before it calls the run away.
+MAX_EVENTS = 10_000_000
+
 
 class SimulationError(RuntimeError):
     """Raised for invalid simulation operations (e.g. scheduling in the past)."""
@@ -115,7 +118,7 @@ class Process:
         # Kick off at current time.
         start = Event(sim, name=f"{self.name}.start")
         start.add_callback(self._resume)
-        sim.schedule(start, delay=0.0)
+        sim.schedule(start)
 
     def _resume(self, evt: Event) -> None:
         try:
@@ -148,10 +151,6 @@ class Resource:
         self.name = name
         self.in_use = 0
         self._waiters: deque[Event] = deque()
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self.in_use
 
     def acquire(self) -> Event:
         evt = Event(self.sim, name=f"{self.name}.grant")
@@ -255,11 +254,10 @@ class Simulator:
 
         push_next()
 
-    def schedule(self, event: Event, delay: float = 0.0, value: Any = None) -> None:
-        if not delay >= 0:
-            raise SimulationError(f"cannot schedule event {delay} in the past")
+    def schedule(self, event: Event, value: Any = None) -> None:
+        """Fire ``event`` (with ``value``) at the current time."""
         event._value = value
-        self._queue.push(self.now + delay, event)
+        self._queue.push(self.now, event)
 
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name=name)
@@ -305,7 +303,7 @@ class Simulator:
             event._fire(self.now)
         return True
 
-    def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         """Run until queue exhaustion or simulated time ``until``.
 
         Returns the final simulated time.
@@ -327,9 +325,9 @@ class Simulator:
                 if until is not None and heap[0][0] > until:
                     now = until
                     break
-                if steps >= max_events:
+                if steps >= MAX_EVENTS:
                     raise SimulationError(
-                        f"exceeded {max_events} events — runaway simulation?"
+                        f"exceeded {MAX_EVENTS} events — runaway simulation?"
                     )
                 steps += 1
                 time, _, event = heappop(heap)

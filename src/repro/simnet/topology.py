@@ -76,13 +76,13 @@ class Topology:
 # ---------------------------------------------------------------------------
 
 
-def fat_tree(
-    n_nodes: int,
-    kind: LinkKind,
-    radix: int = 16,
-    name: str = "fat-tree",
-) -> Topology:
-    """Two-level fat-tree: leaf switches of ``radix`` nodes under a spine.
+#: Nodes per leaf switch of a :func:`fat_tree`.
+RADIX = 16
+
+
+def fat_tree(n_nodes: int, kind: LinkKind, name: str = "fat-tree") -> Topology:
+    """Two-level fat-tree: leaf switches of :data:`RADIX` nodes under a
+    spine.
 
     The JUWELS cluster and booster fabrics are InfiniBand fat-trees; two
     levels suffice for the node counts the experiments sweep, and the model
@@ -90,8 +90,7 @@ def fat_tree(
     """
     if n_nodes < 1:
         raise ValueError("need at least one node")
-    if radix < 2:
-        raise ValueError("radix must be >= 2")
+    radix = RADIX
     g = nx.Graph()
     topo = Topology(g, name=name)
     link = Link.of_kind(kind)
@@ -109,11 +108,8 @@ def fat_tree(
     return topo
 
 
-def federated(
-    modules: dict[str, Topology],
-    federation_kind: LinkKind = LinkKind.FEDERATION,
-    name: str = "msa-federation",
-) -> Topology:
+def federated(modules: dict[str, Topology],
+              name: str = "msa-federation") -> Topology:
     """Join per-module fabrics through a federation switch (the MSA NF).
 
     Each module contributes its graph with nodes prefixed by module name; a
@@ -125,7 +121,7 @@ def federated(
         raise ValueError("need at least one module")
     g = nx.Graph()
     topo = Topology(g, name=name)
-    fed_link = Link.of_kind(federation_kind)
+    fed_link = Link.of_kind(LinkKind.FEDERATION)
     topo.add_switch(("federation", 0))
     for mod_name, mod_topo in modules.items():
         for node, data in mod_topo.graph.nodes(data=True):

@@ -72,23 +72,26 @@ def shard_digests(state: dict[str, np.ndarray]) -> tuple[tuple[str, int], ...]:
     return tuple(out)
 
 
+#: Newest versions GC always keeps (the SDC drill's rollback bound).
+KEEP_LAST = 3
+#: Ranks checkpointing at once in the ref [12] path comparison.
+CONCURRENT_WRITERS = 32
+
+
 @dataclass(frozen=True)
 class CheckpointRetention:
     """Lineage retention: keep the last K versions plus step anchors.
 
-    ``keep_last`` newest versions always survive GC; additionally, any
+    The :data:`KEEP_LAST` newest versions always survive GC; additionally, any
     version whose step is a multiple of ``anchor_every`` (when positive)
     is an *anchor* kept indefinitely — the coarse long-term history that
     lets a drill roll far back past a burst of rot.  Independently of
     both rules, GC never deletes the newest version that still verifies.
     """
 
-    keep_last: int = 3
     anchor_every: int = 0          # 0 disables anchors
 
     def __post_init__(self) -> None:
-        if self.keep_last < 1:
-            raise ValueError("keep_last must be >= 1")
         if self.anchor_every < 0:
             raise ValueError("anchor_every must be >= 0")
 
@@ -231,13 +234,12 @@ class CheckpointManager:
         """Apply the retention policy to ``name``'s lineage on ``target``;
         returns the number of versions deleted.
 
-        Survivors: the newest ``keep_last`` versions, every anchor step,
+        Survivors: the newest :data:`KEEP_LAST` versions, every anchor step,
         and — unconditionally — the newest version that still verifies
         (so a burst of rot can never leave GC holding only bad copies).
         """
         lineage = self._lineage(name, target)
-        keep: set[int] = {r.version
-                          for r in lineage[-self.retention.keep_last:]}
+        keep: set[int] = {r.version for r in lineage[-KEEP_LAST:]}
         keep.update(r.version for r in lineage
                     if self.retention.is_anchor(r.step))
         for record in reversed(lineage):
@@ -403,15 +405,15 @@ class CheckpointManager:
                 "integrity_corruptions_injected", kind="checkpoint-rot").inc()
 
     # -- the ref [12] comparison --------------------------------------------
-    def path_comparison(self, nbytes: int,
-                        concurrent_writers: int = 1) -> dict[str, float]:
-        """Modelled checkpoint write time via each attached path."""
+    def path_comparison(self, nbytes: int) -> dict[str, float]:
+        """Modelled checkpoint write time via each attached path, with
+        :data:`CONCURRENT_WRITERS` ranks sharing the PFS."""
         out: dict[str, float] = {}
         if self.nam is not None:
             out["nam"] = nbytes / self.nam.write_Bps
         if self.pfs is not None:
             # PFS path: striped write, bandwidth shared among writers.
             per_target = nbytes / DEFAULT_STRIPE_COUNT
-            effective = self.pfs.target_Bps / max(concurrent_writers, 1)
+            effective = self.pfs.target_Bps / CONCURRENT_WRITERS
             out["pfs"] = per_target / effective * 1.25
         return out

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from repro.simnet.link import Link, LinkKind
 
 GiB = 1024 ** 3
-#: NAM read bandwidth (GB/s).
-READ_GBPS = 10.0
+#: NAM read and write bandwidth (GB/s).
+READ_GBPS, WRITE_GBPS = 10.0, 8.0
 
 
 @dataclass
@@ -31,14 +31,10 @@ class _Resident:
 class NetworkAttachedMemory:
     """Fabric-attached shared memory for datasets."""
 
-    def __init__(
-        self,
-        capacity_GB: float = 1024.0,
-        write_GBps: float = 8.0,
-    ) -> None:
+    def __init__(self, capacity_GB: float = 1024.0) -> None:
         self.capacity_bytes = int(capacity_GB * GiB)
         self.read_Bps = READ_GBPS * 1e9
-        self.write_Bps = write_GBps * 1e9
+        self.write_Bps = WRITE_GBPS * 1e9
         self.fabric_link = Link.of_kind(LinkKind.EXTOLL)
         self._resident: dict[str, _Resident] = {}
 

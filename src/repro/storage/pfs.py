@@ -59,8 +59,8 @@ class FileHandle:
     layout: StripeLayout
 
 
-#: Capacity of one OST.
-CAPACITY_TB_PER_TARGET = 100.0
+#: Capacity and streaming bandwidth of one OST.
+CAPACITY_TB_PER_TARGET, TARGET_GBPS = 100.0, 5.0
 #: OSTs a file is striped over unless it asks for a count.
 DEFAULT_STRIPE_COUNT = 4
 #: Stripe unit of every file.
@@ -70,23 +70,18 @@ STRIPE_BYTES = MiB
 class ParallelFileSystem:
     """A pool of OSTs serving striped files.
 
-    >>> pfs = ParallelFileSystem("lustre", n_targets=8, target_GBps=5.0)
+    >>> pfs = ParallelFileSystem("lustre", n_targets=8)
     >>> f = pfs.create("/data/bigearthnet.tar", 100 * 2**30, stripe_count=8)
     >>> pfs.read_time(f) < pfs.read_time(pfs.create("/narrow", 100 * 2**30, stripe_count=1))
     True
     """
 
-    def __init__(
-        self,
-        name: str,
-        n_targets: int = 16,
-        target_GBps: float = 5.0,
-    ) -> None:
+    def __init__(self, name: str, n_targets: int = 16) -> None:
         if n_targets < 1:
             raise ValueError("need at least one OST")
         self.name = name
         self.n_targets = n_targets
-        self.target_Bps = target_GBps * 1e9
+        self.target_Bps = TARGET_GBPS * 1e9
         self.capacity_bytes = int(n_targets * CAPACITY_TB_PER_TARGET * 1e12)
         self._files: dict[str, FileHandle] = {}
         self._next_first_target = 0

@@ -69,7 +69,7 @@ def cascade_train(
     Returns the fitted :class:`CascadeSVM` on rank 0, None elsewhere.
     Labels must be in {-1, +1}.
     """
-    template = template or SVC(C=1.0, kernel="rbf", gamma=0.5)
+    template = template or SVC(gamma=0.5)
     machine, local_time = _train_on(template, X_local, y_local)
     comm.compute(local_time)
     X_sv, y_sv = _sv_set(machine, X_local, y_local)
@@ -104,7 +104,7 @@ def cascade_train(
         stride *= 2
         level += 1
 
-    times = comm.gather(local_time, root=0)
+    times = comm.gather(local_time)
     if comm.rank == 0:
         return CascadeSVM(
             machine=machine,
@@ -119,4 +119,4 @@ def serial_train(X: np.ndarray, y: np.ndarray,
                  template: Optional[SVC] = None) -> tuple[SVC, float]:
     """The single-SMO baseline the cascade is compared against; returns
     the machine and its modeled training seconds."""
-    return _train_on(template or SVC(C=1.0, kernel="rbf", gamma=0.5), X, y)
+    return _train_on(template or SVC(gamma=0.5), X, y)

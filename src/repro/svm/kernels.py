@@ -1,4 +1,4 @@
-"""SVM kernels, fully vectorised."""
+"""The SVM kernel, fully vectorised: the paper's RBF kernel."""
 
 from __future__ import annotations
 
@@ -9,11 +9,6 @@ import numpy as np
 Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def linear_kernel(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """K(a, b) = a·b for row batches A (n, d) and B (m, d) -> (n, m)."""
-    return np.asarray(A) @ np.asarray(B).T
-
-
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float = 1.0) -> np.ndarray:
     """K(a, b) = exp(-γ ||a - b||²), computed via the expansion trick."""
     A = np.asarray(A, dtype=np.float64)
@@ -22,25 +17,3 @@ def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float = 1.0) -> np.ndarray:
     b2 = (B ** 2).sum(axis=1)[None, :]
     d2 = np.maximum(a2 + b2 - 2.0 * (A @ B.T), 0.0)
     return np.exp(-gamma * d2)
-
-
-def poly_kernel(A: np.ndarray, B: np.ndarray, degree: int = 3,
-                coef0: float = 1.0) -> np.ndarray:
-    """K(a, b) = (a·b + c)^d."""
-    return (np.asarray(A) @ np.asarray(B).T + coef0) ** degree
-
-
-def make_kernel(name: str, **params) -> Kernel:
-    """Kernel factory used by the SVC constructors."""
-    if name == "linear":
-        return linear_kernel
-    if name == "rbf":
-        gamma = params.get("gamma", 1.0)
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        return lambda A, B: rbf_kernel(A, B, gamma=gamma)
-    if name == "poly":
-        degree = params.get("degree", 3)
-        coef0 = params.get("coef0", 1.0)
-        return lambda A, B: poly_kernel(A, B, degree=degree, coef0=coef0)
-    raise ValueError(f"unknown kernel {name!r}")

@@ -14,29 +14,28 @@ of ref [16] pays off.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from repro.svm.kernels import Kernel, make_kernel
+from repro.svm.kernels import Kernel, rbf_kernel
 
 
 class SVC:
-    """Binary soft-margin SVM with labels in {-1, +1}."""
+    """Binary soft-margin SVM with labels in {-1, +1} and an RBF kernel of
+    width ``gamma``."""
 
-    def __init__(self, C: float = 1.0, kernel: str = "rbf",
-                 tol: float = 1e-3, max_passes: int = 5,
-                 max_iter: Optional[int] = None, seed: int = 0,
-                 **kernel_params) -> None:
-        if C <= 0:
-            raise ValueError("C must be positive")
-        self.C = C
-        self.kernel_name = kernel
-        self.kernel_params = kernel_params
-        self.kernel: Kernel = make_kernel(kernel, **kernel_params)
-        self.tol = tol
-        self.max_passes = max_passes
-        self.max_iter = max_iter
+    #: The soft-margin penalty.
+    C = 1.0
+    #: KKT tolerance of the pair-update loop.
+    TOL = 1e-3
+    #: Sweeps without a change that end training.
+    MAX_PASSES = 5
+
+    def __init__(self, gamma: float = 1.0, seed: int = 0) -> None:
+        self.gamma = gamma
+        self.kernel: Kernel = partial(rbf_kernel, gamma=gamma)
         self.seed = seed
         # Fitted state.
         self.support_vectors_: Optional[np.ndarray] = None
@@ -64,16 +63,16 @@ class SVC:
         # SMO's pair-update count grows with n; the default cap keeps total
         # cost O(n²) (each update is O(n)), matching observed SMO scaling —
         # the superlinearity the cascade parallelisation exploits.
-        max_iter = self.max_iter if self.max_iter is not None else 25 * n
+        max_iter = 25 * n
         passes = 0
         it = 0
-        while passes < self.max_passes and it < max_iter:
+        while passes < self.MAX_PASSES and it < max_iter:
             changed = 0
             for i in range(n):
                 it += 1
                 Ei = f(i) - y[i]
-                if (y[i] * Ei < -self.tol and alpha[i] < self.C) or \
-                   (y[i] * Ei > self.tol and alpha[i] > 0):
+                if (y[i] * Ei < -self.TOL and alpha[i] < self.C) or \
+                   (y[i] * Ei > self.TOL and alpha[i] > 0):
                     j = int(rng.integers(0, n - 1))
                     if j >= i:
                         j += 1
@@ -134,6 +133,4 @@ class SVC:
         return float((self.predict(X) == np.asarray(y)).mean())
 
     def clone_unfitted(self) -> "SVC":
-        return SVC(C=self.C, kernel=self.kernel_name, tol=self.tol,
-                   max_passes=self.max_passes, max_iter=self.max_iter,
-                   seed=self.seed, **self.kernel_params)
+        return SVC(gamma=self.gamma, seed=self.seed)

@@ -140,5 +140,5 @@ def run_summary(spans: Iterable[Span], registry: MetricsRegistry,
             f"  {track:<10}: {len(ts):5d} spans "
             f"({len(ts) - len(intervals)} instants), {len(lanes)} lanes, "
             f"busy {busy:.6g} s, horizon {end:.6g} s")
-    rows += ["", "metrics:", registry.to_text(indent="  ")]
+    rows += ["", "metrics:", registry.to_text()]
     return "\n".join(rows) + "\n"

@@ -211,15 +211,15 @@ class MetricsRegistry:
         inst = family.get(_label_key(labels))
         return inst.value if inst is not None else 0.0
 
-    def gauges_over(self, threshold: float = 0.0,
-                    name_contains: str = "") -> list[tuple[str, LabelKey, float]]:
-        """Gauge members above ``threshold`` — the CI invariant check."""
+    def broken_invariants(self) -> list[tuple[str, LabelKey, float]]:
+        """Members of the gauges named ``*invariant*`` that are above zero
+        — the CI invariant check."""
         out = []
         for name in self.names():
-            if self._kinds[name] != "gauge" or name_contains not in name:
+            if self._kinds[name] != "gauge" or "invariant" not in name:
                 continue
             for key, g in self.members(name):
-                if g.value > threshold:
+                if g.value > 0.0:
                     out.append((name, key, g.value))
         return out
 
@@ -247,8 +247,10 @@ class MetricsRegistry:
                                  f"{_fmt_value(inst.value)}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def to_text(self, indent: str = "") -> str:
-        """Human-readable run summary of every family."""
+    def to_text(self) -> str:
+        """Human-readable run summary of every family, one indented row
+        per member."""
+        indent = "  "
         rows: list[str] = []
         for name in self.names():
             kind = self._kinds[name]

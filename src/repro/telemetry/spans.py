@@ -115,9 +115,10 @@ class Tracer:
 
     @contextmanager
     def span(self, name: str, category: str, clock: Callable[[], float],
-             track: str = "main", lane: str = "0", **attrs: Any):
+             lane: str = "0", **attrs: Any):
         """Context manager reading ``clock()`` (a sim-time source) at
-        enter/exit.  With tracing disabled the clock is never called."""
+        enter/exit, recording on the ``train`` track (a training step).
+        With tracing disabled the clock is never called."""
         if not self.enabled:
             yield
             return
@@ -126,7 +127,7 @@ class Tracer:
             yield
         finally:
             self.record(name, category, start, clock() - start,
-                        track=track, lane=lane, **attrs)
+                        track="train", lane=lane, **attrs)
 
     # -- reading -------------------------------------------------------------
     @property

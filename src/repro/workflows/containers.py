@@ -3,15 +3,18 @@
 Sec. III-B: "Singularity on JUWELS can work with Docker files available on
 the DockerHub" — the conversion path that makes the same DL software stack
 runnable on the MSA and in commercial clouds.  The model captures images
-(layers, env, GPU hooks), format conversion, and runtime
-policy (HPC runtimes refuse privileged containers; GPU access requires the
-image's CUDA stack to be compatible with the node's driver).
+(layers, env, GPU hooks), format conversion, and runtime policy (GPU
+access requires the image's CUDA stack, :data:`IMAGE_CUDA`, to be
+compatible with the node's driver).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Optional
+
+#: The CUDA version every image's DL stack is built against.
+IMAGE_CUDA = "11.0"
 
 
 class ContainerError(RuntimeError):
@@ -29,16 +32,12 @@ class ContainerImage:
     env: tuple[tuple[str, str], ...] = ()
     entrypoint: str = "/bin/sh"
     needs_gpu: bool = False
-    cuda_version: Optional[str] = None
-    privileged: bool = False
 
     def __post_init__(self) -> None:
         if self.format not in ("docker", "singularity"):
             raise ContainerError(f"unknown image format {self.format!r}")
         if not self.layers:
             raise ContainerError("an image needs at least one layer")
-        if self.needs_gpu and self.cuda_version is None:
-            raise ContainerError("GPU images must declare a CUDA version")
 
     @property
     def ref(self) -> str:
@@ -60,12 +59,11 @@ class ContainerImage:
 def singularity_from_docker(image: ContainerImage) -> ContainerImage:
     """Convert a Docker image to Singularity (the JUWELS ingestion path).
 
-    Layers, env and entrypoint are preserved; privilege is dropped —
-    Singularity runs unprivileged on HPC by design.
+    Layers, env and entrypoint are preserved.
     """
     if image.format != "docker":
         raise ContainerError("source image must be docker format")
-    return replace(image, format="singularity", privileged=False)
+    return replace(image, format="singularity")
 
 
 @dataclass
@@ -74,7 +72,6 @@ class ContainerRuntime:
 
     name: str
     format: str                          # accepted image format
-    allows_privileged: bool
     gpu_available: bool = False
     driver_cuda_version: Optional[str] = None
 
@@ -83,8 +80,6 @@ class ContainerRuntime:
         if image.format != self.format:
             return False, (f"{self.name} runs {self.format} images, "
                            f"got {image.format}")
-        if image.privileged and not self.allows_privileged:
-            return False, f"{self.name} refuses privileged containers"
         if image.needs_gpu:
             if not self.gpu_available:
                 return False, "no GPU on this runtime"
@@ -92,10 +87,10 @@ class ContainerRuntime:
                 return False, "no CUDA driver installed"
             # CUDA minor-version compatibility: driver >= image requirement.
             drv = tuple(int(x) for x in self.driver_cuda_version.split("."))
-            img = tuple(int(x) for x in image.cuda_version.split("."))
+            img = tuple(int(x) for x in IMAGE_CUDA.split("."))
             if drv < img:
                 return False, (f"driver CUDA {self.driver_cuda_version} < "
-                               f"image CUDA {image.cuda_version}")
+                               f"image CUDA {IMAGE_CUDA}")
         return True, "ok"
 
     def run(self, image: ContainerImage) -> str:
@@ -105,19 +100,17 @@ class ContainerRuntime:
         return f"{self.name}:{image.ref}:{image.digest()}"
 
 
-def juwels_singularity(driver_cuda: str = "11.2") -> ContainerRuntime:
-    """The JUWELS container runtime (Singularity, unprivileged, A100s)."""
+def juwels_singularity() -> ContainerRuntime:
+    """The JUWELS container runtime (Singularity, A100s, CUDA 11.2)."""
     return ContainerRuntime(
         name="juwels-singularity", format="singularity",
-        allows_privileged=False, gpu_available=True,
-        driver_cuda_version=driver_cuda,
+        gpu_available=True, driver_cuda_version="11.2",
     )
 
 
-def cloud_docker(driver_cuda: str = "11.0") -> ContainerRuntime:
-    """A cloud VM's Docker runtime (privileged allowed, V100-class GPUs)."""
+def cloud_docker() -> ContainerRuntime:
+    """A cloud VM's Docker runtime (V100-class GPUs, CUDA 11.0)."""
     return ContainerRuntime(
         name="cloud-docker", format="docker",
-        allows_privileged=True, gpu_available=True,
-        driver_cuda_version=driver_cuda,
+        gpu_available=True, driver_cuda_version="11.0",
     )

@@ -52,7 +52,7 @@ class JupyterKernelSpec:
 
     name: str
     modules: tuple[tuple[str, Optional[str]], ...]   # (module, version|None)
-    python_packages: tuple[str, ...] = ()
+    python_packages: tuple[str, ...]
 
     def resolve(self, env: ModuleEnvironment) -> dict[str, str]:
         """Resolve every requirement; the version-matching pain the paper
@@ -76,7 +76,6 @@ class JupyterKernelSpec:
             env=(("JUPYTER_KERNEL", self.name),),
             entrypoint="ipykernel",
             needs_gpu=needs_gpu,
-            cuda_version="11.0" if needs_gpu else None,
         )
 
 

@@ -16,7 +16,7 @@ from repro.storage.tiers import TieredStore
 
 @pytest.fixture
 def ctx():
-    return MiniSparkContext(n_partitions=4)
+    return MiniSparkContext()
 
 
 class TestRddBasics:
@@ -43,7 +43,7 @@ class TestRddBasics:
     @given(st.lists(st.integers(-100, 100), max_size=50))
     @settings(max_examples=50, deadline=None)
     def test_property_map_preserves_count(self, data):
-        ctx = MiniSparkContext(n_partitions=3)
+        ctx = MiniSparkContext()
         assert ctx.parallelize(data).map(lambda x: x + 1).count() == len(data)
 
 
@@ -64,22 +64,17 @@ class TestCaching:
 
     def test_dam_memory_keeps_cache_fast(self):
         # DAM node: everything fits DRAM-class tiers.
-        dam = MiniSparkContext(n_partitions=2, memory=TieredStore.dam_node())
+        dam = MiniSparkContext(memory=TieredStore.dam_node())
         rdd = dam.parallelize(list(range(10000))).cache()
         rdd.collect()
         assert dam.cached_fast_fraction() == pytest.approx(1.0)
 
     def test_tiny_memory_spills(self):
         tiny = MiniSparkContext(
-            n_partitions=2,
             memory=TieredStore(hbm_GB=0, ddr_GB=1e-5, nvm_GB=1.0))
         rdd = tiny.parallelize(list(range(20000))).cache()
         rdd.collect()
         assert tiny.cached_fast_fraction() < 1.0
-
-    def test_invalid_partitions(self):
-        with pytest.raises(ValueError):
-            MiniSparkContext(n_partitions=0)
 
 
 class TestTreeAggregate:
@@ -108,18 +103,18 @@ class TestLogisticRegression:
     def test_learns_blobs(self, ctx):
         X, y = _blobs()
         rows = ctx.parallelize(list(zip(X, y)))
-        model = RddLogisticRegression(n_features=2, n_iterations=40).fit(rows)
+        model = RddLogisticRegression(n_features=2).fit(rows)
         assert model.score(X, y) > 0.95
 
     def test_loss_decreases(self, ctx):
         X, y = _blobs()
         rows = ctx.parallelize(list(zip(X, y)))
-        model = RddLogisticRegression(n_features=2, n_iterations=30).fit(rows)
+        model = RddLogisticRegression(n_features=2).fit(rows)
         assert model.loss_history[-1] < model.loss_history[0]
 
     def test_probabilities_bounded(self, ctx):
         X, y = _blobs()
-        model = RddLogisticRegression(2, n_iterations=10).fit(
+        model = RddLogisticRegression(2).fit(
             ctx.parallelize(list(zip(X, y))))
         p = model.predict_proba(X)
         assert ((p >= 0) & (p <= 1)).all()
@@ -136,40 +131,21 @@ def _accuracy(model, X, y) -> float:
 class TestTreesAndForest:
     def test_tree_fits_blobs(self):
         X, y = _blobs()
-        tree = DecisionTree(max_depth=4).fit(X, y)
+        tree = DecisionTree().fit(X, y)
         assert _accuracy(tree, X, y) > 0.9
-
-    def test_tree_depth_limits_complexity(self):
-        X, y = _blobs(seed=3)
-        stump = DecisionTree(max_depth=1).fit(X, y)
-        deep = DecisionTree(max_depth=6).fit(X, y)
-        assert _accuracy(deep, X, y) >= _accuracy(stump, X, y)
-
-    def test_forest_beats_single_stump(self, ctx):
-        r = np.random.default_rng(4)
-        X = r.normal(size=(300, 4))
-        y = ((X[:, 0] > 0) ^ (X[:, 1] > 0)).astype(int)   # XOR-ish
-        stump = DecisionTree(max_depth=1).fit(X, y)
-        forest = RandomForest(n_trees=15, max_depth=5, seed=0).fit(X, y, ctx=ctx)
-        assert forest.score(X, y) > _accuracy(stump, X, y)
-        assert forest.score(X, y) > 0.9
 
     def test_forest_without_context(self):
         X, y = _blobs(seed=5)
-        forest = RandomForest(n_trees=5, max_depth=3).fit(X, y)
+        forest = RandomForest().fit(X, y)
         assert forest.score(X, y) > 0.9
 
     def test_rdd_and_serial_forest_agree(self, ctx):
         X, y = _blobs(seed=6)
-        serial = RandomForest(n_trees=6, max_depth=3, seed=2).fit(X, y)
-        parallel = RandomForest(n_trees=6, max_depth=3, seed=2).fit(X, y, ctx=ctx)
+        serial = RandomForest(seed=2).fit(X, y)
+        parallel = RandomForest(seed=2).fit(X, y, ctx=ctx)
         np.testing.assert_array_equal(serial.predict(X), parallel.predict(X))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RandomForest(n_trees=0)
-        with pytest.raises(ValueError):
-            DecisionTree(max_depth=0)
         with pytest.raises(RuntimeError):
             DecisionTree().predict(np.zeros((2, 2)))
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from repro.datasets import (
     make_imputation_windows,
 )
 from repro.core.streaming import StreamingConfig
+from repro.datasets.cxr import IMAGE_SIZE
 from repro.datasets.icu import ARDS_FRACTION
 
 
@@ -74,14 +75,13 @@ class TestBigEarthNet:
 
 class TestCovidx:
     def test_shapes_and_classes(self):
-        X, y = SyntheticCovidx(CxrConfig(n_samples=60, image_size=24,
-                                         seed=0)).generate()
-        assert X.shape == (60, 1, 24, 24)
+        X, y = SyntheticCovidx(CxrConfig(n_samples=60, seed=0)).generate()
+        assert X.shape == (60, 1, IMAGE_SIZE, IMAGE_SIZE)
         assert set(np.unique(y)) <= {0, 1, 2}
         assert len(CXR_CLASSES) == 3
 
     def test_deterministic(self):
-        cfg = CxrConfig(n_samples=10, image_size=20, seed=4)
+        cfg = CxrConfig(n_samples=10, seed=4)
         X1, y1 = SyntheticCovidx(cfg).generate()
         X2, y2 = SyntheticCovidx(cfg).generate()
         np.testing.assert_array_equal(X1, X2)
@@ -89,11 +89,11 @@ class TestCovidx:
     def test_covid_is_bilateral_pneumonia_focal(self):
         """COVID opacities hit both lungs; pneumonia one lung only —
         measured via added brightness vs the normal template."""
-        gen = SyntheticCovidx(CxrConfig(n_samples=300, image_size=32,
-                                        seed=1, noise_sigma=0.0))
+        gen = SyntheticCovidx(CxrConfig(n_samples=300, seed=1,
+                                        noise_sigma=0.0))
         X, y = gen.generate()
         normal = X[y == 0].mean(axis=0)[0]
-        hw = 32
+        hw = IMAGE_SIZE
         left = (slice(None), slice(0, hw // 2))
         right = (slice(None), slice(hw // 2, hw))
 
@@ -109,16 +109,14 @@ class TestCovidx:
         assert np.median(np.array(asym) / np.maximum(total, 1e-9)) > 0.3
 
     def test_external_validation_is_shifted_but_same_task(self):
-        gen = SyntheticCovidx(CxrConfig(n_samples=20, image_size=24, seed=0))
+        gen = SyntheticCovidx(CxrConfig(n_samples=20, seed=0))
         Xe, ye = gen.generate_external_validation(30)
-        assert Xe.shape == (30, 1, 24, 24)
+        assert Xe.shape == (30, 1, IMAGE_SIZE, IMAGE_SIZE)
         X, _ = gen.generate()
         # Distribution shift: different gain.
         assert abs(Xe.mean() - X.mean()) > 0.005
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            CxrConfig(image_size=8)
         with pytest.raises(ValueError):
             CxrConfig(noise_sigma=-1)
 

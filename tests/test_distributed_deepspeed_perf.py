@@ -1,5 +1,7 @@
 """ZeRO stage-1 sharding and the Fig. 3 scaling performance model (E3)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.distributed import (
     ZeroStage1Optimizer,
 )
 from repro.distributed.horovod import broadcast_parameters
+from repro.distributed.perfmodel import BATCH_PER_GPU
 from repro.ml import Adam, ArrayDataset, DistributedDataLoader, Tensor, cross_entropy
 from repro.ml.models import MLP
 from repro.mpi import run_spmd
@@ -20,10 +23,10 @@ X = np.concatenate([rng.normal(-2, 1, size=(48, 2)),
 Y = np.array([0] * 48 + [1] * 48)
 
 
-def _zero_train(comm, epochs=2, lr=0.01):
+def _zero_train(comm, epochs=2):
     model = MLP([2, 8, 2], seed=3)
     broadcast_parameters(model, comm)
-    opt = ZeroStage1Optimizer(model.parameters(), comm, lr=lr)
+    opt = ZeroStage1Optimizer(model.parameters(), comm)
     loader = DistributedDataLoader(ArrayDataset(X, Y), batch_size=12,
                                    rank=comm.rank, world_size=comm.size,
                                    seed=1)
@@ -83,7 +86,7 @@ class TestZeroStage1:
     def test_memory_sharded_by_world_size(self):
         def fn(comm):
             model = MLP([2, 16, 2], seed=0)
-            opt = ZeroStage1Optimizer(model.parameters(), comm, lr=0.01)
+            opt = ZeroStage1Optimizer(model.parameters(), comm)
             return (opt.local_state_bytes, opt.unsharded_state_bytes)
 
         for ws in (1, 2, 4):
@@ -97,20 +100,20 @@ class TestZeroStage1:
     def test_memory_saving_factor(self):
         def fn(comm):
             model = MLP([2, 32, 2], seed=0)
-            opt = ZeroStage1Optimizer(model.parameters(), comm, lr=0.01)
+            opt = ZeroStage1Optimizer(model.parameters(), comm)
             return opt.unsharded_state_bytes / opt.local_state_bytes
 
         out = run_spmd(fn, 4)
         assert out[0] == pytest.approx(4.0, rel=0.2)
 
     def test_validation(self):
-        def bad_lr(comm):
-            ZeroStage1Optimizer(MLP([2, 2]).parameters(), comm, lr=0.0)
+        def no_params(comm):
+            ZeroStage1Optimizer([], comm)
 
         from repro.mpi import SpmdFailure
 
         with pytest.raises(SpmdFailure):
-            run_spmd(bad_lr, 1)
+            run_spmd(no_params, 1)
 
 
 class TestPerfModel:
@@ -141,8 +144,8 @@ class TestPerfModel:
 
     def test_tuned_recipe_improves_128_gpu_point(self):
         naive = self.model.scaling_curve([128])[0]
-        tuned = self.model.with_recipe(
-            self.model.recipe.tuned()).scaling_curve([128])[0]
+        tuned = replace(self.model, recipe=self.model.recipe.tuned()
+                        ).scaling_curve([128])[0]
         assert tuned.speedup > naive.speedup
         assert tuned.efficiency > 0.9
 
@@ -153,18 +156,17 @@ class TestPerfModel:
     def test_steps_per_epoch_shrink_with_global_batch(self):
         assert self.model.steps_per_epoch(128) < self.model.steps_per_epoch(1)
         assert self.model.steps_per_epoch(1) == pytest.approx(
-            np.ceil(self.model.dataset_size / self.model.recipe.batch_per_gpu))
+            np.ceil(self.model.dataset_size / BATCH_PER_GPU))
 
     def test_v100_compute_slower_than_a100(self):
-        from dataclasses import replace
-
         v100 = DistributedTrainingPerfModel(gpu=NVIDIA_V100)
         a100 = DistributedTrainingPerfModel(gpu=NVIDIA_A100)
         assert v100.compute_time_per_step() > 2 * a100.compute_time_per_step()
 
     def test_fp16_wire_halves_grad_bytes(self):
         fp32 = self.model.grad_bytes()
-        fp16 = self.model.with_recipe(TrainingRecipe(grad_wire_bytes=2)).grad_bytes()
+        fp16 = replace(self.model,
+                       recipe=TrainingRecipe(grad_wire_bytes=2)).grad_bytes()
         assert fp16 == pytest.approx(fp32 / 2)
 
     def test_single_gpu_has_no_comm(self):
@@ -180,5 +182,5 @@ class TestPerfModel:
     def test_overlap_cannot_exceed_backward_window(self):
         # With full overlap, the step is never shorter than pure compute.
         recipe = TrainingRecipe(comm_overlap=1.0)
-        m = self.model.with_recipe(recipe)
+        m = replace(self.model, recipe=recipe)
         assert m.step_time(128) >= m.compute_time_per_step() * 0.999

@@ -174,11 +174,3 @@ class TestAccounting:
 
         assert run_spmd(fn, 1) == [0]
 
-    def test_lr_passthrough(self):
-        def fn(comm):
-            opt = DistributedOptimizer(
-                SGD(MLP([2, 2, 2]).parameters(), lr=0.5), comm)
-            opt.lr = 0.25
-            return opt.lr
-
-        assert run_spmd(fn, 2) == [0.25, 0.25]

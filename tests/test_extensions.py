@@ -51,9 +51,9 @@ class TestCheckpointing:
     def test_nam_write_faster_than_pfs(self):
         """The ref [12] claim: NAM accelerates checkpointing."""
         mgr = CheckpointManager(
-            nam=NetworkAttachedMemory(capacity_GB=64, write_GBps=8.0),
-            pfs=ParallelFileSystem("fs", n_targets=4, target_GBps=5.0))
-        comparison = mgr.path_comparison(10 * GiB, concurrent_writers=16)
+            nam=NetworkAttachedMemory(capacity_GB=64),
+            pfs=ParallelFileSystem("fs", n_targets=4))
+        comparison = mgr.path_comparison(10 * GiB)
         assert comparison["nam"] < comparison["pfs"]
 
     def test_missing_checkpoint(self):
@@ -153,7 +153,7 @@ class TestZeroStage2:
         Y = np.array([0] * 48 + [1] * 48)
         model = MLP([2, 8, 2], seed=3)
         broadcast_parameters(model, comm)
-        opt = cls(model.parameters(), comm, lr=0.01)
+        opt = cls(model.parameters(), comm)
         loader = DistributedDataLoader(ArrayDataset(X, Y), 12, comm.rank,
                                        comm.size, seed=1)
         for epoch in range(2):

@@ -117,12 +117,12 @@ class TestRemoteSensingDistributedTraining:
 class TestCovidNetCaseStudy:
     @pytest.fixture(scope="class")
     def trained(self):
-        gen = SyntheticCovidx(CxrConfig(n_samples=240, image_size=32,
-                                        noise_sigma=0.02, seed=0))
+        gen = SyntheticCovidx(CxrConfig(n_samples=240, noise_sigma=0.02,
+                                        seed=0))
         X, y = gen.generate()
         Xtr, Xte, ytr, yte = train_test_split(X, y, test_fraction=0.25,
                                               seed=0)
-        model = CovidNet(base_width=8, n_blocks=2, seed=0)
+        model = CovidNet(seed=0)
         opt = Adam(model.parameters(), lr=3e-3)
         loader_idx = np.arange(len(Xtr))
         rng = np.random.default_rng(0)
@@ -194,8 +194,8 @@ class TestArdsCaseStudy:
         model = self._fit(GruForecaster(Xtr.shape[2], hidden=16, seed=0),
                           Xtr, ytr, lr=5e-3)
         gru_mae = mae_score(model.predict(Xte), yte)
-        locf_mae = mae_score(locf_baseline(Xte, self.TARGET), yte)
-        mean_mae = mae_score(mean_baseline(Xte, self.TARGET), yte)
+        locf_mae = mae_score(locf_baseline(Xte), yte)
+        mean_mae = mae_score(mean_baseline(Xte), yte)
         assert gru_mae < locf_mae
         assert gru_mae < mean_mae
 
@@ -203,10 +203,10 @@ class TestArdsCaseStudy:
         """The paper: 'One-Dimensional CNN as promising method as well as
         GRUs for predicting missing values'."""
         Xtr, Xte, ytr, yte = windows
-        model = self._fit(Cnn1dForecaster(Xtr.shape[2], channels=16, seed=0),
+        model = self._fit(Cnn1dForecaster(Xtr.shape[2], seed=0),
                           Xtr, ytr, lr=5e-3)
         cnn_mae = mae_score(model.predict(Xte), yte)
-        mean_mae = mae_score(mean_baseline(Xte, self.TARGET), yte)
+        mean_mae = mae_score(mean_baseline(Xte), yte)
         assert cnn_mae < mean_mae
 
     def test_paper_hyperparameters_run(self, windows):
@@ -236,10 +236,10 @@ class TestSparkAutoencoderPipeline:
 
         ds = SyntheticBigEarthNet(BigEarthNetConfig(n_classes=6, seed=1))
         spectra, _ = ds.pixels(600)
-        ctx = MiniSparkContext(n_partitions=4)
+        ctx = MiniSparkContext()
         rows = ctx.parallelize(list(spectra)).cache()
 
-        ae = SpectralAutoencoder(n_bands=12, bottleneck=3, hidden=16, seed=0)
+        ae = SpectralAutoencoder(n_bands=12, bottleneck=3, seed=0)
         opt = Adam(ae.parameters(), lr=5e-3)
         before = ae.reconstruction_error(spectra)
         for _ in range(30):
@@ -261,7 +261,7 @@ class TestSparkAutoencoderPipeline:
         ds = SyntheticBigEarthNet(BigEarthNetConfig(
             n_classes=3, seed=2, noise_sigma=0.01))
         spectra, labels = ds.pixels(500)
-        ae = SpectralAutoencoder(n_bands=12, bottleneck=2, hidden=16, seed=0)
+        ae = SpectralAutoencoder(n_bands=12, bottleneck=2, seed=0)
         opt = Adam(ae.parameters(), lr=5e-3)
         for _ in range(80):
             loss = mse(ae(Tensor(spectra)), spectra)

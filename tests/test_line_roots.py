@@ -1,4 +1,5 @@
-"""Every executed line in ``src/repro`` has a root.
+"""Every executed line and every settable value in ``src/repro`` has a
+root.
 
 ``test_reachability.py`` keeps a definition alive when reached code says
 its name, so a branch that no root takes survives whenever its function is
@@ -38,7 +39,18 @@ are exempt:
   paths, guards for degenerate input), a reference a test compares
   against, or a library call only tier-1 tests make (named with its
   test).  An entry is stale only when no rule needs it: not the static
-  rules, and not this one.
+  rules, not the line rule and not the value rule.
+
+The same traced run records values.  On every call of a settable-value
+owner (:meth:`~tests.test_reachability.Program.settable`, the static
+rule's one definition), the tracer reads the :func:`canonical` value of
+each defaulted parameter from ``frame.f_locals``; an omitted argument
+reads as its default.  A settable value that takes exactly one scalar in
+every root call fails unless ``ALLOWLIST`` keeps it with one of five
+reasons (DESIGN §18): input from outside ``src/``, a seed, a field of a
+record type a check asserts, an input only a fault path varies, or a
+value an unedited pin passes.  Both rules read one cached run
+(:func:`traced_run`).
 """
 
 from __future__ import annotations
@@ -46,6 +58,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import functools
 import inspect
 import io
 import json
@@ -55,13 +68,15 @@ import subprocess
 import sys
 import tempfile
 import threading
+from enum import Enum
 from pathlib import Path
 from types import CodeType
-from typing import Iterable
+from typing import Callable, Iterable
 
 import pytest
 
-from tests.test_reachability import ALLOWLIST, repository
+from tests.test_reachability import (ALLOWLIST, Program, Settable,
+                                     repository)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
@@ -253,20 +268,88 @@ def run_roots(tmp: Path) -> None:
 # the tracer
 # ---------------------------------------------------------------------------
 
+def canonical(value) -> str:
+    """A value as the value rule compares it: ``None``, a ``bool``,
+    ``int``, ``float``, ``str``, an ``Enum`` member, or a tuple of these,
+    spelled by ``repr``; any other object is ``<its type>``."""
+    if isinstance(value, Enum):
+        return f"{type(value).__qualname__}.{value.name}"
+    if value is None or isinstance(value, (bool, int, str)):
+        return repr(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    if isinstance(value, tuple):
+        parts = [canonical(v) for v in value]
+        if not any(map(is_object, parts)):
+            return f"({', '.join(parts)}{',' * (len(parts) == 1)})"
+    return f"<{type(value).__qualname__}>"
+
+
+def is_object(value: str) -> bool:
+    """Whether a :func:`canonical` spelling stands for a non-scalar."""
+    return value.startswith("<")
+
+
 class LineTracer:
     """Records ``(file, line)`` for every line executed in a file under
-    ``root``, on every thread started while it is installed."""
+    ``root``, on every thread started while it is installed, and the
+    :func:`canonical` values every call passes to the settable values
+    ``spec`` (:func:`value_spec`) names, up to two per value."""
 
-    def __init__(self, root: Path) -> None:
+    def __init__(self, root: Path, spec: dict | None = None) -> None:
         self.prefix = str(root)
         #: Filename → executed lines (``None``: a file outside ``root``).
         self.hits: dict[str, set[int] | None] = {}
         #: Function code objects every line of which has run.
         self._done: set[CodeType] = set()
         self._left: dict[CodeType, set[int]] = {}
+        spec = spec or {"functions": [], "classes": []}
+        #: ``(file, line)`` of a function's ``def`` or first decorator, and
+        #: ``(module, class)`` of a frozen dataclass → ``(label, values)``.
+        self._functions = {(f, line): owner for f, lines, *owner
+                           in spec["functions"] for line in lines}
+        self._classes = {(m, c): owner for m, c, *owner in spec["classes"]}
+        #: ``label.param`` → the values seen so far (at most two).
+        self.values: dict[str, set[str]] = {}
+        #: Code object → the ``(label.param, param)`` pairs still to watch.
+        self._watch: dict[CodeType, list[tuple[str, str]] | None] = {}
+
+    def _owners(self, frame) -> list[tuple[str, str]] | None:
+        code = frame.f_code
+        owners = [self._functions.get((code.co_filename, code.co_firstlineno))]
+        if code.co_name == "__init__" and not code.co_filename.startswith(
+                self.prefix):
+            # A dataclass's generated ``__init__``: its file is no file.
+            cls = type(frame.f_locals.get("self"))
+            owners += [self._classes.get((k.__module__, k.__qualname__))
+                       for k in cls.__mro__]
+        watch = []
+        for owner in filter(None, owners):
+            label, params = owner
+            for param in params:
+                self.values.setdefault(f"{label}.{param}", set())
+                watch.append((f"{label}.{param}", param))
+        return self._pending(watch)
+
+    def _pending(self, watch: list[tuple[str, str]]
+                 ) -> list[tuple[str, str]] | None:
+        """The values of ``watch`` not yet seen to take two values."""
+        return [w for w in watch if len(self.values[w[0]]) < 2] or None
+
+    def _record(self, frame, watch: list[tuple[str, str]]) -> None:
+        local = frame.f_locals
+        for key, param in watch:
+            self.values[key].add(canonical(local[param]))
+        self._watch[frame.f_code] = self._pending(watch)
 
     def _call(self, frame, event, arg):
         code = frame.f_code
+        try:
+            watch = self._watch[code]
+        except KeyError:
+            watch = self._watch[code] = self._owners(frame)
+        if watch:
+            self._record(frame, watch)
         if code in self._done:
             return None
         try:
@@ -305,13 +388,44 @@ class LineTracer:
     def executed(self) -> dict[str, list[int]]:
         return {f: sorted(lines) for f, lines in self.hits.items() if lines}
 
+    def seen(self) -> dict[str, list[str]]:
+        return {key: sorted(v) for key, v in self.values.items() if v}
 
-def trace_roots(out: Path, tmp: Path) -> None:
-    """Run :func:`run_roots` under the tracer; write the executed lines of
-    ``src/repro`` to ``out`` as JSON."""
-    with LineTracer(SRC / "repro") as tracer:
+
+def value_spec(owners: dict[str, Settable], path: Callable[[str], str]
+               ) -> dict:
+    """What :class:`LineTracer` watches, as JSON: each function owner by
+    its file (``path(module)``) and the lines its code object may start on
+    (``def`` and first decorator; Python 3.10 has no ``co_qualname``), each
+    frozen dataclass by ``(module, class)``, with its label and defaulted
+    values."""
+    spec: dict = {"functions": [], "classes": []}
+    for label, owner in sorted(owners.items()):
+        if owner.fields:
+            spec["classes"].append([owner.module, owner.node.name, label,
+                                    owner.defaulted])
+        elif owner.defaulted:
+            lines = sorted({owner.node.lineno, _span(owner.node).start})
+            spec["functions"].append([path(owner.module), lines, label,
+                                      owner.defaulted])
+    return spec
+
+
+def source_path(module: str) -> str:
+    """The file of a ``src/`` module."""
+    path = SRC.joinpath(*module.split("."))
+    return str(path / "__init__.py" if path.is_dir() else
+               path.with_suffix(".py"))
+
+
+def trace_roots(out: Path, tmp: Path, spec: Path) -> None:
+    """Run :func:`run_roots` under the tracer, watching the values the
+    JSON file ``spec`` names; write the executed lines of ``src/repro``
+    and the values seen to ``out`` as JSON."""
+    with LineTracer(SRC / "repro", json.loads(spec.read_text())) as tracer:
         run_roots(tmp)
-    out.write_text(json.dumps(tracer.executed()))
+    out.write_text(json.dumps({"executed": tracer.executed(),
+                               "values": tracer.seen()}))
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +516,14 @@ def _source_files() -> dict[str, str]:
             for p in sorted((SRC / "repro").rglob("*.py"))}
 
 
-def traced_report() -> tuple[list[str], set[str]]:
-    """Run the roots in a fresh process; report what they leave."""
+@functools.cache
+def traced_run() -> tuple[dict[str, list[int]], dict[str, list[str]]]:
+    """Run the roots once, in a fresh process: the executed lines of each
+    module (by module name) and the values each settable value took."""
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "executed.json"
+        out = Path(tmp) / "traced.json"
+        spec = Path(tmp) / "spec.json"
+        spec.write_text(json.dumps(value_spec(repository()[4], source_path)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(SRC), str(REPO_ROOT)]))
         env.pop("ENGINE", None)
@@ -413,18 +531,36 @@ def traced_report() -> tuple[list[str], set[str]]:
             [sys.executable, "-c",
              "import sys; from pathlib import Path; "
              "from tests.test_line_roots import trace_roots; "
-             "trace_roots(Path(sys.argv[1]), Path(sys.argv[2]))",
-             str(out), tmp],
+             "trace_roots(*map(Path, sys.argv[1:]))",
+             str(out), tmp, str(spec)],
             cwd=tmp, env=env, check=True)
         raw = json.loads(out.read_text())
-    executed = {module_name(Path(f)): lines for f, lines in raw.items()}
-    return unexecuted(_source_files(), executed, ALLOWLIST)
+    executed = {module_name(Path(f)): lines
+                for f, lines in raw["executed"].items()}
+    return executed, raw["values"]
 
 
-def stale(allowlist: dict[str, str], static_needs: Iterable[str],
-          line_needs: Iterable[str]) -> list[str]:
+def single_valued(values: dict[str, Iterable[str]], allowlist: dict[str, str]
+                  ) -> tuple[list[str], set[str]]:
+    """``label = value`` for every settable value that took exactly one
+    scalar value in every call, outside the allowlist; and the allowlist
+    keys that cover such a value."""
+    out: list[str] = []
+    needed: set[str] = set()
+    for label, seen in sorted(values.items()):
+        seen = list(seen)
+        if len(seen) != 1 or is_object(seen[0]):
+            continue
+        if label in allowlist:
+            needed.add(label)
+        else:
+            out.append(f"{label} = {seen[0]}")
+    return out, needed
+
+
+def stale(allowlist: dict[str, str], *needs: Iterable[str]) -> list[str]:
     """Allowlist keys that no rule needs."""
-    return sorted(set(allowlist) - set(static_needs) - set(line_needs))
+    return sorted(set(allowlist).difference(*needs))
 
 
 # ---------------------------------------------------------------------------
@@ -433,13 +569,29 @@ def stale(allowlist: dict[str, str], static_needs: Iterable[str],
 
 @pytest.mark.slow
 def test_every_executed_line_has_a_root():
-    missed, needed = traced_report()
+    missed, _ = unexecuted(_source_files(), traced_run()[0], ALLOWLIST)
     assert not missed, (
         f"{len(missed)} lines of src/repro are executed by no root (delete "
         f"the branch, give it a root, or allowlist its function with a "
         f"reason):\n  " + "\n  ".join(missed))
-    _, dead, write_only, unset = repository()
-    gone = stale(ALLOWLIST, dead + write_only + unset, needed)
+
+
+@pytest.mark.slow
+def test_every_settable_value_takes_two_values():
+    single, _ = single_valued(traced_run()[1], ALLOWLIST)
+    assert not single, (
+        f"{len(single)} settable values of src/repro take one value in every "
+        f"root call (fold each into that value, or allowlist it with one of "
+        f"DESIGN §18's exemptions):\n  " + "\n  ".join(single))
+
+
+@pytest.mark.slow
+def test_every_allowlist_entry_is_needed():
+    executed, values = traced_run()
+    _, line_needs = unexecuted(_source_files(), executed, ALLOWLIST)
+    _, value_needs = single_valued(values, ALLOWLIST)
+    _, dead, write_only, unset, _ = repository()
+    gone = stale(ALLOWLIST, dead + write_only + unset, line_needs, value_needs)
     assert not gone, f"allowlisted but needed by no rule: {gone}"
 
 
@@ -565,6 +717,102 @@ def test_stale_allowlist_entry_is_reported():
     _, needed = _toy_missed(run, allowlist)
     assert stale(allowlist, ["toy.f.kept"], needed) == ["toy.gone",
                                                          "toy.spare"]
+
+
+# -- the value rule's own spellings -----------------------------------------
+
+TOY_VALUES = '''\
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Cfg:
+    rate: float
+    burst: float = 5.0
+    name: str = "a"
+
+
+def step(x, lr=0.1, momentum=0.0, shape=None):
+    return x
+
+
+def threaded(box, flag=False):
+    box.append(flag)
+'''
+
+
+def _toy_values(fn, allowlist=None) -> tuple[list[str], set[str]]:
+    """Trace ``fn(namespace)`` over :data:`TOY_VALUES` compiled as ``toy``,
+    watching the settable values the static scanner finds there; report
+    the single-valued ones."""
+    program = Program({"toy": (TOY_VALUES, False)})
+    reached = program.closure(
+        [("def", "toy", name) for name in program.sources["toy"].defs])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "toy.py"
+        path.write_text(TOY_VALUES)
+        spec = value_spec(program.settable(reached, "toy"),
+                          lambda module: str(path))
+        namespace: dict = {"__name__": "toy"}
+        exec(compile(TOY_VALUES, str(path), "exec", dont_inherit=True),
+             namespace)
+        with LineTracer(Path(tmp), json.loads(json.dumps(spec))) as tracer:
+            fn(namespace)
+    return single_valued(tracer.seen(), allowlist or {})
+
+
+def _toy_calls(ns) -> None:
+    ns["step"](1, lr=0.2, shape=[1])
+    ns["step"](2, shape=(1, [2]))
+    ns["Cfg"](1.0, burst=2.0)
+    ns["Cfg"](2.0)
+    ns["threaded"]([], True)
+    ns["threaded"]([], False)
+
+
+def test_value_rule_flags_a_parameter_every_call_passes_one_value():
+    single, _ = _toy_values(_toy_calls)
+    # ``lr`` took 0.2 and its default: two values.  ``momentum`` was
+    # omitted every time, which passes its default.
+    assert "toy.step.momentum = 0.0" in single
+    assert not any(s.startswith("toy.step.lr ") for s in single)
+
+
+def test_value_rule_reads_a_frozen_field_through_its_generated_init():
+    single, _ = _toy_values(_toy_calls)
+    assert "toy.Cfg.name = 'a'" in single
+    assert not any(s.startswith("toy.Cfg.burst ") for s in single)
+
+
+def test_value_rule_sees_a_value_passed_only_on_a_thread():
+    def run(ns):
+        _toy_calls(ns)
+        ns["threaded"]([])
+        t = threading.Thread(target=ns["threaded"], args=([], True))
+        t.start()
+        t.join()
+    single, _ = _toy_values(run)
+    assert not any(s.startswith("toy.threaded.flag ") for s in single)
+    single, _ = _toy_values(lambda ns: ns["threaded"]([]))
+    assert single == ["toy.threaded.flag = False"]
+
+
+def test_value_rule_ignores_a_non_scalar():
+    # ``shape`` took a list and a tuple holding a list: objects, never a
+    # scalar, so out of the rule's reach.
+    single, _ = _toy_values(_toy_calls)
+    assert single == ["toy.Cfg.name = 'a'", "toy.step.momentum = 0.0"]
+    assert canonical((1, "a", None, 2.5)) == "(1, 'a', None, 2.5)"
+    assert canonical(()) == "()" and canonical((True,)) == "(True,)"
+    assert is_object(canonical((1, [2])))
+
+
+def test_value_rule_skips_an_allowlisted_value_and_needs_its_entry():
+    allowlist = {"toy.step.momentum": "a seed", "toy.step.lr": "two values"}
+    single, needed = _toy_values(_toy_calls, allowlist)
+    assert single == ["toy.Cfg.name = 'a'"]
+    assert needed == {"toy.step.momentum"}
+    assert stale(allowlist, needed) == ["toy.step.lr"]
 
 
 def test_cli_roots_flag_a_new_flag_without_a_root():

@@ -208,10 +208,6 @@ class TestPowExecutor:
 
 
 class TestDevices:
-    def test_registry_lists_builtins(self):
-        names = engine.device_names()
-        assert {"cpu", "sim-gpu", "sim-gpu:v100"} <= set(names)
-
     def test_unknown_device_rejected(self):
         with pytest.raises(ValueError):
             get_device("tpu")
@@ -228,7 +224,6 @@ class TestDevices:
 
         engine.register_device("cpu-half", Half)
         assert isinstance(get_device("cpu-half"), Half)
-        assert "cpu-half" in engine.device_names()
 
     def test_cpu_clock_advances_per_kernel(self):
         dev = CpuDevice()

@@ -92,14 +92,14 @@ PRIMITIVES = {
     # binary elementwise (with broadcasting)
     "add": (lambda a: (a + a * 2.0).sum(), lambda: rng.normal(size=(3, 4))),
     "mul": (lambda a: (a * a).sum(), lambda: rng.normal(size=(3, 4))),
-    "div": (lambda a: (1.0 / a).sum(), lambda: rng.uniform(0.5, 2.0, (4,))),
+    "div": (lambda a: (a.tanh() / a).sum(), lambda: rng.uniform(0.5, 2.0, (4,))),
     "div_numerator": (lambda a: (a / 2.0).sum(), lambda: rng.normal(size=(4,))),
     # reduce
     "sum": (lambda a: (a.sum(axis=0) ** 2).sum(),
             lambda: rng.normal(size=(3, 4))),
     "sum_keepdims": (lambda a: (a.sum(axis=1, keepdims=True) * a).sum(),
                      lambda: rng.normal(size=(3, 4))),
-    "max": (lambda a: a.max(axis=1).sum(), lambda: rng.normal(size=(4, 5))),
+    "max": (lambda a: a.max().sum(), lambda: rng.normal(size=(4, 5))),
     # matmul
     "matmul": (lambda a: ((a @ a) ** 2).sum(),
                lambda: rng.normal(size=(4, 4))),
@@ -229,7 +229,7 @@ class TestFusedChains:
 
     def test_softmax_like_composite(self):
         def build(a):
-            shifted = a - a.max(axis=1, keepdims=True).detach()
+            shifted = a - a.max().detach()
             z = shifted.exp().sum(axis=1, keepdims=True).log()
             return ((shifted - z) * a).sum()
 

@@ -58,12 +58,11 @@ class TestConv1d:
     def test_output_shape(self):
         x = Tensor(rng.normal(size=(2, 3, 10)))
         w = Tensor(rng.normal(size=(4, 3, 5)))
-        assert F.conv1d(x, w, padding=2).shape == (2, 4, 10)
-        assert F.conv1d(x, w).shape == (2, 4, 6)
+        assert F.conv1d(x, w).shape == (2, 4, 10)     # "same" padding
 
     def test_gradients(self):
         check_grad(
-            lambda x, w: (F.conv1d(x, w, padding=1) ** 2).sum(),
+            lambda x, w: (F.conv1d(x, w) ** 2).sum(),
             rng.normal(size=(2, 2, 6)),
             rng.normal(size=(3, 2, 3)),
             atol=1e-4,
@@ -81,19 +80,19 @@ class TestConv1d:
 class TestPooling:
     def test_max_pool_values(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = F.max_pool2d(Tensor(x), 2).data
+        out = F.max_pool2d(Tensor(x)).data
         np.testing.assert_array_equal(out[0, 0], [[5, 7], [13, 15]])
 
     def test_max_pool_gradients(self):
         x = rng.normal(size=(2, 2, 6, 6))
-        check_grad(lambda a: (F.max_pool2d(a, 2) ** 2).sum(), x, atol=1e-4)
+        check_grad(lambda a: (F.max_pool2d(a) ** 2).sum(), x, atol=1e-4)
 
     @pytest.mark.parametrize("pool", [F.max_pool2d])
     def test_constant_pool_beside_a_trainable_operand(self, pool):
         """Like conv2d above: a pool of inputs that need no gradient
         joins no graph (holds no input alive), and a trainable sibling
         still backpropagates past it."""
-        pooled = pool(Tensor(rng.normal(size=(1, 2, 4, 4))), 2)
+        pooled = pool(Tensor(rng.normal(size=(1, 2, 4, 4))))
         assert pooled._prev == () and not pooled.requires_grad
         p = Tensor(rng.normal(size=(1, 2, 2, 2)), requires_grad=True)
         (pooled + p).sum().backward()

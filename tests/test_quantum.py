@@ -100,7 +100,7 @@ class TestAnnealer:
         Q = np.zeros((3, 3))
         Q[0, 0] = Q[1, 1] = Q[2, 2] = -1.0
         Q[0, 1] = 2.0
-        result = self._annealer().sample(Qubo(Q), num_reads=20, seed=1)
+        result = self._annealer().sample(Qubo(Q), seed=1)
         best = result.samples[0]
         assert result.energies[0] == pytest.approx(-2.0)
         assert best[2] == 1.0
@@ -108,18 +108,18 @@ class TestAnnealer:
 
     def test_samples_sorted_by_energy(self):
         Q = rng.normal(size=(6, 6))
-        result = self._annealer(sweeps=60).sample(Qubo(Q), num_reads=10, seed=2)
+        result = self._annealer(sweeps=60).sample(Qubo(Q), seed=2)
         assert (np.diff(result.energies) >= -1e-12).all()
 
     def test_deterministic_given_seed(self):
         Q = rng.normal(size=(5, 5))
-        a = self._annealer(sweeps=50).sample(Qubo(Q), num_reads=5, seed=3)
-        b = self._annealer(sweeps=50).sample(Qubo(Q), num_reads=5, seed=3)
+        a = self._annealer(sweeps=50).sample(Qubo(Q), seed=3)
+        b = self._annealer(sweeps=50).sample(Qubo(Q), seed=3)
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_lowest_returns_distinct(self):
         Q = np.diag([-1.0, 0.1, 0.1])
-        result = self._annealer(sweeps=80).sample(Qubo(Q), num_reads=20, seed=4)
+        result = self._annealer(sweeps=80).sample(Qubo(Q), seed=4)
         low = result.lowest(3)
         assert len({row.tobytes() for row in low}) == len(low)
 
@@ -127,30 +127,26 @@ class TestAnnealer:
         n = DWAVE_2000Q.max_clique + 4
         Q = rng.normal(size=(n, n))
         with pytest.raises(EmbeddingError):
-            self._annealer().sample(Qubo(Q), num_reads=1)
+            self._annealer().sample(Qubo(Q))
 
     def test_advantage_accepts_what_2000q_rejects(self):
         n = DWAVE_2000Q.max_clique + 4
         Q = rng.normal(size=(n, n))
         annealer = self._annealer(device=DWAVE_ADVANTAGE, sweeps=10)
-        result = annealer.sample(Qubo(Q), num_reads=1, seed=0)
+        result = annealer.sample(Qubo(Q), seed=0)
         assert result.n_variables == n
 
     def test_sparse_problem_bounded_by_qubits(self):
         # Diagonal-only (no interactions): qubit budget applies, not clique.
         Q = np.diag(rng.normal(size=100))
-        result = self._annealer(sweeps=5).sample(Qubo(Q), num_reads=1, seed=0)
+        result = self._annealer(sweeps=5).sample(Qubo(Q), seed=0)
         assert result.chain_length == 1
 
     def test_chain_accounting(self):
         n = 20
         Q = rng.normal(size=(n, n))
-        result = self._annealer(sweeps=5).sample(Qubo(Q), num_reads=1, seed=0)
+        result = self._annealer(sweeps=5).sample(Qubo(Q), seed=0)
         assert result.physical_qubits == n * result.chain_length
-
-    def test_invalid_reads(self):
-        with pytest.raises(ValueError):
-            self._annealer().sample(Qubo(np.eye(2)), num_reads=0)
 
 
 class TestQsvm:
@@ -163,13 +159,12 @@ class TestQsvm:
 
     def _qsvm(self, device=DWAVE_2000Q, **kw):
         annealer = SimulatedQuantumAnnealer.for_device(device, sweeps=80)
-        defaults = dict(kernel="rbf", gamma=0.5, num_reads=8, n_solutions=3)
+        defaults = dict(gamma=0.5, n_solutions=3)
         defaults.update(kw)
         return QuantumSVM(annealer, **defaults)
 
     def test_capacity_reflects_device_and_encoding(self):
         assert self._qsvm().max_training_samples() == 32          # 64 / 2 bits
-        assert self._qsvm(n_bits=4).max_training_samples() == 16
         adv = self._qsvm(device=DWAVE_ADVANTAGE)
         assert adv.max_training_samples() == 90                   # 180 / 2
 
@@ -186,13 +181,13 @@ class TestQsvm:
 
     def test_qubo_size_is_samples_times_bits(self):
         X, y = self._data(n_per=6)
-        qubo = self._qsvm(n_bits=3).build_qubo(X, y)
-        assert qubo.n_variables == 12 * 3
+        qubo = self._qsvm().build_qubo(X, y)
+        assert qubo.n_variables == 12 * QuantumSVM.N_BITS
 
     def test_qubo_energy_matches_svm_objective(self):
         """E(a) must equal the encoded dual objective for random bits."""
         X, y = self._data(n_per=4)
-        qsvm = self._qsvm(n_bits=2, xi=1.0)
+        qsvm = self._qsvm()
         qubo = qsvm.build_qubo(X, y)
         from repro.svm.kernels import rbf_kernel
 
@@ -202,7 +197,7 @@ class TestQsvm:
             bits = r.integers(0, 2, size=qubo.n_variables).astype(float)
             alphas = qsvm._decode(bits, len(y))
             ref = (0.5 * np.einsum("i,j,ij->", alphas * y, alphas * y,
-                                   K + 2.0 * qsvm.xi)
+                                   K + 2.0 * qsvm.XI)
                    - alphas.sum())
             assert qubo.energy(bits) == pytest.approx(ref, abs=1e-9)
 
@@ -214,13 +209,6 @@ class TestQsvm:
         with pytest.raises(RuntimeError):
             self._qsvm().predict(np.ones((2, 2)))
 
-    def test_parameter_validation(self):
-        annealer = SimulatedQuantumAnnealer.for_device(DWAVE_2000Q)
-        with pytest.raises(ValueError):
-            QuantumSVM(annealer, n_bits=0)
-        with pytest.raises(ValueError):
-            QuantumSVM(annealer, base=1)
-
 
 class TestQsvmEnsemble:
     def test_handles_data_beyond_device_capacity(self):
@@ -229,9 +217,8 @@ class TestQsvmEnsemble:
                             r.normal(1.2, 0.6, size=(60, 2))])
         y = np.array([-1.0] * 60 + [1.0] * 60)
         annealer = SimulatedQuantumAnnealer.for_device(DWAVE_2000Q, sweeps=60)
-        ens = QSvmEnsemble(annealer, n_members=3, kernel="rbf", gamma=0.5,
-                           num_reads=6, n_solutions=2).fit(X, y)
-        assert len(ens.members_) == 3
+        ens = QSvmEnsemble(annealer, gamma=0.5, n_solutions=2).fit(X, y)
+        assert len(ens.members_) == QSvmEnsemble.N_MEMBERS
         assert ens.score(X, y) > 0.8
         # Every member respected the device budget.
         for member in ens.members_:
@@ -239,7 +226,5 @@ class TestQsvmEnsemble:
 
     def test_validation(self):
         annealer = SimulatedQuantumAnnealer.for_device(DWAVE_2000Q)
-        with pytest.raises(ValueError):
-            QSvmEnsemble(annealer, n_members=0)
         with pytest.raises(RuntimeError):
             QSvmEnsemble(annealer).predict(np.ones((2, 2)))

@@ -46,6 +46,8 @@ a ``*`` or ``**`` splat sets every value of its owner, and a function or
 class that reached code names other than as a callee, an attribute base,
 an annotation or an ``isinstance`` argument (passed as a value) has every
 value set.  As with the member match, a live knob is never reported dead.
+:meth:`Program.settable` is the one enumeration of settable values;
+``test_line_roots.py``'s value rule watches the same ones at run time.
 """
 
 from __future__ import annotations
@@ -70,11 +72,10 @@ ALLOWLIST = {
     "repro.mpi.collectives.rabenseifner_allreduce":
         "the only executed twin of the closed form E9's expect selects at "
         "64 MiB; ROADMAP item 5(a)'s differential compares the two",
-    "repro.distributed.horovod._flatten_grads":
-        "the bit-identity reference for the pooled fusion buffer that "
-        "test_perf_regression_pins.py, kept unedited, imports from here",
     "repro.distributed.horovod._unflatten_into_grads":
-        "the scatter half of that reference, imported by the same pins",
+        "the scatter half of the bit-identity reference for the pooled "
+        "fusion buffer (_flatten_grads, which ZeRO fuses with) that "
+        "test_perf_regression_pins.py, kept unedited, imports from here",
     "repro.simnet.events.Simulator.all_of":
         "builds the scenario of the run-vs-step pin in "
         "test_perf_regression_pins.py, kept unedited",
@@ -102,6 +103,86 @@ ALLOWLIST = {
     "repro.simnet.events.Simulator.resource.name":
         "an unedited pin passes it: the run-vs-step pin in "
         "test_perf_regression_pins.py names its resource",
+    # Settable values that take one value in every root call
+    # (test_line_roots.py's value rule).  Only DESIGN §18's five
+    # exemptions may keep one.  (1) Input from outside src/: a CLI option
+    # or a benchmarks/e2e call site.
+    "repro.bench.runner.run_bench.areas":
+        "input from outside src/: repro bench --areas",
+    "repro.bench.runner.run_bench.quick":
+        "input from outside src/: repro bench --quick",
+    "repro.serving.request.TraceConfig.slo_deadline_s":
+        "input from outside src/: repro serve --slo",
+    "repro.resilience.policy.CheckpointPolicy.replicate":
+        "input from outside src/: benchmarks/e2e/workloads.py's train_dp2 "
+        "restore passes CheckpointPolicy(replicate=True)",
+    "repro.storage.checkpoint.CheckpointManager.save.replicate":
+        "input from outside src/: train_dp2's save(replicate=True)",
+    "repro.resilience.faults.FaultPlan.random.repair_s":
+        "input from outside src/: sched_backlog's FaultPlan.random("
+        "repair_s=1200.0)",
+    "repro.datasets.icu.IcuConfig.n_patients":
+        "input from outside src/: the train workloads' IcuConfig",
+    "repro.datasets.icu.IcuConfig.min_hours":
+        "input from outside src/: the same IcuConfig",
+    "repro.datasets.icu.IcuConfig.max_hours":
+        "input from outside src/: the same IcuConfig",
+    "repro.datasets.icu.make_imputation_windows.window":
+        "input from outside src/: the train workloads' windows",
+    "repro.datasets.icu.make_imputation_windows.target_channel":
+        "input from outside src/: the same windows",
+    "repro.ml.data.DataLoader.drop_last":
+        "input from outside src/: the train workloads' DataLoaders",
+    "repro.ml.models.resnet.resnet_small.in_channels":
+        "input from outside src/: the train workloads' resnet_small",
+    "repro.ml.models.resnet.resnet_small.n_classes":
+        "input from outside src/: the same resnet_small",
+    # (2) A seed: a workload input, not a policy.
+    "repro.analytics.mllib.RandomForest.seed": "a seed",
+    "repro.bench.runner.run_bench.seed": "a seed (repro bench --seed)",
+    "repro.core.streaming.StreamingConfig.seed": "a seed",
+    "repro.datasets.icu.IcuConfig.seed": "a seed",
+    "repro.distributed.horovod.run_elastic_training.seed": "a seed",
+    "repro.ml.data.DataLoader.seed": "a seed",
+    "repro.ml.data.train_test_split.seed": "a seed",
+    "repro.ml.models.autoencoder.SpectralAutoencoder.seed": "a seed",
+    "repro.ml.models.covidnet.CovidNet.seed": "a seed",
+    "repro.ml.models.gru_forecaster.Cnn1dForecaster.seed": "a seed",
+    "repro.ml.models.gru_forecaster.GruForecaster.seed": "a seed",
+    "repro.ml.models.resnet.ResNet.seed": "a seed",
+    "repro.ml.models.resnet.resnet_small.seed": "a seed",
+    "repro.scenarios.run_scenario.seed": "a seed (repro trace|drill --seed)",
+    "repro.svm.smo.SVC.seed": "a seed",
+    # (3) A field of a record type: its constancy is what a check asserts.
+    "repro.scenarios.Facts.lost_requests":
+        "a record field: the checks assert lost_requests == 0",
+    "repro.scenarios.Facts.max_rollback_versions":
+        "a record field: the rollback-bounded check asserts it",
+    "repro.scenarios.Facts.brownout_path":
+        "a record field: the chaos checks read the brownout path",
+    "repro.scenarios.Facts.invariant_gauges":
+        "a record field: the checks assert no invariant gauge is set",
+    "repro.distributed.horovod.ElasticRecovery.rollback_versions":
+        "a record field: the SDC drill bounds it",
+    "repro.workflows.containers.ContainerImage.needs_gpu":
+        "a record field: E11 expects the kernel's container to need a GPU",
+    # (4) An input only a fault path varies.
+    "repro.serving.replicas.ReplicaPool.place.avoid":
+        "an input only a fault path varies: _placement_avoid feeds it when "
+        "the detector suspects a node",
+    # (5) An unedited pin passes it.
+    "repro.simnet.events.Simulator.run.until":
+        "an unedited pin passes it: test_perf_regression_pins.py's "
+        "run(until=0.3)",
+    "repro.ml.engine.simgpu.SimGpuDevice.gpu":
+        "an unedited pin passes it: test_perf_regression_pins.py runs the "
+        "sim-gpu:v100 device",
+    "repro.core.jobs.CoAllocatedPhase.coupling_bytes":
+        "an unedited pin passes it: test_perf_regression_pins.py and "
+        "test_scheduler_dispatch_oracle.py build their co-allocations with it",
+    "repro.core.scheduler.rank_placements.n_nodes":
+        "an unedited pin passes it: test_scheduler_placement_table.py ranks "
+        "four-node placements",
     # Functions with lines no root executes (test_line_roots.py).  Failure
     # and fault paths: safety code a healthy run never enters.
     "repro.bench.paper._raises":
@@ -190,7 +271,7 @@ ALLOWLIST = {
     "repro.storage.pfs.ParallelFileSystem.read_time":
         "a read over a failed OST",
     "repro.workflows.containers.ContainerRuntime.can_run":
-        "a runtime's refusals: format, privilege, GPU, driver",
+        "a runtime's refusals: format, GPU, driver",
     "repro.ml.engine.cpu.Device._compile":
         "the bound on the plan cache",
     "repro.ml.engine.graph.LazyExpr.make":
@@ -311,8 +392,8 @@ ALLOWLIST = {
         "an unfitted or support-vector-free machine",
     "repro.telemetry.set_registry":
         "restoring the disabled default",
-    "repro.telemetry.metrics.MetricsRegistry.gauges_over":
-        "a gauge over its threshold",
+    "repro.telemetry.metrics.MetricsRegistry.broken_invariants":
+        "an invariant gauge above zero",
     "repro.telemetry.metrics.MetricsRegistry.to_text":
         "a histogram with no observations",
     "repro.workflows.containers.ContainerImage.digest":
@@ -338,6 +419,12 @@ ALLOWLIST = {
         "prices each message through ptp_between instead",
     "repro.mpi.modular.ModularCostModel.ptp":
         "the same surface: Communicator hoists cost_model.ptp",
+    # Patched by name: deleting one breaks the e2e benchmark (rule i).
+    "repro.mpi.comm.Communicator.barrier":
+        "named in benchmarks/e2e/layers.py:WRAPS (rule i)",
+    "repro.mpi.collectives.dissemination_barrier":
+        "what Communicator.barrier, named in benchmarks/e2e/layers.py:WRAPS "
+        "(rule i), runs",
     # Library calls no root makes that tier-1 tests use; deleting one
     # deletes its tests (ROADMAP item 8).
     "repro.ml.tensor.Tensor.max":
@@ -347,10 +434,6 @@ ALLOWLIST = {
         "a primitive of that gradcheck",
     "repro.ml.tensor.Tensor.transpose":
         "transpose(axes) and its backward: that gradcheck",
-    "repro.ml.tensor.Tensor.T":
-        "test_ml_tensor.py's test_T",
-    "repro.ml.tensor.Tensor.__rtruediv__":
-        "test_ml_tensor.py's test_rsub_rdiv_radd_rmul and the div gradcheck",
     "repro.ml.tensor.Tensor.realize":
         "the lazy-engine tests force a graph with it",
     "repro.ml.tensor.Tensor.realized":
@@ -365,18 +448,8 @@ ALLOWLIST = {
         "clip on either engine (the same gradcheck)",
     "repro.ml.engine.ops._exec_pow":
         "a general exponent (the pow gradcheck)",
-    "repro.ml.engine.device.device_names":
-        "test_ml_engine.py's device registry tests",
     "repro.ml.layers.Module.zero_grad":
         "the training loops of the model tests",
-    "repro.ml.losses.mse":
-        "the masked loss (test_ml_rnn_losses_optim.py)",
-    "repro.distributed.horovod.DistributedOptimizer.lr":
-        "test_distributed_horovod.py's test_lr_passthrough",
-    "repro.mpi.collectives.dissemination_barrier":
-        "Communicator.barrier (test_mpi_collectives.py's barrier tests)",
-    "repro.mpi.comm.Communicator.barrier":
-        "the same tests and test_telemetry_trace.py",
     "repro.quantum.qubo.Qubo.energies":
         "test_quantum.py's test_batch_energies",
     "repro.quantum.qsvm.QuantumSVM.predict":
@@ -389,14 +462,8 @@ ALLOWLIST = {
         "the same tests",
     "repro.resilience.detect.PhiAccrualDetector.publish":
         "the same tests",
-    "repro.resilience.integrity.CorruptionInjector.active":
-        "test_resilience_integrity.py's injector tests",
-    "repro.serving.cache.ResultCache.__len__":
-        "test_serving_components.py's cache tests",
     "repro.simnet.link.Link.transfer_time":
         "test_simnet_topology.py's link tests",
-    "repro.simnet.events.Resource.available":
-        "test_simnet_events.py's resource tests",
     "repro.simnet.events.Process._resume":
         "a process yielding a bare delay (test_simnet_events.py)",
     "repro.telemetry.metrics.Histogram.values":
@@ -405,12 +472,6 @@ ALLOWLIST = {
         "the counter reads of the telemetry tests",
     "repro.telemetry.spans.Tracer.clear":
         "test_telemetry_core.py's tracer tests",
-    "repro.svm.kernels.make_kernel":
-        "the linear and polynomial kernels (test_svm.py)",
-    "repro.svm.kernels.linear_kernel":
-        "the same tests",
-    "repro.svm.kernels.poly_kernel":
-        "the same tests",
     "repro.core.streaming.StreamingReport.latency_summary":
         "test_core_stats.py's test_report_latency_summary",
     "repro.core.stats.LatencySummary.meets_deadline":
@@ -438,6 +499,21 @@ class Source:
     imports: list[tuple[str, int]] = field(default_factory=list)
     loose: list[ast.AST] = field(default_factory=list)
     exported: set[str] = field(default_factory=set)
+
+
+@dataclass
+class Settable:
+    """The owner of settable values: a frozen dataclass or a function."""
+
+    module: str
+    node: ast.AST
+    #: The names a call to it uses (a class for its fields and ``__init__``).
+    names: set[str]
+    #: Every parameter after ``self`` (or every field), in order.
+    params: list[str]
+    #: The defaulted ones: its settable values.
+    defaulted: list[str]
+    fields: bool
 
 
 def _is_dunder(name: str) -> bool:
@@ -812,33 +888,25 @@ class Program:
                       if module.split(".")[0] == package
                       and not reads_all(owner))
 
-    def unset(self, reached: set[tuple[str, str]],
-              package: str = "repro") -> list[str]:
-        """Every settable value that no reached code sets: a defaulted
-        field of a ``frozen=True`` dataclass (``module.Class.field``) or a
-        defaulted parameter of a reached function or method
-        (``module.func.param``; an ``__init__`` parameter is
-        ``module.Class.param``).  A call sets what it passes to every owner
-        of its callee's name, a splat sets all of them, and a name used as
-        a value (not called, not an attribute base, not an annotation or an
-        ``isinstance`` argument) sets every value of what it names."""
-        # label -> (the names that call it, parameters after self,
-        # defaulted, whether ``replace`` reaches them)
-        owners: dict[str, tuple[set[str], list[str], list[str], bool]] = {}
-        bases: dict[str, set[str]] = {}
+    def settable(self, reached: set[tuple[str, str]],
+                 package: str = "repro") -> dict[str, Settable]:
+        """Every owner of settable values, by label: a ``frozen=True``
+        dataclass (``module.Class``, its defaulted fields) or a reached
+        function or method (``module.func``; an ``__init__`` is
+        ``module.Class``, its defaulted parameters).  The one definition
+        both this scanner and ``test_line_roots.py``'s value rule use."""
+        owners: dict[str, Settable] = {}
         for module, name in reached:
             if name == _LOOSE or module.split(".")[0] != package:
                 continue
             node = self.sources[module].defs[name][0]
             cls, _, member = name.rpartition(".")
             if isinstance(node, ast.ClassDef):
-                bases.setdefault(name, set()).update(
-                    ast.unparse(b).rpartition(".")[2] for b in node.bases)
                 if _is_frozen(node):
                     body = [s for s in node.body if isinstance(s, ast.AnnAssign)
                             and s.target.id in _fields(node)]
-                    owners[f"{module}.{name}"] = (
-                        {name}, [s.target.id for s in body],
+                    owners[f"{module}.{name}"] = Settable(
+                        module, node, {name}, [s.target.id for s in body],
                         [s.target.id for s in body if s.value is not None],
                         True)
             elif isinstance(node, _FUNCS) and (
@@ -852,10 +920,30 @@ class Program:
                                    for d in node.decorator_list):
                     params = params[1:]
                 init = member == "__init__"
-                owners[f"{module}.{cls if init else name}"] = (
-                    {cls} if init else {member},
-                    params + [a.arg for a in args.kwonlyargs],
-                    defaulted, False)
+                owners[f"{module}.{cls if init else name}"] = Settable(
+                    module, node, {cls} if init else {member},
+                    params + [a.arg for a in args.kwonlyargs], defaulted,
+                    False)
+        return owners
+
+    def unset(self, reached: set[tuple[str, str]],
+              package: str = "repro") -> list[str]:
+        """Every settable value (:meth:`settable`) that no reached code
+        sets: ``module.Class.field``, ``module.func.param`` or, for an
+        ``__init__`` parameter, ``module.Class.param``.  A call sets what
+        it passes to every owner of its callee's name, a splat sets all of
+        them, and a name used as a value (not called, not an attribute
+        base, not an annotation or an ``isinstance`` argument) sets every
+        value of what it names."""
+        owners = self.settable(reached, package)
+        bases: dict[str, set[str]] = {}
+        for module, name in reached:
+            if name == _LOOSE or module.split(".")[0] != package:
+                continue
+            node = self.sources[module].defs[name][0]
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(name, set()).update(
+                    ast.unparse(b).rpartition(".")[2] for b in node.bases)
         keywords: dict[str, set[str]] = {}
         positional: dict[str, int] = {}
         as_value: set[str] = set()
@@ -919,14 +1007,14 @@ class Program:
                     elif isinstance(sub, _FUNCS) and sub.returns is not None:
                         skip.update(map(id, ast.walk(sub.returns)))
         out = []
-        for label, (names, params, defaulted, fields) in owners.items():
-            if names & as_value:
+        for label, owner in owners.items():
+            if owner.names & as_value:
                 continue
-            given = set(replaced) if fields else set()
-            for n in names:
+            given = set(replaced) if owner.fields else set()
+            for n in owner.names:
                 given |= keywords.get(n, set())
-                given.update(params[:positional.get(n, 0)])
-            out += [f"{label}.{p}" for p in defaulted if p not in given]
+                given.update(owner.params[:positional.get(n, 0)])
+            out += [f"{label}.{p}" for p in owner.defaulted if p not in given]
         return sorted(out)
 
     def unused_imports(self, package: str = "repro") -> list[str]:
@@ -1004,10 +1092,10 @@ def stale_entries(allowlist: dict[str, str], dead: Iterable[str]) -> list[str]:
 
 @functools.cache
 def repository() -> tuple[Program, tuple[str, ...], tuple[str, ...],
-                          tuple[str, ...]]:
+                          tuple[str, ...], dict[str, Settable]]:
     """The program, what its roots do not reach, the state that what they
-    reach only writes, and the settable values that nothing they reach
-    sets."""
+    reach only writes, the settable values that nothing they reach sets,
+    and the owners of every settable value they reach."""
     files = {}
     for path in sorted((SRC / "repro").rglob("*.py")):
         name, is_package = _module_name(path, SRC)
@@ -1028,7 +1116,8 @@ def repository() -> tuple[Program, tuple[str, ...], tuple[str, ...],
     roots += wraps_targets((E2E / "layers.py").read_text())
     reached = program.closure(roots)
     return (program, tuple(program.unreached(reached)),
-            tuple(program.write_only(reached)), tuple(program.unset(reached)))
+            tuple(program.write_only(reached)), tuple(program.unset(reached)),
+            program.settable(reached))
 
 
 # ---------------------------------------------------------------------------
@@ -1078,10 +1167,14 @@ def defined_names() -> set[str]:
 
 def test_allowlist_is_not_stale():
     """An entry these rules need is one they report.  Any other entry must
-    name a function or class, for test_line_roots.py's line rule, whose
-    slow test fails on an entry that covers no unexecuted line."""
-    stale = stale_entries(ALLOWLIST, repository()[1] + repository()[2]
-                          + repository()[3] + tuple(defined_names()))
+    name a function or class, for test_line_roots.py's line rule, or a
+    settable value, for its value rule; its slow test fails on an entry
+    that no rule needs."""
+    _, dead, write_only, unset, owners = repository()
+    values = tuple(f"{label}.{v}" for label, owner in owners.items()
+                   for v in owner.defaulted)
+    stale = stale_entries(ALLOWLIST, dead + write_only + unset + values
+                          + tuple(defined_names()))
     assert not stale, f"allowlisted but reached or gone: {stale}"
     assert all(reason.strip() for reason in ALLOWLIST.values())
 

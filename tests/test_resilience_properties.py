@@ -27,8 +27,7 @@ from repro.resilience import (
 )
 from tests.test_resilience_retry_edges import delays
 
-RETRY = RetryPolicy(max_retries=3, base_delay_s=20.0, backoff_factor=2.0,
-                    jitter=0.25, seed=0)
+RETRY = RetryPolicy(max_retries=3, base_delay_s=20.0, seed=0)
 
 
 def retries_per_job(res) -> dict[str, int]:
@@ -173,12 +172,9 @@ class TestRetryPolicyProperties:
     @pytest.mark.parametrize("seed", range(20))
     def test_delays_monotone_for_random_policies(self, seed):
         rng = np.random.default_rng(seed)
-        jitter = float(rng.uniform(0.0, 0.9))
         policy = RetryPolicy(
             max_retries=int(rng.integers(1, 8)),
             base_delay_s=float(rng.uniform(1.0, 120.0)),
-            backoff_factor=float(rng.uniform(1.0 + jitter, 4.0)),
-            jitter=jitter,
             seed=seed,
         )
         schedule = delays(policy, key="job")
@@ -187,13 +183,9 @@ class TestRetryPolicyProperties:
         assert all(0 < d <= policy.max_delay_s for d in schedule)
 
     def test_jitter_depends_on_key_not_call_order(self):
-        policy = RetryPolicy(max_retries=4, jitter=0.5, backoff_factor=2.0)
+        policy = RetryPolicy(max_retries=4)
         assert delays(policy, "a") == delays(policy, "a")
         assert delays(policy, "a") != delays(policy, "b")
-
-    def test_factor_below_one_plus_jitter_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=1.1, jitter=0.25)
 
 
 class TestFaultPlanProperties:

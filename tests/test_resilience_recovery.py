@@ -40,7 +40,7 @@ def _manager(**kwargs):
 def _train(n_steps=12, world_size=4, seed=5, **kwargs):
     return run_elastic_training(
         _factory, X, Y, n_steps=n_steps, batch_size=16,
-        world_size=world_size, lr=0.05, seed=seed, **kwargs)
+        world_size=world_size, seed=seed, **kwargs)
 
 
 class TestGlobalBatches:

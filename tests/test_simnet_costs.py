@@ -6,9 +6,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.distributed import DistributedTrainingPerfModel, TrainingRecipe
 from repro.simnet import (
     CommCostModel,
-    CollectiveCosts,
     LinkKind,
     allreduce_recursive_doubling_time,
     allreduce_ring_time,
@@ -17,7 +17,9 @@ from repro.simnet import (
     ptp_time,
 )
 
-ALPHA, BETA, GAMMA = 1e-6, 4e-11, 5e-12
+from repro.simnet.costs import ALLREDUCE_TIMES, GAMMA
+
+ALPHA, BETA = 1e-6, 4e-11
 
 
 def test_ptp_alpha_beta():
@@ -33,45 +35,45 @@ def test_single_rank_collectives_are_free():
 def test_ring_formula():
     p, n = 8, 1e6
     expected = 2 * 7 * ALPHA + 2 * n * BETA * 7 / 8 + n * GAMMA * 7 / 8
-    assert allreduce_ring_time(p, n, ALPHA, BETA, GAMMA) == pytest.approx(expected)
+    assert allreduce_ring_time(p, n, ALPHA, BETA) == pytest.approx(expected)
 
 
 def test_recursive_doubling_formula():
     p, n = 8, 1e6
     expected = 3 * (ALPHA + n * BETA + n * GAMMA)
-    assert allreduce_recursive_doubling_time(p, n, ALPHA, BETA, GAMMA) == \
+    assert allreduce_recursive_doubling_time(p, n, ALPHA, BETA) == \
         pytest.approx(expected)
 
 
 def test_ring_bandwidth_term_saturates_with_p():
-    """Ring's bandwidth term approaches 2nβ — (p-1)/p saturation."""
+    """Ring's bandwidth term approaches n(2β + γ) — (p-1)/p saturation."""
     n = 1e8
     t64 = allreduce_ring_time(64, n, 0.0, BETA)
     t1024 = allreduce_ring_time(1024, n, 0.0, BETA)
-    assert t1024 < 2 * n * BETA
+    assert t1024 < n * (2 * BETA + GAMMA)
     assert t1024 / t64 < 1.02
 
 
 def test_small_messages_favour_recursive_doubling():
-    t_ring = allreduce_ring_time(64, 64, ALPHA, BETA, GAMMA)
-    t_rd = allreduce_recursive_doubling_time(64, 64, ALPHA, BETA, GAMMA)
+    t_ring = allreduce_ring_time(64, 64, ALPHA, BETA)
+    t_rd = allreduce_recursive_doubling_time(64, 64, ALPHA, BETA)
     assert t_rd < t_ring
 
 
 def test_large_messages_favour_ring_or_rabenseifner():
     n = 1e9
-    t_ring = allreduce_ring_time(64, n, ALPHA, BETA, GAMMA)
-    t_rd = allreduce_recursive_doubling_time(64, n, ALPHA, BETA, GAMMA)
+    t_ring = allreduce_ring_time(64, n, ALPHA, BETA)
+    t_rd = allreduce_recursive_doubling_time(64, n, ALPHA, BETA)
     assert t_ring < t_rd
 
 
 def test_best_allreduce_picks_minimum():
     for n in (64, 1e4, 1e6, 1e9):
-        t, name = best_allreduce_time(32, n, ALPHA, BETA, GAMMA)
+        t, name = best_allreduce_time(32, n, ALPHA, BETA)
         candidates = [
-            allreduce_ring_time(32, n, ALPHA, BETA, GAMMA),
-            allreduce_recursive_doubling_time(32, n, ALPHA, BETA, GAMMA),
-            allreduce_rabenseifner_time(32, n, ALPHA, BETA, GAMMA),
+            allreduce_ring_time(32, n, ALPHA, BETA),
+            allreduce_recursive_doubling_time(32, n, ALPHA, BETA),
+            allreduce_rabenseifner_time(32, n, ALPHA, BETA),
         ]
         assert t == pytest.approx(min(candidates))
 
@@ -91,7 +93,7 @@ def test_invalid_args_rejected():
 def test_property_all_costs_positive_and_finite(p, nbytes):
     for fn in (allreduce_ring_time, allreduce_recursive_doubling_time,
                allreduce_rabenseifner_time):
-        t = fn(p, nbytes, ALPHA, BETA, GAMMA)
+        t = fn(p, nbytes, ALPHA, BETA)
         assert t > 0 and math.isfinite(t)
 
 
@@ -104,14 +106,14 @@ def test_property_rabenseifner_never_beats_both_lower_bounds(p, nbytes):
     """Any allreduce needs >= the bandwidth lower bound 2nβ(p-1)/p."""
     lower = 2 * nbytes * BETA * (p - 1) / p
     for fn in (allreduce_ring_time, allreduce_rabenseifner_time):
-        assert fn(p, nbytes, ALPHA, BETA, 0.0) >= lower * 0.999999
+        assert fn(p, nbytes, ALPHA, BETA) >= lower * 0.999999
 
 
 @given(nbytes=st.floats(min_value=1.0, max_value=1e9))
 @settings(max_examples=50, deadline=None)
 def test_property_costs_monotone_in_message_size(nbytes):
-    t1 = allreduce_ring_time(16, nbytes, ALPHA, BETA, GAMMA)
-    t2 = allreduce_ring_time(16, nbytes * 2, ALPHA, BETA, GAMMA)
+    t1 = allreduce_ring_time(16, nbytes, ALPHA, BETA)
+    t2 = allreduce_ring_time(16, nbytes * 2, ALPHA, BETA)
     assert t2 > t1
 
 
@@ -120,20 +122,21 @@ class TestCommCostModel:
         model = CommCostModel.of_kind(LinkKind.INFINIBAND_HDR)
         assert model.alpha > 0 and model.beta > 0
 
-    def test_collective_costs_facade(self):
-        costs = CollectiveCosts(CommCostModel.of_kind(LinkKind.INFINIBAND_HDR))
-        assert costs.allreduce(8, 1e6) > 0
-        assert costs.allreduce(8, 1e6, algorithm="ring") > 0
+    def test_closed_forms_by_name(self):
+        m = CommCostModel.of_kind(LinkKind.INFINIBAND_HDR)
+        assert best_allreduce_time(8, 1e6, m.alpha, m.beta)[0] > 0
+        assert ALLREDUCE_TIMES["ring"](8, 1e6, m.alpha, m.beta) > 0
 
     def test_unknown_algorithm_rejected(self):
-        costs = CollectiveCosts(CommCostModel.of_kind(LinkKind.EXTOLL))
-        with pytest.raises(ValueError):
-            costs.allreduce(8, 1e6, algorithm="magic")
+        model = DistributedTrainingPerfModel(
+            fabric=CommCostModel.of_kind(LinkKind.EXTOLL),
+            recipe=TrainingRecipe(allreduce_algorithm="magic"))
+        with pytest.raises(KeyError):
+            model.allreduce_time(8)
 
     def test_auto_never_worse_than_named(self):
-        costs = CollectiveCosts(CommCostModel.of_kind(LinkKind.INFINIBAND_EDR))
+        m = CommCostModel.of_kind(LinkKind.INFINIBAND_EDR)
         for n in (100, 1e5, 1e8):
-            auto = costs.allreduce(32, n)
-            assert auto <= costs.allreduce(32, n, algorithm="ring") + 1e-15
-            assert auto <= costs.allreduce(
-                32, n, algorithm="recursive-doubling") + 1e-15
+            auto, _ = best_allreduce_time(32, n, m.alpha, m.beta)
+            for fn in ALLREDUCE_TIMES.values():
+                assert auto <= fn(32, n, m.alpha, m.beta) + 1e-15

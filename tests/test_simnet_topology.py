@@ -43,22 +43,22 @@ class TestLink:
 
 class TestFatTree:
     def test_node_count(self):
-        topo = fat_tree(40, LinkKind.INFINIBAND_EDR, radix=16)
+        topo = fat_tree(40, LinkKind.INFINIBAND_EDR)
         assert _count(topo, terminal=True) == 40
         # 3 leaves + 1 spine
         assert _count(topo, terminal=False) == 4
 
     def test_same_leaf_two_hops(self):
-        topo = fat_tree(32, LinkKind.INFINIBAND_EDR, radix=16)
+        topo = fat_tree(32, LinkKind.INFINIBAND_EDR)
         assert len(topo.path(("node", 0), ("node", 1))) - 1 == 2
 
     def test_cross_leaf_four_hops(self):
-        topo = fat_tree(32, LinkKind.INFINIBAND_EDR, radix=16)
+        topo = fat_tree(32, LinkKind.INFINIBAND_EDR)
         assert len(topo.path(("node", 0), ("node", 20))) - 1 == 4
 
     def test_uplink_not_bottleneck(self):
         # The fat uplink should leave the access link as the bottleneck.
-        topo = fat_tree(32, LinkKind.INFINIBAND_EDR, radix=16)
+        topo = fat_tree(32, LinkKind.INFINIBAND_EDR)
         access_bw = Link.of_kind(LinkKind.INFINIBAND_EDR).bandwidth_Bps
         assert topo.path_bandwidth(("node", 0), ("node", 20)) == access_bw
 
@@ -69,8 +69,6 @@ class TestFatTree:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             fat_tree(0, LinkKind.INFINIBAND_EDR)
-        with pytest.raises(ValueError):
-            fat_tree(4, LinkKind.INFINIBAND_EDR, radix=1)
 
 
 class TestFederation:

@@ -55,7 +55,7 @@ class TestParallelFileSystem:
             pfs.create("/huge", 3 * 10 ** 14)
 
     def test_wide_stripe_reads_faster(self):
-        pfs = ParallelFileSystem("fs", n_targets=16, target_GBps=5.0)
+        pfs = ParallelFileSystem("fs", n_targets=16)
         wide = pfs.create("/wide", 100 * GiB, stripe_count=16)
         narrow = pfs.create("/narrow", 100 * GiB, stripe_count=1)
         assert pfs.read_time(wide) < pfs.read_time(narrow) / 8
@@ -78,7 +78,7 @@ class TestParallelFileSystem:
         assert pfs.used_bytes == 0
 
     def test_aggregate_bandwidth_from_layout(self):
-        pfs = ParallelFileSystem("fs", n_targets=8, target_GBps=5.0)
+        pfs = ParallelFileSystem("fs", n_targets=8)
         f = pfs.create("/x", GiB, stripe_count=4)
         assert pfs.aggregate_read_GBps(f) == 20.0
 

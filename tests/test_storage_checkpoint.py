@@ -96,7 +96,7 @@ class TestPolicy:
 
 
 def test_path_comparison_nam_faster(mgr):
-    comparison = mgr.path_comparison(1 << 30, concurrent_writers=16)
+    comparison = mgr.path_comparison(1 << 30)
     assert comparison["nam"] < comparison["pfs"]
 
 

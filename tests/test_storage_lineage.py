@@ -5,6 +5,7 @@ import pytest
 
 from repro import telemetry
 from repro.resilience.policy import CheckpointPolicy
+from repro.storage import checkpoint
 from repro.storage.checkpoint import (
     CheckpointError,
     CheckpointManager,
@@ -15,12 +16,11 @@ from repro.storage.nam import NetworkAttachedMemory
 from repro.storage.pfs import ParallelFileSystem
 
 
-def make_manager(keep_last=3, anchor_every=0):
+def make_manager(anchor_every=0):
     return CheckpointManager(
         nam=NetworkAttachedMemory(capacity_GB=1),
         pfs=ParallelFileSystem("pfs", n_targets=4),
-        retention=CheckpointRetention(keep_last=keep_last,
-                                      anchor_every=anchor_every))
+        retention=CheckpointRetention(anchor_every=anchor_every))
 
 
 def state_at(step):
@@ -29,7 +29,7 @@ def state_at(step):
 
 class TestLineage:
     def test_versions_accumulate_within_retention(self):
-        mgr = make_manager(keep_last=3)
+        mgr = make_manager()
         for step in (1, 2, 3):
             mgr.save("m", step=step, state=state_at(step))
         records = mgr._lineage("m", "nam")
@@ -56,28 +56,28 @@ class TestLineage:
 
 class TestRetentionGC:
     def test_keep_last_window(self):
-        mgr = make_manager(keep_last=2)
+        mgr = make_manager()
         with telemetry.capture() as (_, registry):
             for step in range(1, 6):
                 mgr.save("m", step=step, state=state_at(step))
             deleted = [v for _, inst in
                        registry.members("checkpoint_gc_deleted_total")
                        for v in [inst.value]]
-        assert [r.step for r in mgr._lineage("m", "nam")] == [4, 5]
-        assert sum(deleted) == 3
+        assert [r.step for r in mgr._lineage("m", "nam")] == [3, 4, 5]
+        assert sum(deleted) == 2
 
     def test_anchors_survive_past_window(self):
-        mgr = make_manager(keep_last=2, anchor_every=4)
+        mgr = make_manager(anchor_every=4)
         for step in range(1, 10):
             mgr.save("m", step=step, state=state_at(step))
         kept = [r.step for r in mgr._lineage("m", "nam")]
-        assert kept == [4, 8, 9]   # anchors 4 & 8 plus last-2 window {8, 9}
+        assert kept == [4, 7, 8, 9]   # anchors 4 & 8 plus the window {7, 8, 9}
 
-    def test_gc_never_deletes_newest_verified(self):
+    def test_gc_never_deletes_newest_verified(self, monkeypatch):
         """The load-bearing invariant: when rot lands on every version
         inside the keep window, the newest *verified* (older) version
         survives GC even though plain retention would delete it."""
-        mgr = make_manager(keep_last=3)
+        mgr = make_manager()
         with telemetry.capture():
             for step in (1, 2, 3):
                 mgr.save("m", step=step, state=state_at(step))
@@ -85,7 +85,7 @@ class TestRetentionGC:
                     mgr.corrupt("m", "nam")   # rot strikes versions 1, 2
             # Tighten the window so plain retention would delete step 1,
             # the only copy that still verifies.
-            mgr.retention = CheckpointRetention(keep_last=1)
+            monkeypatch.setattr(checkpoint, "KEEP_LAST", 1)
             mgr.gc("m", "nam")
         kept = [r.step for r in mgr._lineage("m", "nam")]
         assert 1 in kept, "newest verified version must survive GC"
@@ -95,11 +95,11 @@ class TestRetentionGC:
     def test_gc_on_intact_lineage_ignores_verified_bonus(self):
         """With everything intact the newest-verified rule adds nothing:
         the window alone decides, so old versions are actually pruned."""
-        mgr = make_manager(keep_last=1)
+        mgr = make_manager()
         with telemetry.capture():
-            for step in (1, 2, 3):
+            for step in (1, 2, 3, 4, 5):
                 mgr.save("m", step=step, state=state_at(step))
-        assert [r.step for r in mgr._lineage("m", "nam")] == [3]
+        assert [r.step for r in mgr._lineage("m", "nam")] == [3, 4, 5]
 
 
 class TestVerifiedRestore:
@@ -125,7 +125,7 @@ class TestVerifiedRestore:
         assert restore.target == "pfs"
 
     def test_bounded_rollback_raises(self):
-        mgr = make_manager(keep_last=5)
+        mgr = make_manager()
         with telemetry.capture():
             for step in (1, 2, 3):
                 mgr.save("m", step=step, state=state_at(step))

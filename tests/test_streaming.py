@@ -90,24 +90,21 @@ class TestSimulation:
 class TestCapacityPlanning:
     def test_finds_minimal_capacity(self):
         n, report = capacity_for_deadline(
-            arrival_rate_per_s=5.0, service_time_s=0.5, deadline_s=1.5,
-            duration_s=600.0)
+            arrival_rate_per_s=5.0, service_time_s=0.5, deadline_s=1.5)
         assert n >= 3                      # λ·s = 2.5 is the hard floor
         assert report.meets_deadline(1.5)
 
     def test_tighter_deadline_needs_more_servers(self):
-        loose, _ = capacity_for_deadline(5.0, 0.5, deadline_s=5.0,
-                                         duration_s=600.0)
-        tight, _ = capacity_for_deadline(5.0, 0.5, deadline_s=0.8,
-                                         duration_s=600.0)
+        loose, _ = capacity_for_deadline(5.0, 0.5, deadline_s=5.0)
+        tight, _ = capacity_for_deadline(5.0, 0.5, deadline_s=0.8)
         assert tight >= loose
 
     def test_impossible_deadline_rejected(self):
         with pytest.raises(ValueError):
             capacity_for_deadline(1.0, 1.0, deadline_s=0.5)
 
-    def test_capacity_cap_enforced(self):
+    def test_capacity_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(streaming, "PLANNING_DURATION_S", 20.0)
         with pytest.raises(RuntimeError):
             # Jitter puts p99 service above 1.05 s on any pool size.
-            capacity_for_deadline(20.0, 1.0, deadline_s=1.05,
-                                  duration_s=20.0)
+            capacity_for_deadline(20.0, 1.0, deadline_s=1.05)

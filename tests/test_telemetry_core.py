@@ -63,7 +63,7 @@ class TestTracer:
     def test_span_context_manager_reads_clock(self):
         tr = Tracer()
         clock = iter([1.0, 4.0])
-        with tr.span("step", "train", lambda: next(clock), track="train"):
+        with tr.span("step", "train", lambda: next(clock)):
             pass
         (s,) = tr.spans
         assert (s.start_s, s.duration_s) == (1.0, 3.0)
@@ -201,12 +201,12 @@ class TestMetricsRegistry:
         assert reg.names() == []
         assert reg.to_prometheus() == ""
 
-    def test_gauges_over(self):
+    def test_broken_invariants(self):
         reg = MetricsRegistry()
         reg.gauge("serving_invariant_violations").set(0)
         reg.gauge("other_invariant_thing", module="esb").set(2)
         reg.gauge("unrelated").set(9)
-        hits = reg.gauges_over(0.0, name_contains="invariant")
+        hits = reg.broken_invariants()
         assert hits == [("other_invariant_thing",
                          (("module", "esb"),), 2.0)]
 
