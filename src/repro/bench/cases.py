@@ -371,6 +371,7 @@ def fused_allreduce_step(quick: bool, seed: int) -> CaseRun:
         "weights_bitwise_equal": Budget("higher", 0.0),
         "modeled_step_speedup": Budget("higher", 0.0),
         "modeled_step_device_us": Budget("lower", 0.0),
+        "graph_walks_after_warmup": Budget("lower", 0.0),
     },
     description="training step under ENGINE=lazy: allocation and modeled "
                 "sim-gpu step-time gain over eager dispatch, outputs "
@@ -391,6 +392,7 @@ def engine_lazy_train_step(quick: bool, seed: int) -> CaseRun:
         "step_compute_unfused_us": _round6(unfused_s * 1e6),
         "modeled_step_speedup": _round6(unfused_s / fused_s),
         "modeled_step_device_us": _round6(step_s * 1e6),
+        "graph_walks_after_warmup": float(lazy["graph_walks_after_warmup"]),
         "weights_bitwise_equal": float(
             np.array_equal(e_weights.view(np.uint64),
                            l_weights.view(np.uint64))),
@@ -482,9 +484,10 @@ def _engine_train(mode: str, steps: int, seed: int):
                 opt.step()
                 losses.append(float(loss.item()))
                 if step == 0:
-                    warmup_compiles = stats.plan_compiles
+                    warmup = stats.plan_compiles, stats.graph_walks
             snap = stats.snapshot()
-    snap["plan_compiles_after_warmup"] = snap["plan_compiles"] - warmup_compiles
+    snap["plan_compiles_after_warmup"] = snap["plan_compiles"] - warmup[0]
+    snap["graph_walks_after_warmup"] = snap["graph_walks"] - warmup[1]
     state = model.state_dict()
     weights = np.concatenate([state[k].ravel() for k in sorted(state)])
     return losses, weights, snap
@@ -527,6 +530,7 @@ def _simgpu_step_cost(batch: int, seed: int):
         "weights_bitwise_equal": Budget("higher", 0.0),
         "recomputes_per_step": Budget("lower", 0.0),
         "plan_compiles_after_warmup": Budget("lower", 0.0),
+        "graph_walks_after_warmup": Budget("lower", 0.0),
         "grad_copies_per_step": Budget("lower", 0.0),
     },
     description="MLP train steps: ENGINE=lazy vs eager allocations, "
@@ -546,6 +550,7 @@ def mlp_train_step_engine(quick: bool, seed: int) -> CaseRun:
         "recomputes_per_step": _round6(lazy["recomputes"] / steps),
         "plan_compiles_after_warmup": float(
             lazy["plan_compiles_after_warmup"]),
+        "graph_walks_after_warmup": float(lazy["graph_walks_after_warmup"]),
         "grad_copies_per_step": _round6(lazy["grad_copies"] / steps),
         "weights_bitwise_equal": float(
             np.array_equal(e_weights.view(np.uint64),

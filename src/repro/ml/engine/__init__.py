@@ -5,6 +5,7 @@ A tinygrad-style execution layer under :class:`repro.ml.tensor.Tensor`:
 * :mod:`~repro.ml.engine.ops` — the primitive-op set (unary/binary
   elementwise, reduce, matmul, movement),
 * :mod:`~repro.ml.engine.graph` — :class:`LazyExpr`, the recorded graph,
+  each node interned under an entry that matches a realize to its plan,
   and the walk that keys a pending subgraph by its structure,
 * :mod:`~repro.ml.engine.fuser` — elementwise→elementwise and
   elementwise→reduce chain fusion into single kernels, values saved for

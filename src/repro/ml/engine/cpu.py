@@ -1,27 +1,20 @@
 """Fused-kernel execution on NumPy and the ``cpu`` device.
 
-:meth:`Device.realize` is the one executor every backend shares, and it
-is *lookup-or-compile, then replay*.  The structural key of the pending
-subgraph (:func:`~repro.ml.engine.graph.pending`) finds a compiled **plan**
-on the device; on a miss :func:`~repro.ml.engine.fuser.schedule` runs
-once and its kernels are flattened into one: per kernel a tuple of
-``(execute, argument registers, out= register, destination register)``
-steps with the kernel's cost, counters and span attributes worked out
-ahead.  Replaying a plan walks no graph and builds no :class:`Kernel`, so
-a training loop — the same structure every step — schedules during its
-first step and only replays afterwards.
+:meth:`Device.realize` is the one executor every backend shares: *match,
+then lookup-or-compile, then replay* (DESIGN §12).  A binding recorded on
+the root's entry (:func:`~repro.ml.engine.graph.bind`) hands over the
+plan and its registers without a walk; otherwise the structural key of
+the pending subgraph (:func:`~repro.ml.engine.graph.pending`) finds the
+plan on the device, and on a miss :func:`~repro.ml.engine.fuser.schedule`
+runs once and its kernels are flattened into per-op steps with each
+kernel's cost, counters and span attributes worked out ahead.
 
 A plan replays the exact eager ufunc sequence of each kernel in topo
-order and eliminates intermediate allocations by retargeting a dying
-temp as the ``out=`` buffer of the next elementwise op.  Reuse is only
-attempted on buffers the kernel allocated itself (never on views of
-leaves), only at a temp's last use, and only on exact shape/dtype
-matches — the cases where ``ufunc(..., out=buf)`` is defined to produce
-bit-identical values.  All of it is decided from shapes at compile time:
-a plan holds indices and numbers, never an array or a graph node.
-Buffers are *not* pooled across replays — a kernel output escapes into a
-``Tensor`` (and on into backward closures and user code), so the engine
-never owns one long enough to hand it out again.
+order, retargeting a dying temp the kernel allocated itself as the
+``out=`` buffer of the next elementwise op on exact shape/dtype matches
+only — where ``ufunc(..., out=buf)`` gives bit-identical values.  It
+holds indices and numbers, never an array or a graph node.  Buffers are
+not pooled across replays: a kernel output escapes into a ``Tensor``.
 
 :class:`CpuDevice` prices kernels with a deterministic nominal cost
 model (so CPU runs produce telemetry spans on a simulated clock too) —
@@ -38,7 +31,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.ml.engine.fuser import Kernel, schedule
-from repro.ml.engine.graph import LazyExpr, pending
+from repro.ml.engine.graph import Binding, LazyExpr, bind, pending
 from repro.ml.engine.ops import ELEMENTWISE_KINDS, OPS
 from repro.ml.engine.stats import STATS
 
@@ -50,8 +43,10 @@ PLAN_CACHE_SIZE = 512
 class PlannedKernel(NamedTuple):
     """One fused kernel of a plan — registers and numbers, nothing live."""
 
-    #: Per op: ``(execute, argument registers, out= register, destination)``.
-    steps: tuple[tuple[Callable, tuple[int, ...], Optional[int], int], ...]
+    #: Per op: ``(execute, argument register, second argument register or
+    #: None, out= register, destination)`` — every op takes one or two.
+    steps: tuple[tuple[Callable, int, Optional[int], Optional[int], int],
+                 ...]
     outs: tuple[int, ...]       #: cached on their nodes: saved interiors, output
     interior: tuple[int, ...]   #: executed through and dropped
     name: str                   #: of the telemetry span
@@ -83,6 +78,9 @@ class Device:
         self._time_ps = 0
         self._plans: dict[tuple, tuple[PlannedKernel, ...]] = {}
         self._plans_lock = threading.Lock()     # rank threads share a device
+        #: What a binding names this device by; replaced on every eviction,
+        #: so an evicted plan compiles again.
+        self._epoch = object()
 
     # -- clock ---------------------------------------------------------------
     @property
@@ -134,8 +132,9 @@ class Device:
                 if spec.allocates and reuse is None:
                     allocs += 1
                     alloc_bytes += node.nbytes
-                steps.append((spec.execute,
-                              tuple(reg[id(src)] for src in node.inputs),
+                args = [reg[id(src)] for src in node.inputs]
+                steps.append((spec.execute, args[0],
+                              args[1] if len(args) > 1 else None,
                               reuse, reg[id(node)]))
             flops, nbytes = kernel.flops, kernel.bytes_moved
             cost = self.kernel_time_s(flops, nbytes, kernel.n_ops)
@@ -150,26 +149,40 @@ class Device:
         with self._plans_lock:
             if len(self._plans) >= PLAN_CACHE_SIZE:
                 del self._plans[next(iter(self._plans))]
+                self._epoch = object()
             self._plans[key] = plan
         return plan
 
     def realize(self, root: LazyExpr) -> np.ndarray:
         stats = STATS if STATS.enabled else None
-        topo, external, key = pending(root)
-        plan = self._plans.get(key)
+        b = root.entry.binding
+        bound = (bind(root, b) if b is not None and b.epoch is self._epoch
+                 else None)
+        if bound is not None:
+            topo, external = bound
+            plan, compiled = b.plan, False
+        else:
+            topo, external, key, edges = pending(root)
+            plan = self._plans.get(key)
+            compiled = plan is None
+            if compiled:
+                plan = self._compile(root, topo, external, key)
+            root.entry.binding = Binding(self._epoch, plan, root.saved, *edges)
+            if stats is not None:
+                stats.graph_walks += 1
         if stats is not None:
             stats.realizes += 1
             stats.recomputes += root.fused_away
-            stats.plan_hits += plan is not None
-            stats.plan_compiles += plan is None
-        if plan is None:
-            plan = self._compile(root, topo, external, key)
+            stats.plan_hits += not compiled
+            stats.plan_compiles += compiled
         regs = [None] * len(topo)
         regs.extend([src.result for src in external])
         tracer = telemetry.get_tracer()
+        tracing = tracer.enabled
         for kernel in plan:
-            for execute, args, reuse, dst in kernel.steps:
-                value = execute([regs[i] for i in args], topo[dst].kwargs,
+            for execute, i, j, reuse, dst in kernel.steps:
+                value = execute([regs[i]] if j is None else [regs[i], regs[j]],
+                                topo[dst].kwargs,
                                 None if reuse is None else regs[reuse])
                 if not isinstance(value, np.ndarray):
                     # Ufuncs/reductions over 0-d operands hand back numpy
@@ -189,7 +202,7 @@ class Device:
                 stats.fused_ops += kernel.n_ops
                 stats.kernel_allocs += kernel.allocs
                 stats.kernel_alloc_bytes += kernel.alloc_bytes
-            if tracer.enabled:
+            if tracing:
                 start = start_ps / 1e12
                 tracer.record(kernel.name, "compute", start,
                               self.sim_time_s - start, track="engine",

@@ -2,40 +2,80 @@
 
 Under ``ENGINE=lazy`` every primitive Tensor op appends a node here
 instead of calling NumPy.  Nothing executes until someone demands bytes
-(``Tensor.data``, ``.item()``, ``backward()``, a functional boundary op
-like conv2d) — at that point the fuser schedules the reachable subgraph
-into fused kernels and the current device runs them.
-
-Realization caches results only at kernel *outputs*: interior nodes of a
-fused chain stay unmaterialized, which is where the allocation savings
-come from.  The interiors autograd will need are known when they are
-recorded — ``Tensor`` marks exactly what each backward closure reads as
-``saved`` — and a saved interior is an additional output of its kernel,
-so ``backward()`` finds it materialized.  Demanding any *other* interior
-afterwards re-schedules it from its nearest materialized ancestors,
-counted in :data:`~repro.ml.engine.stats` as ``recomputes`` (0 in a
+(``Tensor.data``, ``.item()``, ``backward()``, a boundary op like
+conv2d); then the device runs the reachable subgraph as fused kernels,
+caching results only at kernel outputs.  What backward closures read is
+marked ``saved`` when recorded and kept as an extra kernel output; any
+other interior demanded later is recomputed (``recomputes``, 0 in a
 training step).
 
-:func:`pending` is the walk every realize starts with: one pass over the
-pending subgraph yields its topo order, its realized inputs and a
-*structural key* under which the device caches the compiled plan.
+Each node is recorded under an :class:`Entry` (:meth:`LazyExpr.make`),
+whose :class:`Binding` s let a realize find its plan without a walk
+(:func:`bind`); :func:`pending` is the walk a realize falls back to.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Any, Optional
+import threading
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
 import repro.ml.engine.device as _device   # cycle: bound by name, used at call time
 from repro.ml.engine.ops import LEAF, OPS
 
-#: ``(sig, (shape, dtype) per input) -> (kind, shape, dtype)``: an op's
-#: inference is a pure function of these, and a training loop asks the
-#: same few hundred questions every step.
-_INFERRED: dict[tuple, tuple[str, tuple[int, ...], np.dtype]] = {}
-_INFERRED_MAX = 4096
+
+class Binding(NamedTuple):
+    """How one realize found its registers: kept on its root's entry, so
+    the next realize of a node under that entry needs no walk
+    (:func:`bind`)."""
+
+    epoch: object       #: the plan's device, as of its last eviction
+    plan: tuple
+    root_saved: bool
+    #: Per pending node but the root, last first: ``(i, j, k, saved)`` —
+    #: ``topo[i]`` is ``topo[j].inputs[k]``; then per edge into a realized
+    #: input ``(s, j, k)`` — ``external[s]`` is ``topo[j].inputs[k]``.
+    topo: tuple[tuple[int, int, int, bool], ...]
+    external: tuple[tuple[int, int, int], ...]
+
+
+class Entry:
+    """What every node recorded under one key shares: the ``sig``, the
+    inferred ``kind``/``shape``/``dtype`` and the binding of the last
+    realize rooted at such a node that walked.  The key
+    (:meth:`LazyExpr.make`) holds, per input, ``(entry, distance)`` for a
+    pending one — distance = ops its thread recorded since — or ``(shape,
+    dtype)`` for a realized one, so an entry stands for one pending
+    ancestry, and holds no node or array.
+    """
+
+    __slots__ = ("sig", "kind", "shape", "dtype", "binding")
+
+    def __init__(self, sig: tuple, kind: str, shape: tuple[int, ...],
+                 dtype: np.dtype) -> None:
+        self.sig, self.kind, self.shape, self.dtype = sig, kind, shape, dtype
+        self.binding: Optional[Binding] = None
+
+
+#: Key -> :class:`Entry`; cleared when full (a live node keeps its entry).
+_ENTRIES: dict[tuple, Entry] = {}
+_ENTRIES_MAX = 8192
+
+
+class _Counter(threading.local):
+    """Ops recorded on this thread; each thread counts in its own range."""
+
+    _ranges = itertools.count()
+
+    def __init__(self) -> None:
+        self.seq = next(self._ranges) << 40
+
+
+_counter = _Counter()
+_new = object.__new__
 
 
 class LazyExpr:
@@ -43,63 +83,77 @@ class LazyExpr:
 
     ``inputs`` are other :class:`LazyExpr` instances (leaves wrap realized
     ndarrays).  ``result`` is the cached ndarray once this node has been
-    materialized; leaves are born realized.
+    materialized; leaves are born realized.  ``entry`` and ``seq`` are the
+    :class:`Entry` a recorded node is under and its place in its thread's
+    recording.  ``fused_away`` is set once a kernel executed *through* the
+    node without caching it (a later realize() of it is a recompute);
+    ``saved`` by ``Tensor`` when a backward closure will read the value, so
+    a kernel that fuses through the node keeps it as an extra output.
     """
 
     __slots__ = ("op", "kind", "inputs", "kwargs", "shape", "dtype",
-                 "result", "fused_away", "saved", "sig")
+                 "result", "fused_away", "saved", "entry", "seq")
 
-    def __init__(self, op: str, kind: str,
-                 inputs: tuple["LazyExpr", ...],
-                 kwargs: dict[str, Any],
-                 shape: tuple[int, ...], dtype: np.dtype,
-                 result: Optional[np.ndarray] = None,
-                 sig: tuple = ("leaf", ())) -> None:
-        self.op = op
-        self.kind = kind
-        self.inputs = inputs
-        self.kwargs = kwargs
-        self.shape = shape
-        self.dtype = dtype
-        self.result = result
-        #: ``(op, kwargs by type and value)`` — this node's part of a
-        #: plan key (see :func:`pending`).
-        self.sig = sig
-        #: Set once a kernel executed *through* this node without caching
-        #: it; a later realize() of this node is a recompute.
-        self.fused_away = False
-        #: Set by ``Tensor`` when a backward closure will read this value:
-        #: a kernel that fuses through the node keeps it as an extra output.
-        self.saved = False
-
-    # -- constructors --------------------------------------------------------
-    @classmethod
-    def leaf(cls, arr: np.ndarray) -> "LazyExpr":
-        return cls("leaf", LEAF, (), {}, arr.shape, arr.dtype, result=arr)
+    def __init__(self, arr: np.ndarray) -> None:
+        """A leaf (every other node comes from :meth:`make`)."""
+        self.op = "leaf"
+        self.kind = LEAF
+        self.inputs = ()
+        self.kwargs = {}
+        self.shape = arr.shape
+        self.dtype = arr.dtype
+        self.result = arr
+        self.entry = None
+        self.seq = 0
+        self.fused_away = self.saved = False
 
     @classmethod
     def make(cls, op: str, inputs: tuple["LazyExpr", ...],
-             **kwargs: Any) -> "LazyExpr":
+             kwargs: dict[str, Any]) -> "LazyExpr":
         # Type beside value: NumPy tells ``2.0`` from ``np.float64(2.0)``
         # (the latter upcasts a float32 base) though they compare equal.
-        sig = (op, tuple([(k, v.__class__, v) for k, v in kwargs.items()]))
-        key = (sig, *[(i.shape, i.dtype) for i in inputs])
+        kw = tuple([(k, v.__class__, v) for k, v in kwargs.items()]
+                   ) if kwargs else ()
+        counter = _counter
+        seq = counter.seq
+        counter.seq = seq + 1
+        a = inputs[0]                   # every op takes one or two inputs
+        if a.result is None:
+            a1, a2 = a.entry, seq - a.seq
+        else:
+            a1, a2 = a.shape, a.dtype
+        if len(inputs) == 1:
+            key = (op, kw, a1, a2)
+        elif inputs[1].result is None:
+            key = (op, kw, a1, a2, inputs[1].entry, seq - inputs[1].seq)
+        else:
+            key = (op, kw, a1, a2, inputs[1].shape, inputs[1].dtype)
         try:
-            inferred = _INFERRED.get(key)
-        except TypeError:               # unhashable kwarg (an array bound):
-            sig = (op, object())        # a sig equal to no other, so this
-            key = inferred = None       # node's graphs never share a plan
-        if inferred is None:
+            entry = _ENTRIES.get(key)
+        except TypeError:               # unhashable kwarg (a 0-d array size):
+            kw = object()               # a sig equal to no other, so this
+            key = entry = None          # node's graphs never share a plan
+        if entry is None:
             spec = OPS[op]
             shape, dtype = spec.infer(tuple(i.shape for i in inputs),
                                       tuple(i.dtype for i in inputs), kwargs)
-            inferred = spec.kind, tuple(shape), np.dtype(dtype)
+            entry = Entry((op, kw), spec.kind, tuple(shape), np.dtype(dtype))
             if key is not None:
-                if len(_INFERRED) >= _INFERRED_MAX:
-                    _INFERRED.clear()
-                _INFERRED[key] = inferred
-        kind, shape, dtype = inferred
-        return cls(op, kind, inputs, kwargs, shape, dtype, None, sig)
+                if len(_ENTRIES) >= _ENTRIES_MAX:
+                    _ENTRIES.clear()
+                _ENTRIES[key] = entry
+        node = _new(cls)                # built inline: one frame less per op
+        node.op = op
+        node.kind = entry.kind
+        node.inputs = inputs
+        node.kwargs = kwargs
+        node.shape = entry.shape
+        node.dtype = entry.dtype
+        node.result = None
+        node.entry = entry
+        node.seq = seq
+        node.fused_away = node.saved = False
+        return node
 
     # -- introspection -------------------------------------------------------
     @property
@@ -110,10 +164,6 @@ class LazyExpr:
     def nbytes(self) -> int:
         return self.size * self.dtype.itemsize
 
-    @property
-    def realized(self) -> bool:
-        return self.result is not None
-
     # -- realization ---------------------------------------------------------
     def realize(self) -> np.ndarray:
         """Materialize this node (scheduling + running fused kernels)."""
@@ -122,19 +172,15 @@ class LazyExpr:
         return self.result
 
 
-def pending(root: LazyExpr) -> tuple[list[LazyExpr], list[LazyExpr], tuple]:
-    """Walk the pending subgraph of ``root`` once.
-
-    Returns ``(topo, external, key)``: the unrealized nodes reachable from
-    ``root`` (parents before children, ``root`` last), the realized nodes
-    they read (leaves and earlier kernel outputs, first use first), and
-    the subgraph's structural key.  The key holds, per pending node, its
-    ``sig``, its ``saved`` flag and where each input comes from (``i`` =
-    ``topo[i]``, ``~s`` = ``external[s]``), and per external its shape and
-    dtype — everything fusion, buffer reuse and kernel cost depend on, and
-    no array: ``x*x`` and ``x*y``, a realized and a pending ancestor, a
-    kept and a dropped interior, one batch size and another all key
-    differently; two steps of one training loop do not.
+def pending(root: LazyExpr) -> tuple[list[LazyExpr], list[LazyExpr],
+                                     tuple, tuple]:
+    """Walk the pending subgraph of ``root`` once: ``(topo, external, key,
+    edges)`` — the unrealized nodes reachable from ``root`` (parents
+    first, ``root`` last), the realized nodes they read (first use first),
+    the structural key — per pending node its ``sig``, ``saved`` flag and
+    where each input comes from (``i`` = ``topo[i]``, ``~s`` =
+    ``external[s]``), per external its shape and dtype (DESIGN §12) — and
+    the edges a :class:`Binding` finds them along.
     """
     topo: list[LazyExpr] = []
     visited: set[int] = set()
@@ -153,13 +199,51 @@ def pending(root: LazyExpr) -> tuple[list[LazyExpr], list[LazyExpr], tuple]:
                 stack.append((src, False))
     where = {id(node): i for i, node in enumerate(topo)}
     external: list[LazyExpr] = []
-    key = []
-    for node in topo:
-        for src in node.inputs:
-            if id(src) not in where:
-                where[id(src)] = ~len(external)
+    key, found, edges = [], [None] * len(topo), []
+    for j, node in enumerate(topo):
+        for k, src in enumerate(node.inputs):
+            i = where.get(id(src))
+            if i is None:
+                i = where[id(src)] = ~len(external)
                 external.append(src)
-        key.append((node.sig, node.saved,
+            if i < 0:
+                edges.append((~i, j, k))
+            elif found[i] is None:
+                found[i] = (i, j, k, src.saved)
+        key.append((node.entry.sig, node.saved,
                     *[where[id(src)] for src in node.inputs]))
-    return topo, external, (tuple(key),
-                            tuple([(e.shape, e.dtype) for e in external]))
+    return (topo, external,
+            (tuple(key), tuple([(e.shape, e.dtype) for e in external])),
+            (tuple(reversed(found[:-1])), tuple(edges)))
+
+
+def bind(root: LazyExpr, b: Binding
+         ) -> Optional[tuple[list[LazyExpr], list[LazyExpr]]]:
+    """``(topo, external)`` of ``root`` as :func:`pending` returns them,
+    found along ``b``'s edges — or None when the pending subgraph is not
+    the recorded one.  ``root``'s entry fixes every ancestor that was
+    pending when recorded, and which node feeds which (distances make two
+    nodes one exactly when they were); what is checked here is what can
+    still differ: what was realized since, ``saved`` marks, and which
+    realized arrays are read.
+    """
+    if root.saved is not b.root_saved:
+        return None
+    topo = [root] * (len(b.topo) + 1)
+    for i, j, k, saved in b.topo:
+        node = topo[j].inputs[k]
+        if node.result is not None or node.saved is not saved:
+            return None
+        topo[i] = node
+    external: list[LazyExpr] = []
+    for s, j, k in b.external:
+        node = topo[j].inputs[k]
+        if s == len(external):
+            if node.result is None:
+                return None
+            external.append(node)
+        elif external[s] is not node:
+            return None
+    if len(set(map(id, external))) != len(external):
+        return None
+    return topo, external

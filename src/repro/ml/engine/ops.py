@@ -3,7 +3,7 @@
 Everything :class:`~repro.ml.tensor.Tensor` can defer lowers to a tiny,
 tinygrad-style op set:
 
-* **unary** elementwise — ``neg exp log tanh sigmoid relu abs clip pow``,
+* **unary** elementwise — ``neg exp log tanh sigmoid relu abs pow``,
 * **binary** elementwise — ``add mul div`` (``sub`` is ``add(neg)``, composed
   by the Tensor layer),
 * **reduce** — ``sum max`` over an axis set,
@@ -174,10 +174,6 @@ def _exec_abs(args, kw, out):
     return np.abs(args[0], out=out)
 
 
-def _exec_clip(args, kw, out):
-    return np.clip(args[0], kw["lo"], kw["hi"], out=out)
-
-
 #: Python-scalar exponents ``ndarray.__pow__`` itself hands to a dedicated
 #: ufunc, at half the cost of the generic ``np.power`` loop.  Keyed by type
 #: too — an ``np.float64`` exponent promotes a float32 base, which only
@@ -265,7 +261,6 @@ OPS: dict[str, OpSpec] = {
     "sigmoid": OpSpec(UNARY, _unary_infer, _exec_sigmoid, _flops_sigmoid),
     "relu": OpSpec(UNARY, _unary_infer, _exec_relu, _flops_out),
     "abs": OpSpec(UNARY, _unary_infer, _exec_abs, _flops_out),
-    "clip": OpSpec(UNARY, _unary_infer, _exec_clip, _flops_out),
     "pow": OpSpec(UNARY, _pow_infer, _exec_pow, _flops_out),
     "add": OpSpec(BINARY, _binary_infer, _exec_add, _flops_out),
     "mul": OpSpec(BINARY, _binary_infer, _exec_mul, _flops_out),

@@ -12,8 +12,8 @@ Execution modes (``ENGINE=eager|lazy``, see :mod:`repro.ml.engine`):
 * **eager** (default) — every op runs its executor immediately;
 * **lazy** — primitive ops record graph nodes; demanding bytes
   (``.data``, ``.item()``, ``backward()``, a boundary op such as conv2d)
-  finds the pending subgraph's compiled plan (or schedules it through
-  the fuser, once) and replays its fused kernels on the current device
+  matches or finds the pending subgraph's compiled plan (or schedules it
+  through the fuser, once) and replays its fused kernels on the device
   (``cpu`` or ``sim-gpu``).  Each op states what its backward closure
   reads (the ``reads`` of :func:`_apply`), the fuser keeps those values
   as kernel outputs, and ``backward()`` therefore recomputes nothing.
@@ -111,8 +111,11 @@ def _apply(op: str, parents: tuple["Tensor", ...], backward,
     replays, counting the op and its output buffer when stats are on.
     """
     if _engine_state.lazy:
-        nodes = tuple([p._payload() for p in parents])
-        data = LazyExpr.make(op, nodes, **kwargs)
+        # Every primitive has one or two parents.
+        a = parents[0]._lazy or parents[0]._payload()
+        nodes = ((a,) if len(parents) == 1 else
+                 (a, parents[1]._lazy or parents[1]._payload()))
+        data = LazyExpr.make(op, nodes, kwargs)
         if reads:
             nodes += (data,)
             for p, values in zip(parents, reads):
@@ -180,7 +183,9 @@ class Tensor:
         """The realized ndarray (forces lazy evaluation on demand)."""
         d = self._data
         if d is None:
-            d = self._lazy.realize()
+            d = self._lazy.result
+            if d is None:
+                d = self._lazy.realize()
             self._data = d
         return d
 
@@ -193,18 +198,9 @@ class Tensor:
         """This tensor as a lazy-graph input (memoized leaf if realized)."""
         lz = self._lazy
         if lz is None:
-            lz = LazyExpr.leaf(self._data)
+            lz = LazyExpr(self._data)
             self._lazy = lz
         return lz
-
-    @property
-    def realized(self) -> bool:
-        return self._data is not None
-
-    def realize(self) -> "Tensor":
-        """Force materialization (no-op in eager mode)."""
-        _ = self.data
-        return self
 
     # -- introspection --------------------------------------------------------
     @property
@@ -478,12 +474,6 @@ class Tensor:
     def abs(self) -> "Tensor":
         return self._unary("abs", 0,
                            lambda t, out: out.grad * np.sign(t.data))
-
-    def clip(self, lo: float, hi: float) -> "Tensor":
-        return self._unary(
-            "clip", 0,
-            lambda t, out: out.grad * ((t.data >= lo) & (t.data <= hi)),
-            lo=lo, hi=hi)
 
     # -- reductions -------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":

@@ -86,8 +86,6 @@ PRIMITIVES = {
              lambda: away_from(rng.normal(size=(8,)), [0.0])),
     "abs": (lambda a: a.abs().sum(),
             lambda: away_from(rng.normal(size=(8,)), [0.0])),
-    "clip": (lambda a: (a.clip(-1.0, 1.0) ** 2).sum(),
-             lambda: away_from(rng.normal(size=(8,)) * 2, [-1.0, 1.0])),
     "pow": (lambda a: (a ** 3).sum(), lambda: rng.uniform(0.5, 1.5, (4,))),
     # binary elementwise (with broadcasting)
     "add": (lambda a: (a + a * 2.0).sum(), lambda: rng.normal(size=(3, 4))),
@@ -159,9 +157,9 @@ class TestPrimitiveOps:
         x = Tensor(make(), requires_grad=True)
         with engine.engine("lazy"), engine.collect() as stats:
             loss = build(x * 1.5)
-            topo, leaves, _ = pending(loss._lazy)
+            topo, leaves = pending(loss._lazy)[:2]
             saved = {id(node) for node in topo + leaves if node.saved}
-            loss.realize()
+            loss.numpy()
             read = set()
             data = Tensor.data
 

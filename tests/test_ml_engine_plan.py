@@ -187,7 +187,7 @@ class TestKey:
         a = self._f(Tensor(np.ones((16, 8))))
         b = self._f(Tensor(np.zeros((16, 8))))
         assert _key(a) == _key(b)
-        a.realize(), b.realize()
+        a.numpy(), b.numpy()
         assert len(get_device()._plans) == 1
 
     def test_last_partial_batch_gets_its_own_plan(self):
@@ -210,7 +210,7 @@ class TestKey:
             return h, h.tanh() + h
         _, pending = graph()
         h, realized = graph()
-        h.realize()
+        h.numpy()
         assert _key(pending) != _key(realized)
         np.testing.assert_array_equal(pending.numpy(), realized.numpy())
 
@@ -221,9 +221,9 @@ class TestKey:
         plain, grad = graph(False), graph(True)
         assert _key(plain) != _key(grad)
         with collect() as stats:
-            plain.realize()
+            plain.numpy()
             unsaved_allocs = stats.kernel_allocs
-            grad.realize()
+            grad.numpy()
         # Same single kernel; the saved tanh input/output cost buffers
         # the unsaved chain reused.
         assert stats.kernels == 2
@@ -241,21 +241,13 @@ class TestKey:
                               _bits(x32 ** np.float64(2.0)))
         assert _key(Tensor(x32) ** 2) != _key(weak)
 
-    def test_equal_valued_kwargs_execute_with_their_own_value(self):
-        # 0.0 == -0.0 and they hash alike, so the two graphs share a plan;
-        # the bound itself is read from the graph, not from the plan.
-        x = np.array([-1.0, 0.5])
-        pos, neg = Tensor(x).clip(0.0, 1.0), Tensor(x).clip(-0.0, 1.0)
-        assert _key(pos) == _key(neg)
-        assert not np.signbit(pos.numpy()[0])
-        assert np.signbit(neg.numpy()[0])
-
     def test_unhashable_kwarg_still_runs_and_never_shares_a_plan(self):
-        x = np.array([-1.0, 0.5, 3.0])
-        lo = np.array([0.0, 1.0, 0.0])
-        a, b = Tensor(x).clip(lo, 2.0), Tensor(x).clip(lo, 2.0)
+        x = np.arange(6.0).reshape(2, 3)
+        size = np.array(6)                  # a 0-d array: a valid, unhashable size
+        a, b = Tensor(x).reshape(size), Tensor(x).reshape(size)
         assert _key(a) != _key(b)
-        np.testing.assert_array_equal(a.numpy(), np.clip(x, lo, 2.0))
+        np.testing.assert_array_equal(a.numpy(), x.reshape(6))
+        np.testing.assert_array_equal(b.numpy(), x.reshape(6))
 
 
 class TestForwardOnlyMatchesParent:
@@ -285,7 +277,7 @@ class TestForwardOnlyMatchesParent:
         centred = x - mu
         var = ((x - x.mean(axis=0, keepdims=True)) ** 2).mean(axis=0,
                                                              keepdims=True)
-        return (centred / (var + 1e-5) ** 0.5).abs().clip(0.0, 2.0).transpose()
+        return (centred / (var + 1e-5) ** 0.5).abs().transpose()
 
     @pytest.mark.parametrize("graph, kernels, allocs, alloc_bytes", [
         ("_diamond", ["matmul", "add", "sigmoid+mul+tanh+relu+add+sum"],
@@ -294,7 +286,7 @@ class TestForwardOnlyMatchesParent:
                           "neg+add", "exp+sum", "exp+div+log+sum", "mul"],
          12, 8368),
         ("_norm", ["sum", "mul+neg+add+pow+sum", "sum",
-                   "mul+add+pow+mul+neg+add+div+abs+clip", "transpose"],
+                   "mul+add+pow+mul+neg+add+div+abs", "transpose"],
          8, 1440),
     ])
     def test_kernel_list_and_allocations(self, graph, kernels, allocs,
@@ -352,7 +344,7 @@ class TestCache:
             out = (Tensor(np.ones(n)) * 2.0 + 1.0).numpy()
             assert out.shape == (n,) and out[-1] == 3.0
         assert len(dev._plans) == engine_cpu.PLAN_CACHE_SIZE
-        assert len(engine_graph._INFERRED) <= engine_graph._INFERRED_MAX
+        assert len(engine_graph._ENTRIES) <= engine_graph._ENTRIES_MAX
         # The oldest plans went first; an evicted shape just compiles again.
         with collect() as stats:
             (Tensor(np.ones(1)) * 2.0 + 1.0).numpy()
@@ -408,7 +400,7 @@ class TestCache:
         key = _key(graph())
         cpu, gpu = get_device("cpu"), get_device("sim-gpu")
         gpu.reset_clock()
-        graph().realize()
+        graph().numpy()
         with use_device("sim-gpu"):
             on_gpu = graph().numpy()
         assert float(on_gpu) == float(graph().numpy())
