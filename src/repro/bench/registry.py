@@ -62,20 +62,19 @@ class BenchCase:
     name: str
     area: str
     run: Callable[[bool, int], CaseRun]   #: run(quick, seed)
-    budgets: Mapping[str, Budget] = field(default_factory=dict)
+    budgets: Mapping[str, Budget]
     description: str = ""
 
 
 _REGISTRY: dict[str, BenchCase] = {}
 
 
-def bench_case(name: str, area: str,
-               budgets: Optional[Mapping[str, Budget]] = None,
+def bench_case(name: str, area: str, budgets: Mapping[str, Budget],
                description: str = ""):
     """Decorator registering ``fn(quick, seed) -> CaseRun`` as a case."""
     def deco(fn: Callable[[bool, int], CaseRun]) -> Callable:
         register(BenchCase(name=name, area=area, run=fn,
-                           budgets=dict(budgets or {}),
+                           budgets=dict(budgets),
                            description=description))
         return fn
     return deco

@@ -19,8 +19,9 @@ violation or failed expectation, 2 = schema/usage error.
 from __future__ import annotations
 
 import pathlib
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 # Importing the case modules is what registers their cases.
 from repro.bench import cases as _cases, paper as _paper  # noqa: F401
@@ -43,16 +44,15 @@ def run_bench(
     areas: Optional[Iterable[str]] = None,
     quick: bool = True,
     seed: int = 0,
-    progress: Optional[Callable[[str], None]] = None,
 ) -> dict[str, dict]:
-    """Run the registry; returns ``BENCH_<area>.json`` bodies keyed by area."""
+    """Run the registry, naming each case on stderr as it starts; returns
+    ``BENCH_<area>.json`` bodies keyed by area."""
     selected = cases_for(list(areas) if areas is not None else None)
     env = env_fingerprint()
     mode = "quick" if quick else "full"
     by_area: dict[str, dict] = {}
     for case in selected:
-        if progress is not None:
-            progress(f"[{case.area}] {case.name} ...")
+        print(f"[{case.area}] {case.name} ...", file=sys.stderr)
         try:
             run = case.run(quick, seed)
         except ExpectationFailed as exc:

@@ -263,9 +263,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     areas = args.areas.split(",") if args.areas else None
     try:
-        artifacts = run_bench(
-            areas=areas, quick=args.quick, seed=args.seed,
-            progress=lambda msg: print(msg, file=sys.stderr))
+        artifacts = run_bench(areas=areas, quick=args.quick, seed=args.seed)
     except ExpectationFailed as exc:
         print(f"bench expectation failed: {exc}", file=sys.stderr)
         return 1

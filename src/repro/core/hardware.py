@@ -18,13 +18,29 @@ their *ratios* (e.g. A100 tensor vs V100 tensor ≈ 2.5×), not absolutes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Optional
 
 
 GIGA = 1.0e9
 TERA = 1.0e12
 GB = 1024 ** 3
+
+
+def _check_ranges(spec, may_be_zero: tuple[str, ...] = ()) -> None:
+    """Every numeric field of ``spec`` must be finite and positive (or,
+    when named in ``may_be_zero``, non-negative); NaN fails."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if not isinstance(value, (int, float)):
+            continue
+        zero_ok = f.name in may_be_zero
+        in_range = value >= 0 if zero_ok else value > 0
+        if not (in_range and math.isfinite(value)):
+            bound = ">= 0" if zero_ok else "> 0"
+            raise ValueError(f"{type(spec).__name__}.{f.name} must be finite "
+                             f"and {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,6 +53,9 @@ class CpuSpec:
     flops_per_cycle: int = 16          # AVX-512 FMA double pumped
     scalar_ipc: float = 4.0            # out-of-order fat core; ~1 for manycore
     tdp_watts: float = 150.0
+
+    def __post_init__(self) -> None:
+        _check_ranges(self)
 
     @property
     def peak_flops(self) -> float:
@@ -61,6 +80,9 @@ class GpuSpec:
     nvlink_GBps: float
     tdp_watts: float
 
+    def __post_init__(self) -> None:
+        _check_ranges(self)
+
     @property
     def peak_flops(self) -> float:
         return self.fp32_tflops * TERA
@@ -79,6 +101,9 @@ class FpgaSpec:
     memory_GB: float
     pcie_gen: int
 
+    def __post_init__(self) -> None:
+        _check_ranges(self)
+
 
 @dataclass(frozen=True)
 class MemorySpec:
@@ -87,6 +112,9 @@ class MemorySpec:
     ddr_GB: float
     hbm_GB: float = 0.0
     nvm_GB: float = 0.0
+
+    def __post_init__(self) -> None:
+        _check_ranges(self, ("hbm_GB", "nvm_GB"))
 
     @property
     def total_GB(self) -> float:
@@ -100,6 +128,9 @@ class StorageSpec:
     devices: int
     capacity_TB_each: float
 
+    def __post_init__(self) -> None:
+        _check_ranges(self)
+
 
 @dataclass(frozen=True)
 class NodeSpec:
@@ -107,11 +138,14 @@ class NodeSpec:
 
     name: str
     cpu: CpuSpec
+    memory: MemorySpec
     cpu_sockets: int = 2
     gpus: tuple[GpuSpec, ...] = ()
     fpgas: tuple[FpgaSpec, ...] = ()
-    memory: MemorySpec = MemorySpec(ddr_GB=96.0)
     storage: Optional[StorageSpec] = None
+
+    def __post_init__(self) -> None:
+        _check_ranges(self)
 
     @property
     def cpu_cores(self) -> int:

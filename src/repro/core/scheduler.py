@@ -132,10 +132,8 @@ class ScheduleReport:
             rows.append(self.resilience.summary())
         return "\n".join(rows)
 
-    def publish_metrics(self, registry: Optional[
-            "telemetry.MetricsRegistry"] = None) -> None:
+    def publish_metrics(self, reg: "telemetry.MetricsRegistry") -> None:
         """Publish the report's headline numbers as registry gauges."""
-        reg = registry if registry is not None else telemetry.get_registry()
         reg.gauge("scheduler_jobs_completed").set(len(self.completion_times))
         reg.gauge("scheduler_jobs_failed").set(len(self.failed_jobs))
         reg.gauge("scheduler_makespan_seconds").set(self.makespan)
@@ -781,7 +779,7 @@ def place_standalone(
     system: MSASystem,
     phase: JobPhase,
     n_nodes: int,
-    suspect: Optional[dict[str, set[int]]] = None,
+    suspect: dict[str, set[int]],
 ) -> Optional[tuple[str, tuple[int, ...]]]:
     """Allocate ``n_nodes`` on the best-scoring module with capacity.
 
@@ -790,7 +788,6 @@ def place_standalone(
     module; they are used only as a last resort (failure-aware placement,
     same semantics as the batch scheduler).  The caller owns the release.
     """
-    suspect = suspect or {}
     for _, key, module in rank_placements(system, phase, n_nodes):
         if module.free_nodes >= n_nodes:
             nodes = tuple(module.allocate(n_nodes, avoid=suspect.get(key)))

@@ -68,10 +68,6 @@ class LatencySummary:
     p99_s: float
     max_s: float
 
-    def meets_deadline(self, deadline_s: float) -> bool:
-        """Does the p99 latency sit under the deadline?"""
-        return self.p99_s <= deadline_s
-
 
 def summarize_latencies(values: Sequence[float] | np.ndarray) -> LatencySummary:
     """Collapse a latency sample into its :class:`LatencySummary`."""

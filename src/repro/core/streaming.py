@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.stats import LatencySummary, percentile, summarize_latencies
+from repro.core.stats import percentile
 from repro.simnet.events import Resource, Simulator
 
 
@@ -76,12 +76,6 @@ class StreamingReport:
     @property
     def p99(self) -> float:
         return self.percentile(99)
-
-    def latency_summary(self) -> LatencySummary:
-        """The shared p50/p95/p99 summary (same math as the serving path)."""
-        if self.n_completed == 0:
-            raise ValueError("no completed scenes")
-        return summarize_latencies(self.latencies_s)
 
     def meets_deadline(self, deadline_s: float) -> bool:
         return self.p99 <= deadline_s

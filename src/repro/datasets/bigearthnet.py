@@ -20,7 +20,6 @@ experiment (E3) needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -90,8 +89,8 @@ class BigEarthNetConfig:
 class SyntheticBigEarthNet:
     """Deterministic multispectral patch generator."""
 
-    def __init__(self, config: Optional[BigEarthNetConfig] = None) -> None:
-        self.config = config or BigEarthNetConfig()
+    def __init__(self, config: BigEarthNetConfig) -> None:
+        self.config = config
         self.classes = LAND_COVER_CLASSES[: self.config.n_classes]
         self.signatures = np.array([_SIGNATURES[c] for c in self.classes])
         self.n_bands = len(SENTINEL2_BANDS)

@@ -18,7 +18,6 @@ learning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -43,8 +42,8 @@ class CxrConfig:
 class SyntheticCovidx:
     """Deterministic CXR generator over the three COVIDx classes."""
 
-    def __init__(self, config: Optional[CxrConfig] = None) -> None:
-        self.config = config or CxrConfig()
+    def __init__(self, config: CxrConfig) -> None:
+        self.config = config
 
     # -- anatomy ------------------------------------------------------------
     def _thorax(self, rng: np.random.Generator, hw: int) -> np.ndarray:

@@ -98,8 +98,8 @@ def berlin_severity(pf_ratio: float) -> str:
 class IcuCohort:
     """Deterministic cohort generator."""
 
-    def __init__(self, config: Optional[IcuConfig] = None) -> None:
-        self.config = config or IcuConfig()
+    def __init__(self, config: IcuConfig) -> None:
+        self.config = config
 
     def _simulate_patient(self, rng: np.random.Generator, pid: int) -> PatientRecord:
         cfg = self.config

@@ -223,7 +223,7 @@ class ElasticRecovery:
     failed_step: int                 #: global step the kill struck at
     dead_world_ranks: tuple[int, ...]
     restored_step: int               #: checkpoint step training resumed from
-    restored_from: str               #: "nam" | "pfs" | "none" (no manager)
+    restored_from: str               #: "nam" | "pfs"
     world_size_after: int
     reason: str = "rank-kill"        #: "rank-kill" | "gradient-corruption"
     rollback_versions: int = 0       #: lineage versions skipped on restore
@@ -253,10 +253,11 @@ def run_elastic_training(
     n_steps: int,
     batch_size: int,
     world_size: int,
+    *,
+    checkpoint_manager: Any,
+    checkpoint_policy: Any,
     seed: int = 0,
     fault_plan: Any = None,
-    checkpoint_manager: Any = None,
-    checkpoint_policy: Any = None,
     name: str = "elastic",
     integrity_config: Any = None,
     max_rollback: Optional[int] = None,
@@ -316,8 +317,6 @@ def run_elastic_training(
     if batch_size < world_size:
         raise ValueError("batch_size must be >= world_size so every rank "
                          "holds a shard")
-    if checkpoint_manager is not None and checkpoint_policy is None:
-        raise ValueError("a checkpoint_manager needs a checkpoint_policy")
     n_samples = len(X)
 
     injector = None
@@ -357,8 +356,7 @@ def run_elastic_training(
 
         def _apply_checkpoint_rot() -> None:
             """Rank 0 strikes stored versions with this step's rot specs."""
-            if fault_plan is None or checkpoint_manager is None \
-                    or active.rank != 0:
+            if fault_plan is None or active.rank != 0:
                 return
             for i, spec in enumerate(
                     fault_plan.checkpoint_rots_at_step(step)):
@@ -394,29 +392,22 @@ def run_elastic_training(
             if shrunk is None:
                 return False         # this rank died here
             active = shrunk
-            depth = 0
-            if checkpoint_manager is not None:
-                if active.rank == 0:
-                    restored = checkpoint_manager.restore_latest_verified(
-                        name, checkpoint_policy, max_rollback=max_rollback)
-                    tracer.record(
-                        "checkpoint-restore", "storage", active.sim_time,
-                        restored.read_time_s, track="storage",
-                        lane="checkpoint", step=restored.step,
-                        target=restored.target,
-                        rollback=restored.rollback_versions)
-                    payload = (restored.state, restored.step,
-                               restored.target, restored.rollback_versions)
-                else:
-                    payload = None
-                state, ck_step, target, depth = active.bcast(payload)
-                model.load_state_dict(state)
-                del losses[ck_step:]
+            if active.rank == 0:
+                restored = checkpoint_manager.restore_latest_verified(
+                    name, checkpoint_policy, max_rollback=max_rollback)
+                tracer.record(
+                    "checkpoint-restore", "storage", active.sim_time,
+                    restored.read_time_s, track="storage",
+                    lane="checkpoint", step=restored.step,
+                    target=restored.target,
+                    rollback=restored.rollback_versions)
+                payload = (restored.state, restored.step,
+                           restored.target, restored.rollback_versions)
             else:
-                # No checkpoints: survivors carry on from current weights,
-                # losing nothing but the dead ranks (a corruption was
-                # caught before the update applied, so weights are clean).
-                ck_step, target = step, "none"
+                payload = None
+            state, ck_step, target, depth = active.bcast(payload)
+            model.load_state_dict(state)
+            del losses[ck_step:]
             if active.rank == 0:
                 tracer.instant(
                     "recovered", "fault", active.sim_time,
@@ -438,10 +429,9 @@ def run_elastic_training(
                 injector=injector, integrity_config=integrity_config)
             return True
 
-        if checkpoint_manager is not None and active.rank == 0:
+        if active.rank == 0:
             _save_checkpoint(0)
-        if checkpoint_manager is not None:
-            ckpt_steps.add(0)
+        ckpt_steps.add(0)
 
         while step < n_steps:
             kills = (fault_plan.kills_at_step(step)
@@ -482,14 +472,13 @@ def run_elastic_training(
                 continue
             telemetry.get_registry().counter("train_steps_total").inc()
             step += 1
-            if (checkpoint_manager is not None
-                    and checkpoint_policy.should_checkpoint(step)):
+            if checkpoint_policy.should_checkpoint(step):
                 if active.rank == 0:
                     _save_checkpoint(step)
                 ckpt_steps.add(step)
 
         scrub = {}
-        if checkpoint_manager is not None and active.rank == 0:
+        if active.rank == 0:
             # At-rest verification: rot on versions that were never
             # restored still gets *detected* here, closing the books.
             scrub = checkpoint_manager.scrub(name)

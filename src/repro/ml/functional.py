@@ -88,8 +88,7 @@ def conv2d(
                  backward)
 
 
-def conv1d(x: Tensor, weight: Tensor,
-           bias: Optional[Tensor] = None) -> Tensor:
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """1-D convolution on (N, C, L), zero-padded by half the kernel width
     on each side ("same" for an odd kernel) — used by the ARDS 1-D CNN
     baseline."""
@@ -182,11 +181,10 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
     return x * Tensor(mask.astype(x.dtype, copy=False))
 
 
-def one_hot(labels: np.ndarray, n_classes: int,
-            dtype=np.float64) -> np.ndarray:
+def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError("labels out of range")
-    out = np.zeros((labels.shape[0], n_classes), dtype=dtype)
+    out = np.zeros((labels.shape[0], n_classes))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out

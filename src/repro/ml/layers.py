@@ -7,7 +7,7 @@ GRU) live in :mod:`repro.ml.rnn`.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -64,10 +64,6 @@ class Module:
 
     def n_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
 
     # -- modes ----------------------------------------------------------------------
     def train(self) -> "Module":
@@ -134,10 +130,9 @@ def xavier_init(rng: np.random.Generator, shape: tuple[int, ...],
 class Dense(Module):
     """Fully connected layer: y = x W + b."""
 
-    def __init__(self, in_features: int, out_features: int,
-                 rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, in_features: int, out_features: int, *,
+                 rng: np.random.Generator) -> None:
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(he_init(rng, (in_features, out_features), in_features))
@@ -152,10 +147,9 @@ class Conv2D(Module):
     follows every one)."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 stride: int = 1, padding: int = 0,
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 stride: int = 1, padding: int = 0, *,
+                 rng: np.random.Generator) -> None:
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         fan_in = in_channels * kernel * kernel
         self.stride = stride
         self.padding = padding
@@ -170,10 +164,9 @@ class Conv2D(Module):
 class Conv1D(Module):
     """1-D convolution over (N, C, L) sequences, "same" padded."""
 
-    def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, in_channels: int, out_channels: int, kernel: int, *,
+                 rng: np.random.Generator) -> None:
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         fan_in = in_channels * kernel
         self.weight = Parameter(
             he_init(rng, (out_channels, in_channels, kernel), fan_in))

@@ -10,8 +10,6 @@ not 480×480 resolution.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.ml import functional as F
@@ -32,10 +30,9 @@ class PepxBlock(Module):
     around a cheap 3×3 to keep parameter counts low.
     """
 
-    def __init__(self, in_channels: int, out_channels: int,
-                 rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, in_channels: int, out_channels: int, *,
+                 rng: np.random.Generator) -> None:
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         mid = max(in_channels // 2, 4)
         self.proj1 = Conv2D(in_channels, mid, 1, rng=rng)
         self.expand = Conv2D(mid, mid * 2, 1, rng=rng)

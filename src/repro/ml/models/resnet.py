@@ -34,9 +34,8 @@ class ResidualBlock(Module):
     """Two 3×3 convs with identity (or 1×1-projected) skip connection."""
 
     def __init__(self, in_channels: int, out_channels: int, stride: int = 1,
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 *, rng: np.random.Generator) -> None:
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.conv1 = Conv2D(in_channels, out_channels, 3, stride=stride,
                             padding=1, rng=rng)
         self.bn1 = BatchNorm(out_channels)

@@ -10,8 +10,6 @@ constraint the paper explicitly mentions.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.ml.layers import Module, Parameter, xavier_init
@@ -30,10 +28,9 @@ class GRUCell(Module):
         h_t = z_t ⊙ h_{t-1} + (1 - z_t) ⊙ \\tilde h_t
     """
 
-    def __init__(self, input_size: int, hidden_size: int,
-                 rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, input_size: int, hidden_size: int, *,
+                 rng: np.random.Generator) -> None:
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.input_size = input_size
         self.hidden_size = hidden_size
         h, d = hidden_size, input_size
@@ -60,8 +57,8 @@ class GRU(Module):
     """
 
     def __init__(self, input_size: int, hidden_size: int,
-                 return_sequences: bool = False,
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 return_sequences: bool = False, *,
+                 rng: np.random.Generator) -> None:
         super().__init__()
         self.cell = GRUCell(input_size, hidden_size, rng=rng)
         self.hidden_size = hidden_size

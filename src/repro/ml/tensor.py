@@ -522,8 +522,6 @@ class Tensor:
         return _apply("reshape", (self,), backward, shape=shape)
 
     def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         axes = axes or tuple(reversed(range(self.ndim)))
         axes = tuple(a % self.ndim for a in axes)
         inverse = np.argsort(axes)

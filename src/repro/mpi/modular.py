@@ -19,7 +19,7 @@ placed *within* the booster rather than across modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from repro.simnet.costs import CommCostModel
 from repro.simnet.link import LinkKind
@@ -48,12 +48,11 @@ class ModularCostModel:
     def build(
         cls,
         rank_module: Sequence[str],
-        module_fabrics: Optional[dict[str, LinkKind]] = None,
+        module_fabrics: dict[str, LinkKind],
     ) -> "ModularCostModel":
-        fabrics = module_fabrics or {}
         models = {
             module: CommCostModel.of_kind(
-                fabrics.get(module, LinkKind.INFINIBAND_EDR))
+                module_fabrics.get(module, LinkKind.INFINIBAND_EDR))
             for module in set(rank_module)
         }
         return cls(
@@ -101,7 +100,7 @@ class ModularCostModel:
 def run_modular_spmd(
     fn: Callable,
     rank_module: Sequence[str],
-    module_fabrics: Optional[dict[str, LinkKind]] = None,
+    module_fabrics: dict[str, LinkKind],
 ):
     """``run_spmd`` with ranks placed on named MSA modules."""
     from repro.mpi.runtime import run_spmd

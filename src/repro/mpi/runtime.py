@@ -100,7 +100,7 @@ def run_spmd(
 def spmd_sim_times(
     fn: Callable[[Communicator], Any],
     world_size: int,
-    cost_model: Optional[CommCostModel] = None,
+    cost_model: CommCostModel,
 ) -> tuple[list[Any], list[float]]:
     """Like :func:`run_spmd` but also return each rank's final simulated time."""
     def timed(comm: Communicator) -> tuple[Any, float]:

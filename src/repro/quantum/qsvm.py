@@ -125,12 +125,6 @@ class QuantumSVM:
         ]
         return np.mean(scores, axis=0)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.where(self.decision_function(X) >= 0, 1.0, -1.0)
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        return float((self.predict(X) == np.asarray(y)).mean())
-
 
 class QSvmEnsemble:
     """QSVMs over class-balanced sub-samples, decision-averaged (ref [11])."""

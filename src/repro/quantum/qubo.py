@@ -44,11 +44,6 @@ class Qubo:
             raise ValueError("QUBO variables must be binary")
         return float(x @ self.Q @ x + self.offset)
 
-    def energies(self, X: np.ndarray) -> np.ndarray:
-        """Vectorised energies for a batch of assignments (m, n)."""
-        X = np.asarray(X, dtype=np.float64)
-        return np.einsum("mi,ij,mj->m", X, self.Q, X) + self.offset
-
     def energy_deltas(self, x: np.ndarray) -> np.ndarray:
         """ΔE of flipping each bit of ``x`` — the annealer's inner loop.
 

@@ -105,9 +105,6 @@ class PhiAccrualDetector:
         self._suspected.discard(key)
 
     # -- reading --------------------------------------------------------------
-    def monitored(self) -> list:
-        return sorted(self._endpoints, key=repr)
-
     def mean_interval(self, key: Hashable) -> float:
         """The modelled heartbeat gap for ``key`` (floored, bootstrapped)."""
         ep = self._endpoints[key]
@@ -145,16 +142,6 @@ class PhiAccrualDetector:
         elif not is_suspect:
             self._suspected.discard(key)
         return is_suspect
-
-    def suspicion_levels(self, now: float) -> dict:
-        """``{key: phi}`` for every monitored endpoint (sorted keys)."""
-        return {key: self.phi(key, now) for key in self.monitored()}
-
-    def publish(self, registry, now: float) -> None:
-        """Export per-endpoint phi as labeled gauges on ``registry``."""
-        for key, level in self.suspicion_levels(now).items():
-            registry.gauge("health_suspicion_phi", component="detector",
-                           endpoint=str(key)).set(level)
 
 
 @dataclass(frozen=True)

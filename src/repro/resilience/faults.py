@@ -178,7 +178,7 @@ class FaultPlan:
     """
 
     seed: int
-    specs: tuple[FaultSpec, ...] = ()
+    specs: tuple[FaultSpec, ...]
 
     def __iter__(self):
         return iter(self.specs)
@@ -331,7 +331,7 @@ class FaultPlan:
     def parse(
         cls,
         text: str,
-        targets: Optional[dict[str, int]] = None,
+        targets: dict[str, int],
         horizon_s: float = 3600.0,
     ) -> "FaultPlan":
         """Parse a CLI-style plan description.
@@ -352,7 +352,6 @@ class FaultPlan:
 
         Example: ``--faults seed=7,crash=cm:2,chaos=partition:1,gray:1``.
         """
-        targets = dict(targets or {})
         seed = 0
         horizon = horizon_s
         repair = 600.0
@@ -427,7 +426,7 @@ class FaultPlan:
                 raise FaultPlanError(f"value out of range in clause {clause!r}")
         for entries in counts.values():
             for module, _ in entries:
-                if targets and module not in targets:
+                if module not in targets:
                     raise FaultPlanError(
                         f"unknown module {module!r}; known: {sorted(targets)}")
         # Build with the module restriction each clause names: generate one
@@ -436,7 +435,7 @@ class FaultPlan:
         specs: list[FaultSpec] = []
         for kind, entries in counts.items():
             for module, count in entries:
-                n_nodes = targets.get(module, 1)
+                n_nodes = targets[module]
                 for _ in range(count):
                     t = float(rng.uniform(0.0, horizon))
                     if kind is FaultKind.NODE_CRASH:

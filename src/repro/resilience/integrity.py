@@ -443,11 +443,8 @@ def verified_grad_allreduce(
 # end-of-run reconciliation
 # ---------------------------------------------------------------------------
 
-def corruption_totals(registry=None) -> tuple[float, float]:
+def corruption_totals(reg) -> tuple[float, float]:
     """(injected, detected) totals across every corruption kind."""
-    from repro import telemetry
-
-    reg = registry if registry is not None else telemetry.get_registry()
     injected = sum(inst.value for _, inst
                    in reg.members("integrity_corruptions_injected"))
     detected = sum(inst.value for _, inst
@@ -455,7 +452,7 @@ def corruption_totals(registry=None) -> tuple[float, float]:
     return float(injected), float(detected)
 
 
-def publish_undetected(registry=None) -> float:
+def publish_undetected(reg) -> float:
     """Set the ``integrity_undetected`` gauge; returns its value.
 
     The reconciliation invariant of the whole layer: with verification on,
@@ -463,9 +460,6 @@ def publish_undetected(registry=None) -> float:
     at the allreduce, on restore, or by the scrub), so the gauge must read
     zero — CI fails the SDC drill otherwise.
     """
-    from repro import telemetry
-
-    reg = registry if registry is not None else telemetry.get_registry()
     injected, detected = corruption_totals(reg)
     undetected = injected - detected
     reg.gauge("integrity_undetected").set(undetected)

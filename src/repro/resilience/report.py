@@ -101,11 +101,8 @@ class ResilienceReport:
             return None
         return sum(r.time_to_recover for r in self.recoveries) / len(self.recoveries)
 
-    def publish_metrics(self, registry=None) -> None:
+    def publish_metrics(self, reg) -> None:
         """Publish the report's headline numbers into a metrics registry."""
-        from repro import telemetry
-
-        reg = registry if registry is not None else telemetry.get_registry()
         reg.gauge("resilience_faults_injected").set(len(self.faults_injected))
         reg.gauge("resilience_phase_failures").set(len(self.failures))
         reg.gauge("resilience_retries").set(self.total_retries)

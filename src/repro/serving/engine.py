@@ -104,7 +104,7 @@ class HedgeGroup:
 class ServingConfig:
     """Everything one serving run needs (besides the system + faults)."""
 
-    trace: TraceConfig = field(default_factory=TraceConfig)
+    trace: TraceConfig
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     autoscaler: AutoscalerConfig = field(default_factory=AutoscalerConfig)
     initial_replicas: int = 2

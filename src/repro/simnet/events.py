@@ -126,12 +126,10 @@ class Process:
         except StopIteration as stop:
             self.done.succeed(stop.value)
             return
-        if isinstance(target, (int, float)):
-            target = self.sim.timeout(float(target))
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {type(target).__name__}, "
-                "expected Event or float timeout"
+                "expected Event"
             )
         target.add_callback(self._resume)
 

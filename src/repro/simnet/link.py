@@ -57,12 +57,6 @@ class Link:
         latency, bandwidth = LINK_CHARACTERISTICS[kind]
         return cls(kind=kind, latency_s=latency, bandwidth_Bps=bandwidth)
 
-    def transfer_time(self, nbytes: float) -> float:
-        """α + n·β cost of moving ``nbytes`` across this link."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        return self.latency_s + nbytes / self.bandwidth_Bps
-
 
 @dataclass(frozen=True)
 class PartitionWindow:

@@ -51,11 +51,6 @@ class CheckpointError(RuntimeError):
     """Raised for missing, truncated or corrupt checkpoints."""
 
 
-def payload_checksum(payload: bytes) -> int:
-    """Checksum of a serialized checkpoint payload."""
-    return wordsum(payload)
-
-
 def shard_digests(state: dict[str, np.ndarray]) -> tuple[tuple[str, int], ...]:
     """Per-shard digests of a state dict, in sorted shard order.
 
@@ -126,7 +121,7 @@ class CheckpointRecord:
             raise CheckpointError(
                 f"checkpoint {self.name!r} v{self.version} on {self.target} "
                 f"truncated: {len(self.payload)} of {self.nbytes} bytes")
-        if payload_checksum(self.payload) != self.checksum:
+        if wordsum(self.payload) != self.checksum:
             raise CheckpointError(
                 f"checkpoint {self.name!r} v{self.version} on {self.target} "
                 "corrupt (checksum mismatch)")
@@ -152,18 +147,16 @@ class VerifiedRestore:
 
 
 class CheckpointManager:
-    """Write/read training checkpoints to the NAM or the PFS.
+    """Write/read training checkpoints to the NAM and the PFS.
 
-    >>> mgr = CheckpointManager(nam=NetworkAttachedMemory(capacity_GB=64))
+    >>> mgr = CheckpointManager(nam=NetworkAttachedMemory(capacity_GB=64),
+    ...                         pfs=ParallelFileSystem("fs", n_targets=8))
     >>> t_write = mgr.save("resnet", step=100, state=model.state_dict())
     >>> restored = mgr.restore_latest_verified("resnet", CheckpointPolicy())
     """
 
-    def __init__(self, nam: Optional[NetworkAttachedMemory] = None,
-                 pfs: Optional[ParallelFileSystem] = None,
+    def __init__(self, nam: NetworkAttachedMemory, pfs: ParallelFileSystem,
                  retention: Optional[CheckpointRetention] = None) -> None:
-        if nam is None and pfs is None:
-            raise ValueError("need at least one storage target")
         self.nam = nam
         self.pfs = pfs
         self.retention = retention or CheckpointRetention()
@@ -182,12 +175,8 @@ class CheckpointManager:
     # -- write -----------------------------------------------------------
     def _write_one(self, record: CheckpointRecord) -> float:
         if record.target == "nam":
-            if self.nam is None:
-                raise CheckpointError("no NAM attached")
             t = self.nam.stage(record.key, record.nbytes)
         else:
-            if self.pfs is None:
-                raise CheckpointError("no PFS attached")
             handle = self.pfs.create(record.path, record.nbytes)
             t = self.pfs.write_time(handle)
         self._versions.setdefault((record.name, record.target),
@@ -208,13 +197,11 @@ class CheckpointManager:
         """Persist a new lineage version on the NAM; returns the modelled
         write time.
 
-        With ``replicate=True`` the payload is written to *both* attached
-        targets (the belt-and-braces mode fault-tolerant runs use) and the
-        slower write time is returned — replicas are written concurrently.
+        With ``replicate=True`` the payload is written to the PFS as well
+        (the belt-and-braces mode fault-tolerant runs use) and the slower
+        write time is returned — replicas are written concurrently.
         Retention GC runs on every written target afterwards.
         """
-        if replicate and (self.nam is None or self.pfs is None):
-            raise CheckpointError("replication needs both NAM and PFS")
         payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         version = self._next_version.get(name, 0)
         self._next_version[name] = version + 1
@@ -222,7 +209,7 @@ class CheckpointManager:
         targets = _TARGETS if replicate else ("nam",)
         t = max(self._write_one(CheckpointRecord(
             name=name, step=step, nbytes=len(payload), target=tgt,
-            payload=payload, checksum=payload_checksum(payload),
+            payload=payload, checksum=wordsum(payload),
             version=version,
             shards=digests)) for tgt in targets)
         for tgt in targets:
@@ -406,14 +393,10 @@ class CheckpointManager:
 
     # -- the ref [12] comparison --------------------------------------------
     def path_comparison(self, nbytes: int) -> dict[str, float]:
-        """Modelled checkpoint write time via each attached path, with
+        """Modelled checkpoint write time via each path, with
         :data:`CONCURRENT_WRITERS` ranks sharing the PFS."""
-        out: dict[str, float] = {}
-        if self.nam is not None:
-            out["nam"] = nbytes / self.nam.write_Bps
-        if self.pfs is not None:
-            # PFS path: striped write, bandwidth shared among writers.
-            per_target = nbytes / DEFAULT_STRIPE_COUNT
-            effective = self.pfs.target_Bps / CONCURRENT_WRITERS
-            out["pfs"] = per_target / effective * 1.25
-        return out
+        # PFS path: striped write, bandwidth shared among writers.
+        per_target = nbytes / DEFAULT_STRIPE_COUNT
+        effective = self.pfs.target_Bps / CONCURRENT_WRITERS
+        return {"nam": nbytes / self.nam.write_Bps,
+                "pfs": per_target / effective * 1.25}

@@ -62,14 +62,13 @@ def cascade_train(
     comm: Communicator,
     X_local: np.ndarray,
     y_local: np.ndarray,
-    template: Optional[SVC] = None,
+    template: SVC,
 ) -> Optional[CascadeSVM]:
     """Train a cascade SVM; each rank passes its data partition.
 
     Returns the fitted :class:`CascadeSVM` on rank 0, None elsewhere.
     Labels must be in {-1, +1}.
     """
-    template = template or SVC(gamma=0.5)
     machine, local_time = _train_on(template, X_local, y_local)
     comm.compute(local_time)
     X_sv, y_sv = _sv_set(machine, X_local, y_local)
@@ -116,7 +115,7 @@ def cascade_train(
 
 
 def serial_train(X: np.ndarray, y: np.ndarray,
-                 template: Optional[SVC] = None) -> tuple[SVC, float]:
+                 template: SVC) -> tuple[SVC, float]:
     """The single-SMO baseline the cascade is compared against; returns
     the machine and its modeled training seconds."""
-    return _train_on(template or SVC(gamma=0.5), X, y)
+    return _train_on(template, X, y)

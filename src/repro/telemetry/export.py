@@ -30,7 +30,7 @@ def chrome_complete_event(
     tid: int,
     start_s: float,
     duration_s: float,
-    args: Optional[dict[str, Any]] = None,
+    args: dict[str, Any],
 ) -> dict[str, Any]:
     """One Chrome 'X' (complete) event; timestamps in µs of simulated time."""
     return {
@@ -41,7 +41,7 @@ def chrome_complete_event(
         "tid": tid,
         "ts": start_s * 1e6,
         "dur": duration_s * 1e6,
-        "args": dict(args or {}),
+        "args": args,
     }
 
 
@@ -51,7 +51,7 @@ def chrome_instant_event(
     pid: int,
     tid: int,
     t_s: float,
-    args: Optional[dict[str, Any]] = None,
+    args: dict[str, Any],
 ) -> dict[str, Any]:
     """One Chrome 'i' (instant) event, thread-scoped."""
     return {
@@ -62,7 +62,7 @@ def chrome_instant_event(
         "pid": pid,
         "tid": tid,
         "ts": t_s * 1e6,
-        "args": dict(args or {}),
+        "args": args,
     }
 
 

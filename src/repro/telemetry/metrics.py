@@ -112,11 +112,6 @@ class Histogram:
         with self._lock:
             return math.fsum(self._values)
 
-    @property
-    def values(self) -> list[float]:
-        with self._lock:
-            return list(self._values)
-
     def percentile(self, q: float) -> float:
         with self._lock:
             return percentile(self._values, q)
@@ -204,12 +199,6 @@ class MetricsRegistry:
     def members(self, name: str) -> list[tuple[LabelKey, Any]]:
         with self._lock:
             return sorted(self._families.get(name, {}).items())
-
-    def value(self, name: str, **labels: Any) -> float:
-        """Convenience: current value of a counter/gauge member (0 if absent)."""
-        family = self._families.get(name, {})
-        inst = family.get(_label_key(labels))
-        return inst.value if inst is not None else 0.0
 
     def broken_invariants(self) -> list[tuple[str, LabelKey, float]]:
         """Members of the gauges named ``*invariant*`` that are above zero

@@ -144,7 +144,3 @@ class Tracer:
             spans.append(Span(name, category, start_s, duration_s,
                               track, lane, n, attrs))
         return sorted(spans, key=Span.sort_key)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._raw.clear()

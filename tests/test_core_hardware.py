@@ -1,5 +1,7 @@
 """Hardware catalogue tests, including the Table I encoding."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -19,6 +21,9 @@ from repro.core import (
     MemorySpec,
     NodeSpec,
 )
+from repro.core.hardware import FpgaSpec, StorageSpec
+
+NAN, INF = float("nan"), float("inf")
 
 
 class TestTableI:
@@ -101,3 +106,60 @@ class TestMemoryAndStorage:
     def test_cluster_gpu_node_has_4_v100(self):
         assert JUWELS_CLUSTER_GPU_NODE.gpu_count == 4
         assert all(g is NVIDIA_V100 for g in JUWELS_CLUSTER_GPU_NODE.gpus)
+
+
+class TestRanges:
+    """Sizes and rates are finite and positive when a spec is built."""
+
+    PRESETS = (XEON_CASCADE_LAKE, XEON_PLATINUM_8168, KNL_MANYCORE,
+               NVIDIA_V100, NVIDIA_A100, STRATIX10, DEEP_DAM_NODE,
+               DEEP_ESB_NODE, JUWELS_CLUSTER_NODE, JUWELS_CLUSTER_GPU_NODE,
+               JUWELS_BOOSTER_NODE)
+
+    @staticmethod
+    def _build(kind: str, **bad):
+        specs = {
+            "cpu": (CpuSpec, dict(name="c", cores=4, clock_ghz=2.0)),
+            "gpu": (GpuSpec, dict(name="g", fp32_tflops=1.0,
+                                  fp64_tflops=0.5, tensor_tflops=8.0,
+                                  memory_GB=16.0, memory_bw_GBps=900.0,
+                                  nvlink_GBps=300.0, tdp_watts=250.0)),
+            "fpga": (FpgaSpec, dict(name="f", logic_elements_m=2.8,
+                                    memory_GB=32.0, pcie_gen=3)),
+            "memory": (MemorySpec, dict(ddr_GB=96.0)),
+            "storage": (StorageSpec, dict(devices=2, capacity_TB_each=1.5)),
+            "node": (NodeSpec, dict(name="n", cpu=XEON_CASCADE_LAKE,
+                                    memory=MemorySpec(ddr_GB=96.0))),
+        }
+        cls, kwargs = specs[kind]
+        return cls(**{**kwargs, **bad})
+
+    @pytest.mark.parametrize("kind,field,value", [
+        ("cpu", "cores", 0), ("cpu", "clock_ghz", NAN),
+        ("cpu", "flops_per_cycle", -16), ("cpu", "scalar_ipc", INF),
+        ("cpu", "tdp_watts", -1.0),
+        ("gpu", "fp32_tflops", NAN), ("gpu", "memory_GB", 0.0),
+        ("gpu", "memory_bw_GBps", -900.0), ("gpu", "tdp_watts", INF),
+        ("fpga", "logic_elements_m", NAN), ("fpga", "pcie_gen", 0),
+        ("memory", "ddr_GB", 0.0), ("memory", "hbm_GB", -1.0),
+        ("memory", "nvm_GB", NAN),
+        ("storage", "devices", 0), ("storage", "capacity_TB_each", INF),
+        ("node", "cpu_sockets", 0),
+    ])
+    def test_out_of_range_field_rejected(self, kind, field, value):
+        with pytest.raises(ValueError, match=field):
+            self._build(kind, **{field: value})
+
+    @pytest.mark.parametrize("kind", ["cpu", "gpu", "fpga", "memory",
+                                      "storage", "node"])
+    def test_in_range_spec_builds(self, kind):
+        self._build(kind)
+
+    def test_absent_memory_tiers_may_be_zero(self):
+        assert MemorySpec(ddr_GB=96.0, hbm_GB=0.0, nvm_GB=0.0).total_GB == 96.0
+
+    @pytest.mark.parametrize("index", range(len(PRESETS)))
+    def test_every_preset_builds(self, index):
+        spec = self.PRESETS[index]
+        assert dataclasses.replace(spec) == spec      # the checks run again
+

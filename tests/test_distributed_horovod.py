@@ -111,7 +111,7 @@ class TestEquivalenceToSerial:
         l0 = cross_entropy(serial(Tensor(X[idx0])), Y[idx0])
         l1 = cross_entropy(serial(Tensor(X[idx1])), Y[idx1])
         loss = (l0 + l1) * 0.5
-        serial.zero_grad()
+        opt.zero_grad()
         loss.backward()
         opt.step()
         for key, value in serial.state_dict().items():

@@ -25,13 +25,18 @@ GiB = 1024 ** 3
 # checkpoint/restart (ref [12])
 # ---------------------------------------------------------------------------
 
+def _manager() -> CheckpointManager:
+    return CheckpointManager(nam=NetworkAttachedMemory(capacity_GB=1),
+                             pfs=ParallelFileSystem("fs", n_targets=4))
+
+
 class TestCheckpointing:
     def _state(self, n=1000):
         rng = np.random.default_rng(0)
         return {"w": rng.normal(size=n), "b": rng.normal(size=10)}
 
     def test_save_restore_roundtrip_nam(self):
-        mgr = CheckpointManager(nam=NetworkAttachedMemory(capacity_GB=1))
+        mgr = _manager()
         state = self._state()
         t_write = mgr.save("model", step=42, state=state)
         r = mgr.restore_latest_verified("model", CheckpointPolicy(),
@@ -41,7 +46,7 @@ class TestCheckpointing:
         np.testing.assert_array_equal(r.state["w"], state["w"])
 
     def test_overwrite_semantics(self):
-        mgr = CheckpointManager(nam=NetworkAttachedMemory(capacity_GB=1))
+        mgr = _manager()
         mgr.save("m", step=1, state=self._state())
         mgr.save("m", step=2, state=self._state())
         r = mgr.restore_latest_verified("m", CheckpointPolicy(),
@@ -57,18 +62,18 @@ class TestCheckpointing:
         assert comparison["nam"] < comparison["pfs"]
 
     def test_missing_checkpoint(self):
-        mgr = CheckpointManager(nam=NetworkAttachedMemory(capacity_GB=1))
+        mgr = _manager()
         with pytest.raises(CheckpointError):
             mgr.restore_latest_verified("ghost", CheckpointPolicy(),
                                         max_rollback=0)
 
     def test_requires_target(self):
-        with pytest.raises(ValueError):
-            CheckpointManager()
-        # Snapshots land on the NAM: a PFS-only manager cannot take one.
-        mgr = CheckpointManager(pfs=ParallelFileSystem("fs", n_targets=4))
-        with pytest.raises(CheckpointError):
-            mgr.save("m", step=1, state=self._state())
+        # Snapshots land on the NAM, replicas on the PFS: a manager is
+        # built with both.
+        with pytest.raises(TypeError):
+            CheckpointManager(nam=NetworkAttachedMemory(capacity_GB=1))
+        with pytest.raises(TypeError):
+            CheckpointManager(pfs=ParallelFileSystem("fs", n_targets=4))
 
     def test_training_resume_equivalence(self):
         """Checkpoint mid-training, restore into a fresh model, finish:
@@ -80,7 +85,7 @@ class TestCheckpointing:
         def run_epochs(model, opt, n):
             for _ in range(n):
                 loss = cross_entropy(model(Tensor(X)), y)
-                model.zero_grad()
+                opt.zero_grad()
                 loss.backward()
                 opt.step()
 
@@ -90,7 +95,7 @@ class TestCheckpointing:
         half = MLP([2, 4, 2], seed=0)
         opt_half = Adam(half.parameters(), lr=0.01)
         run_epochs(half, opt_half, 3)
-        mgr = CheckpointManager(nam=NetworkAttachedMemory(capacity_GB=1))
+        mgr = _manager()
         mgr.save("mlp", step=3, state=half.state_dict())
 
         resumed = MLP([2, 4, 2], seed=99)

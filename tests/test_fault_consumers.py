@@ -101,7 +101,7 @@ class TestTable:
     def test_drop_clause_is_rejected(self):
         with pytest.raises(FaultPlanError,
                            match="unknown fault clause 'drop'"):
-            FaultPlan.parse("seed=1,drop=0.05")
+            FaultPlan.parse("seed=1,drop=0.05", targets=TARGETS)
 
     def test_serve_exits_2_on_drop_clause(self, capsys):
         code = main(["serve", "--faults", "seed=1,drop=0.05",

@@ -131,7 +131,7 @@ class TestCovidNetCaseStudy:
             for start in range(0, len(loader_idx), 32):
                 batch = loader_idx[start:start + 32]
                 loss = cross_entropy(model(Tensor(Xtr[batch])), ytr[batch])
-                model.zero_grad()
+                opt.zero_grad()
                 loss.backward()
                 opt.step()
         return model, gen, (Xte, yte)
@@ -183,7 +183,7 @@ class TestArdsCaseStudy:
             for start in range(0, len(idx), 64):
                 batch = idx[start:start + 64]
                 loss = mae(model(Tensor(Xtr[batch])), ytr[batch])
-                model.zero_grad()
+                opt.zero_grad()
                 loss.backward()
                 opt.step()
         model.eval()
@@ -218,7 +218,7 @@ class TestArdsCaseStudy:
         loss0 = mae(model(Tensor(Xtr[:64])), ytr[:64]).item()
         for _ in range(8):
             loss = mae(model(Tensor(Xtr[:64])), ytr[:64])
-            model.zero_grad()
+            opt.zero_grad()
             loss.backward()
             opt.step()
         assert loss.item() < loss0
@@ -246,7 +246,7 @@ class TestSparkAutoencoderPipeline:
             # treeAggregate-style: partitions contribute batch gradients.
             batch = np.asarray(rows.collect()[:256])
             loss = mse(ae(Tensor(batch)), batch)
-            ae.zero_grad()
+            opt.zero_grad()
             loss.backward()
             opt.step()
         after = ae.reconstruction_error(spectra)
@@ -265,7 +265,7 @@ class TestSparkAutoencoderPipeline:
         opt = Adam(ae.parameters(), lr=5e-3)
         for _ in range(80):
             loss = mse(ae(Tensor(spectra)), spectra)
-            ae.zero_grad()
+            opt.zero_grad()
             loss.backward()
             opt.step()
         ae.eval()

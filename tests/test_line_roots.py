@@ -36,21 +36,24 @@ are exempt:
   no root injects;
 * functions (and classes) named in ``test_reachability.ALLOWLIST``,
   the single allowlist: safety code a healthy run never enters (failure
-  paths, guards for degenerate input), a reference a test compares
-  against, or a library call only tier-1 tests make (named with its
-  test).  An entry is stale only when no rule needs it: not the static
-  rules, not the line rule and not the value rule.
+  paths, guards for degenerate input, the parts of a primitive's
+  contract the roots do not use) or a reference a test compares
+  against.  An entry is stale only when no rule needs it: not the
+  static rules, not the line rule and not the value rule.
 
 The same traced run records values.  On every call of a settable-value
 owner (:meth:`~tests.test_reachability.Program.settable`, the static
 rule's one definition), the tracer reads the :func:`canonical` value of
 each defaulted parameter from ``frame.f_locals``; an omitted argument
-reads as its default.  A settable value that takes exactly one scalar in
-every root call fails unless ``ALLOWLIST`` keeps it with one of five
-reasons (DESIGN §18): input from outside ``src/``, a seed, a field of a
-record type a check asserts, an input only a fault path varies, or a
-value an unedited pin passes.  Both rules read one cached run
-(:func:`traced_run`).
+reads as its default, and an object default reads as :data:`DEFAULT`.
+A settable value that takes exactly one value in every root call fails:
+one scalar (fold it into that value), or objects of one type (no call
+leaves the default, so the default is dead).  ``ALLOWLIST`` may keep
+one with one of six reasons (DESIGN §18): input from outside ``src/``, a
+seed, a field of a record type a check asserts, an input only a fault
+path varies, a value an unedited pin passes or leaves out, or a default
+whose leg is the reference a test compares against.  Both rules read
+one cached run (:func:`traced_run`).
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ import inspect
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -290,6 +294,31 @@ def is_object(value: str) -> bool:
     return value.startswith("<")
 
 
+#: How the tracer spells an object that is its owner's own default (a
+#: default built when the ``def`` ran, or a dataclass field's
+#: ``default_factory`` marker): omitting it is not passing an object.
+DEFAULT = "<default>"
+
+
+def _resolve(namespace: dict, qualname: str):
+    """The function ``qualname`` (``func`` or ``Class.method``) names in a
+    module's ``namespace``, or None."""
+    head, _, member = qualname.partition(".")
+    owner = namespace.get(head)
+    if member:
+        owner = vars(owner).get(member) if isinstance(owner, type) else None
+    return getattr(owner, "__func__", owner)
+
+
+def _defaults(function) -> dict[str, object]:
+    """Parameter → default of ``function`` (nothing for None)."""
+    if function is None:
+        return {}
+    return {name: p.default for name, p in inspect.signature(
+        inspect.unwrap(function)).parameters.items()
+        if p.default is not p.empty}
+
+
 class LineTracer:
     """Records ``(file, line)`` for every line executed in a file under
     ``root``, on every thread started while it is installed, and the
@@ -304,42 +333,56 @@ class LineTracer:
         self._done: set[CodeType] = set()
         self._left: dict[CodeType, set[int]] = {}
         spec = spec or {"functions": [], "classes": []}
-        #: ``(file, line)`` of a function's ``def`` or first decorator, and
-        #: ``(module, class)`` of a frozen dataclass → ``(label, values)``.
+        #: ``(file, line)`` of a function's ``def`` or first decorator →
+        #: ``(label, values, qualname)``; ``(module, class)`` of a frozen
+        #: dataclass → ``(label, values)``.
         self._functions = {(f, line): owner for f, lines, *owner
                            in spec["functions"] for line in lines}
         self._classes = {(m, c): owner for m, c, *owner in spec["classes"]}
         #: ``label.param`` → the values seen so far (at most two).
         self.values: dict[str, set[str]] = {}
-        #: Code object → the ``(label.param, param)`` pairs still to watch.
-        self._watch: dict[CodeType, list[tuple[str, str]] | None] = {}
+        #: Code object → the ``(label.param, param, default)`` triples still
+        #: to watch.
+        self._watch: dict[CodeType, list[tuple[str, str, object]] | None] = {}
 
-    def _owners(self, frame) -> list[tuple[str, str]] | None:
+    def _owners(self, frame) -> list[tuple[str, str, object]] | None:
         code = frame.f_code
-        owners = [self._functions.get((code.co_filename, code.co_firstlineno))]
+        owners = []
+        owner = self._functions.get((code.co_filename, code.co_firstlineno))
+        if owner is not None:
+            label, params, qualname = owner
+            owners.append((label, params, _resolve(frame.f_globals, qualname)))
         if code.co_name == "__init__" and not code.co_filename.startswith(
                 self.prefix):
             # A dataclass's generated ``__init__``: its file is no file.
-            cls = type(frame.f_locals.get("self"))
-            owners += [self._classes.get((k.__module__, k.__qualname__))
-                       for k in cls.__mro__]
+            mro = type(frame.f_locals.get("self")).__mro__
+            classes = [self._classes.get((k.__module__, k.__qualname__))
+                       for k in mro]
+            init = next((k.__init__ for k in mro if getattr(
+                k.__init__, "__code__", None) is code), None)
+            owners += [(*owner, init) for owner in filter(None, classes)]
         watch = []
-        for owner in filter(None, owners):
-            label, params = owner
+        for label, params, function in owners:
+            defaults = _defaults(function)
             for param in params:
                 self.values.setdefault(f"{label}.{param}", set())
-                watch.append((f"{label}.{param}", param))
+                watch.append((f"{label}.{param}", param,
+                              defaults.get(param)))
         return self._pending(watch)
 
-    def _pending(self, watch: list[tuple[str, str]]
-                 ) -> list[tuple[str, str]] | None:
+    def _pending(self, watch: list[tuple[str, str, object]]
+                 ) -> list[tuple[str, str, object]] | None:
         """The values of ``watch`` not yet seen to take two values."""
         return [w for w in watch if len(self.values[w[0]]) < 2] or None
 
-    def _record(self, frame, watch: list[tuple[str, str]]) -> None:
+    def _record(self, frame, watch: list[tuple[str, str, object]]) -> None:
         local = frame.f_locals
-        for key, param in watch:
-            self.values[key].add(canonical(local[param]))
+        for key, param, default in watch:
+            value = local[param]
+            spelled = canonical(value)
+            if value is default and is_object(spelled):
+                spelled = DEFAULT
+            self.values[key].add(spelled)
         self._watch[frame.f_code] = self._pending(watch)
 
     def _call(self, frame, event, arg):
@@ -396,9 +439,10 @@ def value_spec(owners: dict[str, Settable], path: Callable[[str], str]
                ) -> dict:
     """What :class:`LineTracer` watches, as JSON: each function owner by
     its file (``path(module)``) and the lines its code object may start on
-    (``def`` and first decorator; Python 3.10 has no ``co_qualname``), each
-    frozen dataclass by ``(module, class)``, with its label and defaulted
-    values."""
+    (``def`` and first decorator; Python 3.10 has no ``co_qualname``), with
+    its label, defaulted values and name in its module (where the tracer
+    reads the defaults); each frozen dataclass by ``(module, class)``, with
+    its label and defaulted values."""
     spec: dict = {"functions": [], "classes": []}
     for label, owner in sorted(owners.items()):
         if owner.fields:
@@ -406,8 +450,11 @@ def value_spec(owners: dict[str, Settable], path: Callable[[str], str]
                                     owner.defaulted])
         elif owner.defaulted:
             lines = sorted({owner.node.lineno, _span(owner.node).start})
+            qualname = label[len(owner.module) + 1:]
+            if owner.node.name == "__init__":
+                qualname += ".__init__"
             spec["functions"].append([path(owner.module), lines, label,
-                                      owner.defaulted])
+                                      owner.defaulted, qualname])
     return spec
 
 
@@ -543,13 +590,14 @@ def traced_run() -> tuple[dict[str, list[int]], dict[str, list[str]]]:
 def single_valued(values: dict[str, Iterable[str]], allowlist: dict[str, str]
                   ) -> tuple[list[str], set[str]]:
     """``label = value`` for every settable value that took exactly one
-    scalar value in every call, outside the allowlist; and the allowlist
-    keys that cover such a value."""
+    :func:`canonical` value in every call (a scalar, or objects of one
+    type: then no call left the default), outside the allowlist; and the
+    allowlist keys that cover such a value."""
     out: list[str] = []
     needed: set[str] = set()
     for label, seen in sorted(values.items()):
         seen = list(seen)
-        if len(seen) != 1 or is_object(seen[0]):
+        if len(seen) != 1:
             continue
         if label in allowlist:
             needed.add(label)
@@ -581,8 +629,9 @@ def test_every_settable_value_takes_two_values():
     single, _ = single_valued(traced_run()[1], ALLOWLIST)
     assert not single, (
         f"{len(single)} settable values of src/repro take one value in every "
-        f"root call (fold each into that value, or allowlist it with one of "
-        f"DESIGN §18's exemptions):\n  " + "\n  ".join(single))
+        f"root call (fold a scalar into that value, drop a dead object "
+        f"default, or allowlist it with one of DESIGN §18's exemptions):"
+        f"\n  " + "\n  ".join(single))
 
 
 @pytest.mark.slow
@@ -722,7 +771,7 @@ def test_stale_allowlist_entry_is_reported():
 # -- the value rule's own spellings -----------------------------------------
 
 TOY_VALUES = '''\
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -730,9 +779,13 @@ class Cfg:
     rate: float
     burst: float = 5.0
     name: str = "a"
+    clock: object = field(default_factory=list)
 
 
-def step(x, lr=0.1, momentum=0.0, shape=None):
+LOG = []
+
+
+def step(x, lr=0.1, momentum=0.0, shape=None, rng=None, log=LOG):
     return x
 
 
@@ -762,10 +815,10 @@ def _toy_values(fn, allowlist=None) -> tuple[list[str], set[str]]:
 
 
 def _toy_calls(ns) -> None:
-    ns["step"](1, lr=0.2, shape=[1])
-    ns["step"](2, shape=(1, [2]))
-    ns["Cfg"](1.0, burst=2.0)
-    ns["Cfg"](2.0)
+    ns["step"](1, lr=0.2, shape=[1], rng=random.Random(1), log=[])
+    ns["step"](2, shape=(1, [2]), rng=random.Random(2))
+    ns["Cfg"](1.0, burst=2.0, clock=[])
+    ns["Cfg"](2.0, clock=[1])
     ns["threaded"]([], True)
     ns["threaded"]([], False)
 
@@ -776,6 +829,18 @@ def test_value_rule_flags_a_parameter_every_call_passes_one_value():
     # omitted every time, which passes its default.
     assert "toy.step.momentum = 0.0" in single
     assert not any(s.startswith("toy.step.lr ") for s in single)
+    # Every call passed a Random, and every Cfg a list: dead defaults.
+    assert "toy.step.rng = <Random>" in single
+    assert "toy.Cfg.clock = <list>" in single
+    # One call that leaves the default (a ``None``, or a
+    # ``default_factory`` that builds the same type) keeps the value.
+    def run(ns):
+        _toy_calls(ns)
+        ns["step"](3)
+        ns["Cfg"](3.0)
+    single, _ = _toy_values(run)
+    assert not any(s.startswith(("toy.step.rng ", "toy.Cfg.clock "))
+                   for s in single)
 
 
 def test_value_rule_reads_a_frozen_field_through_its_generated_init():
@@ -798,20 +863,25 @@ def test_value_rule_sees_a_value_passed_only_on_a_thread():
 
 
 def test_value_rule_ignores_a_non_scalar():
-    # ``shape`` took a list and a tuple holding a list: objects, never a
-    # scalar, so out of the rule's reach.
+    # ``shape`` took a list and a tuple holding a list: two object types,
+    # so two values.  ``log`` took a list once and once its default, a
+    # list built when the ``def`` ran: the tracer spells that one
+    # :data:`DEFAULT`.
     single, _ = _toy_values(_toy_calls)
-    assert single == ["toy.Cfg.name = 'a'", "toy.step.momentum = 0.0"]
+    assert single == ["toy.Cfg.clock = <list>", "toy.Cfg.name = 'a'",
+                      "toy.step.momentum = 0.0", "toy.step.rng = <Random>"]
     assert canonical((1, "a", None, 2.5)) == "(1, 'a', None, 2.5)"
     assert canonical(()) == "()" and canonical((True,)) == "(True,)"
     assert is_object(canonical((1, [2])))
+    assert canonical(random.Random(0)) == "<Random>"
 
 
 def test_value_rule_skips_an_allowlisted_value_and_needs_its_entry():
-    allowlist = {"toy.step.momentum": "a seed", "toy.step.lr": "two values"}
+    allowlist = {"toy.step.momentum": "a seed", "toy.step.lr": "two values",
+                 "toy.step.rng": "an object every call passes"}
     single, needed = _toy_values(_toy_calls, allowlist)
-    assert single == ["toy.Cfg.name = 'a'"]
-    assert needed == {"toy.step.momentum"}
+    assert single == ["toy.Cfg.clock = <list>", "toy.Cfg.name = 'a'"]
+    assert needed == {"toy.step.momentum", "toy.step.rng"}
     assert stale(allowlist, needed) == ["toy.step.lr"]
 
 

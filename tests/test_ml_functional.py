@@ -58,11 +58,12 @@ class TestConv1d:
     def test_output_shape(self):
         x = Tensor(rng.normal(size=(2, 3, 10)))
         w = Tensor(rng.normal(size=(4, 3, 5)))
-        assert F.conv1d(x, w).shape == (2, 4, 10)     # "same" padding
+        b = Tensor(np.zeros(4))
+        assert F.conv1d(x, w, b).shape == (2, 4, 10)  # "same" padding
 
     def test_gradients(self):
         check_grad(
-            lambda x, w: (F.conv1d(x, w) ** 2).sum(),
+            lambda x, w: (F.conv1d(x, w, Tensor(np.zeros(3))) ** 2).sum(),
             rng.normal(size=(2, 2, 6)),
             rng.normal(size=(3, 2, 3)),
             atol=1e-4,

@@ -11,11 +11,17 @@ from repro.ml import (
     GlobalAvgPool2D,
     Module,
     Parameter,
+    SGD,
     Tensor,
 )
 from repro.ml.layers import he_init, xavier_init
 
 rng = np.random.default_rng(0)
+
+
+def _dense(n_in: int, n_out: int) -> Dense:
+    """A dense layer initialised from a fresh seed-0 generator."""
+    return Dense(n_in, n_out, rng=np.random.default_rng(0))
 
 
 class Chain(Module):
@@ -33,12 +39,12 @@ class Chain(Module):
 
 class TestDense:
     def test_shapes(self):
-        layer = Dense(4, 3)
+        layer = _dense(4, 3)
         out = layer(Tensor(rng.normal(size=(5, 4))))
         assert out.shape == (5, 3)
 
     def test_linear_in_input(self):
-        layer = Dense(3, 2)
+        layer = _dense(3, 2)
         layer.bias.data[...] = rng.normal(size=2)
         x = rng.normal(size=(2, 3))
         a = layer(Tensor(x)).data - layer.bias.data
@@ -48,26 +54,26 @@ class TestDense:
 
 class TestModuleDiscovery:
     def test_nested_parameters_found(self):
-        model = Chain(Dense(3, 4), Dropout(0.0), Dense(4, 2))
+        model = Chain(_dense(3, 4), Dropout(0.0), _dense(4, 2))
         names = [n for n, _ in model.named_parameters()]
         assert "layers.0.weight" in names
         assert "layers.2.bias" in names
         assert len(model.parameters()) == 4
 
     def test_n_parameters(self):
-        model = Dense(3, 4)
+        model = _dense(3, 4)
         assert model.n_parameters() == 3 * 4 + 4
 
     def test_zero_grad_clears_all(self):
-        model = Chain(Dense(2, 2), Dense(2, 1))
+        model = Chain(_dense(2, 2), _dense(2, 1))
         out = model(Tensor(rng.normal(size=(3, 2)))).sum()
         out.backward()
         assert any(p.grad is not None for p in model.parameters())
-        model.zero_grad()
+        SGD(model.parameters(), lr=0.1).zero_grad()
         assert all(p.grad is None for p in model.parameters())
 
     def test_train_eval_propagates(self):
-        model = Chain(Dense(2, 2), Dropout(0.5), Chain(Dropout(0.3)))
+        model = Chain(_dense(2, 2), Dropout(0.5), Chain(Dropout(0.3)))
         model.eval()
         assert not model.layers[1].training
         assert not model.layers[2].layers[0].training
@@ -77,7 +83,7 @@ class TestModuleDiscovery:
 
 class TestStateDict:
     def test_roundtrip(self):
-        a = Chain(Dense(3, 4), BatchNorm(4))
+        a = Chain(_dense(3, 4), BatchNorm(4))
         b = Chain(Dense(3, 4, rng=np.random.default_rng(99)), BatchNorm(4))
         b.load_state_dict(a.state_dict())
         for (_, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
@@ -89,13 +95,13 @@ class TestStateDict:
         assert any("running_mean" in k for k in state)
 
     def test_mismatch_raises(self):
-        a = Dense(3, 4)
-        b = Dense(3, 5)
+        a = _dense(3, 4)
+        b = _dense(3, 5)
         with pytest.raises((KeyError, ValueError)):
             b.load_state_dict(a.state_dict())
 
     def test_unknown_key_raises(self):
-        a = Dense(3, 4)
+        a = _dense(3, 4)
         state = a.state_dict()
         state["ghost"] = np.zeros(1)
         with pytest.raises(KeyError):

@@ -35,7 +35,6 @@ class TestResNet:
         net = resnet_small(in_channels=3, n_classes=4)
         loss = cross_entropy(net(Tensor(rng.normal(size=(2, 3, 8, 8)))),
                              np.array([0, 1]))
-        net.zero_grad()
         loss.backward()
         for name, p in net.named_parameters():
             assert p.grad is not None, name
@@ -66,7 +65,7 @@ class TestResNet:
         opt = Adam(net.parameters(), lr=5e-3)
         for _ in range(15):
             loss = cross_entropy(net(Tensor(X)), y)
-            net.zero_grad()
+            opt.zero_grad()
             loss.backward()
             opt.step()
         assert accuracy(net.predict(X), y) >= 0.9
@@ -118,7 +117,7 @@ class TestForecasters:
             opt = Adam(model.parameters(), lr=1e-2)
             for _ in range(40):
                 loss = mae(model(Tensor(X)), y)
-                model.zero_grad()
+                opt.zero_grad()
                 loss.backward()
                 opt.step()
             model.eval()
@@ -158,7 +157,7 @@ class TestAutoencoder:
         before = ae.reconstruction_error(X)
         for _ in range(150):
             loss = mse(ae(Tensor(X)), X)
-            ae.zero_grad()
+            opt.zero_grad()
             loss.backward()
             opt.step()
         after = ae.reconstruction_error(X)
@@ -182,7 +181,7 @@ class TestMLP:
         opt = Adam(m.parameters(), lr=1e-2)
         for _ in range(150):
             loss = cross_entropy(m(Tensor(X)), y)
-            m.zero_grad()
+            opt.zero_grad()
             loss.backward()
             opt.step()
         assert accuracy(m.predict(X), y) > 0.95

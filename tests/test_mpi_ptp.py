@@ -147,9 +147,9 @@ class TestPayloadSize:
         assert payload_nbytes({"k": 1}) > 0
 
 
-def test_spmd_sim_times_reports_clocks():
+def test_spmd_sim_times_reports_clocks(hdr_fabric):
     def fn(comm):
         comm.allreduce(np.ones(1000))
 
-    _, times = spmd_sim_times(fn, 4)
+    _, times = spmd_sim_times(fn, 4, cost_model=hdr_fabric)
     assert all(t > 0 for t in times)

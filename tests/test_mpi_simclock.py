@@ -39,7 +39,7 @@ def test_message_charges_link_cost(hdr_fabric):
     assert times[1] == pytest.approx(expected, rel=0.01)
 
 
-def test_receiver_never_ahead_of_sender_plus_cost():
+def test_receiver_never_ahead_of_sender_plus_cost(hdr_fabric):
     def fn(comm):
         if comm.rank == 0:
             comm.compute(1.0)
@@ -48,30 +48,30 @@ def test_receiver_never_ahead_of_sender_plus_cost():
             comm.recv(source=0)
         return comm.sim_time
 
-    _, times = spmd_sim_times(fn, 2)
+    _, times = spmd_sim_times(fn, 2, cost_model=hdr_fabric)
     # Receiver's clock must include the sender's 1 s of compute.
     assert times[1] >= 1.0
 
 
-def test_bigger_payload_takes_longer():
+def test_bigger_payload_takes_longer(hdr_fabric):
     def fn(n):
         def allreduce(comm):
             comm.allreduce(np.ones(n))
             return comm.sim_time
         return allreduce
 
-    _, t_small = spmd_sim_times(fn(1_000), 4)
-    _, t_big = spmd_sim_times(fn(1_000_000), 4)
+    _, t_small = spmd_sim_times(fn(1_000), 4, cost_model=hdr_fabric)
+    _, t_big = spmd_sim_times(fn(1_000_000), 4, cost_model=hdr_fabric)
     assert max(t_big) > max(t_small)
 
 
-def test_more_ranks_cost_more_latency():
+def test_more_ranks_cost_more_latency(hdr_fabric):
     def fn(comm):
         comm.allreduce(np.ones(64))
         return comm.sim_time
 
-    _, t2 = spmd_sim_times(fn, 2)
-    _, t8 = spmd_sim_times(fn, 8)
+    _, t2 = spmd_sim_times(fn, 2, cost_model=hdr_fabric)
+    _, t8 = spmd_sim_times(fn, 8, cost_model=hdr_fabric)
     assert max(t8) > max(t2)
 
 
@@ -100,12 +100,12 @@ def test_compute_and_comm_both_advance_sim_time():
         assert after_comm > after_compute
 
 
-def test_sim_clock_deterministic():
+def test_sim_clock_deterministic(hdr_fabric):
     def fn(comm):
         comm.allreduce(np.ones(4096))
         comm.bcast("x" if comm.rank == 0 else None)
         return comm.sim_time
 
-    _, t1 = spmd_sim_times(fn, 4)
-    _, t2 = spmd_sim_times(fn, 4)
+    _, t1 = spmd_sim_times(fn, 4, cost_model=hdr_fabric)
+    _, t2 = spmd_sim_times(fn, 4, cost_model=hdr_fabric)
     assert t1 == t2

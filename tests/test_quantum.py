@@ -45,13 +45,6 @@ class TestQubo:
         with pytest.raises(ValueError):
             Qubo(np.eye(2)).energy(np.array([0.5, 1.0]))
 
-    def test_batch_energies(self):
-        qubo = Qubo(rng.normal(size=(4, 4)))
-        X = rng.integers(0, 2, size=(10, 4)).astype(float)
-        batch = qubo.energies(X)
-        singles = [qubo.energy(x) for x in X]
-        np.testing.assert_allclose(batch, singles)
-
     def test_interactions_count(self):
         Q = np.zeros((3, 3))
         Q[0, 1] = 1.0
@@ -171,7 +164,8 @@ class TestQsvm:
     def test_learns_separable_data(self):
         X, y = self._data()
         qsvm = self._qsvm().fit(X, y)
-        assert qsvm.score(X, y) > 0.85
+        predicted = np.where(qsvm.decision_function(X) >= 0, 1.0, -1.0)
+        assert (predicted == y).mean() > 0.85
 
     def test_over_capacity_forces_subsampling(self):
         X = np.zeros((40, 2))
@@ -207,7 +201,7 @@ class TestQsvm:
 
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):
-            self._qsvm().predict(np.ones((2, 2)))
+            self._qsvm().decision_function(np.ones((2, 2)))
 
 
 class TestQsvmEnsemble:

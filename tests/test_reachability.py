@@ -104,9 +104,12 @@ ALLOWLIST = {
         "an unedited pin passes it: the run-vs-step pin in "
         "test_perf_regression_pins.py names its resource",
     # Settable values that take one value in every root call
-    # (test_line_roots.py's value rule).  Only DESIGN §18's five
+    # (test_line_roots.py's value rule).  Only DESIGN §18's six
     # exemptions may keep one.  (1) Input from outside src/: a CLI option
     # or a benchmarks/e2e call site.
+    "repro.cli.main.argv":
+        "input from outside src/: the repro console script calls main() "
+        "without it, so argparse reads sys.argv",
     "repro.bench.runner.run_bench.areas":
         "input from outside src/: repro bench --areas",
     "repro.bench.runner.run_bench.quick":
@@ -170,7 +173,7 @@ ALLOWLIST = {
     "repro.serving.replicas.ReplicaPool.place.avoid":
         "an input only a fault path varies: _placement_avoid feeds it when "
         "the detector suspects a node",
-    # (5) An unedited pin passes it.
+    # (5) An unedited pin passes it, or leaves it out.
     "repro.simnet.events.Simulator.run.until":
         "an unedited pin passes it: test_perf_regression_pins.py's "
         "run(until=0.3)",
@@ -183,6 +186,14 @@ ALLOWLIST = {
     "repro.core.scheduler.rank_placements.n_nodes":
         "an unedited pin passes it: test_scheduler_placement_table.py ranks "
         "four-node placements",
+    "repro.resilience.integrity.IntegrityContext.config":
+        "an unedited pin leaves it out: test_perf_regression_pins.py builds "
+        "IntegrityContext(CorruptionInjector(plan)) and takes its default",
+    # (6) A reference: the default's leg is what a tier-1 test compares
+    # against.
+    "repro.analytics.mllib.RandomForest.fit.ctx":
+        "a reference: its None leg is the serial forest "
+        "test_rdd_and_serial_forest_agree compares the RDD fit with",
     # Functions with lines no root executes (test_line_roots.py).  Failure
     # and fault paths: safety code a healthy run never enters.
     "repro.bench.paper._raises":
@@ -219,8 +230,6 @@ ALLOWLIST = {
     "_apply_checkpoint_rot":
         "a rot spec delivered twice, or one that lands before the first "
         "checkpoint",
-    "repro.distributed.horovod.run_elastic_training._rank_main._recover":
-        "recovery before any checkpoint exists",
     "repro.mpi.runtime.SpmdFailure.__init__":
         "a failed rank's exception, re-raised to the caller",
     "repro.mpi.transport.Transport.abort":
@@ -428,47 +437,24 @@ ALLOWLIST = {
     "repro.mpi.collectives.dissemination_barrier":
         "what Communicator.barrier, named in benchmarks/e2e/layers.py:WRAPS "
         "(rule i), runs",
-    # Library calls no root makes that tier-1 tests use; deleting one
-    # deletes its tests (ROADMAP item 8).
+    # Every primitive's whole contract on both engines: its backward, and
+    # the lazy engine's shape rule and executor for every argument the API
+    # accepts.  The roots use a subset; test_ml_engine_gradcheck.py checks
+    # each primitive against finite differences and lazy against eager.
+    # Safety code: without it a gradient would be silently wrong, or an
+    # argument would work on one engine only.
     "repro.ml.tensor.Tensor.max":
-        "max's backward: the per-primitive gradcheck "
-        "(test_ml_engine_gradcheck.py)",
+        "the gradient of a max no caller detaches (log_softmax detaches "
+        "its shift)",
     "repro.ml.tensor.Tensor.transpose":
-        "transpose(axes) and its backward: that gradcheck",
+        "the gradient through a transpose (E8's CNN transposes its input, "
+        "which needs none)",
     "repro.ml.engine.ops.resolve_reshape":
-        "reshape with -1 on the lazy engine (test_ml_engine_gradcheck.py)",
+        "a reshape with -1 on the lazy engine, as eager NumPy accepts it",
     "repro.ml.engine.ops._transpose_infer":
-        "transpose on the lazy engine (the same gradcheck)",
+        "the lazy engine's shape rule for transpose",
     "repro.ml.engine.ops._exec_pow":
-        "a general exponent (the pow gradcheck)",
-    "repro.ml.layers.Module.zero_grad":
-        "the training loops of the model tests",
-    "repro.quantum.qubo.Qubo.energies":
-        "test_quantum.py's test_batch_energies",
-    "repro.quantum.qsvm.QuantumSVM.predict":
-        "test_quantum.py's QSVM tests",
-    "repro.quantum.qsvm.QuantumSVM.score":
-        "the same tests",
-    "repro.resilience.detect.PhiAccrualDetector.monitored":
-        "test_resilience_detect.py's inventory tests",
-    "repro.resilience.detect.PhiAccrualDetector.suspicion_levels":
-        "the same tests",
-    "repro.resilience.detect.PhiAccrualDetector.publish":
-        "the same tests",
-    "repro.simnet.link.Link.transfer_time":
-        "test_simnet_topology.py's link tests",
-    "repro.simnet.events.Process._resume":
-        "a process yielding a bare delay (test_simnet_events.py)",
-    "repro.telemetry.metrics.Histogram.values":
-        "test_serving_engine.py's shared-registry test",
-    "repro.telemetry.metrics.MetricsRegistry.value":
-        "the counter reads of the telemetry tests",
-    "repro.telemetry.spans.Tracer.clear":
-        "test_telemetry_core.py's tracer tests",
-    "repro.core.streaming.StreamingReport.latency_summary":
-        "test_core_stats.py's test_report_latency_summary",
-    "repro.core.stats.LatencySummary.meets_deadline":
-        "test_core_stats.py and test_streaming.py's deadline tests",
+        "an exponent other than 2 and 0.5 (those take a faster ufunc)",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")

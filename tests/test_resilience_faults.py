@@ -174,6 +174,13 @@ class TestPlanValidation:
         with pytest.raises(FaultPlanError):
             FaultPlan.parse("crash=gpu:1", targets={"cm": 8})
 
+    def test_parse_checks_every_module_against_its_targets(self):
+        # Targets are required, and an empty map knows no module.
+        with pytest.raises(TypeError):
+            FaultPlan.parse("crash=cm:1")
+        with pytest.raises(FaultPlanError, match="unknown module 'cm'"):
+            FaultPlan.parse("crash=cm:1", targets={})
+
 
 class TestChaosGrammar:
     """The chaos= clause: grammar, composition and its pinned draws."""

@@ -23,8 +23,9 @@ from repro.resilience.integrity import (
     linear_checksum,
     publish_undetected,
     verified_grad_allreduce,
+    wordsum,
 )
-from repro.storage.checkpoint import payload_checksum, shard_digests
+from repro.storage.checkpoint import shard_digests
 
 
 class TestChecksums:
@@ -78,7 +79,7 @@ class TestChecksums:
                       shard_digests({name: arr})[0][1])
                for name, arr in self._arrays().items()}
         assert got == self.PINNED
-        assert payload_checksum(bytes(range(21))) == 1590916429253491868
+        assert wordsum(bytes(range(21))) == 1590916429253491868
 
     @pytest.mark.parametrize("name", ["f32_strided_odd_tail",
                                       "f32_fortran_odd_tail"])
@@ -289,7 +290,7 @@ class TestFaultPlanCorruption:
         assert plan.has_corruption
 
     def test_parse_bitflip_clause(self):
-        plan = FaultPlan.parse("seed=3,bitflip=0.01")
+        plan = FaultPlan.parse("seed=3,bitflip=0.01", targets={"cm": 8})
         assert plan.message_bitflip_probability == 0.01
         assert plan.has_corruption
 

@@ -269,7 +269,7 @@ class TestPlacement:
         phase = InferencePerfModel().as_phase(64)
         seen = []
         for _ in range(small_system.total_nodes):
-            placed = place_standalone(small_system, phase, 1)
+            placed = place_standalone(small_system, phase, 1, suspect={})
             if placed is None:
                 break
             seen.append(placed[0])

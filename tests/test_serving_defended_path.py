@@ -38,6 +38,7 @@ from repro.serving import (
     TraceConfig,
 )
 from repro.telemetry import MetricsRegistry
+from tests.test_telemetry_core import metric_value
 
 _QS = (0.5, 1.0, 25.0, 50.0, 95.0, 99.0, 100.0)
 
@@ -199,7 +200,8 @@ class TestRareCounts:
             assert report.to_text() == alone.to_text()
             assert report.metrics.hedges_issued == m.hedges_issued
             assert report.duplicate_work_ratio == alone.duplicate_work_ratio
-        assert registry.value("serving_hedges_total") == 2 * m.hedges_issued
+        assert (metric_value(registry, "serving_hedges_total")
+                == 2 * m.hedges_issued)
 
     def test_disabled_registry_still_counts_hedges(self):
         plain = _chaos_engine(1, duration=40.0).run()
@@ -212,10 +214,11 @@ class TestRareCounts:
         engine = _chaos_engine(2, duration=40.0)
         report = engine.run()
         m, reg = report.metrics, engine.metrics.registry
-        assert reg.value("serving_hedges_total") == m.hedges_issued
-        assert reg.value("serving_hedge_wins_total",
-                         side="backup") == m.hedges_backup_won
-        assert reg.value("serving_hedge_wasted_seconds") == m.hedge_wasted_s
+        assert metric_value(reg, "serving_hedges_total") == m.hedges_issued
+        assert metric_value(reg, "serving_hedge_wins_total",
+                            side="backup") == m.hedges_backup_won
+        assert (metric_value(reg, "serving_hedge_wasted_seconds")
+                == m.hedge_wasted_s)
         assert sum(m.breaker_transitions_to.values()) \
             == report.breaker_transitions
         assert sum(m.brownout_transitions_to.values()) \

@@ -109,7 +109,7 @@ def test_process_generator_sequences_timeouts():
         trace.append(("start", sim.now))
         yield sim.timeout(2.0)
         trace.append(("mid", sim.now))
-        yield 3.0          # bare float = timeout
+        yield sim.timeout(3.0)
         trace.append(("end", sim.now))
         return "done"
 

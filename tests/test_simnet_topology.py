@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simnet import (
+    CommCostModel,
     Link,
     LinkKind,
     fat_tree,
@@ -17,23 +18,26 @@ def _count(topo, terminal: bool) -> int:
 
 
 class TestLink:
+    """A link's α-β cost, as the comm model charges it."""
+
     def test_transfer_time_is_alpha_beta(self):
         link = Link.of_kind(LinkKind.INFINIBAND_HDR)
-        t = link.transfer_time(1_000_000)
+        t = CommCostModel.of_kind(LinkKind.INFINIBAND_HDR).ptp(1_000_000)
         assert t == pytest.approx(link.latency_s + 1e6 / link.bandwidth_Bps)
 
     def test_zero_bytes_costs_latency_only(self):
         link = Link.of_kind(LinkKind.EXTOLL)
-        assert link.transfer_time(0) == link.latency_s
+        assert CommCostModel.of_kind(LinkKind.EXTOLL).ptp(0) == link.latency_s
 
     def test_negative_bytes_rejected(self):
         with pytest.raises(ValueError):
-            Link.of_kind(LinkKind.NVLINK).transfer_time(-1)
+            CommCostModel.of_kind(LinkKind.NVLINK).ptp(-1)
 
     def test_hdr_is_faster_than_edr(self):
         edr = Link.of_kind(LinkKind.INFINIBAND_EDR)
         hdr = Link.of_kind(LinkKind.INFINIBAND_HDR)
-        assert hdr.transfer_time(10**8) < edr.transfer_time(10**8)
+        assert hdr.bandwidth_Bps > edr.bandwidth_Bps
+        assert hdr.latency_s <= edr.latency_s
 
     def test_nvlink_beats_pcie(self):
         nv = Link.of_kind(LinkKind.NVLINK)

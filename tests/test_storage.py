@@ -11,6 +11,7 @@ from repro.storage import (
     StripeLayout,
     TieredStore,
 )
+from tests.test_telemetry_core import metric_value
 
 GiB = 1024 ** 3
 
@@ -249,8 +250,8 @@ class TestPfsHealth:
         pfs = ParallelFileSystem("fs", n_targets=4)
         with telemetry.capture() as (_, registry):
             pfs.fail_target(1)
-            assert registry.value("component_health_degraded",
-                                  component="pfs:fs") == 1.0
+            assert metric_value(registry, "component_health_degraded",
+                                component="pfs:fs") == 1.0
             pfs.recover_target(1)
-            assert registry.value("component_health_degraded",
-                                  component="pfs:fs") == 0.0
+            assert metric_value(registry, "component_health_degraded",
+                                component="pfs:fs") == 0.0

@@ -52,9 +52,9 @@ class TestRoundTrip:
         assert t >= mgr.save("solo", step=5, state=_state())
 
     def test_replicate_requires_both_backends(self):
-        solo = CheckpointManager(nam=NetworkAttachedMemory(capacity_GB=1))
-        with pytest.raises(CheckpointError):
-            solo.save("m", step=1, state=_state(), replicate=True)
+        # A manager without the PFS, where the replica goes, is refused.
+        with pytest.raises(TypeError, match="pfs"):
+            CheckpointManager(nam=NetworkAttachedMemory(capacity_GB=1))
 
 
 class TestIntegrity:

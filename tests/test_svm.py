@@ -103,11 +103,11 @@ class TestSVC:
 class TestCascade:
     def test_accuracy_matches_serial(self):
         X, y = blobs(n_per_class=150, seed=4)
-        serial_machine, _ = serial_train(X, y)
+        serial_machine, _ = serial_train(X, y, SVC(gamma=0.5))
 
         def fn(comm):
             shard = np.arange(comm.rank, len(y), comm.size)
-            return cascade_train(comm, X[shard], y[shard])
+            return cascade_train(comm, X[shard], y[shard], SVC(gamma=0.5))
 
         result = run_spmd(fn, 4)[0]
         assert isinstance(result, CascadeSVM)
@@ -118,7 +118,7 @@ class TestCascade:
 
         def fn(comm):
             shard = np.arange(comm.rank, len(y), comm.size)
-            return cascade_train(comm, X[shard], y[shard])
+            return cascade_train(comm, X[shard], y[shard], SVC(gamma=0.5))
 
         out = run_spmd(fn, 4)
         assert out[0] is not None
@@ -130,7 +130,7 @@ class TestCascade:
 
         def fn(comm):
             shard = np.arange(comm.rank, len(y), comm.size)
-            return cascade_train(comm, X[shard], y[shard])
+            return cascade_train(comm, X[shard], y[shard], SVC(gamma=0.5))
 
         result = run_spmd(fn, ws)[0]
         assert result.score(X, y) > 0.9
@@ -140,7 +140,7 @@ class TestCascade:
 
         def fn(comm):
             shard = np.arange(comm.rank, len(y), comm.size)
-            return cascade_train(comm, X[shard], y[shard])
+            return cascade_train(comm, X[shard], y[shard], SVC(gamma=0.5))
 
         assert run_spmd(fn, 4)[0].n_levels == 2
         assert run_spmd(fn, 8)[0].n_levels == 3
@@ -150,7 +150,7 @@ class TestCascade:
 
         def fn(comm):
             shard = np.arange(comm.rank, len(y), comm.size)
-            return cascade_train(comm, X[shard], y[shard])
+            return cascade_train(comm, X[shard], y[shard], SVC(gamma=0.5))
 
         result = run_spmd(fn, 4)[0]
         # Far fewer vectors travel than raw data rows.
@@ -161,7 +161,7 @@ class TestCascade:
 
         def fn(comm):
             shard = np.arange(comm.rank, len(y), comm.size)
-            return cascade_train(comm, X[shard], y[shard])
+            return cascade_train(comm, X[shard], y[shard], SVC(gamma=0.5))
 
         result = run_spmd(fn, 4)[0]
         assert len(result.local_times) == 4

@@ -16,6 +16,7 @@ from repro import telemetry
 from repro.mpi import run_spmd
 from repro.scenarios import SCENARIOS, run_scenario
 from repro.telemetry import MetricsRegistry
+from tests.test_telemetry_core import metric_value
 from tests.test_telemetry_core import validate_nesting
 
 
@@ -115,8 +116,10 @@ class TestCollectiveTelemetry:
              for op in ("allreduce", "barrier", "bcast")] * 2
             + [("collective_bytes", "allreduce")] * 2
             + [("collective_bytes", "bcast")])
-        assert registry.value("collective_calls_total", op="barrier") == 12
-        assert registry.value("collective_bytes", op="allreduce") == 12 * 64
+        assert metric_value(registry, "collective_calls_total",
+                            op="barrier") == 12
+        assert metric_value(registry, "collective_bytes",
+                            op="allreduce") == 12 * 64
         assert 'collective_bytes{op="barrier"}' not in registry.to_prometheus()
         assert sum(s.track == "mpi" for s in tracer.spans) == 36
 
@@ -127,9 +130,9 @@ class TestCollectiveTelemetry:
             with telemetry.capture() as (_, second):
                 comm.recv(source=0, tag=1)
                 comm.send("y", dest=0, tag=1)
-            return (first.value("collective_calls_total", op="send"),
-                    second.value("collective_calls_total", op="send"),
-                    second.value("collective_calls_total", op="recv"))
+            return (metric_value(first, "collective_calls_total", op="send"),
+                    metric_value(second, "collective_calls_total", op="send"),
+                    metric_value(second, "collective_calls_total", op="recv"))
 
         assert run_spmd(fn, 1) == [(1, 1, 1)]
 
