@@ -144,8 +144,6 @@ class ScheduleReport:
             self.energy_idle_joules)
         for key, util in self.module_utilisation.items():
             reg.gauge("scheduler_module_utilisation", module=key).set(util)
-        if self.resilience is not None:
-            self.resilience.publish_metrics(reg)
 
 
 def _degrade_factor(degraded: Mapping[str, list[float]], key: str) -> float:
@@ -322,8 +320,7 @@ class MsaScheduler:
 
     def _on_phase_done(self, evt) -> None:
         record: _RunningRecord = evt.value
-        if record in self._running:
-            self._running.remove(record)
+        self._running.remove(record)
         state = record.state
         self._trace_phase(record, killed=False)
         for idx, module, _ in record.parts:
@@ -505,11 +502,10 @@ class MsaScheduler:
 
     def _on_link_recover(self, evt) -> None:
         spec: FaultSpec = evt.value
-        factors = self._degraded.get(spec.module, [])
-        if spec.magnitude in factors:
-            factors.remove(spec.magnitude)
+        factors = self._degraded[spec.module]
+        factors.remove(spec.magnitude)
         if not factors:
-            self._degraded.pop(spec.module, None)
+            del self._degraded[spec.module]
         self._forget_scores()
 
     # -- placement -----------------------------------------------------------------
@@ -743,8 +739,10 @@ class MsaScheduler:
                         else None),
             arrival_times=dict(self._arrivals),
         )
-        if telemetry.get_registry().enabled:
-            report.publish_metrics(telemetry.get_registry())
+        reg = telemetry.get_registry()
+        if reg.enabled:
+            report.publish_metrics(reg)
+            self.resilience.publish_metrics(reg)
         return report
 
 

@@ -131,7 +131,7 @@ class MSASystem:
                     "key": key, "kind": mod.kind.value,
                     "capacity_GB": mod.capacity_GB,
                 })
-            elif isinstance(mod, QuantumModule):
+            else:
                 rows.append({
                     "key": key, "kind": mod.kind.value,
                     "qubits": mod.n_qubits, "couplers": mod.n_couplers,

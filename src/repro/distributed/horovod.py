@@ -288,11 +288,12 @@ def run_elastic_training(
     without momentum, so model weights are the complete training state and
     checkpoint-restart is exact.
 
-    Silent corruption: when the fault plan carries corruption specs (or
-    ``integrity_config`` is given), an
-    :class:`~repro.resilience.integrity.IntegrityContext` is installed on
-    every communicator (checksummed message envelopes) and gradient
-    reduction goes through the ABFT-verified allreduce.  A detected
+    Silent corruption: an
+    :class:`~repro.resilience.integrity.IntegrityContext` (``integrity_config``,
+    or the default :class:`~repro.resilience.integrity.IntegrityConfig`)
+    is installed on every communicator (checksummed message envelopes)
+    and gradient reduction goes through the ABFT-verified allreduce,
+    whether or not the fault plan carries corruption specs.  A detected
     corrupted contribution is handled exactly like a killed rank — the
     offender is reported to ``on_quarantine`` (e.g. the scheduler's
     suspect-node machinery), the ring shrinks, and survivors roll back to
@@ -320,12 +321,10 @@ def run_elastic_training(
     n_samples = len(X)
 
     injector = None
-    integrity_ctx = None
     if fault_plan is not None and getattr(fault_plan, "has_corruption", False):
         injector = CorruptionInjector(fault_plan)
-    if injector is not None or integrity_config is not None:
-        integrity_config = integrity_config or IntegrityConfig()
-        integrity_ctx = IntegrityContext(injector, integrity_config)
+    integrity_config = integrity_config or IntegrityConfig()
+    integrity_ctx = IntegrityContext(injector, integrity_config)
 
     #: CHECKPOINT_ROT specs already applied, shared by whichever thread is
     #: rank 0 when a step is first reached (ring transitions order access).

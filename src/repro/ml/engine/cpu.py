@@ -1,13 +1,13 @@
 """Fused-kernel execution on NumPy and the ``cpu`` device.
 
-:meth:`Device.realize` is the one executor every backend shares: *match,
-then lookup-or-compile, then replay* (DESIGN §12).  A binding recorded on
-the root's entry (:func:`~repro.ml.engine.graph.bind`) hands over the
-plan and its registers without a walk; otherwise the structural key of
-the pending subgraph (:func:`~repro.ml.engine.graph.pending`) finds the
-plan on the device, and on a miss :func:`~repro.ml.engine.fuser.schedule`
-runs once and its kernels are flattened into per-op steps with each
-kernel's cost, counters and span attributes worked out ahead.
+:meth:`Device.realize` is the one executor every backend shares: *match
+or compile, then replay* (DESIGN §12).  A binding recorded on the root's
+entry (:func:`~repro.ml.engine.graph.bind`) hands over the plan and its
+registers without a walk; otherwise the realize walks the pending
+subgraph (:func:`~repro.ml.engine.graph.pending`),
+:func:`~repro.ml.engine.fuser.schedule` runs once and its kernels are
+flattened into per-op steps with each kernel's cost, counters and span
+attributes worked out ahead; the new binding keeps that plan.
 
 A plan replays the exact eager ufunc sequence of each kernel in topo
 order, retargeting a dying temp the kernel allocated itself as the
@@ -24,7 +24,6 @@ V100/A100 roofline from :mod:`repro.distributed.perfmodel` instead.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -34,10 +33,6 @@ from repro.ml.engine.fuser import Kernel, schedule
 from repro.ml.engine.graph import Binding, LazyExpr, bind, pending
 from repro.ml.engine.ops import ELEMENTWISE_KINDS, OPS
 from repro.ml.engine.stats import STATS
-
-#: Plans one device keeps (oldest dropped first).  A training loop needs
-#: one per distinct realize of its step — a few dozen.
-PLAN_CACHE_SIZE = 512
 
 
 class PlannedKernel(NamedTuple):
@@ -64,9 +59,9 @@ class Device:
     Concrete devices define :meth:`kernel_time_s`; :meth:`realize` finds
     or compiles the plan of the pending subgraph, replays it on NumPy,
     advances the device's deterministic clock and emits one telemetry
-    span per fused kernel.  Plans carry this device's kernel costs, so
-    they live on the instance: another device — or the fresh instance a
-    ``register_device`` overwrite creates — starts with none.
+    span per fused kernel.  Plans carry this device's kernel costs, so a
+    binding names its device: another device — or the fresh instance a
+    ``register_device`` overwrite creates — compiles its own.
     """
 
     name = "abstract"
@@ -76,11 +71,6 @@ class Device:
         # perturb the total, so device time is deterministic even under
         # SPMD rank threads.
         self._time_ps = 0
-        self._plans: dict[tuple, tuple[PlannedKernel, ...]] = {}
-        self._plans_lock = threading.Lock()     # rank threads share a device
-        #: What a binding names this device by; replaced on every eviction,
-        #: so an evicted plan compiles again.
-        self._epoch = object()
 
     # -- clock ---------------------------------------------------------------
     @property
@@ -105,10 +95,9 @@ class Device:
 
     # -- execution ---------------------------------------------------------------
     def _compile(self, root: LazyExpr, topo: list[LazyExpr],
-                 external: list[LazyExpr],
-                 key: tuple) -> tuple[PlannedKernel, ...]:
-        """Schedule ``root`` and flatten its kernels into a cached plan
-        over the registers ``topo + external``."""
+                 external: list[LazyExpr]) -> tuple[PlannedKernel, ...]:
+        """Schedule ``root`` and flatten its kernels into a plan over the
+        registers ``topo + external``."""
         reg = {id(node): i for i, node in enumerate(topo + external)}
         plan = []
         for kernel in schedule(root):
@@ -145,36 +134,25 @@ class Device:
                       if not node.saved),
                 f"kernel:{kernel.name}", kernel.n_ops, flops, nbytes,
                 int(round(cost * 1e12)), allocs, alloc_bytes))
-        plan = tuple(plan)
-        with self._plans_lock:
-            if len(self._plans) >= PLAN_CACHE_SIZE:
-                del self._plans[next(iter(self._plans))]
-                self._epoch = object()
-            self._plans[key] = plan
-        return plan
+        return tuple(plan)
 
     def realize(self, root: LazyExpr) -> np.ndarray:
         stats = STATS if STATS.enabled else None
         b = root.entry.binding
-        bound = (bind(root, b) if b is not None and b.epoch is self._epoch
+        bound = (bind(root, b) if b is not None and b.device is self
                  else None)
         if bound is not None:
             topo, external = bound
-            plan, compiled = b.plan, False
+            plan = b.plan
         else:
-            topo, external, key, edges = pending(root)
-            plan = self._plans.get(key)
-            compiled = plan is None
-            if compiled:
-                plan = self._compile(root, topo, external, key)
-            root.entry.binding = Binding(self._epoch, plan, root.saved, *edges)
+            topo, external, edges = pending(root)
+            plan = self._compile(root, topo, external)
+            root.entry.binding = Binding(self, plan, root.saved, *edges)
             if stats is not None:
                 stats.graph_walks += 1
         if stats is not None:
             stats.realizes += 1
             stats.recomputes += root.fused_away
-            stats.plan_hits += not compiled
-            stats.plan_compiles += compiled
         regs = [None] * len(topo)
         regs.extend([src.result for src in external])
         tracer = telemetry.get_tracer()

@@ -100,8 +100,7 @@ def schedule(root: LazyExpr) -> list[Kernel]:
     group_of: dict[int, int] = {}            # node id -> root node index
     for node in reversed(topo):
         nid = id(node)
-        if nid not in group_of:
-            group_of[nid] = index[nid]       # starts its own group
+        group_of[nid] = index[nid]           # starts its own group
         if node.kind not in ELEMENTWISE_KINDS or node is root:
             continue
         uses = consumers[nid]

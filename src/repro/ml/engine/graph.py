@@ -32,7 +32,7 @@ class Binding(NamedTuple):
     the next realize of a node under that entry needs no walk
     (:func:`bind`)."""
 
-    epoch: object       #: the plan's device, as of its last eviction
+    device: object      #: the plan's device (its kernel costs)
     plan: tuple
     root_saved: bool
     #: Per pending node but the root, last first: ``(i, j, k, saved)`` —
@@ -43,20 +43,20 @@ class Binding(NamedTuple):
 
 
 class Entry:
-    """What every node recorded under one key shares: the ``sig``, the
-    inferred ``kind``/``shape``/``dtype`` and the binding of the last
-    realize rooted at such a node that walked.  The key
+    """What every node recorded under one key shares: the inferred
+    ``kind``/``shape``/``dtype`` and the binding of the last realize
+    rooted at such a node that walked.  The key
     (:meth:`LazyExpr.make`) holds, per input, ``(entry, distance)`` for a
     pending one — distance = ops its thread recorded since — or ``(shape,
     dtype)`` for a realized one, so an entry stands for one pending
     ancestry, and holds no node or array.
     """
 
-    __slots__ = ("sig", "kind", "shape", "dtype", "binding")
+    __slots__ = ("kind", "shape", "dtype", "binding")
 
-    def __init__(self, sig: tuple, kind: str, shape: tuple[int, ...],
+    def __init__(self, kind: str, shape: tuple[int, ...],
                  dtype: np.dtype) -> None:
-        self.sig, self.kind, self.shape, self.dtype = sig, kind, shape, dtype
+        self.kind, self.shape, self.dtype = kind, shape, dtype
         self.binding: Optional[Binding] = None
 
 
@@ -130,14 +130,15 @@ class LazyExpr:
             key = (op, kw, a1, a2, inputs[1].shape, inputs[1].dtype)
         try:
             entry = _ENTRIES.get(key)
-        except TypeError:               # unhashable kwarg (a 0-d array size):
-            kw = object()               # a sig equal to no other, so this
-            key = entry = None          # node's graphs never share a plan
+        except TypeError:
+            # An unhashable kwarg (a 0-d array size): an entry of its own,
+            # so this node's graphs never share a plan.
+            key = entry = None
         if entry is None:
             spec = OPS[op]
             shape, dtype = spec.infer(tuple(i.shape for i in inputs),
                                       tuple(i.dtype for i in inputs), kwargs)
-            entry = Entry((op, kw), spec.kind, tuple(shape), np.dtype(dtype))
+            entry = Entry(spec.kind, tuple(shape), np.dtype(dtype))
             if key is not None:
                 if len(_ENTRIES) >= _ENTRIES_MAX:
                     _ENTRIES.clear()
@@ -166,21 +167,17 @@ class LazyExpr:
 
     # -- realization ---------------------------------------------------------
     def realize(self) -> np.ndarray:
-        """Materialize this node (scheduling + running fused kernels)."""
-        if self.result is None:
-            _device.get_device().realize(self)
-        return self.result
+        """Materialize this pending node (scheduling + running fused
+        kernels)."""
+        return _device.get_device().realize(self)
 
 
 def pending(root: LazyExpr) -> tuple[list[LazyExpr], list[LazyExpr],
-                                     tuple, tuple]:
-    """Walk the pending subgraph of ``root`` once: ``(topo, external, key,
+                                     tuple]:
+    """Walk the pending subgraph of ``root`` once: ``(topo, external,
     edges)`` — the unrealized nodes reachable from ``root`` (parents
     first, ``root`` last), the realized nodes they read (first use first),
-    the structural key — per pending node its ``sig``, ``saved`` flag and
-    where each input comes from (``i`` = ``topo[i]``, ``~s`` =
-    ``external[s]``), per external its shape and dtype (DESIGN §12) — and
-    the edges a :class:`Binding` finds them along.
+    and the edges a :class:`Binding` finds them along (DESIGN §12).
     """
     topo: list[LazyExpr] = []
     visited: set[int] = set()
@@ -199,7 +196,7 @@ def pending(root: LazyExpr) -> tuple[list[LazyExpr], list[LazyExpr],
                 stack.append((src, False))
     where = {id(node): i for i, node in enumerate(topo)}
     external: list[LazyExpr] = []
-    key, found, edges = [], [None] * len(topo), []
+    found, edges = [None] * len(topo), []
     for j, node in enumerate(topo):
         for k, src in enumerate(node.inputs):
             i = where.get(id(src))
@@ -210,11 +207,7 @@ def pending(root: LazyExpr) -> tuple[list[LazyExpr], list[LazyExpr],
                 edges.append((~i, j, k))
             elif found[i] is None:
                 found[i] = (i, j, k, src.saved)
-        key.append((node.entry.sig, node.saved,
-                    *[where[id(src)] for src in node.inputs]))
-    return (topo, external,
-            (tuple(key), tuple([(e.shape, e.dtype) for e in external])),
-            (tuple(reversed(found[:-1])), tuple(edges)))
+    return topo, external, (tuple(reversed(found[:-1])), tuple(edges))
 
 
 def bind(root: LazyExpr, b: Binding

@@ -6,10 +6,9 @@ One process-wide :class:`EngineStats` instance collects, when enabled,
   bench can price the op-by-op dispatch the lazy engine removes),
 * lazy-path kernel counts, fused-op totals, kernel buffer allocations and
   bytes, recompute events (interior values demanded after their chain
-  was fused away), and how many realizes replayed a cached plan
-  (``plan_hits``) versus scheduled and compiled one (``plan_compiles``),
-  and how many realizes walked the graph (``graph_walks``) because no
-  binding recorded on their root's entry matched,
+  was fused away), and how many realizes walked the graph and compiled a
+  plan (``graph_walks``) because no binding recorded on their root's
+  entry matched,
 * on either path, ``grad_copies``: how often backward had to make a
   private array out of a gradient it could neither take over nor borrow.
 
@@ -30,7 +29,7 @@ class EngineStats:
     __slots__ = ("enabled", "eager_ops", "eager_alloc_bytes",
                  "kernels", "fused_ops", "kernel_allocs",
                  "kernel_alloc_bytes", "realizes", "recomputes",
-                 "plan_hits", "plan_compiles", "graph_walks", "grad_copies")
+                 "graph_walks", "grad_copies")
 
     def __init__(self) -> None:
         self.enabled = False
@@ -45,8 +44,6 @@ class EngineStats:
         self.kernel_alloc_bytes = 0
         self.realizes = 0
         self.recomputes = 0
-        self.plan_hits = 0
-        self.plan_compiles = 0
         self.graph_walks = 0
         self.grad_copies = 0
 

@@ -38,6 +38,16 @@ class Module:
     def __call__(self, *args, **kwargs) -> Tensor:
         return self.forward(*args, **kwargs)
 
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """The output for a raw array batch, computed in eval mode; a
+        model in training mode goes back to it."""
+        was_training = self.training
+        self.eval()
+        out = self.forward(Tensor(x)).data
+        if was_training:
+            self.train()
+        return out
+
     # -- parameter discovery -----------------------------------------------------
     def _children(self) -> Iterator[tuple[str, "Module"]]:
         for name, value in vars(self).items():

@@ -47,15 +47,7 @@ class SpectralAutoencoder(Module):
     def compression_ratio(self) -> float:
         return self.n_bands / self.bottleneck
 
-    def reconstruct(self, x: np.ndarray) -> np.ndarray:
-        was_training = self.training
-        self.eval()
-        out = self.forward(Tensor(x)).data
-        if was_training:
-            self.train()
-        return out
-
     def reconstruction_error(self, x: np.ndarray) -> float:
         """Mean squared reconstruction error on a raw batch."""
-        rec = self.reconstruct(x)
+        rec = self.predict(x)
         return float(((rec - x) ** 2).mean())

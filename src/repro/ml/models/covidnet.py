@@ -83,9 +83,4 @@ class CovidNet(Module):
         return self.fc2(out)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        was_training = self.training
-        self.eval()
-        logits = self.forward(Tensor(x))
-        if was_training:
-            self.train()
-        return logits.data.argmax(axis=1)
+        return super().predict(x).argmax(axis=1)

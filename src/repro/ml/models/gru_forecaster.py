@@ -52,14 +52,6 @@ class GruForecaster(Module):
         return [self.gru1.cell.W, self.gru1.cell.U,
                 self.gru2.cell.W, self.gru2.cell.U]
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        was_training = self.training
-        self.eval()
-        pred = self.forward(Tensor(x)).data
-        if was_training:
-            self.train()
-        return pred
-
 
 class Cnn1dForecaster(Module):
     """1-D CNN alternative the paper highlights as promising."""
@@ -78,8 +70,6 @@ class Cnn1dForecaster(Module):
         h = self.conv2(h).relu()
         h = h.mean(axis=2)          # global average over time
         return self.out(h)
-
-    predict = GruForecaster.predict
 
 
 def locf_baseline(windows: np.ndarray) -> np.ndarray:

@@ -28,9 +28,4 @@ class MLP(Module):
         return self.layers[-1](x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        was_training = self.training
-        self.eval()
-        logits = self.forward(Tensor(x)).data
-        if was_training:
-            self.train()
-        return logits.argmax(axis=1)
+        return super().predict(x).argmax(axis=1)

@@ -93,12 +93,7 @@ class ResNet(Module):
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Class predictions for a raw array batch (eval mode)."""
-        was_training = self.training
-        self.eval()
-        logits = self.forward(Tensor(x))
-        if was_training:
-            self.train()
-        return logits.data.argmax(axis=1)
+        return super().predict(x).argmax(axis=1)
 
 
 def resnet_small(in_channels: int = 12, n_classes: int = 10,

@@ -22,7 +22,7 @@ class Optimizer:
         self.params = list(params)
         if not self.params:
             raise ValueError("optimizer needs at least one parameter")
-        if lr <= 0:
+        if not (lr > 0):                   # NaN fails too
             raise ValueError("learning rate must be positive")
         self.lr = lr
         self._step_count = 0

@@ -205,7 +205,7 @@ class Communicator:
         with self._traced("send", obj):
             self._send_raw(dest, obj, tag)
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
+    def recv(self, source: int, tag: int) -> Any:
         if tag != ANY_TAG:
             self._check_user_tag(tag)
         with self._traced("recv"):

@@ -102,12 +102,13 @@ class FaultSpec:
     probability: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.time < 0:
+        # Written so that NaN fails too.
+        if not (self.time >= 0):
             raise ValueError("fault time must be non-negative")
-        if self.duration < 0:
+        if not (self.duration >= 0):
             raise ValueError("fault duration must be non-negative")
         if self.kind in (FaultKind.STRAGGLER, FaultKind.LINK_DEGRADE) \
-                and self.magnitude < 1.0:
+                and not (self.magnitude >= 1.0):
             raise ValueError("slowdown magnitude must be >= 1")
         if self.kind is FaultKind.BITFLIP_MESSAGE \
                 and not (0.0 < self.magnitude <= 1.0):
@@ -116,7 +117,7 @@ class FaultSpec:
                 and self.module not in ("", "nam", "pfs"):
             raise ValueError("checkpoint rot target must be 'nam' or 'pfs'")
         if self.kind is FaultKind.GRAY_FAILURE:
-            if self.magnitude < 1.0:
+            if not (self.magnitude >= 1.0):
                 raise ValueError("gray-failure inflation must be >= 1")
             if not (0.0 <= self.probability <= 1.0):
                 raise ValueError("probe-answer probability must be in [0, 1]")

@@ -70,10 +70,8 @@ def wordsum(buf, base: int = 0) -> int:
     view = memoryview(buf)
     nbytes = view.nbytes
     nwords = nbytes // 8
-    total = base
-    if nwords:
-        words = np.frombuffer(view, dtype=np.uint64, count=nwords)
-        total += int(words.sum(dtype=np.uint64))   # wraps mod 2**64
+    words = np.frombuffer(view, dtype=np.uint64, count=nwords)
+    total = base + int(words.sum(dtype=np.uint64))  # wraps mod 2**64
     if nbytes % 8:
         # Offset in bytes whatever the view's item size: slicing the view
         # itself would count items and skip the tail of a float32 buffer.

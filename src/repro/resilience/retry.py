@@ -46,11 +46,12 @@ class RetryPolicy:
     max_delay_s: float = 24 * 3600.0
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
+        # Written so that NaN fails too.
+        if not (self.max_retries >= 0):
             raise ValueError("max_retries must be non-negative")
-        if self.base_delay_s <= 0:
+        if not (self.base_delay_s > 0):
             raise ValueError("base_delay_s must be positive")
-        if self.max_delay_s <= 0:
+        if not (self.max_delay_s > 0):
             raise ValueError("max_delay_s must be positive")
 
     def should_retry(self, attempt: int) -> bool:

@@ -1,4 +1,4 @@
-"""Dynamic micro-batching: per-model queues with size/timeout triggers.
+"""Dynamic micro-batching: one queue with size/timeout triggers.
 
 GPU inference throughput is overwhelmingly batch-driven — one V100 forward
 pass over 16 samples costs barely more than over one (the fixed host
@@ -6,16 +6,15 @@ overhead in :class:`~repro.distributed.perfmodel.InferencePerfModel`
 dominates small batches).  The batcher therefore holds arriving requests
 briefly to fill batches, governed by the two classic triggers:
 
-* :data:`MAX_BATCH_REQUESTS` — dispatch immediately once a queue holds a
-  full batch,
+* :data:`MAX_BATCH_REQUESTS` — dispatch immediately once the queue holds
+  a full batch,
 * :data:`MAX_WAIT_S` — never hold the queue head longer than this, however
   empty the batch (the latency cost of batching is bounded).
 
-Queues are strictly per model: batches never mix models (different models
-would need different weights resident on the replica).  Everything is a
-plain deterministic data structure — the engine drives it from simulated
-events and asks two questions: "is a batch ready now?" and "when must a
-timer fire?".
+The engine serves one model, so one FIFO queue holds every request.  It
+is a plain deterministic data structure — the engine drives it from
+simulated events and asks two questions: "is a batch ready now?" and
+"when must a timer fire?".
 """
 
 from __future__ import annotations
@@ -37,13 +36,17 @@ MAX_WAIT_S = 0.010
 
 
 class MicroBatcher:
-    """Per-model FIFO queues under the size and timeout triggers."""
+    """One FIFO queue under the size and timeout triggers."""
 
     def __init__(self) -> None:
-        self._queues: dict[str, deque[tuple[float, Request]]] = {}
-        #: Requests queued over all models (read on every arrival).
-        self.depth = 0
+        #: ``(enqueue time, request)``, head first.
+        self._queue: deque[tuple[float, Request]] = deque()
         self._wait_stretch = 1.0
+
+    @property
+    def depth(self) -> int:
+        """Requests queued (read on every arrival)."""
+        return len(self._queue)
 
     def set_wait_stretch(self, factor: float) -> None:
         """Scale :data:`MAX_WAIT_S` by ``factor`` (brownout throughput mode).
@@ -68,12 +71,10 @@ class MicroBatcher:
         time, so their wait already exceeds :data:`MAX_WAIT_S` and they ship in
         the very next batch rather than waiting out a fresh timer.
         """
-        q = self._queues.setdefault(req.model, deque())
-        self.depth += 1
         if front:
-            q.appendleft((req.arrival_s, req))
+            self._queue.appendleft((req.arrival_s, req))
         else:
-            q.append((now, req))
+            self._queue.append((now, req))
 
     def requeue_front(self, requests: list[Request]) -> None:
         """Put drained requests back at the head, preserving their order."""
@@ -81,39 +82,24 @@ class MicroBatcher:
             self.enqueue(req, req.arrival_s, front=True)
 
     # -- inspection ---------------------------------------------------------
-    def ready_model(self, now: float) -> Optional[str]:
-        """The model whose queue should dispatch now, or ``None``.
-
-        A queue is ready when it holds a full batch or its head has waited
-        out :data:`MAX_WAIT_S`.  Among ready queues the deepest wins (drain the
-        biggest backlog first); ties break on head age, then model name —
-        all deterministic.
-        """
-        best: Optional[tuple[int, float, str]] = None
-        for model, q in self._queues.items():
-            if not q:
-                continue
-            wait = now - q[0][0]
-            if len(q) >= MAX_BATCH_REQUESTS \
-                    or wait >= self.effective_wait_s - _EPS:
-                cand = (-len(q), -wait, model)
-                if best is None or cand < best:
-                    best = cand
-        return best[2] if best is not None else None
+    def ready_model(self, now: float) -> bool:
+        """Whether the queue should dispatch now: it holds a full batch or
+        its head has waited out :data:`MAX_WAIT_S`.  (The name is the one
+        ``benchmarks/e2e/layers.py:WRAPS`` times.)"""
+        q = self._queue
+        return bool(q) and (len(q) >= MAX_BATCH_REQUESTS
+                            or now - q[0][0] >= self.effective_wait_s - _EPS)
 
     def next_deadline(self) -> Optional[float]:
-        """Earliest time a queue head hits :data:`MAX_WAIT_S` (timer target)."""
-        heads = [q[0][0] for q in self._queues.values() if q]
-        if not heads:
+        """When the queue head hits :data:`MAX_WAIT_S` (timer target)."""
+        if not self._queue:
             return None
-        return min(heads) + self.effective_wait_s
+        return self._queue[0][0] + self.effective_wait_s
 
     # -- dispatch -----------------------------------------------------------
-    def take(self, model: str) -> list[Request]:
-        """Pop up to one batch from ``model``'s queue, FIFO order."""
-        q = self._queues.get(model)
+    def take(self) -> list[Request]:
+        """Pop up to one batch from the queue, FIFO order."""
+        q = self._queue
         if not q:
-            raise ValueError(f"no queued requests for model {model!r}")
-        n = min(len(q), MAX_BATCH_REQUESTS)
-        self.depth -= n
-        return [q.popleft()[1] for _ in range(n)]
+            raise ValueError("no queued requests")
+        return [q.popleft()[1] for _ in range(min(len(q), MAX_BATCH_REQUESTS))]

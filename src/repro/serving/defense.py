@@ -82,9 +82,9 @@ class CircuitBreaker:
         self.transitions: list[tuple[float, str, str]] = []
 
     def _move(self, now: float, state: BreakerState) -> None:
-        if state is not self._state:
-            self.transitions.append((now, self._state.value, state.value))
-            self._state = state
+        """Every caller moves to another state."""
+        self.transitions.append((now, self._state.value, state.value))
+        self._state = state
 
     def state(self, now: float) -> BreakerState:
         if (self._state is _OPEN

@@ -413,10 +413,9 @@ class ServingEngine:
                 idle = [r for r in idle if self._dispatchable(r, now)]
             if not idle:
                 break
-            model = self.batcher.ready_model(now)
-            if model is None:
+            if not self.batcher.ready_model(now):
                 break
-            self._start_batch(idle[0], self.batcher.take(model))
+            self._start_batch(idle[0], self.batcher.take())
         deadline = self.batcher.next_deadline()
         if deadline is not None and deadline > now + 1e-12:
             timer = self.sim.timeout(deadline - now, name="batch-timer")
@@ -440,12 +439,11 @@ class ServingEngine:
             self.tracer.instant("response-held", "serving", now,
                                 track="serving", lane="partition",
                                 replica=replica.rid, hold_s=delivery)
-        batch = InflightBatch(requests=requests, start=now, group=group)
-        replica.inflight = batch
         done = self.sim.timeout(service + delivery, value=replica,
                                 name="batch-done")
         done.add_callback(self._on_batch_done)
-        batch.done_evt = done
+        batch = InflightBatch(requests, now, done, group)
+        replica.inflight = batch
         if self._hedging and group is None:
             deadline = self.hedge.deadline(self._service_sorted)
             if deadline is not None:
@@ -563,8 +561,7 @@ class ServingEngine:
                 continue
             ob = other.inflight
             if ob is not None and ob.group is group:
-                if ob.done_evt is not None:
-                    ob.done_evt.cancel()
+                ob.done_evt.cancel()
                 other.inflight = None
                 wasted += now - max(ob.start, group.issued_at)
                 # Losing a hedge race is evidence against the replica —

@@ -36,7 +36,7 @@ class InflightBatch:
 
     requests: list[Request]
     start: float
-    done_evt: Optional[Event] = None
+    done_evt: Event
     #: Hedge group this batch belongs to (None for unhedged batches);
     #: opaque to the pool — the engine's hedging logic owns its type.
     group: Optional[object] = None
@@ -177,8 +177,7 @@ class ReplicaPool:
             [n for n in replica.nodes if n != node])
         drained: list[Request] = []
         if replica.inflight is not None:
-            if replica.inflight.done_evt is not None:
-                replica.inflight.done_evt.cancel()
+            replica.inflight.done_evt.cancel()
             drained = replica.inflight.requests
             replica.inflight = None
         del self.replicas[replica.rid]

@@ -41,7 +41,6 @@ class Request(NamedTuple):
     deadline_s: float          # absolute SLO deadline (arrival + budget)
     key: int                   # cache/dedup key (scene tile id)
     n_samples: int = 1         # samples (patches) bundled in this request
-    model: str = "default"     # served model (batches never mix models)
     #: Traffic tier: "gold" is protected; "bronze" is the best-effort
     #: tier the brownout controller sheds first under overload.
     tier: str = "gold"
@@ -66,15 +65,16 @@ class TraceConfig:
     bronze_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rate_per_s <= 0 or self.duration_s <= 0:
+        # Written so that NaN fails too.
+        if not (self.rate_per_s > 0 and self.duration_s > 0):
             raise ValueError("rate and duration must be positive")
-        if self.slo_deadline_s <= 0:
+        if not (self.slo_deadline_s > 0):
             raise ValueError("SLO deadline must be positive")
-        if self.samples_per_request < 1:
+        if not (self.samples_per_request >= 1):
             raise ValueError("samples_per_request must be >= 1")
-        if self.key_universe < 1:
+        if not (self.key_universe >= 1):
             raise ValueError("key_universe must be >= 1")
-        if self.burst_len_s <= 0 or self.gap_len_s <= 0:
+        if not (self.burst_len_s > 0 and self.gap_len_s > 0):
             raise ValueError("burst/gap lengths must be positive")
         if not (0.0 <= self.bronze_fraction <= 1.0):
             raise ValueError("bronze_fraction must be in [0, 1]")
@@ -181,6 +181,6 @@ def generate_trace(cfg: TraceConfig) -> tuple[Request, ...]:
     else:
         tiers = repeat("gold")
     slo, samples = cfg.slo_deadline_s, cfg.samples_per_request
-    return tuple(Request(i, t, t + slo, k, samples, "default", tier)
+    return tuple(Request(i, t, t + slo, k, samples, tier)
                  for i, (t, k, tier) in enumerate(zip(times, keys.tolist(),
                                                       tiers)))

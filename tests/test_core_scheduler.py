@@ -34,6 +34,19 @@ class TestBasicScheduling:
         assert len(report.completion_times) == 1
         assert report.makespan > 0
 
+    def test_a_fault_free_schedule_publishes_zero_resilience_gauges(
+            self, small_system, gpu_job):
+        # The scheduler's fault ledger is published whether or not an
+        # injector is armed; without one every count is zero.
+        from repro import telemetry
+        with telemetry.capture() as (_, registry):
+            schedule_workload(small_system, [gpu_job()])
+        gauges = {name: inst.value for name in ("resilience_faults_injected",
+                                                "resilience_retries")
+                  for _, inst in registry.members(name)}
+        assert gauges == {"resilience_faults_injected": 0,
+                          "resilience_retries": 0}
+
     def test_matchmaking_places_gpu_job_on_booster(self, small_system, gpu_job):
         report = schedule_workload(small_system, [gpu_job()])
         assert report.allocations[0].module_key == "esb"

@@ -1,5 +1,5 @@
-"""Every executed line and every settable value in ``src/repro`` has a
-root.
+"""Every executed line, both ways of every ``if`` and every settable
+value in ``src/repro`` have a root.
 
 ``test_reachability.py`` keeps a definition alive when reached code says
 its name, so a branch that no root takes survives whenever its function is
@@ -39,7 +39,18 @@ are exempt:
   paths, guards for degenerate input, the parts of a primitive's
   contract the roots do not use) or a reference a test compares
   against.  An entry is stale only when no rule needs it: not the
-  static rules, not the line rule and not the value rule.
+  static rules, not the line rule, not the branch rule and not the
+  value rule.
+
+The same traced run records the way each ``if`` and ``elif`` inside a
+function goes (:func:`branch_points`): in each frame the tracer keeps
+the line it ran last, and an arc from a test's line into the first
+statement of its body is the true way, an arc to any other line, or a
+return from the test, the false way.  An ``if`` a root reaches that goes
+one way in every root fails (:func:`one_way`), unless the way it never
+took ends in a ``raise`` (the error contract), it sits on a raise-only
+or ``except`` line, or its function is allowlisted.  Ternaries and
+``and``/``or`` are out of reach: a line tracer cannot see them.
 
 The same traced run records values.  On every call of a settable-value
 owner (:meth:`~tests.test_reachability.Program.settable`, the static
@@ -52,8 +63,8 @@ leaves the default, so the default is dead).  ``ALLOWLIST`` may keep
 one with one of six reasons (DESIGN §18): input from outside ``src/``, a
 seed, a field of a record type a check asserts, an input only a fault
 path varies, a value an unedited pin passes or leaves out, or a default
-whose leg is the reference a test compares against.  Both rules read
-one cached run (:func:`traced_run`).
+whose leg is the reference a test compares against.  The three rules
+read one cached run (:func:`traced_run`).
 """
 
 from __future__ import annotations
@@ -319,9 +330,60 @@ def _defaults(function) -> dict[str, object]:
         if p.default is not p.empty}
 
 
+#: The ways an ``if`` went, as bits: into its body, and anywhere else.
+TRUE, FALSE = 1, 2
+
+
+def branch_ifs(tree: ast.AST, in_function: bool = False
+               ) -> Iterable[tuple[ast.If, list[ast.stmt]]]:
+    """Every ``if`` and ``elif`` inside a function of ``tree``, with the
+    statements after it in its block (where it goes when false and it
+    has no ``else``)."""
+    for _, value in ast.iter_fields(tree):
+        if not isinstance(value, list):
+            continue
+        for i, child in enumerate(value):
+            if not isinstance(child, ast.AST):
+                continue
+            if in_function and isinstance(child, ast.If):
+                yield child, value[i + 1:]
+            yield from branch_ifs(child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def raise_ways(node: ast.If, after: list[ast.stmt]) -> int:
+    """The ways of ``node`` that may be its only one: those whose other
+    way ends in a ``raise`` (the error contract owns that way)."""
+    ways = 0
+    if isinstance(node.body[-1], ast.Raise):
+        ways |= FALSE
+    other = node.orelse or after
+    if other and isinstance(other[-1], ast.Raise):
+        ways |= TRUE
+    return ways
+
+
+def branch_points(tree: ast.AST
+                  ) -> dict[int, tuple[int, range, range, int]]:
+    """Each line of each :func:`branch_ifs` test → ``(the if's line, the
+    test's lines, the lines of the body's first statement, its
+    raise_ways)``: an arc from the test into that statement is the true
+    way, and any other arc out of the test, or a return from it, the
+    false way."""
+    points = {}
+    for node, after in branch_ifs(tree):
+        test = range(node.lineno, node.test.end_lineno + 1)
+        point = (node.lineno, test, _span(node.body[0]),
+                 raise_ways(node, after))
+        for line in test:
+            points[line] = point
+    return points
+
+
 class LineTracer:
     """Records ``(file, line)`` for every line executed in a file under
-    ``root``, on every thread started while it is installed, and the
+    ``root``, on every thread started while it is installed, the ways
+    each ``if`` of those files went (:func:`branch_points`), and the
     :func:`canonical` values every call passes to the settable values
     ``spec`` (:func:`value_spec`) names, up to two per value."""
 
@@ -329,9 +391,19 @@ class LineTracer:
         self.prefix = str(root)
         #: Filename → executed lines (``None``: a file outside ``root``).
         self.hits: dict[str, set[int] | None] = {}
-        #: Function code objects every line of which has run.
+        #: Filename → ``if`` line → the ways it went (:data:`TRUE` |
+        #: :data:`FALSE`).
+        self.ways: dict[str, dict[int, int]] = {}
+        #: Filename → :func:`branch_points` of its source, and its
+        #: raise-only and ``except`` lines (no rule asks whether they ran).
+        self._points: dict[str, dict[int, tuple[int, range, range, int]]] = {}
+        self._exempt: dict[str, set[int]] = {}
+        #: Function code objects every line of which has run and every
+        #: ``if`` of which has gone both ways, or its one raise way.
         self._done: set[CodeType] = set()
-        self._left: dict[CodeType, set[int]] = {}
+        #: Code object → its lines not yet run, and its ``if`` s (line →
+        #: raise_ways) not yet settled.
+        self._left: dict[CodeType, tuple[set[int], dict[int, int]]] = {}
         spec = spec or {"functions": [], "classes": []}
         #: ``(file, line)`` of a function's ``def`` or first decorator →
         #: ``(label, values, qualname)``; ``(module, class)`` of a frozen
@@ -395,28 +467,75 @@ class LineTracer:
             self._record(frame, watch)
         if code in self._done:
             return None
+        file = code.co_filename
         try:
-            hits = self.hits[code.co_filename]
+            hits = self.hits[file]
         except KeyError:
-            hits = self.hits[code.co_filename] = (
-                set() if code.co_filename.startswith(self.prefix) else None)
+            hits = self.hits[file] = (
+                set() if file.startswith(self.prefix) else None)
+            if hits is not None:
+                tree = ast.parse(Path(file).read_text())
+                self._points[file] = branch_points(tree)
+                self._exempt[file] = exemptions(tree, "", {})[0]
+                self.ways[file] = {}
         if hits is None:
             return None
         hits.add(code.co_firstlineno)
+        points, ways = self._points[file], self.ways[file]
         left = self._left.get(code)
         if left is None:
-            left = self._left[code] = {
-                line for *_, line in code.co_lines() if line is not None}
+            lines = {line for *_, line in code.co_lines()
+                     if line is not None} - self._exempt[file]
+            left = self._left[code] = (lines, {
+                points[line][0]: points[line][3]
+                for line in lines if line in points})
+        settle = self._settle
+        if not left[1]:
+            def local(frame, event, arg):
+                if event == "line":
+                    hits.add(frame.f_lineno)
+                elif event == "return":
+                    settle(code, left, hits, ways)
+                return local
+            return local
+        last = None
 
         def local(frame, event, arg):
+            # ``last`` is the line this call ran before the current one:
+            # when it was an ``if`` test, the line after it is the way.
+            nonlocal last
             if event == "line":
-                hits.add(frame.f_lineno)
+                line = frame.f_lineno
+                hits.add(line)
+                if last in points:
+                    at, test, body, _ = points[last]
+                    if line not in test:
+                        ways[at] = ways.get(at, 0) | (
+                            TRUE if line in body else FALSE)
+                last = line
             elif event == "return":
-                left.difference_update(hits)
-                if not left:
-                    self._done.add(code)
+                if last in points:          # returned from the test
+                    at = points[last][0]
+                    ways[at] = ways.get(at, 0) | FALSE
+                settle(code, left, hits, ways)
+            elif event == "exception":      # a raise is neither way
+                last = None
             return local
         return local
+
+    def _settle(self, code: CodeType, left: tuple[set[int], dict[int, int]],
+                hits: set[int], ways: dict[int, int]) -> None:
+        """Stop tracing ``code`` once every line of it has run and each of
+        its ``if`` s went both ways or its one raise way (the rule's
+        verdict on it cannot change any more)."""
+        lines, ifs = left
+        lines.difference_update(hits)
+        for at in [at for at, alone in ifs.items()
+                   if ways.get(at, 0) == TRUE | FALSE
+                   or ways.get(at, 0) & alone]:
+            del ifs[at]
+        if not lines and not ifs:
+            self._done.add(code)
 
     def __enter__(self) -> "LineTracer":
         self._saved = sys.gettrace()
@@ -433,6 +552,9 @@ class LineTracer:
 
     def seen(self) -> dict[str, list[str]]:
         return {key: sorted(v) for key, v in self.values.items() if v}
+
+    def branches(self) -> dict[str, dict[int, int]]:
+        return {f: ways for f, ways in self.ways.items() if ways}
 
 
 def value_spec(owners: dict[str, Settable], path: Callable[[str], str]
@@ -467,11 +589,12 @@ def source_path(module: str) -> str:
 
 def trace_roots(out: Path, tmp: Path, spec: Path) -> None:
     """Run :func:`run_roots` under the tracer, watching the values the
-    JSON file ``spec`` names; write the executed lines of ``src/repro``
-    and the values seen to ``out`` as JSON."""
+    JSON file ``spec`` names; write the executed lines of ``src/repro``,
+    the ways its ``if`` s went and the values seen to ``out`` as JSON."""
     with LineTracer(SRC / "repro", json.loads(spec.read_text())) as tracer:
         run_roots(tmp)
     out.write_text(json.dumps({"executed": tracer.executed(),
+                               "branches": tracer.branches(),
                                "values": tracer.seen()}))
 
 
@@ -564,9 +687,11 @@ def _source_files() -> dict[str, str]:
 
 
 @functools.cache
-def traced_run() -> tuple[dict[str, list[int]], dict[str, list[str]]]:
+def traced_run() -> tuple[dict[str, list[int]], dict[str, dict[int, int]],
+                          dict[str, list[str]]]:
     """Run the roots once, in a fresh process: the executed lines of each
-    module (by module name) and the values each settable value took."""
+    module (by module name), the ways each of its ``if`` s went and the
+    values each settable value took."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "traced.json"
         spec = Path(tmp) / "spec.json"
@@ -584,7 +709,37 @@ def traced_run() -> tuple[dict[str, list[int]], dict[str, list[str]]]:
         raw = json.loads(out.read_text())
     executed = {module_name(Path(f)): lines
                 for f, lines in raw["executed"].items()}
-    return executed, raw["values"]
+    branches = {module_name(Path(f)): {int(line): way
+                                       for line, way in ways.items()}
+                for f, ways in raw["branches"].items()}
+    return executed, branches, raw["values"]
+
+
+def one_way(files: dict[str, str], branches: dict[str, dict[int, int]],
+            allowlist: dict[str, str]) -> tuple[list[str], set[str]]:
+    """``module:line way`` of every ``if`` of ``files`` that the roots
+    took one way only, outside the exemptions: an ``if`` whose other way
+    ends in a ``raise`` (the error contract), one on a raise-only or
+    ``except`` line, and one in an allowlisted function; and the
+    allowlist keys that cover such an ``if``."""
+    out: list[str] = []
+    needed: set[str] = set()
+    for module, ways in sorted(branches.items()):
+        tree = ast.parse(files[module])
+        exempt, allowed = exemptions(tree, module, allowlist)
+        for node, after in branch_ifs(tree):
+            way = ways.get(node.lineno)
+            if (way not in (TRUE, FALSE) or node.lineno in exempt
+                    or way & raise_ways(node, after)):
+                continue
+            names = {name for name, span in allowed.items()
+                     if node.lineno in span}
+            if names:
+                needed |= names
+            else:
+                out.append(f"{module}:{node.lineno} "
+                           f"{'true' if way == TRUE else 'false'} only")
+    return out, needed
 
 
 def single_valued(values: dict[str, Iterable[str]], allowlist: dict[str, str]
@@ -625,8 +780,17 @@ def test_every_executed_line_has_a_root():
 
 
 @pytest.mark.slow
+def test_every_if_goes_both_ways():
+    single, _ = one_way(_source_files(), traced_run()[1], ALLOWLIST)
+    assert not single, (
+        f"{len(single)} ifs of src/repro go one way in every root (delete "
+        f"the test and the way no root takes, give that way a root, or "
+        f"allowlist the function with a reason):\n  " + "\n  ".join(single))
+
+
+@pytest.mark.slow
 def test_every_settable_value_takes_two_values():
-    single, _ = single_valued(traced_run()[1], ALLOWLIST)
+    single, _ = single_valued(traced_run()[2], ALLOWLIST)
     assert not single, (
         f"{len(single)} settable values of src/repro take one value in every "
         f"root call (fold a scalar into that value, drop a dead object "
@@ -636,11 +800,14 @@ def test_every_settable_value_takes_two_values():
 
 @pytest.mark.slow
 def test_every_allowlist_entry_is_needed():
-    executed, values = traced_run()
-    _, line_needs = unexecuted(_source_files(), executed, ALLOWLIST)
+    executed, branches, values = traced_run()
+    files = _source_files()
+    _, line_needs = unexecuted(files, executed, ALLOWLIST)
+    _, branch_needs = one_way(files, branches, ALLOWLIST)
     _, value_needs = single_valued(values, ALLOWLIST)
     _, dead, write_only, unset, _ = repository()
-    gone = stale(ALLOWLIST, dead + write_only + unset, line_needs, value_needs)
+    gone = stale(ALLOWLIST, dead + write_only + unset, line_needs,
+                 branch_needs, value_needs)
     assert not gone, f"allowlisted but needed by no rule: {gone}"
 
 
@@ -683,11 +850,20 @@ def spare():
 
 def threaded(box):
     box.append(1)
+
+
+def pick(x):
+    if x == 1:
+        return "one"
+    raise KeyError(x)
 '''
 
 
-def _toy_run(fn) -> dict[str, list[int]]:
-    """Trace ``fn(namespace)`` over :data:`TOY` compiled as ``toy``."""
+def _toy_missed(fn, allowlist=None) -> tuple[list[str], list[str], set[str]]:
+    """Trace ``fn(namespace)`` over :data:`TOY` compiled as ``toy``: the
+    lines no call ran, the ``if`` s that went one way, and the allowlist
+    keys either rule needs."""
+    allowlist = allowlist or {}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "toy.py"
         path.write_text(TOY)
@@ -695,25 +871,38 @@ def _toy_run(fn) -> dict[str, list[int]]:
         exec(compile(TOY, str(path), "exec"), namespace)
         with LineTracer(Path(tmp)) as tracer:
             fn(namespace)
-        return {"toy": tracer.executed().get(str(path), [])}
-
-
-def _toy_missed(fn, allowlist=None) -> tuple[list[str], set[str]]:
-    return unexecuted({"toy": TOY}, _toy_run(fn), allowlist or {})
+    executed = {"toy": tracer.executed().get(str(path), [])}
+    branches = {"toy": tracer.branches().get(str(path), {})}
+    missed, line_needs = unexecuted({"toy": TOY}, executed, allowlist)
+    single, branch_needs = one_way({"toy": TOY}, branches, allowlist)
+    return missed, single, line_needs | branch_needs
 
 
 def _lines(missed: list[str]) -> list[int]:
     return [int(m.rpartition(":")[2]) for m in missed]
 
 
+class _Unjudgeable:
+    """A test value whose truth raises."""
+
+    def __bool__(self):
+        raise ValueError("no truth value")
+
+
 def test_tracer_flags_an_untaken_branch():
     def run(ns):
         ns["f"](True)
+        with contextlib.suppress(ValueError):
+            ns["f"](_Unjudgeable())         # a raise in the test: no way
         ns["g"](1)
         ns["spare"]()
         ns["threaded"]([])
-    missed, _ = _toy_missed(run)
+        ns["pick"](1)
+    missed, single, _ = _toy_missed(run)
     assert _lines(missed) == [5]            # ``y = 2``
+    assert single == ["toy:2 true only"]
+    # Allowlisting the function exempts both, and both rules need it.
+    assert _toy_missed(run, {"toy.f": "a guard"}) == ([], [], {"toy.f"})
 
 
 def test_tracer_exempts_raise_only_lines_and_except_bodies():
@@ -723,23 +912,31 @@ def test_tracer_exempts_raise_only_lines_and_except_bodies():
         ns["g"](2)
         ns["spare"]()
         ns["threaded"]([])
-    missed, _ = _toy_missed(run)
+        ns["pick"](1)
     # The raise-only branch (three lines) and the handler never ran:
-    # exempt.
-    assert missed == []
+    # exempt.  ``f``'s ``if`` went both ways; ``g``'s went one way, and
+    # ``pick``'s the other one, but their other ways raise.
+    assert _toy_missed(run) == ([], [], set())
+    # An arc from a test into its body is the true way, any other arc
+    # (the next statement, a loop header, a return) the false one.
+    points = branch_points(ast.parse(TOY))
+    assert points[2] == (2, range(2, 3), range(3, 4), 0)
+    assert points[10][3] == FALSE and points[29][3] == TRUE
+    assert set(points) == {2, 10, 29}
 
 
 def test_tracer_counts_a_line_run_only_on_a_thread():
     def run(ns):
         ns["f"](True)
-        ns["f"](False)
         ns["g"](2)
         ns["spare"]()
-        t = threading.Thread(target=ns["threaded"], args=([],))
-        t.start()
-        t.join()
-    missed, _ = _toy_missed(run)
-    assert missed == []
+        ns["pick"](1)
+        # ``f``'s false way, and ``threaded``, run on threads only.
+        for target, args in ((ns["f"], (False,)), (ns["threaded"], ([],))):
+            t = threading.Thread(target=target, args=args)
+            t.start()
+            t.join()
+    assert _toy_missed(run) == ([], [], set())
 
 
 def test_tracer_flags_a_function_never_called_unless_allowlisted():
@@ -748,10 +945,11 @@ def test_tracer_flags_a_function_never_called_unless_allowlisted():
         ns["f"](False)
         ns["g"](2)
         ns["threaded"]([])
-    missed, _ = _toy_missed(run)
+        ns["pick"](1)
+    missed, _, _ = _toy_missed(run)
     assert _lines(missed) == [20, 21]       # ``spare``, def line included
-    missed, needed = _toy_missed(run, {"toy.spare": "a reference"})
-    assert missed == [] and needed == {"toy.spare"}
+    assert _toy_missed(run, {"toy.spare": "a reference"}) == (
+        [], [], {"toy.spare"})
 
 
 def test_stale_allowlist_entry_is_reported():
@@ -761,11 +959,13 @@ def test_stale_allowlist_entry_is_reported():
         ns["g"](2)
         ns["spare"]()
         ns["threaded"]([])
+        ns["pick"](1)
     allowlist = {"toy.spare": "executed, so stale", "toy.gone": "missing",
+                 "toy.f": "both ways, so stale",
                  "toy.f.kept": "a settable value the static rules need"}
-    _, needed = _toy_missed(run, allowlist)
-    assert stale(allowlist, ["toy.f.kept"], needed) == ["toy.gone",
-                                                         "toy.spare"]
+    _, _, needed = _toy_missed(run, allowlist)
+    assert stale(allowlist, ["toy.f.kept"], needed) == [
+        "toy.f", "toy.gone", "toy.spare"]
 
 
 # -- the value rule's own spellings -----------------------------------------

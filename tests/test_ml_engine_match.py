@@ -329,6 +329,39 @@ class TestBindingChecks:
         assert _walks(chain)[0] == 1
         assert _walks(chain)[0] == 0
 
+    def test_a_saved_interior_is_kept_by_a_plan_of_its_own(self):
+        def graph(requires_grad):
+            x = Tensor(np.full(8, 0.3), requires_grad=requires_grad)
+            return (x * 2.0).tanh().relu().sum()
+        plain, grad = graph(False), graph(True)    # under the same entries
+        with collect() as stats:
+            plain.numpy()
+            unsaved_allocs = stats.kernel_allocs
+            grad.numpy()
+        # Same single kernel, walked twice; the saved tanh input/output
+        # cost buffers the unsaved chain reused.
+        assert stats.kernels == 2 and stats.graph_walks == 2
+        assert stats.kernel_allocs - unsaved_allocs > unsaved_allocs
+        assert float(plain.data) == float(grad.data)
+
+    def test_a_kwarg_of_another_type_is_another_graph(self):
+        # NumPy tells ``2.0`` from ``np.float64(2.0)`` (the latter upcasts
+        # a float32 base) and from ``2``, though all three compare equal.
+        x32 = np.linspace(0.1, 2.0, 8, dtype=np.float32)
+        for c in (2.0, np.float64(2.0), 2):
+            walks, out = _walks(lambda: (Tensor(x32) ** c).numpy())
+            assert walks == 1
+            assert out.dtype == (x32 ** c).dtype
+            assert out.tobytes() == (x32 ** c).tobytes()
+
+    def test_an_unhashable_kwarg_walks_every_time(self):
+        x = np.arange(6.0).reshape(2, 3)
+        size = np.array(6)                  # a 0-d array: a valid, unhashable size
+        for _ in range(2):
+            walks, out = _walks(lambda: Tensor(x).reshape(size).numpy())
+            assert walks == 1
+            np.testing.assert_array_equal(out, x.reshape(6))
+
 
 # -- what the matcher holds ----------------------------------------------------
 
@@ -363,7 +396,7 @@ def test_the_matcher_holds_no_array_and_no_graph_node():
                 walk(k)
                 walk(v)
         elif isinstance(obj, Entry):
-            walk((obj.sig, obj.kind, obj.shape, obj.dtype, obj.binding))
+            walk((obj.kind, obj.shape, obj.dtype, obj.binding))
         elif isinstance(obj, Binding):
             walk(tuple(obj))
     walk(engine_graph._ENTRIES)

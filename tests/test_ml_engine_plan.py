@@ -1,12 +1,13 @@
 """Plan capture and saved-for-backward outputs of the lazy engine.
 
-``Device.realize`` looks a pending subgraph up by its structural key,
-compiles a plan on a miss and replays it either way; ``Tensor`` marks
-what backward closures read so fused kernels keep it.  These tests pin
-the key (what must and must not share a plan), the cache (bounded, no
-array references, shared by rank threads, per device), and the outcome
-(second step compiles nothing, nothing is recomputed, lazy == eager to
-the bit with gradients).
+``Device.realize`` replays the plan its root's entry binding carries,
+and walks and compiles one when none fits; ``Tensor`` marks what
+backward closures read so fused kernels keep it.  These tests pin the
+key (which graphs share an entry and which a plan), the cache (bounded,
+no array references, shared by rank threads, per device) and the
+outcome (second step compiles nothing, nothing is recomputed, lazy ==
+eager to the bit with gradients); ``test_ml_engine_match.py`` pins the
+binding checks one by one.
 """
 
 import gc
@@ -24,7 +25,7 @@ from repro.ml.engine import (collect, get_device, register_device,
 from repro.ml.engine import cpu as engine_cpu
 from repro.ml.engine import graph as engine_graph
 from repro.ml.engine.cpu import CpuDevice
-from repro.ml.engine.graph import LazyExpr, pending
+from repro.ml.engine.graph import LazyExpr
 from repro.ml.losses import cross_entropy, l2_regularisation, mae
 from repro.ml.models import MLP, GruForecaster, resnet_small
 from repro.ml.optim import SGD, Adam
@@ -46,8 +47,14 @@ def _bits(arr):
     return arr.view(np.uint8)
 
 
-def _key(t: Tensor) -> tuple:
-    return pending(t._payload())[2]
+def _entry(t: Tensor):
+    """The entry ``t``'s node is recorded under."""
+    return t._payload().entry
+
+
+def _plan(t: Tensor) -> tuple:
+    """The plan ``t``'s realize bound to its entry."""
+    return _entry(t).binding.plan
 
 
 # -- the three training steps of the e2e workload, small ---------------------
@@ -122,11 +129,11 @@ class TestReplay:
             return stats.snapshot()
 
         first = one(0)
-        assert first["plan_compiles"] == len(calls) > 0
+        assert first["graph_walks"] == len(calls) > 0
         del calls[:]
         second = one(1)
-        assert second["plan_compiles"] == 0 and calls == []
-        assert second["plan_hits"] == second["realizes"] > 0
+        assert second["graph_walks"] == 0 and calls == []
+        assert second["realizes"] > 0
         # A miss compiles and then replays through the same loop: the
         # two steps did the same work.
         for name in ("kernels", "fused_ops", "kernel_allocs",
@@ -142,8 +149,7 @@ class TestReplay:
             l_losses, l_grads, l_weights = _train(build)
         assert stats.recomputes == 0
         # Five steps, one structure: what compiled, compiled in step one.
-        assert stats.plan_compiles <= stats.realizes // 5
-        assert stats.plan_hits == stats.realizes - stats.plan_compiles
+        assert stats.graph_walks <= stats.realizes // 5
         assert e_losses == l_losses
         for eg, lg in zip(e_grads, l_grads):
             for a, b in zip(eg, lg):
@@ -161,7 +167,7 @@ class TestReplay:
                 opt.zero_grad()
                 loss.backward()
                 opt.step()
-            compiles.append(stats.plan_compiles)
+            compiles.append(stats.graph_walks)
         assert compiles[0] > 0 and compiles[1:] == [0, 0, 0]
 
     def test_explicit_batches_hit_the_plan_from_batch_two(self):
@@ -172,13 +178,16 @@ class TestReplay:
         with collect():
             for idx in np.arange(len(X)).reshape(4, 8):
                 lazy[idx] = model(Tensor(X[idx])).numpy()
-                seen.append(engine.STATS.plan_compiles)
+                seen.append(engine.STATS.graph_walks)
         assert seen[0] > 0 and seen == [seen[0]] * 4
         set_engine("eager")
         assert np.array_equal(_bits(lazy), _bits(model(Tensor(X)).numpy()))
 
 
 class TestKey:
+    """Nodes recorded alike share an entry; a realize under it replays
+    the entry's plan only when its binding still fits."""
+
     @staticmethod
     def _f(x):
         return ((x * 2.0 + 1.0).tanh()).sum(axis=0)
@@ -186,22 +195,40 @@ class TestKey:
     def test_same_structure_same_key(self):
         a = self._f(Tensor(np.ones((16, 8))))
         b = self._f(Tensor(np.zeros((16, 8))))
-        assert _key(a) == _key(b)
-        a.numpy(), b.numpy()
-        assert len(get_device()._plans) == 1
+        assert _entry(a) is _entry(b)
+        with collect() as stats:
+            a.numpy(), b.numpy()
+        assert (stats.graph_walks, stats.realizes) == (1, 2)
+        assert _plan(a) is _plan(b)
+        for t, x in ((a, np.ones((16, 8))), (b, np.zeros((16, 8)))):
+            np.testing.assert_array_equal(
+                t.numpy(), np.tanh(x * 2.0 + 1.0).sum(axis=0))
 
     def test_last_partial_batch_gets_its_own_plan(self):
         full = self._f(Tensor(np.ones((16, 8))))
         part = self._f(Tensor(np.ones((7, 8))))
-        assert _key(full) != _key(part)
-        assert part.numpy().shape == (8,)
+        assert _entry(full) is not _entry(part)
+        with collect() as stats:
+            full.numpy()
+            assert part.numpy().shape == (8,)
+        assert stats.graph_walks == 2
+        assert _plan(full) is not _plan(part)
         np.testing.assert_array_equal(
             part.numpy(), np.tanh(np.ones((7, 8)) * 2.0 + 1.0).sum(axis=0))
 
     def test_aliased_operand_differs_from_two_operands(self):
+        # Both products read realized arrays of one shape, so they share
+        # an entry; the binding tells one array read twice from two.
         x, y = Tensor(np.full(4, 3.0)), Tensor(np.full(4, 3.0))
         xx, xy = (x * x) + 1.0, (x * y) + 1.0
-        assert _key(xx) != _key(xy)
+        assert _entry(xx) is _entry(xy)
+        with collect() as stats:
+            xx.numpy()
+            aliased = _entry(xx).binding
+            xy.numpy()
+            two = _entry(xy).binding
+        assert stats.graph_walks == 2
+        assert aliased is not two and aliased.external != two.external
         np.testing.assert_array_equal(xx.numpy(), xy.numpy())
 
     def test_realized_ancestor_differs_from_pending_one(self):
@@ -210,44 +237,18 @@ class TestKey:
             return h, h.tanh() + h
         _, pending = graph()
         h, realized = graph()
-        h.numpy()
-        assert _key(pending) != _key(realized)
-        np.testing.assert_array_equal(pending.numpy(), realized.numpy())
-
-    def test_saved_interior_differs_from_unsaved(self):
-        def graph(requires_grad):
-            x = Tensor(np.full(8, 0.3), requires_grad=requires_grad)
-            return (x * 2.0).tanh().relu().sum()
-        plain, grad = graph(False), graph(True)
-        assert _key(plain) != _key(grad)
+        assert _entry(pending) is _entry(realized)
         with collect() as stats:
-            plain.numpy()
-            unsaved_allocs = stats.kernel_allocs
-            grad.numpy()
-        # Same single kernel; the saved tanh input/output cost buffers
-        # the unsaved chain reused.
-        assert stats.kernels == 2
-        assert stats.kernel_allocs - unsaved_allocs > unsaved_allocs
-        assert float(plain.data) == float(grad.data)
-
-    def test_kwargs_key_by_type_where_numpy_tells_them_apart(self):
-        x32 = np.linspace(0.1, 2.0, 8, dtype=np.float32)
-        weak, strong = Tensor(x32) ** 2.0, Tensor(x32) ** np.float64(2.0)
-        assert _key(weak) != _key(strong)
-        assert weak.dtype == (x32 ** 2.0).dtype == np.float32
-        assert strong.dtype == (x32 ** np.float64(2.0)).dtype
-        assert np.array_equal(_bits(weak.numpy()), _bits(x32 ** 2.0))
-        assert np.array_equal(_bits(strong.numpy()),
-                              _bits(x32 ** np.float64(2.0)))
-        assert _key(Tensor(x32) ** 2) != _key(weak)
-
-    def test_unhashable_kwarg_still_runs_and_never_shares_a_plan(self):
-        x = np.arange(6.0).reshape(2, 3)
-        size = np.array(6)                  # a 0-d array: a valid, unhashable size
-        a, b = Tensor(x).reshape(size), Tensor(x).reshape(size)
-        assert _key(a) != _key(b)
-        np.testing.assert_array_equal(a.numpy(), x.reshape(6))
-        np.testing.assert_array_equal(b.numpy(), x.reshape(6))
+            pending.numpy()
+            kept_pending = _entry(pending).binding
+            h.numpy()
+            realized.numpy()
+            kept_realized = _entry(realized).binding
+        assert stats.graph_walks == 3           # pending, h, realized
+        # The realized ``h`` is read as an input, not computed again.
+        assert kept_realized is not kept_pending
+        assert len(kept_realized.topo) < len(kept_pending.topo)
+        np.testing.assert_array_equal(pending.numpy(), realized.numpy())
 
 
 class TestForwardOnlyMatchesParent:
@@ -319,6 +320,13 @@ class TestLifetime:
 
 
 class TestCache:
+    """The entry table is the one cache: each entry memoizes an op's
+    inferred kind, shape and dtype, and its binding holds a plan."""
+
+    @staticmethod
+    def _chain(n):
+        return (Tensor(np.ones(n)) * 2.0 + 1.0).numpy()
+
     def test_plans_hold_no_arrays_or_graph_nodes(self):
         arr = np.full((8, 8), 0.25)
         x = Tensor(arr, requires_grad=True)
@@ -328,31 +336,34 @@ class TestCache:
         del arr, x, y
         gc.collect()
         assert [r() for r in refs] == [None] * 3
-        plans = get_device()._plans
-        assert plans
+        bindings = [e.binding for e in engine_graph._ENTRIES.values()
+                    if e.binding is not None]
+        assert bindings
 
         def walk(obj):
             assert not isinstance(obj, (np.ndarray, LazyExpr, Tensor))
             if isinstance(obj, (tuple, list)):
                 for item in obj:
                     walk(item)
-        walk(list(plans.items()))
+        walk(bindings)
 
-    def test_cache_and_inference_memo_stay_bounded(self):
-        dev = get_device()
-        for n in range(1, 1001):
-            out = (Tensor(np.ones(n)) * 2.0 + 1.0).numpy()
-            assert out.shape == (n,) and out[-1] == 3.0
-        assert len(dev._plans) == engine_cpu.PLAN_CACHE_SIZE
-        assert len(engine_graph._ENTRIES) <= engine_graph._ENTRIES_MAX
-        # The oldest plans went first; an evicted shape just compiles again.
+    def test_cache_and_inference_memo_stay_bounded(self, monkeypatch):
+        monkeypatch.setattr(engine_graph, "_ENTRIES_MAX", 16)
         with collect() as stats:
-            (Tensor(np.ones(1)) * 2.0 + 1.0).numpy()
-            (Tensor(np.ones(1000)) * 2.0 + 1.0).numpy()
-        assert (stats.plan_compiles, stats.plan_hits) == (1, 1)
+            self._chain(1)
+            self._chain(1)
+        assert stats.graph_walks == 1
+        for n in range(2, 20):              # two entries each: fills, clears
+            assert self._chain(n)[-1] == 3.0
+            assert len(engine_graph._ENTRIES) <= 16
+        # A cleared shape is learnt again: it just walks once more.
+        with collect() as stats:
+            assert self._chain(1).tolist() == [3.0]
+            self._chain(1)
+        assert stats.graph_walks == 1
 
     def test_eviction_is_safe_under_threads(self, monkeypatch):
-        monkeypatch.setattr(engine_cpu, "PLAN_CACHE_SIZE", 4)
+        monkeypatch.setattr(engine_graph, "_ENTRIES_MAX", 16)
         errors = []
 
         def work(offset):
@@ -376,18 +387,15 @@ class TestCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(get_device()._plans) <= 4
 
     def test_spmd_ranks_share_the_cache_and_match_single_rank_bits(self):
         def rank(comm=None):
             return _train(_mlp, steps=3)[2]
 
         single = rank()
-        n_plans = len(get_device()._plans)
         with collect() as stats:
             per_rank = run_spmd(rank, 2)
-        assert stats.plan_compiles == 0         # both ranks replayed
-        assert len(get_device()._plans) == n_plans
+        assert stats.graph_walks == 0           # both ranks replayed
         for weights in per_rank:
             for name in single:
                 assert np.array_equal(_bits(single[name]),
@@ -397,30 +405,34 @@ class TestCache:
         def graph():
             return (Tensor(np.ones((32, 32))) * 2.0).tanh().sum()
 
-        key = _key(graph())
+        def cost_ps():
+            """Realize a fresh graph; its plan's kernel costs."""
+            t = graph()
+            t.numpy()
+            return [kernel.cost_ps for kernel in _plan(t)]
+
         cpu, gpu = get_device("cpu"), get_device("sim-gpu")
         gpu.reset_clock()
-        graph().numpy()
+        on_cpu = cost_ps()
         with use_device("sim-gpu"):
-            on_gpu = graph().numpy()
-        assert float(on_gpu) == float(graph().numpy())
-        cost_ps = lambda dev: [kernel.cost_ps for kernel in dev._plans[key]]
-        assert cost_ps(cpu) != cost_ps(gpu)
-        assert cpu._time_ps == 2 * sum(cost_ps(cpu))
-        assert gpu._time_ps == sum(cost_ps(gpu))
+            on_gpu = cost_ps()
+        assert on_cpu != on_gpu
+        assert cost_ps() == on_cpu
+        assert cpu._time_ps == 2 * sum(on_cpu)
+        assert gpu._time_ps == sum(on_gpu)
 
     def test_register_device_overwrite_starts_cold(self):
         def run():
+            out = Tensor(np.ones(5)) * 3.0
             with collect() as stats:
-                (Tensor(np.ones(5)) * 3.0).numpy()
-            return stats.plan_compiles
+                out.numpy()
+            return stats.graph_walks, _plan(out)
 
-        assert run() == 1 and run() == 0
+        assert run()[0] == 1 and run()[0] == 0
         class SlowDispatch(CpuDevice):
             DISPATCH_S = 1e-6
 
         register_device("cpu", SlowDispatch)
-        assert get_device("cpu")._plans == {}
-        assert run() == 1
-        (kernel,), = get_device("cpu")._plans.values()
+        walks, (kernel,) = run()
+        assert walks == 1
         assert kernel.cost_ps >= 1_000_000      # priced by the new device

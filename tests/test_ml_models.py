@@ -141,6 +141,9 @@ class TestAutoencoder:
         assert out.shape == (5, 12)
         z = ae.encode(Tensor(rng.normal(size=(5, 12))))
         assert z.shape == (5, 3)
+        # ``predict`` is every module's: eval mode, training restored.
+        assert ae.predict(rng.normal(size=(5, 12))).shape == (5, 12)
+        assert ae.training
 
     def test_bottleneck_must_compress(self):
         with pytest.raises(ValueError):

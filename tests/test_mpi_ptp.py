@@ -1,9 +1,12 @@
 """Point-to-point messaging, SPMD runtime, communicator management."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.mpi import ANY_SOURCE, ANY_TAG, run_spmd, SpmdFailure
+from repro.mpi.comm import Communicator
 from repro.mpi.runtime import spmd_sim_times
 from repro.mpi.transport import payload_nbytes
 
@@ -28,12 +31,19 @@ def test_send_recv_object():
     assert out[1] == {"a": 7, "b": 3.14}
 
 
+def test_recv_names_its_source_and_tag():
+    # No defaults: a wildcard receive says ANY_SOURCE and ANY_TAG.
+    params = inspect.signature(Communicator.recv).parameters
+    assert [params[p].default for p in ("source", "tag")] == [
+        inspect.Parameter.empty] * 2
+
+
 def test_send_recv_numpy_buffer():
     def fn(comm):
         if comm.rank == 0:
             comm.send(np.arange(10, dtype=np.float64), dest=1)
             return None
-        return comm.recv(source=0)
+        return comm.recv(source=0, tag=ANY_TAG)
 
     out = run_spmd(fn, 2)
     assert np.array_equal(out[1], np.arange(10))
@@ -69,7 +79,8 @@ def test_exception_propagates_and_unblocks():
     def fn(comm):
         if comm.rank == 0:
             raise RuntimeError("boom")
-        comm.recv(source=0)  # would deadlock without abort propagation
+        # Would deadlock without abort propagation.
+        comm.recv(source=0, tag=ANY_TAG)
 
     with pytest.raises(SpmdFailure) as exc:
         run_spmd(fn, 2)
@@ -95,7 +106,7 @@ def test_traffic_counters():
         if comm.rank == 0:
             comm.send(np.zeros(100), dest=1)
         elif comm.rank == 1:
-            comm.recv(source=0)
+            comm.recv(source=0, tag=ANY_TAG)
         return (comm.state.bytes_sent, comm.state.messages_sent)
 
     out = run_spmd(fn, 2)

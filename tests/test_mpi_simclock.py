@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpi import run_spmd
+from repro.mpi import ANY_TAG, run_spmd
 from repro.mpi.runtime import spmd_sim_times
 from repro.simnet import CommCostModel, LinkKind
 
@@ -31,7 +31,7 @@ def test_message_charges_link_cost(hdr_fabric):
         if comm.rank == 0:
             comm.send(np.zeros(125_000), dest=1)   # 1 MB
         else:
-            comm.recv(source=0)
+            comm.recv(source=0, tag=ANY_TAG)
         return comm.sim_time
 
     _, times = spmd_sim_times(fn, 2, cost_model=model)
@@ -45,7 +45,7 @@ def test_receiver_never_ahead_of_sender_plus_cost(hdr_fabric):
             comm.compute(1.0)
             comm.send("late", dest=1)
         else:
-            comm.recv(source=0)
+            comm.recv(source=0, tag=ANY_TAG)
         return comm.sim_time
 
     _, times = spmd_sim_times(fn, 2, cost_model=hdr_fabric)

@@ -145,8 +145,8 @@ class TestWildcardsMatchUserTagsOnly:
         and the bcast then waited for ever."""
         def wildcard(comm):
             if api == "recv":
-                return comm.recv(source=0)
-            return comm.recv()
+                return comm.recv(source=0, tag=ANY_TAG)
+            return comm.recv(ANY_SOURCE, ANY_TAG)
 
         def fn(comm):
             if comm.rank == 0:

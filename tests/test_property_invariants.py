@@ -213,3 +213,46 @@ def test_property_wider_stripes_never_slower(stripes):
     ordered = sorted(stripes)
     for a, b in zip(ordered, ordered[1:]):
         assert times[b] <= times[a] + 1e-12
+
+
+# -- range checks refuse NaN --------------------------------------------------
+
+NAN = float("nan")
+
+
+def _params():
+    from repro.ml.layers import Parameter
+    return [Parameter(np.zeros(2))]
+
+
+def _builds():
+    from repro.ml.optim import SGD, Adam
+    from repro.resilience.faults import FaultKind, FaultSpec
+    from repro.resilience.retry import RetryPolicy
+    from repro.serving.request import TraceConfig
+
+    crash, straggler = FaultKind.NODE_CRASH, FaultKind.STRAGGLER
+    return {
+        **{f"TraceConfig.{f}": (lambda f=f: TraceConfig(**{f: NAN}))
+           for f in ("rate_per_s", "duration_s", "slo_deadline_s",
+                     "samples_per_request", "key_universe", "burst_len_s",
+                     "gap_len_s")},
+        **{f"RetryPolicy.{f}": (lambda f=f: RetryPolicy(**{f: NAN}))
+           for f in ("max_retries", "base_delay_s", "max_delay_s")},
+        "FaultSpec.time": lambda: FaultSpec(crash, NAN),
+        "FaultSpec.duration": lambda: FaultSpec(crash, 0.0, duration=NAN),
+        "FaultSpec.magnitude": lambda: FaultSpec(straggler, 0.0,
+                                                 magnitude=NAN),
+        "FaultSpec.magnitude(degrade)": lambda: FaultSpec(
+            FaultKind.LINK_DEGRADE, 0.0, magnitude=NAN),
+        "FaultSpec.magnitude(gray)": lambda: FaultSpec(
+            FaultKind.GRAY_FAILURE, 0.0, magnitude=NAN),
+        "SGD.lr": lambda: SGD(_params(), lr=NAN),
+        "Adam.lr": lambda: Adam(_params(), lr=NAN),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_builds()))
+def test_a_range_check_refuses_nan(name):
+    with pytest.raises(ValueError):
+        _builds()[name]()

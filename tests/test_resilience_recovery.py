@@ -122,6 +122,18 @@ class TestRankKillRecovery:
                    checkpoint_manager=_manager(),
                    checkpoint_policy=CheckpointPolicy())
 
+    def test_a_run_without_corruption_still_verifies_its_gradients(
+            self, monkeypatch):
+        # Integrity is always on: with or without a corruption plan, every
+        # rank reduces every step through the ABFT-verified allreduce.
+        import repro.resilience.integrity as integrity
+        calls = []
+        real = integrity.verified_grad_allreduce
+        monkeypatch.setattr(integrity, "verified_grad_allreduce",
+                            lambda *args: calls.append(args) or real(*args))
+        _train(n_steps=2, world_size=2)
+        assert len(calls) == 2 * 2
+
     def test_a_manager_without_a_policy_is_refused(self):
         # Nothing that runs training leaves the policy to a default.
         with pytest.raises(TypeError, match="checkpoint_policy"):

@@ -29,11 +29,12 @@ from repro.serving import replicas
 from repro.serving.admission import RATE_LIMIT_BURST
 from repro.serving.batcher import MAX_BATCH_REQUESTS, MAX_WAIT_S
 from repro.serving.replicas import InflightBatch
+from repro.simnet.events import Simulator
 
 
-def _req(req_id, arrival=0.0, key=0, model="default", budget=0.5):
+def _req(req_id, arrival=0.0, key=0, budget=0.5):
     return Request(req_id=req_id, arrival_s=arrival,
-                   deadline_s=arrival + budget, key=key, model=model)
+                   deadline_s=arrival + budget, key=key)
 
 
 # -- traces -------------------------------------------------------------------
@@ -187,32 +188,18 @@ class TestMicroBatcher:
         b = MicroBatcher()
         for i in range(7):
             b.enqueue(_req(i), now=0.0)
-        assert b.ready_model(0.0) is None             # not full, not old
+        assert not b.ready_model(0.0)                 # not full, not old
         b.enqueue(_req(7), now=0.0)
-        assert b.ready_model(0.0) == "default"
-        assert [r.req_id for r in b.take("default")] == list(range(8))
+        assert b.ready_model(0.0)
+        assert [r.req_id for r in b.take()] == list(range(8))
 
     def test_timeout_dispatches_partial_batch(self):
         assert MAX_WAIT_S == 0.010
         b = MicroBatcher()
         b.enqueue(_req(0), now=0.0)
-        assert b.ready_model(0.005) is None
+        assert not b.ready_model(0.005)
         assert b.next_deadline() == pytest.approx(0.01)
-        assert b.ready_model(0.01) == "default"
-
-    def test_models_never_mix(self):
-        b = MicroBatcher()
-        b.enqueue(_req(0, model="a"), now=0.0)
-        b.enqueue(_req(1, model="b"), now=0.0)
-        batch = b.take(b.ready_model(MAX_WAIT_S))
-        assert len({r.model for r in batch}) == 1
-
-    def test_deepest_queue_wins(self):
-        b = MicroBatcher()
-        b.enqueue(_req(0, model="a"), now=0.0)
-        for i in range(1, 4):
-            b.enqueue(_req(i, model="b"), now=0.0)
-        assert b.ready_model(MAX_WAIT_S) == "b"
+        assert b.ready_model(0.01)
 
     def test_requeue_front_preserves_order_and_ships_first(self):
         b = MicroBatcher()
@@ -220,40 +207,37 @@ class TestMicroBatcher:
             b.enqueue(_req(i, arrival=1.0), now=1.0)
         b.requeue_front([_req(1, arrival=0.1), _req(2, arrival=0.2)])
         # Drained work keeps its original arrival, so it is instantly ready.
-        assert b.ready_model(1.0) == "default"
-        assert [r.req_id for r in b.take("default")] == [1, 2, *range(5, 11)]
+        assert b.ready_model(1.0)
+        assert [r.req_id for r in b.take()] == [1, 2, *range(5, 11)]
         assert b.depth == 1
 
     def test_take_empty_raises(self):
         b = MicroBatcher()
         with pytest.raises(ValueError):
-            b.take("default")
+            b.take()
 
     @settings(max_examples=100, deadline=None)
     @given(ops=st.lists(st.tuples(
         st.sampled_from(["enqueue", "requeue_front", "take"]),
-        st.sampled_from(["a", "b", "c"]),
         st.integers(min_value=1, max_value=5)), max_size=40))
     def test_depth_counter_equals_the_sum_over_queues(self, ops):
         b = MicroBatcher()
-        models = ("a", "b", "c")
-
-        def depth_of(model):
-            return len(b._queues.get(model, ()))
-
-        next_id = 0
-        for op, model, n in ops:
-            reqs = [_req(next_id + i, model=model) for i in range(n)]
+        queued = next_id = 0
+        for op, n in ops:
+            reqs = [_req(next_id + i) for i in range(n)]
             next_id += n
             if op == "enqueue":
                 for r in reqs:
                     b.enqueue(r, now=0.0)
+                queued += n
             elif op == "requeue_front":
                 b.requeue_front(reqs)
-            elif depth_of(model):
-                queued = depth_of(model)
-                assert len(b.take(model)) == min(MAX_BATCH_REQUESTS, queued)
-            assert b.depth == sum(depth_of(m) for m in models)
+                queued += n
+            elif queued:
+                taken = len(b.take())
+                assert taken == min(MAX_BATCH_REQUESTS, queued)
+                queued -= taken
+            assert b.depth == queued
 
 
 # -- placement ----------------------------------------------------------------
@@ -318,8 +302,10 @@ class TestPlacement:
         placed = [pool.place(now=0.0) for _ in range(12)]   # esb, dam, cm
         assert len({r.module_key for r in placed}) == 3
         check()
+        with pytest.raises(TypeError):      # every batch has its done event
+            InflightBatch([], 0.0)
         for r in placed[::3]:
-            r.inflight = InflightBatch(requests=[], start=0.0)
+            r.inflight = InflightBatch([], 0.0, Simulator().timeout(1.0))
         check()
         pool.retire(placed[1], now=1.0)
         check()

@@ -95,7 +95,6 @@ class TestGenerateTrace:
             assert type(r.arrival_s) is float and type(r.key) is int
             assert r.deadline_s == r.arrival_s + cfg.slo_deadline_s
             assert r.n_samples == cfg.samples_per_request
-            assert r.model == "default"
         assert {r.tier for r in trace} == {"gold", "bronze"}
 
     def test_default_traffic_is_all_gold(self):
@@ -104,5 +103,5 @@ class TestGenerateTrace:
 
     def test_request_keywords_and_defaults(self):
         r = Request(req_id=4, arrival_s=1.0, deadline_s=1.5, key=9)
-        assert (r.n_samples, r.model, r.tier) == (1, "default", "gold")
-        assert r == Request(4, 1.0, 1.5, 9, 1, "default", "gold")
+        assert (r.n_samples, r.tier) == (1, "gold")
+        assert r == Request(4, 1.0, 1.5, 9, 1, "gold")
