@@ -28,9 +28,9 @@ The package rebuilds the paper's full stack as a laptop-runnable simulation:
                     cost models
 ==================  =========================================================
 
-Every top-level definition is reached from a ``repro`` command, a
-``repro bench`` case, a scenario, the wall-clock benchmark or a tested
-example (``tests/test_reachability.py``); a paper unit returns only as a
+Every line runs in a ``repro`` command, a ``repro bench`` case, the
+wall-clock benchmark or a tested example (``tests/test_line_roots.py``,
+``tests/test_reachability.py``); a paper unit returns only as a
 ``paper`` bench case whose ``expect`` states the claim it reproduces.
 See ``DESIGN.md`` for the substitution table and per-experiment index, and
 ``EXPERIMENTS.md`` for paper-vs-measured results.

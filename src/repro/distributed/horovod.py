@@ -324,7 +324,7 @@ def run_elastic_training(
     if fault_plan is not None and getattr(fault_plan, "has_corruption", False):
         injector = CorruptionInjector(fault_plan)
     integrity_config = integrity_config or IntegrityConfig()
-    integrity_ctx = IntegrityContext(injector, integrity_config)
+    integrity_ctx = IntegrityContext(injector, config=integrity_config)
 
     #: CHECKPOINT_ROT specs already applied, shared by whichever thread is
     #: rank 0 when a step is first reached (ring transitions order access).

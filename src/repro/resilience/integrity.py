@@ -309,10 +309,10 @@ class IntegrityContext:
     traffic is protected exactly like user point-to-point messages.
     """
 
-    def __init__(self, injector: Optional[CorruptionInjector] = None,
-                 config: Optional[IntegrityConfig] = None) -> None:
+    def __init__(self, injector: Optional[CorruptionInjector] = None, *,
+                 config: IntegrityConfig) -> None:
         self.injector = injector
-        self.config = config or IntegrityConfig()
+        self.config = config
 
     @property
     def verify(self) -> bool:

@@ -301,18 +301,14 @@ class Simulator:
             event._fire(self.now)
         return True
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Run until queue exhaustion or simulated time ``until``.
-
-        Returns the final simulated time.
+    def run(self) -> float:
+        """Run until the queue is exhausted; returns the final simulated time.
 
         This is the kernel's hottest loop, so it pops straight off the
         underlying heap with locally-bound helpers instead of going through
         :meth:`step`; the (time, seq) ordering and per-event semantics are
         identical.
         """
-        if until is not None and until < self.now:
-            raise SimulationError(f"run(until={until}) is before {self.now}")
         heap = self._queue._heap
         heappop = heapq.heappop
         processed = 0
@@ -320,9 +316,6 @@ class Simulator:
         now = self.now
         try:
             while heap:
-                if until is not None and heap[0][0] > until:
-                    now = until
-                    break
                 if steps >= MAX_EVENTS:
                     raise SimulationError(
                         f"exceeded {MAX_EVENTS} events — runaway simulation?"
@@ -340,8 +333,6 @@ class Simulator:
                     now = self.now
         finally:
             self._processed += processed
-        if until is not None and now < until:
-            now = until
         self.now = now
         return now
 

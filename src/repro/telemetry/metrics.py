@@ -57,7 +57,7 @@ class Counter:
         self._lock = lock
 
     def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
+        if not (amount >= 0):                   # NaN fails too
             raise ValueError("counters only go up")
         with self._lock:
             self._value += amount

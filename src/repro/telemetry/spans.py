@@ -92,7 +92,7 @@ class Tracer:
         """
         if not self.enabled:
             return
-        if duration_s < 0:
+        if not (duration_s >= 0):               # NaN fails too
             raise ValueError(f"span {name!r} has negative duration")
         self._raw.append((name, category, start_s, duration_s, track, lane,
                           tuple(attrs.items())))

@@ -1,12 +1,14 @@
 """Every executed line, both ways of every ``if`` and every settable
 value in ``src/repro`` have a root.
 
-``test_reachability.py`` keeps a definition alive when reached code says
-its name, so a branch that no root takes survives whenever its function is
-reached.  This rule runs the roots themselves, in one fresh process, under
-a stdlib line tracer (``sys.settrace`` and ``threading.settrace``, both
+This rule runs the repository's roots, in one fresh process, under a
+stdlib line tracer (``sys.settrace`` and ``threading.settrace``, both
 installed before ``repro`` is imported and so before any SPMD rank thread
-starts), and fails on any line of ``src/repro`` that no root executes.
+starts), and fails on any line of ``src/repro`` that no root executes: it
+is the one referee for dead functions, methods and classes with methods.
+``test_reachability.py`` covers what has no lines of its own to run
+(module constants and classes without methods), write-only state and
+unused imports.
 
 The roots (:func:`run_roots`):
 
@@ -38,9 +40,9 @@ are exempt:
   the single allowlist: safety code a healthy run never enters (failure
   paths, guards for degenerate input, the parts of a primitive's
   contract the roots do not use) or a reference a test compares
-  against.  An entry is stale only when no rule needs it: not the
-  static rules, not the line rule, not the branch rule and not the
-  value rule.
+  against.  An entry is stale only when no rule needs it: not the name
+  or write-only rule, not the line rule, not the branch rule and not
+  the value rule.
 
 The same traced run records the way each ``if`` and ``elif`` inside a
 function goes (:func:`branch_points`): in each frame the tracer keeps
@@ -53,8 +55,8 @@ or ``except`` line, or its function is allowlisted.  Ternaries and
 ``and``/``or`` are out of reach: a line tracer cannot see them.
 
 The same traced run records values.  On every call of a settable-value
-owner (:meth:`~tests.test_reachability.Program.settable`, the static
-rule's one definition), the tracer reads the :func:`canonical` value of
+owner (:meth:`~tests.test_reachability.Program.settable`, the one
+enumeration), the tracer reads the :func:`canonical` value of
 each defaulted parameter from ``frame.f_locals``; an omitted argument
 reads as its default, and an object default reads as :data:`DEFAULT`.
 A settable value that takes exactly one value in every root call fails:
@@ -62,9 +64,10 @@ one scalar (fold it into that value), or objects of one type (no call
 leaves the default, so the default is dead).  ``ALLOWLIST`` may keep
 one with one of six reasons (DESIGN §18): input from outside ``src/``, a
 seed, a field of a record type a check asserts, an input only a fault
-path varies, a value an unedited pin passes or leaves out, or a default
-whose leg is the reference a test compares against.  The three rules
-read one cached run (:func:`traced_run`).
+path varies, a value a pin passes, or a default whose leg is the
+reference a test compares against.  A value of a function no root calls
+takes none: it is exempt with its function, which the line rule makes
+allowlisted.  The three rules read one cached run (:func:`traced_run`).
 """
 
 from __future__ import annotations
@@ -380,6 +383,22 @@ def branch_points(tree: ast.AST
     return points
 
 
+class TracedFile:
+    """What the tracer keeps of one file: its executed lines, the ways its
+    ``if`` s went, its :func:`branch_points` and its raise-only and
+    ``except`` lines (no rule asks whether they ran)."""
+
+    __slots__ = ("hits", "ways", "points", "exempt")
+
+    def __init__(self, path: str) -> None:
+        tree = ast.parse(Path(path).read_text())
+        self.hits: set[int] = set()
+        #: ``if`` line → the ways it went (:data:`TRUE` | :data:`FALSE`).
+        self.ways: dict[int, int] = {}
+        self.points = branch_points(tree)
+        self.exempt = exemptions(tree, "", {})[0]
+
+
 class LineTracer:
     """Records ``(file, line)`` for every line executed in a file under
     ``root``, on every thread started while it is installed, the ways
@@ -389,18 +408,14 @@ class LineTracer:
 
     def __init__(self, root: Path, spec: dict | None = None) -> None:
         self.prefix = str(root)
-        #: Filename → executed lines (``None``: a file outside ``root``).
-        self.hits: dict[str, set[int] | None] = {}
-        #: Filename → ``if`` line → the ways it went (:data:`TRUE` |
-        #: :data:`FALSE`).
-        self.ways: dict[str, dict[int, int]] = {}
-        #: Filename → :func:`branch_points` of its source, and its
-        #: raise-only and ``except`` lines (no rule asks whether they ran).
-        self._points: dict[str, dict[int, tuple[int, range, range, int]]] = {}
-        self._exempt: dict[str, set[int]] = {}
+        #: Filename → its record (``None``: a file outside ``root``).
+        self.files: dict[str, TracedFile | None] = {}
         #: Function code objects every line of which has run and every
         #: ``if`` of which has gone both ways, or its one raise way.
         self._done: set[CodeType] = set()
+        #: Code objects a call teaches nothing any more: done, or outside
+        #: ``root``, with no value left to watch.
+        self._quiet: set[CodeType] = set()
         #: Code object → its lines not yet run, and its ``if`` s (line →
         #: raise_ways) not yet settled.
         self._left: dict[CodeType, tuple[set[int], dict[int, int]]] = {}
@@ -447,7 +462,10 @@ class LineTracer:
         """The values of ``watch`` not yet seen to take two values."""
         return [w for w in watch if len(self.values[w[0]]) < 2] or None
 
-    def _record(self, frame, watch: list[tuple[str, str, object]]) -> None:
+    def _record(self, frame, watch: list[tuple[str, str, object]]
+                ) -> list[tuple[str, str, object]] | None:
+        """Record what ``frame`` passes to ``watch``; the values still to
+        watch."""
         local = frame.f_locals
         for key, param, default in watch:
             value = local[param]
@@ -455,37 +473,42 @@ class LineTracer:
             if value is default and is_object(spelled):
                 spelled = DEFAULT
             self.values[key].add(spelled)
-        self._watch[frame.f_code] = self._pending(watch)
+        pending = self._watch[frame.f_code] = self._pending(watch)
+        return pending
 
     def _call(self, frame, event, arg):
         code = frame.f_code
+        if code in self._quiet:
+            return None
         try:
             watch = self._watch[code]
         except KeyError:
             watch = self._watch[code] = self._owners(frame)
         if watch:
-            self._record(frame, watch)
+            watch = self._record(frame, watch)
         if code in self._done:
+            if not watch:
+                self._quiet.add(code)
             return None
         file = code.co_filename
         try:
-            hits = self.hits[file]
+            traced = self.files[file]
         except KeyError:
-            hits = self.hits[file] = (
-                set() if file.startswith(self.prefix) else None)
-            if hits is not None:
-                tree = ast.parse(Path(file).read_text())
-                self._points[file] = branch_points(tree)
-                self._exempt[file] = exemptions(tree, "", {})[0]
-                self.ways[file] = {}
-        if hits is None:
+            # Built whole, then published in one step: a thread entering
+            # the file meanwhile builds its own, and the first one wins.
+            inside = file.startswith(self.prefix)
+            traced = self.files.setdefault(
+                file, TracedFile(file) if inside else None)
+        if traced is None:
+            if not watch:
+                self._quiet.add(code)
             return None
+        hits, ways, points = traced.hits, traced.ways, traced.points
         hits.add(code.co_firstlineno)
-        points, ways = self._points[file], self.ways[file]
         left = self._left.get(code)
         if left is None:
             lines = {line for *_, line in code.co_lines()
-                     if line is not None} - self._exempt[file]
+                     if line is not None} - traced.exempt
             left = self._left[code] = (lines, {
                 points[line][0]: points[line][3]
                 for line in lines if line in points})
@@ -548,13 +571,15 @@ class LineTracer:
         threading.settrace(self._saved)
 
     def executed(self) -> dict[str, list[int]]:
-        return {f: sorted(lines) for f, lines in self.hits.items() if lines}
+        return {f: sorted(t.hits) for f, t in self.files.items()
+                if t is not None and t.hits}
 
     def seen(self) -> dict[str, list[str]]:
         return {key: sorted(v) for key, v in self.values.items() if v}
 
     def branches(self) -> dict[str, dict[int, int]]:
-        return {f: ways for f, ways in self.ways.items() if ways}
+        return {f: t.ways for f, t in self.files.items()
+                if t is not None and t.ways}
 
 
 def value_spec(owners: dict[str, Settable], path: Callable[[str], str]
@@ -695,7 +720,7 @@ def traced_run() -> tuple[dict[str, list[int]], dict[str, dict[int, int]],
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "traced.json"
         spec = Path(tmp) / "spec.json"
-        spec.write_text(json.dumps(value_spec(repository()[4], source_path)))
+        spec.write_text(json.dumps(value_spec(repository()[3], source_path)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(SRC), str(REPO_ROOT)]))
         env.pop("ENGINE", None)
@@ -805,9 +830,9 @@ def test_every_allowlist_entry_is_needed():
     _, line_needs = unexecuted(files, executed, ALLOWLIST)
     _, branch_needs = one_way(files, branches, ALLOWLIST)
     _, value_needs = single_valued(values, ALLOWLIST)
-    _, dead, write_only, unset, _ = repository()
-    gone = stale(ALLOWLIST, dead + write_only + unset, line_needs,
-                 branch_needs, value_needs)
+    _, unused, write_only, _ = repository()
+    gone = stale(ALLOWLIST, unused + write_only, line_needs, branch_needs,
+                 value_needs)
     assert not gone, f"allowlisted but needed by no rule: {gone}"
 
 
@@ -939,6 +964,35 @@ def test_tracer_counts_a_line_run_only_on_a_thread():
     assert _toy_missed(run) == ([], [], set())
 
 
+def test_tracer_builds_a_file_before_another_thread_sees_it(monkeypatch):
+    """A thread that enters a file while another still reads it finds a
+    whole record or builds its own, never half of one."""
+    reading, release = threading.Event(), threading.Event()
+    read_text = Path.read_text
+
+    def slow_read(path, *args, **kwargs):
+        if not reading.is_set():            # the worker's read: hold it
+            reading.set()
+            release.wait(10)
+        return read_text(path, *args, **kwargs)
+
+    def run(ns):
+        worker = threading.Thread(target=ns["threaded"], args=([],))
+        worker.start()
+        assert reading.wait(10)
+        try:
+            ns["f"](True)                   # enters toy.py mid-read
+        finally:
+            release.set()
+            worker.join()
+        ns["f"](False)
+        ns["g"](2)
+        ns["spare"]()
+        ns["pick"](1)
+    monkeypatch.setattr(Path, "read_text", slow_read)
+    assert _toy_missed(run) == ([], [], set())
+
+
 def test_tracer_flags_a_function_never_called_unless_allowlisted():
     def run(ns):
         ns["f"](True)
@@ -999,13 +1053,10 @@ def _toy_values(fn, allowlist=None) -> tuple[list[str], set[str]]:
     watching the settable values the static scanner finds there; report
     the single-valued ones."""
     program = Program({"toy": (TOY_VALUES, False)})
-    reached = program.closure(
-        [("def", "toy", name) for name in program.sources["toy"].defs])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "toy.py"
         path.write_text(TOY_VALUES)
-        spec = value_spec(program.settable(reached, "toy"),
-                          lambda module: str(path))
+        spec = value_spec(program.settable("toy"), lambda module: str(path))
         namespace: dict = {"__name__": "toy"}
         exec(compile(TOY_VALUES, str(path), "exec", dont_inherit=True),
              namespace)

@@ -21,6 +21,7 @@ from repro.mpi.transport import (
 from repro.resilience import FaultKind, FaultPlan
 from repro.resilience.integrity import (
     CorruptionInjector,
+    IntegrityConfig,
     IntegrityContext,
     corruption_totals,
 )
@@ -289,7 +290,8 @@ def test_ring_results_and_injection_log_equal_reference(world_size, dtype,
     with telemetry.capture() as (_, registry):
         out = run_spmd(lambda comm: _ring_ops(comm, inputs[comm.rank]),
                        world_size, timeout=30,
-                       integrity=IntegrityContext(injector))
+                       integrity=IntegrityContext(
+                           injector, config=IntegrityConfig()))
     injected, detected = corruption_totals(registry)
 
     wide = np.result_type(dtype, np.float64) if dtype != np.int64 else dtype

@@ -230,6 +230,8 @@ def _builds():
     from repro.resilience.faults import FaultKind, FaultSpec
     from repro.resilience.retry import RetryPolicy
     from repro.serving.request import TraceConfig
+    from repro.telemetry.metrics import MetricsRegistry
+    from repro.telemetry.spans import Tracer
 
     crash, straggler = FaultKind.NODE_CRASH, FaultKind.STRAGGLER
     return {
@@ -249,6 +251,8 @@ def _builds():
             FaultKind.GRAY_FAILURE, 0.0, magnitude=NAN),
         "SGD.lr": lambda: SGD(_params(), lr=NAN),
         "Adam.lr": lambda: Adam(_params(), lr=NAN),
+        "Counter.inc": lambda: MetricsRegistry().counter("c").inc(NAN),
+        "Tracer.record": lambda: Tracer().record("s", "c", 0.0, NAN),
     }
 
 

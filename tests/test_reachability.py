@@ -1,53 +1,39 @@
-"""Every definition and member in ``src/repro`` has a root.
+"""Every module-level constant and record class in ``src/repro`` is used,
+no state is write-only and no import is unused.
 
-A definition earns its place by being reachable from something this
-repository runs for a reason:
+``test_line_roots.py`` runs the repository's roots under a line tracer and
+fails on every function line no root executes: a dead function, method or
+class with methods is its finding, as a settable value no root varies is
+its value rule's.  A line tracer cannot see a definition without lines of
+its own: a module-level constant, or a class without methods (a record,
+an enum, an exception).  The name rule here covers those
+(:meth:`Program.unused`).  One counts as used when
 
-* ``repro.cli`` and every command it wires up;
-* every registered ``repro bench`` case of every area (the ``paper``
-  area's cases are E1–E14 and the ablations);
-* ``repro.scenarios.SCENARIOS``;
-* the wall-clock benchmark, ``benchmarks/e2e/*.py``, including the
-  module / class / attribute names its ``layers.WRAPS`` table patches;
-* the examples that a tier-1 test runs (:data:`EXAMPLE_ROOTS`).
+* its own module loads the name outside its definition;
+* a module that imports it, from its module or from a package that holds
+  its module, loads the name the import binds; or
+* an attribute (``.NAME``) or an identifier-shaped string anywhere in the
+  program spells it.
 
-Package ``__init__`` re-exports are not roots: a name that is only
-re-exported is not used.  The closure is an AST walk, in the style of
-``test_no_host_clock.py``.  ``import`` / ``from … import`` bindings and
-``module.attr`` resolve to ``(module, name)`` exactly, through re-exports
-(``np.zeros`` is NumPy's and matches nothing here); any other attribute
-and any identifier-shaped string matches every definition of that name.
-So a name match may keep a dead definition alive, but a live one is
-never reported dead.
+The program is ``src/repro`` plus the root files: the wall-clock benchmark
+``benchmarks/e2e/*.py`` and the pinned examples (:data:`EXAMPLE_ROOTS`).
+The import statement itself and a package's ``__all__`` entry are not
+uses: a name that is only re-exported is not used.  The rule is scoped by
+module: ``GiB`` in two modules is two constants, and neither is used
+because a third module spells its own ``GiB``.
 
-Members are definitions too.  A reached class runs only its bases,
-decorators and class-level statements; each method or property is its
-own definition, reached when it is dunder, named by a ``WRAPS`` row, or
-matched by name (an attribute, a keyword or an identifier string) from
-reached code.  The closure is a fixpoint over both.
-
-Write-only state fails as well: an attribute that reached code stores
-(``=``, ``+=``) but that no reached code loads, as an attribute or an
-identifier string.  A class that reads itself whole (``asdict(self)``,
-``vars(self)``, a loop over ``self.__slots__``) reads every field.
+Write-only state fails as well: an attribute that the program stores
+(``=``, ``+=``) but never loads, as an attribute or an identifier string.
+A class that reads itself whole (``asdict(self)``, ``vars(self)``, a loop
+over ``self.__slots__``) reads every field.
 
 The same scan fails on a module-level import its module never uses
 (``# noqa: F401`` marks an import kept for its side effect).
 
-Every settable value has a root too.  A settable value is a field with a
-default in a ``frozen=True`` dataclass, or a defaulted parameter of a
-reached function or method; an option no root sets is a constant in
-disguise.  It counts as set when reached code calls its owner by name (a
-dataclass field's or ``__init__`` parameter's owner is the class; ``cls``
-and ``super().__init__`` resolve to the class they sit in) and passes it
-by keyword or by position, or names a field in a ``dataclasses.replace``
-call; ``field(default_factory=C)`` calls ``C`` with nothing.  A call with
-a ``*`` or ``**`` splat sets every value of its owner, and a function or
-class that reached code names other than as a callee, an attribute base,
-an annotation or an ``isinstance`` argument (passed as a value) has every
-value set.  As with the member match, a live knob is never reported dead.
-:meth:`Program.settable` is the one enumeration of settable values;
-``test_line_roots.py``'s value rule watches the same ones at run time.
+:meth:`Program.settable` is the one enumeration of settable values (a
+defaulted field of a ``frozen=True`` dataclass, or a defaulted parameter
+of a function or method), which ``test_line_roots.py``'s value rule
+watches at run time.
 """
 
 from __future__ import annotations
@@ -55,18 +41,19 @@ from __future__ import annotations
 import ast
 import functools
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import FunctionType
-from typing import Iterable, Optional
+from typing import Iterable
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
 E2E = REPO_ROOT / "benchmarks" / "e2e"
 EXAMPLE_ROOTS = ("msa_operations.py", "quickstart.py")
 
-#: ``"module.name"`` → why it stays although no root reaches it, or (for
-#: a function or class) executes its every line: the one allowlist of
+#: ``"module.name"`` → why it stays although a rule reports it (a function
+#: or class with a line no root executes or an ``if`` that goes one way, a
+#: value that takes one value, state only written): the one allowlist of
 #: these rules and of ``test_line_roots.py``.
 ALLOWLIST = {
     "repro.mpi.collectives.rabenseifner_allreduce":
@@ -75,34 +62,16 @@ ALLOWLIST = {
     "repro.distributed.horovod._unflatten_into_grads":
         "the scatter half of the bit-identity reference for the pooled "
         "fusion buffer (_flatten_grads, which ZeRO fuses with) that "
-        "test_perf_regression_pins.py, kept unedited, imports from here",
+        "test_perf_regression_pins.py imports from here",
     "repro.simnet.events.Simulator.all_of":
         "builds the scenario of the run-vs-step pin in "
-        "test_perf_regression_pins.py, kept unedited",
+        "test_perf_regression_pins.py",
     "repro.simnet.events.EventQueue.peek_time":
-        "the same pin's reference loop steps the queue by it",
+        "run_until (test_simnet_events.py) steps the queue by it to stop a "
+        "run at a horizon",
     "repro.mpi.runtime.SpmdFailure.original":
         "error handling: the failed rank's exception, for a caller of "
         "run_spmd to handle by type",
-    # Settable values no root sets.
-    "repro.resilience.faults.FaultPlan.random.n_stragglers":
-        "an unedited pin passes it: test_perf_regression_pins.py's "
-        "degraded-fabric schedule draws stragglers from FaultPlan.random",
-    "repro.resilience.faults.FaultPlan.random.n_degrades":
-        "an unedited pin passes it: the same schedule's link degrades",
-    "repro.resilience.faults.FaultPlan.random.slowdown":
-        "an unedited pin passes it: the same schedule's straggler factor",
-    "repro.core.presets.small_msa_system.cm_nodes":
-        "an unedited pin passes it: test_scheduler_dispatch_oracle.py, "
-        "test_scheduler_placement_table.py and test_perf_regression_pins.py "
-        "size their systems by it",
-    "repro.core.presets.small_msa_system.esb_nodes":
-        "an unedited pin passes it: the same three pinned files",
-    "repro.core.presets.small_msa_system.dam_nodes":
-        "an unedited pin passes it: the same three pinned files",
-    "repro.simnet.events.Simulator.resource.name":
-        "an unedited pin passes it: the run-vs-step pin in "
-        "test_perf_regression_pins.py names its resource",
     # Settable values that take one value in every root call
     # (test_line_roots.py's value rule).  Only DESIGN §18's six
     # exemptions may keep one.  (1) Input from outside src/: a CLI option
@@ -173,22 +142,31 @@ ALLOWLIST = {
     "repro.serving.replicas.ReplicaPool.place.avoid":
         "an input only a fault path varies: _placement_avoid feeds it when "
         "the detector suspects a node",
-    # (5) An unedited pin passes it, or leaves it out.
-    "repro.simnet.events.Simulator.run.until":
-        "an unedited pin passes it: test_perf_regression_pins.py's "
-        "run(until=0.3)",
+    # (5) A pin passes it: an oracle input or a reference (DESIGN §18).
+    "repro.resilience.faults.FaultPlan.random.n_stragglers":
+        "a pin passes it: test_perf_regression_pins.py's "
+        "degraded-fabric schedule draws stragglers from FaultPlan.random",
+    "repro.resilience.faults.FaultPlan.random.n_degrades":
+        "a pin passes it: the same schedule's link degrades",
+    "repro.resilience.faults.FaultPlan.random.slowdown":
+        "a pin passes it: the same schedule's straggler factor",
+    "repro.core.presets.small_msa_system.cm_nodes":
+        "a pin passes it: test_scheduler_dispatch_oracle.py, "
+        "test_scheduler_placement_table.py and test_perf_regression_pins.py "
+        "size their systems by it",
+    "repro.core.presets.small_msa_system.esb_nodes":
+        "a pin passes it: the same three pinned files",
+    "repro.core.presets.small_msa_system.dam_nodes":
+        "a pin passes it: the same three pinned files",
     "repro.ml.engine.simgpu.SimGpuDevice.gpu":
-        "an unedited pin passes it: test_perf_regression_pins.py runs the "
+        "a pin passes it: test_perf_regression_pins.py runs the "
         "sim-gpu:v100 device",
     "repro.core.jobs.CoAllocatedPhase.coupling_bytes":
-        "an unedited pin passes it: test_perf_regression_pins.py and "
+        "a pin passes it: test_perf_regression_pins.py and "
         "test_scheduler_dispatch_oracle.py build their co-allocations with it",
     "repro.core.scheduler.rank_placements.n_nodes":
-        "an unedited pin passes it: test_scheduler_placement_table.py ranks "
+        "a pin passes it: test_scheduler_placement_table.py ranks "
         "four-node placements",
-    "repro.resilience.integrity.IntegrityContext.config":
-        "an unedited pin leaves it out: test_perf_regression_pins.py builds "
-        "IntegrityContext(CorruptionInjector(plan)) and takes its default",
     # (6) A reference: the default's leg is what a tier-1 test compares
     # against.
     "repro.analytics.mllib.RandomForest.fit.ctx":
@@ -413,8 +391,6 @@ ALLOWLIST = {
         "a draw short of the horizon is redrawn larger",
     "repro.simnet.events.Event.add_callback":
         "a callback added after the event fired runs at once",
-    "repro.simnet.events.Simulator.run":
-        "a run stopped at a horizon (until)",
     "repro.storage.tiers.TieredStore.put":
         "a tier with less than a byte free",
     "repro.storage.tiers.TieredStore.resident_fraction_fast":
@@ -443,12 +419,12 @@ ALLOWLIST = {
         "test_rdd_and_serial_forest_agree",
     "repro.resilience.faults.FaultPlan.random":
         "the straggler and degrade draws of the pinned degraded-fabric "
-        "schedule (test_perf_regression_pins.py, unedited)",
+        "schedule (test_perf_regression_pins.py)",
     "repro.resilience.faults.FaultPlan.none":
         "the fault-free arm tier-1 tests compare faulted runs against",
     "repro.simnet.events.Simulator.step":
         "the run-vs-step pin's reference loop "
-        "(test_perf_regression_pins.py, unedited)",
+        "(test_perf_regression_pins.py), and run_until's",
     "repro.simnet.events.EventQueue.pop":
         "the step loop's pop",
     "repro.simnet.events.Simulator.resource":
@@ -509,13 +485,10 @@ ALLOWLIST = {
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
 _LOOSE = "<module>"
 
-#: A reference target: ``("module", dotted)`` or ``("def", module, name)``.
-Target = tuple
-
 
 @dataclass
 class Source:
-    """One parsed file: its top-level definitions, import bindings and the
+    """One parsed file: its top-level definitions and imports, and the
     statements that run when it is imported."""
 
     name: str
@@ -523,10 +496,13 @@ class Source:
     lines: list[str]
     is_package: bool = False
     defs: dict[str, list[ast.AST]] = field(default_factory=dict)
-    bindings: dict[str, Target] = field(default_factory=dict)
     imports: list[tuple[str, int]] = field(default_factory=list)
     loose: list[ast.AST] = field(default_factory=list)
     exported: set[str] = field(default_factory=set)
+
+    @property
+    def package(self) -> str:
+        return self.name if self.is_package else self.name.rpartition(".")[0]
 
 
 @dataclass
@@ -535,8 +511,6 @@ class Settable:
 
     module: str
     node: ast.AST
-    #: The names a call to it uses (a class for its fields and ``__init__``).
-    names: set[str]
     #: Every parameter after ``self`` (or every field), in order.
     params: list[str]
     #: The defaulted ones: its settable values.
@@ -557,9 +531,14 @@ def _is_slots(node: ast.AST) -> bool:
     return "__slots__" in _targets(node)
 
 
+def _is_ident(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and _IDENT.fullmatch(node.value) is not None)
+
+
 def _shell(node: ast.AST) -> ast.AST:
-    """What a reached class itself runs: bases, decorators and the class
-    body without its methods (each method is its own definition)."""
+    """A class without its methods (each method is its own definition):
+    its bases, decorators and the rest of its body."""
     if not isinstance(node, ast.ClassDef):
         return node
     return ast.Module(body=[*node.bases, *node.keywords,
@@ -605,29 +584,25 @@ def _targets(node: ast.AST) -> list[str]:
     return []
 
 
-def _import_targets(node: ast.AST, package: str,
-                    modules: Iterable[str]) -> list[tuple[str, Target]]:
-    """``(bound name, target)`` for every name an import statement binds."""
-    out = []
+def _bindings(node: ast.AST, package: str) -> list[tuple[str, str, str]]:
+    """``(module, name, bound name)`` for every name an import statement
+    binds; ``module`` is empty for a plain ``import``."""
     if isinstance(node, ast.Import):
-        for a in node.names:
-            if a.asname:
-                out.append((a.asname, ("module", a.name)))
-            else:
-                head = a.name.partition(".")[0]
-                out.append((head, ("module", head)))
-    elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-        base = node.module or ""
-        if node.level:
-            parts = package.split(".")
-            parts = parts[:len(parts) - node.level + 1]
-            base = ".".join(parts + ([base] if base else []))
-        for a in node.names:
-            sub = f"{base}.{a.name}"
-            target = (("module", sub) if sub in modules
-                      else ("def", base, a.name))
-            out.append((a.asname or a.name, target))
-    return out
+        return [("", a.name, a.asname or a.name.partition(".")[0])
+                for a in node.names]
+    if not isinstance(node, ast.ImportFrom) or node.module == "__future__":
+        return []
+    base = node.module or ""
+    if node.level:
+        parts = package.split(".")
+        parts = parts[:len(parts) - node.level + 1]
+        base = ".".join(parts + ([base] if base else []))
+    return [(base, a.name, a.asname or a.name) for a in node.names]
+
+
+def _loads(tree: ast.AST) -> Counter:
+    return Counter(n.id for n in ast.walk(tree)
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
 
 
 class Program:
@@ -641,23 +616,12 @@ class Program:
                                         text.splitlines(), is_package)
         for src in self.sources.values():
             self._index(src)
-        # Top-level definitions by name, and ``Class.member`` keys by the
-        # member's own name.
-        self.by_name: dict[str, list[tuple[str, str]]] = {}
-        self.members: dict[str, list[tuple[str, str]]] = {}
-        for src in self.sources.values():
-            for name in src.defs:
-                cls, _, member = name.rpartition(".")
-                index = self.members if cls else self.by_name
-                index.setdefault(member, []).append((src.name, name))
 
     def _index(self, src: Source) -> None:
-        package = src.name if src.is_package else src.name.rpartition(".")[0]
         body = list(src.tree.body)
         while body:
             node = body.pop(0)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
+            if isinstance(node, (*_FUNCS, ast.ClassDef)):
                 src.defs.setdefault(node.name, []).append(node)
                 if isinstance(node, ast.ClassDef):
                     for sub in node.body:
@@ -665,12 +629,9 @@ class Program:
                             src.defs.setdefault(f"{node.name}.{sub.name}",
                                                 []).append(sub)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                noqa = "noqa" in src.lines[node.lineno - 1]
-                for bound, target in _import_targets(node, package,
-                                                     self.sources):
-                    src.bindings[bound] = target
-                    if not noqa:
-                        src.imports.append((bound, node.lineno))
+                if "noqa" not in src.lines[node.lineno - 1]:
+                    src.imports += [(bound, node.lineno) for *_, bound
+                                    in _bindings(node, src.package)]
             elif isinstance(node, ast.If):
                 src.loose.append(node.test)
                 body[:0] = [*node.body, *node.orelse]
@@ -688,184 +649,56 @@ class Program:
             else:
                 src.loose.append(node)
 
-    # -- resolution ---------------------------------------------------------
-    def resolve(self, module: str, name: str) -> Optional[Target]:
-        """What ``name`` in ``module``'s namespace refers to, followed
-        through re-exports; a target outside the program (``numpy.zeros``)
-        is returned as is, an unbound name is None."""
-        src = self.sources.get(module)
-        if src is None:
-            return ("def", module, name)
-        if name in src.defs:
-            return ("def", module, name)
-        target = src.bindings.get(name)
-        if target is None:
-            sub = f"{module}.{name}"
-            return ("module", sub) if sub in self.sources else None
-        if target[0] == "module":
-            return target
-        return self.resolve(target[1], target[2])
+    def definitions(self) -> list[tuple[str, str]]:
+        """Every ``(module, name)``: each definition and each module's
+        import-time statements (``name`` is ``<module>``)."""
+        return [(src.name, name) for src in self.sources.values()
+                for name in (_LOOSE, *src.defs)]
 
-    def is_foreign(self, target: Target) -> bool:
-        return target[1] not in self.sources
-
-    def references(self, module: str, node: ast.AST
-                   ) -> tuple[set[Target], set[str]]:
-        """Exact targets and by-name matches that ``node`` refers to."""
-        node = _shell(node)
-        src = self.sources[module]
-        package = src.name if src.is_package else module.rpartition(".")[0]
-        local: dict[str, Target] = {}
-        exact: set[Target] = set()
-        names: set[str] = set()
-        for sub in ast.walk(node):
-            if isinstance(sub, (ast.Import, ast.ImportFrom)):
-                for bound, target in _import_targets(sub, package,
-                                                     self.sources):
-                    local[bound] = target
-                    exact.add(target)
-
-        def lookup(name: str) -> Optional[Target]:
-            target = local.get(name)
-            if target is None:
-                return self.resolve(module, name)
-            if target[0] == "def":
-                return self.resolve(target[1], target[2])
-            return target
-
-        def chain(attr: ast.Attribute) -> None:
-            attrs = []
-            base: ast.AST = attr
-            while isinstance(base, ast.Attribute):
-                attrs.append(base.attr)
-                base = base.value
-            attrs.reverse()
-            if not isinstance(base, ast.Name):
-                names.update(attrs)
-                visit(base)
-                return
-            target = lookup(base.id)
-            while target is not None and target[0] == "module" and attrs:
-                if self.is_foreign(target):
-                    return                  # numpy.zeros: exact, not ours
-                next_ = self.resolve(target[1], attrs[0])
-                if next_ is None:
-                    break
-                exact.add(target)
-                target = next_
-                attrs.pop(0)
-            if target is not None:
-                exact.add(target)
-            names.update(attrs)
-
-        def visit(tree: ast.AST) -> None:
-            stack = [tree]
+    def unused(self, package: str = "repro") -> list[str]:
+        """``module.NAME`` of every module-level constant and class without
+        methods in ``package`` that nothing uses (the name rule)."""
+        spelled: set[str] = set()
+        loads: dict[str, Counter] = {}
+        imports: list[tuple[str, str, str, str]] = []
+        for src in self.sources.values():
+            loads[src.name] = _loads(src.tree)
+            stack: list[ast.AST] = [src.tree]
             while stack:
-                cur = stack.pop()
-                if isinstance(cur, ast.Attribute):
-                    chain(cur)
-                    continue
-                if isinstance(cur, ast.Name) and not isinstance(cur.ctx,
-                                                                ast.Store):
-                    if (target := lookup(cur.id)) is not None:
-                        exact.add(target)
-                elif (isinstance(cur, ast.Constant)
-                      and isinstance(cur.value, str)
-                      and _IDENT.fullmatch(cur.value)):
-                    if cur.value in self.sources:
-                        exact.add(("module", cur.value))
-                    names.update(cur.value.split("."))
-                elif isinstance(cur, ast.keyword) and cur.arg:
-                    names.add(cur.arg)
-                stack.extend(ast.iter_child_nodes(cur))
-
-        visit(node)
-        return exact, names
-
-    # -- closure ------------------------------------------------------------
-    def closure(self, roots: Iterable[Target]) -> set[tuple[str, str]]:
-        """Every ``(module, name)`` reached; ``name`` is ``<module>`` for a
-        module's import-time statements."""
-        reached: set[tuple[str, str]] = set()
-        matched: set[str] = set()
-        work: list[tuple[str, str]] = []
-
-        def reach(target: Optional[Target]) -> None:
-            if target is None or self.is_foreign(target) and (
-                    target[0] == "def"):
-                return
-            if target[0] == "def":
-                reach(("module", target[1]))
-                target = self.resolve(target[1], target[2])
-                if target is not None and target[0] == "def":
-                    reach(("module", target[1]))
-                    work.append((target[1], target[2]))
-                else:
-                    reach(target)
-                return
-            parts = target[1].split(".")
-            for i in range(1, len(parts) + 1):
-                mod = ".".join(parts[:i])
-                if mod in self.sources:
-                    work.append((mod, _LOOSE))
-
-        def match(name: str) -> None:
-            if name not in matched:
-                matched.add(name)
-                for key in self.by_name.get(name, ()):
-                    reach(("def", *key))
-                for module, member in self.members.get(name, ()):
-                    if (module, member.partition(".")[0]) in reached:
-                        work.append((module, member))
-
-        for target in roots:
-            reach(target)
-        while work:
-            key = work.pop()
-            if key in reached:
+                node = stack.pop()
+                if "__all__" in _targets(node):
+                    continue                # a re-export is not a use
+                if isinstance(node, ast.Attribute):
+                    spelled.add(node.attr)
+                elif _is_ident(node):
+                    spelled.update(node.value.split("."))
+                imports += [(src.name, *b)
+                            for b in _bindings(node, src.package)]
+                stack.extend(ast.iter_child_nodes(node))
+        out = []
+        for src in self.sources.values():
+            if src.name.split(".")[0] != package:
                 continue
-            reached.add(key)
-            module, name = key
-            src = self.sources[module]
-            nodes = src.loose if name == _LOOSE else src.defs[name]
-            if "." in name:
-                work.append((module, name.partition(".")[0]))
-            elif name != _LOOSE and isinstance(nodes[0], ast.ClassDef):
-                # A member is reached by being dunder, by a bare name in
-                # the class body (``__call__ = run``) or by a name match.
-                shell = {n.id for n in ast.walk(_shell(nodes[0]))
-                         if isinstance(n, ast.Name)}
-                for sub in nodes[0].body:
-                    if isinstance(sub, _FUNCS) and (
-                            _is_dunder(sub.name) or sub.name in matched
-                            or sub.name in shell):
-                        work.append((module, f"{name}.{sub.name}"))
-            for node in nodes:
-                exact, names = self.references(module, node)
-                for target in exact:
-                    reach(target)
-                for n in names:
-                    match(n)
-        return reached
+            for name, nodes in src.defs.items():
+                if ("." in name or isinstance(nodes[0], _FUNCS)
+                        or isinstance(nodes[0], ast.ClassDef) and any(
+                            isinstance(s, _FUNCS) for s in nodes[0].body)):
+                    continue                # the line rule's
+                own = sum((_loads(n) for n in nodes), Counter())[name]
+                if (name in spelled or loads[src.name][name] > own or any(
+                        n == name and loads[by][bound]
+                        and (src.name + ".").startswith(base + ".")
+                        for by, base, n, bound in imports)):
+                    continue
+                out.append(f"{src.name}.{name}")
+        return sorted(out)
 
-    def unreached(self, reached: set[tuple[str, str]],
-                  package: str = "repro") -> list[str]:
-        """Unreached definitions; a member is named only if its class is
-        reached (an unreached class goes whole)."""
-        return sorted(f"{src.name}.{name}"
-                      for src in self.sources.values()
-                      if src.name.split(".")[0] == package
-                      for name in src.defs if (src.name, name) not in reached
-                      and ("." not in name or (src.name, name.partition(
-                          ".")[0]) in reached))
-
-    def write_only(self, reached: set[tuple[str, str]],
-                   package: str = "repro") -> list[str]:
+    def write_only(self, package: str = "repro") -> list[str]:
         """``module.Owner.attr`` for every attribute or dataclass field that
-        reached code stores (``=``, ``+=``) but that no reached code loads,
-        as an attribute or an identifier string.  A class whose reached
-        code reads ``asdict(self)`` / ``vars(self)`` / ``self.__slots__``
-        (or whose base does) reads every field it has."""
+        the program stores (``=``, ``+=``) but never loads, as an attribute
+        or an identifier string.  A class that reads ``asdict(self)`` /
+        ``vars(self)`` / ``self.__slots__`` (or whose base does) reads
+        every field it has."""
         loads: set[str] = set()
         stored: set[str] = set()
         read_all: set[str] = set()
@@ -874,7 +707,7 @@ class Program:
         # ``self``; failing those, the definitions that store it.
         owners: dict[str, set[tuple[str, str]]] = {}
         sites: dict[str, set[tuple[str, str]]] = {}
-        for module, name in reached:
+        for module, name in self.definitions():
             src = self.sources[module]
             nodes = src.loose if name == _LOOSE else src.defs[name]
             owner = name.partition(".")[0]
@@ -898,9 +731,7 @@ class Program:
                             loads.add(sub.attr)
                             if sub.attr in ("__slots__", "__dict__"):
                                 read_all.add(owner)
-                    elif (isinstance(sub, ast.Constant)
-                          and isinstance(sub.value, str)
-                          and _IDENT.fullmatch(sub.value)):
+                    elif _is_ident(sub):
                         loads.update(sub.value.split("."))
                     elif (isinstance(sub, ast.Call) and getattr(
                             sub.func, "id", getattr(sub.func, "attr", None))
@@ -916,15 +747,14 @@ class Program:
                       if module.split(".")[0] == package
                       and not reads_all(owner))
 
-    def settable(self, reached: set[tuple[str, str]],
-                 package: str = "repro") -> dict[str, Settable]:
+    def settable(self, package: str = "repro") -> dict[str, Settable]:
         """Every owner of settable values, by label: a ``frozen=True``
-        dataclass (``module.Class``, its defaulted fields) or a reached
-        function or method (``module.func``; an ``__init__`` is
-        ``module.Class``, its defaulted parameters).  The one definition
-        both this scanner and ``test_line_roots.py``'s value rule use."""
+        dataclass (``module.Class``, its defaulted fields) or a function or
+        method (``module.func``; an ``__init__`` is ``module.Class``, its
+        defaulted parameters).  ``test_line_roots.py``'s value rule
+        watches them."""
         owners: dict[str, Settable] = {}
-        for module, name in reached:
+        for module, name in self.definitions():
             if name == _LOOSE or module.split(".")[0] != package:
                 continue
             node = self.sources[module].defs[name][0]
@@ -934,7 +764,7 @@ class Program:
                     body = [s for s in node.body if isinstance(s, ast.AnnAssign)
                             and s.target.id in _fields(node)]
                     owners[f"{module}.{name}"] = Settable(
-                        module, node, {name}, [s.target.id for s in body],
+                        module, node, [s.target.id for s in body],
                         [s.target.id for s in body if s.value is not None],
                         True)
             elif isinstance(node, _FUNCS) and (
@@ -947,103 +777,11 @@ class Program:
                 if cls and not any(getattr(d, "id", None) == "staticmethod"
                                    for d in node.decorator_list):
                     params = params[1:]
-                init = member == "__init__"
-                owners[f"{module}.{cls if init else name}"] = Settable(
-                    module, node, {cls} if init else {member},
-                    params + [a.arg for a in args.kwonlyargs], defaulted,
-                    False)
+                owners[f"{module}.{cls if member == '__init__' else name}"] = (
+                    Settable(module, node,
+                             params + [a.arg for a in args.kwonlyargs],
+                             defaulted, False))
         return owners
-
-    def unset(self, reached: set[tuple[str, str]],
-              package: str = "repro") -> list[str]:
-        """Every settable value (:meth:`settable`) that no reached code
-        sets: ``module.Class.field``, ``module.func.param`` or, for an
-        ``__init__`` parameter, ``module.Class.param``.  A call sets what
-        it passes to every owner of its callee's name, a splat sets all of
-        them, and a name used as a value (not called, not an attribute
-        base, not an annotation or an ``isinstance`` argument) sets every
-        value of what it names."""
-        owners = self.settable(reached, package)
-        bases: dict[str, set[str]] = {}
-        for module, name in reached:
-            if name == _LOOSE or module.split(".")[0] != package:
-                continue
-            node = self.sources[module].defs[name][0]
-            if isinstance(node, ast.ClassDef):
-                bases.setdefault(name, set()).update(
-                    ast.unparse(b).rpartition(".")[2] for b in node.bases)
-        keywords: dict[str, set[str]] = {}
-        positional: dict[str, int] = {}
-        as_value: set[str] = set()
-        replaced: set[str] = set()
-
-        def ancestors(names: set[str]) -> set[str]:
-            """The classes a call to one of ``names`` also constructs."""
-            out, todo = set(), list(names)
-            while todo:
-                if (cls := todo.pop()) not in out:
-                    out.add(cls)
-                    todo += bases.get(cls, ())
-            return out
-
-        for module, name in reached:
-            src = self.sources[module]
-            nodes = src.loose if name == _LOOSE else src.defs[name]
-            cls = name.partition(".")[0] if "." in name else ""
-            for node in nodes:
-                skip: set[int] = set()
-                for sub in ast.walk(_shell(node)):
-                    if isinstance(sub, ast.Call):
-                        skip.add(id(sub.func))
-                        f = sub.func
-                        target = getattr(f, "id", getattr(f, "attr", None))
-                        if target in ("isinstance", "issubclass"):
-                            skip.update(map(id, sub.args))
-                        elif target == "field":
-                            # ``default_factory=C`` calls C with nothing.
-                            skip.update(id(k.value) for k in sub.keywords)
-                        elif target == "replace":
-                            replaced.update(k.arg for k in sub.keywords)
-                        elif target is not None:
-                            # ``cls(...)`` builds the class it sits in,
-                            # ``super().__init__(...)`` that class's bases.
-                            callees = ({cls} if target == "cls" and cls else
-                                       bases.get(cls, set())
-                                       if target == "__init__" and cls
-                                       else {target})
-                            splat = any(isinstance(a, ast.Starred)
-                                        for a in sub.args) or any(
-                                k.arg is None for k in sub.keywords)
-                            for t in ancestors(callees):
-                                if splat:
-                                    as_value.add(t)
-                                keywords.setdefault(t, set()).update(
-                                    k.arg for k in sub.keywords)
-                                positional[t] = max(positional.get(t, 0),
-                                                    len(sub.args))
-                    elif isinstance(sub, ast.Attribute):
-                        skip.add(id(sub.value))
-                        if id(sub) not in skip:
-                            as_value.add(sub.attr)
-                    elif isinstance(sub, ast.Name):
-                        if id(sub) not in skip and isinstance(sub.ctx,
-                                                              ast.Load):
-                            as_value.add(sub.id)
-                    elif isinstance(sub, (ast.arg, ast.AnnAssign)):
-                        if sub.annotation is not None:
-                            skip.update(map(id, ast.walk(sub.annotation)))
-                    elif isinstance(sub, _FUNCS) and sub.returns is not None:
-                        skip.update(map(id, ast.walk(sub.returns)))
-        out = []
-        for label, owner in owners.items():
-            if owner.names & as_value:
-                continue
-            given = set(replaced) if owner.fields else set()
-            for n in owner.names:
-                given |= keywords.get(n, set())
-                given.update(owner.params[:positional.get(n, 0)])
-            out += [f"{label}.{p}" for p in owner.defaulted if p not in given]
-        return sorted(out)
 
     def unused_imports(self, package: str = "repro") -> list[str]:
         """Module-level imports in ``package`` that their module never
@@ -1057,8 +795,7 @@ class Program:
             for n in ast.walk(src.tree):
                 if isinstance(n, ast.Name):
                     used.add(n.id)
-                elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
-                      and _IDENT.fullmatch(n.value)):
+                elif _is_ident(n):
                     used.update(n.value.split("."))
             out += [f"{src.name}:{line} {bound}" for bound, line in src.imports
                     if bound not in used]
@@ -1066,7 +803,7 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# the repository's program and roots
+# the repository's program
 # ---------------------------------------------------------------------------
 
 def _module_name(path: Path, root: Path) -> tuple[str, bool]:
@@ -1077,42 +814,6 @@ def _module_name(path: Path, root: Path) -> tuple[str, bool]:
     return ".".join(parts), is_package
 
 
-def wraps_targets(layers_source: str) -> list[Target]:
-    """The ``(module, class or None, attrs, group)`` rows of ``WRAPS``."""
-    for node in ast.parse(layers_source).body:
-        if isinstance(node, ast.AnnAssign) and getattr(
-                node.target, "id", None) == "WRAPS":
-            rows = ast.literal_eval(node.value)
-            break
-    else:
-        raise AssertionError("layers.py has no WRAPS table")
-    targets: list[Target] = []
-    for module, cls, attrs, _group in rows:
-        if cls:
-            targets.append(("def", module, cls))
-            targets += [("def", module, f"{cls}.{attr}") for attr in attrs]
-        else:
-            targets += [("def", module, attr) for attr in attrs]
-    return targets
-
-
-def registered_cases() -> list[Target]:
-    """Every registered ``repro bench`` case function.  A case registered
-    through a wrapper (``paper_case``) is the top-level function the
-    wrapper closes over."""
-    from repro.bench import runner  # noqa: F401 — registers every area
-    from repro.bench.registry import all_cases
-
-    targets = []
-    for case in all_cases():
-        fns = [case.run] + [cell.cell_contents
-                            for cell in case.run.__closure__ or ()]
-        targets += [("def", fn.__module__, fn.__name__) for fn in fns
-                    if isinstance(fn, FunctionType)
-                    and fn.__qualname__ == fn.__name__]
-    return targets
-
-
 def stale_entries(allowlist: dict[str, str], dead: Iterable[str]) -> list[str]:
     """Allowlisted names that are reached after all, or no longer exist."""
     return sorted(set(allowlist) - set(dead))
@@ -1120,32 +821,20 @@ def stale_entries(allowlist: dict[str, str], dead: Iterable[str]) -> list[str]:
 
 @functools.cache
 def repository() -> tuple[Program, tuple[str, ...], tuple[str, ...],
-                          tuple[str, ...], dict[str, Settable]]:
-    """The program, what its roots do not reach, the state that what they
-    reach only writes, the settable values that nothing they reach sets,
-    and the owners of every settable value they reach."""
+                          dict[str, Settable]]:
+    """The program, its constants and records that nothing uses, the state
+    it only writes, and the owners of every settable value."""
     files = {}
     for path in sorted((SRC / "repro").rglob("*.py")):
         name, is_package = _module_name(path, SRC)
         files[name] = (path.read_text(), is_package)
-    root_files = {f"benchmarks.e2e.{p.stem}": p for p in E2E.glob("*.py")}
-    root_files.update({f"examples.{Path(f).stem}": REPO_ROOT / "examples" / f
-                       for f in EXAMPLE_ROOTS})
-    files.update({name: (path.read_text(), False)
-                  for name, path in root_files.items()})
+    roots = [*E2E.glob("*.py"),
+             *(REPO_ROOT / "examples" / f for f in EXAMPLE_ROOTS)]
+    files.update({_module_name(p, REPO_ROOT)[0]: (p.read_text(), False)
+                  for p in roots})
     program = Program(files)
-    roots: list[Target] = [("module", "repro.cli"),
-                           ("def", "repro.scenarios", "SCENARIOS")]
-    for name in root_files:
-        roots.append(("module", name))
-        roots += [("def", name, d) for d in program.sources[name].defs]
-    roots += registered_cases()
-    # The rows the e2e benchmark patches by name.
-    roots += wraps_targets((E2E / "layers.py").read_text())
-    reached = program.closure(roots)
-    return (program, tuple(program.unreached(reached)),
-            tuple(program.write_only(reached)), tuple(program.unset(reached)),
-            program.settable(reached))
+    return (program, tuple(program.unused()), tuple(program.write_only()),
+            program.settable())
 
 
 # ---------------------------------------------------------------------------
@@ -1153,11 +842,13 @@ def repository() -> tuple[Program, tuple[str, ...], tuple[str, ...],
 # ---------------------------------------------------------------------------
 
 def test_every_definition_has_a_root():
+    """The name rule: every constant and record class is used (a function,
+    method or class with methods is ``test_line_roots.py``'s)."""
     dead = [d for d in repository()[1] if d not in ALLOWLIST]
     assert not dead, (
-        f"{len(dead)} definitions and members in src/repro are reached by "
-        f"no root (delete them, or allowlist with a reason):\n  "
-        + "\n  ".join(dead))
+        f"{len(dead)} module-level constants and classes without methods in "
+        f"src/repro are used by nothing (delete them, or allowlist with a "
+        f"reason):\n  " + "\n  ".join(dead))
 
 
 def test_no_write_only_state():
@@ -1165,14 +856,6 @@ def test_no_write_only_state():
     assert not dead, (
         f"{len(dead)} attributes in src/repro are stored but never read "
         f"(delete them, or allowlist with a reason):\n  " + "\n  ".join(dead))
-
-
-def test_every_settable_value_is_set_by_a_root():
-    unset = [v for v in repository()[3] if v not in ALLOWLIST]
-    assert not unset, (
-        f"{len(unset)} settable values in src/repro are set by no root (make "
-        f"each a constant or delete it with its branch, or allowlist it with "
-        f"a reason):\n  " + "\n  ".join(unset))
 
 
 def defined_names() -> set[str]:
@@ -1195,13 +878,13 @@ def defined_names() -> set[str]:
 
 def test_allowlist_is_not_stale():
     """An entry these rules need is one they report.  Any other entry must
-    name a function or class, for test_line_roots.py's line rule, or a
-    settable value, for its value rule; its slow test fails on an entry
-    that no rule needs."""
-    _, dead, write_only, unset, owners = repository()
+    name a function or class, for test_line_roots.py's line and branch
+    rules, or a settable value, for its value rule; its slow test fails
+    on an entry that no rule needs."""
+    _, dead, write_only, owners = repository()
     values = tuple(f"{label}.{v}" for label, owner in owners.items()
                    for v in owner.defaulted)
-    stale = stale_entries(ALLOWLIST, dead + write_only + unset + values
+    stale = stale_entries(ALLOWLIST, dead + write_only + values
                           + tuple(defined_names()))
     assert not stale, f"allowlisted but reached or gone: {stale}"
     assert all(reason.strip() for reason in ALLOWLIST.values())
@@ -1210,14 +893,6 @@ def test_allowlist_is_not_stale():
 def test_no_unused_module_level_import():
     unused = repository()[0].unused_imports()
     assert not unused, "imports never read:\n  " + "\n  ".join(unused)
-
-
-def test_every_registered_case_is_one_root():
-    from repro.bench.registry import all_cases, areas
-
-    assert {"events", "mpi", "training", "serving", "tensor", "scheduler",
-            "paper"} <= set(areas())
-    assert len(registered_cases()) == len(all_cases())
 
 
 # -- the scanner's own spellings ------------------------------------------
@@ -1229,60 +904,60 @@ def _toy(**modules: str) -> Program:
 
 def test_scanner_flags_an_injected_unreached_def():
     program = _toy(
-        pkg="from pkg.a import used, dead\n__all__ = ['used', 'dead']\n",
-        pkg__a="def used():\n    return 1\n\ndef dead():\n    return 2\n",
-        root="from pkg import used\nused()\n")
-    reached = program.closure([("module", "root")])
-    # The package re-export of ``dead`` is not a use.
-    assert program.unreached(reached, "pkg") == ["pkg.a.dead"]
+        pkg=("from pkg.a import USED, DEAD, Dead, Used\n"
+             "__all__ = ['USED', 'DEAD', 'Dead', 'Used']\n"),
+        pkg__a=("USED = 1\nDEAD = 2\n"
+                "class Used:\n    x: int = 0\n"
+                "class Dead(Exception):\n    pass\n"
+                "class Live:\n    def run(self):\n        return DEAD_TOO\n"
+                "DEAD_TOO = 3\n"),
+        root="from pkg import USED, Used\nprint(USED, Used())\n")
+    # The package re-export of ``DEAD`` and ``Dead`` is not a use; a class
+    # with methods, and what its methods load, are the line rule's.
+    assert program.unused("pkg") == ["pkg.a.DEAD", "pkg.a.Dead"]
 
 
 def test_scanner_resolves_imports_and_module_attributes_exactly():
     program = _toy(
         pkg="",
-        pkg__a="X = 1\n_Y = 2\ndef f():\n    return _Y\n\ndef g():\n    pass\n",
-        pkg__b="def g():\n    pass\n\ndef zeros():\n    pass\n",
-        root=("import numpy as np\nimport pkg.a as a\nfrom pkg import b\n"
-              "a.f()\nb.g\nnp.zeros(3)\n"))
-    reached = program.closure([("module", "root")])
-    # ``b.g`` and ``np.zeros`` are exact: namesakes stay unreached.
-    assert program.unreached(reached, "pkg") == [
-        "pkg.a.X", "pkg.a.g", "pkg.b.zeros"]
+        pkg__a="GiB = 2 ** 30\n_Y = 2\ndef f():\n    return _Y * GiB\n",
+        pkg__b="GiB = 2 ** 30\nKiB = 2 ** 10\n",
+        pkg__c="from pkg.b import KiB as K\nSIZE = 4 * K\n",
+        root="from pkg.c import SIZE\nSIZE\n")
+    # ``GiB`` is two constants: pkg.a loads its own, and that keeps pkg.b's
+    # alive no more than an import of pkg.b's ``KiB`` does.
+    assert program.unused("pkg") == ["pkg.b.GiB"]
 
 
 def test_scanner_matches_other_attributes_and_strings_by_name():
     program = _toy(
         pkg="",
-        pkg__a=("class C:\n    def method(self):\n        pass\n"
-                "def method():\n    pass\n"
-                "def by_string():\n    pass\n"
-                "def dead():\n    pass\n"),
-        root=("from pkg.a import C\nC().method()\n"
-              "getattr(C, 'by_string')\n"
-              "'two words dead'\n"))
-    reached = program.closure([("module", "root")])
-    assert program.unreached(reached, "pkg") == ["pkg.a.dead"]
+        pkg__a=("BY_ATTR = 1\nBY_STRING = 2\nDEAD = 3\n"
+                "class Mode:\n    FAST = 'fast'\n"),
+        root=("import pkg.a as a\nobj = object()\nobj.BY_ATTR\n"
+              "getattr(a, 'BY_STRING')\n'two words DEAD'\n"
+              "'pkg.a.Mode'\n"))
+    assert program.unused("pkg") == ["pkg.a.DEAD"]
 
 
 def test_scanner_keeps_a_def_reached_only_through_a_wraps_string():
-    layers = ('WRAPS: list = [\n'
-              '    ("pkg.a", "Patched", ("run",), None),\n'
-              '    ("pkg.a", None, ("helper",), "pkg.group"),\n]\n')
     program = _toy(
         pkg="",
-        pkg__a=("class Patched:\n    def run(self):\n        pass\n"
-                "def helper():\n    pass\n"
-                "def dead():\n    pass\n"))
-    reached = program.closure(wraps_targets(layers))
-    assert program.unreached(reached, "pkg") == ["pkg.a.dead"]
+        pkg__a=("class Patched:\n    pass\n"
+                "HELPER = 1\nDEAD = 2\n"),
+        layers=('WRAPS: list = [\n'
+                '    ("pkg.a", "Patched", ("run",), None),\n'
+                '    ("pkg.a", None, ("HELPER",), "pkg.group"),\n]\n'))
+    assert program.unused("pkg") == ["pkg.a.DEAD"]
 
 
 def test_scanner_catches_a_stale_allowlist_entry():
-    program = _toy(pkg="", pkg__a="def live():\n    pass\n",
-                   root="from pkg.a import live\nlive()\n")
-    dead = program.unreached(program.closure([("module", "root")]), "pkg")
-    allowlist = {"pkg.a.live": "reached, so stale", "pkg.a.gone": "missing"}
-    assert stale_entries(allowlist, dead) == ["pkg.a.gone", "pkg.a.live"]
+    program = _toy(pkg="", pkg__a="LIVE = 1\nDEAD = 2\n",
+                   root="from pkg.a import LIVE\nLIVE\n")
+    dead = program.unused("pkg")
+    allowlist = {"pkg.a.LIVE": "used, so stale", "pkg.a.gone": "missing",
+                 "pkg.a.DEAD": "needed"}
+    assert stale_entries(allowlist, dead) == ["pkg.a.LIVE", "pkg.a.gone"]
 
 
 def test_scanner_flags_an_unused_module_level_import():
@@ -1295,33 +970,6 @@ def test_scanner_flags_an_unused_module_level_import():
     assert program.unused_imports("pkg") == ["pkg.a:1 os", "pkg:1 g"]
 
 
-def test_scanner_flags_an_unreached_method():
-    program = _toy(
-        pkg="",
-        pkg__a=("class C:\n    def used(self):\n        pass\n"
-                "    def dead(self):\n        pass\n"),
-        root="from pkg.a import C\nC().used()\n")
-    reached = program.closure([("module", "root")])
-    assert program.unreached(reached, "pkg") == ["pkg.a.C.dead"]
-
-
-def test_scanner_keeps_methods_reached_by_attribute_string_dunder_or_wraps():
-    layers = 'WRAPS: list = [("pkg.a", "C", ("patched",), None)]\n'
-    program = _toy(
-        pkg="",
-        pkg__a=("class C:\n"
-                "    def __len__(self):\n        return self.helper()\n"
-                "    def helper(self):\n        return 0\n"
-                "    def by_attr(self):\n        pass\n"
-                "    def by_string(self):\n        pass\n"
-                "    def patched(self):\n        pass\n"
-                "    def dead(self):\n        pass\n"),
-        root=("from pkg.a import C\nc = C()\nc.by_attr()\n"
-              "getattr(c, 'by_string')\n"))
-    reached = program.closure([("module", "root"), *wraps_targets(layers)])
-    assert program.unreached(reached, "pkg") == ["pkg.a.C.dead"]
-
-
 def test_scanner_flags_a_write_only_attribute():
     program = _toy(
         pkg="",
@@ -1330,8 +978,7 @@ def test_scanner_flags_a_write_only_attribute():
                 "    def tick(self):\n        self.lost += 1\n"
                 "        return self.kept\n"),
         root="from pkg.a import C\nC().tick()\n")
-    reached = program.closure([("module", "root")])
-    assert program.write_only(reached, "pkg") == ["pkg.a.C.lost"]
+    assert program.write_only("pkg") == ["pkg.a.C.lost"]
 
 
 def test_scanner_keeps_fields_read_through_asdict_or_slots():
@@ -1349,62 +996,4 @@ def test_scanner_keeps_fields_read_through_asdict_or_slots():
                 "    def __init__(self):\n        self.b = 1\n"),
         root=("from pkg.a import D, S, P\nd = D()\nd.bump()\nd.dump()\n"
               "S().dump()\nP()\n"))
-    reached = program.closure([("module", "root")])
-    assert program.write_only(reached, "pkg") == ["pkg.a.P.b"]
-
-
-def test_scanner_flags_a_never_set_field_and_parameter():
-    program = _toy(
-        pkg="",
-        pkg__a=("from dataclasses import dataclass\n"
-                "@dataclass(frozen=True)\nclass Cfg:\n"
-                "    rate: float\n    burst: float = 5.0\n"
-                "    jitter: float = 0.1\n"
-                "@dataclass\nclass Loose:\n    free: int = 0\n"
-                "def run(cfg, steps=3, seed=0):\n    return Loose()\n"),
-        root=("from pkg.a import Cfg, run\n"
-              "run(Cfg(1.0, burst=2.0), seed=1)\n"))
-    reached = program.closure([("module", "root")])
-    # Only frozen fields and defaulted parameters are settable values.
-    assert program.unset(reached, "pkg") == [
-        "pkg.a.Cfg.jitter", "pkg.a.run.steps"]
-
-
-def test_scanner_counts_keyword_position_replace_and_splat_as_set():
-    program = _toy(
-        pkg="",
-        pkg__a=("import dataclasses\nfrom dataclasses import dataclass\n"
-                "@dataclass(frozen=True)\nclass Cfg:\n"
-                "    a: int = 0\n    b: int = 0\n    c: int = 0\n"
-                "class Pool:\n"
-                "    def __init__(self, n=1, m=2):\n        self.n = n\n"
-                "    def go(self, x=0, y=0):\n        return x\n"
-                "    @classmethod\n    def make(cls, k=0):\n"
-                "        return cls(m=k)\n"
-                "def step(lr=0.1, momentum=0.0):\n    return lr\n"),
-        root=("import dataclasses\nfrom pkg.a import Cfg, Pool, step\n"
-              "dataclasses.replace(Cfg(1), c=3)\n"
-              "Pool(5).go(y=1)\nPool.make(k=1)\nstep(**{})\n"))
-    reached = program.closure([("module", "root")])
-    # Cfg.a by position, Cfg.c through replace, Pool.n by position,
-    # Pool.m from ``cls(m=...)``, go's y by keyword, step's two by splat.
-    assert program.unset(reached, "pkg") == [
-        "pkg.a.Cfg.b", "pkg.a.Pool.go.x"]
-
-
-def test_scanner_counts_a_function_passed_as_a_value_as_set():
-    program = _toy(
-        pkg="",
-        pkg__a=("from dataclasses import dataclass, field\n"
-                "def cb(evt, delay=0.0):\n    return evt\n"
-                "def direct(x=1):\n    return x\n"
-                "@dataclass(frozen=True)\nclass Inner:\n    t: int = 3\n"
-                "@dataclass(frozen=True)\nclass Outer:\n"
-                "    inner: Inner = field(default_factory=Inner)\n"),
-        root=("from pkg.a import cb, direct, Outer, Inner\n"
-              "print([cb])\ndirect()\n"
-              "isinstance(Outer(inner=Inner(t=1)), Inner)\nOuter()\n"))
-    reached = program.closure([("module", "root")])
-    # ``cb`` escapes as a value; ``isinstance`` and ``default_factory``
-    # do not make Inner's ``t`` set, the call ``Inner(t=1)`` does.
-    assert program.unset(reached, "pkg") == ["pkg.a.direct.x"]
+    assert program.write_only("pkg") == ["pkg.a.P.b"]

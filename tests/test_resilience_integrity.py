@@ -176,6 +176,14 @@ class TestCorruptionInjector:
 
 
 class TestEnvelopes:
+    def test_config_is_required(self):
+        # Every caller names its config; there is no implied default.
+        plan = FaultPlan.silent_corruption(0, message_p=1.0)
+        with pytest.raises(TypeError):
+            IntegrityContext(CorruptionInjector(plan))
+        with pytest.raises(TypeError):
+            IntegrityContext(None, IntegrityConfig())
+
     def test_clean_roundtrip_no_penalty(self):
         ctx = IntegrityContext(config=IntegrityConfig())
         wire = ctx.outbound(np.arange(5.0), 0, 1)
@@ -187,7 +195,8 @@ class TestEnvelopes:
     def test_corruption_detected_and_repaired(self):
         plan = FaultPlan.silent_corruption(0, message_p=1.0)
         with telemetry.capture() as (_, registry):
-            ctx = IntegrityContext(CorruptionInjector(plan))
+            ctx = IntegrityContext(CorruptionInjector(plan),
+                                   config=IntegrityConfig())
             wire = ctx.outbound(np.arange(8.0), 0, 1)
             assert isinstance(wire, Envelope) and wire.clean is not None
             payload, penalty = ctx.inbound(wire)
@@ -201,7 +210,7 @@ class TestEnvelopes:
         plan = FaultPlan.silent_corruption(0, message_p=1.0)
         with telemetry.capture() as (_, registry):
             ctx = IntegrityContext(CorruptionInjector(plan),
-                                   IntegrityConfig(verify=False))
+                                   config=IntegrityConfig(verify=False))
             wire = ctx.outbound(np.arange(8.0), 0, 1)
             assert not isinstance(wire, Envelope)
             assert np.any(wire != np.arange(8.0))
@@ -268,7 +277,8 @@ class TestCommIntegration:
         clean = run_spmd(fn, 4)
         plan = FaultPlan.silent_corruption(1, message_p=0.2)
         with telemetry.capture() as (_, registry):
-            ctx = IntegrityContext(CorruptionInjector(plan))
+            ctx = IntegrityContext(CorruptionInjector(plan),
+                                   config=IntegrityConfig())
             noisy = run_spmd(fn, 4, integrity=ctx)
             injected, detected = corruption_totals(registry)
         assert injected > 0, "0.2 over dozens of messages must fire"

@@ -32,6 +32,7 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
 )
+from tests.test_simnet_events import run_until
 
 
 class FullWalkScheduler(MsaScheduler):
@@ -341,7 +342,7 @@ class TestCountedWork:
         sched = MsaScheduler(system)
         sched.submit(_gpu_job("running", 0.0))
         sched.submit_all([_gpu_job(f"queued-{i}", 1.0 + i) for i in range(50)])
-        sched.sim.run(until=60.0)
+        run_until(sched.sim, 60.0)
         assert len(sched._ready) == 50 and len(sched._running) == 1
         assert sched._settled == (50, {"esb"})
         return sched
@@ -350,7 +351,7 @@ class TestCountedWork:
         sched = self._settled_backlog()
         before = sched.states_scored
         sched.submit(_gpu_job("late", 10.0))      # delay from now: t = 70
-        sched.sim.run(until=80.0)
+        run_until(sched.sim, 80.0)
         assert len(sched._ready) == 51
         assert sched.states_scored - before == 1
         assert sched._settled == (51, {"esb"})
@@ -359,7 +360,7 @@ class TestCountedWork:
         sched = self._settled_backlog()
         (record,) = sched._running
         before = sched.states_scored
-        sched.sim.run(until=record.end)
+        run_until(sched.sim, record.end)
         # The head takes the freed booster; the other 49 are re-scored.
         assert [r.state.job.name for r in sched._running] == ["queued-0"]
         assert sched.states_scored - before == 50
@@ -373,13 +374,13 @@ class TestCountedWork:
         sched = MsaScheduler(system)
         sched.submit_all(synthetic_workload_mix(100, 0,
                                                 mean_interarrival_s=1.0))
-        sched.sim.run(until=40.0)
+        run_until(sched.sim, 40.0)
         settled, blocked = sched._settled
         assert blocked == set(system.compute_modules())
         assert settled == len(sched._ready) >= 10
         assert any(m.free_nodes for m in system.compute_modules().values())
         before = sched.states_scored
-        sched.sim.run(until=60.0)
+        run_until(sched.sim, 60.0)
         assert len(sched._ready) >= settled + 10
         assert sched.states_scored == before
 
@@ -391,10 +392,10 @@ class TestCountedWork:
         assert sched._settled is None
         before = sched.states_scored
         sched.submit(_gpu_job("late", 1.0))
-        sched.sim.run(until=sched.sim.now + 2.0)
+        run_until(sched.sim, sched.sim.now + 2.0)
         assert sched.states_scored - before == 51    # walked from index 0
         assert sched._settled == (51, {"esb"})
-        sched.sim.run(until=sched.sim.now + 10.0)    # link recovers
+        run_until(sched.sim, sched.sim.now + 10.0)    # link recovers
         assert sched._settled is None
 
 

@@ -15,6 +15,7 @@ from repro.serving import ServingConfig, TraceConfig
 from repro.serving.engine import _PARTITION_RETRANSMIT_S, ServingEngine
 from repro.serving.replicas import Replica
 from repro.simnet.link import PartitionWindow
+from tests.test_simnet_events import run_until
 
 
 class TestPartitionWindow:
@@ -65,7 +66,7 @@ class TestServingResponseHold:
 
     def _opened(self):
         engine = self._engine()
-        engine.sim.run(until=3.0)            # both windows are open now
+        run_until(engine.sim, 3.0)           # both windows are open now
         (w1, far1), (w2, far2) = engine._partitions
         assert (w1, w2) == (PartitionWindow(1.0, 4.0),
                             PartitionWindow(3.0, 6.0))
