@@ -170,15 +170,15 @@ class DistributedOptimizer:
             wire = self.compression.compress(fused)
             if wire.size >= self.comm.size:
                 tag = self.comm._next_coll_tag()
-                collectives.ring_allreduce_inplace(self.comm, wire, tag)
-                reduced = self.compression.decompress(wire)
+                reduced = self.compression.decompress(
+                    collectives.ring_allreduce(self.comm, wire, tag))
             else:
                 reduced = self.compression.decompress(
                     self.comm.allreduce(wire)
                 )
         if self.average:
-            # In place: ``reduced`` is either the pooled fusion buffer or
-            # a collective-local array, never caller-owned memory.
+            # In place: ``reduced`` is a fresh collective (or decompressor)
+            # result; the ring only reads the pooled fusion buffer.
             np.divide(reduced, self.comm.size, out=reduced)
         nbytes = self.compression.wire_bytes(fused)
         self.bytes_communicated += nbytes

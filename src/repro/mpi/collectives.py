@@ -163,50 +163,56 @@ def ring_chunks(n: int, p: int) -> tuple[tuple[int, int], ...]:
 
 
 def _reduce_scatter_ring(comm: Communicator, flat: np.ndarray,
-                         chunks: tuple[tuple[int, int], ...], tag: int) -> None:
-    """p-1 ring steps after which rank r holds reduced chunk ``(r+1) % p``."""
+                         chunks: tuple[tuple[int, int], ...], tag: int):
+    """p-1 ring steps that only read ``flat``: step 0 sends a view of it,
+    every later one the fresh sum ``flat[chunk] + incoming`` it just made.
+    Returns rank r's reduced chunk ``(r+1) % p`` (at p = 1, ``flat``)."""
     p, rank = comm.size, comm.rank
+    if flat.shape[0] < p:
+        raise ValueError(f"{flat.shape[0]} elements too small for {p}-rank ring")
     right = (rank + 1) % p
     left = (rank - 1) % p
+    lo, hi = chunks[rank]
+    carry = flat[lo:hi]
     for step in range(p - 1):
-        s0, s1 = chunks[(rank - step) % p]
-        comm._send_raw(right, flat[s0:s1].copy(), tag + step)
+        comm._send_raw(right, carry, tag + step)
         incoming = comm._recv_raw(left, tag + step).payload
-        r0, r1 = chunks[(rank - step - 1) % p]
-        flat[r0:r1] += incoming
+        lo, hi = chunks[(rank - step - 1) % p]
+        carry = flat[lo:hi] + incoming
+    return carry
 
 
-def ring_allreduce_inplace(comm: Communicator, array: np.ndarray, tag: int) -> None:
-    """Bandwidth-optimal ring allreduce (SUM) on a NumPy array, in place.
+def ring_allreduce(comm: Communicator, src: np.ndarray, tag: int) -> np.ndarray:
+    """Bandwidth-optimal ring allreduce (SUM): a new C-ordered array of
+    ``src``'s shape and dtype.  Reduce-scatter (p-1 steps, after which
+    rank r holds reduced chunk ``(r+1) % p``), then allgather (p-1 steps
+    forwarding the chunk received; each result chunk is written once).
+    This is Horovod's core algorithm.
 
-    Phase 1 (reduce-scatter): p-1 steps; after them, each rank holds the
-    fully reduced chunk ``(rank+1) % p``.  Phase 2 (allgather): p-1 steps
-    circulating reduced chunks.  This is Horovod's core algorithm.
+    ``src`` is only read, and the first message is a view of it: that
+    message is used by the right-hand neighbour before the chunk that
+    neighbour reduces can come round as the sender's last allgather
+    message, so no rank returns while a message still reads its ``src``.
+    Allgather messages are fresh sums no result aliases, so a caller may
+    write to its result, or to ``src``, as soon as the call returns.
     """
-    if not array.flags.c_contiguous:
-        # reshape(-1) would copy, and the ring would reduce the copy.
-        raise ValueError("ring_allreduce_inplace needs a C-contiguous array")
+    flat = src.reshape(-1)
     p = comm.size
-    if p == 1:
-        return
-    flat = array.reshape(-1)
-    n = flat.shape[0]
-    if n < p:
-        raise ValueError(f"array of {n} elements too small for {p}-rank ring")
-    chunks = ring_chunks(n, p)
-    _reduce_scatter_ring(comm, flat, chunks, tag)
-
-    # Allgather ring.
+    chunks = ring_chunks(flat.shape[0], p)
+    carry = _reduce_scatter_ring(comm, flat, chunks, tag)
     rank = comm.rank
     right = (rank + 1) % p
     left = (rank - 1) % p
+    out = np.empty_like(flat)
+    lo, hi = chunks[right]
+    out[lo:hi] = carry
     base = tag + p
     for step in range(p - 1):
-        s0, s1 = chunks[(rank - step + 1) % p]
-        comm._send_raw(right, flat[s0:s1].copy(), base + step)
-        incoming = comm._recv_raw(left, base + step).payload
-        r0, r1 = chunks[(rank - step) % p]
-        flat[r0:r1] = incoming
+        comm._send_raw(right, carry, base + step)
+        carry = comm._recv_raw(left, base + step).payload
+        lo, hi = chunks[(rank - step) % p]
+        out[lo:hi] = carry
+    return out.reshape(src.shape)
 
 
 def ring_reduce_scatter(
@@ -215,19 +221,12 @@ def ring_reduce_scatter(
     """Ring reduce-scatter (SUM): each rank ends with one fully reduced
     chunk of the flattened buffer.  Returns (chunk, (lo, hi)) where the
     bounds index the flattened array — the building block of ZeRO stage 2's
-    gradient sharding.
+    gradient sharding.  Only reads ``array`` (at p = 1 the chunk views it).
     """
-    p = comm.size
-    flat = np.asarray(array, dtype=np.float64).reshape(-1).copy()
-    n = flat.shape[0]
-    if p == 1:
-        return flat, (0, n)
-    if n < p:
-        raise ValueError(f"array of {n} elements too small for {p}-rank ring")
-    chunks = ring_chunks(n, p)
-    _reduce_scatter_ring(comm, flat, chunks, tag)
-    lo, hi = chunks[(comm.rank + 1) % p]
-    return flat[lo:hi].copy(), (lo, hi)
+    flat = np.asarray(array, dtype=np.float64).reshape(-1)
+    chunks = ring_chunks(flat.shape[0], comm.size)
+    chunk = _reduce_scatter_ring(comm, flat, chunks, tag)
+    return chunk, chunks[(comm.rank + 1) % comm.size]
 
 
 def rabenseifner_allreduce(comm: Communicator, array: np.ndarray, tag: int) -> np.ndarray:

@@ -5,7 +5,7 @@ The lowercase methods (``send``, ``recv``, ``bcast``, ``gather``,
 communicate arbitrary Python objects.  Every reduction is a SUM and every
 rooted collective is rooted at rank 0, the one configuration the paper's
 Horovod runs use; an ``allreduce`` of an array with at least one element
-per rank runs the ring on a C-ordered copy.
+per rank runs the ring, which reads a C-ordered float64 input in place.
 
 Simulated time: all traffic is charged to each rank's logical clock using
 the communicator's :class:`~repro.simnet.costs.CommCostModel` (a fabric
@@ -265,14 +265,11 @@ class Communicator:
         """The sum of every rank's ``obj`` on every rank."""
         with self._traced("allreduce", obj):
             if isinstance(obj, np.ndarray) and obj.size >= self.size:
-                # C-ordered, whatever the input's layout: the ring reduces
-                # the flat view of this copy.
-                out = obj.astype(np.result_type(obj.dtype, np.float64),
-                                 order="C", copy=True) \
-                    if obj.dtype.kind in "fc" else obj.copy()
-                collectives.ring_allreduce_inplace(self, out,
-                                                   self._next_coll_tag())
-                return out
+                # The ring only reads: no copy of a C-ordered float64 array.
+                return collectives.ring_allreduce(self, np.asarray(
+                    obj, order="C", dtype=np.result_type(obj.dtype, np.float64)
+                    if obj.dtype.kind in "fc" else None),
+                    self._next_coll_tag())
             return collectives.recursive_doubling_allreduce(
                 self, obj, self._next_coll_tag()
             )

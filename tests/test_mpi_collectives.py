@@ -3,9 +3,19 @@ non-powers-of-two, verified against NumPy reference reductions."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import telemetry
 from repro.mpi import run_spmd
-from repro.mpi.collectives import rabenseifner_allreduce, ring_allreduce_inplace
+from repro.mpi.collectives import (rabenseifner_allreduce, ring_allreduce,
+                                   ring_chunks)
+from repro.resilience import FaultPlan
+from repro.resilience.integrity import (
+    CorruptionInjector,
+    IntegrityConfig,
+    IntegrityContext,
+    corruption_totals,
+)
 
 SIZES = [1, 2, 3, 4, 5, 7, 8]
 
@@ -101,13 +111,19 @@ def test_allreduce_of_a_non_contiguous_array_reduces_it(ws, view):
         assert out.tobytes() == contiguous.tobytes()
 
 
-def test_ring_allreduce_inplace_rejects_a_non_contiguous_buffer():
-    def fn(comm):
-        with pytest.raises(ValueError, match="C-contiguous"):
-            ring_allreduce_inplace(comm, np.ones((3, 4)).T, tag=0)
-        return True
+def test_ring_allreduce_reduces_a_non_contiguous_buffer():
+    """The ring only reads its input, so it takes any layout; the sum
+    comes back C-ordered in the input's shape."""
+    data = np.random.default_rng(13).normal(size=(2, 3, 4))
 
-    assert all(run_spmd(fn, 2))
+    def fn(comm):
+        x = data[comm.rank].T
+        assert not x.flags.c_contiguous
+        return ring_allreduce(comm, x, comm._next_coll_tag())
+
+    for out in run_spmd(fn, 2, timeout=5):
+        assert out.shape == (4, 3) and out.flags.c_contiguous
+        assert out.tobytes() == (data[0].T + data[1].T).tobytes()
 
 
 @pytest.mark.parametrize("ws", SIZES)
@@ -186,3 +202,136 @@ def test_mixed_collective_sequence_stays_aligned():
         assert b == 1
         assert c == list(range(ws))
         assert d == sum(range(ws))
+
+
+# ---------------------------------------------------------------------------
+# The out-of-place ring: reads its input, writes a result nothing aliases
+# ---------------------------------------------------------------------------
+
+def _inplace_ring_reference(comm, array, tag):
+    """The in-place ring the out-of-place one replaced, verbatim: a
+    ``.copy()`` of every chunk it sends, ``+=`` into ``array``."""
+    p = comm.size
+    if p == 1:
+        return
+    flat = array.reshape(-1)
+    chunks = ring_chunks(flat.shape[0], p)
+    rank = comm.rank
+    right = (rank + 1) % p
+    left = (rank - 1) % p
+    for step in range(p - 1):
+        s0, s1 = chunks[(rank - step) % p]
+        comm._send_raw(right, flat[s0:s1].copy(), tag + step)
+        incoming = comm._recv_raw(left, tag + step).payload
+        r0, r1 = chunks[(rank - step - 1) % p]
+        flat[r0:r1] += incoming
+    base = tag + p
+    for step in range(p - 1):
+        s0, s1 = chunks[(rank - step + 1) % p]
+        comm._send_raw(right, flat[s0:s1].copy(), base + step)
+        incoming = comm._recv_raw(left, base + step).payload
+        r0, r1 = chunks[(rank - step) % p]
+        flat[r0:r1] = incoming
+
+
+_LAYOUTS = {
+    "C": lambda a: np.ascontiguousarray(a),
+    "F": lambda a: np.asfortranarray(a),
+    "strided": lambda a: np.repeat(a, 2, axis=1)[:, ::2],
+}
+
+
+def _ring_input(p, rows, cols, dtype, layout, rank):
+    values = np.random.default_rng([rows, cols, rank]).integers(
+        -8, 9, size=(rows, cols))
+    if np.dtype(dtype).kind == "c":
+        values = values + 1j * values[::-1]
+    return _LAYOUTS[layout](values.astype(dtype))
+
+
+def _scribble(arr):
+    arr[...] = np.iinfo(arr.dtype).min if arr.dtype.kind == "i" else np.nan
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda p: st.tuples(
+           st.just(p),
+           st.tuples(st.integers(1, 13), st.integers(1, 13)).filter(
+               lambda rc: rc[0] * rc[1] >= p
+               and (p == 1 or rc[0] * rc[1] % p)))),
+       st.sampled_from([np.float16, np.float32, np.float64, np.int64,
+                        np.complex128]),
+       st.sampled_from(sorted(_LAYOUTS)),
+       st.data())
+def test_ring_allreduce_reads_its_input_and_owns_its_result(
+        p_shape, dtype, layout, data):
+    p, (rows, cols) = p_shape
+    writer = data.draw(st.integers(0, p - 1), label="writer")
+    inputs = [_ring_input(p, rows, cols, dtype, layout, r) for r in range(p)]
+    before = [x.tobytes() for x in inputs]
+
+    def fn(comm):
+        x = inputs[comm.rank]
+        wide = np.array(x, order="C", dtype=np.result_type(
+            x.dtype, np.float64) if x.dtype.kind in "fc" else x.dtype)
+        _inplace_ring_reference(comm, wide, comm._next_coll_tag())
+        raw = np.array(x, order="C")
+        _inplace_ring_reference(comm, raw, comm._next_coll_tag())
+        public = comm.allreduce(x)
+        direct = ring_allreduce(comm, x, comm._next_coll_tag())
+        seen = (public.tobytes(), direct.tobytes())
+        if comm.rank == writer:     # straight after the calls return
+            _scribble(public)
+            _scribble(direct)
+        return wide, raw, public, direct, seen
+
+    out = run_spmd(fn, p, timeout=5)
+    for x, b in zip(inputs, before):
+        assert x.tobytes() == b
+    results = [a for _, _, public, direct, _ in out for a in (public, direct)]
+    for i, got in enumerate(results):
+        assert not any(np.shares_memory(got, x) for x in inputs)
+        assert not any(np.shares_memory(got, other)
+                       for other in results[i + 1:])
+    for rank, (wide, raw, public, direct, seen) in enumerate(out):
+        assert public.dtype == wide.dtype and direct.dtype == raw.dtype
+        assert public.shape == direct.shape == (rows, cols)
+        assert public.flags.c_contiguous and direct.flags.c_contiguous
+        assert seen == (wide.tobytes(), raw.tobytes())
+        if rank != writer:
+            assert (public.tobytes(), direct.tobytes()) == seen
+
+
+def _armed_ring(comm, inputs):
+    x = inputs[comm.rank]
+    return comm.allreduce(x), comm.reduce_scatter(x)
+
+
+@pytest.mark.parametrize("ws", [2, 3, 4, 5])
+def test_armed_ring_detects_every_injection_and_leaves_inputs_alone(ws):
+    """With an envelope's retained clean copy a view of the sender's
+    buffer, a caught corruption must repair to the sender's own bytes."""
+    inputs = [np.random.default_rng([17, r]).normal(size=(9, 11)) * 1e3
+              for r in range(ws)]
+    before = [x.tobytes() for x in inputs]
+    clean = run_spmd(_armed_ring, ws, args=(inputs,), timeout=5)
+    injector = CorruptionInjector(
+        FaultPlan.silent_corruption(3, message_p=0.5))
+    with telemetry.capture() as (_, registry):
+        armed = run_spmd(_armed_ring, ws, args=(inputs,), timeout=5,
+                         integrity=IntegrityContext(
+                             injector, config=IntegrityConfig()))
+    injected, detected = corruption_totals(registry)
+    assert injector.injected and injected == detected == len(
+        injector.injected)
+    for x, b in zip(inputs, before):
+        assert x.tobytes() == b
+    for (a, (ca, bounds_a)), (c, (cc, bounds_c)) in zip(armed, clean):
+        assert a.tobytes() == c.tobytes()
+        assert ca.tobytes() == cc.tobytes() and bounds_a == bounds_c
+
+
+def test_allreduce_of_a_0d_array_keeps_its_shape():
+    # np.ascontiguousarray would hand the ring a 1-element 1-d array.
+    out, = run_spmd(lambda comm: comm.allreduce(np.array(2.5)), 1, timeout=5)
+    assert out.shape == () and out == 2.5

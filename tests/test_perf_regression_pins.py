@@ -262,13 +262,10 @@ class TestPooledFusionBuffers:
                 opt.zero_grad()
                 loss.backward()
                 if reference:
-                    # The pre-pooling synchronize, reproduced verbatim.
-                    from repro.mpi import collectives
+                    # The pre-pooling synchronize: a fresh fused buffer,
+                    # the public allreduce, a fresh divide, fresh grads.
                     fused = _flatten_grads(opt.params)
-                    wire = fused.copy()
-                    collectives.ring_allreduce_inplace(
-                        comm, wire, comm._next_coll_tag())
-                    reduced = wire / comm.size
+                    reduced = comm.allreduce(fused) / comm.size
                     _unflatten_into_grads(opt.params, reduced)
                     opt.optimizer.step()
                 else:

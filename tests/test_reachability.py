@@ -351,10 +351,6 @@ ALLOWLIST = {
         "a single rank",
     "repro.mpi.collectives.ring_allgather":
         "a single rank",
-    "repro.mpi.collectives.ring_allreduce_inplace":
-        "a single rank",
-    "repro.mpi.collectives.ring_reduce_scatter":
-        "a single rank",
     "repro.mpi.gce.GlobalCollectiveEngine.allreduce_time":
         "a single rank",
     "repro.mpi.comm.Communicator.compute":
