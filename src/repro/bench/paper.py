@@ -207,7 +207,7 @@ def e1_msa_systems(quick, values, digests):
         juwels_booster_cores=booster_cores,
         juwels_booster_gpus=booster.total_gpus)
     # Fig. 1's federated network joins the module fabrics.
-    expect(("federation", 0) in deep.federation.graph.nodes,
+    expect(("federation", 0) in deep.federation.up,
            "the federation switch joins every module fabric")
     intra = deep.module("cm").topology.transfer_time(
         ("node", 0), ("node", 1), 1e9)

@@ -18,6 +18,7 @@ high-level methods, which handle algorithm selection.
 
 from __future__ import annotations
 
+import copy
 import math
 from functools import lru_cache
 from typing import Any
@@ -120,10 +121,12 @@ def recursive_doubling_allreduce(comm: Communicator, obj: Any, tag: int) -> Any:
             acc = acc + comm._recv_raw(source=partner,
                                        tag=tag + 1 + mask).payload
             mask <<= 1
-    # Fold-out: retired odd ranks get the result back.
+    # Fold-out: retired odd ranks get the result back.  The copy is made
+    # before the send: once sent, the partner may already hold it while
+    # this rank returns ``acc`` to a caller that writes in place.
     if comm.rank < 2 * rem:
         if comm.rank % 2 == 0:
-            comm._send_raw(comm.rank + 1, acc, tag + 1 + pof2)
+            comm._send_raw(comm.rank + 1, copy.copy(acc), tag + 1 + pof2)
         else:
             acc = comm._recv_raw(source=comm.rank - 1, tag=tag + 1 + pof2).payload
     return acc

@@ -5,8 +5,8 @@ This package provides the timed foundations everything else builds on:
 * :mod:`repro.simnet.events` — a deterministic discrete-event simulation
   (DES) engine with generator-based processes and resources,
 * :mod:`repro.simnet.link` — latency/bandwidth link models,
-* :mod:`repro.simnet.topology` — interconnect topologies (fat-tree and
-  the MSA *network federation* joining module fabrics),
+* :mod:`repro.simnet.topology` — tree interconnects as parent maps
+  (fat-tree and the MSA *network federation* joining module fabrics),
 * :mod:`repro.simnet.costs` — analytic α-β(-γ) communication cost models for
   point-to-point transfers and MPI collective algorithms.
 

@@ -2,9 +2,10 @@
 
 Each MSA module has its own fabric (fat-tree for the cluster/booster,
 smaller trees for DAM) and the *network federation* bridges the module
-fabrics (Fig. 1 of the paper).  Topologies are :mod:`networkx` graphs whose
-edges carry :class:`~repro.simnet.link.Link` attributes, wrapped in a
-:class:`Topology` that provides routing and path-cost queries.
+fabrics (Fig. 1 of the paper).  Every fabric built here is a tree, so a
+:class:`Topology` is a parent map whose hops carry
+:class:`~repro.simnet.link.Link` costs, and every route is unique: up from
+both ends to their lowest common ancestor.
 """
 
 from __future__ import annotations
@@ -12,63 +13,61 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable
 
-import networkx as nx
-
 from repro.simnet.link import Link, LinkKind
 
 
 @dataclass
 class Topology:
-    """A routed interconnect graph.
+    """A tree-shaped interconnect, immutable once built.
 
-    Nodes are arbitrary hashables (compute node ids, switch ids); edges carry
-    a ``link`` attribute.  Endpoint (non-switch) nodes carry ``terminal=True``.
+    ``up[node]`` is ``(parent, link)``; the root maps to ``None``.  Nodes
+    are arbitrary hashables (compute node ids, switch ids); the endpoints
+    are the leaves.
     """
 
-    graph: nx.Graph
-    name: str = "topology"
-    _path_cache: dict = field(default_factory=dict, repr=False)
+    up: dict
+    name: str
+    _routes: dict = field(default_factory=dict, repr=False)
 
-    # -- construction helpers ---------------------------------------------
-    def add_terminal(self, node: Hashable) -> None:
-        self.graph.add_node(node, terminal=True)
-
-    def add_switch(self, node: Hashable) -> None:
-        self.graph.add_node(node, terminal=False)
-
-    def connect(self, a: Hashable, b: Hashable, link: Link) -> None:
-        self.graph.add_edge(a, b, link=link)
-        self._path_cache.clear()
-
-    # -- queries -----------------------------------------------------------
     def path(self, src: Hashable, dst: Hashable) -> list:
-        """Latency-weighted shortest path (cached)."""
-        key = (src, dst)
-        if key not in self._path_cache:
-            self._path_cache[key] = nx.shortest_path(
-                self.graph, src, dst, weight=lambda u, v, d: d["link"].latency_s
-            )
-        return self._path_cache[key]
+        """The unique route: up from ``src`` to the lowest common ancestor,
+        then down to ``dst``."""
+        rise = [src]
+        while self.up[rise[-1]] is not None:
+            rise.append(self.up[rise[-1]][0])
+        fall = [dst]
+        while fall[-1] not in rise:
+            fall.append(self.up[fall[-1]][0])
+        return rise[:rise.index(fall[-1])] + fall[::-1]
+
+    def _link(self, a: Hashable, b: Hashable) -> Link:
+        """The link between adjacent nodes; the child of the two holds it."""
+        hop = self.up[a]
+        return hop[1] if hop is not None and hop[0] == b else self.up[b][1]
 
     def path_latency(self, src: Hashable, dst: Hashable) -> float:
-        """Sum of per-hop latencies along the route."""
+        """Sum of per-hop latencies along the route, in path order."""
         p = self.path(src, dst)
-        return sum(self.graph.edges[u, v]["link"].latency_s for u, v in zip(p, p[1:]))
+        return sum(self._link(u, v).latency_s for u, v in zip(p, p[1:]))
 
     def path_bandwidth(self, src: Hashable, dst: Hashable) -> float:
-        """Bottleneck bandwidth along the route."""
+        """Bottleneck bandwidth along the route (a node to itself has none)."""
         p = self.path(src, dst)
-        if len(p) < 2:
-            return float("inf")
-        return min(self.graph.edges[u, v]["link"].bandwidth_Bps for u, v in zip(p, p[1:]))
+        return min((self._link(u, v).bandwidth_Bps for u, v in zip(p, p[1:])),
+                   default=float("inf"))
 
     def transfer_time(self, src: Hashable, dst: Hashable,
                       nbytes: float) -> float:
-        """Store-and-forward pipeline approximation: Σα + n/min(β)."""
-        if src == dst:
-            return 0.0
-        return (self.path_latency(src, dst)
-                + nbytes / self.path_bandwidth(src, dst))
+        """Store-and-forward pipeline approximation: Σα + n/min(β).
+
+        The tree never changes, so each pair's Σα and min(β) are computed
+        once.  A node to itself has no hops: 0 + n/∞ = 0.
+        """
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._routes[src, dst] = (self.path_latency(src, dst),
+                                              self.path_bandwidth(src, dst))
+        return route[0] + nbytes / route[1]
 
 
 # ---------------------------------------------------------------------------
@@ -90,47 +89,34 @@ def fat_tree(n_nodes: int, kind: LinkKind, name: str = "fat-tree") -> Topology:
     """
     if n_nodes < 1:
         raise ValueError("need at least one node")
-    radix = RADIX
-    g = nx.Graph()
-    topo = Topology(g, name=name)
     link = Link.of_kind(kind)
-    n_leaves = (n_nodes + radix - 1) // radix
-    topo.add_switch(("spine", 0))
-    for leaf in range(n_leaves):
-        topo.add_switch(("leaf", leaf))
-        # Fat-tree property: uplink capacity matches downlink aggregate.
-        uplink = Link(kind=kind, latency_s=link.latency_s,
-                      bandwidth_Bps=link.bandwidth_Bps * radix)
-        topo.connect(("leaf", leaf), ("spine", 0), uplink)
+    # Fat-tree property: uplink capacity matches downlink aggregate.
+    uplink = Link(kind=kind, latency_s=link.latency_s,
+                  bandwidth_Bps=link.bandwidth_Bps * RADIX)
+    up: dict = {("spine", 0): None}
+    for leaf in range((n_nodes + RADIX - 1) // RADIX):
+        up["leaf", leaf] = (("spine", 0), uplink)
     for i in range(n_nodes):
-        topo.add_terminal(("node", i))
-        topo.connect(("node", i), ("leaf", i // radix), link)
-    return topo
+        up["node", i] = (("leaf", i // RADIX), link)
+    return Topology(up, name)
 
 
 def federated(modules: dict[str, Topology],
               name: str = "msa-federation") -> Topology:
     """Join per-module fabrics through a federation switch (the MSA NF).
 
-    Each module contributes its graph with nodes prefixed by module name; a
-    central federation switch connects one gateway switch (or node) per
-    module.  This reproduces Fig. 1's 'high-performance federated network
-    connecting module-specific interconnects'.
+    Each module contributes its tree with nodes prefixed by module name; its
+    root (a fat-tree's spine) becomes the module's gateway, a child of the
+    central federation switch.  This reproduces Fig. 1's 'high-performance
+    federated network connecting module-specific interconnects'.
     """
     if not modules:
         raise ValueError("need at least one module")
-    g = nx.Graph()
-    topo = Topology(g, name=name)
+    hub = ("federation", 0)
     fed_link = Link.of_kind(LinkKind.FEDERATION)
-    topo.add_switch(("federation", 0))
+    up: dict = {hub: None}
     for mod_name, mod_topo in modules.items():
-        for node, data in mod_topo.graph.nodes(data=True):
-            g.add_node((mod_name, node), **data)
-        for u, v, data in mod_topo.graph.edges(data=True):
-            g.add_edge((mod_name, u), (mod_name, v), **data)
-        # Gateway: prefer a switch, fall back to the first terminal.
-        switches = [n for n, d in mod_topo.graph.nodes(data=True) if not d.get("terminal", True)]
-        gateway = switches[0] if switches else sorted(mod_topo.graph.nodes, key=str)[0]
-        topo.connect((mod_name, gateway), ("federation", 0), fed_link)
-    topo._path_cache.clear()
-    return topo
+        for node, hop in mod_topo.up.items():
+            up[mod_name, node] = ((hub, fed_link) if hop is None
+                                  else ((mod_name, hop[0]), hop[1]))
+    return Topology(up, name)

@@ -73,9 +73,9 @@ class TestModuleInventory:
 
     def test_topology_matches_node_count(self):
         esb = BoosterModule("esb", DEEP_ESB_NODE, 20)
-        terminals = [n for n, d in esb.topology.graph.nodes(data=True)
-                     if d.get("terminal", True)]
-        assert len(terminals) == 20
+        up = esb.topology.up
+        parents = {hop[0] for hop in up.values() if hop is not None}
+        assert len(up.keys() - parents) == 20
 
 
 class TestServiceModules:
@@ -147,7 +147,7 @@ class TestMSASystem:
     def test_federation_built_over_compute_modules(self):
         deep = deep_system()
         topo = deep.federation
-        assert ("federation", 0) in topo.graph.nodes
+        assert ("federation", 0) in topo.up
 
     def test_inter_module_transfer_positive(self):
         deep = deep_system()

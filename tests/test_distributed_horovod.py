@@ -14,6 +14,7 @@ from repro.ml import (
     Adam,
     ArrayDataset,
     DistributedDataLoader,
+    Parameter,
     SGD,
     Tensor,
     cross_entropy,
@@ -81,6 +82,22 @@ class TestReplicaConsistency:
             for key in states[0]:
                 np.testing.assert_allclose(states[0][key], state[key],
                                            atol=1e-12)
+
+
+@pytest.mark.parametrize("ws", [3, 5, 6, 7])
+def test_small_fused_buffer_is_averaged_once_on_every_rank(ws):
+    """A fused buffer smaller than the world goes through recursive
+    doubling; every rank divides its own sum by p exactly once."""
+    def fn(comm):
+        w = Parameter(np.zeros(2))
+        opt = DistributedOptimizer(SGD([w], lr=0.1), comm)
+        w.grad = np.array([comm.rank + 1.0, 0.5 * comm.rank])
+        opt.synchronize()
+        return w.grad
+
+    total = sum(np.array([r + 1.0, 0.5 * r]) for r in range(ws))
+    for grad in run_spmd(fn, ws, timeout=5):
+        np.testing.assert_array_equal(grad, total / ws)
 
 
 class TestEquivalenceToSerial:

@@ -185,6 +185,18 @@ def test_ring_allreduce_small_array_falls_back():
         np.testing.assert_array_equal(out, np.full(2, 5.0))
 
 
+@pytest.mark.parametrize("ws", [3, 5, 6, 7])
+def test_recursive_doubling_gives_every_rank_its_own_result(ws):
+    """The fold-out at a non-power-of-two world hands each retired rank a
+    copy, so no two ranks' results share memory."""
+    out = run_spmd(lambda comm: comm.allreduce(np.full(2, 3.0)), ws,
+                   timeout=5)
+    for r in range(ws):
+        np.testing.assert_array_equal(out[r], np.full(2, 3.0 * ws))
+        for other in out[r + 1:]:
+            assert not np.shares_memory(out[r], other)
+
+
 def test_mixed_collective_sequence_stays_aligned():
     """Back-to-back different collectives must not cross-match messages."""
     def fn(comm):

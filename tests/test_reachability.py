@@ -301,10 +301,6 @@ ALLOWLIST = {
         "no module has room",
     "repro.core.system.MSASystem.inter_module_transfer_time":
         "a transfer within one module is free",
-    "repro.simnet.topology.Topology.transfer_time":
-        "a transfer from a node to itself is free",
-    "repro.simnet.topology.Topology.path_bandwidth":
-        "a route from a node to itself has no bottleneck",
     "repro.storage.pfs.StripeLayout.targets_for":
         "an empty byte range touches no OST",
     "repro.core.stats.sorted_percentile":

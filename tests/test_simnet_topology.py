@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import deep_system, juwels_system
 from repro.simnet import (
     CommCostModel,
     Link,
@@ -12,9 +13,9 @@ from repro.simnet import (
 
 
 def _count(topo, terminal: bool) -> int:
-    """Terminal (or switch) nodes of a topology graph."""
-    return sum(d.get("terminal", True) == terminal
-               for _, d in topo.graph.nodes(data=True))
+    """Terminal (leaf) or switch (parent) nodes of a topology tree."""
+    parents = {hop[0] for hop in topo.up.values() if hop is not None}
+    return sum((node not in parents) == terminal for node in topo.up)
 
 
 class TestLink:
@@ -107,3 +108,74 @@ class TestFederation:
             federated({})
 
 
+
+
+#: ``inter_module_transfer_time(a, b, n).hex()`` at n = 0, 1e9 and 4e12
+#: bytes, as the networkx-graph federation computed them.  Every pair is
+#: checked in both directions.
+TRANSFER_PINS = {
+    "deep": {
+        ("cm", "esb"): ("0x1.f75104d551d68p-18", "0x1.47b5f1bef49cfp-4",
+                        "0x1.4000007dd4413p+8"),
+        ("cm", "dam"): ("0x1.f75104d551d68p-18", "0x1.47b5f1bef49cfp-4",
+                        "0x1.4000007dd4413p+8"),
+        ("esb", "dam"): ("0x1.d5c31593e5fb6p-18", "0x1.47b56b8737974p-4",
+                         "0x1.4000007570c56p+8"),
+    },
+    "juwels": {
+        ("cluster", "cluster_gpu"): ("0x1.0c6f7a0b5ed8dp-17",
+                                     "0x1.47b677f6b1a2ap-4",
+                                     "0x1.4000008637bd0p+8"),
+        ("cluster", "booster"): ("0x1.05b97d64afad0p-17",
+                                 "0x1.47b64246cc6d3p-4",
+                                 "0x1.40000082dcbebp+8"),
+        ("cluster", "booster_svc"): ("0x1.05b97d64afad0p-17",
+                                     "0x1.47b64246cc6d3p-4",
+                                     "0x1.40000082dcbebp+8"),
+        ("cluster_gpu", "booster"): ("0x1.05b97d64afad0p-17",
+                                     "0x1.47b64246cc6d3p-4",
+                                     "0x1.40000082dcbebp+8"),
+        ("cluster_gpu", "booster_svc"): ("0x1.05b97d64afad0p-17",
+                                         "0x1.47b64246cc6d3p-4",
+                                         "0x1.40000082dcbebp+8"),
+        ("booster", "booster_svc"): ("0x1.fe07017c01026p-18",
+                                     "0x1.47b60c96e737bp-4",
+                                     "0x1.4000007f81c06p+8"),
+    },
+}
+
+#: ``topology.transfer_time(("node", 0), ("node", n - 1), 1e9).hex()`` of
+#: each compute module's own fabric.
+FABRIC_PINS = {
+    "deep": {"cm": "0x1.47b24638c9753p-4", "esb": "0x1.47b139c94f69dp-4",
+             "dam": "0x1.47afa7221858cp-4"},
+    "juwels": {"cluster": "0x1.47b24638c9753p-4",
+               "cluster_gpu": "0x1.47b24638c9753p-4",
+               "booster": "0x1.47b5a1371ccccp-5",
+               "booster_svc": "0x1.47b1dad8ff0a4p-5"},
+}
+
+
+class TestTransferPins:
+    """Every transfer time the presets route is bit-equal to the graph
+    search's."""
+
+    @pytest.mark.parametrize("preset", ["deep", "juwels"])
+    def test_inter_module(self, preset):
+        system = {"deep": deep_system, "juwels": juwels_system}[preset]()
+        pairs = TRANSFER_PINS[preset]
+        modules = list(system.compute_modules())
+        assert len(pairs) == len(modules) * (len(modules) - 1) // 2
+        for (a, b), pins in pairs.items():
+            for src, dst in ((a, b), (b, a)):
+                got = tuple(system.inter_module_transfer_time(src, dst, n).hex()
+                            for n in (0, 1e9, 4e12))
+                assert got == pins, (src, dst)
+
+    @pytest.mark.parametrize("preset", ["deep", "juwels"])
+    def test_intra_fabric(self, preset):
+        system = {"deep": deep_system, "juwels": juwels_system}[preset]()
+        got = {k: m.topology.transfer_time(("node", 0), ("node", m.n_nodes - 1),
+                                           1e9).hex()
+               for k, m in system.compute_modules().items()}
+        assert got == FABRIC_PINS[preset]
