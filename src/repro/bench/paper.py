@@ -45,7 +45,6 @@ from repro.distributed import (DistributedOptimizer,
                                DistributedTrainingPerfModel, Fp16Compression,
                                ZeroStage1Optimizer, ZeroStage2Optimizer,
                                broadcast_parameters)
-from repro.distributed.perfmodel import TRAINING_GPU_EFFICIENCY
 from repro.ml import (SGD, Adam, ArrayDataset, DistributedDataLoader, Tensor,
                       cross_entropy, l2_regularisation, mae, mse,
                       train_test_split)
@@ -53,8 +52,7 @@ from repro.ml.metrics import accuracy, mae_score, precision_recall_f1
 from repro.ml.models import (MLP, Cnn1dForecaster, CovidNet, GruForecaster,
                              SpectralAutoencoder, resnet_small)
 from repro.ml.models.gru_forecaster import locf_baseline, mean_baseline
-from repro.mpi import (GlobalCollectiveEngine, gce_allreduce,
-                       run_modular_spmd, run_spmd)
+from repro.mpi import GlobalCollectiveEngine, gce_allreduce, run_spmd
 from repro.mpi.runtime import spmd_sim_times
 from repro.quantum import (DWAVE_2000Q, DWAVE_ADVANTAGE, QSvmEnsemble,
                            QuantumSVM, SimulatedQuantumAnnealer)
@@ -479,14 +477,9 @@ def e7_covidnet(quick, values, digests):
     # Generalisation to the unseen-hospital external validation set.
     Xe, ye = gen.generate_external_validation(90)
     values["external_accuracy"] = accuracy(model.predict(Xe), ye)
-    # Tensor-core generation time model: batch-32 train step, one image.
-    flops_train_step = 3.0 * 2.0 * model.n_parameters() * 32 * 32 * 32
-    flops_infer = 2.0 * model.n_parameters() * 32 * 32
-    for name, gpu in (("v100", NVIDIA_V100), ("a100", NVIDIA_A100)):
-        sustained = gpu.tensor_flops * TRAINING_GPU_EFFICIENCY
-        _row(values, name, train_step_us=flops_train_step / sustained * 1e6,
-             inference_us=flops_infer / sustained * 1e6)
-    speedup = values["train_step_us_v100"] / values["train_step_us_a100"]
+    # Tensor-core generations: a step's FLOPs and the sustained efficiency
+    # cancel, so the A100/V100 step-time ratio is the spec-sheet ratio.
+    speedup = NVIDIA_A100.tensor_flops / NVIDIA_V100.tensor_flops
     values["a100_over_v100_speedup"] = speedup
     expect(math.isclose(speedup, 2.5, rel_tol=0.05),
            "A100 is 2.5x (±5%) faster than V100 per train step")
@@ -701,18 +694,20 @@ def e11_cloud_interop(quick, values, digests):
             lower=("intra_booster_us", "coallocated_makespan_h"),
             higher=("overlap_win",))
 def e12_modular_placement(quick, values, digests):
-    # The same Horovod-style job inside the booster vs spanning modules.
-    fabrics = {"booster": LinkKind.INFINIBAND_HDR,
-               "cluster": LinkKind.INFINIBAND_EDR}
+    # The same Horovod-style job inside the JUWELS booster vs spanning its
+    # booster and cluster: priced as the scheduler prices the same bytes.
+    juwels = juwels_system()
 
     def fn(comm):
         for _ in range(4):
             comm.allreduce(np.ones(250_000))   # 2 MB gradients
         return comm.sim_time
 
-    intra = max(run_modular_spmd(fn, ["booster"] * 8, fabrics))
-    spanning = max(run_modular_spmd(
-        fn, ["booster"] * 4 + ["cluster"] * 4, fabrics))
+    def sim_time(rank_module):
+        return max(run_spmd(fn, 8, cost_model=juwels.placement(rank_module)))
+
+    intra = sim_time(["booster"] * 8)
+    spanning = sim_time(["booster"] * 4 + ["cluster"] * 4)
     expect(spanning > intra * 1.2, "spanning modules costs > 1.2x intra")
     values.update(intra_booster_us=intra * 1e6,
                   spanning_modules_us=spanning * 1e6,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from repro.simnet.topology import Topology, federated
 from repro.core.module import (
@@ -103,6 +103,11 @@ class MSASystem:
         dst = (dst_module, ("node", 0))
         return topo.transfer_time(src, dst, nbytes)
 
+    def placement(self, rank_module: Sequence[str]) -> "RankPlacement":
+        """The message costs of SPMD ranks placed on these modules, one
+        module key per rank: pass it to ``run_spmd`` as ``cost_model``."""
+        return RankPlacement(self, tuple(rank_module))
+
     # -- reporting ------------------------------------------------------------------
     def inventory(self) -> list[dict]:
         """One row per module — the Table-I-style system inventory."""
@@ -144,3 +149,30 @@ class MSASystem:
             detail = ", ".join(f"{k}={v}" for k, v in row.items() if k != "key")
             lines.append(f"  [{row['key']}] {detail}")
         return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class RankPlacement:
+    """SPMD ranks placed on compute modules of one :class:`MSASystem`.
+
+    A view with no α or β of its own: a message within a module costs that
+    module's fabric (``ComputeModule.cost_model``), one across modules
+    :meth:`MSASystem.inter_module_transfer_time`, the scheduler's figure
+    for the same bytes.
+    """
+
+    system: MSASystem
+    rank_module: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        unknown = set(self.rank_module) - set(self.system.compute_modules())
+        if unknown:
+            raise ValueError(f"{self.system.name} has no compute module "
+                             f"{sorted(unknown)}")
+
+    def ptp_between(self, src: int, dst: int, nbytes: float) -> float:
+        """Cost of one message between two world ranks."""
+        a, b = self.rank_module[src], self.rank_module[dst]
+        if a == b:
+            return self.system.module(a).cost_model.ptp(nbytes)
+        return self.system.inter_module_transfer_time(a, b, nbytes)

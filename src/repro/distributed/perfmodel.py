@@ -66,7 +66,6 @@ class ScalingPoint:
     epoch_time_s: float
     speedup: float
     efficiency: float
-    comm_fraction: float
 
 
 @dataclass
@@ -135,16 +134,13 @@ class DistributedTrainingPerfModel:
         for p in gpu_counts:
             if p < 1:
                 raise ValueError("GPU counts must be >= 1")
-            step = self.step_time(p)
             epoch = self.epoch_time(p)
-            comm = self.allreduce_time(p) * (1.0 - self.recipe.comm_overlap)
             points.append(ScalingPoint(
                 n_gpus=p,
-                step_time_s=step,
+                step_time_s=self.step_time(p),
                 epoch_time_s=epoch,
                 speedup=base / epoch,
                 efficiency=base / epoch / p,
-                comm_fraction=min(1.0, comm / step) if step > 0 else 0.0,
             ))
         return points
 

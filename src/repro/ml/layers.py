@@ -72,9 +72,6 @@ class Module:
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     # -- modes ----------------------------------------------------------------------
     def train(self) -> "Module":
         self.training = True

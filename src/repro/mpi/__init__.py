@@ -26,7 +26,6 @@ from repro.mpi.runtime import run_spmd, SpmdFailure
 from repro.mpi.comm import Communicator, ANY_SOURCE, ANY_TAG
 from repro.mpi.transport import Transport, RankState
 from repro.mpi.gce import GlobalCollectiveEngine, gce_allreduce
-from repro.mpi.modular import ModularCostModel, run_modular_spmd
 
 __all__ = [
     "run_spmd",
@@ -38,6 +37,4 @@ __all__ = [
     "RankState",
     "GlobalCollectiveEngine",
     "gce_allreduce",
-    "ModularCostModel",
-    "run_modular_spmd",
 ]

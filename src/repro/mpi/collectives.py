@@ -270,17 +270,20 @@ def rabenseifner_allreduce(comm: Communicator, array: np.ndarray, tag: int) -> n
         dist //= 2
         t += 1
 
-    # Recursive doubling allgather (reverse the halving).
+    # Recursive doubling allgather (reverse the halving): the partner's
+    # block is the sibling of this rank's, so only the array goes.
     dist = 1
     while dist < p:
         group = (comm.rank // dist) % 2
         partner = comm.rank + dist if group == 0 else comm.rank - dist
-        span = hi - lo
-        comm._send_raw(partner, (lo, flat[lo:hi].copy()), t)
-        rlo, block = comm._recv_raw(source=partner, tag=t).payload
-        flat[rlo:rlo + block.shape[0]] = block
-        lo = min(lo, rlo)
-        hi = lo + span + block.shape[0]
+        comm._send_raw(partner, flat[lo:hi].copy(), t)
+        block = comm._recv_raw(source=partner, tag=t).payload
+        if group == 0:
+            flat[hi:hi + block.shape[0]] = block
+            hi += block.shape[0]
+        else:
+            flat[lo - block.shape[0]:lo] = block
+            lo -= block.shape[0]
         dist *= 2
         t += 1
     return flat.reshape(array.shape)

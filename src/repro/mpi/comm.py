@@ -9,9 +9,11 @@ per rank runs the ring, which reads a C-ordered float64 input in place.
 
 Simulated time: all traffic is charged to each rank's logical clock using
 the communicator's :class:`~repro.simnet.costs.CommCostModel` (a fabric
-choice, e.g. the booster's InfiniBand HDR).  ``comm.compute(seconds)``
-charges modelled computation, so a full training loop produces a faithful
-simulated timeline alongside its real numerical results.
+choice, e.g. the booster's InfiniBand HDR) or an ``MSASystem.placement``,
+which prices each message by the modules of its two ends.
+``comm.compute(seconds)`` charges modelled computation, so a full training
+loop produces a faithful simulated timeline alongside its real numerical
+results.
 """
 
 from __future__ import annotations
@@ -77,11 +79,17 @@ class Communicator:
         # Hot-path caches: every message pays _send_raw/_recv_raw, so the
         # per-call attribute/hasattr/import lookups are hoisted here.  The
         # cost model is immutable per communicator (``with_cost_model``
-        # builds a new one), so caching its methods is safe.
-        self._ptp_between = getattr(self.cost_model, "ptp_between", None)
-        self._ptp = self.cost_model.ptp
-        self._alpha = self.cost_model.alpha
+        # builds a new one), so caching its methods is safe.  A placement
+        # over MSA modules prices each (src, dst) pair; the sender's own
+        # overhead is then its module's latency, what it charges itself.
         self._world_rank = self.group[rank]
+        self._ptp_between = getattr(self.cost_model, "ptp_between", None)
+        if self._ptp_between is None:
+            self._ptp = self.cost_model.ptp
+            self._alpha = self.cost_model.alpha
+        else:
+            self._alpha = self._ptp_between(self._world_rank,
+                                            self._world_rank, 0)
         #: ``_traced``'s counters, resolved by label once per registry.
         self._counters: tuple[Any, dict[tuple[str, str], Any]] = (None, {})
         if integrity is not None:
@@ -167,7 +175,7 @@ class Communicator:
                 else:
                     state.envelope_checksums += 1
         if self._ptp_between is not None:
-            # Modular placement: cost depends on the endpoints' modules.
+            # Placement over modules: cost depends on the endpoints' modules.
             cost = self._ptp_between(src, dst, nbytes)
         else:
             cost = self._ptp(nbytes)

@@ -46,7 +46,9 @@ def run_spmd(
     args:
         Extra positional arguments passed identically to every rank.
     cost_model:
-        Fabric cost model charged to the simulated clocks.
+        Fabric cost model charged to the simulated clocks, or an
+        :meth:`MSASystem.placement <repro.core.system.MSASystem.placement>`
+        of the ranks on modules.
     timeout:
         Wall-clock safety net per join; ``None`` disables it.
     integrity:

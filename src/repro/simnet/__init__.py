@@ -7,7 +7,7 @@ This package provides the timed foundations everything else builds on:
 * :mod:`repro.simnet.link` — latency/bandwidth link models,
 * :mod:`repro.simnet.topology` — tree interconnects as parent maps
   (fat-tree and the MSA *network federation* joining module fabrics),
-* :mod:`repro.simnet.costs` — analytic α-β(-γ) communication cost models for
+* :mod:`repro.simnet.costs` — analytic α-β communication cost models for
   point-to-point transfers and MPI collective algorithms.
 
 The functional layer (:mod:`repro.mpi`, :mod:`repro.distributed`) executes

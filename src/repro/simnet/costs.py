@@ -1,19 +1,21 @@
-"""Analytic α-β(-γ) cost models for MPI collectives.
+"""Analytic α-β cost models for MPI collectives.
 
 These are the standard Hockney/LogP-family models used throughout the HPC
 literature (and inside MPI libraries' algorithm selectors):
 
 * point-to-point: ``α + nβ``
-* ring allreduce (Horovod's algorithm): ``2(p-1)α + 2 n β (p-1)/p + n γ (p-1)/p``
-* recursive doubling: ``log2(p)(α + nβ + nγ)``
-* Rabenseifner (reduce-scatter + allgather): ``2 log2(p) α + 2 n β (p-1)/p + n γ (p-1)/p``
-* binomial-tree broadcast: ``ceil(log2(p)) (α + nβ)``
+* ring allreduce (Horovod's algorithm): ``2(p-1)α + 2 n β (p-1)/p``
+* recursive doubling: ``log2(p)(α + nβ)`` at a power of two; otherwise a
+  fold-in and a fold-out step more, less the α-only rounds of the chain
+* Rabenseifner (reduce-scatter + allgather): ``2 log2(p) α + 2 n β (p-1)/p``,
+  at a power of two only
 
-``α`` = per-message latency (s), ``β`` = inverse bandwidth (s/byte),
-``γ`` = per-byte local reduction cost (s/byte), one figure for every
-fabric (:data:`GAMMA`).  These models drive the
-simulated clock that regenerates the paper's Fig. 3 scaling curves at
-96–128 GPUs.
+``α`` = per-message latency (s), ``β`` = inverse bandwidth (s/byte).  Each
+form is the critical path of the algorithm :mod:`repro.mpi.collectives`
+executes, and like every simulated clock it charges wire time only: no
+local reduction term.  ``tests/test_simnet_costs.py`` holds each form to
+the executed collective.  These models drive the simulated clock that
+regenerates the paper's Fig. 3 scaling curves at 96–128 GPUs.
 """
 
 from __future__ import annotations
@@ -23,9 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.simnet.link import Link, LinkKind
-
-#: Local reduction cost, s/byte (~200 GB/s memory bandwidth).
-GAMMA = 5.0e-12
 
 
 def _check(p: int, nbytes: float) -> None:
@@ -45,25 +44,38 @@ def allreduce_ring_time(p: int, nbytes: float, alpha: float,
                         beta: float) -> float:
     """Bandwidth-optimal ring allreduce (reduce-scatter + allgather rings)."""
     _check(p, nbytes)
-    frac = (p - 1) / p
-    return 2 * (p - 1) * alpha + 2 * nbytes * beta * frac + nbytes * GAMMA * frac
+    return 2 * (p - 1) * alpha + 2 * nbytes * beta * (p - 1) / p
 
 
 def allreduce_recursive_doubling_time(p: int, nbytes: float, alpha: float,
                                       beta: float) -> float:
-    """Latency-optimal recursive doubling (assumes power-of-two ranks)."""
+    """Latency-optimal recursive doubling: ``k = ⌊log2 p⌋`` exchanges of the
+    whole buffer among ``2**k`` ranks.
+
+    Off a power of two, ``rem = p - 2**k`` ranks fold in first and out
+    last.  A sender pays only α, so the longest chain is either fold-in
+    plus a message every round (``k + 1`` messages), or fold-in, a message
+    in each of the ``h`` rounds two folded ranks' indices can differ in, a
+    bare α in the other rounds, and the fold-out.
+    """
     _check(p, nbytes)
-    steps = math.ceil(math.log2(p))
-    return steps * (alpha + nbytes * beta + nbytes * GAMMA)
+    step = alpha + nbytes * beta
+    k = p.bit_length() - 1
+    rem = p - (1 << k)
+    if rem == 0:
+        return k * step
+    h = (rem - 1).bit_length()
+    return max((k + 1) * step, (h + 2) * step + (k - h) * alpha)
 
 
 def allreduce_rabenseifner_time(p: int, nbytes: float, alpha: float,
                                 beta: float) -> float:
-    """Rabenseifner's algorithm: recursive-halving reduce-scatter + allgather."""
+    """Rabenseifner's algorithm: recursive-halving reduce-scatter +
+    allgather.  It runs at a power-of-two ``p`` only, the one domain
+    :func:`best_allreduce_time` offers it in."""
     _check(p, nbytes)
     steps = math.ceil(math.log2(p))
-    frac = (p - 1) / p
-    return 2 * steps * alpha + 2 * nbytes * beta * frac + nbytes * GAMMA * frac
+    return 2 * steps * alpha + 2 * nbytes * beta * (p - 1) / p
 
 
 #: Each allreduce closed form by algorithm name.
@@ -76,12 +88,14 @@ ALLREDUCE_TIMES = {
 
 def best_allreduce_time(p: int, nbytes: float, alpha: float,
                         beta: float) -> tuple[float, str]:
-    """Pick the cheapest allreduce algorithm — what real MPIs/Horovod do.
+    """Pick the cheapest allreduce algorithm that runs at ``p`` — what real
+    MPIs/Horovod do.
 
     Returns (time, algorithm-name).
     """
     candidates = {name: fn(p, nbytes, alpha, beta)
-                  for name, fn in ALLREDUCE_TIMES.items()}
+                  for name, fn in ALLREDUCE_TIMES.items()
+                  if name != "rabenseifner" or p & (p - 1) == 0}
     name = min(candidates, key=candidates.get)
     return candidates[name], name
 

@@ -241,7 +241,7 @@ class TestPaperArea:
         err = capsys.readouterr().err
         assert code == 1
         assert "paper/E3_resnet_scaling" in err
-        assert "tuned-128 efficiency above 0.9" in err
+        assert "tuned-128 beats naive-128 by more than 10%" in err
         assert not (tmp_path / "out" / "BENCH_paper.json").exists()
 
     def test_experiments_lists_each_paper_case_once(self, capsys):

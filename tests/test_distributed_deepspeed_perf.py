@@ -138,10 +138,6 @@ class TestPerfModel:
         curve = self.model.scaling_curve([2, 16, 128])
         assert curve[0].efficiency > curve[1].efficiency > curve[2].efficiency
 
-    def test_comm_fraction_grows_with_scale(self):
-        curve = self.model.scaling_curve([2, 128])
-        assert curve[1].comm_fraction >= curve[0].comm_fraction
-
     def test_tuned_recipe_improves_128_gpu_point(self):
         naive = self.model.scaling_curve([128])[0]
         tuned = replace(self.model, recipe=self.model.recipe.tuned()
@@ -171,7 +167,6 @@ class TestPerfModel:
 
     def test_single_gpu_has_no_comm(self):
         assert self.model.allreduce_time(1) == 0.0
-        assert self.model.scaling_curve([1])[0].comm_fraction == 0.0
 
     def test_invalid_gpu_counts(self):
         with pytest.raises(ValueError):

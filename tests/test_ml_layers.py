@@ -62,7 +62,7 @@ class TestModuleDiscovery:
 
     def test_n_parameters(self):
         model = _dense(3, 4)
-        assert model.n_parameters() == 3 * 4 + 4
+        assert sum(p.size for p in model.parameters()) == 3 * 4 + 4
 
     def test_zero_grad_clears_all(self):
         model = Chain(_dense(2, 2), _dense(2, 1))

@@ -18,48 +18,51 @@ from repro.core import (
     MsaScheduler,
     StorageModule,
     WorkloadClass,
+    juwels_system,
 )
-from repro.mpi import ModularCostModel, run_modular_spmd
-from repro.simnet.link import LinkKind
-
-FABRICS = {"booster": LinkKind.INFINIBAND_HDR,
-           "cluster": LinkKind.INFINIBAND_EDR,
-           "dam": LinkKind.EXTOLL}
+from repro.mpi import run_spmd
 
 
 # ---------------------------------------------------------------------------
-# modular MPI
+# ranks placed on modules: each message priced by the system
 # ---------------------------------------------------------------------------
 
-class TestModularCostModel:
+def allreduce_time(rank_module, n):
+    """Critical-path sim time of one n-element allreduce on JUWELS ranks."""
+    def fn(comm):
+        comm.allreduce(np.ones(n))
+        return comm.sim_time
+
+    placement = juwels_system().placement(rank_module)
+    return max(run_spmd(fn, len(rank_module), cost_model=placement,
+                        timeout=30))
+
+
+class TestRankPlacement:
     def test_intra_module_uses_fabric_cost(self):
-        model = ModularCostModel.build(["booster"] * 4, FABRICS)
-        local = model.module_models["booster"]
-        assert model.ptp_between(0, 3, 1e6) == pytest.approx(local.ptp(1e6))
+        juwels = juwels_system()
+        placement = juwels.placement(["booster"] * 4)
+        assert placement.ptp_between(0, 3, 1e6) == \
+            juwels.module("booster").cost_model.ptp(1e6)
 
     def test_inter_module_costs_more(self):
-        model = ModularCostModel.build(
-            ["booster", "booster", "cluster"], FABRICS)
-        assert model.ptp_between(0, 2, 1e6) > model.ptp_between(0, 1, 1e6)
+        placement = juwels_system().placement(["booster", "booster",
+                                               "cluster"])
+        assert placement.ptp_between(0, 2, 1e6) > \
+            placement.ptp_between(0, 1, 1e6)
 
-    def test_inter_module_latency_additive(self):
-        model = ModularCostModel.build(["booster", "cluster"], FABRICS)
-        expected_alpha = (model.module_models["booster"].alpha
-                          + model.federation.alpha
-                          + model.module_models["cluster"].alpha)
-        assert model.ptp_between(0, 1, 0) == pytest.approx(expected_alpha)
-
-    def test_worst_case_scalar_surface(self):
-        spanning = ModularCostModel.build(["booster", "cluster"], FABRICS)
-        single = ModularCostModel.build(["booster", "booster"], FABRICS)
-        assert spanning.alpha > single.alpha
-        assert len(set(spanning.rank_module)) == 2
-        assert len(set(single.rank_module)) == 1
+    def test_inter_module_is_the_federation_transfer(self):
+        """The scheduler's figure for the same bytes, not a second model."""
+        juwels = juwels_system()
+        placement = juwels.placement(["booster", "cluster"])
+        assert placement.ptp_between(0, 1, 1e6) == \
+            juwels.inter_module_transfer_time("booster", "cluster", 1e6)
 
     def test_unknown_module_rejected(self):
-        with pytest.raises(ValueError):
-            ModularCostModel(rank_module=("x",), module_models={},
-                             federation=None)
+        with pytest.raises(ValueError, match="nowhere"):
+            juwels_system().placement(["booster", "nowhere"])
+        with pytest.raises(ValueError, match="sssm"):
+            juwels_system().placement(["sssm"])     # storage runs no ranks
 
     def test_functional_results_unaffected_by_placement(self):
         """Placement changes time, never numerics."""
@@ -68,33 +71,25 @@ class TestModularCostModel:
         def fn(comm):
             return comm.allreduce(data + comm.rank)
 
-        same = run_modular_spmd(fn, ["booster"] * 4, FABRICS)
-        spanning = run_modular_spmd(
-            fn, ["booster", "booster", "cluster", "dam"], FABRICS)
-        np.testing.assert_allclose(same[0], spanning[0])
+        juwels = juwels_system()
+        same = run_spmd(fn, 4, cost_model=juwels.placement(["booster"] * 4))
+        spanning = run_spmd(fn, 4, cost_model=juwels.placement(
+            ["booster", "booster", "cluster", "cluster_gpu"]))
+        np.testing.assert_array_equal(same[0], spanning[0])
 
     def test_spanning_modules_slows_allreduce(self):
         """Why Horovod jobs stay inside the booster."""
-        def fn(comm):
-            comm.allreduce(np.ones(500_000))
-            return comm.sim_time
-
-        intra = max(run_modular_spmd(fn, ["booster"] * 8, FABRICS))
-        spanning = max(run_modular_spmd(
-            fn, ["booster"] * 4 + ["cluster"] * 4, FABRICS))
+        intra = allreduce_time(["booster"] * 8, 500_000)
+        spanning = allreduce_time(["booster"] * 4 + ["cluster"] * 4, 500_000)
         assert spanning > intra * 1.3
 
-    def test_more_modules_spanned_is_worse_or_equal(self):
-        def fn(comm):
-            comm.allreduce(np.ones(200_000))
-            return comm.sim_time
-
-        two = max(run_modular_spmd(
-            fn, ["booster"] * 4 + ["cluster"] * 4, FABRICS))
-        three = max(run_modular_spmd(
-            fn, ["booster"] * 3 + ["cluster"] * 3 + ["dam"] * 2, FABRICS))
-        assert three >= two * 0.8  # sanity: same order of magnitude
-        assert three > 0
+    def test_a_third_module_costs_more_still(self):
+        """The ring crosses the federation once per module boundary."""
+        one = allreduce_time(["booster"] * 8, 200_000)
+        two = allreduce_time(["booster"] * 4 + ["cluster"] * 4, 200_000)
+        three = allreduce_time(
+            ["booster"] * 3 + ["cluster"] * 3 + ["cluster_gpu"] * 2, 200_000)
+        assert three > two > one
 
 
 # ---------------------------------------------------------------------------

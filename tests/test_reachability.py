@@ -58,7 +58,7 @@ EXAMPLE_ROOTS = ("msa_operations.py", "quickstart.py")
 ALLOWLIST = {
     "repro.mpi.collectives.rabenseifner_allreduce":
         "the only executed twin of the closed form E9's expect selects at "
-        "64 MiB; ROADMAP item 5(a)'s differential compares the two",
+        "64 MiB; test_simnet_costs.py's differential holds the two equal",
     "repro.distributed.horovod._unflatten_into_grads":
         "the scatter half of the bit-identity reference for the pooled "
         "fusion buffer (_flatten_grads, which ZeRO fuses with) that "
@@ -421,11 +421,6 @@ ALLOWLIST = {
         "the step loop's pop",
     "repro.simnet.events.Simulator.resource":
         "builds that pin's resource",
-    "repro.mpi.modular.ModularCostModel.beta":
-        "the CommCostModel surface a Communicator binds; a modular model "
-        "prices each message through ptp_between instead",
-    "repro.mpi.modular.ModularCostModel.ptp":
-        "the same surface: Communicator hoists cost_model.ptp",
     # Patched by name: deleting one breaks the e2e benchmark (rule i).
     "repro.mpi.comm.Communicator.barrier":
         "named in benchmarks/e2e/layers.py:WRAPS (rule i)",

@@ -1,12 +1,18 @@
-"""Tests for the α-β(-γ) collective cost models, including hypothesis
-property tests on the algebraic structure the literature guarantees."""
+"""Tests for the α-β collective cost models: hypothesis property tests on
+the algebraic structure the literature guarantees, and a differential test
+that holds each allreduce closed form to the collective the simulated MPI
+executes."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.distributed import DistributedTrainingPerfModel, TrainingRecipe
+from repro.mpi import run_spmd
+from repro.mpi.collectives import (rabenseifner_allreduce,
+                                   recursive_doubling_allreduce)
 from repro.simnet import (
     CommCostModel,
     LinkKind,
@@ -17,7 +23,7 @@ from repro.simnet import (
     ptp_time,
 )
 
-from repro.simnet.costs import ALLREDUCE_TIMES, GAMMA
+from repro.simnet.costs import ALLREDUCE_TIMES
 
 ALPHA, BETA = 1e-6, 4e-11
 
@@ -34,23 +40,23 @@ def test_single_rank_collectives_are_free():
 
 def test_ring_formula():
     p, n = 8, 1e6
-    expected = 2 * 7 * ALPHA + 2 * n * BETA * 7 / 8 + n * GAMMA * 7 / 8
+    expected = 2 * 7 * ALPHA + 2 * n * BETA * 7 / 8
     assert allreduce_ring_time(p, n, ALPHA, BETA) == pytest.approx(expected)
 
 
 def test_recursive_doubling_formula():
     p, n = 8, 1e6
-    expected = 3 * (ALPHA + n * BETA + n * GAMMA)
+    expected = 3 * (ALPHA + n * BETA)
     assert allreduce_recursive_doubling_time(p, n, ALPHA, BETA) == \
         pytest.approx(expected)
 
 
 def test_ring_bandwidth_term_saturates_with_p():
-    """Ring's bandwidth term approaches n(2β + γ) — (p-1)/p saturation."""
+    """Ring's bandwidth term approaches 2nβ — (p-1)/p saturation."""
     n = 1e8
     t64 = allreduce_ring_time(64, n, 0.0, BETA)
     t1024 = allreduce_ring_time(1024, n, 0.0, BETA)
-    assert t1024 < n * (2 * BETA + GAMMA)
+    assert t1024 < n * 2 * BETA
     assert t1024 / t64 < 1.02
 
 
@@ -140,3 +146,87 @@ class TestCommCostModel:
             auto, _ = best_allreduce_time(32, n, m.alpha, m.beta)
             for fn in ALLREDUCE_TIMES.values():
                 assert auto <= fn(32, n, m.alpha, m.beta) + 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the closed forms against the executed collectives
+# ---------------------------------------------------------------------------
+
+HDR = CommCostModel.of_kind(LinkKind.INFINIBAND_HDR)
+WORD = 8                    #: bytes per float64 element on the wire
+RANKS = range(2, 17)
+POWERS_OF_TWO = (2, 4, 8, 16)
+UNEVEN = 4099               #: prime: n mod p != 0 at every p here
+
+EXECUTED = {
+    "ring": lambda comm, x: comm.allreduce(x),
+    "recursive-doubling": lambda comm, x: recursive_doubling_allreduce(
+        comm, x, comm._next_coll_tag()),
+    "rabenseifner": lambda comm, x: rabenseifner_allreduce(
+        comm, x, comm._next_coll_tag()),
+}
+
+
+def executed_time(name: str, p: int, n: int) -> float:
+    """Critical-path sim time of the executed ``name`` allreduce of ``n``
+    float64 elements on ``p`` HDR ranks; every rank must get the sum."""
+    data = np.arange(p * n, dtype=np.float64).reshape(p, n)
+
+    def fn(comm):
+        out = EXECUTED[name](comm, data[comm.rank].copy())
+        return out, comm.sim_time
+
+    pairs = run_spmd(fn, p, cost_model=HDR, timeout=30)
+    for out, _ in pairs:
+        np.testing.assert_array_equal(out, data.sum(axis=0))
+    return max(t for _, t in pairs)
+
+
+def closed_form(name: str, p: int, n: int) -> float:
+    return ALLREDUCE_TIMES[name](p, n * WORD, HDR.alpha, HDR.beta)
+
+
+class TestClosedFormsMatchExecution:
+    """DESIGN "One cost model per quantity": equal to float rounding where
+    every message carries its closed-form share, within one element's wire
+    time per critical-path message where chunks round to whole elements."""
+
+    @pytest.mark.parametrize("p", RANKS)
+    def test_ring(self, p):
+        n = 48 * p
+        assert executed_time("ring", p, n) == pytest.approx(
+            closed_form("ring", p, n), rel=1e-12, abs=0)
+        # The largest chunk travels the whole ring: 2(p-1) messages, each
+        # under one element longer than the closed form's n/p share.
+        gap = executed_time("ring", p, UNEVEN) - closed_form("ring", p, UNEVEN)
+        assert -1e-18 <= gap <= 2 * (p - 1) * WORD * HDR.beta
+
+    @pytest.mark.parametrize("p", RANKS)
+    @pytest.mark.parametrize("n", [1, UNEVEN])
+    def test_recursive_doubling_at_every_rank_count(self, p, n):
+        assert executed_time("recursive-doubling", p, n) == pytest.approx(
+            closed_form("recursive-doubling", p, n), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("p", POWERS_OF_TWO)
+    def test_rabenseifner_at_powers_of_two(self, p):
+        n = 48 * p
+        assert executed_time("rabenseifner", p, n) == pytest.approx(
+            closed_form("rabenseifner", p, n), rel=1e-12, abs=0)
+        # Halving rounds each part to whole elements: 2 log2(p) messages.
+        gap = (executed_time("rabenseifner", p, UNEVEN)
+               - closed_form("rabenseifner", p, UNEVEN))
+        assert abs(gap) <= 2 * math.log2(p) * WORD * HDR.beta
+
+    def test_best_allreduce_picks_only_what_runs(self):
+        """Every algorithm the selector picks runs at that rank count, and
+        the ring only with at least one element per rank."""
+        picked = set()
+        for p in RANKS:
+            for n in (1, p, 1 << 10, 1 << 16, 1 << 23):
+                _, name = best_allreduce_time(p, n * WORD, HDR.alpha,
+                                              HDR.beta)
+                assert name != "ring" or n >= p
+                picked.add((p, name))
+        assert {name for _, name in picked} == set(EXECUTED)
+        for p, name in sorted(picked):
+            executed_time(name, p, 48 * p)      # raises if it refuses p
