@@ -3,8 +3,7 @@
 The health case studies stress that "job scripts ... needs to be all at
 least partly abstracted away"; this module is the thing being abstracted: a
 minimal ``#SBATCH``-style script format that compiles to the scheduler's
-:class:`~repro.core.jobs.Job` model, plus a Gantt/Chrome-trace export of a
-finished schedule so operators can inspect placements visually.
+:class:`~repro.core.jobs.Job` model (``repro submit`` schedules it).
 
 Script grammar (one phase per ``#PHASE`` block)::
 

@@ -312,6 +312,7 @@ def run_elastic_training(
         IntegrityConfig,
         IntegrityContext,
     )
+    from repro.resilience.faults import FaultKind
 
     if world_size < 1:
         raise ValueError("world_size must be >= 1")
@@ -321,7 +322,7 @@ def run_elastic_training(
     n_samples = len(X)
 
     injector = None
-    if fault_plan is not None and getattr(fault_plan, "has_corruption", False):
+    if fault_plan is not None and fault_plan.has_corruption:
         injector = CorruptionInjector(fault_plan)
     integrity_config = integrity_config or IntegrityConfig()
     integrity_ctx = IntegrityContext(injector, config=integrity_config)
@@ -358,7 +359,7 @@ def run_elastic_training(
             if fault_plan is None or active.rank != 0:
                 return
             for i, spec in enumerate(
-                    fault_plan.checkpoint_rots_at_step(step)):
+                    fault_plan.at_step(FaultKind.CHECKPOINT_ROT, step)):
                 key = (step, i)
                 if key in consumed_rots:
                     continue
@@ -433,11 +434,11 @@ def run_elastic_training(
         ckpt_steps.add(0)
 
         while step < n_steps:
-            kills = (fault_plan.kills_at_step(step)
+            kills = (fault_plan.at_step(FaultKind.RANK_KILL, step)
                      if fault_plan is not None else ())
             if kills and step not in consumed_kills:
                 consumed_kills.add(step)
-                dead = set(kills)
+                dead = {s.node for s in kills}
                 if any(w in dead for w in active.group):
                     if not _recover(dead, "rank-kill"):
                         return None

@@ -62,7 +62,6 @@ class ScalingPoint:
     """One row of the Fig. 3 scaling table."""
 
     n_gpus: int
-    step_time_s: float
     epoch_time_s: float
     speedup: float
     efficiency: float
@@ -137,7 +136,6 @@ class DistributedTrainingPerfModel:
             epoch = self.epoch_time(p)
             points.append(ScalingPoint(
                 n_gpus=p,
-                step_time_s=self.step_time(p),
                 epoch_time_s=epoch,
                 speedup=base / epoch,
                 efficiency=base / epoch / p,

@@ -48,6 +48,7 @@ never by the scheduler clock — they damage *data*, not availability):
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -149,8 +150,6 @@ def partition_cut(seed: int, spec: FaultSpec, labels) -> frozenset:
     more labels exist, both sides are kept non-empty so the cut is a real
     bipartition, never a total blackout or a no-op.
     """
-    import hashlib
-
     labels = list(labels)
 
     def draw(label) -> float:
@@ -187,26 +186,10 @@ class FaultPlan:
     def of_kind(self, kind: FaultKind) -> tuple[FaultSpec, ...]:
         return tuple(s for s in self.specs if s.kind is kind)
 
-    def kills_at_step(self, step: int) -> tuple[int, ...]:
-        """World ranks scheduled to die at training step ``step``."""
-        return tuple(
-            sorted(int(s.node) for s in self.specs
-                   if s.kind is FaultKind.RANK_KILL and int(s.time) == step)
-        )
-
-    def gradient_corruptions_at_step(self, step: int) -> tuple[int, ...]:
-        """World ranks whose gradient contribution rots at ``step``."""
-        return tuple(
-            sorted(int(s.node) for s in self.specs
-                   if s.kind is FaultKind.BITFLIP_GRADIENT
-                   and int(s.time) == step)
-        )
-
-    def checkpoint_rots_at_step(self, step: int) -> tuple[FaultSpec, ...]:
-        """CHECKPOINT_ROT specs striking the snapshot written at ``step``."""
+    def at_step(self, kind: FaultKind, step: int) -> tuple[FaultSpec, ...]:
+        """The ``kind`` specs striking training step ``step``, in plan order."""
         return tuple(s for s in self.specs
-                     if s.kind is FaultKind.CHECKPOINT_ROT
-                     and int(s.time) == step)
+                     if s.kind is kind and int(s.time) == step)
 
     @property
     def message_bitflip_probability(self) -> float:
@@ -251,34 +234,20 @@ class FaultPlan:
         rng = np.random.default_rng(seed)
         keys = sorted(targets)
         specs: list[FaultSpec] = []
-        for _ in range(n_crashes):
-            key = keys[int(rng.integers(len(keys)))]
-            specs.append(FaultSpec(
-                kind=FaultKind.NODE_CRASH,
-                time=float(rng.uniform(0.0, horizon_s)),
-                module=key,
-                node=int(rng.integers(max(targets[key], 1))),
-                duration=repair_s,
-            ))
-        for _ in range(n_stragglers):
-            key = keys[int(rng.integers(len(keys)))]
-            specs.append(FaultSpec(
-                kind=FaultKind.STRAGGLER,
-                time=float(rng.uniform(0.0, horizon_s)),
-                module=key,
-                node=int(rng.integers(max(targets[key], 1))),
-                duration=repair_s,
-                magnitude=max(1.0, float(rng.uniform(1.0, slowdown))),
-            ))
-        for _ in range(n_degrades):
-            key = keys[int(rng.integers(len(keys)))]
-            specs.append(FaultSpec(
-                kind=FaultKind.LINK_DEGRADE,
-                time=float(rng.uniform(0.0, horizon_s)),
-                module=key,
-                duration=repair_s,
-                magnitude=max(1.0, float(rng.uniform(1.5, slowdown + 1.0))),
-            ))
+        # (kind, count, on a node, slowdown range): one draw order for all.
+        for kind, count, on_node, span in (
+                (FaultKind.NODE_CRASH, n_crashes, True, None),
+                (FaultKind.STRAGGLER, n_stragglers, True, (1.0, slowdown)),
+                (FaultKind.LINK_DEGRADE, n_degrades, False,
+                 (1.5, slowdown + 1.0))):
+            for _ in range(count):
+                key = keys[int(rng.integers(len(keys)))]
+                time = float(rng.uniform(0.0, horizon_s))
+                node = int(rng.integers(max(targets[key], 1))) if on_node else -1
+                slow = max(1.0, float(rng.uniform(*span))) if span else 1.0
+                specs.append(FaultSpec(kind=kind, time=time, module=key,
+                                       node=node, duration=repair_s,
+                                       magnitude=slow))
         specs.sort(key=lambda s: (s.time, s.kind.value, s.module, s.node))
         return cls(seed=seed, specs=tuple(specs))
 
@@ -352,28 +321,34 @@ class FaultPlan:
           naturally on the command line).
 
         Example: ``--faults seed=7,crash=cm:2,chaos=partition:1,gray:1``.
+
+        Every fault clause is drawn from a stream of its own, keyed by the
+        plan seed, the clause name, its module and how many clauses of
+        that name and module came before it; so adding a clause re-draws
+        no other, and the faults of ``A`` are all in ``A`` plus ``B``.  A
+        ``crash=``, ``straggler=`` or ``degrade=`` clause is the
+        :meth:`random` plan of its module (straggler slowdowns in
+        [1, 3], link degradations in [1.5, 4]); ``bitflip=`` draws
+        nothing.
         """
         seed = 0
         horizon = horizon_s
         repair = 600.0
         bitflip = 0.0
-        counts: dict[FaultKind, list[tuple[str, int]]] = {
-            FaultKind.NODE_CRASH: [], FaultKind.STRAGGLER: [],
-            FaultKind.LINK_DEGRADE: [],
-        }
-        kind_names = {"crash": FaultKind.NODE_CRASH,
-                      "straggler": FaultKind.STRAGGLER,
-                      "degrade": FaultKind.LINK_DEGRADE}
-        chaos_counts = {"partition": 0, "gray": 0}
+        #: ``(name, module, count)`` of each fault clause, in text order.
+        clauses: list[tuple[str, str, int]] = []
+        node_faults = {"crash": "n_crashes", "straggler": "n_stragglers",
+                       "degrade": "n_degrades"}
+        chaos_names = ("gray", "partition")
 
         def add_chaos(term: str, clause: str) -> None:
             name, _, count = term.partition(":")
             name = name.strip().lower()
-            if name not in chaos_counts:
+            if name not in chaos_names:
                 raise FaultPlanError(
                     f"unknown chaos fault {name!r} "
-                    f"(choose from {sorted(chaos_counts)})")
-            chaos_counts[name] += _count(clause, count)
+                    f"(choose from {sorted(chaos_names)})")
+            clauses.append((name, "", _count(clause, count)))
 
         in_chaos = False
         for clause in filter(None, (c.strip() for c in text.split(","))):
@@ -412,10 +387,9 @@ class FaultPlan:
                 elif key == "chaos":
                     add_chaos(value, clause)
                     in_chaos = True
-                elif key in kind_names:
+                elif key in node_faults:
                     module, _, count = value.partition(":")
-                    counts[kind_names[key]].append(
-                        (module, _count(clause, count)))
+                    clauses.append((key, module, _count(clause, count)))
                 else:
                     raise FaultPlanError(f"unknown fault clause {key!r}")
             except ValueError as exc:
@@ -425,59 +399,49 @@ class FaultPlan:
                     f"malformed value in clause {clause!r}") from exc
             if not in_range:
                 raise FaultPlanError(f"value out of range in clause {clause!r}")
-        for entries in counts.values():
-            for module, _ in entries:
+        plan = cls(seed=seed, specs=())
+        seen: dict[tuple[str, str], int] = {}
+        keys = sorted(targets)
+        for name, module, count in clauses:
+            n = seen[name, module] = seen.get((name, module), -1) + 1
+            stream = int.from_bytes(hashlib.blake2b(
+                f"{seed}:{name}:{module}:{n}".encode(),
+                digest_size=8).digest(), "big")
+            if name in node_faults:
                 if module not in targets:
                     raise FaultPlanError(
                         f"unknown module {module!r}; known: {sorted(targets)}")
-        # Build with the module restriction each clause names: generate one
-        # sub-plan per clause so module choices are honoured exactly.
-        rng = np.random.default_rng(seed)
-        specs: list[FaultSpec] = []
-        for kind, entries in counts.items():
-            for module, count in entries:
-                n_nodes = targets[module]
-                for _ in range(count):
-                    t = float(rng.uniform(0.0, horizon))
-                    if kind is FaultKind.NODE_CRASH:
-                        specs.append(FaultSpec(
-                            kind=kind, time=t, module=module,
-                            node=int(rng.integers(max(n_nodes, 1))),
-                            duration=repair))
-                    elif kind is FaultKind.STRAGGLER:
-                        specs.append(FaultSpec(
-                            kind=kind, time=t, module=module,
-                            node=int(rng.integers(max(n_nodes, 1))),
-                            duration=repair,
-                            magnitude=max(1.0, float(rng.uniform(1.5, 4.0)))))
-                    else:
-                        specs.append(FaultSpec(
-                            kind=kind, time=t, module=module, duration=repair,
-                            magnitude=max(1.0, float(rng.uniform(1.5, 4.0)))))
-        # Chaos windows start in the first half of the horizon, so every
-        # one can heal before it ends.
-        for _ in range(chaos_counts["partition"]):
-            specs.append(FaultSpec(
-                kind=FaultKind.NETWORK_PARTITION,
-                time=float(rng.uniform(0.0, horizon * 0.5)),
-                duration=repair,
-                probability=float(rng.uniform(0.25, 0.5))))
-        keys = sorted(targets)
-        for _ in range(chaos_counts["gray"]):
-            key = keys[int(rng.integers(len(keys)))] if keys else ""
-            specs.append(FaultSpec(
-                kind=FaultKind.GRAY_FAILURE,
-                time=float(rng.uniform(0.0, horizon * 0.5)),
-                module=key,
-                node=int(rng.integers(max(targets.get(key, 1), 1))),
-                duration=repair,
-                magnitude=float(rng.uniform(2.0, 6.0)),
-                probability=float(rng.uniform(0.3, 0.8))))
+                plan = plan.merged(cls.random(
+                    stream, {module: targets[module]}, horizon,
+                    repair_s=repair, **{node_faults[name]: count}))
+                continue
+            # Chaos windows start in the first half of the horizon, so
+            # every one can heal before it ends.
+            rng = np.random.default_rng(stream)
+            specs: list[FaultSpec] = []
+            for _ in range(count):
+                if name == "partition":
+                    specs.append(FaultSpec(
+                        kind=FaultKind.NETWORK_PARTITION,
+                        time=float(rng.uniform(0.0, horizon * 0.5)),
+                        duration=repair,
+                        probability=float(rng.uniform(0.25, 0.5))))
+                    continue
+                key = keys[int(rng.integers(len(keys)))] if keys else ""
+                specs.append(FaultSpec(
+                    kind=FaultKind.GRAY_FAILURE,
+                    time=float(rng.uniform(0.0, horizon * 0.5)),
+                    module=key,
+                    node=int(rng.integers(max(targets.get(key, 1), 1))),
+                    duration=repair,
+                    magnitude=float(rng.uniform(2.0, 6.0)),
+                    probability=float(rng.uniform(0.3, 0.8))))
+            plan = plan.merged(cls(seed=stream, specs=tuple(specs)))
         if bitflip > 0.0:
-            specs.append(FaultSpec(kind=FaultKind.BITFLIP_MESSAGE, time=0.0,
-                                   duration=horizon, magnitude=bitflip))
-        specs.sort(key=lambda s: (s.time, s.kind.value, s.module, s.node))
-        return cls(seed=seed, specs=tuple(specs))
+            plan = plan.merged(cls(seed=seed, specs=(FaultSpec(
+                kind=FaultKind.BITFLIP_MESSAGE, time=0.0, duration=horizon,
+                magnitude=bitflip),)))
+        return plan
 
 
 class FaultInjector:

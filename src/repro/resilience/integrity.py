@@ -283,7 +283,8 @@ class CorruptionInjector:
         Each spec fires exactly once — a step replayed after a rollback
         does not re-corrupt (the offending rank has left the ring).
         """
-        if world_rank not in self.plan.gradient_corruptions_at_step(step):
+        if all(s.node != world_rank for s in
+               self.plan.at_step(FaultKind.BITFLIP_GRADIENT, step)):
             return arr, False
         with self._lock:
             if (step, world_rank) in self._consumed_grads:

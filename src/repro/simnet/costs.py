@@ -20,7 +20,6 @@ regenerates the paper's Fig. 3 scaling curves at 96–128 GPUs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,10 +70,12 @@ def allreduce_recursive_doubling_time(p: int, nbytes: float, alpha: float,
 def allreduce_rabenseifner_time(p: int, nbytes: float, alpha: float,
                                 beta: float) -> float:
     """Rabenseifner's algorithm: recursive-halving reduce-scatter +
-    allgather.  It runs at a power-of-two ``p`` only, the one domain
-    :func:`best_allreduce_time` offers it in."""
+    allgather.  Like the executed collective, it runs at a power-of-two
+    ``p`` only."""
     _check(p, nbytes)
-    steps = math.ceil(math.log2(p))
+    if p & (p - 1):
+        raise ValueError("Rabenseifner's allreduce needs power-of-two ranks")
+    steps = p.bit_length() - 1
     return 2 * steps * alpha + 2 * nbytes * beta * (p - 1) / p
 
 

@@ -90,9 +90,6 @@ ALLOWLIST = {
         "restore passes CheckpointPolicy(replicate=True)",
     "repro.storage.checkpoint.CheckpointManager.save.replicate":
         "input from outside src/: train_dp2's save(replicate=True)",
-    "repro.resilience.faults.FaultPlan.random.repair_s":
-        "input from outside src/: sched_backlog's FaultPlan.random("
-        "repair_s=1200.0)",
     "repro.datasets.icu.IcuConfig.n_patients":
         "input from outside src/: the train workloads' IcuConfig",
     "repro.datasets.icu.IcuConfig.min_hours":
@@ -143,13 +140,9 @@ ALLOWLIST = {
         "an input only a fault path varies: _placement_avoid feeds it when "
         "the detector suspects a node",
     # (5) A pin passes it: an oracle input or a reference (DESIGN §18).
-    "repro.resilience.faults.FaultPlan.random.n_stragglers":
-        "a pin passes it: test_perf_regression_pins.py's "
-        "degraded-fabric schedule draws stragglers from FaultPlan.random",
-    "repro.resilience.faults.FaultPlan.random.n_degrades":
-        "a pin passes it: the same schedule's link degrades",
     "repro.resilience.faults.FaultPlan.random.slowdown":
-        "a pin passes it: the same schedule's straggler factor",
+        "a pin passes it: test_perf_regression_pins.py's degraded-fabric "
+        "schedule sets the straggler factor",
     "repro.core.presets.small_msa_system.cm_nodes":
         "a pin passes it: test_scheduler_dispatch_oracle.py, "
         "test_scheduler_placement_table.py and test_perf_regression_pins.py "
@@ -409,9 +402,6 @@ ALLOWLIST = {
     "repro.analytics.mllib.RandomForest.fit":
         "its serial branch is the reference of "
         "test_rdd_and_serial_forest_agree",
-    "repro.resilience.faults.FaultPlan.random":
-        "the straggler and degrade draws of the pinned degraded-fabric "
-        "schedule (test_perf_regression_pins.py)",
     "repro.resilience.faults.FaultPlan.none":
         "the fault-free arm tier-1 tests compare faulted runs against",
     "repro.simnet.events.Simulator.step":

@@ -3,12 +3,14 @@ events, event cancellation, degraded links, and the scheduler's
 crash/repair bookkeeping."""
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
-from repro.core import JobStatus, schedule_workload
+from repro.core import JobStatus, deep_system, schedule_workload
 from repro.core.module import ClusterModule
 from repro.core.hardware import DEEP_CM_NODE
 from repro.resilience import (
@@ -188,40 +190,49 @@ class TestChaosGrammar:
     TARGETS = {"cm": 8, "esb": 8}
 
     #: ``(kind, time, module, node, duration, magnitude, probability)`` of
-    #: every spec, in plan order, for three chaos clauses at horizon 100 s.
+    #: every spec, in plan order, for four plans at horizon 100 s.
     PINNED = {
         "seed=11,chaos=partition:2,gray:3": (
-            ("NETWORK_PARTITION", 6.4285101384599805, "", -1, 600.0, 1.0,
-             0.37481946561002877),
-            ("GRAY_FAILURE", 13.765440788056466, "cm", 5, 600.0,
-             2.5518722914678214, 0.6940197972519959),
-            ("NETWORK_PARTITION", 30.074917881167874, "", -1, 600.0, 1.0,
-             0.2571722520929861),
-            ("GRAY_FAILURE", 31.094179639819142, "esb", 7, 600.0,
-             3.475972494919164, 0.5556950109016313),
-            ("GRAY_FAILURE", 46.41055114801848, "cm", 1, 600.0,
-             2.2816823046167873, 0.364886974699649),
+            ("GRAY_FAILURE", 6.608083201700571, "cm", 6, 600.0,
+             4.387818509817729, 0.718957868678263),
+            ("NETWORK_PARTITION", 9.507418464558071, "", -1, 600.0, 1.0,
+             0.38954150717847286),
+            ("GRAY_FAILURE", 33.6001451806931, "cm", 1, 600.0,
+             4.636420971840023, 0.3298258543555949),
+            ("NETWORK_PARTITION", 34.492368963531206, "", -1, 600.0, 1.0,
+             0.3595618651180488),
+            ("GRAY_FAILURE", 34.85357565182191, "esb", 7, 600.0,
+             4.187830537581, 0.5624691340524345),
         ),
         "seed=4,chaos=gray": (
-            ("GRAY_FAILURE", 25.56637764071808, "esb", 7, 600.0,
-             5.904974822830816, 0.3404180119478011),
+            ("GRAY_FAILURE", 5.246639243601408, "cm", 6, 600.0,
+             5.9313882992594635, 0.5675475595424612),
         ),
         "seed=5,crash=cm:2,chaos=partition:1,gray:1,repair=10": (
-            ("NETWORK_PARTITION", 14.29006900440708, "", -1, 10.0, 1.0,
-             0.2634826755954141),
-            ("GRAY_FAILURE", 20.42366027099993, "cm", 3, 10.0,
-             2.1811007756097807, 0.324378855363584),
-            ("NODE_CRASH", 51.5325561042142, "cm", 6, 10.0, 1.0, 1.0),
-            ("NODE_CRASH", 80.50029237453802, "cm", 0, 10.0, 1.0, 1.0),
+            ("NODE_CRASH", 2.9140540764785117, "cm", 2, 10.0, 1.0, 1.0),
+            ("GRAY_FAILURE", 22.97198152458577, "esb", 4, 10.0,
+             5.613476772286241, 0.48908261699822975),
+            ("NETWORK_PARTITION", 27.094352177324566, "", -1, 10.0, 1.0,
+             0.268179489462242),
+            ("NODE_CRASH", 29.64817463920265, "cm", 2, 10.0, 1.0, 1.0),
+        ),
+        "seed=3,crash=esb:1,straggler=cm:2,degrade=esb:1,repair=60": (
+            ("STRAGGLER", 2.382335389300938, "cm", 6, 60.0,
+             1.0208166811974593, 1.0),
+            ("LINK_DEGRADE", 24.96370217356172, "esb", -1, 60.0,
+             2.8229077191370333, 1.0),
+            ("STRAGGLER", 44.20947359652768, "cm", 6, 60.0,
+             1.5695163725064094, 1.0),
+            ("NODE_CRASH", 83.70320691263561, "esb", 2, 60.0, 1.0, 1.0),
         ),
     }
 
     @pytest.mark.parametrize("text", list(PINNED),
                              ids=["partition-and-gray", "bare-gray",
-                                  "after-crash"])
+                                  "after-crash", "node-faults"])
     def test_chaos_draws_are_pinned(self, text):
-        """Every RNG draw of a chaos clause — value and order, after the
-        node-fault clauses — is fixed: a plan replays across versions."""
+        """Every RNG draw of a plan — value and order — is fixed: a plan
+        replays across versions."""
         plan = FaultPlan.parse(text, targets=self.TARGETS, horizon_s=100.0)
         assert tuple((s.kind.name, s.time, s.module, s.node, s.duration,
                       s.magnitude, s.probability)
@@ -274,6 +285,80 @@ class TestChaosGrammar:
             with pytest.raises(ValueError):
                 FaultSpec(kind=FaultKind.NETWORK_PARTITION, time=0.0,
                           probability=bad)
+
+
+#: One fault clause per (name, module) the grammar has, without its count.
+CLAUSE_SLOTS = ("crash=cm", "crash=esb", "straggler=cm", "straggler=esb",
+                "degrade=cm", "degrade=esb", "chaos=partition", "chaos=gray",
+                "bitflip")
+
+
+@st.composite
+def disjoint_clauses(draw):
+    """Two lists of fault clauses, ``A`` and ``B``, naming different
+    clauses."""
+    slots = draw(st.permutations(CLAUSE_SLOTS))
+    n_a = draw(st.integers(0, len(slots)))
+    n_b = draw(st.integers(0, len(slots) - n_a))
+
+    def render(slot: str) -> str:
+        if slot == "bitflip":
+            return "bitflip=0.01"
+        return f"{slot}:{draw(st.integers(0, 3))}"
+
+    return ([render(s) for s in slots[:n_a]],
+            [render(s) for s in slots[n_a:n_a + n_b]])
+
+
+class TestClauseIndependence:
+    """Each fault clause draws from a stream of its own: adding clauses to
+    a plan, before or after, re-draws none of the faults already in it."""
+
+    TARGETS = {"cm": 8, "esb": 8}
+
+    def check(self, seed: int, a: list[str], b: list[str]) -> None:
+        def parse(clauses):
+            return Counter(FaultPlan.parse(
+                ",".join([f"seed={seed}", *clauses]), targets=self.TARGETS,
+                horizon_s=100.0).specs)
+
+        alone = parse(a)
+        assert not alone - parse(a + b)
+        assert not alone - parse(b + a)
+
+    @given(seed=st.integers(0, 2 ** 32), clauses=disjoint_clauses())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_adding_clauses_redraws_none(self, seed, clauses):
+        self.check(seed, *clauses)
+
+    @pytest.mark.slow
+    @given(seed=st.integers(0, 2 ** 32), clauses=disjoint_clauses())
+    @settings(max_examples=2000, deadline=None)
+    def test_adding_clauses_redraws_none_sweep(self, seed, clauses):
+        self.check(seed, *clauses)
+
+    def test_a_crash_clause_keeps_the_partition(self):
+        """A partition does not move when a crash joins it on DEEP, the
+        system ``repro serve`` runs."""
+        targets = {key: module.n_nodes
+                   for key, module in deep_system().compute_modules().items()}
+
+        def partitions(text):
+            plan = FaultPlan.parse(text, targets=targets, horizon_s=60.0)
+            return plan.of_kind(FaultKind.NETWORK_PARTITION)
+
+        alone = partitions("seed=1,chaos=partition:1")
+        assert len(alone) == 1
+        assert partitions("seed=1,crash=esb:1,chaos=partition:1") == alone
+
+    def test_repeated_clauses_draw_apart(self):
+        """The second clause of one name and module is keyed by its
+        position, so it adds faults rather than repeating the first's."""
+        once = FaultPlan.parse("seed=2,crash=cm:1", targets=self.TARGETS)
+        twice = FaultPlan.parse("seed=2,crash=cm:1,crash=cm:1",
+                                targets=self.TARGETS)
+        assert len(set(twice.specs)) == 2
+        assert set(once.specs) < set(twice.specs)
 
 
 class TestPartitionCut:

@@ -293,9 +293,10 @@ class TestFaultPlanCorruption:
             0, message_p=0.05, gradient={4: [2, 0]},
             checkpoint_rot=[(6, "nam")])
         assert plan.message_bitflip_probability == 0.05
-        assert plan.gradient_corruptions_at_step(4) == (0, 2)
-        assert plan.gradient_corruptions_at_step(5) == ()
-        rots = plan.checkpoint_rots_at_step(6)
+        grads = plan.at_step(FaultKind.BITFLIP_GRADIENT, 4)
+        assert [s.node for s in grads] == [0, 2]
+        assert plan.at_step(FaultKind.BITFLIP_GRADIENT, 5) == ()
+        rots = plan.at_step(FaultKind.CHECKPOINT_ROT, 6)
         assert len(rots) == 1 and rots[0].module == "nam"
         assert plan.has_corruption
 
@@ -310,4 +311,5 @@ class TestFaultPlanCorruption:
         merged = a.merged(b)
         assert merged.seed == 0
         assert merged.message_bitflip_probability == 0.1
-        assert merged.gradient_corruptions_at_step(2) == (1,)
+        assert [s.node for s in
+                merged.at_step(FaultKind.BITFLIP_GRADIENT, 2)] == [1]

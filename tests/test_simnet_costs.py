@@ -84,6 +84,19 @@ def test_best_allreduce_picks_minimum():
         assert t == pytest.approx(min(candidates))
 
 
+def test_rabenseifner_prices_only_what_runs():
+    """The closed form refuses the rank counts the collective refuses, so
+    a recipe naming it cannot price an allreduce that never runs."""
+    for p in (3, 6, 96):
+        with pytest.raises(ValueError, match="power-of-two"):
+            allreduce_rabenseifner_time(p, 1e6, ALPHA, BETA)
+    model = DistributedTrainingPerfModel(
+        recipe=TrainingRecipe(allreduce_algorithm="rabenseifner"))
+    with pytest.raises(ValueError, match="power-of-two"):
+        model.allreduce_time(96)
+    assert model.allreduce_time(64) > 0
+
+
 def test_invalid_args_rejected():
     with pytest.raises(ValueError):
         allreduce_ring_time(0, 1e6, ALPHA, BETA)
@@ -97,9 +110,11 @@ def test_invalid_args_rejected():
 )
 @settings(max_examples=200, deadline=None)
 def test_property_all_costs_positive_and_finite(p, nbytes):
-    for fn in (allreduce_ring_time, allreduce_recursive_doubling_time,
-               allreduce_rabenseifner_time):
-        t = fn(p, nbytes, ALPHA, BETA)
+    pow2 = 1 << (p.bit_length() - 1)        # Rabenseifner's domain
+    for fn, q in ((allreduce_ring_time, p),
+                  (allreduce_recursive_doubling_time, p),
+                  (allreduce_rabenseifner_time, pow2)):
+        t = fn(q, nbytes, ALPHA, BETA)
         assert t > 0 and math.isfinite(t)
 
 
@@ -110,9 +125,10 @@ def test_property_all_costs_positive_and_finite(p, nbytes):
 @settings(max_examples=100, deadline=None)
 def test_property_rabenseifner_never_beats_both_lower_bounds(p, nbytes):
     """Any allreduce needs >= the bandwidth lower bound 2nβ(p-1)/p."""
-    lower = 2 * nbytes * BETA * (p - 1) / p
-    for fn in (allreduce_ring_time, allreduce_rabenseifner_time):
-        assert fn(p, nbytes, ALPHA, BETA) >= lower * 0.999999
+    for fn, q in ((allreduce_ring_time, p),
+                  (allreduce_rabenseifner_time, 1 << (p.bit_length() - 1))):
+        lower = 2 * nbytes * BETA * (q - 1) / q
+        assert fn(q, nbytes, ALPHA, BETA) >= lower * 0.999999
 
 
 @given(nbytes=st.floats(min_value=1.0, max_value=1e9))
