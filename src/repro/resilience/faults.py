@@ -328,8 +328,8 @@ class FaultPlan:
         no other, and the faults of ``A`` are all in ``A`` plus ``B``.  A
         ``crash=``, ``straggler=`` or ``degrade=`` clause is the
         :meth:`random` plan of its module (straggler slowdowns in
-        [1, 3], link degradations in [1.5, 4]); ``bitflip=`` draws
-        nothing.
+        [1, 3], link degradations in [1.5, 4]); ``bitflip=`` is the
+        :meth:`silent_corruption` plan of its probability (no draws).
         """
         seed = 0
         horizon = horizon_s
@@ -437,11 +437,7 @@ class FaultPlan:
                     magnitude=float(rng.uniform(2.0, 6.0)),
                     probability=float(rng.uniform(0.3, 0.8))))
             plan = plan.merged(cls(seed=stream, specs=tuple(specs)))
-        if bitflip > 0.0:
-            plan = plan.merged(cls(seed=seed, specs=(FaultSpec(
-                kind=FaultKind.BITFLIP_MESSAGE, time=0.0, duration=horizon,
-                magnitude=bitflip),)))
-        return plan
+        return plan.merged(cls.silent_corruption(seed, message_p=bitflip))
 
 
 class FaultInjector:

@@ -50,7 +50,6 @@ from typing import Any, NamedTuple, Optional
 import numpy as np
 
 from repro.resilience.faults import FaultKind, FaultPlan
-from repro.resilience.retry import _stable_uniform
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +69,8 @@ def wordsum(buf, base: int = 0) -> int:
     view = memoryview(buf)
     nbytes = view.nbytes
     nwords = nbytes // 8
-    words = np.frombuffer(view, dtype=np.uint64, count=nwords)
-    total = base + int(words.sum(dtype=np.uint64))  # wraps mod 2**64
+    words = np.frombuffer(view, np.uint64, nwords)
+    total = base + int(np.add.reduce(words))  # uint64: wraps mod 2**64
     if nbytes % 8:
         # Offset in bytes whatever the view's item size: slicing the view
         # itself would count items and skip the tail of a float32 buffer.
@@ -81,24 +80,23 @@ def wordsum(buf, base: int = 0) -> int:
 
 
 #: dtype/shape header CRCs, cached — the same few shapes recur on every hop.
-_HEADER_CRC: dict[tuple[str, tuple[int, ...]], int] = {}
+_HEADER_CRC: dict[tuple[np.dtype, tuple[int, ...]], int] = {}
 
 
 def checksum_payload(obj: Any) -> int:
     """Checksum of a payload's canonical bytes (dtype/shape-aware).
 
-    Arrays get the :func:`wordsum` of their buffer seeded with the CRC32
-    of a dtype/shape header; non-array payloads use CRC32 of their
-    pickled form.
+    Arrays get the :func:`wordsum` of their C-order bytes seeded with the
+    CRC32 of the header ``f"{dtype.str}:{shape}"``; non-array payloads use
+    CRC32 of their pickled form.
     """
     if isinstance(obj, np.ndarray):
-        hkey = (obj.dtype.str, obj.shape)
+        hkey = (obj.dtype, obj.shape)
         base = _HEADER_CRC.get(hkey)
         if base is None:
             base = _HEADER_CRC[hkey] = zlib.crc32(
-                f"{hkey[0]}:{hkey[1]}".encode())
-        return wordsum(
-            obj.data if obj.flags.c_contiguous else obj.tobytes(), base)
+                f"{obj.dtype.str}:{obj.shape}".encode())
+        return wordsum(obj if obj.flags.c_contiguous else obj.tobytes(), base)
     if isinstance(obj, (bytes, bytearray, memoryview)):
         return zlib.crc32(bytes(obj))
     try:
@@ -142,12 +140,6 @@ def flip_high_bits(arr: np.ndarray, index: int) -> np.ndarray:
         raw[-1] ^= 0x80
     flat[index:index + 1] = np.frombuffer(bytes(raw), dtype=out.dtype)
     return out
-
-
-def _corrupt_scalar(value: float, seed: int, key: str, n: int) -> float:
-    arr = flip_high_bits(np.array([value], dtype=np.float64),
-                         _stable_index(seed, key, n, 1))
-    return float(arr[0])
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +222,8 @@ class CorruptionInjector:
         self.plan = plan
         self.message_p = plan.message_bitflip_probability
         self._lock = threading.Lock()
-        #: Per (src, dst) lane: [stream key, messages drawn].  Written by
-        #: the lane's sender thread alone, so drawn without the lock.
+        #: Per (src, dst) lane: [key, blake2b fed ``f"{seed}:{key}:"``,
+        #: draws].  Written by its sender thread alone, so drawn unlocked.
         self._lanes: dict[tuple[int, int], list] = {}
         self._consumed_grads: set[tuple[int, int]] = set()
         #: Local injection log: (kind, stream key) in injection order.
@@ -262,13 +254,17 @@ class CorruptionInjector:
             return obj, False
         lane = self._lanes.get((src, dst))
         if lane is None:
-            lane = self._lanes[src, dst] = [f"msg:{src}>{dst}", 0]
-        key, n = lane
-        lane[1] = n + 1
-        if _stable_uniform(self.plan.seed, key, n) >= self.message_p:
+            key = f"msg:{src}>{dst}"
+            lane = self._lanes[src, dst] = [key, hashlib.blake2b(
+                f"{self.plan.seed}:{key}:".encode(), digest_size=8), 0]
+        key, prefix, n = lane
+        lane[2] = n + 1
+        draw = prefix.copy()        # ``_stable_uniform``, prefix pre-hashed
+        draw.update(str(n).encode())
+        if int.from_bytes(draw.digest(), "big") / 2.0 ** 64 >= self.message_p:
             return obj, False
         if isinstance(obj, float):
-            corrupted: Any = _corrupt_scalar(obj, self.plan.seed, key, n)
+            corrupted: Any = float(flip_high_bits(np.array([obj]), 0)[0])
         else:
             corrupted = flip_high_bits(
                 obj, _stable_index(self.plan.seed, key, n, obj.size))

@@ -94,9 +94,13 @@ def best_allreduce_time(p: int, nbytes: float, alpha: float,
 
     Returns (time, algorithm-name).
     """
-    candidates = {name: fn(p, nbytes, alpha, beta)
-                  for name, fn in ALLREDUCE_TIMES.items()
-                  if name != "rabenseifner" or p & (p - 1) == 0}
+    _check(p, nbytes)
+    candidates = {}
+    for name, fn in ALLREDUCE_TIMES.items():
+        try:
+            candidates[name] = fn(p, nbytes, alpha, beta)
+        except ValueError:
+            continue        # the algorithm does not run at ``p``
     name = min(candidates, key=candidates.get)
     return candidates[name], name
 

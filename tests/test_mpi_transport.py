@@ -322,3 +322,22 @@ def test_ring_results_and_injection_log_equal_reference(world_size, dtype,
     assert expected_log, "pick a seed that injects in every case"
     assert sorted(injector.injected) == sorted(expected_log)
     assert injected == detected == len(expected_log)
+
+
+@pytest.mark.parametrize("message_p", [0.05, 0.5, 0.95])
+def test_prehashed_lanes_draw_the_stable_uniform_stream(message_p):
+    """A lane hashes ``f"{seed}:{key}:"`` once and feeds each draw only
+    its counter: that is ``_stable_uniform(seed, key, n)``, draw for draw,
+    on interleaved lanes — the same stream, not a new RNG."""
+    seed, lanes = 11, [(0, 1), (3, 2)]
+    injector = CorruptionInjector(
+        FaultPlan.silent_corruption(seed, message_p=message_p))
+    with telemetry.capture():
+        for n in range(2000):
+            for src, dst in lanes:
+                injector.maybe_corrupt_message(float(n), src, dst)
+    expected = sorted(
+        (FaultKind.BITFLIP_MESSAGE.value, f"msg:{src}>{dst}#{n}")
+        for src, dst in lanes for n in range(2000)
+        if _stable_uniform(seed, f"msg:{src}>{dst}", n) < message_p)
+    assert sorted(injector.injected) == expected

@@ -4,8 +4,12 @@ Unit tests for :mod:`repro.resilience.integrity` plus small SPMD runs
 exercising the comm-layer hooks end to end.
 """
 
+import sys
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import telemetry
 from repro.mpi import run_spmd
@@ -92,6 +96,39 @@ class TestChecksums:
         assert not arr.flags.c_contiguous and packed.nbytes % 8
         assert (checksum_payload(packed),
                 shard_digests({name: packed})[0][1]) == self.PINNED[name]
+
+    @given(dtype=st.sampled_from(["<f8", "<f4", "<i2", "|u1", ">f8"]),
+           shape=st.lists(st.integers(0, 5), max_size=3).map(tuple),
+           layout=st.sampled_from(["C", "F", "strided"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(dtype=">f8", shape=(), layout="C", seed=0)
+    @example(dtype="<i2", shape=(3, 0), layout="F", seed=1)
+    @example(dtype="|u1", shape=(5, 3), layout="strided", seed=2)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_checksum_is_the_word_sum_of_the_c_order_bytes(
+            self, dtype, shape, layout, seed):
+        """The definition, spelled out: native 64-bit words of the C-order
+        bytes summed mod 2**64, seeded with the CRC32 of the dtype/shape
+        header, and the bytes past the last whole word folded in by CRC32
+        — whatever the byte order, rank or memory layout."""
+        strided = layout == "strided" and shape != ()
+        full = (2 * shape[0],) + shape[1:] if strided else shape
+        raw = np.random.default_rng(seed).integers(
+            0, 256, int(np.prod(full)) * np.dtype(dtype).itemsize, np.uint8)
+        arr = raw.view(dtype).reshape(full)
+        if strided:
+            arr = arr[::2]
+        elif layout == "F":
+            arr = np.array(arr, order="F")
+        assert arr.shape == shape
+        data = np.ascontiguousarray(arr).tobytes()
+        whole = len(data) // 8 * 8
+        expect = zlib.crc32(f"{arr.dtype.str}:{arr.shape}".encode()) + sum(
+            int.from_bytes(data[i:i + 8], sys.byteorder)
+            for i in range(0, whole, 8))
+        if len(data) % 8:
+            expect += zlib.crc32(data[whole:])
+        assert checksum_payload(arr) == expect % 2 ** 64
 
     def test_flip_in_the_tail_past_the_last_word_is_seen(self):
         a = np.arange(5, dtype=np.float32)       # 20 bytes: 2 words + 4
@@ -301,9 +338,21 @@ class TestFaultPlanCorruption:
         assert plan.has_corruption
 
     def test_parse_bitflip_clause(self):
+        """``bitflip=`` is ``silent_corruption`` under the plan's seed: the
+        same plan, so the same per-message probability and draws."""
         plan = FaultPlan.parse("seed=3,bitflip=0.01", targets={"cm": 8})
+        built = FaultPlan.silent_corruption(3, message_p=0.01)
+        assert plan == built
         assert plan.message_bitflip_probability == 0.01
         assert plan.has_corruption
+        logs = []
+        for p in (plan, built):
+            injector = CorruptionInjector(p)
+            with telemetry.capture():
+                for _ in range(500):
+                    injector.maybe_corrupt_message(np.ones(4), 0, 1)
+            logs.append(injector.injected)
+        assert logs[0] and logs[0] == logs[1]
 
     def test_merged_keeps_both(self):
         a = FaultPlan.silent_corruption(0, message_p=0.1)

@@ -97,6 +97,21 @@ def test_rabenseifner_prices_only_what_runs():
     assert model.allreduce_time(64) > 0
 
 
+def test_best_allreduce_skips_what_refuses_p():
+    """The pick asks each closed form and skips one that refuses ``p``:
+    Rabenseifner never wins off a power of two and can win on one, and
+    bad input still raises its own error, not an empty ``min``."""
+    sizes = [2.0 ** k for k in range(0, 34)]
+    assert {best_allreduce_time(6, n, ALPHA, BETA)[1] for n in sizes} \
+        == {"ring", "recursive-doubling"}
+    assert "rabenseifner" in {best_allreduce_time(8, n, ALPHA, BETA)[1]
+                              for n in sizes}
+    with pytest.raises(ValueError, match="participant"):
+        best_allreduce_time(0, 1e6, ALPHA, BETA)
+    with pytest.raises(ValueError, match="nbytes"):
+        best_allreduce_time(6, -1.0, ALPHA, BETA)
+
+
 def test_invalid_args_rejected():
     with pytest.raises(ValueError):
         allreduce_ring_time(0, 1e6, ALPHA, BETA)
