@@ -253,6 +253,8 @@ class MsaScheduler:
         self.tracer = telemetry.get_tracer()
         self.energy = EnergyAccountant()
         self._ready: list[_JobState] = []
+        #: Queued states whose current phase is co-allocated.
+        self._coallocs_queued = 0
         self._allocations: list[Allocation] = []
         self._completions: dict[str, float] = {}
         self._failures_final: dict[str, float] = {}
@@ -315,7 +317,7 @@ class MsaScheduler:
         self.tracer.instant("submit", "scheduler", self.sim.now,
                             track="scheduler", lane="queue",
                             job=evt.value.name)
-        self._ready.append(_JobState(job=evt.value))
+        self._enqueue(_JobState(job=evt.value))
         self._dispatch(appended=True)
 
     def _on_phase_done(self, evt) -> None:
@@ -333,7 +335,7 @@ class MsaScheduler:
             self._status[state.job.name] = JobStatus.COMPLETED
         else:
             # Running jobs continue ahead of newly queued ones.
-            self._ready.insert(0, state)
+            self._enqueue(state, front=True)
         self._dispatch()
 
     def _trace_phase(self, record: _RunningRecord, killed: bool) -> None:
@@ -455,7 +457,7 @@ class MsaScheduler:
             self.resilience.jobs_failed_permanently.append(state.job.name)
 
     def _on_requeue(self, evt) -> None:
-        self._ready.append(evt.value)
+        self._enqueue(evt.value)
         self._dispatch(appended=True)
 
     def _on_straggler(self, spec: FaultSpec) -> None:
@@ -652,6 +654,11 @@ class MsaScheduler:
             delay, value=record, name=f"done-{record.state.job.name}")
         record.done_evt.add_callback(self._on_phase_done)
 
+    def _enqueue(self, state: _JobState, front: bool = False) -> None:
+        """Queue ``state``; a continuing job goes to the ``front``."""
+        self._ready.insert(0 if front else len(self._ready), state)
+        self._coallocs_queued += isinstance(state.current, CoAllocatedPhase)
+
     def _dispatch(self, appended: bool = False) -> None:
         """Start every queued phase that can start now.  A backfill walk
         leaves ``(states settled, blocked)`` behind; after a pure append
@@ -669,11 +676,16 @@ class MsaScheduler:
         resumable = policy is SchedulerPolicy.FCFS_BACKFILL
         # With every node busy nothing further down the queue can start.
         free = any(m.free_nodes for m in modules)
+        passed = 0      # co-allocations the walk has left queued
         while free and i < len(ready):
+            if len(blocked) >= len(modules) and passed == self._coallocs_queued:
+                i = len(ready)   # no co-allocation ahead: nothing can start
+                break
             state = ready[i]
             phase = state.current
+            coalloc = isinstance(phase, CoAllocatedPhase)
             started = False
-            if isinstance(phase, CoAllocatedPhase):
+            if coalloc:
                 # Co-allocations neither consult nor extend ``blocked``; greedy
                 # per component, one can start *because* a count fell: no memo.
                 started = self._start_coalloc(state)
@@ -699,10 +711,12 @@ class MsaScheduler:
                     blocked |= table.blocked
             if started:
                 ready.pop(i)   # same index now holds the next job
+                self._coallocs_queued -= coalloc
                 free = any(m.free_nodes for m in modules)
             elif fcfs:
                 break   # strict FCFS stops at a head that cannot start
             else:
+                passed += coalloc
                 i += 1
         self._settled = (i, blocked) if resumable else None
 

@@ -31,7 +31,7 @@ import numpy as np
 from repro import telemetry
 from repro.ml.engine.fuser import Kernel, schedule
 from repro.ml.engine.graph import Binding, LazyExpr, bind, pending
-from repro.ml.engine.ops import ELEMENTWISE_KINDS, OPS
+from repro.ml.engine.ops import ELEMENTWISE_KINDS, MOVEMENT, OPS
 from repro.ml.engine.stats import STATS
 
 
@@ -118,7 +118,7 @@ class Device:
                                 and src.dtype == node.dtype):
                             reuse = reg[id(src)]
                             break
-                if spec.allocates and reuse is None:
+                if node.kind != MOVEMENT and reuse is None:
                     allocs += 1
                     alloc_bytes += node.nbytes
                 args = [reg[id(src)] for src in node.inputs]

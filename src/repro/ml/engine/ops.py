@@ -9,7 +9,8 @@ tinygrad-style op set:
 * **reduce** — ``sum max`` over an axis set,
 * **matmul** — batched 2-D contraction (1-D operands are lifted by the
   Tensor layer before they reach the engine),
-* **movement** — ``reshape transpose pad2d`` (views / layout changes).
+* **movement** — ``reshape transpose``: views, the only ops that allocate
+  no buffer.
 
 Each op carries a shape/dtype inference rule (so lazy tensors answer
 ``.shape``/``.dtype`` without computing), a FLOP estimate (what the
@@ -52,9 +53,6 @@ class OpSpec(NamedTuple):
     execute: Callable[..., np.ndarray]
     #: flops(input_shapes, out_shape, kwargs) -> float
     flops: Callable[..., float]
-    #: Whether ``execute`` allocates a fresh buffer when ``out_buf`` is None
-    #: (movement ops return views and allocate nothing).
-    allocates: bool = True
 
 
 def _size(shape: tuple[int, ...]) -> int:
@@ -130,12 +128,6 @@ def _reshape_infer(shapes, dtypes, kw):
 def _transpose_infer(shapes, dtypes, kw):
     axes = kw["axes"]
     return tuple(shapes[0][a] for a in axes), dtypes[0]
-
-
-def _pad2d_infer(shapes, dtypes, kw):
-    p = kw["pad"]
-    s = shapes[0]
-    return s[:-2] + (s[-2] + 2 * p, s[-1] + 2 * p), dtypes[0]
 
 
 # -- executors: the only forward definition of each op, run by both engines --
@@ -222,12 +214,6 @@ def _exec_transpose(args, kw, out):
     return args[0].transpose(kw["axes"])
 
 
-def _exec_pad2d(args, kw, out):
-    p = kw["pad"]
-    widths = [(0, 0)] * (args[0].ndim - 2) + [(p, p), (p, p)]
-    return np.pad(args[0], widths)
-
-
 # -- FLOP estimates ----------------------------------------------------------
 
 
@@ -268,9 +254,7 @@ OPS: dict[str, OpSpec] = {
     "sum": OpSpec(REDUCE, _reduce_infer, _exec_sum, _flops_in),
     "max": OpSpec(REDUCE, _reduce_infer, _exec_max, _flops_in),
     "matmul": OpSpec(MATMUL, _matmul_infer, _exec_matmul, _flops_matmul),
-    "reshape": OpSpec(MOVEMENT, _reshape_infer, _exec_reshape, _flops_zero,
-                      allocates=False),
+    "reshape": OpSpec(MOVEMENT, _reshape_infer, _exec_reshape, _flops_zero),
     "transpose": OpSpec(MOVEMENT, _transpose_infer, _exec_transpose,
-                        _flops_zero, allocates=False),
-    "pad2d": OpSpec(MOVEMENT, _pad2d_infer, _exec_pad2d, _flops_in),
+                        _flops_zero),
 }

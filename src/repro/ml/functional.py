@@ -1,13 +1,16 @@
 """Neural-network functional ops: convolutions, pooling, softmax, dropout.
 
 Convolutions lower to im2col + matmul (the standard CPU strategy and how
-the tensor-core path consumes them on the paper's GPUs); backward passes
-invert the lowering with col2im scatter-adds.  All kernels are vectorised
-NumPy — stride tricks build the patch views without Python loops.
+the tensor-core path consumes them on the paper's GPUs).  The patch
+matrix is one ``take`` through a gather index built once per geometry,
+zero padding included; the backward pass inverts it with one ordered
+scatter-add through the matching tap-major index.  All kernels are
+vectorised NumPy — no Python loop runs per element or per tap.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -16,37 +19,42 @@ from repro.ml.tensor import Tensor, _node
 
 
 # ---------------------------------------------------------------------------
-# im2col / col2im
+# convolution patch indices, one per geometry
 # ---------------------------------------------------------------------------
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(N, C, H, W) -> (N, out_h, out_w, C*kh*kw) patch matrix (a view copy)."""
-    n, c, h, w = x.shape
-    out_h = (h - kh) // stride + 1
-    out_w = (w - kw) // stride + 1
-    s0, s1, s2, s3 = x.strides
-    shape = (n, c, out_h, out_w, kh, kw)
-    strides = (s0, s1, s2 * stride, s3 * stride, s2, s3)
-    patches = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
-    # -> (N, out_h, out_w, C, kh, kw) -> flatten patch dims
-    cols = patches.transpose(0, 2, 3, 1, 4, 5).reshape(n, out_h, out_w, c * kh * kw)
-    return np.ascontiguousarray(cols)
+@lru_cache(maxsize=32)
+def _gather_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
+                  padding: int) -> np.ndarray:
+    """(out_h, out_w, C*kh*kw) offsets into one sample's flattened
+    (C, H, W) input: where each patch-matrix cell reads; a padding cell
+    reads ``C*H*W``, the zero sentinel :func:`conv2d` appends.  Cached and
+    shared between calls, so it is never written."""
+    # Row and column of each (out position, tap) as (out_h, out_w, C, kh, kw).
+    rows = (np.arange(0, h + 2 * padding - kh + 1, stride)[:, None]
+            + np.arange(kh) - padding)[:, None, None, :, None]
+    cols = (np.arange(0, w + 2 * padding - kw + 1, stride)[:, None]
+            + np.arange(kw) - padding)[None, :, None, None, :]
+    idx = np.where((rows >= 0) & (rows < h) & (cols >= 0) & (cols < w),
+                   np.arange(c)[:, None, None] * (h * w) + rows * w + cols,
+                   c * h * w)
+    return idx.reshape(rows.shape[0], cols.shape[1], -1)
 
 
-def _col2im(
-    cols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int
-) -> np.ndarray:
-    """Scatter-add the patch-matrix gradient back to the input layout."""
-    n, c, h, w = x_shape
-    out_h = (h - kh) // stride + 1
-    out_w = (w - kw) // stride + 1
-    grad = np.zeros(x_shape, dtype=cols.dtype)
-    cols6 = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    for i in range(kh):
-        for j in range(kw):
-            grad[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += \
-                cols6[:, :, :, :, i, j]
-    return grad
+@lru_cache(maxsize=32)
+def _scatter_index(n: int, c: int, h: int, w: int, kh: int, kw: int,
+                   stride: int, padding: int) -> np.ndarray:
+    """The gather index of ``n`` samples turned around, tap-major: flat
+    (kh, kw, n, out_h, out_w, C) int32 offsets into the flattened
+    (n, C, H, W) input gradient, ``n*C*H*W`` for a padding cell (cached,
+    never written).  ``np.add.at`` adds each element's taps from +0.0 in
+    (i, j) order, as a per-tap loop does, so the sums keep their bits."""
+    gather = _gather_index(c, h, w, kh, kw, stride, padding)
+    size = c * h * w
+    taps = gather.reshape(*gather.shape[:2], c, kh, kw).transpose(
+        3, 4, 0, 1, 2)[:, :, None]              # room for the batch axis
+    return np.where(taps == size, np.int32(n * size),   # raises past int32
+                    taps + np.arange(0, n * size, size).reshape(n, 1, 1, 1)
+                    ).astype(np.int32).ravel()
 
 
 def conv2d(
@@ -57,15 +65,18 @@ def conv2d(
     padding: int = 0,
 ) -> Tensor:
     """2-D convolution, NCHW input, (out_c, in_c, kh, kw) weight."""
-    if padding > 0:
-        x = x.pad2d(padding)
     xd = x.data
     wd = weight.data
     out_c, in_c, kh, kw = wd.shape
     n, c, h, w = xd.shape
     if c != in_c:
         raise ValueError(f"channel mismatch: input {c} vs weight {in_c}")
-    cols = _im2col(xd, kh, kw, stride)                # (N, oh, ow, C*kh*kw)
+    size = c * h * w
+    # Each sample flattened, then the zero sentinel: one copy of ``x``.
+    buf = np.zeros((n, size + 1), dtype=xd.dtype)
+    buf[:, :size].reshape(n, c, h, w)[...] = xd
+    cols = buf.take(_gather_index(c, h, w, kh, kw, stride, padding),
+                    axis=1)                           # (N, oh, ow, C*kh*kw)
     wmat = wd.reshape(out_c, -1)                      # (out_c, C*kh*kw)
     out_data = cols @ wmat.T                          # (N, oh, ow, out_c)
     out_data = out_data.transpose(0, 3, 1, 2)         # NCHW
@@ -78,9 +89,12 @@ def conv2d(
             gw = np.tensordot(g, cols, axes=([0, 1, 2], [0, 1, 2]))
             weight._accumulate(gw.reshape(wd.shape), fresh=True)
         if x.requires_grad:
-            gcols = g @ wmat                          # (N, oh, ow, C*kh*kw)
-            x._accumulate(_col2im(gcols, xd.shape, kh, kw, stride),
-                          fresh=True)
+            gcols = (g @ wmat).reshape(*g.shape[:3], c, kh, kw)
+            flat = np.zeros(n * size + 1, dtype=gcols.dtype)
+            np.add.at(flat, _scatter_index(n, c, h, w, kh, kw, stride,
+                                           padding),
+                      gcols.transpose(4, 5, 0, 1, 2, 3).ravel())
+            x._accumulate(flat[:-1].reshape(n, c, h, w), fresh=True)
         if bias is not None and bias.requires_grad:
             bias._accumulate(out.grad.sum(axis=(0, 2, 3)), fresh=True)
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.ml.engine import state as _engine_state
 from repro.ml.engine.graph import LazyExpr
-from repro.ml.engine.ops import OPS
+from repro.ml.engine.ops import MOVEMENT, OPS
 from repro.ml.engine.stats import STATS as _STATS
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list]
@@ -129,7 +129,7 @@ def _apply(op: str, parents: tuple["Tensor", ...], backward,
             d = p._data
             args.append(d if d is not None else p.data)
         data = spec.execute(args, kwargs, None)
-        if spec.allocates and _STATS.enabled:
+        if _STATS.enabled and spec.kind != MOVEMENT:
             _STATS.eager_ops += 1
             _STATS.eager_alloc_bytes += data.nbytes
     # :func:`_node`, spelled out: the hot path stays two frames per op.
@@ -563,15 +563,3 @@ class Tensor:
 
         return _node(np.stack([t.data for t in tensors], axis=1),
                      tensors, backward)
-
-    def pad2d(self, pad: int) -> "Tensor":
-        """Zero-pad the last two axes symmetrically (NCHW images)."""
-        if pad == 0:
-            return self
-
-        def backward(out) -> None:
-            sl = tuple([slice(None)] * (self.ndim - 2)
-                       + [slice(pad, -pad), slice(pad, -pad)])
-            self._accumulate(out.grad[sl])
-
-        return _apply("pad2d", (self,), backward, pad=pad)

@@ -661,3 +661,133 @@ class TestMaxPoolBackward:
         assert x.grad.strides == expected.strides
         assert x.grad.flags.writeable
         assert fake.add_at_calls == 0
+
+
+# -- convolution: the cached patch indices ----------------------------------------
+
+def _old_im2col(x, kh, kw, stride):
+    n, c, h, w = x.shape
+    out_h = (h - kh) // stride + 1
+    out_w = (w - kw) // stride + 1
+    s0, s1, s2, s3 = x.strides
+    patches = np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, out_h, out_w, kh, kw),
+        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3))
+    cols = patches.transpose(0, 2, 3, 1, 4, 5).reshape(
+        n, out_h, out_w, c * kh * kw)
+    return np.ascontiguousarray(cols)
+
+
+def _old_col2im(cols, x_shape, kh, kw, stride):
+    n, c, h, w = x_shape
+    out_h = (h - kh) // stride + 1
+    out_w = (w - kw) // stride + 1
+    grad = np.zeros(x_shape, dtype=cols.dtype)
+    cols6 = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    for i in range(kh):
+        for j in range(kw):
+            grad[:, :, i:i + stride * out_h:stride,
+                 j:j + stride * out_w:stride] += cols6[:, :, :, :, i, j]
+    return grad
+
+
+def _old_conv2d(xd, wd, bd, stride, padding, upstream):
+    """The pre-change ``conv2d`` and its backward on plain arrays:
+    ``np.pad``, the strided im2col and the per-tap col2im loop.  Returns
+    the output and the x, w, b gradients as leaves would keep them."""
+    xp = xd
+    if padding:
+        xp = np.pad(xd, [(0, 0), (0, 0), (padding, padding),
+                         (padding, padding)])
+    out_c, _, kh, kw = wd.shape
+    cols = _old_im2col(xp, kh, kw, stride)
+    wmat = wd.reshape(out_c, -1)
+    out = (cols @ wmat.T).transpose(0, 3, 1, 2) + bd.reshape(1, -1, 1, 1)
+    g = upstream.transpose(0, 2, 3, 1)
+    gw = np.tensordot(g, cols, axes=([0, 1, 2], [0, 1, 2])).reshape(wd.shape)
+    gx = _old_col2im(g @ wmat, xp.shape, kh, kw, stride)
+    if padding:     # the pad's backward handed a view on; the leaf copied it
+        gx = np.array(gx[:, :, padding:-padding, padding:-padding], copy=True)
+    return out, gx, gw, upstream.sum(axis=(0, 2, 3))
+
+
+@st.composite
+def _conv_cases(draw):
+    k = draw(st.sampled_from([1, 3, 5]))
+    stride = draw(st.sampled_from([1, 2]))
+    padding = draw(st.sampled_from([0, 1, 2]))
+    lo = max(1, k - 2 * padding)                 # at least one output cell
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+             draw(st.integers(lo, lo + 5)), draw(st.integers(lo, lo + 5)))
+    dtypes = (draw(st.sampled_from([np.float32, np.float64])),
+              draw(st.sampled_from([np.float32, np.float64])))
+    return (shape, k, stride, padding, dtypes, draw(st.booleans()),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _no_pad(*args, **kwargs):
+    raise AssertionError("np.pad called")
+
+
+def _check_against_old_conv2d(case):
+    (n, c, h, w), k, stride, padding, (xdt, wdt), channels_last, seed = case
+    rng = np.random.default_rng(seed)
+    out_c = int(rng.integers(1, 4))
+    xd = rng.normal(size=(n, c, h, w)).astype(xdt)
+    xd[rng.random(xd.shape) < 0.1] = -0.0
+    if channels_last:                  # the layout conv2d hands on
+        xd = np.ascontiguousarray(xd.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    wd = rng.normal(size=(out_c, c, k, k)).astype(wdt)
+    bd = rng.normal(size=out_c).astype(wdt)
+    out_h = (h + 2 * padding - k) // stride + 1
+    out_w = (w + 2 * padding - k) // stride + 1
+    upstream = rng.normal(size=(n, out_c, out_h, out_w)).astype(
+        np.result_type(xdt, wdt))
+    upstream[rng.random(upstream.shape) < 0.2] = -0.0
+    expected = _old_conv2d(xd, wd, bd, stride, padding, upstream)
+    x, weight, bias = (Tensor(a, requires_grad=True) for a in (xd, wd, bd))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "pad", _no_pad)
+        out = F.conv2d(x, weight, bias, stride=stride, padding=padding)
+        _backprop(out, upstream)
+    for got, want in zip((out.data, x.grad, weight.grad, bias.grad), expected):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.strides == want.strides
+
+
+class TestConv2dIndices:
+    """``conv2d`` gathers through a cached index and scatters back through
+    its tap-major inverse; against the pre-change ``np.pad`` + im2col +
+    per-tap col2im, the output and every gradient keep bytes and strides,
+    signed zeros and float32 rounding included."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_conv_cases())
+    def test_matches_the_pre_change_conv2d(self, case):
+        _check_against_old_conv2d(case)
+
+    @pytest.mark.slow
+    @settings(max_examples=2000, deadline=None)
+    @given(_conv_cases())
+    def test_matches_the_pre_change_conv2d_sweep(self, case):
+        _check_against_old_conv2d(case)
+
+    def test_only_an_input_that_needs_grad_builds_a_scatter_index(self):
+        rng = np.random.default_rng(7)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        upstream = rng.normal(size=(2, 4, 5, 5))
+        F._scatter_index.cache_clear()
+        _backprop(F.conv2d(Tensor(rng.normal(size=(2, 3, 5, 5))), w,
+                           padding=1), upstream)
+        assert w.grad is not None
+        assert F._scatter_index.cache_info().currsize == 0
+        x = Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
+        for _ in range(2):
+            _backprop(F.conv2d(x, w, padding=1), upstream)
+        info = F._scatter_index.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+    def test_a_batch_past_int32_offsets_is_refused(self):
+        with pytest.raises(OverflowError):
+            F._scatter_index(2 ** 16, 2 ** 15, 1, 1, 1, 1, 1, 0)

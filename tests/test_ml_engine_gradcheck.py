@@ -106,8 +106,6 @@ PRIMITIVES = {
                 lambda: rng.normal(size=(3, 4))),
     "transpose": (lambda a: (a.transpose(1, 0) @ a).sum(),
                   lambda: rng.normal(size=(3, 4))),
-    "pad2d": (lambda a: (a.pad2d(1) ** 2).sum(),
-              lambda: rng.normal(size=(1, 2, 3, 3))),
 }
 
 

@@ -34,6 +34,14 @@ class TestConv2d:
             rng.normal(size=(3,)),
             atol=1e-4,
         )
+        # A pad wider than the taps reach into: every padding cell's
+        # gradient is dropped, every interior cell's kept.
+        check_grad(
+            lambda x, w: (F.conv2d(x, w, stride=1, padding=2) ** 2).sum(),
+            rng.normal(size=(1, 2, 3, 3)),
+            rng.normal(size=(2, 2, 3, 3)),
+            atol=1e-4,
+        )
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError):

@@ -158,10 +158,6 @@ class TestShapeGrads:
         check_grad(lambda a, b: (Tensor.stack([a, b]) ** 2).sum(),
                    rng.normal(size=(2, 3)), rng.normal(size=(2, 3)))
 
-    def test_pad2d(self):
-        check_grad(lambda a: (a.pad2d(1) ** 2).sum(),
-                   rng.normal(size=(1, 2, 3, 3)))
-
 
 class TestEngine:
     def test_backward_requires_scalar(self):

@@ -332,8 +332,6 @@ ALLOWLIST = {
         "1-D operands",
     "repro.ml.tensor.Tensor.__getitem__":
         "fancy-index gradient scatter",
-    "repro.ml.tensor.Tensor.pad2d":
-        "a zero pad",
     "repro.mpi.collectives.binomial_reduce":
         "a rank count that is not a power of two",
     "repro.mpi.collectives.recursive_doubling_allreduce":

@@ -384,6 +384,48 @@ class TestCountedWork:
         assert len(sched._ready) >= settled + 10
         assert sched.states_scored == before
 
+    def test_saturated_walk_visits_only_what_it_scores(self):
+        """A walk from index 0 stops where ``blocked`` covers every module
+        (no co-allocation is queued) and settles at the queue's end: the
+        states past that point are neither scored nor visited."""
+        system = deep_system()
+        sched = MsaScheduler(system)
+        sched.submit_all(synthetic_workload_mix(100, 0,
+                                                mean_interarrival_s=1.0))
+        run_until(sched.sim, 40.0)
+        visits = []
+
+        class Visited(list):
+            def __getitem__(self, i):
+                visits.append(i)
+                return super().__getitem__(i)
+
+        sched._ready = Visited(sched._ready)
+        before = sched.states_scored
+        sched._dispatch()
+        assert sched._settled == (len(sched._ready),
+                                  set(system.compute_modules()))
+        assert len(visits) == sched.states_scored - before
+        assert 0 < len(visits) < len(sched._ready)
+
+    def test_queued_coallocation_count_follows_the_queue(self):
+        """The count the early stop reads equals the queue's after every
+        dispatch: arrivals, starts, phase changes and requeues."""
+        counts = []
+
+        class Checked(MsaScheduler):
+            def _dispatch(self, appended=False):
+                super()._dispatch(appended)
+                counts.append(self._coallocs_queued)
+                assert counts[-1] == sum(
+                    isinstance(s.current, CoAllocatedPhase)
+                    for s in self._ready)
+
+        report = _run(Checked, SchedulerPolicy.FCFS_BACKFILL,
+                      PlacementPolicy.MATCHMAKING, SLICE_SEED, "coalloc",
+                      "composed")
+        assert report.resilience.total_retries > 0 and max(counts) >= 2
+
     def test_table_invalidation_drops_the_settled_walk(self):
         sched = self._settled_backlog()
         sched._on_link_degrade(FaultSpec(
