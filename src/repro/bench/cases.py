@@ -151,41 +151,23 @@ def des_timeout_series(quick: bool, seed: int) -> CaseRun:
 
 
 def _pingpong(rounds: int, payload_words: int, seed: int, integrity=None):
-    """2-rank ping-pong; returns (rank-0 final buffer, per-rank states).
-
-    Built on a raw :class:`~repro.mpi.transport.Transport` (rather than
-    :func:`~repro.mpi.runtime.run_spmd`) so the per-rank counters survive
-    for the deterministic metrics.
-    """
-    import threading
-
-    from repro.mpi.comm import Communicator
-    from repro.mpi.transport import Transport
+    """2-rank ping-pong; returns (rank-0 final buffer, per-rank states)."""
+    from repro.mpi.runtime import run_spmd
 
     base = np.arange(payload_words, dtype=np.float64) + float(seed)
-    transport = Transport(2)
-    results: list[Any] = [None, None]
 
-    def worker(rank: int) -> None:
-        comm = Communicator(transport, rank, integrity=integrity)
+    def rank(comm):
         buf = base.copy()
-        if rank == 0:
-            for _ in range(rounds):
+        for _ in range(rounds):
+            if comm.rank == 0:
                 comm.send(buf, dest=1, tag=1)
                 buf = comm.recv(source=1, tag=2)
-            results[0] = buf
-        else:
-            for _ in range(rounds):
-                got = comm.recv(source=0, tag=1)
-                comm.send(got + 1.0, dest=0, tag=2)
+            else:
+                comm.send(comm.recv(source=0, tag=1) + 1.0, dest=0, tag=2)
+        return buf, comm.state
 
-    threads = [threading.Thread(target=worker, args=(r,), daemon=True)
-               for r in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=120)
-    return results[0], transport.states
+    (final, state0), (_, state1) = run_spmd(rank, 2, integrity=integrity)
+    return final, (state0, state1)
 
 
 @bench_case(

@@ -53,7 +53,6 @@ from repro.ml.models import (MLP, Cnn1dForecaster, CovidNet, GruForecaster,
                              SpectralAutoencoder, resnet_small)
 from repro.ml.models.gru_forecaster import locf_baseline, mean_baseline
 from repro.mpi import GlobalCollectiveEngine, gce_allreduce, run_spmd
-from repro.mpi.runtime import spmd_sim_times
 from repro.quantum import (DWAVE_2000Q, DWAVE_ADVANTAGE, QSvmEnsemble,
                            QuantumSVM, SimulatedQuantumAnnealer)
 from repro.quantum.annealer import EmbeddingError
@@ -311,7 +310,7 @@ def e3_resnet_scaling(quick, values, digests):
                             epochs=10 if quick else 25))
         return accuracy(net.predict(X[120:]), y[120:])
 
-    accs = {ws: run_spmd(test_accuracy, ws, timeout=600)[0]
+    accs = {ws: run_spmd(test_accuracy, ws)[0]
             for ws in (1, 2, 4)}
     margin = 0.1 if quick else 0.3
     expect(min(accs.values()) > 1.0 / 4 + margin,
@@ -583,7 +582,10 @@ def e9_gce_collectives(quick, values, digests):
     payload = np.ones(250_000)
 
     def sim_time(fn):
-        return max(spmd_sim_times(fn, 8, cost_model=fabric)[1])
+        def rank(comm):
+            fn(comm)
+            return comm.sim_time
+        return max(run_spmd(rank, 8, cost_model=fabric))
 
     t_sw = sim_time(lambda comm: comm.allreduce(payload.copy()))
     t_hw = sim_time(lambda comm: gce_allreduce(comm, payload.copy(), gce))

@@ -24,16 +24,18 @@ from repro.ml.tensor import Tensor, _node
 
 @lru_cache(maxsize=32)
 def _gather_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
-                  padding: int) -> np.ndarray:
+                  padding: tuple[int, int]) -> np.ndarray:
     """(out_h, out_w, C*kh*kw) offsets into one sample's flattened
-    (C, H, W) input: where each patch-matrix cell reads; a padding cell
-    reads ``C*H*W``, the zero sentinel :func:`conv2d` appends.  Cached and
+    (C, H, W) input, zero-padded by ``padding`` = (rows, columns) on each
+    side: where each patch-matrix cell reads; a padding cell reads
+    ``C*H*W``, the zero sentinel :func:`conv2d` appends.  Cached and
     shared between calls, so it is never written."""
+    ph, pw = padding
     # Row and column of each (out position, tap) as (out_h, out_w, C, kh, kw).
-    rows = (np.arange(0, h + 2 * padding - kh + 1, stride)[:, None]
-            + np.arange(kh) - padding)[:, None, None, :, None]
-    cols = (np.arange(0, w + 2 * padding - kw + 1, stride)[:, None]
-            + np.arange(kw) - padding)[None, :, None, None, :]
+    rows = (np.arange(0, h + 2 * ph - kh + 1, stride)[:, None]
+            + np.arange(kh) - ph)[:, None, None, :, None]
+    cols = (np.arange(0, w + 2 * pw - kw + 1, stride)[:, None]
+            + np.arange(kw) - pw)[None, :, None, None, :]
     idx = np.where((rows >= 0) & (rows < h) & (cols >= 0) & (cols < w),
                    np.arange(c)[:, None, None] * (h * w) + rows * w + cols,
                    c * h * w)
@@ -42,7 +44,7 @@ def _gather_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
 
 @lru_cache(maxsize=32)
 def _scatter_index(n: int, c: int, h: int, w: int, kh: int, kw: int,
-                   stride: int, padding: int) -> np.ndarray:
+                   stride: int, padding: tuple[int, int]) -> np.ndarray:
     """The gather index of ``n`` samples turned around, tap-major: flat
     (kh, kw, n, out_h, out_w, C) int32 offsets into the flattened
     (n, C, H, W) input gradient, ``n*C*H*W`` for a padding cell (cached,
@@ -62,9 +64,13 @@ def conv2d(
     weight: Tensor,
     bias: Optional[Tensor] = None,
     stride: int = 1,
-    padding: int = 0,
+    padding: int | tuple[int, int] = 0,
 ) -> Tensor:
-    """2-D convolution, NCHW input, (out_c, in_c, kh, kw) weight."""
+    """2-D convolution, NCHW input, (out_c, in_c, kh, kw) weight, zero
+    padding on each side: one width for both axes or a (rows, columns)
+    pair."""
+    if isinstance(padding, int):
+        padding = (padding, padding)
     xd = x.data
     wd = weight.data
     out_c, in_c, kh, kw = wd.shape
@@ -106,27 +112,12 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """1-D convolution on (N, C, L), zero-padded by half the kernel width
     on each side ("same" for an odd kernel) — used by the ARDS 1-D CNN
     baseline."""
-    x = pad1d(x, weight.shape[2] // 2)
     n, c, l = x.shape
-    x4 = x.reshape(n, c, 1, l)
     out_c, in_c, k = weight.shape
-    w4 = weight.reshape(out_c, in_c, 1, k)
-    out = conv2d(x4, w4, bias=bias)
+    out = conv2d(x.reshape(n, c, 1, l), weight.reshape(out_c, in_c, 1, k),
+                 bias=bias, padding=(0, k // 2))
     n2, oc, _, ol = out.shape
     return out.reshape(n2, oc, ol)
-
-
-def pad1d(x: Tensor, pad: int) -> Tensor:
-    """Zero-pad the last axis of (N, C, L) symmetrically."""
-    if pad == 0:
-        return x
-    widths = [(0, 0)] * (x.ndim - 1) + [(pad, pad)]
-
-    def backward(out) -> None:
-        sl = tuple([slice(None)] * (x.ndim - 1) + [slice(pad, -pad)])
-        x._accumulate(out.grad[sl])
-
-    return _node(np.pad(x.data, widths), (x,), backward)
 
 
 #: Window (and stride) of :func:`max_pool2d`.

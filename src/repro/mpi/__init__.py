@@ -22,7 +22,7 @@ The FPGA Global Collective Engine of the ESB module (Fig. 1) is modelled in
 :mod:`repro.mpi.gce`.
 """
 
-from repro.mpi.runtime import run_spmd, SpmdFailure
+from repro.mpi.runtime import run_spmd, SpmdDeadlock, SpmdFailure
 from repro.mpi.comm import Communicator, ANY_SOURCE, ANY_TAG
 from repro.mpi.transport import Transport, RankState
 from repro.mpi.gce import GlobalCollectiveEngine, gce_allreduce
@@ -30,6 +30,7 @@ from repro.mpi.gce import GlobalCollectiveEngine, gce_allreduce
 __all__ = [
     "run_spmd",
     "SpmdFailure",
+    "SpmdDeadlock",
     "Communicator",
     "ANY_SOURCE",
     "ANY_TAG",

@@ -186,7 +186,7 @@ class Communicator:
         # overlaps with subsequent computation (eager/buffered send).
         state.advance(self._alpha)
         # Stamped with the arrival time for the receiver.
-        self.transport.put(dst, Message(
+        self.transport.put(src, dst, Message(
             self.rank, tag, self.context, obj, send_time + cost, nbytes))
 
     def _recv_raw(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message:

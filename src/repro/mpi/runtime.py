@@ -2,8 +2,8 @@
 
 ``run_spmd(fn, world_size)`` runs ``fn(comm, *args)`` on every rank and
 returns the per-rank results.  A raising rank aborts the world (unblocking
-receivers) and the first exception is re-raised in the caller, so test
-failures surface instead of deadlocking.
+receivers) and the first exception is re-raised in the caller; a world
+that can no longer move ends at once with :class:`SpmdDeadlock`.
 
 NumPy releases the GIL inside kernels, so ranks genuinely overlap for the
 array-heavy workloads this library runs.
@@ -29,15 +29,21 @@ class SpmdFailure(RuntimeError):
         self.original = original
 
 
+class SpmdDeadlock(SpmdFailure):
+    """Every rank that had not returned waited on a message no rank would
+    send (``rank`` -1); the message gives each rank's wait and sim time."""
+
+
 def run_spmd(
     fn: Callable[..., Any],
     world_size: int,
     args: Sequence[Any] = (),
     cost_model: Optional[CommCostModel] = None,
-    timeout: Optional[float] = 300.0,
     integrity: Optional[Any] = None,
 ) -> list[Any]:
     """Execute ``fn(comm, *args)`` on ``world_size`` ranks; return results.
+
+    Raises :class:`SpmdFailure` or :class:`SpmdDeadlock`; no timer runs.
 
     Parameters
     ----------
@@ -49,8 +55,6 @@ def run_spmd(
         Fabric cost model charged to the simulated clocks, or an
         :meth:`MSASystem.placement <repro.core.system.MSASystem.placement>`
         of the ranks on modules.
-    timeout:
-        Wall-clock safety net per join; ``None`` disables it.
     integrity:
         Optional shared :class:`~repro.resilience.integrity.IntegrityContext`
         installed on every rank's communicator (checksummed envelopes and
@@ -68,8 +72,9 @@ def run_spmd(
                             integrity=integrity)
         try:
             results[rank] = fn(comm, *args)
+            transport.settle(rank, ())
         except TransportAborted:
-            pass  # secondary failure caused by another rank's abort
+            pass  # the world was aborted: a rank failed, or none can move
         except BaseException as exc:  # noqa: BLE001 — must not deadlock the world
             errors[rank] = SpmdFailure(rank, exc, traceback.format_exc())
             transport.abort()
@@ -85,28 +90,15 @@ def run_spmd(
         for t in threads:
             t.start()
         for t in threads:
-            t.join(timeout=timeout)
-            if t.is_alive():
-                transport.abort()
-                t.join(timeout=5.0)
-                raise SpmdFailure(
-                    -1, TimeoutError("rank did not finish"), f"thread {t.name} hung"
-                )
+            t.join()
 
     for err in errors:
         if err is not None:
             raise err
+    if transport.aborted:  # by no rank: the wait registry found a deadlock
+        raise SpmdDeadlock(-1, TransportAborted("no rank can move"), "\n".join(
+            f"rank {r} at sim t={transport.states[r].sim_time!r} s: " + (
+                "waits in recv(source={}, tag={}, context={})".format(*w)
+                if w else "returned")
+            for r, w in enumerate(transport.waits)))
     return results
-
-
-def spmd_sim_times(
-    fn: Callable[[Communicator], Any],
-    world_size: int,
-    cost_model: CommCostModel,
-) -> tuple[list[Any], list[float]]:
-    """Like :func:`run_spmd` but also return each rank's final simulated time."""
-    def timed(comm: Communicator) -> tuple[Any, float]:
-        return fn(comm), comm.sim_time
-
-    pairs = run_spmd(timed, world_size, cost_model=cost_model)
-    return [r for r, _ in pairs], [t for _, t in pairs]

@@ -1,11 +1,11 @@
-"""Thread-safe message transport and per-rank state.
+"""Thread-safe message transport, per-rank state and the wait registry.
 
 The transport is one inbox per rank that only its owner reads: any thread
-``put``s into a rank's queue, but ``get``/``probe`` for a rank run on that
-rank's own thread alone, so the list of messages taken off the queue and
-not yet matched needs no lock.  Messages are addressed by (destination,
-source, tag, context) — ``context`` isolates communicators produced by
-``Split`` from each other, mirroring MPI context ids.
+``put``s into a rank's queue, but ``get`` for a rank runs on that rank's
+own thread alone, so the list of messages taken off the queue and not yet
+matched needs no lock.  Messages are addressed by (destination, source,
+tag, context) — ``context`` isolates communicators produced by ``Split``
+from each other, mirroring MPI context ids.
 
 Message payloads carry the sender's simulated timestamp so receivers can
 advance their logical clocks (see :mod:`repro.mpi.comm`).
@@ -31,7 +31,7 @@ INTERNAL_TAG_BASE = 1 << 20
 
 
 class TransportAborted(RuntimeError):
-    """Raised in blocked receivers when another rank has failed."""
+    """Raised in blocked receivers when a rank failed or all are stuck."""
 
 
 def wire_size(obj: Any) -> tuple[int, Optional[bytes]]:
@@ -108,9 +108,16 @@ class Transport:
         #: Per rank, in arrival order: messages its owner took off the
         #: inbox while looking for another one.  Owner-private.
         self._parked: list[list[Message]] = [[] for _ in range(world_size)]
+        #: ``_puts[dest][source]``: messages put, each counted before it is
+        #: queued; only the source's thread writes a cell, so no lock.
+        self._puts = [[0] * world_size for _ in range(world_size)]
+        self._taken = [0] * world_size  # per rank, counted by its owner
+        #: Per rank: its last wait, (source, tag, context, messages taken),
+        #: () once it returned, None before it first blocks.
+        self.waits: list[Optional[tuple]] = [None] * world_size
+        self._lock = threading.Lock()  # the wait registry and contexts
         self.aborted = False
         self.states = [RankState(rank=r) for r in range(world_size)]
-        self._context_lock = threading.Lock()
         self._next_context = 1  # 0 is COMM_WORLD
 
     # -- failure propagation ----------------------------------------------
@@ -122,15 +129,33 @@ class Transport:
             inbox.put(None)
 
     def allocate_context(self) -> int:
-        with self._context_lock:
+        with self._lock:
             ctx = self._next_context
             self._next_context += 1
             return ctx
 
+    def settle(self, rank: int, wait: tuple) -> None:
+        """Register ``rank``'s wait (``()``: it returned).  Abort the world
+        when every rank that has not returned waits on an inbox nothing
+        was put into since it registered — its count taken equals the
+        count put — leaving the waits as they were.  DESIGN §15 shows why
+        no race fakes or hides a deadlock."""
+        with self._lock:
+            self.waits[rank] = wait
+            if self.aborted:
+                raise TransportAborted("SPMD world aborted while receiving")
+            for r, w in enumerate(self.waits):
+                if w is None or w and w[3] != sum(self._puts[r]):
+                    return  # rank r runs, or was put to since it registered
+            if self.waits.count(()) < self.world_size:
+                self.abort()
+                raise TransportAborted("SPMD world deadlocked")
+
     # -- messaging ----------------------------------------------------------
-    def put(self, dest: int, msg: Message) -> None:
+    def put(self, source: int, dest: int, msg: Message) -> None:
         if not (0 <= dest < self.world_size):
             raise ValueError(f"destination rank {dest} out of range")
+        self._puts[dest][source] += 1
         self._inboxes[dest].put(msg)
 
     def get(
@@ -142,16 +167,14 @@ class Transport:
             if _matches(msg, source, tag, context):
                 del parked[i]
                 return msg
-        take = self._inboxes[dest].get
-        try:
-            while True:
-                # Once the world is aborted, only drain what is queued.
-                msg = take(not self.aborted)
-                if msg is None:
-                    continue  # the abort sentinel, here to wake us
-                if _matches(msg, source, tag, context):
-                    return msg
-                parked.append(msg)
-        except queue.Empty:
-            raise TransportAborted(
-                "SPMD world aborted while receiving") from None
+        inbox = self._inboxes[dest]
+        while True:
+            if inbox.empty():  # about to block
+                self.settle(dest, (source, tag, context, self._taken[dest]))
+            msg = inbox.get()
+            if msg is None:
+                continue  # the abort sentinel, here to wake us
+            self._taken[dest] += 1
+            if _matches(msg, source, tag, context):
+                return msg
+            parked.append(msg)

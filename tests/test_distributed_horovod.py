@@ -96,7 +96,7 @@ def test_small_fused_buffer_is_averaged_once_on_every_rank(ws):
         return w.grad
 
     total = sum(np.array([r + 1.0, 0.5 * r]) for r in range(ws))
-    for grad in run_spmd(fn, ws, timeout=5):
+    for grad in run_spmd(fn, ws):
         np.testing.assert_array_equal(grad, total / ws)
 
 

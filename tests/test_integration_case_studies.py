@@ -79,7 +79,7 @@ class TestRemoteSensingDistributedTraining:
             model = self._train(comm, Xtr, ytr)
             return accuracy(model.predict(Xte), yte)
 
-        accs = {ws: run_spmd(fn, ws, timeout=600)[0] for ws in (1, 2, 4)}
+        accs = {ws: run_spmd(fn, ws)[0] for ws in (1, 2, 4)}
         chance = 1.0 / self.N_CLASSES
         for ws, acc in accs.items():
             assert acc > chance + 0.3, f"ws={ws} did not learn: {acc}"
@@ -105,8 +105,8 @@ class TestRemoteSensingDistributedTraining:
                 opt.step()
             return comm.sim_time
 
-        t1 = max(run_spmd(fn, 1, timeout=600))
-        t4 = max(run_spmd(fn, 4, timeout=600))
+        t1 = max(run_spmd(fn, 1))
+        t4 = max(run_spmd(fn, 4))
         assert t4 < t1 / 2
 
 

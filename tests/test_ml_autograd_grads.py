@@ -790,4 +790,4 @@ class TestConv2dIndices:
 
     def test_a_batch_past_int32_offsets_is_refused(self):
         with pytest.raises(OverflowError):
-            F._scatter_index(2 ** 16, 2 ** 15, 1, 1, 1, 1, 1, 0)
+            F._scatter_index(2 ** 16, 2 ** 15, 1, 1, 1, 1, 1, (0, 0))

@@ -231,7 +231,7 @@ def test_two_spmd_ranks_training_at_once_match_the_single_rank_bits():
         return losses, _bytes(m.state_dict()[k] for k in sorted(m.state_dict()))
 
     with collect():
-        per_rank = run_spmd(rank, 2, timeout=30)
+        per_rank = run_spmd(rank, 2)
     assert walks_after[0] > 0                            # warm-up
     assert walks_after[1:] == [walks_after[0]] * 3       # then none
     for losses, weights in per_rank:

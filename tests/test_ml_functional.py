@@ -5,6 +5,7 @@ import pytest
 
 from repro.ml import Tensor
 from repro.ml import functional as F
+from repro.ml.tensor import _node
 from tests.test_ml_tensor import check_grad, numeric_grad
 
 rng = np.random.default_rng(7)
@@ -58,8 +59,6 @@ class TestConv2d:
         assert conv._prev == () and not conv.requires_grad
         (conv + p).sum().backward()
         np.testing.assert_array_equal(p.grad, np.ones(p.shape))
-        padded = F.pad1d(Tensor(np.ones((1, 2, 4))), 1)
-        assert padded._prev == ()
 
 
 class TestConv1d:
@@ -77,13 +76,46 @@ class TestConv1d:
             atol=1e-4,
         )
 
-    def test_pad1d(self):
-        x = Tensor(rng.normal(size=(1, 2, 4)), requires_grad=True)
-        padded = F.pad1d(x, 2)
-        assert padded.shape == (1, 2, 8)
-        assert np.all(padded.data[:, :, :2] == 0)
-        check_grad(lambda a: (F.pad1d(a, 2) ** 2).sum(),
-                   rng.normal(size=(1, 2, 4)))
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_pad_then_conv_bit_for_bit(self, k, dtype):
+        """The pad folded into conv2d's gather index changes no bit of the
+        output or of the x, w and b gradients, odd kernels or even."""
+        data = np.random.default_rng([k, np.dtype(dtype).itemsize])
+        arrays = [data.normal(size=s).astype(dtype)
+                  for s in ((3, 2, 9), (4, 2, k), (4,))]
+        arrays[0][data.random(arrays[0].shape) < 0.1] = -0.0
+        runs = []
+        for conv in (F.conv1d, _conv1d_reference):
+            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+            out = conv(x, w, b)
+            assert out.shape == (3, 4, 9 + 1 - k % 2)
+            upstream = np.random.default_rng(1).normal(size=out.shape)
+            (out * Tensor(upstream.astype(dtype))).sum().backward()
+            runs.append((out.data, x.grad, w.grad, b.grad))
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def _conv1d_reference(x, weight, bias):
+    """``conv1d`` before its pad moved into conv2d: a separate zero-pad
+    node (``np.pad`` forward, a slice of the consumer's gradient
+    backward), then an unpadded conv2d."""
+    pad = weight.shape[2] // 2
+    if pad:
+        inner = x
+
+        def backward(out) -> None:
+            inner._accumulate(out.grad[:, :, pad:-pad])
+
+        x = _node(np.pad(inner.data, [(0, 0), (0, 0), (pad, pad)]),
+                  (inner,), backward)
+    n, c, l = x.shape
+    out_c, in_c, k = weight.shape
+    out = F.conv2d(x.reshape(n, c, 1, l), weight.reshape(out_c, in_c, 1, k),
+                   bias=bias)
+    return out.reshape(out.shape[0], out.shape[1], out.shape[3])
 
 
 class TestPooling:

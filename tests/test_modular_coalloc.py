@@ -34,8 +34,7 @@ def allreduce_time(rank_module, n):
         return comm.sim_time
 
     placement = juwels_system().placement(rank_module)
-    return max(run_spmd(fn, len(rank_module), cost_model=placement,
-                        timeout=30))
+    return max(run_spmd(fn, len(rank_module), cost_model=placement))
 
 
 class TestRankPlacement:

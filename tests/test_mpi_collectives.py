@@ -121,7 +121,7 @@ def test_ring_allreduce_reduces_a_non_contiguous_buffer():
         assert not x.flags.c_contiguous
         return ring_allreduce(comm, x, comm._next_coll_tag())
 
-    for out in run_spmd(fn, 2, timeout=5):
+    for out in run_spmd(fn, 2):
         assert out.shape == (4, 3) and out.flags.c_contiguous
         assert out.tobytes() == (data[0].T + data[1].T).tobytes()
 
@@ -189,8 +189,7 @@ def test_ring_allreduce_small_array_falls_back():
 def test_recursive_doubling_gives_every_rank_its_own_result(ws):
     """The fold-out at a non-power-of-two world hands each retired rank a
     copy, so no two ranks' results share memory."""
-    out = run_spmd(lambda comm: comm.allreduce(np.full(2, 3.0)), ws,
-                   timeout=5)
+    out = run_spmd(lambda comm: comm.allreduce(np.full(2, 3.0)), ws)
     for r in range(ws):
         np.testing.assert_array_equal(out[r], np.full(2, 3.0 * ws))
         for other in out[r + 1:]:
@@ -297,7 +296,7 @@ def test_ring_allreduce_reads_its_input_and_owns_its_result(
             _scribble(direct)
         return wide, raw, public, direct, seen
 
-    out = run_spmd(fn, p, timeout=5)
+    out = run_spmd(fn, p)
     for x, b in zip(inputs, before):
         assert x.tobytes() == b
     results = [a for _, _, public, direct, _ in out for a in (public, direct)]
@@ -326,11 +325,11 @@ def test_armed_ring_detects_every_injection_and_leaves_inputs_alone(ws):
     inputs = [np.random.default_rng([17, r]).normal(size=(9, 11)) * 1e3
               for r in range(ws)]
     before = [x.tobytes() for x in inputs]
-    clean = run_spmd(_armed_ring, ws, args=(inputs,), timeout=5)
+    clean = run_spmd(_armed_ring, ws, args=(inputs,))
     injector = CorruptionInjector(
         FaultPlan.silent_corruption(3, message_p=0.5))
     with telemetry.capture() as (_, registry):
-        armed = run_spmd(_armed_ring, ws, args=(inputs,), timeout=5,
+        armed = run_spmd(_armed_ring, ws, args=(inputs,),
                          integrity=IntegrityContext(
                              injector, config=IntegrityConfig()))
     injected, detected = corruption_totals(registry)
@@ -345,5 +344,5 @@ def test_armed_ring_detects_every_injection_and_leaves_inputs_alone(ws):
 
 def test_allreduce_of_a_0d_array_keeps_its_shape():
     # np.ascontiguousarray would hand the ring a 1-element 1-d array.
-    out, = run_spmd(lambda comm: comm.allreduce(np.array(2.5)), 1, timeout=5)
+    out, = run_spmd(lambda comm: comm.allreduce(np.array(2.5)), 1)
     assert out.shape == () and out == 2.5

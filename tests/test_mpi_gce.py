@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.mpi import GlobalCollectiveEngine, gce_allreduce, run_spmd
-from repro.mpi.runtime import spmd_sim_times
 
 
 @pytest.fixture
@@ -78,7 +77,7 @@ def test_gce_simulated_clock_charged_gce_time(gce, hdr_fabric):
         gce_allreduce(comm, np.zeros(100_000), gce)
         return comm.sim_time
 
-    _, times = spmd_sim_times(fn, 4, cost_model=hdr_fabric)
+    times = run_spmd(fn, 4, cost_model=hdr_fabric)
     expected = gce.allreduce_time(4, nbytes)
     assert max(times) == pytest.approx(expected, rel=0.05)
 

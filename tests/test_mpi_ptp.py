@@ -7,7 +7,6 @@ import pytest
 
 from repro.mpi import ANY_SOURCE, ANY_TAG, run_spmd, SpmdFailure
 from repro.mpi.comm import Communicator
-from repro.mpi.runtime import spmd_sim_times
 from repro.mpi.transport import payload_nbytes
 
 
@@ -158,9 +157,10 @@ class TestPayloadSize:
         assert payload_nbytes({"k": 1}) > 0
 
 
-def test_spmd_sim_times_reports_clocks(hdr_fabric):
+def test_every_rank_reports_its_sim_clock(hdr_fabric):
     def fn(comm):
         comm.allreduce(np.ones(1000))
+        return comm.sim_time
 
-    _, times = spmd_sim_times(fn, 4, cost_model=hdr_fabric)
+    times = run_spmd(fn, 4, cost_model=hdr_fabric)
     assert all(t > 0 for t in times)

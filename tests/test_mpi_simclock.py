@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.mpi import ANY_TAG, run_spmd
-from repro.mpi.runtime import spmd_sim_times
 from repro.simnet import CommCostModel, LinkKind
 
 
@@ -34,7 +33,7 @@ def test_message_charges_link_cost(hdr_fabric):
             comm.recv(source=0, tag=ANY_TAG)
         return comm.sim_time
 
-    _, times = spmd_sim_times(fn, 2, cost_model=model)
+    times = run_spmd(fn, 2, cost_model=model)
     expected = model.ptp(1_000_000)
     assert times[1] == pytest.approx(expected, rel=0.01)
 
@@ -48,7 +47,7 @@ def test_receiver_never_ahead_of_sender_plus_cost(hdr_fabric):
             comm.recv(source=0, tag=ANY_TAG)
         return comm.sim_time
 
-    _, times = spmd_sim_times(fn, 2, cost_model=hdr_fabric)
+    times = run_spmd(fn, 2, cost_model=hdr_fabric)
     # Receiver's clock must include the sender's 1 s of compute.
     assert times[1] >= 1.0
 
@@ -60,8 +59,8 @@ def test_bigger_payload_takes_longer(hdr_fabric):
             return comm.sim_time
         return allreduce
 
-    _, t_small = spmd_sim_times(fn(1_000), 4, cost_model=hdr_fabric)
-    _, t_big = spmd_sim_times(fn(1_000_000), 4, cost_model=hdr_fabric)
+    t_small = run_spmd(fn(1_000), 4, cost_model=hdr_fabric)
+    t_big = run_spmd(fn(1_000_000), 4, cost_model=hdr_fabric)
     assert max(t_big) > max(t_small)
 
 
@@ -70,8 +69,8 @@ def test_more_ranks_cost_more_latency(hdr_fabric):
         comm.allreduce(np.ones(64))
         return comm.sim_time
 
-    _, t2 = spmd_sim_times(fn, 2, cost_model=hdr_fabric)
-    _, t8 = spmd_sim_times(fn, 8, cost_model=hdr_fabric)
+    t2 = run_spmd(fn, 2, cost_model=hdr_fabric)
+    t8 = run_spmd(fn, 8, cost_model=hdr_fabric)
     assert max(t8) > max(t2)
 
 
@@ -82,8 +81,8 @@ def test_slower_fabric_slower_clock(hdr_fabric):
 
     fast = hdr_fabric
     slow = CommCostModel.of_kind(LinkKind.ETHERNET_100G)
-    _, t_fast = spmd_sim_times(fn, 4, cost_model=fast)
-    _, t_slow = spmd_sim_times(fn, 4, cost_model=slow)
+    t_fast = run_spmd(fn, 4, cost_model=fast)
+    t_slow = run_spmd(fn, 4, cost_model=slow)
     assert max(t_slow) > max(t_fast)
 
 
@@ -106,6 +105,6 @@ def test_sim_clock_deterministic(hdr_fabric):
         comm.bcast("x" if comm.rank == 0 else None)
         return comm.sim_time
 
-    _, t1 = spmd_sim_times(fn, 4, cost_model=hdr_fabric)
-    _, t2 = spmd_sim_times(fn, 4, cost_model=hdr_fabric)
+    t1 = run_spmd(fn, 4, cost_model=hdr_fabric)
+    t2 = run_spmd(fn, 4, cost_model=hdr_fabric)
     assert t1 == t2

@@ -2,6 +2,7 @@
 wake-up, wildcard/collective separation, and the ring collectives pinned
 to the ``np.linspace`` formulation they were hoisted from."""
 
+import re
 import sys
 import threading
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
-from repro.mpi import ANY_SOURCE, ANY_TAG, SpmdFailure, run_spmd
+from repro.mpi import ANY_SOURCE, ANY_TAG, SpmdDeadlock, SpmdFailure, run_spmd
 from repro.mpi.collectives import ring_chunks
 from repro.mpi.transport import (
     INTERNAL_TAG_BASE,
@@ -34,7 +35,7 @@ def _msg(source, tag, payload, context=0):
 
 def _fill(transport, dest, *specs):
     for source, tag, payload in specs:
-        transport.put(dest, _msg(source, tag, payload))
+        transport.put(source, dest, _msg(source, tag, payload))
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +71,8 @@ class TestMatching:
 
     def test_context_isolates_messages(self):
         t = Transport(2)
-        t.put(0, _msg(1, 3, "child", context=4096))
-        t.put(0, _msg(1, 3, "parent"))
+        t.put(1, 0, _msg(1, 3, "child", context=4096))
+        t.put(1, 0, _msg(1, 3, "parent"))
         assert t.get(0, 1, 3).payload == "parent"
         assert t.get(0, 1, 3, context=4096).payload == "child"
 
@@ -86,7 +87,7 @@ class TestMatching:
                 # with the same source and tag, must stay parked for it.
                 return child.recv(source=0, tag=3), comm.recv(source=0, tag=3)
 
-        assert run_spmd(fn, 4, timeout=10)[2] == ("child", "parent")
+        assert run_spmd(fn, 4)[2] == ("child", "parent")
 
     def test_many_senders_one_reader_loses_and_reorders_nothing(self):
         """More sender threads than cores, a short switch interval: every
@@ -98,7 +99,7 @@ class TestMatching:
 
         def send(source):
             for i in range(per_sender):
-                t.put(0, _msg(source, i % 2, i))
+                t.put(source, 0, _msg(source, i % 2, i))
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -162,7 +163,7 @@ class TestWildcardsMatchUserTagsOnly:
             header = comm.bcast(None)
             return header, wildcard(comm)
 
-        out = run_spmd(fn, world_size, timeout=5)
+        out = run_spmd(fn, world_size)
         assert [h for h, _ in out] == [{"h": 1}] * world_size
         assert out[1][1] == "p2p"
 
@@ -210,7 +211,7 @@ class TestAbort:
             return comm.recv(source=1, tag=1)
 
         with pytest.raises(SpmdFailure) as err:
-            run_spmd(fn, 2, timeout=5)
+            run_spmd(fn, 2)
         assert err.value.rank == 1
         assert isinstance(err.value.original, ValueError)
 
@@ -223,9 +224,107 @@ class TestAbort:
             return comm.allreduce(np.ones(64))
 
         with pytest.raises(SpmdFailure) as err:
-            run_spmd(fn, world_size, timeout=5)
+            run_spmd(fn, world_size)
         assert err.value.rank == world_size - 1
         assert isinstance(err.value.original, KeyError)
+
+
+# ---------------------------------------------------------------------------
+# deadlock: the wait registry ends a wedged world at once, naming each wait
+# ---------------------------------------------------------------------------
+
+def _deadlock_report(fn, world_size):
+    with pytest.raises(SpmdDeadlock) as err:
+        run_spmd(fn, world_size)
+    assert isinstance(err.value, SpmdFailure) and err.value.rank == -1
+    return str(err.value).splitlines()[1:]
+
+
+class TestDeadlock:
+    def test_mutual_recv(self):
+        report = _deadlock_report(
+            lambda comm: comm.recv(source=1 - comm.rank, tag=4), 2)
+        assert report == [
+            "rank 0 at sim t=0.0 s: waits in recv(source=1, tag=4, context=0)",
+            "rank 1 at sim t=0.0 s: waits in recv(source=0, tag=4, context=0)"]
+
+    def test_recv_from_a_rank_that_returned(self):
+        def fn(comm):
+            if comm.rank == 1:
+                comm.send("not this tag", dest=0, tag=1)
+                return "done"
+            return comm.recv(source=1, tag=2)
+
+        report = _deadlock_report(fn, 2)
+        assert report[0].startswith("rank 0 at sim t=")
+        assert report[0].endswith(
+            ": waits in recv(source=1, tag=2, context=0)")
+        assert report[1].startswith("rank 1 at sim t=")
+        assert report[1].endswith(": returned")
+
+    def test_collective_mismatch(self):
+        """Each rank parks the other's message and blocks again."""
+        def fn(comm):
+            return comm.barrier() if comm.rank == 0 else comm.allreduce(3.0)
+
+        report = _deadlock_report(fn, 2)
+        assert len(report) == 2
+        for rank, line in enumerate(report):
+            wait = re.fullmatch(
+                rf"rank {rank} at sim t=\S+ s: waits in "
+                rf"recv\(source={1 - rank}, tag=(\d+), context=0\)", line)
+            # Inside the first collective's tag block.
+            assert (int(wait[1]) - INTERNAL_TAG_BASE) // 4096 == 1
+
+    def test_single_rank_recv_from_itself(self):
+        assert _deadlock_report(
+            lambda comm: comm.recv(source=0, tag=0), 1) == [
+            "rank 0 at sim t=0.0 s: waits in recv(source=0, tag=0, context=0)"]
+
+
+def _traffic(comm, rounds):
+    """Ring and recursive-doubling allreduce, bcast, allgather, barrier and
+    point-to-point around the ring, wildcards included."""
+    right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+    seen = []
+    for i in range(rounds):
+        seen.append(float(comm.allreduce(np.full(2 * comm.size, i))[0]))
+        seen.append(comm.allreduce(comm.rank))
+        seen.append(comm.bcast(i if comm.rank == 0 else None))
+        seen.append(sum(comm.allgather(comm.rank * i)))
+        comm.barrier()
+        comm.send(i, dest=right, tag=i % 3)
+        seen.append(comm.recv(source=left, tag=i % 3))
+        comm.send(-i, dest=left, tag=7)
+        seen.append(comm.recv(ANY_SOURCE, ANY_TAG))
+    return seen
+
+
+def _no_false_deadlock(world_size, interval, rounds):
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(interval)
+    try:
+        out = run_spmd(_traffic, world_size, args=(rounds,))
+    finally:
+        sys.setswitchinterval(old)
+    for seen in out:
+        assert seen[0::6] == [float(i * world_size) for i in range(rounds)]
+        assert seen[4::6] == [i for i in range(rounds)]
+
+
+@pytest.mark.parametrize("world_size,interval",
+                         [(2, 1e-6), (3, 5e-3), (5, 1e-4), (8, 1e-5)])
+def test_no_false_deadlock_under_preemption(world_size, interval):
+    """A put that races a registering rank never makes a live world look
+    wedged, however often the interpreter switches threads."""
+    _no_false_deadlock(world_size, interval, rounds=6)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("interval", [1e-6, 1e-5, 1e-4, 1e-3, 5e-3])
+@pytest.mark.parametrize("world_size", range(2, 9))
+def test_no_false_deadlock_under_preemption_sweep(world_size, interval):
+    _no_false_deadlock(world_size, interval, rounds=25)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +388,7 @@ def test_ring_results_and_injection_log_equal_reference(world_size, dtype,
         FaultPlan.silent_corruption(seed, message_p=message_p))
     with telemetry.capture() as (_, registry):
         out = run_spmd(lambda comm: _ring_ops(comm, inputs[comm.rank]),
-                       world_size, timeout=30,
+                       world_size,
                        integrity=IntegrityContext(
                            injector, config=IntegrityConfig()))
     injected, detected = corruption_totals(registry)

@@ -314,8 +314,6 @@ ALLOWLIST = {
         "a partial last batch",
     "repro.ml.data.DistributedSampler.indices":
         "wrap-padding when ranks outnumber samples",
-    "repro.ml.functional.pad1d":
-        "a zero pad",
     "repro.ml.layers.Module.named_parameters":
         "parameters held in a list",
     "repro.ml.losses._target_tensor":

@@ -207,7 +207,7 @@ def executed_time(name: str, p: int, n: int) -> float:
         out = EXECUTED[name](comm, data[comm.rank].copy())
         return out, comm.sim_time
 
-    pairs = run_spmd(fn, p, cost_model=HDR, timeout=30)
+    pairs = run_spmd(fn, p, cost_model=HDR)
     for out, _ in pairs:
         np.testing.assert_array_equal(out, data.sum(axis=0))
     return max(t for _, t in pairs)

@@ -107,7 +107,7 @@ class TestCollectiveTelemetry:
         registry = CountingRegistry()
         with telemetry.capture() as (tracer, _):
             telemetry.set_registry(registry)    # capture restores on exit
-            run_spmd(fn, 2, timeout=30)
+            run_spmd(fn, 2)
         # One look-up per (communicator, family, op) — and none at all for
         # a family the op never moves: barrier sends no bytes, a non-root
         # bcast passes None.
