@@ -3,9 +3,9 @@
 Convolutions lower to im2col + matmul (the standard CPU strategy and how
 the tensor-core path consumes them on the paper's GPUs).  The patch
 matrix is one ``take`` through a gather index built once per geometry,
-zero padding included; the backward pass inverts it with one ordered
-scatter-add through the matching tap-major index.  All kernels are
-vectorised NumPy — no Python loop runs per element or per tap.
+zero padding included; the backward pass gathers each input element's
+taps through the inverted index and adds them in tap order.  All kernels
+are vectorised NumPy — no Python loop runs per element.
 """
 
 from __future__ import annotations
@@ -43,20 +43,17 @@ def _gather_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
 
 
 @lru_cache(maxsize=32)
-def _scatter_index(n: int, c: int, h: int, w: int, kh: int, kw: int,
-                   stride: int, padding: tuple[int, int]) -> np.ndarray:
-    """The gather index of ``n`` samples turned around, tap-major: flat
-    (kh, kw, n, out_h, out_w, C) int32 offsets into the flattened
-    (n, C, H, W) input gradient, ``n*C*H*W`` for a padding cell (cached,
-    never written).  ``np.add.at`` adds each element's taps from +0.0 in
-    (i, j) order, as a per-tap loop does, so the sums keep their bits."""
-    gather = _gather_index(c, h, w, kh, kw, stride, padding)
-    size = c * h * w
-    taps = gather.reshape(*gather.shape[:2], c, kh, kw).transpose(
-        3, 4, 0, 1, 2)[:, :, None]              # room for the batch axis
-    return np.where(taps == size, np.int32(n * size),   # raises past int32
-                    taps + np.arange(0, n * size, size).reshape(n, 1, 1, 1)
-                    ).astype(np.int32).ravel()
+def _tap_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
+               padding: tuple[int, int]) -> np.ndarray:
+    """The gather index turned around: (kh*kw, C*H*W) offsets into one
+    sample's flat (out_h, out_w, C*kh*kw) patch gradient, row i*kw + j
+    naming the cell through which tap (i, j) read each input element, or
+    the zero sentinel past the last cell.  Cached, never written."""
+    gather = _gather_index(c, h, w, kh, kw, stride, padding).ravel()
+    cells = np.arange(gather.size)
+    taps = np.full((kh * kw, c * h * w + 1), gather.size)
+    taps[cells % (kh * kw), gather] = cells     # padding: the last column
+    return np.ascontiguousarray(taps[:, :-1])
 
 
 def conv2d(
@@ -71,8 +68,7 @@ def conv2d(
     pair."""
     if isinstance(padding, int):
         padding = (padding, padding)
-    xd = x.data
-    wd = weight.data
+    xd, wd = x.data, weight.data
     out_c, in_c, kh, kw = wd.shape
     n, c, h, w = xd.shape
     if c != in_c:
@@ -84,23 +80,26 @@ def conv2d(
     cols = buf.take(_gather_index(c, h, w, kh, kw, stride, padding),
                     axis=1)                           # (N, oh, ow, C*kh*kw)
     wmat = wd.reshape(out_c, -1)                      # (out_c, C*kh*kw)
-    out_data = cols @ wmat.T                          # (N, oh, ow, out_c)
-    out_data = out_data.transpose(0, 3, 1, 2)         # NCHW
+    out_data = (cols @ wmat.T).transpose(0, 3, 1, 2)  # NCHW
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, -1, 1, 1)
 
     def backward(out) -> None:
-        g = out.grad.transpose(0, 2, 3, 1)            # (N, oh, ow, out_c)
         if weight.requires_grad:
-            gw = np.tensordot(g, cols, axes=([0, 1, 2], [0, 1, 2]))
+            gw = np.dot(out.grad.transpose(1, 0, 2, 3).reshape(out_c, -1),
+                        cols.reshape(-1, wmat.shape[1]))
             weight._accumulate(gw.reshape(wd.shape), fresh=True)
-        if x.requires_grad:
-            gcols = (g @ wmat).reshape(*g.shape[:3], c, kh, kw)
-            flat = np.zeros(n * size + 1, dtype=gcols.dtype)
-            np.add.at(flat, _scatter_index(n, c, h, w, kh, kw, stride,
-                                           padding),
-                      gcols.transpose(4, 5, 0, 1, 2, 3).ravel())
-            x._accumulate(flat[:-1].reshape(n, c, h, w), fresh=True)
+        if x.requires_grad:     # patch gradients, then the zero sentinel
+            gbuf = np.zeros((n, cols[0].size + 1),
+                            dtype=np.result_type(out.grad, wmat))
+            np.matmul(out.grad.transpose(0, 2, 3, 1), wmat,
+                      out=gbuf[:, :-1].reshape(cols.shape))
+            taps = gbuf.take(_tap_index(c, h, w, kh, kw, stride, padding),
+                             axis=1)                  # (N, kh*kw, C*H*W)
+            gx = np.add(taps[:, 0], 0.0)    # from +0.0 in (i, j) order, as
+            for t in range(1, kh * kw):     # col2im adds: a sentinel's +0.0
+                gx += taps[:, t]            # leaves every sum's bits
+            x._accumulate(gx.reshape(n, c, h, w), fresh=True)
         if bias is not None and bias.requires_grad:
             bias._accumulate(out.grad.sum(axis=(0, 2, 3)), fresh=True)
 

@@ -34,6 +34,7 @@ to im2col matmuls and act as (eager) boundary ops for the lazy graph.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -485,18 +486,18 @@ class Tensor:
                 shape = [1 if i in axes else s
                          for i, s in enumerate(self.shape)]
                 g = g.reshape(shape)
-            # A copy, not the zero-stride view: NumPy lays an
-            # elementwise result out after its operands, and a
-            # different layout reaches BLAS with different strides.
-            self._accumulate(np.broadcast_to(g, self.shape).copy(),
-                             fresh=True)
+            # A C-order array, not the zero-stride view: a different
+            # layout reaches BLAS with different strides.
+            full = np.empty(self.shape, dtype=g.dtype)
+            full[...] = g
+            self._accumulate(full, fresh=True)
 
         return _apply("sum", (self,), backward, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.size if axis is None else (
-            np.prod([self.shape[a % self.ndim] for a in
-                     (axis if isinstance(axis, tuple) else (axis,))])
+            math.prod([self.shape[a % self.ndim] for a in
+                       (axis if isinstance(axis, tuple) else (axis,))])
         )
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
 

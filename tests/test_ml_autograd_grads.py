@@ -729,6 +729,10 @@ def _no_pad(*args, **kwargs):
     raise AssertionError("np.pad called")
 
 
+def _no_tensordot(*args, **kwargs):
+    raise AssertionError("np.tensordot called")
+
+
 def _check_against_old_conv2d(case):
     (n, c, h, w), k, stride, padding, (xdt, wdt), channels_last, seed = case
     rng = np.random.default_rng(seed)
@@ -756,11 +760,28 @@ def _check_against_old_conv2d(case):
         assert got.strides == want.strides
 
 
+def _check_tap_index_inverts_the_gather_index(case):
+    (_, c, h, w), k, stride, padding, *_ = case
+    geometry = (c, h, w, k, k, stride, (padding, padding))
+    gather = F._gather_index(*geometry).ravel()
+    taps = F._tap_index(*geometry)
+    assert taps.shape == (k * k, c * h * w) and taps.dtype == np.intp
+    assert taps.flags.c_contiguous          # ``take`` would copy it per call
+    assert taps.min() >= 0 and taps.max() <= gather.size   # the sentinel
+    named = taps[taps < gather.size]
+    # Every gather cell that reads the input is named exactly once ...
+    assert np.array_equal(np.sort(named), np.flatnonzero(gather < c * h * w))
+    # ... in its own tap's row and the column of the element it reads.
+    rows, elements = np.nonzero(taps < gather.size)
+    assert np.array_equal(named % (k * k), rows)
+    assert np.array_equal(gather[named], elements)
+
+
 class TestConv2dIndices:
-    """``conv2d`` gathers through a cached index and scatters back through
-    its tap-major inverse; against the pre-change ``np.pad`` + im2col +
-    per-tap col2im, the output and every gradient keep bytes and strides,
-    signed zeros and float32 rounding included."""
+    """``conv2d`` gathers its patches through a cached index and each input
+    element's taps through the index's inverse; against the pre-change
+    ``np.pad`` + im2col + per-tap col2im, the output and every gradient
+    keep bytes and strides, signed zeros and float32 rounding included."""
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(_conv_cases())
@@ -773,21 +794,41 @@ class TestConv2dIndices:
     def test_matches_the_pre_change_conv2d_sweep(self, case):
         _check_against_old_conv2d(case)
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_conv_cases())
+    def test_tap_index_inverts_the_gather_index(self, case):
+        _check_tap_index_inverts_the_gather_index(case)
+
+    @pytest.mark.slow
+    @settings(max_examples=2000, deadline=None)
+    @given(_conv_cases())
+    def test_tap_index_inverts_the_gather_index_sweep(self, case):
+        _check_tap_index_inverts_the_gather_index(case)
+
     def test_only_an_input_that_needs_grad_builds_a_scatter_index(self):
+        """The index that carries patch gradients back to the input (the
+        tap index) is built only for an input that needs a gradient, once
+        per geometry: a second batch size reuses it."""
         rng = np.random.default_rng(7)
         w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
-        upstream = rng.normal(size=(2, 4, 5, 5))
-        F._scatter_index.cache_clear()
+        F._tap_index.cache_clear()
         _backprop(F.conv2d(Tensor(rng.normal(size=(2, 3, 5, 5))), w,
-                           padding=1), upstream)
+                           padding=1), rng.normal(size=(2, 4, 5, 5)))
         assert w.grad is not None
-        assert F._scatter_index.cache_info().currsize == 0
-        x = Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
-        for _ in range(2):
-            _backprop(F.conv2d(x, w, padding=1), upstream)
-        info = F._scatter_index.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+        assert F._tap_index.cache_info().currsize == 0
+        for n in (2, 2, 5):
+            x = Tensor(rng.normal(size=(n, 3, 5, 5)), requires_grad=True)
+            _backprop(F.conv2d(x, w, padding=1), rng.normal(size=(n, 4, 5, 5)))
+        info = F._tap_index.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
 
-    def test_a_batch_past_int32_offsets_is_refused(self):
-        with pytest.raises(OverflowError):
-            F._scatter_index(2 ** 16, 2 ** 15, 1, 1, 1, 1, 1, (0, 0))
+    def test_backward_calls_neither_add_at_nor_tensordot(self, counting_numpy):
+        rng = np.random.default_rng(3)
+        x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in ((2, 3, 6, 6), (4, 3, 3, 3), (4,)))
+        fake = counting_numpy(forbid_add_at=True)
+        fake.tensordot = _no_tensordot
+        out = F.conv2d(x, w, b, stride=2, padding=1)
+        _backprop(out, rng.normal(size=out.shape))
+        assert fake.add_at_calls == 0
+        assert all(t.grad is not None for t in (x, w, b))
