@@ -1,11 +1,12 @@
 """Recurrent layers: the GRU used by the ARDS time-series case study.
 
 The paper's model (Sec. IV-B): two GRU layers with 32 units each, dropout
-0.2, kernel and recurrent regularisation, followed by a Dense(1) output;
-MAE loss, ADAM with learning rate 1e-4.  :class:`GRU` implements the cuDNN
-default GRU formulation (reset gate applied to the candidate's recurrent
-term), which is the configuration Keras requires for cuDNN support — the
-constraint the paper explicitly mentions.
+0.2, kernel and recurrent regularisation, then a Dense(1) output; MAE loss,
+ADAM at learning rate 1e-4.  :class:`GRU` uses the cuDNN default GRU
+formulation (reset gate on the candidate's recurrent term), which Keras
+requires for cuDNN support, as the paper notes.  As in cuDNN, the cell is
+one fused kernel: a :class:`GRUCell` step is a single autograd node (a
+boundary op for the lazy engine) whose backward yields all five gradients.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.layers import Module, Parameter, xavier_init
-from repro.ml.tensor import Tensor
+from repro.ml.engine.ops import OPS
+from repro.ml.tensor import Tensor, _node
 
 
 class GRUCell(Module):
@@ -39,13 +41,33 @@ class GRUCell(Module):
         self.b = Parameter(np.zeros(3 * h))
 
     def forward(self, x: Tensor, h_prev: Tensor) -> Tensor:
-        hsz = self.hidden_size
-        gates_x = x @ self.W + self.b         # (N, 3h)
-        gates_h = h_prev @ self.U             # (N, 3h)
-        z = (gates_x[:, :hsz] + gates_h[:, :hsz]).sigmoid()
-        r = (gates_x[:, hsz:2 * hsz] + gates_h[:, hsz:2 * hsz]).sigmoid()
-        h_cand = (gates_x[:, 2 * hsz:] + r * gates_h[:, 2 * hsz:]).tanh()
-        return z * h_prev + (1.0 - z) * h_cand
+        """One node: the per-op graph's ufuncs, in its order (same bits)."""
+        h, W, U, b = self.hidden_size, self.W, self.U, self.b
+        xd, hd, wd, ud = x.data, h_prev.data, W.data, U.data
+        gx, gh = xd @ wd + b.data, hd @ ud              # (N, 3h) each
+        zr = OPS["sigmoid"].execute([gx[:, :2 * h] + gh[:, :2 * h]], {}, None)
+        z, r, gh_n = zr[:, :h], zr[:, h:], gh[:, 2 * h:]
+        h_cand = np.tanh(gx[:, 2 * h:] + r * gh_n)
+        keep = 1.0 - z                  # the bits of 1 + (-z), IEEE 754
+
+        def backward(out) -> None:
+            g = out.grad
+            g_n = (g * keep) * (1.0 - h_cand ** 2)          # tanh's input
+            g_zr = np.concatenate((g * hd + -(g * h_cand), g_n * gh_n), 1)
+            g_zr = (g_zr * zr) * (1.0 - zr)                 # the sigmoids'
+            # Cast per block, then + 0.0 (-0.0 -> +0.0), as adding into zeros.
+            ggx = np.concatenate((g_zr, g_n), 1, dtype=gx.dtype) + 0.0
+            ggh = np.concatenate((g_zr, g_n * r), 1, dtype=gh.dtype) + 0.0
+            b._accumulate(ggx.sum(axis=0), fresh=True)
+            W._accumulate(xd.T @ ggx, fresh=True)
+            U._accumulate(hd.T @ ggh, fresh=True)
+            if x.requires_grad:
+                x._accumulate(ggx @ wd.T, fresh=True)
+            if h_prev.requires_grad:
+                h_prev._accumulate(g * z, fresh=True)
+                h_prev._accumulate(ggh @ ud.T, fresh=True)
+
+        return _node(z * hd + keep * h_cand, (x, h_prev, W, U, b), backward)
 
 
 class GRU(Module):
@@ -66,12 +88,9 @@ class GRU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         n, t, _ = x.shape
-        h = Tensor(np.zeros((n, self.hidden_size)))
+        h = Tensor(np.zeros((n, self.hidden_size), dtype=x.dtype))
         outputs: list[Tensor] = []
         for step in range(t):
             h = self.cell(x[:, step, :], h)
-            if self.return_sequences:
-                outputs.append(h)
-        if self.return_sequences:
-            return Tensor.stack(outputs)
-        return h
+            outputs.append(h)
+        return Tensor.stack(outputs) if self.return_sequences else h

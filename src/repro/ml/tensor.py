@@ -27,9 +27,9 @@ float32 end-to-end; integer inputs promote to float64 (gradients need a
 float domain); a python scalar operand adopts the tensor's dtype (weak
 promotion), so ``x * 0.5`` never silently upcasts a float32 model.
 
-Everything is vectorised NumPy — per the optimisation guides, no Python
-loops inside kernels; convolutions (in :mod:`repro.ml.functional`) lower
-to im2col matmuls and act as (eager) boundary ops for the lazy graph.
+Everything is vectorised NumPy, no Python loops inside kernels; the im2col
+convolutions (:mod:`repro.ml.functional`) and the GRU cell, one fused node
+per step as cuDNN's is (:mod:`repro.ml.rnn`), are eager boundary ops.
 """
 
 from __future__ import annotations
@@ -352,12 +352,10 @@ class Tensor:
         def backward(out) -> None:
             # Same shape: pass out.grad on; broadcast: a fresh sum.
             g = out.grad
-            if self.requires_grad:
-                ga = unbroadcast(g, self.shape)
-                self._accumulate(ga, fresh=ga is not g)
-            if other.requires_grad:
-                gb = unbroadcast(g, other.shape)
-                other._accumulate(gb, fresh=gb is not g)
+            for t in (self, other):
+                if t.requires_grad:
+                    gt = unbroadcast(g, t.shape)
+                    t._accumulate(gt, fresh=gt is not g)
 
         return _apply("add", (self, other), backward)
 
@@ -409,9 +407,6 @@ class Tensor:
 
     __radd__ = __add__
     __rmul__ = __mul__
-
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return self._coerce(other) - self
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other = Tensor.as_tensor(other)

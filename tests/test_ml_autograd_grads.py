@@ -6,8 +6,9 @@ producers hand over fresh temporaries, a basic-index slice adds straight
 into its parent's buffer, and leaves always end up with a private,
 writable array.  These tests pin who may alias whom, the state
 transitions, the slice scatter, and — against the pre-change
-``_accumulate`` and ``__getitem__`` kept below as the reference — that
-every gradient keeps its bits, signed zeros included.
+``_accumulate``, ``__getitem__``, GRU cell and convolution kept below as
+the reference — that every gradient keeps its bits, signed zeros
+included.
 
 Nothing here selects an engine: CI runs the file under ``ENGINE=eager``
 and ``ENGINE=lazy``, and the rule must hold on both.
@@ -28,6 +29,7 @@ from repro.ml import functional as F
 from repro.ml.losses import cross_entropy, l2_regularisation, mae
 from repro.ml.models import MLP, GruForecaster, resnet_small
 from repro.ml.optim import SGD
+from repro.ml.rnn import GRUCell
 from repro.ml.tensor import Tensor
 from repro.mpi import run_spmd
 
@@ -56,6 +58,18 @@ def _old_getitem(self, idx):
 
         out._backward = backward
     return out
+
+
+def _old_gru_cell_forward(self, x, h_prev):
+    """The pre-change ``GRUCell.forward``: 21 nodes per step.  ``1.0 - z``
+    is spelled as the retired ``__rsub__`` built it."""
+    hsz = self.hidden_size
+    gates_x = x @ self.W + self.b         # (N, 3h)
+    gates_h = h_prev @ self.U             # (N, 3h)
+    z = (gates_x[:, :hsz] + gates_h[:, :hsz]).sigmoid()
+    r = (gates_x[:, hsz:2 * hsz] + gates_h[:, hsz:2 * hsz]).sigmoid()
+    h_cand = (gates_x[:, 2 * hsz:] + r * gates_h[:, 2 * hsz:]).tanh()
+    return z * h_prev + (z._coerce(1.0) + (-z)) * h_cand
 
 
 def _old_max_pool2d_grad(xd, out_grad, kernel, stride):
@@ -599,10 +613,90 @@ class TestGruStepScatter:
         loss.backward()
         opt.step()
         assert fake.add_at_calls == 0
-        # gates_x and gates_h of every cell step, three slices each, and
-        # the first layer's output sequence, one slice per time step.
-        assert len(sliced) == 2 * 6 * 2 * 3 + 6
-        assert fake.zeros_like_calls - baseline == len(set(sliced)) == 25
+        # A cell step is one node and slices no gates, and the first
+        # layer's input needs no gradient: only the second layer's input,
+        # one slice per time step, is scattered into, through one buffer.
+        assert len(sliced) == 6
+        assert fake.zeros_like_calls - baseline == len(set(sliced)) == 1
+
+
+# -- (e') the GRU cell: one fused node, the per-op graph's bits -------------------
+
+@st.composite
+def _gru_cases(draw):
+    return (draw(st.integers(1, 4)), draw(st.integers(1, 4)),   # N, D
+            draw(st.integers(1, 5)), draw(st.integers(1, 4)),   # H, T
+            draw(st.sampled_from([np.float32, np.float64])),
+            draw(st.booleans()), draw(st.booleans()),   # x, h_prev need grad
+            draw(st.booleans()),        # leaves already hold a gradient
+            draw(st.booleans()),        # every step's output, or the last
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _run_gru_cell(case):
+    """T cell steps from a leaf state over leaf inputs; the output and
+    every leaf's gradient."""
+    n, d, h, t, dtype, x_grad, h_grad, pooled, sequences, seed = case
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        a = rng.normal(size=shape).astype(dtype)
+        a[rng.random(shape) < 0.15] = -0.0
+        return a
+
+    cell = GRUCell(d, h, rng=rng)
+    cell.b.data = draw(3 * h)
+    params = [cell.W, cell.U, cell.b]
+    for p in params[:2]:
+        p.data = p.data.astype(dtype)
+    xs = [Tensor(draw(n, d), requires_grad=x_grad) for _ in range(t)]
+    h0 = Tensor(draw(n, h), requires_grad=h_grad)
+    leaves = [p for p in params + xs + [h0] if p.requires_grad]
+    if pooled:                  # the Horovod pool: ``+=`` into what is there
+        for p in leaves:
+            p.grad = draw(*p.shape)
+    states = [h0]
+    for x in xs:
+        states.append(cell(x, states[-1]))
+    out = Tensor.stack(states[1:]) if sequences else states[-1]
+    _backprop(out, draw(*out.shape))
+    return [out.data] + [p.grad for p in leaves]
+
+
+def _check_against_old_gru_cell(case):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GRUCell, "forward", _old_gru_cell_forward)
+        expected = _run_gru_cell(case)
+    got = _run_gru_cell(case)
+    assert _bits(got) == _bits(expected)
+    assert [a.strides for a in got] == [a.strides for a in expected]
+
+
+class TestGruCellOracle:
+    """``GRUCell.forward`` is one node whose backward reruns the per-op
+    graph's ufuncs; against that graph, kept above, the output and every
+    gradient keep bytes, dtype and strides — signed zeros, float32
+    rounding and the order of ``h_prev``'s contributions included."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_gru_cases())
+    def test_matches_the_pre_change_cell(self, case):
+        _check_against_old_gru_cell(case)
+
+    @pytest.mark.slow
+    @settings(max_examples=1000, deadline=None)
+    @given(_gru_cases())
+    def test_matches_the_pre_change_cell_sweep(self, case):
+        _check_against_old_gru_cell(case)
+
+    def test_one_step_adds_one_node(self):
+        rng = np.random.default_rng(0)
+        cell = GRUCell(3, 4, rng=rng)
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        h1 = cell(x, Tensor(np.zeros((2, 4))))
+        h2 = cell(x, h1)
+        assert h2._prev == (x, h1, cell.W, cell.U, cell.b)
+        assert _graph(h2) == _graph(h1) | {h2}
 
 
 # -- (f) Horovod's pooled gradients ----------------------------------------------

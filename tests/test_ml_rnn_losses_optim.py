@@ -62,6 +62,20 @@ class TestGRU:
 
         check_grad(build, rng.normal(size=(1, 3, 2)), atol=1e-4)
 
+    def test_a_float32_gru_stays_float32(self):
+        """The zero initial state takes the input's dtype: a float64 one
+        made the output and ``U.grad`` float64."""
+        gru = GRU(2, 3, return_sequences=True, rng=np.random.default_rng(5))
+        for p in gru.parameters():
+            p.data = p.data.astype(np.float32)
+        x = Tensor(rng.normal(size=(2, 4, 2)).astype(np.float32),
+                   requires_grad=True)
+        out = gru(x)
+        (out ** 2).sum().backward()
+        assert out.dtype == np.float32
+        assert [t.grad.dtype for t in (x, *gru.parameters())] == [
+            np.float32] * 4
+
 
 class TestLosses:
     def test_cross_entropy_uniform(self):
