@@ -25,6 +25,7 @@ but never reorders or reassociates float math, so the two engines agree
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -107,9 +108,9 @@ def _matmul_infer(shapes, dtypes, kw):
     return matmul_shape(shapes[0], shapes[1]), np.result_type(*dtypes)
 
 
-def resolve_reshape(in_shape: tuple[int, ...], shape) -> tuple[int, ...]:
+def _reshape_infer(shapes, dtypes, kw):
     """Resolve a reshape target (supporting one -1) without data."""
-    shape = tuple(int(s) for s in shape)
+    in_shape, shape = shapes[0], tuple(int(s) for s in kw["shape"])
     if -1 in shape:
         known = _size(tuple(s for s in shape if s != -1))
         total = _size(in_shape)
@@ -118,11 +119,7 @@ def resolve_reshape(in_shape: tuple[int, ...], shape) -> tuple[int, ...]:
         shape = tuple(total // known if s == -1 else s for s in shape)
     if _size(shape) != _size(in_shape):
         raise ValueError(f"cannot reshape {in_shape} -> {shape}")
-    return shape
-
-
-def _reshape_infer(shapes, dtypes, kw):
-    return resolve_reshape(shapes[0], kw["shape"]), dtypes[0]
+    return shape, dtypes[0]
 
 
 def _transpose_infer(shapes, dtypes, kw):
@@ -217,44 +214,42 @@ def _exec_transpose(args, kw, out):
 # -- FLOP estimates ----------------------------------------------------------
 
 
-def _flops_out(shapes, out_shape, kw):
-    return float(_size(out_shape))
+def _flops_out(per_element, shapes, out_shape, kw):
+    return per_element * _size(out_shape)
 
 
 def _flops_in(shapes, out_shape, kw):
     return float(_size(shapes[0]))
 
 
-def _flops_sigmoid(shapes, out_shape, kw):
-    return 4.0 * _size(out_shape)       # neg, exp, add, div
-
-
 def _flops_matmul(shapes, out_shape, kw):
     return 2.0 * _size(out_shape) * shapes[0][-1]
 
 
-def _flops_zero(shapes, out_shape, kw):
-    return 0.0
+#: Per output element: one FLOP for an elementwise op, four for sigmoid's
+#: neg, exp, add and div, none for a view.
+_FLOPS_ONE, _FLOPS_SIGMOID, _FLOPS_VIEW = (partial(_flops_out, n)
+                                          for n in (1.0, 4.0, 0.0))
 
 
 # -- the table ---------------------------------------------------------------
 
 OPS: dict[str, OpSpec] = {
-    "neg": OpSpec(UNARY, _unary_infer, _exec_neg, _flops_out),
-    "exp": OpSpec(UNARY, _unary_infer, _exec_exp, _flops_out),
-    "log": OpSpec(UNARY, _unary_infer, _exec_log, _flops_out),
-    "tanh": OpSpec(UNARY, _unary_infer, _exec_tanh, _flops_out),
-    "sigmoid": OpSpec(UNARY, _unary_infer, _exec_sigmoid, _flops_sigmoid),
-    "relu": OpSpec(UNARY, _unary_infer, _exec_relu, _flops_out),
-    "abs": OpSpec(UNARY, _unary_infer, _exec_abs, _flops_out),
-    "pow": OpSpec(UNARY, _pow_infer, _exec_pow, _flops_out),
-    "add": OpSpec(BINARY, _binary_infer, _exec_add, _flops_out),
-    "mul": OpSpec(BINARY, _binary_infer, _exec_mul, _flops_out),
-    "div": OpSpec(BINARY, _binary_infer, _exec_div, _flops_out),
+    "neg": OpSpec(UNARY, _unary_infer, _exec_neg, _FLOPS_ONE),
+    "exp": OpSpec(UNARY, _unary_infer, _exec_exp, _FLOPS_ONE),
+    "log": OpSpec(UNARY, _unary_infer, _exec_log, _FLOPS_ONE),
+    "tanh": OpSpec(UNARY, _unary_infer, _exec_tanh, _FLOPS_ONE),
+    "sigmoid": OpSpec(UNARY, _unary_infer, _exec_sigmoid, _FLOPS_SIGMOID),
+    "relu": OpSpec(UNARY, _unary_infer, _exec_relu, _FLOPS_ONE),
+    "abs": OpSpec(UNARY, _unary_infer, _exec_abs, _FLOPS_ONE),
+    "pow": OpSpec(UNARY, _pow_infer, _exec_pow, _FLOPS_ONE),
+    "add": OpSpec(BINARY, _binary_infer, _exec_add, _FLOPS_ONE),
+    "mul": OpSpec(BINARY, _binary_infer, _exec_mul, _FLOPS_ONE),
+    "div": OpSpec(BINARY, _binary_infer, _exec_div, _FLOPS_ONE),
     "sum": OpSpec(REDUCE, _reduce_infer, _exec_sum, _flops_in),
     "max": OpSpec(REDUCE, _reduce_infer, _exec_max, _flops_in),
     "matmul": OpSpec(MATMUL, _matmul_infer, _exec_matmul, _flops_matmul),
-    "reshape": OpSpec(MOVEMENT, _reshape_infer, _exec_reshape, _flops_zero),
+    "reshape": OpSpec(MOVEMENT, _reshape_infer, _exec_reshape, _FLOPS_VIEW),
     "transpose": OpSpec(MOVEMENT, _transpose_infer, _exec_transpose,
-                        _flops_zero),
+                        _FLOPS_VIEW),
 }

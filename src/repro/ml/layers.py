@@ -12,7 +12,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.ml import functional as F
-from repro.ml.tensor import Tensor
+from repro.ml.tensor import Tensor, _node, unbroadcast
 
 
 class Parameter(Tensor):
@@ -191,7 +191,10 @@ class BatchNorm(Module):
     """Batch normalisation over the channel axis.
 
     Works for (N, C), (N, C, L) and (N, C, H, W) inputs; keeps running
-    statistics for eval mode.
+    statistics for eval mode.  As cuDNN's fused batch norm is, a training
+    forward is one autograd node over ``(x, gamma, beta)``: it runs the
+    ufuncs of the per-op graph in that graph's order on ndarrays (same
+    bits), and its backward adds into all three unconditionally.
     """
 
     def __init__(self, num_features: int) -> None:
@@ -210,30 +213,55 @@ class BatchNorm(Module):
     def running_var(self) -> np.ndarray:
         return self._buffers["running_var"]
 
-    def _reduce_axes(self, x: Tensor) -> tuple[int, ...]:
-        return tuple(i for i in range(x.ndim) if i != 1)
-
-    def _shape(self, x: Tensor) -> tuple[int, ...]:
-        return tuple(self.num_features if i == 1 else 1 for i in range(x.ndim))
-
     def forward(self, x: Tensor) -> Tensor:
-        axes = self._reduce_axes(x)
-        shape = self._shape(x)
-        if self.training:
-            mu = x.mean(axis=axes, keepdims=True)
-            var = ((x - mu) ** 2).mean(axis=axes, keepdims=True)
-            m = BN_MOMENTUM
-            rm, rv = self._buffers["running_mean"], self._buffers["running_var"]
-            rm *= m
-            rm += (1 - m) * mu.data.reshape(-1)
-            rv *= m
-            rv += (1 - m) * var.data.reshape(-1)
-            x_hat = (x - mu) / ((var + BN_EPS) ** 0.5)
-        else:
+        shape = tuple(self.num_features if i == 1 else 1 for i in range(x.ndim))
+        gamma, beta = self.gamma, self.beta
+        if not self.training:
             mu = Tensor(self.running_mean.reshape(shape))
             var = Tensor(self.running_var.reshape(shape))
             x_hat = (x - mu) / ((var + BN_EPS) ** 0.5)
-        return x_hat * self.gamma.reshape(shape) + self.beta.reshape(shape)
+            return x_hat * gamma.reshape(shape) + beta.reshape(shape)
+        xd = x.data
+        axes = tuple(i for i in range(xd.ndim) if i != 1)
+        c = np.asarray(1.0 / (xd.size // xd.shape[1]), xd.dtype)
+        mu = xd.sum(axes, keepdims=True) * c
+        d = xd + -mu
+        var = np.square(d).sum(axes, keepdims=True) * c
+        m = BN_MOMENTUM
+        rm, rv = self._buffers["running_mean"], self._buffers["running_var"]
+        rm *= m
+        rm += (1 - m) * mu.reshape(-1)
+        rv *= m
+        rv += (1 - m) * var.reshape(-1)
+        ve = var + np.asarray(BN_EPS, var.dtype)
+        sd = np.sqrt(ve)
+        x_hat = d / sd
+        gd = gamma.data.reshape(shape)
+
+        def backward(out) -> None:
+            g = out.grad
+            gb = unbroadcast(g, shape)
+            beta._accumulate(gb.reshape(-1), fresh=gb is not g)
+            gamma._accumulate(unbroadcast(g * x_hat, shape).reshape(-1),
+                              fresh=True)
+            g_xh = g * gd
+            g_sd = unbroadcast(((-g_xh) * d) / (sd ** 2), shape)
+            g_s2 = ((g_sd * 0.5) * ve ** (0.5 - 1)) * c
+            g_sq = np.empty(d.shape, g_s2.dtype)    # C order, as sum's
+            g_sq[...] = g_s2
+            g_d = g_xh / sd
+            g_dv = (g_sq * 2) * d ** (2 - 1)
+            g_s1 = (-unbroadcast(g_d, shape) + -unbroadcast(g_dv, shape)) * c
+            g_mean = np.empty(d.shape, g_s1.dtype)
+            g_mean[...] = g_s1
+            # x's contributions in the per-op graph's order: (a + b) + c
+            # is not (a + c) + b once x already holds a gradient.
+            x._accumulate(g_d, fresh=True)
+            x._accumulate(g_dv, fresh=True)
+            x._accumulate(g_mean, fresh=True)
+
+        return _node(x_hat * gd + beta.data.reshape(shape), (x, gamma, beta),
+                     backward)
 
 
 class Dropout(Module):

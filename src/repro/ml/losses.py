@@ -27,7 +27,8 @@ def _target_tensor(ref: Tensor, values) -> Tensor:
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean softmax cross-entropy; ``labels`` are integer class ids."""
     n, n_classes = logits.shape
-    targets = Tensor(one_hot(np.asarray(labels), n_classes))
+    targets = Tensor(one_hot(np.asarray(labels), n_classes).astype(
+        logits.dtype, copy=False))
     logp = log_softmax(logits)
     return -(targets * logp).sum() * (1.0 / n)
 

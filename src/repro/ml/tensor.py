@@ -28,8 +28,9 @@ float domain); a python scalar operand adopts the tensor's dtype (weak
 promotion), so ``x * 0.5`` never silently upcasts a float32 model.
 
 Everything is vectorised NumPy, no Python loops inside kernels; the im2col
-convolutions (:mod:`repro.ml.functional`) and the GRU cell, one fused node
-per step as cuDNN's is (:mod:`repro.ml.rnn`), are eager boundary ops.
+convolutions (:mod:`repro.ml.functional`), the GRU cell (:mod:`repro.ml.rnn`)
+and a training BatchNorm (:mod:`repro.ml.layers`), each one fused node per
+call as cuDNN's are, are eager boundary ops.
 """
 
 from __future__ import annotations
@@ -489,12 +490,12 @@ class Tensor:
 
         return _apply("sum", (self,), backward, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def mean(self, axis=None) -> "Tensor":
         count = self.size if axis is None else (
             math.prod([self.shape[a % self.ndim] for a in
                        (axis if isinstance(axis, tuple) else (axis,))])
         )
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
+        return self.sum(axis=axis) * (1.0 / float(count))
 
     def max(self) -> "Tensor":
         """The maximum over the last axis, which is kept (size 1)."""

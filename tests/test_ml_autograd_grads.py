@@ -6,14 +6,15 @@ producers hand over fresh temporaries, a basic-index slice adds straight
 into its parent's buffer, and leaves always end up with a private,
 writable array.  These tests pin who may alias whom, the state
 transitions, the slice scatter, and — against the pre-change
-``_accumulate``, ``__getitem__``, GRU cell and convolution kept below as
-the reference — that every gradient keeps its bits, signed zeros
-included.
+``_accumulate``, ``__getitem__``, GRU cell, BatchNorm and convolution
+kept below as the reference — that every gradient keeps its bits, signed
+zeros included.
 
 Nothing here selects an engine: CI runs the file under ``ENGINE=eager``
 and ``ENGINE=lazy``, and the rule must hold on both.
 """
 
+import math
 import sys
 from contextlib import contextmanager
 
@@ -26,6 +27,7 @@ import repro.ml.functional as functional_module
 from repro.distributed import DistributedOptimizer, broadcast_parameters
 from repro.ml import engine
 from repro.ml import functional as F
+from repro.ml.layers import BN_EPS, BN_MOMENTUM, BatchNorm
 from repro.ml.losses import cross_entropy, l2_regularisation, mae
 from repro.ml.models import MLP, GruForecaster, resnet_small
 from repro.ml.optim import SGD
@@ -70,6 +72,34 @@ def _old_gru_cell_forward(self, x, h_prev):
     r = (gates_x[:, hsz:2 * hsz] + gates_h[:, hsz:2 * hsz]).sigmoid()
     h_cand = (gates_x[:, 2 * hsz:] + r * gates_h[:, 2 * hsz:]).tanh()
     return z * h_prev + (z._coerce(1.0) + (-z)) * h_cand
+
+
+def _old_batchnorm_forward(self, x):
+    """The pre-change ``BatchNorm.forward``: ~16 nodes per training call.
+    ``x.mean(axis, keepdims=True)`` is spelled as the retired ``keepdims``
+    parameter of ``Tensor.mean`` built it."""
+    axes = tuple(i for i in range(x.ndim) if i != 1)
+    shape = tuple(self.num_features if i == 1 else 1 for i in range(x.ndim))
+
+    def mean(t):
+        count = math.prod([t.shape[a] for a in axes])
+        return t.sum(axis=axes, keepdims=True) * (1.0 / float(count))
+
+    if self.training:
+        mu = mean(x)
+        var = mean((x - mu) ** 2)
+        m = BN_MOMENTUM
+        rm, rv = self._buffers["running_mean"], self._buffers["running_var"]
+        rm *= m
+        rm += (1 - m) * mu.data.reshape(-1)
+        rv *= m
+        rv += (1 - m) * var.data.reshape(-1)
+        x_hat = (x - mu) / ((var + BN_EPS) ** 0.5)
+    else:
+        mu = Tensor(self.running_mean.reshape(shape))
+        var = Tensor(self.running_var.reshape(shape))
+        x_hat = (x - mu) / ((var + BN_EPS) ** 0.5)
+    return x_hat * self.gamma.reshape(shape) + self.beta.reshape(shape)
 
 
 def _old_max_pool2d_grad(xd, out_grad, kernel, stride):
@@ -697,6 +727,100 @@ class TestGruCellOracle:
         h2 = cell(x, h1)
         assert h2._prev == (x, h1, cell.W, cell.U, cell.b)
         assert _graph(h2) == _graph(h1) | {h2}
+
+
+# -- (e'') BatchNorm: one fused node, the per-op graph's bits -----------------
+
+@st.composite
+def _bn_cases(draw):
+    ndim = draw(st.integers(2, 4))
+    return (tuple(draw(st.integers(1, 4)) for _ in range(ndim)),  # N, C, ...
+            draw(st.sampled_from([np.float32, np.float64])),      # x
+            draw(st.sampled_from([np.float32, np.float64])),      # gamma, beta
+            draw(st.booleans()),        # training (else eval)
+            draw(st.booleans()),        # x is a leaf (else interior)
+            draw(st.booleans()),        # x has a second consumer
+            draw(st.booleans()),        # leaves already hold a gradient
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _run_batchnorm(case):
+    """Two forward calls (the running statistics move twice) and one
+    backward; the output, every leaf's gradient and both statistics."""
+    shape, dtype, pdtype, training, leaf, second, pooled, seed = case
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape, dt=dtype):
+        a = (rng.normal(size=shape) * 3.0 + 1.0).astype(dt)
+        a[rng.random(shape) < 0.1] = -0.0
+        return a
+
+    bn = BatchNorm(shape[1])
+    bn.gamma.data, bn.beta.data = draw(shape[1], dt=pdtype), draw(
+        shape[1], dt=pdtype)
+    bn.running_mean[:] = rng.normal(size=shape[1])
+    bn.running_var[:] = rng.random(shape[1]) + 0.5
+    if not training:
+        bn.eval()
+    x0 = Tensor(draw(*shape), requires_grad=True)
+    x = x0 if leaf else x0 * Tensor(draw(*shape))
+    leaves = [x0, bn.gamma, bn.beta]
+    if pooled:                  # the Horovod pool: ``+=`` into what is there
+        for p in leaves:
+            p.grad = draw(*p.shape, dt=p.dtype)
+    bn(x)
+    out = bn(x)
+    if second:
+        out = out + x * Tensor(draw(*shape))
+    _backprop(out, draw(*out.shape))
+    return [out.data] + [p.grad for p in leaves] + [bn.running_mean,
+                                                    bn.running_var]
+
+
+def _check_against_old_batchnorm(case):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BatchNorm, "forward", _old_batchnorm_forward)
+        expected = _run_batchnorm(case)
+    got = _run_batchnorm(case)
+    assert _bits(got) == _bits(expected)
+    assert [a.strides for a in got] == [a.strides for a in expected]
+
+
+class TestBatchNormOracle:
+    """A training ``BatchNorm.forward`` is one node whose forward and
+    backward rerun the per-op graph's ufuncs; against that graph, kept
+    above, the output, every gradient and both running statistics keep
+    bytes, dtype and strides — signed zeros, float32 rounding, mixed
+    parameter dtypes and the order of x's three contributions included."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_bn_cases())
+    def test_matches_the_pre_change_norm(self, case):
+        _check_against_old_batchnorm(case)
+
+    @pytest.mark.slow
+    @settings(max_examples=1000, deadline=None)
+    @given(_bn_cases())
+    def test_matches_the_pre_change_norm_sweep(self, case):
+        _check_against_old_batchnorm(case)
+
+    def test_one_call_adds_one_node(self):
+        bn = BatchNorm(3)
+        x = Tensor(np.random.default_rng(0).normal(size=(4, 3, 2, 2)),
+                   requires_grad=True)
+        y1 = bn(x)
+        y2 = bn(y1)
+        assert y2._prev == (y1, bn.gamma, bn.beta)
+        assert _graph(y2) == _graph(y1) | {y2}
+
+    def test_a_frozen_input_and_parameters_still_get_gradients(self):
+        """The node adds into x, gamma and beta unconditionally, as the
+        GRU cell does for its weights: a frozen one gets a ``.grad``."""
+        bn = BatchNorm(2)
+        bn.beta.requires_grad = False
+        x = Tensor(np.arange(8.0).reshape(4, 2))
+        bn(x).sum().backward()
+        assert x.grad.shape == (4, 2) and bn.beta.grad.shape == (2,)
 
 
 # -- (f) Horovod's pooled gradients ----------------------------------------------

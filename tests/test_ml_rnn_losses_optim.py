@@ -15,6 +15,7 @@ from repro.ml import (
     mse,
 )
 from repro.ml.layers import Dense, Parameter
+from repro.ml.models import MLP, resnet_small
 from tests.test_ml_tensor import check_grad
 
 rng = np.random.default_rng(1)
@@ -98,6 +99,24 @@ class TestLosses:
         target = np.array([[0.0], [0.0]])
         assert mse(pred, target).item() == pytest.approx(5.0)
         assert mae(pred, target).item() == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: (MLP([6, 8, 3], seed=0), (5, 6)),
+        lambda: (resnet_small(in_channels=2, n_classes=3, seed=0),
+                 (5, 2, 8, 8)),
+    ], ids=["mlp", "resnet_small"])
+    def test_a_float32_classifier_stays_float32(self, build):
+        """The one-hot takes the logits' dtype: a float64 one made the
+        loss and every parameter's gradient float64."""
+        model, shape = build()
+        for p in model.parameters():
+            p.data = p.data.astype(np.float32)
+        out = model(Tensor(rng.normal(size=shape).astype(np.float32)))
+        loss = cross_entropy(out, np.array([0, 1, 2, 0, 1]))
+        loss.backward()
+        assert (out.dtype, loss.dtype) == (np.float32, np.float32)
+        assert {p.grad.dtype for p in model.parameters()} == {
+            np.dtype(np.float32)}
 
     def test_l2_regularisation(self):
         params = [Parameter(np.array([3.0, 4.0]))]

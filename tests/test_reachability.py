@@ -425,8 +425,9 @@ ALLOWLIST = {
     "repro.ml.tensor.Tensor.transpose":
         "the gradient through a transpose (E8's CNN transposes its input, "
         "which needs none)",
-    "repro.ml.engine.ops.resolve_reshape":
-        "a reshape with -1 on the lazy engine, as eager NumPy accepts it",
+    "repro.ml.engine.ops._reshape_infer":
+        "the lazy engine's shape rule for reshape, -1 included, as eager "
+        "NumPy accepts it",
     "repro.ml.engine.ops._transpose_infer":
         "the lazy engine's shape rule for transpose",
     "repro.ml.engine.ops._exec_pow":
