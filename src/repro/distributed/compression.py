@@ -28,7 +28,8 @@ class NoCompression:
 
 
 class Fp16Compression:
-    """Cast to float16 on the wire, restore to float64 after the collective.
+    """Cast to float16 on the wire, restore the dtype of the buffer last
+    compressed after the collective.
 
     Loses precision beyond ~3 decimal digits — acceptable for gradient
     averaging (and exactly what Horovod's fp16 compressor does).
@@ -37,10 +38,11 @@ class Fp16Compression:
     name = "fp16"
 
     def compress(self, buf: np.ndarray) -> np.ndarray:
+        self.dtype = buf.dtype
         return buf.astype(np.float16)
 
     def decompress(self, buf: np.ndarray) -> np.ndarray:
-        return buf.astype(np.float64)
+        return buf.astype(self.dtype)
 
     def wire_bytes(self, buf: np.ndarray) -> int:
         return int(buf.size * 2)

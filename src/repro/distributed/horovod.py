@@ -39,12 +39,11 @@ def broadcast_parameters(model: Module, comm: Communicator) -> None:
 
 
 def _flatten_grads(params: Sequence[Parameter]) -> np.ndarray:
-    """Fuse all gradients into one buffer (Horovod tensor fusion)."""
-    chunks = []
-    for p in params:
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        chunks.append(np.asarray(g, dtype=np.float64).ravel())
-    return np.concatenate(chunks)
+    """Fuse all gradients into one buffer (Horovod tensor fusion), in
+    their common dtype."""
+    return np.concatenate([
+        (p.grad if p.grad is not None else np.zeros_like(p.data)).ravel()
+        for p in params])
 
 
 def _unflatten_into_grads(params: Sequence[Parameter], buf: np.ndarray) -> None:
@@ -99,17 +98,19 @@ class DistributedOptimizer:
     def _fuse_grads(self) -> np.ndarray:
         """Fill the pooled fusion buffer with the current gradients.
 
-        The buffer is allocated once (and again only if the parameter set
-        changes size); later steps reuse it through casting slice
-        assignment, which is bit-identical to fusing via
-        ``np.concatenate`` of per-parameter float64 casts.
+        The buffer, in the gradients' common dtype, is allocated once
+        (and again only if the parameter set changes size or dtype);
+        later steps reuse it through slice assignment, which is
+        bit-identical to fusing via ``np.concatenate``.
         """
         params = self.params
         sizes = [p.size for p in params]
         total = sum(sizes)
+        dtype = np.result_type(*(p.data if p.grad is None else p.grad
+                                 for p in params))
         buf = self._fused_buf
-        if buf is None or buf.size != total:
-            buf = self._fused_buf = np.empty(total, dtype=np.float64)
+        if buf is None or buf.size != total or buf.dtype != dtype:
+            buf = self._fused_buf = np.empty(total, dtype=dtype)
             self._grad_pool = None
             self.fusion_allocs += 1
         else:
@@ -127,12 +128,12 @@ class DistributedOptimizer:
     def _scatter_grads(self, buf: np.ndarray) -> None:
         """Pooled counterpart of :func:`_unflatten_into_grads`: each
         parameter's gradient array is allocated once and refilled in
-        place on every step."""
+        place on every step, in ``buf``'s dtype."""
         params = self.params
         pool = self._grad_pool
         if pool is None or len(pool) != len(params):
             pool = self._grad_pool = [
-                np.empty(p.data.shape, dtype=np.float64) for p in params]
+                np.empty(p.data.shape, dtype=buf.dtype) for p in params]
         offset = 0
         for p, out in zip(params, pool):
             n = p.size

@@ -4,7 +4,8 @@ Convolutions lower to im2col + matmul (the standard CPU strategy and how
 the tensor-core path consumes them on the paper's GPUs).  The patch
 matrix is one ``take`` through a gather index built once per geometry,
 zero padding included; the backward pass gathers each input element's
-taps through the inverted index and adds them in tap order.  All kernels
+taps through the inverted index, per stride phase, and adds them in tap
+order.  The output is C-order NCHW, as every activation is.  All kernels
 are vectorised NumPy — no Python loop runs per element.
 """
 
@@ -42,18 +43,36 @@ def _gather_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
     return idx.reshape(rows.shape[0], cols.shape[1], -1)
 
 
-@lru_cache(maxsize=32)
 def _tap_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
                padding: tuple[int, int]) -> np.ndarray:
     """The gather index turned around: (kh*kw, C*H*W) offsets into one
     sample's flat (out_h, out_w, C*kh*kw) patch gradient, row i*kw + j
     naming the cell through which tap (i, j) read each input element, or
-    the zero sentinel past the last cell.  Cached, never written."""
+    the zero sentinel past the last cell."""
     gather = _gather_index(c, h, w, kh, kw, stride, padding).ravel()
     cells = np.arange(gather.size)
     taps = np.full((kh * kw, c * h * w + 1), gather.size)
     taps[cells % (kh * kw), gather] = cells     # padding: the last column
     return np.ascontiguousarray(taps[:, :-1])
+
+
+@lru_cache(maxsize=32)
+def _phase_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
+                 padding: tuple[int, int]) -> tuple:
+    """The tap index per stride phase: ``(a, b, index)`` for each class
+    (row mod stride, column mod stride) some tap reaches, ``index``
+    (taps, C, rows, columns) naming in (i, j) order only those taps'
+    cells, for only that class's elements (every other tap names the
+    sentinel there).  At stride 1, the whole tap index.  Cached, never
+    written."""
+    taps = _tap_index(c, h, w, kh, kw, stride, padding).reshape(
+        kh, kw, c, h, w)
+    row = (np.arange(kh) - padding[0]) % stride   # the class tap i reaches
+    col = (np.arange(kw) - padding[1]) % stride
+    phases = ((a, b, taps[row == a][:, col == b, :, a::stride, b::stride])
+              for a in range(stride) for b in range(stride))
+    return tuple((a, b, np.ascontiguousarray(t.reshape(-1, *t.shape[2:])))
+                 for a, b, t in phases if t.size)
 
 
 def conv2d(
@@ -80,7 +99,8 @@ def conv2d(
     cols = buf.take(_gather_index(c, h, w, kh, kw, stride, padding),
                     axis=1)                           # (N, oh, ow, C*kh*kw)
     wmat = wd.reshape(out_c, -1)                      # (out_c, C*kh*kw)
-    out_data = (cols @ wmat.T).transpose(0, 3, 1, 2)  # NCHW
+    # The gemm's bits, copied to C-order NCHW like every other activation.
+    out_data = np.ascontiguousarray((cols @ wmat.T).transpose(0, 3, 1, 2))
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, -1, 1, 1)
 
@@ -94,12 +114,20 @@ def conv2d(
                             dtype=np.result_type(out.grad, wmat))
             np.matmul(out.grad.transpose(0, 2, 3, 1), wmat,
                       out=gbuf[:, :-1].reshape(cols.shape))
-            taps = gbuf.take(_tap_index(c, h, w, kh, kw, stride, padding),
-                             axis=1)                  # (N, kh*kw, C*H*W)
-            gx = np.add(taps[:, 0], 0.0)    # from +0.0 in (i, j) order, as
-            for t in range(1, kh * kw):     # col2im adds: a sentinel's +0.0
-                gx += taps[:, t]            # leaves every sum's bits
-            x._accumulate(gx.reshape(n, c, h, w), fresh=True)
+            # Each stride phase adds only the taps that reach it, from +0.0
+            # in (i, j) order as col2im adds: a sentinel's +0.0 (all that a
+            # skipped tap gave) leaves every sum's bits.
+            gx = None if stride == 1 else np.zeros(xd.shape, gbuf.dtype)
+            for a, b, index in _phase_index(c, h, w, kh, kw, stride, padding):
+                taps = gbuf.take(index, axis=1)       # (N, taps, C, rows, cols)
+                acc = np.add(taps[:, 0], 0.0)
+                for t in range(1, len(index)):
+                    acc += taps[:, t]
+                if gx is None:
+                    gx = acc
+                else:
+                    gx[:, :, a::stride, b::stride] = acc
+            x._accumulate(gx, fresh=True)
         if bias is not None and bias.requires_grad:
             bias._accumulate(out.grad.sum(axis=(0, 2, 3)), fresh=True)
 

@@ -191,10 +191,11 @@ class BatchNorm(Module):
     """Batch normalisation over the channel axis.
 
     Works for (N, C), (N, C, L) and (N, C, H, W) inputs; keeps running
-    statistics for eval mode.  As cuDNN's fused batch norm is, a training
-    forward is one autograd node over ``(x, gamma, beta)``: it runs the
-    ufuncs of the per-op graph in that graph's order on ndarrays (same
-    bits), and its backward adds into all three unconditionally.
+    statistics for eval mode, read in the input's dtype.  As cuDNN's fused
+    batch norm is, a training forward is one autograd node over ``(x,
+    gamma, beta)``: it runs the ufuncs of the per-op graph in that graph's
+    order on ndarrays (same bits), and its backward adds into all three
+    unconditionally.
     """
 
     def __init__(self, num_features: int) -> None:
@@ -217,8 +218,8 @@ class BatchNorm(Module):
         shape = tuple(self.num_features if i == 1 else 1 for i in range(x.ndim))
         gamma, beta = self.gamma, self.beta
         if not self.training:
-            mu = Tensor(self.running_mean.reshape(shape))
-            var = Tensor(self.running_var.reshape(shape))
+            mu = Tensor(self.running_mean.reshape(shape).astype(x.dtype))
+            var = Tensor(self.running_var.reshape(shape).astype(x.dtype))
             x_hat = (x - mu) / ((var + BN_EPS) ** 0.5)
             return x_hat * gamma.reshape(shape) + beta.reshape(shape)
         xd = x.data
@@ -247,18 +248,16 @@ class BatchNorm(Module):
             g_xh = g * gd
             g_sd = unbroadcast(((-g_xh) * d) / (sd ** 2), shape)
             g_s2 = ((g_sd * 0.5) * ve ** (0.5 - 1)) * c
-            g_sq = np.empty(d.shape, g_s2.dtype)    # C order, as sum's
-            g_sq[...] = g_s2
             g_d = g_xh / sd
-            g_dv = (g_sq * 2) * d ** (2 - 1)
+            g_dv = np.multiply(g_s2 * 2, d, out=np.empty(    # d ** (2 - 1)
+                d.shape, np.result_type(g_s2, d)))           # is d, C order
             g_s1 = (-unbroadcast(g_d, shape) + -unbroadcast(g_dv, shape)) * c
-            g_mean = np.empty(d.shape, g_s1.dtype)
-            g_mean[...] = g_s1
             # x's contributions in the per-op graph's order: (a + b) + c
-            # is not (a + c) + b once x already holds a gradient.
+            # is not (a + c) + b once x already holds a gradient.  After
+            # two, x's gradient is private, so the mean path adds in place.
             x._accumulate(g_d, fresh=True)
             x._accumulate(g_dv, fresh=True)
-            x._accumulate(g_mean, fresh=True)
+            x.grad += g_s1
 
         return _node(x_hat * gd + beta.data.reshape(shape), (x, gamma, beta),
                      backward)

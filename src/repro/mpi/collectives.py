@@ -224,9 +224,10 @@ def ring_reduce_scatter(
     """Ring reduce-scatter (SUM): each rank ends with one fully reduced
     chunk of the flattened buffer.  Returns (chunk, (lo, hi)) where the
     bounds index the flattened array — the building block of ZeRO stage 2's
-    gradient sharding.  Only reads ``array`` (at p = 1 the chunk views it).
+    gradient sharding.  The chunk keeps ``array``'s dtype.  Only reads
+    ``array`` (at p = 1 the chunk views it).
     """
-    flat = np.asarray(array, dtype=np.float64).reshape(-1)
+    flat = np.asarray(array).reshape(-1)
     chunks = ring_chunks(flat.shape[0], comm.size)
     chunk = _reduce_scatter_ring(comm, flat, chunks, tag)
     return chunk, chunks[(comm.rank + 1) % comm.size]

@@ -150,6 +150,39 @@ class TestAccuracyInvariance:
         assert max(accs.values()) - min(accs.values()) < 0.05
 
 
+class TestDtypeClosure:
+    @pytest.mark.parametrize("world_size", [1, 2])
+    @pytest.mark.parametrize("compression", [None, Fp16Compression()],
+                             ids=["plain", "fp16"])
+    def test_a_float32_model_stays_float32(self, world_size, compression):
+        """The fusion buffer, the gradient pool and the fp16 decompressor
+        take the gradients' dtype: float64 ones made every ``.grad`` of a
+        float32 model float64 after the first synchronised step."""
+        def fn(comm):
+            model = MLP([2, 8, 2], seed=3)
+            for p in model.parameters():
+                p.data = p.data.astype(np.float32)
+            opt = DistributedOptimizer(Adam(model.parameters(), lr=0.01),
+                                       comm, compression=compression)
+            for step in range(2):
+                xb = X[comm.rank::comm.size][step * 8:(step + 1) * 8]
+                yb = Y[comm.rank::comm.size][step * 8:(step + 1) * 8]
+                loss = cross_entropy(model(Tensor(xb.astype(np.float32))), yb)
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+            return [(p.data.dtype, p.grad.dtype) for p in model.parameters()]
+
+        for dtypes in run_spmd(fn, world_size):
+            assert set(dtypes) == {(np.dtype(np.float32),) * 2}
+
+    def test_fp16_restores_the_dtype_it_compressed(self):
+        c = Fp16Compression()
+        for dtype in (np.float32, np.float64):
+            buf = rng.normal(size=10).astype(dtype)
+            assert c.decompress(c.compress(buf)).dtype == dtype
+
+
 class TestCompression:
     def test_fp16_halves_wire_bytes(self):
         buf = np.ones(1000)

@@ -95,9 +95,10 @@ def _old_batchnorm_forward(self, x):
         rv *= m
         rv += (1 - m) * var.data.reshape(-1)
         x_hat = (x - mu) / ((var + BN_EPS) ** 0.5)
-    else:
-        mu = Tensor(self.running_mean.reshape(shape))
-        var = Tensor(self.running_var.reshape(shape))
+    else:   # the statistics in x's dtype: float64 ones made a float32
+        # x's output float64; on a float64 x the cast changes nothing
+        mu = Tensor(self.running_mean.reshape(shape).astype(x.dtype))
+        var = Tensor(self.running_var.reshape(shape).astype(x.dtype))
         x_hat = (x - mu) / ((var + BN_EPS) ** 0.5)
     return x_hat * self.gamma.reshape(shape) + self.beta.reshape(shape)
 
@@ -975,7 +976,11 @@ def _check_against_old_conv2d(case):
     for got, want in zip((out.data, x.grad, weight.grad, bias.grad), expected):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-        assert got.strides == want.strides
+    # The output is C-order NCHW (the old one was channels-last in memory);
+    # every gradient keeps the old strides.
+    assert out.data.flags.c_contiguous
+    assert [a.strides for a in (x.grad, weight.grad, bias.grad)] == [
+        a.strides for a in expected[1:]]
 
 
 def _check_tap_index_inverts_the_gather_index(case):
@@ -995,11 +1000,32 @@ def _check_tap_index_inverts_the_gather_index(case):
     assert np.array_equal(gather[named], elements)
 
 
+def _check_phases_partition_the_tap_index(case):
+    (_, c, h, w), k, stride, padding, *_ = case
+    geometry = (c, h, w, k, k, stride, (padding, padding))
+    sentinel = F._gather_index(*geometry).size
+    taps = F._tap_index(*geometry).reshape(k * k, c, h, w)
+    covered = np.zeros((c, h, w), dtype=bool)
+    for a, b, index in F._phase_index(*geometry):
+        mine = taps[:, :, a::stride, b::stride]
+        assert index.dtype == np.intp and index.flags.c_contiguous
+        assert index.shape[1:] == mine.shape[1:] and mine.size
+        assert len(index) <= math.ceil(k / stride) ** 2  # taps that reach it
+        assert not covered[:, a::stride, b::stride].any()
+        covered[:, a::stride, b::stride] = True
+        # Each element of the phase: the same cells, in the same (i, j) order.
+        for got, want in zip(index.reshape(len(index), -1).T,
+                             mine.reshape(k * k, -1).T):
+            assert got[got < sentinel].tolist() == want[want < sentinel].tolist()
+    assert (taps[:, ~covered] == sentinel).all()   # no tap reaches the rest
+
+
 class TestConv2dIndices:
     """``conv2d`` gathers its patches through a cached index and each input
-    element's taps through the index's inverse; against the pre-change
-    ``np.pad`` + im2col + per-tap col2im, the output and every gradient
-    keep bytes and strides, signed zeros and float32 rounding included."""
+    element's taps through the index's inverse, per stride phase; against
+    the pre-change ``np.pad`` + im2col + per-tap col2im, the output and
+    every gradient keep bytes (signed zeros and float32 rounding
+    included), the gradients their strides, and the output is C-order."""
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(_conv_cases())
@@ -1023,22 +1049,45 @@ class TestConv2dIndices:
     def test_tap_index_inverts_the_gather_index_sweep(self, case):
         _check_tap_index_inverts_the_gather_index(case)
 
-    def test_only_an_input_that_needs_grad_builds_a_scatter_index(self):
-        """The index that carries patch gradients back to the input (the
-        tap index) is built only for an input that needs a gradient, once
-        per geometry: a second batch size reuses it."""
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_conv_cases())
+    def test_phases_partition_the_tap_index(self, case):
+        _check_phases_partition_the_tap_index(case)
+
+    @pytest.mark.slow
+    @settings(max_examples=2000, deadline=None)
+    @given(_conv_cases())
+    def test_phases_partition_the_tap_index_sweep(self, case):
+        _check_phases_partition_the_tap_index(case)
+
+    def test_only_an_input_that_needs_grad_builds_a_scatter_index(
+            self, monkeypatch):
+        """The indices that carry patch gradients back to the input (the
+        tap index and its per-phase split) are built only for an input
+        that needs a gradient, once per geometry: a second batch size
+        reuses them."""
         rng = np.random.default_rng(7)
         w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
-        F._tap_index.cache_clear()
-        _backprop(F.conv2d(Tensor(rng.normal(size=(2, 3, 5, 5))), w,
-                           padding=1), rng.normal(size=(2, 4, 5, 5)))
-        assert w.grad is not None
-        assert F._tap_index.cache_info().currsize == 0
-        for n in (2, 2, 5):
-            x = Tensor(rng.normal(size=(n, 3, 5, 5)), requires_grad=True)
-            _backprop(F.conv2d(x, w, padding=1), rng.normal(size=(n, 4, 5, 5)))
-        info = F._tap_index.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+        built = []
+        tap_index = F._tap_index
+        monkeypatch.setattr(F, "_tap_index",
+                            lambda *g: built.append(g) or tap_index(*g))
+        for stride in (1, 2):
+            F._phase_index.cache_clear()
+            built.clear()
+            o = (5 + 2 - 3) // stride + 1
+            _backprop(F.conv2d(Tensor(rng.normal(size=(2, 3, 5, 5))), w,
+                               stride=stride, padding=1),
+                      rng.normal(size=(2, 4, o, o)))
+            assert w.grad is not None
+            assert F._phase_index.cache_info().currsize == 0 and built == []
+            for n in (2, 2, 5):
+                x = Tensor(rng.normal(size=(n, 3, 5, 5)), requires_grad=True)
+                _backprop(F.conv2d(x, w, stride=stride, padding=1),
+                          rng.normal(size=(n, 4, o, o)))
+            info = F._phase_index.cache_info()
+            assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+            assert built == [(3, 5, 5, 3, 3, stride, (1, 1))]
 
     def test_backward_calls_neither_add_at_nor_tensordot(self, counting_numpy):
         rng = np.random.default_rng(3)
@@ -1050,3 +1099,29 @@ class TestConv2dIndices:
         _backprop(out, rng.normal(size=out.shape))
         assert fake.add_at_calls == 0
         assert all(t.grad is not None for t in (x, w, b))
+
+
+# -- one memory layout ------------------------------------------------------------
+
+class TestOneLayout:
+    def test_a_resnet_step_is_c_order_throughout(self):
+        """``conv2d`` hands on C-order NCHW, so every activation of a
+        ResNet-small step and every gradient its backward passes on or
+        leaves behind is C-contiguous: nothing downstream mixes layouts."""
+        rng = np.random.default_rng(0)
+        model = resnet_small(in_channels=12, n_classes=4, seed=0)
+        loss = cross_entropy(model(Tensor(rng.normal(size=(20, 12, 8, 8)))),
+                             rng.integers(0, 4, size=20))
+        nodes = _graph(loss)
+        grads = []
+        for node in nodes:
+            if node._prev:      # record the gradient each node passes on
+                def backward(out, inner=node._backward):
+                    grads.append(out.grad)
+                    inner(out)
+                node._backward = backward
+        loss.backward()
+        grads += [p.grad for p in model.parameters()]
+        assert len(grads) == len([n for n in nodes if n._prev]) + 20
+        assert all(n.data.flags.c_contiguous for n in nodes)
+        assert all(g.flags.c_contiguous for g in grads)

@@ -118,6 +118,16 @@ class TestLosses:
         assert {p.grad.dtype for p in model.parameters()} == {
             np.dtype(np.float32)}
 
+    def test_a_float32_resnet_stays_float32_in_eval_mode(self):
+        """Eval-mode BatchNorm reads its float64 running statistics in the
+        input's dtype: they made a float32 model's logits float64."""
+        model = resnet_small(in_channels=2, n_classes=3, seed=0)
+        for p in model.parameters():
+            p.data = p.data.astype(np.float32)
+        model.eval()
+        out = model(Tensor(rng.normal(size=(5, 2, 8, 8)).astype(np.float32)))
+        assert out.dtype == np.float32
+
     def test_l2_regularisation(self):
         params = [Parameter(np.array([3.0, 4.0]))]
         assert l2_regularisation(params, 0.1).item() == pytest.approx(2.5)
