@@ -9,7 +9,7 @@ Six areas mirror the substrate layers the repo's perf story rests on
 * ``training`` — fused-gradient allreduce step (`repro.distributed`),
 * ``serving``  — end-to-end online-serving latency tail (`repro.serving`),
 * ``tensor``   — the lazy tensor engine: fusion ratios, buffer
-  allocations per step and per-kernel device charges (`repro.ml.engine`),
+  allocations and plan reuse per step (`repro.ml.engine`),
 * ``scheduler`` — matchmaking cost of draining a job backlog: scoring
   evaluations per placement (`repro.core.scheduler`).
 
@@ -346,45 +346,8 @@ def fused_allreduce_step(quick: bool, seed: int) -> CaseRun:
     return CaseRun(metrics=metrics, digests=digests)
 
 
-@bench_case(
-    "engine_lazy_train_step", area="training",
-    budgets={
-        "alloc_reduction": Budget("higher", 0.0),
-        "weights_bitwise_equal": Budget("higher", 0.0),
-        "modeled_step_speedup": Budget("higher", 0.0),
-        "modeled_step_device_us": Budget("lower", 0.0),
-        "graph_walks_after_warmup": Budget("lower", 0.0),
-    },
-    description="training step under ENGINE=lazy: allocation and modeled "
-                "sim-gpu step-time gain over eager dispatch, outputs "
-                "bit-identical",
-)
-def engine_lazy_train_step(quick: bool, seed: int) -> CaseRun:
-    steps = 6 if quick else 24
-    _, e_weights, eager = _engine_train("eager", steps, seed)
-    _, l_weights, lazy = _engine_train("lazy", steps, seed)
-    fused_s, unfused_s, _, step_s = _simgpu_step_cost(32, seed)
-    metrics = {
-        "steps": float(steps),
-        "eager_allocs_per_step": _round6(eager["eager_ops"] / steps),
-        "lazy_allocs_per_step": _round6(lazy["kernel_allocs"] / steps),
-        "alloc_reduction": _round6(
-            eager["eager_alloc_bytes"] / lazy["kernel_alloc_bytes"]),
-        "step_compute_fused_us": _round6(fused_s * 1e6),
-        "step_compute_unfused_us": _round6(unfused_s * 1e6),
-        "modeled_step_speedup": _round6(unfused_s / fused_s),
-        "modeled_step_device_us": _round6(step_s * 1e6),
-        "graph_walks_after_warmup": float(lazy["graph_walks_after_warmup"]),
-        "weights_bitwise_equal": float(
-            np.array_equal(e_weights.view(np.uint64),
-                           l_weights.view(np.uint64))),
-    }
-    return CaseRun(metrics=metrics,
-                   digests={"final_weights": stable_digest(l_weights)})
-
-
 # ---------------------------------------------------------------------------
-# tensor — the lazy engine: fusion, allocations, per-kernel device cost
+# tensor — the lazy engine: fusion, allocations, replayed plans
 # ---------------------------------------------------------------------------
 
 
@@ -474,35 +437,6 @@ def _engine_train(mode: str, steps: int, seed: int):
     return losses, weights, snap
 
 
-def _simgpu_step_cost(batch: int, seed: int):
-    """Per-kernel sim-gpu charge of one forward+loss graph: fused vs the
-    one-kernel-per-op counterfactual (all from shapes — deterministic),
-    and the sim-gpu clock over the whole step — forward, loss, backward,
-    ``item()`` — which also pays for any kernel backward launches (a
-    recompute of an activation forward did not keep)."""
-    from repro.ml import engine as eng
-    from repro.ml.engine import schedule
-    from repro.ml.losses import cross_entropy
-    from repro.ml.models import MLP
-    from repro.ml.tensor import Tensor
-
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((batch, 24))
-    y = rng.integers(0, 4, size=batch)
-    with eng.engine("lazy"), eng.use_device("sim-gpu") as dev:
-        model = MLP([24, 48, 4], seed=seed)
-        loss = cross_entropy(model(Tensor(X)), y)
-        kernels = schedule(loss._payload())
-        fused = sum(dev.kernel_time_s(k.flops, k.bytes_moved, k.n_ops)
-                    for k in kernels)
-        unfused = sum(dev.unfused_time_s(k) for k in kernels)
-        dev.reset_clock()
-        loss.backward()
-        loss.item()
-        step = dev.sim_time_s
-    return fused, unfused, kernels, step
-
-
 @bench_case(
     "mlp_train_step_engine", area="tensor",
     budgets={
@@ -542,32 +476,6 @@ def mlp_train_step_engine(quick: bool, seed: int) -> CaseRun:
         "final_weights": stable_digest(l_weights),
     }
     return CaseRun(metrics=metrics, digests=digests)
-
-
-@bench_case(
-    "simgpu_kernel_charge", area="tensor",
-    budgets={
-        "kernels": Budget("lower", 0.0),
-        "modeled_fusion_speedup": Budget("higher", 0.0),
-        "modeled_step_device_us": Budget("lower", 0.0),
-    },
-    description="sim-gpu device: per-fused-kernel A100 roofline charge "
-                "vs the kernel-per-op counterfactual",
-)
-def simgpu_kernel_charge(quick: bool, seed: int) -> CaseRun:
-    batch = 16 if quick else 64
-    fused_s, unfused_s, kernels, step_s = _simgpu_step_cost(batch, seed)
-    total_ops = sum(k.n_ops for k in kernels)
-    metrics = {
-        "kernels": float(len(kernels)),
-        "graph_ops": float(total_ops),
-        "fused_time_us": _round6(fused_s * 1e6),
-        "unfused_time_us": _round6(unfused_s * 1e6),
-        "modeled_fusion_speedup": _round6(unfused_s / fused_s),
-        "modeled_step_device_us": _round6(step_s * 1e6),
-    }
-    return CaseRun(metrics=metrics, digests={
-        "kernel_plan": stable_digest([k.name for k in kernels])})
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ EXPERIMENTS = [
      "repro drill sdc"),
     ("E17", "perf-regression harness (repro bench -> BENCH_*.json)",
      "src/repro/bench/"),
-    ("E18", "lazy tensor engine (fused op graphs, cpu/sim-gpu backends)",
+    ("E18", "lazy tensor engine (fused op graphs on one NumPy device)",
      "src/repro/ml/engine/"),
     ("E19", "chaos drill (partitions, gray failures, hedging, brownout)",
      "repro drill chaos"),

@@ -11,7 +11,8 @@ Observable properties reproduced (and asserted in tests):
 
 * per-rank optimiser-state memory ≈ 1/p of the unsharded optimiser,
 * final weights equal plain data-parallel Adam's, bit-for-bit in exact
-  arithmetic (float64 here).
+  arithmetic; moments, shards and the gathered weights keep the
+  parameters' dtype, so a float32 model steps in float32.
 """
 
 from __future__ import annotations
@@ -49,9 +50,11 @@ class ZeroStage1Optimizer:
                              for i in range(comm.size)]
         lo, hi = self.shard_bounds[comm.rank]
         self._lo, self._hi = lo, hi
+        #: The gradients' dtype: every parameter's, as backward keeps it.
+        self.dtype = np.result_type(*(p.data.dtype for p in self.params))
         # Moments exist ONLY for this rank's shard — the ZeRO saving.
-        self._m = np.zeros(hi - lo)
-        self._v = np.zeros(hi - lo)
+        self._m = np.zeros(hi - lo, self.dtype)
+        self._v = np.zeros(hi - lo, self.dtype)
 
     # -- memory accounting (the ZeRO claim) ---------------------------------
     @property
@@ -60,7 +63,7 @@ class ZeroStage1Optimizer:
 
     @property
     def unsharded_state_bytes(self) -> int:
-        return int(2 * self.total_elements * 8)
+        return int(2 * self.total_elements * self.dtype.itemsize)
 
     # -- the training step ------------------------------------------------------
     def zero_grad(self) -> None:
@@ -132,13 +135,13 @@ class ZeroStage2Optimizer(ZeroStage1Optimizer):
                                          int(shard.nbytes))
         # Moments are lazily (re)sized to the reduce-scatter's shard.
         if self._m.shape[0] != hi - lo:
-            self._m = np.zeros(hi - lo)
-            self._v = np.zeros(hi - lo)
+            self._m = np.zeros(hi - lo, self.dtype)
+            self._v = np.zeros(hi - lo, self.dtype)
         self._lo, self._hi = lo, hi
         return shard
 
     def _gather(self, theta: np.ndarray) -> np.ndarray:
-        fused = np.empty(self.total_elements)
+        fused = np.empty(self.total_elements, self.dtype)
         covered = 0
         for plo, chunk in self.comm.allgather((self._lo, theta)):
             fused[plo:plo + chunk.shape[0]] = chunk

@@ -147,8 +147,7 @@ class DistributedTrainingPerfModel:
 # online inference (the serving subsystem's service-time source)
 # ---------------------------------------------------------------------------
 
-#: Sustained fraction of tensor-core peak at online batch sizes; the
-#: sim-gpu kernel model prices a generic fused kernel at the same figure.
+#: Sustained fraction of tensor-core peak at online batch sizes.
 INFERENCE_GPU_EFFICIENCY = 0.06
 #: Sustained fraction of CPU vector peak for the fallback path.
 INFERENCE_CPU_EFFICIENCY = 0.30
@@ -212,43 +211,3 @@ class InferencePerfModel:
             memory_GB_per_node=8.0,
             efficiency=INFERENCE_GPU_EFFICIENCY,
         )
-
-
-# ---------------------------------------------------------------------------
-# per-kernel device cost (the lazy tensor engine's sim-gpu clock source)
-# ---------------------------------------------------------------------------
-
-#: Achievable fraction of peak HBM bandwidth (STREAM-like).
-KERNEL_HBM_EFFICIENCY = 0.80
-#: Fixed per-launch cost: driver dispatch + kernel setup.
-KERNEL_LAUNCH_OVERHEAD_S = 5.0e-6
-
-
-@dataclass(frozen=True)
-class KernelCostModel:
-    """Roofline time for one fused GPU kernel.
-
-    Where :class:`InferencePerfModel` prices a whole forward pass,
-    this prices a single kernel launch: a fixed dispatch overhead plus
-    the larger of the compute time at sustained FLOP/s and the HBM time
-    at sustained bandwidth.  Charging the overhead once per *fused*
-    kernel instead of once per primitive op is exactly the effect the
-    engine's fuser exists to exhibit — small-tensor workloads on a
-    V100/A100 are launch- and bandwidth-bound, not FLOP-bound.
-    """
-
-    gpu: GpuSpec
-
-    @property
-    def sustained_flops(self) -> float:
-        return self.gpu.tensor_flops * INFERENCE_GPU_EFFICIENCY
-
-    @property
-    def sustained_bandwidth(self) -> float:
-        return self.gpu.memory_bw_GBps * 1e9 * KERNEL_HBM_EFFICIENCY
-
-    def kernel_time(self, flops: float, bytes_moved: float) -> float:
-        """Launch + max(compute, memory) seconds for one fused kernel."""
-        compute = flops / self.sustained_flops
-        memory = bytes_moved / self.sustained_bandwidth
-        return KERNEL_LAUNCH_OVERHEAD_S + max(compute, memory)

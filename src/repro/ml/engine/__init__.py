@@ -10,10 +10,9 @@ A tinygrad-style execution layer under :class:`repro.ml.tensor.Tensor`:
 * :mod:`~repro.ml.engine.fuser` — elementwise→elementwise and
   elementwise→reduce chain fusion into single kernels, values saved for
   backward kept as extra kernel outputs (no recompute),
-* :mod:`~repro.ml.engine.device` / :mod:`~repro.ml.engine.cpu` /
-  :mod:`~repro.ml.engine.simgpu` — pluggable backends (``cpu``,
-  ``sim-gpu``, ``sim-gpu:v100``); a device compiles each distinct
-  subgraph structure into a plan once and replays it afterwards,
+* :mod:`~repro.ml.engine.cpu` — the one NumPy executor: it compiles
+  each distinct subgraph structure into a plan once and replays it
+  afterwards,
 * :mod:`~repro.ml.engine.stats` — alloc/kernel counters for the bench.
 
 The mode switch
@@ -21,7 +20,7 @@ The mode switch
 
 ``ENGINE=eager`` (default) keeps the original op-by-op NumPy path;
 ``ENGINE=lazy`` records ops into a lazy graph and executes fused kernels
-on the current device when bytes are demanded.  The environment variable
+on NumPy when bytes are demanded.  The environment variable
 is read once at import; :func:`set_engine` and the :func:`engine`
 context manager switch it at runtime, and :func:`engine_mode` returns
 the current mode.  Both paths are bit-identical by
@@ -33,8 +32,6 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 
-from repro.ml.engine.device import (get_device, register_device, set_device,
-                                    use_device)
 from repro.ml.engine.graph import LazyExpr
 from repro.ml.engine.fuser import Kernel, schedule
 from repro.ml.engine.stats import STATS, EngineStats, collect
@@ -76,6 +73,12 @@ def set_engine(mode: str) -> str:
     return old
 
 
+def set_device(name: str) -> None:
+    """Check that ``name`` is ``"cpu"``, the one device lazy graphs run on."""
+    if name != "cpu":
+        raise ValueError(f"unknown device {name!r}: the engine runs on 'cpu'")
+
+
 @contextmanager
 def engine(mode: str):
     """Scoped engine switch: ``with engine("lazy"): ...``"""
@@ -95,10 +98,7 @@ __all__ = [
     "collect",
     "engine",
     "engine_mode",
-    "get_device",
-    "register_device",
     "schedule",
     "set_device",
     "set_engine",
-    "use_device",
 ]

@@ -1,8 +1,6 @@
 """Kernel scheduling: collapse lazy-graph chains into fused kernels.
 
-The fusion rules are deliberately small and mirror what matters on the
-paper's accelerators (per-kernel launch overhead and memory traffic, not
-FLOPs, dominate small-batch step time):
+The fusion rules are deliberately small:
 
 * an **elementwise** node fuses into its consumer when it has exactly one
   consumer inside the scheduled subgraph and that consumer is itself
@@ -23,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ml.engine.graph import LazyExpr, pending
-from repro.ml.engine.ops import (ELEMENTWISE_KINDS, OPS, REDUCE)
+from repro.ml.engine.ops import ELEMENTWISE_KINDS, REDUCE
 
 
 @dataclass
@@ -37,46 +35,14 @@ class Kernel:
         self.output = self.nodes[-1]
 
     @property
-    def name(self) -> str:
-        return "+".join(n.op for n in self.nodes)
-
-    @property
     def n_ops(self) -> int:
         return len(self.nodes)
-
-    @property
-    def flops(self) -> float:
-        return sum(self.node_flops(n) for n in self.nodes)
-
-    @staticmethod
-    def node_flops(node: LazyExpr) -> float:
-        spec = OPS[node.op]
-        return spec.flops(tuple(i.shape for i in node.inputs),
-                          node.shape, node.kwargs)
-
-    def external_inputs(self) -> list[LazyExpr]:
-        """Inputs read from outside the kernel (realized ancestors)."""
-        in_group = {id(n) for n in self.nodes}
-        seen: set[int] = set()
-        out: list[LazyExpr] = []
-        for node in self.nodes:
-            for src in node.inputs:
-                if id(src) not in in_group and id(src) not in seen:
-                    seen.add(id(src))
-                    out.append(src)
-        return out
 
     @property
     def outputs(self) -> list[LazyExpr]:
         """Nodes whose value outlives the kernel: the interiors a backward
         closure will read (``saved``), then the output."""
         return [n for n in self.nodes[:-1] if n.saved] + [self.output]
-
-    @property
-    def bytes_moved(self) -> int:
-        """Memory traffic the kernel causes: external reads + its writes."""
-        return sum(src.nbytes for src in self.external_inputs()) \
-            + sum(out.nbytes for out in self.outputs)
 
 
 def schedule(root: LazyExpr) -> list[Kernel]:

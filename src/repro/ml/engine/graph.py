@@ -3,11 +3,11 @@
 Under ``ENGINE=lazy`` every primitive Tensor op appends a node here
 instead of calling NumPy.  Nothing executes until someone demands bytes
 (``Tensor.data``, ``.item()``, ``backward()``, a boundary op like
-conv2d); then the device runs the reachable subgraph as fused kernels,
-caching results only at kernel outputs.  What backward closures read is
-marked ``saved`` when recorded and kept as an extra kernel output; any
-other interior demanded later is recomputed (``recomputes``, 0 in a
-training step).
+conv2d); then :mod:`~repro.ml.engine.cpu` runs the reachable subgraph
+as fused kernels, caching results only at kernel outputs.  What backward
+closures read is marked ``saved`` when recorded and kept as an extra
+kernel output; any other interior demanded later is recomputed
+(``recomputes``, 0 in a training step).
 
 Each node is recorded under an :class:`Entry` (:meth:`LazyExpr.make`),
 whose :class:`Binding` s let a realize find its plan without a walk
@@ -23,7 +23,6 @@ from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
-import repro.ml.engine.device as _device   # cycle: bound by name, used at call time
 from repro.ml.engine.ops import LEAF, OPS
 
 
@@ -32,7 +31,6 @@ class Binding(NamedTuple):
     the next realize of a node under that entry needs no walk
     (:func:`bind`)."""
 
-    device: object      #: the plan's device (its kernel costs)
     plan: tuple
     root_saved: bool
     #: Per pending node but the root, last first: ``(i, j, k, saved)`` —
@@ -169,7 +167,7 @@ class LazyExpr:
     def realize(self) -> np.ndarray:
         """Materialize this pending node (scheduling + running fused
         kernels)."""
-        return _device.get_device().realize(self)
+        return _cpu.DEVICE.realize(self)
 
 
 def pending(root: LazyExpr) -> tuple[list[LazyExpr], list[LazyExpr],
@@ -240,3 +238,8 @@ def bind(root: LazyExpr, b: Binding
     if len(set(map(id, external))) != len(external):
         return None
     return topo, external
+
+
+# Last, for the cycle: ``cpu`` imports this module's names, and
+# :meth:`LazyExpr.realize` looks ``_cpu.DEVICE`` up at call time.
+import repro.ml.engine.cpu as _cpu  # noqa: E402

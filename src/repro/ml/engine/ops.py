@@ -13,9 +13,8 @@ tinygrad-style op set:
   no buffer.
 
 Each op carries a shape/dtype inference rule (so lazy tensors answer
-``.shape``/``.dtype`` without computing), a FLOP estimate (what the
-simulated-GPU device charges), and an executor — the op's only forward
-definition: eager calls it per op (``out_buf=None``), a fused kernel
+``.shape``/``.dtype`` without computing) and an executor — the op's only
+forward definition: eager calls it per op (``out_buf=None``), a fused kernel
 replays it with ``out=`` reuse that may eliminate intermediate buffers
 but never reorders or reassociates float math, so the two engines agree
 *bit for bit*.  That is the property the reference-replay pins in
@@ -25,7 +24,6 @@ but never reorders or reassociates float math, so the two engines agree
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,7 +42,7 @@ ELEMENTWISE_KINDS = (UNARY, BINARY)
 
 
 class OpSpec(NamedTuple):
-    """One primitive op: kind + inference + execution + cost."""
+    """One primitive op: kind + inference + execution."""
 
     kind: str
     #: infer(input_shapes, input_dtypes, kwargs) -> (shape, dtype)
@@ -52,12 +50,6 @@ class OpSpec(NamedTuple):
     #: execute(args, kwargs, out_buf) -> ndarray; ``out_buf`` is an owned,
     #: correctly shaped scratch buffer the executor may write into (or None).
     execute: Callable[..., np.ndarray]
-    #: flops(input_shapes, out_shape, kwargs) -> float
-    flops: Callable[..., float]
-
-
-def _size(shape: tuple[int, ...]) -> int:
-    return int(math.prod(shape))
 
 
 # -- shape / dtype inference -------------------------------------------------
@@ -112,12 +104,12 @@ def _reshape_infer(shapes, dtypes, kw):
     """Resolve a reshape target (supporting one -1) without data."""
     in_shape, shape = shapes[0], tuple(int(s) for s in kw["shape"])
     if -1 in shape:
-        known = _size(tuple(s for s in shape if s != -1))
-        total = _size(in_shape)
+        known = math.prod(s for s in shape if s != -1)
+        total = math.prod(in_shape)
         if shape.count(-1) > 1 or known == 0 or total % known:
             raise ValueError(f"cannot reshape {in_shape} -> {shape}")
         shape = tuple(total // known if s == -1 else s for s in shape)
-    if _size(shape) != _size(in_shape):
+    if math.prod(shape) != math.prod(in_shape):
         raise ValueError(f"cannot reshape {in_shape} -> {shape}")
     return shape, dtypes[0]
 
@@ -211,45 +203,23 @@ def _exec_transpose(args, kw, out):
     return args[0].transpose(kw["axes"])
 
 
-# -- FLOP estimates ----------------------------------------------------------
-
-
-def _flops_out(per_element, shapes, out_shape, kw):
-    return per_element * _size(out_shape)
-
-
-def _flops_in(shapes, out_shape, kw):
-    return float(_size(shapes[0]))
-
-
-def _flops_matmul(shapes, out_shape, kw):
-    return 2.0 * _size(out_shape) * shapes[0][-1]
-
-
-#: Per output element: one FLOP for an elementwise op, four for sigmoid's
-#: neg, exp, add and div, none for a view.
-_FLOPS_ONE, _FLOPS_SIGMOID, _FLOPS_VIEW = (partial(_flops_out, n)
-                                          for n in (1.0, 4.0, 0.0))
-
-
 # -- the table ---------------------------------------------------------------
 
 OPS: dict[str, OpSpec] = {
-    "neg": OpSpec(UNARY, _unary_infer, _exec_neg, _FLOPS_ONE),
-    "exp": OpSpec(UNARY, _unary_infer, _exec_exp, _FLOPS_ONE),
-    "log": OpSpec(UNARY, _unary_infer, _exec_log, _FLOPS_ONE),
-    "tanh": OpSpec(UNARY, _unary_infer, _exec_tanh, _FLOPS_ONE),
-    "sigmoid": OpSpec(UNARY, _unary_infer, _exec_sigmoid, _FLOPS_SIGMOID),
-    "relu": OpSpec(UNARY, _unary_infer, _exec_relu, _FLOPS_ONE),
-    "abs": OpSpec(UNARY, _unary_infer, _exec_abs, _FLOPS_ONE),
-    "pow": OpSpec(UNARY, _pow_infer, _exec_pow, _FLOPS_ONE),
-    "add": OpSpec(BINARY, _binary_infer, _exec_add, _FLOPS_ONE),
-    "mul": OpSpec(BINARY, _binary_infer, _exec_mul, _FLOPS_ONE),
-    "div": OpSpec(BINARY, _binary_infer, _exec_div, _FLOPS_ONE),
-    "sum": OpSpec(REDUCE, _reduce_infer, _exec_sum, _flops_in),
-    "max": OpSpec(REDUCE, _reduce_infer, _exec_max, _flops_in),
-    "matmul": OpSpec(MATMUL, _matmul_infer, _exec_matmul, _flops_matmul),
-    "reshape": OpSpec(MOVEMENT, _reshape_infer, _exec_reshape, _FLOPS_VIEW),
-    "transpose": OpSpec(MOVEMENT, _transpose_infer, _exec_transpose,
-                        _FLOPS_VIEW),
+    "neg": OpSpec(UNARY, _unary_infer, _exec_neg),
+    "exp": OpSpec(UNARY, _unary_infer, _exec_exp),
+    "log": OpSpec(UNARY, _unary_infer, _exec_log),
+    "tanh": OpSpec(UNARY, _unary_infer, _exec_tanh),
+    "sigmoid": OpSpec(UNARY, _unary_infer, _exec_sigmoid),
+    "relu": OpSpec(UNARY, _unary_infer, _exec_relu),
+    "abs": OpSpec(UNARY, _unary_infer, _exec_abs),
+    "pow": OpSpec(UNARY, _pow_infer, _exec_pow),
+    "add": OpSpec(BINARY, _binary_infer, _exec_add),
+    "mul": OpSpec(BINARY, _binary_infer, _exec_mul),
+    "div": OpSpec(BINARY, _binary_infer, _exec_div),
+    "sum": OpSpec(REDUCE, _reduce_infer, _exec_sum),
+    "max": OpSpec(REDUCE, _reduce_infer, _exec_max),
+    "matmul": OpSpec(MATMUL, _matmul_infer, _exec_matmul),
+    "reshape": OpSpec(MOVEMENT, _reshape_infer, _exec_reshape),
+    "transpose": OpSpec(MOVEMENT, _transpose_infer, _exec_transpose),
 }

@@ -13,8 +13,8 @@ Execution modes (``ENGINE=eager|lazy``, see :mod:`repro.ml.engine`):
 * **lazy** — primitive ops record graph nodes; demanding bytes
   (``.data``, ``.item()``, ``backward()``, a boundary op such as conv2d)
   matches or finds the pending subgraph's compiled plan (or schedules it
-  through the fuser, once) and replays its fused kernels on the device
-  (``cpu`` or ``sim-gpu``).  Each op states what its backward closure
+  through the fuser, once) and replays its fused kernels on NumPy
+  (:mod:`repro.ml.engine.cpu`).  Each op states what its backward closure
   reads (the ``reads`` of :func:`_apply`), the fuser keeps those values
   as kernel outputs, and ``backward()`` therefore recomputes nothing.
 
@@ -197,11 +197,9 @@ class Tensor:
         self._lazy = None          # any recorded expr is stale now
 
     def _payload(self) -> LazyExpr:
-        """This tensor as a lazy-graph input (memoized leaf if realized)."""
-        lz = self._lazy
-        if lz is None:
-            lz = LazyExpr(self._data)
-            self._lazy = lz
+        """This realized tensor as a lazy-graph input: a leaf, memoized
+        (:func:`_apply` takes a recorded tensor's ``_lazy`` itself)."""
+        lz = self._lazy = LazyExpr(self._data)
         return lz
 
     # -- introspection --------------------------------------------------------

@@ -273,11 +273,10 @@ class Communicator:
         """The sum of every rank's ``obj`` on every rank."""
         with self._traced("allreduce", obj):
             if isinstance(obj, np.ndarray) and obj.size >= self.size:
-                # The ring only reads: no copy of a C-ordered float64 array.
-                return collectives.ring_allreduce(self, np.asarray(
-                    obj, order="C", dtype=np.result_type(obj.dtype, np.float64)
-                    if obj.dtype.kind in "fc" else None),
-                    self._next_coll_tag())
+                # The ring only reads: no copy of a C-ordered array.  The
+                # sum keeps ``obj``'s dtype, as the reduce-scatter does.
+                return collectives.ring_allreduce(
+                    self, np.asarray(obj, order="C"), self._next_coll_tag())
             return collectives.recursive_doubling_allreduce(
                 self, obj, self._next_coll_tag()
             )

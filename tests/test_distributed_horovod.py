@@ -3,11 +3,14 @@ serial large-batch training, compression, traffic accounting."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.distributed import (
     DistributedOptimizer,
     Fp16Compression,
     NoCompression,
+    ZeroStage1Optimizer,
+    ZeroStage2Optimizer,
     broadcast_parameters,
 )
 from repro.ml import (
@@ -19,7 +22,8 @@ from repro.ml import (
     Tensor,
     cross_entropy,
 )
-from repro.ml.models import MLP
+from repro.ml.losses import mae, mse
+from repro.ml.models import MLP, GruForecaster, resnet_small
 from repro.mpi import run_spmd
 
 rng = np.random.default_rng(0)
@@ -175,6 +179,63 @@ class TestDtypeClosure:
 
         for dtypes in run_spmd(fn, world_size):
             assert set(dtypes) == {(np.dtype(np.float32),) * 2}
+
+    #: name -> (float32 model, input shape); the GRU's one output is one class.
+    MODELS = {
+        "mlp": (lambda: MLP([6, 8, 3], seed=0), (4, 6)),
+        "resnet_small": (lambda: resnet_small(in_channels=2, n_classes=3,
+                                              seed=0), (4, 2, 8, 8)),
+        "gru": (lambda: GruForecaster(n_features=3, hidden=4, seed=0),
+                (4, 5, 3)),
+    }
+    LOSSES = {"cross_entropy": lambda out: cross_entropy(
+                  out, np.arange(out.shape[0]) % out.shape[1]),
+              "mse": lambda out: mse(out, np.ones(out.shape, np.float32)),
+              "mae": lambda out: mae(out, np.ones(out.shape, np.float32))}
+    #: How the step runs, and on how many ranks.
+    RANKS = {"plain": 1, "horovod": 1, "horovod-p2": 2, "zero1": 1,
+             "zero1-p2": 2, "zero2-p2": 2}
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.sampled_from(sorted(MODELS)), st.sampled_from(sorted(LOSSES)),
+           st.sampled_from([SGD, Adam]), st.sampled_from(sorted(RANKS)))
+    def test_a_float32_model_trains_in_float32(self, model, loss, optim,
+                                               wrap):
+        """Outputs, losses, every ``.grad``, Adam's moments (ZeRO's shards
+        of them) and the weights stay float32 through two steps.  ZeRO
+        kept float64 moments, and the allreduce its stage 1 reduces
+        through widened a float32 buffer to float64."""
+        build, shape = self.MODELS[model]
+
+        def fn(comm):
+            net = build()
+            params = net.parameters()
+            for p in params:
+                p.data = p.data.astype(np.float32)
+            if wrap.startswith("zero"):
+                zero = ZeroStage2Optimizer if "2-" in wrap else \
+                    ZeroStage1Optimizer
+                opt = inner = zero(params, comm)
+            else:
+                opt = inner = optim(params, lr=0.01)
+                if wrap != "plain":
+                    opt = DistributedOptimizer(inner, comm)
+            x = np.random.default_rng(comm.rank).normal(size=shape)
+            seen = set()
+            for _ in range(2):
+                out = net(Tensor(x.astype(np.float32)))
+                value = self.LOSSES[loss](out)
+                opt.zero_grad()
+                value.backward()
+                opt.step()
+                seen |= {out.dtype, value.dtype}
+                seen |= {p.grad.dtype for p in params}
+            m, v = getattr(inner, "_m", []), getattr(inner, "_v", [])
+            moments = m + v if isinstance(m, list) else [m, v]  # ZeRO: shards
+            return seen | {a.dtype for a in moments + [p.data for p in params]}
+
+        for seen in run_spmd(fn, self.RANKS[wrap]):
+            assert seen == {np.dtype(np.float32)}
 
     def test_fp16_restores_the_dtype_it_compressed(self):
         c = Fp16Compression()

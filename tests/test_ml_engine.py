@@ -1,11 +1,11 @@
-"""The lazy tensor engine: graph recording, fusion, devices, stats.
+"""The lazy tensor engine: graph recording, fusion, the executor, stats.
 
 Covers the machinery under ``ENGINE=lazy`` — :class:`LazyExpr` recording
-and realization, the fuser's chain-collapsing rules, the shared fused
-executor's buffer reuse, the device registry and both backend cost
-models, engine counters and per-kernel telemetry spans.  Bit-identity of
-lazy vs eager *outputs* is pinned in ``test_perf_regression_pins.py``;
-here we test the engine's own contracts.
+and realization, the fuser's chain-collapsing rules, the fused
+executor's buffer reuse, the one device name it accepts, and the engine
+counters.  Bit-identity of lazy vs eager *outputs* is pinned in
+``test_perf_regression_pins.py``; here we test the engine's own
+contracts.
 """
 
 import numpy as np
@@ -13,10 +13,8 @@ import pytest
 
 from repro import telemetry
 from repro.ml import engine
-from repro.ml.engine import (LazyExpr, collect, engine_mode, get_device,
-                             schedule, set_engine, use_device)
-from repro.ml.engine.cpu import CpuDevice
-from repro.ml.engine.ops import OPS
+from repro.ml.engine import (LazyExpr, collect, engine_mode, schedule,
+                             set_device, set_engine)
 from repro.ml.tensor import Tensor
 
 
@@ -88,6 +86,11 @@ class TestLazyExpr:
             assert y.data is first
 
 
+def _names(kernels) -> list[str]:
+    """Each kernel's ops, ``+``-joined in execution order."""
+    return ["+".join(node.op for node in k.nodes) for k in kernels]
+
+
 class TestFuser:
     def _graph(self, n=8):
         x = Tensor(np.ones((n, n)))
@@ -97,19 +100,17 @@ class TestFuser:
     def test_elementwise_chain_fuses_into_one_kernel(self):
         with engine.engine("lazy"):
             y = self._graph()
-            kernels = schedule(y._payload())
+            kernels = schedule(y._lazy)
         # matmul is its own kernel; add+mul+relu+sum fuse.
-        assert len(kernels) == 2
-        assert kernels[0].name == "matmul"
-        assert kernels[1].name == "add+mul+relu+sum"
+        assert _names(kernels) == ["matmul", "add+mul+relu+sum"]
 
     def test_multi_consumer_node_is_not_fused(self):
         with engine.engine("lazy"):
             x = Tensor(np.ones(16))
             h = x * 2.0                        # two consumers
             y = (h + 1.0) * (h - 3.0)
-            kernels = schedule(y._payload())
-        names = [k.name for k in kernels]
+            kernels = schedule(y._lazy)
+        names = _names(kernels)
         # h stands alone (its kernel runs first); neither consumer chain
         # swallowed it.
         assert names[0] == "mul"
@@ -147,11 +148,10 @@ class TestFuser:
     def test_kernel_accounting(self):
         with engine.engine("lazy"):
             y = self._graph(8)
-            kernels = schedule(y._payload())
+            kernels = schedule(y._lazy)
         fused = kernels[1]
         assert fused.n_ops == 4
-        assert fused.flops > 0
-        assert fused.bytes_moved > 0
+        assert fused.outputs == [fused.output]
 
 
 class TestExecutorBufferReuse:
@@ -208,63 +208,16 @@ class TestPowExecutor:
 
 
 class TestDevices:
+    """Lazy graphs run on NumPy: ``cpu`` is the one device name."""
+
     def test_unknown_device_rejected(self):
         with pytest.raises(ValueError):
-            get_device("tpu")
+            set_device("tpu")
 
-    def test_use_device_restores_previous(self):
-        before = get_device()
-        with use_device("sim-gpu") as dev:
-            assert get_device() is dev is get_device("sim-gpu")
-        assert get_device() is before
-
-    def test_register_custom_backend(self):
-        class Half(CpuDevice):
-            name = "cpu-half"
-
-        engine.register_device("cpu-half", Half)
-        assert isinstance(get_device("cpu-half"), Half)
-
-    def test_cpu_clock_advances_per_kernel(self):
-        dev = CpuDevice()
-        with engine.engine("lazy"):
-            x = Tensor(np.ones((32, 32)))
-            expr = ((x * 2.0).tanh().sum())._payload()
-            with collect() as stats:
-                dev.realize(expr)
-        assert stats.kernels == 1
-        assert dev.sim_time_s > 0
-
-    def test_simgpu_charges_roofline_per_fused_kernel(self):
-        from repro.distributed.perfmodel import KernelCostModel
-
-        dev = get_device("sim-gpu")
-        cm = dev.cost_model
-        assert isinstance(cm, KernelCostModel)
-        t = dev.kernel_time_s(1e9, 10**6, 3)
-        assert t == pytest.approx(cm.kernel_time(1e9, 10**6))
-        # Launch overhead dominates tiny kernels: fusing N ops into one
-        # kernel beats N launches.
-        tiny = dev.kernel_time_s(100.0, 800, 1)
-        assert 3 * tiny > dev.kernel_time_s(300.0, 2400, 3)
-
-    def test_v100_slower_than_a100(self):
-        a100 = get_device("sim-gpu")
-        v100 = get_device("sim-gpu:v100")
-        flops, nbytes = 1e10, 10**8
-        assert v100.kernel_time_s(flops, nbytes, 1) \
-            > a100.kernel_time_s(flops, nbytes, 1)
-
-    def test_unfused_counterfactual_is_slower(self):
-        dev = get_device("sim-gpu")
-        with engine.engine("lazy"):
-            x = Tensor(np.ones((64, 64)))
-            y = (x * 2.0 + 1.0).tanh().sum()
-            kernels = schedule(y._payload())
-        fused = sum(dev.kernel_time_s(k.flops, k.bytes_moved, k.n_ops)
-                    for k in kernels)
-        unfused = sum(dev.unfused_time_s(k) for k in kernels)
-        assert unfused > fused
+    def test_sim_gpu_is_not_a_device(self):
+        set_device("cpu")
+        with pytest.raises(ValueError, match="sim-gpu"):
+            set_device("sim-gpu")
 
 
 class TestStatsAndTelemetry:
@@ -282,25 +235,11 @@ class TestStatsAndTelemetry:
         (x * 2.0).data
         assert STATS.eager_ops == before
 
-    def test_fused_kernels_emit_spans(self):
+    def test_fused_kernels_record_no_span(self):
+        """The engine keeps no clock, so a kernel is not a trace span: a
+        traced lazy step records what the layers around it record."""
         with telemetry.capture() as (tracer, _):
             with engine.engine("lazy"):
                 x = Tensor(np.ones((16, 16)))
                 ((x * 2.0 + 1.0).tanh().sum()).data
-        spans = [s for s in tracer.spans if s.name.startswith("kernel:")]
-        assert len(spans) == 1
-        span = spans[0]
-        assert span.name == "kernel:mul+add+tanh+sum"
-        attrs = span.attr_dict()
-        assert attrs["ops"] == 4
-        assert attrs["flops"] > 0
-        assert attrs["bytes"] > 0
-        assert span.duration_s > 0
-        assert span.track == "engine"
-
-
-class TestRegisterDeviceRestore:
-    def test_registry_survives_custom_registration(self):
-        # Re-registering cpu with the stock factory must stay valid.
-        engine.register_device("cpu", CpuDevice)
-        assert isinstance(get_device("cpu"), CpuDevice)
+        assert tracer.spans == []

@@ -4,7 +4,7 @@
 and walks and compiles one when none fits; ``Tensor`` marks what
 backward closures read so fused kernels keep it.  These tests pin the
 key (which graphs share an entry and which a plan), the cache (bounded,
-no array references, shared by rank threads, per device) and the
+no array references, shared by rank threads) and the
 outcome (second step compiles nothing, nothing is recomputed, lazy ==
 eager to the bit with gradients); ``test_ml_engine_match.py`` pins the
 binding checks one by one.
@@ -18,13 +18,10 @@ import weakref
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.ml import engine
-from repro.ml.engine import (collect, get_device, register_device,
-                             set_engine, use_device)
+from repro.ml.engine import collect, schedule, set_engine
 from repro.ml.engine import cpu as engine_cpu
 from repro.ml.engine import graph as engine_graph
-from repro.ml.engine.cpu import CpuDevice
 from repro.ml.engine.graph import LazyExpr
 from repro.ml.losses import cross_entropy, l2_regularisation, mae
 from repro.ml.models import MLP, GruForecaster, resnet_small
@@ -34,12 +31,12 @@ from repro.mpi.runtime import run_spmd
 
 
 @pytest.fixture(autouse=True)
-def _lazy_on_a_cold_cpu_device():
-    register_device("cpu", CpuDevice)       # fresh instance, no plans
+def _lazy_and_cold():
+    engine_graph._ENTRIES.clear()           # the entries own every plan
     set_engine("lazy")
     yield
     set_engine("eager")
-    register_device("cpu", CpuDevice)
+    engine_graph._ENTRIES.clear()
 
 
 def _bits(arr):
@@ -49,7 +46,7 @@ def _bits(arr):
 
 def _entry(t: Tensor):
     """The entry ``t``'s node is recorded under."""
-    return t._payload().entry
+    return t._lazy.entry
 
 
 def _plan(t: Tensor) -> tuple:
@@ -296,10 +293,11 @@ class TestForwardOnlyMatchesParent:
     def test_kernel_list_and_allocations(self, graph, kernels, allocs,
                                          alloc_bytes):
         for _ in range(2):                  # compiled, then replayed
-            with telemetry.capture() as (tracer, _), collect() as stats:
-                getattr(self, graph)().numpy()
-            names = [s.name[len("kernel:"):] for s in tracer.spans
-                     if s.name.startswith("kernel:")]
+            t = getattr(self, graph)()
+            names = ["+".join(node.op for node in k.nodes)
+                     for k in schedule(t._lazy)]
+            with collect() as stats:
+                t.numpy()
             assert names == kernels
             assert stats.kernel_allocs == allocs
             assert stats.kernel_alloc_bytes == alloc_bytes
@@ -403,39 +401,3 @@ class TestCache:
             for name in single:
                 assert np.array_equal(_bits(single[name]),
                                       _bits(weights[name])), name
-
-    def test_devices_price_their_own_plans(self):
-        def graph():
-            return (Tensor(np.ones((32, 32))) * 2.0).tanh().sum()
-
-        def cost_ps():
-            """Realize a fresh graph; its plan's kernel costs."""
-            t = graph()
-            t.numpy()
-            return [kernel.cost_ps for kernel in _plan(t)]
-
-        cpu, gpu = get_device("cpu"), get_device("sim-gpu")
-        gpu.reset_clock()
-        on_cpu = cost_ps()
-        with use_device("sim-gpu"):
-            on_gpu = cost_ps()
-        assert on_cpu != on_gpu
-        assert cost_ps() == on_cpu
-        assert cpu._time_ps == 2 * sum(on_cpu)
-        assert gpu._time_ps == sum(on_gpu)
-
-    def test_register_device_overwrite_starts_cold(self):
-        def run():
-            out = Tensor(np.ones(5)) * 3.0
-            with collect() as stats:
-                out.numpy()
-            return stats.graph_walks, _plan(out)
-
-        assert run()[0] == 1 and run()[0] == 0
-        class SlowDispatch(CpuDevice):
-            DISPATCH_S = 1e-6
-
-        register_device("cpu", SlowDispatch)
-        walks, (kernel,) = run()
-        assert walks == 1
-        assert kernel.cost_ps >= 1_000_000      # priced by the new device

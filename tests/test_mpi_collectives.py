@@ -283,9 +283,6 @@ def test_ring_allreduce_reads_its_input_and_owns_its_result(
 
     def fn(comm):
         x = inputs[comm.rank]
-        wide = np.array(x, order="C", dtype=np.result_type(
-            x.dtype, np.float64) if x.dtype.kind in "fc" else x.dtype)
-        _inplace_ring_reference(comm, wide, comm._next_coll_tag())
         raw = np.array(x, order="C")
         _inplace_ring_reference(comm, raw, comm._next_coll_tag())
         public = comm.allreduce(x)
@@ -294,21 +291,21 @@ def test_ring_allreduce_reads_its_input_and_owns_its_result(
         if comm.rank == writer:     # straight after the calls return
             _scribble(public)
             _scribble(direct)
-        return wide, raw, public, direct, seen
+        return raw, public, direct, seen
 
     out = run_spmd(fn, p)
     for x, b in zip(inputs, before):
         assert x.tobytes() == b
-    results = [a for _, _, public, direct, _ in out for a in (public, direct)]
+    results = [a for _, public, direct, _ in out for a in (public, direct)]
     for i, got in enumerate(results):
         assert not any(np.shares_memory(got, x) for x in inputs)
         assert not any(np.shares_memory(got, other)
                        for other in results[i + 1:])
-    for rank, (wide, raw, public, direct, seen) in enumerate(out):
-        assert public.dtype == wide.dtype and direct.dtype == raw.dtype
+    for rank, (raw, public, direct, seen) in enumerate(out):
+        assert public.dtype == direct.dtype == raw.dtype
         assert public.shape == direct.shape == (rows, cols)
         assert public.flags.c_contiguous and direct.flags.c_contiguous
-        assert seen == (wide.tobytes(), raw.tobytes())
+        assert seen == (raw.tobytes(), raw.tobytes())
         if rank != writer:
             assert (public.tobytes(), direct.tobytes()) == seen
 

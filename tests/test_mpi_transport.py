@@ -393,20 +393,17 @@ def test_ring_results_and_injection_log_equal_reference(world_size, dtype,
                            injector, config=IntegrityConfig()))
     injected, detected = corruption_totals(registry)
 
-    wide = np.result_type(dtype, np.float64) if dtype != np.int64 else dtype
-    expect, _ = _ring_reference(
-        [np.ascontiguousarray(x).astype(wide).reshape(-1) for x in inputs])
-    # The reduce-scatter keeps the input's dtype (the allreduce widens).
-    expect_own, bounds = _ring_reference(
+    # The allreduce and the reduce-scatter both keep the input's dtype.
+    expect, bounds = _ring_reference(
         [np.ascontiguousarray(x).reshape(-1) for x in inputs])
     for rank, (reduced, (chunk, (lo, hi)), recv) in enumerate(out):
         for got in (reduced, recv):
-            assert got.shape == inputs[0].shape and got.dtype == wide
+            assert got.shape == inputs[0].shape and got.dtype == dtype
             assert got.tobytes() == expect.reshape(got.shape).tobytes()
         own = (rank + 1) % world_size
         assert (lo, hi) == (bounds[own], bounds[own + 1])
         assert chunk.dtype == dtype
-        assert chunk.tobytes() == expect_own[lo:hi].tobytes()
+        assert chunk.tobytes() == expect[lo:hi].tobytes()
 
     # Every ring message goes to the right-hand neighbour: 2(p-1) per
     # allreduce (twice) and p-1 for the reduce-scatter, all corruptible.

@@ -369,27 +369,6 @@ class TestLazyEngineReplayPins:
         eager, lazy = self._run_both(forward)
         assert np.array_equal(_bits(eager), _bits(lazy))
 
-    def test_devices_agree_to_the_bit(self):
-        from repro.ml import engine
-
-        rng = np.random.default_rng(17)
-        xs = rng.normal(size=(32, 32))
-
-        def chain():
-            x = Tensor(xs)
-            return ((x * 3.0 + 0.5).tanh().sigmoid()
-                    + (x @ x).relu()).sum(axis=0).numpy().copy()
-
-        with engine.engine("lazy"):
-            with engine.use_device("cpu"):
-                on_cpu = chain()
-            with engine.use_device("sim-gpu"):
-                on_a100 = chain()
-            with engine.use_device("sim-gpu:v100"):
-                on_v100 = chain()
-        assert np.array_equal(_bits(on_cpu), _bits(on_a100))
-        assert np.array_equal(_bits(on_cpu), _bits(on_v100))
-
     def test_out_buffer_reuse_matches_fresh_allocation(self):
         """ufunc(..., out=dying_temp) is the only trick the fused
         executor plays; pin that it cannot perturb values."""

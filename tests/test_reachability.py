@@ -151,9 +151,6 @@ ALLOWLIST = {
         "a pin passes it: the same three pinned files",
     "repro.core.presets.small_msa_system.dam_nodes":
         "a pin passes it: the same three pinned files",
-    "repro.ml.engine.simgpu.SimGpuDevice.gpu":
-        "a pin passes it: test_perf_regression_pins.py runs the "
-        "sim-gpu:v100 device",
     "repro.core.jobs.CoAllocatedPhase.coupling_bytes":
         "a pin passes it: test_perf_regression_pins.py and "
         "test_scheduler_dispatch_oracle.py build their co-allocations with it",
@@ -450,10 +447,6 @@ ALLOWLIST = {
         "a parameter without a gradient (frozen, or no loss reached it)",
     "repro.ml.optim.Adam.step":
         "a parameter without a gradient (frozen, or no loss reached it)",
-    # Synchronisation: the losing side of a race no root provokes.
-    "repro.ml.engine.device.get_device":
-        "double-checked lock: another thread created the instance between "
-        "the unlocked read and the lock",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
