@@ -8,8 +8,8 @@ Six areas mirror the substrate layers the repo's perf story rests on
   checksummed-envelope tax (`repro.mpi`, `repro.resilience.integrity`),
 * ``training`` — fused-gradient allreduce step (`repro.distributed`),
 * ``serving``  — end-to-end online-serving latency tail (`repro.serving`),
-* ``tensor``   — the lazy tensor engine: fusion ratios, buffer
-  allocations and plan reuse per step (`repro.ml.engine`),
+* ``tensor``   — the lazy tensor engine: lazy ≡ eager to the bit, and
+  the eager allocations and gradient copies of a step (`repro.ml.engine`),
 * ``scheduler`` — matchmaking cost of draining a job backlog: scoring
   evaluations per placement (`repro.core.scheduler`).
 
@@ -347,61 +347,8 @@ def fused_allreduce_step(quick: bool, seed: int) -> CaseRun:
 
 
 # ---------------------------------------------------------------------------
-# tensor — the lazy engine: fusion, allocations, replayed plans
+# tensor — the lazy engine: bit-identical to eager, and what a step allocates
 # ---------------------------------------------------------------------------
-
-
-def _engine_chain(mode: str, n: int, seed: int):
-    """A matmul feeding a diamond of elementwise chains with reduce
-    epilogues — the fusion shapes the engine exists for.  Returns the
-    realized output and the engine-stat snapshot for ``mode``."""
-    from repro.ml import engine as eng
-    from repro.ml.tensor import Tensor
-
-    rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((n, n))
-    ws = rng.standard_normal((n, n))
-    with eng.engine(mode):
-        with eng.collect() as stats:
-            x, w = Tensor(xs), Tensor(ws)
-            h = x @ w + 1.0
-            y = ((h * 2.0).tanh().relu() + h.sigmoid()).sum(axis=1)
-            out = np.array(y.numpy(), copy=True)
-            snap = stats.snapshot()
-    return out, snap
-
-
-@bench_case(
-    "fused_elementwise_chain", area="tensor",
-    budgets={
-        "lazy_kernels": Budget("lower", 0.0),
-        "lazy_allocs": Budget("lower", 0.0),
-        "alloc_bytes_reduction": Budget("higher", 0.0),
-        "outputs_bitwise_equal": Budget("higher", 0.0),
-    },
-    description="elementwise/reduce chain fusion: eager op-by-op vs "
-                "fused lazy kernels, bit-identical outputs",
-)
-def fused_elementwise_chain(quick: bool, seed: int) -> CaseRun:
-    n = 96 if quick else 384
-    eager_out, eager = _engine_chain("eager", n, seed)
-    lazy_out, lazy = _engine_chain("lazy", n, seed)
-    metrics = {
-        "eager_ops": float(eager["eager_ops"]),
-        "eager_alloc_bytes": float(eager["eager_alloc_bytes"]),
-        "lazy_kernels": float(lazy["kernels"]),
-        "lazy_fused_ops": float(lazy["fused_ops"]),
-        "lazy_allocs": float(lazy["kernel_allocs"]),
-        "lazy_alloc_bytes": float(lazy["kernel_alloc_bytes"]),
-        "ops_per_kernel": _round6(lazy["fused_ops"] / lazy["kernels"]),
-        "alloc_bytes_reduction": _round6(
-            eager["eager_alloc_bytes"] / lazy["kernel_alloc_bytes"]),
-        "outputs_bitwise_equal": float(
-            np.array_equal(eager_out.view(np.uint64),
-                           lazy_out.view(np.uint64))),
-    }
-    return CaseRun(metrics=metrics,
-                   digests={"chain_output": stable_digest(lazy_out)})
 
 
 def _engine_train(mode: str, steps: int, seed: int):
@@ -428,10 +375,7 @@ def _engine_train(mode: str, steps: int, seed: int):
                 loss.backward()
                 opt.step()
                 losses.append(float(loss.item()))
-                if step == 0:
-                    warmup = stats.graph_walks
             snap = stats.snapshot()
-    snap["graph_walks_after_warmup"] = snap["graph_walks"] - warmup
     state = model.state_dict()
     weights = np.concatenate([state[k].ravel() for k in sorted(state)])
     return losses, weights, snap
@@ -440,16 +384,11 @@ def _engine_train(mode: str, steps: int, seed: int):
 @bench_case(
     "mlp_train_step_engine", area="tensor",
     budgets={
-        "lazy_allocs_per_step": Budget("lower", 0.0),
-        "alloc_reduction": Budget("higher", 0.0),
         "weights_bitwise_equal": Budget("higher", 0.0),
-        "recomputes_per_step": Budget("lower", 0.0),
-        "plan_compiles_after_warmup": Budget("lower", 0.0),
-        "graph_walks_after_warmup": Budget("lower", 0.0),
         "grad_copies_per_step": Budget("lower", 0.0),
     },
-    description="MLP train steps: ENGINE=lazy vs eager allocations, "
-                "bitwise-identical weights, no recompute, no re-planning",
+    description="MLP train steps: ENGINE=lazy vs eager, bitwise-identical "
+                "weights; eager allocations and gradient copies per step",
 )
 def mlp_train_step_engine(quick: bool, seed: int) -> CaseRun:
     steps = 6 if quick else 24
@@ -458,14 +397,6 @@ def mlp_train_step_engine(quick: bool, seed: int) -> CaseRun:
     metrics = {
         "steps": float(steps),
         "eager_allocs_per_step": _round6(eager["eager_ops"] / steps),
-        "lazy_allocs_per_step": _round6(lazy["kernel_allocs"] / steps),
-        "alloc_reduction": _round6(
-            eager["eager_alloc_bytes"] / lazy["kernel_alloc_bytes"]),
-        "kernels_per_step": _round6(lazy["kernels"] / steps),
-        "recomputes_per_step": _round6(lazy["recomputes"] / steps),
-        # Every walk compiles: the two metrics are one count.
-        "plan_compiles_after_warmup": float(lazy["graph_walks_after_warmup"]),
-        "graph_walks_after_warmup": float(lazy["graph_walks_after_warmup"]),
         "grad_copies_per_step": _round6(lazy["grad_copies"] / steps),
         "weights_bitwise_equal": float(
             np.array_equal(e_weights.view(np.uint64),

@@ -37,13 +37,13 @@ EXPERIMENTS = [
      "repro drill sdc"),
     ("E17", "perf-regression harness (repro bench -> BENCH_*.json)",
      "src/repro/bench/"),
-    ("E18", "lazy tensor engine (fused op graphs on one NumPy device)",
+    ("E18", "lazy tensor engine (recorded ops run one by one on NumPy)",
      "src/repro/ml/engine/"),
     ("E19", "chaos drill (partitions, gray failures, hedging, brownout)",
      "repro drill chaos"),
     ("E20", "scheduler matchmaking cost (placement tables, scored once)",
      "src/repro/core/scheduler.py"),
-    ("E21", "lazy-engine plan capture (schedule once, replay; no recompute)",
+    ("E21", "lazy-engine plan capture (retired: op by op since E48)",
      "src/repro/ml/engine/cpu.py"),
     ("E22", "zero-copy backward (gradient ownership, in-place slice scatter)",
      "src/repro/ml/tensor.py"),

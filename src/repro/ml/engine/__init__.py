@@ -5,22 +5,17 @@ A tinygrad-style execution layer under :class:`repro.ml.tensor.Tensor`:
 * :mod:`~repro.ml.engine.ops` — the primitive-op set (unary/binary
   elementwise, reduce, matmul, movement),
 * :mod:`~repro.ml.engine.graph` — :class:`LazyExpr`, the recorded graph,
-  each node interned under an entry that matches a realize to its plan,
-  and the walk that keys a pending subgraph by its structure,
-* :mod:`~repro.ml.engine.fuser` — elementwise→elementwise and
-  elementwise→reduce chain fusion into single kernels, values saved for
-  backward kept as extra kernel outputs (no recompute),
-* :mod:`~repro.ml.engine.cpu` — the one NumPy executor: it compiles
-  each distinct subgraph structure into a plan once and replays it
-  afterwards,
+* :mod:`~repro.ml.engine.cpu` — the one NumPy executor: a realize runs
+  each pending node's executor once, in topological order, and caches
+  its result,
 * :mod:`~repro.ml.engine.stats` — alloc/kernel counters for the bench.
 
 The mode switch
 ---------------
 
-``ENGINE=eager`` (default) keeps the original op-by-op NumPy path;
-``ENGINE=lazy`` records ops into a lazy graph and executes fused kernels
-on NumPy when bytes are demanded.  The environment variable
+``ENGINE=eager`` (default) runs each op's executor when the op is applied;
+``ENGINE=lazy`` records ops into a lazy graph and runs the same executors,
+op by op, when bytes are demanded.  The environment variable
 is read once at import; :func:`set_engine` and the :func:`engine`
 context manager switch it at runtime, and :func:`engine_mode` returns
 the current mode.  Both paths are bit-identical by
@@ -33,7 +28,6 @@ import os
 from contextlib import contextmanager
 
 from repro.ml.engine.graph import LazyExpr
-from repro.ml.engine.fuser import Kernel, schedule
 from repro.ml.engine.stats import STATS, EngineStats, collect
 
 MODES = ("eager", "lazy")
@@ -90,7 +84,6 @@ def engine(mode: str):
 
 
 __all__ = [
-    "Kernel",
     "LazyExpr",
     "EngineStats",
     "MODES",
@@ -98,7 +91,6 @@ __all__ = [
     "collect",
     "engine",
     "engine_mode",
-    "schedule",
     "set_device",
     "set_engine",
 ]

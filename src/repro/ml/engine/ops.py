@@ -14,11 +14,10 @@ tinygrad-style op set:
 
 Each op carries a shape/dtype inference rule (so lazy tensors answer
 ``.shape``/``.dtype`` without computing) and an executor — the op's only
-forward definition: eager calls it per op (``out_buf=None``), a fused kernel
-replays it with ``out=`` reuse that may eliminate intermediate buffers
-but never reorders or reassociates float math, so the two engines agree
-*bit for bit*.  That is the property the reference-replay pins in
-``tests/test_perf_regression_pins.py`` enforce.
+forward definition: eager calls it when the op is applied, a lazy
+realize with the same arguments when its bytes are demanded, so the two
+engines agree *bit for bit*.  That is the property the reference-replay
+pins in ``tests/test_perf_regression_pins.py`` enforce.
 """
 
 from __future__ import annotations
@@ -35,10 +34,6 @@ BINARY = "binary"
 REDUCE = "reduce"
 MATMUL = "matmul"
 MOVEMENT = "movement"
-LEAF = "leaf"
-
-#: Kinds the fuser may place in the interior of a fused kernel.
-ELEMENTWISE_KINDS = (UNARY, BINARY)
 
 
 class OpSpec(NamedTuple):
@@ -47,8 +42,7 @@ class OpSpec(NamedTuple):
     kind: str
     #: infer(input_shapes, input_dtypes, kwargs) -> (shape, dtype)
     infer: Callable[..., tuple[tuple[int, ...], np.dtype]]
-    #: execute(args, kwargs, out_buf) -> ndarray; ``out_buf`` is an owned,
-    #: correctly shaped scratch buffer the executor may write into (or None).
+    #: execute(args, kwargs) -> ndarray
     execute: Callable[..., np.ndarray]
 
 
@@ -122,37 +116,37 @@ def _transpose_infer(shapes, dtypes, kw):
 # -- executors: the only forward definition of each op, run by both engines --
 
 
-def _exec_neg(args, kw, out):
-    return np.negative(args[0], out=out)
+def _exec_neg(args, kw):
+    return np.negative(args[0])
 
 
-def _exec_exp(args, kw, out):
-    return np.exp(args[0], out=out)
+def _exec_exp(args, kw):
+    return np.exp(args[0])
 
 
-def _exec_log(args, kw, out):
-    return np.log(args[0], out=out)
+def _exec_log(args, kw):
+    return np.log(args[0])
 
 
-def _exec_tanh(args, kw, out):
-    return np.tanh(args[0], out=out)
+def _exec_tanh(args, kw):
+    return np.tanh(args[0])
 
 
-def _exec_sigmoid(args, kw, out):
+def _exec_sigmoid(args, kw):
     # 1 / (1 + exp(-x)) with every temporary folded into one buffer; a
     # 0-d negative is a NumPy scalar, which no ``out=`` accepts.
-    t = np.asarray(np.negative(args[0], out=out))
+    t = np.asarray(np.negative(args[0]))
     np.exp(t, out=t)
     np.add(t, 1.0, out=t)
     return np.true_divide(1.0, t, out=t)
 
 
-def _exec_relu(args, kw, out):
-    return np.multiply(args[0], args[0] > 0, out=out)
+def _exec_relu(args, kw):
+    return np.multiply(args[0], args[0] > 0)
 
 
-def _exec_abs(args, kw, out):
-    return np.abs(args[0], out=out)
+def _exec_abs(args, kw):
+    return np.abs(args[0])
 
 
 #: Python-scalar exponents ``ndarray.__pow__`` itself hands to a dedicated
@@ -163,43 +157,43 @@ _POW_UFUNC = {(int, 2): np.square, (float, 2.0): np.square,
               (float, 0.5): np.sqrt}
 
 
-def _exec_pow(args, kw, out):
+def _exec_pow(args, kw):
     exponent = kw["exponent"]
     ufunc = _POW_UFUNC.get((exponent.__class__, exponent))
     if ufunc is not None:
-        return ufunc(args[0], out=out)
-    return np.power(args[0], exponent, out=out)
+        return ufunc(args[0])
+    return np.power(args[0], exponent)
 
 
-def _exec_add(args, kw, out):
-    return np.add(args[0], args[1], out=out)
+def _exec_add(args, kw):
+    return np.add(args[0], args[1])
 
 
-def _exec_mul(args, kw, out):
-    return np.multiply(args[0], args[1], out=out)
+def _exec_mul(args, kw):
+    return np.multiply(args[0], args[1])
 
 
-def _exec_div(args, kw, out):
-    return np.true_divide(args[0], args[1], out=out)
+def _exec_div(args, kw):
+    return np.true_divide(args[0], args[1])
 
 
-def _exec_sum(args, kw, out):
+def _exec_sum(args, kw):
     return args[0].sum(axis=kw["axis"], keepdims=kw["keepdims"])
 
 
-def _exec_max(args, kw, out):
+def _exec_max(args, kw):
     return args[0].max(axis=kw["axis"], keepdims=kw["keepdims"])
 
 
-def _exec_matmul(args, kw, out):
+def _exec_matmul(args, kw):
     return np.matmul(args[0], args[1])
 
 
-def _exec_reshape(args, kw, out):
+def _exec_reshape(args, kw):
     return args[0].reshape(kw["shape"])
 
 
-def _exec_transpose(args, kw, out):
+def _exec_transpose(args, kw):
     return args[0].transpose(kw["axes"])
 
 

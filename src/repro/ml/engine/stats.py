@@ -2,13 +2,9 @@
 
 One process-wide :class:`EngineStats` instance collects, when enabled,
 
-* eager-path op/allocation counts (``Tensor`` increments these so the
-  bench can price the op-by-op dispatch the lazy engine removes),
-* lazy-path kernel counts, fused-op totals, kernel buffer allocations and
-  bytes, recompute events (interior values demanded after their chain
-  was fused away), and how many realizes walked the graph and compiled a
-  plan (``graph_walks``) because no binding recorded on their root's
-  entry matched,
+* eager-path op/allocation counts (``Tensor`` increments these),
+* lazy-path counts: ops executed by a realize (``kernels``, one per op),
+  their buffer allocations and bytes, and realizes,
 * on either path, ``grad_copies``: how often backward had to make a
   private array out of a gradient it could neither take over nor borrow.
 
@@ -27,9 +23,8 @@ class EngineStats:
     """Integer counters for both execution paths."""
 
     __slots__ = ("enabled", "eager_ops", "eager_alloc_bytes",
-                 "kernels", "fused_ops", "kernel_allocs",
-                 "kernel_alloc_bytes", "realizes", "recomputes",
-                 "graph_walks", "grad_copies")
+                 "kernels", "kernel_allocs", "kernel_alloc_bytes",
+                 "realizes", "grad_copies")
 
     def __init__(self) -> None:
         self.enabled = False
@@ -39,12 +34,9 @@ class EngineStats:
         self.eager_ops = 0
         self.eager_alloc_bytes = 0
         self.kernels = 0
-        self.fused_ops = 0
         self.kernel_allocs = 0
         self.kernel_alloc_bytes = 0
         self.realizes = 0
-        self.recomputes = 0
-        self.graph_walks = 0
         self.grad_copies = 0
 
     def snapshot(self) -> dict[str, int]:
@@ -55,6 +47,18 @@ class EngineStats:
     def total_allocs(self) -> int:
         """Buffer allocations regardless of path (eager ops each allocate)."""
         return self.eager_ops + self.kernel_allocs
+
+    @property
+    def fused_ops(self) -> int:
+        """Ops run by kernels: one each, so ``kernels``.  Only the e2e
+        benchmark's traced run reads it."""
+        return self.kernels
+
+    @property
+    def recomputes(self) -> int:
+        """Values computed twice: 0, since a realize caches every node it
+        runs.  Only the e2e benchmark's traced run reads it."""
+        return 0
 
 
 #: The process-wide instance every engine site increments.

@@ -15,13 +15,9 @@ from repro.ml.tensor import Tensor
 
 
 def _target_tensor(ref: Tensor, values) -> Tensor:
-    """Targets as a Tensor without dtype surprises: float targets keep
-    their dtype; integer/bool targets adopt the prediction's dtype (so a
-    float32 model is not upcast by int labels)."""
-    arr = np.asarray(values)
-    if arr.dtype.kind != "f":
-        arr = arr.astype(ref.dtype if ref.dtype.kind == "f" else np.float64)
-    return Tensor(arr)
+    """Targets as a Tensor of the prediction's (float) dtype, so neither
+    int labels nor float64 targets upcast a float32 model."""
+    return Tensor(np.asarray(values).astype(ref.dtype, copy=False))
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -45,7 +45,7 @@ class GRUCell(Module):
         h, W, U, b = self.hidden_size, self.W, self.U, self.b
         xd, hd, wd, ud = x.data, h_prev.data, W.data, U.data
         gx, gh = xd @ wd + b.data, hd @ ud              # (N, 3h) each
-        zr = OPS["sigmoid"].execute([gx[:, :2 * h] + gh[:, :2 * h]], {}, None)
+        zr = OPS["sigmoid"].execute([gx[:, :2 * h] + gh[:, :2 * h]], {})
         z, r, gh_n = zr[:, :h], zr[:, h:], gh[:, 2 * h:]
         h_cand = np.tanh(gx[:, 2 * h:] + r * gh_n)
         keep = 1.0 - z                  # the bits of 1 + (-z), IEEE 754

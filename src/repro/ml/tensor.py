@@ -12,20 +12,17 @@ Execution modes (``ENGINE=eager|lazy``, see :mod:`repro.ml.engine`):
 * **eager** (default) — every op runs its executor immediately;
 * **lazy** — primitive ops record graph nodes; demanding bytes
   (``.data``, ``.item()``, ``backward()``, a boundary op such as conv2d)
-  matches or finds the pending subgraph's compiled plan (or schedules it
-  through the fuser, once) and replays its fused kernels on NumPy
-  (:mod:`repro.ml.engine.cpu`).  Each op states what its backward closure
-  reads (the ``reads`` of :func:`_apply`), the fuser keeps those values
-  as kernel outputs, and ``backward()`` therefore recomputes nothing.
+  runs every pending node's executor once, in topological order, and
+  caches its result (:mod:`repro.ml.engine.cpu`).
 
 Both modes are bit-identical by construction: every primitive goes
 through :func:`_apply`, whose two branches run the same
-:data:`~repro.ml.engine.ops.OPS` executor — now, or from a fused kernel
-that replays the same ufunc sequence in the same order and only elides
-intermediate buffer allocations.  Dtypes are preserved — float32 stays
-float32 end-to-end; integer inputs promote to float64 (gradients need a
-float domain); a python scalar operand adopts the tensor's dtype (weak
-promotion), so ``x * 0.5`` never silently upcasts a float32 model.
+:data:`~repro.ml.engine.ops.OPS` executor on the same arguments — now,
+or when a realize reaches the recorded node.  Dtypes are preserved —
+float32 stays float32 end-to-end; integer inputs promote to float64
+(gradients need a float domain); a python scalar operand adopts the
+tensor's dtype (weak promotion), so ``x * 0.5`` never silently upcasts a
+float32 model.
 
 Everything is vectorised NumPy, no Python loops inside kernels; the im2col
 convolutions (:mod:`repro.ml.functional`), the GRU cell (:mod:`repro.ml.rnn`)
@@ -102,35 +99,26 @@ def _node(data, parents: tuple["Tensor", ...], backward) -> "Tensor":
 
 
 def _apply(op: str, parents: tuple["Tensor", ...], backward,
-           reads: tuple[tuple[int, ...], ...] = (), **kwargs) -> "Tensor":
+           **kwargs) -> "Tensor":
     """The one path of every primitive: run or record ``OPS[op]`` over
     ``parents``, then build the node as :func:`_node` does.
 
-    ``reads`` states, per parent, which values (shapes are free)
-    ``backward`` reads for that parent's gradient — operand positions,
-    ``-1`` the op's output.  Lazy marks them ``saved`` so fusion keeps
-    them materialized; eager runs the same executor a fused kernel
-    replays, counting the op and its output buffer when stats are on.
+    Eager runs the executor a lazy realize runs later, counting the op
+    and its output buffer when stats are on.
     """
     if _engine_state.lazy:
         # Every primitive has one or two parents.
         a = parents[0]._lazy or parents[0]._payload()
-        nodes = ((a,) if len(parents) == 1 else
-                 (a, parents[1]._lazy or parents[1]._payload()))
-        data = LazyExpr.make(op, nodes, kwargs)
-        if reads:
-            nodes += (data,)
-            for p, values in zip(parents, reads):
-                if p.requires_grad:
-                    for i in values:
-                        nodes[i].saved = True
+        data = LazyExpr.make(op, (a,) if len(parents) == 1 else
+                             (a, parents[1]._lazy or parents[1]._payload()),
+                             kwargs)
     else:
         spec = OPS[op]
         args = []
         for p in parents:           # ``p.data``, minus the property call
             d = p._data
             args.append(d if d is not None else p.data)
-        data = spec.execute(args, kwargs, None)
+        data = spec.execute(args, kwargs)
         if _STATS.enabled and spec.kind != MOVEMENT:
             _STATS.eager_ops += 1
             _STATS.eager_alloc_bytes += data.nbytes
@@ -369,7 +357,7 @@ class Tensor:
                 other._accumulate(unbroadcast(out.grad * self.data,
                                               other.shape), fresh=True)
 
-        return _apply("mul", (self, other), backward, ((1,), (0,)))
+        return _apply("mul", (self, other), backward)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-self._coerce(other))
@@ -392,7 +380,7 @@ class Tensor:
                     -out.grad * self.data / (other.data ** 2),
                     other.shape), fresh=True)
 
-        return _apply("div", (self, other), backward, ((1,), (0, 1)))
+        return _apply("div", (self, other), backward)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
@@ -402,7 +390,7 @@ class Tensor:
             self._accumulate(out.grad * exponent
                              * self.data ** (exponent - 1), fresh=True)
 
-        return _apply("pow", (self,), backward, ((0,),), exponent=exponent)
+        return _apply("pow", (self,), backward, exponent=exponent)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -437,37 +425,36 @@ class Tensor:
                 gb = np.swapaxes(a, -1, -2) @ g
                 other._accumulate(unbroadcast(gb, b.shape), fresh=True)
 
-        return _apply("matmul", (self, other), backward, ((1,), (0,)))
+        return _apply("matmul", (self, other), backward)
 
     # -- elementwise nonlinearities ------------------------------------------------
-    def _unary(self, op: str, read: int, grad_fn, **kwargs) -> "Tensor":
-        """An elementwise op whose gradient ``grad_fn(self, out)`` reads
-        one value: ``0`` this tensor, ``-1`` the op's output."""
+    def _unary(self, op: str, grad_fn) -> "Tensor":
+        """An elementwise op whose gradient is ``grad_fn(self, out)``."""
         def backward(out) -> None:
             self._accumulate(grad_fn(self, out), fresh=True)
 
-        return _apply(op, (self,), backward, ((read,),), **kwargs)
+        return _apply(op, (self,), backward)
 
     def exp(self) -> "Tensor":
-        return self._unary("exp", -1, lambda t, out: out.grad * out.data)
+        return self._unary("exp", lambda t, out: out.grad * out.data)
 
     def log(self) -> "Tensor":
-        return self._unary("log", 0, lambda t, out: out.grad / t.data)
+        return self._unary("log", lambda t, out: out.grad / t.data)
 
     def tanh(self) -> "Tensor":
-        return self._unary("tanh", -1,
+        return self._unary("tanh",
                            lambda t, out: out.grad * (1.0 - out.data ** 2))
 
     def sigmoid(self) -> "Tensor":
         return self._unary(
-            "sigmoid", -1,
+            "sigmoid",
             lambda t, out: out.grad * out.data * (1.0 - out.data))
 
     def relu(self) -> "Tensor":
-        return self._unary("relu", 0, lambda t, out: out.grad * (t.data > 0))
+        return self._unary("relu", lambda t, out: out.grad * (t.data > 0))
 
     def abs(self) -> "Tensor":
-        return self._unary("abs", 0,
+        return self._unary("abs",
                            lambda t, out: out.grad * np.sign(t.data))
 
     # -- reductions -------------------------------------------------------------------
@@ -503,8 +490,7 @@ class Tensor:
             counts = mask.sum(axis=-1, keepdims=True)
             self._accumulate(mask * out.grad / counts, fresh=True)
 
-        return _apply("max", (self,), backward, ((0, -1),),
-                      axis=-1, keepdims=True)
+        return _apply("max", (self,), backward, axis=-1, keepdims=True)
 
     # -- shape manipulation -----------------------------------------------------------
     def reshape(self, *shape) -> "Tensor":

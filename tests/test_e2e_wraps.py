@@ -15,7 +15,6 @@ import pytest
 
 from repro.ml import engine
 from repro.ml.engine import cpu as engine_cpu
-from repro.ml.engine import graph as engine_graph
 from repro.ml.tensor import Tensor
 from tests.test_reachability import E2E
 
@@ -38,7 +37,8 @@ def test_every_wrapped_callable_is_defined_on_its_owner(entry):
 @pytest.mark.parametrize("attr", ["realize", "schedule"])
 def test_a_patched_engine_hook_sees_every_lazy_realize(monkeypatch, attr):
     """``LazyExpr.realize`` looks ``Device.realize`` up on the class, and
-    ``Device._compile`` looks ``schedule`` up in its module, at call time."""
+    ``Device.realize`` looks ``schedule`` up in its module, at call time:
+    each runs once per realize."""
     owner = engine_cpu.Device if attr == "realize" else engine_cpu
     real, calls = vars(owner)[attr], []
 
@@ -47,8 +47,11 @@ def test_a_patched_engine_hook_sees_every_lazy_realize(monkeypatch, attr):
         return real(*args)
 
     monkeypatch.setattr(owner, attr, counted)
-    monkeypatch.setattr(engine_graph, "_ENTRIES", {})   # no plan to replay
-    with engine.engine("lazy"):
+    with engine.engine("lazy"), engine.collect() as stats:
         x = Tensor(np.linspace(0.0, 1.0, 7))
-        out = ((x * 3.0 + 1.0).tanh().sum()).numpy()
-    assert calls and out == np.tanh(np.linspace(0.0, 1.0, 7) * 3.0 + 1.0).sum()
+        h = x * 3.0 + 1.0
+        out = (h.tanh().sum()).numpy()
+        h.numpy()                               # cached: no realize
+        (h * 2.0).numpy()
+    assert len(calls) == stats.realizes == 2
+    assert out == np.tanh(np.linspace(0.0, 1.0, 7) * 3.0 + 1.0).sum()

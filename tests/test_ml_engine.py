@@ -1,9 +1,8 @@
-"""The lazy tensor engine: graph recording, fusion, the executor, stats.
+"""The lazy tensor engine: graph recording, the executor, stats.
 
 Covers the machinery under ``ENGINE=lazy`` — :class:`LazyExpr` recording
-and realization, the fuser's chain-collapsing rules, the fused
-executor's buffer reuse, the one device name it accepts, and the engine
-counters.  Bit-identity of lazy vs eager *outputs* is pinned in
+and realization, the op-by-op executor and its buffers, the one device
+name it accepts, and the engine counters.  Bit-identity of lazy vs eager *outputs* is pinned in
 ``test_perf_regression_pins.py``; here we test the engine's own
 contracts.
 """
@@ -13,8 +12,9 @@ import pytest
 
 from repro import telemetry
 from repro.ml import engine
-from repro.ml.engine import (LazyExpr, collect, engine_mode, schedule,
-                             set_device, set_engine)
+from repro.ml.engine import (LazyExpr, collect, engine_mode, set_device,
+                             set_engine)
+from repro.ml.engine.cpu import schedule
 from repro.ml.tensor import Tensor
 
 
@@ -86,83 +86,50 @@ class TestLazyExpr:
             assert y.data is first
 
 
-def _names(kernels) -> list[str]:
-    """Each kernel's ops, ``+``-joined in execution order."""
-    return ["+".join(node.op for node in k.nodes) for k in kernels]
+class TestOpByOp:
+    """A realize runs each pending node's executor once, parents first,
+    and caches every result (one kernel per op)."""
 
-
-class TestFuser:
     def _graph(self, n=8):
         x = Tensor(np.ones((n, n)))
         w = Tensor(np.ones((n, n)))
         return ((x @ w + 1.0) * 2.0).relu().sum()
 
-    def test_elementwise_chain_fuses_into_one_kernel(self):
-        with engine.engine("lazy"):
-            y = self._graph()
-            kernels = schedule(y._lazy)
-        # matmul is its own kernel; add+mul+relu+sum fuse.
-        assert _names(kernels) == ["matmul", "add+mul+relu+sum"]
-
-    def test_multi_consumer_node_is_not_fused(self):
-        with engine.engine("lazy"):
-            x = Tensor(np.ones(16))
-            h = x * 2.0                        # two consumers
-            y = (h + 1.0) * (h - 3.0)
-            kernels = schedule(y._lazy)
-        names = _names(kernels)
-        # h stands alone (its kernel runs first); neither consumer chain
-        # swallowed it.
-        assert names[0] == "mul"
-        assert all(not n.startswith("mul+") for n in names)
-
     def test_kernels_execute_in_dependency_order(self):
         with engine.engine("lazy"):
             y = self._graph(4)
+            assert [node.op for node in schedule(y._lazy)] == [
+                "matmul", "add", "mul", "relu", "sum"]
             assert float(y.data) == float(
                 (((np.ones((4, 4)) @ np.ones((4, 4))) + 1.0) * 2.0).sum())
 
-    def test_fused_interior_is_saved_for_backward(self):
+    def test_kernel_accounting(self):
         with engine.engine("lazy"):
             x = Tensor(np.full((8,), 0.3), requires_grad=True)
-            y = (x * 2.0).tanh().sum()
+            h = x * 2.0
+            y = h.tanh().sum()
             with collect() as stats:
                 y.backward()
-            # tanh's backward reads its output: the mul+tanh+sum kernel
-            # kept it as a second output instead of recomputing it.
+                h.data                          # cached, not run again
+            assert (stats.kernels, stats.realizes) == (3, 1)
+            assert stats.fused_ops == stats.kernels
             assert stats.recomputes == 0
-            assert stats.kernels == 1 and stats.realizes == 1
             ref = 2.0 * (1.0 - np.tanh(np.full((8,), 0.3) * 2.0) ** 2)
             np.testing.assert_array_equal(x.grad, ref)
 
-    def test_unsaved_interior_still_recomputes_on_demand(self):
-        with engine.engine("lazy"):
-            x = Tensor(np.full((8,), 0.3))
-            h = x * 2.0                        # nothing marks it
-            y = h.tanh().sum()
-            with collect() as stats:
-                y.numpy()
-                np.testing.assert_array_equal(h.data, np.full((8,), 0.6))
-            assert stats.recomputes == 1
-
-    def test_kernel_accounting(self):
-        with engine.engine("lazy"):
-            y = self._graph(8)
-            kernels = schedule(y._lazy)
-        fused = kernels[1]
-        assert fused.n_ops == 4
-        assert fused.outputs == [fused.output]
-
 
 class TestExecutorBufferReuse:
+    """Executors write into no buffer they did not allocate."""
+
     def test_chain_allocates_once_per_kernel_output(self):
         with engine.engine("lazy"):
             with collect() as stats:
                 x = Tensor(np.ones((64, 64)))
                 ((x * 2.0 + 1.0).tanh().relu()).data
-            # 4 fused elementwise ops, 1 materialized buffer.
-            assert stats.kernels == 1
-            assert stats.kernel_allocs == 1
+            # 4 elementwise ops, one kernel and one buffer each.
+            assert stats.kernels == 4
+            assert stats.kernel_allocs == 4
+            assert stats.kernel_alloc_bytes == 4 * 64 * 64 * 8
 
     def test_leaf_buffers_never_reused(self):
         with engine.engine("lazy"):
@@ -194,8 +161,7 @@ class TestPowExecutor:
     def test_bits_and_dtype_of_the_numpy_operator(self, mode, exponent):
         """``x ** e`` hands 2 and 0.5 to square/sqrt and lets an
         ``np.float64`` exponent promote float32; the one ``pow`` executor
-        does the same on both engines, alone and as an ``out=`` step
-        inside a fused kernel."""
+        does the same on both engines, alone and inside a chain."""
         x = np.linspace(0.0, 2.0, 9, dtype=np.float32)
         x[0] = -0.0
         with np.errstate(divide="ignore"), engine.engine(mode):

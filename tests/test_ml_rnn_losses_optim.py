@@ -79,6 +79,19 @@ class TestGRU:
 
 
 class TestLosses:
+    @pytest.mark.parametrize("loss_fn", [mse, mae])
+    def test_float64_targets_keep_a_float32_model_in_float32(self, loss_fn):
+        rng = np.random.default_rng(0)
+        model = MLP([4, 6, 1], seed=0)
+        for p in model.parameters():
+            p.data = p.data.astype(np.float32)
+        x = Tensor(rng.normal(size=(5, 4)).astype(np.float32))
+        loss = loss_fn(model(x), rng.normal(size=(5, 1)))   # float64
+        loss.backward()
+        assert loss.dtype == np.float32
+        assert [p.grad.dtype for p in model.parameters()] == [
+            np.float32] * len(model.parameters())
+
     def test_cross_entropy_uniform(self):
         logits = Tensor(np.zeros((4, 3)))
         loss = cross_entropy(logits, np.array([0, 1, 2, 0]))
